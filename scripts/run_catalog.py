@@ -11,6 +11,7 @@ import sys
 import time
 
 import fmcheck.catalog as cat
+from fmcheck.manifold import worst as worst_of
 
 
 def main() -> int:
@@ -27,7 +28,7 @@ def main() -> int:
         res = cat.run_suite(cat.entry(name), seed=args.seed, count=args.points)
         bundle.append(res.to_dict())
         all_ok &= res.ok
-        worst = max((r.residual for r in res.reports), default=0.0)
+        worst = worst_of(r.residual for r in res.reports)
         print(f"{name:<26} {'ok' if res.ok else 'BROKEN':<7} "
               f"checks={len(res.reports):<3} worst={worst:.3e}  ({time.time()-t0:.2f}s)")
         for r in res.reports:

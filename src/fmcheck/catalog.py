@@ -12,30 +12,29 @@ branches, which is the convention recorded in reports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exprjet as ej
-from .connection import (check_compat_product, check_curvature_product_condition,
+from .connection import (ConnectionAt, check_compat_product, check_curvature_product_condition,
                          check_flatness, check_nabla_e, check_nabla_from_g,
-                         check_nabla_nabla_E, check_R_tR_identity,
-                         check_torsionless, connection_from_exprs, dual_structure,
-                         levi_civita, natural_connection)
-from .hamops import (check_gmc, check_quadratic_expansion, check_sym_condition,
-                     field_rank, fields_from_exprs, fields_from_gradients)
-from .manifold import (ManifoldSpec, Region, Report, SamplePlan, check_hertling_manin,
-                       check_homogeneity, check_killing_unit, check_metric_invariance,
-                       check_product_axioms, merge_reports, normalized,
-                       sample_points, structure_at)
+                         check_nabla_nabla_E, check_torsionless, connection_from_exprs,
+                         dual_structure, levi_civita, natural_connection, r_tr_identity_at)
+from .hamops import (NormalBundleData, fields_from_exprs, fields_from_gradients, gmc_at,
+                     gmc_report, quadratic_expansion_at, rank_of, sym_condition_at)
+from .manifold import (ManifoldSpec, Region, Report, SamplePlan, StructureAt,
+                       hertling_manin_at, homogeneity_at,
+                       killing_unit_at, metric_invariance_at, normalized, point_report,
+                       product_axioms_at, sample_points, structure_at, structures, worst)
 from .ode3d import beta_from_F, closed_form_pencil, closed_form_q0, integrals, z_of_point
-from .pencil import (check_exactness, check_flat_pencil, check_pencil_homogeneity,
-                     delta_tensor, product_from_pencil, r_operator,
-                     reconstructed_structure)
-from .rotation import (check_algebraic_constraints, check_darboux_system,
-                       check_flatness_constraint, check_lame_system,
-                       check_potentiality, check_reduction_identity,
-                       rotation_data, v_matrix)
+from .pencil import (delta_tensor_at, exactness_at, flat_pencil_at, flat_pencil_report,
+                     pencil_from_structure, pencil_homogeneity_at, product_from_pencil_at,
+                     r_operator_at, reconstructed_at)
+from .rotation import (RotationData, algebraic_constraints_at, darboux_at,
+                       flatness_constraint_at, lame_system_at, potentiality_at,
+                       reduction_identity_at, rotation_data_along, v_matrix)
 from .tensor import cluster_values
 
 __all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite",
@@ -378,118 +377,135 @@ def entry(name: str) -> CatalogEntry:
 # chart-companion verification
 
 
-def _chart_jets(exprs, point, env):
-    n = len(point)
-    vals = np.zeros(len(exprs), dtype=complex)
-    jac = np.zeros((len(exprs), n), dtype=complex)
-    hess = np.zeros((len(exprs), n, n), dtype=complex)
-    for a, src in enumerate(exprs):
-        jet = ej.eval_jet(ej.parse(src), point, env)
-        vals[a], jac[a], hess[a] = jet.val, jet.grad, jet.hess
-    return vals, jac, hess
+def flat_coordinates_at(chart, conn: ConnectionAt, point):
+    """Push `conn` to the companion chart, given by its jets `chart`, and
+    require the transformed Christoffel symbols to vanish."""
+    _, jac, hess = chart
+    det = complex(np.linalg.det(jac))
+    if abs(det) <= 1e-12 * (1 + float(np.max(np.abs(jac)))) ** len(point):
+        raise JacobianSingularError(f"chart jacobian singular at {point}")
+    jinv = np.linalg.inv(jac)
+    pushed = (np.einsum("ai,ijk,jb,kc->abc", jac, conn.gamma, jinv, jinv)
+              - np.einsum("ajk,jb,kc->abc", hess, jinv, jinv))
+    sc = max(float(np.max(np.abs(conn.gamma))), float(np.max(np.abs(hess))), 1.0)
+    return normalized(np.max(np.abs(pushed)), sc), sc
 
 
-def _entry_connection(ent: CatalogEntry, point, params=None):
-    if "gamma" in ent.companion:
-        return connection_from_exprs(ent.companion["gamma"], point, ent.spec.env(params))
-    st = structure_at(ent.spec, point, params)
-    return natural_connection(st)
+def vector_potential_at(comp: dict, st: StructureAt, chart, env):
+    """In the flat chart, the pushed product must be the chart Hessian of
+    the potential components, and the pushed unit/Euler fields must match
+    their printed components."""
+    tvals, jac, _ = chart
+    jinv = np.linalg.inv(jac)
+    pushed_c = np.einsum("ai,ijk,jb,kc->abc", jac, st.c, jinv, jinv)
+    _, _, potential_hess = ej.eval_table(comp["potentials"], tvals, env)
+    terms = [float(np.max(np.abs(pushed_c - potential_hess)))]
+    e_flat = np.array([ej.eval_value(ej.parse(s), tvals, env) for s in comp["flat_e"]])
+    terms.append(float(np.max(np.abs(jac @ st.e - e_flat))))
+    if "flat_E" in comp and st.E is not None:
+        E_flat = np.array([ej.eval_value(ej.parse(s), tvals, env) for s in comp["flat_E"]])
+        terms.append(float(np.max(np.abs(jac @ st.E - E_flat))))
+    sc = max(float(np.max(np.abs(pushed_c))), 1.0)
+    return normalized(worst(terms), sc), sc
+
+
+def _require(ent: CatalogEntry, *keys):
+    for key in keys:
+        if key not in ent.companion:
+            raise MissingCompanionDataError(f"{ent.spec.name} has no {key}")
 
 
 def verify_flat_coordinates(ent: CatalogEntry, points, tol: float = DEFAULT_TOL,
                             params=None) -> Report:
     """Push the structure connection to the companion chart and require the
     transformed Christoffel symbols to vanish."""
-    if "flat_chart" not in ent.companion:
-        raise MissingCompanionDataError(f"{ent.spec.name} has no flat chart")
+    _require(ent, "flat_chart")
     env = ent.spec.env(params)
-    worst, scale = 0.0, 0.0
-    for p in points:
-        _, jac, hess = _chart_jets(ent.companion["flat_chart"], np.asarray(p, dtype=complex), env)
-        det = complex(np.linalg.det(jac))
-        if abs(det) <= 1e-12 * (1 + float(np.max(np.abs(jac)))) ** len(p):
-            raise JacobianSingularError(f"chart jacobian singular at {p}")
-        jinv = np.linalg.inv(jac)
-        conn = _entry_connection(ent, p, params)
-        pushed = (np.einsum("ai,ijk,jb,kc->abc", jac, conn.gamma, jinv, jinv)
-                  - np.einsum("ajk,jb,kc->abc", hess, jinv, jinv))
-        sc = max(float(np.max(np.abs(conn.gamma))), float(np.max(np.abs(hess))), 1.0)
-        worst = max(worst, normalized(np.max(np.abs(pushed)), sc))
-        scale = max(scale, sc)
-    return Report.from_residual("flat-coordinates", worst, tol, scale=scale, npoints=len(points))
+
+    def at(p):
+        if "gamma" in ent.companion:
+            conn = connection_from_exprs(ent.companion["gamma"], p, env)
+        else:
+            conn = natural_connection(structure_at(ent.spec, p, params))
+        return flat_coordinates_at(ej.eval_table(ent.companion["flat_chart"], p, env), conn, p)
+
+    return point_report("flat-coordinates", map(at, points), tol)
 
 
 def verify_vector_potential(ent: CatalogEntry, points, tol: float = 1e-10,
                             params=None) -> Report:
-    """In the flat chart, the pushed product must be the chart Hessian of
-    the potential components, and the pushed unit/Euler fields must match
-    their printed components."""
-    comp = ent.companion
-    for key in ("flat_chart", "potentials"):
-        if key not in comp:
-            raise MissingCompanionDataError(f"{ent.spec.name} has no {key}")
+    _require(ent, "flat_chart", "potentials")
     env = ent.spec.env(params)
-    worst, scale = 0.0, 0.0
-    for p in points:
-        tvals, jac, _ = _chart_jets(comp["flat_chart"], np.asarray(p, dtype=complex), env)
-        jinv = np.linalg.inv(jac)
-        st = structure_at(ent.spec, p, params)
-        pushed_c = np.einsum("ai,ijk,jb,kc->abc", jac, st.c, jinv, jinv)
-        raw = 0.0
-        for a, src in enumerate(comp["potentials"]):
-            jet = ej.eval_jet(ej.parse(src), tvals, env)
-            raw = max(raw, float(np.max(np.abs(pushed_c[a] - jet.hess))))
-        e_pushed = jac @ st.e
-        e_flat = np.array([ej.eval_value(ej.parse(s), tvals, env) for s in comp["flat_e"]])
-        raw = max(raw, float(np.max(np.abs(e_pushed - e_flat))))
-        if "flat_E" in comp and st.E is not None:
-            E_pushed = jac @ st.E
-            E_flat = np.array([ej.eval_value(ej.parse(s), tvals, env) for s in comp["flat_E"]])
-            raw = max(raw, float(np.max(np.abs(E_pushed - E_flat))))
-        sc = max(float(np.max(np.abs(pushed_c))), 1.0)
-        worst = max(worst, normalized(raw, sc))
-        scale = max(scale, sc)
-    return Report.from_residual("vector-potential", worst, tol, scale=scale, npoints=len(points))
+    charts = (ej.eval_table(ent.companion["flat_chart"], p, env) for p in points)
+    return point_report("vector-potential",
+                        [vector_potential_at(ent.companion, st, chart, env)
+                         for st, chart in zip(structures(ent.spec, points, params), charts)], tol)
 
 
 # ---------------------------------------------------------------------------
 # suite runner
 
 
+def _connection_at(st: StructureAt, nat: ConnectionAt, lc: ConnectionAt,
+                   printed: ConnectionAt | None, tol: float):
+    """(report name, per-point result) of the flat-structure checks for a
+    metric entry: structure connection {torsionless, flat, unit-parallel,
+    product-compatible, defining residual}, the curvature product condition
+    for the metric connection, the cyclic-sum agreement of the two
+    connections, and agreement with a closed-form connection table when
+    one is supplied."""
+    out = [("torsionless", check_torsionless(nat)),
+           ("flatness", check_flatness(nat, tol)),
+           ("nabla-e", check_nabla_e(nat, st, tol)),
+           ("product-compat", check_compat_product(nat, st, tol)),
+           ("nabla-from-g", check_nabla_from_g(nat, st, tol)),
+           ("curvature-product", check_curvature_product_condition(lc, st, "both", tol)),
+           ("r-tr", r_tr_identity_at(nat, lc, st, tol))]
+    if st.E is not None:
+        out.append(("nabla-nabla-E", check_nabla_nabla_E(nat, st, tol)))
+    if printed is not None:
+        out.append(("gamma-match",
+                    Report.from_residual("gamma-match", _table_gap(nat, printed), tol)))
+    return out
+
+
+def _table_gap(conn: ConnectionAt, printed: ConnectionAt) -> float:
+    return normalized(float(np.max(np.abs(conn.gamma - printed.gamma))),
+                      float(np.max(np.abs(printed.gamma))))
+
+
+def _put(per: dict, name: str, result, **options):
+    """Record a check's result at one point in `per`: report name -> (keyword
+    options of the check's reduction, per-point results), in report order.
+    The options go to `point_report`, or to the function given as `reduce`.
+    A single-point Report is recorded as its (residual, scale) and passes
+    its tolerance on to the reduction."""
+    if isinstance(result, Report):
+        options.setdefault("tol", result.tol)
+        result = (result.residual, result.scale)
+    per.setdefault(name, (options, []))[1].append(result)
+
+
+def _reports(per: dict, tol: float) -> list:
+    """One report per check of `per` (see `_put`), by default against `tol`."""
+    reports = []
+    for name, (options, results) in per.items():
+        reduce = options.pop("reduce", point_report)
+        reports.append(reduce(name, results, **{"tol": tol, **options}))
+    return reports
+
+
 def connection_suite(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                      params=None, gamma_exprs=None) -> list:
-    """The flat-structure checks for a metric entry: structure connection
-    {torsionless, flat, unit-parallel, product-compatible, defining
-    residual}, the curvature product condition for the metric connection,
-    the cyclic-sum agreement of the two connections, and agreement with a
-    closed-form connection table when one is supplied."""
-    per = {k: [] for k in ("torsionless", "flatness", "nabla-e", "product-compat",
-                           "nabla-from-g", "curvature-product", "r-tr", "gamma-match",
-                           "nabla-nabla-E")}
-    env_match = 0.0
-    for p in points:
-        st = structure_at(spec, p, params)
-        nat = natural_connection(st)
-        lc = levi_civita(st)
-        per["torsionless"].append(check_torsionless(nat))
-        per["flatness"].append(check_flatness(nat, tol))
-        per["nabla-e"].append(check_nabla_e(nat, st, tol))
-        per["product-compat"].append(check_compat_product(nat, st, tol))
-        per["nabla-from-g"].append(check_nabla_from_g(nat, st, tol))
-        per["curvature-product"].append(check_curvature_product_condition(lc, st, "both", tol))
-        per["r-tr"].append(check_R_tR_identity(st, tol))
-        if st.E is not None:
-            per["nabla-nabla-E"].append(check_nabla_nabla_E(nat, st, tol))
-        if gamma_exprs is not None:
-            explicit = connection_from_exprs(gamma_exprs, p, spec.env(params))
-            res = normalized(float(np.max(np.abs(nat.gamma - explicit.gamma))),
-                             float(np.max(np.abs(explicit.gamma))))
-            env_match = max(env_match, res)
-    reports = [merge_reports(k, v, tol if k != "torsionless" else 1e-12)
-               for k, v in per.items() if v]
-    if gamma_exprs is not None:
-        reports.append(Report.from_residual("gamma-match", env_match, tol, npoints=len(points)))
-    return reports
+    """The flat-structure checks for a metric entry (see `_connection_at`)."""
+    per = {}
+    env = spec.env(params)
+    for st in structures(spec, points, params):
+        printed = None if gamma_exprs is None else connection_from_exprs(gamma_exprs, st.point, env)
+        nat, lc = natural_connection(st), levi_civita(st)
+        for name, result in _connection_at(st, nat, lc, printed, tol):
+            _put(per, name, result)
+    return _reports(per, tol)
 
 
 @dataclass
@@ -508,134 +524,138 @@ class SuiteResult:
                 "reports": [r.to_dict() for r in self.reports]}
 
 
-def _beta_provider_for(ent: CatalogEntry):
-    family = ent.companion.get("ode_family")
-    params = ent.spec.params
+def _closed_form_state(ent: CatalogEntry, u):
+    """The closed-form solution of the entry's ODE family at the point u."""
+    z = z_of_point(u)
+    if ent.companion["ode_family"] == "q0":
+        return closed_form_q0(z, ent.spec.params.get("a", 1.0), ent.spec.params.get("b", 1.0))
+    return closed_form_pencil(z)
 
-    def provider(u):
-        z = z_of_point(u)
-        if family == "q0":
-            state = closed_form_q0(z, params.get("a", 1.0), params.get("b", 1.0))
-        else:
-            state = closed_form_pencil(z)
-        return beta_from_F(state, u)
 
-    return provider
+def _v_eigenvalue_gap(rd: RotationData, want) -> float:
+    _, eig, _ = v_matrix(rd)
+    # cluster multiple roots first: a split double root is only
+    # sqrt(eps)-accurate per root but eps-accurate in the mean
+    clustered = []
+    for rep, mult in cluster_values(eig, tol=1e-6):
+        clustered.extend([rep] * mult)
+    clustered.sort(key=lambda v: (v.real, v.imag))
+    return float(np.max(np.abs(np.array(clustered) - np.array(sorted(want), dtype=complex))))
+
+
+def _normal_bundle(ent: CatalogEntry) -> NormalBundleData:
+    conf = ent.companion["normal_bundle"]
+    if conf["kind"] == "gradients":
+        return fields_from_gradients(conf["scalars"], conf["eps"], ent.spec.params)
+    return fields_from_exprs(conf["fields"], conf["eps"], ent.spec.params)
+
+
+_CONNECTION_FLAGS = frozenset({"riemannian-f-killing", "biflat", "flat-normal-bundle",
+                               "flat-chart"})
+_ROTATION_FLAGS = frozenset({"darboux", "lame", "ed4", "ed4bis", "ed5b", "potentiality"})
 
 
 def run_suite(ent: CatalogEntry, seed: int = 0, count: int = 20,
               tol: float = DEFAULT_TOL) -> SuiteResult:
-    """Execute every check implied by the entry's flags."""
-    spec = ent.spec
-    points = sample_points(spec, SamplePlan(seed=seed, count=count))
-    reports: list = []
-    flags = ent.flags
-    lame = ent.companion.get("lame")
+    """Execute every check implied by the entry's flags.
 
-    if "riemannian-f-killing" in flags:
-        reports.append(check_product_axioms(spec, points, tol))
-        reports.append(check_hertling_manin(spec, points, tol))
-        reports.append(check_metric_invariance(spec, points, tol))
-        reports.append(check_killing_unit(spec, points, tol))
-        reports.extend(connection_suite(spec, points, tol,
-                                        gamma_exprs=ent.companion.get("gamma") if "gamma-match" in flags else None))
-    if "homogeneous" in flags:
-        reports.append(check_homogeneity(spec, points, tol))
-    if "biflat" in flags:
-        subs = []
-        star_match = 0.0
-        for p in points:
-            st = structure_at(spec, p)
-            conn = natural_connection(st)
-            dual = dual_structure(st, conn, tol)
-            subs.append(dual.report)
-            if "gamma_star" in ent.companion:
-                printed = connection_from_exprs(ent.companion["gamma_star"], p, spec.env())
-                star_match = max(star_match, normalized(
-                    float(np.max(np.abs(dual.gamma_star.gamma - printed.gamma))),
-                    float(np.max(np.abs(printed.gamma)))))
-        reports.append(merge_reports("dual-structure", subs, tol))
-        if "gamma_star" in ent.companion:
-            reports.append(Report.from_residual("gamma-star-match", star_match, tol,
-                                                npoints=len(points)))
-    if "darboux" in flags:
-        reports.append(check_darboux_system(spec, points, tol, lame_exprs=lame))
-        reports.append(check_reduction_identity(spec, points, tol, lame_exprs=lame))
-    if "lame" in flags:
-        d = spec.expected.get("d")
-        beta_src = _beta_provider_for(ent) if "ode-family" in flags else None
-        reports.append(check_lame_system(spec, points, d=d, beta_source=beta_src,
-                                         tol=tol, lame_exprs=lame))
-    if "ed4" in flags:
-        reports.append(check_flatness_constraint(spec, points, tol, lame_exprs=lame))
-    if "ed4bis" in flags:
-        reports.append(check_algebraic_constraints(spec, points, "ED4bis", tol, lame_exprs=lame))
-    if "ed5b" in flags:
-        reports.append(check_algebraic_constraints(spec, points, "ED5b", tol, lame_exprs=lame))
-    if "potentiality" in flags:
-        reports.append(check_potentiality(spec, points, tol, lame_exprs=lame))
-    if "V_eigenvalues" in spec.expected:
-        res = 0.0
-        want = np.array(sorted(spec.expected["V_eigenvalues"]), dtype=complex)
-        for p in points[:5]:
-            rd = rotation_data(spec, p, lame_exprs=lame)
-            _, eig, d_fit = v_matrix(rd)
-            # cluster multiple roots first: a split double root is only
-            # sqrt(eps)-accurate per root but eps-accurate in the mean
-            clustered = []
-            for rep, mult in cluster_values(eig, tol=1e-6):
-                clustered.extend([rep] * mult)
-            clustered.sort(key=lambda v: (v.real, v.imag))
-            res = max(res, float(np.max(np.abs(np.array(clustered) - want))))
-        reports.append(Report.from_residual("v-eigenvalues", res, tol, npoints=5))
+    The sample points are walked once.  At each point the structure, the
+    natural and Levi-Civita connections, the closed-form connection, the
+    rotation and pencil data and the companion jets are built once, where
+    the flags need them, and every check takes its residual at that point
+    from them.  Each check's residuals are reduced after the walk."""
+    spec, flags, comp = ent.spec, ent.flags, ent.companion
+    env = spec.env()
+    expected = spec.expected
+    points = sample_points(spec, SamplePlan(seed=seed, count=count))
+    head = max(4, count // 5)  # points of the costlier pencil checks
+    killing = "riemannian-f-killing" in flags
+    lame = comp.get("lame")
+    nb = _normal_bundle(ent) if "flat-normal-bundle" in flags else None
+    beta_src = None
     if "ode-family" in flags:
-        res = 0.0
-        fam = ent.companion["ode_family"]
-        for p in points[:5]:
-            z = z_of_point(p)
-            state = closed_form_q0(z, spec.params.get("a", 1.0), spec.params.get("b", 1.0)) \
-                if fam == "q0" else closed_form_pencil(z)
-            vals = integrals(state)
-            res = max(res, abs(vals["I1"] - spec.expected["I1"]),
-                      abs(vals["I2"] - spec.expected["I2"]))
-        reports.append(Report.from_residual("ode-integrals", res, 1e-10, npoints=5))
-    if "flat-normal-bundle" in flags:
-        nb_conf = ent.companion["normal_bundle"]
-        if nb_conf["kind"] == "gradients":
-            nb = fields_from_gradients(nb_conf["scalars"], nb_conf["eps"], spec.params)
-        else:
-            nb = fields_from_exprs(nb_conf["fields"], nb_conf["eps"], spec.params)
-        reports.append(check_quadratic_expansion(spec, nb, points, max(tol, 1e-9)))
-        reports.append(check_sym_condition(spec, nb, points, tol))
-        reports.append(check_gmc(spec, nb, points, tol))
-        if "rank" in spec.expected:
-            ranks = {field_rank(nb, p, spec.n) for p in points[:5]}
-            ok = ranks == {int(spec.expected["rank"])}
-            reports.append(Report.from_residual("normal-rank", 0.0 if ok else 1.0, 0.5, npoints=5))
-    if "pencil" in flags:
-        reports.append(check_exactness(spec, points, tol))
-        reports.append(check_pencil_homogeneity(spec, points, tol))
-        reports.append(check_flat_pencil(spec, points[:max(4, count // 5)], tol=tol))
-        subs_d, subs_r, subs_p = [], [], []
-        for p in points[:max(4, count // 5)]:
-            subs_d.append(delta_tensor(spec, p, tol=tol)[1])
-            subs_r.append(r_operator(spec, p, tol=max(tol, 1e-9))[1])
-            subs_p.append(product_from_pencil(spec, p, tol=max(tol, 1e-9))[2])
-        reports.append(merge_reports("delta-identities", subs_d, tol))
-        reports.append(merge_reports("r-operator", subs_r, max(tol, 1e-9)))
-        reports.append(merge_reports("product-from-pencil", subs_p, max(tol, 1e-9)))
-        recon = []
-        for p in points[:max(4, count // 5)]:
-            st = reconstructed_structure(spec, p)
-            nat = natural_connection(st)
-            recon.append(check_flatness(nat, tol))
-            recon.append(check_nabla_e(nat, st, tol))
-            recon.append(check_compat_product(nat, st, tol))
-            recon.append(check_nabla_from_g(nat, st, tol))
-        reports.append(merge_reports("reconstructed-structure", recon, tol))
-    if "flat-chart" in flags:
-        reports.append(verify_flat_coordinates(ent, points, tol))
-    if "potential" in flags:
-        reports.append(verify_vector_potential(ent, points, max(tol, 1e-10)))
-    return SuiteResult(name=spec.name, reports=reports,
+        def beta_src(u):
+            return beta_from_F(_closed_form_state(ent, u), u)
+    rotations = None
+    if flags & _ROTATION_FLAGS or "V_eigenvalues" in expected:
+        rotations = rotation_data_along(spec, points, lame_exprs=lame)
+    per = {}
+    put = functools.partial(_put, per)
+    for k, p in enumerate(points):
+        st = structure_at(spec, p)
+        nat = lc = None
+        if st.g is not None and flags & _CONNECTION_FLAGS:
+            nat, lc = natural_connection(st), levi_civita(st)
+        printed = connection_from_exprs(comp["gamma"], p, env) if "gamma" in comp else None
+        if killing:
+            put("product-axioms", product_axioms_at(st))
+            put("hertling-manin", hertling_manin_at(st))
+            put("metric-invariance", metric_invariance_at(st))
+            put("killing-unit", killing_unit_at(st))
+            match = printed if "gamma-match" in flags else None
+            for name, result in _connection_at(st, nat, lc, match, tol):
+                put(name, result)
+        if "homogeneous" in flags:
+            put("homogeneity", homogeneity_at(st), fit="D", expected=expected.get("D"))
+        if "biflat" in flags:
+            dual = dual_structure(st, nat, tol)
+            put("dual-structure", dual.report)
+            if "gamma_star" in comp:
+                put("gamma-star-match", (_table_gap(
+                    dual.gamma_star, connection_from_exprs(comp["gamma_star"], p, env)), 0.0))
+        rd = None if rotations is None else next(rotations)
+        if "darboux" in flags:
+            put("darboux-system", darboux_at(rd))
+            put("reduction-identity", reduction_identity_at(rd))
+        if "lame" in flags:
+            put("lame-system", lame_system_at(rd, expected.get("d"), beta_src), fit="d")
+        if "ed4" in flags:
+            put("flatness-constraint", flatness_constraint_at(rd))
+        if "ed4bis" in flags:
+            put("algebraic-ED4bis", algebraic_constraints_at(rd, "ED4bis"))
+        if "ed5b" in flags:
+            put("algebraic-ED5b", algebraic_constraints_at(rd, "ED5b"))
+        if "potentiality" in flags:
+            put("potentiality", potentiality_at(rd))
+        if "V_eigenvalues" in expected and k < 5:
+            put("v-eigenvalues", (_v_eigenvalue_gap(rd, expected["V_eigenvalues"]), 0.0))
+        if "ode-family" in flags and k < 5:
+            vals = integrals(_closed_form_state(ent, p))
+            put("ode-integrals", (worst((abs(vals["I1"] - expected["I1"]),
+                                         abs(vals["I2"] - expected["I2"]))), 0.0), tol=1e-10)
+        if nb is not None:
+            xs, dxs = nb.at(st.point, st.n)
+            put("quadratic-expansion", quadratic_expansion_at(st, lc, nb.eps, xs),
+                tol=max(tol, 1e-9))
+            put("sym-condition", sym_condition_at(st, nat, xs, dxs))
+            put("gmc", gmc_at(st, lc, nb.eps, xs, dxs), reduce=gmc_report)
+            if "rank" in expected and k < 5:
+                put("normal-rank", (float(rank_of(xs) != expected["rank"]), 0.0), tol=0.5)
+        if "pencil" in flags:
+            pa = pencil_from_structure(st)
+            put("pencil-exactness", exactness_at(pa))
+            put("pencil-homogeneity", pencil_homogeneity_at(pa), fit="d",
+                expected=expected.get("d_pencil"))
+            if k < head:
+                put("flat-pencil", flat_pencil_at(pa), reduce=flat_pencil_report)
+                put("delta-identities", delta_tensor_at(pa, tol)[1])
+                put("r-operator", r_operator_at(pa, max(tol, 1e-9))[1])
+                c, dc, report = product_from_pencil_at(pa, max(tol, 1e-9))
+                put("product-from-pencil", report)
+                recon = reconstructed_at(pa, c, dc)
+                recon_nat = natural_connection(recon)
+                for report in (check_flatness(recon_nat, tol), check_nabla_e(recon_nat, recon, tol),
+                               check_compat_product(recon_nat, recon, tol),
+                               check_nabla_from_g(recon_nat, recon, tol)):
+                    put("reconstructed-structure", report)
+        if "flat-chart" in flags or "potential" in flags:
+            _require(ent, "flat_chart")
+            chart = ej.eval_table(comp["flat_chart"], p, env)
+        if "flat-chart" in flags:
+            conn = nat if printed is None else printed
+            put("flat-coordinates", flat_coordinates_at(chart, conn, p))
+        if "potential" in flags:
+            _require(ent, "potentials")
+            put("vector-potential", vector_potential_at(comp, st, chart, env), tol=max(tol, 1e-10))
+    return SuiteResult(name=spec.name, reports=_reports(per, tol),
                        expected_failures=ent.expected_failures)

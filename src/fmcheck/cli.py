@@ -19,14 +19,15 @@ import sys
 import numpy as np
 
 from . import __version__, catalog
+from . import exprjet as ej
 from .connection import check_flatness, levi_civita, natural_connection
-from .legendre import (HypothesisViolatedError, NotInvertibleError,
-                       check_legendre_field, transform_metric_exprs,
-                       transformed_structure)
-from .manifold import (ManifoldSpec, Report, SamplePlan, check_hertling_manin,
-                       check_homogeneity, check_killing_unit,
+from .legendre import (HypothesisViolatedError, NotInvertibleError, field_points,
+                       legendre_field_at, legendre_field_report, transform_metric,
+                       transform_metric_exprs)
+from .manifold import (ManifoldSpec, PointCountError, Report, SamplePlan,
+                       check_hertling_manin, check_homogeneity, check_killing_unit,
                        check_metric_invariance, check_product_axioms, fit_scalar,
-                       merge_reports, sample_points, structure_at)
+                       merge_reports, sample_points, structures, worst)
 from .ode3d import (OdeState3, SingularPathError, SingularPointError,
                     closed_form_pencil, closed_form_q0, integrals, integrate)
 
@@ -72,13 +73,18 @@ def _emit(doc: dict, fmt: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _doc(command: str, args, spec) -> dict:
+    """The report fields shared by `verify` and `legendre`."""
+    params = {k: [complex(v).real, complex(v).imag] for k, v in sorted(spec.params.items())}
+    return {"command": command, "version": __version__, "seed": args.seed,
+            "tolerances": {"rtol": args.rtol}, "branch_convention": BRANCH_NOTE, "params": params}
+
+
 def _single_check(name: str, spec, points, tol):
-    if name == "levi-civita-flat":
-        subs = [check_flatness(levi_civita(structure_at(spec, p)), tol) for p in points]
-        return merge_reports("levi-civita-flat", subs, tol)
-    if name == "natural-flat":
-        subs = [check_flatness(natural_connection(structure_at(spec, p)), tol) for p in points]
-        return merge_reports("natural-flat", subs, tol)
+    connections = {"levi-civita-flat": levi_civita, "natural-flat": natural_connection}
+    if name in connections:
+        return merge_reports(name, [check_flatness(connections[name](st), tol)
+                                    for st in structures(spec, points)], tol)
     table = {"product-axioms": check_product_axioms,
              "hertling-manin": check_hertling_manin,
              "metric-invariance": check_metric_invariance,
@@ -101,11 +107,7 @@ def cmd_verify(args) -> int:
         if ent is not None:
             ent.spec.params.update(overrides)
     tol = args.rtol
-    doc = {"command": "verify", "version": __version__, "seed": args.seed,
-           "tolerances": {"atol": args.atol, "rtol": args.rtol},
-           "branch_convention": BRANCH_NOTE,
-           "params": {k: [complex(v).real, complex(v).imag] for k, v in sorted(spec.params.items())},
-           "target": spec.name}
+    doc = {**_doc("verify", args, spec), "target": spec.name}
     try:
         if args.check:
             points = sample_points(spec, SamplePlan(seed=args.seed, count=args.points))
@@ -135,6 +137,9 @@ def cmd_verify(args) -> int:
             ok = all(r.passed for r in reports)
     except KeyError as err:
         sys.stderr.write(f"unknown check: {err}\n")
+        return 2
+    except PointCountError as err:
+        sys.stderr.write(f"input error: {err}\n")
         return 2
     doc["reports"] = [r.to_dict() for r in reports]
     doc["ok"] = ok
@@ -212,42 +217,43 @@ def cmd_legendre(args) -> int:
             return 2
         field_exprs = ent.companion["legendre_fields"][args.field]
         field_name = args.field
-    points = sample_points(spec, SamplePlan(seed=args.seed, count=args.points))
-    reports = []
     try:
-        reports.append(check_legendre_field(spec, field_exprs, points, args.rtol))
-        new_spec = transform_metric_exprs(spec, field_exprs, name=f"{spec.name}-{field_name}")
-        # cross-check the expression-level metric against the pointwise transform
-        res = 0.0
-        for p in points[:5]:
-            stb = transformed_structure(spec, field_exprs, p)
-            stx = structure_at(new_spec, p)
-            res = max(res, float(np.max(np.abs(stb.g - stx.g))) / (1 + float(np.max(np.abs(stb.g)))))
-        reports.append(Report.from_residual("transform-exprs", res, args.rtol, npoints=5))
-        if args.target:
-            tgt = catalog.entry(args.target).spec
-            res = 0.0
-            for p in points:
-                stb = transformed_structure(spec, field_exprs, p)
-                stt = structure_at(tgt, p)
-                s = fit_scalar(stb.g, stt.g)
-                res = max(res, float(np.max(np.abs(stb.g - s * stt.g)))
-                          / (1 + float(np.max(np.abs(stt.g)))))
-            reports.append(Report.from_residual(f"match-{args.target}", res,
-                                                max(args.rtol, 1e-7), npoints=len(points)))
+        points = sample_points(spec, SamplePlan(seed=args.seed, count=args.points))
+        tgt = catalog.entry(args.target).spec if args.target else None
+    except (PointCountError, catalog.UnknownEntryError) as err:
+        sys.stderr.write(f"input error: {err}\n")
+        return 2
+    new_spec = transform_metric_exprs(spec, field_exprs, name=f"{spec.name}-{field_name}")
+    field_res, exprs_res, match_res = [], [], []
+    try:
+        for k, (st, nat, x, dx, ddx) in enumerate(field_points(spec, field_exprs, points)):
+            field_res.append(legendre_field_at(st, nat, x, dx))
+            if k >= 5 and tgt is None:
+                continue
+            gbar, _, _ = transform_metric(st, nat, x, dx, ddx)
+            if k < 5:
+                # cross-check the expression-level metric against the pointwise transform
+                g_exprs, _, _ = ej.eval_table(new_spec.g, st.point, new_spec.env())
+                exprs_res.append(float(np.max(np.abs(gbar - g_exprs)))
+                                 / (1 + float(np.max(np.abs(gbar)))))
+            if tgt is not None:
+                g_tgt, _, _ = ej.eval_table(tgt.g, st.point, tgt.env())
+                s = fit_scalar(gbar, g_tgt)
+                match_res.append(float(np.max(np.abs(gbar - s * g_tgt)))
+                                 / (1 + float(np.max(np.abs(g_tgt)))))
     except (NotInvertibleError, HypothesisViolatedError) as err:
         sys.stderr.write(f"transform rejected: {err}\n")
         return 1
-    except catalog.UnknownEntryError as err:
-        sys.stderr.write(f"spec error: {err}\n")
-        return 2
+    reports = [legendre_field_report(field_res, args.rtol),
+               Report.from_residual("transform-exprs", worst(exprs_res), args.rtol,
+                                    npoints=len(exprs_res))]
+    if tgt is not None:
+        reports.append(Report.from_residual(f"match-{args.target}", worst(match_res),
+                                            max(args.rtol, 1e-7), npoints=len(match_res)))
     ok = all(r.passed for r in reports)
-    doc = {"command": "legendre", "version": __version__, "seed": args.seed,
-           "tolerances": {"atol": args.atol, "rtol": args.rtol},
-           "branch_convention": BRANCH_NOTE,
-           "params": {k: [complex(v).real, complex(v).imag] for k, v in sorted(spec.params.items())},
-           "field": field_name, "transformed_spec": new_spec.to_dict(),
-           "reports": [r.to_dict() for r in reports], "ok": ok}
+    doc = {**_doc("legendre", args, spec), "field": field_name,
+           "transformed_spec": new_spec.to_dict(), "reports": [r.to_dict() for r in reports],
+           "ok": ok}
     _emit(doc, args.format, args.output)
     return 0 if ok else 1
 
@@ -275,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--points", type=int, default=20)
-        p.add_argument("--atol", type=float, default=1e-10)
         p.add_argument("--rtol", type=float, default=1e-8)
         p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
         p.add_argument("--param", action="append", default=[], metavar="K=V")

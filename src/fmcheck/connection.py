@@ -14,16 +14,16 @@ from typing import Mapping
 import numpy as np
 
 from . import exprjet as ej
-from .manifold import Report, StructureAt, normalized
-from .tensor import SingularMatrixError, Tensor
+from .manifold import Report, StructureAt, normalized, worst
+from .tensor import SingularMatrixError
 
 __all__ = [
     "ConnectionAt", "DualStructureAt",
-    "inverse_jets", "christoffel_jets", "counit_and_dtheta",
+    "inverse_jets", "christoffel_jets", "counit_jets",
     "levi_civita", "natural_connection", "connection_from_exprs",
-    "riemann", "check_flatness", "check_torsionless", "check_nabla_e",
+    "riemann_components", "check_flatness", "check_torsionless", "check_nabla_e",
     "check_compat_product", "check_nabla_from_g",
-    "check_curvature_product_condition", "check_R_tR_identity",
+    "check_curvature_product_condition", "check_R_tR_identity", "r_tr_identity_at",
     "check_nabla_nabla_E", "dual_structure", "nabla_vector",
 ]
 
@@ -40,7 +40,7 @@ class ConnectionAt:
     provenance: str = "explicit"
 
 
-def _checked_inverse(g: np.ndarray) -> np.ndarray:
+def checked_inverse(g: np.ndarray) -> np.ndarray:
     det = complex(np.linalg.det(g))
     scale = (1.0 + float(np.max(np.abs(g)))) ** g.shape[0]
     if abs(det) <= 1e-12 * scale:
@@ -50,7 +50,7 @@ def _checked_inverse(g: np.ndarray) -> np.ndarray:
 
 def inverse_jets(a, da, dda=None):
     """Jets of the matrix inverse from jets of the matrix."""
-    b = _checked_inverse(a)
+    b = checked_inverse(a)
     db = -np.einsum("ip,pqk,qj->ijk", b, da, b)
     if dda is None:
         return b, db
@@ -95,12 +95,6 @@ def counit_jets(st: StructureAt):
     return theta, dth, dtheta, d_dtheta
 
 
-def counit_and_dtheta(st: StructureAt):
-    """Counit one-form and its antisymmetrized differential as tensors."""
-    theta, _, dtheta, _ = counit_jets(st)
-    return Tensor(theta, ("d",)), Tensor(dtheta, ("d", "d"))
-
-
 def natural_connection(st: StructureAt) -> ConnectionAt:
     """The unique torsionless connection whose non-metricity is the
     product-twisted dtheta; Levi-Civita plus the correction
@@ -137,16 +131,9 @@ def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
 def connection_from_exprs(gamma_exprs, point, env: Mapping[str, complex] | None = None,
                           provenance: str = "explicit") -> ConnectionAt:
     """Connection given by closed-form Christoffel expressions."""
-    n = len(gamma_exprs)
     point = np.asarray(point, dtype=complex)
-    gamma = np.zeros((n, n, n), dtype=complex)
-    dgamma = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                jet = ej.eval_jet(ej.parse(gamma_exprs[i][j][k]), point, env or {})
-                gamma[i, j, k], dgamma[i, j, k] = jet.val, jet.grad
-    return ConnectionAt(n, point, gamma, dgamma, provenance=provenance)
+    gamma, dgamma, _ = ej.eval_table(gamma_exprs, point, env)
+    return ConnectionAt(len(gamma_exprs), point, gamma, dgamma, provenance=provenance)
 
 
 def riemann_components(gamma, dgamma) -> np.ndarray:
@@ -155,10 +142,6 @@ def riemann_components(gamma, dgamma) -> np.ndarray:
     return (np.einsum("hijk->hikj", dgamma) - dgamma
             + np.einsum("sij,hks->hikj", gamma, gamma)
             - np.einsum("sik,hjs->hikj", gamma, gamma))
-
-
-def riemann(conn: ConnectionAt) -> Tensor:
-    return Tensor(riemann_components(conn.gamma, conn.dgamma), ("u", "d", "d", "d"))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +236,7 @@ def check_curvature_product_condition(conn: ConnectionAt, st: StructureAt,
         else:
             details["bis_residual"] = normalized(res_bis, sc)
             details["variant_gap"] = normalized(abs(res - res_bis), sc)
-            res = max(res, res_bis)
+            res = worst((res, res_bis))
     return Report.from_residual(f"curvature-product-{variant}", normalized(res, sc),
                                 tol, scale=sc, npoints=1, details=details)
 
@@ -261,16 +244,17 @@ def check_curvature_product_condition(conn: ConnectionAt, st: StructureAt,
 def check_R_tR_identity(st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
     """The cyclic curvature sums of the natural and Levi-Civita connections
     agree whenever they differ by a product-shaped correction."""
-    r_nat = riemann_components(*_gammas(natural_connection(st)))
-    r_lc = riemann_components(*_gammas(levi_civita(st)))
+    return r_tr_identity_at(natural_connection(st), levi_civita(st), st, tol)
+
+
+def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt,
+                     tol: float = DEFAULT_TOL) -> Report:
+    r_nat = riemann_components(nat.gamma, nat.dgamma)
+    r_lc = riemann_components(lc.gamma, lc.dgamma)
     res = _cyclic_rc(r_nat, st.c) - _cyclic_rc(r_lc, st.c)
     sc = max(float(np.max(np.abs(r_lc))), 1.0) * max(float(np.max(np.abs(st.c))), 1.0)
     return Report.from_residual("r-tr-identity", normalized(np.max(np.abs(res)), sc),
                                 tol, scale=sc, npoints=1)
-
-
-def _gammas(conn: ConnectionAt):
-    return conn.gamma, conn.dgamma
 
 
 def nabla_vector(conn: ConnectionAt, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -340,9 +324,9 @@ def dual_structure(st: StructureAt, conn: ConnectionAt, tol: float = DEFAULT_TOL
     reverse = conn.gamma - (gamma_star - np.einsum("lji,kl->kij", st.c, nab_star_e))
     sc_c = float(np.max(np.abs(cstar)))
     sc_g = max(float(np.max(np.abs(gamma_star))) ** 2, float(np.max(np.abs(dgamma_star))))
-    res = max(normalized(np.max(np.abs(assoc)), sc_c ** 2),
-              normalized(np.max(np.abs(unit)), sc_c),
-              normalized(np.max(np.abs(flat)), sc_g),
-              normalized(np.max(np.abs(reverse)), float(np.max(np.abs(gamma_star)))))
+    res = worst((normalized(np.max(np.abs(assoc)), sc_c ** 2),
+                 normalized(np.max(np.abs(unit)), sc_c),
+                 normalized(np.max(np.abs(flat)), sc_g),
+                 normalized(np.max(np.abs(reverse)), float(np.max(np.abs(gamma_star))))))
     report = Report.from_residual("dual-structure", res, tol, scale=sc_c, npoints=1)
     return DualStructureAt(cstar=cstar, dcstar=dcstar, gamma_star=star, report=report)

@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Param", "Neg", "Bin", "Call",
-    "Jet2", "parse", "to_source", "eval_jet", "eval_value",
+    "Jet2", "parse", "to_source", "eval_jet", "eval_table", "eval_value",
     "finite_diff_oracle", "principal",
     "ExprError", "ParseError", "EvalError", "DomainError",
     "UnboundParameterError", "UnboundVariableError",
@@ -533,6 +533,23 @@ def eval_jet(e: Expr, point: Sequence[Number], params: Mapping[str, Number] | No
     if not (np.isfinite(jet.val) and np.all(np.isfinite(jet.grad)) and np.all(np.isfinite(jet.hess))):
         raise DomainError("non-finite jet")
     return jet
+
+
+def eval_table(table, point: Sequence[Number], params: Mapping[str, Number] | None = None):
+    """Jets of every entry of a nested table of DSL sources at `point`.
+
+    Returns values with the table's shape, gradients with that shape plus
+    (n,) and Hessians with that shape plus (n, n)."""
+    point = np.asarray(point, dtype=complex)
+    n = len(point)
+    sources = np.array(table, dtype=object)
+    val = np.zeros(sources.shape, dtype=complex)
+    grad = np.zeros(sources.shape + (n,), dtype=complex)
+    hess = np.zeros(sources.shape + (n, n), dtype=complex)
+    for idx, src in np.ndenumerate(sources):
+        jet = eval_jet(parse(src), point, params)
+        val[idx], grad[idx], hess[idx] = jet.val, jet.grad, jet.hess
+    return val, grad, hess
 
 
 def eval_value(e: Expr, point: Sequence[Number], params: Mapping[str, Number] | None = None) -> complex:

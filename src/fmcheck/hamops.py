@@ -9,15 +9,16 @@ applied: the verification here is pointwise tensor algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import exprjet as ej
-from .connection import (christoffel_jets, inverse_jets,
-                         natural_connection, riemann_components)
-from .manifold import ManifoldSpec, Report, StructureAt, normalized, structure_at
+from .connection import (ConnectionAt, inverse_jets, levi_civita, natural_connection,
+                         riemann_components)
+from .manifold import (ManifoldSpec, Report, StructureAt, normalized, point_report,
+                       structure_at, structures, worst, worst_parts)
 
 __all__ = [
     "NormalBundleData", "GmcFailedError", "fields_from_exprs",
@@ -35,61 +36,37 @@ class GmcFailedError(Exception):
 
 @dataclass
 class NormalBundleData:
-    """Signs and pointwise evaluators for the spanning vector fields.
-
-    Each provider maps a point to (values, first derivatives).
-    """
+    """Signs and expression tables of the spanning vector fields: a row of
+    components per field, or, with `gradients`, a scalar per field whose
+    coordinate gradient is the field (its jet Hessian then supplies the
+    field derivatives)."""
     eps: tuple
-    providers: tuple
+    exprs: tuple
+    gradients: bool = False
+    params: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
-        return len(self.providers)
+        return len(self.exprs)
 
     def at(self, point, n: int):
-        xs = np.zeros((self.count, n), dtype=complex)
-        dxs = np.zeros((self.count, n, n), dtype=complex)
-        for a, provider in enumerate(self.providers):
-            xs[a], dxs[a] = provider(point)
-        return xs, dxs
+        """Field values xs[a, i] and derivatives dxs[a, i, k] = d_k X_a^i."""
+        if not self.exprs:
+            return np.zeros((0, n), dtype=complex), np.zeros((0, n, n), dtype=complex)
+        val, d1, d2 = ej.eval_table(self.exprs, point, self.params)
+        return (d1, d2) if self.gradients else (val, d1)
 
 
 def fields_from_exprs(component_tables: Sequence[Sequence[str]], eps,
                       params=None) -> NormalBundleData:
-    params = params or {}
-
-    def make(components):
-        asts = [ej.parse(src) for src in components]
-
-        def provider(point):
-            n = len(point)
-            vals = np.zeros(n, dtype=complex)
-            ders = np.zeros((n, n), dtype=complex)
-            for i, ast in enumerate(asts):
-                jet = ej.eval_jet(ast, point, params)
-                vals[i], ders[i] = jet.val, jet.grad
-            return vals, ders
-
-        return provider
-
-    return NormalBundleData(eps=tuple(eps), providers=tuple(make(c) for c in component_tables))
+    return NormalBundleData(eps=tuple(eps), exprs=tuple(tuple(c) for c in component_tables),
+                            params=params or {})
 
 
 def fields_from_gradients(scalar_exprs: Sequence[str], eps, params=None) -> NormalBundleData:
-    """Fields given as coordinate gradients of scalar potentials; the jet
-    Hessian supplies the field derivatives."""
-    params = params or {}
-
-    def make(src):
-        ast = ej.parse(src)
-
-        def provider(point):
-            jet = ej.eval_jet(ast, point, params)
-            return jet.grad.copy(), jet.hess.copy()
-
-        return provider
-
-    return NormalBundleData(eps=tuple(eps), providers=tuple(make(s) for s in scalar_exprs))
+    """Fields given as coordinate gradients of scalar potentials."""
+    return NormalBundleData(eps=tuple(eps), exprs=tuple(scalar_exprs), gradients=True,
+                            params=params or {})
 
 
 def lauricella_normal_fields(n: int, c_consts: Sequence[complex]) -> NormalBundleData:
@@ -105,67 +82,114 @@ def lauricella_normal_fields(n: int, c_consts: Sequence[complex]) -> NormalBundl
 
 def field_rank(nb: NormalBundleData, point, n: int, threshold: float = 1e-8) -> int:
     """Numerical rank of the matrix whose columns are the field values."""
-    xs, _ = nb.at(point, n)
+    return rank_of(nb.at(point, n)[0], threshold)
+
+
+def rank_of(xs: np.ndarray, threshold: float = 1e-8) -> int:
     if np.max(np.abs(xs)) == 0:
         return 0
     svals = np.linalg.svd(xs.T, compute_uv=False)
     return int(np.sum(svals > threshold * svals.max()))
 
 
-def _raised_riemann(st: StructureAt):
+def _raised_riemann(st: StructureAt, lc: ConnectionAt):
     """R2[i,j,k,h] = g^is R^j_skh for the Levi-Civita curvature of g."""
-    gamma, dgamma = christoffel_jets(st.g, st.dg, st.ddg)
-    r = riemann_components(gamma, dgamma)
+    r = riemann_components(lc.gamma, lc.dgamma)
     ginv, _ = inverse_jets(st.g, st.dg)
     return np.einsum("is,jskh->ijkh", ginv, r)
 
 
-def check_quadratic_expansion(spec: ManifoldSpec, nb: NormalBundleData, points,
-                              tol: float = DEFAULT_TOL, params=None) -> Report:
+# ---------------------------------------------------------------------------
+# checks: a per-point residual of the point's structure, connection and
+# field values, returning the normalized residual and its scale, and the
+# check over a point set
+
+
+def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs):
     """Raised curvature equals the signed quadratic expression in the
     spanning fields through the product."""
-    worst, scale = 0.0, 0.0
-    for p in points:
-        st = structure_at(spec, p, params)
-        r2 = _raised_riemann(st)
-        xs, _ = nb.at(st.point, st.n)
-        rhs = np.zeros_like(r2)
-        for a in range(nb.count):
-            x = xs[a]
-            term = (np.einsum("jkl,ihm,l,m->ijkh", st.c, st.c, x, x)
-                    - np.einsum("ikl,jhm,l,m->ijkh", st.c, st.c, x, x))
-            rhs = rhs + nb.eps[a] * term
-        sc = max(float(np.max(np.abs(r2))), float(np.max(np.abs(rhs))), 1e-30)
-        worst = max(worst, normalized(np.max(np.abs(r2 - rhs)), sc))
-        scale = max(scale, sc)
-    return Report.from_residual("quadratic-expansion", worst, tol, scale=scale,
-                                npoints=len(points))
+    r2 = _raised_riemann(st, lc)
+    rhs = np.zeros_like(r2)
+    for a, x in enumerate(xs):
+        term = (np.einsum("jkl,ihm,l,m->ijkh", st.c, st.c, x, x)
+                - np.einsum("ikl,jhm,l,m->ijkh", st.c, st.c, x, x))
+        rhs = rhs + eps[a] * term
+    sc = max(float(np.max(np.abs(r2))), float(np.max(np.abs(rhs))), 1e-30)
+    return normalized(np.max(np.abs(r2 - rhs)), sc), sc
+
+
+def _with_fields(spec: ManifoldSpec, nb: NormalBundleData, points, params):
+    """Structure and spanning-field values and derivatives, point by point."""
+    for st in structures(spec, points, params):
+        yield (st,) + nb.at(st.point, st.n)
+
+
+def check_quadratic_expansion(spec: ManifoldSpec, nb: NormalBundleData, points,
+                              tol: float = DEFAULT_TOL, params=None) -> Report:
+    return point_report("quadratic-expansion",
+                        [quadratic_expansion_at(st, levi_civita(st), nb.eps, xs)
+                         for st, xs, _ in _with_fields(spec, nb, points, params)], tol)
+
+
+def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
+    """c^i_jl nabla_k X^l = c^i_kl nabla_j X^l with the flat structure
+    connection, for every spanning field."""
+    per_field = []
+    for x, dx in zip(xs, dxs):
+        nab = dx + np.einsum("lks,s->lk", nat.gamma, x)  # nab[l,k]
+        res = np.einsum("ijl,lk->ijk", st.c, nab) - np.einsum("ikl,lj->ijk", st.c, nab)
+        sc = float(np.max(np.abs(st.c))) * (1 + float(np.max(np.abs(nab))))
+        per_field.append((normalized(np.max(np.abs(res)), sc), sc))
+    return worst(r for r, _ in per_field), worst(s for _, s in per_field)
 
 
 def check_sym_condition(spec: ManifoldSpec, nb: NormalBundleData, points,
                         tol: float = DEFAULT_TOL, params=None) -> Report:
-    """c^i_jl nabla_k X^l = c^i_kl nabla_j X^l with the flat structure
-    connection."""
-    worst, scale = 0.0, 0.0
-    for p in points:
-        st = structure_at(spec, p, params)
-        conn = natural_connection(st)
-        xs, dxs = nb.at(st.point, st.n)
-        for a in range(nb.count):
-            nab = dxs[a] + np.einsum("lks,s->lk", conn.gamma, xs[a])  # nab[l,k]
-            res = np.einsum("ijl,lk->ijk", st.c, nab) - np.einsum("ikl,lj->ijk", st.c, nab)
-            sc = float(np.max(np.abs(st.c))) * (1 + float(np.max(np.abs(nab))))
-            worst = max(worst, normalized(np.max(np.abs(res)), sc))
-            scale = max(scale, sc)
-    return Report.from_residual("sym-condition", worst, tol, scale=scale, npoints=len(points))
+    return point_report("sym-condition",
+                        [sym_condition_at(st, natural_connection(st), xs, dxs)
+                         for st, xs, dxs in _with_fields(spec, nb, points, params)], tol)
 
 
-def _affinors(st: StructureAt, nb: NormalBundleData):
-    xs, dxs = nb.at(st.point, st.n)
+def _affinors(st: StructureAt, xs, dxs):
     ws = np.einsum("ijs,as->aij", st.c, xs)
     dws = (np.einsum("ijsk,as->aijk", st.dc, xs)
            + np.einsum("ijs,ask->aijk", st.c, dxs))
     return ws, dws
+
+
+def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs):
+    """The four structural equations for the affinors W_a = (X_a o) at a
+    point: returns (residual, scale, {"gmc0".."gmc3": residual})."""
+    r2 = _raised_riemann(st, lc)
+    gamma_lc = lc.gamma
+    ws, dws = _affinors(st, xs, dxs)
+    count = len(xs)
+    w_top = float(np.max(np.abs(ws))) if ws.size else 0.0
+    sc = max(w_top ** 2, float(np.max(np.abs(r2))), 1e-30)
+    rhs = np.zeros_like(r2)
+    for a in range(count):
+        w = ws[a]
+        rhs = rhs + eps[a] * (np.einsum("jk,ih->ijkh", w, w) - np.einsum("ik,jh->ijkh", w, w))
+    sub = {"gmc0": [normalized(np.max(np.abs(r2 - rhs)), sc)], "gmc1": [], "gmc2": [], "gmc3": []}
+    for a in range(count):
+        for b in range(a + 1, count):
+            comm = ws[a] @ ws[b] - ws[b] @ ws[a]
+            sub["gmc1"].append(normalized(np.max(np.abs(comm)), sc))
+        gw = st.g @ ws[a]
+        sub["gmc2"].append(normalized(np.max(np.abs(gw - gw.T)), float(np.max(np.abs(gw)))))
+        # nabla~_k W^i_j, Codazzi-symmetric in (k, j)
+        nab = (np.einsum("ijk->kij", dws[a])
+               + np.einsum("iks,sj->kij", gamma_lc, ws[a])
+               - np.einsum("skj,is->kij", gamma_lc, ws[a]))
+        res3 = nab - np.einsum("kij->jik", nab)
+        sub["gmc3"].append(normalized(np.max(np.abs(res3)),
+                                      float(np.max(np.abs(ws[a]))) * (1 + float(np.max(np.abs(gamma_lc))))))
+    sub = {k: worst(v) for k, v in sub.items()}
+    return worst(sub.values()), sc, sub
+
+
+def gmc_report(name: str, per_point, tol: float) -> Report:
+    return point_report(name, per_point, tol, details=worst_parts(per_point))
 
 
 def check_gmc(spec: ManifoldSpec, nb: NormalBundleData, points,
@@ -173,38 +197,8 @@ def check_gmc(spec: ManifoldSpec, nb: NormalBundleData, points,
     """The four structural equations for the affinors W_a = (X_a o):
     curvature expansion, pairwise commutation, g-symmetry, and the
     Codazzi symmetry of the Levi-Civita derivative."""
-    worst, scale = 0.0, 0.0
-    sub = {"gmc0": 0.0, "gmc1": 0.0, "gmc2": 0.0, "gmc3": 0.0}
-    for p in points:
-        st = structure_at(spec, p, params)
-        r2 = _raised_riemann(st)
-        gamma_lc, _ = christoffel_jets(st.g, st.dg, st.ddg)
-        ws, dws = _affinors(st, nb)
-        w_top = float(np.max(np.abs(ws))) if ws.size else 0.0
-        sc = max(w_top ** 2, float(np.max(np.abs(r2))), 1e-30)
-        rhs = np.zeros_like(r2)
-        for a in range(nb.count):
-            w = ws[a]
-            rhs = rhs + nb.eps[a] * (np.einsum("jk,ih->ijkh", w, w) - np.einsum("ik,jh->ijkh", w, w))
-        sub["gmc0"] = max(sub["gmc0"], normalized(np.max(np.abs(r2 - rhs)), sc))
-        for a in range(nb.count):
-            for b in range(a + 1, nb.count):
-                comm = ws[a] @ ws[b] - ws[b] @ ws[a]
-                sub["gmc1"] = max(sub["gmc1"], normalized(np.max(np.abs(comm)), sc))
-            gw = st.g @ ws[a]
-            sub["gmc2"] = max(sub["gmc2"], normalized(np.max(np.abs(gw - gw.T)),
-                                                      float(np.max(np.abs(gw)))))
-            # nabla~_k W^i_j, Codazzi-symmetric in (k, j)
-            nab = (np.einsum("ijk->kij", dws[a])
-                   + np.einsum("iks,sj->kij", gamma_lc, ws[a])
-                   - np.einsum("skj,is->kij", gamma_lc, ws[a]))
-            res3 = nab - np.einsum("kij->jik", nab)
-            sub["gmc3"] = max(sub["gmc3"], normalized(np.max(np.abs(res3)),
-                                                      float(np.max(np.abs(ws[a]))) * (1 + float(np.max(np.abs(gamma_lc))))))
-        worst = max(worst, *sub.values())
-        scale = max(scale, sc)
-    return Report.from_residual("gmc", worst, tol, scale=scale, npoints=len(points),
-                                details={k: v for k, v in sub.items()})
+    return gmc_report("gmc", [gmc_at(st, levi_civita(st), nb.eps, xs, dxs)
+                              for st, xs, dxs in _with_fields(spec, nb, points, params)], tol)
 
 
 def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point,
@@ -214,14 +208,15 @@ def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point,
     C[i,j,k] (coefficient of the k-th coordinate derivative in entry (i,j)),
     and one tail per spanning field.  Requires the affinor equations to
     hold at the point."""
-    gmc = check_gmc(spec, nb, [point], tol=tol, params=params)
+    st = structure_at(spec, point, params)
+    lc = levi_civita(st)
+    xs, dxs = nb.at(st.point, st.n)
+    gmc = gmc_report("gmc", [gmc_at(st, lc, nb.eps, xs, dxs)], tol)
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")
-    st = structure_at(spec, point, params)
-    gamma_lc, _ = christoffel_jets(st.g, st.dg, st.ddg)
     ginv, _ = inverse_jets(st.g, st.dg)
-    conv = -np.einsum("is,jsk->ijk", ginv, gamma_lc)
-    ws, _ = _affinors(st, nb)
+    conv = -np.einsum("is,jsk->ijk", ginv, lc.gamma)
+    ws, _ = _affinors(st, xs, dxs)
     tails = [{"epsilon": int(nb.eps[a].real) if isinstance(nb.eps[a], complex) else int(nb.eps[a]),
               "W_matrix": _cseq(ws[a])} for a in range(nb.count)]
     return {"metric_term": _cseq(ginv), "christoffel_term": _cseq(conv), "tails": tails}

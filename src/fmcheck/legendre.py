@@ -8,18 +8,22 @@ non-flat field would produce meaningless reports.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import exprjet as ej
-from .connection import ConnectionAt, natural_connection, riemann_components
+from .connection import (ConnectionAt, check_compat_product, checked_inverse,
+                         natural_connection, riemann_components)
+from .hamops import sym_condition_at
 from .manifold import (ManifoldSpec, Report, StructureAt, fit_scalar,
-                       normalized, structure_at)
+                       lie_metric, normalized, point_report, product_jets, structure_at,
+                       structures, worst)
 from .rotation import rk4_path
+from .tensor import SingularMatrixError, lie_from_components
 
 __all__ = [
-    "NotInvertibleError", "HypothesisViolatedError", "field_jets",
+    "NotInvertibleError", "HypothesisViolatedError",
     "check_legendre_field", "transform_connection", "transform_connection_report",
     "transform_metric", "transform_metric_report",
     "transformed_structure", "flat_field_ode", "check_homogeneous_legendre",
@@ -39,17 +43,6 @@ class HypothesisViolatedError(Exception):
     pass
 
 
-def field_jets(exprs: Sequence[str], point, env=None):
-    n = len(point)
-    x = np.zeros(n, dtype=complex)
-    dx = np.zeros((n, n), dtype=complex)
-    ddx = np.zeros((n, n, n), dtype=complex)
-    for i, src in enumerate(exprs):
-        jet = ej.eval_jet(ej.parse(src), point, env or {})
-        x[i], dx[i], ddx[i] = jet.val, jet.grad, jet.hess
-    return x, dx, ddx
-
-
 def _mult_operator(st: StructureAt, x, dx, ddx=None):
     """W^l_k = c^l_ks x^s with derivatives; the operator of multiplication
     by the field."""
@@ -67,33 +60,40 @@ def _mult_operator(st: StructureAt, x, dx, ddx=None):
 
 
 def _inverse_operator(w: np.ndarray):
-    det = complex(np.linalg.det(w))
-    scale = (1.0 + float(np.max(np.abs(w)))) ** w.shape[0]
-    if abs(det) <= 1e-12 * scale:
-        raise NotInvertibleError(det)
-    return np.linalg.inv(w)
+    try:
+        return checked_inverse(w)
+    except SingularMatrixError as err:
+        raise NotInvertibleError(err.det) from None
+
+
+def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx):
+    """Symmetry of the product-twisted covariant derivative of the field at
+    a point, plus product invertibility, with the structure connection.
+    Returns (residual, scale, |det| of the multiplication operator)."""
+    res, sc = sym_condition_at(st, nat, [x], [dx])
+    w, _, _ = _mult_operator(st, x, dx)
+    _inverse_operator(w)
+    return res, sc, abs(np.linalg.det(w))
+
+
+def legendre_field_report(per_point, tol: float) -> Report:
+    return point_report("legendre-field", per_point, tol,
+                        details={"min_abs_det": float(min(d for _, _, d in per_point))})
+
+
+def field_points(spec, field_exprs, points, params=None):
+    """Structure, natural connection and field jets, point by point."""
+    env = spec.env(params)
+    for st in structures(spec, points, params):
+        yield (st, natural_connection(st)) + ej.eval_table(field_exprs, st.point, env)
 
 
 def check_legendre_field(spec: ManifoldSpec, field_exprs, points,
                          tol: float = DEFAULT_TOL, params=None) -> Report:
     """Symmetry of the product-twisted covariant derivative of the field,
     plus product invertibility, with the structure connection."""
-    worst, scale = 0.0, 0.0
-    det_min = np.inf
-    for p in points:
-        st = structure_at(spec, p, params)
-        conn = natural_connection(st)
-        x, dx, _ = field_jets(field_exprs, st.point, spec.env(params))
-        nab = dx + np.einsum("lks,s->lk", conn.gamma, x)
-        res = np.einsum("ijl,lk->ijk", st.c, nab) - np.einsum("ikl,lj->ijk", st.c, nab)
-        w, _, _ = _mult_operator(st, x, dx)
-        _inverse_operator(w)
-        det_min = min(det_min, abs(np.linalg.det(w)))
-        sc = float(np.max(np.abs(st.c))) * (1 + float(np.max(np.abs(nab))))
-        worst = max(worst, normalized(np.max(np.abs(res)), sc))
-        scale = max(scale, sc)
-    return Report.from_residual("legendre-field", worst, tol, scale=scale,
-                                npoints=len(points), details={"min_abs_det": float(det_min)})
+    return legendre_field_report([legendre_field_at(st, nat, x, dx) for st, nat, x, dx, _
+                                  in field_points(spec, field_exprs, points, params)], tol)
 
 
 def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx) -> ConnectionAt:
@@ -115,7 +115,6 @@ def transform_connection_report(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
                                 tol: float = DEFAULT_TOL):
     """Transformed connection plus residuals: torsion, product
     compatibility, and the curvature conjugation identity."""
-    from .connection import check_compat_product
     new = transform_connection(conn, st, x, dx, ddx)
     w, _, _ = _mult_operator(st, x, dx)
     k = _inverse_operator(w)
@@ -125,8 +124,8 @@ def transform_connection_report(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
     r_old = riemann_components(conn.gamma, conn.dgamma)
     conj = np.einsum("ha,abkj,bi->hikj", k, r_old, w)
     sc = max(float(np.max(np.abs(new.gamma))), 1.0)
-    res = max(normalized(tors, sc), compat.residual,
-              normalized(np.max(np.abs(r_new - conj)), max(float(np.max(np.abs(r_old))), 1.0)))
+    res = worst((normalized(tors, sc), compat.residual,
+                 normalized(np.max(np.abs(r_new - conj)), max(float(np.max(np.abs(r_old))), 1.0))))
     return new, Report.from_residual("transform-connection", res, tol, scale=sc, npoints=1)
 
 
@@ -158,41 +157,41 @@ def transform_metric(st: StructureAt, conn: ConnectionAt, x, dx, ddx,
 def transformed_structure(spec: ManifoldSpec, field_exprs, point, params=None) -> StructureAt:
     """StructureAt with the metric replaced by its Legendre transform."""
     st = structure_at(spec, point, params)
-    conn = natural_connection(st)
-    x, dx, ddx = field_jets(field_exprs, st.point, spec.env(params))
-    gbar, dgbar, ddgbar = transform_metric(st, conn, x, dx, ddx)
+    x, dx, ddx = ej.eval_table(field_exprs, st.point, spec.env(params))
+    return transformed_at(st, natural_connection(st), x, dx, ddx)
+
+
+def transformed_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx) -> StructureAt:
+    gbar, dgbar, ddgbar = transform_metric(st, nat, x, dx, ddx)
     return StructureAt(n=st.n, point=st.point, c=st.c, dc=st.dc, ddc=st.ddc,
                        e=st.e, de=st.de, dde=st.dde,
                        E=st.E, dE=st.dE, ddE=st.ddE,
                        g=gbar, dg=dgbar, ddg=ddgbar)
 
 
+def transform_metric_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx):
+    """Theorem-level consequences of the metric transform at a point:
+    invariance, unit-Killing property, and agreement of the new structure
+    connection with the conjugated connection."""
+    st_bar = transformed_at(st, nat, x, dx, ddx)
+    inv = (np.einsum("iq,qlp->ilp", st_bar.g, st.c)
+           - np.einsum("lq,qip->ilp", st_bar.g, st.c))
+    killing = lie_metric(st_bar, st.e, st.de)
+    nat_bar = natural_connection(st_bar)
+    conj = transform_connection(nat, st, x, dx, ddx)
+    sc = max(float(np.max(np.abs(st_bar.g))), 1.0)
+    raw = worst((normalized(np.max(np.abs(inv)), sc),
+                 normalized(np.max(np.abs(killing)), sc),
+                 normalized(np.max(np.abs(nat_bar.gamma - conj.gamma)),
+                            float(np.max(np.abs(conj.gamma))) + 1.0)))
+    return raw, sc
+
+
 def transform_metric_report(spec: ManifoldSpec, field_exprs, points,
                             tol: float = DEFAULT_TOL, params=None) -> Report:
-    """Theorem-level consequences of the metric transform: invariance,
-    unit-Killing property, and agreement of the new structure connection
-    with the conjugated connection."""
-    from .manifold import lie_metric
-    worst, scale = 0.0, 0.0
-    for p in points:
-        st = structure_at(spec, p, params)
-        conn = natural_connection(st)
-        x, dx, ddx = field_jets(field_exprs, st.point, spec.env(params))
-        st_bar = transformed_structure(spec, field_exprs, p, params)
-        inv = (np.einsum("iq,qlp->ilp", st_bar.g, st.c)
-               - np.einsum("lq,qip->ilp", st_bar.g, st.c))
-        killing = lie_metric(st_bar, st.e, st.de)
-        nat_bar = natural_connection(st_bar)
-        conj = transform_connection(conn, st, x, dx, ddx)
-        sc = max(float(np.max(np.abs(st_bar.g))), 1.0)
-        raw = max(normalized(np.max(np.abs(inv)), sc),
-                  normalized(np.max(np.abs(killing)), sc),
-                  normalized(np.max(np.abs(nat_bar.gamma - conj.gamma)),
-                             float(np.max(np.abs(conj.gamma))) + 1.0))
-        worst = max(worst, raw)
-        scale = max(scale, sc)
-    return Report.from_residual("transform-metric", worst, tol, scale=scale,
-                                npoints=len(points))
+    return point_report("transform-metric",
+                        [transform_metric_at(*data)
+                         for data in field_points(spec, field_exprs, points, params)], tol)
 
 
 def flat_field_ode(gamma_provider: Callable, x0, path, steps_per_segment: int = 200,
@@ -240,41 +239,33 @@ def flat_field_ode(gamma_provider: Callable, x0, path, steps_per_segment: int = 
     return out
 
 
+def homogeneous_legendre_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx):
+    """Returns (residual, scale, field weight, D, transformed D) at a point."""
+    lie_x = np.einsum("k,ik->i", st.E, dx) - np.einsum("k,ki->i", x, st.dE)
+    dbar = fit_scalar(lie_x, x)
+    res_x = np.max(np.abs(lie_x - dbar * x))
+    st_bar = transformed_at(st, nat, x, dx, ddx)
+    lg = lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE)
+    lgbar = lie_from_components(st_bar.g, st_bar.dg, ("d", "d"), st.E, st.dE)
+    D = fit_scalar(lg, st.g)
+    Dbar = fit_scalar(lgbar, st_bar.g)
+    sc = max(float(np.max(np.abs(x))), 1.0)
+    raw = worst((normalized(res_x, sc),
+                 normalized(abs(Dbar - (D + 2 * dbar + 2)), abs(Dbar) + 1.0)))
+    return raw, sc, dbar, D, Dbar
+
+
 def check_homogeneous_legendre(spec: ManifoldSpec, field_exprs, points,
                                tol: float = DEFAULT_TOL, params=None) -> Report:
     """Fit the Euler weight of the field and check that the transformed
     metric's homogeneity exponent shifts by twice the weight plus two."""
-    from .tensor import lie_from_components
-    worst, scale = 0.0, 0.0
-    dbars, Ds, Dbars = [], [], []
-    for p in points:
-        st = structure_at(spec, p, params)
-        x, dx, _ = field_jets(field_exprs, st.point, spec.env(params))
-        lie_x = np.einsum("k,ik->i", st.E, dx) - np.einsum("k,ki->i", x, st.dE)
-        dbar = fit_scalar(lie_x, x)
-        dbars.append(dbar)
-        res_x = np.max(np.abs(lie_x - dbar * x))
-        st_bar = transformed_structure(spec, field_exprs, p, params)
-        lg = lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE)
-        lgbar = lie_from_components(st_bar.g, st_bar.dg, ("d", "d"), st.E, st.dE)
-        D = fit_scalar(lg, st.g)
-        Dbar = fit_scalar(lgbar, st_bar.g)
-        Ds.append(D)
-        Dbars.append(Dbar)
-        sc = max(float(np.max(np.abs(x))), 1.0)
-        worst = max(worst,
-                    normalized(res_x, sc),
-                    normalized(abs(Dbar - (D + 2 * dbar + 2)), abs(Dbar) + 1.0))
-        scale = max(scale, sc)
-    db = sum(dbars) / len(dbars)
-    worst = max(worst, normalized(max(abs(v - db) for v in dbars), abs(db)))
+    per_point = [homogeneous_legendre_at(*data)
+                 for data in field_points(spec, field_exprs, points, params)]
+    Ds, Dbars = [D for *_, D, _ in per_point], [Dbar for *_, Dbar in per_point]
     D_m = sum(Ds) / len(Ds)
     Db_m = sum(Dbars) / len(Dbars)
-    details = {"dbar_fit": [db.real, db.imag],
-               "D_fit": [D_m.real, D_m.imag],
-               "Dbar_fit": [Db_m.real, Db_m.imag]}
-    return Report.from_residual("homogeneous-legendre", worst, tol, scale=scale,
-                                npoints=len(points), details=details)
+    return point_report("homogeneous-legendre", per_point, tol, fit="dbar",
+                        details={"D_fit": [D_m.real, D_m.imag], "Dbar_fit": [Db_m.real, Db_m.imag]})
 
 
 def transform_metric_exprs(spec: ManifoldSpec, field_exprs, name: str | None = None) -> ManifoldSpec:
@@ -284,15 +275,7 @@ def transform_metric_exprs(spec: ManifoldSpec, field_exprs, name: str | None = N
     if not isinstance(spec.product, str):
         raise ValueError("expression-level transform needs a constant product table")
     n = spec.n
-    c = np.zeros((n, n, n))
-    if spec.product == "canonical":
-        for i in range(n):
-            c[i, i, i] = 1.0
-    else:
-        for i in range(n):
-            for j in range(n):
-                if i + j < n:
-                    c[i + j, i, j] = 1.0
+    c, _, _ = product_jets(spec.product, n, (), {})
     xs = [ej.parse(src) for src in field_exprs]
     gs = [[ej.parse(src) for src in row] for row in spec.g]
     gbar = [["0"] * n for _ in range(n)]

@@ -13,6 +13,7 @@ All residuals are reported normalized as `max|residual| / (1 + scale)` where
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +24,8 @@ from .tensor import lie_from_components
 
 __all__ = [
     "Region", "SamplePlan", "ManifoldSpec", "StructureAt", "Report",
-    "RegionEmptyError", "AllEntriesZeroError", "sample_points", "structure_at",
+    "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "sample_points",
+    "structure_at", "structures", "worst", "point_report", "merge_reports",
     "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
     "check_killing_unit", "check_homogeneity", "normalized",
 ]
@@ -36,6 +38,10 @@ class RegionEmptyError(Exception):
 
 
 class AllEntriesZeroError(Exception):
+    pass
+
+
+class PointCountError(ValueError):
     pass
 
 
@@ -204,11 +210,51 @@ class Report:
                 "npoints": self.npoints, "details": self.details}
 
 
+def worst(values) -> float:
+    """The largest of `values`, 0.0 for none, and NaN as soon as one of
+    them is NaN: a NaN residual fails wherever it stands.  Every residual
+    of every check is reduced through here."""
+    out = 0.0
+    for v in values:
+        if v != v:
+            return math.nan
+        out = max(out, v)
+    return float(out)
+
+
+def point_report(name: str, per_point, tol: float, fit: str | None = None, expected=None,
+                 details: dict | None = None) -> Report:
+    """The report of one check from its per-point (residual, scale, ...)
+    results.
+
+    With `fit`, the third entry of each result is a constant fitted at that
+    point: the fits must then agree across the points, their mean is
+    recorded as `<fit>_fit` and, given `expected`, must match it."""
+    per_point = list(per_point)
+    residuals = [r[0] for r in per_point]
+    details = dict(details or {})
+    if fit is not None:
+        fits = [r[2] for r in per_point]
+        mean = sum(fits) / len(fits)
+        residuals.append(normalized(worst(abs(f - mean) for f in fits), abs(mean)))
+        details[f"{fit}_fit"] = [mean.real, mean.imag]
+        if expected is not None:
+            details[f"{fit}_expected"] = expected
+            residuals.append(normalized(abs(mean - complex(expected)), abs(mean)))
+    return Report.from_residual(name, worst(residuals), tol,
+                                scale=worst(r[1] for r in per_point),
+                                npoints=len(per_point), details=details)
+
+
+def worst_parts(per_point) -> dict:
+    """The worst of each named sub-residual over per-point results whose
+    third entry maps names to sub-residuals."""
+    return {key: worst(r[2][key] for r in per_point) for key in per_point[0][2]}
+
+
 def merge_reports(name: str, reports: Sequence[Report], tol: float) -> Report:
-    residual = max((r.residual for r in reports), default=0.0)
-    scale = max((r.scale for r in reports), default=0.0)
-    return Report.from_residual(name, residual, tol, scale=scale,
-                                npoints=sum(r.npoints or 1 for r in reports))
+    """Merge the single-point reports of one check."""
+    return point_report(name, [(r.residual, r.scale) for r in reports], tol)
 
 
 def normalized(raw: float, scale: float) -> float:
@@ -221,6 +267,8 @@ def normalized(raw: float, scale: float) -> float:
 
 def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
     """Deterministic rejection sampling inside the admissible region."""
+    if plan.count < 1:
+        raise PointCountError(f"need at least one sample point, got {plan.count}")
     region = plan.region or spec.region
     if region is None:
         raise ValueError(f"spec {spec.name!r} has no sampling region")
@@ -254,90 +302,59 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
 # pointwise structure evaluation
 
 
-def _vector_jets(exprs: Sequence[str], point, env):
-    n = len(point)
-    vals = np.zeros(len(exprs), dtype=complex)
-    d1 = np.zeros((len(exprs), n), dtype=complex)
-    d2 = np.zeros((len(exprs), n, n), dtype=complex)
-    for i, src in enumerate(exprs):
-        jet = ej.eval_jet(ej.parse(src), point, env)
-        vals[i], d1[i], d2[i] = jet.val, jet.grad, jet.hess
-    return vals, d1, d2
-
-
-def _matrix_jets(exprs, point, env):
-    n = len(point)
-    m = len(exprs)
-    vals = np.zeros((m, m), dtype=complex)
-    d1 = np.zeros((m, m, n), dtype=complex)
-    d2 = np.zeros((m, m, n, n), dtype=complex)
-    for i, row in enumerate(exprs):
-        for j, src in enumerate(row):
-            jet = ej.eval_jet(ej.parse(src), point, env)
-            vals[i, j], d1[i, j], d2[i, j] = jet.val, jet.grad, jet.hess
-    return vals, d1, d2
-
-
 def product_jets(product, n: int, point, env):
     """Structure constants with first and second derivatives at a point."""
+    if not isinstance(product, str):
+        return ej.eval_table(product, point, env)
     c = np.zeros((n, n, n), dtype=complex)
-    dc = np.zeros((n, n, n, n), dtype=complex)
-    ddc = np.zeros((n, n, n, n, n), dtype=complex)
-    if product == "canonical":
-        for i in range(n):
-            c[i, i, i] = 1.0
-        return c, dc, ddc
-    if product == "shifted-canonical":
-        for i in range(n):
-            for j in range(n):
-                if i + j < n:
-                    c[i + j, i, j] = 1.0
-        return c, dc, ddc
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                jet = ej.eval_jet(ej.parse(product[i][j][k]), point, env)
-                c[i, j, k], dc[i, j, k], ddc[i, j, k] = jet.val, jet.grad, jet.hess
-    return c, dc, ddc
+            if product == "canonical" and i == j:
+                c[i, i, i] = 1.0
+            elif product == "shifted-canonical" and i + j < n:
+                c[i + j, i, j] = 1.0
+    return c, np.zeros((n,) * 4, dtype=complex), np.zeros((n,) * 5, dtype=complex)
 
 
 def structure_at(spec: ManifoldSpec, point, params: Mapping[str, complex] | None = None) -> StructureAt:
     env = spec.env(params)
     point = np.asarray(point, dtype=complex)
     c, dc, ddc = product_jets(spec.product, spec.n, point, env)
-    e, de, dde = _vector_jets(spec.e, point, env)
+    e, de, dde = ej.eval_table(spec.e, point, env)
     st = StructureAt(n=spec.n, point=point, c=c, dc=dc, ddc=ddc, e=e, de=de, dde=dde)
     if spec.E is not None:
-        st.E, st.dE, st.ddE = _vector_jets(spec.E, point, env)
+        st.E, st.dE, st.ddE = ej.eval_table(spec.E, point, env)
     if spec.g is not None:
-        st.g, st.dg, st.ddg = _matrix_jets(spec.g, point, env)
+        st.g, st.dg, st.ddg = ej.eval_table(spec.g, point, env)
     if spec.g2 is not None:
-        st.g2, st.dg2, st.ddg2 = _matrix_jets(spec.g2, point, env)
+        st.g2, st.dg2, st.ddg2 = ej.eval_table(spec.g2, point, env)
     return st
 
 
-# ---------------------------------------------------------------------------
-# checks
-
-
-def _iter_structures(spec, points, params) -> Iterable[StructureAt]:
+def structures(spec: ManifoldSpec, points, params=None) -> Iterable[StructureAt]:
     for p in points:
         yield structure_at(spec, p, params)
 
 
+# ---------------------------------------------------------------------------
+# checks: a per-point residual of the point's structure, returning the
+# normalized residual and its scale, and the check over a point set
+
+
+def product_axioms_at(st: StructureAt):
+    """Commutativity, associativity and the unit axiom of the product."""
+    comm = st.c - np.swapaxes(st.c, 1, 2)
+    assoc = np.einsum("sjk,isl->ijkl", st.c, st.c) - np.einsum("sjl,isk->ijkl", st.c, st.c)
+    unit = np.einsum("ijk,j->ik", st.c, st.e) - np.eye(st.n)
+    sc = max(np.max(np.abs(st.c)), np.max(np.abs(st.e)))
+    raw = worst((np.max(np.abs(comm)), np.max(np.abs(assoc)), np.max(np.abs(unit))))
+    return normalized(raw, sc), sc
+
+
 def check_product_axioms(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                          params=None) -> Report:
-    """Commutativity, associativity and the unit axiom of the product."""
-    worst, scale = 0.0, 0.0
-    for st in _iter_structures(spec, points, params):
-        comm = st.c - np.swapaxes(st.c, 1, 2)
-        assoc = np.einsum("sjk,isl->ijkl", st.c, st.c) - np.einsum("sjl,isk->ijkl", st.c, st.c)
-        unit = np.einsum("ijk,j->ik", st.c, st.e) - np.eye(st.n)
-        sc = max(np.max(np.abs(st.c)), np.max(np.abs(st.e)))
-        raw = max(np.max(np.abs(comm)), np.max(np.abs(assoc)), np.max(np.abs(unit)))
-        worst = max(worst, normalized(raw, sc))
-        scale = max(scale, sc)
-    return Report.from_residual("product-axioms", worst, tol, scale=scale, npoints=len(points))
+    return point_report("product-axioms",
+                        map(product_axioms_at, structures(spec, points, params)), tol)
 
 
 def hertling_manin_residual(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -352,45 +369,47 @@ def hertling_manin_residual(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
     return t1 - t2 - (t3 - t4 + t5 - t6)
 
 
+def hertling_manin_at(st: StructureAt):
+    res = hertling_manin_residual(st.c, st.dc)
+    sc = max(np.max(np.abs(st.c)), np.max(np.abs(st.dc)))
+    return normalized(np.max(np.abs(res)), sc), sc
+
+
 def check_hertling_manin(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                          params=None) -> Report:
-    worst, scale = 0.0, 0.0
-    for st in _iter_structures(spec, points, params):
-        res = hertling_manin_residual(st.c, st.dc)
-        sc = max(np.max(np.abs(st.c)), np.max(np.abs(st.dc)))
-        worst = max(worst, normalized(np.max(np.abs(res)), sc))
-        scale = max(scale, sc)
-    return Report.from_residual("hertling-manin", worst, tol, scale=scale, npoints=len(points))
+    return point_report("hertling-manin",
+                        map(hertling_manin_at, structures(spec, points, params)), tol)
+
+
+def metric_invariance_at(st: StructureAt, second: bool = False):
+    g = st.g2 if second else st.g
+    if g is None:
+        raise ValueError("spec has no metric to check")
+    res = np.einsum("iq,qlp->ilp", g, st.c) - np.einsum("lq,qip->ilp", g, st.c)
+    sc = max(np.max(np.abs(g)), np.max(np.abs(st.c)))
+    return normalized(np.max(np.abs(res)), sc), sc
 
 
 def check_metric_invariance(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                             params=None, second: bool = False) -> Report:
-    worst, scale = 0.0, 0.0
-    name = "metric-invariance" + ("-g2" if second else "")
-    for st in _iter_structures(spec, points, params):
-        g = st.g2 if second else st.g
-        if g is None:
-            raise ValueError("spec has no metric to check")
-        res = np.einsum("iq,qlp->ilp", g, st.c) - np.einsum("lq,qip->ilp", g, st.c)
-        sc = max(np.max(np.abs(g)), np.max(np.abs(st.c)))
-        worst = max(worst, normalized(np.max(np.abs(res)), sc))
-        scale = max(scale, sc)
-    return Report.from_residual(name, worst, tol, scale=scale, npoints=len(points))
+    return point_report("metric-invariance" + ("-g2" if second else ""),
+                        [metric_invariance_at(st, second)
+                         for st in structures(spec, points, params)], tol)
 
 
 def lie_metric(st: StructureAt, x, dx) -> np.ndarray:
     return lie_from_components(st.g, st.dg, ("d", "d"), x, dx)
 
 
+def killing_unit_at(st: StructureAt):
+    sc = np.max(np.abs(st.g))
+    return normalized(np.max(np.abs(lie_metric(st, st.e, st.de))), sc), sc
+
+
 def check_killing_unit(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                        params=None) -> Report:
-    worst, scale = 0.0, 0.0
-    for st in _iter_structures(spec, points, params):
-        lg = lie_metric(st, st.e, st.de)
-        sc = np.max(np.abs(st.g))
-        worst = max(worst, normalized(np.max(np.abs(lg)), sc))
-        scale = max(scale, sc)
-    return Report.from_residual("killing-unit", worst, tol, scale=scale, npoints=len(points))
+    return point_report("killing-unit",
+                        map(killing_unit_at, structures(spec, points, params)), tol)
 
 
 def fit_scalar(target: np.ndarray, model: np.ndarray, floor: float = 1e-8) -> complex:
@@ -404,31 +423,25 @@ def fit_scalar(target: np.ndarray, model: np.ndarray, floor: float = 1e-8) -> co
     return complex(num / den)
 
 
+def homogeneity_at(st: StructureAt):
+    """Fit D in (L_E g) = D g at the point; the residual covers that fit
+    and (L_E c) = c.  Returns (residual, scale, D)."""
+    if st.E is None or st.g is None:
+        raise ValueError("homogeneity check needs both E and g")
+    lg = lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE)
+    if np.max(np.abs(st.g)) == 0:
+        raise AllEntriesZeroError("metric vanishes at a sample point")
+    D = fit_scalar(lg, st.g)
+    res_g = np.max(np.abs(lg - D * st.g))
+    lc = lie_from_components(st.c, st.dc, ("u", "d", "d"), st.E, st.dE)
+    res_c = np.max(np.abs(lc - st.c))
+    sc = max(np.max(np.abs(st.g)), np.max(np.abs(lg)), np.max(np.abs(st.c)))
+    return normalized(worst((res_g, res_c)), sc), sc, D
+
+
 def check_homogeneity(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                       params=None) -> Report:
-    """Fit D in (L_E g) = D g, check the residual, and check (L_E c) = c."""
-    worst, scale = 0.0, 0.0
-    fits = []
-    for st in _iter_structures(spec, points, params):
-        if st.E is None or st.g is None:
-            raise ValueError("homogeneity check needs both E and g")
-        lg = lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE)
-        if np.max(np.abs(st.g)) == 0:
-            raise AllEntriesZeroError("metric vanishes at a sample point")
-        D = fit_scalar(lg, st.g)
-        fits.append(D)
-        res_g = np.max(np.abs(lg - D * st.g))
-        lc = lie_from_components(st.c, st.dc, ("u", "d", "d"), st.E, st.dE)
-        res_c = np.max(np.abs(lc - st.c))
-        sc = max(np.max(np.abs(st.g)), np.max(np.abs(lg)), np.max(np.abs(st.c)))
-        worst = max(worst, normalized(max(res_g, res_c), sc))
-        scale = max(scale, sc)
-    D_mean = sum(fits) / len(fits)
-    spread = max(abs(f - D_mean) for f in fits)
-    worst = max(worst, normalized(spread, abs(D_mean)))
-    details = {"D_fit": [D_mean.real, D_mean.imag]}
-    if "D" in spec.expected:
-        details["D_expected"] = spec.expected["D"]
-        worst = max(worst, normalized(abs(D_mean - complex(spec.expected["D"])), abs(D_mean)))
-    return Report.from_residual("homogeneity", worst, tol, scale=scale,
-                                npoints=len(points), details=details)
+    """Fit D in (L_E g) = D g, check the residual, and check (L_E c) = c;
+    D must be one constant, and the expected one when the spec has it."""
+    return point_report("homogeneity", map(homogeneity_at, structures(spec, points, params)),
+                        tol, fit="D", expected=spec.expected.get("D"))

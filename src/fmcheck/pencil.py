@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprjet as ej
-from .connection import christoffel_jets, inverse_jets, riemann_components
+from .connection import christoffel_jets, counit_jets, inverse_jets, riemann_components
 from .manifold import (ManifoldSpec, Region, Report, StructureAt, fit_scalar,
-                       normalized, structure_at)
+                       normalized, point_report, structure_at, worst, worst_parts)
 from .tensor import SingularMatrixError, lie_from_components
 
 __all__ = [
-    "PencilAt", "MissingSecondMetricError", "pencil_at",
+    "PencilAt", "MissingSecondMetricError", "pencil_at", "pencil_from_structure",
     "check_flat_pencil", "check_exactness", "check_pencil_homogeneity",
     "delta_tensor", "r_operator", "product_from_pencil",
     "reconstructed_structure", "semisimple_pencil_from_f",
@@ -80,9 +80,13 @@ class PencilAt:
 
 
 def pencil_at(spec: ManifoldSpec, point, params=None) -> PencilAt:
-    st = structure_at(spec, point, params)
-    if st.g2 is None:
+    if spec.g2 is None:
         raise MissingSecondMetricError(f"spec {spec.name!r} has no second metric")
+    return pencil_from_structure(structure_at(spec, point, params))
+
+
+def pencil_from_structure(st: StructureAt) -> PencilAt:
+    """The pencil data at the point of `st`, which carries both metrics."""
     eta_inv, deta_inv, ddeta_inv = inverse_jets(st.g, st.dg, st.ddg)
     g_inv, dg_inv, ddg_inv = inverse_jets(st.g2, st.dg2, st.ddg2)
     gamma1, dgamma1 = christoffel_jets(st.g, st.dg, st.ddg)
@@ -101,83 +105,84 @@ def _contravariant_christoffels(g_inv, gamma):
     return -np.einsum("is,jsk->ijk", g_inv, gamma)
 
 
+def flat_pencil_at(pa: PencilAt, lambdas=DEFAULT_LAMBDAS):
+    """Curvature of every pencil member, and linearity of the contravariant
+    Christoffel symbols across the pencil.  Returns (residual, scale,
+    {lambda: residual})."""
+    gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)
+    gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)
+    per_lambda, scales = {}, []
+    for lam in lambdas:
+        lam = complex(lam)
+        pen = pa.g_inv - lam * pa.eta_inv
+        dpen = pa.dg_inv - lam * pa.deta_inv
+        ddpen = pa.ddg_inv - lam * pa.ddeta_inv
+        try:
+            cov, dcov, ddcov = inverse_jets(pen, dpen, ddpen)
+        except SingularMatrixError as err:
+            err.args = (f"pencil member at lambda = {lam} is singular: {err}",)
+            raise
+        gamma, dgamma = christoffel_jets(cov, dcov, ddcov)
+        r = riemann_components(gamma, dgamma)
+        sc = max(float(np.max(np.abs(gamma))) ** 2, float(np.max(np.abs(dgamma))))
+        res_curv = normalized(np.max(np.abs(r)), sc)
+        gc_lam = _contravariant_christoffels(pen, gamma)
+        res_lin = normalized(np.max(np.abs(gc_lam - (gc2 - lam * gc1))),
+                             float(np.max(np.abs(gc2))) + abs(lam) * float(np.max(np.abs(gc1))))
+        per_lambda[f"{lam}"] = worst((res_curv, res_lin))
+        scales.append(sc)
+    return worst(per_lambda.values()), worst(scales), per_lambda
+
+
+def flat_pencil_report(name: str, per_point, tol: float) -> Report:
+    return point_report(name, per_point, tol, details={"per_lambda": worst_parts(per_point)})
+
+
 def check_flat_pencil(spec, points, lambdas=DEFAULT_LAMBDAS,
                       tol: float = DEFAULT_TOL, params=None) -> Report:
     """Curvature of every pencil member, and linearity of the contravariant
     Christoffel symbols across the pencil."""
-    worst, scale = 0.0, 0.0
-    per_lambda = {}
-    for p in points:
-        pa = pencil_at(spec, p, params)
-        gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)
-        gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)
-        for lam in lambdas:
-            lam = complex(lam)
-            pen = pa.g_inv - lam * pa.eta_inv
-            dpen = pa.dg_inv - lam * pa.deta_inv
-            ddpen = pa.ddg_inv - lam * pa.ddeta_inv
-            try:
-                cov, dcov, ddcov = inverse_jets(pen, dpen, ddpen)
-            except SingularMatrixError as err:
-                err.args = (f"pencil member at lambda = {lam} is singular: {err}",)
-                raise
-            gamma, dgamma = christoffel_jets(cov, dcov, ddcov)
-            r = riemann_components(gamma, dgamma)
-            sc = max(float(np.max(np.abs(gamma))) ** 2, float(np.max(np.abs(dgamma))))
-            res_curv = normalized(np.max(np.abs(r)), sc)
-            gc_lam = _contravariant_christoffels(pen, gamma)
-            res_lin = normalized(np.max(np.abs(gc_lam - (gc2 - lam * gc1))),
-                                 float(np.max(np.abs(gc2))) + abs(lam) * float(np.max(np.abs(gc1))))
-            res = max(res_curv, res_lin)
-            key = f"{lam}"
-            per_lambda[key] = max(per_lambda.get(key, 0.0), res)
-            worst = max(worst, res)
-            scale = max(scale, sc)
-    return Report.from_residual("flat-pencil", worst, tol, scale=scale,
-                                npoints=len(points), details={"per_lambda": per_lambda})
+    return flat_pencil_report("flat-pencil", [flat_pencil_at(pencil_at(spec, p, params), lambdas)
+                                              for p in points], tol)
+
+
+def exactness_at(pa: PencilAt):
+    """Unit-field Lie derivatives on the contravariant side: the second
+    metric flows to the first, the first is preserved."""
+    st = pa.st
+    lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), st.e, st.de)
+    lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), st.e, st.de)
+    sc = max(float(np.max(np.abs(pa.eta_inv))), float(np.max(np.abs(pa.g_inv))))
+    raw = worst((np.max(np.abs(lie_g2 - pa.eta_inv)), np.max(np.abs(lie_g1))))
+    return normalized(raw, sc), sc
 
 
 def check_exactness(spec, points, tol: float = DEFAULT_TOL, params=None) -> Report:
-    """Unit-field Lie derivatives on the contravariant side: the second
-    metric flows to the first, the first is preserved."""
-    worst, scale = 0.0, 0.0
-    for p in points:
-        pa = pencil_at(spec, p, params)
-        st = pa.st
-        lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), st.e, st.de)
-        lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), st.e, st.de)
-        sc = max(float(np.max(np.abs(pa.eta_inv))), float(np.max(np.abs(pa.g_inv))))
-        raw = max(np.max(np.abs(lie_g2 - pa.eta_inv)), np.max(np.abs(lie_g1)))
-        worst = max(worst, normalized(raw, sc))
-        scale = max(scale, sc)
-    return Report.from_residual("pencil-exactness", worst, tol, scale=scale, npoints=len(points))
+    return point_report("pencil-exactness",
+                        [exactness_at(pencil_at(spec, p, params)) for p in points], tol)
+
+
+def _pencil_weight(pa: PencilAt):
+    """The pencil weight d fitted from L_E g2 = (d-1) g2, with L_E g2."""
+    lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), pa.E, pa.dE)
+    return fit_scalar(lie_g2, pa.g_inv) + 1.0, lie_g2
+
+
+def pencil_homogeneity_at(pa: PencilAt):
+    """Fit the pencil weight d from L_E g2 = (d-1) g2 (contravariant) and
+    cross-check L_E g1 = (d-2) g1.  Returns (residual, scale, d)."""
+    d, lie_g2 = _pencil_weight(pa)
+    lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), pa.E, pa.dE)
+    sc = max(float(np.max(np.abs(pa.g_inv))), float(np.max(np.abs(pa.eta_inv))))
+    raw = worst((np.max(np.abs(lie_g2 - (d - 1) * pa.g_inv)),
+                 np.max(np.abs(lie_g1 - (d - 2) * pa.eta_inv))))
+    return normalized(raw, sc), sc, d
 
 
 def check_pencil_homogeneity(spec, points, tol: float = DEFAULT_TOL, params=None) -> Report:
-    """Fit the pencil weight d from L_E g2 = (d-1) g2 (contravariant) and
-    cross-check L_E g1 = (d-2) g1."""
-    worst, scale = 0.0, 0.0
-    fits = []
-    for p in points:
-        pa = pencil_at(spec, p, params)
-        lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), pa.E, pa.dE)
-        lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), pa.E, pa.dE)
-        s2 = fit_scalar(lie_g2, pa.g_inv)
-        d = s2 + 1.0
-        fits.append(d)
-        sc = max(float(np.max(np.abs(pa.g_inv))), float(np.max(np.abs(pa.eta_inv))))
-        raw = max(np.max(np.abs(lie_g2 - (d - 1) * pa.g_inv)),
-                  np.max(np.abs(lie_g1 - (d - 2) * pa.eta_inv)))
-        worst = max(worst, normalized(raw, sc))
-        scale = max(scale, sc)
-    d_mean = sum(fits) / len(fits)
-    worst = max(worst, normalized(max(abs(f - d_mean) for f in fits), abs(d_mean)))
-    details = {"d_fit": [d_mean.real, d_mean.imag]}
-    if "d_pencil" in spec.expected:
-        details["d_expected"] = spec.expected["d_pencil"]
-        worst = max(worst, normalized(abs(d_mean - complex(spec.expected["d_pencil"])), abs(d_mean)))
-    return Report.from_residual("pencil-homogeneity", worst, tol, scale=scale,
-                                npoints=len(points), details=details)
+    return point_report("pencil-homogeneity",
+                        [pencil_homogeneity_at(pencil_at(spec, p, params)) for p in points],
+                        tol, fit="d", expected=spec.expected.get("d_pencil"))
 
 
 def _delta_jets(pa: PencilAt):
@@ -195,25 +200,27 @@ def _delta_jets(pa: PencilAt):
 def delta_tensor(spec, point, params=None, tol: float = DEFAULT_TOL):
     """The connection-difference tensor and its four structural identities
     (two metric symmetries, commutation, Euler homogeneity of weight d-1)."""
-    pa = pencil_at(spec, point, params)
+    return delta_tensor_at(pencil_at(spec, point, params), tol)
+
+
+def delta_tensor_at(pa: PencilAt, tol: float = DEFAULT_TOL):
     st = pa.st
     delta, ddelta = _delta_jets(pa)
     sym_eta = np.einsum("is,jks->ijk", pa.eta_inv, delta) - np.einsum("js,iks->ijk", pa.eta_inv, delta)
     sym_g = np.einsum("is,jks->ijk", pa.g_inv, delta) - np.einsum("js,iks->ijk", pa.g_inv, delta)
     comm = np.einsum("ijs,skl->ijkl", delta, delta) - np.einsum("iks,sjl->ijkl", delta, delta)
-    lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), pa.E, pa.dE)
-    d = fit_scalar(lie_g2, pa.g_inv) + 1.0
+    d, _ = _pencil_weight(pa)
     lie_delta = lie_from_components(delta, ddelta, ("u", "u", "d"), pa.E, pa.dE)
     hom = lie_delta - (d - 1) * delta
     sc = max(float(np.max(np.abs(delta))), 1.0)
-    res = max(normalized(np.max(np.abs(sym_eta)), sc * float(np.max(np.abs(pa.eta_inv)))),
-              normalized(np.max(np.abs(sym_g)), sc * float(np.max(np.abs(pa.g_inv)))),
-              normalized(np.max(np.abs(comm)), sc * sc),
-              normalized(np.max(np.abs(hom)), sc * (1 + abs(d))))
+    res = worst((normalized(np.max(np.abs(sym_eta)), sc * float(np.max(np.abs(pa.eta_inv)))),
+                 normalized(np.max(np.abs(sym_g)), sc * float(np.max(np.abs(pa.g_inv)))),
+                 normalized(np.max(np.abs(comm)), sc * sc),
+                 normalized(np.max(np.abs(hom)), sc * (1 + abs(d)))))
     details = {}
     if _is_diagonal(st):
         closed = _delta_semisimple_closed_form(pa)
-        res = max(res, normalized(np.max(np.abs(delta - closed)), sc))
+        res = worst((res, normalized(np.max(np.abs(delta - closed)), sc)))
         details["closed_form_checked"] = True
     report = Report.from_residual("delta-identities", res, tol, scale=sc,
                                   npoints=1, details=details)
@@ -248,16 +255,17 @@ def r_operator(spec, point, params=None, tol: float = DEFAULT_TOL):
     """The operator measuring the difference of the two Levi-Civita
     derivatives of the Euler field, computed two ways, plus the diagonal
     closed form where applicable."""
-    pa = pencil_at(spec, point, params)
+    return r_operator_at(pencil_at(spec, point, params), tol)
+
+
+def r_operator_at(pa: PencilAt, tol: float = DEFAULT_TOL):
     st = pa.st
     dgm = pa.gamma1 - pa.gamma2
     r1 = np.einsum("msl,l->ms", dgm, pa.E)
     # second route: (d-1)/2 Id + nabla1 E + 1/2 g^is dtheta_sj with theta = eta.e
-    lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), pa.E, pa.dE)
-    d = fit_scalar(lie_g2, pa.g_inv) + 1.0
+    d, _ = _pencil_weight(pa)
     nab1E = pa.dE + np.einsum("ijl,l->ij", pa.gamma1, pa.E)
-    dth = np.einsum("flq,l->fq", st.dg, st.e) + np.einsum("fl,lq->fq", st.g, st.de)
-    dtheta = dth.T - dth
+    _, _, dtheta, _ = counit_jets(st)
     r2 = (d - 1) / 2 * np.eye(pa.n) + nab1E + 0.5 * np.einsum("is,sj->ij", pa.g_inv, dtheta)
     sc = max(float(np.max(np.abs(r1))), 1.0)
     res = normalized(np.max(np.abs(r1 - r2)), sc)
@@ -270,7 +278,7 @@ def r_operator(spec, point, params=None, tol: float = DEFAULT_TOL):
             for k in range(n):
                 closed[k, j] = 0.5 if j == k else \
                     (u[j] - u[k]) / 2 * f[k] * pa.deta_inv[j, j, k] / f[j] ** 2
-        res = max(res, normalized(np.max(np.abs(r1 - closed)), sc))
+        res = worst((res, normalized(np.max(np.abs(r1 - closed)), sc)))
         details["closed_form_checked"] = True
     cond = np.linalg.cond(r1)
     details["condition_number"] = float(cond.real)
@@ -284,7 +292,10 @@ def product_from_pencil(spec, point, params=None, tol: float = DEFAULT_TOL):
     report).  The report covers both construction routes, commutativity,
     associativity, the unit, invariance of the first metric, Euler
     homogeneity of the product, and the multiplication-by-E identity."""
-    pa = pencil_at(spec, point, params)
+    return product_from_pencil_at(pencil_at(spec, point, params), tol)
+
+
+def product_from_pencil_at(pa: PencilAt, tol: float = DEFAULT_TOL):
     st = pa.st
     dgm = pa.gamma1 - pa.gamma2
     ddgm = pa.dgamma1 - pa.dgamma2
@@ -327,19 +338,19 @@ def product_from_pencil(spec, point, params=None, tol: float = DEFAULT_TOL):
     inv = np.einsum("iq,qlp->ilp", st.g, c) - np.einsum("lq,qip->ilp", st.g, c)
     lie_c = lie_from_components(c, dc, ("u", "d", "d"), pa.E, pa.dE)
     mult_e = np.einsum("jhk,h->jk", c, pa.E) - pa.L
-    res = max(res_routes,
-              normalized(np.max(np.abs(comm)), sc),
-              normalized(np.max(np.abs(assoc)), sc * sc),
-              normalized(np.max(np.abs(unit)), sc),
-              normalized(np.max(np.abs(inv)), sc * float(np.max(np.abs(st.g)))),
-              normalized(np.max(np.abs(lie_c - c)), sc),
-              normalized(np.max(np.abs(mult_e)), float(np.max(np.abs(pa.L)))))
+    res = worst((res_routes,
+                 normalized(np.max(np.abs(comm)), sc),
+                 normalized(np.max(np.abs(assoc)), sc * sc),
+                 normalized(np.max(np.abs(unit)), sc),
+                 normalized(np.max(np.abs(inv)), sc * float(np.max(np.abs(st.g)))),
+                 normalized(np.max(np.abs(lie_c - c)), sc),
+                 normalized(np.max(np.abs(mult_e)), float(np.max(np.abs(pa.L))))))
     if _is_diagonal(st):
         canonical = np.zeros_like(c)
         for i in range(pa.n):
             canonical[i, i, i] = 1.0
         details["canonical_residual"] = normalized(np.max(np.abs(c - canonical)), sc)
-        res = max(res, details["canonical_residual"])
+        res = worst((res, details["canonical_residual"]))
     report = Report.from_residual("product-from-pencil", res, tol, scale=sc,
                                   npoints=1, details=details)
     return c, dc, report
@@ -350,7 +361,11 @@ def reconstructed_structure(spec, point, params=None) -> StructureAt:
     first metric and the computed Euler field, ready for the full
     homogeneous structure suite."""
     pa = pencil_at(spec, point, params)
-    c, dc, _ = product_from_pencil(spec, point, params)
+    c, dc, _ = product_from_pencil_at(pa)
+    return reconstructed_at(pa, c, dc)
+
+
+def reconstructed_at(pa: PencilAt, c, dc) -> StructureAt:
     st = pa.st
     return StructureAt(n=pa.n, point=pa.point, c=c, dc=dc, ddc=None,
                        e=st.e, de=st.de, dde=st.dde,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprjet as ej
-from .manifold import ManifoldSpec, Report, StructureAt, normalized, structure_at
+from .manifold import ManifoldSpec, Report, normalized, point_report, worst
 from .tensor import eigenvalues
 
 __all__ = [
@@ -51,48 +51,31 @@ class RotationData:
     signs: np.ndarray    # branch signs applied on top of the principal sqrt
 
 
-def _lame_jets_from_metric(st: StructureAt, signs=None):
-    n = st.n
-    off = st.g - np.diag(np.diag(st.g))
-    if np.max(np.abs(off)) > 1e-12 * (1 + np.max(np.abs(st.g))):
+def _lame_jets_from_metric(g, dg, ddg):
+    """Principal-branch jets of H_i = sqrt(g_ii) from the metric jets."""
+    n = g.shape[0]
+    off = g - np.diag(np.diag(g))
+    if np.max(np.abs(off)) > 1e-12 * (1 + np.max(np.abs(g))):
         raise NonDiagonalMetricError("metric is not diagonal at this point")
     H = np.zeros(n, dtype=complex)
     dH = np.zeros((n, n), dtype=complex)
     ddH = np.zeros((n, n, n), dtype=complex)
-    signs = np.ones(n) if signs is None else np.asarray(signs)
     for i in range(n):
-        if st.g[i, i] == 0:
+        if g[i, i] == 0:
             raise ZeroLameError(f"g_{i}{i} vanishes at this point")
-        jet = ej.Jet2(n, st.g[i, i], st.dg[i, i].copy(), st.ddg[i, i].copy()).sqrt()
-        H[i] = signs[i] * jet.val
-        dH[i] = signs[i] * jet.grad
-        ddH[i] = signs[i] * jet.hess
-    return H, dH, ddH, signs
-
-
-def _lame_jets_from_exprs(exprs, point, env):
-    n = len(point)
-    H = np.zeros(n, dtype=complex)
-    dH = np.zeros((n, n), dtype=complex)
-    ddH = np.zeros((n, n, n), dtype=complex)
-    for i, src in enumerate(exprs):
-        jet = ej.eval_jet(ej.parse(src), point, env)
+        jet = ej.Jet2(n, g[i, i], dg[i, i].copy(), ddg[i, i].copy()).sqrt()
         H[i], dH[i], ddH[i] = jet.val, jet.grad, jet.hess
-    return H, dH, ddH, np.ones(n)
+    return H, dH, ddH
 
 
-def rotation_data(spec: ManifoldSpec, point, params=None,
-                  lame_exprs: Sequence[str] | None = None,
-                  signs=None) -> RotationData:
-    """Lame coefficients, rotation coefficients and their first derivatives
-    at one point of a semisimple chart."""
-    point = np.asarray(point, dtype=complex)
-    if lame_exprs is not None:
-        H, dH, ddH, signs = _lame_jets_from_exprs(lame_exprs, point, spec.env(params))
-    else:
-        st = structure_at(spec, point, params)
-        H, dH, ddH, signs = _lame_jets_from_metric(st, signs)
+def _from_lame_jets(point, H, dH, ddH, signs=None) -> RotationData:
+    """Rotation data from the Lame jets, with the branch of each H_i
+    flipped where `signs` is -1."""
     n = len(H)
+    if signs is None:
+        signs = np.ones(n)
+    else:
+        H, dH, ddH = signs * H, signs[:, None] * dH, signs[:, None, None] * ddH
     beta = np.zeros((n, n), dtype=complex)
     dbeta = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
@@ -104,23 +87,34 @@ def rotation_data(spec: ManifoldSpec, point, params=None,
     u = point
     V = (u[None, :] - u[:, None]) * beta
     return RotationData(n=n, point=point, H=H, dH=dH, ddH=ddH,
-                        beta=beta, dbeta=dbeta, V=V, signs=np.asarray(signs))
+                        beta=beta, dbeta=dbeta, V=V, signs=signs)
 
 
-def rotation_data_along(spec: ManifoldSpec, points, params=None,
-                        lame_exprs=None) -> list:
-    """Rotation data over a point sequence with sign-continued branches."""
-    out = []
+def rotation_data(spec: ManifoldSpec, point, params=None,
+                  lame_exprs: Sequence[str] | None = None,
+                  signs=None) -> RotationData:
+    """Lame coefficients, rotation coefficients and their first derivatives
+    at one point of a semisimple chart."""
+    point = np.asarray(point, dtype=complex)
+    if lame_exprs is not None:
+        return _from_lame_jets(point, *ej.eval_table(lame_exprs, point, spec.env(params)))
+    jets = _lame_jets_from_metric(*ej.eval_table(spec.g, point, spec.env(params)))
+    return _from_lame_jets(point, *jets, None if signs is None else np.asarray(signs))
+
+
+def rotation_data_along(spec: ManifoldSpec, points, params=None, lame_exprs=None):
+    """Rotation data over a point sequence, yielded one point at a time, with
+    the branch of each metric-derived Lame coefficient continued from the
+    previous point."""
     prev = None
     for p in points:
         rd = rotation_data(spec, p, params, lame_exprs=lame_exprs)
         if prev is not None and lame_exprs is None:
             signs = np.where(np.abs(rd.H - prev.H) <= np.abs(rd.H + prev.H), 1.0, -1.0)
             if np.any(signs < 0):
-                rd = rotation_data(spec, p, params, signs=signs)
-        out.append(rd)
+                rd = _from_lame_jets(rd.point, rd.H, rd.dH, rd.ddH, signs)
+        yield rd
         prev = rd
-    return out
 
 
 def v_matrix(rd: RotationData):
@@ -137,25 +131,43 @@ def _offdiag_pairs(n):
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def check_darboux_system(spec, points, tol: float = DEFAULT_TOL, params=None,
-                         lame_exprs=None) -> Report:
+# ---------------------------------------------------------------------------
+# checks: a per-point residual of the point's rotation data, returning the
+# normalized residual and its scale, and the check over a point set
+
+
+def darboux_at(rd: RotationData):
     """Residuals of d_k beta_ij = beta_ik beta_kj, e(beta) = 0 and
     E(beta) = -beta on the canonical chart."""
-    worst, scale = 0.0, 0.0
-    for rd in rotation_data_along(spec, points, params, lame_exprs):
-        u = rd.point
-        sc = float(np.max(np.abs(rd.beta)))
-        raw = 0.0
-        for i, j in _offdiag_pairs(rd.n):
-            for k in range(rd.n):
-                if k in (i, j):
-                    continue
-                raw = max(raw, abs(rd.dbeta[i, j, k] - rd.beta[i, k] * rd.beta[k, j]))
-            raw = max(raw, abs(np.sum(rd.dbeta[i, j])))
-            raw = max(raw, abs(np.sum(u * rd.dbeta[i, j]) + rd.beta[i, j]))
-        worst = max(worst, normalized(raw, sc + sc * sc))
-        scale = max(scale, sc)
-    return Report.from_residual("darboux-system", worst, tol, scale=scale, npoints=len(points))
+    u = rd.point
+    sc = float(np.max(np.abs(rd.beta)))
+    terms = []
+    for i, j in _offdiag_pairs(rd.n):
+        terms += [abs(rd.dbeta[i, j, k] - rd.beta[i, k] * rd.beta[k, j])
+                  for k in range(rd.n) if k not in (i, j)]
+        terms.append(abs(np.sum(rd.dbeta[i, j])))
+        terms.append(abs(np.sum(u * rd.dbeta[i, j]) + rd.beta[i, j]))
+    return normalized(worst(terms), sc + sc * sc), sc
+
+
+def check_darboux_system(spec, points, tol: float = DEFAULT_TOL, params=None,
+                         lame_exprs=None) -> Report:
+    rds = rotation_data_along(spec, points, params, lame_exprs)
+    return point_report("darboux-system", map(darboux_at, rds), tol)
+
+
+def lame_system_at(rd: RotationData, d=None, beta_source: Callable | None = None):
+    """Residuals of d_j H_i = beta_ij H_j, e(H_i) = 0, E(H_i) = d H_i, with
+    d fitted at the point when omitted.  Returns (residual, scale, fitted d)."""
+    u = rd.point
+    sc = float(np.max(np.abs(rd.H))) * (1 + float(np.max(np.abs(rd.beta))))
+    beta = rd.beta if beta_source is None else beta_source(u)
+    terms = [abs(rd.dH[i, j] - beta[i, j] * rd.H[j]) for i, j in _offdiag_pairs(rd.n)]
+    terms += [abs(np.sum(rd.dH[i])) for i in range(rd.n)]
+    _, _, d_fit = v_matrix(rd)
+    d_point = d if d is not None else d_fit
+    terms += [abs(np.sum(u * rd.dH[i]) - complex(d_point) * rd.H[i]) for i in range(rd.n)]
+    return normalized(worst(terms), sc), sc, d_fit
 
 
 def check_lame_system(spec, points, d=None, beta_source: Callable | None = None,
@@ -168,113 +180,94 @@ def check_lame_system(spec, points, d=None, beta_source: Callable | None = None,
     remain informative.  With d omitted it is fitted per point and checked
     for consistency.
     """
-    worst, scale = 0.0, 0.0
-    fits = []
-    for rd in rotation_data_along(spec, points, params, lame_exprs):
-        u = rd.point
-        sc = float(np.max(np.abs(rd.H))) * (1 + float(np.max(np.abs(rd.beta))))
-        beta = rd.beta if beta_source is None else beta_source(u)
-        raw = 0.0
-        for i, j in _offdiag_pairs(rd.n):
-            raw = max(raw, abs(rd.dH[i, j] - beta[i, j] * rd.H[j]))
-        for i in range(rd.n):
-            raw = max(raw, abs(np.sum(rd.dH[i])))
-        _, _, d_fit = v_matrix(rd)
-        d_point = d if d is not None else d_fit
-        fits.append(d_fit)
-        for i in range(rd.n):
-            raw = max(raw, abs(np.sum(u * rd.dH[i]) - complex(d_point) * rd.H[i]))
-        worst = max(worst, normalized(raw, sc))
-        scale = max(scale, sc)
-    mean = sum(fits) / len(fits)
-    worst = max(worst, normalized(max(abs(f - mean) for f in fits), abs(mean)))
-    return Report.from_residual("lame-system", worst, tol, scale=scale,
-                                npoints=len(points),
-                                details={"d_fit": [mean.real, mean.imag]})
+    rds = rotation_data_along(spec, points, params, lame_exprs)
+    return point_report("lame-system", [lame_system_at(rd, d, beta_source) for rd in rds],
+                        tol, fit="d")
+
+
+def flatness_constraint_at(rd: RotationData):
+    """d_i beta_ji + d_j beta_ij + sum_{k != i,j} beta_ik beta_jk = 0."""
+    sc = float(np.max(np.abs(rd.beta)))
+    terms = []
+    for i, j in _offdiag_pairs(rd.n):
+        acc = rd.dbeta[j, i, i] + rd.dbeta[i, j, j]
+        for k in range(rd.n):
+            if k not in (i, j):
+                acc += rd.beta[i, k] * rd.beta[j, k]
+        terms.append(abs(acc))
+    return normalized(worst(terms), sc + sc * sc), sc
 
 
 def check_flatness_constraint(spec, points, tol: float = DEFAULT_TOL, params=None,
                               lame_exprs=None) -> Report:
-    """d_i beta_ji + d_j beta_ij + sum_{k != i,j} beta_ik beta_jk = 0."""
-    worst, scale = 0.0, 0.0
-    for rd in rotation_data_along(spec, points, params, lame_exprs):
-        sc = float(np.max(np.abs(rd.beta)))
-        raw = 0.0
-        for i, j in _offdiag_pairs(rd.n):
-            acc = rd.dbeta[j, i, i] + rd.dbeta[i, j, j]
-            for k in range(rd.n):
-                if k not in (i, j):
-                    acc += rd.beta[i, k] * rd.beta[j, k]
-            raw = max(raw, abs(acc))
-        worst = max(worst, normalized(raw, sc + sc * sc))
-        scale = max(scale, sc)
-    return Report.from_residual("flatness-constraint", worst, tol, scale=scale, npoints=len(points))
+    rds = rotation_data_along(spec, points, params, lame_exprs)
+    return point_report("flatness-constraint", map(flatness_constraint_at, rds), tol)
+
+
+def algebraic_constraints_at(rd: RotationData, which: str = "ED4bis"):
+    """The algebraic reductions of the flatness constraint ("ED4bis") and of
+    the second-flat-metric constraint ("ED5b")."""
+    u, beta = rd.point, rd.beta
+    dbt = beta - beta.T
+    sc = float(np.max(np.abs(beta)))
+    terms = []
+    for i, j in _offdiag_pairs(rd.n):
+        acc = 0.0
+        for k in range(rd.n):
+            if k in (i, j):
+                continue
+            if which == "ED4bis":
+                acc += (u[j] - u[k]) * dbt[i, k] * beta[j, k] + (u[k] - u[i]) * dbt[j, k] * beta[i, k]
+            else:
+                acc += u[i] * (u[j] - u[k]) * dbt[i, k] * beta[j, k] - u[j] * (u[i] - u[k]) * dbt[j, k] * beta[i, k]
+        target = dbt[i, j] if which == "ED4bis" else 0.5 * (u[i] + u[j]) * dbt[i, j]
+        terms.append(abs(acc - target))
+    return normalized(worst(terms), sc + sc * sc), sc
 
 
 def check_algebraic_constraints(spec, points, which: str = "ED4bis",
                                 tol: float = DEFAULT_TOL, params=None,
                                 lame_exprs=None) -> Report:
-    """The algebraic reductions of the flatness constraint ("ED4bis") and of
-    the second-flat-metric constraint ("ED5b")."""
-    worst, scale = 0.0, 0.0
-    for rd in rotation_data_along(spec, points, params, lame_exprs):
-        u, beta = rd.point, rd.beta
-        dbt = beta - beta.T
-        sc = float(np.max(np.abs(beta)))
-        raw = 0.0
-        for i, j in _offdiag_pairs(rd.n):
-            acc = 0.0
-            for k in range(rd.n):
-                if k in (i, j):
-                    continue
-                if which == "ED4bis":
-                    acc += (u[j] - u[k]) * dbt[i, k] * beta[j, k] + (u[k] - u[i]) * dbt[j, k] * beta[i, k]
-                else:
-                    acc += u[i] * (u[j] - u[k]) * dbt[i, k] * beta[j, k] - u[j] * (u[i] - u[k]) * dbt[j, k] * beta[i, k]
-            target = dbt[i, j] if which == "ED4bis" else 0.5 * (u[i] + u[j]) * dbt[i, j]
-            raw = max(raw, abs(acc - target))
-        worst = max(worst, normalized(raw, sc + sc * sc))
-        scale = max(scale, sc)
-    return Report.from_residual(f"algebraic-{which}", worst, tol, scale=scale, npoints=len(points))
+    rds = rotation_data_along(spec, points, params, lame_exprs)
+    return point_report(f"algebraic-{which}", [algebraic_constraints_at(rd, which) for rd in rds],
+                        tol)
+
+
+def potentiality_at(rd: RotationData):
+    """beta_ij beta_jk beta_ki = beta_ji beta_ik beta_kj over distinct triples."""
+    b = rd.beta
+    sc = float(np.max(np.abs(b))) ** 3
+    terms = [abs(b[i, j] * b[j, k] * b[k, i] - b[j, i] * b[i, k] * b[k, j])
+             for i in range(rd.n) for j in range(rd.n) for k in range(rd.n)
+             if len({i, j, k}) == 3]
+    return normalized(worst(terms), sc), sc
 
 
 def check_potentiality(spec, points, tol: float = DEFAULT_TOL, params=None,
                        lame_exprs=None) -> Report:
-    """beta_ij beta_jk beta_ki = beta_ji beta_ik beta_kj over distinct triples."""
-    worst, scale = 0.0, 0.0
-    for rd in rotation_data_along(spec, points, params, lame_exprs):
-        b = rd.beta
-        sc = float(np.max(np.abs(b))) ** 3
-        raw = 0.0
-        for i in range(rd.n):
-            for j in range(rd.n):
-                for k in range(rd.n):
-                    if len({i, j, k}) < 3:
-                        continue
-                    raw = max(raw, abs(b[i, j] * b[j, k] * b[k, i] - b[j, i] * b[i, k] * b[k, j]))
-        worst = max(worst, normalized(raw, sc))
-        scale = max(scale, sc)
-    return Report.from_residual("potentiality", worst, tol, scale=scale, npoints=len(points))
+    rds = rotation_data_along(spec, points, params, lame_exprs)
+    return point_report("potentiality", map(potentiality_at, rds), tol)
+
+
+def reduction_identity_at(rd: RotationData):
+    """Identity implied by the unit/Euler equations for beta:
+    d_j beta_ij = [sum_{k != i,j} (u^i - u^k) d_k beta_ij - beta_ij] / (u^j - u^i)."""
+    u = rd.point
+    sc = float(np.max(np.abs(rd.beta)))
+    terms = []
+    for i, j in _offdiag_pairs(rd.n):
+        acc = -rd.beta[i, j]
+        for k in range(rd.n):
+            if k not in (i, j):
+                acc += (u[i] - u[k]) * rd.dbeta[i, j, k]
+        terms.append(abs(rd.dbeta[i, j, j] - acc / (u[j] - u[i])))
+    return normalized(worst(terms), sc + sc * sc), sc
 
 
 def check_reduction_identity(spec, points, tol: float = DEFAULT_TOL, params=None,
                              lame_exprs=None) -> Report:
-    """Identity implied by the unit/Euler equations for beta:
-    d_j beta_ij = [sum_{k != i,j} (u^i - u^k) d_k beta_ij - beta_ij] / (u^j - u^i)."""
-    worst, scale = 0.0, 0.0
-    for rd in rotation_data_along(spec, points, params, lame_exprs):
-        u = rd.point
-        sc = float(np.max(np.abs(rd.beta)))
-        raw = 0.0
-        for i, j in _offdiag_pairs(rd.n):
-            acc = -rd.beta[i, j]
-            for k in range(rd.n):
-                if k not in (i, j):
-                    acc += (u[i] - u[k]) * rd.dbeta[i, j, k]
-            raw = max(raw, abs(rd.dbeta[i, j, j] - acc / (u[j] - u[i])))
-        worst = max(worst, normalized(raw, sc + sc * sc))
-        scale = max(scale, sc)
-    return Report.from_residual("reduction-identity", worst, tol, scale=scale, npoints=len(points))
+    rds = rotation_data_along(spec, points, params, lame_exprs)
+    return point_report("reduction-identity", map(reduction_identity_at, rds), tol)
 
 
 # ---------------------------------------------------------------------------

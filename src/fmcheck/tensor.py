@@ -1,4 +1,6 @@
-"""Dense complex tensors at a point, with variance signatures.
+"""Array helpers shared by the checks: characteristic polynomials and
+eigenvalues, clustering of near-equal roots, and Lie derivatives of
+component arrays.
 
 Index-order conventions used package-wide (derivative axes always last):
 
@@ -13,77 +15,22 @@ Index-order conventions used package-wide (derivative axes always last):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Tensor", "SingularMatrixError", "contract", "invert_matrix",
-    "eigenvalues", "charpoly_coefficients", "cluster_values",
-    "symmetrize", "lie_derivative", "lie_from_components",
+    "SingularMatrixError", "eigenvalues", "charpoly_coefficients",
+    "cluster_values", "lie_from_components",
 ]
 
-UP, DOWN = "u", "d"
+UP = "u"
 
 
 class SingularMatrixError(Exception):
     def __init__(self, det: complex):
         super().__init__(f"matrix is numerically singular (|det| = {abs(det):.3e})")
         self.det = det
-
-
-@dataclass(frozen=True)
-class Tensor:
-    data: np.ndarray
-    signature: Tuple[str, ...]
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        object.__setattr__(self, "data", data)
-        if data.ndim != len(self.signature):
-            raise ValueError("signature length must equal tensor rank")
-        if data.ndim and len(set(data.shape)) > 1:
-            raise ValueError("all tensor axes must share the chart dimension")
-        if any(s not in (UP, DOWN) for s in self.signature):
-            raise ValueError("signature entries must be 'u' or 'd'")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0] if self.data.ndim else 0
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
-
-
-def contract(a: Tensor, slot_a: int, b: Tensor, slot_b: int) -> Tensor:
-    """Single-index contraction; `slot_a` and `slot_b` must have opposite
-    variance.  Output signature is the remaining slots of `a` then `b`."""
-    if not (0 <= slot_a < a.rank and 0 <= slot_b < b.rank):
-        raise IndexError("contraction slot out of range")
-    if a.signature[slot_a] == b.signature[slot_b]:
-        raise ValueError("contracted slots must have opposite variance")
-    data = np.tensordot(a.data, b.data, axes=(slot_a, slot_b))
-    sig = tuple(s for i, s in enumerate(a.signature) if i != slot_a) + \
-          tuple(s for i, s in enumerate(b.signature) if i != slot_b)
-    return Tensor(data, sig)
-
-
-def invert_matrix(m: Tensor) -> Tensor:
-    """Matrix inverse of a rank-2 tensor, with variances flipped."""
-    if m.rank != 2:
-        raise ValueError("invert_matrix expects a rank-2 tensor")
-    det = complex(np.linalg.det(m.data))
-    scale = (1.0 + m.max_abs()) ** m.n
-    if abs(det) <= 1e-12 * scale:
-        raise SingularMatrixError(det)
-    inv = np.linalg.inv(m.data)
-    flip = {UP: DOWN, DOWN: UP}
-    return Tensor(inv, (flip[m.signature[0]], flip[m.signature[1]]))
 
 
 def charpoly_coefficients(m: np.ndarray) -> np.ndarray:
@@ -101,10 +48,10 @@ def charpoly_coefficients(m: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def eigenvalues(m: Tensor | np.ndarray) -> np.ndarray:
+def eigenvalues(m: np.ndarray) -> np.ndarray:
     """Roots of the characteristic polynomial (companion-matrix solve),
     sorted by real part then imaginary part."""
-    data = m.data if isinstance(m, Tensor) else np.asarray(m, dtype=complex)
+    data = np.asarray(m, dtype=complex)
     if data.shape[0] == 1:
         vals = np.array([data[0, 0]], dtype=complex)
     else:
@@ -126,23 +73,6 @@ def cluster_values(values: Sequence[complex], tol: float = 1e-6):
     return groups
 
 
-def symmetrize(t: Tensor, slots: Sequence[int] | None = None) -> Tensor:
-    """Symmetrize over the given slots (all slots by default); idempotent."""
-    slots = tuple(range(t.rank)) if slots is None else tuple(slots)
-    if any(t.signature[s] != t.signature[slots[0]] for s in slots):
-        raise ValueError("can only symmetrize slots of equal variance")
-    from itertools import permutations
-    out = np.zeros_like(t.data)
-    count = 0
-    for perm in permutations(slots):
-        axes = list(range(t.rank))
-        for s, p in zip(slots, perm):
-            axes[s] = p
-        out = out + np.transpose(t.data, axes)
-        count += 1
-    return Tensor(out / count, t.signature)
-
-
 def lie_from_components(values: np.ndarray, derivs: np.ndarray,
                         signature: Sequence[str],
                         x: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -160,15 +90,3 @@ def lie_from_components(values: np.ndarray, derivs: np.ndarray,
             term = np.tensordot(values, dx, axes=(axis, 0))
             out = out + np.moveaxis(term, -1, axis)
     return out
-
-
-def lie_derivative(field: Callable, x_field: Callable, point) -> Tensor:
-    """Lie derivative at a point from pointwise evaluators.
-
-    `field(point)` must return `(Tensor, derivs)` with derivative axis last;
-    `x_field(point)` must return `(values, derivs)` for the vector field.
-    """
-    tensor, derivs = field(point)
-    xv, xd = x_field(point)
-    data = lie_from_components(tensor.data, derivs, tensor.signature, xv, xd)
-    return Tensor(data, tensor.signature)

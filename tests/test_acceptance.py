@@ -28,8 +28,7 @@ from fmcheck.connection import (check_compat_product, check_flatness,
 from fmcheck.hamops import (check_gmc, check_quadratic_expansion,
                             check_sym_condition, emit_operator, field_rank,
                             fields_from_exprs, lauricella_normal_fields)
-from fmcheck.legendre import (check_homogeneous_legendre, field_jets,
-                              transformed_structure)
+from fmcheck.legendre import check_homogeneous_legendre, transformed_structure
 from fmcheck.manifold import (SamplePlan, check_hertling_manin, check_homogeneity,
                               check_killing_unit, check_metric_invariance,
                               check_product_axioms, fit_scalar, sample_points,
@@ -248,10 +247,10 @@ def test_criterion_07_transform_suite():
         for p in pts[:4]:
             st = structure_at(spec, p)
             conn = natural_connection(st)
-            x, dx, _ = field_jets(fields[name], st.point, spec.env())
+            x, dx, _ = ej.eval_table(fields[name], st.point, spec.env())
             nab = dx + np.einsum("lks,s->lk", conn.gamma, x)
             ok &= np.max(np.abs(nab)) <= 1e-8 * (1 + np.max(np.abs(x)))
-    m = np.array([field_jets(fields[k], pts[0], spec.env())[0] for k in ("e", "X2", "X3")])
+    m = np.array([ej.eval_table(fields[k], pts[0], spec.env())[0] for k in ("e", "X2", "X3")])
     sv = np.linalg.svd(m, compute_uv=False)
     ok &= int(np.sum(sv > 1e-8 * sv.max())) == 3
     for fname, target in (("X2", "q0-d0"), ("X3", "q0-d1")):

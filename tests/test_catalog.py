@@ -87,3 +87,37 @@ def test_export_roundtrip_all_entries():
         spec = cat.entry(name).spec
         text = spec.to_json()
         assert ManifoldSpec.from_json(text).to_json() == text
+
+
+def test_run_suite_builds_point_data_once_per_point(monkeypatch):
+    # count every construction of a point's structure, rotation data and
+    # pencil data, binding the counter wherever fmcheck holds the function
+    import sys
+    built = {}
+    targets = {"structure": ("manifold", "structure_at", lambda args: args[1]),
+               "rotation": ("rotation", "rotation_data", lambda args: args[1]),
+               "pencil": ("pencil", "pencil_from_structure", lambda args: args[0].point)}
+    for key, (mod, fn, point_of) in targets.items():
+        orig = getattr(sys.modules[f"fmcheck.{mod}"], fn)
+
+        def counting(*args, _orig=orig, _key=key, _point_of=point_of, **kwargs):
+            built[_key].append(tuple(np.asarray(_point_of(args), dtype=complex)))
+            return _orig(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "fmcheck" or name.startswith("fmcheck."):
+                for attr, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, attr, counting)
+    rotation_flags = {"darboux", "lame", "ed4", "ed4bis", "ed5b", "potentiality"}
+    for name in cat.names():
+        ent = cat.entry(name)
+        pts = [tuple(np.asarray(p, dtype=complex))
+               for p in sample_points(ent.spec, SamplePlan(seed=0, count=10))]
+        for key in targets:
+            built[key] = []
+        run_suite(ent, seed=0, count=10)
+        needs_rotation = bool(ent.flags & rotation_flags) or "V_eigenvalues" in ent.spec.expected
+        assert built["structure"] == pts, name
+        assert built["rotation"] == (pts if needs_rotation else []), name
+        assert built["pencil"] == (pts if "pencil" in ent.flags else []), name

@@ -171,3 +171,19 @@ def test_verify_spec_file_with_second_metric(tmp_path):
     assert code == 0
     names = [r["name"] for r in json.loads(out)["reports"]]
     assert "pencil-exactness" in names and "flat-pencil" in names
+
+
+def test_empty_point_set_is_bad_input():
+    for argv in (["verify", "pencil-63", "--points", "0"],
+                 ["verify", "lobachevsky", "--check", "killing-unit", "--points", "0"],
+                 ["legendre", "q0-d-minus1", "--field", "e", "--points", "0"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "sample point" in err
+
+
+def test_verify_has_no_atol_option():
+    import pytest
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "lobachevsky", "--atol", "1e-3"])
+    assert exc.value.code == 2

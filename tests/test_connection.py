@@ -7,9 +7,9 @@ from fmcheck.connection import (check_compat_product,
                                 check_nabla_e, check_nabla_from_g,
                                 check_nabla_nabla_E, check_R_tR_identity,
                                 check_torsionless, connection_from_exprs,
-                                counit_and_dtheta, dual_structure,
+                                counit_jets, dual_structure,
                                 levi_civita, natural_connection, nabla_metric,
-                                riemann)
+                                riemann_components)
 from fmcheck.exprjet import finite_diff_oracle, parse
 from fmcheck.manifold import (ManifoldSpec, Region, SamplePlan, sample_points,
                               structure_at)
@@ -59,15 +59,15 @@ def test_counit_and_dtheta_on_half_plane():
     spec = cat.entry("lobachevsky").spec
     p = np.array([1.7, 0.2])
     st = structure_at(spec, p)
-    theta, dtheta = counit_and_dtheta(st)
+    theta, _, dtheta, _ = counit_jets(st)
     w = p[0] - p[1]
-    assert np.allclose(theta.data, [2 / w ** 2, 2 / w ** 2])
-    assert abs(dtheta.data[0, 1] + dtheta.data[1, 0]) == 0.0
+    assert np.allclose(theta, [2 / w ** 2, 2 / w ** 2])
+    assert abs(dtheta[0, 1] + dtheta[1, 0]) == 0.0
     # oracle: dtheta component from finite differences of theta
     th_expr = parse("2/(x-y)^2*1+0")
     g1, _ = finite_diff_oracle(th_expr, p)
     # theta_1 = theta_2 here, so dtheta_12 = d_1 theta_2 - d_2 theta_1
-    assert abs(dtheta.data[0, 1] - (g1[0] - g1[1])) < 1e-6
+    assert abs(dtheta[0, 1] - (g1[0] - g1[1])) < 1e-6
 
 
 def test_dtheta_zero_for_separable_diag_metric():
@@ -76,8 +76,8 @@ def test_dtheta_zero_for_separable_diag_metric():
                         g=(("exp(u1)", "0"), ("0", "exp(u2)")),
                         region=Region(box=((0.1, 1.0), (1.2, 2.0)), min_sep=0.1))
     st = structure_at(spec, np.array([0.5, 1.5]))
-    _, dtheta = counit_and_dtheta(st)
-    assert np.max(np.abs(dtheta.data)) == 0.0
+    _, _, dtheta, d_dtheta = counit_jets(st)
+    assert np.max(np.abs(dtheta)) == 0.0 and np.max(np.abs(d_dtheta)) == 0.0
     # with no counit twist the structure connection is Levi-Civita
     assert np.max(np.abs(natural_connection(st).gamma - levi_civita(st).gamma)) == 0.0
 
@@ -88,8 +88,9 @@ def test_zero_unit_gives_zero_counit():
                         g=(("exp(u1)", "0"), ("0", "exp(u2)")),
                         region=Region(box=((0.1, 1.0), (1.2, 2.0)), min_sep=0.1))
     st = structure_at(spec, np.array([0.5, 1.5]))
-    theta, dtheta = counit_and_dtheta(st)
-    assert np.max(np.abs(theta.data)) == 0.0 and np.max(np.abs(dtheta.data)) == 0.0
+    theta, dth, dtheta, _ = counit_jets(st)
+    assert np.max(np.abs(theta)) == 0.0 and np.max(np.abs(dth)) == 0.0
+    assert np.max(np.abs(dtheta)) == 0.0
 
 
 def test_half_plane_curvature_golden():
@@ -97,12 +98,12 @@ def test_half_plane_curvature_golden():
     for p in sample_points(spec, SamplePlan(seed=1, count=5)):
         st = structure_at(spec, p)
         lc = levi_civita(st)
-        r = riemann(lc)
+        r = riemann_components(lc.gamma, lc.dgamma)
         ginv = np.linalg.inv(st.g)
-        r_up = np.einsum("s,s->", ginv[0], r.data[1, :, 0, 1])
+        r_up = np.einsum("s,s->", ginv[0], r[1, :, 0, 1])
         assert abs(r_up - 1.0) < 1e-8
         # mixed-Riemann antisymmetry in the last two slots
-        assert np.max(np.abs(r.data + np.transpose(r.data, (0, 1, 3, 2)))) < 1e-12
+        assert np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))) < 1e-12
         nat = natural_connection(st)
         assert check_flatness(nat).residual < 1e-8
         assert not check_flatness(lc).passed

@@ -45,7 +45,7 @@ def test_flat_metric_empty_bundle():
     spec = ManifoldSpec(name="euclid", n=2, coords=("u1", "u2"), product="canonical",
                         e=("1", "1"), g=(("1", "0"), ("0", "1")),
                         region=Region(box=((0.0, 1.0), (1.2, 2.0)), min_sep=0.1))
-    nb = NormalBundleData(eps=(), providers=())
+    nb = NormalBundleData(eps=(), exprs=())
     pts = sample_points(spec, SamplePlan(seed=1, count=3))
     assert check_quadratic_expansion(spec, nb, pts).residual == 0.0
     op = emit_operator(spec, nb, pts[0])
@@ -116,6 +116,6 @@ def test_gmc2_follows_from_invariance():
 
 def test_gradient_fields_match_jet_hessian():
     nb = fields_from_gradients(["u1^2*u2"], eps=(-1,))
-    x, dx = nb.providers[0](np.array([1.0, 2.0]))
-    assert np.allclose(x, [4.0, 1.0])
-    assert np.allclose(dx, [[4.0, 2.0], [2.0, 0.0]])
+    xs, dxs = nb.at(np.array([1.0, 2.0]), 2)
+    assert np.allclose(xs[0], [4.0, 1.0])
+    assert np.allclose(dxs[0], [[4.0, 2.0], [2.0, 0.0]])

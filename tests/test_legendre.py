@@ -6,7 +6,7 @@ import fmcheck.exprjet as ej
 from fmcheck.connection import christoffel_provider, natural_connection
 from fmcheck.legendre import (HypothesisViolatedError, NotInvertibleError,
                               check_homogeneous_legendre, check_legendre_field,
-                              field_jets, flat_field_ode, transform_connection,
+                              flat_field_ode, transform_connection,
                               transform_connection_report, transform_metric,
                               transform_metric_exprs, transform_metric_report,
                               transformed_structure)
@@ -26,7 +26,7 @@ def test_unit_field_is_identity_transform(q0):
     spec = ent.spec
     st = structure_at(spec, pts[0])
     conn = natural_connection(st)
-    x, dx, ddx = field_jets(("1", "1", "1"), st.point, spec.env())
+    x, dx, ddx = ej.eval_table(("1", "1", "1"), st.point, spec.env())
     new = transform_connection(conn, st, x, dx, ddx)
     assert np.max(np.abs(new.gamma - conn.gamma)) < 1e-13
     gbar, _, _ = transform_metric(st, conn, x, dx, ddx)
@@ -42,10 +42,10 @@ def test_fields_flat_and_rank_three(q0):
         for p in pts[:3]:
             st = structure_at(spec, p)
             conn = natural_connection(st)
-            x, dx, _ = field_jets(fields[name], st.point, spec.env())
+            x, dx, _ = ej.eval_table(fields[name], st.point, spec.env())
             nab = dx + np.einsum("lks,s->lk", conn.gamma, x)
             assert np.max(np.abs(nab)) <= 1e-8 * (1 + np.max(np.abs(x)))
-    m = np.array([field_jets(fields[k], pts[0], spec.env())[0] for k in ("e", "X2", "X3")])
+    m = np.array([ej.eval_table(fields[k], pts[0], spec.env())[0] for k in ("e", "X2", "X3")])
     assert np.linalg.matrix_rank(m, tol=1e-8 * np.linalg.svd(m, compute_uv=False).max()) == 3
 
 
@@ -60,7 +60,7 @@ def test_transform_requires_flat_field(q0):
     spec = ent.spec
     st = structure_at(spec, pts[0])
     conn = natural_connection(st)
-    x, dx, ddx = field_jets(("u1", "u2", "u3"), st.point, spec.env())
+    x, dx, ddx = ej.eval_table(("u1", "u2", "u3"), st.point, spec.env())
     with pytest.raises(HypothesisViolatedError):
         transform_metric(st, conn, x, dx, ddx)
 
@@ -72,7 +72,7 @@ def test_connection_transform_properties(q0):
     for p in pts[:3]:
         st = structure_at(spec, p)
         conn = natural_connection(st)
-        x, dx, ddx = field_jets(fields["X2"], st.point, spec.env())
+        x, dx, ddx = ej.eval_table(fields["X2"], st.point, spec.env())
         new, rep = transform_connection_report(conn, st, x, dx, ddx)
         assert rep.passed
         # canonical-chart shortcut for the off-diagonal symbols
@@ -116,7 +116,7 @@ def test_lame_coefficients_scale_by_field(q0):
     lame = ent.companion["lame"]
     for p in pts[:3]:
         stb = transformed_structure(spec, fields["X2"], p)
-        x, _, _ = field_jets(fields["X2"], p, spec.env())
+        x, _, _ = ej.eval_table(fields["X2"], p, spec.env())
         h = np.array([ej.eval_value(ej.parse(s), p, spec.params) for s in lame])
         assert np.max(np.abs(np.diag(stb.g) - (h * x) ** 2)) < 1e-10 * (1 + np.max(np.abs(stb.g)))
 
@@ -164,9 +164,9 @@ def test_flat_field_ode_reproduces_printed_field(q0):
     gamma_provider = christoffel_provider(ent.companion["gamma"], spec.env())
 
     u0, u1 = pts[0], pts[1]
-    x0 = field_jets(fields["X2"], u0, spec.env())[0]
+    x0 = ej.eval_table(fields["X2"], u0, spec.env())[0]
     out = flat_field_ode(gamma_provider, x0, [u0, u1], steps_per_segment=300)
-    x1 = field_jets(fields["X2"], u1, spec.env())[0]
+    x1 = ej.eval_table(fields["X2"], u1, spec.env())[0]
     assert np.max(np.abs(out["X_end"] - x1)) <= 1e-6 * (1 + np.max(np.abs(x1)))
     assert out["endpoint_gradient_residual"] <= 1e-6
 
@@ -209,11 +209,11 @@ def test_componentwise_inverse_field_is_informational(q0):
     p = pts[0]
     st = structure_at(spec, p)
     conn = natural_connection(st)
-    x, dx, ddx = field_jets(fields["X2"], p, spec.env())
+    x, dx, ddx = ej.eval_table(fields["X2"], p, spec.env())
     gbar, _, _ = transform_metric(st, conn, x, dx, ddx)
     # componentwise inverse on the canonical chart
     inv_exprs = tuple(ej.to_source(ej.Num(1.0) / ej.parse(s)) for s in fields["X2"])
-    xi, _, _ = field_jets(inv_exprs, p, spec.env())
+    xi, _, _ = ej.eval_table(inv_exprs, p, spec.env())
     w = np.einsum("ijs,s->ij", st.c, xi)
     g_back = np.einsum("ki,lj,kl->ij", w, w, gbar)
     assert np.max(np.abs(g_back - st.g)) <= 1e-8 * (1 + np.max(np.abs(st.g)))

@@ -158,3 +158,30 @@ def test_hm_residual_invariant_under_relabeling():
     st2 = structure_at(spec_p, p)
     r2 = np.max(np.abs(hertling_manin_residual(st2.c, st2.dc)))
     assert abs(r1 - r2) <= 1e-12
+
+
+def test_merge_reports_nan_fails_in_either_order():
+    from fmcheck.manifold import Report, merge_reports
+    ok = Report.from_residual("a", 0.0, 1e-8, npoints=1)
+    bad = Report.from_residual("a", float("nan"), 1e-8, npoints=1)
+    for pair in ([ok, bad], [bad, ok]):
+        merged = merge_reports("a", pair, 1e-8)
+        assert not merged.passed and np.isnan(merged.residual)
+
+
+def test_nan_residual_at_one_point_fails(monkeypatch):
+    # a structure that turns to NaN at the second of five points
+    import fmcheck.manifold as manifold
+    spec = lob()
+    pts = sample_points(spec, SamplePlan(seed=0, count=5))
+    real_structure_at = manifold.structure_at
+
+    def poisoned(spec_, point, params=None):
+        st = real_structure_at(spec_, point, params)
+        if np.array_equal(point, pts[1]):
+            st.c = st.c * np.nan
+        return st
+
+    monkeypatch.setattr(manifold, "structure_at", poisoned)
+    rep = check_product_axioms(spec, pts)
+    assert not rep.passed and np.isnan(rep.residual)

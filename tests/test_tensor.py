@@ -3,60 +3,56 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fmcheck.catalog as cat
-from fmcheck.exprjet import eval_jet, parse
+from fmcheck.connection import inverse_jets
+from fmcheck.exprjet import eval_jet, eval_table, parse
 from fmcheck.manifold import SamplePlan, sample_points, structure_at
 from fmcheck.pencil import pencil_at, _delta_jets
-from fmcheck.tensor import (SingularMatrixError, Tensor, charpoly_coefficients,
-                            cluster_values, contract, eigenvalues, invert_matrix,
-                            lie_from_components, symmetrize)
-
-
-def _canonical_c(n):
-    c = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        c[i, i, i] = 1
-    return Tensor(c, ("u", "d", "d"))
+from fmcheck.tensor import (SingularMatrixError, charpoly_coefficients,
+                            cluster_values, eigenvalues, lie_from_components)
 
 
 def test_contract_unit_axiom():
-    c = _canonical_c(2)
-    e = Tensor(np.array([1.0, 1.0]), ("u",))
-    out = contract(c, 1, e, 0)
-    assert np.allclose(out.data, np.eye(2))
-    assert out.signature == ("u", "d")
+    # contracting the canonical product with the unit gives the identity
+    st_ = structure_at(cat.entry("lobachevsky").spec, np.array([2.0, 0.0]))
+    assert np.allclose(np.einsum("ijk,j->ik", st_.c, st_.e), np.eye(2))
 
 
 def test_contract_metric_inverse():
+    # inverse jets: g^-1 g = 1, and its derivative solves d(g^-1 g) = 0
     ent = cat.entry("lobachevsky")
     st_ = structure_at(ent.spec, np.array([2.0, 0.0]))
-    g = Tensor(st_.g, ("d", "d"))
-    ginv = invert_matrix(g)
-    out = contract(ginv, 1, g, 0)
-    assert np.allclose(out.data, np.eye(2), atol=1e-12)
-    assert ginv.signature == ("u", "u")
+    ginv, dginv = inverse_jets(st_.g, st_.dg)
+    assert np.allclose(ginv @ st_.g, np.eye(2), atol=1e-12)
+    d_prod = np.einsum("ipk,pj->ijk", dginv, st_.g) + np.einsum("ip,pjk->ijk", ginv, st_.dg)
+    assert np.max(np.abs(d_prod)) < 1e-12
 
 
 def test_contract_variance_mismatch():
-    c = _canonical_c(2)
-    with pytest.raises(ValueError):
-        contract(c, 1, c, 2)  # both down
+    # the Lie derivative depends on the variance of each slot: the same
+    # components read as a vector and as a covector differ by the two
+    # contractions with dX
+    spec = cat.entry("lauricella-eps-minus1-n3").spec
+    st_ = structure_at(spec, np.array([-1.5, -0.4, 1.2]))
+    up = lie_from_components(st_.e, st_.de, ("u",), st_.E, st_.dE)
+    down = lie_from_components(st_.e, st_.de, ("d",), st_.E, st_.dE)
+    assert np.allclose(down - up, st_.dE @ st_.e + st_.dE.T @ st_.e)
+    assert np.max(np.abs(down - up)) > 1e-3
 
 
 def test_delta_commutation_on_pencil():
     spec = cat.entry("af-pencil-n3").spec
     p = np.array([-2.0, -0.5, 3.0])
     delta, _ = _delta_jets(pencil_at(spec, p))
-    t = Tensor(delta, ("u", "u", "d"))
-    prod = contract(t, 2, t, 0)          # [j,k,l,m] = Delta^jk_s Delta^slm... Delta^sl_m
-    assert prod.signature == ("u", "u", "u", "d")
+    prod = np.tensordot(delta, delta, axes=(2, 0))  # [j,k,l,m] = Delta^jk_s Delta^sl_m
     # swapping the two inner upper slots leaves the double contraction fixed
-    assert np.max(np.abs(prod.data - prod.data.transpose(0, 2, 1, 3))) < 1e-9
+    assert np.max(np.abs(prod - prod.transpose(0, 2, 1, 3))) < 1e-9
 
 
 def test_invert_examples():
-    assert np.allclose(invert_matrix(Tensor(np.eye(3), ("d", "d"))).data, np.eye(3))
-    out = invert_matrix(Tensor(np.diag([2.0, -3.0]), ("d", "d")))
-    assert np.allclose(out.data, np.diag([0.5, -1 / 3]))
+    b, db, ddb = inverse_jets(np.eye(3), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3)))
+    assert np.allclose(b, np.eye(3)) and not db.any() and not ddb.any()
+    b, _ = inverse_jets(np.diag([2.0, -3.0]), np.zeros((2, 2, 2)))
+    assert np.allclose(b, np.diag([0.5, -1 / 3]))
 
 
 def test_invert_singular_r_operator():
@@ -66,7 +62,7 @@ def test_invert_singular_r_operator():
     r, _ = r_operator(spec, np.array([1.0, 2.0, 4.0]))
     assert np.allclose(np.diag(r), 0.5)
     with pytest.raises(SingularMatrixError):
-        invert_matrix(Tensor(r, ("u", "d")))
+        inverse_jets(r, np.zeros((3, 3, 3)))
 
 
 def test_eigenvalues_1d_and_charpoly():
@@ -100,11 +96,17 @@ def test_eigenvalues_of_state_matrices():
 
 
 def test_symmetrize_idempotent():
-    rng = np.random.default_rng(1)
-    t = Tensor(rng.random((3, 3, 3)) + 1j * rng.random((3, 3, 3)), ("d", "d", "d"))
-    s1 = symmetrize(t)
-    s2 = symmetrize(s1)
-    assert np.allclose(s1.data, s2.data)
+    # the table evaluator's Hessians are symmetric to rounding
+    for name in cat.names():
+        spec = cat.entry(name).spec
+        p = sample_points(spec, SamplePlan(seed=1, count=1))[0]
+        tables = [spec.e] + [t for t in (spec.E, spec.g, spec.g2) if t is not None]
+        if not isinstance(spec.product, str):
+            tables.append(spec.product)
+        for table in tables:
+            _, _, hess = eval_table(table, p, spec.env())
+            gap = np.max(np.abs(hess - np.swapaxes(hess, -1, -2)), initial=0.0)
+            assert gap <= 1e-14 * (1 + np.max(np.abs(hess)))
 
 
 def test_lie_killing_on_half_plane():
@@ -126,12 +128,15 @@ def test_lie_euler_scales_product_and_unit():
 @given(st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False))
 @settings(max_examples=50, deadline=None)
 def test_contract_bilinear(alpha):
+    # the Lie derivative is linear in the tensor and in the field
     rng = np.random.default_rng(3)
-    a = Tensor(rng.random((3, 3)) + 1j * rng.random((3, 3)), ("u", "u"))
-    b = Tensor(rng.random((3, 3)), ("d", "d"))
-    lhs = contract(Tensor(alpha * a.data, a.signature), 1, b, 0).data
-    rhs = alpha * contract(a, 1, b, 0).data
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1 + np.max(np.abs(rhs)))
+    t = rng.random((3, 3)) + 1j * rng.random((3, 3))
+    dt = rng.random((3, 3, 3))
+    x, dx = rng.random(3), rng.random((3, 3))
+    base = lie_from_components(t, dt, ("u", "d"), x, dx)
+    for lhs in (lie_from_components(alpha * t, alpha * dt, ("u", "d"), x, dx),
+                lie_from_components(t, dt, ("u", "d"), alpha * x, alpha * dx)):
+        assert np.max(np.abs(lhs - alpha * base)) <= 1e-12 * (1 + np.max(np.abs(alpha * base)))
 
 
 def test_metric_inverse_over_catalog_points():
@@ -162,18 +167,12 @@ def test_lie_leibniz_over_scalar():
 
 
 def test_lie_derivative_evaluator_form():
-    # the evaluator-style entry point agrees with the component form
-    spec = cat.entry("lobachevsky").spec
-    from fmcheck.tensor import lie_derivative
-
-    def metric_field(point):
-        st_ = structure_at(spec, point)
-        return Tensor(st_.g, ("d", "d")), st_.dg
-
-    def unit_field(point):
-        st_ = structure_at(spec, point)
-        return st_.e, st_.de
-
-    out = lie_derivative(metric_field, unit_field, np.array([3.0, 1.0]))
-    assert out.signature == ("d", "d")
-    assert np.max(np.abs(out.data)) < 1e-10
+    # on vector fields the Lie derivative is the bracket: antisymmetric,
+    # and zero for a field along itself
+    p = np.array([0.7, -0.4])
+    x, dx, _ = eval_table(("u1*u2", "sqrt(2+u1)"), p)
+    y, dy, _ = eval_table(("exp(u2)", "u1^3"), p)
+    lxy = lie_from_components(y, dy, ("u",), x, dx)
+    lyx = lie_from_components(x, dx, ("u",), y, dy)
+    assert np.max(np.abs(lxy + lyx)) <= 1e-12 * (1 + np.max(np.abs(lxy)))
+    assert np.max(np.abs(lie_from_components(x, dx, ("u",), x, dx))) == 0.0
