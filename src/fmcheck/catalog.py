@@ -21,7 +21,8 @@ from . import exprjet as ej
 from .connection import (ConnectionAt, check_compat_product, check_curvature_product_condition,
                          check_flatness, check_nabla_e, check_nabla_from_g,
                          check_nabla_nabla_E, check_torsionless, connection_from_exprs,
-                         dual_structure, levi_civita, natural_connection, r_tr_identity_at)
+                         dual_structure, levi_civita, natural_connection,
+                         natural_from_levi_civita, r_tr_identity_at)
 from .hamops import (NormalBundleData, fields_from_exprs, fields_from_gradients, gmc_at,
                      gmc_report, quadratic_expansion_at, rank_of, sym_condition_at)
 from .manifold import (ManifoldSpec, Region, Report, SamplePlan, StructureAt,
@@ -502,7 +503,8 @@ def connection_suite(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
     env = spec.env(params)
     for st in structures(spec, points, params):
         printed = None if gamma_exprs is None else connection_from_exprs(gamma_exprs, st.point, env)
-        nat, lc = natural_connection(st), levi_civita(st)
+        lc = levi_civita(st)
+        nat = natural_from_levi_civita(st, lc)
         for name, result in _connection_at(st, nat, lc, printed, tol):
             _put(per, name, result)
     return _reports(per, tol)
@@ -585,7 +587,8 @@ def run_suite(ent: CatalogEntry, seed: int = 0, count: int = 20,
         st = structure_at(spec, p)
         nat = lc = None
         if st.g is not None and flags & _CONNECTION_FLAGS:
-            nat, lc = natural_connection(st), levi_civita(st)
+            lc = levi_civita(st)
+            nat = natural_from_levi_civita(st, lc)
         printed = connection_from_exprs(comp["gamma"], p, env) if "gamma" in comp else None
         if killing:
             put("product-axioms", product_axioms_at(st))

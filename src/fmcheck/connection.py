@@ -20,7 +20,8 @@ from .tensor import SingularMatrixError
 __all__ = [
     "ConnectionAt", "DualStructureAt",
     "inverse_jets", "christoffel_jets", "counit_jets",
-    "levi_civita", "natural_connection", "connection_from_exprs",
+    "levi_civita", "natural_connection", "natural_from_levi_civita",
+    "connection_from_exprs",
     "riemann_components", "check_flatness", "check_torsionless", "check_nabla_e",
     "check_compat_product", "check_nabla_from_g",
     "check_curvature_product_condition", "check_R_tR_identity", "r_tr_identity_at",
@@ -99,15 +100,19 @@ def natural_connection(st: StructureAt) -> ConnectionAt:
     """The unique torsionless connection whose non-metricity is the
     product-twisted dtheta; Levi-Civita plus the correction
     b^i_kl = -1/2 g^if c^q_kl dtheta_qf."""
-    gamma_lc, dgamma_lc = christoffel_jets(st.g, st.dg, st.ddg)
+    return natural_from_levi_civita(st, levi_civita(st))
+
+
+def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt) -> ConnectionAt:
+    """The natural connection built on `lc`, the Levi-Civita connection of
+    `st.g` at the same point."""
     ginv, dginv = inverse_jets(st.g, st.dg)
     _, _, dtheta, d_dtheta = counit_jets(st)
     b = -0.5 * np.einsum("if,qkl,qf->ikl", ginv, st.c, dtheta)
     db = -0.5 * (np.einsum("ifp,qkl,qf->iklp", dginv, st.c, dtheta)
                  + np.einsum("if,qklp,qf->iklp", ginv, st.dc, dtheta)
                  + np.einsum("if,qkl,qfp->iklp", ginv, st.c, d_dtheta))
-    return ConnectionAt(st.n, st.point, gamma_lc + b, dgamma_lc + db,
-                        provenance="natural")
+    return ConnectionAt(st.n, st.point, lc.gamma + b, lc.dgamma + db, provenance="natural")
 
 
 def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
@@ -244,7 +249,8 @@ def check_curvature_product_condition(conn: ConnectionAt, st: StructureAt,
 def check_R_tR_identity(st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
     """The cyclic curvature sums of the natural and Levi-Civita connections
     agree whenever they differ by a product-shaped correction."""
-    return r_tr_identity_at(natural_connection(st), levi_civita(st), st, tol)
+    lc = levi_civita(st)
+    return r_tr_identity_at(natural_from_levi_civita(st, lc), lc, st, tol)
 
 
 def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt,
