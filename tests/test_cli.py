@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from fmcheck.cli import main
 
 
@@ -183,7 +185,6 @@ def test_empty_point_set_is_bad_input():
 
 
 def test_verify_has_no_atol_option():
-    import pytest
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "lobachevsky", "--atol", "1e-3"])
     assert exc.value.code == 2
