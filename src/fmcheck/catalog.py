@@ -401,10 +401,10 @@ def vector_potential_at(comp: dict, st: StructureAt, chart, env):
     pushed_c = np.einsum("ai,ijk,jb,kc->abc", jac, st.c, jinv, jinv)
     _, _, potential_hess = ej.eval_table(comp["potentials"], tvals, env)
     terms = [float(np.max(np.abs(pushed_c - potential_hess)))]
-    e_flat = np.array([ej.eval_value(ej.parse(s), tvals, env) for s in comp["flat_e"]])
+    e_flat = ej.eval_table(comp["flat_e"], tvals, env)[0]
     terms.append(float(np.max(np.abs(jac @ st.e - e_flat))))
     if "flat_E" in comp and st.E is not None:
-        E_flat = np.array([ej.eval_value(ej.parse(s), tvals, env) for s in comp["flat_E"]])
+        E_flat = ej.eval_table(comp["flat_E"], tvals, env)[0]
         terms.append(float(np.max(np.abs(jac @ st.E - E_flat))))
     sc = max(float(np.max(np.abs(pushed_c))), 1.0)
     return normalized(worst(terms), sc), sc

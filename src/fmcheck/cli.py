@@ -2,7 +2,8 @@
 runs, and catalog access.
 
 Exit codes: 0 all requested checks pass, 1 a check fails (or a transform
-hypothesis is violated), 2 bad input (unparseable spec, unknown entry,
+hypothesis is violated), 2 bad input (unparseable spec, unknown entry, a
+spec that lacks a field a check needs or leaves a parameter unbound,
 singular integration path).
 
 Reports embed the tool version, seed, tolerances, parameter values and the
@@ -24,7 +25,7 @@ from .connection import check_flatness, levi_civita, natural_connection
 from .legendre import (HypothesisViolatedError, NotInvertibleError, field_points,
                        legendre_field_at, legendre_field_report, transform_metric,
                        transform_metric_exprs)
-from .manifold import (ManifoldSpec, PointCountError, Report, SamplePlan,
+from .manifold import (ManifoldSpec, MissingFieldError, PointCountError, Report, SamplePlan,
                        check_hertling_manin, check_homogeneity, check_killing_unit,
                        check_metric_invariance, check_product_axioms, fit_scalar,
                        merge_reports, sample_points, structures, worst)
@@ -138,7 +139,8 @@ def cmd_verify(args) -> int:
     except KeyError as err:
         sys.stderr.write(f"unknown check: {err}\n")
         return 2
-    except PointCountError as err:
+    except (PointCountError, MissingFieldError,
+            ej.UnboundParameterError, ej.UnboundVariableError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
     doc["reports"] = [r.to_dict() for r in reports]

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from . import exprjet as ej
-from .manifold import Report, StructureAt, normalized, worst
+from .manifold import Report, StructureAt, normalized, required, worst
 from .tensor import SingularMatrixError
 
 __all__ = [
@@ -76,7 +76,7 @@ def christoffel_jets(g, dg, ddg):
 
 
 def levi_civita(st: StructureAt) -> ConnectionAt:
-    gamma, dgamma = christoffel_jets(st.g, st.dg, st.ddg)
+    gamma, dgamma = christoffel_jets(required(st.g, "metric"), st.dg, st.ddg)
     return ConnectionAt(st.n, st.point, gamma, dgamma, provenance="levi-civita")
 
 
@@ -116,21 +116,9 @@ def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt) -> ConnectionAt:
 
 
 def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
-    """Fast value-only evaluator u -> gamma for path integration."""
-    n = len(gamma_exprs)
+    """Evaluator u -> gamma values for path integration."""
     env = dict(env or {})
-    asts = [[[ej.parse(gamma_exprs[i][j][k]) for k in range(n)] for j in range(n)]
-            for i in range(n)]
-
-    def provider(point):
-        gamma = np.zeros((n, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    gamma[i, j, k] = ej.eval_value(asts[i][j][k], point, env)
-        return gamma
-
-    return provider
+    return lambda point: ej.eval_table(gamma_exprs, point, env)[0]
 
 
 def connection_from_exprs(gamma_exprs, point, env: Mapping[str, complex] | None = None,
@@ -271,9 +259,7 @@ def nabla_vector(conn: ConnectionAt, v: np.ndarray, dv: np.ndarray) -> np.ndarra
 def check_nabla_nabla_E(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
     """Second covariant derivative of the Euler field, in the reduced form
     valid for flat connections (run only after check_flatness passes)."""
-    if st.E is None:
-        raise ValueError("no Euler field on this spec")
-    e_gamma = np.einsum("s,ikjs->ikj", st.E, conn.dgamma)
+    e_gamma = np.einsum("s,ikjs->ikj", required(st.E, "Euler field"), conn.dgamma)
     # (nabla nabla E)^i_kj = d_k d_j E^i + Gamma^i_jl d_k E^l + Gamma^i_km d_j E^m
     #                        - Gamma^m_kj d_m E^i + E(Gamma^i_kj)
     res = (np.einsum("ijk->ikj", st.ddE)
@@ -303,9 +289,7 @@ def dual_structure(st: StructureAt, conn: ConnectionAt, tol: float = DEFAULT_TOL
     """Rescaled product through the Euler field and the dual connection
     Gamma*^k_ij = Gamma^k_ij - c*^l_ji nabla_l E^k, with flatness and the
     reverse reconstruction formula checked as residuals."""
-    if st.E is None:
-        raise ValueError("dual structure needs an Euler field")
-    eo = np.einsum("smt,t->sm", st.c, st.E)          # (E o)^s_m
+    eo = np.einsum("smt,t->sm", st.c, required(st.E, "Euler field"))  # (E o)^s_m
     deo = (np.einsum("smtp,t->smp", st.dc, st.E)
            + np.einsum("smt,tp->smp", st.c, st.dE))
     k_inv, dk_inv = inverse_jets(eo, deo)

@@ -1,4 +1,13 @@
-"""Expression DSL and second-order forward-mode jet arithmetic.
+"""Expression DSL and second-order forward-mode jet evaluation.
+
+A table of DSL sources (nested tuples or lists of strings, or one AST) is
+compiled once into a flat list of operations, the recorded tape of
+forward-mode differentiation (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008).  Structurally equal subexpressions
+share one slot, since the frozen AST nodes hash by structure, and the
+compiled list is cached on the table as `parse` is cached on its source.
+One run of the list at a point gives the value, gradient and Hessian of
+every entry; `eval_table`, `eval_jet` and `eval_value` all use that run.
 
 All scalars are complex; `sqrt`, `ln` and non-integer powers use the
 principal branch (cut on the negative real axis).  Integer powers are
@@ -20,15 +29,16 @@ evaluation time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Mapping, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Param", "Neg", "Bin", "Call",
-    "Jet2", "parse", "to_source", "eval_jet", "eval_table", "eval_value",
+    "Jet", "parse", "to_source", "eval_jet", "eval_table", "eval_value", "jet_sqrt",
     "finite_diff_oracle", "principal",
     "ExprError", "ParseError", "EvalError", "DomainError",
     "UnboundParameterError", "UnboundVariableError",
@@ -70,127 +80,6 @@ def principal(v) -> complex:
     so exact-real inputs are flattened to +0j."""
     v = complex(v)
     return complex(v.real, 0.0) if v.imag == 0 else v
-
-
-# ---------------------------------------------------------------------------
-# jets
-
-class Jet2:
-    """Value, gradient and Hessian of a scalar at a point in C^n.
-
-    The Hessian stays symmetric by construction: every rule that produces
-    rank-two terms emits the symmetrized outer product.
-    """
-
-    __slots__ = ("n", "val", "grad", "hess")
-
-    def __init__(self, n: int, val: complex, grad: np.ndarray, hess: np.ndarray):
-        self.n = n
-        self.val = complex(val)
-        self.grad = grad
-        self.hess = hess
-
-    @classmethod
-    def constant(cls, n: int, value: Number) -> "Jet2":
-        return cls(n, complex(value), np.zeros(n, dtype=complex),
-                   np.zeros((n, n), dtype=complex))
-
-    @classmethod
-    def variable(cls, n: int, index: int, value: Number) -> "Jet2":
-        grad = np.zeros(n, dtype=complex)
-        grad[index] = 1.0
-        return cls(n, complex(value), grad, np.zeros((n, n), dtype=complex))
-
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.constant(self.n, other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.n, self.val + o.val, self.grad + o.grad, self.hess + o.hess)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(self.n, -self.val, -self.grad, -self.hess)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.n, self.val - o.val, self.grad - o.grad, self.hess - o.hess)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        cross = np.outer(self.grad, o.grad)
-        return Jet2(self.n, self.val * o.val,
-                    self.val * o.grad + o.val * self.grad,
-                    self.val * o.hess + o.val * self.hess + cross + cross.T)
-
-    __rmul__ = __mul__
-
-    def compose(self, f0: complex, f1: complex, f2: complex) -> "Jet2":
-        """Chain rule through a scalar function with derivatives f0, f1, f2."""
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(self.n, f0, f1 * self.grad, f1 * self.hess + f2 * outer)
-
-    def reciprocal(self) -> "Jet2":
-        v = self.val
-        if v == 0:
-            raise DomainError("division by zero")
-        return self.compose(1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.reciprocal()
-
-    def sqrt(self) -> "Jet2":
-        if self.val == 0:
-            raise DomainError("sqrt(0) has no jet")
-        r = complex(np.sqrt(principal(self.val)))
-        return self.compose(r, 0.5 / r, -0.25 / (self.val * r))
-
-    def log(self) -> "Jet2":
-        if self.val == 0:
-            raise DomainError("ln(0)")
-        v = self.val
-        return self.compose(complex(np.log(principal(v))), 1.0 / v, -1.0 / v ** 2)
-
-    def exp(self) -> "Jet2":
-        e = complex(np.exp(complex(self.val)))
-        return self.compose(e, e, e)
-
-    def ipow(self, k: int) -> "Jet2":
-        if k < 0:
-            return self.ipow(-k).reciprocal()
-        out = Jet2.constant(self.n, 1.0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    def cpow(self, c: complex) -> "Jet2":
-        """Power with a constant exponent, principal branch."""
-        if self.val == 0:
-            raise DomainError("0 raised to a non-integer power")
-        v = self.val
-        f0 = complex(np.power(principal(v), c))
-        return self.compose(f0, c * f0 / v, c * (c - 1.0) * f0 / v ** 2)
-
-    def pow(self, other: "Jet2") -> "Jet2":
-        if np.all(other.grad == 0) and np.all(other.hess == 0):
-            c = other.val
-            if c.imag == 0 and abs(c.real - round(c.real)) < 1e-12:
-                return self.ipow(int(round(c.real)))
-            return self.cpow(c)
-        return (other * self.log()).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -490,49 +379,165 @@ def _print_atom(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: compile once per table, run once per point
 
 
-def eval_jet(e: Expr, point: Sequence[Number], params: Mapping[str, Number] | None = None) -> Jet2:
-    """Evaluate value, gradient and Hessian of `e` at `point`."""
+class Jet(NamedTuple):
+    """Value, gradient and Hessian of a scalar at a point in C^n."""
+    val: complex
+    grad: np.ndarray
+    hess: np.ndarray
+
+
+# Each rule maps the (val, grad, hess) triples of its operands to that of
+# its result.  Hessians are symmetric only up to the rounding of complex
+# products (g_i*g_j and g_j*g_i can differ in the last bit, and cross +
+# cross.T joins the other terms in a different order at (i, j) than at
+# (j, i)), so the symmetry test allows 1e-14 relative.
+
+def _compose(a, f0, f1, f2):
+    """Chain rule through a scalar function with derivatives f0, f1, f2."""
+    return f0, f1 * a[1], f1 * a[2] + f2 * (a[1][:, None] * a[1])
+
+
+def _linear(op):
+    """The rule that applies `op` to values, gradients and Hessians alike."""
+    return lambda *jets: tuple(map(op, *jets))
+
+
+def _nonzero(a, message: str) -> complex:
+    """The value of `a`, for a rule that is singular where it vanishes."""
+    if a[0] == 0:
+        raise DomainError(message)
+    return a[0]
+
+
+def _mul(a, b):
+    cross = a[1][:, None] * b[1]
+    return (a[0] * b[0], a[0] * b[1] + b[0] * a[1],
+            a[0] * b[2] + b[0] * a[2] + cross + cross.T)
+
+
+def _reciprocal(a):
+    v = _nonzero(a, "division by zero")
+    return _compose(a, 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
+
+
+def _div(a, b):
+    return _mul(a, _reciprocal(b))
+
+
+def jet_sqrt(a):
+    """Principal square root of a (val, grad, hess) triple."""
+    v = _nonzero(a, "sqrt(0) has no jet")
+    r = complex(np.sqrt(principal(v)))
+    return _compose(a, r, 0.5 / r, -0.25 / (v * r))
+
+
+def _ln(a):
+    v = _nonzero(a, "ln(0)")
+    return _compose(a, complex(np.log(principal(v))), 1.0 / v, -1.0 / v ** 2)
+
+
+def _exp(a):
+    e = complex(np.exp(complex(a[0])))
+    return _compose(a, e, e, e)
+
+
+def _ipow(a, k: int):
+    if k < 0:
+        return _reciprocal(_ipow(a, -k))
+    out = (1 + 0j, np.zeros_like(a[1]), np.zeros_like(a[2]))
+    base = a
+    while k:
+        if k & 1:
+            out = _mul(out, base)
+        base = _mul(base, base) if k > 1 else base
+        k >>= 1
+    return out
+
+
+def _pow(a, b):
+    if b[1].any() or b[2].any():
+        return _exp(_mul(b, _ln(a)))
+    c = b[0]
+    if c.imag == 0 and abs(c.real - round(c.real)) < 1e-12:
+        return _ipow(a, int(round(c.real)))
+    v = _nonzero(a, "0 raised to a non-integer power")
+    f0 = complex(np.power(principal(v), c))
+    return _compose(a, f0, c * f0 / v, c * (c - 1.0) * f0 / v ** 2)
+
+
+_RULES = {"+": _linear(operator.add), "-": _linear(operator.sub), "neg": _linear(operator.neg),
+          "*": _mul, "/": _div, "^": _pow, "sqrt": jet_sqrt, "ln": _ln, "exp": _exp}
+
+
+class _Program(NamedTuple):
+    shape: tuple
+    ops: list      # (rule, operand slots), or (None, leaf node)
+    outputs: list  # the slot of each table entry, row-major
+
+
+def _frozen(table):
+    """A table of nested lists as nested tuples, the key of the compile cache."""
+    return tuple(map(_frozen, table)) if isinstance(table, (list, tuple)) else table
+
+
+@lru_cache(maxsize=1024)
+def _compile(table) -> _Program:
+    """Compile a table (or a single entry) of DSL sources or ASTs into one
+    list of operations in evaluation order.  Structurally equal
+    subexpressions share one slot, so each is evaluated once per run."""
+    entries = np.array(table, dtype=object)
+    slots: dict = {}
+    ops: list = []
+
+    def slot(node: Expr) -> int:
+        if node not in slots:
+            if isinstance(node, (Num, Var, Param)):
+                op = (None, node)
+            elif isinstance(node, Bin):
+                op = (_RULES[node.op], (slot(node.a), slot(node.b)))
+            else:
+                op = (_RULES["neg" if isinstance(node, Neg) else node.fn], (slot(node.a),))
+            slots[node] = len(ops)
+            ops.append(op)
+        return slots[node]
+
+    outputs = [slot(parse(e) if isinstance(e, str) else e) for e in entries.flat]
+    return _Program(entries.shape, ops, outputs)
+
+
+def _leaf(node: Expr, point, params, zero):
+    if isinstance(node, Num):
+        return complex(node.value), *zero
+    if isinstance(node, Param):
+        if node.name not in params:
+            raise UnboundParameterError(f"unbound parameter {node.name!r}")
+        return complex(params[node.name]), *zero
+    n = len(point)
+    if node.index > n:
+        raise UnboundVariableError(f"coordinate u{node.index} out of range for dimension {n}")
+    unit = np.eye(n, dtype=complex)[node.index - 1]
+    return complex(point[node.index - 1]), unit, zero[1]
+
+
+def _run(program: _Program, point, params):
+    """One pass over the operations at `point`: values with the table's
+    shape, gradients with that shape plus (n,), Hessians plus (n, n)."""
     n = len(point)
     params = params or {}
-
-    def rec(node: Expr) -> Jet2:
-        if isinstance(node, Num):
-            return Jet2.constant(n, node.value)
-        if isinstance(node, Var):
-            if node.index > n:
-                raise UnboundVariableError(f"coordinate u{node.index} out of range for dimension {n}")
-            return Jet2.variable(n, node.index - 1, point[node.index - 1])
-        if isinstance(node, Param):
-            if node.name not in params:
-                raise UnboundParameterError(f"unbound parameter {node.name!r}")
-            return Jet2.constant(n, params[node.name])
-        if isinstance(node, Neg):
-            return -rec(node.a)
-        if isinstance(node, Call):
-            a = rec(node.a)
-            if node.fn == "sqrt":
-                return a.sqrt()
-            if node.fn == "ln":
-                return a.log()
-            return a.exp()
-        a = rec(node.a)
-        if node.op == "+":
-            return a + rec(node.b)
-        if node.op == "-":
-            return a - rec(node.b)
-        if node.op == "*":
-            return a * rec(node.b)
-        if node.op == "/":
-            return a / rec(node.b)
-        return a.pow(rec(node.b))
-
-    jet = rec(e)
-    if not (np.isfinite(jet.val) and np.all(np.isfinite(jet.grad)) and np.all(np.isfinite(jet.hess))):
+    zero = np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
+    slots = []
+    for rule, args in program.ops:
+        slots.append(rule(*[slots[i] for i in args]) if rule
+                     else _leaf(args, point, params, zero))
+    jets = [slots[i] for i in program.outputs]
+    out = tuple(np.array([j[k] for j in jets], dtype=complex).reshape(program.shape + (n,) * k)
+                for k in range(3))
+    if not all(np.isfinite(part).all() for part in out):
         raise DomainError("non-finite jet")
-    return jet
+    return out
 
 
 def eval_table(table, point: Sequence[Number], params: Mapping[str, Number] | None = None):
@@ -540,71 +545,18 @@ def eval_table(table, point: Sequence[Number], params: Mapping[str, Number] | No
 
     Returns values with the table's shape, gradients with that shape plus
     (n,) and Hessians with that shape plus (n, n)."""
-    point = np.asarray(point, dtype=complex)
-    n = len(point)
-    sources = np.array(table, dtype=object)
-    val = np.zeros(sources.shape, dtype=complex)
-    grad = np.zeros(sources.shape + (n,), dtype=complex)
-    hess = np.zeros(sources.shape + (n, n), dtype=complex)
-    for idx, src in np.ndenumerate(sources):
-        jet = eval_jet(parse(src), point, params)
-        val[idx], grad[idx], hess[idx] = jet.val, jet.grad, jet.hess
-    return val, grad, hess
+    return _run(_compile(_frozen(table)), point, params)
+
+
+def eval_jet(e: Expr, point: Sequence[Number], params: Mapping[str, Number] | None = None) -> Jet:
+    """Value, gradient and Hessian of `e` at `point`."""
+    val, grad, hess = _run(_compile(e), point, params)
+    return Jet(complex(val), grad, hess)
 
 
 def eval_value(e: Expr, point: Sequence[Number], params: Mapping[str, Number] | None = None) -> complex:
-    """Evaluate only the value of `e` at `point` (no derivatives)."""
-    params = params or {}
-    n = len(point)
-
-    def rec(node: Expr) -> complex:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            if node.index > n:
-                raise UnboundVariableError(f"coordinate u{node.index} out of range for dimension {n}")
-            return complex(point[node.index - 1])
-        if isinstance(node, Param):
-            if node.name not in params:
-                raise UnboundParameterError(f"unbound parameter {node.name!r}")
-            return complex(params[node.name])
-        if isinstance(node, Neg):
-            return -rec(node.a)
-        if isinstance(node, Call):
-            v = rec(node.a)
-            if node.fn == "sqrt":
-                return complex(np.sqrt(principal(v)))
-            if node.fn == "ln":
-                if v == 0:
-                    raise DomainError("ln(0)")
-                return complex(np.log(principal(v)))
-            return complex(np.exp(v))
-        a = rec(node.a)
-        if node.op == "+":
-            return a + rec(node.b)
-        if node.op == "-":
-            return a - rec(node.b)
-        if node.op == "*":
-            return a * rec(node.b)
-        if node.op == "/":
-            b = rec(node.b)
-            if b == 0:
-                raise DomainError("division by zero")
-            return a / b
-        b = rec(node.b)
-        if b.imag == 0 and abs(b.real - round(b.real)) < 1e-12:
-            k = int(round(b.real))
-            if a == 0 and k < 0:
-                raise DomainError("division by zero")
-            return a ** k
-        if a == 0:
-            raise DomainError("0 raised to a non-integer power")
-        return complex(np.exp(b * np.log(principal(a))))
-
-    v = rec(e)
-    if not np.isfinite(v):
-        raise DomainError("non-finite value")
-    return v
+    """The value of `e` at `point`, from the same run as its jet."""
+    return complex(_run(_compile(e), point, params)[0])
 
 
 def finite_diff_oracle(e: Expr, point: Sequence[Number],

@@ -24,7 +24,8 @@ from .tensor import lie_from_components
 
 __all__ = [
     "Region", "SamplePlan", "ManifoldSpec", "StructureAt", "Report",
-    "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "sample_points",
+    "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "MissingFieldError",
+    "required", "sample_points",
     "structure_at", "structures", "worst", "point_report", "merge_reports",
     "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
     "check_killing_unit", "check_homogeneity", "normalized",
@@ -43,6 +44,16 @@ class AllEntriesZeroError(Exception):
 
 class PointCountError(ValueError):
     pass
+
+
+class MissingFieldError(ValueError):
+    """The spec lacks a field that a check needs."""
+
+
+def required(value, what: str):
+    if value is None:
+        raise MissingFieldError(f"spec has no {what}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -269,14 +280,11 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
     """Deterministic rejection sampling inside the admissible region."""
     if plan.count < 1:
         raise PointCountError(f"need at least one sample point, got {plan.count}")
-    region = plan.region or spec.region
-    if region is None:
-        raise ValueError(f"spec {spec.name!r} has no sampling region")
+    region = required(plan.region or spec.region, "sampling region")
     rng = np.random.Generator(np.random.PCG64(plan.seed))
     lo = np.array([b[0] for b in region.box])
     hi = np.array([b[1] for b in region.box])
     env = spec.env()
-    guards = [ej.parse(src) for src in region.guards]
     points = []
     attempts = 0
     while len(points) < plan.count:
@@ -290,7 +298,7 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
             if diffs.min() < region.min_sep:
                 continue
         try:
-            if any(abs(ej.eval_value(gexpr, p, env)) < region.guard_min for gexpr in guards):
+            if np.any(np.abs(ej.eval_table(region.guards, p, env)[0]) < region.guard_min):
                 continue
         except ej.EvalError:
             continue
@@ -382,9 +390,7 @@ def check_hertling_manin(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
 
 
 def metric_invariance_at(st: StructureAt, second: bool = False):
-    g = st.g2 if second else st.g
-    if g is None:
-        raise ValueError("spec has no metric to check")
+    g = required(st.g2 if second else st.g, "metric")
     res = np.einsum("iq,qlp->ilp", g, st.c) - np.einsum("lq,qip->ilp", g, st.c)
     sc = max(np.max(np.abs(g)), np.max(np.abs(st.c)))
     return normalized(np.max(np.abs(res)), sc), sc
@@ -402,7 +408,7 @@ def lie_metric(st: StructureAt, x, dx) -> np.ndarray:
 
 
 def killing_unit_at(st: StructureAt):
-    sc = np.max(np.abs(st.g))
+    sc = np.max(np.abs(required(st.g, "metric")))
     return normalized(np.max(np.abs(lie_metric(st, st.e, st.de))), sc), sc
 
 
@@ -426,9 +432,8 @@ def fit_scalar(target: np.ndarray, model: np.ndarray, floor: float = 1e-8) -> co
 def homogeneity_at(st: StructureAt):
     """Fit D in (L_E g) = D g at the point; the residual covers that fit
     and (L_E c) = c.  Returns (residual, scale, D)."""
-    if st.E is None or st.g is None:
-        raise ValueError("homogeneity check needs both E and g")
-    lg = lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE)
+    lg = lie_from_components(required(st.g, "metric"), st.dg, ("d", "d"),
+                             required(st.E, "Euler field"), st.dE)
     if np.max(np.abs(st.g)) == 0:
         raise AllEntriesZeroError("metric vanishes at a sample point")
     D = fit_scalar(lg, st.g)

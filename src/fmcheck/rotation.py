@@ -53,19 +53,15 @@ class RotationData:
 
 def _lame_jets_from_metric(g, dg, ddg):
     """Principal-branch jets of H_i = sqrt(g_ii) from the metric jets."""
-    n = g.shape[0]
     off = g - np.diag(np.diag(g))
     if np.max(np.abs(off)) > 1e-12 * (1 + np.max(np.abs(g))):
         raise NonDiagonalMetricError("metric is not diagonal at this point")
-    H = np.zeros(n, dtype=complex)
-    dH = np.zeros((n, n), dtype=complex)
-    ddH = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
+    jets = []
+    for i in range(g.shape[0]):
         if g[i, i] == 0:
             raise ZeroLameError(f"g_{i}{i} vanishes at this point")
-        jet = ej.Jet2(n, g[i, i], dg[i, i].copy(), ddg[i, i].copy()).sqrt()
-        H[i], dH[i], ddH[i] = jet.val, jet.grad, jet.hess
-    return H, dH, ddH
+        jets.append(ej.jet_sqrt((complex(g[i, i]), dg[i, i], ddg[i, i])))
+    return tuple(np.array(part) for part in zip(*jets))
 
 
 def _from_lame_jets(point, H, dH, ddH, signs=None) -> RotationData:

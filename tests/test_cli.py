@@ -184,6 +184,20 @@ def test_empty_point_set_is_bad_input():
         assert len(err.strip().splitlines()) == 1 and "sample point" in err
 
 
+def test_unevaluable_spec_is_bad_input(tmp_path):
+    import fmcheck.catalog as cat
+    doc = json.loads(cat.entry("lobachevsky").spec.to_json())
+    doc["g"] = [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]
+    spec_path = tmp_path / "unbound.json"
+    spec_path.write_text(json.dumps(doc))
+    for argv in (["verify", "lobachevsky", "--check", "homogeneity"],
+                 ["verify", "case-i", "--check", "metric-invariance"],
+                 ["verify", str(spec_path)]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_has_no_atol_option():
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "lobachevsky", "--atol", "1e-3"])

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fmcheck.exprjet import (Bin, Call, DomainError, Neg, Num, ParseError, Param,
                              UnboundParameterError, UnboundVariableError, Var,
-                             eval_jet, eval_value, finite_diff_oracle, parse,
+                             eval_jet, eval_table, eval_value, finite_diff_oracle, parse,
                              principal, to_source)
 
 
@@ -46,6 +46,21 @@ def test_eval_errors():
         eval_value(parse("1/(u1-1)"), [1.0])
     with pytest.raises(DomainError):
         eval_value(parse("ln(u1-2)"), [2.0])
+    # the table evaluator raises what the single-expression one does
+    for src, point, error in (("a*u1", [1.0], UnboundParameterError),
+                              ("u3", [1.0, 2.0], UnboundVariableError),
+                              ("1/(u1-1)", [1.0], DomainError),
+                              ("ln(u1)", [0.0], DomainError),
+                              ("sqrt(u1)", [0.0], DomainError),
+                              ("u1^(1/2)", [0.0], DomainError),
+                              ("exp(u1)", [1000.0], DomainError)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error):
+                eval_jet(parse(src), point)
+            with pytest.raises(error):
+                eval_value(parse(src), point)
+            with pytest.raises(error):
+                eval_table((("u1", src),), point)
 
 
 def test_principal_sqrt_of_minus_one():
@@ -62,6 +77,10 @@ def test_jet_polynomial_example():
     assert jet.val == 18
     assert np.allclose(jet.grad, [12, 9])
     assert np.allclose(jet.hess, [[4, 6], [6, 0]])
+    # a table given as lists runs the same operations, with the table's shape
+    val, grad, hess = eval_table([["u1^2*u2", "u2"]], [3.0, 2.0])
+    assert val.shape == (1, 2) and grad.shape == (1, 2, 2) and hess.shape == (1, 2, 2, 2)
+    assert val[0, 0] == jet.val and np.array_equal(hess[0, 0], jet.hess)
 
 
 def test_jet_sqrt_example():

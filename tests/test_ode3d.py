@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmcheck.exprjet import Jet2
+from fmcheck.exprjet import eval_jet, parse
 from fmcheck.ode3d import (F12, F21, F31, CoordinateCollisionError,
                            OdeState3, ParameterSingularError, SingularPathError,
                            SingularPointError, beta_from_F, closed_form_pencil,
@@ -72,18 +72,17 @@ def test_det_w_factorization_random_states():
 
 def test_first_integrals_are_conserved_analytically():
     # jet check of dI/dz = dI/dz|_explicit + grad_F I . F' along the flow,
-    # with (z, F) treated as seven jet coordinates
+    # with (z, F12, F21, F13, F31, F23, F32) as the jet coordinates u1..u7
+    i1 = parse("u2*u3 + u4*u5 + u6*u7")
+    i2 = parse("u4*u7*u3 - u6*u5*u2")
     rng = np.random.default_rng(5)
     for _ in range(100):
         zv = complex(rng.uniform(1.5, 3.5), rng.uniform(-0.5, 0.5))
         Fv = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        coords = [Jet2.variable(7, i, v) for i, v in enumerate([zv, *Fv])]
-        z, f12, f21, f13, f31, f23, f32 = coords
-        i1 = f12 * f21 + f13 * f31 + f23 * f32
-        i2 = f13 * f32 * f21 - f23 * f31 * f12
         fdot = rhs(OdeState3(zv, Fv))
         flow = np.concatenate(([1.0], fdot))
-        for jet in (i1, i2):
+        for expr in (i1, i2):
+            jet = eval_jet(expr, [zv, *Fv])
             rate = np.dot(jet.grad, flow)
             assert abs(rate) <= 1e-9 * (1 + abs(jet.val))
 
