@@ -1,7 +1,8 @@
 """Built-in chart specs for the explicit structure families the engine
 verifies, with companion data (closed-form connections, Lame coefficients,
-flat charts, vector potentials, transform fields, normal-bundle fields)
-and the suite runner that exercises every check implied by an entry's flags.
+flat charts, vector potentials, transform fields, normal-bundle fields),
+the table of checks, and the one point walk that runs the checks an entry's
+flags, a spec file's fields or a `--check` name pick.
 
 Free constants default to 1 (0 for the arbitrary-function slots, which are
 degree-two polynomial coefficients) except where a family forces a value.
@@ -12,8 +13,8 @@ branches, which is the convention recorded in reports.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -23,24 +24,25 @@ from .connection import (ConnectionAt, check_compat_product, check_curvature_pro
                          check_nabla_nabla_E, check_torsionless, connection_from_exprs,
                          dual_structure, levi_civita, natural_connection,
                          natural_from_levi_civita, r_tr_identity_at)
-from .hamops import (NormalBundleData, fields_from_exprs, fields_from_gradients, gmc_at,
+from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at,
                      gmc_report, quadratic_expansion_at, rank_of, sym_condition_at)
-from .manifold import (ManifoldSpec, Region, Report, SamplePlan, StructureAt,
-                       hertling_manin_at, homogeneity_at,
-                       killing_unit_at, metric_invariance_at, normalized, point_report,
-                       product_axioms_at, sample_points, structure_at, structures, worst)
+from .manifold import (AllEntriesZeroError, ManifoldSpec, Region, Report, SamplePlan,
+                       StructureAt, hertling_manin_at, homogeneity_at, killing_unit_at,
+                       metric_invariance_at, normalized, point_report, product_axioms_at,
+                       sample_points, structure_at, worst)
 from .ode3d import beta_from_F, closed_form_pencil, closed_form_q0, integrals, z_of_point
 from .pencil import (delta_tensor_at, exactness_at, flat_pencil_at, flat_pencil_report,
                      pencil_from_structure, pencil_homogeneity_at, product_from_pencil_at,
                      r_operator_at, reconstructed_at)
-from .rotation import (RotationData, algebraic_constraints_at, darboux_at,
+from .rotation import (RotationData, ZeroLameError, algebraic_constraints_at, darboux_at,
                        flatness_constraint_at, lame_system_at, potentiality_at,
                        reduction_identity_at, rotation_data_along, v_matrix)
-from .tensor import cluster_values
+from .tensor import SingularMatrixError, cluster_values
 
-__all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite",
-           "verify_flat_coordinates", "verify_vector_potential", "SuiteResult",
-           "connection_suite", "MissingCompanionDataError", "JacobianSingularError"]
+__all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Check",
+           "CHECKS", "SPEC_CHECKS", "SINGLE_CHECKS", "verify_flat_coordinates",
+           "verify_vector_potential", "SuiteResult", "connection_suite",
+           "MissingCompanionDataError", "JacobianSingularError", "SingularSampleError"]
 
 DEFAULT_TOL = 1e-8
 
@@ -140,9 +142,9 @@ def _build_lobachevsky() -> CatalogEntry:
         "flat_chart": ("4/(x-y)", "(x+y)/2"),
         "flat_e": ("0", "1"),
         "potentials": ("u1*u2", "u2^2/2+(2/3)/u1^2"),
-        "normal_bundle": {"kind": "fields", "fields": [("1", "1")], "eps": [-1]},
+        "normal_bundle": fields_from_exprs([("1", "1")], [-1]),
     }
-    flags = frozenset({"riemannian-f-killing", "semisimple", "flat-normal-bundle",
+    flags = frozenset({"riemannian-f-killing", "flat-normal-bundle",
                        "flat-chart", "potential"})
     return CatalogEntry(spec=spec, flags=flags, companion=companion)
 
@@ -223,9 +225,9 @@ def _build_lauricella() -> CatalogEntry:
         "gamma": _gamma_from_offdiag(n, offdiag),
         "gamma_star": tuple(tuple(tuple(r) for r in m) for m in star),
         "lame": lame,
-        "normal_bundle": {"kind": "gradients", "scalars": scalars, "eps": [-1] * n},
+        "normal_bundle": fields_from_gradients(scalars, [-1] * n, spec.params),
     }
-    flags = frozenset({"riemannian-f-killing", "homogeneous", "semisimple", "biflat",
+    flags = frozenset({"riemannian-f-killing", "homogeneous", "biflat",
                        "flat-normal-bundle", "darboux", "lame", "gamma-match"})
     return CatalogEntry(spec=spec, flags=flags, companion=companion,
                         expected_failures=frozenset({"flatness-constraint"}))
@@ -244,7 +246,7 @@ def _build_q0(d: int) -> CatalogEntry:
         expected={"d": float(d), "D": float(2 * d + 2), "I1": -1.0, "I2": 0.0,
                   "V_eigenvalues": [-1.0, 0.0, 1.0]})
     companion = {"lame": lame, "ode_family": "q0"}
-    flags = {"riemannian-f-killing", "homogeneous", "semisimple", "darboux", "lame",
+    flags = {"riemannian-f-killing", "homogeneous", "darboux", "lame",
              "ed4", "ed4bis", "potentiality", "ode-family"}
     if d == -1:
         q = f"({_Q0_DEN})"
@@ -256,7 +258,7 @@ def _build_q0(d: int) -> CatalogEntry:
         companion["gamma"] = _gamma_from_offdiag(n, offdiag)
         companion["legendre_fields"] = dict(_Q0_FIELDS)
         companion["legendre_targets"] = {"X2": "q0-d0", "X3": "q0-d1"}
-        flags |= {"gamma-match", "legendre-fields"}
+        flags.add("gamma-match")
     return CatalogEntry(spec=spec, flags=frozenset(flags), companion=companion)
 
 
@@ -278,7 +280,7 @@ def _build_pencil63() -> CatalogEntry:
         "gamma": _gamma_from_offdiag(n, offdiag),
         "ode_family": "pencil63",
     }
-    flags = frozenset({"riemannian-f-killing", "homogeneous", "semisimple", "darboux",
+    flags = frozenset({"riemannian-f-killing", "homogeneous", "darboux",
                        "lame", "ed4", "ed4bis", "ed5b", "gamma-match", "ode-family",
                        "potentiality"})
     # the exact-pencil family is not potential: that check is reported and
@@ -392,14 +394,15 @@ def flat_coordinates_at(chart, conn: ConnectionAt, point):
     return normalized(np.max(np.abs(pushed)), sc), sc
 
 
-def vector_potential_at(comp: dict, st: StructureAt, chart, env):
+def vector_potential_at(d):
     """In the flat chart, the pushed product must be the chart Hessian of
     the potential components, and the pushed unit/Euler fields must match
-    their printed components."""
-    tvals, jac, _ = chart
+    their printed components (`d`: the point's `_PointData`)."""
+    tvals, jac, _ = d.chart
+    st, comp, env = d.st, d.comp, d.env
     jinv = np.linalg.inv(jac)
     pushed_c = np.einsum("ai,ijk,jb,kc->abc", jac, st.c, jinv, jinv)
-    _, _, potential_hess = ej.eval_table(comp["potentials"], tvals, env)
+    _, _, potential_hess = ej.eval_table(d.companion("potentials"), tvals, env)
     terms = [float(np.max(np.abs(pushed_c - potential_hess)))]
     e_flat = ej.eval_table(comp["flat_e"], tvals, env)[0]
     terms.append(float(np.max(np.abs(jac @ st.e - e_flat))))
@@ -410,104 +413,257 @@ def vector_potential_at(comp: dict, st: StructureAt, chart, env):
     return normalized(worst(terms), sc), sc
 
 
-def _require(ent: CatalogEntry, *keys):
-    for key in keys:
-        if key not in ent.companion:
-            raise MissingCompanionDataError(f"{ent.spec.name} has no {key}")
-
-
-def verify_flat_coordinates(ent: CatalogEntry, points, tol: float = DEFAULT_TOL,
-                            params=None) -> Report:
+def verify_flat_coordinates(ent: CatalogEntry, points, tol: float = DEFAULT_TOL) -> Report:
     """Push the structure connection to the companion chart and require the
     transformed Christoffel symbols to vanish."""
-    _require(ent, "flat_chart")
-    env = ent.spec.env(params)
-
-    def at(p):
-        if "gamma" in ent.companion:
-            conn = connection_from_exprs(ent.companion["gamma"], p, env)
-        else:
-            conn = natural_connection(structure_at(ent.spec, p, params))
-        return flat_coordinates_at(ej.eval_table(ent.companion["flat_chart"], p, env), conn, p)
-
-    return point_report("flat-coordinates", map(at, points), tol)
+    return _walk(ent.spec, ent.companion, [_BY_NAME["flat-coordinates"]], points, tol)[0]
 
 
-def verify_vector_potential(ent: CatalogEntry, points, tol: float = 1e-10,
-                            params=None) -> Report:
-    _require(ent, "flat_chart", "potentials")
-    env = ent.spec.env(params)
-    charts = (ej.eval_table(ent.companion["flat_chart"], p, env) for p in points)
-    return point_report("vector-potential",
-                        [vector_potential_at(ent.companion, st, chart, env)
-                         for st, chart in zip(structures(ent.spec, points, params), charts)], tol)
-
-
-# ---------------------------------------------------------------------------
-# suite runner
-
-
-def _connection_at(st: StructureAt, nat: ConnectionAt, lc: ConnectionAt,
-                   printed: ConnectionAt | None, tol: float):
-    """(report name, per-point result) of the flat-structure checks for a
-    metric entry: structure connection {torsionless, flat, unit-parallel,
-    product-compatible, defining residual}, the curvature product condition
-    for the metric connection, the cyclic-sum agreement of the two
-    connections, and agreement with a closed-form connection table when
-    one is supplied."""
-    out = [("torsionless", check_torsionless(nat)),
-           ("flatness", check_flatness(nat, tol)),
-           ("nabla-e", check_nabla_e(nat, st, tol)),
-           ("product-compat", check_compat_product(nat, st, tol)),
-           ("nabla-from-g", check_nabla_from_g(nat, st, tol)),
-           ("curvature-product", check_curvature_product_condition(lc, st, "both", tol)),
-           ("r-tr", r_tr_identity_at(nat, lc, st, tol))]
-    if st.E is not None:
-        out.append(("nabla-nabla-E", check_nabla_nabla_E(nat, st, tol)))
-    if printed is not None:
-        out.append(("gamma-match",
-                    Report.from_residual("gamma-match", _table_gap(nat, printed), tol)))
-    return out
-
-
-def _table_gap(conn: ConnectionAt, printed: ConnectionAt) -> float:
-    return normalized(float(np.max(np.abs(conn.gamma - printed.gamma))),
-                      float(np.max(np.abs(printed.gamma))))
-
-
-def _put(per: dict, name: str, result, **options):
-    """Record a check's result at one point in `per`: report name -> (keyword
-    options of the check's reduction, per-point results), in report order.
-    The options go to `point_report`, or to the function given as `reduce`.
-    A single-point Report is recorded as its (residual, scale) and passes
-    its tolerance on to the reduction."""
-    if isinstance(result, Report):
-        options.setdefault("tol", result.tol)
-        result = (result.residual, result.scale)
-    per.setdefault(name, (options, []))[1].append(result)
-
-
-def _reports(per: dict, tol: float) -> list:
-    """One report per check of `per` (see `_put`), by default against `tol`."""
-    reports = []
-    for name, (options, results) in per.items():
-        reduce = options.pop("reduce", point_report)
-        reports.append(reduce(name, results, **{"tol": tol, **options}))
-    return reports
+def verify_vector_potential(ent: CatalogEntry, points, tol: float = 1e-10) -> Report:
+    return _walk(ent.spec, ent.companion, [_BY_NAME["vector-potential"]], points, tol)[0]
 
 
 def connection_suite(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
-                     params=None, gamma_exprs=None) -> list:
-    """The flat-structure checks for a metric entry (see `_connection_at`)."""
-    per = {}
-    env = spec.env(params)
-    for st in structures(spec, points, params):
-        printed = None if gamma_exprs is None else connection_from_exprs(gamma_exprs, st.point, env)
-        lc = levi_civita(st)
-        nat = natural_from_levi_civita(st, lc)
-        for name, result in _connection_at(st, nat, lc, printed, tol):
-            _put(per, name, result)
-    return _reports(per, tol)
+                     gamma_exprs=None) -> list:
+    """The flat-structure checks for a metric spec (`_CONNECTION_CHECKS`):
+    the natural connection is torsionless, flat, unit-parallel, compatible
+    with the product and solves its defining equation; the Levi-Civita
+    curvature meets the product condition; the two agree in the cyclic sum;
+    and, given a closed-form connection table, the natural one matches it."""
+    comp = {} if gamma_exprs is None else {"gamma": gamma_exprs}
+    return _walk(spec, comp, _chosen(spec, comp, lambda c: c.name in _CONNECTION_CHECKS),
+                 points, tol)
+
+
+# ---------------------------------------------------------------------------
+# the check table and the point walk
+
+
+class SingularSampleError(Exception):
+    """A check's data cannot be evaluated at a sample point."""
+
+
+_SINGULAR = (ej.DomainError, SingularMatrixError, AllEntriesZeroError, ZeroLameError,
+             JacobianSingularError)
+
+
+def _table_gap(conn: ConnectionAt, printed: ConnectionAt):
+    return normalized(float(np.max(np.abs(conn.gamma - printed.gamma))),
+                      float(np.max(np.abs(printed.gamma)))), 0.0
+
+
+def _closed_form_state(spec: ManifoldSpec, comp: dict, u):
+    """The closed-form solution of the spec's ODE family at the point u."""
+    z = z_of_point(u)
+    if comp["ode_family"] == "q0":
+        return closed_form_q0(z, spec.params.get("a", 1.0), spec.params.get("b", 1.0))
+    return closed_form_pencil(z)
+
+
+def _v_eigenvalue_gap(rd: RotationData, want) -> float:
+    _, eig, _ = v_matrix(rd)
+    # cluster multiple roots first: a split double root is only
+    # sqrt(eps)-accurate per root but eps-accurate in the mean
+    clustered = []
+    for rep, mult in cluster_values(eig, tol=1e-6):
+        clustered.extend([rep] * mult)
+    clustered.sort(key=lambda v: (v.real, v.imag))
+    return float(np.max(np.abs(np.array(clustered) - np.array(sorted(want), dtype=complex))))
+
+
+# The data a sample point shares among its checks, by name: each entry is
+# built from the point's other data on first use (see `_PointData`).
+_SHARED = {
+    "st": lambda d: structure_at(d.spec, d.point),
+    "lc": lambda d: levi_civita(d.st),
+    "nat": lambda d: natural_from_levi_civita(d.st, d.lc),
+    "printed": lambda d: connection_from_exprs(d.companion("gamma"), d.point, d.env),
+    # the structure connection, from its closed-form table where there is one
+    "conn": lambda d: d.printed if "gamma" in d.comp else d.nat,
+    "dual": lambda d: dual_structure(d.st, d.nat, d.tol),
+    "rd": lambda d: next(d.rotations),
+    "pa": lambda d: pencil_from_structure(d.st),
+    "pencil_product": lambda d: product_from_pencil_at(d.pa, max(d.tol, 1e-9)),
+    "fields": lambda d: d.companion("normal_bundle").at(d.st.point, d.st.n),
+    "chart": lambda d: ej.eval_table(d.companion("flat_chart"), d.point, d.env),
+}
+
+
+class _PointData:
+    """One sample point's data: what the whole walk shares (`walk`: spec,
+    companion data, env, tol, the rotation-data generator, ...) and the
+    entries of `_SHARED`, each built once, when a check first asks for it."""
+
+    def __init__(self, walk: dict, point):
+        self.__dict__.update(walk, point=point)
+
+    def __getattr__(self, name):
+        if name not in _SHARED:
+            raise AttributeError(name)
+        value = _SHARED[name](self)
+        setattr(self, name, value)
+        return value
+
+    def companion(self, key):
+        if key not in self.comp:
+            raise MissingCompanionDataError(f"{self.spec.name} has no {key}")
+        return self.comp[key]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.  `at` maps a point's `_PointData` to the
+    result there: (residual, scale[, fitted constant]), a single-point
+    Report, or a list of those.  An entry runs the check when its flags hold
+    `flag` and its spec, companion or expected values hold all of `needs`;
+    the check uses all points, the first `points`, or with "head" the first
+    max(4, count // 5).  `fit`, `expected` (a key), `tol` (of the run's tol;
+    default: the run's or its Reports') and `reduce` set its reduction."""
+    name: str
+    at: Callable
+    flag: str | None = None
+    needs: tuple = ()
+    points: int | str | None = None
+    fit: str | None = None
+    expected: str | None = None
+    tol: Callable | None = None
+    reduce: Callable | None = None
+
+    def report(self, results: list, tol: float, expected: dict) -> Report:
+        if self.tol is not None:
+            tol = self.tol(tol)
+        elif isinstance(results[0], Report):
+            tol = results[0].tol
+        per_point = [(r.residual, r.scale) if isinstance(r, Report) else r for r in results]
+        if self.reduce is not None:
+            return self.reduce(self.name, per_point, tol)
+        return point_report(self.name, per_point, tol, fit=self.fit,
+                            expected=expected.get(self.expected))
+
+
+def _lame_system_at(d):
+    beta_source = None
+    if "ode_family" in d.comp:
+        def beta_source(u):
+            return beta_from_F(_closed_form_state(d.spec, d.comp, u), u)
+    return lame_system_at(d.rd, d.expected.get("d"), beta_source)
+
+
+def _ode_integrals_at(d):
+    vals = integrals(_closed_form_state(d.spec, d.comp, d.point))
+    return worst((abs(vals["I1"] - d.expected["I1"]), abs(vals["I2"] - d.expected["I2"]))), 0.0
+
+
+def _reconstructed_at(d):
+    """The flat-structure checks of the structure rebuilt from the pencil."""
+    recon = reconstructed_at(d.pa, *d.pencil_product[:2])
+    nat = natural_connection(recon)
+    return [check_flatness(nat, d.tol), check_nabla_e(nat, recon, d.tol),
+            check_compat_product(nat, recon, d.tol), check_nabla_from_g(nat, recon, d.tol)]
+
+
+_KILLING = "riemannian-f-killing"
+_BUNDLE = "flat-normal-bundle"
+
+# every check, in report order
+CHECKS = (
+    Check("product-axioms", lambda d: product_axioms_at(d.st), _KILLING),
+    Check("hertling-manin", lambda d: hertling_manin_at(d.st), _KILLING),
+    Check("metric-invariance", lambda d: metric_invariance_at(d.st), _KILLING, ("g",)),
+    Check("killing-unit", lambda d: killing_unit_at(d.st), _KILLING, ("g",)),
+    Check("levi-civita-flat", lambda d: check_flatness(d.lc, d.tol)),
+    Check("natural-flat", lambda d: check_flatness(d.nat, d.tol), needs=("g",)),
+    Check("torsionless", lambda d: check_torsionless(d.nat), _KILLING),
+    Check("flatness", lambda d: check_flatness(d.nat, d.tol), _KILLING),
+    Check("nabla-e", lambda d: check_nabla_e(d.nat, d.st, d.tol), _KILLING),
+    Check("product-compat", lambda d: check_compat_product(d.nat, d.st, d.tol), _KILLING),
+    Check("nabla-from-g", lambda d: check_nabla_from_g(d.nat, d.st, d.tol), _KILLING),
+    Check("curvature-product",
+          lambda d: check_curvature_product_condition(d.lc, d.st, "both", d.tol), _KILLING),
+    Check("r-tr", lambda d: r_tr_identity_at(d.nat, d.lc, d.st, d.tol), _KILLING),
+    Check("nabla-nabla-E", lambda d: check_nabla_nabla_E(d.nat, d.st, d.tol), _KILLING, ("E",)),
+    Check("gamma-match", lambda d: _table_gap(d.nat, d.printed), "gamma-match", ("gamma",)),
+    Check("homogeneity", lambda d: homogeneity_at(d.st), "homogeneous", ("g", "E"),
+          fit="D", expected="D"),
+    Check("dual-structure", lambda d: d.dual.report, "biflat"),
+    Check("gamma-star-match", lambda d: _table_gap(d.dual.gamma_star, connection_from_exprs(
+        d.companion("gamma_star"), d.point, d.env)), "biflat", ("gamma_star",)),
+    Check("darboux-system", lambda d: darboux_at(d.rd), "darboux"),
+    Check("reduction-identity", lambda d: reduction_identity_at(d.rd), "darboux"),
+    Check("lame-system", _lame_system_at, "lame", fit="d"),
+    Check("flatness-constraint", lambda d: flatness_constraint_at(d.rd), "ed4"),
+    Check("algebraic-ED4bis", lambda d: algebraic_constraints_at(d.rd, "ED4bis"), "ed4bis"),
+    Check("algebraic-ED5b", lambda d: algebraic_constraints_at(d.rd, "ED5b"), "ed5b"),
+    Check("potentiality", lambda d: potentiality_at(d.rd), "potentiality"),
+    Check("v-eigenvalues", lambda d: (_v_eigenvalue_gap(d.rd, d.expected["V_eigenvalues"]), 0.0),
+          "darboux", ("V_eigenvalues",), points=5),
+    Check("ode-integrals", _ode_integrals_at, "ode-family", points=5, tol=lambda tol: 1e-10),
+    Check("quadratic-expansion",
+          lambda d: quadratic_expansion_at(d.st, d.lc, d.comp["normal_bundle"].eps, d.fields[0]),
+          _BUNDLE, tol=lambda tol: max(tol, 1e-9)),
+    Check("sym-condition", lambda d: sym_condition_at(d.st, d.nat, *d.fields), _BUNDLE),
+    Check("gmc", lambda d: gmc_at(d.st, d.lc, d.comp["normal_bundle"].eps, *d.fields), _BUNDLE,
+          reduce=gmc_report),
+    Check("normal-rank", lambda d: (float(rank_of(d.fields[0]) != d.expected["rank"]), 0.0),
+          _BUNDLE, ("rank",), points=5, tol=lambda tol: 0.5),
+    Check("pencil-exactness", lambda d: exactness_at(d.pa), "pencil", ("g2",)),
+    Check("pencil-homogeneity", lambda d: pencil_homogeneity_at(d.pa), "pencil", ("g2",),
+          fit="d", expected="d_pencil"),
+    Check("flat-pencil", lambda d: flat_pencil_at(d.pa), "pencil", ("g2",), points="head",
+          reduce=flat_pencil_report),
+    Check("delta-identities", lambda d: delta_tensor_at(d.pa, d.tol)[1], "pencil", points="head"),
+    Check("r-operator", lambda d: r_operator_at(d.pa, max(d.tol, 1e-9))[1], "pencil",
+          points="head"),
+    Check("product-from-pencil", lambda d: d.pencil_product[2], "pencil", points="head"),
+    Check("reconstructed-structure", _reconstructed_at, "pencil", points="head"),
+    Check("flat-coordinates", lambda d: flat_coordinates_at(d.chart, d.conn, d.point),
+          "flat-chart"),
+    Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
+)
+_BY_NAME = {check.name: check for check in CHECKS}
+
+# the checks of a spec file, where its fields allow them
+SPEC_CHECKS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
+               "natural-flat", "homogeneity", "pencil-exactness", "pencil-homogeneity",
+               "flat-pencil")
+# the checks `verify --check NAME` runs
+SINGLE_CHECKS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
+                 "homogeneity", "levi-civita-flat", "natural-flat")
+_CONNECTION_CHECKS = ("torsionless", "flatness", "nabla-e", "product-compat", "nabla-from-g",
+                      "curvature-product", "r-tr", "nabla-nabla-E", "gamma-match")
+
+
+def _chosen(spec: ManifoldSpec, comp: dict, keep) -> list:
+    """The checks that `keep` picks and whose `needs` the spec and its
+    companion data meet, in table order."""
+    return [c for c in CHECKS if keep(c) and all(
+        getattr(spec, key, None) is not None or key in comp or key in spec.expected
+        for key in c.needs)]
+
+
+def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
+    """Walk `points` once and reduce each of `checks` over the points it
+    uses.  The checks at a point share one `_PointData`, so its structure,
+    connections, rotation and pencil data are built at most once.  Each
+    check uses a prefix of the points, so the rotation-data generator
+    advances once per point, in order, while any check reads it."""
+    walk = {"spec": spec, "comp": comp, "env": spec.env(), "tol": tol, "expected": spec.expected,
+            "rotations": rotation_data_along(spec, points, lame_exprs=comp.get("lame"))}
+    head = max(4, len(points) // 5)  # points of the costlier pencil checks
+    limits = [{None: len(points), "head": head}.get(c.points, c.points) for c in checks]
+    results = [[] for _ in checks]
+    for k, p in enumerate(points):
+        d = _PointData(walk, p)
+        try:
+            for check, limit, out in zip(checks, limits, results):
+                if k < limit:
+                    result = check.at(d)
+                    out.extend(result) if isinstance(result, list) else out.append(result)
+        except _SINGULAR as err:
+            coords = ", ".join(str(x) for x in np.asarray(p).tolist())
+            raise SingularSampleError(f"sample {k} at ({coords}) is singular: "
+                                      f"{type(err).__name__}: {err}") from err
+    return [check.report(out, tol, spec.expected) for check, out in zip(checks, results)]
 
 
 @dataclass
@@ -526,139 +682,24 @@ class SuiteResult:
                 "reports": [r.to_dict() for r in self.reports]}
 
 
-def _closed_form_state(ent: CatalogEntry, u):
-    """The closed-form solution of the entry's ODE family at the point u."""
-    z = z_of_point(u)
-    if ent.companion["ode_family"] == "q0":
-        return closed_form_q0(z, ent.spec.params.get("a", 1.0), ent.spec.params.get("b", 1.0))
-    return closed_form_pencil(z)
-
-
-def _v_eigenvalue_gap(rd: RotationData, want) -> float:
-    _, eig, _ = v_matrix(rd)
-    # cluster multiple roots first: a split double root is only
-    # sqrt(eps)-accurate per root but eps-accurate in the mean
-    clustered = []
-    for rep, mult in cluster_values(eig, tol=1e-6):
-        clustered.extend([rep] * mult)
-    clustered.sort(key=lambda v: (v.real, v.imag))
-    return float(np.max(np.abs(np.array(clustered) - np.array(sorted(want), dtype=complex))))
-
-
-def _normal_bundle(ent: CatalogEntry) -> NormalBundleData:
-    conf = ent.companion["normal_bundle"]
-    if conf["kind"] == "gradients":
-        return fields_from_gradients(conf["scalars"], conf["eps"], ent.spec.params)
-    return fields_from_exprs(conf["fields"], conf["eps"], ent.spec.params)
-
-
-_CONNECTION_FLAGS = frozenset({"riemannian-f-killing", "biflat", "flat-normal-bundle",
-                               "flat-chart"})
-_ROTATION_FLAGS = frozenset({"darboux", "lame", "ed4", "ed4bis", "ed5b", "potentiality"})
-
-
-def run_suite(ent: CatalogEntry, seed: int = 0, count: int = 20,
-              tol: float = DEFAULT_TOL) -> SuiteResult:
-    """Execute every check implied by the entry's flags.
-
-    The sample points are walked once.  At each point the structure, the
-    natural and Levi-Civita connections, the closed-form connection, the
-    rotation and pencil data and the companion jets are built once, where
-    the flags need them, and every check takes its residual at that point
-    from them.  Each check's residuals are reduced after the walk."""
-    spec, flags, comp = ent.spec, ent.flags, ent.companion
-    env = spec.env()
-    expected = spec.expected
+def run_suite(source, seed: int = 0, count: int = 20, tol: float = DEFAULT_TOL,
+              check: str | None = None) -> SuiteResult:
+    """Sample `count` points at `seed` and walk them once (`_walk`) with the
+    checks of `source`: a catalog entry's, picked by its flags, or a bare
+    spec's (`SPEC_CHECKS`), picked by the fields it has; with `check`, only
+    that one of `SINGLE_CHECKS`."""
+    ent = source if isinstance(source, CatalogEntry) else None
+    spec = source if ent is None else ent.spec
+    comp = {} if ent is None else ent.companion
     points = sample_points(spec, SamplePlan(seed=seed, count=count))
-    head = max(4, count // 5)  # points of the costlier pencil checks
-    killing = "riemannian-f-killing" in flags
-    lame = comp.get("lame")
-    nb = _normal_bundle(ent) if "flat-normal-bundle" in flags else None
-    beta_src = None
-    if "ode-family" in flags:
-        def beta_src(u):
-            return beta_from_F(_closed_form_state(ent, u), u)
-    rotations = None
-    if flags & _ROTATION_FLAGS or "V_eigenvalues" in expected:
-        rotations = rotation_data_along(spec, points, lame_exprs=lame)
-    per = {}
-    put = functools.partial(_put, per)
-    for k, p in enumerate(points):
-        st = structure_at(spec, p)
-        nat = lc = None
-        if st.g is not None and flags & _CONNECTION_FLAGS:
-            lc = levi_civita(st)
-            nat = natural_from_levi_civita(st, lc)
-        printed = connection_from_exprs(comp["gamma"], p, env) if "gamma" in comp else None
-        if killing:
-            put("product-axioms", product_axioms_at(st))
-            put("hertling-manin", hertling_manin_at(st))
-            put("metric-invariance", metric_invariance_at(st))
-            put("killing-unit", killing_unit_at(st))
-            match = printed if "gamma-match" in flags else None
-            for name, result in _connection_at(st, nat, lc, match, tol):
-                put(name, result)
-        if "homogeneous" in flags:
-            put("homogeneity", homogeneity_at(st), fit="D", expected=expected.get("D"))
-        if "biflat" in flags:
-            dual = dual_structure(st, nat, tol)
-            put("dual-structure", dual.report)
-            if "gamma_star" in comp:
-                put("gamma-star-match", (_table_gap(
-                    dual.gamma_star, connection_from_exprs(comp["gamma_star"], p, env)), 0.0))
-        rd = None if rotations is None else next(rotations)
-        if "darboux" in flags:
-            put("darboux-system", darboux_at(rd))
-            put("reduction-identity", reduction_identity_at(rd))
-        if "lame" in flags:
-            put("lame-system", lame_system_at(rd, expected.get("d"), beta_src), fit="d")
-        if "ed4" in flags:
-            put("flatness-constraint", flatness_constraint_at(rd))
-        if "ed4bis" in flags:
-            put("algebraic-ED4bis", algebraic_constraints_at(rd, "ED4bis"))
-        if "ed5b" in flags:
-            put("algebraic-ED5b", algebraic_constraints_at(rd, "ED5b"))
-        if "potentiality" in flags:
-            put("potentiality", potentiality_at(rd))
-        if "V_eigenvalues" in expected and k < 5:
-            put("v-eigenvalues", (_v_eigenvalue_gap(rd, expected["V_eigenvalues"]), 0.0))
-        if "ode-family" in flags and k < 5:
-            vals = integrals(_closed_form_state(ent, p))
-            put("ode-integrals", (worst((abs(vals["I1"] - expected["I1"]),
-                                         abs(vals["I2"] - expected["I2"]))), 0.0), tol=1e-10)
-        if nb is not None:
-            xs, dxs = nb.at(st.point, st.n)
-            put("quadratic-expansion", quadratic_expansion_at(st, lc, nb.eps, xs),
-                tol=max(tol, 1e-9))
-            put("sym-condition", sym_condition_at(st, nat, xs, dxs))
-            put("gmc", gmc_at(st, lc, nb.eps, xs, dxs), reduce=gmc_report)
-            if "rank" in expected and k < 5:
-                put("normal-rank", (float(rank_of(xs) != expected["rank"]), 0.0), tol=0.5)
-        if "pencil" in flags:
-            pa = pencil_from_structure(st)
-            put("pencil-exactness", exactness_at(pa))
-            put("pencil-homogeneity", pencil_homogeneity_at(pa), fit="d",
-                expected=expected.get("d_pencil"))
-            if k < head:
-                put("flat-pencil", flat_pencil_at(pa), reduce=flat_pencil_report)
-                put("delta-identities", delta_tensor_at(pa, tol)[1])
-                put("r-operator", r_operator_at(pa, max(tol, 1e-9))[1])
-                c, dc, report = product_from_pencil_at(pa, max(tol, 1e-9))
-                put("product-from-pencil", report)
-                recon = reconstructed_at(pa, c, dc)
-                recon_nat = natural_connection(recon)
-                for report in (check_flatness(recon_nat, tol), check_nabla_e(recon_nat, recon, tol),
-                               check_compat_product(recon_nat, recon, tol),
-                               check_nabla_from_g(recon_nat, recon, tol)):
-                    put("reconstructed-structure", report)
-        if "flat-chart" in flags or "potential" in flags:
-            _require(ent, "flat_chart")
-            chart = ej.eval_table(comp["flat_chart"], p, env)
-        if "flat-chart" in flags:
-            conn = nat if printed is None else printed
-            put("flat-coordinates", flat_coordinates_at(chart, conn, p))
-        if "potential" in flags:
-            _require(ent, "potentials")
-            put("vector-potential", vector_potential_at(comp, st, chart, env), tol=max(tol, 1e-10))
-    return SuiteResult(name=spec.name, reports=_reports(per, tol),
-                       expected_failures=ent.expected_failures)
+    if check is not None:
+        if check not in SINGLE_CHECKS:
+            raise KeyError(check)
+        checks = [_BY_NAME[check]]
+    elif ent is None:
+        checks = _chosen(spec, comp, lambda c: c.name in SPEC_CHECKS)
+    else:
+        checks = _chosen(spec, comp, lambda c: c.flag in ent.flags)
+    expected_failures = ent.expected_failures if ent is not None and check is None else frozenset()
+    return SuiteResult(name=spec.name, reports=_walk(spec, comp, checks, points, tol),
+                       expected_failures=expected_failures)

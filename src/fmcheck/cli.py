@@ -2,9 +2,10 @@
 runs, and catalog access.
 
 Exit codes: 0 all requested checks pass, 1 a check fails (or a transform
-hypothesis is violated), 2 bad input (unparseable spec, unknown entry, a
-spec that lacks a field a check needs or leaves a parameter unbound,
-singular integration path).
+hypothesis is violated), 2 bad input (unparseable spec, unknown entry or
+check, a spec that lacks a field a check or a transform needs or leaves a
+parameter unbound, a sample point where the spec is singular, which
+`verify` names by index and coordinates, singular integration path).
 
 Reports embed the tool version, seed, tolerances, parameter values and the
 branch convention, and are byte-deterministic for a fixed configuration.
@@ -21,14 +22,11 @@ import numpy as np
 
 from . import __version__, catalog
 from . import exprjet as ej
-from .connection import check_flatness, levi_civita, natural_connection
 from .legendre import (HypothesisViolatedError, NotInvertibleError, field_points,
                        legendre_field_at, legendre_field_report, transform_metric,
                        transform_metric_exprs)
 from .manifold import (ManifoldSpec, MissingFieldError, PointCountError, Report, SamplePlan,
-                       check_hertling_manin, check_homogeneity, check_killing_unit,
-                       check_metric_invariance, check_product_axioms, fit_scalar,
-                       merge_reports, sample_points, structures, worst)
+                       fit_scalar, required, sample_points, worst)
 from .ode3d import (OdeState3, SingularPathError, SingularPointError,
                     closed_form_pencil, closed_form_q0, integrals, integrate)
 
@@ -81,21 +79,6 @@ def _doc(command: str, args, spec) -> dict:
             "tolerances": {"rtol": args.rtol}, "branch_convention": BRANCH_NOTE, "params": params}
 
 
-def _single_check(name: str, spec, points, tol):
-    connections = {"levi-civita-flat": levi_civita, "natural-flat": natural_connection}
-    if name in connections:
-        return merge_reports(name, [check_flatness(connections[name](st), tol)
-                                    for st in structures(spec, points)], tol)
-    table = {"product-axioms": check_product_axioms,
-             "hertling-manin": check_hertling_manin,
-             "metric-invariance": check_metric_invariance,
-             "killing-unit": check_killing_unit,
-             "homogeneity": check_homogeneity}
-    if name not in table:
-        raise KeyError(name)
-    return table[name](spec, points, tol)
-
-
 def cmd_verify(args) -> int:
     try:
         spec, ent = _load_spec(args.spec)
@@ -103,50 +86,24 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"spec error: {err}\n")
         return 2
     overrides = {k: _parse_scalar(v) for k, v in (kv.split("=", 1) for kv in args.param)}
-    if overrides:
-        spec.params.update(overrides)
-        if ent is not None:
-            ent.spec.params.update(overrides)
-    tol = args.rtol
+    spec.params.update(overrides)
     doc = {**_doc("verify", args, spec), "target": spec.name}
     try:
-        if args.check:
-            points = sample_points(spec, SamplePlan(seed=args.seed, count=args.points))
-            reports = [_single_check(args.check, spec, points, tol)]
-            ok = all(r.passed for r in reports)
-        elif ent is not None:
-            suite = catalog.run_suite(ent, seed=args.seed, count=args.points, tol=tol)
-            reports = suite.reports
-            doc["expected_failures"] = sorted(suite.expected_failures)
-            ok = suite.ok
-        else:
-            points = sample_points(spec, SamplePlan(seed=args.seed, count=args.points))
-            reports = [check_product_axioms(spec, points, tol),
-                       check_hertling_manin(spec, points, tol)]
-            if spec.g is not None:
-                reports += [check_metric_invariance(spec, points, tol),
-                            check_killing_unit(spec, points, tol),
-                            _single_check("natural-flat", spec, points, tol)]
-            if spec.E is not None and spec.g is not None:
-                reports.append(check_homogeneity(spec, points, tol))
-            if spec.g2 is not None:
-                from .pencil import (check_exactness, check_flat_pencil,
-                                     check_pencil_homogeneity)
-                reports += [check_exactness(spec, points, tol),
-                            check_pencil_homogeneity(spec, points, tol),
-                            check_flat_pencil(spec, points[:max(4, len(points) // 5)], tol=tol)]
-            ok = all(r.passed for r in reports)
+        suite = catalog.run_suite(spec if ent is None else ent, seed=args.seed, count=args.points,
+                                  tol=args.rtol, check=args.check)
     except KeyError as err:
         sys.stderr.write(f"unknown check: {err}\n")
         return 2
-    except (PointCountError, MissingFieldError,
+    except (PointCountError, MissingFieldError, catalog.SingularSampleError,
             ej.UnboundParameterError, ej.UnboundVariableError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
-    doc["reports"] = [r.to_dict() for r in reports]
-    doc["ok"] = ok
+    if ent is not None and args.check is None:
+        doc["expected_failures"] = sorted(suite.expected_failures)
+    doc["reports"] = [r.to_dict() for r in suite.reports]
+    doc["ok"] = suite.ok
     _emit(doc, args.format, args.output)
-    return 0 if ok else 1
+    return 0 if suite.ok else 1
 
 
 def cmd_ode(args) -> int:
@@ -219,15 +176,13 @@ def cmd_legendre(args) -> int:
             return 2
         field_exprs = ent.companion["legendre_fields"][args.field]
         field_name = args.field
+    field_res, exprs_res, match_res = [], [], []
     try:
         points = sample_points(spec, SamplePlan(seed=args.seed, count=args.points))
         tgt = catalog.entry(args.target).spec if args.target else None
-    except (PointCountError, catalog.UnknownEntryError) as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return 2
-    new_spec = transform_metric_exprs(spec, field_exprs, name=f"{spec.name}-{field_name}")
-    field_res, exprs_res, match_res = [], [], []
-    try:
+        if tgt is not None:
+            required(tgt.g, f"metric in target {tgt.name}")
+        new_spec = transform_metric_exprs(spec, field_exprs, name=f"{spec.name}-{field_name}")
         for k, (st, nat, x, dx, ddx) in enumerate(field_points(spec, field_exprs, points)):
             field_res.append(legendre_field_at(st, nat, x, dx))
             if k >= 5 and tgt is None:
@@ -243,6 +198,9 @@ def cmd_legendre(args) -> int:
                 s = fit_scalar(gbar, g_tgt)
                 match_res.append(float(np.max(np.abs(gbar - s * g_tgt)))
                                  / (1 + float(np.max(np.abs(g_tgt)))))
+    except (PointCountError, MissingFieldError, catalog.UnknownEntryError, ej.EvalError) as err:
+        sys.stderr.write(f"input error: {err}\n")
+        return 2
     except (NotInvertibleError, HypothesisViolatedError) as err:
         sys.stderr.write(f"transform rejected: {err}\n")
         return 1

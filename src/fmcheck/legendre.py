@@ -17,7 +17,7 @@ from .connection import (ConnectionAt, check_compat_product, checked_inverse,
                          natural_connection, riemann_components)
 from .hamops import sym_condition_at
 from .manifold import (ManifoldSpec, Report, StructureAt, fit_scalar,
-                       lie_metric, normalized, point_report, product_jets, structure_at,
+                       lie_metric, normalized, point_report, product_jets, required, structure_at,
                        structures, worst)
 from .rotation import rk4_path
 from .tensor import SingularMatrixError, lie_from_components
@@ -277,7 +277,7 @@ def transform_metric_exprs(spec: ManifoldSpec, field_exprs, name: str | None = N
     n = spec.n
     c, _, _ = product_jets(spec.product, n, (), {})
     xs = [ej.parse(src) for src in field_exprs]
-    gs = [[ej.parse(src) for src in row] for row in spec.g]
+    gs = [[ej.parse(src) for src in row] for row in required(spec.g, "metric")]
     gbar = [["0"] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -18,7 +18,7 @@ import numpy as np
 from . import exprjet as ej
 from .connection import christoffel_jets, counit_jets, inverse_jets, riemann_components
 from .manifold import (ManifoldSpec, Region, Report, StructureAt, fit_scalar,
-                       normalized, point_report, structure_at, worst, worst_parts)
+                       normalized, point_report, required, structure_at, worst, worst_parts)
 from .tensor import SingularMatrixError, lie_from_components
 
 __all__ = [
@@ -87,7 +87,7 @@ def pencil_at(spec: ManifoldSpec, point, params=None) -> PencilAt:
 
 def pencil_from_structure(st: StructureAt) -> PencilAt:
     """The pencil data at the point of `st`, which carries both metrics."""
-    eta_inv, deta_inv, ddeta_inv = inverse_jets(st.g, st.dg, st.ddg)
+    eta_inv, deta_inv, ddeta_inv = inverse_jets(required(st.g, "metric"), st.dg, st.ddg)
     g_inv, dg_inv, ddg_inv = inverse_jets(st.g2, st.dg2, st.ddg2)
     gamma1, dgamma1 = christoffel_jets(st.g, st.dg, st.ddg)
     gamma2, dgamma2 = christoffel_jets(st.g2, st.dg2, st.ddg2)

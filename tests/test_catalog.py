@@ -1,3 +1,6 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import fmcheck.catalog as cat
 from fmcheck.catalog import (MissingCompanionDataError, UnknownEntryError,
                              run_suite, verify_flat_coordinates,
                              verify_vector_potential)
+from fmcheck.cli import main
 from fmcheck.manifold import ManifoldSpec, SamplePlan, sample_points
 
 
@@ -89,7 +93,19 @@ def test_export_roundtrip_all_entries():
         assert ManifoldSpec.from_json(text).to_json() == text
 
 
-def test_run_suite_builds_point_data_once_per_point(monkeypatch):
+def test_every_flag_picks_a_check():
+    # a flag that picks no check is dead: dropping any flag of any entry
+    # changes the suite's report names
+    import dataclasses
+    for name in cat.names():
+        ent = cat.entry(name)
+        full = [r.name for r in run_suite(ent, seed=0, count=2).reports]
+        for flag in ent.flags:
+            cut = dataclasses.replace(ent, flags=ent.flags - {flag})
+            assert [r.name for r in run_suite(cut, seed=0, count=2).reports] != full, (name, flag)
+
+
+def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     # count every construction of a point's structure, rotation data and
     # pencil data, binding the counter wherever fmcheck holds the function
     import sys
@@ -121,3 +137,14 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch):
         assert built["structure"] == pts, name
         assert built["rotation"] == (pts if needs_rotation else []), name
         assert built["pencil"] == (pts if "pencil" in ent.flags else []), name
+        # `verify` on the exported spec file, and each `--check` that applies
+        spec_path = tmp_path / f"{name}.json"
+        spec_path.write_text(ent.spec.to_json())
+        runs = [["verify", str(spec_path)]]
+        runs += [["verify", name, "--check", check] for check in cat.SINGLE_CHECKS]
+        for argv in runs:
+            built["structure"] = []
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv + ["--points", "10", "--seed", "0"])
+            if code != 2:  # 2: the spec lacks a field the check needs
+                assert built["structure"] == pts, argv

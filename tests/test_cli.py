@@ -144,16 +144,24 @@ def test_verify_param_override():
     assert doc["params"]["a"] == [2.0, 0.0]
 
 
-def test_golden_report_fixtures():
+def test_golden_report_fixtures(tmp_path):
     # structural comparison against versioned golden reports: identical
     # check names, verdicts and tolerances; residuals equal to within an
     # environment-noise margin
     import pathlib
+    import fmcheck.catalog as cat
     golden_dir = pathlib.Path(__file__).parent / "golden"
+    spec_path = tmp_path / "af-pencil-n3.json"
+    spec_path.write_text(cat.entry("af-pencil-n3").spec.to_json())
     for name, args in (("lobachevsky_verify.json",
                         ["verify", "lobachevsky", "--points", "10", "--seed", "0"]),
                        ("pencil63_verify.json",
-                        ["verify", "pencil-63", "--points", "8", "--seed", "0"])):
+                        ["verify", "pencil-63", "--points", "8", "--seed", "0"]),
+                       ("af_pencil_n3_spec_verify.json",
+                        ["verify", str(spec_path), "--points", "8", "--seed", "0"]),
+                       ("q0d0_natural_flat_verify.json",
+                        ["verify", "q0-d0", "--check", "natural-flat", "--points", "6",
+                         "--seed", "0"])):
         golden = json.loads((golden_dir / name).read_text())
         code, out, _ = run_cli(args)
         assert code == 0
@@ -187,15 +195,27 @@ def test_empty_point_set_is_bad_input():
 def test_unevaluable_spec_is_bad_input(tmp_path):
     import fmcheck.catalog as cat
     doc = json.loads(cat.entry("lobachevsky").spec.to_json())
-    doc["g"] = [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]
-    spec_path = tmp_path / "unbound.json"
-    spec_path.write_text(json.dumps(doc))
-    for argv in (["verify", "lobachevsky", "--check", "homogeneity"],
-                 ["verify", "case-i", "--check", "metric-invariance"],
-                 ["verify", str(spec_path)]):
+    paths = {}
+    for name, g in (("unbound", [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]),
+                    ("divzero", [["1/(x-x)", "0"], ["0", "2/(x-y)^2"]]),
+                    ("zero", [["0", "0"], ["0", "0"]])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**doc, "g": g}))
+    from fmcheck.manifold import SamplePlan, sample_points
+    first = sample_points(cat.entry("lobachevsky").spec, SamplePlan(seed=0, count=1))[0]
+    singular = f"sample 0 at ({float(first[0])}, {float(first[1])}) is singular"
+    for argv, want in ((["verify", "lobachevsky", "--check", "homogeneity"], "Euler field"),
+                       (["verify", "case-i", "--check", "metric-invariance"], "metric"),
+                       (["verify", str(paths["unbound"])], "unbound"),
+                       (["verify", str(paths["divzero"])], singular),
+                       (["verify", str(paths["zero"])], singular),
+                       (["legendre", "case-i", "--field", "1,0"], "metric"),
+                       (["legendre", "lobachevsky", "--field", "1,1", "--target", "case-i"],
+                        "metric"),
+                       (["legendre", str(paths["unbound"]), "--field", "1,1"], "unbound")):
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
-        assert len(err.strip().splitlines()) == 1
+        assert len(err.strip().splitlines()) == 1 and want in err, (argv, err)
 
 
 def test_verify_has_no_atol_option():

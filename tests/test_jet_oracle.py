@@ -50,7 +50,7 @@ def _catalog_tables(ent):
         if key == "legendre_fields":
             tables += [(t, False) for t in value.values()]
         elif key == "normal_bundle":
-            tables.append((value.get("fields", value.get("scalars")), False))
+            tables.append((value.exprs, False))
         elif isinstance(value, tuple):
             # flat_e, flat_E and the potentials are functions of the flat coordinates
             tables.append((value, key in ("flat_e", "flat_E", "potentials")))
