@@ -21,7 +21,7 @@ import numpy as np
 from . import exprjet as ej
 from .connection import (ConnectionAt, check_compat_product, check_curvature_product_condition,
                          check_flatness, check_nabla_e, check_nabla_from_g,
-                         check_nabla_nabla_E, check_torsionless, connection_from_exprs,
+                         check_nabla_nabla_E, check_torsionless, connections_from_exprs,
                          dual_structure, levi_civita, natural_connection,
                          natural_from_levi_civita, r_tr_identity_at)
 from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at,
@@ -29,7 +29,7 @@ from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at,
 from .manifold import (AllEntriesZeroError, ManifoldSpec, Region, Report, SamplePlan,
                        StructureAt, hertling_manin_at, homogeneity_at, killing_unit_at,
                        metric_invariance_at, normalized, point_report, product_axioms_at,
-                       sample_points, structure_at, worst)
+                       sample_points, structures, worst)
 from .ode3d import beta_from_F, closed_form_pencil, closed_form_q0, integrals, z_of_point
 from .pencil import (delta_tensor_at, exactness_at, flat_pencil_at, flat_pencil_report,
                      pencil_from_structure, pencil_homogeneity_at, product_from_pencil_at,
@@ -398,16 +398,16 @@ def vector_potential_at(d):
     """In the flat chart, the pushed product must be the chart Hessian of
     the potential components, and the pushed unit/Euler fields must match
     their printed components (`d`: the point's `_PointData`)."""
-    tvals, jac, _ = d.chart
-    st, comp, env = d.st, d.comp, d.env
+    _, jac, _ = d.chart
+    st = d.st
     jinv = np.linalg.inv(jac)
     pushed_c = np.einsum("ai,ijk,jb,kc->abc", jac, st.c, jinv, jinv)
-    _, _, potential_hess = ej.eval_table(d.companion("potentials"), tvals, env)
+    _, _, potential_hess = d.flat_jets("potentials")
     terms = [float(np.max(np.abs(pushed_c - potential_hess)))]
-    e_flat = ej.eval_table(comp["flat_e"], tvals, env)[0]
+    e_flat = d.flat_jets("flat_e")[0]
     terms.append(float(np.max(np.abs(jac @ st.e - e_flat))))
-    if "flat_E" in comp and st.E is not None:
-        E_flat = ej.eval_table(comp["flat_E"], tvals, env)[0]
+    if "flat_E" in d.comp and st.E is not None:
+        E_flat = d.flat_jets("flat_E")[0]
         terms.append(float(np.max(np.abs(jac @ st.E - E_flat))))
     sc = max(float(np.max(np.abs(pushed_c))), 1.0)
     return normalized(worst(terms), sc), sc
@@ -472,30 +472,43 @@ def _v_eigenvalue_gap(rd: RotationData, want) -> float:
 
 
 # The data a sample point shares among its checks, by name: each entry is
-# built from the point's other data on first use (see `_PointData`).
+# built from the point's other data on first use (see `_PointData`).  The
+# sequences of `_SEQUENCES` yield one point's data per point, in order.
 _SHARED = {
-    "st": lambda d: structure_at(d.spec, d.point),
+    "st": lambda d: d.next("st"),
     "lc": lambda d: levi_civita(d.st),
     "nat": lambda d: natural_from_levi_civita(d.st, d.lc),
-    "printed": lambda d: connection_from_exprs(d.companion("gamma"), d.point, d.env),
+    "printed": lambda d: d.next("printed"),
+    "printed_star": lambda d: d.next("printed_star"),
     # the structure connection, from its closed-form table where there is one
     "conn": lambda d: d.printed if "gamma" in d.comp else d.nat,
     "dual": lambda d: dual_structure(d.st, d.nat, d.tol),
-    "rd": lambda d: next(d.rotations),
+    "rd": lambda d: d.next("rd"),
     "pa": lambda d: pencil_from_structure(d.st),
     "pencil_product": lambda d: product_from_pencil_at(d.pa, max(d.tol, 1e-9)),
-    "fields": lambda d: d.companion("normal_bundle").at(d.st.point, d.st.n),
-    "chart": lambda d: ej.eval_table(d.companion("flat_chart"), d.point, d.env),
+    "fields": lambda d: d.next("fields"),
+    "chart": lambda d: d.jets("flat_chart", d.points),
+}
+
+# Each builds one of a walk's sequences from the walk's first point to ask
+# for it; its tables run once over all the walk's points.
+_SEQUENCES = {
+    "st": lambda d: structures(d.spec, d.points),
+    "rd": lambda d: rotation_data_along(d.spec, d.points, lame_exprs=d.comp.get("lame")),
+    "printed": lambda d: connections_from_exprs(d.companion("gamma"), d.points, d.env),
+    "printed_star": lambda d: connections_from_exprs(d.companion("gamma_star"), d.points, d.env),
+    "fields": lambda d: d.companion("normal_bundle").along(d.points, d.spec.n),
 }
 
 
 class _PointData:
-    """One sample point's data: what the whole walk shares (`walk`: spec,
-    companion data, env, tol, the rotation-data generator, ...) and the
-    entries of `_SHARED`, each built once, when a check first asks for it."""
+    """Sample point k's data: what the whole walk shares (`walk`: spec,
+    companion data, env, tol, points, the sequences and table runs built so
+    far, ...) and the entries of `_SHARED`, each built once, when a check
+    first asks for it."""
 
-    def __init__(self, walk: dict, point):
-        self.__dict__.update(walk, point=point)
+    def __init__(self, walk: dict, k: int, point):
+        self.__dict__.update(walk, k=k, point=point)
 
     def __getattr__(self, name):
         if name not in _SHARED:
@@ -508,6 +521,23 @@ class _PointData:
         if key not in self.comp:
             raise MissingCompanionDataError(f"{self.spec.name} has no {key}")
         return self.comp[key]
+
+    def next(self, name):
+        """This point's item of the walk's sequence `name`."""
+        if name not in self.sequences:
+            self.sequences[name] = _SEQUENCES[name](self)
+        return next(self.sequences[name])
+
+    def jets(self, key, points):
+        """This point's jets of the companion table `key`, which runs once
+        over `points`, one row per walk point, when first asked for."""
+        if key not in self.runs:
+            self.runs[key] = ej.eval_points(self.companion(key), points, self.env)
+        return self.runs[key].at(self.k)
+
+    def flat_jets(self, key):
+        """Jets of the companion table `key` at this point's flat-chart values."""
+        return self.jets(key, self.runs["flat_chart"].val)
 
 
 @dataclass(frozen=True)
@@ -586,8 +616,8 @@ CHECKS = (
     Check("homogeneity", lambda d: homogeneity_at(d.st), "homogeneous", ("g", "E"),
           fit="D", expected="D"),
     Check("dual-structure", lambda d: d.dual.report, "biflat"),
-    Check("gamma-star-match", lambda d: _table_gap(d.dual.gamma_star, connection_from_exprs(
-        d.companion("gamma_star"), d.point, d.env)), "biflat", ("gamma_star",)),
+    Check("gamma-star-match", lambda d: _table_gap(d.dual.gamma_star, d.printed_star), "biflat",
+          ("gamma_star",)),
     Check("darboux-system", lambda d: darboux_at(d.rd), "darboux"),
     Check("reduction-identity", lambda d: reduction_identity_at(d.rd), "darboux"),
     Check("lame-system", _lame_system_at, "lame", fit="d"),
@@ -644,16 +674,17 @@ def _chosen(spec: ManifoldSpec, comp: dict, keep) -> list:
 def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     """Walk `points` once and reduce each of `checks` over the points it
     uses.  The checks at a point share one `_PointData`, so its structure,
-    connections, rotation and pencil data are built at most once.  Each
-    check uses a prefix of the points, so the rotation-data generator
-    advances once per point, in order, while any check reads it."""
+    connections, rotation and pencil data are built at most once, and each
+    expression table runs once over all the points.  Each check uses a
+    prefix of the points, so every sequence (structures, rotation data,
+    ...) advances once per point, in order, while any check reads it."""
     walk = {"spec": spec, "comp": comp, "env": spec.env(), "tol": tol, "expected": spec.expected,
-            "rotations": rotation_data_along(spec, points, lame_exprs=comp.get("lame"))}
+            "points": np.asarray(points, dtype=complex), "sequences": {}, "runs": {}}
     head = max(4, len(points) // 5)  # points of the costlier pencil checks
     limits = [{None: len(points), "head": head}.get(c.points, c.points) for c in checks]
     results = [[] for _ in checks]
     for k, p in enumerate(points):
-        d = _PointData(walk, p)
+        d = _PointData(walk, k, p)
         try:
             for check, limit, out in zip(checks, limits, results):
                 if k < limit:

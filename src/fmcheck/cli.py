@@ -79,6 +79,10 @@ def _doc(command: str, args, spec) -> dict:
             "tolerances": {"rtol": args.rtol}, "branch_convention": BRANCH_NOTE, "params": params}
 
 
+def _parse_error(err: ej.ParseError) -> str:
+    return f"spec error: cannot parse {err.source!r}: {err}\n"
+
+
 def cmd_verify(args) -> int:
     try:
         spec, ent = _load_spec(args.spec)
@@ -93,6 +97,9 @@ def cmd_verify(args) -> int:
                                   tol=args.rtol, check=args.check)
     except KeyError as err:
         sys.stderr.write(f"unknown check: {err}\n")
+        return 2
+    except ej.ParseError as err:
+        sys.stderr.write(_parse_error(err))
         return 2
     except (PointCountError, MissingFieldError, catalog.SingularSampleError,
             ej.UnboundParameterError, ej.UnboundVariableError) as err:
@@ -183,6 +190,9 @@ def cmd_legendre(args) -> int:
         if tgt is not None:
             required(tgt.g, f"metric in target {tgt.name}")
         new_spec = transform_metric_exprs(spec, field_exprs, name=f"{spec.name}-{field_name}")
+        # the expression-level metric (first 5 points) and the target metric,
+        # each run once over its points when first needed
+        exprs_jets = target_jets = None
         for k, (st, nat, x, dx, ddx) in enumerate(field_points(spec, field_exprs, points)):
             field_res.append(legendre_field_at(st, nat, x, dx))
             if k >= 5 and tgt is None:
@@ -190,14 +200,21 @@ def cmd_legendre(args) -> int:
             gbar, _, _ = transform_metric(st, nat, x, dx, ddx)
             if k < 5:
                 # cross-check the expression-level metric against the pointwise transform
-                g_exprs, _, _ = ej.eval_table(new_spec.g, st.point, new_spec.env())
+                if exprs_jets is None:
+                    exprs_jets = ej.eval_points(new_spec.g, points[:5], new_spec.env())
+                g_exprs = exprs_jets.at(k)[0]
                 exprs_res.append(float(np.max(np.abs(gbar - g_exprs)))
                                  / (1 + float(np.max(np.abs(gbar)))))
             if tgt is not None:
-                g_tgt, _, _ = ej.eval_table(tgt.g, st.point, tgt.env())
+                if target_jets is None:
+                    target_jets = ej.eval_points(tgt.g, points, tgt.env())
+                g_tgt = target_jets.at(k)[0]
                 s = fit_scalar(gbar, g_tgt)
                 match_res.append(float(np.max(np.abs(gbar - s * g_tgt)))
                                  / (1 + float(np.max(np.abs(g_tgt)))))
+    except ej.ParseError as err:
+        sys.stderr.write(_parse_error(err))
+        return 2
     except (PointCountError, MissingFieldError, catalog.UnknownEntryError, ej.EvalError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2

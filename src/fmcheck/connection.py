@@ -9,7 +9,7 @@ numerical differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -21,7 +21,7 @@ __all__ = [
     "ConnectionAt", "DualStructureAt",
     "inverse_jets", "christoffel_jets", "counit_jets",
     "levi_civita", "natural_connection", "natural_from_levi_civita",
-    "connection_from_exprs",
+    "connection_from_exprs", "connections_from_exprs",
     "riemann_components", "check_flatness", "check_torsionless", "check_nabla_e",
     "check_compat_product", "check_nabla_from_g",
     "check_curvature_product_condition", "check_R_tR_identity", "r_tr_identity_at",
@@ -121,12 +121,25 @@ def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
     return lambda point: ej.eval_table(gamma_exprs, point, env)[0]
 
 
+def connections_from_exprs(gamma_exprs, points, env: Mapping[str, complex] | None = None,
+                           provenance: str = "explicit") -> Iterator[ConnectionAt]:
+    """Connections given by closed-form Christoffel expressions, one per
+    point, in order.  The table runs once over all the points, when the
+    first connection is asked for; a point where it is singular raises
+    when it is reached."""
+    points = np.asarray(points, dtype=complex)
+    if not len(points):
+        return
+    jets = ej.eval_points(gamma_exprs, points, env)
+    for k, point in enumerate(points):
+        gamma, dgamma, _ = jets.at(k)
+        yield ConnectionAt(len(gamma_exprs), point, gamma, dgamma, provenance=provenance)
+
+
 def connection_from_exprs(gamma_exprs, point, env: Mapping[str, complex] | None = None,
                           provenance: str = "explicit") -> ConnectionAt:
     """Connection given by closed-form Christoffel expressions."""
-    point = np.asarray(point, dtype=complex)
-    gamma, dgamma, _ = ej.eval_table(gamma_exprs, point, env)
-    return ConnectionAt(len(gamma_exprs), point, gamma, dgamma, provenance=provenance)
+    return next(connections_from_exprs(gamma_exprs, [point], env, provenance))
 
 
 def riemann_components(gamma, dgamma) -> np.ndarray:

@@ -10,7 +10,7 @@ applied: the verification here is pointwise tensor algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,12 +49,22 @@ class NormalBundleData:
     def count(self) -> int:
         return len(self.exprs)
 
+    def along(self, points, n: int) -> Iterator[tuple]:
+        """Field values xs[a, i] and derivatives dxs[a, i, k] = d_k X_a^i at
+        each of `points`, in order.  The table runs once over all the
+        points; a point where it is singular raises when it is reached."""
+        if not self.exprs:
+            for _ in points:
+                yield np.zeros((0, n), dtype=complex), np.zeros((0, n, n), dtype=complex)
+            return
+        jets = ej.eval_points(self.exprs, points, self.params)
+        for k in range(len(jets)):
+            val, d1, d2 = jets.at(k)
+            yield (d1, d2) if self.gradients else (val, d1)
+
     def at(self, point, n: int):
         """Field values xs[a, i] and derivatives dxs[a, i, k] = d_k X_a^i."""
-        if not self.exprs:
-            return np.zeros((0, n), dtype=complex), np.zeros((0, n, n), dtype=complex)
-        val, d1, d2 = ej.eval_table(self.exprs, point, self.params)
-        return (d1, d2) if self.gradients else (val, d1)
+        return next(self.along([point], n))
 
 
 def fields_from_exprs(component_tables: Sequence[Sequence[str]], eps,
@@ -119,9 +129,13 @@ def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs):
 
 
 def _with_fields(spec: ManifoldSpec, nb: NormalBundleData, points, params):
-    """Structure and spanning-field values and derivatives, point by point."""
+    """Structure and spanning-field values and derivatives, point by point;
+    the field table runs once over the points after the first structure."""
+    fields = None
     for st in structures(spec, points, params):
-        yield (st,) + nb.at(st.point, st.n)
+        if fields is None:
+            fields = nb.along(points, st.n)
+        yield (st,) + next(fields)
 
 
 def check_quadratic_expansion(spec: ManifoldSpec, nb: NormalBundleData, points,

@@ -82,10 +82,16 @@ def legendre_field_report(per_point, tol: float) -> Report:
 
 
 def field_points(spec, field_exprs, points, params=None):
-    """Structure, natural connection and field jets, point by point."""
-    env = spec.env(params)
-    for st in structures(spec, points, params):
-        yield (st, natural_connection(st)) + ej.eval_table(field_exprs, st.point, env)
+    """Structure, natural connection and field jets, point by point.  The
+    structure and field tables each run once over all the points (the
+    field table after the first point's structure and connection); a point
+    where one is singular raises when it is reached."""
+    fields = None
+    for k, st in enumerate(structures(spec, points, params)):
+        nat = natural_connection(st)
+        if fields is None:
+            fields = ej.eval_points(field_exprs, points, spec.env(params))
+        yield (st, nat) + fields.at(k)
 
 
 def check_legendre_field(spec: ManifoldSpec, field_exprs, points,

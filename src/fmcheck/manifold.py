@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -276,8 +276,15 @@ def normalized(raw: float, scale: float) -> float:
 # sampling
 
 
+_MAX_ATTEMPTS = 100000
+
+
 def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
-    """Deterministic rejection sampling inside the admissible region."""
+    """Deterministic rejection sampling inside the admissible region.
+
+    Candidates are drawn and tested in blocks; the rows of one block are
+    the successive draws of one candidate at a time, and candidates are
+    accepted in draw order, so the block size does not change the points."""
     if plan.count < 1:
         raise PointCountError(f"need at least one sample point, got {plan.count}")
     region = required(plan.region or spec.region, "sampling region")
@@ -288,21 +295,23 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
     points = []
     attempts = 0
     while len(points) < plan.count:
-        attempts += 1
-        if attempts > 100000:
+        if attempts == _MAX_ATTEMPTS:
             raise RegionEmptyError(f"rejection sampling exhausted for {spec.name!r}")
-        p = lo + rng.random(len(lo)) * (hi - lo)
-        if region.min_sep > 0 and len(p) > 1:
-            diffs = np.abs(p[:, None] - p[None, :])
-            np.fill_diagonal(diffs, np.inf)
-            if diffs.min() < region.min_sep:
-                continue
+        block = min(2 * (plan.count - len(points)) + 8, _MAX_ATTEMPTS - attempts)
+        attempts += block
+        cands = lo + rng.random((block, len(lo))) * (hi - lo)
+        keep = np.ones(block, dtype=bool)
+        if region.min_sep > 0 and len(lo) > 1:
+            diffs = np.abs(cands[:, :, None] - cands[:, None, :])
+            diffs[:, np.arange(len(lo)), np.arange(len(lo))] = np.inf
+            keep &= ~(diffs.min(axis=(1, 2)) < region.min_sep)
         try:
-            if np.any(np.abs(ej.eval_table(region.guards, p, env)[0]) < region.guard_min):
-                continue
+            guards = ej.eval_points(region.guards, cands, env)
         except ej.EvalError:
             continue
-        points.append(p)
+        keep &= [err is None for err in guards.errors]
+        keep &= ~np.any(np.abs(guards.val.reshape(block, -1)) < region.guard_min, axis=1)
+        points.extend(cands[keep][:plan.count - len(points)])
     return points
 
 
@@ -324,24 +333,27 @@ def product_jets(product, n: int, point, env):
     return c, np.zeros((n,) * 4, dtype=complex), np.zeros((n,) * 5, dtype=complex)
 
 
-def structure_at(spec: ManifoldSpec, point, params: Mapping[str, complex] | None = None) -> StructureAt:
+def structures(spec: ManifoldSpec, points, params=None) -> Iterator[StructureAt]:
+    """The structure at each of `points`, in order.  Each of the spec's
+    tables runs once over all the points, when the first structure is
+    asked for; a point where one is singular raises when it is reached."""
     env = spec.env(params)
-    point = np.asarray(point, dtype=complex)
-    c, dc, ddc = product_jets(spec.product, spec.n, point, env)
-    e, de, dde = ej.eval_table(spec.e, point, env)
-    st = StructureAt(n=spec.n, point=point, c=c, dc=dc, ddc=ddc, e=e, de=de, dde=dde)
-    if spec.E is not None:
-        st.E, st.dE, st.ddE = ej.eval_table(spec.E, point, env)
-    if spec.g is not None:
-        st.g, st.dg, st.ddg = ej.eval_table(spec.g, point, env)
-    if spec.g2 is not None:
-        st.g2, st.dg2, st.ddg2 = ej.eval_table(spec.g2, point, env)
-    return st
+    points = np.asarray(points, dtype=complex)
+    if not len(points):
+        return
+    tables = [spec.product if not isinstance(spec.product, str) else None,
+              spec.e, spec.E, spec.g, spec.g2]
+    runs = [None if t is None else ej.eval_points(t, points, env) for t in tables]
+    for k, point in enumerate(points):
+        jets = [None if run is None else run.at(k) for run in runs]
+        c, dc, ddc = jets[0] or product_jets(spec.product, spec.n, point, env)
+        yield StructureAt(spec.n, point, c, dc, ddc,
+                          *[part for jet in jets[1:] for part in jet or (None,) * 3])
 
 
-def structures(spec: ManifoldSpec, points, params=None) -> Iterable[StructureAt]:
-    for p in points:
-        yield structure_at(spec, p, params)
+def structure_at(spec: ManifoldSpec, point, params: Mapping[str, complex] | None = None) -> StructureAt:
+    """The structure at one point."""
+    return next(structures(spec, [point], params))
 
 
 # ---------------------------------------------------------------------------

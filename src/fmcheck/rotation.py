@@ -56,12 +56,11 @@ def _lame_jets_from_metric(g, dg, ddg):
     off = g - np.diag(np.diag(g))
     if np.max(np.abs(off)) > 1e-12 * (1 + np.max(np.abs(g))):
         raise NonDiagonalMetricError("metric is not diagonal at this point")
-    jets = []
     for i in range(g.shape[0]):
         if g[i, i] == 0:
             raise ZeroLameError(f"g_{i}{i} vanishes at this point")
-        jets.append(ej.jet_sqrt((complex(g[i, i]), dg[i, i], ddg[i, i])))
-    return tuple(np.array(part) for part in zip(*jets))
+    diag = np.arange(g.shape[0])
+    return ej.jet_sqrt((g[diag, diag], dg[diag, diag], ddg[diag, diag]))
 
 
 def _from_lame_jets(point, H, dH, ddH, signs=None) -> RotationData:
@@ -86,25 +85,37 @@ def _from_lame_jets(point, H, dH, ddH, signs=None) -> RotationData:
                         beta=beta, dbeta=dbeta, V=V, signs=signs)
 
 
+def _rotation_at(point, jets, from_metric: bool, signs=None) -> RotationData:
+    """Rotation data from the jets of the Lame table, or of the metric with
+    the branch `signs` applied on top of the principal square roots."""
+    if not from_metric:
+        return _from_lame_jets(point, *jets)
+    return _from_lame_jets(point, *_lame_jets_from_metric(*jets), signs)
+
+
 def rotation_data(spec: ManifoldSpec, point, params=None,
                   lame_exprs: Sequence[str] | None = None,
                   signs=None) -> RotationData:
     """Lame coefficients, rotation coefficients and their first derivatives
     at one point of a semisimple chart."""
     point = np.asarray(point, dtype=complex)
-    if lame_exprs is not None:
-        return _from_lame_jets(point, *ej.eval_table(lame_exprs, point, spec.env(params)))
-    jets = _lame_jets_from_metric(*ej.eval_table(spec.g, point, spec.env(params)))
-    return _from_lame_jets(point, *jets, None if signs is None else np.asarray(signs))
+    jets = ej.eval_table(spec.g if lame_exprs is None else lame_exprs, point, spec.env(params))
+    return _rotation_at(point, jets, lame_exprs is None, None if signs is None else np.asarray(signs))
 
 
 def rotation_data_along(spec: ManifoldSpec, points, params=None, lame_exprs=None):
     """Rotation data over a point sequence, yielded one point at a time, with
     the branch of each metric-derived Lame coefficient continued from the
-    previous point."""
+    previous point.  The Lame (or metric) table runs once over all the
+    points, when the first point's data is asked for; a point where it is
+    singular raises when it is reached."""
+    points = np.asarray(points, dtype=complex)
+    if not len(points):
+        return
+    jets = ej.eval_points(spec.g if lame_exprs is None else lame_exprs, points, spec.env(params))
     prev = None
-    for p in points:
-        rd = rotation_data(spec, p, params, lame_exprs=lame_exprs)
+    for k, p in enumerate(points):
+        rd = _rotation_at(p, jets.at(k), lame_exprs is None)
         if prev is not None and lame_exprs is None:
             signs = np.where(np.abs(rd.H - prev.H) <= np.abs(rd.H + prev.H), 1.0, -1.0)
             if np.any(signs < 0):

@@ -106,45 +106,85 @@ def test_every_flag_picks_a_check():
 
 
 def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
-    # count every construction of a point's structure, rotation data and
-    # pencil data, binding the counter wherever fmcheck holds the function
+    # record the point of every structure, rotation data and pencil data
+    # built, and every run of an expression table with the points it runs
+    # over, binding the recorders wherever fmcheck holds the function
     import sys
-    built = {}
-    targets = {"structure": ("manifold", "structure_at", lambda args: args[1]),
-               "rotation": ("rotation", "rotation_data", lambda args: args[1]),
-               "pencil": ("pencil", "pencil_from_structure", lambda args: args[0].point)}
-    for key, (mod, fn, point_of) in targets.items():
+    from fmcheck import exprjet as ej
+    built, runs = {}, []
+
+    def yielded(key, fn):
+        def recording(*args, **kwargs):
+            for item in fn(*args, **kwargs):
+                built[key].append(tuple(np.asarray(item.point, dtype=complex)))
+                yield item
+        return recording
+
+    def called(key, fn):
+        def recording(*args, **kwargs):
+            built[key].append(tuple(np.asarray(args[0].point, dtype=complex)))
+            return fn(*args, **kwargs)
+        return recording
+
+    def table_run(fn):
+        def recording(table, points, params=None):
+            runs.append((repr(table), [tuple(p) for p in np.asarray(points, dtype=complex)]))
+            return fn(table, points, params)
+        return recording
+
+    targets = {("manifold", "structures"): lambda fn: yielded("structure", fn),
+               ("rotation", "rotation_data_along"): lambda fn: yielded("rotation", fn),
+               ("pencil", "pencil_from_structure"): lambda fn: called("pencil", fn),
+               ("exprjet", "eval_points"): table_run}
+    for (mod, fn), wrap in targets.items():
         orig = getattr(sys.modules[f"fmcheck.{mod}"], fn)
-
-        def counting(*args, _orig=orig, _key=key, _point_of=point_of, **kwargs):
-            built[_key].append(tuple(np.asarray(_point_of(args), dtype=complex)))
-            return _orig(*args, **kwargs)
-
+        recording = wrap(orig)
         for name, module in list(sys.modules.items()):
             if name == "fmcheck" or name.startswith("fmcheck."):
                 for attr, value in list(vars(module).items()):
                     if value is orig:
-                        monkeypatch.setattr(module, attr, counting)
+                        monkeypatch.setattr(module, attr, recording)
+
+    def check_runs(spec, pts, chart_values, what):
+        # sampling runs the guards over blocks of candidates; every other
+        # table runs once, over the sample points (the vector potential's
+        # tables over the flat-chart values at them)
+        walk = [(table, tuple(over)) for table, over in runs if table != repr(spec.region.guards)]
+        assert len(set(walk)) == len(walk), what
+        for table, over in walk:
+            assert list(over) in (pts, chart_values), (what, table)
+        return {table for table, _ in walk}
+
     rotation_flags = {"darboux", "lame", "ed4", "ed4bis", "ed5b", "potentiality"}
     for name in cat.names():
         ent = cat.entry(name)
         pts = [tuple(np.asarray(p, dtype=complex))
                for p in sample_points(ent.spec, SamplePlan(seed=0, count=10))]
-        for key in targets:
+        chart_values = None
+        if "flat_chart" in ent.companion:
+            chart_values = [tuple(ej.eval_table(ent.companion["flat_chart"], p, ent.spec.env())[0])
+                            for p in pts]
+        for key in ("structure", "rotation", "pencil"):
             built[key] = []
+        runs.clear()
         run_suite(ent, seed=0, count=10)
         needs_rotation = bool(ent.flags & rotation_flags) or "V_eigenvalues" in ent.spec.expected
         assert built["structure"] == pts, name
         assert built["rotation"] == (pts if needs_rotation else []), name
         assert built["pencil"] == (pts if "pencil" in ent.flags else []), name
+        tables = check_runs(ent.spec, pts, chart_values, name)
+        spec_tables = [ent.spec.e, ent.spec.E, ent.spec.g, ent.spec.g2]
+        assert {repr(t) for t in spec_tables if t is not None} <= tables, name
         # `verify` on the exported spec file, and each `--check` that applies
         spec_path = tmp_path / f"{name}.json"
         spec_path.write_text(ent.spec.to_json())
-        runs = [["verify", str(spec_path)]]
-        runs += [["verify", name, "--check", check] for check in cat.SINGLE_CHECKS]
-        for argv in runs:
+        argvs = [["verify", str(spec_path)]]
+        argvs += [["verify", name, "--check", check] for check in cat.SINGLE_CHECKS]
+        for argv in argvs:
             built["structure"] = []
+            runs.clear()
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(argv + ["--points", "10", "--seed", "0"])
             if code != 2:  # 2: the spec lacks a field the check needs
                 assert built["structure"] == pts, argv
+                check_runs(ent.spec, pts, chart_values, argv)

@@ -196,19 +196,28 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
     import fmcheck.catalog as cat
     doc = json.loads(cat.entry("lobachevsky").spec.to_json())
     paths = {}
+    from fmcheck.manifold import SamplePlan, sample_points
+    samples = sample_points(cat.entry("lobachevsky").spec, SamplePlan(seed=0, count=4))
     for name, g in (("unbound", [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]),
                     ("divzero", [["1/(x-x)", "0"], ["0", "2/(x-y)^2"]]),
-                    ("zero", [["0", "0"], ["0", "0"]])):
+                    ("zero", [["0", "0"], ["0", "0"]]),
+                    # singular at sample 3 only
+                    ("third", [[f"2/(x-y)^2+1/(x-{float(samples[3][0])!r})", "0"],
+                               ["0", "2/(x-y)^2"]]),
+                    ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]])):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({**doc, "g": g}))
-    from fmcheck.manifold import SamplePlan, sample_points
-    first = sample_points(cat.entry("lobachevsky").spec, SamplePlan(seed=0, count=1))[0]
-    singular = f"sample 0 at ({float(first[0])}, {float(first[1])}) is singular"
+
+    def singular(k):
+        return f"sample {k} at ({float(samples[k][0])}, {float(samples[k][1])}) is singular"
     for argv, want in ((["verify", "lobachevsky", "--check", "homogeneity"], "Euler field"),
                        (["verify", "case-i", "--check", "metric-invariance"], "metric"),
                        (["verify", str(paths["unbound"])], "unbound"),
-                       (["verify", str(paths["divzero"])], singular),
-                       (["verify", str(paths["zero"])], singular),
+                       (["verify", str(paths["divzero"])], singular(0)),
+                       (["verify", str(paths["zero"])], singular(0)),
+                       (["verify", str(paths["third"])], singular(3) + ": DomainError"),
+                       (["verify", str(paths["unparseable"])], "cannot parse '1+'"),
+                       (["legendre", "q0-d-minus1", "--field", "1+,1,1"], "cannot parse '1+'"),
                        (["legendre", "case-i", "--field", "1,0"], "metric"),
                        (["legendre", "lobachevsky", "--field", "1,1", "--target", "case-i"],
                         "metric"),

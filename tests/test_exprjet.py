@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fmcheck.exprjet import (Bin, Call, DomainError, Neg, Num, ParseError, Param,
                              UnboundParameterError, UnboundVariableError, Var,
-                             eval_jet, eval_table, eval_value, finite_diff_oracle, parse,
+                             eval_jet, eval_points, eval_table, eval_value, finite_diff_oracle, parse,
                              principal, to_source)
 
 
@@ -192,3 +192,75 @@ def test_family_metric_component_oracle():
     assert np.all(np.abs(jet.grad - g_fd) <= 1e-6 * (1 + np.abs(jet.grad)))
     # closed-form value at that point: (2/9)*(7/9) with unit constants
     assert abs(jet.val - 14 / 81) < 1e-12
+
+
+def _catalog_tables():
+    """(entry, table name, table, params) for every expression table of the catalog."""
+    import fmcheck.catalog as cat
+    for name in cat.names():
+        ent = cat.entry(name)
+        spec = ent.spec
+        tables = {"e": spec.e, "E": spec.E, "g": spec.g, "g2": spec.g2,
+                  "product": None if isinstance(spec.product, str) else spec.product}
+        for key, value in ent.companion.items():
+            if key == "normal_bundle":
+                yield name, key, value.exprs, value.params
+            elif key == "legendre_fields":
+                tables.update({f"field {k}": v for k, v in value.items()})
+            elif isinstance(value, tuple):
+                tables[key] = value
+        for key, table in tables.items():
+            if table is not None:
+                yield name, key, table, spec.env()
+
+
+def test_batched_rows_equal_single_point_runs():
+    import fmcheck.catalog as cat
+    from fmcheck.manifold import SamplePlan, sample_points
+    count = 0
+    for name, key, table, params in _catalog_tables():
+        points = np.array(sample_points(cat.entry(name).spec, SamplePlan(seed=3, count=10)))
+        jets = eval_points(table, points, params)
+        for k, p in enumerate(points):
+            try:
+                single = eval_table(table, p, params)
+            except DomainError as err:
+                with pytest.raises(DomainError, match=str(err)):
+                    jets.at(k)
+                continue
+            for part, want in zip(jets.at(k), single):
+                assert part.shape == want.shape and part.tobytes() == want.tobytes(), (name, key, k)
+        count += 1
+    assert count >= 60
+
+
+def test_singular_point_is_masked_in_a_batch():
+    table = (("1/(u1-u2)", "u1^(1/2)*ln(u2)"), ("u1*u2", "2^u1"))
+    points = np.array([[2.0, 0.5], [1.5, 1.5], [0.3, 2.0], [0.7, 3.1]])
+    jets = eval_points(table, points)
+    assert jets.errors == [None, "division by zero", None, None]
+    with pytest.raises(DomainError, match="division by zero"):
+        jets.at(1)
+    with pytest.raises(DomainError):
+        eval_table(table, points[1])
+    for k in (0, 2, 3):
+        for part, want in zip(jets.at(k), eval_table(table, points[k])):
+            assert part.tobytes() == want.tobytes()
+    # each point keeps its first error in operation order, and a point
+    # whose jets are not finite fails without an error of its own
+    jets = eval_points(("ln(u1)", "1/u1", "exp(u2)"), np.array([[0.0, 1.0], [1.0, 1000.0], [1.0, 1.0]]))
+    assert jets.errors == ["ln(0)", "non-finite jet", None]
+    # the power rule picks its branch at each point: u2^3 has a vanishing
+    # jet at u2 = 0, so there the power is the integer power u1^0
+    points = np.array([[2.0, 0.0], [0.0, 1.0], [1.5, 1.0], [0.0, 0.0], [1.5, 0.5]])
+    jets = eval_points("u1^(u2^3)", points)
+    assert jets.errors == [None, "ln(0)", None, None, None]
+    for k in (0, 2, 3, 4):
+        for part, want in zip(jets.at(k), eval_table("u1^(u2^3)", points[k])):
+            assert part.tobytes() == want.tobytes()
+    assert jets.at(3)[0] == 1
+    # where the exponent's gradient vanishes but not its Hessian, the power
+    # still varies: d^2/du2^2 of 2^(u2^2) at u2 = 0 is 2 ln 2
+    jets = eval_points("u1^(u2^2)", np.array([[2.0, 0.0], [2.0, 1.0]]))
+    assert jets.at(0)[1].tolist() == [0, 0]
+    assert abs(jets.at(0)[2][1, 1] - 2 * np.log(2)) < 1e-15

@@ -174,14 +174,48 @@ def test_nan_residual_at_one_point_fails(monkeypatch):
     import fmcheck.manifold as manifold
     spec = lob()
     pts = sample_points(spec, SamplePlan(seed=0, count=5))
-    real_structure_at = manifold.structure_at
+    real_structures = manifold.structures
 
-    def poisoned(spec_, point, params=None):
-        st = real_structure_at(spec_, point, params)
-        if np.array_equal(point, pts[1]):
-            st.c = st.c * np.nan
-        return st
+    def poisoned(spec_, points, params=None):
+        for k, st in enumerate(real_structures(spec_, points, params)):
+            if k == 1:
+                assert np.array_equal(st.point, pts[1])
+                st.c = st.c * np.nan
+            yield st
 
-    monkeypatch.setattr(manifold, "structure_at", poisoned)
+    monkeypatch.setattr(manifold, "structures", poisoned)
     rep = check_product_axioms(spec, pts)
     assert not rep.passed and np.isnan(rep.residual)
+
+
+def test_sampling_matches_one_candidate_at_a_time():
+    # the reference draws, tests and accepts one candidate at a time
+    from fmcheck import exprjet as ej
+
+    def reference(spec, seed, count):
+        region = spec.region
+        rng = np.random.Generator(np.random.PCG64(seed))
+        lo = np.array([b[0] for b in region.box])
+        hi = np.array([b[1] for b in region.box])
+        points = []
+        while len(points) < count:
+            p = lo + rng.random(len(lo)) * (hi - lo)
+            if region.min_sep > 0 and len(p) > 1:
+                diffs = np.abs(p[:, None] - p[None, :])
+                np.fill_diagonal(diffs, np.inf)
+                if diffs.min() < region.min_sep:
+                    continue
+            try:
+                if np.any(np.abs(ej.eval_table(region.guards, p, spec.env())[0]) < region.guard_min):
+                    continue
+            except ej.EvalError:
+                continue
+            points.append(p)
+        return points
+
+    for name in cat.names():
+        spec = cat.entry(name).spec
+        for seed in range(5):
+            got = sample_points(spec, SamplePlan(seed=seed, count=12))
+            want = reference(spec, seed, 12)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (name, seed)
