@@ -19,21 +19,22 @@ from typing import Callable
 import numpy as np
 
 from . import exprjet as ej
-from .connection import (ConnectionAt, check_compat_product, check_curvature_product_condition,
-                         check_flatness, check_nabla_e, check_nabla_from_g,
-                         check_nabla_nabla_E, check_torsionless, connections_from_exprs,
-                         dual_structure, levi_civita, natural_connection,
-                         natural_from_levi_civita, r_tr_identity_at)
+from .connection import (ConnectionAt, InverseJets, check_compat_product, check_flatness,
+                         check_nabla_e, check_nabla_from_g, compat_product_at,
+                         connections_from_exprs, counit_jets, curvature_product_at,
+                         dual_structure, flatness_at, levi_civita, metric_inverse, nabla_e_at,
+                         nabla_from_g_at, nabla_nabla_E_at, natural_from_levi_civita,
+                         r_tr_identity_at, torsion_at)
 from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at,
                      gmc_report, quadratic_expansion_at, rank_of, sym_condition_at)
-from .manifold import (AllEntriesZeroError, ManifoldSpec, Region, Report, SamplePlan,
-                       StructureAt, hertling_manin_at, homogeneity_at, killing_unit_at,
-                       metric_invariance_at, normalized, point_report, product_axioms_at,
-                       sample_points, structures, worst)
+from .manifold import (AllEntriesZeroError, ManifoldSpec, PointBatch, Region, Report,
+                       SamplePlan, amax, hertling_manin_at, homogeneity_at, killing_unit_at,
+                       metric_invariance_at, normalized, per_point, point_report,
+                       product_axioms_at, sample_points, structures, worst)
 from .ode3d import beta_from_F, closed_form_pencil, closed_form_q0, integrals, z_of_point
 from .pencil import (delta_tensor_at, exactness_at, flat_pencil_at, flat_pencil_report,
-                     pencil_from_structure, pencil_homogeneity_at, product_from_pencil_at,
-                     r_operator_at, reconstructed_at)
+                     pencil_first_order, pencil_homogeneity_at, pencil_second_order,
+                     product_from_pencil_at, r_operator_at, reconstructed_at)
 from .rotation import (RotationData, ZeroLameError, algebraic_constraints_at, darboux_at,
                        flatness_constraint_at, lame_system_at, potentiality_at,
                        reduction_identity_at, rotation_data_along, v_matrix)
@@ -448,8 +449,8 @@ _SINGULAR = (ej.DomainError, SingularMatrixError, AllEntriesZeroError, ZeroLameE
 
 
 def _table_gap(conn: ConnectionAt, printed: ConnectionAt):
-    return normalized(float(np.max(np.abs(conn.gamma - printed.gamma))),
-                      float(np.max(np.abs(printed.gamma)))), 0.0
+    gap = normalized(amax(conn.gamma - printed.gamma, 3), amax(printed.gamma, 3))
+    return gap, np.zeros_like(gap)
 
 
 def _closed_form_state(spec: ManifoldSpec, comp: dict, u):
@@ -471,20 +472,34 @@ def _v_eigenvalue_gap(rd: RotationData, want) -> float:
     return float(np.max(np.abs(np.array(clustered) - np.array(sorted(want), dtype=complex))))
 
 
-# The data a sample point shares among its checks, by name: each entry is
+# The data a walk builds once, as batches over its points, each from the
+# walk's other data when a row first asks for it.  The pencil's
+# second-order data ("pa") are built over the head points only, which are
+# all that its rows read, on the Levi-Civita connection of the first
+# metric where the walk has built that; a point's view of a batch is its
+# `.at(k)`.
+_BATCHED = {
+    "st": lambda w: structures(w.spec, w.points),
+    "ginv": lambda w: metric_inverse(w.batch("st")),
+    "lc": lambda w: levi_civita(w.batch("st"), w.batch("ginv")),
+    "counit": lambda w: counit_jets(w.batch("st")),
+    "nat": lambda w: natural_from_levi_civita(w.batch("st"), w.batch("lc"), w.batch("ginv"),
+                                              w.batch("counit")),
+    "printed": lambda w: connections_from_exprs(w.companion("gamma"), w.points, w.env),
+    "printed_star": lambda w: connections_from_exprs(w.companion("gamma_star"), w.points, w.env),
+    "pencil": lambda w: pencil_first_order(w.batch("st"), w.batch("ginv")),
+    "pa": lambda w: pencil_second_order(
+        w.batch("pencil").head(w.head), w.data["lc"].head(w.head) if "lc" in w.data else None),
+}
+
+# The data a sample point's per-point rows share, by name: each entry is
 # built from the point's other data on first use (see `_PointData`).  The
 # sequences of `_SEQUENCES` yield one point's data per point, in order.
 _SHARED = {
-    "st": lambda d: d.next("st"),
-    "lc": lambda d: levi_civita(d.st),
-    "nat": lambda d: natural_from_levi_civita(d.st, d.lc),
-    "printed": lambda d: d.next("printed"),
-    "printed_star": lambda d: d.next("printed_star"),
     # the structure connection, from its closed-form table where there is one
     "conn": lambda d: d.printed if "gamma" in d.comp else d.nat,
     "dual": lambda d: dual_structure(d.st, d.nat, d.tol),
     "rd": lambda d: d.next("rd"),
-    "pa": lambda d: pencil_from_structure(d.st),
     "pencil_product": lambda d: product_from_pencil_at(d.pa, max(d.tol, 1e-9)),
     "fields": lambda d: d.next("fields"),
     "chart": lambda d: d.jets("flat_chart", d.points),
@@ -493,34 +508,77 @@ _SHARED = {
 # Each builds one of a walk's sequences from the walk's first point to ask
 # for it; its tables run once over all the walk's points.
 _SEQUENCES = {
-    "st": lambda d: structures(d.spec, d.points),
     "rd": lambda d: rotation_data_along(d.spec, d.points, lame_exprs=d.comp.get("lame")),
-    "printed": lambda d: connections_from_exprs(d.companion("gamma"), d.points, d.env),
-    "printed_star": lambda d: connections_from_exprs(d.companion("gamma_star"), d.points, d.env),
     "fields": lambda d: d.companion("normal_bundle").along(d.points, d.spec.n),
 }
 
 
-class _PointData:
-    """Sample point k's data: what the whole walk shares (`walk`: spec,
-    companion data, env, tol, points, the sequences and table runs built so
-    far, ...) and the entries of `_SHARED`, each built once, when a check
-    first asks for it."""
+class _Walk:
+    """What one walk shares: spec, companion data, env, tol, its points and
+    head (the points of the costlier pencil rows), and the batches,
+    sequences and table runs built so far."""
 
-    def __init__(self, walk: dict, k: int, point):
-        self.__dict__.update(walk, k=k, point=point)
-
-    def __getattr__(self, name):
-        if name not in _SHARED:
-            raise AttributeError(name)
-        value = _SHARED[name](self)
-        setattr(self, name, value)
-        return value
+    def __init__(self, spec: ManifoldSpec, comp: dict, points, tol: float):
+        self.spec, self.comp, self.env, self.tol = spec, comp, spec.env(), tol
+        self.expected = spec.expected
+        self.points = np.asarray(points, dtype=complex)
+        self.head = max(4, len(points) // 5)
+        self.data, self.sequences, self.runs = {}, {}, {}
 
     def companion(self, key):
         if key not in self.comp:
             raise MissingCompanionDataError(f"{self.spec.name} has no {key}")
         return self.comp[key]
+
+    def batch(self, name):
+        """The walk's batch `name` of `_BATCHED`, built on first use."""
+        if name not in self.data:
+            self.data[name] = _BATCHED[name](self)
+        return self.data[name]
+
+
+class _RowData:
+    """A batched row's view of the walk: its batches, cut to the row's
+    points, and in `errors` the first error at each of those points in the
+    batches it has read, in the order it read them, to which the row adds
+    its own.  As a point-by-point run would, reading a batch with an error
+    at the first point raises it."""
+
+    def __init__(self, walk: _Walk, count: int):
+        self.walk, self.count, self.errors = walk, count, [None] * count
+
+    def __getattr__(self, name):
+        if name not in _BATCHED:
+            return getattr(self.walk, name)
+        value = self.walk.batch(name)
+        if isinstance(value, PointBatch):
+            if len(value.errors) > self.count:
+                value = value.head(self.count)
+            for k, err in enumerate(value.errors):
+                if self.errors[k] is None:
+                    self.errors[k] = err
+            if self.errors[0] is not None:
+                raise self.errors[0]
+        return value
+
+
+class _PointData:
+    """Sample point k's data for the rows that run point by point: the
+    walk's fields, point k's view of each batch, and the entries of
+    `_SHARED`, each built once, when a row first asks for it."""
+
+    def __init__(self, walk: _Walk, k: int, point):
+        self.walk, self.k, self.point = walk, k, point
+
+    def __getattr__(self, name):
+        if name in _BATCHED:
+            value = self.walk.batch(name).at(self.k)
+        elif name in _SHARED:
+            value = _SHARED[name](self)
+        else:
+            return getattr(self.walk, name)
+        setattr(self, name, value)
+        return value
 
     def next(self, name):
         """This point's item of the walk's sequence `name`."""
@@ -544,11 +602,14 @@ class _PointData:
 class Check:
     """One row of the check table.  `at` maps a point's `_PointData` to the
     result there: (residual, scale[, fitted constant]), a single-point
-    Report, or a list of those.  An entry runs the check when its flags hold
-    `flag` and its spec, companion or expected values hold all of `needs`;
-    the check uses all points, the first `points`, or with "head" the first
-    max(4, count // 5).  `fit`, `expected` (a key), `tol` (of the run's tol;
-    default: the run's or its Reports') and `reduce` set its reduction."""
+    Report, or a list of those; a `batched` row's `at` maps the row's
+    `_RowData` to those results at all its points at once, as arrays over
+    the point axis.  An entry runs the check when its flags hold `flag`
+    and its spec, companion or expected values hold all of `needs`; the
+    check uses all points, the first `points`, or with "head" the first
+    max(4, count // 5).  `fit`, `expected` (a key), `tol` (of the run's
+    tol; default: the run's or its Reports') and `reduce` set its
+    reduction."""
     name: str
     at: Callable
     flag: str | None = None
@@ -558,6 +619,7 @@ class Check:
     expected: str | None = None
     tol: Callable | None = None
     reduce: Callable | None = None
+    batched: bool = False
 
     def report(self, results: list, tol: float, expected: dict) -> Report:
         if self.tol is not None:
@@ -585,9 +647,13 @@ def _ode_integrals_at(d):
 
 
 def _reconstructed_at(d):
-    """The flat-structure checks of the structure rebuilt from the pencil."""
-    recon = reconstructed_at(d.pa, *d.pencil_product[:2])
-    nat = natural_connection(recon)
+    """The flat-structure checks of the structure rebuilt from the pencil.
+    Its metric is the first one, so its natural connection is built on the
+    point's pencil data for that metric (inverse and Christoffel jets)."""
+    pa = d.pa
+    recon = reconstructed_at(pa, *d.pencil_product[:2])
+    lc = ConnectionAt(pa.n, pa.point, pa.gamma1, pa.dgamma1, "levi-civita")
+    nat = natural_from_levi_civita(recon, lc, InverseJets(pa.eta_inv, pa.deta_inv))
     return [check_flatness(nat, d.tol), check_nabla_e(nat, recon, d.tol),
             check_compat_product(nat, recon, d.tol), check_nabla_from_g(nat, recon, d.tol)]
 
@@ -597,24 +663,29 @@ _BUNDLE = "flat-normal-bundle"
 
 # every check, in report order
 CHECKS = (
-    Check("product-axioms", lambda d: product_axioms_at(d.st), _KILLING),
-    Check("hertling-manin", lambda d: hertling_manin_at(d.st), _KILLING),
-    Check("metric-invariance", lambda d: metric_invariance_at(d.st), _KILLING, ("g",)),
-    Check("killing-unit", lambda d: killing_unit_at(d.st), _KILLING, ("g",)),
-    Check("levi-civita-flat", lambda d: check_flatness(d.lc, d.tol)),
-    Check("natural-flat", lambda d: check_flatness(d.nat, d.tol), needs=("g",)),
-    Check("torsionless", lambda d: check_torsionless(d.nat), _KILLING),
-    Check("flatness", lambda d: check_flatness(d.nat, d.tol), _KILLING),
-    Check("nabla-e", lambda d: check_nabla_e(d.nat, d.st, d.tol), _KILLING),
-    Check("product-compat", lambda d: check_compat_product(d.nat, d.st, d.tol), _KILLING),
-    Check("nabla-from-g", lambda d: check_nabla_from_g(d.nat, d.st, d.tol), _KILLING),
-    Check("curvature-product",
-          lambda d: check_curvature_product_condition(d.lc, d.st, "both", d.tol), _KILLING),
-    Check("r-tr", lambda d: r_tr_identity_at(d.nat, d.lc, d.st, d.tol), _KILLING),
-    Check("nabla-nabla-E", lambda d: check_nabla_nabla_E(d.nat, d.st, d.tol), _KILLING, ("E",)),
-    Check("gamma-match", lambda d: _table_gap(d.nat, d.printed), "gamma-match", ("gamma",)),
-    Check("homogeneity", lambda d: homogeneity_at(d.st), "homogeneous", ("g", "E"),
-          fit="D", expected="D"),
+    Check("product-axioms", lambda b: product_axioms_at(b.st), _KILLING, batched=True),
+    Check("hertling-manin", lambda b: hertling_manin_at(b.st), _KILLING, batched=True),
+    Check("metric-invariance", lambda b: metric_invariance_at(b.st), _KILLING, ("g",),
+          batched=True),
+    Check("killing-unit", lambda b: killing_unit_at(b.st), _KILLING, ("g",), batched=True),
+    Check("levi-civita-flat", lambda b: flatness_at(b.lc), batched=True),
+    Check("natural-flat", lambda b: flatness_at(b.nat), needs=("g",), batched=True),
+    Check("torsionless", lambda b: torsion_at(b.nat), _KILLING, tol=lambda tol: 1e-12,
+          batched=True),
+    Check("flatness", lambda b: flatness_at(b.nat), _KILLING, batched=True),
+    Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), _KILLING, batched=True),
+    Check("product-compat", lambda b: compat_product_at(b.nat, b.st), _KILLING, batched=True),
+    Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), _KILLING,
+          batched=True),
+    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, "both")[:2], _KILLING,
+          batched=True),
+    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), _KILLING, batched=True),
+    Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), _KILLING, ("E",),
+          batched=True),
+    Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), "gamma-match", ("gamma",),
+          batched=True),
+    Check("homogeneity", lambda b: homogeneity_at(b.st, b.errors), "homogeneous", ("g", "E"),
+          fit="D", expected="D", batched=True),
     Check("dual-structure", lambda d: d.dual.report, "biflat"),
     Check("gamma-star-match", lambda d: _table_gap(d.dual.gamma_star, d.printed_star), "biflat",
           ("gamma_star",)),
@@ -629,18 +700,19 @@ CHECKS = (
           "darboux", ("V_eigenvalues",), points=5),
     Check("ode-integrals", _ode_integrals_at, "ode-family", points=5, tol=lambda tol: 1e-10),
     Check("quadratic-expansion",
-          lambda d: quadratic_expansion_at(d.st, d.lc, d.comp["normal_bundle"].eps, d.fields[0]),
+          lambda d: quadratic_expansion_at(d.st, d.lc, d.comp["normal_bundle"].eps, d.fields[0],
+                                           d.ginv.inv),
           _BUNDLE, tol=lambda tol: max(tol, 1e-9)),
     Check("sym-condition", lambda d: sym_condition_at(d.st, d.nat, *d.fields), _BUNDLE),
-    Check("gmc", lambda d: gmc_at(d.st, d.lc, d.comp["normal_bundle"].eps, *d.fields), _BUNDLE,
-          reduce=gmc_report),
+    Check("gmc", lambda d: gmc_at(d.st, d.lc, d.comp["normal_bundle"].eps, *d.fields,
+                                  d.ginv.inv), _BUNDLE, reduce=gmc_report),
     Check("normal-rank", lambda d: (float(rank_of(d.fields[0]) != d.expected["rank"]), 0.0),
           _BUNDLE, ("rank",), points=5, tol=lambda tol: 0.5),
-    Check("pencil-exactness", lambda d: exactness_at(d.pa), "pencil", ("g2",)),
-    Check("pencil-homogeneity", lambda d: pencil_homogeneity_at(d.pa), "pencil", ("g2",),
-          fit="d", expected="d_pencil"),
-    Check("flat-pencil", lambda d: flat_pencil_at(d.pa), "pencil", ("g2",), points="head",
-          reduce=flat_pencil_report),
+    Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",), batched=True),
+    Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pencil), "pencil", ("g2",),
+          fit="d", expected="d_pencil", batched=True),
+    Check("flat-pencil", lambda b: flat_pencil_at(b.pa, errors=b.errors), "pencil", ("g2",),
+          points="head", reduce=flat_pencil_report, batched=True),
     Check("delta-identities", lambda d: delta_tensor_at(d.pa, d.tol)[1], "pencil", points="head"),
     Check("r-operator", lambda d: r_operator_at(d.pa, max(d.tol, 1e-9))[1], "pencil",
           points="head"),
@@ -673,23 +745,36 @@ def _chosen(spec: ManifoldSpec, comp: dict, keep) -> list:
 
 def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     """Walk `points` once and reduce each of `checks` over the points it
-    uses.  The checks at a point share one `_PointData`, so its structure,
-    connections, rotation and pencil data are built at most once, and each
-    expression table runs once over all the points.  Each check uses a
-    prefix of the points, so every sequence (structures, rotation data,
-    ...) advances once per point, in order, while any check reads it."""
-    walk = {"spec": spec, "comp": comp, "env": spec.env(), "tol": tol, "expected": spec.expected,
-            "points": np.asarray(points, dtype=complex), "sequences": {}, "runs": {}}
-    head = max(4, len(points) // 5)  # points of the costlier pencil checks
-    limits = [{None: len(points), "head": head}.get(c.points, c.points) for c in checks]
+    uses, a prefix of them.  The structure, connections and pencil data
+    are built once, as batches over the points their rows use (`_BATCHED`),
+    and each expression table runs once over all the points.  A batched
+    row computes its results at all its points at the first point; the
+    other rows run point by point, sharing one `_PointData` per point, so
+    every sequence (rotation data, fields) advances once per point, in
+    order, while any row reads it.  At each point, in table order, a row
+    raises the first error at that point of the data it read, so the
+    first point with an error, and there the first row, names it."""
+    walk = _Walk(spec, comp, points, tol)
+    limits = [min(len(points), {None: len(points), "head": walk.head}.get(c.points, c.points))
+              for c in checks]
     results = [[] for _ in checks]
+    errors = {}  # the per-point errors of each batched row
     for k, p in enumerate(points):
         d = _PointData(walk, k, p)
         try:
-            for check, limit, out in zip(checks, limits, results):
-                if k < limit:
+            for i, (check, limit, out) in enumerate(zip(checks, limits, results)):
+                if k >= limit:
+                    continue
+                if not check.batched:
                     result = check.at(d)
                     out.extend(result) if isinstance(result, list) else out.append(result)
+                    continue
+                if k == 0:
+                    rows = _RowData(walk, limit)
+                    out.extend(per_point(check.at(rows)))
+                    errors[i] = rows.errors
+                if errors[i][k] is not None:
+                    raise errors[i][k]
         except _SINGULAR as err:
             coords = ", ".join(str(x) for x in np.asarray(p).tolist())
             raise SingularSampleError(f"sample {k} at ({coords}) is singular: "

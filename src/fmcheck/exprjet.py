@@ -18,9 +18,10 @@ jets are bit for bit those of a run at that point alone.
 A domain error at some points does not stop the pass: each such point
 records its first error in operation order (the one a run at that point
 alone raises), the others go on, and a point whose jets are not finite
-records that.  `TableJets.at` raises a point's error when its consumer
-reaches that point, and never hands out its jets.  Unbound parameters and
-coordinates do not depend on the point and raise at once.
+records that.  A point in error gets zero jets, so that batched arithmetic
+downstream stays finite there, and `TableJets.at` raises its error when
+its consumer reaches that point, and never hands out its jets.  Unbound
+parameters and coordinates do not depend on the point and raise at once.
 
 Products and quotients of two values follow CPython's complex arithmetic,
 computed on the real and imaginary parts (`_cprod`, `_cquot`): numpy's
@@ -687,7 +688,8 @@ def _run(program: _Program, points, params) -> TableJets:
     """One pass over the operations at all `points`, shape (P, n): values
     with shape (P, *table shape), gradients plus (n,), Hessians plus (n, n).
     A point where an operation is singular, or the jets are not finite,
-    records its first error and the pass goes on with the other points."""
+    records its first error, the pass goes on with the other points, and
+    its jets are set to zero."""
     points = np.asarray(points, dtype=complex)
     count, n = points.shape
     params = params or {}
@@ -717,6 +719,10 @@ def _run(program: _Program, points, params) -> TableJets:
             for part in out:
                 finite &= np.isfinite(part).reshape(count, -1).all(axis=1)
             fail(~finite, "non-finite jet")
+    failed = [err is not None for err in errors]
+    if any(failed):
+        for part in out:
+            part[failed] = 0
     return TableJets(*out, errors=errors)
 
 

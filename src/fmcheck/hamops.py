@@ -102,10 +102,12 @@ def rank_of(xs: np.ndarray, threshold: float = 1e-8) -> int:
     return int(np.sum(svals > threshold * svals.max()))
 
 
-def _raised_riemann(st: StructureAt, lc: ConnectionAt):
-    """R2[i,j,k,h] = g^is R^j_skh for the Levi-Civita curvature of g."""
+def _raised_riemann(st: StructureAt, lc: ConnectionAt, ginv=None):
+    """R2[i,j,k,h] = g^is R^j_skh for the Levi-Civita curvature of g;
+    `ginv`: the inverse of g where the caller has it."""
     r = riemann_components(lc.gamma, lc.dgamma)
-    ginv, _ = inverse_jets(st.g, st.dg)
+    if ginv is None:
+        ginv, _ = inverse_jets(st.g, st.dg)
     return np.einsum("is,jskh->ijkh", ginv, r)
 
 
@@ -115,10 +117,10 @@ def _raised_riemann(st: StructureAt, lc: ConnectionAt):
 # check over a point set
 
 
-def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs):
+def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv=None):
     """Raised curvature equals the signed quadratic expression in the
     spanning fields through the product."""
-    r2 = _raised_riemann(st, lc)
+    r2 = _raised_riemann(st, lc, ginv)
     rhs = np.zeros_like(r2)
     for a, x in enumerate(xs):
         term = (np.einsum("jkl,ihm,l,m->ijkh", st.c, st.c, x, x)
@@ -128,21 +130,23 @@ def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs):
     return normalized(np.max(np.abs(r2 - rhs)), sc), sc
 
 
-def _with_fields(spec: ManifoldSpec, nb: NormalBundleData, points, params):
-    """Structure and spanning-field values and derivatives, point by point;
-    the field table runs once over the points after the first structure."""
-    fields = None
-    for st in structures(spec, points, params):
-        if fields is None:
-            fields = nb.along(points, st.n)
-        yield (st,) + next(fields)
+def _with_fields(spec: ManifoldSpec, nb: NormalBundleData, points, params, connection):
+    """Structure, its `connection` and the spanning-field values and
+    derivatives, point by point.  The structure and its connection are
+    built once over all the points, and the field table runs once over them
+    after the first point's structure."""
+    st = structures(spec, points, params)
+    conn = connection(st)
+    fields = nb.along(points, st.n)
+    for k in range(len(points)):
+        yield (st.at(k), *next(fields), conn.at(k))
 
 
 def check_quadratic_expansion(spec: ManifoldSpec, nb: NormalBundleData, points,
                               tol: float = DEFAULT_TOL, params=None) -> Report:
     return point_report("quadratic-expansion",
-                        [quadratic_expansion_at(st, levi_civita(st), nb.eps, xs)
-                         for st, xs, _ in _with_fields(spec, nb, points, params)], tol)
+                        [quadratic_expansion_at(st, lc, nb.eps, xs) for st, xs, _, lc
+                         in _with_fields(spec, nb, points, params, levi_civita)], tol)
 
 
 def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
@@ -160,8 +164,8 @@ def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
 def check_sym_condition(spec: ManifoldSpec, nb: NormalBundleData, points,
                         tol: float = DEFAULT_TOL, params=None) -> Report:
     return point_report("sym-condition",
-                        [sym_condition_at(st, natural_connection(st), xs, dxs)
-                         for st, xs, dxs in _with_fields(spec, nb, points, params)], tol)
+                        [sym_condition_at(st, nat, xs, dxs) for st, xs, dxs, nat
+                         in _with_fields(spec, nb, points, params, natural_connection)], tol)
 
 
 def _affinors(st: StructureAt, xs, dxs):
@@ -171,10 +175,10 @@ def _affinors(st: StructureAt, xs, dxs):
     return ws, dws
 
 
-def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs):
+def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None):
     """The four structural equations for the affinors W_a = (X_a o) at a
     point: returns (residual, scale, {"gmc0".."gmc3": residual})."""
-    r2 = _raised_riemann(st, lc)
+    r2 = _raised_riemann(st, lc, ginv)
     gamma_lc = lc.gamma
     ws, dws = _affinors(st, xs, dxs)
     count = len(xs)
@@ -211,8 +215,8 @@ def check_gmc(spec: ManifoldSpec, nb: NormalBundleData, points,
     """The four structural equations for the affinors W_a = (X_a o):
     curvature expansion, pairwise commutation, g-symmetry, and the
     Codazzi symmetry of the Levi-Civita derivative."""
-    return gmc_report("gmc", [gmc_at(st, levi_civita(st), nb.eps, xs, dxs)
-                              for st, xs, dxs in _with_fields(spec, nb, points, params)], tol)
+    return gmc_report("gmc", [gmc_at(st, lc, nb.eps, xs, dxs) for st, xs, dxs, lc
+                              in _with_fields(spec, nb, points, params, levi_civita)], tol)
 
 
 def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point,

@@ -19,7 +19,7 @@ from .hamops import sym_condition_at
 from .manifold import (ManifoldSpec, Report, StructureAt, fit_scalar,
                        lie_metric, normalized, point_report, product_jets, required, structure_at,
                        structures, worst)
-from .rotation import rk4_path
+from .rotation import rk4_path, rk4_stage_times
 from .tensor import SingularMatrixError, lie_from_components
 
 __all__ = [
@@ -83,15 +83,18 @@ def legendre_field_report(per_point, tol: float) -> Report:
 
 def field_points(spec, field_exprs, points, params=None):
     """Structure, natural connection and field jets, point by point.  The
-    structure and field tables each run once over all the points (the
-    field table after the first point's structure and connection); a point
-    where one is singular raises when it is reached."""
+    structure and its natural connection are built once over all the
+    points, and the field table runs once over them after the first
+    point's structure and connection; a point where one is singular raises
+    when it is reached."""
+    st = structures(spec, points, params)
+    nat = natural_connection(st)
     fields = None
-    for k, st in enumerate(structures(spec, points, params)):
-        nat = natural_connection(st)
+    for k in range(len(points)):
+        data = (st.at(k), nat.at(k))
         if fields is None:
             fields = ej.eval_points(field_exprs, points, spec.env(params))
-        yield (st, nat) + fields.at(k)
+        yield data + fields.at(k)
 
 
 def check_legendre_field(spec: ManifoldSpec, field_exprs, points,
@@ -203,22 +206,20 @@ def transform_metric_report(spec: ManifoldSpec, field_exprs, points,
 def flat_field_ode(gamma_provider: Callable, x0, path, steps_per_segment: int = 200,
                    endpoint_check: bool = True) -> dict:
     """Integrate the parallel-field system d_j X^i = -Gamma^i_js X^s along a
-    polygonal path; for a closed path the return-to-start residual probes
+    polygonal path, with `gamma_provider` mapping an array of points (P, n)
+    to the Christoffel values there (`connection.christoffel_provider`);
+    for a closed path the return-to-start residual probes
     integrability (flatness) of the connection.  The endpoint gradient is
     re-derived by short two-sided integrations and compared with the
     parallel-transport equation."""
 
-    def segment_rhs(a, b):
-        dv = b - a
-
-        def rhs(t, xv):
-            gamma = gamma_provider(a + t * dv)
-            return -np.einsum("ijs,j,s->i", gamma, dv, xv)
-
-        return rhs
-
     def transport(xv, a, b, steps):
-        return rk4_path(segment_rhs(np.asarray(a, complex), np.asarray(b, complex)),
+        # Gamma at every stage point of the segment, from one run
+        a, b = np.asarray(a, complex), np.asarray(b, complex)
+        dv = b - a
+        times = np.array(list(rk4_stage_times(0.0, 1.0, steps)))
+        gammas = iter(gamma_provider(a + times[:, None] * dv))
+        return rk4_path(lambda t, xv: -np.einsum("ijs,j,s->i", next(gammas), dv, xv),
                         xv, 0.0, 1.0, steps)
 
     x = np.asarray(x0, dtype=complex)
@@ -239,7 +240,7 @@ def flat_field_ode(gamma_provider: Callable, x0, path, steps_per_segment: int = 
             plus = transport(x, end, end + step, 8)
             minus = transport(x, end, end - step, 8)
             dx[:, j] = (plus - minus) / (2 * h)
-        want = -np.einsum("ijs,s->ij", gamma_provider(end), x)
+        want = -np.einsum("ijs,s->ij", gamma_provider(end[None])[0], x)
         out["endpoint_gradient_residual"] = float(np.max(np.abs(dx - want))) / \
             (1 + float(np.max(np.abs(want))))
     return out

@@ -2,9 +2,13 @@
 
 A `ManifoldSpec` is a single coordinate chart carrying a product (canonical,
 shifted-canonical, or an explicit expression table), a unit field, and
-optionally an Euler field and one or two metrics.  `structure_at` evaluates
-everything needed downstream at one point: the product to first derivative
-order and all other primitive fields to second order.
+optionally an Euler field and one or two metrics.  `structures` evaluates
+everything needed downstream at all the sample points at once, as one
+`StructureAt` whose arrays carry a leading point axis (P, ...): the product
+to first derivative order and all other primitive fields to second order.
+The residual functions (`*_at`) take such a batch and return one residual
+and scale per point; `structure_at` is a batch of one, with the point axis
+dropped, and the same functions then return scalars.
 
 All residuals are reported normalized as `max|residual| / (1 + scale)` where
 `scale` is the largest entry magnitude among the tensors involved.
@@ -12,10 +16,12 @@ All residuals are reported normalized as `max|residual| / (1 + scale)` where
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,9 +29,10 @@ from . import exprjet as ej
 from .tensor import lie_from_components
 
 __all__ = [
-    "Region", "SamplePlan", "ManifoldSpec", "StructureAt", "Report",
+    "Region", "SamplePlan", "ManifoldSpec", "PointBatch", "StructureAt", "Report",
     "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "MissingFieldError",
-    "required", "sample_points",
+    "required", "sample_points", "fail_at", "raise_first", "amax", "pmax", "per_point",
+    "batch_report",
     "structure_at", "structures", "worst", "point_report", "merge_reports",
     "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
     "check_killing_unit", "check_homogeneity", "normalized",
@@ -172,10 +179,60 @@ class ManifoldSpec:
         return cls.from_dict(json.loads(text))
 
 
+class PointBatch:
+    """Point-axis access shared by the batched data (`StructureAt`, the
+    connections, the pencil data).  Over a batch every array field, and
+    every batched field, has a leading point axis, and `errors[k]` is the
+    first error met at point k, or None; a single point has neither."""
+
+    def _take(self, index):
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, PointBatch):
+                out[f.name] = value._take(index)
+            elif isinstance(value, np.ndarray):
+                out[f.name] = value[index]
+        errors = self.errors[index] if isinstance(index, slice) else None
+        return dataclasses.replace(self, errors=errors, **out)
+
+    def at(self, k: int):
+        """Point k's data, without the point axis; raises point k's error."""
+        if self.errors[k] is not None:
+            raise self.errors[k]
+        return self._take(k)
+
+    def head(self, count: int):
+        """The batch of the first `count` points."""
+        return self._take(slice(count))
+
+
+def fail_at(errors, mask, make) -> None:
+    """Record `make(k)` as the error of each point k where `mask` holds
+    (flat index) and that has none yet.  Without `errors` to record into
+    (a single point, or a caller that takes no errors) raise the first."""
+    bad = np.flatnonzero(mask)
+    if errors is None:
+        if len(bad):
+            raise make(bad[0])
+        return
+    for k in bad:
+        if errors[k] is None:
+            errors[k] = make(k)
+
+
+def raise_first(errors) -> None:
+    """Raise the error of the first point that has one."""
+    for err in errors or ():
+        if err is not None:
+            raise err
+
+
 @dataclass
-class StructureAt:
-    """All primitive tensors at one point: product to first order, the
-    remaining fields to second order."""
+class StructureAt(PointBatch):
+    """All primitive tensors at one point, or at each point of a batch:
+    product to first order, the remaining fields to second order.  `errors`
+    holds each point's first domain error in the spec's tables."""
     n: int
     point: np.ndarray
     c: np.ndarray
@@ -193,6 +250,7 @@ class StructureAt:
     g2: np.ndarray | None = None
     dg2: np.ndarray | None = None
     ddg2: np.ndarray | None = None
+    errors: list | None = None
 
 
 @dataclass(frozen=True)
@@ -268,8 +326,20 @@ def merge_reports(name: str, reports: Sequence[Report], tol: float) -> Report:
     return point_report(name, [(r.residual, r.scale) for r in reports], tol)
 
 
-def normalized(raw: float, scale: float) -> float:
-    return float(raw) / (1.0 + float(scale))
+def normalized(raw, scale):
+    """raw / (1 + scale), at one point or pointwise over a batch."""
+    return np.asarray(raw, dtype=float) / (1.0 + np.asarray(scale, dtype=float))
+
+
+def amax(x: np.ndarray, rank: int):
+    """max|x| over the last `rank` axes, a tensor's own indices: a scalar
+    at one point, one value per point over a batch."""
+    return np.max(np.abs(x), axis=tuple(range(-rank, 0)))
+
+
+def pmax(*values):
+    """The largest of `values` pointwise, NaN wherever one of them is NaN."""
+    return functools.reduce(np.maximum, values)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +386,7 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
 
 
 # ---------------------------------------------------------------------------
-# pointwise structure evaluation
+# structure evaluation
 
 
 def product_jets(product, n: int, point, env):
@@ -333,86 +403,120 @@ def product_jets(product, n: int, point, env):
     return c, np.zeros((n,) * 4, dtype=complex), np.zeros((n,) * 5, dtype=complex)
 
 
-def structures(spec: ManifoldSpec, points, params=None) -> Iterator[StructureAt]:
-    """The structure at each of `points`, in order.  Each of the spec's
-    tables runs once over all the points, when the first structure is
-    asked for; a point where one is singular raises when it is reached."""
+def structures(spec: ManifoldSpec, points, params=None) -> StructureAt:
+    """The structure at all of `points`, shape (P, n), as one batch: each
+    of the spec's tables runs once over all the points, and a point where
+    one is singular records the first such table's error."""
     env = spec.env(params)
-    points = np.asarray(points, dtype=complex)
-    if not len(points):
-        return
+    points = np.asarray(points, dtype=complex).reshape(-1, spec.n)
     tables = [spec.product if not isinstance(spec.product, str) else None,
               spec.e, spec.E, spec.g, spec.g2]
     runs = [None if t is None else ej.eval_points(t, points, env) for t in tables]
-    for k, point in enumerate(points):
-        jets = [None if run is None else run.at(k) for run in runs]
-        c, dc, ddc = jets[0] or product_jets(spec.product, spec.n, point, env)
-        yield StructureAt(spec.n, point, c, dc, ddc,
-                          *[part for jet in jets[1:] for part in jet or (None,) * 3])
+    if runs[0] is None:
+        product = [np.broadcast_to(part, (len(points),) + part.shape)
+                   for part in product_jets(spec.product, spec.n, None, env)]
+    else:
+        product = [runs[0].val, runs[0].grad, runs[0].hess]
+    errors = [None] * len(points)
+    for run in runs:
+        if run is not None:
+            fail_at(errors, [err is not None for err in run.errors],
+                    lambda k, run=run: ej.DomainError(run.errors[k]))
+    return StructureAt(spec.n, points, *product,
+                       *[part for run in runs[1:]
+                         for part in ((run.val, run.grad, run.hess) if run else (None,) * 3)],
+                       errors=errors)
 
 
 def structure_at(spec: ManifoldSpec, point, params: Mapping[str, complex] | None = None) -> StructureAt:
     """The structure at one point."""
-    return next(structures(spec, [point], params))
+    return structures(spec, [point], params).at(0)
 
 
 # ---------------------------------------------------------------------------
-# checks: a per-point residual of the point's structure, returning the
-# normalized residual and its scale, and the check over a point set
+# checks: a residual of the structure at each point of a batch (or at one
+# point), returning the normalized residuals and their scales, and the check
+# over a point set
+
+
+def per_point(result) -> list:
+    """The per-point results (residual, scale, ...) from the columns a
+    residual function returns over a batch: arrays over the point axis, or
+    dicts of them, which give one dict per point.  At one point, one."""
+    cols = []
+    for col in result:
+        if isinstance(col, dict):
+            col = [dict(zip(col, values))
+                   for values in zip(*(np.atleast_1d(v).tolist() for v in col.values()))]
+        cols.append(col if isinstance(col, list) else np.atleast_1d(col).tolist())
+    return list(zip(*cols))
+
+
+def batch_report(name: str, result, tol: float, **kwargs) -> Report:
+    """The report of a check over the points of a batch, or at one point,
+    from its residual function's (residual, scale[, fitted constant])."""
+    return point_report(name, per_point(result), tol, **kwargs)
+
+
+def _batch(spec, points, params) -> StructureAt:
+    st = structures(spec, points, params)
+    raise_first(st.errors)
+    return st
 
 
 def product_axioms_at(st: StructureAt):
     """Commutativity, associativity and the unit axiom of the product."""
-    comm = st.c - np.swapaxes(st.c, 1, 2)
-    assoc = np.einsum("sjk,isl->ijkl", st.c, st.c) - np.einsum("sjl,isk->ijkl", st.c, st.c)
-    unit = np.einsum("ijk,j->ik", st.c, st.e) - np.eye(st.n)
-    sc = max(np.max(np.abs(st.c)), np.max(np.abs(st.e)))
-    raw = worst((np.max(np.abs(comm)), np.max(np.abs(assoc)), np.max(np.abs(unit))))
+    comm = st.c - np.swapaxes(st.c, -2, -1)
+    assoc = (np.einsum("...sjk,...isl->...ijkl", st.c, st.c)
+             - np.einsum("...sjl,...isk->...ijkl", st.c, st.c))
+    unit = np.einsum("...ijk,...j->...ik", st.c, st.e) - np.eye(st.n)
+    sc = pmax(amax(st.c, 3), amax(st.e, 1))
+    raw = pmax(amax(comm, 3), amax(assoc, 4), amax(unit, 2))
     return normalized(raw, sc), sc
 
 
 def check_product_axioms(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                          params=None) -> Report:
-    return point_report("product-axioms",
-                        map(product_axioms_at, structures(spec, points, params)), tol)
+    return batch_report("product-axioms", product_axioms_at(_batch(spec, points, params)), tol)
 
 
 def hertling_manin_residual(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """Left minus right side of the integrability condition on the product,
     indexed [p,s,k,j,l]."""
-    t1 = np.einsum("qjl,pskq->pskjl", c, dc)
-    t2 = np.einsum("qsk,pjlq->pskjl", c, dc)
-    t3 = np.einsum("pjq,qskl->pskjl", c, dc)
-    t4 = np.einsum("pqk,qjls->pskjl", c, dc)
-    t5 = np.einsum("plq,qskj->pskjl", c, dc)
-    t6 = np.einsum("pqs,qjlk->pskjl", c, dc)
-    return t1 - t2 - (t3 - t4 + t5 - t6)
+    # t1 - t2 - (t3 - t4 + t5 - t6), with at most three terms held at once
+    out = np.einsum("...qjl,...pskq->...pskjl", c, dc)
+    out -= np.einsum("...qsk,...pjlq->...pskjl", c, dc)
+    inner = np.einsum("...pjq,...qskl->...pskjl", c, dc)
+    inner -= np.einsum("...pqk,...qjls->...pskjl", c, dc)
+    inner += np.einsum("...plq,...qskj->...pskjl", c, dc)
+    inner -= np.einsum("...pqs,...qjlk->...pskjl", c, dc)
+    out -= inner
+    return out
 
 
 def hertling_manin_at(st: StructureAt):
     res = hertling_manin_residual(st.c, st.dc)
-    sc = max(np.max(np.abs(st.c)), np.max(np.abs(st.dc)))
-    return normalized(np.max(np.abs(res)), sc), sc
+    sc = pmax(amax(st.c, 3), amax(st.dc, 4))
+    return normalized(amax(res, 5), sc), sc
 
 
 def check_hertling_manin(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                          params=None) -> Report:
-    return point_report("hertling-manin",
-                        map(hertling_manin_at, structures(spec, points, params)), tol)
+    return batch_report("hertling-manin", hertling_manin_at(_batch(spec, points, params)), tol)
 
 
 def metric_invariance_at(st: StructureAt, second: bool = False):
     g = required(st.g2 if second else st.g, "metric")
-    res = np.einsum("iq,qlp->ilp", g, st.c) - np.einsum("lq,qip->ilp", g, st.c)
-    sc = max(np.max(np.abs(g)), np.max(np.abs(st.c)))
-    return normalized(np.max(np.abs(res)), sc), sc
+    res = (np.einsum("...iq,...qlp->...ilp", g, st.c)
+           - np.einsum("...lq,...qip->...ilp", g, st.c))
+    sc = pmax(amax(g, 2), amax(st.c, 3))
+    return normalized(amax(res, 3), sc), sc
 
 
 def check_metric_invariance(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                             params=None, second: bool = False) -> Report:
-    return point_report("metric-invariance" + ("-g2" if second else ""),
-                        [metric_invariance_at(st, second)
-                         for st in structures(spec, points, params)], tol)
+    return batch_report("metric-invariance" + ("-g2" if second else ""),
+                   metric_invariance_at(_batch(spec, points, params), second), tol)
 
 
 def lie_metric(st: StructureAt, x, dx) -> np.ndarray:
@@ -420,45 +524,52 @@ def lie_metric(st: StructureAt, x, dx) -> np.ndarray:
 
 
 def killing_unit_at(st: StructureAt):
-    sc = np.max(np.abs(required(st.g, "metric")))
-    return normalized(np.max(np.abs(lie_metric(st, st.e, st.de))), sc), sc
+    sc = amax(required(st.g, "metric"), 2)
+    return normalized(amax(lie_metric(st, st.e, st.de), 2), sc), sc
 
 
 def check_killing_unit(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                        params=None) -> Report:
-    return point_report("killing-unit",
-                        map(killing_unit_at, structures(spec, points, params)), tol)
+    return batch_report("killing-unit", killing_unit_at(_batch(spec, points, params)), tol)
 
 
-def fit_scalar(target: np.ndarray, model: np.ndarray, floor: float = 1e-8) -> complex:
+def fit_scalar(target: np.ndarray, model: np.ndarray, floor: float = 1e-8,
+               rank: int | None = None):
     """Least-squares scalar s minimizing |target - s*model| over entries of
-    magnitude above `floor * max|model|`."""
-    mask = np.abs(model) > floor * (np.max(np.abs(model)) + 1e-300)
-    if not np.any(mask):
+    magnitude above `floor * max|model|`: one complex number, or with
+    `rank` (the rank of the model tensor) one per point of a batch.  A
+    single point with no such entry raises ValueError; over a batch such a
+    point's fit is NaN."""
+    axes = tuple(range(-(model.ndim if rank is None else rank), 0))
+    mag = np.abs(model)
+    mask = mag > floor * (np.max(mag, axis=axes, keepdims=True) + 1e-300)
+    if rank is None and not np.any(mask):
         raise ValueError("all entries below the fitting floor")
-    num = np.sum(np.conj(model[mask]) * target[mask])
-    den = np.sum(np.abs(model[mask]) ** 2)
-    return complex(num / den)
+    with np.errstate(invalid="ignore"):
+        fit = (np.sum(np.where(mask, np.conj(model) * target, 0), axis=axes)
+               / np.sum(np.where(mask, mag ** 2, 0), axis=axes))
+    return complex(fit) if rank is None else fit
 
 
-def homogeneity_at(st: StructureAt):
-    """Fit D in (L_E g) = D g at the point; the residual covers that fit
-    and (L_E c) = c.  Returns (residual, scale, D)."""
+def homogeneity_at(st: StructureAt, errors=None):
+    """Fit D in (L_E g) = D g at each point; the residual covers that fit
+    and (L_E c) = c.  Returns (residual, scale, D).  A point where the
+    metric vanishes is singular (recorded in `errors` over a batch)."""
     lg = lie_from_components(required(st.g, "metric"), st.dg, ("d", "d"),
                              required(st.E, "Euler field"), st.dE)
-    if np.max(np.abs(st.g)) == 0:
-        raise AllEntriesZeroError("metric vanishes at a sample point")
-    D = fit_scalar(lg, st.g)
-    res_g = np.max(np.abs(lg - D * st.g))
+    top = amax(st.g, 2)
+    fail_at(errors, top == 0, lambda k: AllEntriesZeroError("metric vanishes at a sample point"))
+    D = fit_scalar(lg, st.g, rank=2)
+    res_g = amax(lg - D[..., None, None] * st.g, 2)
     lc = lie_from_components(st.c, st.dc, ("u", "d", "d"), st.E, st.dE)
-    res_c = np.max(np.abs(lc - st.c))
-    sc = max(np.max(np.abs(st.g)), np.max(np.abs(lg)), np.max(np.abs(st.c)))
-    return normalized(worst((res_g, res_c)), sc), sc, D
+    res_c = amax(lc - st.c, 3)
+    sc = pmax(top, amax(lg, 2), amax(st.c, 3))
+    return normalized(pmax(res_g, res_c), sc), sc, D
 
 
 def check_homogeneity(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
                       params=None) -> Report:
     """Fit D in (L_E g) = D g, check the residual, and check (L_E c) = c;
     D must be one constant, and the expected one when the spec has it."""
-    return point_report("homogeneity", map(homogeneity_at, structures(spec, points, params)),
-                        tol, fit="D", expected=spec.expected.get("D"))
+    return batch_report("homogeneity", homogeneity_at(_batch(spec, points, params)), tol,
+                   fit="D", expected=spec.expected.get("D"))

@@ -11,18 +11,21 @@ expressions symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import exprjet as ej
-from .connection import christoffel_jets, counit_jets, inverse_jets, riemann_components
-from .manifold import (ManifoldSpec, Region, Report, StructureAt, fit_scalar,
-                       normalized, point_report, required, structure_at, worst, worst_parts)
+from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hessian,
+                         inverse_jets, metric_inverse, riemann_components)
+from .manifold import (ManifoldSpec, PointBatch, Region, Report, StructureAt, amax,
+                       batch_report, fail_at, fit_scalar, normalized, per_point, pmax, point_report,
+                       raise_first, structure_at, structures, worst, worst_parts)
 from .tensor import SingularMatrixError, lie_from_components
 
 __all__ = [
     "PencilAt", "MissingSecondMetricError", "pencil_at", "pencil_from_structure",
+    "pencil_first_order", "pencil_second_order",
     "check_flat_pencil", "check_exactness", "check_pencil_homogeneity",
     "delta_tensor", "r_operator", "product_from_pencil",
     "reconstructed_structure", "semisimple_pencil_from_f",
@@ -36,47 +39,56 @@ class MissingSecondMetricError(Exception):
     pass
 
 
-def _mat_mat_jets(a, da, dda, b, db, ddb):
+def _mat_mat_jets(a, da, b, db):
     m = a @ b
-    dm = np.einsum("ilk,lj->ijk", da, b) + np.einsum("il,ljk->ijk", a, db)
-    ddm = (np.einsum("ilkm,lj->ijkm", dda, b)
-           + np.einsum("ilk,ljm->ijkm", da, db)
-           + np.einsum("ilm,ljk->ijkm", da, db)
-           + np.einsum("il,ljkm->ijkm", a, ddb))
-    return m, dm, ddm
+    dm = np.einsum("...ilk,...lj->...ijk", da, b) + np.einsum("...il,...ljk->...ijk", a, db)
+    return m, dm
 
 
-def _mat_vec_jets(a, da, dda, v, dv, ddv):
-    w = a @ v
-    dw = np.einsum("ijk,j->ik", da, v) + np.einsum("ij,jk->ik", a, dv)
-    ddw = (np.einsum("ijkm,j->ikm", dda, v)
-           + np.einsum("ijk,jm->ikm", da, dv)
-           + np.einsum("ijm,jk->ikm", da, dv)
-           + np.einsum("ij,jkm->ikm", a, ddv))
-    return w, dw, ddw
+def _mat_mat_hessian(a, da, dda, b, db, ddb):
+    return (np.einsum("...ilkm,...lj->...ijkm", dda, b)
+            + np.einsum("...ilk,...ljm->...ijkm", da, db)
+            + np.einsum("...ilm,...ljk->...ijkm", da, db)
+            + np.einsum("...il,...ljkm->...ijkm", a, ddb))
+
+
+def _mat_vec_jets(a, da, v, dv):
+    w = np.einsum("...ij,...j->...i", a, v)
+    dw = np.einsum("...ijk,...j->...ik", da, v) + np.einsum("...ij,...jk->...ik", a, dv)
+    return w, dw
+
+
+def _mat_vec_hessian(a, da, dda, v, dv, ddv):
+    return (np.einsum("...ijkm,...j->...ikm", dda, v)
+            + np.einsum("...ijk,...jm->...ikm", da, dv)
+            + np.einsum("...ijm,...jk->...ikm", da, dv)
+            + np.einsum("...ij,...jkm->...ikm", a, ddv))
 
 
 @dataclass
-class PencilAt:
-    """Everything the pencil constructions need at one point."""
+class PencilAt(PointBatch):
+    """Everything the pencil constructions need at one point, or at each
+    point of a batch.  The second-order fields are None in first-order
+    data (`pencil_first_order`)."""
     n: int
     point: np.ndarray
     st: StructureAt                 # carries jets of both covariant metrics and e
     eta_inv: np.ndarray
     deta_inv: np.ndarray
-    ddeta_inv: np.ndarray
     g_inv: np.ndarray
     dg_inv: np.ndarray
-    ddg_inv: np.ndarray
-    gamma1: np.ndarray              # Levi-Civita of the first metric
-    dgamma1: np.ndarray
-    gamma2: np.ndarray              # Levi-Civita of the second metric
-    dgamma2: np.ndarray
     L: np.ndarray                   # L^s_h = g^sm eta_mh
     dL: np.ndarray
     E: np.ndarray                   # E^i = g^il eta_lj e^j
     dE: np.ndarray
-    ddE: np.ndarray
+    ddeta_inv: np.ndarray | None = None
+    ddg_inv: np.ndarray | None = None
+    gamma1: np.ndarray | None = None   # Levi-Civita of the first metric
+    dgamma1: np.ndarray | None = None
+    gamma2: np.ndarray | None = None   # Levi-Civita of the second metric
+    dgamma2: np.ndarray | None = None
+    ddE: np.ndarray | None = None
+    errors: list | None = None
 
 
 def pencil_at(spec: ManifoldSpec, point, params=None) -> PencilAt:
@@ -85,53 +97,86 @@ def pencil_at(spec: ManifoldSpec, point, params=None) -> PencilAt:
     return pencil_from_structure(structure_at(spec, point, params))
 
 
+def _pencil_batch(spec: ManifoldSpec, points, params, second_order: bool) -> PencilAt:
+    """The pencil data over a point set; raises the first point's error."""
+    if spec.g2 is None:
+        raise MissingSecondMetricError(f"spec {spec.name!r} has no second metric")
+    pa = pencil_first_order(structures(spec, points, params))
+    raise_first(pa.errors)
+    return pencil_second_order(pa) if second_order else pa
+
+
+def pencil_first_order(st: StructureAt, inverse: InverseJets | None = None) -> PencilAt:
+    """The pencil data of first order, which is all that exactness and
+    homogeneity read: both inverse metrics, L and E, with first
+    derivatives.  `inverse`: the first metric's `metric_inverse`, where the
+    caller has it.  Over a batch, each point's error is the structure's
+    own, else the first singular metric's."""
+    inverse = inverse or metric_inverse(st)
+    errors = None if inverse.errors is None else list(inverse.errors)
+    g_inv, dg_inv = inverse_jets(st.g2, st.dg2, errors=errors)
+    L, dL = _mat_mat_jets(g_inv, dg_inv, st.g, st.dg)
+    E, dE = _mat_vec_jets(L, dL, st.e, st.de)
+    return PencilAt(n=st.n, point=st.point, st=st, eta_inv=inverse.inv, deta_inv=inverse.dinv,
+                    g_inv=g_inv, dg_inv=dg_inv, L=L, dL=dL, E=E, dE=dE, errors=errors)
+
+
+def pencil_second_order(pa: PencilAt, lc=None) -> PencilAt:
+    """`pa` with the second-order data added: second derivatives of both
+    inverse metrics and of E, and the Christoffel jets of both metrics.
+    `lc`: the first metric's Levi-Civita connection at pa's points, where
+    the caller has it."""
+    st = pa.st
+    ddeta_inv = inverse_hessian(pa.eta_inv, st.dg, st.ddg)
+    ddg_inv = inverse_hessian(pa.g_inv, st.dg2, st.ddg2)
+    if lc is None:
+        gamma1, dgamma1 = christoffel_jets(st.g, st.dg, st.ddg, (pa.eta_inv, pa.deta_inv))
+    else:
+        gamma1, dgamma1 = lc.gamma, lc.dgamma
+    gamma2, dgamma2 = christoffel_jets(st.g2, st.dg2, st.ddg2, (pa.g_inv, pa.dg_inv))
+    ddL = _mat_mat_hessian(pa.g_inv, pa.dg_inv, ddg_inv, st.g, st.dg, st.ddg)
+    ddE = _mat_vec_hessian(pa.L, pa.dL, ddL, st.e, st.de, st.dde)
+    return replace(pa, ddeta_inv=ddeta_inv, ddg_inv=ddg_inv, gamma1=gamma1, dgamma1=dgamma1,
+                   gamma2=gamma2, dgamma2=dgamma2, ddE=ddE)
+
+
 def pencil_from_structure(st: StructureAt) -> PencilAt:
-    """The pencil data at the point of `st`, which carries both metrics."""
-    eta_inv, deta_inv, ddeta_inv = inverse_jets(required(st.g, "metric"), st.dg, st.ddg)
-    g_inv, dg_inv, ddg_inv = inverse_jets(st.g2, st.dg2, st.ddg2)
-    gamma1, dgamma1 = christoffel_jets(st.g, st.dg, st.ddg)
-    gamma2, dgamma2 = christoffel_jets(st.g2, st.dg2, st.ddg2)
-    L, dL, ddL = _mat_mat_jets(g_inv, dg_inv, ddg_inv, st.g, st.dg, st.ddg)
-    E, dE, ddE = _mat_vec_jets(L, dL, ddL, st.e, st.de, st.dde)
-    return PencilAt(n=st.n, point=st.point, st=st,
-                    eta_inv=eta_inv, deta_inv=deta_inv, ddeta_inv=ddeta_inv,
-                    g_inv=g_inv, dg_inv=dg_inv, ddg_inv=ddg_inv,
-                    gamma1=gamma1, dgamma1=dgamma1, gamma2=gamma2, dgamma2=dgamma2,
-                    L=L, dL=dL, E=E, dE=dE, ddE=ddE)
+    """The pencil data at the points of `st`, which carries both metrics."""
+    return pencil_second_order(pencil_first_order(st))
 
 
 def _contravariant_christoffels(g_inv, gamma):
     """Gc[i,j,k] = -g^is Gamma^j_sk."""
-    return -np.einsum("is,jsk->ijk", g_inv, gamma)
+    return -np.einsum("...is,...jsk->...ijk", g_inv, gamma)
 
 
-def flat_pencil_at(pa: PencilAt, lambdas=DEFAULT_LAMBDAS):
+def flat_pencil_at(pa: PencilAt, lambdas=DEFAULT_LAMBDAS, errors=None):
     """Curvature of every pencil member, and linearity of the contravariant
     Christoffel symbols across the pencil.  Returns (residual, scale,
-    {lambda: residual})."""
+    {lambda: residual}).  A point where a member is singular raises, or
+    over a batch records the error in `errors`."""
     gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)
     gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)
     per_lambda, scales = {}, []
     for lam in lambdas:
         lam = complex(lam)
         pen = pa.g_inv - lam * pa.eta_inv
+        member = [None] * (1 if errors is None else len(errors))
         dpen = pa.dg_inv - lam * pa.deta_inv
-        ddpen = pa.ddg_inv - lam * pa.ddeta_inv
-        try:
-            cov, dcov, ddcov = inverse_jets(pen, dpen, ddpen)
-        except SingularMatrixError as err:
-            err.args = (f"pencil member at lambda = {lam} is singular: {err}",)
-            raise
-        gamma, dgamma = christoffel_jets(cov, dcov, ddcov)
-        r = riemann_components(gamma, dgamma)
-        sc = max(float(np.max(np.abs(gamma))) ** 2, float(np.max(np.abs(dgamma))))
-        res_curv = normalized(np.max(np.abs(r)), sc)
+        cov, dcov, ddcov = inverse_jets(pen, dpen, pa.ddg_inv - lam * pa.ddeta_inv, errors=member)
+        for err in member:
+            if err is not None:
+                err.args = (f"pencil member at lambda = {lam} is singular: {err}",)
+        fail_at(errors, [err is not None for err in member], member.__getitem__)
+        gamma, dgamma = christoffel_jets(cov, dcov, ddcov, (pen, dpen))
+        sc = pmax(amax(gamma, 3) ** 2, amax(dgamma, 4))
+        res_curv = normalized(amax(riemann_components(gamma, dgamma), 4), sc)
         gc_lam = _contravariant_christoffels(pen, gamma)
-        res_lin = normalized(np.max(np.abs(gc_lam - (gc2 - lam * gc1))),
-                             float(np.max(np.abs(gc2))) + abs(lam) * float(np.max(np.abs(gc1))))
-        per_lambda[f"{lam}"] = worst((res_curv, res_lin))
+        res_lin = normalized(amax(gc_lam - (gc2 - lam * gc1), 3),
+                             amax(gc2, 3) + abs(lam) * amax(gc1, 3))
+        per_lambda[f"{lam}"] = pmax(res_curv, res_lin)
         scales.append(sc)
-    return worst(per_lambda.values()), worst(scales), per_lambda
+    return pmax(*per_lambda.values()), pmax(*scales), per_lambda
 
 
 def flat_pencil_report(name: str, per_point, tol: float) -> Report:
@@ -142,8 +187,8 @@ def check_flat_pencil(spec, points, lambdas=DEFAULT_LAMBDAS,
                       tol: float = DEFAULT_TOL, params=None) -> Report:
     """Curvature of every pencil member, and linearity of the contravariant
     Christoffel symbols across the pencil."""
-    return flat_pencil_report("flat-pencil", [flat_pencil_at(pencil_at(spec, p, params), lambdas)
-                                              for p in points], tol)
+    return flat_pencil_report("flat-pencil", per_point(
+        flat_pencil_at(_pencil_batch(spec, points, params, True), lambdas)), tol)
 
 
 def exactness_at(pa: PencilAt):
@@ -152,36 +197,36 @@ def exactness_at(pa: PencilAt):
     st = pa.st
     lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), st.e, st.de)
     lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), st.e, st.de)
-    sc = max(float(np.max(np.abs(pa.eta_inv))), float(np.max(np.abs(pa.g_inv))))
-    raw = worst((np.max(np.abs(lie_g2 - pa.eta_inv)), np.max(np.abs(lie_g1))))
+    sc = pmax(amax(pa.eta_inv, 2), amax(pa.g_inv, 2))
+    raw = pmax(amax(lie_g2 - pa.eta_inv, 2), amax(lie_g1, 2))
     return normalized(raw, sc), sc
 
 
 def check_exactness(spec, points, tol: float = DEFAULT_TOL, params=None) -> Report:
-    return point_report("pencil-exactness",
-                        [exactness_at(pencil_at(spec, p, params)) for p in points], tol)
+    return batch_report("pencil-exactness",
+                        exactness_at(_pencil_batch(spec, points, params, False)), tol)
 
 
-def _pencil_weight(pa: PencilAt):
+def _pencil_weight(pa: PencilAt, rank=None):
     """The pencil weight d fitted from L_E g2 = (d-1) g2, with L_E g2."""
     lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), pa.E, pa.dE)
-    return fit_scalar(lie_g2, pa.g_inv) + 1.0, lie_g2
+    return fit_scalar(lie_g2, pa.g_inv, rank=rank) + 1.0, lie_g2
 
 
 def pencil_homogeneity_at(pa: PencilAt):
     """Fit the pencil weight d from L_E g2 = (d-1) g2 (contravariant) and
     cross-check L_E g1 = (d-2) g1.  Returns (residual, scale, d)."""
-    d, lie_g2 = _pencil_weight(pa)
+    d, lie_g2 = _pencil_weight(pa, rank=2)
     lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), pa.E, pa.dE)
-    sc = max(float(np.max(np.abs(pa.g_inv))), float(np.max(np.abs(pa.eta_inv))))
-    raw = worst((np.max(np.abs(lie_g2 - (d - 1) * pa.g_inv)),
-                 np.max(np.abs(lie_g1 - (d - 2) * pa.eta_inv))))
+    sc = pmax(amax(pa.g_inv, 2), amax(pa.eta_inv, 2))
+    dd = d[..., None, None]
+    raw = pmax(amax(lie_g2 - (dd - 1) * pa.g_inv, 2), amax(lie_g1 - (dd - 2) * pa.eta_inv, 2))
     return normalized(raw, sc), sc, d
 
 
 def check_pencil_homogeneity(spec, points, tol: float = DEFAULT_TOL, params=None) -> Report:
-    return point_report("pencil-homogeneity",
-                        [pencil_homogeneity_at(pencil_at(spec, p, params)) for p in points],
+    return batch_report("pencil-homogeneity",
+                        pencil_homogeneity_at(_pencil_batch(spec, points, params, False)),
                         tol, fit="d", expected=spec.expected.get("d_pencil"))
 
 

@@ -24,7 +24,7 @@ __all__ = [
     "rotation_data", "rotation_data_along", "v_matrix",
     "check_darboux_system", "check_lame_system", "check_flatness_constraint",
     "check_algebraic_constraints", "check_potentiality",
-    "check_reduction_identity", "integrate_lame", "rk4_path",
+    "check_reduction_identity", "integrate_lame", "rk4_path", "rk4_stage_times",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -281,18 +281,27 @@ def check_reduction_identity(spec, points, tol: float = DEFAULT_TOL, params=None
 # path integration of the Lame system
 
 
+def rk4_stage_times(t0: float, t1: float, steps: int):
+    """The times at which `rk4_path` evaluates its right-hand side, in the
+    order it does: t, t + h/2, t + h/2 and t + h at each step."""
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        yield from (t, t + h / 2, t + h / 2, t + h)
+        t += h
+
+
 def rk4_path(rhs: Callable, y0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
     """Classical fixed-step RK4 for y' = rhs(t, y), deterministic by design."""
     y = np.array(y0, dtype=complex)
     h = (t1 - t0) / steps
-    t = t0
+    times = rk4_stage_times(t0, t1, steps)
     for _ in range(steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
+        k1 = rhs(next(times), y)
+        k2 = rhs(next(times), y + h / 2 * k1)
+        k3 = rhs(next(times), y + h / 2 * k2)
+        k4 = rhs(next(times), y + h * k3)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
     return y
 
 

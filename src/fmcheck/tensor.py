@@ -2,7 +2,11 @@
 eigenvalues, clustering of near-equal roots, and Lie derivatives of
 component arrays.
 
-Index-order conventions used package-wide (derivative axes always last):
+Index-order conventions used package-wide (derivative axes always last).
+Over a batch of P sample points every array carries one more, leading
+point axis, shape (P, ...), ahead of these indices.  The functions that
+take such arrays contract and reduce only the indices below (`...`
+einsums), so a single point is a batch whose leading axis is empty:
 
     product        c[i,j,k]        = c^i_jk,    dc[i,j,k,m]   = d_m c^i_jk
     metric         g[i,j],         dg[i,j,k]   = d_k g_ij,    ddg[i,j,k,l]
@@ -76,17 +80,16 @@ def cluster_values(values: Sequence[complex], tol: float = 1e-6):
 def lie_from_components(values: np.ndarray, derivs: np.ndarray,
                         signature: Sequence[str],
                         x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Lie derivative along X of a tensor of rank <= 3 with any signature.
+    """Lie derivative along X of a tensor of rank <= 3 with any signature,
+    at one point or at each point of a leading point axis.
 
-    `derivs[..., k] = d_k T[...]`, `dx[i, k] = d_k X^i`.
+    `derivs[..., k] = d_k T[...]`, `dx[..., i, k] = d_k X^i`.
     """
-    rank = len(signature)
-    out = np.tensordot(derivs, x, axes=(rank, 0))
+    idx = "abc"[:len(signature)]
+    out = np.einsum(f"...{idx}k,...k->...{idx}", derivs, x)
     for axis, var in enumerate(signature):
-        if var == UP:
-            term = np.tensordot(values, dx, axes=(axis, 1))
-            out = out - np.moveaxis(term, -1, axis)
-        else:
-            term = np.tensordot(values, dx, axes=(axis, 0))
-            out = out + np.moveaxis(term, -1, axis)
+        summed = idx[:axis] + "s" + idx[axis + 1:]
+        pair = idx[axis] + "s" if var == UP else "s" + idx[axis]
+        term = np.einsum(f"...{summed},...{pair}->...{idx}", values, dx)
+        out = out - term if var == UP else out + term
     return out

@@ -9,6 +9,7 @@ from fmcheck.catalog import (MissingCompanionDataError, UnknownEntryError,
                              run_suite, verify_flat_coordinates,
                              verify_vector_potential)
 from fmcheck.cli import main
+from fmcheck import manifold
 from fmcheck.manifold import ManifoldSpec, SamplePlan, sample_points
 
 
@@ -106,12 +107,17 @@ def test_every_flag_picks_a_check():
 
 
 def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
-    # record the point of every structure, rotation data and pencil data
-    # built, and every run of an expression table with the points it runs
-    # over, binding the recorders wherever fmcheck holds the function
+    # record the points of every structure batch, pencil batch (first and
+    # second order) and rotation data built, every matrix inverted, every
+    # metric given Christoffel jets, and every run of an expression table
+    # with the points it runs over, binding the recorders wherever fmcheck
+    # holds the function
     import sys
     from fmcheck import exprjet as ej
-    built, runs = {}, []
+    built, runs, inverted, christoffel = {}, [], [], []
+
+    def points_of(batch):
+        return [tuple(p) for p in np.asarray(batch.point, dtype=complex).reshape(-1, batch.n)]
 
     def yielded(key, fn):
         def recording(*args, **kwargs):
@@ -120,10 +126,23 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                 yield item
         return recording
 
-    def called(key, fn):
+    def returned(key, fn):
         def recording(*args, **kwargs):
-            built[key].append(tuple(np.asarray(args[0].point, dtype=complex)))
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            built[key].append(points_of(out))
+            return out
+        return recording
+
+    def inverse(fn):
+        def recording(a, errors=None):
+            inverted.append(np.array(a))
+            return fn(a, errors)
+        return recording
+
+    def christoffel_of(fn):
+        def recording(g, *args, **kwargs):
+            christoffel.append(np.array(g))
+            return fn(g, *args, **kwargs)
         return recording
 
     def table_run(fn):
@@ -132,9 +151,12 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             return fn(table, points, params)
         return recording
 
-    targets = {("manifold", "structures"): lambda fn: yielded("structure", fn),
+    targets = {("manifold", "structures"): lambda fn: returned("structure", fn),
                ("rotation", "rotation_data_along"): lambda fn: yielded("rotation", fn),
-               ("pencil", "pencil_from_structure"): lambda fn: called("pencil", fn),
+               ("pencil", "pencil_first_order"): lambda fn: returned("pencil", fn),
+               ("pencil", "pencil_second_order"): lambda fn: returned("pencil2", fn),
+               ("connection", "checked_inverse"): inverse,
+               ("connection", "christoffel_jets"): christoffel_of,
                ("exprjet", "eval_points"): table_run}
     for (mod, fn), wrap in targets.items():
         orig = getattr(sys.modules[f"fmcheck.{mod}"], fn)
@@ -155,23 +177,42 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             assert list(over) in (pts, chart_values), (what, table)
         return {table for table, _ in walk}
 
+    def check_inverses(metrics, what):
+        # each metric is inverted at most once, over all the sample points
+        # at once, never point by point, and given Christoffel jets at most
+        # once, over the points that read them
+        for a in inverted:
+            for m in metrics:
+                assert not (a.ndim == 2 and any(np.array_equal(a, row) for row in m)), what
+        for m in metrics:
+            assert sum(a.shape == m.shape and np.array_equal(a, m) for a in inverted) <= 1, what
+            assert sum(np.array_equal(g, m[:len(g)]) for g in christoffel) <= 1, what
+
     rotation_flags = {"darboux", "lame", "ed4", "ed4bis", "ed5b", "potentiality"}
     for name in cat.names():
         ent = cat.entry(name)
         pts = [tuple(np.asarray(p, dtype=complex))
                for p in sample_points(ent.spec, SamplePlan(seed=0, count=10))]
+        head = pts[:4]  # max(4, 10 // 5): the points of the costlier pencil rows
         chart_values = None
         if "flat_chart" in ent.companion:
             chart_values = [tuple(ej.eval_table(ent.companion["flat_chart"], p, ent.spec.env())[0])
                             for p in pts]
-        for key in ("structure", "rotation", "pencil"):
+        built["structure"] = []
+        st = manifold.structures(ent.spec, pts)
+        metrics = [m for m in (st.g, st.g2) if m is not None]
+        for key in ("structure", "rotation", "pencil", "pencil2"):
             built[key] = []
         runs.clear()
+        inverted.clear()
+        christoffel.clear()
         run_suite(ent, seed=0, count=10)
         needs_rotation = bool(ent.flags & rotation_flags) or "V_eigenvalues" in ent.spec.expected
-        assert built["structure"] == pts, name
+        assert built["structure"] == [pts], name
         assert built["rotation"] == (pts if needs_rotation else []), name
-        assert built["pencil"] == (pts if "pencil" in ent.flags else []), name
+        assert built["pencil"] == ([pts] if "pencil" in ent.flags else []), name
+        assert built["pencil2"] == ([head] if "pencil" in ent.flags else []), name
+        check_inverses(metrics, name)
         tables = check_runs(ent.spec, pts, chart_values, name)
         spec_tables = [ent.spec.e, ent.spec.E, ent.spec.g, ent.spec.g2]
         assert {repr(t) for t in spec_tables if t is not None} <= tables, name
@@ -181,10 +222,16 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         argvs = [["verify", str(spec_path)]]
         argvs += [["verify", name, "--check", check] for check in cat.SINGLE_CHECKS]
         for argv in argvs:
-            built["structure"] = []
+            for key in ("structure", "pencil", "pencil2"):
+                built[key] = []
             runs.clear()
+            inverted.clear()
+            christoffel.clear()
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(argv + ["--points", "10", "--seed", "0"])
             if code != 2:  # 2: the spec lacks a field the check needs
-                assert built["structure"] == pts, argv
+                assert built["structure"] == [pts], argv
+                if ent.spec.g2 is not None and argv[1] == str(spec_path):
+                    assert built["pencil"] == [pts] and built["pencil2"] == [head], argv
+                check_inverses(metrics, argv)
                 check_runs(ent.spec, pts, chart_values, argv)

@@ -204,6 +204,9 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                     # singular at sample 3 only
                     ("third", [[f"2/(x-y)^2+1/(x-{float(samples[3][0])!r})", "0"],
                                ["0", "2/(x-y)^2"]]),
+                    # evaluable everywhere, but a singular metric at sample 3
+                    ("singular-third", [[f"x-{float(samples[3][0])!r}", "0"],
+                                        ["0", "2/(x-y)^2"]]),
                     ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]])):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({**doc, "g": g}))
@@ -214,8 +217,12 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["verify", "case-i", "--check", "metric-invariance"], "metric"),
                        (["verify", str(paths["unbound"])], "unbound"),
                        (["verify", str(paths["divzero"])], singular(0)),
+                       # the point is named before the missing Euler field
+                       (["verify", str(paths["divzero"]), "--check", "homogeneity"], singular(0)),
                        (["verify", str(paths["zero"])], singular(0)),
                        (["verify", str(paths["third"])], singular(3) + ": DomainError"),
+                       (["verify", str(paths["singular-third"])],
+                        singular(3) + ": SingularMatrixError: matrix is numerically singular"),
                        (["verify", str(paths["unparseable"])], "cannot parse '1+'"),
                        (["legendre", "q0-d-minus1", "--field", "1+,1,1"], "cannot parse '1+'"),
                        (["legendre", "case-i", "--field", "1,0"], "metric"),

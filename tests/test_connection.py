@@ -226,3 +226,163 @@ def test_levi_civita_not_product_compatible_on_curved_metric():
     spec = cat.entry("lobachevsky").spec
     st = structure_at(spec, np.array([1.6, 0.1]))
     assert not check_compat_product(levi_civita(st), st).passed
+
+
+def _same(got, want, what, k=None):
+    # bit for bit, or within the golden-report margin where a reduction
+    # order changed the last bits; with k, `got` is a batch and its point
+    # k is compared
+    if isinstance(want, dict):
+        assert list(got) == list(want), what
+        for key in want:
+            _same(got[key], want[key], (what, key), k)
+        return
+    if isinstance(want, (tuple, list)):
+        assert len(got) == len(want), what
+        for g, w in zip(got, want):
+            _same(g, w, what, k)
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    if k is not None:
+        got = got[k]
+    assert got.shape == want.shape, what
+    if not np.array_equal(got, want, equal_nan=True):
+        assert np.all(np.abs(got - want) <= 1e-12 + 1e-6 * np.abs(want)), what
+
+
+def _batched_functions(spec, comp):
+    """The batched functions that apply to `spec`, by name, each mapping a
+    structure (a batch, or one point) to its result."""
+    from fmcheck import connection as cn, manifold as mf, pencil as pn
+    from fmcheck.tensor import lie_from_components
+    out = {"product_axioms_at": mf.product_axioms_at, "hertling_manin_at": mf.hertling_manin_at,
+           "lie_from_components": lambda st: lie_from_components(st.c, st.dc, ("u", "d", "d"),
+                                                                 st.e, st.de)}
+    if spec.g is not None:
+        out.update({
+            "metric_invariance_at": mf.metric_invariance_at,
+            "killing_unit_at": mf.killing_unit_at,
+            "checked_inverse": lambda st: cn.checked_inverse(st.g),
+            "inverse_jets": lambda st: cn.inverse_jets(st.g, st.dg, st.ddg),
+            "metric_inverse": lambda st: (cn.metric_inverse(st).inv, cn.metric_inverse(st).dinv),
+            "christoffel_jets": lambda st: cn.christoffel_jets(st.g, st.dg, st.ddg),
+            "counit_jets": cn.counit_jets,
+            "levi_civita": lambda st: (cn.levi_civita(st).gamma, cn.levi_civita(st).dgamma),
+            "natural_connection": lambda st: (cn.natural_connection(st).gamma,
+                                              cn.natural_connection(st).dgamma),
+            "riemann_components": lambda st: cn.riemann_components(cn.levi_civita(st).gamma,
+                                                                   cn.levi_civita(st).dgamma),
+            "torsion_at": lambda st: cn.torsion_at(cn.natural_connection(st)),
+            "flatness_at": lambda st: cn.flatness_at(cn.levi_civita(st)),
+            "nabla_e_at": lambda st: cn.nabla_e_at(cn.natural_connection(st), st),
+            "compat_product_at": lambda st: cn.compat_product_at(cn.natural_connection(st), st),
+            "nabla_from_g_at": lambda st: cn.nabla_from_g_at(cn.natural_connection(st), st),
+            "curvature_product_at": lambda st: cn.curvature_product_at(cn.levi_civita(st), st,
+                                                                       "both"),
+            "r_tr_identity_at": lambda st: cn.r_tr_identity_at(cn.natural_connection(st),
+                                                               cn.levi_civita(st), st),
+        })
+    if spec.g is not None and spec.E is not None:
+        out["homogeneity_at"] = mf.homogeneity_at
+        out["nabla_nabla_E_at"] = lambda st: cn.nabla_nabla_E_at(cn.natural_connection(st), st)
+        out["fit_scalar"] = lambda st: mf.fit_scalar(
+            lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE), st.g, rank=2)
+    if "gamma" in comp:
+        out["connections_from_exprs"] = lambda st: cn.connections_from_exprs(
+            comp["gamma"], st.point.reshape(-1, spec.n), spec.env()).gamma.reshape(
+                np.shape(st.c))
+    if spec.g2 is not None:
+        def pencil(st):
+            pa = pn.pencil_from_structure(st)
+            return [getattr(pa, f) for f in ("eta_inv", "deta_inv", "ddeta_inv", "g_inv",
+                                             "dg_inv", "ddg_inv", "gamma1", "dgamma1", "gamma2",
+                                             "dgamma2", "L", "dL", "E", "dE", "ddE")]
+        out.update({
+            "pencil_from_structure": pencil,
+            "exactness_at": lambda st: pn.exactness_at(pn.pencil_first_order(st)),
+            "pencil_homogeneity_at": lambda st: pn.pencil_homogeneity_at(
+                pn.pencil_first_order(st)),
+            "flat_pencil_at": lambda st: pn.flat_pencil_at(pn.pencil_from_structure(st)),
+        })
+    return out
+
+
+def test_batched_functions_and_rows_equal_single_point_runs():
+    # every batched function, and every batched row of the check table,
+    # gives at each of 10 points what it gives on that point alone
+    from fmcheck.manifold import per_point, structures
+    names = set()
+    for name in cat.names():
+        ent = cat.entry(name)
+        spec, comp = ent.spec, ent.companion
+        pts = sample_points(spec, SamplePlan(seed=0, count=10))
+        batch = structures(spec, pts)
+        singles = [structure_at(spec, p) for p in pts]
+        for fn_name, fn in _batched_functions(spec, comp).items():
+            result = fn(batch)
+            for k, st in enumerate(singles):
+                _same(result, fn(st), (name, fn_name, k), k)
+            names.add(fn_name)
+        rows = [c for c in cat.CHECKS if c.batched and (c.flag in ent.flags or c.flag is None)
+                and all(getattr(spec, key, None) is not None or key in comp for key in c.needs)]
+        for row in rows:
+            if row.flag is None and spec.g is None:
+                continue
+            walk = cat._Walk(spec, comp, pts, 1e-8)
+            limit = {None: 10, "head": walk.head}.get(row.points, row.points)
+            got = per_point(row.at(cat._RowData(walk, limit)))
+            assert len(got) == limit
+            for k, p in enumerate(pts[:limit]):
+                want = per_point(row.at(cat._RowData(cat._Walk(spec, comp, [p], 1e-8), 1)))
+                _same(got[k], want[0], (name, row.name, k))
+            names.add(row.name)
+    assert len([c for c in cat.CHECKS if c.batched and c.name in names]) == 19
+    assert len(names) >= 19 + 25
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
+    # one array of the structure batch is moved by 1e-3, or turns to NaN,
+    # at point 5 of 10: each batched row whose residual the move changes
+    # reads that array there, and the NaN makes it NaN, so the row fails
+    import dataclasses
+    from fmcheck import manifold
+    real_structures = manifold.structures
+    poison = {"field": None}
+
+    def poisoned(spec, points, params=None):
+        st = real_structures(spec, points, params)
+        field, bump = poison["field"], poison.get("bump")
+        value = None if field is None else getattr(st, field)
+        if value is not None:
+            at_5 = (np.arange(len(points)) == 5).reshape((-1,) + (1,) * (value.ndim - 1))
+            setattr(st, field, np.where(at_5, value + bump, value))
+        return st
+
+    monkeypatch.setattr(cat, "structures", poisoned)
+    batched = {c.name for c in cat.CHECKS if c.batched and c.points is None}
+    runs = [(name, None) for name in ("lobachevsky", "q0-d-minus1", "af-pencil-n3", "nonss3d")]
+    runs += [("lobachevsky", "levi-civita-flat"), ("lobachevsky", "natural-flat")]
+    fields = [f.name for f in dataclasses.fields(manifold.StructureAt)
+              if f.name not in ("n", "point", "errors")]
+
+    def residuals(name, check):
+        return {r.name: r for r in cat.run_suite(cat.entry(name), seed=0, count=10,
+                                                  check=check).reports if r.name in batched}
+
+    failed = set()
+    for name, check in runs:
+        poison["field"] = None
+        base = residuals(name, check)
+        assert base, name
+        for field in fields:
+            poison.update(field=field, bump=1e-3)
+            moved = residuals(name, check)
+            poison.update(bump=np.nan)
+            for row, r in residuals(name, check).items():
+                if np.isnan(r.residual):
+                    assert not r.passed, (name, field, row)
+                    failed.add(row)
+                else:
+                    assert moved[row].residual == base[row].residual, (name, field, row)
+    assert failed == batched

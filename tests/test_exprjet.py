@@ -250,6 +250,8 @@ def test_singular_point_is_masked_in_a_batch():
     # whose jets are not finite fails without an error of its own
     jets = eval_points(("ln(u1)", "1/u1", "exp(u2)"), np.array([[0.0, 1.0], [1.0, 1000.0], [1.0, 1.0]]))
     assert jets.errors == ["ln(0)", "non-finite jet", None]
+    # a point in error gets zero jets, so that batched arithmetic stays finite
+    assert not any(part[:2].any() for part in (jets.val, jets.grad, jets.hess))
     # the power rule picks its branch at each point: u2^3 has a vanishing
     # jet at u2 = 0, so there the power is the integer power u1^0
     points = np.array([[2.0, 0.0], [0.0, 1.0], [1.5, 1.0], [0.0, 0.0], [1.5, 0.5]])

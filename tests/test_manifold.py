@@ -170,18 +170,17 @@ def test_merge_reports_nan_fails_in_either_order():
 
 
 def test_nan_residual_at_one_point_fails(monkeypatch):
-    # a structure that turns to NaN at the second of five points
+    # a structure batch that turns to NaN at the second of five points
     import fmcheck.manifold as manifold
     spec = lob()
     pts = sample_points(spec, SamplePlan(seed=0, count=5))
     real_structures = manifold.structures
 
     def poisoned(spec_, points, params=None):
-        for k, st in enumerate(real_structures(spec_, points, params)):
-            if k == 1:
-                assert np.array_equal(st.point, pts[1])
-                st.c = st.c * np.nan
-            yield st
+        st = real_structures(spec_, points, params)
+        assert np.array_equal(st.point[1], pts[1])
+        st.c = st.c * np.where(np.arange(len(points)) == 1, np.nan, 1.0)[:, None, None, None]
+        return st
 
     monkeypatch.setattr(manifold, "structures", poisoned)
     rep = check_product_axioms(spec, pts)
