@@ -2,7 +2,7 @@
 verifies, with companion data (closed-form connections, Lame coefficients,
 flat charts, vector potentials, transform fields, normal-bundle fields),
 the table of checks, and the one point walk that runs the checks an entry's
-flags, a spec file's fields or a `--check` name pick.
+flags, a spec file's fields, a `--check` name or a Legendre transform pick.
 
 Free constants default to 1 (0 for the arbitrary-function slots, which are
 degree-two polynomial coefficients) except where a family forces a value.
@@ -13,7 +13,7 @@ branches, which is the convention recorded in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -27,22 +27,26 @@ from .connection import (ConnectionAt, InverseJets, check_compat_product, check_
                          r_tr_identity_at, torsion_at)
 from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at,
                      gmc_report, quadratic_expansion_at, rank_of, sym_condition_at)
+from .legendre import (homogeneous_legendre_at, homogeneous_legendre_report, legendre_field_at,
+                       legendre_field_report, transform_metric, transform_metric_at,
+                       transform_metric_exprs)
 from .manifold import (AllEntriesZeroError, ManifoldSpec, PointBatch, Region, Report,
-                       SamplePlan, amax, hertling_manin_at, homogeneity_at, killing_unit_at,
-                       metric_invariance_at, normalized, per_point, point_report,
-                       product_axioms_at, sample_points, structures, worst)
+                       SamplePlan, amax, fit_scalar, hertling_manin_at, homogeneity_at,
+                       killing_unit_at, metric_invariance_at, normalized, per_point, point_report,
+                       product_axioms_at, required, sample_points, structures, worst)
 from .ode3d import beta_from_F, closed_form_pencil, closed_form_q0, integrals, z_of_point
-from .pencil import (delta_tensor_at, exactness_at, flat_pencil_at, flat_pencil_report,
-                     pencil_first_order, pencil_homogeneity_at, pencil_second_order,
-                     product_from_pencil_at, r_operator_at, reconstructed_at)
+from .pencil import (delta_jets, delta_tensor_at, exactness_at, flat_pencil_at,
+                     flat_pencil_report, pencil_first_order, pencil_homogeneity_at,
+                     pencil_second_order, pencil_weight, product_from_pencil_at, r_operator_at,
+                     reconstructed_at)
 from .rotation import (RotationData, ZeroLameError, algebraic_constraints_at, darboux_at,
                        flatness_constraint_at, lame_system_at, potentiality_at,
                        reduction_identity_at, rotation_data_along, v_matrix)
 from .tensor import SingularMatrixError, cluster_values
 
-__all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Check",
-           "CHECKS", "SPEC_CHECKS", "SINGLE_CHECKS", "verify_flat_coordinates",
-           "verify_vector_potential", "SuiteResult", "connection_suite",
+__all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Transform",
+           "run_checks", "Check", "CHECKS", "SPEC_CHECKS", "SINGLE_CHECKS",
+           "verify_flat_coordinates", "verify_vector_potential", "SuiteResult", "connection_suite",
            "MissingCompanionDataError", "JacobianSingularError", "SingularSampleError"]
 
 DEFAULT_TOL = 1e-8
@@ -500,9 +504,16 @@ _SHARED = {
     "conn": lambda d: d.printed if "gamma" in d.comp else d.nat,
     "dual": lambda d: dual_structure(d.st, d.nat, d.tol),
     "rd": lambda d: d.next("rd"),
-    "pencil_product": lambda d: product_from_pencil_at(d.pa, max(d.tol, 1e-9)),
+    # the pencil weight d and the difference tensor's jets at a head point,
+    # which delta-identities, r-operator and product-from-pencil share
+    "weight": lambda d: pencil_weight(d.pa)[0],
+    "delta": lambda d: delta_jets(d.pa),
+    "pencil_product": lambda d: product_from_pencil_at(d.pa, d.delta[0], max(d.tol, 1e-9)),
     "fields": lambda d: d.next("fields"),
     "chart": lambda d: d.jets("flat_chart", d.points),
+    # a transform's field jets, and the metric it transforms to
+    "field_jets": lambda d: d.jets("legendre_field", d.points),
+    "gbar": lambda d: transform_metric(d.st, d.nat, *d.field_jets)[0],
 }
 
 # Each builds one of a walk's sequences from the walk's first point to ask
@@ -572,7 +583,9 @@ class _PointData:
 
     def __getattr__(self, name):
         if name in _BATCHED:
-            value = self.walk.batch(name).at(self.k)
+            value = self.walk.batch(name)
+            value = value.at(self.k) if isinstance(value, PointBatch) else \
+                tuple(a[self.k] for a in value)
         elif name in _SHARED:
             value = _SHARED[name](self)
         else:
@@ -586,11 +599,13 @@ class _PointData:
             self.sequences[name] = _SEQUENCES[name](self)
         return next(self.sequences[name])
 
-    def jets(self, key, points):
+    def jets(self, key, points, env=None):
         """This point's jets of the companion table `key`, which runs once
-        over `points`, one row per walk point, when first asked for."""
+        over `points`, one row per walk point, in `env` (by default the
+        spec's), when first asked for."""
         if key not in self.runs:
-            self.runs[key] = ej.eval_points(self.companion(key), points, self.env)
+            self.runs[key] = ej.eval_points(self.companion(key), points,
+                                            self.env if env is None else env)
         return self.runs[key].at(self.k)
 
     def flat_jets(self, key):
@@ -658,6 +673,20 @@ def _reconstructed_at(d):
             check_compat_product(nat, recon, d.tol), check_nabla_from_g(nat, recon, d.tol)]
 
 
+def _transform_exprs_at(d):
+    """The transformed metric against the expression-level one."""
+    gap = d.gbar - d.jets("transformed_g", d.points[:5])[0]
+    return float(np.max(np.abs(gap))) / (1 + float(np.max(np.abs(d.gbar)))), 0.0
+
+
+def _match_at(d):
+    """The transformed metric against the target's, up to one constant."""
+    gbar = d.gbar
+    g = d.jets("target_g", d.points, d.comp["target_env"])[0]
+    gap = gbar - fit_scalar(gbar, g) * g
+    return float(np.max(np.abs(gap))) / (1 + float(np.max(np.abs(g)))), 0.0
+
+
 _KILLING = "riemannian-f-killing"
 _BUNDLE = "flat-normal-bundle"
 
@@ -713,14 +742,24 @@ CHECKS = (
           fit="d", expected="d_pencil", batched=True),
     Check("flat-pencil", lambda b: flat_pencil_at(b.pa, errors=b.errors), "pencil", ("g2",),
           points="head", reduce=flat_pencil_report, batched=True),
-    Check("delta-identities", lambda d: delta_tensor_at(d.pa, d.tol)[1], "pencil", points="head"),
-    Check("r-operator", lambda d: r_operator_at(d.pa, max(d.tol, 1e-9))[1], "pencil",
-          points="head"),
+    Check("delta-identities", lambda d: delta_tensor_at(d.pa, d.weight, d.delta, d.tol)[1],
+          "pencil", points="head"),
+    Check("r-operator", lambda d: r_operator_at(d.pa, d.weight, d.counit, max(d.tol, 1e-9))[1],
+          "pencil", points="head"),
     Check("product-from-pencil", lambda d: d.pencil_product[2], "pencil", points="head"),
     Check("reconstructed-structure", _reconstructed_at, "pencil", points="head"),
     Check("flat-coordinates", lambda d: flat_coordinates_at(d.chart, d.conn, d.point),
           "flat-chart"),
     Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
+    # a transform's rows (`Transform`); "match" is reported as match-<target>
+    Check("legendre-field", lambda d: legendre_field_at(d.st, d.nat, *d.field_jets[:2]),
+          reduce=legendre_field_report),
+    Check("transform-exprs", _transform_exprs_at, points=5),
+    Check("match", _match_at, tol=lambda tol: max(tol, 1e-7)),
+    # the transform's theorems, which only their test-facing wrappers run
+    Check("transform-metric", lambda d: transform_metric_at(d.st, d.nat, *d.field_jets)),
+    Check("homogeneous-legendre", lambda d: homogeneous_legendre_at(d.st, d.nat, *d.field_jets),
+          reduce=homogeneous_legendre_report),
 )
 _BY_NAME = {check.name: check for check in CHECKS}
 
@@ -787,6 +826,7 @@ class SuiteResult:
     name: str
     reports: list
     expected_failures: frozenset
+    transformed: ManifoldSpec | None = None  # a transform's expression-level spec
 
     @property
     def ok(self) -> bool:
@@ -798,16 +838,58 @@ class SuiteResult:
                 "reports": [r.to_dict() for r in self.reports]}
 
 
+@dataclass
+class Transform:
+    """A Legendre transform as a source of the walk: `spec` through the
+    field `exprs`, named `name`, and, with a catalog entry `target`, the
+    match with its metric, whose parameters take the values in `params` of
+    the same name."""
+    spec: ManifoldSpec
+    exprs: tuple
+    name: str
+    target: str | None = None
+    params: dict = field(default_factory=dict)
+
+    def suite(self, points, tol: float) -> SuiteResult:
+        """The field's rows over all `points`, the expression-level metric
+        against the pointwise one over the first five and, with a target,
+        the match over all."""
+        comp = {"legendre_field": self.exprs}
+        checks = [_BY_NAME["legendre-field"], _BY_NAME["transform-exprs"]]
+        if self.target is not None:
+            tgt = entry(self.target).spec
+            tgt.params.update((k, v) for k, v in self.params.items() if k in tgt.params)
+            comp.update(target_g=required(tgt.g, f"metric in target {tgt.name}"),
+                        target_env=tgt.env())
+            checks.append(replace(_BY_NAME["match"], name=f"match-{self.target}"))
+        new = transform_metric_exprs(self.spec, self.exprs, name=f"{self.spec.name}-{self.name}")
+        comp["transformed_g"] = new.g
+        return SuiteResult(self.spec.name, _walk(self.spec, comp, checks, points, tol),
+                           frozenset(), transformed=new)
+
+
+def run_checks(spec: ManifoldSpec, comp: dict, names, points, tol: float = DEFAULT_TOL,
+               params=None) -> list:
+    """The reports of the checks `names`, in that order, from one walk over
+    `points` with the companion data `comp` and the spec's parameters
+    overridden by `params`."""
+    if params:
+        spec = replace(spec, params=spec.env(params))
+    return _walk(spec, comp, [_BY_NAME[name] for name in names], points, tol)
+
+
 def run_suite(source, seed: int = 0, count: int = 20, tol: float = DEFAULT_TOL,
               check: str | None = None) -> SuiteResult:
     """Sample `count` points at `seed` and walk them once (`_walk`) with the
-    checks of `source`: a catalog entry's, picked by its flags, or a bare
-    spec's (`SPEC_CHECKS`), picked by the fields it has; with `check`, only
-    that one of `SINGLE_CHECKS`."""
-    ent = source if isinstance(source, CatalogEntry) else None
-    spec = source if ent is None else ent.spec
-    comp = {} if ent is None else ent.companion
+    checks of `source`: a catalog entry's, picked by its flags, a bare
+    spec's (`SPEC_CHECKS`), picked by the fields it has, or a `Transform`'s;
+    with `check`, only that one of `SINGLE_CHECKS`."""
+    spec = source if isinstance(source, ManifoldSpec) else source.spec
     points = sample_points(spec, SamplePlan(seed=seed, count=count))
+    if isinstance(source, Transform):
+        return source.suite(points, tol)
+    ent = source if isinstance(source, CatalogEntry) else None
+    comp = {} if ent is None else ent.companion
     if check is not None:
         if check not in SINGLE_CHECKS:
             raise KeyError(check)

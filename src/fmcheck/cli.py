@@ -4,8 +4,11 @@ runs, and catalog access.
 Exit codes: 0 all requested checks pass, 1 a check fails (or a transform
 hypothesis is violated), 2 bad input (unparseable spec, unknown entry or
 check, a spec that lacks a field a check or a transform needs or leaves a
-parameter unbound, a sample point where the spec is singular, which
-`verify` names by index and coordinates, singular integration path).
+parameter unbound, a product table where a transform needs a named
+product, a sample point where the spec is singular, which `verify` and
+`legendre` name by index and coordinates, singular integration path).
+`--param K=V` sets a parameter of the spec; for `legendre`, also the
+target's parameter of the same name.
 
 Reports embed the tool version, seed, tolerances, parameter values and the
 branch convention, and are byte-deterministic for a fixed configuration.
@@ -22,11 +25,8 @@ import numpy as np
 
 from . import __version__, catalog
 from . import exprjet as ej
-from .legendre import (HypothesisViolatedError, NotInvertibleError, field_points,
-                       legendre_field_at, legendre_field_report, transform_metric,
-                       transform_metric_exprs)
-from .manifold import (ManifoldSpec, MissingFieldError, PointCountError, Report, SamplePlan,
-                       fit_scalar, required, sample_points, worst)
+from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
+from .manifold import ManifoldSpec, MissingFieldError, PointCountError
 from .ode3d import (OdeState3, SingularPathError, SingularPointError,
                     closed_form_pencil, closed_form_q0, integrals, integrate)
 
@@ -40,13 +40,29 @@ def _parse_scalar(text: str) -> complex:
         return complex(text.replace("i", "j"))
 
 
-def _load_spec(ref: str):
-    """Catalog name or path to a spec JSON file."""
-    if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            return ManifoldSpec.from_json(fh.read()), None
-    ent = catalog.entry(ref)
-    return ent.spec, ent
+def _load_spec(args):
+    """Load `args.spec`, a catalog entry's name or a spec JSON file, and
+    apply each `--param` override to it.  Returns (spec, entry or None,
+    overrides), or None once one line on stderr names the bad input."""
+    try:
+        overrides = {k: _parse_scalar(v) for k, v in (kv.split("=", 1) for kv in args.param)}
+        if os.path.exists(args.spec):
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                spec, ent = ManifoldSpec.from_json(fh.read()), None
+        else:
+            ent = catalog.entry(args.spec)
+            spec = ent.spec
+    except (catalog.UnknownEntryError, json.JSONDecodeError, KeyError, ValueError) as err:
+        sys.stderr.write(f"spec error: {err}\n")
+        return None
+    spec.params.update(overrides)
+    return spec, ent, overrides
+
+
+# errors out of a walk that are bad input (exit 2), or reject a transform (exit 1)
+_BAD_INPUT = (PointCountError, MissingFieldError, ProductTableError, catalog.UnknownEntryError,
+              catalog.SingularSampleError, ej.EvalError)
+_REJECTED = (NotInvertibleError, HypothesisViolatedError)
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None):
@@ -72,45 +88,47 @@ def _emit(doc: dict, fmt: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _doc(command: str, args, spec) -> dict:
-    """The report fields shared by `verify` and `legendre`."""
+def _report(command: str, args, spec, suite, **fields) -> int:
+    """Emit the report of a `verify` or `legendre` walk, with the command's
+    own `fields`, and return its exit code."""
     params = {k: [complex(v).real, complex(v).imag] for k, v in sorted(spec.params.items())}
-    return {"command": command, "version": __version__, "seed": args.seed,
-            "tolerances": {"rtol": args.rtol}, "branch_convention": BRANCH_NOTE, "params": params}
+    _emit({"command": command, "version": __version__, "seed": args.seed,
+           "tolerances": {"rtol": args.rtol}, "branch_convention": BRANCH_NOTE, "params": params,
+           **fields, "reports": [r.to_dict() for r in suite.reports], "ok": suite.ok},
+          args.format, args.output)
+    return 0 if suite.ok else 1
 
 
-def _parse_error(err: ej.ParseError) -> str:
-    return f"spec error: cannot parse {err.source!r}: {err}\n"
+def _run_suite(args, source, check=None):
+    """The command's one walk, `catalog.run_suite` on `source`; for an
+    error it raises, one line on stderr and its exit code instead."""
+    try:
+        return catalog.run_suite(source, seed=args.seed, count=args.points, tol=args.rtol,
+                                 check=check)
+    except KeyError as err:
+        sys.stderr.write(f"unknown check: {err}\n")
+    except ej.ParseError as err:
+        sys.stderr.write(f"spec error: cannot parse {err.source!r}: {err}\n")
+    except _BAD_INPUT as err:
+        sys.stderr.write(f"input error: {err}\n")
+    except _REJECTED as err:
+        sys.stderr.write(f"transform rejected: {err}\n")
+        return 1
+    return 2
 
 
 def cmd_verify(args) -> int:
-    try:
-        spec, ent = _load_spec(args.spec)
-    except (catalog.UnknownEntryError, json.JSONDecodeError, KeyError, ValueError) as err:
-        sys.stderr.write(f"spec error: {err}\n")
+    loaded = _load_spec(args)
+    if loaded is None:
         return 2
-    overrides = {k: _parse_scalar(v) for k, v in (kv.split("=", 1) for kv in args.param)}
-    spec.params.update(overrides)
-    doc = {**_doc("verify", args, spec), "target": spec.name}
-    try:
-        suite = catalog.run_suite(spec if ent is None else ent, seed=args.seed, count=args.points,
-                                  tol=args.rtol, check=args.check)
-    except KeyError as err:
-        sys.stderr.write(f"unknown check: {err}\n")
-        return 2
-    except ej.ParseError as err:
-        sys.stderr.write(_parse_error(err))
-        return 2
-    except (PointCountError, MissingFieldError, catalog.SingularSampleError,
-            ej.UnboundParameterError, ej.UnboundVariableError) as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return 2
+    spec, ent, _ = loaded
+    suite = _run_suite(args, spec if ent is None else ent, args.check)
+    if isinstance(suite, int):
+        return suite
     if ent is not None and args.check is None:
-        doc["expected_failures"] = sorted(suite.expected_failures)
-    doc["reports"] = [r.to_dict() for r in suite.reports]
-    doc["ok"] = suite.ok
-    _emit(doc, args.format, args.output)
-    return 0 if suite.ok else 1
+        return _report("verify", args, spec, suite, target=spec.name,
+                       expected_failures=sorted(suite.expected_failures))
+    return _report("verify", args, spec, suite, target=spec.name)
 
 
 def cmd_ode(args) -> int:
@@ -166,11 +184,10 @@ def cmd_ode(args) -> int:
 
 
 def cmd_legendre(args) -> int:
-    try:
-        spec, ent = _load_spec(args.spec)
-    except (catalog.UnknownEntryError, json.JSONDecodeError, KeyError, ValueError) as err:
-        sys.stderr.write(f"spec error: {err}\n")
+    loaded = _load_spec(args)
+    if loaded is None:
         return 2
+    spec, ent, overrides = loaded
     if "," in args.field:
         field_exprs = tuple(args.field.split(","))
         field_name = "custom"
@@ -183,56 +200,12 @@ def cmd_legendre(args) -> int:
             return 2
         field_exprs = ent.companion["legendre_fields"][args.field]
         field_name = args.field
-    field_res, exprs_res, match_res = [], [], []
-    try:
-        points = sample_points(spec, SamplePlan(seed=args.seed, count=args.points))
-        tgt = catalog.entry(args.target).spec if args.target else None
-        if tgt is not None:
-            required(tgt.g, f"metric in target {tgt.name}")
-        new_spec = transform_metric_exprs(spec, field_exprs, name=f"{spec.name}-{field_name}")
-        # the expression-level metric (first 5 points) and the target metric,
-        # each run once over its points when first needed
-        exprs_jets = target_jets = None
-        for k, (st, nat, x, dx, ddx) in enumerate(field_points(spec, field_exprs, points)):
-            field_res.append(legendre_field_at(st, nat, x, dx))
-            if k >= 5 and tgt is None:
-                continue
-            gbar, _, _ = transform_metric(st, nat, x, dx, ddx)
-            if k < 5:
-                # cross-check the expression-level metric against the pointwise transform
-                if exprs_jets is None:
-                    exprs_jets = ej.eval_points(new_spec.g, points[:5], new_spec.env())
-                g_exprs = exprs_jets.at(k)[0]
-                exprs_res.append(float(np.max(np.abs(gbar - g_exprs)))
-                                 / (1 + float(np.max(np.abs(gbar)))))
-            if tgt is not None:
-                if target_jets is None:
-                    target_jets = ej.eval_points(tgt.g, points, tgt.env())
-                g_tgt = target_jets.at(k)[0]
-                s = fit_scalar(gbar, g_tgt)
-                match_res.append(float(np.max(np.abs(gbar - s * g_tgt)))
-                                 / (1 + float(np.max(np.abs(g_tgt)))))
-    except ej.ParseError as err:
-        sys.stderr.write(_parse_error(err))
-        return 2
-    except (PointCountError, MissingFieldError, catalog.UnknownEntryError, ej.EvalError) as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return 2
-    except (NotInvertibleError, HypothesisViolatedError) as err:
-        sys.stderr.write(f"transform rejected: {err}\n")
-        return 1
-    reports = [legendre_field_report(field_res, args.rtol),
-               Report.from_residual("transform-exprs", worst(exprs_res), args.rtol,
-                                    npoints=len(exprs_res))]
-    if tgt is not None:
-        reports.append(Report.from_residual(f"match-{args.target}", worst(match_res),
-                                            max(args.rtol, 1e-7), npoints=len(match_res)))
-    ok = all(r.passed for r in reports)
-    doc = {**_doc("legendre", args, spec), "field": field_name,
-           "transformed_spec": new_spec.to_dict(), "reports": [r.to_dict() for r in reports],
-           "ok": ok}
-    _emit(doc, args.format, args.output)
-    return 0 if ok else 1
+    suite = _run_suite(args, catalog.Transform(spec, field_exprs, field_name, args.target,
+                                               overrides))
+    if isinstance(suite, int):
+        return suite
+    return _report("legendre", args, spec, suite, field=field_name,
+                   transformed_spec=suite.transformed.to_dict())
 
 
 def cmd_catalog(args) -> int:

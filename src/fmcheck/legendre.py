@@ -18,12 +18,12 @@ from .connection import (ConnectionAt, check_compat_product, checked_inverse,
 from .hamops import sym_condition_at
 from .manifold import (ManifoldSpec, Report, StructureAt, fit_scalar,
                        lie_metric, normalized, point_report, product_jets, required, structure_at,
-                       structures, worst)
+                       worst)
 from .rotation import rk4_path, rk4_stage_times
 from .tensor import SingularMatrixError, lie_from_components
 
 __all__ = [
-    "NotInvertibleError", "HypothesisViolatedError",
+    "NotInvertibleError", "HypothesisViolatedError", "ProductTableError",
     "check_legendre_field", "transform_connection", "transform_connection_report",
     "transform_metric", "transform_metric_report",
     "transformed_structure", "flat_field_ode", "check_homogeneous_legendre",
@@ -41,6 +41,10 @@ class NotInvertibleError(Exception):
 
 class HypothesisViolatedError(Exception):
     pass
+
+
+class ProductTableError(ValueError):
+    """The expression-level transform needs a product given by name."""
 
 
 def _mult_operator(st: StructureAt, x, dx, ddx=None):
@@ -76,33 +80,23 @@ def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx):
     return res, sc, abs(np.linalg.det(w))
 
 
-def legendre_field_report(per_point, tol: float) -> Report:
-    return point_report("legendre-field", per_point, tol,
+def legendre_field_report(name: str, per_point, tol: float) -> Report:
+    return point_report(name, per_point, tol,
                         details={"min_abs_det": float(min(d for _, _, d in per_point))})
 
 
-def field_points(spec, field_exprs, points, params=None):
-    """Structure, natural connection and field jets, point by point.  The
-    structure and its natural connection are built once over all the
-    points, and the field table runs once over them after the first
-    point's structure and connection; a point where one is singular raises
-    when it is reached."""
-    st = structures(spec, points, params)
-    nat = natural_connection(st)
-    fields = None
-    for k in range(len(points)):
-        data = (st.at(k), nat.at(k))
-        if fields is None:
-            fields = ej.eval_points(field_exprs, points, spec.env(params))
-        yield data + fields.at(k)
+def _row(name: str, spec: ManifoldSpec, field_exprs, points, tol: float, params) -> Report:
+    """The report of the walk's row `name` for the transform by
+    `field_exprs` over `points`."""
+    from .catalog import run_checks  # the check table imports this module
+    return run_checks(spec, {"legendre_field": field_exprs}, [name], points, tol, params)[0]
 
 
 def check_legendre_field(spec: ManifoldSpec, field_exprs, points,
                          tol: float = DEFAULT_TOL, params=None) -> Report:
     """Symmetry of the product-twisted covariant derivative of the field,
     plus product invertibility, with the structure connection."""
-    return legendre_field_report([legendre_field_at(st, nat, x, dx) for st, nat, x, dx, _
-                                  in field_points(spec, field_exprs, points, params)], tol)
+    return _row("legendre-field", spec, field_exprs, points, tol, params)
 
 
 def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx) -> ConnectionAt:
@@ -198,9 +192,7 @@ def transform_metric_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx):
 
 def transform_metric_report(spec: ManifoldSpec, field_exprs, points,
                             tol: float = DEFAULT_TOL, params=None) -> Report:
-    return point_report("transform-metric",
-                        [transform_metric_at(*data)
-                         for data in field_points(spec, field_exprs, points, params)], tol)
+    return _row("transform-metric", spec, field_exprs, points, tol, params)
 
 
 def flat_field_ode(gamma_provider: Callable, x0, path, steps_per_segment: int = 200,
@@ -262,17 +254,19 @@ def homogeneous_legendre_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx):
     return raw, sc, dbar, D, Dbar
 
 
+def homogeneous_legendre_report(name: str, per_point, tol: float) -> Report:
+    Ds, Dbars = [D for *_, D, _ in per_point], [Dbar for *_, Dbar in per_point]
+    D_m = sum(Ds) / len(Ds)
+    Db_m = sum(Dbars) / len(Dbars)
+    return point_report(name, per_point, tol, fit="dbar",
+                        details={"D_fit": [D_m.real, D_m.imag], "Dbar_fit": [Db_m.real, Db_m.imag]})
+
+
 def check_homogeneous_legendre(spec: ManifoldSpec, field_exprs, points,
                                tol: float = DEFAULT_TOL, params=None) -> Report:
     """Fit the Euler weight of the field and check that the transformed
     metric's homogeneity exponent shifts by twice the weight plus two."""
-    per_point = [homogeneous_legendre_at(*data)
-                 for data in field_points(spec, field_exprs, points, params)]
-    Ds, Dbars = [D for *_, D, _ in per_point], [Dbar for *_, Dbar in per_point]
-    D_m = sum(Ds) / len(Ds)
-    Db_m = sum(Dbars) / len(Dbars)
-    return point_report("homogeneous-legendre", per_point, tol, fit="dbar",
-                        details={"D_fit": [D_m.real, D_m.imag], "Dbar_fit": [Db_m.real, Db_m.imag]})
+    return _row("homogeneous-legendre", spec, field_exprs, points, tol, params)
 
 
 def transform_metric_exprs(spec: ManifoldSpec, field_exprs, name: str | None = None) -> ManifoldSpec:
@@ -280,7 +274,7 @@ def transform_metric_exprs(spec: ManifoldSpec, field_exprs, name: str | None = N
     as an AST so the result is an ordinary spec (constant structure
     constants only, which covers the canonical and shifted products)."""
     if not isinstance(spec.product, str):
-        raise ValueError("expression-level transform needs a constant product table")
+        raise ProductTableError("expression-level transform needs a constant product table")
     n = spec.n
     c, _, _ = product_jets(spec.product, n, (), {})
     xs = [ej.parse(src) for src in field_exprs]

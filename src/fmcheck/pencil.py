@@ -25,7 +25,7 @@ from .tensor import SingularMatrixError, lie_from_components
 
 __all__ = [
     "PencilAt", "MissingSecondMetricError", "pencil_at", "pencil_from_structure",
-    "pencil_first_order", "pencil_second_order",
+    "pencil_first_order", "pencil_second_order", "pencil_weight", "delta_jets",
     "check_flat_pencil", "check_exactness", "check_pencil_homogeneity",
     "delta_tensor", "r_operator", "product_from_pencil",
     "reconstructed_structure", "semisimple_pencil_from_f",
@@ -207,7 +207,7 @@ def check_exactness(spec, points, tol: float = DEFAULT_TOL, params=None) -> Repo
                         exactness_at(_pencil_batch(spec, points, params, False)), tol)
 
 
-def _pencil_weight(pa: PencilAt, rank=None):
+def pencil_weight(pa: PencilAt, rank=None):
     """The pencil weight d fitted from L_E g2 = (d-1) g2, with L_E g2."""
     lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), pa.E, pa.dE)
     return fit_scalar(lie_g2, pa.g_inv, rank=rank) + 1.0, lie_g2
@@ -216,7 +216,7 @@ def _pencil_weight(pa: PencilAt, rank=None):
 def pencil_homogeneity_at(pa: PencilAt):
     """Fit the pencil weight d from L_E g2 = (d-1) g2 (contravariant) and
     cross-check L_E g1 = (d-2) g1.  Returns (residual, scale, d)."""
-    d, lie_g2 = _pencil_weight(pa, rank=2)
+    d, lie_g2 = pencil_weight(pa, rank=2)
     lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), pa.E, pa.dE)
     sc = pmax(amax(pa.g_inv, 2), amax(pa.eta_inv, 2))
     dd = d[..., None, None]
@@ -230,7 +230,7 @@ def check_pencil_homogeneity(spec, points, tol: float = DEFAULT_TOL, params=None
                         tol, fit="d", expected=spec.expected.get("d_pencil"))
 
 
-def _delta_jets(pa: PencilAt):
+def delta_jets(pa: PencilAt):
     """Delta[j,k,m] = L^s_m eta^jt (Gamma1^k_st - Gamma2^k_st), with first
     derivatives."""
     dg = pa.gamma1 - pa.gamma2
@@ -245,16 +245,16 @@ def _delta_jets(pa: PencilAt):
 def delta_tensor(spec, point, params=None, tol: float = DEFAULT_TOL):
     """The connection-difference tensor and its four structural identities
     (two metric symmetries, commutation, Euler homogeneity of weight d-1)."""
-    return delta_tensor_at(pencil_at(spec, point, params), tol)
+    pa = pencil_at(spec, point, params)
+    return delta_tensor_at(pa, pencil_weight(pa)[0], delta_jets(pa), tol)
 
 
-def delta_tensor_at(pa: PencilAt, tol: float = DEFAULT_TOL):
+def delta_tensor_at(pa: PencilAt, d, jets, tol: float = DEFAULT_TOL):
     st = pa.st
-    delta, ddelta = _delta_jets(pa)
+    delta, ddelta = jets
     sym_eta = np.einsum("is,jks->ijk", pa.eta_inv, delta) - np.einsum("js,iks->ijk", pa.eta_inv, delta)
     sym_g = np.einsum("is,jks->ijk", pa.g_inv, delta) - np.einsum("js,iks->ijk", pa.g_inv, delta)
     comm = np.einsum("ijs,skl->ijkl", delta, delta) - np.einsum("iks,sjl->ijkl", delta, delta)
-    d, _ = _pencil_weight(pa)
     lie_delta = lie_from_components(delta, ddelta, ("u", "u", "d"), pa.E, pa.dE)
     hom = lie_delta - (d - 1) * delta
     sc = max(float(np.max(np.abs(delta))), 1.0)
@@ -300,17 +300,17 @@ def r_operator(spec, point, params=None, tol: float = DEFAULT_TOL):
     """The operator measuring the difference of the two Levi-Civita
     derivatives of the Euler field, computed two ways, plus the diagonal
     closed form where applicable."""
-    return r_operator_at(pencil_at(spec, point, params), tol)
+    pa = pencil_at(spec, point, params)
+    return r_operator_at(pa, pencil_weight(pa)[0], counit_jets(pa.st), tol)
 
 
-def r_operator_at(pa: PencilAt, tol: float = DEFAULT_TOL):
+def r_operator_at(pa: PencilAt, d, counit, tol: float = DEFAULT_TOL):
     st = pa.st
     dgm = pa.gamma1 - pa.gamma2
     r1 = np.einsum("msl,l->ms", dgm, pa.E)
     # second route: (d-1)/2 Id + nabla1 E + 1/2 g^is dtheta_sj with theta = eta.e
-    d, _ = _pencil_weight(pa)
     nab1E = pa.dE + np.einsum("ijl,l->ij", pa.gamma1, pa.E)
-    _, _, dtheta, _ = counit_jets(st)
+    _, _, dtheta, _ = counit
     r2 = (d - 1) / 2 * np.eye(pa.n) + nab1E + 0.5 * np.einsum("is,sj->ij", pa.g_inv, dtheta)
     sc = max(float(np.max(np.abs(r1))), 1.0)
     res = normalized(np.max(np.abs(r1 - r2)), sc)
@@ -337,10 +337,11 @@ def product_from_pencil(spec, point, params=None, tol: float = DEFAULT_TOL):
     report).  The report covers both construction routes, commutativity,
     associativity, the unit, invariance of the first metric, Euler
     homogeneity of the product, and the multiplication-by-E identity."""
-    return product_from_pencil_at(pencil_at(spec, point, params), tol)
+    pa = pencil_at(spec, point, params)
+    return product_from_pencil_at(pa, delta_jets(pa)[0], tol)
 
 
-def product_from_pencil_at(pa: PencilAt, tol: float = DEFAULT_TOL):
+def product_from_pencil_at(pa: PencilAt, delta, tol: float = DEFAULT_TOL):
     st = pa.st
     dgm = pa.gamma1 - pa.gamma2
     ddgm = pa.dgamma1 - pa.dgamma2
@@ -356,7 +357,6 @@ def product_from_pencil_at(pa: PencilAt, tol: float = DEFAULT_TOL):
         dc = (np.einsum("shp,lsk,jl->jhkp", pa.dL, dgm, r_inv)
               + np.einsum("sh,lskp,jl->jhkp", pa.L, ddgm, r_inv)
               + np.einsum("sh,lsk,jlp->jhkp", pa.L, dgm, dr_inv))
-        delta, _ = _delta_jets(pa)
         c_alt = np.einsum("mlh,mk,jl->jhk", delta, st.g, r_inv)
         sc = max(float(np.max(np.abs(c))), 1.0)
         res_routes = normalized(np.max(np.abs(c - c_alt)), sc)
@@ -406,7 +406,7 @@ def reconstructed_structure(spec, point, params=None) -> StructureAt:
     first metric and the computed Euler field, ready for the full
     homogeneous structure suite."""
     pa = pencil_at(spec, point, params)
-    c, dc, _ = product_from_pencil_at(pa)
+    c, dc, _ = product_from_pencil_at(pa, delta_jets(pa)[0])
     return reconstructed_at(pa, c, dc)
 
 

@@ -109,11 +109,12 @@ def test_every_flag_picks_a_check():
 def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     # record the points of every structure batch, pencil batch (first and
     # second order) and rotation data built, every matrix inverted, every
-    # metric given Christoffel jets, and every run of an expression table
-    # with the points it runs over, binding the recorders wherever fmcheck
-    # holds the function
+    # metric given Christoffel jets, every transformed metric, and every run
+    # of an expression table with the points it runs over, binding the
+    # recorders wherever fmcheck holds the function
     import sys
     from fmcheck import exprjet as ej
+    from fmcheck.legendre import transform_metric_exprs
     built, runs, inverted, christoffel = {}, [], [], []
 
     def points_of(batch):
@@ -145,6 +146,12 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             return fn(g, *args, **kwargs)
         return recording
 
+    def transformed_at(fn):
+        def recording(st, *args, **kwargs):
+            built["transformed"].append(tuple(np.asarray(st.point, dtype=complex)))
+            return fn(st, *args, **kwargs)
+        return recording
+
     def table_run(fn):
         def recording(table, points, params=None):
             runs.append((repr(table), [tuple(p) for p in np.asarray(points, dtype=complex)]))
@@ -157,6 +164,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                ("pencil", "pencil_second_order"): lambda fn: returned("pencil2", fn),
                ("connection", "checked_inverse"): inverse,
                ("connection", "christoffel_jets"): christoffel_of,
+               ("legendre", "transform_metric"): transformed_at,
                ("exprjet", "eval_points"): table_run}
     for (mod, fn), wrap in targets.items():
         orig = getattr(sys.modules[f"fmcheck.{mod}"], fn)
@@ -235,3 +243,32 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                     assert built["pencil"] == [pts] and built["pencil2"] == [head], argv
                 check_inverses(metrics, argv)
                 check_runs(ent.spec, pts, chart_values, argv)
+
+    # `legendre`: one structure batch over the sample points, the field's
+    # and the target metric's tables once over them, the expression-level
+    # metric's once over the first five, and one transformed metric at each
+    # point a row reads it
+    ent = cat.entry("q0-d-minus1")
+    pts = [tuple(np.asarray(p, dtype=complex))
+           for p in sample_points(ent.spec, SamplePlan(seed=0, count=10))]
+    st = manifold.structures(ent.spec, pts)
+    for field, target in (("X2", "q0-d0"), ("X3", "q0-d1"), ("e", None)):
+        argv = ["legendre", "q0-d-minus1", "--field", field, "--points", "10", "--seed", "0"]
+        argv += ["--target", target] if target else []
+        for key in ("structure", "transformed"):
+            built[key] = []
+        runs.clear()
+        inverted.clear()
+        christoffel.clear()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) == 0, argv
+        assert built["structure"] == [pts], argv
+        assert built["transformed"] == (pts if target else pts[:5]), argv
+        check_inverses([st.g], argv)
+        exprs = ent.companion["legendre_fields"][field]
+        want = [(repr(t), pts) for t in (ent.spec.e, ent.spec.E, ent.spec.g, exprs)]
+        want.append((repr(transform_metric_exprs(ent.spec, exprs).g), pts[:5]))
+        if target:
+            want.append((repr(cat.entry(target).spec.g), pts))
+        got = [run for run in runs if run[0] != repr(ent.spec.region.guards)]
+        assert sorted(map(repr, got)) == sorted(map(repr, want)), argv

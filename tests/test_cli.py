@@ -118,6 +118,16 @@ def test_legendre_wrong_target_fails():
     assert code == 1
 
 
+def test_legendre_param_applies_to_source_and_target():
+    # the override reaches the target's parameter of the same name, so the
+    # transform still lands on it
+    code, out, _ = run_cli(["legendre", "q0-d-minus1", "--field", "X3", "--target", "q0-d1",
+                            "--param", "b=0.7"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] and doc["params"]["b"] == [0.7, 0.0]
+
+
 def test_legendre_rejects_nonflat_custom_field():
     code, _, err = run_cli(["legendre", "q0-d-minus1", "--field", "u1,u2,u3",
                             "--points", "4"])
@@ -161,7 +171,10 @@ def test_golden_report_fixtures(tmp_path):
                         ["verify", str(spec_path), "--points", "8", "--seed", "0"]),
                        ("q0d0_natural_flat_verify.json",
                         ["verify", "q0-d0", "--check", "natural-flat", "--points", "6",
-                         "--seed", "0"])):
+                         "--seed", "0"]),
+                       ("q0dm1_X3_legendre.json",
+                        ["legendre", "q0-d-minus1", "--field", "X3", "--target", "q0-d1",
+                         "--points", "8", "--seed", "0"])):
         golden = json.loads((golden_dir / name).read_text())
         code, out, _ = run_cli(args)
         assert code == 0
@@ -198,6 +211,10 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
     paths = {}
     from fmcheck.manifold import SamplePlan, sample_points
     samples = sample_points(cat.entry("lobachevsky").spec, SamplePlan(seed=0, count=4))
+    # a product given as a table, which the expression-level transform cannot take
+    paths["table"] = tmp_path / "table.json"
+    paths["table"].write_text(json.dumps(
+        {**doc, "product": {"table": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]}}))
     for name, g in (("unbound", [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]),
                     ("divzero", [["1/(x-x)", "0"], ["0", "2/(x-y)^2"]]),
                     ("zero", [["0", "0"], ["0", "0"]]),
@@ -228,10 +245,18 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["legendre", "case-i", "--field", "1,0"], "metric"),
                        (["legendre", "lobachevsky", "--field", "1,1", "--target", "case-i"],
                         "metric"),
-                       (["legendre", str(paths["unbound"]), "--field", "1,1"], "unbound")):
+                       (["legendre", str(paths["unbound"]), "--field", "1,1"], "unbound"),
+                       (["legendre", str(paths["table"]), "--field", "1,1"],
+                        "constant product table"),
+                       (["legendre", str(paths["zero"]), "--field", "1,1"], singular(0)),
+                       (["legendre", str(paths["divzero"]), "--field", "1,1"], singular(0))):
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and want in err, (argv, err)
+    # sample 0's transform hypothesis fails before sample 3 is reached
+    for name in ("third", "singular-third"):
+        code, out, err = run_cli(["legendre", str(paths[name]), "--field", "1,1"])
+        assert code == 1 and out == "" and err.startswith("transform rejected: "), (name, err)
 
 
 def test_verify_has_no_atol_option():

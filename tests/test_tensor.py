@@ -6,7 +6,7 @@ import fmcheck.catalog as cat
 from fmcheck.connection import inverse_jets
 from fmcheck.exprjet import eval_jet, eval_table, parse
 from fmcheck.manifold import SamplePlan, sample_points, structure_at
-from fmcheck.pencil import pencil_at, _delta_jets
+from fmcheck.pencil import delta_jets, pencil_at
 from fmcheck.tensor import (SingularMatrixError, charpoly_coefficients,
                             cluster_values, eigenvalues, lie_from_components)
 
@@ -42,7 +42,7 @@ def test_contract_variance_mismatch():
 def test_delta_commutation_on_pencil():
     spec = cat.entry("af-pencil-n3").spec
     p = np.array([-2.0, -0.5, 3.0])
-    delta, _ = _delta_jets(pencil_at(spec, p))
+    delta, _ = delta_jets(pencil_at(spec, p))
     prod = np.tensordot(delta, delta, axes=(2, 0))  # [j,k,l,m] = Delta^jk_s Delta^sl_m
     # swapping the two inner upper slots leaves the double contraction fixed
     assert np.max(np.abs(prod - prod.transpose(0, 2, 1, 3))) < 1e-9
