@@ -25,15 +25,16 @@ from .connection import (ConnectionAt, InverseJets, check_compat_product, check_
                          dual_structure, flatness_at, levi_civita, metric_inverse, nabla_e_at,
                          nabla_from_g_at, nabla_nabla_E_at, natural_from_levi_civita,
                          r_tr_identity_at, torsion_at)
-from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at,
-                     gmc_report, quadratic_expansion_at, rank_of, sym_condition_at)
+from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at, gmc_report,
+                     quadratic_expansion_at, rank_of, spanning_fields, sym_condition_at)
 from .legendre import (homogeneous_legendre_at, homogeneous_legendre_report, legendre_field_at,
-                       legendre_field_report, transform_metric, transform_metric_at,
-                       transform_metric_exprs)
-from .manifold import (AllEntriesZeroError, ManifoldSpec, PointBatch, Region, Report,
-                       SamplePlan, amax, fit_scalar, hertling_manin_at, homogeneity_at,
-                       killing_unit_at, metric_invariance_at, normalized, per_point, point_report,
-                       product_axioms_at, required, sample_points, structures, worst)
+                       legendre_field_report, transform_metric_at, transform_metric_exprs,
+                       transformed_metric)
+from .manifold import (AllEntriesZeroError, Jets, ManifoldSpec, PointBatch, Region, Report,
+                       SamplePlan, amax, fail_at, fit_scalar, hertling_manin_at, homogeneity_at,
+                       killing_unit_at, metric_invariance_at, normalized, per_point, pmax,
+                       point_report, product_axioms_at, required, sample_points, structures,
+                       table_jets, worst)
 from .ode3d import beta_from_F, closed_form_pencil, closed_form_q0, integrals, z_of_point
 from .pencil import (delta_jets, delta_tensor_at, exactness_at, flat_pencil_at,
                      flat_pencil_report, pencil_first_order, pencil_homogeneity_at,
@@ -41,7 +42,7 @@ from .pencil import (delta_jets, delta_tensor_at, exactness_at, flat_pencil_at,
                      reconstructed_at)
 from .rotation import (RotationData, ZeroLameError, algebraic_constraints_at, darboux_at,
                        flatness_constraint_at, lame_system_at, potentiality_at,
-                       reduction_identity_at, rotation_data_along, v_matrix)
+                       reduction_identity_at, rotations, v_matrix)
 from .tensor import SingularMatrixError, cluster_values
 
 __all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Transform",
@@ -385,37 +386,38 @@ def entry(name: str) -> CatalogEntry:
 # chart-companion verification
 
 
-def flat_coordinates_at(chart, conn: ConnectionAt, point):
+def _chart_inverse(jac, errors):
+    """The inverse of the flat chart's jacobian `jac`; where it is singular
+    it raises JacobianSingularError, or records it in `errors`."""
+    n = jac.shape[-1]
+    singular = np.abs(np.linalg.det(jac)) <= 1e-12 * (1 + amax(jac, 2)) ** n
+    fail_at(errors, singular, lambda k: JacobianSingularError("chart jacobian is singular"))
+    return np.linalg.inv(np.where(singular[..., None, None], np.eye(n), jac))
+
+
+def flat_coordinates_at(chart: Jets, conn: ConnectionAt, errors=None):
     """Push `conn` to the companion chart, given by its jets `chart`, and
     require the transformed Christoffel symbols to vanish."""
-    _, jac, hess = chart
-    det = complex(np.linalg.det(jac))
-    if abs(det) <= 1e-12 * (1 + float(np.max(np.abs(jac)))) ** len(point):
-        raise JacobianSingularError(f"chart jacobian singular at {point}")
-    jinv = np.linalg.inv(jac)
-    pushed = (np.einsum("ai,ijk,jb,kc->abc", jac, conn.gamma, jinv, jinv)
-              - np.einsum("ajk,jb,kc->abc", hess, jinv, jinv))
-    sc = max(float(np.max(np.abs(conn.gamma))), float(np.max(np.abs(hess))), 1.0)
-    return normalized(np.max(np.abs(pushed)), sc), sc
+    jinv = _chart_inverse(chart.grad, errors)
+    pushed = (np.einsum("...ai,...ijk,...jb,...kc->...abc", chart.grad, conn.gamma, jinv, jinv)
+              - np.einsum("...ajk,...jb,...kc->...abc", chart.hess, jinv, jinv))
+    sc = pmax(amax(conn.gamma, 3), amax(chart.hess, 3), 1.0)
+    return normalized(amax(pushed, 3), sc), sc
 
 
-def vector_potential_at(d):
+def vector_potential_at(b):
     """In the flat chart, the pushed product must be the chart Hessian of
     the potential components, and the pushed unit/Euler fields must match
-    their printed components (`d`: the point's `_PointData`)."""
-    _, jac, _ = d.chart
-    st = d.st
-    jinv = np.linalg.inv(jac)
-    pushed_c = np.einsum("ai,ijk,jb,kc->abc", jac, st.c, jinv, jinv)
-    _, _, potential_hess = d.flat_jets("potentials")
-    terms = [float(np.max(np.abs(pushed_c - potential_hess)))]
-    e_flat = d.flat_jets("flat_e")[0]
-    terms.append(float(np.max(np.abs(jac @ st.e - e_flat))))
-    if "flat_E" in d.comp and st.E is not None:
-        E_flat = d.flat_jets("flat_E")[0]
-        terms.append(float(np.max(np.abs(jac @ st.E - E_flat))))
-    sc = max(float(np.max(np.abs(pushed_c))), 1.0)
-    return normalized(worst(terms), sc), sc
+    their printed components (`b`: a row's `_RowData`)."""
+    jac, st = b.chart.grad, b.st
+    jinv = _chart_inverse(jac, b.errors)
+    pushed_c = np.einsum("...ai,...ijk,...jb,...kc->...abc", jac, st.c, jinv, jinv)
+    terms = [amax(pushed_c - b.potentials.hess, 3),
+             amax((jac @ st.e[..., None])[..., 0] - b.flat_e.val, 1)]
+    if "flat_E" in b.comp and st.E is not None:
+        terms.append(amax((jac @ st.E[..., None])[..., 0] - b.flat_E.val, 1))
+    sc = pmax(amax(pushed_c, 3), 1.0)
+    return normalized(pmax(*terms), sc), sc
 
 
 def verify_flat_coordinates(ent: CatalogEntry, points, tol: float = DEFAULT_TOL) -> Report:
@@ -476,6 +478,15 @@ def _v_eigenvalue_gap(rd: RotationData, want) -> float:
     return float(np.max(np.abs(np.array(clustered) - np.array(sorted(want), dtype=complex))))
 
 
+def _transformed(w) -> Jets:
+    """A transform's metric over the points its rows read: all with a
+    target (the match), else the first five (transform-exprs)."""
+    count = len(w.points) if "target_g" in w.comp else 5
+    st, nat, x = (w.batch(name).head(count) for name in ("st", "nat", "field_jets"))
+    errors = [a if a is not None else b for a, b in zip(nat.errors, x.errors)]
+    return Jets(transformed_metric(st, nat, x.val, x.grad, errors=errors), errors=errors)
+
+
 # The data a walk builds once, as batches over its points, each from the
 # walk's other data when a row first asks for it.  The pencil's
 # second-order data ("pa") are built over the head points only, which are
@@ -491,50 +502,48 @@ _BATCHED = {
                                               w.batch("counit")),
     "printed": lambda w: connections_from_exprs(w.companion("gamma"), w.points, w.env),
     "printed_star": lambda w: connections_from_exprs(w.companion("gamma_star"), w.points, w.env),
+    # the structure connection, from its closed-form table where there is one
+    "conn": lambda w: w.batch("printed" if "gamma" in w.comp else "nat"),
+    "dual": lambda w: dual_structure(w.batch("st"), w.batch("nat")),
+    "rd": lambda w: rotations(w.spec, w.points, lame_exprs=w.comp.get("lame")),
+    "fields": lambda w: spanning_fields(w.companion("normal_bundle"), w.points, w.spec.n),
     "pencil": lambda w: pencil_first_order(w.batch("st"), w.batch("ginv")),
     "pa": lambda w: pencil_second_order(
         w.batch("pencil").head(w.head), w.data["lc"].head(w.head) if "lc" in w.data else None),
+    # the flat chart, and the potential's tables at its values
+    "chart": lambda w: w.table("flat_chart"),
+    **{key: (lambda w, key=key: w.table(key, w.batch("chart").val))
+       for key in ("potentials", "flat_e", "flat_E")},
+    # a transform's field jets, expression-level metric and target metric
+    "field_jets": lambda w: w.table("legendre_field"),
+    "transformed_g": lambda w: w.table("transformed_g", w.points[:5]),
+    "target_g": lambda w: w.table("target_g", env=w.comp["target_env"]),
+    "gbar": _transformed,
 }
 
-# The data a sample point's per-point rows share, by name: each entry is
-# built from the point's other data on first use (see `_PointData`).  The
-# sequences of `_SEQUENCES` yield one point's data per point, in order.
+
+# The data a sample point's per-point rows share, each built from the
+# point's other data on first use (see `_PointData`): the pencil weight d
+# and the difference tensor's jets at a head point, which delta-identities,
+# r-operator and product-from-pencil share.
 _SHARED = {
-    # the structure connection, from its closed-form table where there is one
-    "conn": lambda d: d.printed if "gamma" in d.comp else d.nat,
-    "dual": lambda d: dual_structure(d.st, d.nat, d.tol),
-    "rd": lambda d: d.next("rd"),
-    # the pencil weight d and the difference tensor's jets at a head point,
-    # which delta-identities, r-operator and product-from-pencil share
     "weight": lambda d: pencil_weight(d.pa)[0],
     "delta": lambda d: delta_jets(d.pa),
     "pencil_product": lambda d: product_from_pencil_at(d.pa, d.delta[0], max(d.tol, 1e-9)),
-    "fields": lambda d: d.next("fields"),
-    "chart": lambda d: d.jets("flat_chart", d.points),
-    # a transform's field jets, and the metric it transforms to
-    "field_jets": lambda d: d.jets("legendre_field", d.points),
-    "gbar": lambda d: transform_metric(d.st, d.nat, *d.field_jets)[0],
-}
-
-# Each builds one of a walk's sequences from the walk's first point to ask
-# for it; its tables run once over all the walk's points.
-_SEQUENCES = {
-    "rd": lambda d: rotation_data_along(d.spec, d.points, lame_exprs=d.comp.get("lame")),
-    "fields": lambda d: d.companion("normal_bundle").along(d.points, d.spec.n),
 }
 
 
 class _Walk:
     """What one walk shares: spec, companion data, env, tol, its points and
-    head (the points of the costlier pencil rows), and the batches,
-    sequences and table runs built so far."""
+    head (the points of the costlier pencil rows), and the batches built so
+    far."""
 
     def __init__(self, spec: ManifoldSpec, comp: dict, points, tol: float):
         self.spec, self.comp, self.env, self.tol = spec, comp, spec.env(), tol
         self.expected = spec.expected
         self.points = np.asarray(points, dtype=complex)
         self.head = max(4, len(points) // 5)
-        self.data, self.sequences, self.runs = {}, {}, {}
+        self.data = {}
 
     def companion(self, key):
         if key not in self.comp:
@@ -546,6 +555,12 @@ class _Walk:
         if name not in self.data:
             self.data[name] = _BATCHED[name](self)
         return self.data[name]
+
+    def table(self, key, points=None, env=None) -> Jets:
+        """The jets of the companion table `key` over `points` (default:
+        the walk's) in `env` (default: the spec's), from one run."""
+        return table_jets(self.companion(key), self.points if points is None else points,
+                          self.env if env is None else env)
 
 
 class _RowData:
@@ -593,38 +608,19 @@ class _PointData:
         setattr(self, name, value)
         return value
 
-    def next(self, name):
-        """This point's item of the walk's sequence `name`."""
-        if name not in self.sequences:
-            self.sequences[name] = _SEQUENCES[name](self)
-        return next(self.sequences[name])
-
-    def jets(self, key, points, env=None):
-        """This point's jets of the companion table `key`, which runs once
-        over `points`, one row per walk point, in `env` (by default the
-        spec's), when first asked for."""
-        if key not in self.runs:
-            self.runs[key] = ej.eval_points(self.companion(key), points,
-                                            self.env if env is None else env)
-        return self.runs[key].at(self.k)
-
-    def flat_jets(self, key):
-        """Jets of the companion table `key` at this point's flat-chart values."""
-        return self.jets(key, self.runs["flat_chart"].val)
-
 
 @dataclass(frozen=True)
 class Check:
-    """One row of the check table.  `at` maps a point's `_PointData` to the
-    result there: (residual, scale[, fitted constant]), a single-point
-    Report, or a list of those; a `batched` row's `at` maps the row's
-    `_RowData` to those results at all its points at once, as arrays over
-    the point axis.  An entry runs the check when its flags hold `flag`
-    and its spec, companion or expected values hold all of `needs`; the
-    check uses all points, the first `points`, or with "head" the first
-    max(4, count // 5).  `fit`, `expected` (a key), `tol` (of the run's
-    tol; default: the run's or its Reports') and `reduce` set its
-    reduction."""
+    """One row of the check table.  `at` maps the row's `_RowData` to its
+    results at all its points at once: (residual, scale[, fitted
+    constant]) as arrays over the point axis.  A row that is not `batched`
+    runs point by point: its `at` maps a point's `_PointData` to the
+    result there, a single-point Report, or a list of those.  An entry runs
+    the check when its flags hold `flag` and its spec, companion or
+    expected values hold all of `needs`; the check uses all points, the
+    first `points`, or with "head" the first max(4, count // 5).  `fit`,
+    `expected` (a key), `tol` (of the run's tol; default: the run's or its
+    Reports') and `reduce` set its reduction."""
     name: str
     at: Callable
     flag: str | None = None
@@ -634,7 +630,7 @@ class Check:
     expected: str | None = None
     tol: Callable | None = None
     reduce: Callable | None = None
-    batched: bool = False
+    batched: bool = True
 
     def report(self, results: list, tol: float, expected: dict) -> Report:
         if self.tol is not None:
@@ -648,12 +644,12 @@ class Check:
                             expected=expected.get(self.expected))
 
 
-def _lame_system_at(d):
+def _lame_system_at(b):
     beta_source = None
-    if "ode_family" in d.comp:
+    if "ode_family" in b.comp:
         def beta_source(u):
-            return beta_from_F(_closed_form_state(d.spec, d.comp, u), u)
-    return lame_system_at(d.rd, d.expected.get("d"), beta_source)
+            return beta_from_F(_closed_form_state(b.spec, b.comp, u), u)
+    return lame_system_at(b.rd, b.expected.get("d"), beta_source, b.errors)
 
 
 def _ode_integrals_at(d):
@@ -673,18 +669,18 @@ def _reconstructed_at(d):
             check_compat_product(nat, recon, d.tol), check_nabla_from_g(nat, recon, d.tol)]
 
 
-def _transform_exprs_at(d):
+def _transform_exprs_at(b):
     """The transformed metric against the expression-level one."""
-    gap = d.gbar - d.jets("transformed_g", d.points[:5])[0]
-    return float(np.max(np.abs(gap))) / (1 + float(np.max(np.abs(d.gbar)))), 0.0
+    gbar = b.gbar.val
+    res = amax(gbar - b.transformed_g.val, 2) / (1 + amax(gbar, 2))
+    return res, np.zeros_like(res)
 
 
-def _match_at(d):
+def _match_at(b):
     """The transformed metric against the target's, up to one constant."""
-    gbar = d.gbar
-    g = d.jets("target_g", d.points, d.comp["target_env"])[0]
-    gap = gbar - fit_scalar(gbar, g) * g
-    return float(np.max(np.abs(gap))) / (1 + float(np.max(np.abs(g)))), 0.0
+    gbar, g = b.gbar.val, b.target_g.val
+    res = amax(gbar - fit_scalar(gbar, g, rank=2)[..., None, None] * g, 2) / (1 + amax(g, 2))
+    return res, np.zeros_like(res)
 
 
 _KILLING = "riemannian-f-killing"
@@ -692,74 +688,73 @@ _BUNDLE = "flat-normal-bundle"
 
 # every check, in report order
 CHECKS = (
-    Check("product-axioms", lambda b: product_axioms_at(b.st), _KILLING, batched=True),
-    Check("hertling-manin", lambda b: hertling_manin_at(b.st), _KILLING, batched=True),
-    Check("metric-invariance", lambda b: metric_invariance_at(b.st), _KILLING, ("g",),
-          batched=True),
-    Check("killing-unit", lambda b: killing_unit_at(b.st), _KILLING, ("g",), batched=True),
-    Check("levi-civita-flat", lambda b: flatness_at(b.lc), batched=True),
-    Check("natural-flat", lambda b: flatness_at(b.nat), needs=("g",), batched=True),
-    Check("torsionless", lambda b: torsion_at(b.nat), _KILLING, tol=lambda tol: 1e-12,
-          batched=True),
-    Check("flatness", lambda b: flatness_at(b.nat), _KILLING, batched=True),
-    Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), _KILLING, batched=True),
-    Check("product-compat", lambda b: compat_product_at(b.nat, b.st), _KILLING, batched=True),
-    Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), _KILLING,
-          batched=True),
-    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, "both")[:2], _KILLING,
-          batched=True),
-    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), _KILLING, batched=True),
-    Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), _KILLING, ("E",),
-          batched=True),
-    Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), "gamma-match", ("gamma",),
-          batched=True),
+    Check("product-axioms", lambda b: product_axioms_at(b.st), _KILLING),
+    Check("hertling-manin", lambda b: hertling_manin_at(b.st), _KILLING),
+    Check("metric-invariance", lambda b: metric_invariance_at(b.st), _KILLING, ("g",)),
+    Check("killing-unit", lambda b: killing_unit_at(b.st), _KILLING, ("g",)),
+    Check("levi-civita-flat", lambda b: flatness_at(b.lc)),
+    Check("natural-flat", lambda b: flatness_at(b.nat), needs=("g",)),
+    Check("torsionless", lambda b: torsion_at(b.nat), _KILLING, tol=lambda tol: 1e-12),
+    Check("flatness", lambda b: flatness_at(b.nat), _KILLING),
+    Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), _KILLING),
+    Check("product-compat", lambda b: compat_product_at(b.nat, b.st), _KILLING),
+    Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), _KILLING),
+    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, "both")[:2], _KILLING),
+    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), _KILLING),
+    Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), _KILLING, ("E",)),
+    Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), "gamma-match", ("gamma",)),
     Check("homogeneity", lambda b: homogeneity_at(b.st, b.errors), "homogeneous", ("g", "E"),
-          fit="D", expected="D", batched=True),
-    Check("dual-structure", lambda d: d.dual.report, "biflat"),
-    Check("gamma-star-match", lambda d: _table_gap(d.dual.gamma_star, d.printed_star), "biflat",
+          fit="D", expected="D"),
+    Check("dual-structure", lambda b: (b.dual.residual, b.dual.scale), "biflat"),
+    Check("gamma-star-match", lambda b: _table_gap(b.dual.gamma_star, b.printed_star), "biflat",
           ("gamma_star",)),
-    Check("darboux-system", lambda d: darboux_at(d.rd), "darboux"),
-    Check("reduction-identity", lambda d: reduction_identity_at(d.rd), "darboux"),
+    Check("darboux-system", lambda b: darboux_at(b.rd), "darboux"),
+    Check("reduction-identity", lambda b: reduction_identity_at(b.rd), "darboux"),
     Check("lame-system", _lame_system_at, "lame", fit="d"),
-    Check("flatness-constraint", lambda d: flatness_constraint_at(d.rd), "ed4"),
-    Check("algebraic-ED4bis", lambda d: algebraic_constraints_at(d.rd, "ED4bis"), "ed4bis"),
-    Check("algebraic-ED5b", lambda d: algebraic_constraints_at(d.rd, "ED5b"), "ed5b"),
-    Check("potentiality", lambda d: potentiality_at(d.rd), "potentiality"),
+    Check("flatness-constraint", lambda b: flatness_constraint_at(b.rd), "ed4"),
+    Check("algebraic-ED4bis", lambda b: algebraic_constraints_at(b.rd, "ED4bis"), "ed4bis"),
+    Check("algebraic-ED5b", lambda b: algebraic_constraints_at(b.rd, "ED5b"), "ed5b"),
+    Check("potentiality", lambda b: potentiality_at(b.rd), "potentiality"),
     Check("v-eigenvalues", lambda d: (_v_eigenvalue_gap(d.rd, d.expected["V_eigenvalues"]), 0.0),
-          "darboux", ("V_eigenvalues",), points=5),
-    Check("ode-integrals", _ode_integrals_at, "ode-family", points=5, tol=lambda tol: 1e-10),
+          "darboux", ("V_eigenvalues",), points=5, batched=False),
+    Check("ode-integrals", _ode_integrals_at, "ode-family", points=5, tol=lambda tol: 1e-10,
+          batched=False),
     Check("quadratic-expansion",
-          lambda d: quadratic_expansion_at(d.st, d.lc, d.comp["normal_bundle"].eps, d.fields[0],
-                                           d.ginv.inv),
+          lambda b: quadratic_expansion_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
+                                           b.ginv.inv),
           _BUNDLE, tol=lambda tol: max(tol, 1e-9)),
-    Check("sym-condition", lambda d: sym_condition_at(d.st, d.nat, *d.fields), _BUNDLE),
-    Check("gmc", lambda d: gmc_at(d.st, d.lc, d.comp["normal_bundle"].eps, *d.fields,
-                                  d.ginv.inv), _BUNDLE, reduce=gmc_report),
-    Check("normal-rank", lambda d: (float(rank_of(d.fields[0]) != d.expected["rank"]), 0.0),
-          _BUNDLE, ("rank",), points=5, tol=lambda tol: 0.5),
-    Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",), batched=True),
+    Check("sym-condition", lambda b: sym_condition_at(b.st, b.nat, b.fields.val, b.fields.grad),
+          _BUNDLE),
+    Check("gmc", lambda b: gmc_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
+                                  b.fields.grad, b.ginv.inv), _BUNDLE, reduce=gmc_report),
+    Check("normal-rank", lambda d: (float(rank_of(d.fields.val) != d.expected["rank"]), 0.0),
+          _BUNDLE, ("rank",), points=5, tol=lambda tol: 0.5, batched=False),
+    Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",)),
     Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pencil), "pencil", ("g2",),
-          fit="d", expected="d_pencil", batched=True),
+          fit="d", expected="d_pencil"),
     Check("flat-pencil", lambda b: flat_pencil_at(b.pa, errors=b.errors), "pencil", ("g2",),
-          points="head", reduce=flat_pencil_report, batched=True),
+          points="head", reduce=flat_pencil_report),
     Check("delta-identities", lambda d: delta_tensor_at(d.pa, d.weight, d.delta, d.tol)[1],
-          "pencil", points="head"),
+          "pencil", points="head", batched=False),
     Check("r-operator", lambda d: r_operator_at(d.pa, d.weight, d.counit, max(d.tol, 1e-9))[1],
-          "pencil", points="head"),
-    Check("product-from-pencil", lambda d: d.pencil_product[2], "pencil", points="head"),
-    Check("reconstructed-structure", _reconstructed_at, "pencil", points="head"),
-    Check("flat-coordinates", lambda d: flat_coordinates_at(d.chart, d.conn, d.point),
+          "pencil", points="head", batched=False),
+    Check("product-from-pencil", lambda d: d.pencil_product[2], "pencil", points="head",
+          batched=False),
+    Check("reconstructed-structure", _reconstructed_at, "pencil", points="head", batched=False),
+    Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn, b.errors),
           "flat-chart"),
     Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
     # a transform's rows (`Transform`); "match" is reported as match-<target>
-    Check("legendre-field", lambda d: legendre_field_at(d.st, d.nat, *d.field_jets[:2]),
+    Check("legendre-field", lambda b: legendre_field_at(b.st, b.nat, b.field_jets.val,
+                                                        b.field_jets.grad, b.errors),
           reduce=legendre_field_report),
     Check("transform-exprs", _transform_exprs_at, points=5),
     Check("match", _match_at, tol=lambda tol: max(tol, 1e-7)),
     # the transform's theorems, which only their test-facing wrappers run
-    Check("transform-metric", lambda d: transform_metric_at(d.st, d.nat, *d.field_jets)),
+    Check("transform-metric", lambda d: transform_metric_at(d.st, d.nat, *d.field_jets),
+          batched=False),
     Check("homogeneous-legendre", lambda d: homogeneous_legendre_at(d.st, d.nat, *d.field_jets),
-          reduce=homogeneous_legendre_report),
+          reduce=homogeneous_legendre_report, batched=False),
 )
 _BY_NAME = {check.name: check for check in CHECKS}
 
@@ -784,15 +779,13 @@ def _chosen(spec: ManifoldSpec, comp: dict, keep) -> list:
 
 def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     """Walk `points` once and reduce each of `checks` over the points it
-    uses, a prefix of them.  The structure, connections and pencil data
-    are built once, as batches over the points their rows use (`_BATCHED`),
-    and each expression table runs once over all the points.  A batched
-    row computes its results at all its points at the first point; the
-    other rows run point by point, sharing one `_PointData` per point, so
-    every sequence (rotation data, fields) advances once per point, in
-    order, while any row reads it.  At each point, in table order, a row
-    raises the first error at that point of the data it read, so the
-    first point with an error, and there the first row, names it."""
+    uses, a prefix of them.  Every datum the rows read is built once, as a
+    batch over the points its rows use (`_BATCHED`), and each expression
+    table runs once.  A batched row computes its results at all its points
+    at the first point; the other rows run point by point, sharing one
+    `_PointData` per point.  At each point, in table order, a row raises
+    the first error at that point of the data it read, so the first point
+    with an error, and there the first row, names it."""
     walk = _Walk(spec, comp, points, tol)
     limits = [min(len(points), {None: len(points), "head": walk.head}.get(c.points, c.points))
               for c in checks]
@@ -850,10 +843,11 @@ class Transform:
     target: str | None = None
     params: dict = field(default_factory=dict)
 
-    def suite(self, points, tol: float) -> SuiteResult:
-        """The field's rows over all `points`, the expression-level metric
-        against the pointwise one over the first five and, with a target,
-        the match over all."""
+    def rows(self):
+        """The walk's companion data, rows and expression-level spec: the
+        field's rows over all points, the expression-level metric against
+        the pointwise one over the first five and, with a target, the match
+        over all."""
         comp = {"legendre_field": self.exprs}
         checks = [_BY_NAME["legendre-field"], _BY_NAME["transform-exprs"]]
         if self.target is not None:
@@ -864,8 +858,7 @@ class Transform:
             checks.append(replace(_BY_NAME["match"], name=f"match-{self.target}"))
         new = transform_metric_exprs(self.spec, self.exprs, name=f"{self.spec.name}-{self.name}")
         comp["transformed_g"] = new.g
-        return SuiteResult(self.spec.name, _walk(self.spec, comp, checks, points, tol),
-                           frozenset(), transformed=new)
+        return comp, checks, new
 
 
 def run_checks(spec: ManifoldSpec, comp: dict, names, points, tol: float = DEFAULT_TOL,
@@ -887,7 +880,9 @@ def run_suite(source, seed: int = 0, count: int = 20, tol: float = DEFAULT_TOL,
     spec = source if isinstance(source, ManifoldSpec) else source.spec
     points = sample_points(spec, SamplePlan(seed=seed, count=count))
     if isinstance(source, Transform):
-        return source.suite(points, tol)
+        comp, checks, new = source.rows()
+        return SuiteResult(spec.name, _walk(spec, comp, checks, points, tol), frozenset(),
+                           transformed=new)
     ent = source if isinstance(source, CatalogEntry) else None
     comp = {} if ent is None else ent.companion
     if check is not None:

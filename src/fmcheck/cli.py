@@ -40,12 +40,24 @@ def _parse_scalar(text: str) -> complex:
         return complex(text.replace("i", "j"))
 
 
+def _parse_param(text: str):
+    """A `--param NAME=VALUE` as (name, value); ValueError names the option
+    and what it holds."""
+    name, eq, value = text.partition("=")
+    if not (name and eq):
+        raise ValueError(f"--param {text!r}: expected NAME=VALUE")
+    try:
+        return name, _parse_scalar(value)
+    except ValueError:
+        raise ValueError(f"--param {name}: {value!r} is not a number") from None
+
+
 def _load_spec(args):
     """Load `args.spec`, a catalog entry's name or a spec JSON file, and
     apply each `--param` override to it.  Returns (spec, entry or None,
     overrides), or None once one line on stderr names the bad input."""
     try:
-        overrides = {k: _parse_scalar(v) for k, v in (kv.split("=", 1) for kv in args.param)}
+        overrides = dict(_parse_param(kv) for kv in args.param)
         if os.path.exists(args.spec):
             with open(args.spec, "r", encoding="utf-8") as fh:
                 spec, ent = ManifoldSpec.from_json(fh.read()), None

@@ -21,9 +21,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import exprjet as ej
 from .manifold import (PointBatch, Report, StructureAt, amax, batch_report, fail_at,
-                       normalized, pmax, raise_first, required, worst)
+                       normalized, pmax, raise_first, required, table_jets)
 from .tensor import SingularMatrixError
 
 __all__ = [
@@ -174,8 +173,8 @@ def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
     env = dict(env or {})
 
     def provider(points):
-        jets = ej.eval_points(gamma_exprs, points, env)
-        raise_first([None if err is None else ej.DomainError(err) for err in jets.errors])
+        jets = table_jets(gamma_exprs, points, env)
+        raise_first(jets.errors)
         return jets.val
 
     return provider
@@ -187,9 +186,8 @@ def connections_from_exprs(gamma_exprs, points, env: Mapping[str, complex] | Non
     of `points`, as one batch from one run of the table; a point where it
     is singular records the domain error."""
     points = np.asarray(points, dtype=complex)
-    jets = ej.eval_points(gamma_exprs, points, env)
-    return ConnectionAt(len(gamma_exprs), points, jets.val, jets.grad, provenance,
-                        [None if err is None else ej.DomainError(err) for err in jets.errors])
+    jets = table_jets(gamma_exprs, points, env)
+    return ConnectionAt(len(gamma_exprs), points, jets.val, jets.grad, provenance, jets.errors)
 
 
 def connection_from_exprs(gamma_exprs, point, env: Mapping[str, complex] | None = None,
@@ -375,45 +373,56 @@ def check_nabla_nabla_E(conn: ConnectionAt, st: StructureAt, tol: float = DEFAUL
 
 
 @dataclass
-class DualStructureAt:
+class DualStructureAt(PointBatch):
+    """The dual structure at a point or over a batch, with the residual and
+    scale of its identities at each point (`dual_structure`)."""
     cstar: np.ndarray
     dcstar: np.ndarray
     gamma_star: ConnectionAt
-    report: Report
+    residual: np.ndarray
+    scale: np.ndarray
+    tol: float = DEFAULT_TOL
+    errors: list | None = None
+
+    @property
+    def report(self) -> Report:
+        """The report of the identities at a single point."""
+        return Report.from_residual("dual-structure", self.residual, self.tol, scale=self.scale,
+                                    npoints=1)
 
 
 def dual_structure(st: StructureAt, conn: ConnectionAt, tol: float = DEFAULT_TOL) -> DualStructureAt:
     """Rescaled product through the Euler field and the dual connection
     Gamma*^k_ij = Gamma^k_ij - c*^l_ji nabla_l E^k, with flatness and the
-    reverse reconstruction formula checked as residuals."""
-    eo = np.einsum("smt,t->sm", st.c, required(st.E, "Euler field"))  # (E o)^s_m
-    deo = (np.einsum("smtp,t->smp", st.dc, st.E)
-           + np.einsum("smt,tp->smp", st.c, st.dE))
-    k_inv, dk_inv = inverse_jets(eo, deo)
-    cstar = np.einsum("is,sjk->ijk", k_inv, st.c)
-    dcstar = (np.einsum("isp,sjk->ijkp", dk_inv, st.c)
-              + np.einsum("is,sjkp->ijkp", k_inv, st.dc))
+    reverse reconstruction formula checked as residuals.  Over a batch,
+    each point's error is the connection's own, else a singular E o."""
+    errors = None if conn.errors is None else list(conn.errors)
+    eo = np.einsum("...smt,...t->...sm", st.c, required(st.E, "Euler field"))  # (E o)^s_m
+    deo = (np.einsum("...smtp,...t->...smp", st.dc, st.E)
+           + np.einsum("...smt,...tp->...smp", st.c, st.dE))
+    k_inv, dk_inv = inverse_jets(eo, deo, errors=errors)
+    cstar = np.einsum("...is,...sjk->...ijk", k_inv, st.c)
+    dcstar = (np.einsum("...isp,...sjk->...ijkp", dk_inv, st.c)
+              + np.einsum("...is,...sjkp->...ijkp", k_inv, st.dc))
     nabE = nabla_vector(conn, st.E, st.dE)           # nabE[k,l] = nabla_l E^k
     dnabE = (st.ddE
-             + np.einsum("klms,m->kls", conn.dgamma, st.E)
-             + np.einsum("klm,ms->kls", conn.gamma, st.dE))
-    gamma_star = conn.gamma - np.einsum("lji,kl->kij", cstar, nabE)
+             + np.einsum("...klms,...m->...kls", conn.dgamma, st.E)
+             + np.einsum("...klm,...ms->...kls", conn.gamma, st.dE))
+    gamma_star = conn.gamma - np.einsum("...lji,...kl->...kij", cstar, nabE)
     dgamma_star = (conn.dgamma
-                   - np.einsum("ljis,kl->kijs", dcstar, nabE)
-                   - np.einsum("lji,kls->kijs", cstar, dnabE))
-    star = ConnectionAt(st.n, st.point, gamma_star, dgamma_star, provenance="dual")
+                   - np.einsum("...ljis,...kl->...kijs", dcstar, nabE)
+                   - np.einsum("...lji,...kls->...kijs", cstar, dnabE))
+    star = ConnectionAt(st.n, st.point, gamma_star, dgamma_star, "dual", errors)
 
     # residual bundle: dual product axioms, unit E, dual flatness, reverse formula
-    assoc = np.einsum("sjk,isl->ijkl", cstar, cstar) - np.einsum("sjl,isk->ijkl", cstar, cstar)
-    unit = np.einsum("ijk,j->ik", cstar, st.E) - np.eye(st.n)
+    assoc = (np.einsum("...sjk,...isl->...ijkl", cstar, cstar)
+             - np.einsum("...sjl,...isk->...ijkl", cstar, cstar))
+    unit = np.einsum("...ijk,...j->...ik", cstar, st.E) - np.eye(st.n)
     flat = riemann_components(gamma_star, dgamma_star)
     nab_star_e = nabla_vector(star, st.e, st.de)
-    reverse = conn.gamma - (gamma_star - np.einsum("lji,kl->kij", st.c, nab_star_e))
-    sc_c = float(np.max(np.abs(cstar)))
-    sc_g = max(float(np.max(np.abs(gamma_star))) ** 2, float(np.max(np.abs(dgamma_star))))
-    res = worst((normalized(np.max(np.abs(assoc)), sc_c ** 2),
-                 normalized(np.max(np.abs(unit)), sc_c),
-                 normalized(np.max(np.abs(flat)), sc_g),
-                 normalized(np.max(np.abs(reverse)), float(np.max(np.abs(gamma_star))))))
-    report = Report.from_residual("dual-structure", res, tol, scale=sc_c, npoints=1)
-    return DualStructureAt(cstar=cstar, dcstar=dcstar, gamma_star=star, report=report)
+    reverse = conn.gamma - (gamma_star - np.einsum("...lji,...kl->...kij", st.c, nab_star_e))
+    sc_c = amax(cstar, 3)
+    sc_g = pmax(amax(gamma_star, 3) ** 2, amax(dgamma_star, 4))
+    res = pmax(normalized(amax(assoc, 4), sc_c ** 2), normalized(amax(unit, 2), sc_c),
+               normalized(amax(flat, 4), sc_g), normalized(amax(reverse, 3), amax(gamma_star, 3)))
+    return DualStructureAt(cstar, dcstar, star, res, sc_c, tol, errors)

@@ -10,19 +10,17 @@ applied: the verification here is pointwise tensor algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import exprjet as ej
-from .connection import (ConnectionAt, inverse_jets, levi_civita, natural_connection,
-                         riemann_components)
-from .manifold import (ManifoldSpec, Report, StructureAt, normalized, point_report,
-                       structure_at, structures, worst, worst_parts)
+from .connection import ConnectionAt, inverse_jets, levi_civita, riemann_components
+from .manifold import (Jets, ManifoldSpec, Report, StructureAt, amax, normalized, per_point,
+                       pmax, point_report, structure_at, table_jets, worst_parts)
 
 __all__ = [
     "NormalBundleData", "GmcFailedError", "fields_from_exprs",
-    "fields_from_gradients", "lauricella_normal_fields",
+    "fields_from_gradients", "lauricella_normal_fields", "spanning_fields",
     "check_quadratic_expansion", "check_sym_condition", "check_gmc",
     "field_rank", "emit_operator",
 ]
@@ -49,22 +47,24 @@ class NormalBundleData:
     def count(self) -> int:
         return len(self.exprs)
 
-    def along(self, points, n: int) -> Iterator[tuple]:
-        """Field values xs[a, i] and derivatives dxs[a, i, k] = d_k X_a^i at
-        each of `points`, in order.  The table runs once over all the
-        points; a point where it is singular raises when it is reached."""
-        if not self.exprs:
-            for _ in points:
-                yield np.zeros((0, n), dtype=complex), np.zeros((0, n, n), dtype=complex)
-            return
-        jets = ej.eval_points(self.exprs, points, self.params)
-        for k in range(len(jets)):
-            val, d1, d2 = jets.at(k)
-            yield (d1, d2) if self.gradients else (val, d1)
-
     def at(self, point, n: int):
         """Field values xs[a, i] and derivatives dxs[a, i, k] = d_k X_a^i."""
-        return next(self.along([point], n))
+        fields = spanning_fields(self, [point], n).at(0)
+        return fields.val, fields.grad
+
+
+def spanning_fields(nb: NormalBundleData, points, n: int) -> Jets:
+    """The field values xs[a, i] (`val`) and derivatives dxs[a, i, k] =
+    d_k X_a^i (`grad`) at all of `points`, as one batch from one run of the
+    table; a point where it is singular records the domain error."""
+    points = np.asarray(points, dtype=complex).reshape(-1, n)
+    if not nb.exprs:
+        return Jets(np.zeros((len(points), 0, n), dtype=complex),
+                    np.zeros((len(points), 0, n, n), dtype=complex), errors=[None] * len(points))
+    jets = table_jets(nb.exprs, points, nb.params)
+    if nb.gradients:
+        return Jets(jets.grad, jets.hess, errors=jets.errors)
+    return Jets(jets.val, jets.grad, errors=jets.errors)
 
 
 def fields_from_exprs(component_tables: Sequence[Sequence[str]], eps,
@@ -108,13 +108,20 @@ def _raised_riemann(st: StructureAt, lc: ConnectionAt, ginv=None):
     r = riemann_components(lc.gamma, lc.dgamma)
     if ginv is None:
         ginv, _ = inverse_jets(st.g, st.dg)
-    return np.einsum("is,jskh->ijkh", ginv, r)
+    return np.einsum("...is,...jskh->...ijkh", ginv, r)
+
+
+def _worst_of(parts, like):
+    """The largest of `parts` at each point, 0 for none, NaN wherever one
+    is NaN; `like` has the shape of the batch."""
+    return pmax(np.zeros(np.shape(like)), *parts)
 
 
 # ---------------------------------------------------------------------------
-# checks: a per-point residual of the point's structure, connection and
-# field values, returning the normalized residual and its scale, and the
-# check over a point set
+# checks: the residual and scale at each point of the structure, its
+# connection and the field values (one point, or a batch with its fields
+# from `spanning_fields`), and the check over a point set, which runs the
+# walk's row of that name
 
 
 def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv=None):
@@ -122,56 +129,51 @@ def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv=None
     spanning fields through the product."""
     r2 = _raised_riemann(st, lc, ginv)
     rhs = np.zeros_like(r2)
-    for a, x in enumerate(xs):
-        term = (np.einsum("jkl,ihm,l,m->ijkh", st.c, st.c, x, x)
-                - np.einsum("ikl,jhm,l,m->ijkh", st.c, st.c, x, x))
+    for a in range(xs.shape[-2]):
+        x = xs[..., a, :]
+        term = (np.einsum("...jkl,...ihm,...l,...m->...ijkh", st.c, st.c, x, x)
+                - np.einsum("...ikl,...jhm,...l,...m->...ijkh", st.c, st.c, x, x))
         rhs = rhs + eps[a] * term
-    sc = max(float(np.max(np.abs(r2))), float(np.max(np.abs(rhs))), 1e-30)
-    return normalized(np.max(np.abs(r2 - rhs)), sc), sc
+    sc = pmax(amax(r2, 4), amax(rhs, 4), 1e-30)
+    return normalized(amax(r2 - rhs, 4), sc), sc
 
 
-def _with_fields(spec: ManifoldSpec, nb: NormalBundleData, points, params, connection):
-    """Structure, its `connection` and the spanning-field values and
-    derivatives, point by point.  The structure and its connection are
-    built once over all the points, and the field table runs once over them
-    after the first point's structure."""
-    st = structures(spec, points, params)
-    conn = connection(st)
-    fields = nb.along(points, st.n)
-    for k in range(len(points)):
-        yield (st.at(k), *next(fields), conn.at(k))
+def _row(name: str, spec: ManifoldSpec, nb: NormalBundleData, points, tol: float,
+         params) -> Report:
+    """The report of the walk's row `name` for the spanning fields `nb`."""
+    from .catalog import run_checks  # the check table imports this module
+    return run_checks(spec, {"normal_bundle": nb}, [name], points, tol, params)[0]
 
 
 def check_quadratic_expansion(spec: ManifoldSpec, nb: NormalBundleData, points,
                               tol: float = DEFAULT_TOL, params=None) -> Report:
-    return point_report("quadratic-expansion",
-                        [quadratic_expansion_at(st, lc, nb.eps, xs) for st, xs, _, lc
-                         in _with_fields(spec, nb, points, params, levi_civita)], tol)
+    return _row("quadratic-expansion", spec, nb, points, tol, params)
 
 
 def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
     """c^i_jl nabla_k X^l = c^i_kl nabla_j X^l with the flat structure
     connection, for every spanning field."""
-    per_field = []
-    for x, dx in zip(xs, dxs):
-        nab = dx + np.einsum("lks,s->lk", nat.gamma, x)  # nab[l,k]
-        res = np.einsum("ijl,lk->ijk", st.c, nab) - np.einsum("ikl,lj->ijk", st.c, nab)
-        sc = float(np.max(np.abs(st.c))) * (1 + float(np.max(np.abs(nab))))
-        per_field.append((normalized(np.max(np.abs(res)), sc), sc))
-    return worst(r for r, _ in per_field), worst(s for _, s in per_field)
+    c_top = amax(st.c, 3)
+    residuals, scales = [], []
+    for a in range(xs.shape[-2]):
+        nab = dxs[..., a, :, :] + np.einsum("...lks,...s->...lk", nat.gamma, xs[..., a, :])
+        res = (np.einsum("...ijl,...lk->...ijk", st.c, nab)
+               - np.einsum("...ikl,...lj->...ijk", st.c, nab))
+        sc = c_top * (1 + amax(nab, 2))
+        residuals.append(normalized(amax(res, 3), sc))
+        scales.append(sc)
+    return _worst_of(residuals, c_top), _worst_of(scales, c_top)
 
 
 def check_sym_condition(spec: ManifoldSpec, nb: NormalBundleData, points,
                         tol: float = DEFAULT_TOL, params=None) -> Report:
-    return point_report("sym-condition",
-                        [sym_condition_at(st, nat, xs, dxs) for st, xs, dxs, nat
-                         in _with_fields(spec, nb, points, params, natural_connection)], tol)
+    return _row("sym-condition", spec, nb, points, tol, params)
 
 
 def _affinors(st: StructureAt, xs, dxs):
-    ws = np.einsum("ijs,as->aij", st.c, xs)
-    dws = (np.einsum("ijsk,as->aijk", st.dc, xs)
-           + np.einsum("ijs,ask->aijk", st.c, dxs))
+    ws = np.einsum("...ijs,...as->...aij", st.c, xs)
+    dws = (np.einsum("...ijsk,...as->...aijk", st.dc, xs)
+           + np.einsum("...ijs,...ask->...aijk", st.c, dxs))
     return ws, dws
 
 
@@ -181,29 +183,31 @@ def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None):
     r2 = _raised_riemann(st, lc, ginv)
     gamma_lc = lc.gamma
     ws, dws = _affinors(st, xs, dxs)
-    count = len(xs)
-    w_top = float(np.max(np.abs(ws))) if ws.size else 0.0
-    sc = max(w_top ** 2, float(np.max(np.abs(r2))), 1e-30)
+    count = xs.shape[-2]
+    r2_top = amax(r2, 4)
+    w_top = amax(ws, 3) if count else np.zeros(np.shape(r2_top))
+    sc = pmax(w_top ** 2, r2_top, 1e-30)
     rhs = np.zeros_like(r2)
     for a in range(count):
-        w = ws[a]
-        rhs = rhs + eps[a] * (np.einsum("jk,ih->ijkh", w, w) - np.einsum("ik,jh->ijkh", w, w))
-    sub = {"gmc0": [normalized(np.max(np.abs(r2 - rhs)), sc)], "gmc1": [], "gmc2": [], "gmc3": []}
+        w = ws[..., a, :, :]
+        rhs = rhs + eps[a] * (np.einsum("...jk,...ih->...ijkh", w, w)
+                              - np.einsum("...ik,...jh->...ijkh", w, w))
+    sub = {"gmc0": [normalized(amax(r2 - rhs, 4), sc)], "gmc1": [], "gmc2": [], "gmc3": []}
     for a in range(count):
+        w = ws[..., a, :, :]
         for b in range(a + 1, count):
-            comm = ws[a] @ ws[b] - ws[b] @ ws[a]
-            sub["gmc1"].append(normalized(np.max(np.abs(comm)), sc))
-        gw = st.g @ ws[a]
-        sub["gmc2"].append(normalized(np.max(np.abs(gw - gw.T)), float(np.max(np.abs(gw)))))
+            comm = w @ ws[..., b, :, :] - ws[..., b, :, :] @ w
+            sub["gmc1"].append(normalized(amax(comm, 2), sc))
+        gw = st.g @ w
+        sub["gmc2"].append(normalized(amax(gw - np.swapaxes(gw, -2, -1), 2), amax(gw, 2)))
         # nabla~_k W^i_j, Codazzi-symmetric in (k, j)
-        nab = (np.einsum("ijk->kij", dws[a])
-               + np.einsum("iks,sj->kij", gamma_lc, ws[a])
-               - np.einsum("skj,is->kij", gamma_lc, ws[a]))
-        res3 = nab - np.einsum("kij->jik", nab)
-        sub["gmc3"].append(normalized(np.max(np.abs(res3)),
-                                      float(np.max(np.abs(ws[a]))) * (1 + float(np.max(np.abs(gamma_lc))))))
-    sub = {k: worst(v) for k, v in sub.items()}
-    return worst(sub.values()), sc, sub
+        nab = (np.einsum("...ijk->...kij", dws[..., a, :, :, :])
+               + np.einsum("...iks,...sj->...kij", gamma_lc, w)
+               - np.einsum("...skj,...is->...kij", gamma_lc, w))
+        res3 = nab - np.einsum("...kij->...jik", nab)
+        sub["gmc3"].append(normalized(amax(res3, 3), amax(w, 2) * (1 + amax(gamma_lc, 3))))
+    sub = {k: _worst_of(v, r2_top) for k, v in sub.items()}
+    return _worst_of(sub.values(), r2_top), sc, sub
 
 
 def gmc_report(name: str, per_point, tol: float) -> Report:
@@ -215,8 +219,7 @@ def check_gmc(spec: ManifoldSpec, nb: NormalBundleData, points,
     """The four structural equations for the affinors W_a = (X_a o):
     curvature expansion, pairwise commutation, g-symmetry, and the
     Codazzi symmetry of the Levi-Civita derivative."""
-    return gmc_report("gmc", [gmc_at(st, lc, nb.eps, xs, dxs) for st, xs, dxs, lc
-                              in _with_fields(spec, nb, points, params, levi_civita)], tol)
+    return _row("gmc", spec, nb, points, tol, params)
 
 
 def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point,
@@ -229,7 +232,7 @@ def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point,
     st = structure_at(spec, point, params)
     lc = levi_civita(st)
     xs, dxs = nb.at(st.point, st.n)
-    gmc = gmc_report("gmc", [gmc_at(st, lc, nb.eps, xs, dxs)], tol)
+    gmc = gmc_report("gmc", per_point(gmc_at(st, lc, nb.eps, xs, dxs)), tol)
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")
     ginv, _ = inverse_jets(st.g, st.dg)

@@ -16,7 +16,7 @@ from . import exprjet as ej
 from .connection import (ConnectionAt, check_compat_product, checked_inverse,
                          natural_connection, riemann_components)
 from .hamops import sym_condition_at
-from .manifold import (ManifoldSpec, Report, StructureAt, fit_scalar,
+from .manifold import (ManifoldSpec, Report, StructureAt, amax, fail_at, fit_scalar,
                        lie_metric, normalized, point_report, product_jets, required, structure_at,
                        worst)
 from .rotation import rk4_path, rk4_stage_times
@@ -25,7 +25,7 @@ from .tensor import SingularMatrixError, lie_from_components
 __all__ = [
     "NotInvertibleError", "HypothesisViolatedError", "ProductTableError",
     "check_legendre_field", "transform_connection", "transform_connection_report",
-    "transform_metric", "transform_metric_report",
+    "transformed_metric", "transform_metric", "transform_metric_report",
     "transformed_structure", "flat_field_ode", "check_homogeneous_legendre",
     "transform_metric_exprs",
 ]
@@ -50,34 +50,43 @@ class ProductTableError(ValueError):
 def _mult_operator(st: StructureAt, x, dx, ddx=None):
     """W^l_k = c^l_ks x^s with derivatives; the operator of multiplication
     by the field."""
-    w = np.einsum("lks,s->lk", st.c, x)
-    dw = np.einsum("lksj,s->lkj", st.dc, x) + np.einsum("lks,sj->lkj", st.c, dx)
+    w = np.einsum("...lks,...s->...lk", st.c, x)
+    dw = (np.einsum("...lksj,...s->...lkj", st.dc, x)
+          + np.einsum("...lks,...sj->...lkj", st.c, dx))
     if ddx is None:
         return w, dw, None
     if st.ddc is None:
         raise ValueError("second-order product jets unavailable for this structure")
-    ddw = (np.einsum("lksjm,s->lkjm", st.ddc, x)
-           + np.einsum("lksj,sm->lkjm", st.dc, dx)
-           + np.einsum("lksm,sj->lkjm", st.dc, dx)
-           + np.einsum("lks,sjm->lkjm", st.c, ddx))
+    ddw = (np.einsum("...lksjm,...s->...lkjm", st.ddc, x)
+           + np.einsum("...lksj,...sm->...lkjm", st.dc, dx)
+           + np.einsum("...lksm,...sj->...lkjm", st.dc, dx)
+           + np.einsum("...lks,...sjm->...lkjm", st.c, ddx))
     return w, dw, ddw
 
 
-def _inverse_operator(w: np.ndarray):
+def _inverse_operator(w: np.ndarray, errors=None):
+    """The inverse of the multiplication operator; where it is singular it
+    raises NotInvertibleError, or over a batch records it in `errors`."""
+    singular = None if errors is None else [None] * len(errors)
     try:
-        return checked_inverse(w)
+        inverse = checked_inverse(w, singular)
     except SingularMatrixError as err:
         raise NotInvertibleError(err.det) from None
+    if singular is not None:
+        fail_at(errors, [err is not None for err in singular],
+                lambda k: NotInvertibleError(singular[k].det))
+    return inverse
 
 
-def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx):
-    """Symmetry of the product-twisted covariant derivative of the field at
-    a point, plus product invertibility, with the structure connection.
-    Returns (residual, scale, |det| of the multiplication operator)."""
-    res, sc = sym_condition_at(st, nat, [x], [dx])
+def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx, errors=None):
+    """Symmetry of the product-twisted covariant derivative of the field,
+    plus product invertibility (a point where it fails is recorded in
+    `errors` over a batch), with the structure connection.  Returns
+    (residual, scale, |det| of the multiplication operator)."""
+    res, sc = sym_condition_at(st, nat, x[..., None, :], dx[..., None, :, :])
     w, _, _ = _mult_operator(st, x, dx)
-    _inverse_operator(w)
-    return res, sc, abs(np.linalg.det(w))
+    _inverse_operator(w, errors)
+    return res, sc, np.abs(np.linalg.det(w))
 
 
 def legendre_field_report(name: str, per_point, tol: float) -> Report:
@@ -132,28 +141,38 @@ def transform_connection_report(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
     return new, Report.from_residual("transform-connection", res, tol, scale=sc, npoints=1)
 
 
+def transformed_metric(st: StructureAt, conn: ConnectionAt, x, dx,
+                       hypothesis_tol: float = 1e-8, errors=None):
+    """Transformed metric gbar(Y,Z) = g(X o Y, X o Z), at a point or over a
+    batch, after enforcing flatness of the field for `conn`: where the
+    field is not flat it raises HypothesisViolatedError, or over a batch
+    records it in `errors`."""
+    nab = dx + np.einsum("...lks,...s->...lk", conn.gamma, x)
+    hyp = normalized(amax(nab, 2), amax(x, 1))
+    fail_at(errors, hyp > hypothesis_tol, lambda k: HypothesisViolatedError(
+        f"field is not connection-flat (residual {np.ravel(hyp)[k]:.3e})"))
+    w = np.einsum("...lks,...s->...lk", st.c, x)
+    return np.einsum("...ki,...lj,...kl->...ij", w, w, st.g)
+
+
 def transform_metric(st: StructureAt, conn: ConnectionAt, x, dx, ddx,
                      tol: float = DEFAULT_TOL, hypothesis_tol: float = 1e-8):
-    """Transformed metric gbar(Y,Z) = g(X o Y, X o Z) with full jets, after
-    enforcing flatness of the field for `conn`."""
-    nab = dx + np.einsum("lks,s->lk", conn.gamma, x)
-    hyp = normalized(np.max(np.abs(nab)), float(np.max(np.abs(x))))
-    if hyp > hypothesis_tol:
-        raise HypothesisViolatedError(f"field is not connection-flat (residual {hyp:.3e})")
+    """`transformed_metric` with its first and second derivatives; a
+    point where the field is not flat raises."""
+    gbar = transformed_metric(st, conn, x, dx, hypothesis_tol)
     w, dw, ddw = _mult_operator(st, x, dx, ddx)
-    gbar = np.einsum("ki,lj,kl->ij", w, w, st.g)
-    dgbar = (np.einsum("kim,lj,kl->ijm", dw, w, st.g)
-             + np.einsum("ki,ljm,kl->ijm", w, dw, st.g)
-             + np.einsum("ki,lj,klm->ijm", w, w, st.dg))
-    ddgbar = (np.einsum("kimp,lj,kl->ijmp", ddw, w, st.g)
-              + np.einsum("kim,ljp,kl->ijmp", dw, dw, st.g)
-              + np.einsum("kim,lj,klp->ijmp", dw, w, st.dg)
-              + np.einsum("kip,ljm,kl->ijmp", dw, dw, st.g)
-              + np.einsum("ki,ljmp,kl->ijmp", w, ddw, st.g)
-              + np.einsum("ki,ljm,klp->ijmp", w, dw, st.dg)
-              + np.einsum("kip,lj,klm->ijmp", dw, w, st.dg)
-              + np.einsum("ki,ljp,klm->ijmp", w, dw, st.dg)
-              + np.einsum("ki,lj,klmp->ijmp", w, w, st.ddg))
+    dgbar = (np.einsum("...kim,...lj,...kl->...ijm", dw, w, st.g)
+             + np.einsum("...ki,...ljm,...kl->...ijm", w, dw, st.g)
+             + np.einsum("...ki,...lj,...klm->...ijm", w, w, st.dg))
+    ddgbar = (np.einsum("...kimp,...lj,...kl->...ijmp", ddw, w, st.g)
+              + np.einsum("...kim,...ljp,...kl->...ijmp", dw, dw, st.g)
+              + np.einsum("...kim,...lj,...klp->...ijmp", dw, w, st.dg)
+              + np.einsum("...kip,...ljm,...kl->...ijmp", dw, dw, st.g)
+              + np.einsum("...ki,...ljmp,...kl->...ijmp", w, ddw, st.g)
+              + np.einsum("...ki,...ljm,...klp->...ijmp", w, dw, st.dg)
+              + np.einsum("...kip,...lj,...klm->...ijmp", dw, w, st.dg)
+              + np.einsum("...ki,...ljp,...klm->...ijmp", w, dw, st.dg)
+              + np.einsum("...ki,...lj,...klmp->...ijmp", w, w, st.ddg))
     return gbar, dgbar, ddgbar
 
 

@@ -29,10 +29,10 @@ from . import exprjet as ej
 from .tensor import lie_from_components
 
 __all__ = [
-    "Region", "SamplePlan", "ManifoldSpec", "PointBatch", "StructureAt", "Report",
+    "Region", "SamplePlan", "ManifoldSpec", "PointBatch", "Jets", "StructureAt", "Report",
     "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "MissingFieldError",
-    "required", "sample_points", "fail_at", "raise_first", "amax", "pmax", "per_point",
-    "batch_report",
+    "required", "sample_points", "fail_at", "raise_first", "table_jets", "amax", "pmax",
+    "per_point", "batch_report",
     "structure_at", "structures", "worst", "point_report", "merge_reports",
     "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
     "check_killing_unit", "check_homogeneity", "normalized",
@@ -205,6 +205,28 @@ class PointBatch:
     def head(self, count: int):
         """The batch of the first `count` points."""
         return self._take(slice(count))
+
+
+@dataclass
+class Jets(PointBatch):
+    """Values, with their first and second derivatives where they have
+    them, at a point or over a batch (`table_jets`), with each point's
+    first error."""
+    val: np.ndarray
+    grad: np.ndarray | None = None
+    hess: np.ndarray | None = None
+    errors: list | None = None
+
+    def __iter__(self):
+        return iter((self.val, self.grad, self.hess))
+
+
+def table_jets(table, points, env=None) -> Jets:
+    """The jets of an expression table at all of `points`, shape (P, n),
+    from one run; a point where it is singular records the domain error."""
+    run = ej.eval_points(table, points, env)
+    return Jets(run.val, run.grad, run.hess,
+                [None if err is None else ej.DomainError(err) for err in run.errors])
 
 
 def fail_at(errors, mask, make) -> None:

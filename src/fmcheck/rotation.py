@@ -4,8 +4,13 @@ coefficients, and the overdetermined first-order systems they satisfy.
 Branch policy for H_i = sqrt(g_ii): when the spec carries closed-form Lame
 expressions those are evaluated directly (no square root ambiguity); when H
 is derived from the metric, the principal branch is taken at each point and
-`rotation_data_along` continues the sign choice along the sampled sequence.
-Chosen signs are recorded on the data object.
+`rotations` continues the sign choice along the points, in order.  Chosen
+signs are recorded on the data object.
+
+As the structure (`manifold.structures`), the rotation data of a batch of
+points carry a leading point axis and each point's first error, and the
+residual functions (`*_at`) return one residual and scale per point; at one
+point (`rotation_data`) they return scalars.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprjet as ej
-from .manifold import ManifoldSpec, Report, normalized, point_report, worst
+from .manifold import (ManifoldSpec, PointBatch, Report, amax, batch_report, fail_at, normalized,
+                       pmax, raise_first, table_jets)
 from .tensor import eigenvalues
 
 __all__ = [
     "RotationData", "NonDiagonalMetricError", "ZeroLameError",
-    "rotation_data", "rotation_data_along", "v_matrix",
+    "rotation_data", "rotations", "lame_weight", "v_matrix",
     "check_darboux_system", "check_lame_system", "check_flatness_constraint",
     "check_algebraic_constraints", "check_potentiality",
     "check_reduction_identity", "integrate_lame", "rk4_path", "rk4_stage_times",
@@ -39,7 +45,7 @@ class ZeroLameError(Exception):
 
 
 @dataclass
-class RotationData:
+class RotationData(PointBatch):
     n: int
     point: np.ndarray
     H: np.ndarray        # H[i]
@@ -49,132 +55,170 @@ class RotationData:
     dbeta: np.ndarray    # dbeta[i,j,k] = d_k beta_ij
     V: np.ndarray        # V[i,j] = (u^j - u^i) beta_ij
     signs: np.ndarray    # branch signs applied on top of the principal sqrt
+    errors: list | None = None
 
 
-def _lame_jets_from_metric(g, dg, ddg):
-    """Principal-branch jets of H_i = sqrt(g_ii) from the metric jets."""
-    off = g - np.diag(np.diag(g))
-    if np.max(np.abs(off)) > 1e-12 * (1 + np.max(np.abs(g))):
-        raise NonDiagonalMetricError("metric is not diagonal at this point")
-    for i in range(g.shape[0]):
-        if g[i, i] == 0:
-            raise ZeroLameError(f"g_{i}{i} vanishes at this point")
-    diag = np.arange(g.shape[0])
-    return ej.jet_sqrt((g[diag, diag], dg[diag, diag], ddg[diag, diag]))
+def _lame_jets_from_metric(g, dg, ddg, errors):
+    """Principal-branch jets of H_i = sqrt(g_ii) from the metric jets at
+    each point of a batch; a point where the metric is not diagonal, or a
+    g_ii vanishes, records the error."""
+    count, n = g.shape[:2]
+    diag = np.arange(n)
+    gd = g[:, diag, diag]
+    off = np.where(np.eye(n, dtype=bool), 0, g)
+    fail_at(errors, amax(off, 2) > 1e-12 * (1 + amax(g, 2)),
+            lambda k: NonDiagonalMetricError("metric is not diagonal at this point"))
+    zero = gd == 0
+    fail_at(errors, zero.any(axis=1),
+            lambda k: ZeroLameError(f"g_{np.argmax(zero[k])}{np.argmax(zero[k])} vanishes "
+                                    "at this point"))
+    H, dH, ddH = ej.jet_sqrt((gd.reshape(-1), dg[:, diag, diag].reshape(-1, n),
+                              ddg[:, diag, diag].reshape(-1, n, n)), fail=lambda *_: None)
+    return H.reshape(count, n), dH.reshape(count, n, n), ddH.reshape(count, n, n, n)
 
 
-def _from_lame_jets(point, H, dH, ddH, signs=None) -> RotationData:
-    """Rotation data from the Lame jets, with the branch of each H_i
-    flipped where `signs` is -1."""
-    n = len(H)
-    if signs is None:
-        signs = np.ones(n)
-    else:
-        H, dH, ddH = signs * H, signs[:, None] * dH, signs[:, None, None] * ddH
-    beta = np.zeros((n, n), dtype=complex)
-    dbeta = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            beta[i, j] = dH[i, j] / H[j]
-            dbeta[i, j] = (ddH[i, j] * H[j] - dH[i, j] * dH[j]) / H[j] ** 2
-    u = point
-    V = (u[None, :] - u[:, None]) * beta
+def _continued_signs(H):
+    """The branch signs along the points of a batch, in one scan: the first
+    point keeps the principal branch, and each next point's H_i takes the
+    sign that puts it nearer the previous point's signed H_i (a tie keeps
+    the principal branch)."""
+    near = (np.abs(H[1:] - H[:-1]) <= np.abs(H[1:] + H[:-1])).tolist()
+    far = (np.abs(H[1:] + H[:-1]) <= np.abs(H[1:] - H[:-1])).tolist()
+    signs = [[1.0] * H.shape[1]]
+    for near_k, far_k in zip(near, far):
+        signs.append([1.0 if (up if s > 0 else down) else -1.0
+                      for s, up, down in zip(signs[-1], near_k, far_k)])
+    return np.array(signs)
+
+
+def _from_lame_jets(point, H, dH, ddH, signs, errors) -> RotationData:
+    """Rotation data from the Lame jets over a batch, with the branch of
+    each H_i flipped where `signs` is -1."""
+    n = H.shape[-1]
+    flip = np.any(signs < 0, axis=-1)
+    if flip.any():
+        H = np.where(flip[:, None], signs * H, H)
+        dH = np.where(flip[:, None, None], signs[..., None] * dH, dH)
+        ddH = np.where(flip[:, None, None, None], signs[..., None, None] * ddH, ddH)
+    off = ~np.eye(n, dtype=bool)
+    Hj = H[:, None, :]
+    with np.errstate(all="ignore"):  # a point with an error has zero jets
+        beta = np.where(off, dH / Hj, 0)
+        dbeta = np.where(off[..., None], (ddH * Hj[..., None] - dH[..., None] * dH[:, None])
+                         / (Hj ** 2)[..., None], 0)
+    V = (point[:, None, :] - point[:, :, None]) * beta
     return RotationData(n=n, point=point, H=H, dH=dH, ddH=ddH,
-                        beta=beta, dbeta=dbeta, V=V, signs=signs)
+                        beta=beta, dbeta=dbeta, V=V, signs=signs, errors=errors)
 
 
-def _rotation_at(point, jets, from_metric: bool, signs=None) -> RotationData:
-    """Rotation data from the jets of the Lame table, or of the metric with
-    the branch `signs` applied on top of the principal square roots."""
-    if not from_metric:
-        return _from_lame_jets(point, *jets)
-    return _from_lame_jets(point, *_lame_jets_from_metric(*jets), signs)
+def rotations(spec: ManifoldSpec, points, params=None,
+              lame_exprs: Sequence[str] | None = None) -> RotationData:
+    """Lame coefficients, rotation coefficients and their first derivatives
+    at all of `points`, shape (P, n), as one batch: the Lame table (or the
+    metric) runs once over the points, and the branch of each
+    metric-derived Lame coefficient is continued from point to point.  A
+    point where the data cannot be built records its first error."""
+    points = np.asarray(points, dtype=complex).reshape(-1, spec.n)
+    jets = table_jets(spec.g if lame_exprs is None else lame_exprs, points, spec.env(params))
+    errors = jets.errors
+    if lame_exprs is not None:
+        return _from_lame_jets(points, jets.val, jets.grad, jets.hess,
+                               np.ones(jets.val.shape), errors)
+    H, dH, ddH = _lame_jets_from_metric(jets.val, jets.grad, jets.hess, errors)
+    return _from_lame_jets(points, H, dH, ddH, _continued_signs(H), errors)
 
 
 def rotation_data(spec: ManifoldSpec, point, params=None,
-                  lame_exprs: Sequence[str] | None = None,
-                  signs=None) -> RotationData:
+                  lame_exprs: Sequence[str] | None = None) -> RotationData:
     """Lame coefficients, rotation coefficients and their first derivatives
     at one point of a semisimple chart."""
-    point = np.asarray(point, dtype=complex)
-    jets = ej.eval_table(spec.g if lame_exprs is None else lame_exprs, point, spec.env(params))
-    return _rotation_at(point, jets, lame_exprs is None, None if signs is None else np.asarray(signs))
+    return rotations(spec, [point], params, lame_exprs).at(0)
 
 
-def rotation_data_along(spec: ManifoldSpec, points, params=None, lame_exprs=None):
-    """Rotation data over a point sequence, yielded one point at a time, with
-    the branch of each metric-derived Lame coefficient continued from the
-    previous point.  The Lame (or metric) table runs once over all the
-    points, when the first point's data is asked for; a point where it is
-    singular raises when it is reached."""
-    points = np.asarray(points, dtype=complex)
-    if not len(points):
-        return
-    jets = ej.eval_points(spec.g if lame_exprs is None else lame_exprs, points, spec.env(params))
-    prev = None
-    for k, p in enumerate(points):
-        rd = _rotation_at(p, jets.at(k), lame_exprs is None)
-        if prev is not None and lame_exprs is None:
-            signs = np.where(np.abs(rd.H - prev.H) <= np.abs(rd.H + prev.H), 1.0, -1.0)
-            if np.any(signs < 0):
-                rd = _from_lame_jets(rd.point, rd.H, rd.dH, rd.ddH, signs)
-        yield rd
-        prev = rd
+def lame_weight(rd: RotationData):
+    """The homogeneity weight fitted as the median of E(H_i)/H_i, sorted by
+    (real, imag) (robust to one near-zero coefficient): at each point."""
+    with np.errstate(all="ignore"):  # a point with an error has zero jets
+        ratios = np.sum(rd.point[..., None, :] * rd.dH, axis=-1) / rd.H
+    return np.sort(ratios, axis=-1)[..., rd.n // 2]
 
 
 def v_matrix(rd: RotationData):
-    """V, its sorted eigenvalues, and the homogeneity weight fitted as the
-    median of E(H_i)/H_i (robust to one near-zero coefficient)."""
-    eig = eigenvalues(rd.V)
-    ratios = sorted((np.sum(rd.point * rd.dH[i]) / rd.H[i] for i in range(rd.n)),
-                    key=lambda v: (v.real, v.imag))
-    d_fit = ratios[len(ratios) // 2]
-    return rd.V, eig, d_fit
+    """V, its sorted eigenvalues, and the homogeneity weight (`lame_weight`)
+    at one point."""
+    return rd.V, eigenvalues(rd.V), lame_weight(rd)
 
 
-def _offdiag_pairs(n):
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
+def _masks(n):
+    """[i, j] where i != j, and [i, j, k] where the three are distinct."""
+    i, j, k = np.indices((n, n, n))
+    return i[..., 0] != j[..., 0], (i != j) & (j != k) & (i != k)
+
+
+def _batch(spec, points, params, lame_exprs) -> RotationData:
+    rd = rotations(spec, points, params, lame_exprs)
+    raise_first(rd.errors)
+    return rd
 
 
 # ---------------------------------------------------------------------------
-# checks: a per-point residual of the point's rotation data, returning the
-# normalized residual and its scale, and the check over a point set
+# checks: the residual and scale at each point of the rotation data, and
+# the check over a point set
 
 
 def darboux_at(rd: RotationData):
     """Residuals of d_k beta_ij = beta_ik beta_kj, e(beta) = 0 and
     E(beta) = -beta on the canonical chart."""
-    u = rd.point
-    sc = float(np.max(np.abs(rd.beta)))
-    terms = []
-    for i, j in _offdiag_pairs(rd.n):
-        terms += [abs(rd.dbeta[i, j, k] - rd.beta[i, k] * rd.beta[k, j])
-                  for k in range(rd.n) if k not in (i, j)]
-        terms.append(abs(np.sum(rd.dbeta[i, j])))
-        terms.append(abs(np.sum(u * rd.dbeta[i, j]) + rd.beta[i, j]))
-    return normalized(worst(terms), sc + sc * sc), sc
+    u, beta, dbeta = rd.point, rd.beta, rd.dbeta
+    off, distinct = _masks(rd.n)
+    sc = amax(beta, 2)
+    # [i, j, k]: beta_ik beta_kj
+    prod = beta[..., :, None, :] * np.swapaxes(beta, -2, -1)[..., None, :, :]
+    raw = pmax(amax(np.where(distinct, dbeta - prod, 0), 3),
+               amax(np.where(off, np.sum(dbeta, axis=-1), 0), 2),
+               amax(np.where(off, np.sum(u[..., None, None, :] * dbeta, axis=-1) + beta, 0), 2))
+    return normalized(raw, sc + sc * sc), sc
 
 
 def check_darboux_system(spec, points, tol: float = DEFAULT_TOL, params=None,
                          lame_exprs=None) -> Report:
-    rds = rotation_data_along(spec, points, params, lame_exprs)
-    return point_report("darboux-system", map(darboux_at, rds), tol)
+    return batch_report("darboux-system", darboux_at(_batch(spec, points, params, lame_exprs)),
+                        tol)
 
 
-def lame_system_at(rd: RotationData, d=None, beta_source: Callable | None = None):
+def _betas(beta_source: Callable, rd: RotationData, errors):
+    """beta_source at each point of `rd` that has no error yet; a point
+    where it raises records the error, given `errors`."""
+    points = rd.point.reshape(-1, rd.n)
+    out = np.zeros((len(points), rd.n, rd.n), dtype=complex)
+    for k, u in enumerate(points):
+        if errors is not None and errors[k] is not None:
+            continue
+        try:
+            out[k] = beta_source(u)
+        except Exception as err:  # raised again when the walk reaches point k
+            if errors is None:
+                raise
+            errors[k] = err
+    return out.reshape(rd.beta.shape)
+
+
+def lame_system_at(rd: RotationData, d=None, beta_source: Callable | None = None, errors=None):
     """Residuals of d_j H_i = beta_ij H_j, e(H_i) = 0, E(H_i) = d H_i, with
-    d fitted at the point when omitted.  Returns (residual, scale, fitted d)."""
+    d fitted at each point when omitted; `beta_source(u)` supplies the
+    rotation coefficients at u (over a batch, a point where it raises
+    records the error in `errors`).  Returns (residual, scale, fitted d)."""
     u = rd.point
-    sc = float(np.max(np.abs(rd.H))) * (1 + float(np.max(np.abs(rd.beta))))
-    beta = rd.beta if beta_source is None else beta_source(u)
-    terms = [abs(rd.dH[i, j] - beta[i, j] * rd.H[j]) for i, j in _offdiag_pairs(rd.n)]
-    terms += [abs(np.sum(rd.dH[i])) for i in range(rd.n)]
-    _, _, d_fit = v_matrix(rd)
-    d_point = d if d is not None else d_fit
-    terms += [abs(np.sum(u * rd.dH[i]) - complex(d_point) * rd.H[i]) for i in range(rd.n)]
-    return normalized(worst(terms), sc), sc, d_fit
+    off, _ = _masks(rd.n)
+    sc = amax(rd.H, 1) * (1 + amax(rd.beta, 2))
+    beta = rd.beta if beta_source is None else _betas(beta_source, rd, errors)
+    d_fit = lame_weight(rd)
+    d_point = d_fit if d is None else complex(d)
+    raw = pmax(amax(np.where(off, rd.dH - beta * rd.H[..., None, :], 0), 2),
+               amax(np.sum(rd.dH, axis=-1), 1),
+               amax(np.sum(u[..., None, :] * rd.dH, axis=-1)
+                    - np.asarray(d_point)[..., None] * rd.H, 1))
+    return normalized(raw, sc), sc, d_fit
 
 
 def check_lame_system(spec, points, d=None, beta_source: Callable | None = None,
@@ -187,94 +231,95 @@ def check_lame_system(spec, points, d=None, beta_source: Callable | None = None,
     remain informative.  With d omitted it is fitted per point and checked
     for consistency.
     """
-    rds = rotation_data_along(spec, points, params, lame_exprs)
-    return point_report("lame-system", [lame_system_at(rd, d, beta_source) for rd in rds],
-                        tol, fit="d")
+    rd = _batch(spec, points, params, lame_exprs)
+    return batch_report("lame-system", lame_system_at(rd, d, beta_source), tol, fit="d")
 
 
 def flatness_constraint_at(rd: RotationData):
     """d_i beta_ji + d_j beta_ij + sum_{k != i,j} beta_ik beta_jk = 0."""
-    sc = float(np.max(np.abs(rd.beta)))
-    terms = []
-    for i, j in _offdiag_pairs(rd.n):
-        acc = rd.dbeta[j, i, i] + rd.dbeta[i, j, j]
-        for k in range(rd.n):
-            if k not in (i, j):
-                acc += rd.beta[i, k] * rd.beta[j, k]
-        terms.append(abs(acc))
-    return normalized(worst(terms), sc + sc * sc), sc
+    beta = rd.beta
+    off, distinct = _masks(rd.n)
+    sc = amax(beta, 2)
+    # [i, j]: d_i beta_ji + d_j beta_ij
+    acc = np.swapaxes(np.einsum("...jii->...ji", rd.dbeta), -2, -1) + \
+        np.einsum("...ijj->...ij", rd.dbeta)
+    for k in range(rd.n):
+        acc = acc + np.where(distinct[..., k], beta[..., :, None, k] * beta[..., None, :, k], 0)
+    return normalized(amax(np.where(off, acc, 0), 2), sc + sc * sc), sc
 
 
 def check_flatness_constraint(spec, points, tol: float = DEFAULT_TOL, params=None,
                               lame_exprs=None) -> Report:
-    rds = rotation_data_along(spec, points, params, lame_exprs)
-    return point_report("flatness-constraint", map(flatness_constraint_at, rds), tol)
+    return batch_report("flatness-constraint",
+                        flatness_constraint_at(_batch(spec, points, params, lame_exprs)), tol)
 
 
 def algebraic_constraints_at(rd: RotationData, which: str = "ED4bis"):
     """The algebraic reductions of the flatness constraint ("ED4bis") and of
     the second-flat-metric constraint ("ED5b")."""
     u, beta = rd.point, rd.beta
-    dbt = beta - beta.T
-    sc = float(np.max(np.abs(beta)))
-    terms = []
-    for i, j in _offdiag_pairs(rd.n):
-        acc = 0.0
-        for k in range(rd.n):
-            if k in (i, j):
-                continue
-            if which == "ED4bis":
-                acc += (u[j] - u[k]) * dbt[i, k] * beta[j, k] + (u[k] - u[i]) * dbt[j, k] * beta[i, k]
-            else:
-                acc += u[i] * (u[j] - u[k]) * dbt[i, k] * beta[j, k] - u[j] * (u[i] - u[k]) * dbt[j, k] * beta[i, k]
-        target = dbt[i, j] if which == "ED4bis" else 0.5 * (u[i] + u[j]) * dbt[i, j]
-        terms.append(abs(acc - target))
-    return normalized(worst(terms), sc + sc * sc), sc
+    off, distinct = _masks(rd.n)
+    dbt = beta - np.swapaxes(beta, -2, -1)
+    sc = amax(beta, 2)
+    ui, uj = u[..., :, None], u[..., None, :]
+    acc = 0.0
+    for k in range(rd.n):
+        # over [i, j]: u^k, dbt_ik, dbt_jk, beta_ik and beta_jk
+        uk = u[..., k, None, None]
+        dbt_ik, dbt_jk = dbt[..., :, None, k], dbt[..., None, :, k]
+        b_ik, b_jk = beta[..., :, None, k], beta[..., None, :, k]
+        if which == "ED4bis":
+            term = (uj - uk) * dbt_ik * b_jk + (uk - ui) * dbt_jk * b_ik
+        else:
+            term = ui * (uj - uk) * dbt_ik * b_jk - uj * (ui - uk) * dbt_jk * b_ik
+        acc = acc + np.where(distinct[..., k], term, 0)
+    target = dbt if which == "ED4bis" else 0.5 * (ui + uj) * dbt
+    return normalized(amax(np.where(off, acc - target, 0), 2), sc + sc * sc), sc
 
 
 def check_algebraic_constraints(spec, points, which: str = "ED4bis",
                                 tol: float = DEFAULT_TOL, params=None,
                                 lame_exprs=None) -> Report:
-    rds = rotation_data_along(spec, points, params, lame_exprs)
-    return point_report(f"algebraic-{which}", [algebraic_constraints_at(rd, which) for rd in rds],
-                        tol)
+    return batch_report(f"algebraic-{which}", algebraic_constraints_at(
+        _batch(spec, points, params, lame_exprs), which), tol)
 
 
 def potentiality_at(rd: RotationData):
     """beta_ij beta_jk beta_ki = beta_ji beta_ik beta_kj over distinct triples."""
     b = rd.beta
-    sc = float(np.max(np.abs(b))) ** 3
-    terms = [abs(b[i, j] * b[j, k] * b[k, i] - b[j, i] * b[i, k] * b[k, j])
-             for i in range(rd.n) for j in range(rd.n) for k in range(rd.n)
-             if len({i, j, k}) == 3]
-    return normalized(worst(terms), sc), sc
+    bt = np.swapaxes(b, -2, -1)
+    _, distinct = _masks(rd.n)
+    sc = amax(b, 2) ** 3
+    # over [i, j, k]: b_ij b_jk b_ki - b_ji b_ik b_kj
+    gap = (b[..., :, :, None] * b[..., None, :, :] * bt[..., :, None, :]
+           - bt[..., :, :, None] * b[..., :, None, :] * bt[..., None, :, :])
+    return normalized(amax(np.where(distinct, gap, 0), 3), sc), sc
 
 
 def check_potentiality(spec, points, tol: float = DEFAULT_TOL, params=None,
                        lame_exprs=None) -> Report:
-    rds = rotation_data_along(spec, points, params, lame_exprs)
-    return point_report("potentiality", map(potentiality_at, rds), tol)
+    return batch_report("potentiality",
+                        potentiality_at(_batch(spec, points, params, lame_exprs)), tol)
 
 
 def reduction_identity_at(rd: RotationData):
     """Identity implied by the unit/Euler equations for beta:
     d_j beta_ij = [sum_{k != i,j} (u^i - u^k) d_k beta_ij - beta_ij] / (u^j - u^i)."""
-    u = rd.point
-    sc = float(np.max(np.abs(rd.beta)))
-    terms = []
-    for i, j in _offdiag_pairs(rd.n):
-        acc = -rd.beta[i, j]
-        for k in range(rd.n):
-            if k not in (i, j):
-                acc += (u[i] - u[k]) * rd.dbeta[i, j, k]
-        terms.append(abs(rd.dbeta[i, j, j] - acc / (u[j] - u[i])))
-    return normalized(worst(terms), sc + sc * sc), sc
+    u, beta, dbeta = rd.point, rd.beta, rd.dbeta
+    off, distinct = _masks(rd.n)
+    sc = amax(beta, 2)
+    ui, uj = u[..., :, None], u[..., None, :]
+    acc = -beta
+    for k in range(rd.n):
+        acc = acc + np.where(distinct[..., k], (ui - u[..., k, None, None]) * dbeta[..., k], 0)
+    gap = np.einsum("...ijj->...ij", dbeta) - acc / np.where(off, uj - ui, 1)
+    return normalized(amax(np.where(off, gap, 0), 2), sc + sc * sc), sc
 
 
 def check_reduction_identity(spec, points, tol: float = DEFAULT_TOL, params=None,
                              lame_exprs=None) -> Report:
-    rds = rotation_data_along(spec, points, params, lame_exprs)
-    return point_report("reduction-identity", map(reduction_identity_at, rds), tol)
+    return batch_report("reduction-identity",
+                        reduction_identity_at(_batch(spec, points, params, lame_exprs)), tol)
 
 
 # ---------------------------------------------------------------------------

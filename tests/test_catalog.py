@@ -107,11 +107,11 @@ def test_every_flag_picks_a_check():
 
 
 def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
-    # record the points of every structure batch, pencil batch (first and
-    # second order) and rotation data built, every matrix inverted, every
-    # metric given Christoffel jets, every transformed metric, and every run
-    # of an expression table with the points it runs over, binding the
-    # recorders wherever fmcheck holds the function
+    # record the points of every structure, pencil (first and second
+    # order), rotation data, spanning-field and transformed-metric batch
+    # built, every matrix inverted, every metric given Christoffel jets,
+    # and every run of an expression table with the points it runs over,
+    # binding the recorders wherever fmcheck holds the function
     import sys
     from fmcheck import exprjet as ej
     from fmcheck.legendre import transform_metric_exprs
@@ -120,11 +120,10 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     def points_of(batch):
         return [tuple(p) for p in np.asarray(batch.point, dtype=complex).reshape(-1, batch.n)]
 
-    def yielded(key, fn):
-        def recording(*args, **kwargs):
-            for item in fn(*args, **kwargs):
-                built[key].append(tuple(np.asarray(item.point, dtype=complex)))
-                yield item
+    def fields_over(fn):
+        def recording(nb, points, n):
+            built["fields"].append([tuple(p) for p in np.asarray(points, dtype=complex)])
+            return fn(nb, points, n)
         return recording
 
     def returned(key, fn):
@@ -146,9 +145,9 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             return fn(g, *args, **kwargs)
         return recording
 
-    def transformed_at(fn):
+    def transformed_over(fn):
         def recording(st, *args, **kwargs):
-            built["transformed"].append(tuple(np.asarray(st.point, dtype=complex)))
+            built["transformed"].append(points_of(st))
             return fn(st, *args, **kwargs)
         return recording
 
@@ -159,12 +158,13 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         return recording
 
     targets = {("manifold", "structures"): lambda fn: returned("structure", fn),
-               ("rotation", "rotation_data_along"): lambda fn: yielded("rotation", fn),
+               ("rotation", "rotations"): lambda fn: returned("rotation", fn),
+               ("hamops", "spanning_fields"): fields_over,
                ("pencil", "pencil_first_order"): lambda fn: returned("pencil", fn),
                ("pencil", "pencil_second_order"): lambda fn: returned("pencil2", fn),
                ("connection", "checked_inverse"): inverse,
                ("connection", "christoffel_jets"): christoffel_of,
-               ("legendre", "transform_metric"): transformed_at,
+               ("legendre", "transformed_metric"): transformed_over,
                ("exprjet", "eval_points"): table_run}
     for (mod, fn), wrap in targets.items():
         orig = getattr(sys.modules[f"fmcheck.{mod}"], fn)
@@ -209,7 +209,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         built["structure"] = []
         st = manifold.structures(ent.spec, pts)
         metrics = [m for m in (st.g, st.g2) if m is not None]
-        for key in ("structure", "rotation", "pencil", "pencil2"):
+        for key in ("structure", "rotation", "fields", "pencil", "pencil2"):
             built[key] = []
         runs.clear()
         inverted.clear()
@@ -217,7 +217,8 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         run_suite(ent, seed=0, count=10)
         needs_rotation = bool(ent.flags & rotation_flags) or "V_eigenvalues" in ent.spec.expected
         assert built["structure"] == [pts], name
-        assert built["rotation"] == (pts if needs_rotation else []), name
+        assert built["rotation"] == ([pts] if needs_rotation else []), name
+        assert built["fields"] == ([pts] if "flat-normal-bundle" in ent.flags else []), name
         assert built["pencil"] == ([pts] if "pencil" in ent.flags else []), name
         assert built["pencil2"] == ([head] if "pencil" in ent.flags else []), name
         check_inverses(metrics, name)
@@ -246,8 +247,8 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
 
     # `legendre`: one structure batch over the sample points, the field's
     # and the target metric's tables once over them, the expression-level
-    # metric's once over the first five, and one transformed metric at each
-    # point a row reads it
+    # metric's once over the first five, and one transformed metric batch
+    # over the points a row reads it at
     ent = cat.entry("q0-d-minus1")
     pts = [tuple(np.asarray(p, dtype=complex))
            for p in sample_points(ent.spec, SamplePlan(seed=0, count=10))]
@@ -263,7 +264,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) == 0, argv
         assert built["structure"] == [pts], argv
-        assert built["transformed"] == (pts if target else pts[:5]), argv
+        assert built["transformed"] == ([pts] if target else [pts[:5]]), argv
         check_inverses([st.g], argv)
         exprs = ent.companion["legendre_fields"][field]
         want = [(repr(t), pts) for t in (ent.spec.e, ent.spec.E, ent.spec.g, exprs)]

@@ -249,7 +249,11 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["legendre", str(paths["table"]), "--field", "1,1"],
                         "constant product table"),
                        (["legendre", str(paths["zero"]), "--field", "1,1"], singular(0)),
-                       (["legendre", str(paths["divzero"]), "--field", "1,1"], singular(0))):
+                       (["legendre", str(paths["divzero"]), "--field", "1,1"], singular(0)),
+                       # a malformed --param is named with what it holds
+                       (["verify", "lobachevsky", "--param", "a"], "--param 'a'"),
+                       (["verify", "lobachevsky", "--param", "=3"], "--param '=3'"),
+                       (["verify", "lobachevsky", "--param", "b=zz"], "--param b: 'zz'")):
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and want in err, (argv, err)

@@ -304,14 +304,95 @@ def _batched_functions(spec, comp):
                 pn.pencil_first_order(st)),
             "flat_pencil_at": lambda st: pn.flat_pencil_at(pn.pencil_from_structure(st)),
         })
+    out.update(_point_axis_functions(spec, comp))
+    return out
+
+
+def _point_axis_functions(spec, comp):
+    """The batched functions of the rotation data, the spanning fields, the
+    dual structure, the flat chart and a transform that apply to `spec`,
+    by name, as in `_batched_functions`."""
+    from fmcheck import connection as cn, hamops as hm, legendre as lg, rotation as rot
+    from fmcheck.manifold import table_jets
+    from fmcheck.ode3d import beta_from_F
+    out = {}
+
+    def points(st):
+        return st.point.reshape(-1, spec.n)
+
+    def own(batch, st):
+        # the batch, or at a single point its point's data
+        return batch if st.point.ndim > 1 else batch.at(0)
+
+    def table(key, st):
+        return own(table_jets(key, points(st), spec.env()), st)
+
+    if "lame" in comp:
+        def rd(st):
+            return own(rot.rotations(spec, points(st), lame_exprs=comp["lame"]), st)
+        out.update({
+            "rotations": lambda st: [getattr(rd(st), f) for f in ("H", "dH", "ddH", "beta", "dbeta",
+                                                                  "V", "signs")],
+            "lame_weight": lambda st: rot.lame_weight(rd(st)),
+            "darboux_at": lambda st: rot.darboux_at(rd(st)),
+            "reduction_identity_at": lambda st: rot.reduction_identity_at(rd(st)),
+            "lame_system_at": lambda st: rot.lame_system_at(rd(st), spec.expected.get("d")),
+            "flatness_constraint_at": lambda st: rot.flatness_constraint_at(rd(st)),
+            "algebraic_constraints_at": lambda st: [rot.algebraic_constraints_at(rd(st), which)
+                                                    for which in ("ED4bis", "ED5b")],
+            "potentiality_at": lambda st: rot.potentiality_at(rd(st)),
+        })
+        if "ode_family" in comp:
+            out["lame_system_at(beta_source)"] = lambda st: rot.lame_system_at(
+                rd(st), None, lambda u: beta_from_F(cat._closed_form_state(spec, comp, u), u))
+    if "normal_bundle" in comp:
+        nb = comp["normal_bundle"]
+
+        def fields(st):
+            return own(hm.spanning_fields(nb, points(st), spec.n), st)
+        out.update({
+            "spanning_fields": lambda st: (fields(st).val, fields(st).grad),
+            "quadratic_expansion_at": lambda st: hm.quadratic_expansion_at(
+                st, cn.levi_civita(st), nb.eps, fields(st).val),
+            "sym_condition_at": lambda st: hm.sym_condition_at(
+                st, cn.natural_connection(st), fields(st).val, fields(st).grad),
+            "gmc_at": lambda st: hm.gmc_at(st, cn.levi_civita(st), nb.eps, fields(st).val,
+                                           fields(st).grad),
+        })
+    if "gamma_star" in comp:
+        def dual(st):
+            d = cn.dual_structure(st, cn.natural_connection(st))
+            return [d.cstar, d.dcstar, d.gamma_star.gamma, d.gamma_star.dgamma, d.residual, d.scale]
+        out["dual_structure"] = dual
+    if "flat_chart" in comp:
+        def conn(st):
+            if "gamma" not in comp:
+                return cn.natural_connection(st)
+            return own(cn.connections_from_exprs(comp["gamma"], points(st), spec.env()), st)
+        out["flat_coordinates_at"] = lambda st: cat.flat_coordinates_at(
+            table(comp["flat_chart"], st), conn(st))
+    if "legendre_fields" in comp:
+        def field(st):
+            x = table(comp["legendre_fields"]["X3"], st)
+            return x.val, x.grad, x.hess
+        out.update({
+            "legendre_field_at": lambda st: lg.legendre_field_at(st, cn.natural_connection(st),
+                                                                 *field(st)[:2]),
+            "transformed_metric": lambda st: lg.transformed_metric(
+                st, cn.natural_connection(st), *field(st)[:2]),
+            "transform_metric": lambda st: lg.transform_metric(st, cn.natural_connection(st),
+                                                               *field(st)),
+        })
     return out
 
 
 def test_batched_functions_and_rows_equal_single_point_runs():
-    # every batched function, and every batched row of the check table,
-    # gives at each of 10 points what it gives on that point alone
+    # every batched function, and every batched row of the check table (a
+    # catalog entry's, and a Legendre transform's), gives at each of 10
+    # points what it gives on that point alone
     from fmcheck.manifold import per_point, structures
     names = set()
+    sources = []
     for name in cat.names():
         ent = cat.entry(name)
         spec, comp = ent.spec, ent.companion
@@ -323,11 +404,19 @@ def test_batched_functions_and_rows_equal_single_point_runs():
             for k, st in enumerate(singles):
                 _same(result, fn(st), (name, fn_name, k), k)
             names.add(fn_name)
-        rows = [c for c in cat.CHECKS if c.batched and (c.flag in ent.flags or c.flag is None)
-                and all(getattr(spec, key, None) is not None or key in comp for key in c.needs)]
+        rows = [c for c in cat.CHECKS if c.batched and (
+            c.flag in ent.flags or c.flag is None and c.name in cat.SINGLE_CHECKS and spec.g)
+            and all(getattr(spec, key, None) is not None or key in comp for key in c.needs)]
+        sources.append((name, spec, comp, pts, rows))
+    source = cat.entry("q0-d-minus1")
+    for field, target in (("X2", "q0-d0"), ("X3", None)):
+        transform = cat.Transform(source.spec, source.companion["legendre_fields"][field], field,
+                                  target)
+        comp, rows, _ = transform.rows()
+        pts = sample_points(source.spec, SamplePlan(seed=0, count=10))
+        sources.append((f"{field}->{target}", source.spec, comp, pts, rows))
+    for name, spec, comp, pts, rows in sources:
         for row in rows:
-            if row.flag is None and spec.g is None:
-                continue
             walk = cat._Walk(spec, comp, pts, 1e-8)
             limit = {None: 10, "head": walk.head}.get(row.points, row.points)
             got = per_point(row.at(cat._RowData(walk, limit)))
@@ -335,54 +424,69 @@ def test_batched_functions_and_rows_equal_single_point_runs():
             for k, p in enumerate(pts[:limit]):
                 want = per_point(row.at(cat._RowData(cat._Walk(spec, comp, [p], 1e-8), 1)))
                 _same(got[k], want[0], (name, row.name, k))
-            names.add(row.name)
-    assert len([c for c in cat.CHECKS if c.batched and c.name in names]) == 19
-    assert len(names) >= 19 + 25
+            names.add("match" if row.name.startswith("match-") else row.name)
+    assert len([c for c in cat.CHECKS if c.batched and c.name in names]) == 36
+    assert len(names) >= 36 + 46
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
-    # one array of the structure batch is moved by 1e-3, or turns to NaN,
-    # at point 5 of 10: each batched row whose residual the move changes
-    # reads that array there, and the NaN makes it NaN, so the row fails
+    # one array of the structure batch or of the rotation data is moved by
+    # 1e-3, or turns to NaN, at point 5 of 10: each batched row whose
+    # residual the move changes reads that array there, and the NaN makes
+    # it NaN, so the row fails
     import dataclasses
-    from fmcheck import manifold
-    real_structures = manifold.structures
+    from fmcheck import manifold, rotation
+    from fmcheck.legendre import HypothesisViolatedError
     poison = {"field": None}
 
-    def poisoned(spec, points, params=None):
-        st = real_structures(spec, points, params)
-        field, bump = poison["field"], poison.get("bump")
-        value = None if field is None else getattr(st, field)
-        if value is not None:
-            at_5 = (np.arange(len(points)) == 5).reshape((-1,) + (1,) * (value.ndim - 1))
-            setattr(st, field, np.where(at_5, value + bump, value))
-        return st
+    def poisoning(build):
+        def poisoned(*args, **kwargs):
+            out = build(*args, **kwargs)
+            field, bump = poison["field"], poison.get("bump")
+            value = None if field is None else getattr(out, field, None)
+            if value is not None:
+                at_5 = (np.arange(len(value)) == 5).reshape((-1,) + (1,) * (value.ndim - 1))
+                setattr(out, field, np.where(at_5, value + bump, value))
+            return out
+        return poisoned
 
-    monkeypatch.setattr(cat, "structures", poisoned)
+    monkeypatch.setattr(cat, "structures", poisoning(manifold.structures))
+    monkeypatch.setattr(cat, "rotations", poisoning(rotation.rotations))
     batched = {c.name for c in cat.CHECKS if c.batched and c.points is None}
-    runs = [(name, None) for name in ("lobachevsky", "q0-d-minus1", "af-pencil-n3", "nonss3d")]
-    runs += [("lobachevsky", "levi-civita-flat"), ("lobachevsky", "natural-flat")]
-    fields = [f.name for f in dataclasses.fields(manifold.StructureAt)
-              if f.name not in ("n", "point", "errors")]
+    names = ("lobachevsky", "q0-d-minus1", "q0-d0", "af-pencil-n3", "nonss3d",
+             "lauricella-eps-minus1-n3", "pencil-63", "case-i")
+    runs = [(cat.entry(name), None) for name in names]
+    runs += [(cat.entry("lobachevsky"), "levi-civita-flat"),
+             (cat.entry("lobachevsky"), "natural-flat")]
+    source = cat.entry("q0-d-minus1")
+    runs.append((cat.Transform(source.spec, source.companion["legendre_fields"]["X2"], "X2",
+                               "q0-d0"), None))
+    fields = [f.name for cls in (manifold.StructureAt, rotation.RotationData)
+              for f in dataclasses.fields(cls) if f.name not in ("n", "point", "errors")]
 
-    def residuals(name, check):
-        return {r.name: r for r in cat.run_suite(cat.entry(name), seed=0, count=10,
-                                                  check=check).reports if r.name in batched}
+    def residuals(source, check):
+        # by row name, a transform's match-<target> as "match"
+        reports = cat.run_suite(source, seed=0, count=10, check=check).reports
+        rows = {"match" if r.name.startswith("match-") else r.name: r for r in reports}
+        return {name: r for name, r in rows.items() if name in batched}
 
     failed = set()
-    for name, check in runs:
+    for source, check in runs:
         poison["field"] = None
-        base = residuals(name, check)
-        assert base, name
+        base = residuals(source, check)
+        assert base, source.spec.name
         for field in fields:
             poison.update(field=field, bump=1e-3)
-            moved = residuals(name, check)
+            try:
+                moved = residuals(source, check)
+            except HypothesisViolatedError:  # the moved field is no longer flat
+                moved = None
             poison.update(bump=np.nan)
-            for row, r in residuals(name, check).items():
+            for row, r in residuals(source, check).items():
                 if np.isnan(r.residual):
-                    assert not r.passed, (name, field, row)
+                    assert not r.passed, (source.spec.name, field, row)
                     failed.add(row)
-                else:
-                    assert moved[row].residual == base[row].residual, (name, field, row)
+                elif moved is not None:
+                    assert moved[row].residual == base[row].residual, (source.spec.name, field, row)
     assert failed == batched

@@ -235,3 +235,40 @@ def test_hand_computed_rotation_coefficients_at_reference_point():
         [s2 / 6, 1j * s3 / 4, 0.0],
     ])
     assert np.max(np.abs(rd.beta - want)) < 1e-12
+
+
+def test_metric_branch_continuation_equals_pointwise_loop():
+    # g_11 = -1 + i (u1 - u2) crosses the cut of the principal square root
+    # wherever u1 - u2 changes sign, so the principal H_1 jumps between
+    # the sample points; the batch's one scan must flip it exactly where
+    # the point-by-point continuation did, and build the same data
+    spec = ManifoldSpec(name="winding", n=2, coords=("u1", "u2"), product="canonical",
+                        e=("1", "1"), E=("u1", "u2"),
+                        g=(("-1+c*(u1-u2)", "0"), ("0", "1+u1^2")), params={"c": 1j},
+                        region=Region(box=((0.0, 1.0), (0.0, 1.0)), min_sep=0.05))
+    pts = sample_points(spec, SamplePlan(seed=0, count=12))
+    batch = cat._Walk(spec, {}, pts, 1e-8).batch("rd")
+    assert batch.errors == [None] * 12
+    prev = None
+    for k, p in enumerate(pts):
+        rd = rotation_data(spec, p)
+        H, dH, ddH, signs = rd.H, rd.dH, rd.ddH, np.ones(2)
+        if prev is not None:
+            flips = np.where(np.abs(H - prev) <= np.abs(H + prev), 1.0, -1.0)
+            if np.any(flips < 0):
+                signs = flips
+                H, dH, ddH = signs * H, signs[:, None] * dH, signs[:, None, None] * ddH
+        beta = np.zeros((2, 2), dtype=complex)
+        dbeta = np.zeros((2, 2, 2), dtype=complex)
+        for i, j in ((0, 1), (1, 0)):
+            beta[i, j] = dH[i, j] / H[j]
+            dbeta[i, j] = (ddH[i, j] * H[j] - dH[i, j] * dH[j]) / H[j] ** 2
+        got = batch.at(k)
+        for name, want in (("signs", signs), ("H", H), ("dH", dH), ("ddH", ddH)):
+            assert np.array_equal(getattr(got, name), want), (k, name)
+        # the rotation coefficients come from the same jets by array rather
+        # than scalar arithmetic, which may round the last bit differently
+        for name, want in (("beta", beta), ("dbeta", dbeta)):
+            assert np.all(np.abs(getattr(got, name) - want) <= 1e-15 * np.abs(want)), (k, name)
+        prev = H
+    assert np.any(batch.signs < 0) and np.any(np.diff(batch.signs[:, 0]) > 0)
