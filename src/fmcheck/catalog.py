@@ -19,12 +19,10 @@ from typing import Callable
 import numpy as np
 
 from . import exprjet as ej
-from .connection import (ConnectionAt, InverseJets, check_compat_product, check_flatness,
-                         check_nabla_e, check_nabla_from_g, compat_product_at,
-                         connections_from_exprs, counit_jets, curvature_product_at,
-                         dual_structure, flatness_at, levi_civita, metric_inverse, nabla_e_at,
-                         nabla_from_g_at, nabla_nabla_E_at, natural_from_levi_civita,
-                         r_tr_identity_at, torsion_at)
+from .connection import (ConnectionAt, InverseJets, compat_product_at, connections_from_exprs,
+                         counit_jets, curvature_product_at, dual_structure, flatness_at,
+                         levi_civita, metric_inverse, nabla_e_at, nabla_from_g_at,
+                         nabla_nabla_E_at, natural_from_levi_civita, r_tr_identity_at, torsion_at)
 from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at, gmc_report,
                      quadratic_expansion_at, rank_of, spanning_fields, sym_condition_at)
 from .legendre import (homogeneous_legendre_at, homogeneous_legendre_report, legendre_field_at,
@@ -34,16 +32,16 @@ from .manifold import (AllEntriesZeroError, Jets, ManifoldSpec, PointBatch, Regi
                        SamplePlan, amax, fail_at, fit_scalar, hertling_manin_at, homogeneity_at,
                        killing_unit_at, metric_invariance_at, normalized, per_point, pmax,
                        point_report, product_axioms_at, required, sample_points, structures,
-                       table_jets, worst)
-from .ode3d import beta_from_F, closed_form_pencil, closed_form_q0, integrals, z_of_point
-from .pencil import (delta_jets, delta_tensor_at, exactness_at, flat_pencil_at,
+                       table_jets)
+from .ode3d import betas_from_F, closed_forms, first_integrals
+from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at,
                      flat_pencil_report, pencil_first_order, pencil_homogeneity_at,
                      pencil_second_order, pencil_weight, product_from_pencil_at, r_operator_at,
                      reconstructed_at)
-from .rotation import (RotationData, ZeroLameError, algebraic_constraints_at, darboux_at,
+from .rotation import (ZeroLameError, algebraic_constraints_at, darboux_at,
                        flatness_constraint_at, lame_system_at, potentiality_at,
-                       reduction_identity_at, rotations, v_matrix)
-from .tensor import SingularMatrixError, cluster_values
+                       reduction_identity_at, rotations)
+from .tensor import SingularMatrixError, cluster_values, eigenvalues
 
 __all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Transform",
            "run_checks", "Check", "CHECKS", "SPEC_CHECKS", "SINGLE_CHECKS",
@@ -459,23 +457,16 @@ def _table_gap(conn: ConnectionAt, printed: ConnectionAt):
     return gap, np.zeros_like(gap)
 
 
-def _closed_form_state(spec: ManifoldSpec, comp: dict, u):
-    """The closed-form solution of the spec's ODE family at the point u."""
-    z = z_of_point(u)
-    if comp["ode_family"] == "q0":
-        return closed_form_q0(z, spec.params.get("a", 1.0), spec.params.get("b", 1.0))
-    return closed_form_pencil(z)
-
-
-def _v_eigenvalue_gap(rd: RotationData, want) -> float:
-    _, eig, _ = v_matrix(rd)
-    # cluster multiple roots first: a split double root is only
-    # sqrt(eps)-accurate per root but eps-accurate in the mean
-    clustered = []
-    for rep, mult in cluster_values(eig, tol=1e-6):
-        clustered.extend([rep] * mult)
-    clustered.sort(key=lambda v: (v.real, v.imag))
-    return float(np.max(np.abs(np.array(clustered) - np.array(sorted(want), dtype=complex))))
+def _v_eigenvalue_gap(b):
+    want = np.array(sorted(b.expected["V_eigenvalues"]), dtype=complex)
+    gaps = []
+    for eig in eigenvalues(b.rd.V):
+        # cluster multiple roots first: a split double root is only
+        # sqrt(eps)-accurate per root but eps-accurate in the mean
+        clustered = sorted((rep for rep, mult in cluster_values(eig, tol=1e-6)
+                            for _ in range(mult)), key=lambda v: (v.real, v.imag))
+        gaps.append(np.max(np.abs(np.array(clustered) - want)))
+    return np.array(gaps), np.zeros(len(gaps))
 
 
 def _transformed(w) -> Jets:
@@ -489,10 +480,10 @@ def _transformed(w) -> Jets:
 
 # The data a walk builds once, as batches over its points, each from the
 # walk's other data when a row first asks for it.  The pencil's
-# second-order data ("pa") are built over the head points only, which are
-# all that its rows read, on the Levi-Civita connection of the first
-# metric where the walk has built that; a point's view of a batch is its
-# `.at(k)`.
+# second-order data ("pa"), and the weight, difference tensor and product
+# its head rows share, are built over the head points only, which are all
+# that those rows read; "pa" on the Levi-Civita connection of the first
+# metric where the walk has built that.
 _BATCHED = {
     "st": lambda w: structures(w.spec, w.points),
     "ginv": lambda w: metric_inverse(w.batch("st")),
@@ -510,6 +501,12 @@ _BATCHED = {
     "pencil": lambda w: pencil_first_order(w.batch("st"), w.batch("ginv")),
     "pa": lambda w: pencil_second_order(
         w.batch("pencil").head(w.head), w.data["lc"].head(w.head) if "lc" in w.data else None),
+    "weight": lambda w: pencil_weight(w.batch("pa"), rank=2)[0],
+    "delta": lambda w: delta_jets(w.batch("pa")),
+    "pencil_product": lambda w: product_from_pencil_at(w.batch("pa"), w.batch("delta")[0]),
+    # the closed-form solution F of the spec's ODE family
+    "ode": lambda w: closed_forms(w.comp["ode_family"], w.points, w.spec.params.get("a", 1.0),
+                                  w.spec.params.get("b", 1.0)),
     # the flat chart, and the potential's tables at its values
     "chart": lambda w: w.table("flat_chart"),
     **{key: (lambda w, key=key: w.table(key, w.batch("chart").val))
@@ -522,24 +519,13 @@ _BATCHED = {
 }
 
 
-# The data a sample point's per-point rows share, each built from the
-# point's other data on first use (see `_PointData`): the pencil weight d
-# and the difference tensor's jets at a head point, which delta-identities,
-# r-operator and product-from-pencil share.
-_SHARED = {
-    "weight": lambda d: pencil_weight(d.pa)[0],
-    "delta": lambda d: delta_jets(d.pa),
-    "pencil_product": lambda d: product_from_pencil_at(d.pa, d.delta[0], max(d.tol, 1e-9)),
-}
-
-
 class _Walk:
-    """What one walk shares: spec, companion data, env, tol, its points and
+    """What one walk shares: spec, companion data, env, its points and
     head (the points of the costlier pencil rows), and the batches built so
     far."""
 
-    def __init__(self, spec: ManifoldSpec, comp: dict, points, tol: float):
-        self.spec, self.comp, self.env, self.tol = spec, comp, spec.env(), tol
+    def __init__(self, spec: ManifoldSpec, comp: dict, points):
+        self.spec, self.comp, self.env = spec, comp, spec.env()
         self.expected = spec.expected
         self.points = np.asarray(points, dtype=complex)
         self.head = max(4, len(points) // 5)
@@ -564,11 +550,11 @@ class _Walk:
 
 
 class _RowData:
-    """A batched row's view of the walk: its batches, cut to the row's
-    points, and in `errors` the first error at each of those points in the
-    batches it has read, in the order it read them, to which the row adds
-    its own.  As a point-by-point run would, reading a batch with an error
-    at the first point raises it."""
+    """A row's view of the walk: its batches (and tuples of arrays over the
+    points), cut to the row's points, and in `errors` the first error at
+    each of those points in the batches it has read, in the order it read
+    them, to which the row adds its own.  Reading a batch with an error at
+    the first point raises it."""
 
     def __init__(self, walk: _Walk, count: int):
         self.walk, self.count, self.errors = walk, count, [None] * count
@@ -577,7 +563,9 @@ class _RowData:
         if name not in _BATCHED:
             return getattr(self.walk, name)
         value = self.walk.batch(name)
-        if isinstance(value, PointBatch):
+        if isinstance(value, tuple):
+            value = tuple(a[:self.count] for a in value)
+        elif isinstance(value, PointBatch):
             if len(value.errors) > self.count:
                 value = value.head(self.count)
             for k, err in enumerate(value.errors):
@@ -588,39 +576,16 @@ class _RowData:
         return value
 
 
-class _PointData:
-    """Sample point k's data for the rows that run point by point: the
-    walk's fields, point k's view of each batch, and the entries of
-    `_SHARED`, each built once, when a row first asks for it."""
-
-    def __init__(self, walk: _Walk, k: int, point):
-        self.walk, self.k, self.point = walk, k, point
-
-    def __getattr__(self, name):
-        if name in _BATCHED:
-            value = self.walk.batch(name)
-            value = value.at(self.k) if isinstance(value, PointBatch) else \
-                tuple(a[self.k] for a in value)
-        elif name in _SHARED:
-            value = _SHARED[name](self)
-        else:
-            return getattr(self.walk, name)
-        setattr(self, name, value)
-        return value
-
-
 @dataclass(frozen=True)
 class Check:
     """One row of the check table.  `at` maps the row's `_RowData` to its
     results at all its points at once: (residual, scale[, fitted
-    constant]) as arrays over the point axis.  A row that is not `batched`
-    runs point by point: its `at` maps a point's `_PointData` to the
-    result there, a single-point Report, or a list of those.  An entry runs
-    the check when its flags hold `flag` and its spec, companion or
-    expected values hold all of `needs`; the check uses all points, the
-    first `points`, or with "head" the first max(4, count // 5).  `fit`,
-    `expected` (a key), `tol` (of the run's tol; default: the run's or its
-    Reports') and `reduce` set its reduction."""
+    constant]) as arrays over the point axis.  An entry runs the check when
+    its flags hold `flag` and its spec, companion or expected values hold
+    all of `needs`; the check uses all points, the first `points`, or with
+    "head" the first max(4, count // 5).  `fit`, `expected` (a key), `tol`
+    (of the run's tol; default: the run's) and `reduce` set its
+    reduction."""
     name: str
     at: Callable
     flag: str | None = None
@@ -630,14 +595,10 @@ class Check:
     expected: str | None = None
     tol: Callable | None = None
     reduce: Callable | None = None
-    batched: bool = True
 
-    def report(self, results: list, tol: float, expected: dict) -> Report:
+    def report(self, per_point: list, tol: float, expected: dict) -> Report:
         if self.tol is not None:
             tol = self.tol(tol)
-        elif isinstance(results[0], Report):
-            tol = results[0].tol
-        per_point = [(r.residual, r.scale) if isinstance(r, Report) else r for r in results]
         if self.reduce is not None:
             return self.reduce(self.name, per_point, tol)
         return point_report(self.name, per_point, tol, fit=self.fit,
@@ -645,28 +606,30 @@ class Check:
 
 
 def _lame_system_at(b):
-    beta_source = None
-    if "ode_family" in b.comp:
-        def beta_source(u):
-            return beta_from_F(_closed_form_state(b.spec, b.comp, u), u)
-    return lame_system_at(b.rd, b.expected.get("d"), beta_source, b.errors)
+    """With an ODE family, against the rotation coefficients of its closed
+    form."""
+    rd = b.rd
+    beta = betas_from_F(b.ode.val, rd.point) if "ode_family" in b.comp else None
+    return lame_system_at(rd, b.expected.get("d"), beta)
 
 
-def _ode_integrals_at(d):
-    vals = integrals(_closed_form_state(d.spec, d.comp, d.point))
-    return worst((abs(vals["I1"] - d.expected["I1"]), abs(vals["I2"] - d.expected["I2"]))), 0.0
+def _ode_integrals_at(b):
+    i1, i2 = first_integrals(b.ode.val)
+    return pmax(np.abs(i1 - b.expected["I1"]), np.abs(i2 - b.expected["I2"])), np.zeros(b.count)
 
 
-def _reconstructed_at(d):
+def _reconstructed_at(b):
     """The flat-structure checks of the structure rebuilt from the pencil.
     Its metric is the first one, so its natural connection is built on the
-    point's pencil data for that metric (inverse and Christoffel jets)."""
-    pa = d.pa
-    recon = reconstructed_at(pa, *d.pencil_product[:2])
+    pencil data for that metric (inverse and Christoffel jets), and its
+    counit is the walk's."""
+    pa, prod = b.pa, b.pencil_product
+    recon = reconstructed_at(pa, prod.c, prod.dc)
     lc = ConnectionAt(pa.n, pa.point, pa.gamma1, pa.dgamma1, "levi-civita")
-    nat = natural_from_levi_civita(recon, lc, InverseJets(pa.eta_inv, pa.deta_inv))
-    return [check_flatness(nat, d.tol), check_nabla_e(nat, recon, d.tol),
-            check_compat_product(nat, recon, d.tol), check_nabla_from_g(nat, recon, d.tol)]
+    nat = natural_from_levi_civita(recon, lc, InverseJets(pa.eta_inv, pa.deta_inv), b.counit)
+    parts = [flatness_at(nat), nabla_e_at(nat, recon), compat_product_at(nat, recon),
+             nabla_from_g_at(nat, recon, b.counit)]
+    return pmax(*(res for res, _ in parts)), pmax(*(sc for _, sc in parts))
 
 
 def _transform_exprs_at(b):
@@ -715,10 +678,8 @@ CHECKS = (
     Check("algebraic-ED4bis", lambda b: algebraic_constraints_at(b.rd, "ED4bis"), "ed4bis"),
     Check("algebraic-ED5b", lambda b: algebraic_constraints_at(b.rd, "ED5b"), "ed5b"),
     Check("potentiality", lambda b: potentiality_at(b.rd), "potentiality"),
-    Check("v-eigenvalues", lambda d: (_v_eigenvalue_gap(d.rd, d.expected["V_eigenvalues"]), 0.0),
-          "darboux", ("V_eigenvalues",), points=5, batched=False),
-    Check("ode-integrals", _ode_integrals_at, "ode-family", points=5, tol=lambda tol: 1e-10,
-          batched=False),
+    Check("v-eigenvalues", _v_eigenvalue_gap, "darboux", ("V_eigenvalues",), points=5),
+    Check("ode-integrals", _ode_integrals_at, "ode-family", points=5, tol=lambda tol: 1e-10),
     Check("quadratic-expansion",
           lambda b: quadratic_expansion_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
                                            b.ginv.inv),
@@ -727,20 +688,23 @@ CHECKS = (
           _BUNDLE),
     Check("gmc", lambda b: gmc_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
                                   b.fields.grad, b.ginv.inv), _BUNDLE, reduce=gmc_report),
-    Check("normal-rank", lambda d: (float(rank_of(d.fields.val) != d.expected["rank"]), 0.0),
-          _BUNDLE, ("rank",), points=5, tol=lambda tol: 0.5, batched=False),
+    # 1 where the rank is not the expected one
+    Check("normal-rank", lambda b: (np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"])),
+                                    np.zeros(b.count)),
+          _BUNDLE, ("rank",), points=5, tol=lambda tol: 0.5),
     Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",)),
     Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pencil), "pencil", ("g2",),
           fit="d", expected="d_pencil"),
     Check("flat-pencil", lambda b: flat_pencil_at(b.pa, errors=b.errors), "pencil", ("g2",),
           points="head", reduce=flat_pencil_report),
-    Check("delta-identities", lambda d: delta_tensor_at(d.pa, d.weight, d.delta, d.tol)[1],
-          "pencil", points="head", batched=False),
-    Check("r-operator", lambda d: r_operator_at(d.pa, d.weight, d.counit, max(d.tol, 1e-9))[1],
-          "pencil", points="head", batched=False),
-    Check("product-from-pencil", lambda d: d.pencil_product[2], "pencil", points="head",
-          batched=False),
-    Check("reconstructed-structure", _reconstructed_at, "pencil", points="head", batched=False),
+    Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil",
+          points="head"),
+    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.counit)[:2], "pencil",
+          points="head", tol=lambda tol: max(tol, 1e-9)),
+    Check("product-from-pencil",
+          lambda b: (b.pencil_product.residual, b.pencil_product.scale), "pencil", points="head",
+          tol=lambda tol: max(tol, 1e-9)),
+    Check("reconstructed-structure", _reconstructed_at, "pencil", points="head"),
     Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn, b.errors),
           "flat-chart"),
     Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
@@ -751,10 +715,11 @@ CHECKS = (
     Check("transform-exprs", _transform_exprs_at, points=5),
     Check("match", _match_at, tol=lambda tol: max(tol, 1e-7)),
     # the transform's theorems, which only their test-facing wrappers run
-    Check("transform-metric", lambda d: transform_metric_at(d.st, d.nat, *d.field_jets),
-          batched=False),
-    Check("homogeneous-legendre", lambda d: homogeneous_legendre_at(d.st, d.nat, *d.field_jets),
-          reduce=homogeneous_legendre_report, batched=False),
+    Check("transform-metric",
+          lambda b: transform_metric_at(b.st, b.nat, *b.field_jets, errors=b.errors)),
+    Check("homogeneous-legendre",
+          lambda b: homogeneous_legendre_at(b.st, b.nat, *b.field_jets, errors=b.errors),
+          reduce=homogeneous_legendre_report),
 )
 _BY_NAME = {check.name: check for check in CHECKS}
 
@@ -781,36 +746,27 @@ def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     """Walk `points` once and reduce each of `checks` over the points it
     uses, a prefix of them.  Every datum the rows read is built once, as a
     batch over the points its rows use (`_BATCHED`), and each expression
-    table runs once.  A batched row computes its results at all its points
-    at the first point; the other rows run point by point, sharing one
-    `_PointData` per point.  At each point, in table order, a row raises
-    the first error at that point of the data it read, so the first point
-    with an error, and there the first row, names it."""
-    walk = _Walk(spec, comp, points, tol)
-    limits = [min(len(points), {None: len(points), "head": walk.head}.get(c.points, c.points))
-              for c in checks]
-    results = [[] for _ in checks]
-    errors = {}  # the per-point errors of each batched row
-    for k, p in enumerate(points):
-        d = _PointData(walk, k, p)
-        try:
-            for i, (check, limit, out) in enumerate(zip(checks, limits, results)):
-                if k >= limit:
-                    continue
-                if not check.batched:
-                    result = check.at(d)
-                    out.extend(result) if isinstance(result, list) else out.append(result)
-                    continue
-                if k == 0:
-                    rows = _RowData(walk, limit)
-                    out.extend(per_point(check.at(rows)))
-                    errors[i] = rows.errors
-                if errors[i][k] is not None:
-                    raise errors[i][k]
-        except _SINGULAR as err:
-            coords = ", ".join(str(x) for x in np.asarray(p).tolist())
-            raise SingularSampleError(f"sample {k} at ({coords}) is singular: "
-                                      f"{type(err).__name__}: {err}") from err
+    table runs once; each row computes its results at all its points in
+    one call.  Then the lowest point at which a row met an error, and
+    there the first row in table order, names it; an error raised while
+    the rows compute names the first point."""
+    walk = _Walk(spec, comp, points)
+    results, errors = [], []
+    k = 0
+    try:
+        for check in checks:
+            rows = _RowData(walk, min(len(points), {None: len(points), "head": walk.head}.get(
+                check.points, check.points)))
+            results.append(per_point(check.at(rows)))
+            errors.append(rows.errors)
+        for k in range(len(points)):
+            for row_errors in errors:
+                if k < len(row_errors) and row_errors[k] is not None:
+                    raise row_errors[k]
+    except _SINGULAR as err:
+        coords = ", ".join(str(x) for x in np.asarray(points[k]).tolist())
+        raise SingularSampleError(f"sample {k} at ({coords}) is singular: "
+                                  f"{type(err).__name__}: {err}") from err
     return [check.report(out, tol, spec.expected) for check, out in zip(checks, results)]
 
 

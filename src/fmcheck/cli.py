@@ -8,7 +8,8 @@ parameter unbound, a product table where a transform needs a named
 product, a sample point where the spec is singular, which `verify` and
 `legendre` name by index and coordinates, singular integration path).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
-target's parameter of the same name.
+target's parameter of the same name.  A name that neither declares in its
+parameters is bad input.
 
 Reports embed the tool version, seed, tolerances, parameter values and the
 branch convention, and are byte-deterministic for a fixed configuration.
@@ -54,7 +55,8 @@ def _parse_param(text: str):
 
 def _load_spec(args):
     """Load `args.spec`, a catalog entry's name or a spec JSON file, and
-    apply each `--param` override to it.  Returns (spec, entry or None,
+    apply each `--param` override to it, a parameter that the spec (or for
+    `legendre` its catalog target) declares.  Returns (spec, entry or None,
     overrides), or None once one line on stderr names the bad input."""
     try:
         overrides = dict(_parse_param(kv) for kv in args.param)
@@ -66,6 +68,14 @@ def _load_spec(args):
             spec = ent.spec
     except (catalog.UnknownEntryError, json.JSONDecodeError, KeyError, ValueError) as err:
         sys.stderr.write(f"spec error: {err}\n")
+        return None
+    target = getattr(args, "target", None)
+    known = set(spec.params).union(catalog.entry(target).spec.params
+                                   if target in catalog.names() else ())
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        owners = " or ".join([spec.name] + ([target] if target else []))
+        sys.stderr.write(f"spec error: --param {unknown[0]}: {owners} has no such parameter\n")
         return None
     spec.params.update(overrides)
     return spec, ent, overrides

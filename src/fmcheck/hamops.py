@@ -17,6 +17,7 @@ import numpy as np
 from .connection import ConnectionAt, inverse_jets, levi_civita, riemann_components
 from .manifold import (Jets, ManifoldSpec, Report, StructureAt, amax, normalized, per_point,
                        pmax, point_report, structure_at, table_jets, worst_parts)
+from .tensor import finite_matrices
 
 __all__ = [
     "NormalBundleData", "GmcFailedError", "fields_from_exprs",
@@ -92,14 +93,16 @@ def lauricella_normal_fields(n: int, c_consts: Sequence[complex]) -> NormalBundl
 
 def field_rank(nb: NormalBundleData, point, n: int, threshold: float = 1e-8) -> int:
     """Numerical rank of the matrix whose columns are the field values."""
-    return rank_of(nb.at(point, n)[0], threshold)
+    return int(rank_of(nb.at(point, n)[0], threshold))
 
 
-def rank_of(xs: np.ndarray, threshold: float = 1e-8) -> int:
-    if np.max(np.abs(xs)) == 0:
-        return 0
-    svals = np.linalg.svd(xs.T, compute_uv=False)
-    return int(np.sum(svals > threshold * svals.max()))
+def rank_of(xs: np.ndarray, threshold: float = 1e-8):
+    """The numerical rank of the matrix of field values xs[a, i], at a
+    point or at each point of a batch; NaN where they are not finite."""
+    xs, finite = finite_matrices(xs)
+    svals = np.linalg.svd(np.swapaxes(xs, -2, -1), compute_uv=False)
+    rank = np.sum(svals > threshold * svals.max(axis=-1, keepdims=True), axis=-1)
+    return np.where(finite, rank, np.nan)
 
 
 def _raised_riemann(st: StructureAt, lc: ConnectionAt, ginv=None):

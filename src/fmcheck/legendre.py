@@ -17,8 +17,8 @@ from .connection import (ConnectionAt, check_compat_product, checked_inverse,
                          natural_connection, riemann_components)
 from .hamops import sym_condition_at
 from .manifold import (ManifoldSpec, Report, StructureAt, amax, fail_at, fit_scalar,
-                       lie_metric, normalized, point_report, product_jets, required, structure_at,
-                       worst)
+                       lie_metric, normalized, pmax, point_report, product_jets, required,
+                       structure_at, worst)
 from .rotation import rk4_path, rk4_stage_times
 from .tensor import SingularMatrixError, lie_from_components
 
@@ -108,18 +108,22 @@ def check_legendre_field(spec: ManifoldSpec, field_exprs, points,
     return _row("legendre-field", spec, field_exprs, points, tol, params)
 
 
-def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx) -> ConnectionAt:
+def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
+                         errors=None) -> ConnectionAt:
     """Conjugated connection: the derivative is taken after multiplying by
-    the field and the inverse field is multiplied back afterwards."""
+    the field and the inverse field is multiplied back afterwards.  A point
+    where the field is not invertible raises, or over a batch records the
+    error in `errors`."""
     w, dw, ddw = _mult_operator(st, x, dx, ddx)
-    k = _inverse_operator(w)
-    dk = -np.einsum("ia,abm,bl->ilm", k, dw, k)
-    inner = np.einsum("lkj->ljk", dw) + np.einsum("ljm,mk->ljk", conn.gamma, w)
-    gamma = np.einsum("il,ljk->ijk", k, inner)
-    dinner = (np.einsum("lkjm->ljkm", ddw)
-              + np.einsum("ljam,ak->ljkm", conn.dgamma, w)
-              + np.einsum("lja,akm->ljkm", conn.gamma, dw))
-    dgamma = np.einsum("ilm,ljk->ijkm", dk, inner) + np.einsum("il,ljkm->ijkm", k, dinner)
+    k = _inverse_operator(w, errors)
+    dk = -np.einsum("...ia,...abm,...bl->...ilm", k, dw, k)
+    inner = np.einsum("...lkj->...ljk", dw) + np.einsum("...ljm,...mk->...ljk", conn.gamma, w)
+    gamma = np.einsum("...il,...ljk->...ijk", k, inner)
+    dinner = (np.einsum("...lkjm->...ljkm", ddw)
+              + np.einsum("...ljam,...ak->...ljkm", conn.dgamma, w)
+              + np.einsum("...lja,...akm->...ljkm", conn.gamma, dw))
+    dgamma = (np.einsum("...ilm,...ljk->...ijkm", dk, inner)
+              + np.einsum("...il,...ljkm->...ijkm", k, dinner))
     return ConnectionAt(st.n, st.point, gamma, dgamma, provenance="legendre-transformed")
 
 
@@ -156,10 +160,9 @@ def transformed_metric(st: StructureAt, conn: ConnectionAt, x, dx,
 
 
 def transform_metric(st: StructureAt, conn: ConnectionAt, x, dx, ddx,
-                     tol: float = DEFAULT_TOL, hypothesis_tol: float = 1e-8):
-    """`transformed_metric` with its first and second derivatives; a
-    point where the field is not flat raises."""
-    gbar = transformed_metric(st, conn, x, dx, hypothesis_tol)
+                     hypothesis_tol: float = 1e-8, errors=None):
+    """`transformed_metric` with its first and second derivatives."""
+    gbar = transformed_metric(st, conn, x, dx, hypothesis_tol, errors)
     w, dw, ddw = _mult_operator(st, x, dx, ddx)
     dgbar = (np.einsum("...kim,...lj,...kl->...ijm", dw, w, st.g)
              + np.einsum("...ki,...ljm,...kl->...ijm", w, dw, st.g)
@@ -183,29 +186,34 @@ def transformed_structure(spec: ManifoldSpec, field_exprs, point, params=None) -
     return transformed_at(st, natural_connection(st), x, dx, ddx)
 
 
-def transformed_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx) -> StructureAt:
-    gbar, dgbar, ddgbar = transform_metric(st, nat, x, dx, ddx)
+def transformed_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None) -> StructureAt:
+    """The structure with its metric replaced by the transformed one; a
+    point where the field is not flat for `nat` raises, or over a batch
+    records the error in `errors`, which the new structure carries."""
+    gbar, dgbar, ddgbar = transform_metric(st, nat, x, dx, ddx, errors=errors)
     return StructureAt(n=st.n, point=st.point, c=st.c, dc=st.dc, ddc=st.ddc,
                        e=st.e, de=st.de, dde=st.dde,
                        E=st.E, dE=st.dE, ddE=st.ddE,
-                       g=gbar, dg=dgbar, ddg=ddgbar)
+                       g=gbar, dg=dgbar, ddg=ddgbar, errors=errors)
 
 
-def transform_metric_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx):
-    """Theorem-level consequences of the metric transform at a point:
+def transform_metric_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None):
+    """Theorem-level consequences of the metric transform at each point:
     invariance, unit-Killing property, and agreement of the new structure
-    connection with the conjugated connection."""
-    st_bar = transformed_at(st, nat, x, dx, ddx)
-    inv = (np.einsum("iq,qlp->ilp", st_bar.g, st.c)
-           - np.einsum("lq,qip->ilp", st_bar.g, st.c))
+    connection with the conjugated connection.  Over a batch, a point where
+    the field is not flat or not invertible, or the new metric is singular,
+    records the error in `errors`."""
+    st_bar = transformed_at(st, nat, x, dx, ddx, errors)
+    inv = (np.einsum("...iq,...qlp->...ilp", st_bar.g, st.c)
+           - np.einsum("...lq,...qip->...ilp", st_bar.g, st.c))
     killing = lie_metric(st_bar, st.e, st.de)
     nat_bar = natural_connection(st_bar)
-    conj = transform_connection(nat, st, x, dx, ddx)
-    sc = max(float(np.max(np.abs(st_bar.g))), 1.0)
-    raw = worst((normalized(np.max(np.abs(inv)), sc),
-                 normalized(np.max(np.abs(killing)), sc),
-                 normalized(np.max(np.abs(nat_bar.gamma - conj.gamma)),
-                            float(np.max(np.abs(conj.gamma))) + 1.0)))
+    if errors is not None:
+        fail_at(errors, [err is not None for err in nat_bar.errors], nat_bar.errors.__getitem__)
+    conj = transform_connection(nat, st, x, dx, ddx, errors)
+    sc = pmax(amax(st_bar.g, 2), 1.0)
+    raw = pmax(normalized(amax(inv, 3), sc), normalized(amax(killing, 2), sc),
+               normalized(amax(nat_bar.gamma - conj.gamma, 3), amax(conj.gamma, 3) + 1.0))
     return raw, sc
 
 
@@ -257,19 +265,21 @@ def flat_field_ode(gamma_provider: Callable, x0, path, steps_per_segment: int = 
     return out
 
 
-def homogeneous_legendre_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx):
-    """Returns (residual, scale, field weight, D, transformed D) at a point."""
-    lie_x = np.einsum("k,ik->i", st.E, dx) - np.einsum("k,ki->i", x, st.dE)
-    dbar = fit_scalar(lie_x, x)
-    res_x = np.max(np.abs(lie_x - dbar * x))
-    st_bar = transformed_at(st, nat, x, dx, ddx)
+def homogeneous_legendre_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None):
+    """Returns (residual, scale, field weight, D, transformed D) at each
+    point; over a batch, a point where the field is not flat records the
+    error in `errors`."""
+    lie_x = np.einsum("...k,...ik->...i", st.E, dx) - np.einsum("...k,...ki->...i", x, st.dE)
+    dbar = fit_scalar(lie_x, x, rank=1)
+    res_x = amax(lie_x - dbar[..., None] * x, 1)
+    st_bar = transformed_at(st, nat, x, dx, ddx, errors)
     lg = lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE)
     lgbar = lie_from_components(st_bar.g, st_bar.dg, ("d", "d"), st.E, st.dE)
-    D = fit_scalar(lg, st.g)
-    Dbar = fit_scalar(lgbar, st_bar.g)
-    sc = max(float(np.max(np.abs(x))), 1.0)
-    raw = worst((normalized(res_x, sc),
-                 normalized(abs(Dbar - (D + 2 * dbar + 2)), abs(Dbar) + 1.0)))
+    D = fit_scalar(lg, st.g, rank=2)
+    Dbar = fit_scalar(lgbar, st_bar.g, rank=2)
+    sc = pmax(amax(x, 1), 1.0)
+    raw = pmax(normalized(res_x, sc),
+               normalized(np.abs(Dbar - (D + 2 * dbar + 2)), np.abs(Dbar) + 1.0))
     return raw, sc, dbar, D, Dbar
 
 

@@ -20,12 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exprjet import principal
+from .manifold import Jets, fail_at
 
 __all__ = [
     "OdeState3", "SingularPointError", "SingularPathError", "StepSizeUnderflowError",
     "CoordinateCollisionError", "ParameterSingularError",
-    "rhs", "integrals", "beta_from_F", "z_of_point",
-    "closed_form_q0", "closed_form_pencil",
+    "rhs", "integrals", "first_integrals", "beta_from_F", "betas_from_F", "z_of_point",
+    "closed_form_q0", "closed_form_pencil", "closed_forms",
     "dopri54", "integrate", "solve_linear_ode2", "legendre_coefficients",
     "F12", "F21", "F13", "F31", "F23", "F32", "Trajectory",
 ]
@@ -64,9 +65,13 @@ class OdeState3:
         self.F = np.asarray(self.F, dtype=complex).reshape(6)
 
 
+def _singular_point(z: complex) -> SingularPointError:
+    return SingularPointError(f"z = {z} is within {SING_MARGIN} of a singular point")
+
+
 def _check_regular(z: complex):
     if abs(z) < SING_MARGIN or abs(z - 1) < SING_MARGIN:
-        raise SingularPointError(f"z = {z} is within {SING_MARGIN} of a singular point")
+        raise _singular_point(z)
 
 
 def rhs(state: OdeState3) -> np.ndarray:
@@ -92,8 +97,7 @@ def integrals(state: OdeState3) -> dict:
     _check_regular(z)
     f12, f21, f13, f31, f23, f32 = state.F
     d12, d13, d23 = f12 - f21, f13 - f31, f23 - f32
-    i1 = f12 * f21 + f13 * f31 + f23 * f32
-    i2 = f13 * f32 * f21 - f23 * f31 * f12
+    i1, i2 = first_integrals(state.F)
     i3 = (z * z - z) * d12 + (z - 1) * f23 * d13 - z * f13 * d23
     i4 = (z * z - z) * f31 * d12 + (1 - z) * f21 * d13 + z * d23
     i5 = (z * z - z) * f32 * d12 + (1 - z) * d13 - z * f12 * d23
@@ -112,6 +116,12 @@ def integrals(state: OdeState3) -> dict:
             "detW": det_w, "detW_factored": det_w_factored}
 
 
+def first_integrals(F):
+    """I1 and I2 at a state's F, or at each F of a batch, shape (P, 6)."""
+    f12, f21, f13, f31, f23, f32 = F.T
+    return f12 * f21 + f13 * f31 + f23 * f32, f13 * f32 * f21 - f23 * f31 * f12
+
+
 def z_of_point(u) -> complex:
     u = np.asarray(u, dtype=complex)
     if u[1] == u[0]:
@@ -128,14 +138,15 @@ def beta_from_F(state: OdeState3, u) -> np.ndarray:
     z = z_of_point(u)
     if abs(z - state.z) > 1e-12 * (1 + abs(state.z)):
         raise ValueError("point is not on the state's z level set")
-    f = state.F
-    beta = np.zeros((3, 3), dtype=complex)
-    beta[0, 1] = f[F12] / (u[1] - u[0])
-    beta[1, 0] = f[F21] / (u[1] - u[0])
-    beta[0, 2] = f[F13] / (u[2] - u[0])
-    beta[2, 0] = f[F31] / (u[2] - u[0])
-    beta[1, 2] = f[F23] / (u[2] - u[1])
-    beta[2, 1] = f[F32] / (u[2] - u[1])
+    return betas_from_F(state.F, u)
+
+
+def betas_from_F(F, u) -> np.ndarray:
+    """beta_ij = F_ij / (u^max(i,j) - u^min(i,j)), the other entries 0, at
+    a point or at each point of a batch: F (P, 6), u (P, 3)."""
+    i, j = np.array([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]).T  # of F12 .. F32
+    beta = np.zeros(np.shape(F)[:-1] + (3, 3), dtype=complex)
+    beta[..., i, j] = F / (u[..., np.maximum(i, j)] - u[..., np.minimum(i, j)])
     return beta
 
 
@@ -148,18 +159,16 @@ def closed_form_q0(z, a=1.0, b=1.0) -> OdeState3:
     z = complex(z)
     _check_regular(z)
     a, b = complex(a), complex(b)
-    den = a * z + b
-    if den == 0:
+    if a * z + b == 0:
         raise ParameterSingularError("a*z + b vanishes")
+    return OdeState3(z, _q0_F(z, a, b))
+
+
+def _q0_F(z, a: complex, b: complex):
+    den = a * z + b
     sb = complex(np.sqrt(principal(-b * b - 1)))
-    F = np.empty(6, dtype=complex)
-    F[F21] = -1 / den
-    F[F31] = -a * z / (den * sb)
-    F[F12] = b * (a + b) / den
-    F[F13] = z * (a + b) * sb / den
-    F[F32] = -a * b * (z - 1) / (den * sb)
-    F[F23] = -(z - 1) * sb / den
-    return OdeState3(z, F)
+    return np.stack([b * (a + b) / den, -1 / den, z * (a + b) * sb / den, -a * z / (den * sb),
+                     -(z - 1) * sb / den, -a * b * (z - 1) / (den * sb)], axis=-1)
 
 
 def closed_form_pencil(z) -> OdeState3:
@@ -169,16 +178,35 @@ def closed_form_pencil(z) -> OdeState3:
     matrix are 1 and -1/2 with multiplicity two)."""
     z = complex(z)
     _check_regular(z)
-    p = complex(np.sqrt(principal(z - 1)))
-    q = complex(np.sqrt(principal(-z)))
-    F = np.empty(6, dtype=complex)
-    F[F21] = -p / (2 * q)
-    F[F31] = p / 2
-    F[F12] = q / (2 * p)
-    F[F32] = q / 2
-    F[F13] = -1 / (2 * p)
-    F[F23] = -1 / (2 * q)
-    return OdeState3(z, F)
+    return OdeState3(z, _pencil_F(complex(np.sqrt(principal(z - 1))),
+                                  complex(np.sqrt(principal(-z)))))
+
+
+def _pencil_F(p, q):
+    return np.stack([q / (2 * p), -p / (2 * q), -1 / (2 * p), p / 2, -1 / (2 * q), q / 2],
+                    axis=-1)
+
+
+def closed_forms(family: str, u, a=1.0, b=1.0) -> Jets:
+    """The closed-form F of the family "q0" (parameters a, b) or "pencil63"
+    at the z of each chart point of a batch u, shape (P, 3), as the values
+    of a `Jets`: F of shape (P, 6), zero where `z_of_point` or the closed
+    form at one point raises, and that error in `errors`."""
+    u = np.asarray(u, dtype=complex)
+    errors = [None] * len(u)
+    fail_at(errors, u[:, 1] == u[:, 0], lambda k: CoordinateCollisionError("u^1 == u^2"))
+    with np.errstate(all="ignore"):  # at a point in error
+        z = (u[:, 2] - u[:, 0]) / (u[:, 1] - u[:, 0])
+        fail_at(errors, (np.abs(z) < SING_MARGIN) | (np.abs(z - 1) < SING_MARGIN),
+                lambda k: _singular_point(complex(z[k])))
+        if family == "q0":
+            a, b = complex(a), complex(b)
+            fail_at(errors, a * z + b == 0, lambda k: ParameterSingularError("a*z + b vanishes"))
+            F = _q0_F(z, a, b)
+        else:
+            F = _pencil_F(*(np.sqrt(np.where(v.imag == 0, v.real + 0j, v)) for v in (z - 1, -z)))
+    F[[err is not None for err in errors]] = 0
+    return Jets(F, errors=errors)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,15 @@ from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hes
                          inverse_jets, metric_inverse, riemann_components)
 from .manifold import (ManifoldSpec, PointBatch, Region, Report, StructureAt, amax,
                        batch_report, fail_at, fit_scalar, normalized, per_point, pmax, point_report,
-                       raise_first, structure_at, structures, worst, worst_parts)
-from .tensor import SingularMatrixError, lie_from_components
+                       product_jets, raise_first, structures, worst_parts)
+from .tensor import SingularMatrixError, finite_matrices, lie_from_components
 
 __all__ = [
     "PencilAt", "MissingSecondMetricError", "pencil_at", "pencil_from_structure",
     "pencil_first_order", "pencil_second_order", "pencil_weight", "delta_jets",
-    "check_flat_pencil", "check_exactness", "check_pencil_homogeneity",
-    "delta_tensor", "r_operator", "product_from_pencil",
+    "check_flat_pencil", "check_exactness", "check_pencil_homogeneity", "PencilProduct",
+    "delta_tensor", "delta_identities_at", "r_operator", "r_operator_at", "product_from_pencil",
+    "product_from_pencil_at",
     "reconstructed_structure", "semisimple_pencil_from_f",
 ]
 
@@ -88,13 +89,12 @@ class PencilAt(PointBatch):
     gamma2: np.ndarray | None = None   # Levi-Civita of the second metric
     dgamma2: np.ndarray | None = None
     ddE: np.ndarray | None = None
+    diagonal: np.ndarray | None = None  # whether both metrics are diagonal
     errors: list | None = None
 
 
 def pencil_at(spec: ManifoldSpec, point, params=None) -> PencilAt:
-    if spec.g2 is None:
-        raise MissingSecondMetricError(f"spec {spec.name!r} has no second metric")
-    return pencil_from_structure(structure_at(spec, point, params))
+    return _pencil_batch(spec, [point], params, True).at(0)
 
 
 def _pencil_batch(spec: ManifoldSpec, points, params, second_order: bool) -> PencilAt:
@@ -137,7 +137,7 @@ def pencil_second_order(pa: PencilAt, lc=None) -> PencilAt:
     ddL = _mat_mat_hessian(pa.g_inv, pa.dg_inv, ddg_inv, st.g, st.dg, st.ddg)
     ddE = _mat_vec_hessian(pa.L, pa.dL, ddL, st.e, st.de, st.dde)
     return replace(pa, ddeta_inv=ddeta_inv, ddg_inv=ddg_inv, gamma1=gamma1, dgamma1=dgamma1,
-                   gamma2=gamma2, dgamma2=dgamma2, ddE=ddE)
+                   gamma2=gamma2, dgamma2=dgamma2, ddE=ddE, diagonal=_is_diagonal(st))
 
 
 def pencil_from_structure(st: StructureAt) -> PencilAt:
@@ -235,65 +235,64 @@ def delta_jets(pa: PencilAt):
     derivatives."""
     dg = pa.gamma1 - pa.gamma2
     ddg = pa.dgamma1 - pa.dgamma2
-    delta = np.einsum("sm,jt,kst->jkm", pa.L, pa.eta_inv, dg)
-    ddelta = (np.einsum("smp,jt,kst->jkmp", pa.dL, pa.eta_inv, dg)
-              + np.einsum("sm,jtp,kst->jkmp", pa.L, pa.deta_inv, dg)
-              + np.einsum("sm,jt,kstp->jkmp", pa.L, pa.eta_inv, ddg))
+    delta = np.einsum("...sm,...jt,...kst->...jkm", pa.L, pa.eta_inv, dg)
+    ddelta = (np.einsum("...smp,...jt,...kst->...jkmp", pa.dL, pa.eta_inv, dg)
+              + np.einsum("...sm,...jtp,...kst->...jkmp", pa.L, pa.deta_inv, dg)
+              + np.einsum("...sm,...jt,...kstp->...jkmp", pa.L, pa.eta_inv, ddg))
     return delta, ddelta
+
+
+def _is_diagonal(st: StructureAt):
+    """Whether both metrics are diagonal, at each point."""
+    off = pmax(*(amax(np.where(np.eye(st.n, dtype=bool), 0, g), 2) for g in (st.g, st.g2)))
+    return off <= 1e-12 * (1 + pmax(amax(st.g, 2), amax(st.g2, 2)))
+
+
+def _diagonal_closed_forms(pa: PencilAt):
+    """The closed forms of Delta and R on a diagonal pencil (f^j = eta^jj):
+    off the diagonal Delta^jk_j = (u^j-u^k)/2 f^k d_k f^j / f^j and R^k_j
+    that over f^j, on it f^j/2 and 1/2; Delta's other components are 0."""
+    n, u, eye = pa.n, pa.point, np.eye(pa.n, dtype=bool)
+    f = np.diagonal(pa.eta_inv, axis1=-2, axis2=-1)
+    df = pa.deta_inv[..., np.arange(n), np.arange(n), :]  # [j, k] = d_k f^j
+    t = (u[..., :, None] - u[..., None, :]) / 2 * f[..., None, :] * df
+    with np.errstate(all="ignore"):  # where the pencil is not diagonal, f^j may vanish
+        delta = np.where(eye, f[..., :, None] / 2, t / f[..., :, None])
+        r = np.where(eye, 0.5, np.swapaxes(t / f[..., :, None] ** 2, -2, -1))
+        return delta[..., :, :, None] * np.eye(n)[:, None, :], r
 
 
 def delta_tensor(spec, point, params=None, tol: float = DEFAULT_TOL):
     """The connection-difference tensor and its four structural identities
     (two metric symmetries, commutation, Euler homogeneity of weight d-1)."""
     pa = pencil_at(spec, point, params)
-    return delta_tensor_at(pa, pencil_weight(pa)[0], delta_jets(pa), tol)
+    jets = delta_jets(pa)
+    res, sc = delta_identities_at(pa, pencil_weight(pa)[0], jets)
+    return jets[0], Report.from_residual("delta-identities", res, tol, scale=sc, npoints=1,
+                                         details={"closed_form_checked": bool(pa.diagonal)})
 
 
-def delta_tensor_at(pa: PencilAt, d, jets, tol: float = DEFAULT_TOL):
-    st = pa.st
+def delta_identities_at(pa: PencilAt, d, jets):
+    """The identities of the difference tensor `jets` (`delta_jets`) at
+    each point, with the pencil weight `d` there, and on a diagonal pencil
+    its closed form.  Returns (residual, scale)."""
     delta, ddelta = jets
-    sym_eta = np.einsum("is,jks->ijk", pa.eta_inv, delta) - np.einsum("js,iks->ijk", pa.eta_inv, delta)
-    sym_g = np.einsum("is,jks->ijk", pa.g_inv, delta) - np.einsum("js,iks->ijk", pa.g_inv, delta)
-    comm = np.einsum("ijs,skl->ijkl", delta, delta) - np.einsum("iks,sjl->ijkl", delta, delta)
+    sym_eta = (np.einsum("...is,...jks->...ijk", pa.eta_inv, delta)
+               - np.einsum("...js,...iks->...ijk", pa.eta_inv, delta))
+    sym_g = (np.einsum("...is,...jks->...ijk", pa.g_inv, delta)
+             - np.einsum("...js,...iks->...ijk", pa.g_inv, delta))
+    comm = (np.einsum("...ijs,...skl->...ijkl", delta, delta)
+            - np.einsum("...iks,...sjl->...ijkl", delta, delta))
     lie_delta = lie_from_components(delta, ddelta, ("u", "u", "d"), pa.E, pa.dE)
-    hom = lie_delta - (d - 1) * delta
-    sc = max(float(np.max(np.abs(delta))), 1.0)
-    res = worst((normalized(np.max(np.abs(sym_eta)), sc * float(np.max(np.abs(pa.eta_inv)))),
-                 normalized(np.max(np.abs(sym_g)), sc * float(np.max(np.abs(pa.g_inv)))),
-                 normalized(np.max(np.abs(comm)), sc * sc),
-                 normalized(np.max(np.abs(hom)), sc * (1 + abs(d)))))
-    details = {}
-    if _is_diagonal(st):
-        closed = _delta_semisimple_closed_form(pa)
-        res = worst((res, normalized(np.max(np.abs(delta - closed)), sc)))
-        details["closed_form_checked"] = True
-    report = Report.from_residual("delta-identities", res, tol, scale=sc,
-                                  npoints=1, details=details)
-    return delta, report
-
-
-def _is_diagonal(st: StructureAt) -> bool:
-    off1 = st.g - np.diag(np.diag(st.g))
-    off2 = st.g2 - np.diag(np.diag(st.g2))
-    top = max(np.max(np.abs(st.g)), np.max(np.abs(st.g2)))
-    return max(np.max(np.abs(off1)), np.max(np.abs(off2))) <= 1e-12 * (1 + top)
-
-
-def _delta_semisimple_closed_form(pa: PencilAt) -> np.ndarray:
-    """Diagonal-pencil closed form: Delta^jk_j = (u^j-u^k)/2 * f^k d_k f^j / f^j
-    off the diagonal and f^j/2 on it, all other components zero."""
-    n = pa.n
-    u = pa.point
-    f = np.diag(pa.eta_inv)
-    df = np.array([[pa.deta_inv[j, j, k] for k in range(n)] for j in range(n)])
-    closed = np.zeros((n, n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                closed[j, j, j] = f[j] / 2
-            else:
-                closed[j, k, j] = (u[j] - u[k]) / 2 * f[k] * df[j][k] / f[j]
-    return closed
+    hom = lie_delta - (np.asarray(d)[..., None, None, None] - 1) * delta
+    sc = pmax(amax(delta, 3), 1.0)
+    closed = normalized(amax(delta - _diagonal_closed_forms(pa)[0], 3), sc)
+    res = pmax(normalized(amax(sym_eta, 3), sc * amax(pa.eta_inv, 2)),
+               normalized(amax(sym_g, 3), sc * amax(pa.g_inv, 2)),
+               normalized(amax(comm, 4), sc * sc),
+               normalized(amax(hom, 3), sc * (1 + np.abs(d))),
+               np.where(pa.diagonal, closed, 0.0))
+    return res, sc
 
 
 def r_operator(spec, point, params=None, tol: float = DEFAULT_TOL):
@@ -301,35 +300,35 @@ def r_operator(spec, point, params=None, tol: float = DEFAULT_TOL):
     derivatives of the Euler field, computed two ways, plus the diagonal
     closed form where applicable."""
     pa = pencil_at(spec, point, params)
-    return r_operator_at(pa, pencil_weight(pa)[0], counit_jets(pa.st), tol)
+    res, sc, r = r_operator_at(pa, pencil_weight(pa)[0], counit_jets(pa.st))
+    return r, Report.from_residual("r-operator", res, tol, scale=sc, npoints=1)
 
 
-def r_operator_at(pa: PencilAt, d, counit, tol: float = DEFAULT_TOL):
-    st = pa.st
-    dgm = pa.gamma1 - pa.gamma2
-    r1 = np.einsum("msl,l->ms", dgm, pa.E)
-    # second route: (d-1)/2 Id + nabla1 E + 1/2 g^is dtheta_sj with theta = eta.e
-    nab1E = pa.dE + np.einsum("ijl,l->ij", pa.gamma1, pa.E)
+def r_operator_at(pa: PencilAt, d, counit):
+    """R^m_s = (Gamma1 - Gamma2)^m_sl E^l against its second route, (d-1)/2
+    Id + nabla1 E + 1/2 g^is dtheta_sj with theta = eta.e (`counit`:
+    `counit_jets` at pa's points), and on a diagonal pencil against its
+    closed form, at each point.  Returns (residual, scale, R)."""
+    r1 = np.einsum("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
+    nab1E = pa.dE + np.einsum("...ijl,...l->...ij", pa.gamma1, pa.E)
     _, _, dtheta, _ = counit
-    r2 = (d - 1) / 2 * np.eye(pa.n) + nab1E + 0.5 * np.einsum("is,sj->ij", pa.g_inv, dtheta)
-    sc = max(float(np.max(np.abs(r1))), 1.0)
-    res = normalized(np.max(np.abs(r1 - r2)), sc)
-    details = {"diag": [[v.real, v.imag] for v in np.diag(r1)]}
-    if _is_diagonal(st):
-        n, u = pa.n, pa.point
-        f = np.diag(pa.eta_inv)
-        closed = np.zeros((pa.n, pa.n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                closed[k, j] = 0.5 if j == k else \
-                    (u[j] - u[k]) / 2 * f[k] * pa.deta_inv[j, j, k] / f[j] ** 2
-        res = worst((res, normalized(np.max(np.abs(r1 - closed)), sc)))
-        details["closed_form_checked"] = True
-    cond = np.linalg.cond(r1)
-    details["condition_number"] = float(cond.real)
-    report = Report.from_residual("r-operator", res, tol, scale=sc, npoints=1,
-                                  details=details)
-    return r1, report
+    r2 = ((np.asarray(d)[..., None, None] - 1) / 2 * np.eye(pa.n) + nab1E
+          + 0.5 * np.einsum("...is,...sj->...ij", pa.g_inv, dtheta))
+    sc = pmax(amax(r1, 2), 1.0)
+    closed = normalized(amax(r1 - _diagonal_closed_forms(pa)[1], 2), sc)
+    return pmax(normalized(amax(r1 - r2, 2), sc), np.where(pa.diagonal, closed, 0.0)), sc, r1
+
+
+@dataclass
+class PencilProduct(PointBatch):
+    """The product rebuilt from the pencil, with first derivatives, and the
+    residual and scale of its identities, at a point or over a batch
+    (`product_from_pencil_at`)."""
+    c: np.ndarray
+    dc: np.ndarray
+    residual: np.ndarray
+    scale: np.ndarray
+    errors: list | None = None
 
 
 def product_from_pencil(spec, point, params=None, tol: float = DEFAULT_TOL):
@@ -338,67 +337,67 @@ def product_from_pencil(spec, point, params=None, tol: float = DEFAULT_TOL):
     associativity, the unit, invariance of the first metric, Euler
     homogeneity of the product, and the multiplication-by-E identity."""
     pa = pencil_at(spec, point, params)
-    return product_from_pencil_at(pa, delta_jets(pa)[0], tol)
+    prod = product_from_pencil_at(pa, delta_jets(pa)[0])
+    canonical = normalized(amax(prod.c - product_jets("canonical", pa.n, None, None)[0], 3),
+                           prod.scale)
+    details = {"canonical_residual": float(canonical)} if pa.diagonal else {}
+    return prod.c, prod.dc, Report.from_residual("product-from-pencil", prod.residual, tol,
+                                                 scale=prod.scale, npoints=1, details=details)
 
 
-def product_from_pencil_at(pa: PencilAt, delta, tol: float = DEFAULT_TOL):
-    st = pa.st
+def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
+    """The product rebuilt from the pencil data `pa` and the difference
+    tensor `delta` at each point, by one of two routes.  Where cond(R) <=
+    1e8, c = L (Gamma1 - Gamma2) R^-1, checked against its construction
+    through Delta.  Where R is degenerate on a diagonal pencil, the product
+    is defined directly on the canonical chart (the invertibility
+    assumption is only needed off the semisimple locus), and the relation
+    R^l_j c^j_hk = L^s_h dG^l_sk that it must still solve is checked.
+    Elsewhere R is singular: the point raises, or over a batch records the
+    error, after pa's own."""
+    st, n = pa.st, pa.n
+    canonical = product_jets("canonical", n, None, None)[0]
+    errors = None if pa.errors is None else list(pa.errors)
     dgm = pa.gamma1 - pa.gamma2
     ddgm = pa.dgamma1 - pa.dgamma2
-    r = np.einsum("msl,l->ms", dgm, pa.E)
-    cond = float(np.linalg.cond(r).real)
-    details = {"R_condition": cond}
-    if cond <= 1e8:
-        details["route"] = "r-inverse"
-        r_inv = np.linalg.inv(r)
-        dr = np.einsum("mslp,l->msp", ddgm, pa.E) + np.einsum("msl,lp->msp", dgm, pa.dE)
-        dr_inv = -np.einsum("ma,abp,bs->msp", r_inv, dr, r_inv)
-        c = np.einsum("sh,lsk,jl->jhk", pa.L, dgm, r_inv)
-        dc = (np.einsum("shp,lsk,jl->jhkp", pa.dL, dgm, r_inv)
-              + np.einsum("sh,lskp,jl->jhkp", pa.L, ddgm, r_inv)
-              + np.einsum("sh,lsk,jlp->jhkp", pa.L, dgm, dr_inv))
-        c_alt = np.einsum("mlh,mk,jl->jhk", delta, st.g, r_inv)
-        sc = max(float(np.max(np.abs(c))), 1.0)
-        res_routes = normalized(np.max(np.abs(c - c_alt)), sc)
-    elif _is_diagonal(st):
-        # Degenerate recursion operator on a diagonal pencil: the product
-        # is defined directly on the canonical chart (the invertibility
-        # assumption is only needed off the semisimple locus).  The
-        # pre-inversion linear relation R^l_j c^j_hk = L^s_h dG^l_sk is
-        # still verified so the direct definition stays a genuine solution.
-        details["route"] = "semisimple-direct"
-        c = np.zeros((pa.n, pa.n, pa.n), dtype=complex)
-        for i in range(pa.n):
-            c[i, i, i] = 1.0
-        dc = np.zeros((pa.n, pa.n, pa.n, pa.n), dtype=complex)
-        sc = 1.0
-        lhs = np.einsum("lj,jhk->lhk", r, c)
-        rhs_lin = np.einsum("sh,lsk->lhk", pa.L, dgm)
-        res_routes = normalized(np.max(np.abs(lhs - rhs_lin)), float(np.max(np.abs(rhs_lin))))
-    else:
-        raise SingularMatrixError(complex(np.linalg.det(r)))
-    comm = c - np.swapaxes(c, 1, 2)
-    assoc = np.einsum("sjk,isl->ijkl", c, c) - np.einsum("sjl,isk->ijkl", c, c)
-    unit = np.einsum("ijk,j->ik", c, st.e) - np.eye(pa.n)
-    inv = np.einsum("iq,qlp->ilp", st.g, c) - np.einsum("lq,qip->ilp", st.g, c)
+    r = np.einsum("...msl,...l->...ms", dgm, pa.E)
+    # a non-finite R takes the first route, which carries its NaN through
+    invert = np.linalg.cond(finite_matrices(r)[0]) <= 1e8
+    fail_at(errors, ~invert & ~pa.diagonal,
+            lambda k: SingularMatrixError(complex(np.ravel(np.linalg.det(r))[k])))
+    r_inv = np.linalg.inv(np.where(invert[..., None, None], r, np.eye(n)))
+    dr = (np.einsum("...mslp,...l->...msp", ddgm, pa.E)
+          + np.einsum("...msl,...lp->...msp", dgm, pa.dE))
+    dr_inv = -np.einsum("...ma,...abp,...bs->...msp", r_inv, dr, r_inv)
+    c = np.einsum("...sh,...lsk,...jl->...jhk", pa.L, dgm, r_inv)
+    dc = (np.einsum("...shp,...lsk,...jl->...jhkp", pa.dL, dgm, r_inv)
+          + np.einsum("...sh,...lskp,...jl->...jhkp", pa.L, ddgm, r_inv)
+          + np.einsum("...sh,...lsk,...jlp->...jhkp", pa.L, dgm, dr_inv))
+    c_alt = np.einsum("...mlh,...mk,...jl->...jhk", delta, st.g, r_inv)
+    sc = np.where(invert, pmax(amax(c, 3), 1.0), 1.0)
+    res_inverse = normalized(amax(c - c_alt, 3), sc)
+    c = np.where(invert[..., None, None, None], c, canonical)
+    dc = np.where(invert[..., None, None, None, None], dc, 0)
+    rhs_lin = np.einsum("...sh,...lsk->...lhk", pa.L, dgm)
+    res_direct = normalized(amax(np.einsum("...lj,...jhk->...lhk", r, c) - rhs_lin, 3),
+                            amax(rhs_lin, 3))
+    comm = c - np.swapaxes(c, -2, -1)
+    assoc = (np.einsum("...sjk,...isl->...ijkl", c, c)
+             - np.einsum("...sjl,...isk->...ijkl", c, c))
+    unit = np.einsum("...ijk,...j->...ik", c, st.e) - np.eye(n)
+    inv = (np.einsum("...iq,...qlp->...ilp", st.g, c)
+           - np.einsum("...lq,...qip->...ilp", st.g, c))
     lie_c = lie_from_components(c, dc, ("u", "d", "d"), pa.E, pa.dE)
-    mult_e = np.einsum("jhk,h->jk", c, pa.E) - pa.L
-    res = worst((res_routes,
-                 normalized(np.max(np.abs(comm)), sc),
-                 normalized(np.max(np.abs(assoc)), sc * sc),
-                 normalized(np.max(np.abs(unit)), sc),
-                 normalized(np.max(np.abs(inv)), sc * float(np.max(np.abs(st.g)))),
-                 normalized(np.max(np.abs(lie_c - c)), sc),
-                 normalized(np.max(np.abs(mult_e)), float(np.max(np.abs(pa.L))))))
-    if _is_diagonal(st):
-        canonical = np.zeros_like(c)
-        for i in range(pa.n):
-            canonical[i, i, i] = 1.0
-        details["canonical_residual"] = normalized(np.max(np.abs(c - canonical)), sc)
-        res = worst((res, details["canonical_residual"]))
-    report = Report.from_residual("product-from-pencil", res, tol, scale=sc,
-                                  npoints=1, details=details)
-    return c, dc, report
+    mult_e = np.einsum("...jhk,...h->...jk", c, pa.E) - pa.L
+    res = pmax(np.where(invert, res_inverse, res_direct),
+               normalized(amax(comm, 3), sc),
+               normalized(amax(assoc, 4), sc * sc),
+               normalized(amax(unit, 2), sc),
+               normalized(amax(inv, 3), sc * amax(st.g, 2)),
+               normalized(amax(lie_c - c, 3), sc),
+               normalized(amax(mult_e, 2), amax(pa.L, 2)),
+               np.where(pa.diagonal, normalized(amax(c - canonical, 3), sc), 0.0))
+    return PencilProduct(c, dc, res, sc, errors)
 
 
 def reconstructed_structure(spec, point, params=None) -> StructureAt:
@@ -406,8 +405,8 @@ def reconstructed_structure(spec, point, params=None) -> StructureAt:
     first metric and the computed Euler field, ready for the full
     homogeneous structure suite."""
     pa = pencil_at(spec, point, params)
-    c, dc, _ = product_from_pencil_at(pa, delta_jets(pa)[0])
-    return reconstructed_at(pa, c, dc)
+    prod = product_from_pencil_at(pa, delta_jets(pa)[0])
+    return reconstructed_at(pa, prod.c, prod.dc)
 
 
 def reconstructed_at(pa: PencilAt, c, dc) -> StructureAt:

@@ -186,32 +186,15 @@ def check_darboux_system(spec, points, tol: float = DEFAULT_TOL, params=None,
                         tol)
 
 
-def _betas(beta_source: Callable, rd: RotationData, errors):
-    """beta_source at each point of `rd` that has no error yet; a point
-    where it raises records the error, given `errors`."""
-    points = rd.point.reshape(-1, rd.n)
-    out = np.zeros((len(points), rd.n, rd.n), dtype=complex)
-    for k, u in enumerate(points):
-        if errors is not None and errors[k] is not None:
-            continue
-        try:
-            out[k] = beta_source(u)
-        except Exception as err:  # raised again when the walk reaches point k
-            if errors is None:
-                raise
-            errors[k] = err
-    return out.reshape(rd.beta.shape)
-
-
-def lame_system_at(rd: RotationData, d=None, beta_source: Callable | None = None, errors=None):
+def lame_system_at(rd: RotationData, d=None, beta=None):
     """Residuals of d_j H_i = beta_ij H_j, e(H_i) = 0, E(H_i) = d H_i, with
-    d fitted at each point when omitted; `beta_source(u)` supplies the
-    rotation coefficients at u (over a batch, a point where it raises
-    records the error in `errors`).  Returns (residual, scale, fitted d)."""
+    d fitted at each point when omitted; `beta`: rotation coefficients
+    from another source, at the points of `rd`.  Returns (residual, scale,
+    fitted d)."""
     u = rd.point
     off, _ = _masks(rd.n)
     sc = amax(rd.H, 1) * (1 + amax(rd.beta, 2))
-    beta = rd.beta if beta_source is None else _betas(beta_source, rd, errors)
+    beta = rd.beta if beta is None else beta
     d_fit = lame_weight(rd)
     d_point = d_fit if d is None else complex(d)
     raw = pmax(amax(np.where(off, rd.dH - beta * rd.H[..., None, :], 0), 2),
@@ -232,7 +215,8 @@ def check_lame_system(spec, points, d=None, beta_source: Callable | None = None,
     for consistency.
     """
     rd = _batch(spec, points, params, lame_exprs)
-    return batch_report("lame-system", lame_system_at(rd, d, beta_source), tol, fit="d")
+    beta = None if beta_source is None else np.array([beta_source(u) for u in rd.point])
+    return batch_report("lame-system", lame_system_at(rd, d, beta), tol, fit="d")
 
 
 def flatness_constraint_at(rd: RotationData):

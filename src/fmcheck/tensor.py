@@ -39,29 +39,38 @@ class SingularMatrixError(Exception):
 
 def charpoly_coefficients(m: np.ndarray) -> np.ndarray:
     """Coefficients of det(lambda*I - M) by the Faddeev-LeVerrier recursion,
-    highest degree first."""
+    highest degree first, of a matrix or of each matrix of a batch."""
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
+    n = m.shape[-1]
+    coeffs = np.zeros(m.shape[:-2] + (n + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
     aux = np.eye(n, dtype=complex)
     for k in range(1, n + 1):
         aux = m @ aux
-        coeffs[k] = -np.trace(aux) / k
-        aux = aux + coeffs[k] * np.eye(n, dtype=complex)
+        coeffs[..., k] = -np.trace(aux, axis1=-2, axis2=-1) / k
+        aux = aux + coeffs[..., k, None, None] * np.eye(n, dtype=complex)
     return coeffs
 
 
+def finite_matrices(a: np.ndarray):
+    """`a` with each matrix that is not finite replaced by the identity,
+    and the mask of the finite ones: LAPACK's eigenvalue and SVD solvers
+    reject a batch that holds a NaN, so the caller marks those results."""
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    return np.where(finite[..., None, None], a, np.eye(a.shape[-1])), finite
+
+
 def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Roots of the characteristic polynomial (companion-matrix solve),
-    sorted by real part then imaginary part."""
-    data = np.asarray(m, dtype=complex)
-    if data.shape[0] == 1:
-        vals = np.array([data[0, 0]], dtype=complex)
-    else:
-        vals = np.roots(charpoly_coefficients(data))
-    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
-    return vals[order]
+    """Roots of the characteristic polynomial (eigenvalues of its companion
+    matrix, as `np.roots` finds them) sorted by real, then imaginary part,
+    of a matrix or of each of a batch; NaN for a matrix that is not finite."""
+    data, finite = finite_matrices(np.asarray(m, dtype=complex))
+    n = data.shape[-1]
+    companion = np.zeros(data.shape, dtype=complex)
+    companion[..., 0, :] = -charpoly_coefficients(data)[..., 1:]
+    companion[..., np.arange(1, n), np.arange(n - 1)] = 1.0
+    vals = np.where(finite[..., None], np.linalg.eigvals(companion), np.nan)
+    return np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), -1)
 
 
 def cluster_values(values: Sequence[complex], tol: float = 1e-6):

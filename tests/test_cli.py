@@ -253,7 +253,13 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        # a malformed --param is named with what it holds
                        (["verify", "lobachevsky", "--param", "a"], "--param 'a'"),
                        (["verify", "lobachevsky", "--param", "=3"], "--param '=3'"),
-                       (["verify", "lobachevsky", "--param", "b=zz"], "--param b: 'zz'")):
+                       (["verify", "lobachevsky", "--param", "b=zz"], "--param b: 'zz'"),
+                       # so is a name that is no parameter of the spec (or target)
+                       (["verify", "q0-d0", "--param", "aa=2"], "--param aa: q0-d0"),
+                       (["legendre", "q0-d-minus1", "--field", "X2", "--param", "zz=3"],
+                        "--param zz: q0-d-minus1"),
+                       (["legendre", "q0-d-minus1", "--field", "X2", "--target", "q0-d0",
+                         "--param", "zz=3"], "--param zz: q0-d-minus1 or q0-d0")):
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and want in err, (argv, err)

@@ -304,17 +304,51 @@ def _batched_functions(spec, comp):
                 pn.pencil_first_order(st)),
             "flat_pencil_at": lambda st: pn.flat_pencil_at(pn.pencil_from_structure(st)),
         })
+        out.update(_pencil_head_functions())
     out.update(_point_axis_functions(spec, comp))
     return out
+
+
+def _pencil_head_functions():
+    """The batched functions of the pencil's head rows, by name, as in
+    `_batched_functions`."""
+    from fmcheck import connection as cn, pencil as pn
+
+    def pa(st):
+        return pn.pencil_from_structure(st)
+
+    def weight(st):
+        return pn.pencil_weight(pa(st), rank=2)[0]
+
+    def product(st):
+        return pn.product_from_pencil_at(pa(st), pn.delta_jets(pa(st))[0])
+
+    def reconstructed(st):
+        prod = product(st)
+        recon = pn.reconstructed_at(pa(st), prod.c, prod.dc)
+        nat = cn.natural_connection(recon)
+        return [cn.flatness_at(nat), cn.nabla_e_at(nat, recon),
+                cn.compat_product_at(nat, recon), cn.nabla_from_g_at(nat, recon)]
+    return {
+        "pencil_weight": weight,
+        "delta_jets": lambda st: pn.delta_jets(pa(st)),
+        "delta_identities_at": lambda st: pn.delta_identities_at(pa(st), weight(st),
+                                                                 pn.delta_jets(pa(st))),
+        "r_operator_at": lambda st: pn.r_operator_at(pa(st), weight(st), cn.counit_jets(st)),
+        "product_from_pencil_at": lambda st: [getattr(product(st), f)
+                                              for f in ("c", "dc", "residual", "scale")],
+        "reconstructed_at": reconstructed,
+    }
 
 
 def _point_axis_functions(spec, comp):
     """The batched functions of the rotation data, the spanning fields, the
     dual structure, the flat chart and a transform that apply to `spec`,
     by name, as in `_batched_functions`."""
-    from fmcheck import connection as cn, hamops as hm, legendre as lg, rotation as rot
+    from fmcheck import connection as cn, hamops as hm, legendre as lg, ode3d as ode
+    from fmcheck import rotation as rot
     from fmcheck.manifold import table_jets
-    from fmcheck.ode3d import beta_from_F
+    from fmcheck.tensor import eigenvalues
     out = {}
 
     def points(st):
@@ -326,6 +360,10 @@ def _point_axis_functions(spec, comp):
 
     def table(key, st):
         return own(table_jets(key, points(st), spec.env()), st)
+
+    def single(value, st):
+        # the batch's arrays, or at a single point its point's
+        return value if st.point.ndim > 1 else value[0]
 
     if "lame" in comp:
         def rd(st):
@@ -341,10 +379,21 @@ def _point_axis_functions(spec, comp):
             "algebraic_constraints_at": lambda st: [rot.algebraic_constraints_at(rd(st), which)
                                                     for which in ("ED4bis", "ED5b")],
             "potentiality_at": lambda st: rot.potentiality_at(rd(st)),
+            "eigenvalues": lambda st: eigenvalues(rd(st).V),
         })
         if "ode_family" in comp:
-            out["lame_system_at(beta_source)"] = lambda st: rot.lame_system_at(
-                rd(st), None, lambda u: beta_from_F(cat._closed_form_state(spec, comp, u), u))
+            def states(st):
+                F = ode.closed_forms(comp["ode_family"], points(st), spec.params.get("a", 1.0),
+                                     spec.params.get("b", 1.0))
+                assert F.errors == [None] * len(F.errors)
+                return single(F.val, st)
+            out.update({
+                "closed_forms": states,
+                "betas_from_F": lambda st: ode.betas_from_F(states(st), st.point),
+                "first_integrals": lambda st: ode.first_integrals(states(st)),
+                "lame_system_at(beta)": lambda st: rot.lame_system_at(
+                    rd(st), None, ode.betas_from_F(states(st), st.point)),
+            })
     if "normal_bundle" in comp:
         nb = comp["normal_bundle"]
 
@@ -358,6 +407,7 @@ def _point_axis_functions(spec, comp):
                 st, cn.natural_connection(st), fields(st).val, fields(st).grad),
             "gmc_at": lambda st: hm.gmc_at(st, cn.levi_civita(st), nb.eps, fields(st).val,
                                            fields(st).grad),
+            "rank_of": lambda st: hm.rank_of(fields(st).val),
         })
     if "gamma_star" in comp:
         def dual(st):
@@ -382,21 +432,39 @@ def _point_axis_functions(spec, comp):
                 st, cn.natural_connection(st), *field(st)[:2]),
             "transform_metric": lambda st: lg.transform_metric(st, cn.natural_connection(st),
                                                                *field(st)),
+            "transform_connection": lambda st: [
+                getattr(lg.transform_connection(cn.natural_connection(st), st, *field(st)), f)
+                for f in ("gamma", "dgamma")],
+            "transform_metric_at": lambda st: lg.transform_metric_at(
+                st, cn.natural_connection(st), *field(st)),
+            "homogeneous_legendre_at": lambda st: lg.homogeneous_legendre_at(
+                st, cn.natural_connection(st), *field(st)),
         })
     return out
 
 
 def test_batched_functions_and_rows_equal_single_point_runs():
-    # every batched function, and every batched row of the check table (a
-    # catalog entry's, and a Legendre transform's), gives at each of 10
+    # every batched function, and every row of the check table (a catalog
+    # entry's, a Legendre transform's and its theorems', and a pencil's
+    # whose product takes both routes in one batch), gives at each of 10
     # points what it gives on that point alone
     from fmcheck.manifold import per_point, structures
+    from fmcheck.pencil import pencil_from_structure, semisimple_pencil_from_f
+    # R = (Gamma1 - Gamma2) E of this pencil is singular where u2 - u1 = 1
+    both = semisimple_pencil_from_f(("exp(-u2)", "exp(u1)"))
+    both_points = [np.array(p, dtype=complex) for p in (
+        (0.5, 1.5), (0.3, 1.9), (0.25, 1.25), (0.6, 1.1), (0.2, 1.7), (0.75, 1.75), (0.4, 1.2),
+        (0.35, 1.35), (0.1, 0.8), (0.45, 1.6))]
+    pa = pencil_from_structure(structures(both, both_points[:4]))
+    cond = np.linalg.cond(np.einsum("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E))
+    assert pa.diagonal.all() and (cond <= 1e8).any() and (cond > 1e8).any()
+    entries = [(name, cat.entry(name)) for name in cat.names()]
+    entries.append(("semisimple-both-routes", cat.CatalogEntry(both, frozenset({"pencil"}))))
     names = set()
     sources = []
-    for name in cat.names():
-        ent = cat.entry(name)
+    for name, ent in entries:
         spec, comp = ent.spec, ent.companion
-        pts = sample_points(spec, SamplePlan(seed=0, count=10))
+        pts = both_points if spec is both else sample_points(spec, SamplePlan(seed=0, count=10))
         batch = structures(spec, pts)
         singles = [structure_at(spec, p) for p in pts]
         for fn_name, fn in _batched_functions(spec, comp).items():
@@ -404,89 +472,107 @@ def test_batched_functions_and_rows_equal_single_point_runs():
             for k, st in enumerate(singles):
                 _same(result, fn(st), (name, fn_name, k), k)
             names.add(fn_name)
-        rows = [c for c in cat.CHECKS if c.batched and (
+        rows = [c for c in cat.CHECKS if (
             c.flag in ent.flags or c.flag is None and c.name in cat.SINGLE_CHECKS and spec.g)
-            and all(getattr(spec, key, None) is not None or key in comp for key in c.needs)]
+            and all(getattr(spec, key, None) is not None or key in comp or key in spec.expected
+                    for key in c.needs)]
         sources.append((name, spec, comp, pts, rows))
     source = cat.entry("q0-d-minus1")
+    fields = source.companion["legendre_fields"]
     for field, target in (("X2", "q0-d0"), ("X3", None)):
-        transform = cat.Transform(source.spec, source.companion["legendre_fields"][field], field,
-                                  target)
+        transform = cat.Transform(source.spec, fields[field], field, target)
         comp, rows, _ = transform.rows()
         pts = sample_points(source.spec, SamplePlan(seed=0, count=10))
         sources.append((f"{field}->{target}", source.spec, comp, pts, rows))
+    sources.append(("X3 theorems", source.spec, {"legendre_field": fields["X3"]}, pts,
+                    [cat._BY_NAME["transform-metric"], cat._BY_NAME["homogeneous-legendre"]]))
     for name, spec, comp, pts, rows in sources:
         for row in rows:
-            walk = cat._Walk(spec, comp, pts, 1e-8)
+            walk = cat._Walk(spec, comp, pts)
             limit = {None: 10, "head": walk.head}.get(row.points, row.points)
             got = per_point(row.at(cat._RowData(walk, limit)))
             assert len(got) == limit
             for k, p in enumerate(pts[:limit]):
-                want = per_point(row.at(cat._RowData(cat._Walk(spec, comp, [p], 1e-8), 1)))
+                want = per_point(row.at(cat._RowData(cat._Walk(spec, comp, [p]), 1)))
                 _same(got[k], want[0], (name, row.name, k))
             names.add("match" if row.name.startswith("match-") else row.name)
-    assert len([c for c in cat.CHECKS if c.batched and c.name in names]) == 36
-    assert len(names) >= 36 + 46
+    assert len([c for c in cat.CHECKS if c.name in names]) == len(cat.CHECKS) == 45
+    assert len(names) >= 45 + 60
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
-    # one array of the structure batch or of the rotation data is moved by
-    # 1e-3, or turns to NaN, at point 5 of 10: each batched row whose
-    # residual the move changes reads that array there, and the NaN makes
-    # it NaN, so the row fails
+    # one array of the structure batch, the rotation data, the spanning
+    # fields or the closed-form ODE states is moved by 1e-3, or turns to
+    # NaN, at one point of 10: point 5 for the rows over all points, point
+    # 2 for the rows over a prefix (the pencil's head rows over 4, the
+    # five-point rows); each row whose residual the move changes reads that
+    # array there, and the NaN makes it NaN, so the row fails
     import dataclasses
-    from fmcheck import manifold, rotation
+    from fmcheck import hamops, manifold, rotation
     from fmcheck.legendre import HypothesisViolatedError
     poison = {"field": None}
 
     def poisoning(build):
         def poisoned(*args, **kwargs):
             out = build(*args, **kwargs)
-            field, bump = poison["field"], poison.get("bump")
+            field, bump, at = poison["field"], poison.get("bump"), poison.get("at")
             value = None if field is None else getattr(out, field, None)
             if value is not None:
-                at_5 = (np.arange(len(value)) == 5).reshape((-1,) + (1,) * (value.ndim - 1))
-                setattr(out, field, np.where(at_5, value + bump, value))
+                at_k = (np.arange(len(value)) == at).reshape((-1,) + (1,) * (value.ndim - 1))
+                setattr(out, field, np.where(at_k, value + bump, value))
             return out
         return poisoned
 
     monkeypatch.setattr(cat, "structures", poisoning(manifold.structures))
     monkeypatch.setattr(cat, "rotations", poisoning(rotation.rotations))
-    batched = {c.name for c in cat.CHECKS if c.batched and c.points is None}
+    monkeypatch.setattr(cat, "spanning_fields", poisoning(hamops.spanning_fields))
+    monkeypatch.setitem(cat._BATCHED, "ode", poisoning(cat._BATCHED["ode"]))
     names = ("lobachevsky", "q0-d-minus1", "q0-d0", "af-pencil-n3", "nonss3d",
              "lauricella-eps-minus1-n3", "pencil-63", "case-i")
     runs = [(cat.entry(name), None) for name in names]
     runs += [(cat.entry("lobachevsky"), "levi-civita-flat"),
              (cat.entry("lobachevsky"), "natural-flat")]
     source = cat.entry("q0-d-minus1")
-    runs.append((cat.Transform(source.spec, source.companion["legendre_fields"]["X2"], "X2",
-                               "q0-d0"), None))
-    fields = [f.name for cls in (manifold.StructureAt, rotation.RotationData)
+    x2 = source.companion["legendre_fields"]["X2"]
+    runs.append((cat.Transform(source.spec, x2, "X2", "q0-d0"), None))
+    runs.append((source, ("transform-metric", "homogeneous-legendre")))
+    fields = [f.name for cls in (manifold.StructureAt, rotation.RotationData, manifold.Jets)
               for f in dataclasses.fields(cls) if f.name not in ("n", "point", "errors")]
 
-    def residuals(source, check):
+    def residuals(source, check, rows):
         # by row name, a transform's match-<target> as "match"
-        reports = cat.run_suite(source, seed=0, count=10, check=check).reports
-        rows = {"match" if r.name.startswith("match-") else r.name: r for r in reports}
-        return {name: r for name, r in rows.items() if name in batched}
+        if isinstance(check, tuple):  # rows that only their wrappers pick
+            pts = sample_points(source.spec, SamplePlan(seed=0, count=10))
+            reports = cat.run_checks(source.spec, {"legendre_field": x2}, check, pts)
+        else:
+            reports = cat.run_suite(source, seed=0, count=10, check=check).reports
+        by_name = {"match" if r.name.startswith("match-") else r.name: r for r in reports}
+        return {name: r for name, r in by_name.items() if name in rows}
 
-    failed = set()
-    for source, check in runs:
-        poison["field"] = None
-        base = residuals(source, check)
-        assert base, source.spec.name
-        for field in fields:
-            poison.update(field=field, bump=1e-3)
-            try:
-                moved = residuals(source, check)
-            except HypothesisViolatedError:  # the moved field is no longer flat
-                moved = None
-            poison.update(bump=np.nan)
-            for row, r in residuals(source, check).items():
-                if np.isnan(r.residual):
-                    assert not r.passed, (source.spec.name, field, row)
-                    failed.add(row)
-                elif moved is not None:
-                    assert moved[row].residual == base[row].residual, (source.spec.name, field, row)
-    assert failed == batched
+    for at, rows in ((5, {c.name for c in cat.CHECKS if c.points is None}),
+                     (2, {c.name for c in cat.CHECKS if c.points is not None})):
+        failed = set()
+        for source, check in runs:
+            poison.update(field=None, at=at)
+            base = residuals(source, check, rows)
+            if not base:
+                assert at == 2, source.spec.name
+                continue
+            for field in fields:
+                poison.update(field=field, bump=1e-3)
+                try:
+                    moved = residuals(source, check, rows)
+                except (HypothesisViolatedError, cat.SingularSampleError):
+                    # the moved field is no longer flat, or the moved metric
+                    # is no longer diagonal where R is singular
+                    moved = None
+                poison.update(bump=np.nan)
+                for row, r in residuals(source, check, rows).items():
+                    if np.isnan(r.residual):
+                        assert not r.passed, (source.spec.name, field, row)
+                        failed.add(row)
+                    elif moved is not None:
+                        assert moved[row].residual == base[row].residual, \
+                            (source.spec.name, field, row)
+        assert failed == rows
