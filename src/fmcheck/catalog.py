@@ -30,9 +30,8 @@ from .legendre import (homogeneous_legendre_at, homogeneous_legendre_report, leg
                        transformed_metric)
 from .manifold import (AllEntriesZeroError, Jets, ManifoldSpec, PointBatch, Region, Report,
                        SamplePlan, amax, fail_at, fit_scalar, hertling_manin_at, homogeneity_at,
-                       killing_unit_at, metric_invariance_at, normalized, per_point, pmax,
-                       point_report, product_axioms_at, required, sample_points, structures,
-                       table_jets)
+                       batch_report, killing_unit_at, metric_invariance_at, normalized, pmax,
+                       product_axioms_at, required, sample_points, structures, table_jets)
 from .ode3d import betas_from_F, closed_forms, first_integrals
 from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at,
                      flat_pencil_report, pencil_first_order, pencil_homogeneity_at,
@@ -568,9 +567,10 @@ class _RowData:
         elif isinstance(value, PointBatch):
             if len(value.errors) > self.count:
                 value = value.head(self.count)
-            for k, err in enumerate(value.errors):
-                if self.errors[k] is None:
-                    self.errors[k] = err
+            if value.errors.count(None) < self.count:
+                for k, err in enumerate(value.errors):
+                    if self.errors[k] is None:
+                        self.errors[k] = err
             if self.errors[0] is not None:
                 raise self.errors[0]
         return value
@@ -596,12 +596,12 @@ class Check:
     tol: Callable | None = None
     reduce: Callable | None = None
 
-    def report(self, per_point: list, tol: float, expected: dict) -> Report:
+    def report(self, result, tol: float, expected: dict) -> Report:
         if self.tol is not None:
             tol = self.tol(tol)
         if self.reduce is not None:
-            return self.reduce(self.name, per_point, tol)
-        return point_report(self.name, per_point, tol, fit=self.fit,
+            return self.reduce(self.name, result, tol)
+        return batch_report(self.name, result, tol, fit=self.fit,
                             expected=expected.get(self.expected))
 
 
@@ -757,8 +757,9 @@ def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
         for check in checks:
             rows = _RowData(walk, min(len(points), {None: len(points), "head": walk.head}.get(
                 check.points, check.points)))
-            results.append(per_point(check.at(rows)))
-            errors.append(rows.errors)
+            results.append(check.at(rows))
+            if rows.errors.count(None) < rows.count:
+                errors.append(rows.errors)
         for k in range(len(points)):
             for row_errors in errors:
                 if k < len(row_errors) and row_errors[k] is not None:

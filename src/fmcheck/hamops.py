@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .connection import ConnectionAt, inverse_jets, levi_civita, riemann_components
-from .manifold import (Jets, ManifoldSpec, Report, StructureAt, amax, normalized, per_point,
-                       pmax, point_report, structure_at, table_jets, worst_parts)
+from .manifold import (Jets, ManifoldSpec, Report, StructureAt, amax, batch_report, normalized,
+                       pmax, structure_at, table_jets, worst_parts)
 from .tensor import finite_matrices
 
 __all__ = [
@@ -213,8 +213,8 @@ def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None):
     return _worst_of(sub.values(), r2_top), sc, sub
 
 
-def gmc_report(name: str, per_point, tol: float) -> Report:
-    return point_report(name, per_point, tol, details=worst_parts(per_point))
+def gmc_report(name: str, result, tol: float) -> Report:
+    return batch_report(name, result, tol, details=worst_parts(result[2]))
 
 
 def check_gmc(spec: ManifoldSpec, nb: NormalBundleData, points,
@@ -235,7 +235,7 @@ def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point,
     st = structure_at(spec, point, params)
     lc = levi_civita(st)
     xs, dxs = nb.at(st.point, st.n)
-    gmc = gmc_report("gmc", per_point(gmc_at(st, lc, nb.eps, xs, dxs)), tol)
+    gmc = gmc_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs), tol)
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")
     ginv, _ = inverse_jets(st.g, st.dg)

@@ -16,8 +16,8 @@ from . import exprjet as ej
 from .connection import (ConnectionAt, check_compat_product, checked_inverse,
                          natural_connection, riemann_components)
 from .hamops import sym_condition_at
-from .manifold import (ManifoldSpec, Report, StructureAt, amax, fail_at, fit_scalar,
-                       lie_metric, normalized, pmax, point_report, product_jets, required,
+from .manifold import (ManifoldSpec, Report, StructureAt, amax, batch_report, fail_at,
+                       fit_scalar, lie_metric, normalized, pmax, product_jets, required,
                        structure_at, worst)
 from .rotation import rk4_path, rk4_stage_times
 from .tensor import SingularMatrixError, lie_from_components
@@ -89,9 +89,8 @@ def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx, errors=None):
     return res, sc, np.abs(np.linalg.det(w))
 
 
-def legendre_field_report(name: str, per_point, tol: float) -> Report:
-    return point_report(name, per_point, tol,
-                        details={"min_abs_det": float(min(d for _, _, d in per_point))})
+def legendre_field_report(name: str, result, tol: float) -> Report:
+    return batch_report(name, result, tol, details={"min_abs_det": float(np.min(result[2]))})
 
 
 def _row(name: str, spec: ManifoldSpec, field_exprs, points, tol: float, params) -> Report:
@@ -283,11 +282,11 @@ def homogeneous_legendre_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, erro
     return raw, sc, dbar, D, Dbar
 
 
-def homogeneous_legendre_report(name: str, per_point, tol: float) -> Report:
-    Ds, Dbars = [D for *_, D, _ in per_point], [Dbar for *_, Dbar in per_point]
+def homogeneous_legendre_report(name: str, result, tol: float) -> Report:
+    Ds, Dbars = (np.atleast_1d(col).tolist() for col in result[3:])
     D_m = sum(Ds) / len(Ds)
     Db_m = sum(Dbars) / len(Dbars)
-    return point_report(name, per_point, tol, fit="dbar",
+    return batch_report(name, result, tol, fit="dbar",
                         details={"D_fit": [D_m.real, D_m.imag], "Dbar_fit": [Db_m.real, Db_m.imag]})
 
 

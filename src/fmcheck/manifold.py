@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -32,8 +31,7 @@ __all__ = [
     "Region", "SamplePlan", "ManifoldSpec", "PointBatch", "Jets", "StructureAt", "Report",
     "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "MissingFieldError",
     "required", "sample_points", "fail_at", "raise_first", "table_jets", "amax", "pmax",
-    "per_point", "batch_report",
-    "structure_at", "structures", "worst", "point_report", "merge_reports",
+    "batch_report", "structure_at", "structures", "worst", "worst_parts", "merge_reports",
     "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
     "check_killing_unit", "check_homogeneity", "normalized",
 ]
@@ -305,47 +303,19 @@ def worst(values) -> float:
     """The largest of `values`, 0.0 for none, and NaN as soon as one of
     them is NaN: a NaN residual fails wherever it stands.  Every residual
     of every check is reduced through here."""
-    out = 0.0
-    for v in values:
-        if v != v:
-            return math.nan
-        out = max(out, v)
-    return float(out)
+    values = values if isinstance(values, np.ndarray) else list(values)
+    return float(np.max(np.asarray(values, dtype=float), initial=0.0))
 
 
-def point_report(name: str, per_point, tol: float, fit: str | None = None, expected=None,
-                 details: dict | None = None) -> Report:
-    """The report of one check from its per-point (residual, scale, ...)
-    results.
-
-    With `fit`, the third entry of each result is a constant fitted at that
-    point: the fits must then agree across the points, their mean is
-    recorded as `<fit>_fit` and, given `expected`, must match it."""
-    per_point = list(per_point)
-    residuals = [r[0] for r in per_point]
-    details = dict(details or {})
-    if fit is not None:
-        fits = [r[2] for r in per_point]
-        mean = sum(fits) / len(fits)
-        residuals.append(normalized(worst(abs(f - mean) for f in fits), abs(mean)))
-        details[f"{fit}_fit"] = [mean.real, mean.imag]
-        if expected is not None:
-            details[f"{fit}_expected"] = expected
-            residuals.append(normalized(abs(mean - complex(expected)), abs(mean)))
-    return Report.from_residual(name, worst(residuals), tol,
-                                scale=worst(r[1] for r in per_point),
-                                npoints=len(per_point), details=details)
-
-
-def worst_parts(per_point) -> dict:
-    """The worst of each named sub-residual over per-point results whose
-    third entry maps names to sub-residuals."""
-    return {key: worst(r[2][key] for r in per_point) for key in per_point[0][2]}
+def worst_parts(parts: dict) -> dict:
+    """The worst of each named sub-residual, from its values over the
+    points."""
+    return {key: worst(np.atleast_1d(values)) for key, values in parts.items()}
 
 
 def merge_reports(name: str, reports: Sequence[Report], tol: float) -> Report:
     """Merge the single-point reports of one check."""
-    return point_report(name, [(r.residual, r.scale) for r in reports], tol)
+    return batch_report(name, ([r.residual for r in reports], [r.scale for r in reports]), tol)
 
 
 def normalized(raw, scale):
@@ -461,23 +431,28 @@ def structure_at(spec: ManifoldSpec, point, params: Mapping[str, complex] | None
 # over a point set
 
 
-def per_point(result) -> list:
-    """The per-point results (residual, scale, ...) from the columns a
-    residual function returns over a batch: arrays over the point axis, or
-    dicts of them, which give one dict per point.  At one point, one."""
-    cols = []
-    for col in result:
-        if isinstance(col, dict):
-            col = [dict(zip(col, values))
-                   for values in zip(*(np.atleast_1d(v).tolist() for v in col.values()))]
-        cols.append(col if isinstance(col, list) else np.atleast_1d(col).tolist())
-    return list(zip(*cols))
+def batch_report(name: str, result, tol: float, fit: str | None = None, expected=None,
+                 details: dict | None = None) -> Report:
+    """The report of one check from its residual function's (residual,
+    scale[, fitted constant]), arrays over the points of a batch or scalars
+    at one point.
 
-
-def batch_report(name: str, result, tol: float, **kwargs) -> Report:
-    """The report of a check over the points of a batch, or at one point,
-    from its residual function's (residual, scale[, fitted constant])."""
-    return point_report(name, per_point(result), tol, **kwargs)
+    With `fit`, the third is the constant fitted at each point: the fits
+    must then agree across the points, their mean is recorded as
+    `<fit>_fit` and, given `expected`, must match it."""
+    residual, scale = np.atleast_1d(result[0]), np.atleast_1d(result[1])
+    residuals = [worst(residual)]
+    details = dict(details or {})
+    if fit is not None:
+        fits = np.atleast_1d(result[2])
+        mean = sum(fits.tolist()) / len(fits)
+        residuals.append(normalized(worst(np.abs(fits - mean)), abs(mean)))
+        details[f"{fit}_fit"] = [mean.real, mean.imag]
+        if expected is not None:
+            details[f"{fit}_expected"] = expected
+            residuals.append(normalized(abs(mean - complex(expected)), abs(mean)))
+    return Report.from_residual(name, worst(residuals), tol, scale=worst(scale),
+                                npoints=len(residual), details=details)
 
 
 def _batch(spec, points, params) -> StructureAt:

@@ -19,8 +19,8 @@ from . import exprjet as ej
 from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hessian,
                          inverse_jets, metric_inverse, riemann_components)
 from .manifold import (ManifoldSpec, PointBatch, Region, Report, StructureAt, amax,
-                       batch_report, fail_at, fit_scalar, normalized, per_point, pmax, point_report,
-                       product_jets, raise_first, structures, worst_parts)
+                       batch_report, fail_at, fit_scalar, normalized, pmax, product_jets,
+                       raise_first, structures, worst_parts)
 from .tensor import SingularMatrixError, finite_matrices, lie_from_components
 
 __all__ = [
@@ -179,16 +179,16 @@ def flat_pencil_at(pa: PencilAt, lambdas=DEFAULT_LAMBDAS, errors=None):
     return pmax(*per_lambda.values()), pmax(*scales), per_lambda
 
 
-def flat_pencil_report(name: str, per_point, tol: float) -> Report:
-    return point_report(name, per_point, tol, details={"per_lambda": worst_parts(per_point)})
+def flat_pencil_report(name: str, result, tol: float) -> Report:
+    return batch_report(name, result, tol, details={"per_lambda": worst_parts(result[2])})
 
 
 def check_flat_pencil(spec, points, lambdas=DEFAULT_LAMBDAS,
                       tol: float = DEFAULT_TOL, params=None) -> Report:
     """Curvature of every pencil member, and linearity of the contravariant
     Christoffel symbols across the pencil."""
-    return flat_pencil_report("flat-pencil", per_point(
-        flat_pencil_at(_pencil_batch(spec, points, params, True), lambdas)), tol)
+    pa = _pencil_batch(spec, points, params, True)
+    return flat_pencil_report("flat-pencil", flat_pencil_at(pa, lambdas), tol)
 
 
 def exactness_at(pa: PencilAt):

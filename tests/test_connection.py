@@ -448,7 +448,7 @@ def test_batched_functions_and_rows_equal_single_point_runs():
     # entry's, a Legendre transform's and its theorems', and a pencil's
     # whose product takes both routes in one batch), gives at each of 10
     # points what it gives on that point alone
-    from fmcheck.manifold import per_point, structures
+    from fmcheck.manifold import structures
     from fmcheck.pencil import pencil_from_structure, semisimple_pencil_from_f
     # R = (Gamma1 - Gamma2) E of this pencil is singular where u2 - u1 = 1
     both = semisimple_pencil_from_f(("exp(-u2)", "exp(u1)"))
@@ -486,15 +486,19 @@ def test_batched_functions_and_rows_equal_single_point_runs():
         sources.append((f"{field}->{target}", source.spec, comp, pts, rows))
     sources.append(("X3 theorems", source.spec, {"legendre_field": fields["X3"]}, pts,
                     [cat._BY_NAME["transform-metric"], cat._BY_NAME["homogeneous-legendre"]]))
+    def at(result, k):
+        # point k of a row's columns: arrays over the points, or dicts of them
+        return [{key: v[k] for key, v in col.items()} if isinstance(col, dict) else col[k]
+                for col in result]
     for name, spec, comp, pts, rows in sources:
         for row in rows:
             walk = cat._Walk(spec, comp, pts)
             limit = {None: 10, "head": walk.head}.get(row.points, row.points)
-            got = per_point(row.at(cat._RowData(walk, limit)))
-            assert len(got) == limit
+            got = row.at(cat._RowData(walk, limit))
+            assert len(got[0]) == limit
             for k, p in enumerate(pts[:limit]):
-                want = per_point(row.at(cat._RowData(cat._Walk(spec, comp, [p]), 1)))
-                _same(got[k], want[0], (name, row.name, k))
+                want = row.at(cat._RowData(cat._Walk(spec, comp, [p]), 1))
+                _same(at(got, k), at(want, 0), (name, row.name, k))
             names.add("match" if row.name.startswith("match-") else row.name)
     assert len([c for c in cat.CHECKS if c.name in names]) == len(cat.CHECKS) == 45
     assert len(names) >= 45 + 60
