@@ -159,10 +159,14 @@ def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt,
     inverse = inverse or metric_inverse(st)
     _, _, dtheta, d_dtheta = counit if counit is not None else counit_jets(st)
     ginv, dginv = inverse.inv, inverse.dinv
-    b = -0.5 * np.einsum("...if,...qkl,...qf->...ikl", ginv, st.c, dtheta)
-    db = -0.5 * (np.einsum("...ifp,...qkl,...qf->...iklp", dginv, st.c, dtheta)
-                 + np.einsum("...if,...qklp,...qf->...iklp", ginv, st.dc, dtheta)
-                 + np.einsum("...if,...qkl,...qfp->...iklp", ginv, st.c, d_dtheta))
+    # m[i,q] = g^if dtheta_qf and its derivatives, contracted with c one
+    # pair at a time (one three-operand einsum loops over every index)
+    m = np.einsum("...if,...qf->...iq", ginv, dtheta)
+    dm = (np.einsum("...ifp,...qf->...iqp", dginv, dtheta)
+          + np.einsum("...if,...qfp->...iqp", ginv, d_dtheta))
+    b = -0.5 * np.einsum("...iq,...qkl->...ikl", m, st.c)
+    db = -0.5 * (np.einsum("...iqp,...qkl->...iklp", dm, st.c)
+                 + np.einsum("...iq,...qklp->...iklp", m, st.dc))
     return ConnectionAt(st.n, st.point, lc.gamma + b, lc.dgamma + db, "natural", lc.errors)
 
 

@@ -97,7 +97,7 @@ def integrals(state: OdeState3) -> dict:
     _check_regular(z)
     f12, f21, f13, f31, f23, f32 = state.F
     d12, d13, d23 = f12 - f21, f13 - f31, f23 - f32
-    i1, i2 = first_integrals(state.F)
+    i1, i2 = _first_two(f12, f21, f13, f31, f23, f32)
     i3 = (z * z - z) * d12 + (z - 1) * f23 * d13 - z * f13 * d23
     i4 = (z * z - z) * f31 * d12 + (1 - z) * f21 * d13 + z * d23
     i5 = (z * z - z) * f32 * d12 + (1 - z) * d13 - z * f12 * d23
@@ -118,7 +118,10 @@ def integrals(state: OdeState3) -> dict:
 
 def first_integrals(F):
     """I1 and I2 at a state's F, or at each F of a batch, shape (P, 6)."""
-    f12, f21, f13, f31, f23, f32 = F.T
+    return _first_two(*F.T)
+
+
+def _first_two(f12, f21, f13, f31, f23, f32):
     return f12 * f21 + f13 * f31 + f23 * f32, f13 * f32 * f21 - f23 * f31 * f12
 
 
