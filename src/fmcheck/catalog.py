@@ -22,7 +22,8 @@ from . import exprjet as ej
 from .connection import (ConnectionAt, InverseJets, compat_product_at, connections_from_exprs,
                          counit_jets, curvature_product_at, dual_structure, flatness_at,
                          levi_civita, metric_inverse, nabla_e_at, nabla_from_g_at,
-                         nabla_nabla_E_at, natural_from_levi_civita, r_tr_identity_at, torsion_at)
+                         nabla_nabla_E_at, natural_from_levi_civita, r_tr_identity_at,
+                         riemann_components, torsion_at)
 from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at, gmc_report,
                      quadratic_expansion_at, rank_of, spanning_fields, sym_condition_at)
 from .legendre import (homogeneous_legendre_at, homogeneous_legendre_report, legendre_field_at,
@@ -40,7 +41,7 @@ from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_
 from .rotation import (ZeroLameError, algebraic_constraints_at, darboux_at,
                        flatness_constraint_at, lame_system_at, potentiality_at,
                        reduction_identity_at, rotations)
-from .tensor import SingularMatrixError, cluster_values, eigenvalues
+from .tensor import SingularMatrixError, cluster_values, contract, eigenvalues
 
 __all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Transform",
            "run_checks", "Check", "CHECKS", "SPEC_CHECKS", "SINGLE_CHECKS",
@@ -396,8 +397,8 @@ def flat_coordinates_at(chart: Jets, conn: ConnectionAt, errors=None):
     """Push `conn` to the companion chart, given by its jets `chart`, and
     require the transformed Christoffel symbols to vanish."""
     jinv = _chart_inverse(chart.grad, errors)
-    pushed = (np.einsum("...ai,...ijk,...jb,...kc->...abc", chart.grad, conn.gamma, jinv, jinv)
-              - np.einsum("...ajk,...jb,...kc->...abc", chart.hess, jinv, jinv))
+    pushed = (contract("...ai,...ijk,...jb,...kc->...abc", chart.grad, conn.gamma, jinv, jinv)
+              - contract("...ajk,...jb,...kc->...abc", chart.hess, jinv, jinv))
     sc = pmax(amax(conn.gamma, 3), amax(chart.hess, 3), 1.0)
     return normalized(amax(pushed, 3), sc), sc
 
@@ -408,7 +409,7 @@ def vector_potential_at(b):
     their printed components (`b`: a row's `_RowData`)."""
     jac, st = b.chart.grad, b.st
     jinv = _chart_inverse(jac, b.errors)
-    pushed_c = np.einsum("...ai,...ijk,...jb,...kc->...abc", jac, st.c, jinv, jinv)
+    pushed_c = contract("...ai,...ijk,...jb,...kc->...abc", jac, st.c, jinv, jinv)
     terms = [amax(pushed_c - b.potentials.hess, 3),
              amax((jac @ st.e[..., None])[..., 0] - b.flat_e.val, 1)]
     if "flat_E" in b.comp and st.E is not None:
@@ -490,6 +491,8 @@ _BATCHED = {
     "counit": lambda w: counit_jets(w.batch("st")),
     "nat": lambda w: natural_from_levi_civita(w.batch("st"), w.batch("lc"), w.batch("ginv"),
                                               w.batch("counit")),
+    **{f"r_{key}": (lambda w, key=key: riemann_components(w.batch(key).gamma, w.batch(key).dgamma))
+       for key in ("lc", "nat")},
     "printed": lambda w: connections_from_exprs(w.companion("gamma"), w.points, w.env),
     "printed_star": lambda w: connections_from_exprs(w.companion("gamma_star"), w.points, w.env),
     # the structure connection, from its closed-form table where there is one
@@ -549,11 +552,11 @@ class _Walk:
 
 
 class _RowData:
-    """A row's view of the walk: its batches (and tuples of arrays over the
-    points), cut to the row's points, and in `errors` the first error at
-    each of those points in the batches it has read, in the order it read
-    them, to which the row adds its own.  Reading a batch with an error at
-    the first point raises it."""
+    """A row's view of the walk: its batches (and arrays and tuples of
+    arrays over the points), cut to the row's points, and in `errors` the
+    first error at each of those points in the batches it has read, in the
+    order it read them, to which the row adds its own.  Reading a batch
+    with an error at the first point raises it."""
 
     def __init__(self, walk: _Walk, count: int):
         self.walk, self.count, self.errors = walk, count, [None] * count
@@ -562,7 +565,9 @@ class _RowData:
         if name not in _BATCHED:
             return getattr(self.walk, name)
         value = self.walk.batch(name)
-        if isinstance(value, tuple):
+        if isinstance(value, np.ndarray):
+            value = value[:self.count]
+        elif isinstance(value, tuple):
             value = tuple(a[:self.count] for a in value)
         elif isinstance(value, PointBatch):
             if len(value.errors) > self.count:
@@ -655,15 +660,16 @@ CHECKS = (
     Check("hertling-manin", lambda b: hertling_manin_at(b.st), _KILLING),
     Check("metric-invariance", lambda b: metric_invariance_at(b.st), _KILLING, ("g",)),
     Check("killing-unit", lambda b: killing_unit_at(b.st), _KILLING, ("g",)),
-    Check("levi-civita-flat", lambda b: flatness_at(b.lc)),
-    Check("natural-flat", lambda b: flatness_at(b.nat), needs=("g",)),
+    Check("levi-civita-flat", lambda b: flatness_at(b.lc, b.r_lc)),
+    Check("natural-flat", lambda b: flatness_at(b.nat, b.r_nat), needs=("g",)),
     Check("torsionless", lambda b: torsion_at(b.nat), _KILLING, tol=lambda tol: 1e-12),
-    Check("flatness", lambda b: flatness_at(b.nat), _KILLING),
+    Check("flatness", lambda b: flatness_at(b.nat, b.r_nat), _KILLING),
     Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), _KILLING),
     Check("product-compat", lambda b: compat_product_at(b.nat, b.st), _KILLING),
     Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), _KILLING),
-    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, "both")[:2], _KILLING),
-    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), _KILLING),
+    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, "both", b.r_lc)[:2],
+          _KILLING),
+    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st, b.r_nat, b.r_lc), _KILLING),
     Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), _KILLING, ("E",)),
     Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), "gamma-match", ("gamma",)),
     Check("homogeneity", lambda b: homogeneity_at(b.st, b.errors), "homogeneous", ("g", "E"),
@@ -682,12 +688,12 @@ CHECKS = (
     Check("ode-integrals", _ode_integrals_at, "ode-family", points=5, tol=lambda tol: 1e-10),
     Check("quadratic-expansion",
           lambda b: quadratic_expansion_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
-                                           b.ginv.inv),
+                                           b.ginv.inv, b.r_lc),
           _BUNDLE, tol=lambda tol: max(tol, 1e-9)),
     Check("sym-condition", lambda b: sym_condition_at(b.st, b.nat, b.fields.val, b.fields.grad),
           _BUNDLE),
     Check("gmc", lambda b: gmc_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
-                                  b.fields.grad, b.ginv.inv), _BUNDLE, reduce=gmc_report),
+                                  b.fields.grad, b.ginv.inv, b.r_lc), _BUNDLE, reduce=gmc_report),
     # 1 where the rank is not the expected one
     Check("normal-rank", lambda b: (np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"])),
                                     np.zeros(b.count)),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .manifold import (PointBatch, Report, StructureAt, amax, batch_report, fail_at,
                        normalized, pmax, raise_first, required, table_jets)
-from .tensor import SingularMatrixError
+from .tensor import SingularMatrixError, antisym, contract, contract_jets
 
 __all__ = [
     "ConnectionAt", "InverseJets", "DualStructureAt",
@@ -36,7 +36,7 @@ __all__ = [
     "check_flatness", "check_torsionless", "check_nabla_e",
     "check_compat_product", "check_nabla_from_g",
     "check_curvature_product_condition", "check_R_tR_identity",
-    "check_nabla_nabla_E", "dual_structure", "nabla_vector",
+    "check_nabla_nabla_E", "dual_structure",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -80,7 +80,7 @@ def checked_inverse(a: np.ndarray, errors=None) -> np.ndarray:
 def inverse_jets(a, da, dda=None, errors=None):
     """Jets of the matrix inverse from jets of the matrix."""
     b = checked_inverse(a, errors)
-    db = -np.einsum("...ip,...pqk,...qj->...ijk", b, da, b)
+    db = -contract("...ip,...pqk,...qj->...ijk", b, da, b)
     if dda is None:
         return b, db
     return b, db, inverse_hessian(b, da, dda)
@@ -89,12 +89,10 @@ def inverse_jets(a, da, dda=None, errors=None):
 def inverse_hessian(b, da, dda):
     """Second derivatives of the inverse b of a matrix from b and the
     matrix's first and second derivatives."""
-    # t0 = -b dda_kl b and t1 = (b da_k b)(da_l b), each contracted one
-    # index at a time
-    t0 = -np.einsum("...ip,...pjkl->...ijkl", b, np.einsum("...pqkl,...qj->...pjkl", dda, b))
-    bdab = np.einsum("...iqk,...qj->...ijk", np.einsum("...ip,...pqk->...iqk", b, da), b)
-    t1 = np.einsum("...irk,...rjl->...ijkl", bdab, np.einsum("...rsl,...sj->...rjl", da, b))
-    return t0 + t1 + np.swapaxes(t1, -2, -1)
+    # -b dda_kl b + t + t swapped, t = (b da_k b)(da_l b)
+    bdab = contract("...ip,...pqk,...qr->...irk", b, da, b)
+    t = contract("...irk,...rsl,...sj->...ijkl", bdab, da, b)
+    return -contract("...ip,...pqkl,...qj->...ijkl", b, dda, b) + t + np.swapaxes(t, -2, -1)
 
 
 def metric_inverse(st: StructureAt) -> InverseJets:
@@ -110,12 +108,10 @@ def christoffel_jets(g, dg, ddg, inverse=None):
     `inverse`: the jets (g^-1, d g^-1) where the caller has them."""
     ginv, dginv = inverse if inverse is not None else inverse_jets(g, dg)
     # bracket[q,k,m] = d_k g_qm + d_m g_qk - d_q g_km
-    bracket = (np.einsum("...qmk->...qkm", dg) + dg - np.einsum("...kmq->...qkm", dg))
-    gamma = 0.5 * np.einsum("...iq,...qkm->...ikm", ginv, bracket)
-    dbracket = (np.einsum("...qmkp->...qkmp", ddg) + ddg - np.einsum("...kmqp->...qkmp", ddg))
-    dgamma = 0.5 * (np.einsum("...iqp,...qkm->...ikmp", dginv, bracket)
-                    + np.einsum("...iq,...qkmp->...ikmp", ginv, dbracket))
-    return gamma, dgamma
+    bracket = (contract("...qmk->...qkm", dg) + dg - contract("...kmq->...qkm", dg))
+    dbracket = (contract("...qmkp->...qkmp", ddg) + ddg - contract("...kmqp->...qkmp", ddg))
+    gamma, dgamma = contract_jets("...iq,...qkm->...ikm", (ginv, dginv), (bracket, dbracket))
+    return 0.5 * gamma, 0.5 * dgamma
 
 
 def levi_civita(st: StructureAt, inverse: InverseJets | None = None) -> ConnectionAt:
@@ -130,14 +126,9 @@ def counit_jets(st: StructureAt):
     """theta_i = g_il e^l with first and second derivatives, plus the
     exterior derivative dtheta_qf = d_q theta_f - d_f theta_q and its
     first derivatives."""
-    theta = np.einsum("...il,...l->...i", st.g, st.e)
     # dth[f,q] = d_q theta_f
-    dth = (np.einsum("...flq,...l->...fq", st.dg, st.e)
-           + np.einsum("...fl,...lq->...fq", st.g, st.de))
-    ddth = (np.einsum("...flqp,...l->...fqp", st.ddg, st.e)
-            + np.einsum("...flq,...lp->...fqp", st.dg, st.de)
-            + np.einsum("...flp,...lq->...fqp", st.dg, st.de)
-            + np.einsum("...fl,...lqp->...fqp", st.g, st.dde))
+    theta, dth, ddth = contract_jets("...il,...l->...i", (st.g, st.dg, st.ddg),
+                                     (st.e, st.de, st.dde))
     dtheta = np.swapaxes(dth, -2, -1) - dth
     d_dtheta = np.swapaxes(ddth, -3, -2) - ddth  # [q,f,p] = d_p dtheta_qf
     return theta, dth, dtheta, d_dtheta
@@ -158,15 +149,9 @@ def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt,
     built on) and `counit` (`counit_jets(st)`) where the caller has them."""
     inverse = inverse or metric_inverse(st)
     _, _, dtheta, d_dtheta = counit if counit is not None else counit_jets(st)
-    ginv, dginv = inverse.inv, inverse.dinv
-    # m[i,q] = g^if dtheta_qf and its derivatives, contracted with c one
-    # pair at a time (one three-operand einsum loops over every index)
-    m = np.einsum("...if,...qf->...iq", ginv, dtheta)
-    dm = (np.einsum("...ifp,...qf->...iqp", dginv, dtheta)
-          + np.einsum("...if,...qfp->...iqp", ginv, d_dtheta))
-    b = -0.5 * np.einsum("...iq,...qkl->...ikl", m, st.c)
-    db = -0.5 * (np.einsum("...iqp,...qkl->...iklp", dm, st.c)
-                 + np.einsum("...iq,...qklp->...iklp", m, st.dc))
+    # m[i,q] = g^if dtheta_qf, contracted with c
+    m = contract_jets("...if,...qf->...iq", (inverse.inv, inverse.dinv), (dtheta, d_dtheta))
+    b, db = (-0.5 * t for t in contract_jets("...iq,...qkl->...ikl", m, (st.c, st.dc)))
     return ConnectionAt(st.n, st.point, lc.gamma + b, lc.dgamma + db, "natural", lc.errors)
 
 
@@ -203,9 +188,8 @@ def connection_from_exprs(gamma_exprs, point, env: Mapping[str, complex] | None 
 def riemann_components(gamma, dgamma) -> np.ndarray:
     """R^h_ikj = d_k Gamma^h_ij - d_j Gamma^h_ik
                  + Gamma^s_ij Gamma^h_ks - Gamma^s_ik Gamma^h_js."""
-    return (np.einsum("...hijk->...hikj", dgamma) - dgamma
-            + np.einsum("...sij,...hks->...hikj", gamma, gamma)
-            - np.einsum("...sik,...hjs->...hikj", gamma, gamma))
+    # the second pair of terms is the first with k and j swapped
+    return antisym(np.swapaxes(dgamma, -2, -1) + contract("...sij,...hks->...hikj", gamma, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +199,16 @@ def riemann_components(gamma, dgamma) -> np.ndarray:
 
 def torsion_at(conn: ConnectionAt):
     sc = amax(conn.gamma, 3)
-    return normalized(amax(conn.gamma - np.swapaxes(conn.gamma, -2, -1), 3), sc), sc
+    return normalized(amax(antisym(conn.gamma), 3), sc), sc
 
 
 def check_torsionless(conn: ConnectionAt, tol: float = 1e-12) -> Report:
     return batch_report("torsionless", torsion_at(conn), tol)
 
 
-def flatness_at(conn: ConnectionAt):
-    r = riemann_components(conn.gamma, conn.dgamma)
+def flatness_at(conn: ConnectionAt, r=None):
+    """`r`: the connection's `riemann_components` where the caller has them."""
+    r = riemann_components(conn.gamma, conn.dgamma) if r is None else r
     sc = pmax(amax(conn.gamma, 3) ** 2, amax(conn.dgamma, 4))
     return normalized(amax(r, 4), sc), sc
 
@@ -233,7 +218,7 @@ def check_flatness(conn: ConnectionAt, tol: float = DEFAULT_TOL) -> Report:
 
 
 def nabla_e_at(conn: ConnectionAt, st: StructureAt):
-    res = st.de + np.einsum("...iks,...s->...ik", conn.gamma, st.e)
+    res = st.de + contract("...iks,...s->...ik", conn.gamma, st.e)
     sc = pmax(amax(conn.gamma, 3), amax(st.de, 2))
     return normalized(amax(res, 2), sc), sc
 
@@ -244,15 +229,15 @@ def check_nabla_e(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL)
 
 def nabla_product(conn: ConnectionAt, st: StructureAt) -> np.ndarray:
     """Full covariant derivative nab[k,i,l,j] = nabla_k c^i_lj."""
-    return (np.einsum("...iljk->...kilj", st.dc)
-            + np.einsum("...ikm,...mlj->...kilj", conn.gamma, st.c)
-            - np.einsum("...mkl,...imj->...kilj", conn.gamma, st.c)
-            - np.einsum("...mkj,...ilm->...kilj", conn.gamma, st.c))
+    return (contract("...iljk->...kilj", st.dc)
+            + contract("...ikm,...mlj->...kilj", conn.gamma, st.c)
+            - contract("...mkl,...imj->...kilj", conn.gamma, st.c)
+            - contract("...mkj,...ilm->...kilj", conn.gamma, st.c))
 
 
 def compat_product_at(conn: ConnectionAt, st: StructureAt):
     nab = nabla_product(conn, st)
-    res = nab - np.einsum("...kilj->...likj", nab)
+    res = nab - contract("...kilj->...likj", nab)
     sc = pmax(amax(st.c, 3) * (1 + amax(conn.gamma, 3)), amax(st.dc, 4))
     return normalized(amax(res, 4), sc), sc
 
@@ -263,9 +248,9 @@ def check_compat_product(conn: ConnectionAt, st: StructureAt, tol: float = DEFAU
 
 def nabla_metric(conn: ConnectionAt, st: StructureAt) -> np.ndarray:
     """nabg[k,i,j] = nabla_k g_ij."""
-    return (np.einsum("...ijk->...kij", st.dg)
-            - np.einsum("...ski,...sj->...kij", conn.gamma, st.g)
-            - np.einsum("...skj,...is->...kij", conn.gamma, st.g))
+    return (contract("...ijk->...kij", st.dg)
+            - contract("...ski,...sj->...kij", conn.gamma, st.g)
+            - contract("...skj,...is->...kij", conn.gamma, st.g))
 
 
 def nabla_from_g_at(conn: ConnectionAt, st: StructureAt, counit=None):
@@ -274,8 +259,8 @@ def nabla_from_g_at(conn: ConnectionAt, st: StructureAt, counit=None):
     `counit`: `counit_jets(st)` where the caller has it."""
     _, _, dtheta, _ = counit if counit is not None else counit_jets(st)
     nabg = nabla_metric(conn, st)
-    rhs = 0.5 * (np.einsum("...ski,...sj->...kij", st.c, dtheta)
-                 + np.einsum("...skj,...si->...kij", st.c, dtheta))
+    rhs = 0.5 * (contract("...ski,...sj->...kij", st.c, dtheta)
+                 + contract("...skj,...si->...kij", st.c, dtheta))
     sc = pmax(amax(nabg, 3), amax(dtheta, 2), amax(st.dg, 3))
     return normalized(amax(nabg - rhs, 3), sc), sc
 
@@ -284,35 +269,33 @@ def check_nabla_from_g(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT
     return batch_report("nabla-from-g", nabla_from_g_at(conn, st), tol)
 
 
-def _cyclic_rc(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """res[j,i,k,l,m] = R^j_skl c^s_mi + R^j_smk c^s_li + R^j_slm c^s_ki."""
-    out = np.einsum("...jskl,...smi->...jiklm", r, c)
-    out += np.einsum("...jsmk,...sli->...jiklm", r, c)
-    out += np.einsum("...jslm,...ski->...jiklm", r, c)
+# the cyclic sums over (k, l, m) of R^j_skl c^s_mi and of c^j_ms R^s_ikl
+_RC, _BIS = "...jskl,...smi->...jiklm", "...jms,...sikl->...jiklm"
+
+
+def _cyclic(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """t[j,i,k,l,m] + t[j,i,m,k,l] + t[j,i,l,m,k] for t the contraction
+    `subscripts` of `a` and `b`."""
+    t = contract(subscripts, a, b)
+    out = t + contract("...jimkl->...jiklm", t)
+    out += contract("...jilmk->...jiklm", t)
     return out
 
 
-def _cyclic_bis(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """res[j,i,k,l,m] = c^j_ms R^s_ikl + c^j_ks R^s_ilm + c^j_ls R^s_imk."""
-    out = np.einsum("...jms,...sikl->...jiklm", c, r)
-    out += np.einsum("...jks,...silm->...jiklm", c, r)
-    out += np.einsum("...jls,...simk->...jiklm", c, r)
-    return out
-
-
-def curvature_product_at(conn: ConnectionAt, st: StructureAt, variant: str = "primal"):
+def curvature_product_at(conn: ConnectionAt, st: StructureAt, variant: str = "primal", r=None):
     """Cyclic product condition on the curvature; `variant` picks between
     the contraction through the last curvature slot ("primal") and the
     product acting on the curvature output ("bis").  With variant "both"
-    the details also carry the difference of the two forms.  Returns
+    the details also carry the difference of the two forms; `r`: the
+    connection's `riemann_components` where the caller has them.  Returns
     (residual, scale, details)."""
-    r = riemann_components(conn.gamma, conn.dgamma)
+    r = riemann_components(conn.gamma, conn.dgamma) if r is None else r
     sc = pmax(amax(r, 4), 1.0) * pmax(amax(st.c, 3), 1.0)
     details = {}
     if variant in ("primal", "both"):
-        res = amax(_cyclic_rc(r, st.c), 5)
+        res = amax(_cyclic(_RC, r, st.c), 5)
     if variant in ("bis", "both"):
-        res_bis = amax(_cyclic_bis(r, st.c), 5)
+        res_bis = amax(_cyclic(_BIS, st.c, r), 5)
         if variant == "bis":
             res = res_bis
         else:
@@ -330,15 +313,15 @@ def check_curvature_product_condition(conn: ConnectionAt, st: StructureAt,
                         details={key: float(np.max(value)) for key, value in details.items()})
 
 
-def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt):
-    """The cyclic curvature sums of the natural and Levi-Civita connections
-    agree whenever they differ by a product-shaped correction."""
-    r_nat = riemann_components(nat.gamma, nat.dgamma)
-    r_lc = riemann_components(lc.gamma, lc.dgamma)
-    res = _cyclic_rc(r_nat, st.c)
-    res -= _cyclic_rc(r_lc, st.c)
+def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt, r_nat=None,
+                     r_lc=None):
+    """The cyclic sums of the natural and Levi-Civita curvatures agree
+    whenever the connections differ by a product-shaped correction; `r_nat`,
+    `r_lc`: the two curvatures, where the caller has them."""
+    r_nat = riemann_components(nat.gamma, nat.dgamma) if r_nat is None else r_nat
+    r_lc = riemann_components(lc.gamma, lc.dgamma) if r_lc is None else r_lc
     sc = pmax(amax(r_lc, 4), 1.0) * pmax(amax(st.c, 3), 1.0)
-    return normalized(amax(res, 5), sc), sc
+    return normalized(amax(_cyclic(_RC, r_nat - r_lc, st.c), 5), sc), sc
 
 
 def check_R_tR_identity(st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
@@ -348,21 +331,16 @@ def check_R_tR_identity(st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
                         r_tr_identity_at(natural_from_levi_civita(st, lc, inverse), lc, st), tol)
 
 
-def nabla_vector(conn: ConnectionAt, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """nabla[i,j] = nabla_j v^i."""
-    return dv + np.einsum("...ijs,...s->...ij", conn.gamma, v)
-
-
 def nabla_nabla_E_at(conn: ConnectionAt, st: StructureAt):
     """Second covariant derivative of the Euler field, in the reduced form
     valid for flat connections (meaningful where the connection is flat)."""
-    e_gamma = np.einsum("...s,...ikjs->...ikj", required(st.E, "Euler field"), conn.dgamma)
+    e_gamma = contract("...s,...ikjs->...ikj", required(st.E, "Euler field"), conn.dgamma)
     # (nabla nabla E)^i_kj = d_k d_j E^i + Gamma^i_jl d_k E^l + Gamma^i_km d_j E^m
     #                        - Gamma^m_kj d_m E^i + E(Gamma^i_kj)
-    res = (np.einsum("...ijk->...ikj", st.ddE)
-           + np.einsum("...ijl,...lk->...ikj", conn.gamma, st.dE)
-           + np.einsum("...ikm,...mj->...ikj", conn.gamma, st.dE)
-           - np.einsum("...mkj,...im->...ikj", conn.gamma, st.dE)
+    res = (contract("...ijk->...ikj", st.ddE)
+           + contract("...ijl,...lk->...ikj", conn.gamma, st.dE)
+           + contract("...ikm,...mj->...ikj", conn.gamma, st.dE)
+           - contract("...mkj,...im->...ikj", conn.gamma, st.dE)
            + e_gamma)
     sc = pmax(amax(st.dE, 2) * (1 + amax(conn.gamma, 3)), amax(e_gamma, 3))
     return normalized(amax(res, 3), sc), sc
@@ -401,30 +379,23 @@ def dual_structure(st: StructureAt, conn: ConnectionAt, tol: float = DEFAULT_TOL
     reverse reconstruction formula checked as residuals.  Over a batch,
     each point's error is the connection's own, else a singular E o."""
     errors = None if conn.errors is None else list(conn.errors)
-    eo = np.einsum("...smt,...t->...sm", st.c, required(st.E, "Euler field"))  # (E o)^s_m
-    deo = (np.einsum("...smtp,...t->...smp", st.dc, st.E)
-           + np.einsum("...smt,...tp->...smp", st.c, st.dE))
-    k_inv, dk_inv = inverse_jets(eo, deo, errors=errors)
-    cstar = np.einsum("...is,...sjk->...ijk", k_inv, st.c)
-    dcstar = (np.einsum("...isp,...sjk->...ijkp", dk_inv, st.c)
-              + np.einsum("...is,...sjkp->...ijkp", k_inv, st.dc))
-    nabE = nabla_vector(conn, st.E, st.dE)           # nabE[k,l] = nabla_l E^k
-    dnabE = (st.ddE
-             + np.einsum("...klms,...m->...kls", conn.dgamma, st.E)
-             + np.einsum("...klm,...ms->...kls", conn.gamma, st.dE))
-    gamma_star = conn.gamma - np.einsum("...lji,...kl->...kij", cstar, nabE)
-    dgamma_star = (conn.dgamma
-                   - np.einsum("...ljis,...kl->...kijs", dcstar, nabE)
-                   - np.einsum("...lji,...kls->...kijs", cstar, dnabE))
+    # (E o)^s_m
+    eo = contract_jets("...smt,...t->...sm", (st.c, st.dc), (required(st.E, "Euler field"), st.dE))
+    k_inv, dk_inv = inverse_jets(*eo, errors=errors)
+    cstar, dcstar = contract_jets("...is,...sjk->...ijk", (k_inv, dk_inv), (st.c, st.dc))
+    # nabE[k,l] = nabla_l E^k
+    nabE, dnabE = (d + t for d, t in zip((st.dE, st.ddE), contract_jets(
+        "...klm,...m->...kl", (conn.gamma, conn.dgamma), (st.E, st.dE))))
+    gamma_star, dgamma_star = (a - t for a, t in zip((conn.gamma, conn.dgamma), contract_jets(
+        "...lji,...kl->...kij", (cstar, dcstar), (nabE, dnabE))))
     star = ConnectionAt(st.n, st.point, gamma_star, dgamma_star, "dual", errors)
 
     # residual bundle: dual product axioms, unit E, dual flatness, reverse formula
-    assoc = (np.einsum("...sjk,...isl->...ijkl", cstar, cstar)
-             - np.einsum("...sjl,...isk->...ijkl", cstar, cstar))
-    unit = np.einsum("...ijk,...j->...ik", cstar, st.E) - np.eye(st.n)
+    assoc = antisym(contract("...sjk,...isl->...ijkl", cstar, cstar))
+    unit = contract("...ijk,...j->...ik", cstar, st.E) - np.eye(st.n)
     flat = riemann_components(gamma_star, dgamma_star)
-    nab_star_e = nabla_vector(star, st.e, st.de)
-    reverse = conn.gamma - (gamma_star - np.einsum("...lji,...kl->...kij", st.c, nab_star_e))
+    nab_star_e = st.de + contract("...ijs,...s->...ij", gamma_star, st.e)  # nabla*_j e^i
+    reverse = conn.gamma - (gamma_star - contract("...lji,...kl->...kij", st.c, nab_star_e))
     sc_c = amax(cstar, 3)
     sc_g = pmax(amax(gamma_star, 3) ** 2, amax(dgamma_star, 4))
     res = pmax(normalized(amax(assoc, 4), sc_c ** 2), normalized(amax(unit, 2), sc_c),

@@ -17,7 +17,7 @@ import numpy as np
 from .connection import ConnectionAt, inverse_jets, levi_civita, riemann_components
 from .manifold import (Jets, ManifoldSpec, Report, StructureAt, amax, batch_report, normalized,
                        pmax, structure_at, table_jets, worst_parts)
-from .tensor import finite_matrices
+from .tensor import antisym, contract, contract_jets, finite_matrices
 
 __all__ = [
     "NormalBundleData", "GmcFailedError", "fields_from_exprs",
@@ -105,13 +105,13 @@ def rank_of(xs: np.ndarray, threshold: float = 1e-8):
     return np.where(finite, rank, np.nan)
 
 
-def _raised_riemann(st: StructureAt, lc: ConnectionAt, ginv=None):
+def _raised_riemann(st: StructureAt, lc: ConnectionAt, ginv=None, r=None):
     """R2[i,j,k,h] = g^is R^j_skh for the Levi-Civita curvature of g;
-    `ginv`: the inverse of g where the caller has it."""
-    r = riemann_components(lc.gamma, lc.dgamma)
+    `ginv`, `r`: the inverse of g and the curvature, where the caller has them."""
+    r = riemann_components(lc.gamma, lc.dgamma) if r is None else r
     if ginv is None:
         ginv, _ = inverse_jets(st.g, st.dg)
-    return np.einsum("...is,...jskh->...ijkh", ginv, r)
+    return contract("...is,...jskh->...ijkh", ginv, r)
 
 
 def _worst_of(parts, like):
@@ -127,16 +127,22 @@ def _worst_of(parts, like):
 # walk's row of that name
 
 
-def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv=None):
+def _expansion(ws, eps, like):
+    """sum_a eps_a (W_a^j_k W_a^i_h - W_a^i_k W_a^j_h), indexed [i,j,k,h],
+    for the affinors ws[a] (`like`: an array of the result's shape)."""
+    rhs = np.zeros_like(like)
+    for a, w in enumerate(np.moveaxis(ws, -3, 0)):
+        rhs = rhs + eps[a] * (w[..., None, :, :, None] * w[..., :, None, None, :]
+                              - w[..., :, None, :, None] * w[..., None, :, None, :])
+    return rhs
+
+
+def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv=None, r=None):
     """Raised curvature equals the signed quadratic expression in the
-    spanning fields through the product."""
-    r2 = _raised_riemann(st, lc, ginv)
-    rhs = np.zeros_like(r2)
-    for a in range(xs.shape[-2]):
-        x = xs[..., a, :]
-        term = (np.einsum("...jkl,...ihm,...l,...m->...ijkh", st.c, st.c, x, x)
-                - np.einsum("...ikl,...jhm,...l,...m->...ijkh", st.c, st.c, x, x))
-        rhs = rhs + eps[a] * term
+    spanning fields through the product; `r`: the curvature of `lc` where
+    the caller has it."""
+    r2 = _raised_riemann(st, lc, ginv, r)
+    rhs = _expansion(contract("...ijs,...as->...aij", st.c, xs), eps, r2)
     sc = pmax(amax(r2, 4), amax(rhs, 4), 1e-30)
     return normalized(amax(r2 - rhs, 4), sc), sc
 
@@ -159,9 +165,8 @@ def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
     c_top = amax(st.c, 3)
     residuals, scales = [], []
     for a in range(xs.shape[-2]):
-        nab = dxs[..., a, :, :] + np.einsum("...lks,...s->...lk", nat.gamma, xs[..., a, :])
-        res = (np.einsum("...ijl,...lk->...ijk", st.c, nab)
-               - np.einsum("...ikl,...lj->...ijk", st.c, nab))
+        nab = dxs[..., a, :, :] + contract("...lks,...s->...lk", nat.gamma, xs[..., a, :])
+        res = antisym(contract("...ijl,...lk->...ijk", st.c, nab))
         sc = c_top * (1 + amax(nab, 2))
         residuals.append(normalized(amax(res, 3), sc))
         scales.append(sc)
@@ -174,27 +179,21 @@ def check_sym_condition(spec: ManifoldSpec, nb: NormalBundleData, points,
 
 
 def _affinors(st: StructureAt, xs, dxs):
-    ws = np.einsum("...ijs,...as->...aij", st.c, xs)
-    dws = (np.einsum("...ijsk,...as->...aijk", st.dc, xs)
-           + np.einsum("...ijs,...ask->...aijk", st.c, dxs))
-    return ws, dws
+    return contract_jets("...ijs,...as->...aij", (st.c, st.dc), (xs, dxs))
 
 
-def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None):
+def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None, r=None):
     """The four structural equations for the affinors W_a = (X_a o) at a
-    point: returns (residual, scale, {"gmc0".."gmc3": residual})."""
-    r2 = _raised_riemann(st, lc, ginv)
+    point: returns (residual, scale, {"gmc0".."gmc3": residual}); `r`:
+    the curvature of `lc` where the caller has it."""
+    r2 = _raised_riemann(st, lc, ginv, r)
     gamma_lc = lc.gamma
     ws, dws = _affinors(st, xs, dxs)
     count = xs.shape[-2]
     r2_top = amax(r2, 4)
     w_top = amax(ws, 3) if count else np.zeros(np.shape(r2_top))
     sc = pmax(w_top ** 2, r2_top, 1e-30)
-    rhs = np.zeros_like(r2)
-    for a in range(count):
-        w = ws[..., a, :, :]
-        rhs = rhs + eps[a] * (np.einsum("...jk,...ih->...ijkh", w, w)
-                              - np.einsum("...ik,...jh->...ijkh", w, w))
+    rhs = _expansion(ws, eps, r2)
     sub = {"gmc0": [normalized(amax(r2 - rhs, 4), sc)], "gmc1": [], "gmc2": [], "gmc3": []}
     for a in range(count):
         w = ws[..., a, :, :]
@@ -202,12 +201,12 @@ def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None):
             comm = w @ ws[..., b, :, :] - ws[..., b, :, :] @ w
             sub["gmc1"].append(normalized(amax(comm, 2), sc))
         gw = st.g @ w
-        sub["gmc2"].append(normalized(amax(gw - np.swapaxes(gw, -2, -1), 2), amax(gw, 2)))
+        sub["gmc2"].append(normalized(amax(antisym(gw), 2), amax(gw, 2)))
         # nabla~_k W^i_j, Codazzi-symmetric in (k, j)
-        nab = (np.einsum("...ijk->...kij", dws[..., a, :, :, :])
-               + np.einsum("...iks,...sj->...kij", gamma_lc, w)
-               - np.einsum("...skj,...is->...kij", gamma_lc, w))
-        res3 = nab - np.einsum("...kij->...jik", nab)
+        nab = (contract("...ijk->...kij", dws[..., a, :, :, :])
+               + contract("...iks,...sj->...kij", gamma_lc, w)
+               - contract("...skj,...is->...kij", gamma_lc, w))
+        res3 = antisym(nab, -3, -1)
         sub["gmc3"].append(normalized(amax(res3, 3), amax(w, 2) * (1 + amax(gamma_lc, 3))))
     sub = {k: _worst_of(v, r2_top) for k, v in sub.items()}
     return _worst_of(sub.values(), r2_top), sc, sub

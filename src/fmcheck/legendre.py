@@ -20,7 +20,7 @@ from .manifold import (ManifoldSpec, Report, StructureAt, amax, batch_report, fa
                        fit_scalar, lie_metric, normalized, pmax, product_jets, required,
                        structure_at, worst)
 from .rotation import rk4_path, rk4_stage_times
-from .tensor import SingularMatrixError, lie_from_components
+from .tensor import SingularMatrixError, antisym, contract, contract_jets, lie_from_components
 
 __all__ = [
     "NotInvertibleError", "HypothesisViolatedError", "ProductTableError",
@@ -50,18 +50,11 @@ class ProductTableError(ValueError):
 def _mult_operator(st: StructureAt, x, dx, ddx=None):
     """W^l_k = c^l_ks x^s with derivatives; the operator of multiplication
     by the field."""
-    w = np.einsum("...lks,...s->...lk", st.c, x)
-    dw = (np.einsum("...lksj,...s->...lkj", st.dc, x)
-          + np.einsum("...lks,...sj->...lkj", st.c, dx))
     if ddx is None:
-        return w, dw, None
+        return (*contract_jets("...lks,...s->...lk", (st.c, st.dc), (x, dx)), None)
     if st.ddc is None:
         raise ValueError("second-order product jets unavailable for this structure")
-    ddw = (np.einsum("...lksjm,...s->...lkjm", st.ddc, x)
-           + np.einsum("...lksj,...sm->...lkjm", st.dc, dx)
-           + np.einsum("...lksm,...sj->...lkjm", st.dc, dx)
-           + np.einsum("...lks,...sjm->...lkjm", st.c, ddx))
-    return w, dw, ddw
+    return tuple(contract_jets("...lks,...s->...lk", (st.c, st.dc, st.ddc), (x, dx, ddx)))
 
 
 def _inverse_operator(w: np.ndarray, errors=None):
@@ -115,14 +108,10 @@ def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
     error in `errors`."""
     w, dw, ddw = _mult_operator(st, x, dx, ddx)
     k = _inverse_operator(w, errors)
-    dk = -np.einsum("...ia,...abm,...bl->...ilm", k, dw, k)
-    inner = np.einsum("...lkj->...ljk", dw) + np.einsum("...ljm,...mk->...ljk", conn.gamma, w)
-    gamma = np.einsum("...il,...ljk->...ijk", k, inner)
-    dinner = (np.einsum("...lkjm->...ljkm", ddw)
-              + np.einsum("...ljam,...ak->...ljkm", conn.dgamma, w)
-              + np.einsum("...lja,...akm->...ljkm", conn.gamma, dw))
-    dgamma = (np.einsum("...ilm,...ljk->...ijkm", dk, inner)
-              + np.einsum("...il,...ljkm->...ijkm", k, dinner))
+    dk = -contract("...ia,...abm,...bl->...ilm", k, dw, k)
+    gw, dgw = contract_jets("...ljm,...mk->...ljk", (conn.gamma, conn.dgamma), (w, dw))
+    inner = (np.swapaxes(dw, -2, -1) + gw, np.swapaxes(ddw, -3, -2) + dgw)
+    gamma, dgamma = contract_jets("...il,...ljk->...ijk", (k, dk), inner)
     return ConnectionAt(st.n, st.point, gamma, dgamma, provenance="legendre-transformed")
 
 
@@ -150,32 +139,20 @@ def transformed_metric(st: StructureAt, conn: ConnectionAt, x, dx,
     batch, after enforcing flatness of the field for `conn`: where the
     field is not flat it raises HypothesisViolatedError, or over a batch
     records it in `errors`."""
-    nab = dx + np.einsum("...lks,...s->...lk", conn.gamma, x)
+    nab = dx + contract("...lks,...s->...lk", conn.gamma, x)
     hyp = normalized(amax(nab, 2), amax(x, 1))
     fail_at(errors, hyp > hypothesis_tol, lambda k: HypothesisViolatedError(
         f"field is not connection-flat (residual {np.ravel(hyp)[k]:.3e})"))
-    w = np.einsum("...lks,...s->...lk", st.c, x)
-    return np.einsum("...ki,...lj,...kl->...ij", w, w, st.g)
+    w = contract("...lks,...s->...lk", st.c, x)
+    return contract("...ki,...lj,...kl->...ij", w, w, st.g)
 
 
 def transform_metric(st: StructureAt, conn: ConnectionAt, x, dx, ddx,
                      hypothesis_tol: float = 1e-8, errors=None):
     """`transformed_metric` with its first and second derivatives."""
     gbar = transformed_metric(st, conn, x, dx, hypothesis_tol, errors)
-    w, dw, ddw = _mult_operator(st, x, dx, ddx)
-    dgbar = (np.einsum("...kim,...lj,...kl->...ijm", dw, w, st.g)
-             + np.einsum("...ki,...ljm,...kl->...ijm", w, dw, st.g)
-             + np.einsum("...ki,...lj,...klm->...ijm", w, w, st.dg))
-    ddgbar = (np.einsum("...kimp,...lj,...kl->...ijmp", ddw, w, st.g)
-              + np.einsum("...kim,...ljp,...kl->...ijmp", dw, dw, st.g)
-              + np.einsum("...kim,...lj,...klp->...ijmp", dw, w, st.dg)
-              + np.einsum("...kip,...ljm,...kl->...ijmp", dw, dw, st.g)
-              + np.einsum("...ki,...ljmp,...kl->...ijmp", w, ddw, st.g)
-              + np.einsum("...ki,...ljm,...klp->...ijmp", w, dw, st.dg)
-              + np.einsum("...kip,...lj,...klm->...ijmp", dw, w, st.dg)
-              + np.einsum("...ki,...ljp,...klm->...ijmp", w, dw, st.dg)
-              + np.einsum("...ki,...lj,...klmp->...ijmp", w, w, st.ddg))
-    return gbar, dgbar, ddgbar
+    w = _mult_operator(st, x, dx, ddx)
+    return (gbar, *contract_jets("...ki,...lj,...kl->...ij", w, w, (st.g, st.dg, st.ddg))[1:])
 
 
 def transformed_structure(spec: ManifoldSpec, field_exprs, point, params=None) -> StructureAt:
@@ -203,8 +180,7 @@ def transform_metric_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=N
     the field is not flat or not invertible, or the new metric is singular,
     records the error in `errors`."""
     st_bar = transformed_at(st, nat, x, dx, ddx, errors)
-    inv = (np.einsum("...iq,...qlp->...ilp", st_bar.g, st.c)
-           - np.einsum("...lq,...qip->...ilp", st_bar.g, st.c))
+    inv = antisym(contract("...iq,...qlp->...ilp", st_bar.g, st.c), -3, -2)
     killing = lie_metric(st_bar, st.e, st.de)
     nat_bar = natural_connection(st_bar)
     if errors is not None:
@@ -268,7 +244,7 @@ def homogeneous_legendre_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, erro
     """Returns (residual, scale, field weight, D, transformed D) at each
     point; over a batch, a point where the field is not flat records the
     error in `errors`."""
-    lie_x = np.einsum("...k,...ik->...i", st.E, dx) - np.einsum("...k,...ki->...i", x, st.dE)
+    lie_x = contract("...k,...ik->...i", st.E, dx) - contract("...k,...ki->...i", x, st.dE)
     dbar = fit_scalar(lie_x, x, rank=1)
     res_x = amax(lie_x - dbar[..., None] * x, 1)
     st_bar = transformed_at(st, nat, x, dx, ddx, errors)

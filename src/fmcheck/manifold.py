@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import exprjet as ej
-from .tensor import lie_from_components
+from .tensor import antisym, contract, lie_from_components
 
 __all__ = [
     "Region", "SamplePlan", "ManifoldSpec", "PointBatch", "Jets", "StructureAt", "Report",
@@ -463,10 +463,9 @@ def _batch(spec, points, params) -> StructureAt:
 
 def product_axioms_at(st: StructureAt):
     """Commutativity, associativity and the unit axiom of the product."""
-    comm = st.c - np.swapaxes(st.c, -2, -1)
-    assoc = (np.einsum("...sjk,...isl->...ijkl", st.c, st.c)
-             - np.einsum("...sjl,...isk->...ijkl", st.c, st.c))
-    unit = np.einsum("...ijk,...j->...ik", st.c, st.e) - np.eye(st.n)
+    comm = antisym(st.c)
+    assoc = antisym(contract("...sjk,...isl->...ijkl", st.c, st.c))
+    unit = contract("...ijk,...j->...ik", st.c, st.e) - np.eye(st.n)
     sc = pmax(amax(st.c, 3), amax(st.e, 1))
     raw = pmax(amax(comm, 3), amax(assoc, 4), amax(unit, 2))
     return normalized(raw, sc), sc
@@ -480,14 +479,14 @@ def check_product_axioms(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
 def hertling_manin_residual(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """Left minus right side of the integrability condition on the product,
     indexed [p,s,k,j,l]."""
-    # t1 - t2 - (t3 - t4 + t5 - t6), with at most three terms held at once
-    out = np.einsum("...qjl,...pskq->...pskjl", c, dc)
-    out -= np.einsum("...qsk,...pjlq->...pskjl", c, dc)
-    inner = np.einsum("...pjq,...qskl->...pskjl", c, dc)
-    inner -= np.einsum("...pqk,...qjls->...pskjl", c, dc)
-    inner += np.einsum("...plq,...qskj->...pskjl", c, dc)
-    inner -= np.einsum("...pqs,...qjlk->...pskjl", c, dc)
-    out -= inner
+    # t1 - t2 - (t3 - t4 + t5 - t6), where t2, t5 and t6 are t1, t3 and t4
+    # with (s,k) and (j,l), j and l, and s and k swapped
+    t = contract("...qjl,...pskq->...pskjl", c, dc)
+    out = t - contract("...pjlsk->...pskjl", t)
+    t = contract("...pjq,...qskl->...pskjl", c, dc)
+    out -= t + np.swapaxes(t, -2, -1)
+    t = contract("...pqk,...qjls->...pskjl", c, dc)
+    out += t + np.swapaxes(t, -4, -3)
     return out
 
 
@@ -504,8 +503,7 @@ def check_hertling_manin(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
 
 def metric_invariance_at(st: StructureAt, second: bool = False):
     g = required(st.g2 if second else st.g, "metric")
-    res = (np.einsum("...iq,...qlp->...ilp", g, st.c)
-           - np.einsum("...lq,...qip->...ilp", g, st.c))
+    res = antisym(contract("...iq,...qlp->...ilp", g, st.c), -3, -2)
     sc = pmax(amax(g, 2), amax(st.c, 3))
     return normalized(amax(res, 3), sc), sc
 

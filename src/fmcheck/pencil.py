@@ -21,7 +21,8 @@ from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hes
 from .manifold import (ManifoldSpec, PointBatch, Region, Report, StructureAt, amax,
                        batch_report, fail_at, fit_scalar, normalized, pmax, product_jets,
                        raise_first, structures, worst_parts)
-from .tensor import SingularMatrixError, finite_matrices, lie_from_components
+from .tensor import (SingularMatrixError, antisym, contract, contract_jets, finite_matrices,
+                     lie_from_components)
 
 __all__ = [
     "PencilAt", "MissingSecondMetricError", "pencil_at", "pencil_from_structure",
@@ -38,32 +39,6 @@ DEFAULT_LAMBDAS = (0.0, 1.0, -1.0, 2.0, 1j)
 
 class MissingSecondMetricError(Exception):
     pass
-
-
-def _mat_mat_jets(a, da, b, db):
-    m = a @ b
-    dm = np.einsum("...ilk,...lj->...ijk", da, b) + np.einsum("...il,...ljk->...ijk", a, db)
-    return m, dm
-
-
-def _mat_mat_hessian(a, da, dda, b, db, ddb):
-    return (np.einsum("...ilkm,...lj->...ijkm", dda, b)
-            + np.einsum("...ilk,...ljm->...ijkm", da, db)
-            + np.einsum("...ilm,...ljk->...ijkm", da, db)
-            + np.einsum("...il,...ljkm->...ijkm", a, ddb))
-
-
-def _mat_vec_jets(a, da, v, dv):
-    w = np.einsum("...ij,...j->...i", a, v)
-    dw = np.einsum("...ijk,...j->...ik", da, v) + np.einsum("...ij,...jk->...ik", a, dv)
-    return w, dw
-
-
-def _mat_vec_hessian(a, da, dda, v, dv, ddv):
-    return (np.einsum("...ijkm,...j->...ikm", dda, v)
-            + np.einsum("...ijk,...jm->...ikm", da, dv)
-            + np.einsum("...ijm,...jk->...ikm", da, dv)
-            + np.einsum("...ij,...jkm->...ikm", a, ddv))
 
 
 @dataclass
@@ -115,8 +90,8 @@ def pencil_first_order(st: StructureAt, inverse: InverseJets | None = None) -> P
     inverse = inverse or metric_inverse(st)
     errors = None if inverse.errors is None else list(inverse.errors)
     g_inv, dg_inv = inverse_jets(st.g2, st.dg2, errors=errors)
-    L, dL = _mat_mat_jets(g_inv, dg_inv, st.g, st.dg)
-    E, dE = _mat_vec_jets(L, dL, st.e, st.de)
+    L, dL = contract_jets("...il,...lj->...ij", (g_inv, dg_inv), (st.g, st.dg))
+    E, dE = contract_jets("...ij,...j->...i", (L, dL), (st.e, st.de))
     return PencilAt(n=st.n, point=st.point, st=st, eta_inv=inverse.inv, deta_inv=inverse.dinv,
                     g_inv=g_inv, dg_inv=dg_inv, L=L, dL=dL, E=E, dE=dE, errors=errors)
 
@@ -134,8 +109,9 @@ def pencil_second_order(pa: PencilAt, lc=None) -> PencilAt:
     else:
         gamma1, dgamma1 = lc.gamma, lc.dgamma
     gamma2, dgamma2 = christoffel_jets(st.g2, st.dg2, st.ddg2, (pa.g_inv, pa.dg_inv))
-    ddL = _mat_mat_hessian(pa.g_inv, pa.dg_inv, ddg_inv, st.g, st.dg, st.ddg)
-    ddE = _mat_vec_hessian(pa.L, pa.dL, ddL, st.e, st.de, st.dde)
+    ddL = contract_jets("...il,...lj->...ij", (pa.g_inv, pa.dg_inv, ddg_inv),
+                        (st.g, st.dg, st.ddg))[2]
+    ddE = contract_jets("...ij,...j->...i", (pa.L, pa.dL, ddL), (st.e, st.de, st.dde))[2]
     return replace(pa, ddeta_inv=ddeta_inv, ddg_inv=ddg_inv, gamma1=gamma1, dgamma1=dgamma1,
                    gamma2=gamma2, dgamma2=dgamma2, ddE=ddE, diagonal=_is_diagonal(st))
 
@@ -147,7 +123,7 @@ def pencil_from_structure(st: StructureAt) -> PencilAt:
 
 def _contravariant_christoffels(g_inv, gamma):
     """Gc[i,j,k] = -g^is Gamma^j_sk."""
-    return -np.einsum("...is,...jsk->...ijk", g_inv, gamma)
+    return -contract("...is,...jsk->...ijk", g_inv, gamma)
 
 
 def flat_pencil_at(pa: PencilAt, lambdas=DEFAULT_LAMBDAS, errors=None):
@@ -235,11 +211,8 @@ def delta_jets(pa: PencilAt):
     derivatives."""
     dg = pa.gamma1 - pa.gamma2
     ddg = pa.dgamma1 - pa.dgamma2
-    delta = np.einsum("...sm,...jt,...kst->...jkm", pa.L, pa.eta_inv, dg)
-    ddelta = (np.einsum("...smp,...jt,...kst->...jkmp", pa.dL, pa.eta_inv, dg)
-              + np.einsum("...sm,...jtp,...kst->...jkmp", pa.L, pa.deta_inv, dg)
-              + np.einsum("...sm,...jt,...kstp->...jkmp", pa.L, pa.eta_inv, ddg))
-    return delta, ddelta
+    return tuple(contract_jets("...sm,...jt,...kst->...jkm", (pa.L, pa.dL),
+                               (pa.eta_inv, pa.deta_inv), (dg, ddg)))
 
 
 def _is_diagonal(st: StructureAt):
@@ -277,12 +250,9 @@ def delta_identities_at(pa: PencilAt, d, jets):
     each point, with the pencil weight `d` there, and on a diagonal pencil
     its closed form.  Returns (residual, scale)."""
     delta, ddelta = jets
-    sym_eta = (np.einsum("...is,...jks->...ijk", pa.eta_inv, delta)
-               - np.einsum("...js,...iks->...ijk", pa.eta_inv, delta))
-    sym_g = (np.einsum("...is,...jks->...ijk", pa.g_inv, delta)
-             - np.einsum("...js,...iks->...ijk", pa.g_inv, delta))
-    comm = (np.einsum("...ijs,...skl->...ijkl", delta, delta)
-            - np.einsum("...iks,...sjl->...ijkl", delta, delta))
+    sym_eta = antisym(contract("...is,...jks->...ijk", pa.eta_inv, delta), -3, -2)
+    sym_g = antisym(contract("...is,...jks->...ijk", pa.g_inv, delta), -3, -2)
+    comm = antisym(contract("...ijs,...skl->...ijkl", delta, delta), -3, -2)
     lie_delta = lie_from_components(delta, ddelta, ("u", "u", "d"), pa.E, pa.dE)
     hom = lie_delta - (np.asarray(d)[..., None, None, None] - 1) * delta
     sc = pmax(amax(delta, 3), 1.0)
@@ -309,11 +279,11 @@ def r_operator_at(pa: PencilAt, d, counit):
     Id + nabla1 E + 1/2 g^is dtheta_sj with theta = eta.e (`counit`:
     `counit_jets` at pa's points), and on a diagonal pencil against its
     closed form, at each point.  Returns (residual, scale, R)."""
-    r1 = np.einsum("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
-    nab1E = pa.dE + np.einsum("...ijl,...l->...ij", pa.gamma1, pa.E)
+    r1 = contract("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
+    nab1E = pa.dE + contract("...ijl,...l->...ij", pa.gamma1, pa.E)
     _, _, dtheta, _ = counit
     r2 = ((np.asarray(d)[..., None, None] - 1) / 2 * np.eye(pa.n) + nab1E
-          + 0.5 * np.einsum("...is,...sj->...ij", pa.g_inv, dtheta))
+          + 0.5 * contract("...is,...sj->...ij", pa.g_inv, dtheta))
     sc = pmax(amax(r1, 2), 1.0)
     closed = normalized(amax(r1 - _diagonal_closed_forms(pa)[1], 2), sc)
     return pmax(normalized(amax(r1 - r2, 2), sc), np.where(pa.diagonal, closed, 0.0)), sc, r1
@@ -360,35 +330,28 @@ def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
     errors = None if pa.errors is None else list(pa.errors)
     dgm = pa.gamma1 - pa.gamma2
     ddgm = pa.dgamma1 - pa.dgamma2
-    r = np.einsum("...msl,...l->...ms", dgm, pa.E)
+    r, dr = contract_jets("...msl,...l->...ms", (dgm, ddgm), (pa.E, pa.dE))
     # a non-finite R takes the first route, which carries its NaN through
     invert = np.linalg.cond(finite_matrices(r)[0]) <= 1e8
     fail_at(errors, ~invert & ~pa.diagonal,
             lambda k: SingularMatrixError(complex(np.ravel(np.linalg.det(r))[k])))
     r_inv = np.linalg.inv(np.where(invert[..., None, None], r, np.eye(n)))
-    dr = (np.einsum("...mslp,...l->...msp", ddgm, pa.E)
-          + np.einsum("...msl,...lp->...msp", dgm, pa.dE))
-    dr_inv = -np.einsum("...ma,...abp,...bs->...msp", r_inv, dr, r_inv)
-    c = np.einsum("...sh,...lsk,...jl->...jhk", pa.L, dgm, r_inv)
-    dc = (np.einsum("...shp,...lsk,...jl->...jhkp", pa.dL, dgm, r_inv)
-          + np.einsum("...sh,...lskp,...jl->...jhkp", pa.L, ddgm, r_inv)
-          + np.einsum("...sh,...lsk,...jlp->...jhkp", pa.L, dgm, dr_inv))
-    c_alt = np.einsum("...mlh,...mk,...jl->...jhk", delta, st.g, r_inv)
+    dr_inv = -contract("...ma,...abp,...bs->...msp", r_inv, dr, r_inv)
+    c, dc = contract_jets("...sh,...lsk,...jl->...jhk", (pa.L, pa.dL), (dgm, ddgm), (r_inv, dr_inv))
+    c_alt = contract("...mlh,...mk,...jl->...jhk", delta, st.g, r_inv)
     sc = np.where(invert, pmax(amax(c, 3), 1.0), 1.0)
     res_inverse = normalized(amax(c - c_alt, 3), sc)
     c = np.where(invert[..., None, None, None], c, canonical)
     dc = np.where(invert[..., None, None, None, None], dc, 0)
-    rhs_lin = np.einsum("...sh,...lsk->...lhk", pa.L, dgm)
-    res_direct = normalized(amax(np.einsum("...lj,...jhk->...lhk", r, c) - rhs_lin, 3),
+    rhs_lin = contract("...sh,...lsk->...lhk", pa.L, dgm)
+    res_direct = normalized(amax(contract("...lj,...jhk->...lhk", r, c) - rhs_lin, 3),
                             amax(rhs_lin, 3))
-    comm = c - np.swapaxes(c, -2, -1)
-    assoc = (np.einsum("...sjk,...isl->...ijkl", c, c)
-             - np.einsum("...sjl,...isk->...ijkl", c, c))
-    unit = np.einsum("...ijk,...j->...ik", c, st.e) - np.eye(n)
-    inv = (np.einsum("...iq,...qlp->...ilp", st.g, c)
-           - np.einsum("...lq,...qip->...ilp", st.g, c))
+    comm = antisym(c)
+    assoc = antisym(contract("...sjk,...isl->...ijkl", c, c))
+    unit = contract("...ijk,...j->...ik", c, st.e) - np.eye(n)
+    inv = antisym(contract("...iq,...qlp->...ilp", st.g, c), -3, -2)
     lie_c = lie_from_components(c, dc, ("u", "d", "d"), pa.E, pa.dE)
-    mult_e = np.einsum("...jhk,...h->...jk", c, pa.E) - pa.L
+    mult_e = contract("...jhk,...h->...jk", c, pa.E) - pa.L
     res = pmax(np.where(invert, res_inverse, res_direct),
                normalized(amax(comm, 3), sc),
                normalized(amax(assoc, 4), sc * sc),

@@ -273,3 +273,40 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             want.append((repr(cat.entry(target).spec.g), pts))
         got = [run for run in runs if run[0] != repr(ent.spec.region.guards)]
         assert sorted(map(repr, got)) == sorted(map(repr, want)), argv
+
+
+def test_row_data_cuts_array_batches_to_the_row_points():
+    # a 5-point row reads the walk's curvature array, built over all 20
+    # points, at its own 5 points, as it reads tuples and point batches
+    from dataclasses import replace
+    ent = cat.entry("lobachevsky")
+    points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
+    walk = cat._Walk(ent.spec, ent.companion, points)
+    rows = cat._RowData(walk, 5)
+    assert walk.batch("r_lc").shape[0] == 20
+    assert rows.r_lc.shape[0] == 5 and rows.lc.gamma.shape[0] == 5
+    assert all(a.shape[0] == 5 for a in rows.counit)
+    flat = cat._BY_NAME["levi-civita-flat"]
+    five = cat._walk(ent.spec, ent.companion, [replace(flat, points=5)], points, 1e-8)[0]
+    alone = cat._walk(ent.spec, ent.companion, [flat], points[:5], 1e-8)[0]
+    assert five.to_dict() == alone.to_dict()
+
+
+def test_q0_d1_fault_seeds_fail_only_curvature_product():
+    # catalog-sweep runs q0-d1 on these seeds and counts one wrong verdict,
+    # curvature-product's; any other row failing there (r-tr reads about
+    # 1e-9 against 1e-8 wherever its two curvature sums are contracted
+    # apart) would make the benchmark report wrong outputs
+    import importlib.util
+    import pathlib
+    import sys
+    path = pathlib.Path(__file__).resolve().parents[1] / "fmbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("fmbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert len(workloads.Q0_D1_FAULT_SEEDS) == 10
+    for seed in workloads.Q0_D1_FAULT_SEEDS:
+        reports = run_suite(cat.entry("q0-d1"), seed=seed, count=workloads.SWEEP_POINTS).reports
+        assert "r-tr" in [r.name for r in reports]
+        assert [r.name for r in reports if not r.passed and r.name != workloads.Q0_D1_FAULT] == [], \
+            seed

@@ -176,3 +176,111 @@ def test_lie_derivative_evaluator_form():
     lyx = lie_from_components(x, dx, ("u",), y, dy)
     assert np.max(np.abs(lxy + lyx)) <= 1e-12 * (1 + np.max(np.abs(lxy)))
     assert np.max(np.abs(lie_from_components(x, dx, ("u",), x, dx))) == 0.0
+
+
+def _contract_subscripts():
+    """Every subscript string that `src/` passes to `contract` or
+    `contract_jets`, directly or through a module-level name or a helper
+    that forwards its first argument (`connection._cyclic`)."""
+    import ast
+    import pathlib
+    found = set()
+    for path in (pathlib.Path(__file__).resolve().parents[1] / "src" / "fmcheck").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = {}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Constant, ast.Tuple)):
+                targets = node.targets[0].elts if isinstance(node.targets[0], ast.Tuple) else \
+                    node.targets
+                values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+                names.update((t.id, v.value) for t, v in zip(targets, values)
+                             if isinstance(t, ast.Name) and isinstance(v, ast.Constant))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("contract", "contract_jets", "_cyclic") and node.args):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                found.add(arg.value)
+            elif isinstance(arg, ast.Name) and arg.id in names:
+                found.add(names[arg.id])
+    return sorted(found)
+
+
+def _random_operands(subscripts, n, batch, rng):
+    terms = subscripts.split("->")[0].replace("...", "").split(",")
+    return [rng.standard_normal(batch + (n,) * len(t)) + 1j * rng.standard_normal(batch + (n,) * len(t))
+            for t in terms]
+
+
+def test_contract_matches_einsum(monkeypatch):
+    import sys
+    import fmcheck.tensor as tensor
+    from fmcheck.tensor import contract
+    subscripts = _contract_subscripts()
+    # the scan sees the walk's contractions, not just a few of them
+    assert len(subscripts) > 60 and "...jskl,...smi->...jiklm" in subscripts
+    assert "...ip,...pqk,...qj->...ijk" in subscripts
+    # and the ones built at run time (`lie_from_components`, the Leibniz
+    # terms of `contract_jets`), recorded over a walk of every entry
+    seen = set()
+
+    def recording(sub, *ops):
+        seen.add(sub)
+        return contract(sub, *ops)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fmcheck") and getattr(module, "contract", None) is contract:
+            monkeypatch.setattr(module, "contract", recording)
+    for name in cat.names():
+        cat.run_suite(cat.entry(name), seed=0, count=3)
+    assert tensor.contract is recording and seen - set(subscripts)
+    subscripts = sorted(set(subscripts) | seen)
+    rng = np.random.default_rng(11)
+    cases = [(s, n, batch) for s in subscripts for n in (2, 3, 4) for batch in ((), (1,), (7,))]
+    # a pair without a summed index and a pair sharing a free index take
+    # the einsum route; broadcast and strided operands
+    cases += [(s, n, batch) for s in ("...ij,...kl->...ijkl", "...ijs,...iks->...ijk",
+                                      "...ij,...ik,...kl->...ijl") for n in (2, 4)
+              for batch in ((), (7,))]
+    for sub, n, batch in cases:
+        ops = _random_operands(sub, n, batch, rng)
+        want = np.einsum(sub, *ops)
+        got = contract(sub, *ops)
+        assert got.shape == want.shape, (sub, n, batch)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300), \
+            (sub, n, batch)
+    for n in (2, 3, 4):
+        c = rng.standard_normal((7, n, n, n)) + 0j
+        xs = rng.standard_normal((7, 2, n)) + 1j * rng.standard_normal((7, 2, n))
+        mats = rng.standard_normal((7, n, n)) + 0j
+        for sub, ops in (("...ijs,...s->...ij", (c, xs[..., 1, :])),
+                         ("...ijs,...s->...ij", (c, xs[0, 0])),
+                         ("...ijs,...sk->...ijk", (c[:1], np.swapaxes(mats, -2, -1))),
+                         ("...ijs,...as->...aij", (c, xs))):
+            want = np.einsum(sub, *ops)
+            assert np.max(np.abs(contract(sub, *ops) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_contract_jets_leibniz_rule():
+    # the jets of a contraction of jets, against the contraction of the
+    # factors' second-order Taylor polynomials at a small step
+    from fmcheck.tensor import contract_jets
+    rng = np.random.default_rng(5)
+    n = 3
+
+    def jet(rank):
+        val, d, dd = (rng.standard_normal((n,) * (rank + k)) for k in range(3))
+        return val, d, dd + np.swapaxes(dd, -2, -1)
+
+    factors = (jet(2), jet(2), jet(1))
+    sub = "...ij,...jk,...k->...i"
+    val, d, dd = contract_jets(sub, *factors)
+
+    def at(h):
+        return np.einsum(sub, *(v + d_ @ h + 0.5 * (dd_ @ h) @ h for v, d_, dd_ in factors))
+    h = 1e-4 * rng.standard_normal(n)
+    first, second = (at(h) - at(-h)) / 2, at(h) + at(-h) - 2 * at(0 * h)
+    assert np.allclose(val, at(0 * h), rtol=1e-14)
+    assert np.max(np.abs(first - d @ h)) <= 1e-6 * np.max(np.abs(first))
+    assert np.max(np.abs(second - (dd @ h) @ h)) <= 1e-6 * np.max(np.abs(second))
+    assert len(contract_jets(sub, *factors[:2], factors[2][:2])) == 2
