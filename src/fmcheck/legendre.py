@@ -152,7 +152,7 @@ def transform_metric(st: StructureAt, conn: ConnectionAt, x, dx, ddx,
     """`transformed_metric` with its first and second derivatives."""
     gbar = transformed_metric(st, conn, x, dx, hypothesis_tol, errors)
     w = _mult_operator(st, x, dx, ddx)
-    return (gbar, *contract_jets("...ki,...lj,...kl->...ij", w, w, (st.g, st.dg, st.ddg))[1:])
+    return (gbar, *contract_jets("...ki,...lj,...kl->...ij", w, w, (st.g, st.dg, st.ddg), low=1))
 
 
 def transformed_structure(spec: ManifoldSpec, field_exprs, point, params=None) -> StructureAt:

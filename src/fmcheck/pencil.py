@@ -109,9 +109,9 @@ def pencil_second_order(pa: PencilAt, lc=None) -> PencilAt:
     else:
         gamma1, dgamma1 = lc.gamma, lc.dgamma
     gamma2, dgamma2 = christoffel_jets(st.g2, st.dg2, st.ddg2, (pa.g_inv, pa.dg_inv))
-    ddL = contract_jets("...il,...lj->...ij", (pa.g_inv, pa.dg_inv, ddg_inv),
-                        (st.g, st.dg, st.ddg))[2]
-    ddE = contract_jets("...ij,...j->...i", (pa.L, pa.dL, ddL), (st.e, st.de, st.dde))[2]
+    ddL, = contract_jets("...il,...lj->...ij", (pa.g_inv, pa.dg_inv, ddg_inv),
+                         (st.g, st.dg, st.ddg), low=2)
+    ddE, = contract_jets("...ij,...j->...i", (pa.L, pa.dL, ddL), (st.e, st.de, st.dde), low=2)
     return replace(pa, ddeta_inv=ddeta_inv, ddg_inv=ddg_inv, gamma1=gamma1, dgamma1=dgamma1,
                    gamma2=gamma2, dgamma2=dgamma2, ddE=ddE, diagonal=_is_diagonal(st))
 

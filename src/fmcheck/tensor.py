@@ -98,10 +98,11 @@ def contract(subscripts: str, *operands) -> np.ndarray:
     return live[0] if plan[1] is None else live[0].transpose(plan[1])
 
 
-def contract_jets(subscripts: str, *factors) -> list:
+def contract_jets(subscripts: str, *factors, low: int = 0) -> list:
     """The contraction `subscripts` of factors given as jets (value, first
     derivatives[, second derivatives], derivative axes last) with its
-    derivatives by the Leibniz rule, to the order of the shortest jet."""
+    derivatives by the Leibniz rule, from order `low` to the order of the
+    shortest jet."""
     inputs, output = subscripts.split("->")
     terms, count = inputs.split(","), len(factors)
     p, q = [x for x in "abcdefghijklmnopqrstuvwxyz" if x not in subscripts][:2]
@@ -111,12 +112,11 @@ def contract_jets(subscripts: str, *factors) -> list:
                         + "".join(sorted("".join(marks))),
                         *(f[len(m)] for f, m in zip(factors, marks)))
 
-    out, order, at = [part([""] * count)], min(map(len, factors)), range(count)
-    if order > 1:
-        out.append(sum(part([p * (k == i) for k in at]) for i in at))
-    if order > 2:
-        out.append(sum(part([p * (k == i) + q * (k == j) for k in at]) for i in at for j in at))
-    return out
+    at = range(count)
+    marks = ([[""] * count], [[p * (k == i) for k in at] for i in at],
+             [[p * (k == i) + q * (k == j) for k in at] for i in at for j in at])
+    return [sum(map(part, m)) if d else part(m[0])
+            for d, m in enumerate(marks[:min(map(len, factors))]) if d >= low]
 
 
 def antisym(t: np.ndarray, a: int = -2, b: int = -1) -> np.ndarray:

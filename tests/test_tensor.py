@@ -284,3 +284,7 @@ def test_contract_jets_leibniz_rule():
     assert np.max(np.abs(first - d @ h)) <= 1e-6 * np.max(np.abs(first))
     assert np.max(np.abs(second - (dd @ h) @ h)) <= 1e-6 * np.max(np.abs(second))
     assert len(contract_jets(sub, *factors[:2], factors[2][:2])) == 2
+    # `low` drops the lower orders and leaves the others' bits alone
+    high = contract_jets(sub, *factors, low=1)
+    assert len(high) == 2 and all(np.array_equal(a, b) for a, b in zip(high, (d, dd)))
+    assert np.array_equal(*contract_jets(sub, *factors, low=2), dd)
