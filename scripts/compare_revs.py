@@ -14,18 +14,22 @@ each side, in one process per side, through `fmcheck.cli.main`:
 - `verify q0-d1` at 50 points on each seed of the benchmark's
   `Q0_D1_FAULT_SEEDS`;
 - both catalog Legendre transforms at seeds 0-2 with 20 and 50 points;
-- the unevaluable specs and arguments of the CLI's bad-input test.
+- `ode` on three paths of each closed-form family, one with `--steps 40`,
+  one run at `--rtol 1e-8 --atol 1e-10` and one from a random `--state`;
+- the unevaluable specs and arguments of the CLI's bad-input test, and
+  `ode` with 11 floats, a path through z = 1 and a non-finite state.
 
 Each side writes its own exported and unevaluable spec files, at the same
 paths.  Each run is classified as
 
 - identical: the same exit code, stdout and stderr;
-- moved: only numbers in the JSON report differ; the run gives the largest
+- moved: only numbers in the JSON report, or cells of the `ode` CSV,
+  differ; the run gives the largest
   |change| and whether every number is inside the golden-report margin
   1e-12 + 1e-6 |r| (`tests/test_cli.py::test_golden_report_fixtures`), and
   each moved number is listed;
 - changed: the exit code, stderr, a verdict or any other part of the
-  report differs.
+  report (a CSV header, the number of rows) differs.
 
 The last line counts each kind, and the moved runs outside the margin.
 The exit code is 1 if any run changed, else 0: a move, inside the margin
@@ -101,7 +105,20 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "lobachevsky", "--param", "b=zz"]),
        (["verify", "q0-d0", "--param", "aa=2"]),
        (["legendre", "q0-d-minus1", "--field", "X2", "--param", "zz=3"]),
-       (["legendre", "q0-d-minus1", "--field", "X2", "--target", "q0-d0", "--param", "zz=3"]))
+       (["legendre", "q0-d-minus1", "--field", "X2", "--target", "q0-d0", "--param", "zz=3"]),
+       (["ode", "--state", "1,0,1,0,1,0,1,0,1,0,1", "--from", "2", "--to", "3"]),
+       (["ode", "--init", "q0", "--from", "0.5", "--to", "1.5"]),
+       (["ode", "--state", "nan,0,1,0,1,0,1,0,1,0,1,0", "--from", "2", "--to", "3"]))
+ODE = ((["--init", "q0", "--from", "2", "--to", "5"]),
+       (["--init", "q0", "--a", "0.5", "--b", "1.5", "--from", "1.5+0.5i", "--to", "3-0.5i",
+         "--steps", "40"]),
+       (["--init", "q0", "--a", "1.2", "--b", "0.8", "--from=-2", "--to=-0.5+0.7i"]),
+       (["--init", "pencil63", "--from", "-1", "--to", "-3"]),
+       (["--init", "pencil63", "--from", "2.4", "--to", "5.4-1i", "--steps", "40"]),
+       (["--init", "pencil63", "--from=-0.5+1i", "--to", "1.5+1.5i"]),
+       (["--init", "pencil63", "--from", "-1", "--to", "-3", "--rtol", "1e-8", "--atol", "1e-10"]),
+       (["--state", "0.3,-0.1,0.2,0.4,-0.5,0.1,0.25,0.05,-0.3,0.2,0.1,-0.4",
+         "--from", "2+0.5i", "--to", "3.5"]))
 
 
 def fault_seeds() -> tuple:
@@ -128,6 +145,7 @@ def corpus() -> list:
     runs += [("transform", ["legendre", "q0-d-minus1", "--field", field, "--target", target,
                             "--seed", str(seed), "--points", str(points)])
              for field, target in TRANSFORMS for seed in range(3) for points in (20, 50)]
+    runs += [("ode", ["ode", *argv]) for argv in ODE]
     return runs + [("bad-input", list(argv)) for argv in BAD]
 
 
@@ -158,6 +176,20 @@ def _moved(base, head, path: str, out: list) -> bool:
     return base == head
 
 
+def _document(out: str):
+    """A run's stdout as data: its JSON report, or the rows of `ode`'s CSV
+    as one {column: number} dict each; ValueError for anything else."""
+    try:
+        return json.loads(out)
+    except ValueError:
+        header, *rows = out.splitlines() or [""]
+        names = header.split(",")
+        cells = [row.split(",") for row in rows]
+        if len(names) < 2 or any(len(row) != len(names) for row in cells):
+            raise
+        return [dict(zip(names, map(float, row))) for row in cells]
+
+
 def classify(base: dict, head: dict) -> dict:
     """identical, moved (with the moved numbers, the largest |change| and
     whether all are inside the golden margin) or changed."""
@@ -166,7 +198,7 @@ def classify(base: dict, head: dict) -> dict:
     if base["code"] != head["code"] or base["err"] != head["err"]:
         return {"kind": "changed"}
     try:
-        docs = json.loads(base["out"]), json.loads(head["out"])
+        docs = _document(base["out"]), _document(head["out"])
     except ValueError:
         return {"kind": "changed"}
     moved: list = []

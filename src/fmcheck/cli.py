@@ -6,7 +6,8 @@ hypothesis is violated), 2 bad input (unparseable spec, unknown entry or
 check, a spec that lacks a field a check or a transform needs or leaves a
 parameter unbound, a product table where a transform needs a named
 product, a sample point where the spec is singular, which `verify` and
-`legendre` name by index and coordinates, singular integration path).
+`legendre` name by index and coordinates, a non-finite `--state`, a
+singular integration path, an integration whose step size underflows).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
 target's parameter of the same name.  A name that neither declares in its
 parameters is bad input.
@@ -28,7 +29,7 @@ from . import __version__, catalog
 from . import exprjet as ej
 from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
 from .manifold import ManifoldSpec, MissingFieldError, PointCountError
-from .ode3d import (OdeState3, SingularPathError, SingularPointError,
+from .ode3d import (OdeState3, SingularPathError, SingularPointError, StepSizeUnderflowError,
                     closed_form_pencil, closed_form_q0, integrals, integrate)
 
 BRANCH_NOTE = "principal (cut on the negative real axis, +0j side)"
@@ -163,14 +164,20 @@ def cmd_ode(args) -> int:
             vals = [float(v) for v in args.state.split(",")]
             if len(vals) != 12:
                 raise ValueError("--state needs 12 comma-separated floats (re,im pairs)")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("--state values must be finite")
             F = np.array([complex(vals[2 * i], vals[2 * i + 1]) for i in range(6)])
             state = OdeState3(_parse_scalar(args.z_from), F)
         else:
             raise ValueError("give --init q0|pencil63 or --state")
-        traj = integrate(state, _parse_scalar(args.z_to), rtol=args.rtol, atol=args.atol,
-                         n_dense=args.steps)
+        with np.errstate(over="ignore", invalid="ignore"):  # only in step attempts dopri54 rejects
+            traj = integrate(state, _parse_scalar(args.z_to), rtol=args.rtol, atol=args.atol,
+                             n_dense=args.steps)
     except (SingularPathError, SingularPointError) as err:
         sys.stderr.write(f"singular segment: {err}\n")
+        return 2
+    except StepSizeUnderflowError as err:
+        sys.stderr.write(f"integration failed: {err}\n")
         return 2
     except ValueError as err:
         sys.stderr.write(f"input error: {err}\n")

@@ -1,7 +1,6 @@
 """The three-dimensional reduction: six-component ODE system in z, first
 integrals, closed-form solution families, and a generic embedded 5(4)
-Runge-Kutta integrator (Dormand-Prince pair) shared with the linear-ODE
-utility.
+Runge-Kutta integrator (Dormand-Prince pair).
 
 State component order is (F12, F21, F13, F31, F23, F32).  z = 0 and z = 1
 are singular points of the system; integration requests whose straight-line
@@ -27,7 +26,7 @@ __all__ = [
     "CoordinateCollisionError", "ParameterSingularError",
     "rhs", "integrals", "first_integrals", "beta_from_F", "betas_from_F", "z_of_point",
     "closed_form_q0", "closed_form_pencil", "closed_forms",
-    "dopri54", "integrate", "solve_linear_ode2", "legendre_coefficients",
+    "dopri54", "integrate",
     "F12", "F21", "F13", "F31", "F23", "F32", "Trajectory",
 ]
 
@@ -74,11 +73,11 @@ def _check_regular(z: complex):
         raise _singular_point(z)
 
 
-def rhs(state: OdeState3) -> np.ndarray:
-    """Right-hand sides of the six coupled equations."""
-    z = state.z
+def rhs(z: complex, F: np.ndarray) -> np.ndarray:
+    """Right-hand sides of the six coupled equations at z, for F of shape
+    (6,) in the order (F12, F21, F13, F31, F23, F32)."""
     _check_regular(z)
-    f12, f21, f13, f31, f23, f32 = state.F
+    f12, f21, f13, f31, f23, f32 = F
     out = np.empty(6, dtype=complex)
     out[F12] = f13 * f32 / (z * (z - 1))
     out[F21] = f23 * f31 / (z * (z - 1))
@@ -229,15 +228,26 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
+def _stage_sum(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """sum(c * k for c, k in zip(coeffs, ks)) over the first len(coeffs)
+    stages, with the same bits: one reduction over the stage axis adds the
+    terms in stage order onto 0, zero coefficients included."""
+    return np.add.reduce(coeffs[:, None] * ks[:len(coeffs)], axis=0, initial=0)
+
+
 def dopri54(f: Callable, t0: float, y0: np.ndarray, t1: float,
             rtol: float = 1e-10, atol: float = 1e-12,
             dense_ts: Sequence[float] | None = None,
             max_step: float | None = None) -> list:
-    """Adaptive integration of y' = f(t, y) over the real parameter t.
+    """Adaptive integration of y' = f(t, y) over the real parameter t, for
+    a 1-D state y.
 
     Returns [(t, y), ...] at every requested dense time (always including
     t1); complex states are handled natively, the error norm runs over
-    real and imaginary parts through abs().
+    real and imaginary parts through abs().  The seven stages of a step
+    are the rows of one (7, len(y)) complex array, and each stage sum adds
+    its terms in stage order (`_stage_sum`), so a trajectory has the bits
+    of the term-by-term Python sum.
     """
     y = np.asarray(y0, dtype=complex).copy()
     t = float(t0)
@@ -253,7 +263,8 @@ def dopri54(f: Callable, t0: float, y0: np.ndarray, t1: float,
             raise ValueError("dense output time outside the integration span")
     out = []
     h = direction * min(span / 100.0, max_step or span)
-    k1 = f(t, y)
+    ks = np.empty((7, y.size), dtype=complex)
+    ks[0] = f(t, y)
     ti = 0
     while ti < len(targets):
         target = targets[ti]
@@ -264,22 +275,19 @@ def dopri54(f: Callable, t0: float, y0: np.ndarray, t1: float,
         h_try = direction * min(abs(h), abs(target - t))
         if abs(h_try) < 1e-14 * span:
             raise StepSizeUnderflowError(f"step size underflow at t = {t}")
-        ks = [k1]
         for i in range(1, 7):
-            yi = y + h_try * sum(a * k for a, k in zip(_DP_A[i], ks))
-            ks.append(f(t + _DP_C[i] * h_try, yi))
-        y_new = y + h_try * sum(b * k for b, k in zip(_DP_B5, ks))
-        err_vec = h_try * sum(e * k for e, k in zip(_DP_ERR, ks))
+            ks[i] = f(t + _DP_C[i] * h_try, y + h_try * _stage_sum(_DP_A[i], ks))
+        y_new = y + h_try * _stage_sum(_DP_B5, ks)
+        err_vec = h_try * _stage_sum(_DP_ERR, ks)
         tol_vec = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean(np.abs(err_vec / tol_vec) ** 2)))
         if err <= 1.0:
             t = t + h_try
             y = y_new
-            k1 = ks[6]  # FSAL
+            ks[0] = ks[6]  # FSAL
             factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             factor = max(0.2, 0.9 * err ** -0.2)
-            k1 = ks[0]
         h = h_try * factor
         if max_step is not None and abs(h) > max_step:
             h = direction * max_step
@@ -316,7 +324,7 @@ def integrate(state0: OdeState3, z_target, rtol: float = 1e-10,
     dz = z1 - z0
 
     def f(t, y):
-        return dz * rhs(OdeState3(z0 + t * dz, y))
+        return dz * rhs(z0 + t * dz, y)
 
     dense = np.linspace(0.0, 1.0, n_dense + 1)[1:]
     raw = dopri54(f, 0.0, state0.F, 1.0, rtol=rtol, atol=atol, dense_ts=dense)
@@ -333,38 +341,3 @@ def integrate(state0: OdeState3, z_target, rtol: float = 1e-10,
         states.append((s.z, s))
     return Trajectory(states=states, I_start=i0, drift_I1=drift1,
                       drift_I2=drift2, max_constraint_drift=cdrift)
-
-
-# ---------------------------------------------------------------------------
-# generic second-order linear ODE (for the special-function-free checks)
-
-
-def legendre_coefficients(nu: float, mu: float) -> Callable:
-    """Coefficient provider for (1-x^2) y'' - 2x y' + [nu(nu+1) - mu^2/(1-x^2)] y = 0,
-    returned in the normal form y'' = p(x) y' + q(x) y."""
-
-    def coeffs(x: complex):
-        s = 1 - x * x
-        if s == 0:
-            raise SingularPointError("x = +-1 is singular")
-        return 2 * x / s, -(nu * (nu + 1) - mu * mu / s) / s
-
-    return coeffs
-
-
-def solve_linear_ode2(coeffs: Callable, x0: float, y0: complex, dy0: complex,
-                      x_target: float, rtol: float = 1e-10, atol: float = 1e-12,
-                      dense_xs: Sequence[float] | None = None):
-    """Integrate y'' = p(x) y' + q(x) y from (y0, y0') at x0 to x_target.
-
-    Returns [(x, y, y'), ...] at the dense grid (always including x_target).
-    """
-
-    def f(x, state):
-        y, dy = state
-        p, q = coeffs(x)
-        return np.array([dy, p * dy + q * y], dtype=complex)
-
-    raw = dopri54(f, float(x0), np.array([y0, dy0], dtype=complex), float(x_target),
-                  rtol=rtol, atol=atol, dense_ts=dense_xs)
-    return [(x, s[0], s[1]) for x, s in raw]

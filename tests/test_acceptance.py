@@ -122,7 +122,7 @@ def test_criterion_03_rational_family():
         s = closed_form_q0(z, 1.0, 1.0)
         h = 1e-6
         fd = (closed_form_q0(z + h, 1, 1).F - closed_form_q0(z - h, 1, 1).F) / (2 * h)
-        ok &= np.max(np.abs(rhs(s) - fd)) <= 1e-8
+        ok &= np.max(np.abs(rhs(s.z, s.F) - fd)) <= 1e-8
         vals = integrals(s)
         ok &= abs(vals["I1"] + 1.0) <= 1e-10 and abs(vals["I2"]) <= 1e-10
         ok &= max(abs(vals["I3"]), abs(vals["I4"]), abs(vals["I5"])) <= 1e-10

@@ -99,6 +99,18 @@ def test_ode_singular_crossing_exit2():
     assert code == 2
 
 
+def test_ode_nonfinite_state_and_overflow_exit2():
+    code, out, err = run_cli(["ode", "--state", "nan,0,1,0,1,0,1,0,1,0,1,0",
+                              "--from", "2", "--to", "3"])
+    assert (code, out) == (2, "")
+    assert err == "input error: --state values must be finite\n"
+    # finite, but the first right-hand side overflows and every step is rejected
+    code, out, err = run_cli(["ode", "--state", ",".join(["1e200", "0"] * 6),
+                              "--from", "2", "--to", "3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("integration failed: step size underflow") and err.count("\n") == 1
+
+
 def test_legendre_family_mapping():
     code, out, _ = run_cli(["legendre", "q0-d-minus1", "--field", "X2",
                             "--target", "q0-d0", "--points", "6"])

@@ -18,7 +18,7 @@ def test_comparator_finds_the_working_tree_identical():
     cmp = _comparator()
     runs = cmp.corpus()
     kinds = list(dict.fromkeys(kind for kind, _ in runs))
-    assert kinds == ["entry", "spec-file", "check", "fault-seed", "transform", "bad-input"]
+    assert kinds == ["entry", "spec-file", "check", "fault-seed", "transform", "ode", "bad-input"]
     picked = [next(run for run in runs if run[0] == kind) for kind in kinds]
     picked.append(next(run for run in runs if run[0] == "bad-input" and "third" in run[1][1]))
     results = cmp.compare(ROOT, ROOT, picked)
@@ -38,3 +38,16 @@ def test_comparator_classifies_moves_and_changes():
     assert not cmp.classify(run(1e-10), run(3e-12))["inside_margin"]
     for head in (run(1e-10, passed=False), run(1e-10, code=1), run(1e-10, err="x")):
         assert cmp.classify(run(1e-10), head)["kind"] == "changed"
+
+
+def test_comparator_compares_ode_csv_cell_by_cell():
+    cmp = _comparator()
+
+    def run(*rows, header="z_re,F12_re"):
+        return {"code": 0, "out": "\n".join([header, *rows]) + "\n", "err": ""}
+    moved = cmp.classify(run("2.0,0.5", "3.0,0.25"), run("2.0,0.5", "3.0,0.2500000000000001"))
+    assert moved["kind"] == "moved" and moved["inside_margin"]
+    assert moved["values"] == [("/1/F12_re", 0.25, 0.2500000000000001)]
+    for head in (run("2.0,0.5"), run("2.0,0.5", "3.0,0.25", header="z_re,F21_re"),
+                 run("2.0,0.5", "3.0")):
+        assert cmp.classify(run("2.0,0.5", "3.0,0.25"), head)["kind"] == "changed"

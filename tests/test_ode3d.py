@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from fmcheck.exprjet import eval_jet, parse
-from fmcheck.ode3d import (F12, F21, F31, CoordinateCollisionError,
+from fmcheck.ode3d import (_DP_A, _DP_B5, _DP_ERR, F12, F21, F31, CoordinateCollisionError,
                            OdeState3, ParameterSingularError, SingularPathError,
-                           SingularPointError, beta_from_F, closed_form_pencil,
-                           closed_form_q0, dopri54, integrals, integrate,
-                           legendre_coefficients, rhs, solve_linear_ode2, z_of_point)
+                           SingularPointError, _stage_sum, beta_from_F, closed_form_pencil,
+                           closed_form_q0, dopri54, integrals, integrate, rhs, z_of_point)
 
 
 def rhs_fd(fn, z, h=1e-6):
@@ -15,12 +14,12 @@ def rhs_fd(fn, z, h=1e-6):
 
 def test_rhs_zero_state():
     s = OdeState3(2.5, np.zeros(6))
-    assert np.max(np.abs(rhs(s))) == 0.0
+    assert np.max(np.abs(rhs(s.z, s.F))) == 0.0
 
 
 def test_rhs_singular_points():
     with pytest.raises(SingularPointError):
-        rhs(OdeState3(1.0 + 1e-5j, np.ones(6)))
+        rhs(1.0 + 1e-5j, np.ones(6, dtype=complex))
     with pytest.raises(SingularPointError):
         integrals(OdeState3(1e-6, np.ones(6)))
 
@@ -33,7 +32,7 @@ def test_q0_closed_form_values():
     assert abs(vals["I2"]) < 1e-10
     for k in ("I3", "I4", "I5"):
         assert abs(vals[k]) < 1e-10
-    assert np.max(np.abs(rhs(s) - rhs_fd(lambda z: closed_form_q0(z, 1, 1), 2.0))) < 1e-8
+    assert np.max(np.abs(rhs(s.z, s.F) - rhs_fd(lambda z: closed_form_q0(z, 1, 1), 2.0))) < 1e-8
 
 
 def test_q0_parameter_singularities():
@@ -51,13 +50,13 @@ def test_pencil_closed_form_values():
         assert abs(vals[f"I{k}"]) < 1e-12
     for z in (-1.0, 2.0, 5.5, -0.3):
         s = closed_form_pencil(z)
-        assert np.max(np.abs(rhs(s) - rhs_fd(closed_form_pencil, z))) < 1e-8
+        assert np.max(np.abs(rhs(s.z, s.F) - rhs_fd(closed_form_pencil, z))) < 1e-8
 
 
 def test_q0_rhs_oracle_other_params():
     for (z, a, b) in ((2.0, 1.0, 2.0), (3.5, 0.5, 1.0), (-2.0, 1.0, 1.0)):
         s = closed_form_q0(z, a, b)
-        assert np.max(np.abs(rhs(s) - rhs_fd(lambda w: closed_form_q0(w, a, b), z))) < 1e-8
+        assert np.max(np.abs(rhs(s.z, s.F) - rhs_fd(lambda w: closed_form_q0(w, a, b), z))) < 1e-8
 
 
 def test_det_w_factorization_random_states():
@@ -79,7 +78,7 @@ def test_first_integrals_are_conserved_analytically():
     for _ in range(100):
         zv = complex(rng.uniform(1.5, 3.5), rng.uniform(-0.5, 0.5))
         Fv = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        fdot = rhs(OdeState3(zv, Fv))
+        fdot = rhs(zv, Fv)
         flow = np.concatenate(([1.0], fdot))
         for expr in (i1, i2):
             jet = eval_jet(expr, [zv, *Fv])
@@ -143,6 +142,53 @@ def test_dopri_dense_output_and_direction():
     ts = [t for t, _ in out]
     assert ts == [-0.25, -0.5, -0.75, -1.0]
     assert abs(out[-1][1][0] - np.exp(-1)) < 1e-10
+
+
+def test_stage_sums_match_sequential_sum():
+    # the stage-array reduction adds in the order of the term-by-term sum,
+    # from +0, so signed zeros and the last bits agree
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        ks = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+        ks[rng.random((7, 6)) < 0.3] = rng.choice([0.0, -0.0]) + 1j * rng.choice([0.0, -0.0])
+        ks.real[rng.random((7, 6)) < 0.2] = -0.0
+        ks.imag[rng.random((7, 6)) < 0.2] = 0.0
+        for coeffs in (*_DP_A[1:], _DP_B5, _DP_ERR):
+            want = sum(c * k for c, k in zip(coeffs, ks))
+            assert _stage_sum(coeffs, ks).tobytes() == want.tobytes()
+
+
+# generic second-order linear ODE through dopri54
+
+
+def legendre_coefficients(nu: float, mu: float):
+    """Coefficient provider for (1-x^2) y'' - 2x y' + [nu(nu+1) - mu^2/(1-x^2)] y = 0,
+    returned in the normal form y'' = p(x) y' + q(x) y."""
+
+    def coeffs(x: complex):
+        s = 1 - x * x
+        if s == 0:
+            raise SingularPointError("x = +-1 is singular")
+        return 2 * x / s, -(nu * (nu + 1) - mu * mu / s) / s
+
+    return coeffs
+
+
+def solve_linear_ode2(coeffs, x0: float, y0: complex, dy0: complex, x_target: float,
+                      rtol: float = 1e-10, atol: float = 1e-12, dense_xs=None):
+    """Integrate y'' = p(x) y' + q(x) y from (y0, y0') at x0 to x_target.
+
+    Returns [(x, y, y'), ...] at the dense grid (always including x_target).
+    """
+
+    def f(x, state):
+        y, dy = state
+        p, q = coeffs(x)
+        return np.array([dy, p * dy + q * y], dtype=complex)
+
+    raw = dopri54(f, float(x0), np.array([y0, dy0], dtype=complex), float(x_target),
+                  rtol=rtol, atol=atol, dense_ts=dense_xs)
+    return [(x, s[0], s[1]) for x, s in raw]
 
 
 def test_linear_ode_first_kind_degree_one():
