@@ -29,7 +29,10 @@ paths.  Each run is classified as
   1e-12 + 1e-6 |r| (`tests/test_cli.py::test_golden_report_fixtures`), and
   each moved number is listed;
 - changed: the exit code, stderr, a verdict or any other part of the
-  report (a CSV header, the number of rows) differs.
+  report (a CSV header, the number of rows) differs; the run lists each
+  such difference, as the exit code, stderr or the path in the report
+  (`report` alone where the stdout is neither a JSON report nor a CSV),
+  with its value on each side.
 
 The last line counts each kind, and the moved runs outside the margin.
 The exit code is 1 if any run changed, else 0: a move, inside the margin
@@ -157,23 +160,22 @@ def run_side(root: Path, argvs: list, specs: str) -> list:
     return json.loads(proc.stdout)
 
 
-def _moved(base, head, path: str, out: list) -> bool:
-    """Collect in `out` the numbers of `head` that differ from `base`, as
-    (path, base, head); False where anything but a number differs."""
-    if isinstance(base, bool) or isinstance(head, bool):
-        return base == head
-    if isinstance(base, (int, float)) and isinstance(head, (int, float)):
+def _diff(base, head, path: str, moved: list, changed: list) -> None:
+    """Collect where `head` differs from `base`, as (path, base, head): in
+    `moved` where both are numbers, in `changed` where anything else
+    differs (a verdict, a string, the keys of a dict, a list's length)."""
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (base, head)):
         if base != head:
-            out.append((path, base, head))
-        return True
-    if isinstance(base, dict) and isinstance(head, dict):
-        return base.keys() == head.keys() and all(
-            _moved(base[k], head[k], f"{path}/{k}", out) for k in base)
-    if isinstance(base, list) and isinstance(head, list):
-        return len(base) == len(head) and all(
-            _moved(b, h, f"{path}/{b['name'] if isinstance(b, dict) and 'name' in b else i}",
-                   out) for i, (b, h) in enumerate(zip(base, head)))
-    return base == head
+            moved.append((path, base, head))
+    elif isinstance(base, dict) and isinstance(head, dict) and base.keys() == head.keys():
+        for k in base:
+            _diff(base[k], head[k], f"{path}/{k}", moved, changed)
+    elif isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
+        for i, (b, h) in enumerate(zip(base, head)):
+            name = b["name"] if isinstance(b, dict) and "name" in b else i
+            _diff(b, h, f"{path}/{name}", moved, changed)
+    elif base != head:
+        changed.append((path, base, head))
 
 
 def _document(out: str):
@@ -192,21 +194,33 @@ def _document(out: str):
 
 def classify(base: dict, head: dict) -> dict:
     """identical, moved (with the moved numbers, the largest |change| and
-    whether all are inside the golden margin) or changed."""
+    whether all are inside the golden margin) or changed (with what
+    changed, and its value on each side)."""
     if base == head:
         return {"kind": "identical"}
-    if base["code"] != head["code"] or base["err"] != head["err"]:
-        return {"kind": "changed"}
+    parts = (("exit code", "code"), ("stderr", "err"))
+    changes = [(part, base[key], head[key]) for part, key in parts if base[key] != head[key]]
+    moved: list = []
     try:
         docs = _document(base["out"]), _document(head["out"])
     except ValueError:
-        return {"kind": "changed"}
-    moved: list = []
-    if not _moved(*docs, "", moved):
-        return {"kind": "changed"}
+        if base["out"] != head["out"]:
+            changes.append(("report", base["out"], head["out"]))
+    else:
+        report: list = []
+        _diff(*docs, "", moved, report)
+        changes += [(f"report{path}", b, h) for path, b, h in report]
+    if changes:
+        return {"kind": "changed", "changes": changes}
     return {"kind": "moved", "values": moved,
             "max_abs": max(abs(h - b) for _, b, h in moved),
             "inside_margin": all(abs(h - b) <= 1e-12 + 1e-6 * abs(b) for _, b, h in moved)}
+
+
+def _clip(value, width: int = 200) -> str:
+    """repr(value), cut to `width` characters for the printed line."""
+    text = repr(value)
+    return text if len(text) <= width else text[:width - 3] + "..."
 
 
 def compare(base_root: Path, head_root: Path, runs: list) -> list:
@@ -241,6 +255,9 @@ def main() -> int:
             line += (f"  max|d|={res['max_abs']:.2e}"
                      f" {'inside' if res['inside_margin'] else 'OUTSIDE'} margin")
             line += "".join(f"\n           {path}: {b!r} -> {h!r}" for path, b, h in res["values"])
+        else:
+            line += "".join(f"\n           {part}: {_clip(b)} -> {_clip(h)}"
+                            for part, b, h in res["changes"])
         print(line)
     outside = sum(res["kind"] == "moved" and not res["inside_margin"] for res in results)
     print(f"{len(results)} runs: " + ", ".join(f"{n} {k}" for k, n in sorted(counts.items()))

@@ -29,10 +29,11 @@ from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at, gmc_repor
 from .legendre import (homogeneous_legendre_at, homogeneous_legendre_report, legendre_field_at,
                        legendre_field_report, transform_metric_at, transform_metric_exprs,
                        transformed_metric)
-from .manifold import (AllEntriesZeroError, Jets, ManifoldSpec, PointBatch, Region, Report,
-                       SamplePlan, amax, fail_at, fit_scalar, hertling_manin_at, homogeneity_at,
-                       batch_report, killing_unit_at, metric_invariance_at, normalized, pmax,
-                       product_axioms_at, required, sample_points, structures, table_jets)
+from .manifold import (DEFAULT_TOL, AllEntriesZeroError, Jets, ManifoldSpec, PointBatch, Region,
+                       Report, SamplePlan, amax, fail_at, fit_scalar, hertling_manin_at,
+                       homogeneity_at, batch_report, killing_unit_at, metric_invariance_at,
+                       normalized, pmax, product_axioms_at, required, sample_points, structures,
+                       table_jets)
 from .ode3d import betas_from_F, closed_forms, first_integrals
 from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at,
                      flat_pencil_report, pencil_first_order, pencil_homogeneity_at,
@@ -47,8 +48,6 @@ __all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "
            "run_checks", "Check", "CHECKS", "SPEC_CHECKS", "SINGLE_CHECKS",
            "verify_flat_coordinates", "verify_vector_potential", "SuiteResult", "connection_suite",
            "MissingCompanionDataError", "JacobianSingularError", "SingularSampleError"]
-
-DEFAULT_TOL = 1e-8
 
 
 class UnknownEntryError(Exception):

@@ -6,8 +6,9 @@ hypothesis is violated), 2 bad input (unparseable spec, unknown entry or
 check, a spec that lacks a field a check or a transform needs or leaves a
 parameter unbound, a product table where a transform needs a named
 product, a sample point where the spec is singular, which `verify` and
-`legendre` name by index and coordinates, a non-finite `--state`, a
-singular integration path, an integration whose step size underflows).
+`legendre` name by index and coordinates, a non-finite `--state`,
+`--from`, `--to`, `--rtol` or `--atol`, a negative tolerance or `--steps`,
+a singular integration path, an integration whose step size underflows).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
 target's parameter of the same name.  A name that neither declares in its
 parameters is bad input.
@@ -40,6 +41,18 @@ def _parse_scalar(text: str) -> complex:
         return complex(float(text))
     except ValueError:
         return complex(text.replace("i", "j"))
+
+
+def _ode_point(option: str, text: str) -> complex:
+    """A finite `--from` or `--to` value; ValueError names the option and
+    what it holds."""
+    try:
+        z = _parse_scalar(text)
+    except ValueError:
+        raise ValueError(f"{option} {text!r}: not a number") from None
+    if not np.isfinite(z):
+        raise ValueError(f"{option} {text!r}: must be finite")
+    return z
 
 
 def _parse_param(text: str):
@@ -156,10 +169,16 @@ def cmd_verify(args) -> int:
 
 def cmd_ode(args) -> int:
     try:
+        z_from, z_to = _ode_point("--from", args.z_from), _ode_point("--to", args.z_to)
+        for option, tol in (("--rtol", args.rtol), ("--atol", args.atol)):
+            if not (np.isfinite(tol) and tol >= 0):
+                raise ValueError(f"{option} {tol!r}: must be finite and non-negative")
+        if args.steps < 0:
+            raise ValueError(f"--steps {args.steps}: must be non-negative")
         if args.init == "q0":
-            state = closed_form_q0(_parse_scalar(args.z_from), args.a, args.b)
+            state = closed_form_q0(z_from, args.a, args.b)
         elif args.init == "pencil63":
-            state = closed_form_pencil(_parse_scalar(args.z_from))
+            state = closed_form_pencil(z_from)
         elif args.state:
             vals = [float(v) for v in args.state.split(",")]
             if len(vals) != 12:
@@ -167,12 +186,11 @@ def cmd_ode(args) -> int:
             if not np.all(np.isfinite(vals)):
                 raise ValueError("--state values must be finite")
             F = np.array([complex(vals[2 * i], vals[2 * i + 1]) for i in range(6)])
-            state = OdeState3(_parse_scalar(args.z_from), F)
+            state = OdeState3(z_from, F)
         else:
             raise ValueError("give --init q0|pencil63 or --state")
         with np.errstate(over="ignore", invalid="ignore"):  # only in step attempts dopri54 rejects
-            traj = integrate(state, _parse_scalar(args.z_to), rtol=args.rtol, atol=args.atol,
-                             n_dense=args.steps)
+            traj = integrate(state, z_to, rtol=args.rtol, atol=args.atol, n_dense=args.steps)
     except (SingularPathError, SingularPointError) as err:
         sys.stderr.write(f"singular segment: {err}\n")
         return 2

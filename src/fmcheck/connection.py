@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .manifold import (PointBatch, Report, StructureAt, amax, batch_report, fail_at,
+from .manifold import (DEFAULT_TOL, PointBatch, Report, StructureAt, amax, batch_report, fail_at,
                        normalized, pmax, raise_first, required, table_jets)
 from .tensor import SingularMatrixError, antisym, contract, contract_jets
 
@@ -38,8 +38,6 @@ __all__ = [
     "check_curvature_product_condition", "check_R_tR_identity",
     "check_nabla_nabla_E", "dual_structure",
 ]
-
-DEFAULT_TOL = 1e-8
 
 
 @dataclass
@@ -156,15 +154,14 @@ def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt,
 
 
 def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
-    """Evaluator of the Christoffel values at each of an array of points,
-    shape (P, n), in one run of the table; raises the first point's domain
-    error."""
+    """Evaluator of the Christoffel values at one point, from a run of the
+    table there; raises its domain error."""
     env = dict(env or {})
 
-    def provider(points):
-        jets = table_jets(gamma_exprs, points, env)
+    def provider(point):
+        jets = table_jets(gamma_exprs, np.asarray(point)[None], env)
         raise_first(jets.errors)
-        return jets.val
+        return jets.val[0]
 
     return provider
 

@@ -23,15 +23,8 @@ downstream stays finite there, and `TableJets.at` raises its error when
 its consumer reaches that point, and never hands out its jets.  Unbound
 parameters and coordinates do not depend on the point and raise at once.
 
-Products and quotients of two values follow CPython's complex arithmetic,
-computed on the real and imaginary parts (`_cprod`, `_cquot`): numpy's
-complex multiply fuses a product into the sum, and its complex divide
-multiplies by the reciprocal of the denominator where CPython's Smith's
-method divides by it.  This keeps every jet, and so every report,
-bit-identical to those of the scalar tape the batched one replaced; with
-numpy's divide, the gradients and Hessians of three catalog tables move
-in the last bits (nonss3d's metric through the non-integer power rule's
-general-numerator quotients c*f0/v and c*(c-1)*f0/v^2).
+Products and quotients are numpy's complex `*` and `/`, for values as for
+gradients and Hessians.
 
 All scalars are complex; `sqrt`, `ln` and non-integer powers use the
 principal branch (cut on the negative real axis).  Integer powers are
@@ -444,57 +437,6 @@ class TableJets:
 # cross + cross.T joins the other terms in a different order at (i, j) than
 # at (j, i)), so the symmetry test allows 1e-14 relative.
 
-def _complex(re, im):
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _one_part(x) -> bool:
-    """Whether each of `x`'s entries is real, or each is imaginary."""
-    return not np.count_nonzero(x.imag) or not np.count_nonzero(x.real)
-
-
-def _cprod(x, y):
-    """x*y as CPython multiplies complex scalars.  numpy's complex multiply
-    fuses one product into the sum, which moves the last bit unless one
-    factor has a part that is zero (each sum then has an exact zero term)."""
-    if _one_part(x) or _one_part(y):
-        return x * y
-    return _complex(x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
-
-
-def _cquot(x, y):
-    """x/y as CPython divides complex scalars: Smith's method, scaled by the
-    larger part of y and divided by the denominator (numpy multiplies by
-    its reciprocal instead).  `x` may be a real scalar."""
-    xr, xi, yr, yi = np.real(x), np.imag(x), y.real, y.imag
-    big = np.abs(yr) >= np.abs(yi)
-    if big.all():
-        ratio = yi / yr
-        denom = yr + yi * ratio
-        return _complex((xr + xi * ratio) / denom, (xi - xr * ratio) / denom)
-    p, q = np.where(big, yr, yi), np.where(big, yi, yr)
-    s, t = np.where(big, xr, xi), np.where(big, xi, xr)
-    ratio = q / p
-    denom = p + q * ratio
-    st = s * ratio
-    return _complex((s + t * ratio) / denom, np.where(big, t - st, st - t) / denom)
-
-
-def _cpowu(v, k: int):
-    """v**k for an integer k > 0 by CPython's repeated squaring, which
-    starts from 1 and so multiplies by 1 first."""
-    out, square, bit = np.ones_like(v), v, 1
-    while bit <= k:
-        if k & bit:
-            out = _cprod(out, square)
-        bit <<= 1
-        if bit <= k:
-            square = _cprod(square, square)
-    return out
-
-
 def _principal(v):
     """`principal` along the point axis."""
     return np.where(v.imag == 0, v.real, v)
@@ -531,13 +473,13 @@ def _nonzero(a, message: str, fail):
 def _mul(a, b, fail):
     a0, b0 = a[0][:, None], b[0][:, None]
     cross = a[1][:, :, None] * b[1][:, None, :]
-    return (_cprod(a[0], b[0]), a0 * b[1] + b0 * a[1],
+    return (a[0] * b[0], a0 * b[1] + b0 * a[1],
             a0[:, :, None] * b[2] + b0[:, :, None] * a[2] + cross + cross.transpose(0, 2, 1))
 
 
 def _reciprocal(a, fail):
     v = _nonzero(a, "division by zero", fail)
-    return _compose(a, _cquot(1.0, v), _cquot(-1.0, _cpowu(v, 2)), _cquot(2.0, _cpowu(v, 3)))
+    return _compose(a, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
 
 def _div(a, b, fail):
@@ -549,12 +491,12 @@ def jet_sqrt(a, fail=_raise):
     leading axis; by default a vanishing value raises `DomainError`."""
     v = _nonzero(a, "sqrt(0) has no jet", fail)
     r = np.sqrt(_principal(v))
-    return _compose(a, r, _cquot(0.5, r), _cquot(-0.25, _cprod(v, r)))
+    return _compose(a, r, 0.5 / r, -0.25 / (v * r))
 
 
 def _ln(a, fail):
     v = _nonzero(a, "ln(0)", fail)
-    return _compose(a, np.log(_principal(v)), _cquot(1.0, v), _cquot(-1.0, _cpowu(v, 2)))
+    return _compose(a, np.log(_principal(v)), 1.0 / v, -1.0 / (v * v))
 
 
 def _exp(a, fail):
@@ -580,8 +522,7 @@ def _real_pow(a, b, fail):
     c = b[0]
     v = _nonzero(a, "0 raised to a non-integer power", fail)
     f0 = np.power(_principal(v), c)
-    return _compose(a, f0, _cquot(_cprod(c, f0), v),
-                    _cquot(_cprod(_cprod(c, c - 1.0), f0), _cpowu(v, 2)))
+    return _compose(a, f0, c * f0 / v, c * (c - 1.0) * f0 / (v * v))
 
 
 def _pow(a, b, fail):

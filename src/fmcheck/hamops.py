@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .connection import ConnectionAt, inverse_jets, levi_civita, riemann_components
-from .manifold import (Jets, ManifoldSpec, Report, StructureAt, amax, batch_report, normalized,
-                       pmax, structure_at, table_jets, worst_parts)
+from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, Report, StructureAt, amax, batch_report,
+                       normalized, pmax, structure_at, table_jets, worst_parts)
 from .tensor import antisym, contract, contract_jets, finite_matrices
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "check_quadratic_expansion", "check_sym_condition", "check_gmc",
     "field_rank", "emit_operator",
 ]
-
-DEFAULT_TOL = 1e-8
 
 
 class GmcFailedError(Exception):

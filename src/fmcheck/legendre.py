@@ -16,10 +16,10 @@ from . import exprjet as ej
 from .connection import (ConnectionAt, check_compat_product, checked_inverse,
                          natural_connection, riemann_components)
 from .hamops import sym_condition_at
-from .manifold import (ManifoldSpec, Report, StructureAt, amax, batch_report, fail_at,
+from .manifold import (DEFAULT_TOL, ManifoldSpec, Report, StructureAt, amax, batch_report, fail_at,
                        fit_scalar, lie_metric, normalized, pmax, product_jets, required,
                        structure_at, worst)
-from .rotation import rk4_path, rk4_stage_times
+from .ode3d import dopri54
 from .tensor import SingularMatrixError, antisym, contract, contract_jets, lie_from_components
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "transformed_structure", "flat_field_ode", "check_homogeneous_legendre",
     "transform_metric_exprs",
 ]
-
-DEFAULT_TOL = 1e-8
 
 
 class NotInvertibleError(Exception):
@@ -197,28 +195,24 @@ def transform_metric_report(spec: ManifoldSpec, field_exprs, points,
     return _row("transform-metric", spec, field_exprs, points, tol, params)
 
 
-def flat_field_ode(gamma_provider: Callable, x0, path, steps_per_segment: int = 200,
-                   endpoint_check: bool = True) -> dict:
+def flat_field_ode(gamma_provider: Callable, x0, path, endpoint_check: bool = True) -> dict:
     """Integrate the parallel-field system d_j X^i = -Gamma^i_js X^s along a
-    polygonal path, with `gamma_provider` mapping an array of points (P, n)
-    to the Christoffel values there (`connection.christoffel_provider`);
-    for a closed path the return-to-start residual probes
-    integrability (flatness) of the connection.  The endpoint gradient is
-    re-derived by short two-sided integrations and compared with the
-    parallel-transport equation."""
+    polygonal path, one `dopri54` run per segment, with `gamma_provider`
+    mapping a point to the Christoffel values there
+    (`connection.christoffel_provider`); for a closed path the
+    return-to-start residual probes integrability (flatness) of the
+    connection.  The endpoint gradient is re-derived by short two-sided
+    integrations and compared with the parallel-transport equation."""
 
-    def transport(xv, a, b, steps):
-        # Gamma at every stage point of the segment, from one run
+    def transport(xv, a, b):
         a, b = np.asarray(a, complex), np.asarray(b, complex)
         dv = b - a
-        times = np.array(list(rk4_stage_times(0.0, 1.0, steps)))
-        gammas = iter(gamma_provider(a + times[:, None] * dv))
-        return rk4_path(lambda t, xv: -np.einsum("ijs,j,s->i", next(gammas), dv, xv),
-                        xv, 0.0, 1.0, steps)
+        return dopri54(lambda t, y: -np.einsum("ijs,j,s->i", gamma_provider(a + t * dv), dv, y),
+                       0.0, xv, 1.0)[-1][1]
 
     x = np.asarray(x0, dtype=complex)
     for a, b in zip(path[:-1], path[1:]):
-        x = transport(x, a, b, steps_per_segment)
+        x = transport(x, a, b)
     start, end = np.asarray(path[0], complex), np.asarray(path[-1], complex)
     closed = np.allclose(start, end)
     closure = float(np.max(np.abs(x - np.asarray(x0, complex)))) / (1 + float(np.max(np.abs(x0)))) \
@@ -231,10 +225,10 @@ def flat_field_ode(gamma_provider: Callable, x0, path, steps_per_segment: int = 
         for j in range(n):
             step = np.zeros(n)
             step[j] = h
-            plus = transport(x, end, end + step, 8)
-            minus = transport(x, end, end - step, 8)
+            plus = transport(x, end, end + step)
+            minus = transport(x, end, end - step)
             dx[:, j] = (plus - minus) / (2 * h)
-        want = -np.einsum("ijs,s->ij", gamma_provider(end[None])[0], x)
+        want = -np.einsum("ijs,s->ij", gamma_provider(end), x)
         out["endpoint_gradient_residual"] = float(np.max(np.abs(dx - want))) / \
             (1 + float(np.max(np.abs(want))))
     return out

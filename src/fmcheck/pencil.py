@@ -18,7 +18,7 @@ import numpy as np
 from . import exprjet as ej
 from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hessian,
                          inverse_jets, metric_inverse, riemann_components)
-from .manifold import (ManifoldSpec, PointBatch, Region, Report, StructureAt, amax,
+from .manifold import (DEFAULT_TOL, ManifoldSpec, PointBatch, Region, Report, StructureAt, amax,
                        batch_report, fail_at, fit_scalar, normalized, pmax, product_jets,
                        raise_first, structures, worst_parts)
 from .tensor import (SingularMatrixError, antisym, contract, contract_jets, finite_matrices,
@@ -33,7 +33,6 @@ __all__ = [
     "reconstructed_structure", "semisimple_pencil_from_f",
 ]
 
-DEFAULT_TOL = 1e-8
 DEFAULT_LAMBDAS = (0.0, 1.0, -1.0, 2.0, 1j)
 
 

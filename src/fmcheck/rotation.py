@@ -21,8 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprjet as ej
-from .manifold import (ManifoldSpec, PointBatch, Report, amax, batch_report, fail_at, normalized,
-                       pmax, raise_first, table_jets)
+from .manifold import (DEFAULT_TOL, ManifoldSpec, PointBatch, Report, amax, batch_report, fail_at,
+                       normalized, pmax, raise_first, table_jets)
+from .ode3d import dopri54
 from .tensor import eigenvalues
 
 __all__ = [
@@ -30,10 +31,8 @@ __all__ = [
     "rotation_data", "rotations", "lame_weight", "v_matrix",
     "check_darboux_system", "check_lame_system", "check_flatness_constraint",
     "check_algebraic_constraints", "check_potentiality",
-    "check_reduction_identity", "integrate_lame", "rk4_path", "rk4_stage_times",
+    "check_reduction_identity", "integrate_lame",
 ]
-
-DEFAULT_TOL = 1e-8
 
 
 class NonDiagonalMetricError(Exception):
@@ -310,30 +309,6 @@ def check_reduction_identity(spec, points, tol: float = DEFAULT_TOL, params=None
 # path integration of the Lame system
 
 
-def rk4_stage_times(t0: float, t1: float, steps: int):
-    """The times at which `rk4_path` evaluates its right-hand side, in the
-    order it does: t, t + h/2, t + h/2 and t + h at each step."""
-    h = (t1 - t0) / steps
-    t = t0
-    for _ in range(steps):
-        yield from (t, t + h / 2, t + h / 2, t + h)
-        t += h
-
-
-def rk4_path(rhs: Callable, y0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
-    """Classical fixed-step RK4 for y' = rhs(t, y), deterministic by design."""
-    y = np.array(y0, dtype=complex)
-    h = (t1 - t0) / steps
-    times = rk4_stage_times(t0, t1, steps)
-    for _ in range(steps):
-        k1 = rhs(next(times), y)
-        k2 = rhs(next(times), y + h / 2 * k1)
-        k3 = rhs(next(times), y + h / 2 * k2)
-        k4 = rhs(next(times), y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
-
-
 def _lame_gradient(beta: np.ndarray, H: np.ndarray) -> np.ndarray:
     """grad[i,j] = d_j H_i per the first-order system: beta_ij H_j off the
     diagonal, and the diagonal closed through e(H_i) = 0."""
@@ -359,12 +334,12 @@ def eigenspace_projection(V: np.ndarray, d: complex, vec: np.ndarray,
 
 
 def integrate_lame(beta_provider: Callable, d: complex, u0: np.ndarray,
-                   H0: np.ndarray, path=None, steps_per_side: int = 200,
-                   loop_side: float = 0.2, project: bool = True,
+                   H0: np.ndarray, path=None, loop_side: float = 0.2, project: bool = True,
                    tol: float = 1e-6) -> dict:
     """Integrate the Lame system along a path (default: a closed axis-aligned
-    rectangle of side `loop_side` in the (u^1,u^2) plane) and report the loop
-    closure together with the Euler-weight residual at the endpoints."""
+    rectangle of side `loop_side` in the (u^1,u^2) plane), one `dopri54`
+    run per side, and report the loop closure together with the
+    Euler-weight residual at the endpoints."""
     u0 = np.asarray(u0, dtype=complex)
     n = len(u0)
     H0 = np.asarray(H0, dtype=complex)
@@ -382,20 +357,15 @@ def integrate_lame(beta_provider: Callable, d: complex, u0: np.ndarray,
         s = loop_side
         path = [u0, u0 + s * e1, u0 + s * e1 + s * e2, u0 + s * e2, u0]
 
-    def segment_rhs(a, b):
+    def transport(Hv, a, b):
+        a, b = np.asarray(a, complex), np.asarray(b, complex)
         dv = b - a
+        return dopri54(lambda t, y: _lame_gradient(beta_provider(a + t * dv), y) @ dv,
+                       0.0, Hv, 1.0)[-1][1]
 
-        def rhs(t, H):
-            u = a + t * dv
-            grad = _lame_gradient(beta_provider(u), H)
-            return grad @ dv
-
-        return rhs
-
-    H = H0.copy()
+    H = H0
     for a, b in zip(path[:-1], path[1:]):
-        H = rk4_path(segment_rhs(np.asarray(a, complex), np.asarray(b, complex)),
-                     H, 0.0, 1.0, steps_per_side)
+        H = transport(H, a, b)
     u_end = np.asarray(path[-1], dtype=complex)
     closed = np.allclose(np.asarray(path[0], complex), u_end)
     scale = 1.0 + float(np.max(np.abs(H0)))

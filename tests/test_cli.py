@@ -109,6 +109,23 @@ def test_ode_nonfinite_state_and_overflow_exit2():
                               "--from", "2", "--to", "3"])
     assert (code, out) == (2, "")
     assert err.startswith("integration failed: step size underflow") and err.count("\n") == 1
+    # options that would only surface as a step size underflow or a numpy
+    # error are rejected up front, by name and value
+    for extra, message in ((["--from", "nan", "--to", "3"], "--from 'nan': must be finite"),
+                           (["--from", "2", "--to", "inf"], "--to 'inf': must be finite"),
+                           (["--from", "2", "--to", "3", "--rtol", "nan"],
+                            "--rtol nan: must be finite and non-negative"),
+                           (["--from", "2", "--to", "3", "--atol=-inf"],
+                            "--atol -inf: must be finite and non-negative"),
+                           (["--from", "2", "--to", "3", "--rtol=-1e-8"],
+                            "--rtol -1e-08: must be finite and non-negative"),
+                           (["--from", "2", "--to", "3", "--atol=-1"],
+                            "--atol -1.0: must be finite and non-negative"),
+                           (["--from", "2", "--to", "3", "--steps=-3"],
+                            "--steps -3: must be non-negative")):
+        for init in ("q0", "pencil63"):
+            code, out, err = run_cli(["ode", "--init", init, *extra])
+            assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 def test_legendre_family_mapping():

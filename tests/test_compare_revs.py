@@ -38,6 +38,15 @@ def test_comparator_classifies_moves_and_changes():
     assert not cmp.classify(run(1e-10), run(3e-12))["inside_margin"]
     for head in (run(1e-10, passed=False), run(1e-10, code=1), run(1e-10, err="x")):
         assert cmp.classify(run(1e-10), head)["kind"] == "changed"
+    # a changed run names each part that changed, with its value on each side
+    assert cmp.classify(run(1e-10), run(1e-10, passed=False))["changes"] == [
+        ("report/ok", True, False), ("report/reports/r-tr/passed", True, False)]
+    assert cmp.classify(run(1e-10), run(1e-10, code=2, err="input error: x\n"))["changes"] == [
+        ("exit code", 0, 2), ("stderr", "", "input error: x\n")]
+    failed = {"code": 1, "out": "", "err": "uncaught ValueError: x"}
+    assert cmp.classify(run(1e-10), failed)["changes"] == [
+        ("exit code", 0, 1), ("stderr", "", "uncaught ValueError: x"),
+        ("report", run(1e-10)["out"], "")]
 
 
 def test_comparator_compares_ode_csv_cell_by_cell():

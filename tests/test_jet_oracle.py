@@ -57,13 +57,28 @@ def _catalog_tables(ent):
     return tables
 
 
+# products and quotients of fully complex values, negative integer powers,
+# sqrt, ln and non-integer (real, complex and varying) powers
+RULES = ["x*y", "(x+2i*y)*(y-3*z)", "x*y*z", "x/y", "(x*y+1)/(x-2*y)", "x/(y*z)",
+         "x^-1", "x^-2", "(x+y)^(-3)", "1/(x*y)^2", "sqrt(x)", "sqrt(x*y)", "sqrt(x-y)/z",
+         "ln(x)", "ln(x*y)", "ln(x/y)+z", "x^0.5", "(x*y)^(1/3)", "(x+y)^(-1.5)",
+         "x^(0.5+0.25i)", "(y*z)^2.5", "x^y", "(x+z)^(y*z)"]
+COMPLEX_POINTS = [(0.7 + 0.4j, -0.3 + 0.9j, 1.2 - 0.5j), (-1.1 - 0.6j, 0.8 - 1.3j, -0.4 + 0.2j)]
+
+
 def test_jets_match_sympy_oracle():
+    # every catalog table at its sample points and at those points moved
+    # off the real axis, and each rule at points whose coordinates all have
+    # nonzero real and imaginary parts
     mpmath.mp.dps = 30
-    checked = 0
+    rng = np.random.default_rng(5)
+    cases = [("rules", src, COMPLEX_POINTS, {}) for src in RULES]
     for name in cat.names():
         ent = cat.entry(name)
         env = ent.spec.env()
         points = sample_points(ent.spec, SamplePlan(seed=3, count=2))
+        points = points + [p + 1j * rng.uniform(0.05, 0.25, len(p)) * rng.choice([-1, 1], len(p))
+                            for p in points]
         sources = {}
         for table, in_chart in _catalog_tables(ent):
             entries = np.array(table, dtype=object).flat
@@ -72,21 +87,21 @@ def test_jets_match_sympy_oracle():
             at = points
             if in_chart:
                 at = [eval_table(ent.companion["flat_chart"], p, env)[0] for p in points]
-            for src in sorted(srcs):
-                n = len(at[0])
-                expr = to_sympy(parse(src), env)
-                grad = [sp.diff(expr, U[i]) for i in range(n)]
-                hess = [[sp.diff(grad[i], U[j]) for j in range(n)] for i in range(n)]
-                oracle = sp.lambdify(U[:n], [expr, grad, hess], modules="mpmath")
-                for p in at:
-                    val, g, h = oracle(*[mpmath.mpc(complex(x)) for x in p])
-                    want = (complex(val), np.array(g, dtype=complex),
-                            np.array(h, dtype=complex))
-                    jet = eval_jet(parse(src), p, env)
-                    scale = 1 + max(abs(want[0]), np.max(np.abs(want[1])),
-                                    np.max(np.abs(want[2])))
-                    err = max(abs(jet.val - want[0]), np.max(np.abs(jet.grad - want[1])),
-                              np.max(np.abs(jet.hess - want[2]))) / scale
-                    assert err <= 1e-13, f"{name}: {src} at {p}: {err:.2e}"
-                    checked += 1
+            cases += [(name, src, at, env) for src in sorted(srcs)]
+    checked = 0
+    for name, src, at, env in cases:
+        n = len(at[0])
+        expr = to_sympy(parse(src), env)
+        grad = [sp.diff(expr, U[i]) for i in range(n)]
+        hess = [[sp.diff(grad[i], U[j]) for j in range(n)] for i in range(n)]
+        oracle = sp.lambdify(U[:n], [expr, grad, hess], modules="mpmath")
+        for p in at:
+            val, g, h = oracle(*[mpmath.mpc(complex(x)) for x in p])
+            want = (complex(val), np.array(g, dtype=complex), np.array(h, dtype=complex))
+            jet = eval_jet(parse(src), p, env)
+            scale = 1 + max(abs(want[0]), np.max(np.abs(want[1])), np.max(np.abs(want[2])))
+            err = max(abs(jet.val - want[0]), np.max(np.abs(jet.grad - want[1])),
+                      np.max(np.abs(jet.hess - want[2]))) / scale
+            assert err <= 1e-13, f"{name}: {src} at {p}: {err:.2e}"
+            checked += 1
     assert checked >= 400, checked

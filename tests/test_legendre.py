@@ -165,7 +165,7 @@ def test_flat_field_ode_reproduces_printed_field(q0):
 
     u0, u1 = pts[0], pts[1]
     x0 = ej.eval_table(fields["X2"], u0, spec.env())[0]
-    out = flat_field_ode(gamma_provider, x0, [u0, u1], steps_per_segment=300)
+    out = flat_field_ode(gamma_provider, x0, [u0, u1])
     x1 = ej.eval_table(fields["X2"], u1, spec.env())[0]
     assert np.max(np.abs(out["X_end"] - x1)) <= 1e-6 * (1 + np.max(np.abs(x1)))
     assert out["endpoint_gradient_residual"] <= 1e-6
