@@ -74,7 +74,7 @@ class CatalogEntry:
 # entry construction helpers
 
 
-def _prod_expr(n, i, exclude_sign=False):
+def _prod_expr(n, i):
     return "*".join(f"(u{k+1}-u{i+1})" for k in range(n) if k != i)
 
 
@@ -427,16 +427,14 @@ def verify_vector_potential(ent: CatalogEntry, points, tol: float = 1e-10) -> Re
     return _walk(ent.spec, ent.companion, [_BY_NAME["vector-potential"]], points, tol)[0]
 
 
-def connection_suite(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
-                     gamma_exprs=None) -> list:
-    """The flat-structure checks for a metric spec (`_CONNECTION_CHECKS`):
-    the natural connection is torsionless, flat, unit-parallel, compatible
-    with the product and solves its defining equation; the Levi-Civita
-    curvature meets the product condition; the two agree in the cyclic sum;
-    and, given a closed-form connection table, the natural one matches it."""
-    comp = {} if gamma_exprs is None else {"gamma": gamma_exprs}
-    return _walk(spec, comp, _chosen(spec, comp, lambda c: c.name in _CONNECTION_CHECKS),
-                 points, tol)
+def connection_suite(spec: ManifoldSpec, points) -> list:
+    """The flat-structure checks for a metric spec (`_CONNECTION_CHECKS`),
+    at the default tolerance: the natural connection is torsionless, flat,
+    unit-parallel, compatible with the product and solves its defining
+    equation; the Levi-Civita curvature meets the product condition; and
+    the two agree in the cyclic sum."""
+    return _walk(spec, {}, _chosen(spec, {}, lambda c: c.name in _CONNECTION_CHECKS),
+                 points, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +627,7 @@ def _reconstructed_at(b):
     counit is the walk's."""
     pa, prod = b.pa, b.pencil_product
     recon = reconstructed_at(pa, prod.c, prod.dc)
-    lc = ConnectionAt(pa.n, pa.point, pa.gamma1, pa.dgamma1, "levi-civita")
+    lc = ConnectionAt(pa.n, pa.point, pa.gamma1, pa.dgamma1)
     nat = natural_from_levi_civita(recon, lc, InverseJets(pa.eta_inv, pa.deta_inv), b.counit)
     parts = [flatness_at(nat), nabla_e_at(nat, recon), compat_product_at(nat, recon),
              nabla_from_g_at(nat, recon, b.counit)]
@@ -666,7 +664,7 @@ CHECKS = (
     Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), _KILLING),
     Check("product-compat", lambda b: compat_product_at(b.nat, b.st), _KILLING),
     Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), _KILLING),
-    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, "both", b.r_lc)[:2],
+    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, b.r_lc)[:2],
           _KILLING),
     Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st, b.r_nat, b.r_lc), _KILLING),
     Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), _KILLING, ("E",)),
@@ -736,7 +734,7 @@ SPEC_CHECKS = ("product-axioms", "hertling-manin", "metric-invariance", "killing
 SINGLE_CHECKS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
                  "homogeneity", "levi-civita-flat", "natural-flat")
 _CONNECTION_CHECKS = ("torsionless", "flatness", "nabla-e", "product-compat", "nabla-from-g",
-                      "curvature-product", "r-tr", "nabla-nabla-E", "gamma-match")
+                      "curvature-product", "r-tr", "nabla-nabla-E")
 
 
 def _chosen(spec: ManifoldSpec, comp: dict, keep) -> list:
@@ -823,13 +821,9 @@ class Transform:
         return comp, checks, new
 
 
-def run_checks(spec: ManifoldSpec, comp: dict, names, points, tol: float = DEFAULT_TOL,
-               params=None) -> list:
+def run_checks(spec: ManifoldSpec, comp: dict, names, points, tol: float = DEFAULT_TOL) -> list:
     """The reports of the checks `names`, in that order, from one walk over
-    `points` with the companion data `comp` and the spec's parameters
-    overridden by `params`."""
-    if params:
-        spec = replace(spec, params=spec.env(params))
+    `points` with the companion data `comp`."""
     return _walk(spec, comp, [_BY_NAME[name] for name in names], points, tol)
 
 

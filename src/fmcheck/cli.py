@@ -7,8 +7,9 @@ check, a spec that lacks a field a check or a transform needs or leaves a
 parameter unbound, a product table where a transform needs a named
 product, a sample point where the spec is singular, which `verify` and
 `legendre` name by index and coordinates, a non-finite `--state`,
-`--from`, `--to`, `--rtol` or `--atol`, a negative tolerance or `--steps`,
-a singular integration path, an integration whose step size underflows).
+`--from`, `--to`, `--rtol`, `--atol`, `--a` or `--b`, a negative
+tolerance or `--steps`, both tolerances zero, a singular integration
+path, an integration whose step size underflows).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
 target's parameter of the same name.  A name that neither declares in its
 parameters is bad input.
@@ -170,9 +171,14 @@ def cmd_verify(args) -> int:
 def cmd_ode(args) -> int:
     try:
         z_from, z_to = _ode_point("--from", args.z_from), _ode_point("--to", args.z_to)
+        for option, value in (("--a", args.a), ("--b", args.b)):
+            if not np.isfinite(value):
+                raise ValueError(f"{option} {value!r}: must be finite")
         for option, tol in (("--rtol", args.rtol), ("--atol", args.atol)):
             if not (np.isfinite(tol) and tol >= 0):
                 raise ValueError(f"{option} {tol!r}: must be finite and non-negative")
+        if args.rtol == 0 and args.atol == 0:
+            raise ValueError(f"--atol {args.atol!r}: must be positive where --rtol is 0")
         if args.steps < 0:
             raise ValueError(f"--steps {args.steps}: must be non-negative")
         if args.init == "q0":

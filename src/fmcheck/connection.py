@@ -48,7 +48,6 @@ class ConnectionAt(PointBatch):
     point: np.ndarray
     gamma: np.ndarray    # gamma[i,j,k] = Gamma^i_jk
     dgamma: np.ndarray   # dgamma[i,j,k,m] = d_m Gamma^i_jk
-    provenance: str = "explicit"
     errors: list | None = None
 
 
@@ -117,7 +116,7 @@ def levi_civita(st: StructureAt, inverse: InverseJets | None = None) -> Connecti
     `metric_inverse`, where the caller has it."""
     inverse = inverse or metric_inverse(st)
     gamma, dgamma = christoffel_jets(st.g, st.dg, st.ddg, (inverse.inv, inverse.dinv))
-    return ConnectionAt(st.n, st.point, gamma, dgamma, "levi-civita", inverse.errors)
+    return ConnectionAt(st.n, st.point, gamma, dgamma, inverse.errors)
 
 
 def counit_jets(st: StructureAt):
@@ -150,7 +149,7 @@ def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt,
     # m[i,q] = g^if dtheta_qf, contracted with c
     m = contract_jets("...if,...qf->...iq", (inverse.inv, inverse.dinv), (dtheta, d_dtheta))
     b, db = (-0.5 * t for t in contract_jets("...iq,...qkl->...ikl", m, (st.c, st.dc)))
-    return ConnectionAt(st.n, st.point, lc.gamma + b, lc.dgamma + db, "natural", lc.errors)
+    return ConnectionAt(st.n, st.point, lc.gamma + b, lc.dgamma + db, lc.errors)
 
 
 def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
@@ -166,20 +165,20 @@ def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
     return provider
 
 
-def connections_from_exprs(gamma_exprs, points, env: Mapping[str, complex] | None = None,
-                           provenance: str = "explicit") -> ConnectionAt:
+def connections_from_exprs(gamma_exprs, points,
+                           env: Mapping[str, complex] | None = None) -> ConnectionAt:
     """The connection given by closed-form Christoffel expressions at all
     of `points`, as one batch from one run of the table; a point where it
     is singular records the domain error."""
     points = np.asarray(points, dtype=complex)
     jets = table_jets(gamma_exprs, points, env)
-    return ConnectionAt(len(gamma_exprs), points, jets.val, jets.grad, provenance, jets.errors)
+    return ConnectionAt(len(gamma_exprs), points, jets.val, jets.grad, jets.errors)
 
 
-def connection_from_exprs(gamma_exprs, point, env: Mapping[str, complex] | None = None,
-                          provenance: str = "explicit") -> ConnectionAt:
+def connection_from_exprs(gamma_exprs, point,
+                          env: Mapping[str, complex] | None = None) -> ConnectionAt:
     """Connection given by closed-form Christoffel expressions."""
-    return connections_from_exprs(gamma_exprs, [point], env, provenance).at(0)
+    return connections_from_exprs(gamma_exprs, [point], env).at(0)
 
 
 def riemann_components(gamma, dgamma) -> np.ndarray:
@@ -199,8 +198,8 @@ def torsion_at(conn: ConnectionAt):
     return normalized(amax(antisym(conn.gamma), 3), sc), sc
 
 
-def check_torsionless(conn: ConnectionAt, tol: float = 1e-12) -> Report:
-    return batch_report("torsionless", torsion_at(conn), tol)
+def check_torsionless(conn: ConnectionAt) -> Report:
+    return batch_report("torsionless", torsion_at(conn), 1e-12)
 
 
 def flatness_at(conn: ConnectionAt, r=None):
@@ -279,34 +278,25 @@ def _cyclic(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def curvature_product_at(conn: ConnectionAt, st: StructureAt, variant: str = "primal", r=None):
-    """Cyclic product condition on the curvature; `variant` picks between
-    the contraction through the last curvature slot ("primal") and the
-    product acting on the curvature output ("bis").  With variant "both"
-    the details also carry the difference of the two forms; `r`: the
-    connection's `riemann_components` where the caller has them.  Returns
-    (residual, scale, details)."""
+def curvature_product_at(conn: ConnectionAt, st: StructureAt, r=None):
+    """Cyclic product condition on the curvature, in both of its forms:
+    the contraction through the last curvature slot and the product acting
+    on the curvature output.  The residual is the worse of the two, and the
+    details carry the second form's residual and the difference of the
+    two; `r`: the connection's `riemann_components` where the caller has
+    them.  Returns (residual, scale, details)."""
     r = riemann_components(conn.gamma, conn.dgamma) if r is None else r
     sc = pmax(amax(r, 4), 1.0) * pmax(amax(st.c, 3), 1.0)
-    details = {}
-    if variant in ("primal", "both"):
-        res = amax(_cyclic(_RC, r, st.c), 5)
-    if variant in ("bis", "both"):
-        res_bis = amax(_cyclic(_BIS, st.c, r), 5)
-        if variant == "bis":
-            res = res_bis
-        else:
-            details["bis_residual"] = normalized(res_bis, sc)
-            details["variant_gap"] = normalized(np.abs(res - res_bis), sc)
-            res = pmax(res, res_bis)
-    return normalized(res, sc), sc, details
+    res = amax(_cyclic(_RC, r, st.c), 5)
+    res_bis = amax(_cyclic(_BIS, st.c, r), 5)
+    details = {"bis_residual": normalized(res_bis, sc),
+               "variant_gap": normalized(np.abs(res - res_bis), sc)}
+    return normalized(pmax(res, res_bis), sc), sc, details
 
 
-def check_curvature_product_condition(conn: ConnectionAt, st: StructureAt,
-                                      variant: str = "primal",
-                                      tol: float = DEFAULT_TOL) -> Report:
-    res, sc, details = curvature_product_at(conn, st, variant)
-    return batch_report(f"curvature-product-{variant}", (res, sc), tol,
+def check_curvature_product_condition(conn: ConnectionAt, st: StructureAt) -> Report:
+    res, sc, details = curvature_product_at(conn, st)
+    return batch_report("curvature-product", (res, sc), DEFAULT_TOL,
                         details={key: float(np.max(value)) for key, value in details.items()})
 
 
@@ -321,11 +311,12 @@ def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt, r_nat
     return normalized(amax(_cyclic(_RC, r_nat - r_lc, st.c), 5), sc), sc
 
 
-def check_R_tR_identity(st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
+def check_R_tR_identity(st: StructureAt) -> Report:
     inverse = metric_inverse(st)
     lc = levi_civita(st, inverse)
     return batch_report("r-tr-identity",
-                        r_tr_identity_at(natural_from_levi_civita(st, lc, inverse), lc, st), tol)
+                        r_tr_identity_at(natural_from_levi_civita(st, lc, inverse), lc, st),
+                        DEFAULT_TOL)
 
 
 def nabla_nabla_E_at(conn: ConnectionAt, st: StructureAt):
@@ -343,8 +334,8 @@ def nabla_nabla_E_at(conn: ConnectionAt, st: StructureAt):
     return normalized(amax(res, 3), sc), sc
 
 
-def check_nabla_nabla_E(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("nabla-nabla-E", nabla_nabla_E_at(conn, st), tol)
+def check_nabla_nabla_E(conn: ConnectionAt, st: StructureAt) -> Report:
+    return batch_report("nabla-nabla-E", nabla_nabla_E_at(conn, st), DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +351,16 @@ class DualStructureAt(PointBatch):
     gamma_star: ConnectionAt
     residual: np.ndarray
     scale: np.ndarray
-    tol: float = DEFAULT_TOL
     errors: list | None = None
 
     @property
     def report(self) -> Report:
         """The report of the identities at a single point."""
-        return Report.from_residual("dual-structure", self.residual, self.tol, scale=self.scale,
-                                    npoints=1)
+        return Report.from_residual("dual-structure", self.residual, DEFAULT_TOL,
+                                    scale=self.scale, npoints=1)
 
 
-def dual_structure(st: StructureAt, conn: ConnectionAt, tol: float = DEFAULT_TOL) -> DualStructureAt:
+def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
     """Rescaled product through the Euler field and the dual connection
     Gamma*^k_ij = Gamma^k_ij - c*^l_ji nabla_l E^k, with flatness and the
     reverse reconstruction formula checked as residuals.  Over a batch,
@@ -385,7 +375,7 @@ def dual_structure(st: StructureAt, conn: ConnectionAt, tol: float = DEFAULT_TOL
         "...klm,...m->...kl", (conn.gamma, conn.dgamma), (st.E, st.dE))))
     gamma_star, dgamma_star = (a - t for a, t in zip((conn.gamma, conn.dgamma), contract_jets(
         "...lji,...kl->...kij", (cstar, dcstar), (nabE, dnabE))))
-    star = ConnectionAt(st.n, st.point, gamma_star, dgamma_star, "dual", errors)
+    star = ConnectionAt(st.n, st.point, gamma_star, dgamma_star, errors)
 
     # residual bundle: dual product axioms, unit E, dual flatness, reverse formula
     assoc = antisym(contract("...sjk,...isl->...ijkl", cstar, cstar))
@@ -397,4 +387,4 @@ def dual_structure(st: StructureAt, conn: ConnectionAt, tol: float = DEFAULT_TOL
     sc_g = pmax(amax(gamma_star, 3) ** 2, amax(dgamma_star, 4))
     res = pmax(normalized(amax(assoc, 4), sc_c ** 2), normalized(amax(unit, 2), sc_c),
                normalized(amax(flat, 4), sc_g), normalized(amax(reverse, 3), amax(gamma_star, 3)))
-    return DualStructureAt(cstar, dcstar, star, res, sc_c, tol, errors)
+    return DualStructureAt(cstar, dcstar, star, res, sc_c, errors)

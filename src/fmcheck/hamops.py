@@ -66,10 +66,8 @@ def spanning_fields(nb: NormalBundleData, points, n: int) -> Jets:
     return Jets(jets.val, jets.grad, errors=jets.errors)
 
 
-def fields_from_exprs(component_tables: Sequence[Sequence[str]], eps,
-                      params=None) -> NormalBundleData:
-    return NormalBundleData(eps=tuple(eps), exprs=tuple(tuple(c) for c in component_tables),
-                            params=params or {})
+def fields_from_exprs(component_tables: Sequence[Sequence[str]], eps) -> NormalBundleData:
+    return NormalBundleData(eps=tuple(eps), exprs=tuple(tuple(c) for c in component_tables))
 
 
 def fields_from_gradients(scalar_exprs: Sequence[str], eps, params=None) -> NormalBundleData:
@@ -89,17 +87,18 @@ def lauricella_normal_fields(n: int, c_consts: Sequence[complex]) -> NormalBundl
     return fields_from_gradients(scalars, eps=(-1,) * n, params=params)
 
 
-def field_rank(nb: NormalBundleData, point, n: int, threshold: float = 1e-8) -> int:
+def field_rank(nb: NormalBundleData, point, n: int) -> int:
     """Numerical rank of the matrix whose columns are the field values."""
-    return int(rank_of(nb.at(point, n)[0], threshold))
+    return int(rank_of(nb.at(point, n)[0]))
 
 
-def rank_of(xs: np.ndarray, threshold: float = 1e-8):
+def rank_of(xs: np.ndarray):
     """The numerical rank of the matrix of field values xs[a, i], at a
-    point or at each point of a batch; NaN where they are not finite."""
+    point or at each point of a batch: the number of singular values above
+    1e-8 times the largest; NaN where they are not finite."""
     xs, finite = finite_matrices(xs)
     svals = np.linalg.svd(np.swapaxes(xs, -2, -1), compute_uv=False)
-    rank = np.sum(svals > threshold * svals.max(axis=-1, keepdims=True), axis=-1)
+    rank = np.sum(svals > 1e-8 * svals.max(axis=-1, keepdims=True), axis=-1)
     return np.where(finite, rank, np.nan)
 
 
@@ -145,16 +144,15 @@ def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv=None
     return normalized(amax(r2 - rhs, 4), sc), sc
 
 
-def _row(name: str, spec: ManifoldSpec, nb: NormalBundleData, points, tol: float,
-         params) -> Report:
+def _row(name: str, spec: ManifoldSpec, nb: NormalBundleData, points, tol: float) -> Report:
     """The report of the walk's row `name` for the spanning fields `nb`."""
     from .catalog import run_checks  # the check table imports this module
-    return run_checks(spec, {"normal_bundle": nb}, [name], points, tol, params)[0]
+    return run_checks(spec, {"normal_bundle": nb}, [name], points, tol)[0]
 
 
 def check_quadratic_expansion(spec: ManifoldSpec, nb: NormalBundleData, points,
-                              tol: float = DEFAULT_TOL, params=None) -> Report:
-    return _row("quadratic-expansion", spec, nb, points, tol, params)
+                              tol: float = DEFAULT_TOL) -> Report:
+    return _row("quadratic-expansion", spec, nb, points, tol)
 
 
 def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
@@ -172,8 +170,8 @@ def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
 
 
 def check_sym_condition(spec: ManifoldSpec, nb: NormalBundleData, points,
-                        tol: float = DEFAULT_TOL, params=None) -> Report:
-    return _row("sym-condition", spec, nb, points, tol, params)
+                        tol: float = DEFAULT_TOL) -> Report:
+    return _row("sym-condition", spec, nb, points, tol)
 
 
 def _affinors(st: StructureAt, xs, dxs):
@@ -215,24 +213,23 @@ def gmc_report(name: str, result, tol: float) -> Report:
 
 
 def check_gmc(spec: ManifoldSpec, nb: NormalBundleData, points,
-              tol: float = DEFAULT_TOL, params=None) -> Report:
+              tol: float = DEFAULT_TOL) -> Report:
     """The four structural equations for the affinors W_a = (X_a o):
     curvature expansion, pairwise commutation, g-symmetry, and the
     Codazzi symmetry of the Levi-Civita derivative."""
-    return _row("gmc", spec, nb, points, tol, params)
+    return _row("gmc", spec, nb, points, tol)
 
 
-def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point,
-                  params=None, tol: float = DEFAULT_TOL) -> dict:
+def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point) -> dict:
     """Coefficient blocks of the nonlocal first-order operator at a point:
     leading contravariant-metric block, the Christoffel convection block
     C[i,j,k] (coefficient of the k-th coordinate derivative in entry (i,j)),
     and one tail per spanning field.  Requires the affinor equations to
-    hold at the point."""
-    st = structure_at(spec, point, params)
+    hold at the point, at the default tolerance."""
+    st = structure_at(spec, point)
     lc = levi_civita(st)
     xs, dxs = nb.at(st.point, st.n)
-    gmc = gmc_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs), tol)
+    gmc = gmc_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs), DEFAULT_TOL)
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")
     ginv, _ = inverse_jets(st.g, st.dg)

@@ -84,18 +84,17 @@ def legendre_field_report(name: str, result, tol: float) -> Report:
     return batch_report(name, result, tol, details={"min_abs_det": float(np.min(result[2]))})
 
 
-def _row(name: str, spec: ManifoldSpec, field_exprs, points, tol: float, params) -> Report:
+def _row(name: str, spec: ManifoldSpec, field_exprs, points, tol: float) -> Report:
     """The report of the walk's row `name` for the transform by
     `field_exprs` over `points`."""
     from .catalog import run_checks  # the check table imports this module
-    return run_checks(spec, {"legendre_field": field_exprs}, [name], points, tol, params)[0]
+    return run_checks(spec, {"legendre_field": field_exprs}, [name], points, tol)[0]
 
 
-def check_legendre_field(spec: ManifoldSpec, field_exprs, points,
-                         tol: float = DEFAULT_TOL, params=None) -> Report:
+def check_legendre_field(spec: ManifoldSpec, field_exprs, points) -> Report:
     """Symmetry of the product-twisted covariant derivative of the field,
     plus product invertibility, with the structure connection."""
-    return _row("legendre-field", spec, field_exprs, points, tol, params)
+    return _row("legendre-field", spec, field_exprs, points, DEFAULT_TOL)
 
 
 def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
@@ -110,53 +109,51 @@ def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
     gw, dgw = contract_jets("...ljm,...mk->...ljk", (conn.gamma, conn.dgamma), (w, dw))
     inner = (np.swapaxes(dw, -2, -1) + gw, np.swapaxes(ddw, -3, -2) + dgw)
     gamma, dgamma = contract_jets("...il,...ljk->...ijk", (k, dk), inner)
-    return ConnectionAt(st.n, st.point, gamma, dgamma, provenance="legendre-transformed")
+    return ConnectionAt(st.n, st.point, gamma, dgamma)
 
 
-def transform_connection_report(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
-                                tol: float = DEFAULT_TOL):
+def transform_connection_report(conn: ConnectionAt, st: StructureAt, x, dx, ddx):
     """Transformed connection plus residuals: torsion, product
     compatibility, and the curvature conjugation identity."""
     new = transform_connection(conn, st, x, dx, ddx)
     w, _, _ = _mult_operator(st, x, dx)
     k = _inverse_operator(w)
     tors = np.max(np.abs(new.gamma - np.swapaxes(new.gamma, 1, 2)))
-    compat = check_compat_product(new, st, tol)
+    compat = check_compat_product(new, st)
     r_new = riemann_components(new.gamma, new.dgamma)
     r_old = riemann_components(conn.gamma, conn.dgamma)
     conj = np.einsum("ha,abkj,bi->hikj", k, r_old, w)
     sc = max(float(np.max(np.abs(new.gamma))), 1.0)
     res = worst((normalized(tors, sc), compat.residual,
                  normalized(np.max(np.abs(r_new - conj)), max(float(np.max(np.abs(r_old))), 1.0))))
-    return new, Report.from_residual("transform-connection", res, tol, scale=sc, npoints=1)
+    return new, Report.from_residual("transform-connection", res, DEFAULT_TOL, scale=sc,
+                                     npoints=1)
 
 
-def transformed_metric(st: StructureAt, conn: ConnectionAt, x, dx,
-                       hypothesis_tol: float = 1e-8, errors=None):
+def transformed_metric(st: StructureAt, conn: ConnectionAt, x, dx, errors=None):
     """Transformed metric gbar(Y,Z) = g(X o Y, X o Z), at a point or over a
     batch, after enforcing flatness of the field for `conn`: where the
-    field is not flat it raises HypothesisViolatedError, or over a batch
-    records it in `errors`."""
+    field's normalized covariant derivative exceeds 1e-8 it raises
+    HypothesisViolatedError, or over a batch records it in `errors`."""
     nab = dx + contract("...lks,...s->...lk", conn.gamma, x)
     hyp = normalized(amax(nab, 2), amax(x, 1))
-    fail_at(errors, hyp > hypothesis_tol, lambda k: HypothesisViolatedError(
+    fail_at(errors, hyp > 1e-8, lambda k: HypothesisViolatedError(
         f"field is not connection-flat (residual {np.ravel(hyp)[k]:.3e})"))
     w = contract("...lks,...s->...lk", st.c, x)
     return contract("...ki,...lj,...kl->...ij", w, w, st.g)
 
 
-def transform_metric(st: StructureAt, conn: ConnectionAt, x, dx, ddx,
-                     hypothesis_tol: float = 1e-8, errors=None):
+def transform_metric(st: StructureAt, conn: ConnectionAt, x, dx, ddx, errors=None):
     """`transformed_metric` with its first and second derivatives."""
-    gbar = transformed_metric(st, conn, x, dx, hypothesis_tol, errors)
+    gbar = transformed_metric(st, conn, x, dx, errors)
     w = _mult_operator(st, x, dx, ddx)
     return (gbar, *contract_jets("...ki,...lj,...kl->...ij", w, w, (st.g, st.dg, st.ddg), low=1))
 
 
-def transformed_structure(spec: ManifoldSpec, field_exprs, point, params=None) -> StructureAt:
+def transformed_structure(spec: ManifoldSpec, field_exprs, point) -> StructureAt:
     """StructureAt with the metric replaced by its Legendre transform."""
-    st = structure_at(spec, point, params)
-    x, dx, ddx = ej.eval_table(field_exprs, st.point, spec.env(params))
+    st = structure_at(spec, point)
+    x, dx, ddx = ej.eval_table(field_exprs, st.point, spec.env())
     return transformed_at(st, natural_connection(st), x, dx, ddx)
 
 
@@ -190,12 +187,11 @@ def transform_metric_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=N
     return raw, sc
 
 
-def transform_metric_report(spec: ManifoldSpec, field_exprs, points,
-                            tol: float = DEFAULT_TOL, params=None) -> Report:
-    return _row("transform-metric", spec, field_exprs, points, tol, params)
+def transform_metric_report(spec: ManifoldSpec, field_exprs, points) -> Report:
+    return _row("transform-metric", spec, field_exprs, points, DEFAULT_TOL)
 
 
-def flat_field_ode(gamma_provider: Callable, x0, path, endpoint_check: bool = True) -> dict:
+def flat_field_ode(gamma_provider: Callable, x0, path) -> dict:
     """Integrate the parallel-field system d_j X^i = -Gamma^i_js X^s along a
     polygonal path, one `dopri54` run per segment, with `gamma_provider`
     mapping a point to the Christoffel values there
@@ -217,21 +213,19 @@ def flat_field_ode(gamma_provider: Callable, x0, path, endpoint_check: bool = Tr
     closed = np.allclose(start, end)
     closure = float(np.max(np.abs(x - np.asarray(x0, complex)))) / (1 + float(np.max(np.abs(x0)))) \
         if closed else float("nan")
-    out = {"X_end": x, "closure": closure, "closed": closed}
-    if endpoint_check:
-        n = len(x)
-        h = 1e-4
-        dx = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            step = np.zeros(n)
-            step[j] = h
-            plus = transport(x, end, end + step)
-            minus = transport(x, end, end - step)
-            dx[:, j] = (plus - minus) / (2 * h)
-        want = -np.einsum("ijs,s->ij", gamma_provider(end), x)
-        out["endpoint_gradient_residual"] = float(np.max(np.abs(dx - want))) / \
-            (1 + float(np.max(np.abs(want))))
-    return out
+    n = len(x)
+    h = 1e-4
+    dx = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = h
+        plus = transport(x, end, end + step)
+        minus = transport(x, end, end - step)
+        dx[:, j] = (plus - minus) / (2 * h)
+    want = -np.einsum("ijs,s->ij", gamma_provider(end), x)
+    return {"X_end": x, "closure": closure, "closed": closed,
+            "endpoint_gradient_residual": float(np.max(np.abs(dx - want)))
+            / (1 + float(np.max(np.abs(want))))}
 
 
 def homogeneous_legendre_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None):
@@ -261,10 +255,10 @@ def homogeneous_legendre_report(name: str, result, tol: float) -> Report:
 
 
 def check_homogeneous_legendre(spec: ManifoldSpec, field_exprs, points,
-                               tol: float = DEFAULT_TOL, params=None) -> Report:
+                               tol: float = DEFAULT_TOL) -> Report:
     """Fit the Euler weight of the field and check that the transformed
     metric's homogeneity exponent shifts by twice the weight plus two."""
-    return _row("homogeneous-legendre", spec, field_exprs, points, tol, params)
+    return _row("homogeneous-legendre", spec, field_exprs, points, tol)
 
 
 def transform_metric_exprs(spec: ManifoldSpec, field_exprs, name: str | None = None) -> ManifoldSpec:
@@ -274,7 +268,7 @@ def transform_metric_exprs(spec: ManifoldSpec, field_exprs, name: str | None = N
     if not isinstance(spec.product, str):
         raise ProductTableError("expression-level transform needs a constant product table")
     n = spec.n
-    c, _, _ = product_jets(spec.product, n, (), {})
+    c, _, _ = product_jets(spec.product, n)
     xs = [ej.parse(src) for src in field_exprs]
     gs = [[ej.parse(src) for src in row] for row in required(spec.g, "metric")]
     gbar = [["0"] * n for _ in range(n)]

@@ -91,7 +91,6 @@ class Region:
 class SamplePlan:
     seed: int = 0
     count: int = 20
-    region: Region | None = None  # overrides the spec region when set
 
 
 def _scalar_to_json(v: complex):
@@ -124,11 +123,8 @@ class ManifoldSpec:
     region: Region | None = None
     expected: dict = field(default_factory=dict)
 
-    def env(self, overrides: Mapping[str, complex] | None = None) -> dict:
-        out = dict(self.params)
-        if overrides:
-            out.update(overrides)
-        return out
+    def env(self) -> dict:
+        return dict(self.params)
 
     # -- serialization (JSON round-trip must be lossless) --
 
@@ -349,7 +345,7 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
     accepted in draw order, so the block size does not change the points."""
     if plan.count < 1:
         raise PointCountError(f"need at least one sample point, got {plan.count}")
-    region = required(plan.region or spec.region, "sampling region")
+    region = required(spec.region, "sampling region")
     rng = np.random.Generator(np.random.PCG64(plan.seed))
     lo = np.array([b[0] for b in region.box])
     hi = np.array([b[1] for b in region.box])
@@ -381,10 +377,9 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
 # structure evaluation
 
 
-def product_jets(product, n: int, point, env):
-    """Structure constants with first and second derivatives at a point."""
-    if not isinstance(product, str):
-        return ej.eval_table(product, point, env)
+def product_jets(product: str, n: int):
+    """The constant structure constants of the named product, with their
+    (zero) first and second derivatives."""
     c = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
@@ -395,18 +390,18 @@ def product_jets(product, n: int, point, env):
     return c, np.zeros((n,) * 4, dtype=complex), np.zeros((n,) * 5, dtype=complex)
 
 
-def structures(spec: ManifoldSpec, points, params=None) -> StructureAt:
+def structures(spec: ManifoldSpec, points) -> StructureAt:
     """The structure at all of `points`, shape (P, n), as one batch: each
     of the spec's tables runs once over all the points, and a point where
     one is singular records the first such table's error."""
-    env = spec.env(params)
+    env = spec.env()
     points = np.asarray(points, dtype=complex).reshape(-1, spec.n)
     tables = [spec.product if not isinstance(spec.product, str) else None,
               spec.e, spec.E, spec.g, spec.g2]
     runs = [None if t is None else ej.eval_points(t, points, env) for t in tables]
     if runs[0] is None:
         product = [np.broadcast_to(part, (len(points),) + part.shape)
-                   for part in product_jets(spec.product, spec.n, None, env)]
+                   for part in product_jets(spec.product, spec.n)]
     else:
         product = [runs[0].val, runs[0].grad, runs[0].hess]
     errors = [None] * len(points)
@@ -420,9 +415,9 @@ def structures(spec: ManifoldSpec, points, params=None) -> StructureAt:
                        errors=errors)
 
 
-def structure_at(spec: ManifoldSpec, point, params: Mapping[str, complex] | None = None) -> StructureAt:
+def structure_at(spec: ManifoldSpec, point) -> StructureAt:
     """The structure at one point."""
-    return structures(spec, [point], params).at(0)
+    return structures(spec, [point]).at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +450,8 @@ def batch_report(name: str, result, tol: float, fit: str | None = None, expected
                                 npoints=len(residual), details=details)
 
 
-def _batch(spec, points, params) -> StructureAt:
-    st = structures(spec, points, params)
+def _batch(spec, points) -> StructureAt:
+    st = structures(spec, points)
     raise_first(st.errors)
     return st
 
@@ -471,9 +466,8 @@ def product_axioms_at(st: StructureAt):
     return normalized(raw, sc), sc
 
 
-def check_product_axioms(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
-                         params=None) -> Report:
-    return batch_report("product-axioms", product_axioms_at(_batch(spec, points, params)), tol)
+def check_product_axioms(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
+    return batch_report("product-axioms", product_axioms_at(_batch(spec, points)), tol)
 
 
 def hertling_manin_residual(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -496,22 +490,19 @@ def hertling_manin_at(st: StructureAt):
     return normalized(amax(res, 5), sc), sc
 
 
-def check_hertling_manin(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
-                         params=None) -> Report:
-    return batch_report("hertling-manin", hertling_manin_at(_batch(spec, points, params)), tol)
+def check_hertling_manin(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
+    return batch_report("hertling-manin", hertling_manin_at(_batch(spec, points)), tol)
 
 
-def metric_invariance_at(st: StructureAt, second: bool = False):
-    g = required(st.g2 if second else st.g, "metric")
+def metric_invariance_at(st: StructureAt):
+    g = required(st.g, "metric")
     res = antisym(contract("...iq,...qlp->...ilp", g, st.c), -3, -2)
     sc = pmax(amax(g, 2), amax(st.c, 3))
     return normalized(amax(res, 3), sc), sc
 
 
-def check_metric_invariance(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
-                            params=None, second: bool = False) -> Report:
-    return batch_report("metric-invariance" + ("-g2" if second else ""),
-                   metric_invariance_at(_batch(spec, points, params), second), tol)
+def check_metric_invariance(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
+    return batch_report("metric-invariance", metric_invariance_at(_batch(spec, points)), tol)
 
 
 def lie_metric(st: StructureAt, x, dx) -> np.ndarray:
@@ -523,21 +514,19 @@ def killing_unit_at(st: StructureAt):
     return normalized(amax(lie_metric(st, st.e, st.de), 2), sc), sc
 
 
-def check_killing_unit(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
-                       params=None) -> Report:
-    return batch_report("killing-unit", killing_unit_at(_batch(spec, points, params)), tol)
+def check_killing_unit(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
+    return batch_report("killing-unit", killing_unit_at(_batch(spec, points)), tol)
 
 
-def fit_scalar(target: np.ndarray, model: np.ndarray, floor: float = 1e-8,
-               rank: int | None = None):
+def fit_scalar(target: np.ndarray, model: np.ndarray, rank: int | None = None):
     """Least-squares scalar s minimizing |target - s*model| over entries of
-    magnitude above `floor * max|model|`: one complex number, or with
+    magnitude above 1e-8 max|model|: one complex number, or with
     `rank` (the rank of the model tensor) one per point of a batch.  A
     single point with no such entry raises ValueError; over a batch such a
     point's fit is NaN."""
     axes = tuple(range(-(model.ndim if rank is None else rank), 0))
     mag = np.abs(model)
-    mask = mag > floor * (np.max(mag, axis=axes, keepdims=True) + 1e-300)
+    mask = mag > 1e-8 * (np.max(mag, axis=axes, keepdims=True) + 1e-300)
     if rank is None and not np.any(mask):
         raise ValueError("all entries below the fitting floor")
     with np.errstate(invalid="ignore"):
@@ -562,9 +551,8 @@ def homogeneity_at(st: StructureAt, errors=None):
     return normalized(pmax(res_g, res_c), sc), sc, D
 
 
-def check_homogeneity(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL,
-                      params=None) -> Report:
+def check_homogeneity(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
     """Fit D in (L_E g) = D g, check the residual, and check (L_E c) = c;
     D must be one constant, and the expected one when the spec has it."""
-    return batch_report("homogeneity", homogeneity_at(_batch(spec, points, params)), tol,
-                   fit="D", expected=spec.expected.get("D"))
+    return batch_report("homogeneity", homogeneity_at(_batch(spec, points)), tol,
+                        fit="D", expected=spec.expected.get("D"))

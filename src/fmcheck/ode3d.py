@@ -237,8 +237,7 @@ def _stage_sum(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 def dopri54(f: Callable, t0: float, y0: np.ndarray, t1: float,
             rtol: float = 1e-10, atol: float = 1e-12,
-            dense_ts: Sequence[float] | None = None,
-            max_step: float | None = None) -> list:
+            dense_ts: Sequence[float] | None = None) -> list:
     """Adaptive integration of y' = f(t, y) over the real parameter t, for
     a 1-D state y.
 
@@ -262,7 +261,7 @@ def dopri54(f: Callable, t0: float, y0: np.ndarray, t1: float,
         if direction * (s - t0) < -1e-12 or direction * (s - t1) > 1e-12:
             raise ValueError("dense output time outside the integration span")
     out = []
-    h = direction * min(span / 100.0, max_step or span)
+    h = direction * (span / 100.0)
     ks = np.empty((7, y.size), dtype=complex)
     ks[0] = f(t, y)
     ti = 0
@@ -289,8 +288,6 @@ def dopri54(f: Callable, t0: float, y0: np.ndarray, t1: float,
         else:
             factor = max(0.2, 0.9 * err ** -0.2)
         h = h_try * factor
-        if max_step is not None and abs(h) > max_step:
-            h = direction * max_step
     return out
 
 

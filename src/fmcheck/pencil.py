@@ -67,15 +67,15 @@ class PencilAt(PointBatch):
     errors: list | None = None
 
 
-def pencil_at(spec: ManifoldSpec, point, params=None) -> PencilAt:
-    return _pencil_batch(spec, [point], params, True).at(0)
+def pencil_at(spec: ManifoldSpec, point) -> PencilAt:
+    return _pencil_batch(spec, [point], True).at(0)
 
 
-def _pencil_batch(spec: ManifoldSpec, points, params, second_order: bool) -> PencilAt:
+def _pencil_batch(spec: ManifoldSpec, points, second_order: bool) -> PencilAt:
     """The pencil data over a point set; raises the first point's error."""
     if spec.g2 is None:
         raise MissingSecondMetricError(f"spec {spec.name!r} has no second metric")
-    pa = pencil_first_order(structures(spec, points, params))
+    pa = pencil_first_order(structures(spec, points))
     raise_first(pa.errors)
     return pencil_second_order(pa) if second_order else pa
 
@@ -159,10 +159,10 @@ def flat_pencil_report(name: str, result, tol: float) -> Report:
 
 
 def check_flat_pencil(spec, points, lambdas=DEFAULT_LAMBDAS,
-                      tol: float = DEFAULT_TOL, params=None) -> Report:
+                      tol: float = DEFAULT_TOL) -> Report:
     """Curvature of every pencil member, and linearity of the contravariant
     Christoffel symbols across the pencil."""
-    pa = _pencil_batch(spec, points, params, True)
+    pa = _pencil_batch(spec, points, True)
     return flat_pencil_report("flat-pencil", flat_pencil_at(pa, lambdas), tol)
 
 
@@ -177,9 +177,8 @@ def exactness_at(pa: PencilAt):
     return normalized(raw, sc), sc
 
 
-def check_exactness(spec, points, tol: float = DEFAULT_TOL, params=None) -> Report:
-    return batch_report("pencil-exactness",
-                        exactness_at(_pencil_batch(spec, points, params, False)), tol)
+def check_exactness(spec, points, tol: float = DEFAULT_TOL) -> Report:
+    return batch_report("pencil-exactness", exactness_at(_pencil_batch(spec, points, False)), tol)
 
 
 def pencil_weight(pa: PencilAt, rank=None):
@@ -199,9 +198,9 @@ def pencil_homogeneity_at(pa: PencilAt):
     return normalized(raw, sc), sc, d
 
 
-def check_pencil_homogeneity(spec, points, tol: float = DEFAULT_TOL, params=None) -> Report:
+def check_pencil_homogeneity(spec, points, tol: float = DEFAULT_TOL) -> Report:
     return batch_report("pencil-homogeneity",
-                        pencil_homogeneity_at(_pencil_batch(spec, points, params, False)),
+                        pencil_homogeneity_at(_pencil_batch(spec, points, False)),
                         tol, fit="d", expected=spec.expected.get("d_pencil"))
 
 
@@ -234,10 +233,10 @@ def _diagonal_closed_forms(pa: PencilAt):
         return delta[..., :, :, None] * np.eye(n)[:, None, :], r
 
 
-def delta_tensor(spec, point, params=None, tol: float = DEFAULT_TOL):
+def delta_tensor(spec, point, tol: float = DEFAULT_TOL):
     """The connection-difference tensor and its four structural identities
     (two metric symmetries, commutation, Euler homogeneity of weight d-1)."""
-    pa = pencil_at(spec, point, params)
+    pa = pencil_at(spec, point)
     jets = delta_jets(pa)
     res, sc = delta_identities_at(pa, pencil_weight(pa)[0], jets)
     return jets[0], Report.from_residual("delta-identities", res, tol, scale=sc, npoints=1,
@@ -264,11 +263,11 @@ def delta_identities_at(pa: PencilAt, d, jets):
     return res, sc
 
 
-def r_operator(spec, point, params=None, tol: float = DEFAULT_TOL):
+def r_operator(spec, point, tol: float = DEFAULT_TOL):
     """The operator measuring the difference of the two Levi-Civita
     derivatives of the Euler field, computed two ways, plus the diagonal
     closed form where applicable."""
-    pa = pencil_at(spec, point, params)
+    pa = pencil_at(spec, point)
     res, sc, r = r_operator_at(pa, pencil_weight(pa)[0], counit_jets(pa.st))
     return r, Report.from_residual("r-operator", res, tol, scale=sc, npoints=1)
 
@@ -300,15 +299,14 @@ class PencilProduct(PointBatch):
     errors: list | None = None
 
 
-def product_from_pencil(spec, point, params=None, tol: float = DEFAULT_TOL):
+def product_from_pencil(spec, point, tol: float = DEFAULT_TOL):
     """Reconstruct structure constants from the pencil; returns (c, dc,
     report).  The report covers both construction routes, commutativity,
     associativity, the unit, invariance of the first metric, Euler
     homogeneity of the product, and the multiplication-by-E identity."""
-    pa = pencil_at(spec, point, params)
+    pa = pencil_at(spec, point)
     prod = product_from_pencil_at(pa, delta_jets(pa)[0])
-    canonical = normalized(amax(prod.c - product_jets("canonical", pa.n, None, None)[0], 3),
-                           prod.scale)
+    canonical = normalized(amax(prod.c - product_jets("canonical", pa.n)[0], 3), prod.scale)
     details = {"canonical_residual": float(canonical)} if pa.diagonal else {}
     return prod.c, prod.dc, Report.from_residual("product-from-pencil", prod.residual, tol,
                                                  scale=prod.scale, npoints=1, details=details)
@@ -325,7 +323,7 @@ def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
     Elsewhere R is singular: the point raises, or over a batch records the
     error, after pa's own."""
     st, n = pa.st, pa.n
-    canonical = product_jets("canonical", n, None, None)[0]
+    canonical = product_jets("canonical", n)[0]
     errors = None if pa.errors is None else list(pa.errors)
     dgm = pa.gamma1 - pa.gamma2
     ddgm = pa.dgamma1 - pa.dgamma2
@@ -362,11 +360,11 @@ def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
     return PencilProduct(c, dc, res, sc, errors)
 
 
-def reconstructed_structure(spec, point, params=None) -> StructureAt:
+def reconstructed_structure(spec, point) -> StructureAt:
     """StructureAt carrying the reconstructed product together with the
     first metric and the computed Euler field, ready for the full
     homogeneous structure suite."""
-    pa = pencil_at(spec, point, params)
+    pa = pencil_at(spec, point)
     prod = product_from_pencil_at(pa, delta_jets(pa)[0])
     return reconstructed_at(pa, prod.c, prod.dc)
 
@@ -379,8 +377,7 @@ def reconstructed_at(pa: PencilAt, c, dc) -> StructureAt:
                        g=st.g, dg=st.dg, ddg=st.ddg)
 
 
-def semisimple_pencil_from_f(f_exprs, name: str = "semisimple-pencil",
-                             region: Region | None = None,
+def semisimple_pencil_from_f(f_exprs, region: Region | None = None,
                              params: dict | None = None) -> ManifoldSpec:
     """Build the diagonal pencil spec with first metric 1/f^i and second
     metric 1/(f^i u^i) on the diagonal (covariant), unit (1,..,1) and Euler
@@ -394,7 +391,7 @@ def semisimple_pencil_from_f(f_exprs, name: str = "semisimple-pencil",
         g1[i][i] = ej.to_source(one / f)
         g2[i][i] = ej.to_source(one / (f * ej.Var(i + 1)))
     return ManifoldSpec(
-        name=name, n=n, coords=tuple(f"u{i+1}" for i in range(n)),
+        name="semisimple-pencil", n=n, coords=tuple(f"u{i+1}" for i in range(n)),
         product="canonical",
         e=tuple("1" for _ in range(n)),
         E=tuple(f"u{i+1}" for i in range(n)),

@@ -110,7 +110,7 @@ def _from_lame_jets(point, H, dH, ddH, signs, errors) -> RotationData:
                         beta=beta, dbeta=dbeta, V=V, signs=signs, errors=errors)
 
 
-def rotations(spec: ManifoldSpec, points, params=None,
+def rotations(spec: ManifoldSpec, points,
               lame_exprs: Sequence[str] | None = None) -> RotationData:
     """Lame coefficients, rotation coefficients and their first derivatives
     at all of `points`, shape (P, n), as one batch: the Lame table (or the
@@ -118,7 +118,7 @@ def rotations(spec: ManifoldSpec, points, params=None,
     metric-derived Lame coefficient is continued from point to point.  A
     point where the data cannot be built records its first error."""
     points = np.asarray(points, dtype=complex).reshape(-1, spec.n)
-    jets = table_jets(spec.g if lame_exprs is None else lame_exprs, points, spec.env(params))
+    jets = table_jets(spec.g if lame_exprs is None else lame_exprs, points, spec.env())
     errors = jets.errors
     if lame_exprs is not None:
         return _from_lame_jets(points, jets.val, jets.grad, jets.hess,
@@ -127,11 +127,11 @@ def rotations(spec: ManifoldSpec, points, params=None,
     return _from_lame_jets(points, H, dH, ddH, _continued_signs(H), errors)
 
 
-def rotation_data(spec: ManifoldSpec, point, params=None,
+def rotation_data(spec: ManifoldSpec, point,
                   lame_exprs: Sequence[str] | None = None) -> RotationData:
     """Lame coefficients, rotation coefficients and their first derivatives
     at one point of a semisimple chart."""
-    return rotations(spec, [point], params, lame_exprs).at(0)
+    return rotations(spec, [point], lame_exprs).at(0)
 
 
 def lame_weight(rd: RotationData):
@@ -154,8 +154,8 @@ def _masks(n):
     return i[..., 0] != j[..., 0], (i != j) & (j != k) & (i != k)
 
 
-def _batch(spec, points, params, lame_exprs) -> RotationData:
-    rd = rotations(spec, points, params, lame_exprs)
+def _batch(spec, points, lame_exprs) -> RotationData:
+    rd = rotations(spec, points, lame_exprs)
     raise_first(rd.errors)
     return rd
 
@@ -179,10 +179,9 @@ def darboux_at(rd: RotationData):
     return normalized(raw, sc + sc * sc), sc
 
 
-def check_darboux_system(spec, points, tol: float = DEFAULT_TOL, params=None,
-                         lame_exprs=None) -> Report:
-    return batch_report("darboux-system", darboux_at(_batch(spec, points, params, lame_exprs)),
-                        tol)
+def check_darboux_system(spec, points, lame_exprs=None) -> Report:
+    return batch_report("darboux-system", darboux_at(_batch(spec, points, lame_exprs)),
+                        DEFAULT_TOL)
 
 
 def lame_system_at(rd: RotationData, d=None, beta=None):
@@ -204,7 +203,7 @@ def lame_system_at(rd: RotationData, d=None, beta=None):
 
 
 def check_lame_system(spec, points, d=None, beta_source: Callable | None = None,
-                      tol: float = DEFAULT_TOL, params=None, lame_exprs=None) -> Report:
+                      tol: float = DEFAULT_TOL, lame_exprs=None) -> Report:
     """Residuals of d_j H_i = beta_ij H_j, e(H_i) = 0, E(H_i) = d H_i.
 
     `beta_source(point) -> beta` supplies externally computed rotation
@@ -213,7 +212,7 @@ def check_lame_system(spec, points, d=None, beta_source: Callable | None = None,
     remain informative.  With d omitted it is fitted per point and checked
     for consistency.
     """
-    rd = _batch(spec, points, params, lame_exprs)
+    rd = _batch(spec, points, lame_exprs)
     beta = None if beta_source is None else np.array([beta_source(u) for u in rd.point])
     return batch_report("lame-system", lame_system_at(rd, d, beta), tol, fit="d")
 
@@ -231,10 +230,9 @@ def flatness_constraint_at(rd: RotationData):
     return normalized(amax(np.where(off, acc, 0), 2), sc + sc * sc), sc
 
 
-def check_flatness_constraint(spec, points, tol: float = DEFAULT_TOL, params=None,
-                              lame_exprs=None) -> Report:
+def check_flatness_constraint(spec, points, lame_exprs=None) -> Report:
     return batch_report("flatness-constraint",
-                        flatness_constraint_at(_batch(spec, points, params, lame_exprs)), tol)
+                        flatness_constraint_at(_batch(spec, points, lame_exprs)), DEFAULT_TOL)
 
 
 def algebraic_constraints_at(rd: RotationData, which: str = "ED4bis"):
@@ -261,10 +259,9 @@ def algebraic_constraints_at(rd: RotationData, which: str = "ED4bis"):
 
 
 def check_algebraic_constraints(spec, points, which: str = "ED4bis",
-                                tol: float = DEFAULT_TOL, params=None,
                                 lame_exprs=None) -> Report:
     return batch_report(f"algebraic-{which}", algebraic_constraints_at(
-        _batch(spec, points, params, lame_exprs), which), tol)
+        _batch(spec, points, lame_exprs), which), DEFAULT_TOL)
 
 
 def potentiality_at(rd: RotationData):
@@ -279,10 +276,9 @@ def potentiality_at(rd: RotationData):
     return normalized(amax(np.where(distinct, gap, 0), 3), sc), sc
 
 
-def check_potentiality(spec, points, tol: float = DEFAULT_TOL, params=None,
-                       lame_exprs=None) -> Report:
-    return batch_report("potentiality",
-                        potentiality_at(_batch(spec, points, params, lame_exprs)), tol)
+def check_potentiality(spec, points, lame_exprs=None) -> Report:
+    return batch_report("potentiality", potentiality_at(_batch(spec, points, lame_exprs)),
+                        DEFAULT_TOL)
 
 
 def reduction_identity_at(rd: RotationData):
@@ -299,10 +295,9 @@ def reduction_identity_at(rd: RotationData):
     return normalized(amax(np.where(off, gap, 0), 2), sc + sc * sc), sc
 
 
-def check_reduction_identity(spec, points, tol: float = DEFAULT_TOL, params=None,
-                             lame_exprs=None) -> Report:
+def check_reduction_identity(spec, points, lame_exprs=None) -> Report:
     return batch_report("reduction-identity",
-                        reduction_identity_at(_batch(spec, points, params, lame_exprs)), tol)
+                        reduction_identity_at(_batch(spec, points, lame_exprs)), DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +313,14 @@ def _lame_gradient(beta: np.ndarray, H: np.ndarray) -> np.ndarray:
     return grad
 
 
-def eigenspace_projection(V: np.ndarray, d: complex, vec: np.ndarray,
-                          tol: float = 1e-6) -> np.ndarray:
+def eigenspace_projection(V: np.ndarray, d: complex, vec: np.ndarray) -> np.ndarray:
     """Project `vec` onto the kernel of (V - d*Id); returns `vec` unchanged
-    when d is not an eigenvalue to within `tol`."""
+    when d is not an eigenvalue, that is when no singular value of V - d*Id
+    is within 1e-6 of the largest (or of 1, if that is larger)."""
     n = V.shape[0]
     m = V - complex(d) * np.eye(n)
     u_svd, s, vh = np.linalg.svd(m)
-    null_mask = s <= tol * max(s.max(), 1.0)
+    null_mask = s <= 1e-6 * max(s.max(), 1.0)
     if not np.any(null_mask):
         return vec
     basis = vh[null_mask].conj().T  # columns span the kernel
@@ -334,31 +329,22 @@ def eigenspace_projection(V: np.ndarray, d: complex, vec: np.ndarray,
 
 
 def integrate_lame(beta_provider: Callable, d: complex, u0: np.ndarray,
-                   H0: np.ndarray, path=None, loop_side: float = 0.2, project: bool = True,
-                   tol: float = 1e-6) -> dict:
-    """Integrate the Lame system along a path (default: a closed axis-aligned
-    rectangle of side `loop_side` in the (u^1,u^2) plane), one `dopri54`
-    run per side, and report the loop closure together with the
-    Euler-weight residual at the endpoints."""
+                   H0: np.ndarray) -> dict:
+    """Project H0 onto the d-eigenspace of V at u0 and integrate the Lame
+    system around the closed axis-aligned square of side 0.2 in the
+    (u^1,u^2) plane from u0, one `dopri54` run per side; report the loop
+    closure, passed at 1e-6, together with the Euler-weight residual at
+    the start and the end of the loop."""
     u0 = np.asarray(u0, dtype=complex)
-    n = len(u0)
-    H0 = np.asarray(H0, dtype=complex)
     V0 = (u0[None, :] - u0[:, None]) * beta_provider(u0)
     eig = eigenvalues(V0)
-    if project:
-        H0 = eigenspace_projection(V0, d, H0)
-        if np.max(np.abs(H0)) < 1e-12:
-            raise ValueError("initial Lame vector has no component in the requested eigenspace")
-    if path is None:
-        e1 = np.zeros(n)
-        e2 = np.zeros(n)
-        e1[0] = 1.0
-        e2[1] = 1.0
-        s = loop_side
-        path = [u0, u0 + s * e1, u0 + s * e1 + s * e2, u0 + s * e2, u0]
+    H0 = eigenspace_projection(V0, d, np.asarray(H0, dtype=complex))
+    if np.max(np.abs(H0)) < 1e-12:
+        raise ValueError("initial Lame vector has no component in the requested eigenspace")
+    e1, e2 = 0.2 * np.eye(len(u0))[:2]
+    path = [u0, u0 + e1, u0 + e1 + e2, u0 + e2, u0]
 
     def transport(Hv, a, b):
-        a, b = np.asarray(a, complex), np.asarray(b, complex)
         dv = b - a
         return dopri54(lambda t, y: _lame_gradient(beta_provider(a + t * dv), y) @ dv,
                        0.0, Hv, 1.0)[-1][1]
@@ -366,21 +352,11 @@ def integrate_lame(beta_provider: Callable, d: complex, u0: np.ndarray,
     H = H0
     for a, b in zip(path[:-1], path[1:]):
         H = transport(H, a, b)
-    u_end = np.asarray(path[-1], dtype=complex)
-    closed = np.allclose(np.asarray(path[0], complex), u_end)
-    scale = 1.0 + float(np.max(np.abs(H0)))
-    closure = float(np.max(np.abs(H - H0))) / scale if closed else float("nan")
+    closure = float(np.max(np.abs(H - H0))) / (1.0 + float(np.max(np.abs(H0))))
 
-    def euler_residual(u, Hv):
-        V = (u[None, :] - u[:, None]) * beta_provider(u)
-        return float(np.max(np.abs(V @ Hv - complex(d) * Hv))) / (1.0 + float(np.max(np.abs(Hv))))
+    def euler_residual(Hv):  # at u0, where the loop starts and ends
+        return float(np.max(np.abs(V0 @ Hv - complex(d) * Hv))) / (1.0 + float(np.max(np.abs(Hv))))
 
-    out = {
-        "H_end": H,
-        "closure": closure,
-        "euler_residual_start": euler_residual(u0, H0),
-        "euler_residual_end": euler_residual(u_end, H),
-        "eigenvalues": eig,
-        "passed": (not closed or closure <= tol),
-    }
-    return out
+    return {"H_end": H, "closure": closure, "euler_residual_start": euler_residual(H0),
+            "euler_residual_end": euler_residual(H), "eigenvalues": eig,
+            "passed": closure <= 1e-6}

@@ -122,7 +122,11 @@ def test_ode_nonfinite_state_and_overflow_exit2():
                            (["--from", "2", "--to", "3", "--atol=-1"],
                             "--atol -1.0: must be finite and non-negative"),
                            (["--from", "2", "--to", "3", "--steps=-3"],
-                            "--steps -3: must be non-negative")):
+                            "--steps -3: must be non-negative"),
+                           (["--from", "2", "--to", "3", "--rtol", "0", "--atol", "0"],
+                            "--atol 0.0: must be positive where --rtol is 0"),
+                           (["--from", "2", "--to", "3", "--a", "nan"], "--a nan: must be finite"),
+                           (["--from", "2", "--to", "3", "--b", "inf"], "--b inf: must be finite")):
         for init in ("q0", "pencil63"):
             code, out, err = run_cli(["ode", "--init", init, *extra])
             assert (code, out, err) == (2, "", f"input error: {message}\n")

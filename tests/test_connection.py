@@ -124,7 +124,7 @@ def test_theorem_connection_suite_over_killing_entries():
             assert check_compat_product(nat, st).residual <= 1e-8
             assert check_nabla_from_g(nat, st).residual <= 1e-8
             lc = levi_civita(st)
-            assert check_curvature_product_condition(lc, st, "both").residual <= 1e-8
+            assert check_curvature_product_condition(lc, st).residual <= 1e-8
             assert check_R_tR_identity(st).residual <= 1e-8
 
 
@@ -137,7 +137,7 @@ def test_uniqueness_probe():
     rng = np.random.default_rng(5)
     pert = rng.standard_normal((2, 2, 2)) * 1e-3
     pert = (pert + np.transpose(pert, (0, 2, 1))) / 2
-    bumped = type(nat)(nat.n, nat.point, nat.gamma + pert, nat.dgamma, "explicit")
+    bumped = type(nat)(nat.n, nat.point, nat.gamma + pert, nat.dgamma)
     assert check_nabla_from_g(bumped, st).residual >= 1e-4
 
 
@@ -146,7 +146,7 @@ def test_nabla_e_negative_control():
     p = np.array([-1.4, -0.5, 1.0])
     st = structure_at(spec, p)
     nat = natural_connection(st)
-    bad = type(nat)(nat.n, nat.point, nat.gamma + 1e-2, nat.dgamma, "explicit")
+    bad = type(nat)(nat.n, nat.point, nat.gamma + 1e-2, nat.dgamma)
     assert not check_nabla_e(bad, st).passed
 
 
@@ -216,7 +216,7 @@ def test_curvature_variants_agree_on_metric_connections():
         spec = cat.entry(name).spec
         for p in sample_points(spec, SamplePlan(seed=2, count=3)):
             st = structure_at(spec, p)
-            rep = check_curvature_product_condition(levi_civita(st), st, "both")
+            rep = check_curvature_product_condition(levi_civita(st), st)
             assert rep.details["variant_gap"] <= 1e-8
 
 
@@ -277,8 +277,7 @@ def _batched_functions(spec, comp):
             "nabla_e_at": lambda st: cn.nabla_e_at(cn.natural_connection(st), st),
             "compat_product_at": lambda st: cn.compat_product_at(cn.natural_connection(st), st),
             "nabla_from_g_at": lambda st: cn.nabla_from_g_at(cn.natural_connection(st), st),
-            "curvature_product_at": lambda st: cn.curvature_product_at(cn.levi_civita(st), st,
-                                                                       "both"),
+            "curvature_product_at": lambda st: cn.curvature_product_at(cn.levi_civita(st), st),
             "r_tr_identity_at": lambda st: cn.r_tr_identity_at(cn.natural_connection(st),
                                                                cn.levi_civita(st), st),
         })

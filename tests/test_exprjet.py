@@ -185,7 +185,8 @@ def test_family_metric_component_oracle():
     import fmcheck.catalog as cat
     ent = cat.entry("nonss3d")
     src = ent.spec.g[0][0]
-    env = ent.spec.env({"b": 0.0})
+    ent.spec.params["b"] = 0.0
+    env = ent.spec.env()
     point = [0.0, 1.0, 1.0]
     jet = eval_jet(parse(src), point, env)
     g_fd, h_fd = finite_diff_oracle(parse(src), point, env)

@@ -39,8 +39,8 @@ def test_sampling_deterministic():
 
 def test_sampling_region_empty():
     spec = lob()
-    bad = SamplePlan(seed=0, count=1,
-                     region=Region(box=((0.0, 0.01), (0.0, 0.01)), min_sep=0.5))
+    spec.region = Region(box=((0.0, 0.01), (0.0, 0.01)), min_sep=0.5)
+    bad = SamplePlan(seed=0, count=1)
     with pytest.raises(RegionEmptyError):
         sample_points(spec, bad)
 
@@ -97,8 +97,8 @@ def test_hertling_manin_negative_control():
 def test_metric_invariance_family_point():
     # the 3d family at the reference point with all slots zeroed
     ent = cat.entry("nonss3d")
-    rep = check_metric_invariance(ent.spec, [np.array([0.0, 1.0, 1.0])],
-                                  params={"b": 0.0})
+    ent.spec.params["b"] = 0.0
+    rep = check_metric_invariance(ent.spec, [np.array([0.0, 1.0, 1.0])])
     assert rep.residual <= 1e-10
 
 
@@ -176,8 +176,8 @@ def test_nan_residual_at_one_point_fails(monkeypatch):
     pts = sample_points(spec, SamplePlan(seed=0, count=5))
     real_structures = manifold.structures
 
-    def poisoned(spec_, points, params=None):
-        st = real_structures(spec_, points, params)
+    def poisoned(spec_, points):
+        st = real_structures(spec_, points)
         assert np.array_equal(st.point[1], pts[1])
         st.c = st.c * np.where(np.arange(len(points)) == 1, np.nan, 1.0)[:, None, None, None]
         return st
