@@ -7,9 +7,10 @@ check, a spec that lacks a field a check or a transform needs or leaves a
 parameter unbound, a product table where a transform needs a named
 product, a sample point where the spec is singular, which `verify` and
 `legendre` name by index and coordinates, a non-finite `--state`,
-`--from`, `--to`, `--rtol`, `--atol`, `--a` or `--b`, a negative
-tolerance or `--steps`, both tolerances zero, a singular integration
-path, an integration whose step size underflows).
+`--from`, `--to`, `--rtol`, `--atol`, `--a` or `--b`, `--a` or `--b`
+without `--init q0`, a negative tolerance or `--steps`, both tolerances
+zero, a singular integration path, an integration whose step size
+underflows).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
 target's parameter of the same name.  A name that neither declares in its
 parameters is bad input.
@@ -32,7 +33,7 @@ from . import exprjet as ej
 from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
 from .manifold import ManifoldSpec, MissingFieldError, PointCountError
 from .ode3d import (OdeState3, SingularPathError, SingularPointError, StepSizeUnderflowError,
-                    closed_form_pencil, closed_form_q0, integrals, integrate)
+                    closed_form_pencil, closed_form_q0, integrate)
 
 BRANCH_NOTE = "principal (cut on the negative real axis, +0j side)"
 
@@ -172,8 +173,10 @@ def cmd_ode(args) -> int:
     try:
         z_from, z_to = _ode_point("--from", args.z_from), _ode_point("--to", args.z_to)
         for option, value in (("--a", args.a), ("--b", args.b)):
-            if not np.isfinite(value):
+            if value is not None and not np.isfinite(value):
                 raise ValueError(f"{option} {value!r}: must be finite")
+            if value is not None and args.init != "q0":
+                raise ValueError(f"{option} {value!r}: only --init q0 reads it")
         for option, tol in (("--rtol", args.rtol), ("--atol", args.atol)):
             if not (np.isfinite(tol) and tol >= 0):
                 raise ValueError(f"{option} {tol!r}: must be finite and non-negative")
@@ -182,7 +185,7 @@ def cmd_ode(args) -> int:
         if args.steps < 0:
             raise ValueError(f"--steps {args.steps}: must be non-negative")
         if args.init == "q0":
-            state = closed_form_q0(z_from, args.a, args.b)
+            state = closed_form_q0(z_from, *(1.0 if v is None else v for v in (args.a, args.b)))
         elif args.init == "pencil63":
             state = closed_form_pencil(z_from)
         elif args.state:
@@ -191,12 +194,10 @@ def cmd_ode(args) -> int:
                 raise ValueError("--state needs 12 comma-separated floats (re,im pairs)")
             if not np.all(np.isfinite(vals)):
                 raise ValueError("--state values must be finite")
-            F = np.array([complex(vals[2 * i], vals[2 * i + 1]) for i in range(6)])
-            state = OdeState3(z_from, F)
+            state = OdeState3(z_from, [complex(*vals[i:i + 2]) for i in range(0, 12, 2)])
         else:
             raise ValueError("give --init q0|pencil63 or --state")
-        with np.errstate(over="ignore", invalid="ignore"):  # only in step attempts dopri54 rejects
-            traj = integrate(state, z_to, rtol=args.rtol, atol=args.atol, n_dense=args.steps)
+        traj = integrate(state, z_to, rtol=args.rtol, atol=args.atol, n_dense=args.steps)
     except (SingularPathError, SingularPointError) as err:
         sys.stderr.write(f"singular segment: {err}\n")
         return 2
@@ -206,20 +207,13 @@ def cmd_ode(args) -> int:
     except ValueError as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
-    comps = ["F12", "F21", "F13", "F31", "F23", "F32"]
-    header = (["z_re", "z_im"]
-              + [f"{c}_{p}" for c in comps for p in ("re", "im")]
-              + [f"I{k}_{p}" for k in range(1, 9) for p in ("re", "im")]
-              + ["dI1_abs", "dI2_abs"])
+    names = ["z", "F12", "F21", "F13", "F31", "F23", "F32", *(f"I{k}" for k in range(1, 9))]
+    header = [f"{c}_{p}" for c in names for p in ("re", "im")] + ["dI1_abs", "dI2_abs"]
     lines = [",".join(header)]
     i0 = traj.I_start
-    for z, s in traj.states:
-        vals = integrals(s)
-        row = [z.real, z.imag]
-        for i in range(6):
-            row += [s.F[i].real, s.F[i].imag]
-        for k in range(1, 9):
-            row += [vals[f"I{k}"].real, vals[f"I{k}"].imag]
+    for (z, s), vals in zip(traj.states, traj.I_states):
+        cells = [z, *s.F.tolist(), *(vals[f"I{k}"] for k in range(1, 9))]
+        row = [part for c in cells for part in (c.real, c.imag)]
         row += [abs(vals["I1"] - i0["I1"]), abs(vals["I2"] - i0["I2"])]
         lines.append(",".join(repr(float(v)) for v in row))
     text = "\n".join(lines) + "\n"
@@ -300,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--state", default=None, help="12 comma-separated floats (re,im per component)")
     po.add_argument("--from", dest="z_from", required=True)
     po.add_argument("--to", dest="z_to", required=True)
-    po.add_argument("--a", type=float, default=1.0)
-    po.add_argument("--b", type=float, default=1.0)
+    po.add_argument("--a", type=float, default=None, help="q0 parameter a (default 1)")
+    po.add_argument("--b", type=float, default=None, help="q0 parameter b (default 1)")
     po.add_argument("--steps", type=int, default=16, help="dense output rows")
     po.add_argument("--rtol", type=float, default=1e-10)
     po.add_argument("--atol", type=float, default=1e-12)

@@ -9,10 +9,15 @@ path comes within `SING_MARGIN` of either are rejected, not regularized.
 Closed forms are evaluated on principal branches; the recorded convention is
 that sqrt(z-1) and sqrt(-z) are continued from principal values at the
 initial point of a trajectory.
+
+Path integration runs on Python complex scalars (`dopri54`, `rhs` and
+`integrals` work on lists): on six components numpy's per-call cost would
+outweigh the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,19 +78,16 @@ def _check_regular(z: complex):
         raise _singular_point(z)
 
 
-def rhs(z: complex, F: np.ndarray) -> np.ndarray:
-    """Right-hand sides of the six coupled equations at z, for F of shape
-    (6,) in the order (F12, F21, F13, F31, F23, F32)."""
+def rhs(z: complex, F) -> list:
+    """Right-hand sides of the six coupled equations at z, for F (a list,
+    or an ndarray of shape (6,)) in the order (F12, F21, F13, F31, F23,
+    F32), as a list of Python complex."""
     _check_regular(z)
-    f12, f21, f13, f31, f23, f32 = F
-    out = np.empty(6, dtype=complex)
-    out[F12] = f13 * f32 / (z * (z - 1))
-    out[F21] = f23 * f31 / (z * (z - 1))
-    out[F13] = -f12 * f23 / (z - 1)
-    out[F31] = -f32 * f21 / (z - 1)
-    out[F23] = f21 * f13 / z
-    out[F32] = f31 * f12 / z
-    return out
+    f12, f21, f13, f31, f23, f32 = F.tolist() if isinstance(F, np.ndarray) else F
+    zm1 = z - 1
+    zzm1 = z * zm1
+    return [f13 * f32 / zzm1, f23 * f31 / zzm1, -f12 * f23 / zm1, -f32 * f21 / zm1,
+            f21 * f13 / z, f31 * f12 / z]
 
 
 def integrals(state: OdeState3) -> dict:
@@ -94,21 +96,21 @@ def integrals(state: OdeState3) -> dict:
     factorization in terms of the first two integrals."""
     z = state.z
     _check_regular(z)
-    f12, f21, f13, f31, f23, f32 = state.F
+    f12, f21, f13, f31, f23, f32 = state.F.tolist()
     d12, d13, d23 = f12 - f21, f13 - f31, f23 - f32
     i1, i2 = _first_two(f12, f21, f13, f31, f23, f32)
-    i3 = (z * z - z) * d12 + (z - 1) * f23 * d13 - z * f13 * d23
-    i4 = (z * z - z) * f31 * d12 + (1 - z) * f21 * d13 + z * d23
-    i5 = (z * z - z) * f32 * d12 + (1 - z) * d13 - z * f12 * d23
+    # W, the constraint matrix: I3, I4, I5 are its rows applied to (d12, d13, d23)
+    w11, w12, w13 = z * z - z, (z - 1) * f23, -z * f13
+    w21, w22, w23 = (z * z - z) * f31, (1 - z) * f21, z
+    w31, w32, w33 = (z * z - z) * f32, 1 - z, -z * f12
+    i3 = w11 * d12 + w12 * d13 + w13 * d23
+    i4 = w21 * d12 + w22 * d13 + w23 * d23
+    i5 = w31 * d12 + w32 * d13 + w33 * d23
     i6 = -0.5 * d12 + f13 / (z - 1) * d23
     i7 = f21 * (z - 1) / z * d13 - 0.5 * d23
     i8 = f32 * z * d12 - 0.5 * d13
-    w = np.array([
-        [z * z - z, (z - 1) * f23, -z * f13],
-        [(z * z - z) * f31, (1 - z) * f21, z],
-        [(z * z - z) * f32, 1 - z, -z * f12],
-    ], dtype=complex)
-    det_w = complex(np.linalg.det(w))
+    det_w = (w11 * (w22 * w33 - w23 * w32) - w12 * (w21 * w33 - w23 * w31)
+             + w13 * (w21 * w32 - w22 * w31))
     det_w_factored = z * z * (z - 1) ** 2 * (i1 - i2 + 1)
     return {"I1": i1, "I2": i2, "I3": i3, "I4": i4, "I5": i5,
             "I6": i6, "I7": i7, "I8": i8,
@@ -214,76 +216,77 @@ def closed_forms(family: str, u, a=1.0, b=1.0) -> Jets:
 # ---------------------------------------------------------------------------
 # embedded Dormand-Prince 5(4)
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                                22 / 525, -1 / 40)
 
 
-def _stage_sum(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """sum(c * k for c, k in zip(coeffs, ks)) over the first len(coeffs)
-    stages, with the same bits: one reduction over the stage axis adds the
-    terms in stage order onto 0, zero coefficients included."""
-    return np.add.reduce(coeffs[:, None] * ks[:len(coeffs)], axis=0, initial=0)
-
-
-def dopri54(f: Callable, t0: float, y0: np.ndarray, t1: float,
+def dopri54(f: Callable, t0: float, y0, t1: float,
             rtol: float = 1e-10, atol: float = 1e-12,
             dense_ts: Sequence[float] | None = None) -> list:
-    """Adaptive integration of y' = f(t, y) over the real parameter t, for
-    a 1-D state y.
-
-    Returns [(t, y), ...] at every requested dense time (always including
-    t1); complex states are handled natively, the error norm runs over
-    real and imaginary parts through abs().  The seven stages of a step
-    are the rows of one (7, len(y)) complex array, and each stage sum adds
-    its terms in stage order (`_stage_sum`), so a trajectory has the bits
-    of the term-by-term Python sum.
+    """Adaptive integration of y' = f(t, y) over the real parameter t for a
+    1-D complex state: f gets y as a list of Python complex and returns a
+    sequence.  Returns [(t, y as an ndarray), ...] at each dense time and t1.
+    The stages are lists, each written out (numpy's per-call cost would
+    outweigh the arithmetic on a few components); the error norm is the RMS
+    of |err| / (atol + rtol max(|y|, |y_new|)), infinite where it cannot be
+    formed (a zero or overflowing scale), so that the step is rejected.
     """
-    y = np.asarray(y0, dtype=complex).copy()
+    y = [complex(v) for v in y0]
     t = float(t0)
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
     if span == 0:
-        return [(t0, y)]
-    dense_ts = [] if dense_ts is None else list(dense_ts)
-    targets = sorted(set(float(s) for s in dense_ts) | {float(t1)},
+        return [(t0, np.array(y))]
+    targets = sorted({float(s) for s in (() if dense_ts is None else dense_ts)} | {float(t1)},
                      key=lambda s: direction * s)
     for s in targets:
         if direction * (s - t0) < -1e-12 or direction * (s - t1) > 1e-12:
             raise ValueError("dense output time outside the integration span")
     out = []
     h = direction * (span / 100.0)
-    ks = np.empty((7, y.size), dtype=complex)
-    ks[0] = f(t, y)
+    k1 = f(t, y)
     ti = 0
     while ti < len(targets):
         target = targets[ti]
         if direction * (target - t) <= 1e-14 * span:
-            out.append((target, y.copy()))
+            out.append((target, np.array(y)))
             ti += 1
             continue
         h_try = direction * min(abs(h), abs(target - t))
         if abs(h_try) < 1e-14 * span:
             raise StepSizeUnderflowError(f"step size underflow at t = {t}")
-        for i in range(1, 7):
-            ks[i] = f(t + _DP_C[i] * h_try, y + h_try * _stage_sum(_DP_A[i], ks))
-        y_new = y + h_try * _stage_sum(_DP_B5, ks)
-        err_vec = h_try * _stage_sum(_DP_ERR, ks)
-        tol_vec = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean(np.abs(err_vec / tol_vec) ** 2)))
+        k2 = f(t + _C2 * h_try, [v + h_try * (_A21 * a) for v, a in zip(y, k1)])
+        k3 = f(t + _C3 * h_try, [v + h_try * (_A31 * a + _A32 * b)
+                                 for v, a, b in zip(y, k1, k2)])
+        k4 = f(t + _C4 * h_try, [v + h_try * (_A41 * a + _A42 * b + _A43 * c)
+                                 for v, a, b, c in zip(y, k1, k2, k3)])
+        k5 = f(t + _C5 * h_try, [v + h_try * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+        k6 = f(t + h_try, [v + h_try * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                           for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [v + h_try * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                 for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(t + h_try, y_new)
+        try:
+            sq = 0.0
+            for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                q = (abs(h_try * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k))
+                     / (atol + rtol * max(abs(v), abs(w))))
+                sq += q * q
+            err = math.sqrt(sq / len(y))
+        except (ZeroDivisionError, OverflowError):
+            err = math.inf
         if err <= 1.0:
             t = t + h_try
             y = y_new
-            ks[0] = ks[6]  # FSAL
+            k1 = k7  # FSAL
             factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             factor = max(0.2, 0.9 * err ** -0.2)
@@ -304,6 +307,7 @@ def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
 @dataclass
 class Trajectory:
     states: list          # [(z, OdeState3), ...] at the dense grid
+    I_states: list        # integrals() of each state, in the order of `states`
     I_start: dict
     drift_I1: float
     drift_I2: float
@@ -321,12 +325,12 @@ def integrate(state0: OdeState3, z_target, rtol: float = 1e-10,
     dz = z1 - z0
 
     def f(t, y):
-        return dz * rhs(z0 + t * dz, y)
+        return [dz * v for v in rhs(z0 + t * dz, y)]
 
     dense = np.linspace(0.0, 1.0, n_dense + 1)[1:]
     raw = dopri54(f, 0.0, state0.F, 1.0, rtol=rtol, atol=atol, dense_ts=dense)
     i0 = integrals(state0)
-    states = []
+    states, values = [], []
     drift1 = drift2 = cdrift = 0.0
     c0 = max(abs(i0["I3"]), abs(i0["I4"]), abs(i0["I5"]))
     for t, y in raw:
@@ -336,5 +340,6 @@ def integrate(state0: OdeState3, z_target, rtol: float = 1e-10,
         drift2 = max(drift2, abs(vals["I2"] - i0["I2"]))
         cdrift = max(cdrift, max(abs(vals["I3"]), abs(vals["I4"]), abs(vals["I5"])) - c0)
         states.append((s.z, s))
-    return Trajectory(states=states, I_start=i0, drift_I1=drift1,
+        values.append(vals)
+    return Trajectory(states=states, I_states=values, I_start=i0, drift_I1=drift1,
                       drift_I2=drift2, max_constraint_drift=cdrift)

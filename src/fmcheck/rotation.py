@@ -346,7 +346,7 @@ def integrate_lame(beta_provider: Callable, d: complex, u0: np.ndarray,
 
     def transport(Hv, a, b):
         dv = b - a
-        return dopri54(lambda t, y: _lame_gradient(beta_provider(a + t * dv), y) @ dv,
+        return dopri54(lambda t, y: _lame_gradient(beta_provider(a + t * dv), np.asarray(y)) @ dv,
                        0.0, Hv, 1.0)[-1][1]
 
     H = H0

@@ -94,6 +94,21 @@ def test_ode_q0_endpoint_matches_closed_form():
         assert abs(got - want.F[i]) < 1e-7
 
 
+def test_ode_q0_parameters_are_read_only_by_q0():
+    # unset, --a and --b are q0's 1.0; any other family refuses them by name
+    path = ["--from", "2", "--to", "3", "--steps", "2"]
+    default = run_cli(["ode", "--init", "q0", *path])
+    assert default[0] == 0
+    assert run_cli(["ode", "--init", "q0", "--a", "1", "--b", "1", *path]) == default
+    assert run_cli(["ode", "--init", "q0", "--b", "2", *path])[1] != default[1]
+    state = ["--state", "0.3,-0.1,0.2,0.4,-0.5,0.1,0.25,0.05,-0.3,0.2,0.1,-0.4"]
+    for family in (["--init", "pencil63"], state):
+        for option, value in (("--a", "5"), ("--b", "1")):
+            code, out, err = run_cli(["ode", *family, option, value, *path])
+            assert (code, out, err) == (2, "", f"input error: {option} {float(value)!r}: "
+                                               f"only --init q0 reads it\n")
+
+
 def test_ode_singular_crossing_exit2():
     code, _, err = run_cli(["ode", "--init", "q0", "--from", "0.5", "--to", "1.5"])
     assert code == 2
@@ -106,6 +121,11 @@ def test_ode_nonfinite_state_and_overflow_exit2():
     assert err == "input error: --state values must be finite\n"
     # finite, but the first right-hand side overflows and every step is rejected
     code, out, err = run_cli(["ode", "--state", ",".join(["1e200", "0"] * 6),
+                              "--from", "2", "--to", "3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("integration failed: step size underflow") and err.count("\n") == 1
+    # --atol 0 on a zero state: no step has an error norm, so every step is rejected
+    code, out, err = run_cli(["ode", "--state", ",".join(["0"] * 12), "--atol", "0",
                               "--from", "2", "--to", "3"])
     assert (code, out) == (2, "")
     assert err.startswith("integration failed: step size underflow") and err.count("\n") == 1

@@ -1,11 +1,13 @@
+from fractions import Fraction as Q
+
 import numpy as np
 import pytest
 
 from fmcheck.exprjet import eval_jet, parse
-from fmcheck.ode3d import (_DP_A, _DP_B5, _DP_ERR, F12, F21, F31, CoordinateCollisionError,
-                           OdeState3, ParameterSingularError, SingularPathError,
-                           SingularPointError, _stage_sum, beta_from_F, closed_form_pencil,
-                           closed_form_q0, dopri54, integrals, integrate, rhs, z_of_point)
+from fmcheck.ode3d import (F12, F21, F31, CoordinateCollisionError, OdeState3,
+                           ParameterSingularError, SingularPathError, SingularPointError,
+                           beta_from_F, closed_form_pencil, closed_form_q0, dopri54, integrals,
+                           integrate, rhs, z_of_point)
 
 
 def rhs_fd(fn, z, h=1e-6):
@@ -144,18 +146,75 @@ def test_dopri_dense_output_and_direction():
     assert abs(out[-1][1][0] - np.exp(-1)) < 1e-10
 
 
+# the Dormand-Prince 5(4) tableau, exact; the last row of A is the
+# 5th-order weights b, so stage 7 is f at the new solution
+DP_C = [Q(0), Q(1, 5), Q(3, 10), Q(4, 5), Q(8, 9), Q(1), Q(1)]
+DP_A = [[],
+        [Q(1, 5)],
+        [Q(3, 40), Q(9, 40)],
+        [Q(44, 45), Q(-56, 15), Q(32, 9)],
+        [Q(19372, 6561), Q(-25360, 2187), Q(64448, 6561), Q(-212, 729)],
+        [Q(9017, 3168), Q(-355, 33), Q(46732, 5247), Q(49, 176), Q(-5103, 18656)],
+        [Q(35, 384), Q(0), Q(500, 1113), Q(125, 192), Q(-2187, 6784), Q(11, 84)]]
+DP_E = [Q(71, 57600), Q(0), Q(-71, 16695), Q(71, 1920), Q(-17253, 339200), Q(22, 525),
+        Q(-1, 40)]
+
+
+class _Stop(Exception):
+    pass
+
+
+def _near(got: float, terms: list, ulps: int = 8) -> bool:
+    """got is the float sum of exact `terms` to within `ulps` of sum |terms|."""
+    return abs(Q(got) - sum(terms)) <= ulps * 2.0 ** -53 * sum(abs(x) for x in terms)
+
+
 def test_stage_sums_match_sequential_sum():
-    # the stage-array reduction adds in the order of the term-by-term sum,
-    # from +0, so signed zeros and the last bits agree
+    # f returns fixed random stages and records (t, y) of every call; the
+    # first step's stage times t + c_i H, stage inputs y + H sum_j a_ij k_j
+    # and new solution are rebuilt from the exact tableau, and the second
+    # step's size from the error norm with the E weights
     rng = np.random.default_rng(8)
+    accepted = []
     for _ in range(20):
-        ks = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
-        zeros = rng.choice([0.0, -0.0], (2, 7, 6))
-        ks.real = np.where(rng.random((7, 6)) < 0.4, zeros[0], ks.real)
-        ks.imag = np.where(rng.random((7, 6)) < 0.4, zeros[1], ks.imag)
-        for coeffs in (*_DP_A[1:], _DP_B5, _DP_ERR):
-            want = sum(c * k for c, k in zip(coeffs, ks))
-            assert _stage_sum(coeffs, ks).tobytes() == want.tobytes()
+        t0 = float(rng.uniform(-1, 1))
+        t1 = t0 + float(rng.choice([-1, 1]) * rng.uniform(0.5, 2))
+        tol = float(10 ** rng.uniform(-4.5, -2.5))
+        y0 = (rng.standard_normal(6) + 1j * rng.standard_normal(6)).tolist()
+        ks = (rng.standard_normal((13, 6)) + 1j * rng.standard_normal((13, 6))).tolist()
+        calls = []
+
+        def f(t, y):
+            if len(calls) == len(ks):
+                raise _Stop
+            calls.append((t, list(y)))
+            return ks[len(calls) - 1]
+
+        with pytest.raises(_Stop):
+            dopri54(f, t0, y0, t1, rtol=tol, atol=tol)
+        h = np.copysign(abs(t1 - t0) / 100, t1 - t0)  # the first step, span/100
+        assert calls[0] == (t0, y0)
+        for i in range(1, 7):
+            t, y = calls[i]
+            assert _near(t, [Q(t0), DP_C[i] * Q(h)]), (i, t)
+            for j in range(6):
+                for part in ("real", "imag"):
+                    terms = [Q(getattr(y0[j], part))]
+                    terms += [Q(h) * a * Q(getattr(ks[m][j], part)) for m, a in enumerate(DP_A[i])]
+                    assert _near(getattr(y[j], part), terms), (i, j, part)
+        y_new = calls[6][1]
+        err = np.sqrt(np.mean([
+            (abs(complex(float(sum(Q(h) * e * Q(ks[m][j].real) for m, e in enumerate(DP_E))),
+                         float(sum(Q(h) * e * Q(ks[m][j].imag) for m, e in enumerate(DP_E)))))
+             / (tol + tol * max(abs(y0[j]), abs(y_new[j])))) ** 2 for j in range(6)]))
+        assert 0.2 < 0.9 * err ** -0.2 < 5.0  # an unclamped step-size factor
+        t_next = t0 + h if err <= 1 else t0
+        h_next = h * 0.9 * err ** -0.2
+        # FSAL: the second attempt calls f only for stages 2..7
+        slack = 1e-12 * abs(h_next) + 2.0 ** -52 * abs(t_next)
+        assert abs(Q(calls[12][0]) - Q(t_next) - Q(h_next)) <= slack
+        accepted.append(err <= 1)
+    assert 0 < sum(accepted) < len(accepted)  # both branches of the controller
 
 
 # generic second-order linear ODE through dopri54
