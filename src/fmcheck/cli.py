@@ -184,6 +184,8 @@ def cmd_ode(args) -> int:
             raise ValueError(f"--atol {args.atol!r}: must be positive where --rtol is 0")
         if args.steps < 0:
             raise ValueError(f"--steps {args.steps}: must be non-negative")
+        if args.init is not None and args.state is not None:
+            raise ValueError(f"--init {args.init} and --state: give one of them, not both")
         if args.init == "q0":
             state = closed_form_q0(z_from, *(1.0 if v is None else v for v in (args.a, args.b)))
         elif args.init == "pencil63":

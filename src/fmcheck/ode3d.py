@@ -12,7 +12,11 @@ initial point of a trajectory.
 
 Path integration runs on Python complex scalars (`dopri54`, `rhs` and
 `integrals` work on lists): on six components numpy's per-call cost would
-outweigh the arithmetic.
+outweigh the arithmetic.  `integrate` hands `rhs` itself to `dopri54`,
+which steps along the segment in z.  Only the endpoint is a stepped value;
+the dense rows between steps come from the pair's continuous extension, so
+their error is about the requested tolerance, not the stepper's smaller
+global error, and the integral drifts measured on them include that error.
 """
 
 from __future__ import annotations
@@ -82,9 +86,10 @@ def rhs(z: complex, F) -> list:
     """Right-hand sides of the six coupled equations at z, for F (a list,
     or an ndarray of shape (6,)) in the order (F12, F21, F13, F31, F23,
     F32), as a list of Python complex."""
-    _check_regular(z)
-    f12, f21, f13, f31, f23, f32 = F.tolist() if isinstance(F, np.ndarray) else F
     zm1 = z - 1
+    if abs(z) < SING_MARGIN or abs(zm1) < SING_MARGIN:  # `_check_regular`, inlined
+        raise _singular_point(z)
+    f12, f21, f13, f31, f23, f32 = F.tolist() if isinstance(F, np.ndarray) else F
     zzm1 = z * zm1
     return [f13 * f32 / zzm1, f23 * f31 / zzm1, -f12 * f23 / zm1, -f32 * f21 / zm1,
             f21 * f13 / z, f31 * f12 / z]
@@ -225,73 +230,108 @@ _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
                                 22 / 525, -1 / 40)
+# Shampine's continuous extension: over a step from y of size H, the
+# solution at the fraction x of the step is y + H sum_i w_i(x) k_i with
+# w_1 = x + _D12 x^2 + _D13 x^3 + _D14 x^4 and w_i = _Di2 x^2 + _Di3 x^3 +
+# _Di4 x^4 for i = 3..7 (w_2 = 0); at x = 1 the w_i are the _B weights
+_D12, _D13, _D14 = (-8048581381 / 2820520608, 8663915743 / 2820520608,
+                    -12715105075 / 11282082432)
+_D32, _D33, _D34 = (131558114200 / 32700410799, -68118460800 / 10900136933,
+                    87487479700 / 32700410799)
+_D42, _D43, _D44 = -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072
+_D52, _D53, _D54 = (127303824393 / 49829197408, -318862633887 / 49829197408,
+                    701980252875 / 199316789632)
+_D62, _D63, _D64 = -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844
+_D72, _D73, _D74 = 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423
 
 
-def dopri54(f: Callable, t0: float, y0, t1: float,
-            rtol: float = 1e-10, atol: float = 1e-12,
-            dense_ts: Sequence[float] | None = None) -> list:
-    """Adaptive integration of y' = f(t, y) over the real parameter t for a
-    1-D complex state: f gets y as a list of Python complex and returns a
-    sequence.  Returns [(t, y as an ndarray), ...] at each dense time and t1.
-    The stages are lists, each written out (numpy's per-call cost would
-    outweigh the arithmetic on a few components); the error norm is the RMS
-    of |err| / (atol + rtol max(|y|, |y_new|)), infinite where it cannot be
-    formed (a zero or overflowing scale), so that the step is rejected.
+def dopri54(f: Callable, t0, y0, t1, rtol: float = 1e-10, atol: float = 1e-12,
+            dense_ts: Sequence | None = None) -> list:
+    """Adaptive integration of y' = f(t, y) along the straight segment from
+    t0 to t1 (real or complex) for a 1-D complex state: f gets y as a list
+    of Python complex and returns a sequence.  Returns [(t, y as an
+    ndarray), ...] at each dense time (points of the segment) and t1.
+
+    The stepper advances a real fraction s of the segment, the stage point
+    being t0 + (s + c h) (t1 - t0); only t1 shortens a step.  t1's row is
+    the stepped value.  A dense row inside a step comes from the pair's
+    4th-order continuous extension over that step's own stages (no extra
+    calls of f), so its error is about the requested tolerance, not the
+    stepper's smaller global error, and anything measured on the row (such
+    as `integrate`'s integral drifts) includes that error.  The stages are
+    lists, each written out (numpy's per-call cost would outweigh the
+    arithmetic on a few components); the error norm is the RMS of |err| /
+    (atol + rtol max(|y|, |y_new|)), infinite where it cannot be formed (a
+    zero or overflowing scale), so that the step is rejected.
     """
     y = [complex(v) for v in y0]
-    t = float(t0)
-    direction = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
-    if span == 0:
+    dt = t1 - t0
+    if dt == 0:
         return [(t0, np.array(y))]
-    targets = sorted({float(s) for s in (() if dense_ts is None else dense_ts)} | {float(t1)},
-                     key=lambda s: direction * s)
-    for s in targets:
-        if direction * (s - t0) < -1e-12 or direction * (s - t1) > 1e-12:
+    rows = {t1: 1.0}
+    for t in () if dense_ts is None else dense_ts:
+        s = ((t - t0) / dt).real
+        if s < -1e-12 or s > 1 + 1e-12 or abs(t - (t0 + s * dt)) > 1e-12 * abs(dt):
             raise ValueError("dense output time outside the integration span")
+        rows.setdefault(t, s)
+    targets = sorted(rows.items(), key=lambda row: row[1])
     out = []
-    h = direction * (span / 100.0)
-    k1 = f(t, y)
+    s, h = 0.0, 1 / 100.0
+    k1 = f(t0, y)
     ti = 0
-    while ti < len(targets):
-        target = targets[ti]
-        if direction * (target - t) <= 1e-14 * span:
-            out.append((target, np.array(y)))
+    while True:
+        while ti < len(targets) and targets[ti][1] - s <= 1e-14:
+            out.append((targets[ti][0], np.array(y)))
             ti += 1
-            continue
-        h_try = direction * min(abs(h), abs(target - t))
-        if abs(h_try) < 1e-14 * span:
-            raise StepSizeUnderflowError(f"step size underflow at t = {t}")
-        k2 = f(t + _C2 * h_try, [v + h_try * (_A21 * a) for v, a in zip(y, k1)])
-        k3 = f(t + _C3 * h_try, [v + h_try * (_A31 * a + _A32 * b)
-                                 for v, a, b in zip(y, k1, k2)])
-        k4 = f(t + _C4 * h_try, [v + h_try * (_A41 * a + _A42 * b + _A43 * c)
-                                 for v, a, b, c in zip(y, k1, k2, k3)])
-        k5 = f(t + _C5 * h_try, [v + h_try * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-        k6 = f(t + h_try, [v + h_try * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                           for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [v + h_try * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+        if ti == len(targets):
+            return out
+        h_try = min(h, 1.0 - s)
+        if h_try < 1e-14:
+            raise StepSizeUnderflowError(f"step size underflow at t = {t0 + s * dt}")
+        H = h_try * dt
+        k2 = f(t0 + (s + _C2 * h_try) * dt, [v + H * (_A21 * a) for v, a in zip(y, k1)])
+        k3 = f(t0 + (s + _C3 * h_try) * dt, [v + H * (_A31 * a + _A32 * b)
+                                             for v, a, b in zip(y, k1, k2)])
+        k4 = f(t0 + (s + _C4 * h_try) * dt, [v + H * (_A41 * a + _A42 * b + _A43 * c)
+                                             for v, a, b, c in zip(y, k1, k2, k3)])
+        k5 = f(t0 + (s + _C5 * h_try) * dt, [v + H * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                                             for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+        k6 = f(t0 + (s + h_try) * dt, [v + H * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                                                + _A65 * e)
+                                       for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [v + H * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
                  for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-        k7 = f(t + h_try, y_new)
+        k7 = f(t0 + (s + h_try) * dt, y_new)
         try:
             sq = 0.0
             for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                q = (abs(h_try * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k))
+                q = (abs(H * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k))
                      / (atol + rtol * max(abs(v), abs(w))))
                 sq += q * q
             err = math.sqrt(sq / len(y))
         except (ZeroDivisionError, OverflowError):
             err = math.inf
         if err <= 1.0:
-            t = t + h_try
+            s_new = s + h_try
+            while ti < len(targets) and targets[ti][1] < s_new - 1e-14:
+                x = (targets[ti][1] - s) / h_try
+                w1 = x * (1 + x * (_D12 + x * (_D13 + x * _D14)))
+                w3 = x * x * (_D32 + x * (_D33 + x * _D34))
+                w4 = x * x * (_D42 + x * (_D43 + x * _D44))
+                w5 = x * x * (_D52 + x * (_D53 + x * _D54))
+                w6 = x * x * (_D62 + x * (_D63 + x * _D64))
+                w7 = x * x * (_D72 + x * (_D73 + x * _D74))
+                out.append((targets[ti][0], np.array(
+                    [v + H * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * g + w7 * k)
+                     for v, a, c, d, e, g, k in zip(y, k1, k3, k4, k5, k6, k7)])))
+                ti += 1
+            s = s_new
             y = y_new
             k1 = k7  # FSAL
             factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             factor = max(0.2, 0.9 * err ** -0.2)
         h = h_try * factor
-    return out
 
 
 def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
@@ -323,18 +363,14 @@ def integrate(state0: OdeState3, z_target, rtol: float = 1e-10,
         if _segment_distance(z0, z1, complex(w)) < SING_MARGIN:
             raise SingularPathError(f"integration path approaches z = {w}")
     dz = z1 - z0
-
-    def f(t, y):
-        return [dz * v for v in rhs(z0 + t * dz, y)]
-
-    dense = np.linspace(0.0, 1.0, n_dense + 1)[1:]
-    raw = dopri54(f, 0.0, state0.F, 1.0, rtol=rtol, atol=atol, dense_ts=dense)
+    dense = [z0 + t * dz for t in np.linspace(0.0, 1.0, n_dense + 1)[1:-1].tolist()]
+    raw = dopri54(rhs, z0, state0.F, z1, rtol=rtol, atol=atol, dense_ts=dense)
     i0 = integrals(state0)
     states, values = [], []
     drift1 = drift2 = cdrift = 0.0
     c0 = max(abs(i0["I3"]), abs(i0["I4"]), abs(i0["I5"]))
-    for t, y in raw:
-        s = OdeState3(z0 + t * dz, y)
+    for z, y in raw:
+        s = OdeState3(z, y)
         vals = integrals(s)
         drift1 = max(drift1, abs(vals["I1"] - i0["I1"]))
         drift2 = max(drift2, abs(vals["I2"] - i0["I2"]))

@@ -109,6 +109,18 @@ def test_ode_q0_parameters_are_read_only_by_q0():
                                                f"only --init q0 reads it\n")
 
 
+def test_ode_init_and_state_exclude_each_other():
+    # --init chooses the starting state, so a --state beside it would be ignored
+    path = ["--from", "2", "--to", "3", "--steps", "2"]
+    state = "0.3,-0.1,0.2,0.4,-0.5,0.1,0.25,0.05,-0.3,0.2,0.1,-0.4"
+    for init in ("q0", "pencil63"):
+        for value in ("garbage", state):
+            code, out, err = run_cli(["ode", "--init", init, "--state", value, *path])
+            assert (code, out, err) == (2, "", f"input error: --init {init} and --state: "
+                                               f"give one of them, not both\n")
+    assert run_cli(["ode", "--state", state, *path])[0] == 0
+
+
 def test_ode_singular_crossing_exit2():
     code, _, err = run_cli(["ode", "--init", "q0", "--from", "0.5", "--to", "1.5"])
     assert code == 2

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from fmcheck import ode3d
 from fmcheck.exprjet import eval_jet, parse
 from fmcheck.ode3d import (F12, F21, F31, CoordinateCollisionError, OdeState3,
                            ParameterSingularError, SingularPathError, SingularPointError,
@@ -143,7 +144,48 @@ def test_dopri_dense_output_and_direction():
                   dense_ts=[-0.25, -0.5, -0.75])
     ts = [t for t, _ in out]
     assert ts == [-0.25, -0.5, -0.75, -1.0]
-    assert abs(out[-1][1][0] - np.exp(-1)) < 1e-10
+    for t, y in out:
+        assert abs(y[0] - np.exp(t)) < 1e-10, t
+
+
+def test_step_count_does_not_depend_on_row_count(monkeypatch):
+    # dense rows come from the steps' continuous extension: asking for more
+    # rows takes no extra steps, and the rows sit at the requested points
+    calls = [0]
+
+    def counted(z, F):
+        calls[0] += 1
+        return rhs(z, F)
+
+    monkeypatch.setattr(ode3d, "rhs", counted)
+    for state, z1 in ((closed_form_q0(2.0 + 0.5j, 1.3, 0.7), 4.0 + 1.5j),
+                      (closed_form_pencil(-1.0), -3.0)):
+        counts = []
+        for n in (1, 64):
+            calls[0] = 0
+            traj = integrate(state, z1, n_dense=n)
+            counts.append(calls[0])
+            zs = [z for z, _ in traj.states]
+            assert len(zs) == n and zs[-1] == z1
+            for k, z in enumerate(zs, start=1):
+                assert abs(z - (state.z + k / n * (z1 - state.z))) <= 1e-15 * abs(z1), (n, k)
+        assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1e-10, 1e-12])
+def test_dense_rows_match_closed_forms(rtol):
+    # every row, stepped or interpolated, is within a few rtol of the closed form
+    paths = [(lambda z: closed_form_q0(z, 1.0, 2.0), 2.0, 5.0),
+             (lambda z: closed_form_q0(z, 1.3, 0.7), 2.0 + 0.5j, 4.0 + 1.5j),
+             (closed_form_pencil, -0.5, -6.5),
+             (closed_form_pencil, 1.8, 4.8),
+             (closed_form_pencil, 2.0 + 0.5j, 4.0 + 1.5j)]
+    for family, z0, z1 in paths:
+        traj = integrate(family(z0), z1, rtol=rtol, atol=rtol * 1e-2, n_dense=64)
+        for z, s in traj.states:
+            want = family(z).F
+            err = np.max(np.abs(s.F - want)) / (1 + np.max(np.abs(want)))
+            assert err <= 10 * rtol, (z0, z1, z, err / rtol)
 
 
 # the Dormand-Prince 5(4) tableau, exact; the last row of A is the
@@ -158,6 +200,40 @@ DP_A = [[],
         [Q(35, 384), Q(0), Q(500, 1113), Q(125, 192), Q(-2187, 6784), Q(11, 84)]]
 DP_E = [Q(71, 57600), Q(0), Q(-71, 16695), Q(71, 1920), Q(-17253, 339200), Q(22, 525),
         Q(-1, 40)]
+# Shampine's continuous extension: row i holds the coefficients of x, x^2,
+# x^3, x^4 in the weight of stage i at the fraction x of a step
+DP_P = [[Q(1), Q(-8048581381, 2820520608), Q(8663915743, 2820520608),
+         Q(-12715105075, 11282082432)],
+        [Q(0)] * 4,
+        [Q(0), Q(131558114200, 32700410799), Q(-68118460800, 10900136933),
+         Q(87487479700, 32700410799)],
+        [Q(0), Q(-1754552775, 470086768), Q(14199869525, 1410260304),
+         Q(-10690763975, 1880347072)],
+        [Q(0), Q(127303824393, 49829197408), Q(-318862633887, 49829197408),
+         Q(701980252875, 199316789632)],
+        [Q(0), Q(-282668133, 205662961), Q(2019193451, 616988883),
+         Q(-1453857185, 822651844)],
+        [Q(0), Q(40617522, 29380423), Q(-110615467, 29380423), Q(69997945, 29380423)]]
+
+
+def test_continuous_extension_weights():
+    # the stepper's constants are the exact weights rounded once; at x = 1
+    # they are the 5th-order weights, and for every x they meet the eight
+    # order conditions of a 4th-order method (one per rooted tree, as
+    # polynomials in x: sum_i w_i(x) phi_i = x^k / gamma)
+    for i in (0, 2, 3, 4, 5, 6):
+        for j in (1, 2, 3):
+            assert getattr(ode3d, f"_D{i + 1}{j + 1}") == float(DP_P[i][j])
+    assert [sum(row) for row in DP_P] == DP_A[6] + [Q(0)]
+    ac = [sum((a * c for a, c in zip(DP_A[i], DP_C)), Q(0)) for i in range(7)]
+    ac2 = [sum((a * c * c for a, c in zip(DP_A[i], DP_C)), Q(0)) for i in range(7)]
+    aac = [sum((a * v for a, v in zip(DP_A[i], ac)), Q(0)) for i in range(7)]
+    trees = [([Q(1)] * 7, 1, 1), (DP_C, 2, 2), ([c * c for c in DP_C], 3, 3), (ac, 3, 6),
+             ([c ** 3 for c in DP_C], 4, 4), ([c * v for c, v in zip(DP_C, ac)], 4, 8),
+             (ac2, 4, 12), (aac, 4, 24)]
+    for phi, order, gamma in trees:
+        got = [sum(DP_P[i][j] * phi[i] for i in range(7)) for j in range(4)]
+        assert got == [Q(1, gamma) if j + 1 == order else Q(0) for j in range(4)], (order, gamma)
 
 
 class _Stop(Exception):
