@@ -34,9 +34,24 @@ paths.  Each run is classified as
   (`report` alone where the stdout is neither a JSON report nor a CSV),
   with its value on each side.
 
-The last line counts each kind, and the moved runs outside the margin.
-The exit code is 1 if any run changed, else 0: a move, inside the margin
-or not, leaves every verdict as it was.
+Then every expression table of every catalog entry (the spec's tables
+and the companion tables, as `tests/test_exprjet.py::_catalog_tables`
+lists them) runs through `exprjet.eval_points` at order 2 on each side,
+at 50 sample points of seed 1.  Each part of each table's jets (values,
+gradients, Hessians) is classified as
+
+- identical: the same bytes;
+- sign of zero: equal, but some zero has the other sign;
+- moved: some number differs; the part gives the largest |change|;
+- changed: its shape differs;
+
+and each table's per-point errors as identical or changed.
+
+The second-to-last line counts each kind of run, and the moved runs
+outside the margin; the last line counts each class of part, and the
+tables whose errors changed.  The exit code is 1 if any run, part or
+errors changed, else 0: a move, inside the margin or not, leaves every
+verdict as it was.
 """
 
 from __future__ import annotations
@@ -49,6 +64,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,6 +108,42 @@ for argv in json.load(sys.stdin):
     results.append({"code": code, "out": out.getvalue(), "err": err.getvalue()})
 json.dump(results, sys.stdout)
 """
+
+# run in a fresh interpreter on one side: argv[1] is the file for the
+# jets, stdout the table names and errors
+JETS_WORKER = r"""
+import json, sys
+import numpy as np
+import fmcheck.catalog as cat
+from fmcheck import exprjet as ej
+from fmcheck.manifold import SamplePlan, sample_points
+
+arrays, tables = {}, []
+for name in cat.names():
+    ent = cat.entry(name)
+    spec = ent.spec
+    found = {"e": spec.e, "E": spec.E, "g": spec.g, "g2": spec.g2,
+             "product": None if isinstance(spec.product, str) else spec.product}
+    params = {}
+    for key, value in ent.companion.items():
+        if key == "normal_bundle":
+            params[key] = value.params
+            found[key] = value.exprs
+        elif key == "legendre_fields":
+            found.update({f"field {k}": v for k, v in value.items()})
+        elif isinstance(value, tuple):
+            found[key] = value
+    points = np.array(sample_points(spec, SamplePlan(seed=1, count=50)))
+    for key, table in found.items():
+        if table is not None:
+            jets = ej.eval_points(table, points, params.get(key, spec.env()))
+            for part in ("val", "grad", "hess"):
+                arrays[f"{len(tables)} {part}"] = getattr(jets, part)
+            tables.append({"table": f"{name} {key}", "errors": jets.errors})
+np.savez(sys.argv[1], **arrays)
+json.dump(tables, sys.stdout)
+"""
+PARTS = ("val", "grad", "hess")
 
 TRANSFORMS = (("X2", "q0-d0"), ("X3", "q0-d1"))
 BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
@@ -233,6 +286,45 @@ def compare(base_root: Path, head_root: Path, runs: list) -> list:
             for (kind, argv), b, h in zip(runs, base, head)]
 
 
+def jets_side(root: Path, path: str):
+    """The catalog tables' jets and errors on the tree at `root`, through
+    `path`: [{"table", "errors", "val", "grad", "hess"}]."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", JETS_WORKER, path], capture_output=True,
+                          text=True, cwd=root, env=env, check=True)
+    with np.load(path) as arrays:
+        return [{**table, **{part: arrays[f"{i} {part}"] for part in PARTS}}
+                for i, table in enumerate(json.loads(proc.stdout))]
+
+
+def classify_part(base: np.ndarray, head: np.ndarray) -> dict:
+    """identical, sign of zero, moved (with the largest |change|) or
+    changed (another shape), for one part of a table's jets."""
+    if base.shape != head.shape:
+        return {"kind": "changed"}
+    b, h = (np.ascontiguousarray(x, dtype=complex).view(float).ravel() for x in (base, head))
+    differ = b.view(np.uint64) != h.view(np.uint64)
+    if not differ.any():
+        return {"kind": "identical"}
+    b, h = b[differ], h[differ]
+    if ((b == 0) & (h == 0)).all():
+        return {"kind": "sign of zero"}
+    return {"kind": "moved", "max_abs": float(np.max(np.abs(h - b)))}
+
+
+def compare_jets(base_root: Path, head_root: Path) -> list:
+    """Per catalog table: its name, whether its errors are identical, and
+    the classification of each part."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [jets_side(root, f"{tmp}/{side}.npz")
+                 for side, root in (("base", base_root), ("head", head_root))]
+    if [t["table"] for t in sides[0]] != [t["table"] for t in sides[1]]:
+        raise ValueError("the two sides list different catalog tables")
+    return [{"table": b["table"], "errors": "identical" if b["errors"] == h["errors"] else "changed",
+             **{part: classify_part(b[part], h[part]) for part in PARTS}}
+            for b, h in zip(*sides)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -245,6 +337,7 @@ def main() -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         results = compare(Path(tree), ROOT, runs)
+        jets = compare_jets(Path(tree), ROOT)
     counts: dict = {}
     for res in results:
         counts[res["kind"]] = counts.get(res["kind"], 0) + 1
@@ -260,12 +353,26 @@ def main() -> int:
                             for part, b, h in res["changes"])
         print(line)
     outside = sum(res["kind"] == "moved" and not res["inside_margin"] for res in results)
+    classes: dict = {}
+    for table in jets:
+        for part in PARTS:
+            res = table[part]
+            classes[res["kind"]] = classes.get(res["kind"], 0) + 1
+            if res["kind"] != "identical":
+                print(f"{res['kind']:<12} jets of {table['table']}: {part}"
+                      + (f"  max|d|={res['max_abs']:.2e}" if "max_abs" in res else ""))
+        if table["errors"] != "identical":
+            print(f"changed      jets of {table['table']}: errors")
+    errors = sum(table["errors"] != "identical" for table in jets)
     print(f"{len(results)} runs: " + ", ".join(f"{n} {k}" for k, n in sorted(counts.items()))
           + (f" ({outside} of them OUTSIDE the margin)" if outside else ""))
+    print(f"{len(jets)} tables, {len(jets) * len(PARTS)} parts: "
+          + ", ".join(f"{n} {k}" for k, n in sorted(classes.items()))
+          + f"; errors changed in {errors}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=1)
-    return 1 if counts.get("changed") else 0
+            json.dump({"runs": results, "jets": jets}, fh, indent=1)
+    return 1 if counts.get("changed") or classes.get("changed") or errors else 0
 
 
 if __name__ == "__main__":

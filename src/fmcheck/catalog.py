@@ -507,13 +507,13 @@ _BATCHED = {
     "ode": lambda w: closed_forms(w.comp["ode_family"], w.points, w.spec.params.get("a", 1.0),
                                   w.spec.params.get("b", 1.0)),
     # the flat chart, and the potential's tables at its values
-    "chart": lambda w: w.table("flat_chart"),
-    **{key: (lambda w, key=key: w.table(key, w.batch("chart").val))
-       for key in ("potentials", "flat_e", "flat_E")},
+    "chart": lambda w: w.table("flat_chart", 2),
+    **{key: (lambda w, key=key, order=order: w.table(key, order, w.batch("chart").val))
+       for key, order in (("potentials", 2), ("flat_e", 0), ("flat_E", 0))},
     # a transform's field jets, expression-level metric and target metric
-    "field_jets": lambda w: w.table("legendre_field"),
-    "transformed_g": lambda w: w.table("transformed_g", w.points[:5]),
-    "target_g": lambda w: w.table("target_g", env=w.comp["target_env"]),
+    "field_jets": lambda w: w.table("legendre_field", 2),
+    "transformed_g": lambda w: w.table("transformed_g", 0, w.points[:5]),
+    "target_g": lambda w: w.table("target_g", 0, env=w.comp["target_env"]),
     "gbar": _transformed,
 }
 
@@ -541,11 +541,12 @@ class _Walk:
             self.data[name] = _BATCHED[name](self)
         return self.data[name]
 
-    def table(self, key, points=None, env=None) -> Jets:
-        """The jets of the companion table `key` over `points` (default:
-        the walk's) in `env` (default: the spec's), from one run."""
+    def table(self, key, order: int, points=None, env=None) -> Jets:
+        """The jets up to `order` of the companion table `key` over
+        `points` (default: the walk's) in `env` (default: the spec's),
+        from one run."""
         return table_jets(self.companion(key), self.points if points is None else points,
-                          self.env if env is None else env)
+                          self.env if env is None else env, order)
 
 
 class _RowData:

@@ -8,8 +8,8 @@ parameter unbound, a product table where a transform needs a named
 product, a sample point where the spec is singular, which `verify` and
 `legendre` name by index and coordinates, a non-finite `--state`,
 `--from`, `--to`, `--rtol`, `--atol`, `--a` or `--b`, `--a` or `--b`
-without `--init q0`, a negative tolerance or `--steps`, both tolerances
-zero, a singular integration path, an integration whose step size
+without `--init q0`, a negative tolerance, `--steps` below 1, both
+tolerances zero, a singular integration path, an integration whose step size
 underflows).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
 target's parameter of the same name.  A name that neither declares in its
@@ -182,8 +182,8 @@ def cmd_ode(args) -> int:
                 raise ValueError(f"{option} {tol!r}: must be finite and non-negative")
         if args.rtol == 0 and args.atol == 0:
             raise ValueError(f"--atol {args.atol!r}: must be positive where --rtol is 0")
-        if args.steps < 0:
-            raise ValueError(f"--steps {args.steps}: must be non-negative")
+        if args.steps < 1:
+            raise ValueError(f"--steps {args.steps}: must be at least 1")
         if args.init is not None and args.state is not None:
             raise ValueError(f"--init {args.init} and --state: give one of them, not both")
         if args.init == "q0":

@@ -158,7 +158,7 @@ def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
     env = dict(env or {})
 
     def provider(point):
-        jets = table_jets(gamma_exprs, np.asarray(point)[None], env)
+        jets = table_jets(gamma_exprs, np.asarray(point)[None], env, order=0)
         raise_first(jets.errors)
         return jets.val[0]
 
@@ -171,7 +171,7 @@ def connections_from_exprs(gamma_exprs, points,
     of `points`, as one batch from one run of the table; a point where it
     is singular records the domain error."""
     points = np.asarray(points, dtype=complex)
-    jets = table_jets(gamma_exprs, points, env)
+    jets = table_jets(gamma_exprs, points, env, order=1)
     return ConnectionAt(len(gamma_exprs), points, jets.val, jets.grad, jets.errors)
 
 

@@ -60,7 +60,7 @@ def spanning_fields(nb: NormalBundleData, points, n: int) -> Jets:
     if not nb.exprs:
         return Jets(np.zeros((len(points), 0, n), dtype=complex),
                     np.zeros((len(points), 0, n, n), dtype=complex), errors=[None] * len(points))
-    jets = table_jets(nb.exprs, points, nb.params)
+    jets = table_jets(nb.exprs, points, nb.params, order=2 if nb.gradients else 1)
     if nb.gradients:
         return Jets(jets.grad, jets.hess, errors=jets.errors)
     return Jets(jets.val, jets.grad, errors=jets.errors)

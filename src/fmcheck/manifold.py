@@ -215,10 +215,11 @@ class Jets(PointBatch):
         return iter((self.val, self.grad, self.hess))
 
 
-def table_jets(table, points, env=None) -> Jets:
+def table_jets(table, points, env=None, order: int = 2) -> Jets:
     """The jets of an expression table at all of `points`, shape (P, n),
-    from one run; a point where it is singular records the domain error."""
-    run = ej.eval_points(table, points, env)
+    up to `order` (the parts above it are None), from one run; a point
+    where it is singular records the domain error."""
+    run = ej.eval_points(table, points, env, order)
     return Jets(run.val, run.grad, run.hess,
                 [None if err is None else ej.DomainError(err) for err in run.errors])
 
@@ -300,7 +301,7 @@ def worst(values) -> float:
     them is NaN: a NaN residual fails wherever it stands.  Every residual
     of every check is reduced through here."""
     values = values if isinstance(values, np.ndarray) else list(values)
-    return float(np.max(np.asarray(values, dtype=float), initial=0.0))
+    return float(np.maximum.reduce(np.asarray(values, dtype=float), axis=None, initial=0.0))
 
 
 def worst_parts(parts: dict) -> dict:
@@ -322,7 +323,7 @@ def normalized(raw, scale):
 def amax(x: np.ndarray, rank: int):
     """max|x| over the last `rank` axes, a tensor's own indices: a scalar
     at one point, one value per point over a batch."""
-    return np.max(np.abs(x), axis=tuple(range(-rank, 0)))
+    return np.maximum.reduce(np.abs(x), axis=tuple(range(-rank, 0)))
 
 
 def pmax(*values):
@@ -364,7 +365,7 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
             diffs[:, np.arange(len(lo)), np.arange(len(lo))] = np.inf
             keep &= ~(diffs.min(axis=(1, 2)) < region.min_sep)
         try:
-            guards = ej.eval_points(region.guards, cands, env)
+            guards = ej.eval_points(region.guards, cands, env, order=0)
         except ej.EvalError:
             continue
         keep &= [err is None for err in guards.errors]

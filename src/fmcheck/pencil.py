@@ -127,31 +127,33 @@ def _contravariant_christoffels(g_inv, gamma):
 
 def flat_pencil_at(pa: PencilAt, lambdas=DEFAULT_LAMBDAS, errors=None):
     """Curvature of every pencil member, and linearity of the contravariant
-    Christoffel symbols across the pencil.  Returns (residual, scale,
-    {lambda: residual}).  A point where a member is singular raises, or
-    over a batch records the error in `errors`."""
+    Christoffel symbols across the pencil, with the members stacked on one
+    leading axis.  Returns (residual, scale, {lambda: residual}).  A point
+    where a member is singular raises, or over a batch records the error
+    of its first singular member in `errors`."""
     gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)
     gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)
-    per_lambda, scales = {}, []
-    for lam in lambdas:
-        lam = complex(lam)
-        pen = pa.g_inv - lam * pa.eta_inv
-        member = [None] * (1 if errors is None else len(errors))
-        dpen = pa.dg_inv - lam * pa.deta_inv
-        cov, dcov, ddcov = inverse_jets(pen, dpen, pa.ddg_inv - lam * pa.ddeta_inv, errors=member)
-        for err in member:
+    lams = [complex(lam) for lam in lambdas]
+    lam = np.array(lams).reshape(-1, *[1] * pa.g_inv.ndim)
+    pen = pa.g_inv - lam * pa.eta_inv
+    dpen = pa.dg_inv - lam[..., None] * pa.deta_inv
+    count = 1 if errors is None else len(errors)
+    member = [None] * (len(lams) * count)
+    cov, dcov, ddcov = inverse_jets(pen, dpen, pa.ddg_inv - lam[..., None, None] * pa.ddeta_inv,
+                                    errors=member)
+    for i, value in enumerate(lams):
+        own = member[i * count:(i + 1) * count]
+        for err in own:
             if err is not None:
-                err.args = (f"pencil member at lambda = {lam} is singular: {err}",)
-        fail_at(errors, [err is not None for err in member], member.__getitem__)
-        gamma, dgamma = christoffel_jets(cov, dcov, ddcov, (pen, dpen))
-        sc = pmax(amax(gamma, 3) ** 2, amax(dgamma, 4))
-        res_curv = normalized(amax(riemann_components(gamma, dgamma), 4), sc)
-        gc_lam = _contravariant_christoffels(pen, gamma)
-        res_lin = normalized(amax(gc_lam - (gc2 - lam * gc1), 3),
-                             amax(gc2, 3) + abs(lam) * amax(gc1, 3))
-        per_lambda[f"{lam}"] = pmax(res_curv, res_lin)
-        scales.append(sc)
-    return pmax(*per_lambda.values()), pmax(*scales), per_lambda
+                err.args = (f"pencil member at lambda = {value} is singular: {err}",)
+        fail_at(errors, [err is not None for err in own], own.__getitem__)
+    gamma, dgamma = christoffel_jets(cov, dcov, ddcov, (pen, dpen))
+    sc = pmax(amax(gamma, 3) ** 2, amax(dgamma, 4))
+    res_curv = normalized(amax(riemann_components(gamma, dgamma), 4), sc)
+    res_lin = normalized(amax(_contravariant_christoffels(pen, gamma) - (gc2 - lam[..., None] * gc1), 3),
+                         amax(gc2, 3) + np.abs(lam[..., 0, 0]) * amax(gc1, 3))
+    per_lambda = {f"{value}": pmax(curv, lin) for value, curv, lin in zip(lams, res_curv, res_lin)}
+    return pmax(*per_lambda.values()), pmax(*sc), per_lambda
 
 
 def flat_pencil_report(name: str, result, tol: float) -> Report:

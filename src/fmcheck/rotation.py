@@ -72,7 +72,7 @@ def _lame_jets_from_metric(g, dg, ddg, errors):
             lambda k: ZeroLameError(f"g_{np.argmax(zero[k])}{np.argmax(zero[k])} vanishes "
                                     "at this point"))
     H, dH, ddH = ej.jet_sqrt((gd.reshape(-1), dg[:, diag, diag].reshape(-1, n),
-                              ddg[:, diag, diag].reshape(-1, n, n)), fail=lambda *_: None)
+                              ddg[:, diag, diag].reshape(-1, n, n)), 2, lambda *_: None)
     return H.reshape(count, n), dH.reshape(count, n, n), ddH.reshape(count, n, n, n)
 
 

@@ -110,8 +110,9 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     # record the points of every structure, pencil (first and second
     # order), rotation data, spanning-field and transformed-metric batch
     # built, every matrix inverted, every metric given Christoffel jets,
-    # and every run of an expression table with the points it runs over,
-    # binding the recorders wherever fmcheck holds the function
+    # and every run of an expression table with the points it runs over
+    # and the derivative order it computes, binding the recorders wherever
+    # fmcheck holds the function
     import sys
     from fmcheck import exprjet as ej
     from fmcheck.legendre import transform_metric_exprs
@@ -152,9 +153,9 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         return recording
 
     def table_run(fn):
-        def recording(table, points, params=None):
-            runs.append((repr(table), [tuple(p) for p in np.asarray(points, dtype=complex)]))
-            return fn(table, points, params)
+        def recording(table, points, params=None, order=2):
+            runs.append((repr(table), [tuple(p) for p in np.asarray(points, dtype=complex)], order))
+            return fn(table, points, params, order)
         return recording
 
     targets = {("manifold", "structures"): lambda fn: returned("structure", fn),
@@ -176,14 +177,17 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                         monkeypatch.setattr(module, attr, recording)
 
     def check_runs(spec, pts, chart_values, what):
-        # sampling runs the guards over blocks of candidates; every other
-        # table runs once, over the sample points (the vector potential's
-        # tables over the flat-chart values at them)
-        walk = [(table, tuple(over)) for table, over in runs if table != repr(spec.region.guards)]
-        assert len(set(walk)) == len(walk), what
-        for table, over in walk:
+        # sampling runs the guards, values only, over blocks of
+        # candidates; every other table runs once, over the sample points
+        # (the vector potential's tables over the flat-chart values at
+        # them), to the order its rows read
+        guards = repr(spec.region.guards)
+        assert all(order == 0 for table, _, order in runs if table == guards), what
+        walk = [(table, tuple(over), order) for table, over, order in runs if table != guards]
+        assert len({run[:2] for run in walk}) == len(walk), what
+        for table, over, _ in walk:
             assert list(over) in (pts, chart_values), (what, table)
-        return {table for table, _ in walk}
+        return {(table, over): order for table, over, order in walk}
 
     def check_inverses(metrics, what):
         # each metric is inverted at most once, over all the sample points
@@ -222,9 +226,19 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         assert built["pencil"] == ([pts] if "pencil" in ent.flags else []), name
         assert built["pencil2"] == ([head] if "pencil" in ent.flags else []), name
         check_inverses(metrics, name)
-        tables = check_runs(ent.spec, pts, chart_values, name)
+        orders = check_runs(ent.spec, pts, chart_values, name)
+        tables = {table for table, _ in orders}
         spec_tables = [ent.spec.e, ent.spec.E, ent.spec.g, ent.spec.g2]
         assert {repr(t) for t in spec_tables if t is not None} <= tables, name
+        # the structure's tables to second order, printed Christoffel
+        # symbols to first, and the flat chart's unit and Euler fields as
+        # values only
+        for t in spec_tables:
+            assert t is None or orders[repr(t), tuple(pts)] == 2, name
+        for key, order, over in (("gamma", 1, pts), ("gamma_star", 1, pts),
+                                 ("flat_e", 0, chart_values), ("flat_E", 0, chart_values)):
+            if key in ent.companion:
+                assert orders[repr(ent.companion[key]), tuple(over)] == order, (name, key)
         # `verify` on the exported spec file, and each `--check` that applies
         spec_path = tmp_path / f"{name}.json"
         spec_path.write_text(ent.spec.to_json())
@@ -267,10 +281,11 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         assert built["transformed"] == ([pts] if target else [pts[:5]]), argv
         check_inverses([st.g], argv)
         exprs = ent.companion["legendre_fields"][field]
-        want = [(repr(t), pts) for t in (ent.spec.e, ent.spec.E, ent.spec.g, exprs)]
-        want.append((repr(transform_metric_exprs(ent.spec, exprs).g), pts[:5]))
+        # the metrics that rows compare only as values run to order 0
+        want = [(repr(t), pts, 2) for t in (ent.spec.e, ent.spec.E, ent.spec.g, exprs)]
+        want.append((repr(transform_metric_exprs(ent.spec, exprs).g), pts[:5], 0))
         if target:
-            want.append((repr(cat.entry(target).spec.g), pts))
+            want.append((repr(cat.entry(target).spec.g), pts, 0))
         got = [run for run in runs if run[0] != repr(ent.spec.region.guards)]
         assert sorted(map(repr, got)) == sorted(map(repr, want)), argv
 

@@ -154,7 +154,9 @@ def test_ode_nonfinite_state_and_overflow_exit2():
                            (["--from", "2", "--to", "3", "--atol=-1"],
                             "--atol -1.0: must be finite and non-negative"),
                            (["--from", "2", "--to", "3", "--steps=-3"],
-                            "--steps -3: must be non-negative"),
+                            "--steps -3: must be at least 1"),
+                           (["--from", "2", "--to", "3", "--steps", "0"],
+                            "--steps 0: must be at least 1"),
                            (["--from", "2", "--to", "3", "--rtol", "0", "--atol", "0"],
                             "--atol 0.0: must be positive where --rtol is 0"),
                            (["--from", "2", "--to", "3", "--a", "nan"], "--a nan: must be finite"),

@@ -3,6 +3,8 @@ import json
 import pathlib
 import sys
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -60,3 +62,31 @@ def test_comparator_compares_ode_csv_cell_by_cell():
     for head in (run("2.0,0.5"), run("2.0,0.5", "3.0,0.25", header="z_re,F21_re"),
                  run("2.0,0.5", "3.0")):
         assert cmp.classify(run("2.0,0.5", "3.0,0.25"), head)["kind"] == "changed"
+
+
+def test_comparator_classifies_jet_parts():
+    cmp = _comparator()
+    base = np.array([[0.0, 1.5 - 2j], [0j, -3.0]])
+    assert cmp.classify_part(base, base.copy()) == {"kind": "identical"}
+    # -0.0 against +0.0 in a real and an imaginary part
+    signed = base.copy()
+    signed[0, 0] = complex(-0.0, 0.0)
+    signed[1, 0] = complex(0.0, -0.0)
+    assert cmp.classify_part(base, signed) == {"kind": "sign of zero"}
+    moved = signed.copy()
+    moved[1, 1] += 2e-15
+    assert cmp.classify_part(base, moved) == {"kind": "moved", "max_abs": abs(moved[1, 1] - base[1, 1])}
+    assert cmp.classify_part(base, base[:1]) == {"kind": "changed"}
+
+
+def test_comparator_runs_every_catalog_table_for_its_jets():
+    # the jets corpus is the 85 tables of the jet tests' catalog list, and
+    # the working tree against itself is identical in every part and error
+    from test_exprjet import _catalog_tables
+    cmp = _comparator()
+    tables = cmp.compare_jets(ROOT, ROOT)
+    assert sorted(t["table"] for t in tables) == sorted(f"{name} {key}"
+                                                       for name, key, _, _ in _catalog_tables())
+    assert len(tables) == 85
+    assert all(t[part] == {"kind": "identical"} and t["errors"] == "identical"
+               for t in tables for part in cmp.PARTS)

@@ -235,6 +235,36 @@ def test_batched_rows_equal_single_point_runs():
     assert count >= 60
 
 
+def test_lower_orders_are_prefixes_of_order_two():
+    # orders 0 and 1 give order 2's first parts bit for bit, with its
+    # errors, and None for the other parts
+    import fmcheck.catalog as cat
+    from fmcheck.manifold import SamplePlan, sample_points
+    cases = [(table, np.array(sample_points(cat.entry(name).spec, SamplePlan(seed=3, count=10))),
+              params) for name, _, table, params in _catalog_tables()]
+    # the power rule picks each point's branch from the exponent's full jet
+    # at every order: at u2 = 0, u2^2 and 1+u2^2 vary only through their
+    # Hessians, and there 3^(1+u2^2) = exp(ln 3) is not 3 to the bit
+    cases += [("u1^(u2^2)", np.array([[2.0, 0.0], [2.0, 1.0]]), None),
+              ("u1^(1+u2^2)", np.array([[3.0, 0.0], [3.0, 0.5]]), None),
+              ("2^u1", np.array([[0.5], [-1.0]]), None)]
+    assert len(cases) >= 88
+    for table, points, params in cases:
+        full = eval_points(table, points, params)
+        for order in (0, 1):
+            jets = eval_points(table, points, params, order)
+            assert jets.errors == full.errors, (table, order)
+            parts = (jets.val, jets.grad, jets.hess)
+            for d, (part, want) in enumerate(zip(parts, (full.val, full.grad, full.hess))):
+                if d <= order:
+                    assert part.shape == want.shape and part.tobytes() == want.tobytes(), (table, d)
+                else:
+                    assert part is None, (table, d)
+            if jets.errors[0] is None:
+                assert jets.at(0)[order + 1:] == (None,) * (2 - order)
+    assert eval_points("u1^(1+u2^2)", np.array([[3.0, 0.0]]), order=0).val[0] == np.exp(np.log(3))
+
+
 def test_singular_point_is_masked_in_a_batch():
     table = (("1/(u1-u2)", "u1^(1/2)*ln(u2)"), ("u1*u2", "2^u1"))
     points = np.array([[2.0, 0.5], [1.5, 1.5], [0.3, 2.0], [0.7, 3.1]])

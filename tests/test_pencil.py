@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from fmcheck.pencil import (MissingSecondMetricError, check_exactness,
                             r_operator, reconstructed_structure,
                             semisimple_pencil_from_f)
 from fmcheck.rotation import check_algebraic_constraints
+from fmcheck.tensor import SingularMatrixError
 
 
 def af(n=3):
@@ -86,6 +89,30 @@ def test_flat_pencil_negative_control():
         assert np.max(np.abs(riemann_components(*christoffel_jets(g, dg, ddg)))) < 1e-12
     rep = check_flat_pencil(spec, pts, lambdas=(0.0, 1.0, -1.0))
     assert not rep.passed
+
+
+def test_flat_pencil_records_a_singular_member_at_its_points():
+    # g2 = f g with f = 1 at sample points 2 and 4 only: there the member
+    # at lambda = 1 is singular, which the batch records at those points
+    # alone, and a run at one of them raises
+    from fmcheck.manifold import structures
+    from fmcheck.pencil import flat_pencil_at, pencil_first_order, pencil_second_order
+    spec = af()
+    pts = sample_points(spec, SamplePlan(seed=0, count=6))
+    a, b = (float(pts[k][0].real) for k in (2, 4))
+    f = f"(1+(u1-({a!r}))*(u1-({b!r})))"
+    spec = ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
+                        E=spec.E, g=spec.g, g2=tuple(tuple(f"{f}*({s})" for s in row) for row in spec.g))
+    pa = pencil_second_order(pencil_first_order(structures(spec, pts)))
+    errors = list(pa.errors)
+    _, _, per_lambda = flat_pencil_at(pa, errors=errors)
+    message = "pencil member at lambda = (1+0j) is singular: matrix is numerically singular"
+    assert [err is not None for err in errors] == [False, False, True, False, True, False]
+    assert all(str(errors[k]).startswith(message) for k in (2, 4))
+    assert list(per_lambda) == ["0j", "(1+0j)", "(-1+0j)", "(2+0j)", "1j"]
+    with pytest.raises(SingularMatrixError, match=re.escape(message)):
+        check_flat_pencil(spec, [pts[2]])
+    assert check_flat_pencil(spec, [pts[0]]).npoints == 1
 
 
 def test_delta_identities_and_closed_form():
