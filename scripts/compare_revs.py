@@ -124,10 +124,8 @@ for name in cat.names():
     spec = ent.spec
     found = {"e": spec.e, "E": spec.E, "g": spec.g, "g2": spec.g2,
              "product": None if isinstance(spec.product, str) else spec.product}
-    params = {}
     for key, value in ent.companion.items():
         if key == "normal_bundle":
-            params[key] = value.params
             found[key] = value.exprs
         elif key == "legendre_fields":
             found.update({f"field {k}": v for k, v in value.items()})
@@ -136,7 +134,7 @@ for name in cat.names():
     points = np.array(sample_points(spec, SamplePlan(seed=1, count=50)))
     for key, table in found.items():
         if table is not None:
-            jets = ej.eval_points(table, points, params.get(key, spec.env()))
+            jets = ej.eval_points(table, points, spec.env())
             for part in ("val", "grad", "hess"):
                 arrays[f"{len(tables)} {part}"] = getattr(jets, part)
             tables.append({"table": f"{name} {key}", "errors": jets.errors})

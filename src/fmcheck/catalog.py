@@ -5,7 +5,9 @@ the table of checks, and the one point walk that runs the checks an entry's
 flags, a spec file's fields, a `--check` name or a Legendre transform pick.
 
 Free constants default to 1 (0 for the arbitrary-function slots, which are
-degree-two polynomial coefficients) except where a family forces a value.
+degree-two polynomial coefficients).  A value that a family forces is a
+constant in its tables, not a parameter: the connection constant a of
+case-ii to case-v (-2, -1, 0 and 1) and nonss2d's b (0).
 Square roots of sign-indefinite parameter combinations make several entries
 complex-valued for real defaults; everything is evaluated on principal
 branches, which is the convention recorded in reports.
@@ -19,21 +21,21 @@ from typing import Callable
 import numpy as np
 
 from . import exprjet as ej
-from .connection import (ConnectionAt, InverseJets, compat_product_at, connections_from_exprs,
-                         counit_jets, curvature_product_at, dual_structure, flatness_at,
-                         levi_civita, metric_inverse, nabla_e_at, nabla_from_g_at,
-                         nabla_nabla_E_at, natural_from_levi_civita, r_tr_identity_at,
-                         riemann_components, torsion_at)
-from .hamops import (fields_from_exprs, fields_from_gradients, gmc_at, gmc_report,
+from .connection import (ConnectionAt, InverseJets, checked_inverse, compat_product_at,
+                         connections_from_exprs, counit_jets, curvature_product_at,
+                         dual_structure, flatness_at, levi_civita, metric_inverse, nabla_e_at,
+                         nabla_from_g_at, nabla_nabla_E_at, natural_from_levi_civita,
+                         r_tr_identity_at, riemann_components, torsion_at)
+from .hamops import (fields_from_exprs, gmc_at, gmc_report, lauricella_normal_fields,
                      quadratic_expansion_at, rank_of, spanning_fields, sym_condition_at)
 from .legendre import (homogeneous_legendre_at, homogeneous_legendre_report, legendre_field_at,
                        legendre_field_report, transform_metric_at, transform_metric_exprs,
                        transformed_metric)
-from .manifold import (DEFAULT_TOL, AllEntriesZeroError, Jets, ManifoldSpec, PointBatch, Region,
-                       Report, SamplePlan, amax, fail_at, fit_scalar, hertling_manin_at,
-                       homogeneity_at, batch_report, killing_unit_at, metric_invariance_at,
-                       normalized, pmax, product_axioms_at, required, sample_points, structures,
-                       table_jets)
+from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, AllEntriesZeroError, Jets,
+                       ManifoldSpec, PointBatch, Region, Report, SamplePlan, amax, fit_scalar,
+                       hertling_manin_at, homogeneity_at, batch_report, killing_unit_at,
+                       metric_invariance_at, normalized, pmax, product_axioms_at, required,
+                       sample_points, structures, table_jets)
 from .ode3d import betas_from_F, closed_forms, first_integrals
 from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at,
                      flat_pencil_report, pencil_first_order, pencil_homogeneity_at,
@@ -59,7 +61,8 @@ class MissingCompanionDataError(Exception):
 
 
 class JacobianSingularError(Exception):
-    pass
+    def __init__(self, det: complex):
+        super().__init__("chart jacobian is singular")
 
 
 @dataclass
@@ -154,16 +157,15 @@ def _build_lobachevsky() -> CatalogEntry:
 
 def _build_nonss2d() -> CatalogEntry:
     # metrics exist for this family only when the first connection constant
-    # vanishes, so b = 0 here; the flat charts with general b live in the
-    # case-i .. case-v entries
+    # b (in Gamma^1_22 = b/y) vanishes, so that entry is 0 here; the flat
+    # charts with general b live in the case-i .. case-v entries
     spec = ManifoldSpec(
         name="nonss2d", n=2, coords=("x", "y"), product="shifted-canonical",
         e=("1", "0"), E=("x", "y"),
         g=(("f0+f1*y+f2*y^2", "c*y^a"), ("c*y^a", "0")),
-        params={"a": 1.0, "b": 0.0, "c": 1.0, "f0": 0.0, "f1": 0.0, "f2": 0.0},
+        params={"a": 1.0, "c": 1.0, "f0": 0.0, "f1": 0.0, "f2": 0.0},
         region=Region(box=((0.4, 1.8), (0.5, 2.0)), min_sep=0.0))
     gamma = [[["0"] * 2 for _ in range(2)] for _ in range(2)]
-    gamma[0][1][1] = "b/y"
     gamma[1][1][1] = "a/y"
     companion = {"gamma": tuple(tuple(tuple(r) for r in m) for m in gamma)}
     return CatalogEntry(spec=spec, flags=frozenset({"riemannian-f-killing", "gamma-match"}),
@@ -209,7 +211,6 @@ def _build_lauricella() -> CatalogEntry:
         expected={"d": 2.0, "D": 6.0, "rank": n - 1})
     offdiag = {(i, j): f"-1/(u{i+1}-u{j+1})" for i in range(n) for j in range(n) if i != j}
     lame = tuple(f"sqrt(c{i+1})*{_prod_expr(n, i)}" for i in range(n))
-    scalars = tuple(f"1/(sqrt(c{i+1})*{_prod_expr(n, i)})" for i in range(n))
     # dual connection in closed form: same off-diagonal symbols, the
     # remaining ones rescaled by coordinate ratios
     star = [[["0"] * n for _ in range(n)] for _ in range(n)]
@@ -228,7 +229,7 @@ def _build_lauricella() -> CatalogEntry:
         "gamma": _gamma_from_offdiag(n, offdiag),
         "gamma_star": tuple(tuple(tuple(r) for r in m) for m in star),
         "lame": lame,
-        "normal_bundle": fields_from_gradients(scalars, [-1] * n, spec.params),
+        "normal_bundle": lauricella_normal_fields(n),
     }
     flags = frozenset({"riemannian-f-killing", "homogeneous", "biflat",
                        "flat-normal-bundle", "darboux", "lame", "gamma-match"})
@@ -304,26 +305,28 @@ def _build_af(n: int) -> CatalogEntry:
     return CatalogEntry(spec=spec, flags=frozenset({"pencil"}), companion={})
 
 
+# each case's parameters and its Gamma^2_22 = a/y, where a is a parameter of
+# case-i only and each other case's chart and potentials hold for one value
 _CASES = {
-    "case-i": {"a": 3.0, "b": 1.0,
+    "case-i": {"params": {"a": 3.0, "b": 1.0}, "gamma22": "a/y",
                "chart": ("x-(b/a)*y", "y^(a+1)/(a+1)"),
                "flat_E": ("u1", "(a+1)*u2"),
                "F": ("(a^2*(a-1)*u1^2+b^2*(a+1)^(2/(a+1))*u2^(2/(a+1)))/(2*(a-1)*a^2)",
                      "(a*(a+2)*u1*u2+2*b*(a+1)^((a+2)/(a+1))*u2^((a+2)/(a+1)))/((a+2)*a)")},
-    "case-ii": {"a": -2.0, "b": 1.0,
+    "case-ii": {"params": {"b": 1.0}, "gamma22": "-2/y",
                 "chart": ("x+(1/2)*b*y", "-1/y"),
                 "flat_E": ("u1", "-u2"),
                 "F": ("(1/2)*u1^2-(1/24)*b^2/u2^2", "u1*u2+b*ln(u2)")},
-    "case-iii": {"a": -1.0, "b": 1.0,
+    "case-iii": {"params": {"b": 1.0}, "gamma22": "-1/y",
                  "chart": ("x+b*y", "ln(y)"),
                  "flat_E": ("u1", "1"),
                  "F": ("(1/2)*u1^2-(1/4)*b^2*exp(2*u2)", "u1*u2-2*b*exp(u2)")},
-    "case-iv": {"a": 0.0, "b": 1.0,
+    "case-iv": {"params": {"b": 1.0}, "gamma22": "0",
                 "chart": ("x+b*y*ln(y)", "y"),
                 "flat_E": ("u1+b*u2", "u2"),
                 "F": ("(1/2)*u1^2-(1/2)*b^2*u2^2*ln(u2)^2+(1/2)*b^2*u2^2*ln(u2)-(3/4)*b^2*u2^2",
                       "-b*u2^2*ln(u2)+(1/2)*b*u2^2+u1*u2")},
-    "case-v": {"a": 1.0, "b": 1.0,
+    "case-v": {"params": {"b": 1.0}, "gamma22": "1/y",
                "chart": ("x-b*y", "y^2/2"),
                "flat_E": ("u1", "2*u2"),
                "F": ("(1/2)*u1^2-(1/2)*b^2*u2*ln(u2)+(1/2)*b^2*u2",
@@ -336,11 +339,11 @@ def _build_case(name: str) -> CatalogEntry:
     spec = ManifoldSpec(
         name=name, n=2, coords=("x", "y"), product="shifted-canonical",
         e=("1", "0"), E=("x", "y"),
-        params={"a": data["a"], "b": data["b"]},
+        params=dict(data["params"]),
         region=Region(box=((0.4, 1.6), (0.6, 1.9)), min_sep=0.0))
     gamma = [[["0"] * 2 for _ in range(2)] for _ in range(2)]
     gamma[0][1][1] = "b/y"
-    gamma[1][1][1] = "a/y"
+    gamma[1][1][1] = data["gamma22"]
     companion = {
         "gamma": tuple(tuple(tuple(r) for r in m) for m in gamma),
         "flat_chart": data["chart"],
@@ -383,19 +386,10 @@ def entry(name: str) -> CatalogEntry:
 # chart-companion verification
 
 
-def _chart_inverse(jac, errors):
-    """The inverse of the flat chart's jacobian `jac`; where it is singular
-    it raises JacobianSingularError, or records it in `errors`."""
-    n = jac.shape[-1]
-    singular = np.abs(np.linalg.det(jac)) <= 1e-12 * (1 + amax(jac, 2)) ** n
-    fail_at(errors, singular, lambda k: JacobianSingularError("chart jacobian is singular"))
-    return np.linalg.inv(np.where(singular[..., None, None], np.eye(n), jac))
-
-
 def flat_coordinates_at(chart: Jets, conn: ConnectionAt, errors=None):
     """Push `conn` to the companion chart, given by its jets `chart`, and
     require the transformed Christoffel symbols to vanish."""
-    jinv = _chart_inverse(chart.grad, errors)
+    jinv = checked_inverse(chart.grad, errors, JacobianSingularError)
     pushed = (contract("...ai,...ijk,...jb,...kc->...abc", chart.grad, conn.gamma, jinv, jinv)
               - contract("...ajk,...jb,...kc->...abc", chart.hess, jinv, jinv))
     sc = pmax(amax(conn.gamma, 3), amax(chart.hess, 3), 1.0)
@@ -407,7 +401,7 @@ def vector_potential_at(b):
     the potential components, and the pushed unit/Euler fields must match
     their printed components (`b`: a row's `_RowData`)."""
     jac, st = b.chart.grad, b.st
-    jinv = _chart_inverse(jac, b.errors)
+    jinv = checked_inverse(jac, b.errors, JacobianSingularError)
     pushed_c = contract("...ai,...ijk,...jb,...kc->...abc", jac, st.c, jinv, jinv)
     terms = [amax(pushed_c - b.potentials.hess, 3),
              amax((jac @ st.e[..., None])[..., 0] - b.flat_e.val, 1)]
@@ -496,7 +490,8 @@ _BATCHED = {
     "conn": lambda w: w.batch("printed" if "gamma" in w.comp else "nat"),
     "dual": lambda w: dual_structure(w.batch("st"), w.batch("nat")),
     "rd": lambda w: rotations(w.spec, w.points, lame_exprs=w.comp.get("lame")),
-    "fields": lambda w: spanning_fields(w.companion("normal_bundle"), w.points, w.spec.n),
+    "fields": lambda w: spanning_fields(w.companion("normal_bundle"), w.points, w.spec.n,
+                                        w.env),
     "pencil": lambda w: pencil_first_order(w.batch("st"), w.batch("ginv")),
     "pa": lambda w: pencil_second_order(
         w.batch("pencil").head(w.head), w.data["lc"].head(w.head) if "lc" in w.data else None),
@@ -504,8 +499,7 @@ _BATCHED = {
     "delta": lambda w: delta_jets(w.batch("pa")),
     "pencil_product": lambda w: product_from_pencil_at(w.batch("pa"), w.batch("delta")[0]),
     # the closed-form solution F of the spec's ODE family
-    "ode": lambda w: closed_forms(w.comp["ode_family"], w.points, w.spec.params.get("a", 1.0),
-                                  w.spec.params.get("b", 1.0)),
+    "ode": lambda w: closed_forms(w.comp["ode_family"], w.points, w.env),
     # the flat chart, and the potential's tables at its values
     "chart": lambda w: w.table("flat_chart", 2),
     **{key: (lambda w, key=key, order=order: w.table(key, order, w.batch("chart").val))
@@ -828,8 +822,8 @@ def run_checks(spec: ManifoldSpec, comp: dict, names, points, tol: float = DEFAU
     return _walk(spec, comp, [_BY_NAME[name] for name in names], points, tol)
 
 
-def run_suite(source, seed: int = 0, count: int = 20, tol: float = DEFAULT_TOL,
-              check: str | None = None) -> SuiteResult:
+def run_suite(source, seed: int = DEFAULT_SEED, count: int = DEFAULT_POINTS,
+              tol: float = DEFAULT_TOL, check: str | None = None) -> SuiteResult:
     """Sample `count` points at `seed` and walk them once (`_walk`) with the
     checks of `source`: a catalog entry's, picked by its flags, a bare
     spec's (`SPEC_CHECKS`), picked by the fields it has, or a `Transform`'s;

@@ -2,11 +2,12 @@
 runs, and catalog access.
 
 Exit codes: 0 all requested checks pass, 1 a check fails (or a transform
-hypothesis is violated), 2 bad input (unparseable spec, unknown entry or
-check, a spec that lacks a field a check or a transform needs or leaves a
-parameter unbound, a product table where a transform needs a named
-product, a sample point where the spec is singular, which `verify` and
-`legendre` name by index and coordinates, a non-finite `--state`,
+hypothesis is violated), 2 bad input (unparseable spec, a malformed spec
+file, named by its field, unknown entry or check, a spec that lacks a
+field a check or a transform needs or leaves a parameter unbound, a
+product table where a transform needs a named product, a sample point
+where the spec is singular, which `verify` and `legendre` name by index
+and coordinates, a non-finite `--state`,
 `--from`, `--to`, `--rtol`, `--atol`, `--a` or `--b`, `--a` or `--b`
 without `--init q0`, a negative tolerance, `--steps` below 1, both
 tolerances zero, a singular integration path, an integration whose step size
@@ -22,6 +23,7 @@ branch convention, and are byte-deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,9 +33,11 @@ import numpy as np
 from . import __version__, catalog
 from . import exprjet as ej
 from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
-from .manifold import ManifoldSpec, MissingFieldError, PointCountError
-from .ode3d import (OdeState3, SingularPathError, SingularPointError, StepSizeUnderflowError,
-                    closed_form_pencil, closed_form_q0, integrate)
+from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, ManifoldSpec, MissingFieldError,
+                       PointCountError)
+from .ode3d import (DEFAULT_ATOL, DEFAULT_ROWS, DEFAULT_RTOL, OdeState3, SingularPathError,
+                    SingularPointError, StepSizeUnderflowError, closed_form_pencil,
+                    closed_form_q0, integrate)
 
 BRANCH_NOTE = "principal (cut on the negative real axis, +0j side)"
 
@@ -187,7 +191,8 @@ def cmd_ode(args) -> int:
         if args.init is not None and args.state is not None:
             raise ValueError(f"--init {args.init} and --state: give one of them, not both")
         if args.init == "q0":
-            state = closed_form_q0(z_from, *(1.0 if v is None else v for v in (args.a, args.b)))
+            state = closed_form_q0(z_from, **{k: v for k, v in (("a", args.a), ("b", args.b))
+                                              if v is not None})
         elif args.init == "pencil63":
             state = closed_form_pencil(z_from)
         elif args.state:
@@ -271,16 +276,18 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(prog="fmcheck",
                                      description="numerical verification of chart-level "
                                                  "product/metric structures")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--points", type=int, default=20)
-        p.add_argument("--rtol", type=float, default=1e-8)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--points", type=int, default=DEFAULT_POINTS)
+        p.add_argument("--rtol", type=float, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
         p.add_argument("--param", action="append", default=[], metavar="K=V")
         p.add_argument("-o", "--output", default=None)
@@ -298,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--to", dest="z_to", required=True)
     po.add_argument("--a", type=float, default=None, help="q0 parameter a (default 1)")
     po.add_argument("--b", type=float, default=None, help="q0 parameter b (default 1)")
-    po.add_argument("--steps", type=int, default=16, help="dense output rows")
-    po.add_argument("--rtol", type=float, default=1e-10)
-    po.add_argument("--atol", type=float, default=1e-12)
+    po.add_argument("--steps", type=int, default=DEFAULT_ROWS, help="dense output rows")
+    po.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+    po.add_argument("--atol", type=float, default=DEFAULT_ATOL)
     po.add_argument("--drift-tol", type=float, default=1e-7)
     po.add_argument("-o", "--output", default=None)
     po.set_defaults(func=cmd_ode)

@@ -60,16 +60,16 @@ class InverseJets(PointBatch):
     errors: list | None = None
 
 
-def checked_inverse(a: np.ndarray, errors=None) -> np.ndarray:
+def checked_inverse(a: np.ndarray, errors=None, error=SingularMatrixError) -> np.ndarray:
     """The inverse of a matrix, or of each matrix of a batch.  A matrix
-    with |det| <= 1e-12 (1 + max|a|)^n is singular: it raises
-    SingularMatrixError, or, given the batch's `errors`, records it there
-    (unless the point has an error already) and is inverted as the
+    with |det| <= 1e-12 (1 + max|a|)^n is singular: it raises `error`
+    made from its determinant, or, given the batch's `errors`, records it
+    there (unless the point has an error already) and is inverted as the
     identity, so that the rest of the batch goes on."""
     det = np.linalg.det(a)
     singular = np.abs(det) <= 1e-12 * (1.0 + amax(a, 2)) ** a.shape[-1]
     if np.any(singular):
-        fail_at(errors, singular, lambda k: SingularMatrixError(complex(np.ravel(det)[k])))
+        fail_at(errors, singular, lambda k: error(complex(np.ravel(det)[k])))
         a = np.where(singular[..., None, None], np.eye(a.shape[-1]), a)
     return np.linalg.inv(a)
 

@@ -9,7 +9,7 @@ applied: the verification here is pointwise tensor algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,31 +36,32 @@ class NormalBundleData:
     """Signs and expression tables of the spanning vector fields: a row of
     components per field, or, with `gradients`, a scalar per field whose
     coordinate gradient is the field (its jet Hessian then supplies the
-    field derivatives)."""
+    field derivatives).  The tables are evaluated in the spec's env."""
     eps: tuple
     exprs: tuple
     gradients: bool = False
-    params: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
         return len(self.exprs)
 
-    def at(self, point, n: int):
-        """Field values xs[a, i] and derivatives dxs[a, i, k] = d_k X_a^i."""
-        fields = spanning_fields(self, [point], n).at(0)
+    def at(self, point, env):
+        """Field values xs[a, i] and derivatives dxs[a, i, k] = d_k X_a^i
+        at `point` in `env`."""
+        fields = spanning_fields(self, [point], len(point), env).at(0)
         return fields.val, fields.grad
 
 
-def spanning_fields(nb: NormalBundleData, points, n: int) -> Jets:
+def spanning_fields(nb: NormalBundleData, points, n: int, env) -> Jets:
     """The field values xs[a, i] (`val`) and derivatives dxs[a, i, k] =
-    d_k X_a^i (`grad`) at all of `points`, as one batch from one run of the
-    table; a point where it is singular records the domain error."""
+    d_k X_a^i (`grad`) at all of `points` in `env`, as one batch from one
+    run of the table; a point where it is singular records the domain
+    error."""
     points = np.asarray(points, dtype=complex).reshape(-1, n)
     if not nb.exprs:
         return Jets(np.zeros((len(points), 0, n), dtype=complex),
                     np.zeros((len(points), 0, n, n), dtype=complex), errors=[None] * len(points))
-    jets = table_jets(nb.exprs, points, nb.params, order=2 if nb.gradients else 1)
+    jets = table_jets(nb.exprs, points, env, order=2 if nb.gradients else 1)
     if nb.gradients:
         return Jets(jets.grad, jets.hess, errors=jets.errors)
     return Jets(jets.val, jets.grad, errors=jets.errors)
@@ -70,26 +71,25 @@ def fields_from_exprs(component_tables: Sequence[Sequence[str]], eps) -> NormalB
     return NormalBundleData(eps=tuple(eps), exprs=tuple(tuple(c) for c in component_tables))
 
 
-def fields_from_gradients(scalar_exprs: Sequence[str], eps, params=None) -> NormalBundleData:
+def fields_from_gradients(scalar_exprs: Sequence[str], eps) -> NormalBundleData:
     """Fields given as coordinate gradients of scalar potentials."""
-    return NormalBundleData(eps=tuple(eps), exprs=tuple(scalar_exprs), gradients=True,
-                            params=params or {})
+    return NormalBundleData(eps=tuple(eps), exprs=tuple(scalar_exprs), gradients=True)
 
 
-def lauricella_normal_fields(n: int, c_consts: Sequence[complex]) -> NormalBundleData:
+def lauricella_normal_fields(n: int) -> NormalBundleData:
     """The n gradient fields of 1/(sqrt(c_a) prod_{l != a}(u^l - u^a)),
-    all with negative sign."""
+    all with negative sign; the constants c1 .. cn are parameters."""
     scalars = []
     for a in range(n):
         prod = "*".join(f"(u{l+1}-u{a+1})" for l in range(n) if l != a)
         scalars.append(f"1/(sqrt(c{a+1})*{prod})")
-    params = {f"c{i+1}": complex(c) for i, c in enumerate(c_consts)}
-    return fields_from_gradients(scalars, eps=(-1,) * n, params=params)
+    return fields_from_gradients(scalars, eps=(-1,) * n)
 
 
-def field_rank(nb: NormalBundleData, point, n: int) -> int:
-    """Numerical rank of the matrix whose columns are the field values."""
-    return int(rank_of(nb.at(point, n)[0]))
+def field_rank(nb: NormalBundleData, point, env) -> int:
+    """Numerical rank of the matrix whose columns are the field values at
+    `point` in `env`."""
+    return int(rank_of(nb.at(point, env)[0]))
 
 
 def rank_of(xs: np.ndarray):
@@ -228,7 +228,7 @@ def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point) -> dict:
     hold at the point, at the default tolerance."""
     st = structure_at(spec, point)
     lc = levi_civita(st)
-    xs, dxs = nb.at(st.point, st.n)
+    xs, dxs = nb.at(st.point, spec.env())
     gmc = gmc_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs), DEFAULT_TOL)
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")

@@ -20,7 +20,7 @@ from .manifold import (DEFAULT_TOL, ManifoldSpec, Report, StructureAt, amax, bat
                        fit_scalar, lie_metric, normalized, pmax, product_jets, required,
                        structure_at, worst)
 from .ode3d import dopri54
-from .tensor import SingularMatrixError, antisym, contract, contract_jets, lie_from_components
+from .tensor import antisym, contract, contract_jets, lie_from_components
 
 __all__ = [
     "NotInvertibleError", "HypothesisViolatedError", "ProductTableError",
@@ -55,20 +55,6 @@ def _mult_operator(st: StructureAt, x, dx, ddx=None):
     return tuple(contract_jets("...lks,...s->...lk", (st.c, st.dc, st.ddc), (x, dx, ddx)))
 
 
-def _inverse_operator(w: np.ndarray, errors=None):
-    """The inverse of the multiplication operator; where it is singular it
-    raises NotInvertibleError, or over a batch records it in `errors`."""
-    singular = None if errors is None else [None] * len(errors)
-    try:
-        inverse = checked_inverse(w, singular)
-    except SingularMatrixError as err:
-        raise NotInvertibleError(err.det) from None
-    if singular is not None:
-        fail_at(errors, [err is not None for err in singular],
-                lambda k: NotInvertibleError(singular[k].det))
-    return inverse
-
-
 def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx, errors=None):
     """Symmetry of the product-twisted covariant derivative of the field,
     plus product invertibility (a point where it fails is recorded in
@@ -76,7 +62,7 @@ def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx, errors=None):
     (residual, scale, |det| of the multiplication operator)."""
     res, sc = sym_condition_at(st, nat, x[..., None, :], dx[..., None, :, :])
     w, _, _ = _mult_operator(st, x, dx)
-    _inverse_operator(w, errors)
+    checked_inverse(w, errors, NotInvertibleError)
     return res, sc, np.abs(np.linalg.det(w))
 
 
@@ -104,7 +90,7 @@ def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
     where the field is not invertible raises, or over a batch records the
     error in `errors`."""
     w, dw, ddw = _mult_operator(st, x, dx, ddx)
-    k = _inverse_operator(w, errors)
+    k = checked_inverse(w, errors, NotInvertibleError)
     dk = -contract("...ia,...abm,...bl->...ilm", k, dw, k)
     gw, dgw = contract_jets("...ljm,...mk->...ljk", (conn.gamma, conn.dgamma), (w, dw))
     inner = (np.swapaxes(dw, -2, -1) + gw, np.swapaxes(ddw, -3, -2) + dgw)
@@ -117,7 +103,7 @@ def transform_connection_report(conn: ConnectionAt, st: StructureAt, x, dx, ddx)
     compatibility, and the curvature conjugation identity."""
     new = transform_connection(conn, st, x, dx, ddx)
     w, _, _ = _mult_operator(st, x, dx)
-    k = _inverse_operator(w)
+    k = checked_inverse(w, error=NotInvertibleError)
     tors = np.max(np.abs(new.gamma - np.swapaxes(new.gamma, 1, 2)))
     compat = check_compat_product(new, st)
     r_new = riemann_components(new.gamma, new.dgamma)

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
+DEFAULT_SEED, DEFAULT_POINTS = 0, 20  # the sampling seed and point count
 
 
 class RegionEmptyError(Exception):
@@ -80,17 +81,52 @@ class Region:
                 "guards": list(self.guards), "guard_min": self.guard_min}
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "Region":
-        return cls(box=tuple(tuple(b) for b in d["box"]),
-                   min_sep=float(d.get("min_sep", 0.1)),
-                   guards=tuple(d.get("guards", ())),
-                   guard_min=float(d.get("guard_min", 0.1)))
+    def from_dict(cls, d: Mapping, n: int) -> "Region":
+        """The region of a spec file's `region` object, on a chart of
+        dimension `n`; ValueError names the first malformed field."""
+        _expect(isinstance(d, Mapping), "region", "an object")
+        box = d["box"]
+        _expect(_is_list(box, n) and all(_is_list(b, 2) and all(map(_is_number, b)) for b in box),
+                "region.box", f"{n} [lo, hi] pairs of numbers, as n = {n}")
+        bounds = {}
+        for key in ("min_sep", "guard_min"):
+            if key in d:
+                _expect(_is_number(d[key]), f"region.{key}", "a number")
+                bounds[key] = float(d[key])
+        guards = d.get("guards", [])
+        _expect(isinstance(guards, list) and all(isinstance(g, str) for g in guards),
+                "region.guards", "a list of expression strings")
+        return cls(box=tuple(tuple(b) for b in box), guards=tuple(guards), **bounds)
 
 
 @dataclass(frozen=True)
 class SamplePlan:
-    seed: int = 0
-    count: int = 20
+    seed: int = DEFAULT_SEED
+    count: int = DEFAULT_POINTS
+
+
+def _expect(ok: bool, field: str, what: str) -> None:
+    """A spec file's `field` must be `what`: ValueError naming it if not."""
+    if not ok:
+        raise ValueError(f"{field}: expected {what}")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list(v, length: int) -> bool:
+    return isinstance(v, list) and len(v) == length
+
+
+def _strings(value, shape: tuple, field: str) -> tuple:
+    """`value`, nested lists of strings of `shape`, as nested tuples."""
+    what = f"{' x '.join(map(str, shape))} strings, as n = {shape[0]}"
+
+    def walk(v, dims):
+        _expect(_is_list(v, dims[0]) if dims else isinstance(v, str), field, what)
+        return tuple(walk(x, dims[1:]) for x in v) if dims else v
+    return walk(value, shape)
 
 
 def _scalar_to_json(v: complex):
@@ -98,10 +134,11 @@ def _scalar_to_json(v: complex):
     return v.real if v.imag == 0 else [v.real, v.imag]
 
 
-def _scalar_from_json(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
+def _scalar_from_json(v, field: str) -> complex:
+    if _is_number(v):
+        return complex(v)
+    _expect(_is_list(v, 2) and all(map(_is_number, v)), field, "a number or an [re, im] pair")
+    return complex(v[0], v[1])
 
 
 @dataclass
@@ -151,21 +188,32 @@ class ManifoldSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ManifoldSpec":
+        """The spec of a JSON object (a spec file).  A malformed field
+        raises ValueError naming it, a missing one KeyError."""
+        _expect(isinstance(d, Mapping), "spec", "an object")
+        n = d["n"]
+        _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n",
+                "a positive integer")
         product = d["product"]
         if isinstance(product, Mapping):
-            product = tuple(tuple(tuple(row) for row in mat) for mat in product["table"])
+            product = _strings(product.get("table"), (n, n, n), "product")
+        else:
+            _expect(product in ("canonical", "shifted-canonical"), "product",
+                    "'canonical', 'shifted-canonical' or {\"table\": ...}")
+        params, expected = d.get("params", {}), d.get("expected", {})
+        _expect(isinstance(params, Mapping), "params", "an object")
+        _expect(isinstance(expected, Mapping), "expected", "an object")
         return cls(
             name=d["name"],
-            n=int(d["n"]),
-            coords=tuple(d["coords"]),
+            n=n,
+            coords=_strings(d["coords"], (n,), "coords"),
             product=product,
-            e=tuple(d["e"]),
-            E=tuple(d["E"]) if d.get("E") is not None else None,
-            g=tuple(tuple(r) for r in d["g"]) if d.get("g") is not None else None,
-            g2=tuple(tuple(r) for r in d["g2"]) if d.get("g2") is not None else None,
-            params={k: _scalar_from_json(v) for k, v in d.get("params", {}).items()},
-            region=Region.from_dict(d["region"]) if d.get("region") is not None else None,
-            expected=dict(d.get("expected", {})),
+            e=_strings(d["e"], (n,), "e"),
+            **{key: None if d.get(key) is None else _strings(d[key], shape, key)
+               for key, shape in (("E", (n,)), ("g", (n, n)), ("g2", (n, n)))},
+            params={k: _scalar_from_json(v, f"params.{k}") for k, v in params.items()},
+            region=Region.from_dict(d["region"], n) if d.get("region") is not None else None,
+            expected=dict(expected),
         )
 
     @classmethod

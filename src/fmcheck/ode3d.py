@@ -41,6 +41,8 @@ __all__ = [
 
 F12, F21, F13, F31, F23, F32 = range(6)
 SING_MARGIN = 1e-3
+# the stepper's tolerances, and the dense rows of a trajectory
+DEFAULT_RTOL, DEFAULT_ATOL, DEFAULT_ROWS = 1e-10, 1e-12, 16
 
 
 class SingularPointError(Exception):
@@ -196,11 +198,12 @@ def _pencil_F(p, q):
                     axis=-1)
 
 
-def closed_forms(family: str, u, a=1.0, b=1.0) -> Jets:
-    """The closed-form F of the family "q0" (parameters a, b) or "pencil63"
-    at the z of each chart point of a batch u, shape (P, 3), as the values
-    of a `Jets`: F of shape (P, 6), zero where `z_of_point` or the closed
-    form at one point raises, and that error in `errors`."""
+def closed_forms(family: str, u, env) -> Jets:
+    """The closed-form F of the family "q0" (parameters a and b, from
+    `env`) or "pencil63" at the z of each chart point of a batch u, shape
+    (P, 3), as the values of a `Jets`: F of shape (P, 6), zero where
+    `z_of_point` or the closed form at one point raises, and that error in
+    `errors`."""
     u = np.asarray(u, dtype=complex)
     errors = [None] * len(u)
     fail_at(errors, u[:, 1] == u[:, 0], lambda k: CoordinateCollisionError("u^1 == u^2"))
@@ -209,7 +212,7 @@ def closed_forms(family: str, u, a=1.0, b=1.0) -> Jets:
         fail_at(errors, (np.abs(z) < SING_MARGIN) | (np.abs(z - 1) < SING_MARGIN),
                 lambda k: _singular_point(complex(z[k])))
         if family == "q0":
-            a, b = complex(a), complex(b)
+            a, b = complex(env["a"]), complex(env["b"])
             fail_at(errors, a * z + b == 0, lambda k: ParameterSingularError("a*z + b vanishes"))
             F = _q0_F(z, a, b)
         else:
@@ -245,7 +248,7 @@ _D62, _D63, _D64 = -282668133 / 205662961, 2019193451 / 616988883, -1453857185 /
 _D72, _D73, _D74 = 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423
 
 
-def dopri54(f: Callable, t0, y0, t1, rtol: float = 1e-10, atol: float = 1e-12,
+def dopri54(f: Callable, t0, y0, t1, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
             dense_ts: Sequence | None = None) -> list:
     """Adaptive integration of y' = f(t, y) along the straight segment from
     t0 to t1 (real or complex) for a 1-D complex state: f gets y as a list
@@ -354,8 +357,8 @@ class Trajectory:
     max_constraint_drift: float  # max |I3|,|I4|,|I5| growth along the way
 
 
-def integrate(state0: OdeState3, z_target, rtol: float = 1e-10,
-              atol: float = 1e-12, n_dense: int = 16) -> Trajectory:
+def integrate(state0: OdeState3, z_target, rtol: float = DEFAULT_RTOL,
+              atol: float = DEFAULT_ATOL, n_dense: int = DEFAULT_ROWS) -> Trajectory:
     """Integrate along the straight segment from state0.z to z_target and
     monitor the first integrals on a dense grid."""
     z0, z1 = complex(state0.z), complex(z_target)

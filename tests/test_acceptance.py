@@ -278,21 +278,22 @@ def test_criterion_08_lauricella_bundle():
     ent = cat.entry("lauricella-eps-minus1-n3")
     spec = ent.spec
     pts = sample_points(spec, SamplePlan(seed=8, count=10))
-    nb = lauricella_normal_fields(3, (1.0, 1.0, 1.0))
+    env = spec.env()
+    nb = lauricella_normal_fields(3)
     ok = check_quadratic_expansion(spec, nb, pts, tol=1e-8).passed
     ok &= check_sym_condition(spec, nb, pts, tol=1e-8).passed
     ok &= check_gmc(spec, nb, pts, tol=1e-8).passed
     for p in pts:
         st = structure_at(spec, p)
         conn = natural_connection(st)
-        xs, dxs = nb.at(st.point, 3)
+        xs, dxs = nb.at(st.point, env)
         for a in range(3):
             nab = dxs[a] + np.einsum("lks,s->lk", conn.gamma, xs[a])
             ok &= np.max(np.abs(nab)) <= 1e-8
-        ok &= field_rank(nb, p, 3) == 2
+        ok &= field_rank(nb, p, env) == 2
         dual = dual_structure(st, conn)
         ok &= dual.report.passed
-        printed = connection_from_exprs(ent.companion["gamma_star"], p, spec.env())
+        printed = connection_from_exprs(ent.companion["gamma_star"], p, env)
         ok &= np.max(np.abs(dual.gamma_star.gamma - printed.gamma)) <= \
             1e-8 * (1 + np.max(np.abs(printed.gamma)))
     announce(8, "lauricella normal bundle + dual", ok, t0)

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import fmcheck.catalog as cat
 from fmcheck.cli import main
 
 
@@ -43,7 +44,6 @@ def test_verify_malformed_spec(tmp_path):
 
 
 def test_verify_spec_file_roundtrip(tmp_path):
-    import fmcheck.catalog as cat
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(cat.entry("lobachevsky").spec.to_json())
     code, out, _ = run_cli(["verify", str(spec_path), "--points", "5"])
@@ -226,7 +226,6 @@ def test_golden_report_fixtures(tmp_path):
     # check names, verdicts and tolerances; residuals equal to within an
     # environment-noise margin
     import pathlib
-    import fmcheck.catalog as cat
     golden_dir = pathlib.Path(__file__).parent / "golden"
     spec_path = tmp_path / "af-pencil-n3.json"
     spec_path.write_text(cat.entry("af-pencil-n3").spec.to_json())
@@ -254,7 +253,6 @@ def test_golden_report_fixtures(tmp_path):
 
 
 def test_verify_spec_file_with_second_metric(tmp_path):
-    import fmcheck.catalog as cat
     spec_path = tmp_path / "pencil.json"
     spec_path.write_text(cat.entry("af-pencil-n3").spec.to_json())
     code, out, _ = run_cli(["verify", str(spec_path), "--points", "5"])
@@ -273,7 +271,6 @@ def test_empty_point_set_is_bad_input():
 
 
 def test_unevaluable_spec_is_bad_input(tmp_path):
-    import fmcheck.catalog as cat
     doc = json.loads(cat.entry("lobachevsky").spec.to_json())
     paths = {}
     from fmcheck.manifold import SamplePlan, sample_points
@@ -340,3 +337,61 @@ def test_verify_has_no_atol_option():
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "lobachevsky", "--atol", "1e-3"])
     assert exc.value.code == 2
+
+
+_LOB = json.loads(cat.entry("lobachevsky").spec.to_json())
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("e", ["1"], "e:"),
+    ("e", ["1", "1", "1"], "e:"),
+    ("coords", ["x", "y", "z"], "coords:"),
+    ("coords", 5, "coords:"),
+    ("product", "weird", "product:"),
+    ("g", [["1", "0", "0"]] * 3, "g:"),
+    ("g", 3, "g:"),
+    ("region", {**_LOB["region"], "box": [[0.6, 2.0]]}, "region.box:"),
+    ("region", {**_LOB["region"], "box": 5}, "region.box:"),
+    ("params", {"k": [1]}, "params.k:"),
+], ids=["e-short", "e-long", "coords-long", "coords-number", "product-name", "g-3x3",
+        "g-number", "box-one-pair", "box-number", "param-one-number"])
+def test_malformed_spec_file_is_bad_input(tmp_path, field, value, named):
+    # lobachevsky's exported spec with one field malformed: one `spec error`
+    # line that names the field, for `verify` and `legendre` alike
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_LOB, field: value}))
+    for argv in (["verify", str(path)], ["legendre", str(path), "--field", "1,1"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "", (argv, err)
+        assert len(err.strip().splitlines()) == 1 and err.startswith(f"spec error: {named}"), err
+
+
+def test_forced_values_are_no_parameters():
+    # a value that its family forces is a table constant, not a parameter
+    for name, key in (("case-ii", "a"), ("case-v", "a"), ("nonss2d", "b")):
+        code, out, err = run_cli(["verify", name, "--param", f"{key}=1"])
+        assert code == 2 and out == ""
+        assert err == f"spec error: --param {key}: {name} has no such parameter\n"
+    code, out, _ = run_cli(["verify", "case-i", "--param", "a=2", "--points", "8"])
+    assert code == 0 and json.loads(out)["params"]["a"] == [2.0, 0.0]
+
+
+def test_param_reaches_the_normal_bundle():
+    # the bundle's fields are evaluated with the spec's parameters, so a
+    # moved c1 moves the fields with the metric
+    code, out, _ = run_cli(["verify", "lauricella-eps-minus1-n3", "--param", "c1=2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["c1"] == [2.0, 0.0]
+    passed = {r["name"]: r["passed"] for r in doc["reports"]}
+    assert passed["quadratic-expansion"] and passed["gmc"]
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    from fmcheck.cli import build_parser
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(["verify", "q0-d0", "--points", "4", "--param", "a=2"])
+    assert code == 0 and json.loads(out)["params"]["a"] == [2.0, 0.0]
+    code, out, _ = run_cli(["verify", "q0-d0", "--points", "4"])
+    assert code == 0 and json.loads(out)["params"]["a"] == [1.0, 0.0]
+    assert build_parser().parse_args(["verify", "q0-d0"]).param == []

@@ -382,8 +382,7 @@ def _point_axis_functions(spec, comp):
         })
         if "ode_family" in comp:
             def states(st):
-                F = ode.closed_forms(comp["ode_family"], points(st), spec.params.get("a", 1.0),
-                                     spec.params.get("b", 1.0))
+                F = ode.closed_forms(comp["ode_family"], points(st), spec.env())
                 assert F.errors == [None] * len(F.errors)
                 return single(F.val, st)
             out.update({
@@ -397,7 +396,7 @@ def _point_axis_functions(spec, comp):
         nb = comp["normal_bundle"]
 
         def fields(st):
-            return own(hm.spanning_fields(nb, points(st), spec.n), st)
+            return own(hm.spanning_fields(nb, points(st), spec.n, spec.env()), st)
         out.update({
             "spanning_fields": lambda st: (fields(st).val, fields(st).grad),
             "quadratic_expansion_at": lambda st: hm.quadratic_expansion_at(

@@ -205,7 +205,7 @@ def _catalog_tables():
                   "product": None if isinstance(spec.product, str) else spec.product}
         for key, value in ent.companion.items():
             if key == "normal_bundle":
-                yield name, key, value.exprs, value.params
+                tables[key] = value.exprs
             elif key == "legendre_fields":
                 tables.update({f"field {k}": v for k, v in value.items()})
             elif isinstance(value, tuple):

@@ -55,22 +55,22 @@ def test_flat_metric_empty_bundle():
 def test_lauricella_bundle_full():
     ent = cat.entry("lauricella-eps-minus1-n3")
     spec = ent.spec
-    nb = lauricella_normal_fields(3, (1.0, 1.0, 1.0))
+    nb = lauricella_normal_fields(3)
     pts = sample_points(spec, SamplePlan(seed=2, count=8))
     assert check_quadratic_expansion(spec, nb, pts, tol=1e-8).passed
     assert check_sym_condition(spec, nb, pts).passed
     rep = check_gmc(spec, nb, pts)
     assert rep.passed
     for p in pts[:4]:
-        assert field_rank(nb, p, 3) == 2
+        assert field_rank(nb, p, spec.env()) == 2
     op = emit_operator(spec, nb, pts[0])
     assert len(op["tails"]) == 3
     assert all(t["epsilon"] == -1 for t in op["tails"])
 
 
 def test_lauricella_rank_n2():
-    nb = lauricella_normal_fields(2, (1.0, 1.0))
-    assert field_rank(nb, np.array([0.3, 1.1]), 2) == 1
+    nb = lauricella_normal_fields(2)
+    assert field_rank(nb, np.array([0.3, 1.1]), {"c1": 1.0, "c2": 1.0}) == 1
 
 
 def test_sym_condition_negative_control():
@@ -93,7 +93,7 @@ def test_gmc_sign_flip_fails():
 def test_qexp_equals_gmc0_when_affinors_match():
     # the two dressings of the same identity agree to machine precision
     ent = cat.entry("lauricella-eps-minus1-n3")
-    nb = lauricella_normal_fields(3, (1.0, 1.0, 1.0))
+    nb = lauricella_normal_fields(3)
     pts = sample_points(ent.spec, SamplePlan(seed=5, count=5))
     q = check_quadratic_expansion(ent.spec, nb, pts)
     g = check_gmc(ent.spec, nb, pts)
@@ -116,6 +116,6 @@ def test_gmc2_follows_from_invariance():
 
 def test_gradient_fields_match_jet_hessian():
     nb = fields_from_gradients(["u1^2*u2"], eps=(-1,))
-    xs, dxs = nb.at(np.array([1.0, 2.0]), 2)
+    xs, dxs = nb.at(np.array([1.0, 2.0]), {})
     assert np.allclose(xs[0], [4.0, 1.0])
     assert np.allclose(dxs[0], [[4.0, 2.0], [2.0, 0.0]])
