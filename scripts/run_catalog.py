@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every built-in suite and print a residual table.
+"""Run every built-in suite, and each entry's catalog Legendre transforms
+(its `legendre_targets`), and print a residual table.
 
 Usage:
     python scripts/run_catalog.py [--seed N] [--points N] [--json OUT]
@@ -21,12 +22,20 @@ def main() -> int:
     parser.add_argument("--json", default=None, help="also dump the full report bundle")
     args = parser.parse_args()
 
+    sources = []
+    for name in cat.names():
+        ent = cat.entry(name)
+        sources.append((name, ent))
+        fields = ent.companion.get("legendre_fields", {})
+        for field, target in ent.companion.get("legendre_targets", {}).items():
+            sources.append((f"{name} {field}->{target}",
+                            cat.Transform(ent.spec, fields[field], field, target)))
     bundle = []
     all_ok = True
-    for name in cat.names():
+    for name, source in sources:
         t0 = time.time()
-        res = cat.run_suite(cat.entry(name), seed=args.seed, count=args.points)
-        bundle.append(res.to_dict())
+        res = cat.run_suite(source, seed=args.seed, count=args.points)
+        bundle.append({**res.to_dict(), "name": name})
         all_ok &= res.ok
         worst = worst_of(r.residual for r in res.reports)
         print(f"{name:<26} {'ok' if res.ok else 'BROKEN':<7} "

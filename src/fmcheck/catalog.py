@@ -30,7 +30,7 @@ from .hamops import (fields_from_exprs, gmc_at, gmc_report, lauricella_normal_fi
                      quadratic_expansion_at, rank_of, spanning_fields, sym_condition_at)
 from .legendre import (homogeneous_legendre_at, homogeneous_legendre_report, legendre_field_at,
                        legendre_field_report, transform_metric_at, transform_metric_exprs,
-                       transformed_metric)
+                       transformed_at)
 from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, AllEntriesZeroError, Jets,
                        ManifoldSpec, PointBatch, Region, Report, SamplePlan, amax, fit_scalar,
                        hertling_manin_at, homogeneity_at, batch_report, killing_unit_at,
@@ -460,21 +460,13 @@ def _v_eigenvalue_gap(b):
     return np.array(gaps), np.zeros(len(gaps))
 
 
-def _transformed(w) -> Jets:
-    """A transform's metric over the points its rows read: all with a
-    target (the match), else the first five (transform-exprs)."""
-    count = len(w.points) if "target_g" in w.comp else 5
-    st, nat, x = (w.batch(name).head(count) for name in ("st", "nat", "field_jets"))
-    errors = [a if a is not None else b for a, b in zip(nat.errors, x.errors)]
-    return Jets(transformed_metric(st, nat, x.val, x.grad, errors=errors), errors=errors)
-
-
 # The data a walk builds once, as batches over its points, each from the
 # walk's other data when a row first asks for it.  The pencil's
 # second-order data ("pa"), and the weight, difference tensor and product
 # its head rows share, are built over the head points only, which are all
 # that those rows read; "pa" on the Levi-Civita connection of the first
-# metric where the walk has built that.
+# metric where the walk has built that.  Every other batch is built over
+# all the points.
 _BATCHED = {
     "st": lambda w: structures(w.spec, w.points),
     "ginv": lambda w: metric_inverse(w.batch("st")),
@@ -504,24 +496,30 @@ _BATCHED = {
     "chart": lambda w: w.table("flat_chart", 2),
     **{key: (lambda w, key=key, order=order: w.table(key, order, w.batch("chart").val))
        for key, order in (("potentials", 2), ("flat_e", 0), ("flat_E", 0))},
-    # a transform's field jets, expression-level metric and target metric
+    # a transform's field jets, its transformed structure (the walk's with
+    # the metric swapped, carrying each point's first error in the
+    # structure connection, the field and the field's flatness), its
+    # expression-level metric and the target's metric
     "field_jets": lambda w: w.table("legendre_field", 2),
-    "transformed_g": lambda w: w.table("transformed_g", 0, w.points[:5]),
+    "stbar": lambda w: transformed_at(w.batch("st"), w.batch("nat"), *w.batch("field_jets"), [
+        a if a is not None else b
+        for a, b in zip(w.batch("nat").errors, w.batch("field_jets").errors)]),
+    "transformed_g": lambda w: w.table("transformed_g", 0),
     "target_g": lambda w: w.table("target_g", 0, env=w.comp["target_env"]),
-    "gbar": _transformed,
 }
 
 
 class _Walk:
     """What one walk shares: spec, companion data, env, its points and
-    head (the points of the costlier pencil rows), and the batches built so
-    far."""
+    head (how many of them the pencil's head rows read: the first
+    max(4, count // 5), or all where there are fewer), and the batches
+    built so far."""
 
     def __init__(self, spec: ManifoldSpec, comp: dict, points):
         self.spec, self.comp, self.env = spec, comp, spec.env()
         self.expected = spec.expected
         self.points = np.asarray(points, dtype=complex)
-        self.head = max(4, len(points) // 5)
+        self.head = min(len(points), max(4, len(points) // 5))
         self.data = {}
 
     def companion(self, key):
@@ -545,10 +543,11 @@ class _Walk:
 
 class _RowData:
     """A row's view of the walk: its batches (and arrays and tuples of
-    arrays over the points), cut to the row's points, and in `errors` the
-    first error at each of those points in the batches it has read, in the
-    order it read them, to which the row adds its own.  Reading a batch
-    with an error at the first point raises it."""
+    arrays over the points), cut to the row's points (fewer than the walk's
+    only for a head row), and in `errors` the first error at each of those
+    points in the batches it has read, in the order it read them, to which
+    the row adds its own.  Reading a batch with an error at the first point
+    raises it."""
 
     def __init__(self, walk: _Walk, count: int):
         self.walk, self.count, self.errors = walk, count, [None] * count
@@ -579,15 +578,15 @@ class Check:
     results at all its points at once: (residual, scale[, fitted
     constant]) as arrays over the point axis.  An entry runs the check when
     its flags hold `flag` and its spec, companion or expected values hold
-    all of `needs`; the check uses all points, the first `points`, or with
-    "head" the first max(4, count // 5).  `fit`, `expected` (a key), `tol`
-    (of the run's tol; default: the run's) and `reduce` set its
+    all of `needs`; the check reads every point, or with `head` (the
+    pencil's costlier rows) only the walk's head.  `fit`, `expected` (a
+    key), `tol` (of the run's tol; default: the run's) and `reduce` set its
     reduction."""
     name: str
     at: Callable
     flag: str | None = None
     needs: tuple = ()
-    points: int | str | None = None
+    head: bool = False
     fit: str | None = None
     expected: str | None = None
     tol: Callable | None = None
@@ -631,14 +630,14 @@ def _reconstructed_at(b):
 
 def _transform_exprs_at(b):
     """The transformed metric against the expression-level one."""
-    gbar = b.gbar.val
+    gbar = b.stbar.g
     res = amax(gbar - b.transformed_g.val, 2) / (1 + amax(gbar, 2))
     return res, np.zeros_like(res)
 
 
 def _match_at(b):
     """The transformed metric against the target's, up to one constant."""
-    gbar, g = b.gbar.val, b.target_g.val
+    gbar, g = b.stbar.g, b.target_g.val
     res = amax(gbar - fit_scalar(gbar, g, rank=2)[..., None, None] * g, 2) / (1 + amax(g, 2))
     return res, np.zeros_like(res)
 
@@ -676,8 +675,8 @@ CHECKS = (
     Check("algebraic-ED4bis", lambda b: algebraic_constraints_at(b.rd, "ED4bis"), "ed4bis"),
     Check("algebraic-ED5b", lambda b: algebraic_constraints_at(b.rd, "ED5b"), "ed5b"),
     Check("potentiality", lambda b: potentiality_at(b.rd), "potentiality"),
-    Check("v-eigenvalues", _v_eigenvalue_gap, "darboux", ("V_eigenvalues",), points=5),
-    Check("ode-integrals", _ode_integrals_at, "ode-family", points=5, tol=lambda tol: 1e-10),
+    Check("v-eigenvalues", _v_eigenvalue_gap, "darboux", ("V_eigenvalues",)),
+    Check("ode-integrals", _ode_integrals_at, "ode-family", tol=lambda tol: 1e-10),
     Check("quadratic-expansion",
           lambda b: quadratic_expansion_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
                                            b.ginv.inv, b.r_lc),
@@ -689,20 +688,20 @@ CHECKS = (
     # 1 where the rank is not the expected one
     Check("normal-rank", lambda b: (np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"])),
                                     np.zeros(b.count)),
-          _BUNDLE, ("rank",), points=5, tol=lambda tol: 0.5),
+          _BUNDLE, ("rank",), tol=lambda tol: 0.5),
     Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",)),
     Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pencil), "pencil", ("g2",),
           fit="d", expected="d_pencil"),
     Check("flat-pencil", lambda b: flat_pencil_at(b.pa, errors=b.errors), "pencil", ("g2",),
-          points="head", reduce=flat_pencil_report),
+          head=True, reduce=flat_pencil_report),
     Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil",
-          points="head"),
+          head=True),
     Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.counit)[:2], "pencil",
-          points="head", tol=lambda tol: max(tol, 1e-9)),
+          head=True, tol=lambda tol: max(tol, 1e-9)),
     Check("product-from-pencil",
-          lambda b: (b.pencil_product.residual, b.pencil_product.scale), "pencil", points="head",
+          lambda b: (b.pencil_product.residual, b.pencil_product.scale), "pencil", head=True,
           tol=lambda tol: max(tol, 1e-9)),
-    Check("reconstructed-structure", _reconstructed_at, "pencil", points="head"),
+    Check("reconstructed-structure", _reconstructed_at, "pencil", head=True),
     Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn, b.errors),
           "flat-chart"),
     Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
@@ -710,13 +709,14 @@ CHECKS = (
     Check("legendre-field", lambda b: legendre_field_at(b.st, b.nat, b.field_jets.val,
                                                         b.field_jets.grad, b.errors),
           reduce=legendre_field_report),
-    Check("transform-exprs", _transform_exprs_at, points=5),
+    Check("transform-exprs", _transform_exprs_at),
     Check("match", _match_at, tol=lambda tol: max(tol, 1e-7)),
     # the transform's theorems, which only their test-facing wrappers run
     Check("transform-metric",
-          lambda b: transform_metric_at(b.st, b.nat, *b.field_jets, errors=b.errors)),
+          lambda b: transform_metric_at(b.stbar, b.nat, *b.field_jets, errors=b.errors)),
     Check("homogeneous-legendre",
-          lambda b: homogeneous_legendre_at(b.st, b.nat, *b.field_jets, errors=b.errors),
+          lambda b: homogeneous_legendre_at(b.st, b.stbar, b.field_jets.val, b.field_jets.grad,
+                                            b.errors),
           reduce=homogeneous_legendre_report),
 )
 _BY_NAME = {check.name: check for check in CHECKS}
@@ -742,19 +742,18 @@ def _chosen(spec: ManifoldSpec, comp: dict, keep) -> list:
 
 def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     """Walk `points` once and reduce each of `checks` over the points it
-    uses, a prefix of them.  Every datum the rows read is built once, as a
-    batch over the points its rows use (`_BATCHED`), and each expression
-    table runs once; each row computes its results at all its points in
-    one call.  Then the lowest point at which a row met an error, and
-    there the first row in table order, names it; an error raised while
-    the rows compute names the first point."""
+    uses: all of them, or a head row's prefix.  Every datum the rows read
+    is built once, as a batch over the points its rows use (`_BATCHED`),
+    and each expression table runs once; each row computes its results at
+    all its points in one call.  Then the lowest point at which a row met
+    an error, and there the first row in table order, names it; an error
+    raised while the rows compute names the first point."""
     walk = _Walk(spec, comp, points)
     results, errors = [], []
     k = 0
     try:
         for check in checks:
-            rows = _RowData(walk, min(len(points), {None: len(points), "head": walk.head}.get(
-                check.points, check.points)))
+            rows = _RowData(walk, walk.head if check.head else len(points))
             results.append(check.at(rows))
             if rows.errors.count(None) < rows.count:
                 errors.append(rows.errors)
@@ -800,9 +799,8 @@ class Transform:
 
     def rows(self):
         """The walk's companion data, rows and expression-level spec: the
-        field's rows over all points, the expression-level metric against
-        the pointwise one over the first five and, with a target, the match
-        over all."""
+        field's rows, the expression-level metric against the pointwise one
+        and, with a target, the match, each over all points."""
         comp = {"legendre_field": self.exprs}
         checks = [_BY_NAME["legendre-field"], _BY_NAME["transform-exprs"]]
         if self.target is not None:

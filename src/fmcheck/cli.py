@@ -7,7 +7,8 @@ file, named by its field, unknown entry or check, a spec that lacks a
 field a check or a transform needs or leaves a parameter unbound, a
 product table where a transform needs a named product, a sample point
 where the spec is singular, which `verify` and `legendre` name by index
-and coordinates, a non-finite `--state`,
+and coordinates, a sampling region that admits fewer points than
+`--points`, a negative `--seed`, a non-finite `--state`,
 `--from`, `--to`, `--rtol`, `--atol`, `--a` or `--b`, `--a` or `--b`
 without `--init q0`, a negative tolerance, `--steps` below 1, both
 tolerances zero, a singular integration path, an integration whose step size
@@ -34,7 +35,7 @@ from . import __version__, catalog
 from . import exprjet as ej
 from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
 from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, ManifoldSpec, MissingFieldError,
-                       PointCountError)
+                       PointCountError, RegionEmptyError)
 from .ode3d import (DEFAULT_ATOL, DEFAULT_ROWS, DEFAULT_RTOL, OdeState3, SingularPathError,
                     SingularPointError, StepSizeUnderflowError, closed_form_pencil,
                     closed_form_q0, integrate)
@@ -102,8 +103,8 @@ def _load_spec(args):
 
 
 # errors out of a walk that are bad input (exit 2), or reject a transform (exit 1)
-_BAD_INPUT = (PointCountError, MissingFieldError, ProductTableError, catalog.UnknownEntryError,
-              catalog.SingularSampleError, ej.EvalError)
+_BAD_INPUT = (PointCountError, RegionEmptyError, MissingFieldError, ProductTableError,
+              catalog.UnknownEntryError, catalog.SingularSampleError, ej.EvalError)
 _REJECTED = (NotInvertibleError, HypothesisViolatedError)
 
 
@@ -142,8 +143,15 @@ def _report(command: str, args, spec, suite, **fields) -> int:
 
 
 def _run_suite(args, source, check=None):
-    """The command's one walk, `catalog.run_suite` on `source`; for an
-    error it raises, one line on stderr and its exit code instead."""
+    """The command's one walk, `catalog.run_suite` on `source`; for a bad
+    `--seed` or `--rtol`, or an error the walk raises, one line on stderr
+    and its exit code instead."""
+    if args.seed < 0:
+        sys.stderr.write(f"input error: --seed {args.seed}: must be non-negative\n")
+        return 2
+    if not (np.isfinite(args.rtol) and args.rtol >= 0):
+        sys.stderr.write(f"input error: --rtol {args.rtol!r}: must be finite and non-negative\n")
+        return 2
     try:
         return catalog.run_suite(source, seed=args.seed, count=args.points, tol=args.rtol,
                                  check=check)

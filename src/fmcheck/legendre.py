@@ -17,17 +17,16 @@ from .connection import (ConnectionAt, check_compat_product, checked_inverse,
                          natural_connection, riemann_components)
 from .hamops import sym_condition_at
 from .manifold import (DEFAULT_TOL, ManifoldSpec, Report, StructureAt, amax, batch_report, fail_at,
-                       fit_scalar, lie_metric, normalized, pmax, product_jets, required,
-                       structure_at, worst)
+                       fit_scalar, homogeneity_at, killing_unit_at, metric_invariance_at,
+                       normalized, pmax, product_jets, required, structure_at, worst)
 from .ode3d import dopri54
-from .tensor import antisym, contract, contract_jets, lie_from_components
+from .tensor import contract, contract_jets
 
 __all__ = [
     "NotInvertibleError", "HypothesisViolatedError", "ProductTableError",
     "check_legendre_field", "transform_connection", "transform_connection_report",
-    "transformed_metric", "transform_metric", "transform_metric_report",
-    "transformed_structure", "flat_field_ode", "check_homogeneous_legendre",
-    "transform_metric_exprs",
+    "transformed_at", "transform_metric_report", "transformed_structure", "flat_field_ode",
+    "check_homogeneous_legendre", "transform_metric_exprs",
 ]
 
 
@@ -116,26 +115,6 @@ def transform_connection_report(conn: ConnectionAt, st: StructureAt, x, dx, ddx)
                                      npoints=1)
 
 
-def transformed_metric(st: StructureAt, conn: ConnectionAt, x, dx, errors=None):
-    """Transformed metric gbar(Y,Z) = g(X o Y, X o Z), at a point or over a
-    batch, after enforcing flatness of the field for `conn`: where the
-    field's normalized covariant derivative exceeds 1e-8 it raises
-    HypothesisViolatedError, or over a batch records it in `errors`."""
-    nab = dx + contract("...lks,...s->...lk", conn.gamma, x)
-    hyp = normalized(amax(nab, 2), amax(x, 1))
-    fail_at(errors, hyp > 1e-8, lambda k: HypothesisViolatedError(
-        f"field is not connection-flat (residual {np.ravel(hyp)[k]:.3e})"))
-    w = contract("...lks,...s->...lk", st.c, x)
-    return contract("...ki,...lj,...kl->...ij", w, w, st.g)
-
-
-def transform_metric(st: StructureAt, conn: ConnectionAt, x, dx, ddx, errors=None):
-    """`transformed_metric` with its first and second derivatives."""
-    gbar = transformed_metric(st, conn, x, dx, errors)
-    w = _mult_operator(st, x, dx, ddx)
-    return (gbar, *contract_jets("...ki,...lj,...kl->...ij", w, w, (st.g, st.dg, st.ddg), low=1))
-
-
 def transformed_structure(spec: ManifoldSpec, field_exprs, point) -> StructureAt:
     """StructureAt with the metric replaced by its Legendre transform."""
     st = structure_at(spec, point)
@@ -144,33 +123,38 @@ def transformed_structure(spec: ManifoldSpec, field_exprs, point) -> StructureAt
 
 
 def transformed_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None) -> StructureAt:
-    """The structure with its metric replaced by the transformed one; a
-    point where the field is not flat for `nat` raises, or over a batch
-    records the error in `errors`, which the new structure carries."""
-    gbar, dgbar, ddgbar = transform_metric(st, nat, x, dx, ddx, errors=errors)
+    """The structure with its metric replaced by the transformed one,
+    gbar(Y,Z) = g(X o Y, X o Z), with its first and second derivatives, at a
+    point or over a batch, once the field is checked flat for `nat`: where
+    its normalized covariant derivative exceeds 1e-8 it raises
+    HypothesisViolatedError, or over a batch records it in `errors`, which
+    the new structure carries."""
+    nab = dx + contract("...lks,...s->...lk", nat.gamma, x)
+    hyp = normalized(amax(nab, 2), amax(x, 1))
+    fail_at(errors, hyp > 1e-8, lambda k: HypothesisViolatedError(
+        f"field is not connection-flat (residual {np.ravel(hyp)[k]:.3e})"))
+    w = _mult_operator(st, x, dx, ddx)
+    gbar, dgbar, ddgbar = contract_jets("...ki,...lj,...kl->...ij", w, w, (st.g, st.dg, st.ddg))
     return StructureAt(n=st.n, point=st.point, c=st.c, dc=st.dc, ddc=st.ddc,
                        e=st.e, de=st.de, dde=st.dde,
                        E=st.E, dE=st.dE, ddE=st.ddE,
                        g=gbar, dg=dgbar, ddg=ddgbar, errors=errors)
 
 
-def transform_metric_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None):
-    """Theorem-level consequences of the metric transform at each point:
-    invariance, unit-Killing property, and agreement of the new structure
-    connection with the conjugated connection.  Over a batch, a point where
-    the field is not flat or not invertible, or the new metric is singular,
-    records the error in `errors`."""
-    st_bar = transformed_at(st, nat, x, dx, ddx, errors)
-    inv = antisym(contract("...iq,...qlp->...ilp", st_bar.g, st.c), -3, -2)
-    killing = lie_metric(st_bar, st.e, st.de)
-    nat_bar = natural_connection(st_bar)
+def transform_metric_at(stbar: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None):
+    """Theorem-level consequences of the metric transform at each point: the
+    transformed structure `stbar` (`transformed_at` on the structure
+    connection `nat`) has an invariant metric for which the unit is
+    Killing, and its structure connection is the conjugated one.  Over a
+    batch, a point where the field is not invertible or the new metric is
+    singular records the error in `errors`."""
+    nat_bar = natural_connection(stbar)
     if errors is not None:
         fail_at(errors, [err is not None for err in nat_bar.errors], nat_bar.errors.__getitem__)
-    conj = transform_connection(nat, st, x, dx, ddx, errors)
-    sc = pmax(amax(st_bar.g, 2), 1.0)
-    raw = pmax(normalized(amax(inv, 3), sc), normalized(amax(killing, 2), sc),
-               normalized(amax(nat_bar.gamma - conj.gamma, 3), amax(conj.gamma, 3) + 1.0))
-    return raw, sc
+    conj = transform_connection(nat, stbar, x, dx, ddx, errors)
+    (inv, sc_inv), (killing, sc_killing) = metric_invariance_at(stbar), killing_unit_at(stbar)
+    gap = normalized(amax(nat_bar.gamma - conj.gamma, 3), amax(conj.gamma, 3))
+    return pmax(inv, killing, gap), pmax(sc_inv, sc_killing)
 
 
 def transform_metric_report(spec: ManifoldSpec, field_exprs, points) -> Report:
@@ -214,22 +198,20 @@ def flat_field_ode(gamma_provider: Callable, x0, path) -> dict:
             / (1 + float(np.max(np.abs(want))))}
 
 
-def homogeneous_legendre_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None):
-    """Returns (residual, scale, field weight, D, transformed D) at each
-    point; over a batch, a point where the field is not flat records the
-    error in `errors`."""
+def homogeneous_legendre_at(st: StructureAt, stbar: StructureAt, x, dx, errors=None):
+    """The field's Euler weight w, fitted in L_E X = w X, and the
+    homogeneity of the metric and of the transformed one (`homogeneity_at`
+    on `st` and `stbar`), whose exponents must obey Dbar = D + 2w + 2.
+    Returns (residual, scale, w, D, Dbar) at each point; over a batch, a
+    point where a metric vanishes records the error in `errors`."""
     lie_x = contract("...k,...ik->...i", st.E, dx) - contract("...k,...ki->...i", x, st.dE)
-    dbar = fit_scalar(lie_x, x, rank=1)
-    res_x = amax(lie_x - dbar[..., None] * x, 1)
-    st_bar = transformed_at(st, nat, x, dx, ddx, errors)
-    lg = lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE)
-    lgbar = lie_from_components(st_bar.g, st_bar.dg, ("d", "d"), st.E, st.dE)
-    D = fit_scalar(lg, st.g, rank=2)
-    Dbar = fit_scalar(lgbar, st_bar.g, rank=2)
-    sc = pmax(amax(x, 1), 1.0)
-    raw = pmax(normalized(res_x, sc),
-               normalized(np.abs(Dbar - (D + 2 * dbar + 2)), np.abs(Dbar) + 1.0))
-    return raw, sc, dbar, D, Dbar
+    w = fit_scalar(lie_x, x, rank=1)
+    res, sc, D = homogeneity_at(st, errors)
+    res_bar, sc_bar, Dbar = homogeneity_at(stbar, errors)
+    sc_x = amax(x, 1)
+    raw = pmax(normalized(amax(lie_x - w[..., None] * x, 1), sc_x), res, res_bar,
+               normalized(np.abs(Dbar - (D + 2 * w + 2)), np.abs(Dbar)))
+    return raw, pmax(sc_x, sc, sc_bar), w, D, Dbar
 
 
 def homogeneous_legendre_report(name: str, result, tol: float) -> Report:

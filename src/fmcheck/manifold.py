@@ -403,7 +403,8 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
     attempts = 0
     while len(points) < plan.count:
         if attempts == _MAX_ATTEMPTS:
-            raise RegionEmptyError(f"rejection sampling exhausted for {spec.name!r}")
+            raise RegionEmptyError(f"the sampling region of {spec.name!r} gave {len(points)} of "
+                                   f"{plan.count} points in {_MAX_ATTEMPTS} draws")
         block = min(2 * (plan.count - len(points)) + 8, _MAX_ATTEMPTS - attempts)
         attempts += block
         cands = lo + rng.random((block, len(lo))) * (hi - lo)

@@ -126,7 +126,7 @@ def test_every_flag_picks_a_check():
 
 def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     # record the points of every structure, pencil (first and second
-    # order), rotation data, spanning-field and transformed-metric batch
+    # order), rotation data, spanning-field and transformed-structure batch
     # built, every matrix inverted, every metric given Christoffel jets,
     # and every run of an expression table with the points it runs over
     # and the derivative order it computes, binding the recorders wherever
@@ -183,7 +183,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                ("pencil", "pencil_second_order"): lambda fn: returned("pencil2", fn),
                ("connection", "checked_inverse"): inverse,
                ("connection", "christoffel_jets"): christoffel_of,
-               ("legendre", "transformed_metric"): transformed_over,
+               ("legendre", "transformed_at"): transformed_over,
                ("exprjet", "eval_points"): table_run}
     for (mod, fn), wrap in targets.items():
         orig = getattr(sys.modules[f"fmcheck.{mod}"], fn)
@@ -277,10 +277,9 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                 check_inverses(metrics, argv)
                 check_runs(ent.spec, pts, chart_values, argv)
 
-    # `legendre`: one structure batch over the sample points, the field's
-    # and the target metric's tables once over them, the expression-level
-    # metric's once over the first five, and one transformed metric batch
-    # over the points a row reads it at
+    # `legendre`: one structure batch over the sample points, the field's,
+    # the expression-level metric's and the target metric's tables once
+    # over them, and one transformed structure batch over them
     ent = cat.entry("q0-d-minus1")
     pts = [tuple(np.asarray(p, dtype=complex))
            for p in sample_points(ent.spec, SamplePlan(seed=0, count=10))]
@@ -296,12 +295,12 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) == 0, argv
         assert built["structure"] == [pts], argv
-        assert built["transformed"] == ([pts] if target else [pts[:5]]), argv
+        assert built["transformed"] == [pts], argv
         check_inverses([st.g], argv)
         exprs = ent.companion["legendre_fields"][field]
         # the metrics that rows compare only as values run to order 0
         want = [(repr(t), pts, 2) for t in (ent.spec.e, ent.spec.E, ent.spec.g, exprs)]
-        want.append((repr(transform_metric_exprs(ent.spec, exprs).g), pts[:5], 0))
+        want.append((repr(transform_metric_exprs(ent.spec, exprs).g), pts, 0))
         if target:
             want.append((repr(cat.entry(target).spec.g), pts, 0))
         got = [run for run in runs if run[0] != repr(ent.spec.region.guards)]
@@ -309,20 +308,44 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
 
 
 def test_row_data_cuts_array_batches_to_the_row_points():
-    # a 5-point row reads the walk's curvature array, built over all 20
-    # points, at its own 5 points, as it reads tuples and point batches
+    # a head row of a 25-point walk reads the walk's curvature array, built
+    # over all 25 points, at its own first max(4, 25 // 5) = 5 points, as it
+    # reads tuples and point batches
     from dataclasses import replace
     ent = cat.entry("lobachevsky")
-    points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
+    points = sample_points(ent.spec, SamplePlan(seed=0, count=25))
     walk = cat._Walk(ent.spec, ent.companion, points)
-    rows = cat._RowData(walk, 5)
-    assert walk.batch("r_lc").shape[0] == 20
+    assert walk.head == 5
+    rows = cat._RowData(walk, walk.head)
+    assert walk.batch("r_lc").shape[0] == 25
     assert rows.r_lc.shape[0] == 5 and rows.lc.gamma.shape[0] == 5
     assert all(a.shape[0] == 5 for a in rows.counit)
     flat = cat._BY_NAME["levi-civita-flat"]
-    five = cat._walk(ent.spec, ent.companion, [replace(flat, points=5)], points, 1e-8)[0]
+    five = cat._walk(ent.spec, ent.companion, [replace(flat, head=True)], points, 1e-8)[0]
     alone = cat._walk(ent.spec, ent.companion, [flat], points[:5], 1e-8)[0]
-    assert five.to_dict() == alone.to_dict()
+    assert five.npoints == 5 and five.to_dict() == alone.to_dict()
+
+
+def test_only_the_pencil_head_rows_read_fewer_points():
+    # every catalog entry and both catalog transforms: at 3 points every
+    # row reads all 3; at 7 the pencil's five head rows read the first
+    # max(4, 7 // 5) = 4 and every other row reads all 7
+    head = {"flat-pencil", "delta-identities", "r-operator", "product-from-pencil",
+            "reconstructed-structure"}
+    sources = [cat.entry(name) for name in cat.names()]
+    source = cat.entry("q0-d-minus1")
+    for field, target in source.companion["legendre_targets"].items():
+        sources.append(cat.Transform(source.spec, source.companion["legendre_fields"][field],
+                                     field, target))
+    seen = set()
+    for src in sources:
+        for count in (3, 7):
+            for r in run_suite(src, seed=0, count=count).reports:
+                want = 4 if count == 7 and r.name in head else count
+                assert r.npoints == want, (src.spec.name, count, r.name, r.npoints)
+                seen.add(r.name)
+    assert head <= seen and {"v-eigenvalues", "ode-integrals", "normal-rank", "transform-exprs",
+                             "match-q0-d0", "match-q0-d1"} <= seen
 
 
 def test_q0_d1_fault_seeds_fail_only_curvature_product():

@@ -291,6 +291,17 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                     ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]])):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({**doc, "g": g}))
+    # a region that admits no point: no two coordinates 50 apart in the box
+    paths["empty"] = tmp_path / "empty.json"
+    paths["empty"].write_text(json.dumps({**doc, "region": {**doc["region"], "min_sep": 50}}))
+    walk_options = [(["verify", "lobachevsky"] + option, f"input error: {named}")
+                    for option, named in (
+                        (["--seed", "-1"], "--seed -1: must be non-negative"),
+                        (["--rtol", "nan"], "--rtol nan: must be finite and non-negative"),
+                        (["--rtol", "-1"], "--rtol -1.0: must be finite and non-negative"),
+                        (["--rtol", "inf"], "--rtol inf: must be finite and non-negative"))]
+    walk_options += [(["legendre", "q0-d-minus1", "--field", "X2"] + argv[2:], want)
+                     for argv, want in walk_options]
 
     def singular(k):
         return f"sample {k} at ({float(samples[k][0])}, {float(samples[k][1])}) is singular"
@@ -317,6 +328,14 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        # a malformed --param is named with what it holds
                        (["verify", "lobachevsky", "--param", "a"], "--param 'a'"),
                        (["verify", "lobachevsky", "--param", "=3"], "--param '=3'"),
+                       # a bad --seed or --rtol, and a region with too few points
+                       *walk_options,
+                       (["verify", str(paths["empty"])],
+                        "input error: the sampling region of 'lobachevsky' gave 0 of 20"),
+                       (["legendre", str(paths["empty"]), "--field", "1,1"],
+                        "input error: the sampling region of 'lobachevsky' gave 0 of 20"),
+                       (["verify", "lobachevsky", "--points", "100000000"],
+                        "input error: the sampling region of 'lobachevsky'"),
                        (["verify", "lobachevsky", "--param", "b=zz"], "--param b: 'zz'"),
                        # so is a name that is no parameter of the spec (or target)
                        (["verify", "q0-d0", "--param", "aa=2"], "--param aa: q0-d0"),

@@ -423,20 +423,20 @@ def _point_axis_functions(spec, comp):
         def field(st):
             x = table(comp["legendre_fields"]["X3"], st)
             return x.val, x.grad, x.hess
+
+        def stbar(st):
+            return lg.transformed_at(st, cn.natural_connection(st), *field(st))
         out.update({
             "legendre_field_at": lambda st: lg.legendre_field_at(st, cn.natural_connection(st),
                                                                  *field(st)[:2]),
-            "transformed_metric": lambda st: lg.transformed_metric(
-                st, cn.natural_connection(st), *field(st)[:2]),
-            "transform_metric": lambda st: lg.transform_metric(st, cn.natural_connection(st),
-                                                               *field(st)),
+            "transformed_at": lambda st: [getattr(stbar(st), f) for f in ("g", "dg", "ddg")],
             "transform_connection": lambda st: [
                 getattr(lg.transform_connection(cn.natural_connection(st), st, *field(st)), f)
                 for f in ("gamma", "dgamma")],
             "transform_metric_at": lambda st: lg.transform_metric_at(
-                st, cn.natural_connection(st), *field(st)),
+                stbar(st), cn.natural_connection(st), *field(st)),
             "homogeneous_legendre_at": lambda st: lg.homogeneous_legendre_at(
-                st, cn.natural_connection(st), *field(st)),
+                st, stbar(st), *field(st)[:2]),
         })
     return out
 
@@ -491,7 +491,7 @@ def test_batched_functions_and_rows_equal_single_point_runs():
     for name, spec, comp, pts, rows in sources:
         for row in rows:
             walk = cat._Walk(spec, comp, pts)
-            limit = {None: 10, "head": walk.head}.get(row.points, row.points)
+            limit = walk.head if row.head else 10
             got = row.at(cat._RowData(walk, limit))
             assert len(got[0]) == limit
             for k, p in enumerate(pts[:limit]):
@@ -499,7 +499,8 @@ def test_batched_functions_and_rows_equal_single_point_runs():
                 _same(at(got, k), at(want, 0), (name, row.name, k))
             names.add("match" if row.name.startswith("match-") else row.name)
     assert len([c for c in cat.CHECKS if c.name in names]) == len(cat.CHECKS) == 45
-    assert len(names) >= 45 + 60
+    # every row and at least 59 batched functions
+    assert len(names) >= 45 + 59
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -507,8 +508,8 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
     # one array of the structure batch, the rotation data, the spanning
     # fields or the closed-form ODE states is moved by 1e-3, or turns to
     # NaN, at one point of 10: point 5 for the rows over all points, point
-    # 2 for the rows over a prefix (the pencil's head rows over 4, the
-    # five-point rows); each row whose residual the move changes reads that
+    # 2 for the pencil's head rows, which read the first 4; each row whose
+    # residual the move changes reads that
     # array there, and the NaN makes it NaN, so the row fails
     import dataclasses
     from fmcheck import hamops, manifold, rotation
@@ -552,8 +553,8 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
         by_name = {"match" if r.name.startswith("match-") else r.name: r for r in reports}
         return {name: r for name, r in by_name.items() if name in rows}
 
-    for at, rows in ((5, {c.name for c in cat.CHECKS if c.points is None}),
-                     (2, {c.name for c in cat.CHECKS if c.points is not None})):
+    for at, rows in ((5, {c.name for c in cat.CHECKS if not c.head}),
+                     (2, {c.name for c in cat.CHECKS if c.head})):
         failed = set()
         for source, check in runs:
             poison.update(field=None, at=at)

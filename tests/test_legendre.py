@@ -7,9 +7,8 @@ from fmcheck.connection import christoffel_provider, natural_connection
 from fmcheck.legendre import (HypothesisViolatedError, NotInvertibleError,
                               check_homogeneous_legendre, check_legendre_field,
                               flat_field_ode, transform_connection,
-                              transform_connection_report, transform_metric,
-                              transform_metric_exprs, transform_metric_report,
-                              transformed_structure)
+                              transform_connection_report, transform_metric_exprs,
+                              transform_metric_report, transformed_at, transformed_structure)
 from fmcheck.manifold import SamplePlan, fit_scalar, sample_points, structure_at
 from fmcheck.rotation import rotation_data
 
@@ -29,7 +28,7 @@ def test_unit_field_is_identity_transform(q0):
     x, dx, ddx = ej.eval_table(("1", "1", "1"), st.point, spec.env())
     new = transform_connection(conn, st, x, dx, ddx)
     assert np.max(np.abs(new.gamma - conn.gamma)) < 1e-13
-    gbar, _, _ = transform_metric(st, conn, x, dx, ddx)
+    gbar = transformed_at(st, conn, x, dx, ddx).g
     assert np.max(np.abs(gbar - st.g)) < 1e-13
 
 
@@ -62,7 +61,7 @@ def test_transform_requires_flat_field(q0):
     conn = natural_connection(st)
     x, dx, ddx = ej.eval_table(("u1", "u2", "u3"), st.point, spec.env())
     with pytest.raises(HypothesisViolatedError):
-        transform_metric(st, conn, x, dx, ddx)
+        transformed_at(st, conn, x, dx, ddx)
 
 
 def test_connection_transform_properties(q0):
@@ -210,7 +209,7 @@ def test_componentwise_inverse_field_is_informational(q0):
     st = structure_at(spec, p)
     conn = natural_connection(st)
     x, dx, ddx = ej.eval_table(fields["X2"], p, spec.env())
-    gbar, _, _ = transform_metric(st, conn, x, dx, ddx)
+    gbar = transformed_at(st, conn, x, dx, ddx).g
     # componentwise inverse on the canonical chart
     inv_exprs = tuple(ej.to_source(ej.Num(1.0) / ej.parse(s)) for s in fields["X2"])
     xi, _, _ = ej.eval_table(inv_exprs, p, spec.env())
