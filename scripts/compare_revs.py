@@ -24,10 +24,12 @@ paths.  Each run is classified as
 
 - identical: the same exit code, stdout and stderr;
 - moved: only numbers in the JSON report, or cells of the `ode` CSV,
-  differ; the run gives the largest
-  |change| and whether every number is inside the golden-report margin
-  1e-12 + 1e-6 |r| (`tests/test_cli.py::test_golden_report_fixtures`), and
-  each moved number is listed;
+  differ.  The golden-report margin 1e-12 + 1e-6 |r|
+  (`tests/test_cli.py::test_golden_report_fixtures`) governs the floats
+  (residuals, scales, details and CSV cells): the run gives their largest
+  |change| and whether every one is inside the margin, and lists each.
+  Integers (such as a row's `npoints`) have no margin; each moved one is
+  listed apart;
 - changed: the exit code, stderr, a verdict or any other part of the
   report (a CSV header, the number of rows) differs; the run lists each
   such difference, as the exit code, stderr or the path in the report
@@ -47,8 +49,9 @@ gradients, Hessians) is classified as
 
 and each table's per-point errors as identical or changed.
 
-The second-to-last line counts each kind of run, and the moved runs
-outside the margin; the last line counts each class of part, and the
+The second-to-last line counts each kind of run, the moved runs with a
+float outside the margin (0 included) and the moved runs with a moved
+integer; the last line counts each class of part, and the
 tables whose errors changed.  The exit code is 1 if any run, part or
 errors changed, else 0: a move, inside the margin or not, leaves every
 verdict as it was.
@@ -263,9 +266,11 @@ def classify(base: dict, head: dict) -> dict:
         changes += [(f"report{path}", b, h) for path, b, h in report]
     if changes:
         return {"kind": "changed", "changes": changes}
-    return {"kind": "moved", "values": moved,
-            "max_abs": max(abs(h - b) for _, b, h in moved),
-            "inside_margin": all(abs(h - b) <= 1e-12 + 1e-6 * abs(b) for _, b, h in moved)}
+    floats = [m for m in moved if isinstance(m[1], float) or isinstance(m[2], float)]
+    return {"kind": "moved", "values": floats,
+            "integers": [m for m in moved if m not in floats],
+            "max_abs": max((abs(h - b) for _, b, h in floats), default=0.0),
+            "inside_margin": all(abs(h - b) <= 1e-12 + 1e-6 * abs(b) for _, b, h in floats)}
 
 
 def _clip(value, width: int = 200) -> str:
@@ -346,11 +351,14 @@ def main() -> int:
             line += (f"  max|d|={res['max_abs']:.2e}"
                      f" {'inside' if res['inside_margin'] else 'OUTSIDE'} margin")
             line += "".join(f"\n           {path}: {b!r} -> {h!r}" for path, b, h in res["values"])
+            line += "".join(f"\n           {path}: {b!r} -> {h!r} (integer)"
+                            for path, b, h in res["integers"])
         else:
             line += "".join(f"\n           {part}: {_clip(b)} -> {_clip(h)}"
                             for part, b, h in res["changes"])
         print(line)
     outside = sum(res["kind"] == "moved" and not res["inside_margin"] for res in results)
+    integers = sum(res["kind"] == "moved" and bool(res["integers"]) for res in results)
     classes: dict = {}
     for table in jets:
         for part in PARTS:
@@ -363,7 +371,8 @@ def main() -> int:
             print(f"changed      jets of {table['table']}: errors")
     errors = sum(table["errors"] != "identical" for table in jets)
     print(f"{len(results)} runs: " + ", ".join(f"{n} {k}" for k, n in sorted(counts.items()))
-          + (f" ({outside} of them OUTSIDE the margin)" if outside else ""))
+          + f"; {outside} moved runs with a float OUTSIDE the margin, {integers} with a moved "
+            f"integer")
     print(f"{len(jets)} tables, {len(jets) * len(PARTS)} parts: "
           + ", ".join(f"{n} {k}" for k, n in sorted(classes.items()))
           + f"; errors changed in {errors}")

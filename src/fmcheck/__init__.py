@@ -1,8 +1,10 @@
-"""Numerical verification engine for product/metric structures on charts."""
+"""Numerical verification engine for product/metric structures on charts.
+
+`ode3d` and the CLI's `ode` need only the standard library; the walk's
+modules load numpy, and their defaults live here for the CLI's parser.
+"""
 
 __version__ = "0.1.0"
 
-from .manifold import ManifoldSpec, Region, SamplePlan, Report, StructureAt, structure_at
-
-__all__ = ["ManifoldSpec", "Region", "SamplePlan", "Report", "StructureAt",
-           "structure_at", "__version__"]
+DEFAULT_TOL = 1e-8
+DEFAULT_SEED, DEFAULT_POINTS = 0, 20  # the sampling seed and point count

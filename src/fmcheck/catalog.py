@@ -36,15 +36,15 @@ from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, AllEntriesZero
                        hertling_manin_at, homogeneity_at, batch_report, killing_unit_at,
                        metric_invariance_at, normalized, pmax, product_axioms_at, required,
                        sample_points, structures, table_jets)
-from .ode3d import betas_from_F, closed_forms, first_integrals
+from .ode3d import first_integrals
 from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at,
                      flat_pencil_report, pencil_first_order, pencil_homogeneity_at,
                      pencil_second_order, pencil_weight, product_from_pencil_at, r_operator_at,
                      reconstructed_at)
-from .rotation import (ZeroLameError, algebraic_constraints_at, darboux_at,
-                       flatness_constraint_at, lame_system_at, potentiality_at,
+from .rotation import (ZeroLameError, algebraic_constraints_at, betas_from_F, closed_forms,
+                       darboux_at, flatness_constraint_at, lame_system_at, potentiality_at,
                        reduction_identity_at, rotations)
-from .tensor import SingularMatrixError, cluster_values, contract, eigenvalues
+from .tensor import SingularMatrixError, contract, eigenvalues, merge_close
 
 __all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Transform",
            "run_checks", "Check", "CHECKS", "SPEC_CHECKS", "SINGLE_CHECKS",
@@ -450,14 +450,8 @@ def _table_gap(conn: ConnectionAt, printed: ConnectionAt):
 
 def _v_eigenvalue_gap(b):
     want = np.array(sorted(b.expected["V_eigenvalues"]), dtype=complex)
-    gaps = []
-    for eig in eigenvalues(b.rd.V):
-        # cluster multiple roots first: a split double root is only
-        # sqrt(eps)-accurate per root but eps-accurate in the mean
-        clustered = sorted((rep for rep, mult in cluster_values(eig, tol=1e-6)
-                            for _ in range(mult)), key=lambda v: (v.real, v.imag))
-        gaps.append(np.max(np.abs(np.array(clustered) - want)))
-    return np.array(gaps), np.zeros(len(gaps))
+    gaps = np.max(np.abs(merge_close(eigenvalues(b.rd.V)) - want), axis=-1)
+    return gaps, np.zeros(len(gaps))
 
 
 # The data a walk builds once, as batches over its points, each from the
@@ -610,7 +604,7 @@ def _lame_system_at(b):
 
 
 def _ode_integrals_at(b):
-    i1, i2 = first_integrals(b.ode.val)
+    i1, i2 = first_integrals(b.ode.val.T)
     return pmax(np.abs(i1 - b.expected["I1"]), np.abs(i2 - b.expected["I2"])), np.zeros(b.count)
 
 

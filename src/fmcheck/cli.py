@@ -19,23 +19,23 @@ parameters is bad input.
 
 Reports embed the tool version, seed, tolerances, parameter values and the
 branch convention, and are byte-deterministic for a fixed configuration.
+
+`ode` runs on the standard library and `ode3d` alone (a state's F is a
+tuple, the rows of `dopri54` are lists); `verify`, `legendre` and
+`catalog` each import the walk's modules, which load numpy, themselves.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import __version__, catalog
-from . import exprjet as ej
-from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
-from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, ManifoldSpec, MissingFieldError,
-                       PointCountError, RegionEmptyError)
+from . import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, __version__
 from .ode3d import (DEFAULT_ATOL, DEFAULT_ROWS, DEFAULT_RTOL, OdeState3, SingularPathError,
                     SingularPointError, StepSizeUnderflowError, closed_form_pencil,
                     closed_form_q0, integrate)
@@ -57,7 +57,7 @@ def _ode_point(option: str, text: str) -> complex:
         z = _parse_scalar(text)
     except ValueError:
         raise ValueError(f"{option} {text!r}: not a number") from None
-    if not np.isfinite(z):
+    if not cmath.isfinite(z):
         raise ValueError(f"{option} {text!r}: must be finite")
     return z
 
@@ -79,6 +79,8 @@ def _load_spec(args):
     apply each `--param` override to it, a parameter that the spec (or for
     `legendre` its catalog target) declares.  Returns (spec, entry or None,
     overrides), or None once one line on stderr names the bad input."""
+    from . import catalog
+    from .manifold import ManifoldSpec
     try:
         overrides = dict(_parse_param(kv) for kv in args.param)
         if os.path.exists(args.spec):
@@ -102,12 +104,6 @@ def _load_spec(args):
     return spec, ent, overrides
 
 
-# errors out of a walk that are bad input (exit 2), or reject a transform (exit 1)
-_BAD_INPUT = (PointCountError, RegionEmptyError, MissingFieldError, ProductTableError,
-              catalog.UnknownEntryError, catalog.SingularSampleError, ej.EvalError)
-_REJECTED = (NotInvertibleError, HypothesisViolatedError)
-
-
 def _emit(doc: dict, fmt: str, out_path: str | None):
     if fmt == "json":
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -124,6 +120,10 @@ def _emit(doc: dict, fmt: str, out_path: str | None):
         for r in doc.get("reports", []):
             lines.append(f"{r['name']},{r['residual']!r},{r['tol']!r},{int(r['passed'])}")
         text = "\n".join(lines) + "\n"
+    _write(text, out_path)
+
+
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -146,10 +146,13 @@ def _run_suite(args, source, check=None):
     """The command's one walk, `catalog.run_suite` on `source`; for a bad
     `--seed` or `--rtol`, or an error the walk raises, one line on stderr
     and its exit code instead."""
+    from . import catalog, exprjet as ej
+    from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
+    from .manifold import MissingFieldError, PointCountError, RegionEmptyError
     if args.seed < 0:
         sys.stderr.write(f"input error: --seed {args.seed}: must be non-negative\n")
         return 2
-    if not (np.isfinite(args.rtol) and args.rtol >= 0):
+    if not (math.isfinite(args.rtol) and args.rtol >= 0):
         sys.stderr.write(f"input error: --rtol {args.rtol!r}: must be finite and non-negative\n")
         return 2
     try:
@@ -159,9 +162,10 @@ def _run_suite(args, source, check=None):
         sys.stderr.write(f"unknown check: {err}\n")
     except ej.ParseError as err:
         sys.stderr.write(f"spec error: cannot parse {err.source!r}: {err}\n")
-    except _BAD_INPUT as err:
+    except (PointCountError, RegionEmptyError, MissingFieldError, ProductTableError,
+            catalog.UnknownEntryError, catalog.SingularSampleError, ej.EvalError) as err:
         sys.stderr.write(f"input error: {err}\n")
-    except _REJECTED as err:
+    except (NotInvertibleError, HypothesisViolatedError) as err:
         sys.stderr.write(f"transform rejected: {err}\n")
         return 1
     return 2
@@ -185,12 +189,12 @@ def cmd_ode(args) -> int:
     try:
         z_from, z_to = _ode_point("--from", args.z_from), _ode_point("--to", args.z_to)
         for option, value in (("--a", args.a), ("--b", args.b)):
-            if value is not None and not np.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"{option} {value!r}: must be finite")
             if value is not None and args.init != "q0":
                 raise ValueError(f"{option} {value!r}: only --init q0 reads it")
         for option, tol in (("--rtol", args.rtol), ("--atol", args.atol)):
-            if not (np.isfinite(tol) and tol >= 0):
+            if not (math.isfinite(tol) and tol >= 0):
                 raise ValueError(f"{option} {tol!r}: must be finite and non-negative")
         if args.rtol == 0 and args.atol == 0:
             raise ValueError(f"--atol {args.atol!r}: must be positive where --rtol is 0")
@@ -207,7 +211,7 @@ def cmd_ode(args) -> int:
             vals = [float(v) for v in args.state.split(",")]
             if len(vals) != 12:
                 raise ValueError("--state needs 12 comma-separated floats (re,im pairs)")
-            if not np.all(np.isfinite(vals)):
+            if not all(map(math.isfinite, vals)):
                 raise ValueError("--state values must be finite")
             state = OdeState3(z_from, [complex(*vals[i:i + 2]) for i in range(0, 12, 2)])
         else:
@@ -227,16 +231,11 @@ def cmd_ode(args) -> int:
     lines = [",".join(header)]
     i0 = traj.I_start
     for (z, s), vals in zip(traj.states, traj.I_states):
-        cells = [z, *s.F.tolist(), *(vals[f"I{k}"] for k in range(1, 9))]
+        cells = [z, *s.F, *(vals[f"I{k}"] for k in range(1, 9))]
         row = [part for c in cells for part in (c.real, c.imag)]
         row += [abs(vals["I1"] - i0["I1"]), abs(vals["I2"] - i0["I2"])]
         lines.append(",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     drift = max(traj.drift_I1, traj.drift_I2)
     limit = args.drift_tol
     if drift > limit:
@@ -246,6 +245,7 @@ def cmd_ode(args) -> int:
 
 
 def cmd_legendre(args) -> int:
+    from . import catalog
     loaded = _load_spec(args)
     if loaded is None:
         return 2
@@ -271,6 +271,7 @@ def cmd_legendre(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
     if args.action == "list":
         for name in catalog.names():
             sys.stdout.write(name + "\n")

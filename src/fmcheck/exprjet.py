@@ -69,7 +69,7 @@ __all__ = [
     "Expr", "Num", "Var", "Param", "Neg", "Bin", "Call",
     "Jet", "TableJets", "parse", "to_source", "eval_jet", "eval_table", "eval_points",
     "eval_value", "jet_sqrt",
-    "finite_diff_oracle", "principal",
+    "finite_diff_oracle",
     "ExprError", "ParseError", "EvalError", "DomainError",
     "UnboundParameterError", "UnboundVariableError",
 ]
@@ -103,14 +103,6 @@ class UnboundParameterError(EvalError):
 
 class UnboundVariableError(EvalError):
     pass
-
-
-def principal(v) -> complex:
-    """Canonicalize a complex scalar for principal-branch functions: a
-    negative-zero imaginary part would select the lower side of the cut,
-    so exact-real inputs are flattened to +0j."""
-    v = complex(v)
-    return complex(v.real, 0.0) if v.imag == 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +472,7 @@ ZERO = _Zero()
 # (i, j) than at (j, i)), so the symmetry test allows 1e-14 relative.
 
 def _principal(v):
-    """`principal` along the point axis."""
+    """`ode3d.principal` along the point axis: exact-real values at +0j."""
     return np.where(v.imag == 0, v.real, v)
 
 

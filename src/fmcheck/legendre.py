@@ -173,8 +173,9 @@ def flat_field_ode(gamma_provider: Callable, x0, path) -> dict:
     def transport(xv, a, b):
         a, b = np.asarray(a, complex), np.asarray(b, complex)
         dv = b - a
-        return dopri54(lambda t, y: -np.einsum("ijs,j,s->i", gamma_provider(a + t * dv), dv, y),
-                       0.0, xv, 1.0)[-1][1]
+        end = dopri54(lambda t, y: -np.einsum("ijs,j,s->i", gamma_provider(a + t * dv), dv, y),
+                      0.0, xv, 1.0)[-1][1]
+        return np.asarray(end)
 
     x = np.asarray(x0, dtype=complex)
     for a, b in zip(path[:-1], path[1:]):

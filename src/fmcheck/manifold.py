@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL
 from . import exprjet as ej
 from .tensor import antisym, contract, lie_from_components
 
@@ -35,9 +36,6 @@ __all__ = [
     "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
     "check_killing_unit", "check_homogeneity", "normalized",
 ]
-
-DEFAULT_TOL = 1e-8
-DEFAULT_SEED, DEFAULT_POINTS = 0, 20  # the sampling seed and point count
 
 
 class RegionEmptyError(Exception):

@@ -10,31 +10,28 @@ Closed forms are evaluated on principal branches; the recorded convention is
 that sqrt(z-1) and sqrt(-z) are continued from principal values at the
 initial point of a trajectory.
 
-Path integration runs on Python complex scalars (`dopri54`, `rhs` and
-`integrals` work on lists): on six components numpy's per-call cost would
-outweigh the arithmetic.  `integrate` hands `rhs` itself to `dopri54`,
-which steps along the segment in z.  Only the endpoint is a stepped value;
-the dense rows between steps come from the pair's continuous extension, so
-their error is about the requested tolerance, not the stepper's smaller
-global error, and the integral drifts measured on them include that error.
+The module imports only the standard library, so `fmcheck ode` starts
+without numpy: a state's F is a tuple of Python complex, `rhs` takes a
+sequence, and the rows of `dopri54` are lists.  `integrate` hands `rhs`
+itself to `dopri54`, which steps along the segment in z.  Only the
+endpoint is a stepped value; the dense rows between steps come from the
+pair's continuous extension, so their error is about the requested
+tolerance, not the stepper's smaller global error, and the integral
+drifts measured on them include that error.  The closed forms over a
+batch of chart points, and beta from F, are in `rotation`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .exprjet import principal
-from .manifold import Jets, fail_at
-
 __all__ = [
     "OdeState3", "SingularPointError", "SingularPathError", "StepSizeUnderflowError",
     "CoordinateCollisionError", "ParameterSingularError",
-    "rhs", "integrals", "first_integrals", "beta_from_F", "betas_from_F", "z_of_point",
-    "closed_form_q0", "closed_form_pencil", "closed_forms",
+    "rhs", "integrals", "first_integrals", "principal", "closed_form_q0", "closed_form_pencil",
     "dopri54", "integrate",
     "F12", "F21", "F13", "F31", "F23", "F32", "Trajectory",
 ]
@@ -68,11 +65,13 @@ class ParameterSingularError(Exception):
 @dataclass
 class OdeState3:
     z: complex
-    F: np.ndarray  # shape (6,), order (F12, F21, F13, F31, F23, F32)
+    F: tuple  # six Python complex, order (F12, F21, F13, F31, F23, F32)
 
     def __post_init__(self):
         self.z = complex(self.z)
-        self.F = np.asarray(self.F, dtype=complex).reshape(6)
+        self.F = tuple(complex(v) for v in self.F)
+        if len(self.F) != 6:
+            raise ValueError(f"a state has 6 components, not {len(self.F)}")
 
 
 def _singular_point(z: complex) -> SingularPointError:
@@ -84,14 +83,14 @@ def _check_regular(z: complex):
         raise _singular_point(z)
 
 
-def rhs(z: complex, F) -> list:
-    """Right-hand sides of the six coupled equations at z, for F (a list,
-    or an ndarray of shape (6,)) in the order (F12, F21, F13, F31, F23,
-    F32), as a list of Python complex."""
+def rhs(z: complex, F: Sequence) -> list:
+    """Right-hand sides of the six coupled equations at z, for F (a
+    sequence of six) in the order (F12, F21, F13, F31, F23, F32), as a
+    list."""
     zm1 = z - 1
     if abs(z) < SING_MARGIN or abs(zm1) < SING_MARGIN:  # `_check_regular`, inlined
         raise _singular_point(z)
-    f12, f21, f13, f31, f23, f32 = F.tolist() if isinstance(F, np.ndarray) else F
+    f12, f21, f13, f31, f23, f32 = F
     zzm1 = z * zm1
     return [f13 * f32 / zzm1, f23 * f31 / zzm1, -f12 * f23 / zm1, -f32 * f21 / zm1,
             f21 * f13 / z, f31 * f12 / z]
@@ -103,9 +102,9 @@ def integrals(state: OdeState3) -> dict:
     factorization in terms of the first two integrals."""
     z = state.z
     _check_regular(z)
-    f12, f21, f13, f31, f23, f32 = state.F.tolist()
+    f12, f21, f13, f31, f23, f32 = state.F
     d12, d13, d23 = f12 - f21, f13 - f31, f23 - f32
-    i1, i2 = _first_two(f12, f21, f13, f31, f23, f32)
+    i1, i2 = first_integrals(state.F)
     # W, the constraint matrix: I3, I4, I5 are its rows applied to (d12, d13, d23)
     w11, w12, w13 = z * z - z, (z - 1) * f23, -z * f13
     w21, w22, w23 = (z * z - z) * f31, (1 - z) * f21, z
@@ -125,44 +124,22 @@ def integrals(state: OdeState3) -> dict:
 
 
 def first_integrals(F):
-    """I1 and I2 at a state's F, or at each F of a batch, shape (P, 6)."""
-    return _first_two(*F.T)
-
-
-def _first_two(f12, f21, f13, f31, f23, f32):
+    """I1 and I2 at the six components F (F12, ..., F32): a state's, or
+    arrays over a batch (the transpose of its F, shape (6, P))."""
+    f12, f21, f13, f31, f23, f32 = F
     return f12 * f21 + f13 * f31 + f23 * f32, f13 * f32 * f21 - f23 * f31 * f12
-
-
-def z_of_point(u) -> complex:
-    u = np.asarray(u, dtype=complex)
-    if u[1] == u[0]:
-        raise CoordinateCollisionError("u^1 == u^2")
-    return (u[2] - u[0]) / (u[1] - u[0])
-
-
-def beta_from_F(state: OdeState3, u) -> np.ndarray:
-    """Assemble the 3x3 rotation-coefficient matrix at a chart point whose
-    cross-ratio variable matches the state."""
-    u = np.asarray(u, dtype=complex)
-    if len({complex(v) for v in u}) < 3:
-        raise CoordinateCollisionError("coordinates must be pairwise distinct")
-    z = z_of_point(u)
-    if abs(z - state.z) > 1e-12 * (1 + abs(state.z)):
-        raise ValueError("point is not on the state's z level set")
-    return betas_from_F(state.F, u)
-
-
-def betas_from_F(F, u) -> np.ndarray:
-    """beta_ij = F_ij / (u^max(i,j) - u^min(i,j)), the other entries 0, at
-    a point or at each point of a batch: F (P, 6), u (P, 3)."""
-    i, j = np.array([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]).T  # of F12 .. F32
-    beta = np.zeros(np.shape(F)[:-1] + (3, 3), dtype=complex)
-    beta[..., i, j] = F / (u[..., np.maximum(i, j)] - u[..., np.minimum(i, j)])
-    return beta
 
 
 # ---------------------------------------------------------------------------
 # closed-form families
+
+
+def principal(v) -> complex:
+    """Canonicalize a complex scalar for principal-branch functions: a
+    negative-zero imaginary part would select the lower side of the cut,
+    so exact-real inputs are flattened to +0j."""
+    v = complex(v)
+    return complex(v.real, 0.0) if v.imag == 0 else v
 
 
 def closed_form_q0(z, a=1.0, b=1.0) -> OdeState3:
@@ -175,11 +152,12 @@ def closed_form_q0(z, a=1.0, b=1.0) -> OdeState3:
     return OdeState3(z, _q0_F(z, a, b))
 
 
-def _q0_F(z, a: complex, b: complex):
+def _q0_F(z, a: complex, b: complex) -> list:
+    """The six components of the q0 family at z, a scalar or an array."""
     den = a * z + b
-    sb = complex(np.sqrt(principal(-b * b - 1)))
-    return np.stack([b * (a + b) / den, -1 / den, z * (a + b) * sb / den, -a * z / (den * sb),
-                     -(z - 1) * sb / den, -a * b * (z - 1) / (den * sb)], axis=-1)
+    sb = cmath.sqrt(principal(-b * b - 1))
+    return [b * (a + b) / den, -1 / den, z * (a + b) * sb / den, -a * z / (den * sb),
+            -(z - 1) * sb / den, -a * b * (z - 1) / (den * sb)]
 
 
 def closed_form_pencil(z) -> OdeState3:
@@ -189,36 +167,13 @@ def closed_form_pencil(z) -> OdeState3:
     matrix are 1 and -1/2 with multiplicity two)."""
     z = complex(z)
     _check_regular(z)
-    return OdeState3(z, _pencil_F(complex(np.sqrt(principal(z - 1))),
-                                  complex(np.sqrt(principal(-z)))))
+    return OdeState3(z, _pencil_F(cmath.sqrt(principal(z - 1)), cmath.sqrt(principal(-z))))
 
 
-def _pencil_F(p, q):
-    return np.stack([q / (2 * p), -p / (2 * q), -1 / (2 * p), p / 2, -1 / (2 * q), q / 2],
-                    axis=-1)
-
-
-def closed_forms(family: str, u, env) -> Jets:
-    """The closed-form F of the family "q0" (parameters a and b, from
-    `env`) or "pencil63" at the z of each chart point of a batch u, shape
-    (P, 3), as the values of a `Jets`: F of shape (P, 6), zero where
-    `z_of_point` or the closed form at one point raises, and that error in
-    `errors`."""
-    u = np.asarray(u, dtype=complex)
-    errors = [None] * len(u)
-    fail_at(errors, u[:, 1] == u[:, 0], lambda k: CoordinateCollisionError("u^1 == u^2"))
-    with np.errstate(all="ignore"):  # at a point in error
-        z = (u[:, 2] - u[:, 0]) / (u[:, 1] - u[:, 0])
-        fail_at(errors, (np.abs(z) < SING_MARGIN) | (np.abs(z - 1) < SING_MARGIN),
-                lambda k: _singular_point(complex(z[k])))
-        if family == "q0":
-            a, b = complex(env["a"]), complex(env["b"])
-            fail_at(errors, a * z + b == 0, lambda k: ParameterSingularError("a*z + b vanishes"))
-            F = _q0_F(z, a, b)
-        else:
-            F = _pencil_F(*(np.sqrt(np.where(v.imag == 0, v.real + 0j, v)) for v in (z - 1, -z)))
-    F[[err is not None for err in errors]] = 0
-    return Jets(F, errors=errors)
+def _pencil_F(p, q) -> list:
+    """The six components of the pencil family at p = sqrt(z - 1) and
+    q = sqrt(-z), scalars or arrays."""
+    return [q / (2 * p), -p / (2 * q), -1 / (2 * p), p / 2, -1 / (2 * q), q / 2]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +207,9 @@ def dopri54(f: Callable, t0, y0, t1, rtol: float = DEFAULT_RTOL, atol: float = D
             dense_ts: Sequence | None = None) -> list:
     """Adaptive integration of y' = f(t, y) along the straight segment from
     t0 to t1 (real or complex) for a 1-D complex state: f gets y as a list
-    of Python complex and returns a sequence.  Returns [(t, y as an
-    ndarray), ...] at each dense time (points of the segment) and t1.
+    of Python complex and returns a sequence.  Returns [(t, y as a list of
+    Python complex), ...] at each dense time (points of the segment) and
+    t1.
 
     The stepper advances a real fraction s of the segment, the stage point
     being t0 + (s + c h) (t1 - t0); only t1 shortens a step.  t1's row is
@@ -270,7 +226,7 @@ def dopri54(f: Callable, t0, y0, t1, rtol: float = DEFAULT_RTOL, atol: float = D
     y = [complex(v) for v in y0]
     dt = t1 - t0
     if dt == 0:
-        return [(t0, np.array(y))]
+        return [(t0, y)]
     rows = {t1: 1.0}
     for t in () if dense_ts is None else dense_ts:
         s = ((t - t0) / dt).real
@@ -284,7 +240,7 @@ def dopri54(f: Callable, t0, y0, t1, rtol: float = DEFAULT_RTOL, atol: float = D
     ti = 0
     while True:
         while ti < len(targets) and targets[ti][1] - s <= 1e-14:
-            out.append((targets[ti][0], np.array(y)))
+            out.append((targets[ti][0], list(y)))
             ti += 1
         if ti == len(targets):
             return out
@@ -324,9 +280,9 @@ def dopri54(f: Callable, t0, y0, t1, rtol: float = DEFAULT_RTOL, atol: float = D
                 w5 = x * x * (_D52 + x * (_D53 + x * _D54))
                 w6 = x * x * (_D62 + x * (_D63 + x * _D64))
                 w7 = x * x * (_D72 + x * (_D73 + x * _D74))
-                out.append((targets[ti][0], np.array(
-                    [v + H * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * g + w7 * k)
-                     for v, a, c, d, e, g, k in zip(y, k1, k3, k4, k5, k6, k7)])))
+                out.append((targets[ti][0],
+                            [v + H * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * g + w7 * k)
+                             for v, a, c, d, e, g, k in zip(y, k1, k3, k4, k5, k6, k7)]))
                 ti += 1
             s = s_new
             y = y_new
@@ -366,7 +322,7 @@ def integrate(state0: OdeState3, z_target, rtol: float = DEFAULT_RTOL,
         if _segment_distance(z0, z1, complex(w)) < SING_MARGIN:
             raise SingularPathError(f"integration path approaches z = {w}")
     dz = z1 - z0
-    dense = [z0 + t * dz for t in np.linspace(0.0, 1.0, n_dense + 1)[1:-1].tolist()]
+    dense = [z0 + k * (1.0 / n_dense) * dz for k in range(1, n_dense)]  # as np.linspace
     raw = dopri54(rhs, z0, state0.F, z1, rtol=rtol, atol=atol, dense_ts=dense)
     i0 = integrals(state0)
     states, values = [], []

@@ -21,9 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprjet as ej
-from .manifold import (DEFAULT_TOL, ManifoldSpec, PointBatch, Report, amax, batch_report, fail_at,
-                       normalized, pmax, raise_first, table_jets)
-from .ode3d import dopri54
+from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, PointBatch, Report, amax, batch_report,
+                       fail_at, normalized, pmax, raise_first, table_jets)
+from .ode3d import (SING_MARGIN, CoordinateCollisionError, OdeState3, ParameterSingularError,
+                    _pencil_F, _q0_F, _singular_point, dopri54)
 from .tensor import eigenvalues
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "check_darboux_system", "check_lame_system", "check_flatness_constraint",
     "check_algebraic_constraints", "check_potentiality",
     "check_reduction_identity", "integrate_lame",
+    "z_of_point", "beta_from_F", "betas_from_F", "closed_forms",
 ]
 
 
@@ -158,6 +160,61 @@ def _batch(spec, points, lame_exprs) -> RotationData:
     rd = rotations(spec, points, lame_exprs)
     raise_first(rd.errors)
     return rd
+
+
+# ---------------------------------------------------------------------------
+# `ode3d`'s F on chart points, z = (u^3 - u^1) / (u^2 - u^1): closed forms and beta
+
+
+def z_of_point(u) -> complex:
+    u = np.asarray(u, dtype=complex)
+    if u[1] == u[0]:
+        raise CoordinateCollisionError("u^1 == u^2")
+    return (u[2] - u[0]) / (u[1] - u[0])
+
+
+def beta_from_F(state: OdeState3, u) -> np.ndarray:
+    """Assemble the 3x3 rotation-coefficient matrix at a chart point whose
+    cross-ratio variable matches the state."""
+    u = np.asarray(u, dtype=complex)
+    if len({complex(v) for v in u}) < 3:
+        raise CoordinateCollisionError("coordinates must be pairwise distinct")
+    if abs(z_of_point(u) - state.z) > 1e-12 * (1 + abs(state.z)):
+        raise ValueError("point is not on the state's z level set")
+    return betas_from_F(np.asarray(state.F), u)
+
+
+def betas_from_F(F, u) -> np.ndarray:
+    """beta_ij = F_ij / (u^max(i,j) - u^min(i,j)), the other entries 0, at
+    a point or at each point of a batch: F (P, 6), u (P, 3)."""
+    i, j = np.array([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]).T  # of F12 .. F32
+    beta = np.zeros(np.shape(F)[:-1] + (3, 3), dtype=complex)
+    beta[..., i, j] = F / (u[..., np.maximum(i, j)] - u[..., np.minimum(i, j)])
+    return beta
+
+
+def closed_forms(family: str, u, env) -> Jets:
+    """The closed-form F of the family "q0" (parameters a and b, from
+    `env`) or "pencil63" at the z of each chart point of a batch u, shape
+    (P, 3), as the values of a `Jets`: F of shape (P, 6), zero where
+    `z_of_point` or the closed form at one point raises, and that error in
+    `errors`."""
+    u = np.asarray(u, dtype=complex)
+    errors = [None] * len(u)
+    fail_at(errors, u[:, 1] == u[:, 0], lambda k: CoordinateCollisionError("u^1 == u^2"))
+    with np.errstate(all="ignore"):  # at a point in error
+        z = (u[:, 2] - u[:, 0]) / (u[:, 1] - u[:, 0])
+        fail_at(errors, (np.abs(z) < SING_MARGIN) | (np.abs(z - 1) < SING_MARGIN),
+                lambda k: _singular_point(complex(z[k])))
+        if family == "q0":
+            a, b = complex(env["a"]), complex(env["b"])
+            fail_at(errors, a * z + b == 0, lambda k: ParameterSingularError("a*z + b vanishes"))
+            F = np.stack(_q0_F(z, a, b), axis=-1)
+        else:
+            F = np.stack(_pencil_F(*(np.sqrt(np.where(v.imag == 0, v.real + 0j, v))
+                                     for v in (z - 1, -z))), axis=-1)
+    F[[err is not None for err in errors]] = 0
+    return Jets(F, errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +403,9 @@ def integrate_lame(beta_provider: Callable, d: complex, u0: np.ndarray,
 
     def transport(Hv, a, b):
         dv = b - a
-        return dopri54(lambda t, y: _lame_gradient(beta_provider(a + t * dv), np.asarray(y)) @ dv,
-                       0.0, Hv, 1.0)[-1][1]
+        end = dopri54(lambda t, y: _lame_gradient(beta_provider(a + t * dv), np.asarray(y)) @ dv,
+                      0.0, Hv, 1.0)[-1][1]
+        return np.asarray(end)
 
     H = H0
     for a, b in zip(path[:-1], path[1:]):

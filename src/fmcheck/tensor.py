@@ -1,5 +1,5 @@
 """Array helpers shared by the checks: the package's one contraction path
-(`contract`), characteristic polynomials and eigenvalues, clustering of
+(`contract`), characteristic polynomials and eigenvalues, merging of
 near-equal roots, and Lie derivatives of component arrays.
 
 Index-order conventions used package-wide (derivative axes always last).
@@ -27,7 +27,7 @@ import numpy as np
 
 __all__ = [
     "SingularMatrixError", "contract", "contract_jets", "antisym", "eigenvalues",
-    "charpoly_coefficients", "cluster_values", "lie_from_components",
+    "charpoly_coefficients", "merge_close", "lie_from_components",
 ]
 
 UP = "u"
@@ -160,17 +160,15 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), -1)
 
 
-def cluster_values(values: Sequence[complex], tol: float = 1e-6):
-    """Group near-coincident values; returns (representative, multiplicity)."""
-    groups: list = []
-    for v in values:
-        for k, (rep, cnt) in enumerate(groups):
-            if abs(v - rep) <= tol:
-                groups[k] = ((rep * cnt + v) / (cnt + 1), cnt + 1)
-                break
-        else:
-            groups.append((complex(v), 1))
-    return groups
+def merge_close(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """Sorted roots (as `eigenvalues` gives them) with each run of
+    neighbours within `tol` of each other replaced by the run's mean, along
+    the last axis: a split multiple root is only sqrt(eps)-accurate per
+    root but eps-accurate in the mean."""
+    v = np.asarray(values)
+    run = np.cumsum(np.abs(np.diff(v, axis=-1, prepend=v[..., :1])) > tol, axis=-1)
+    same = run[..., :, None] == run[..., None, :]
+    return np.sum(np.where(same, v[..., None, :], 0), axis=-1) / np.sum(same, axis=-1)
 
 
 def lie_from_components(values: np.ndarray, derivs: np.ndarray,

@@ -33,14 +33,15 @@ from fmcheck.manifold import (SamplePlan, check_hertling_manin, check_homogeneit
                               check_killing_unit, check_metric_invariance,
                               check_product_axioms, fit_scalar, sample_points,
                               structure_at)
-from fmcheck.ode3d import (OdeState3, beta_from_F, closed_form_pencil,
-                           closed_form_q0, integrals, integrate, rhs, z_of_point)
+from fmcheck.ode3d import (OdeState3, closed_form_pencil, closed_form_q0, integrals,
+                           integrate, rhs)
 from fmcheck.pencil import (check_exactness, check_flat_pencil,
                             check_pencil_homogeneity, delta_tensor,
                             product_from_pencil, r_operator,
                             reconstructed_structure)
-from fmcheck.rotation import (check_lame_system, rotation_data, v_matrix)
-from fmcheck.tensor import cluster_values
+from fmcheck.rotation import (beta_from_F, check_lame_system, rotation_data, v_matrix,
+                              z_of_point)
+from fmcheck.tensor import merge_close
 
 
 def announce(num, name, ok, started):
@@ -121,7 +122,8 @@ def test_criterion_03_rational_family():
         z = complex(rng.uniform(1.5, 3.5), rng.uniform(-0.5, 0.5))
         s = closed_form_q0(z, 1.0, 1.0)
         h = 1e-6
-        fd = (closed_form_q0(z + h, 1, 1).F - closed_form_q0(z - h, 1, 1).F) / (2 * h)
+        fd = (np.asarray(closed_form_q0(z + h, 1, 1).F)
+              - np.asarray(closed_form_q0(z - h, 1, 1).F)) / (2 * h)
         ok &= np.max(np.abs(rhs(s.z, s.F) - fd)) <= 1e-8
         vals = integrals(s)
         ok &= abs(vals["I1"] + 1.0) <= 1e-10 and abs(vals["I2"]) <= 1e-10
@@ -159,11 +161,7 @@ def test_criterion_04_exact_pencil_family():
     for p in pts[:5]:
         rd = rotation_data(ent.spec, p, lame_exprs=ent.companion["lame"])
         _, eig, _ = v_matrix(rd)
-        flat = []
-        for rep_v, mult in cluster_values(eig, tol=1e-6):
-            flat.extend([rep_v] * mult)
-        flat.sort(key=lambda v: (v.real, v.imag))
-        ok &= np.max(np.abs(np.array(flat) - want)) <= 1e-8
+        ok &= np.max(np.abs(merge_close(eig) - want)) <= 1e-8
 
     def beta_src(u):
         return beta_from_F(closed_form_pencil(z_of_point(u)), u)

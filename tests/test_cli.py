@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -250,6 +254,64 @@ def test_golden_report_fixtures(tmp_path):
         for got, want in zip(doc["reports"], golden["reports"]):
             assert got["passed"] == want["passed"] and got["tol"] == want["tol"]
             assert abs(got["residual"] - want["residual"]) <= 1e-12 + 1e-6 * abs(want["residual"])
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_bare(*args):
+    """`python -S ARGS` on the source tree: without site-packages on the
+    path, so numpy cannot be imported."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-S", *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_ode_path_runs_without_numpy():
+    argv = ["ode", "--init", "q0", "--a", "0.7", "--b", "1.3", "--from=0.5+1.0i",
+            "--to=-1.5+1.5i", "--steps", "40"]
+    proc = run_bare("-m", "fmcheck.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, out, _ = run_cli(argv)
+    assert code == 0 and proc.stdout == out
+
+
+def test_ode_path_imports_only_ode3d():
+    # the ODE module and the CLI load no other fmcheck module, and no numpy
+    for module, want in (("fmcheck.ode3d", ["fmcheck", "fmcheck.ode3d"]),
+                         ("fmcheck.cli", ["fmcheck", "fmcheck.cli", "fmcheck.ode3d"])):
+        proc = run_bare("-c", f"import sys, {module}; print(sorted(m for m in sys.modules "
+                              f"if m.startswith(('fmcheck', 'numpy'))))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{want}\n"
+
+
+# `ode` trajectories written by the stepper on numpy arrays, before the ODE
+# path ran on Python complex scalars alone
+GOLDEN_ODE = (("q0_a07_b13_steps40_ode.csv",
+               ["--init", "q0", "--a", "0.7", "--b", "1.3", "--from=0.5+1.0i", "--to=-1.5+1.5i",
+                "--steps", "40"]),
+              ("pencil63_ode.csv", ["--init", "pencil63", "--from", "2.4", "--to", "5.4-1i"]),
+              ("state_ode.csv",
+               ["--state", "0.3,-0.1,0.2,0.4,-0.5,0.1,0.25,0.05,-0.3,0.2,0.1,-0.4",
+                "--from", "2+0.5i", "--to", "3.5"]))
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_ODE, ids=[name for name, _ in GOLDEN_ODE])
+def test_golden_ode_fixtures(name, argv):
+    # the same header and rows, and every cell within the golden margin, in
+    # this process and in one without site-packages
+    golden = (ROOT / "tests" / "golden" / name).read_text().splitlines()
+    code, out, _ = run_cli(["ode", *argv])
+    proc = run_bare("-m", "fmcheck.cli", "ode", *argv)
+    for got_code, got in ((code, out), (proc.returncode, proc.stdout)):
+        assert got_code == 0
+        lines = got.splitlines()
+        assert lines[0] == golden[0] and len(lines) == len(golden)
+        for row, want_row in zip(lines[1:], golden[1:]):
+            assert row.count(",") == want_row.count(",")
+            for cell, want in zip(row.split(","), map(float, want_row.split(","))):
+                assert abs(float(cell) - want) <= 1e-12 + 1e-6 * abs(want), (name, row)
 
 
 def test_verify_spec_file_with_second_metric(tmp_path):

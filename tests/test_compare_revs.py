@@ -30,14 +30,20 @@ def test_comparator_finds_the_working_tree_identical():
 def test_comparator_classifies_moves_and_changes():
     cmp = _comparator()
 
-    def run(residual, passed=True, code=0, err=""):
-        doc = {"ok": passed, "reports": [{"name": "r-tr", "residual": residual, "passed": passed}]}
+    def run(residual, passed=True, code=0, err="", npoints=5):
+        doc = {"ok": passed, "reports": [{"name": "r-tr", "residual": residual, "passed": passed,
+                                          "npoints": npoints}]}
         return {"code": code, "out": json.dumps(doc), "err": err}
     assert cmp.classify(run(1e-10), run(1e-10))["kind"] == "identical"
     moved = cmp.classify(run(1e-10), run(1e-10 + 5e-13))
     assert moved["kind"] == "moved" and moved["inside_margin"]
     assert moved["values"] == [("/reports/r-tr/residual", 1e-10, 1e-10 + 5e-13)]
     assert not cmp.classify(run(1e-10), run(3e-12))["inside_margin"]
+    # an integer field has no margin: it is listed apart from the floats
+    counted = cmp.classify(run(1e-10), run(1e-10, npoints=20))
+    assert counted["kind"] == "moved" and counted["inside_margin"]
+    assert (counted["values"], counted["integers"]) == ([], [("/reports/r-tr/npoints", 5, 20)])
+    assert moved["integers"] == []
     for head in (run(1e-10, passed=False), run(1e-10, code=1), run(1e-10, err="x")):
         assert cmp.classify(run(1e-10), head)["kind"] == "changed"
     # a changed run names each part that changed, with its value on each side

@@ -382,15 +382,15 @@ def _point_axis_functions(spec, comp):
         })
         if "ode_family" in comp:
             def states(st):
-                F = ode.closed_forms(comp["ode_family"], points(st), spec.env())
+                F = rot.closed_forms(comp["ode_family"], points(st), spec.env())
                 assert F.errors == [None] * len(F.errors)
                 return single(F.val, st)
             out.update({
                 "closed_forms": states,
-                "betas_from_F": lambda st: ode.betas_from_F(states(st), st.point),
-                "first_integrals": lambda st: ode.first_integrals(states(st)),
+                "betas_from_F": lambda st: rot.betas_from_F(states(st), st.point),
+                "first_integrals": lambda st: ode.first_integrals(states(st).T),
                 "lame_system_at(beta)": lambda st: rot.lame_system_at(
-                    rd(st), None, ode.betas_from_F(states(st), st.point)),
+                    rd(st), None, rot.betas_from_F(states(st), st.point)),
             })
     if "normal_bundle" in comp:
         nb = comp["normal_bundle"]

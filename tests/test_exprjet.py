@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from fmcheck.exprjet import (Bin, Call, DomainError, Neg, Num, ParseError, Param,
                              UnboundParameterError, UnboundVariableError, Var,
                              eval_jet, eval_points, eval_table, eval_value, finite_diff_oracle, parse,
-                             principal, to_source)
+                             to_source)
+from fmcheck.ode3d import principal
 
 
 def test_parse_shapes():

@@ -4,12 +4,12 @@ import pytest
 import fmcheck.catalog as cat
 from fmcheck.exprjet import eval_value, finite_diff_oracle, parse
 from fmcheck.manifold import ManifoldSpec, Region, SamplePlan, sample_points
-from fmcheck.ode3d import beta_from_F, closed_form_pencil, closed_form_q0, z_of_point
-from fmcheck.rotation import (NonDiagonalMetricError, check_algebraic_constraints,
+from fmcheck.ode3d import closed_form_pencil, closed_form_q0
+from fmcheck.rotation import (NonDiagonalMetricError, beta_from_F, check_algebraic_constraints,
                               check_darboux_system, check_flatness_constraint,
                               check_lame_system, check_potentiality,
                               check_reduction_identity, eigenspace_projection,
-                              integrate_lame, rotation_data, v_matrix)
+                              integrate_lame, rotation_data, v_matrix, z_of_point)
 
 
 def euclid2():

@@ -7,8 +7,8 @@ from fmcheck.connection import inverse_jets
 from fmcheck.exprjet import eval_jet, eval_table, parse
 from fmcheck.manifold import SamplePlan, sample_points, structure_at
 from fmcheck.pencil import delta_jets, pencil_at
-from fmcheck.tensor import (SingularMatrixError, charpoly_coefficients,
-                            cluster_values, eigenvalues, lie_from_components)
+from fmcheck.tensor import (SingularMatrixError, charpoly_coefficients, eigenvalues,
+                            lie_from_components, merge_close)
 
 
 def test_contract_unit_axiom():
@@ -88,11 +88,57 @@ def test_eigenvalues_of_state_matrices():
     ent = cat.entry("pencil-63")
     rd = rotation_data(ent.spec, np.array([0.0, 1.0, 3.0]), lame_exprs=ent.companion["lame"])
     _, eig, _ = v_matrix(rd)
-    reps = []
-    for rep, mult in cluster_values(eig, tol=1e-6):
-        reps.extend([rep] * mult)
-    reps.sort(key=lambda v: (v.real, v.imag))
-    assert np.max(np.abs(np.array(reps) - np.array([-0.5, -0.5, 1.0]))) < 1e-8
+    assert np.max(np.abs(merge_close(eig) - np.array([-0.5, -0.5, 1.0]))) < 1e-8
+
+
+def test_merge_close_means_runs_of_near_equal_roots():
+    # per row of a batch: a split double root becomes its mean, roots apart
+    # by more than tol stay, and a row that is not finite stays NaN
+    roots = np.array([[-0.5 - 1e-8, -0.5 + 1e-8, 1.0],
+                      [-1.0, 0.0, 1.0],
+                      [2.0 - 1e-7j, 2.0 + 1e-7j, 2.0 + 3e-7j],
+                      [np.nan] * 3])
+    got = merge_close(roots)
+    assert got.shape == roots.shape
+    assert np.array_equal(got[:3], [[-0.5, -0.5, 1.0], [-1.0, 0.0, 1.0], [2.0 + 1e-7j] * 3])
+    assert np.isnan(got[3]).all()
+    assert np.array_equal(merge_close(roots[1], tol=2.0), [0.0] * 3)
+
+
+def _merged_by_loop(values, tol=1e-6):
+    """The one-root-at-a-time reference: each value joins the first group
+    whose running mean is within tol, and every group's mean is repeated
+    by its size, sorted by (real, imag)."""
+    groups = []
+    for v in values:
+        for k, (rep, cnt) in enumerate(groups):
+            if abs(v - rep) <= tol:
+                groups[k] = ((rep * cnt + v) / (cnt + 1), cnt + 1)
+                break
+        else:
+            groups.append((complex(v), 1))
+    return sorted((rep for rep, cnt in groups for _ in range(cnt)), key=lambda v: (v.real, v.imag))
+
+
+def test_merge_close_matches_the_loop_reference():
+    # the eigenvalues of V over 50 points of each entry with rotation data,
+    # and random roots with split double and triple roots
+    from fmcheck.rotation import rotations
+    batches = []
+    for name in ("pencil-63", "q0-d-minus1", "q0-d0", "q0-d1"):
+        ent = cat.entry(name)
+        pts = sample_points(ent.spec, SamplePlan(seed=7, count=50))
+        batches.append(eigenvalues(rotations(ent.spec, pts, lame_exprs=ent.companion["lame"]).V))
+    rng = np.random.default_rng(9)
+    centers = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+    centers[:100, 1] = centers[:100, 0]
+    centers[100:150, 1:] = centers[100:150, :1]
+    split = centers + 1e-8 * (rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3)))
+    batches.append(np.take_along_axis(split, np.lexsort((split.imag, split.real), axis=-1), -1))
+    for eig in batches:
+        got = merge_close(eig)
+        want = np.array([_merged_by_loop(row) for row in eig])
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
 
 
 def test_symmetrize_idempotent():
