@@ -286,8 +286,8 @@ def test_ode_path_imports_only_ode3d():
         assert proc.stdout == f"{want}\n"
 
 
-# `ode` trajectories written by the stepper on numpy arrays, before the ODE
-# path ran on Python complex scalars alone
+# `ode` trajectories as a build of the stepper on numpy arrays wrote them:
+# changes to the scalar arithmetic must keep every cell within the margin
 GOLDEN_ODE = (("q0_a07_b13_steps40_ode.csv",
                ["--init", "q0", "--a", "0.7", "--b", "1.3", "--from=0.5+1.0i", "--to=-1.5+1.5i",
                 "--steps", "40"]),

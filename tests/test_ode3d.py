@@ -16,6 +16,15 @@ def rhs_fd(fn, z, h=1e-6):
     return (np.asarray(fn(z + h).F) - np.asarray(fn(z - h).F)) / (2 * h)
 
 
+def test_state_is_six_python_complex():
+    s = OdeState3(2, np.arange(6))
+    assert type(s.z) is complex and type(s.F) is tuple
+    assert [type(v) for v in s.F] == [complex] * 6 and s.F[5] == 5
+    for F in ([1j] * 5, [1j] * 7, np.zeros(12)):
+        with pytest.raises(ValueError):
+            OdeState3(2.0, F)
+
+
 def test_rhs_zero_state():
     s = OdeState3(2.5, np.zeros(6))
     assert np.max(np.abs(rhs(s.z, s.F))) == 0.0
