@@ -16,8 +16,11 @@ each side, in one process per side, through `fmcheck.cli.main`:
 - both catalog Legendre transforms at seeds 0-2 with 20 and 50 points;
 - `ode` on three paths of each closed-form family, one with `--steps 40`,
   one run at `--rtol 1e-8 --atol 1e-10` and one from a random `--state`;
-- the unevaluable specs and arguments of the CLI's bad-input test, and
-  `ode` with 11 floats, a path through z = 1 and a non-finite state.
+- `catalog list`, and `catalog export` of every entry;
+- the unevaluable specs and arguments of the CLI's bad-input test (the
+  spec directory given as a spec path among them), `catalog` without an
+  entry name to export or with one to list, and `ode` with 11 floats, a
+  path through z = 1 and a non-finite state.
 
 Each side writes its own exported and unevaluable spec files, at the same
 paths.  Each run is classified as
@@ -163,6 +166,10 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "q0-d0", "--param", "aa=2"]),
        (["legendre", "q0-d-minus1", "--field", "X2", "--param", "zz=3"]),
        (["legendre", "q0-d-minus1", "--field", "X2", "--target", "q0-d0", "--param", "zz=3"]),
+       (["verify", "{specs}"]),
+       (["legendre", "{specs}", "--field", "1,1"]),
+       (["catalog", "export"]),
+       (["catalog", "list", "lobachevsky"]),
        (["ode", "--state", "1,0,1,0,1,0,1,0,1,0,1", "--from", "2", "--to", "3"]),
        (["ode", "--init", "q0", "--from", "0.5", "--to", "1.5"]),
        (["ode", "--state", "nan,0,1,0,1,0,1,0,1,0,1,0", "--from", "2", "--to", "3"]))
@@ -203,6 +210,8 @@ def corpus() -> list:
                             "--seed", str(seed), "--points", str(points)])
              for field, target in TRANSFORMS for seed in range(3) for points in (20, 50)]
     runs += [("ode", ["ode", *argv]) for argv in ODE]
+    runs += [("catalog", ["catalog", "list"])]
+    runs += [("catalog", ["catalog", "export", name]) for name in names]
     return runs + [("bad-input", list(argv)) for argv in BAD]
 
 

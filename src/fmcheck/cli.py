@@ -3,16 +3,17 @@ runs, and catalog access.
 
 Exit codes: 0 all requested checks pass, 1 a check fails (or a transform
 hypothesis is violated), 2 bad input (unparseable spec, a malformed spec
-file, named by its field, unknown entry or check, a spec that lacks a
-field a check or a transform needs or leaves a parameter unbound, a
-product table where a transform needs a named product, a sample point
-where the spec is singular, which `verify` and `legendre` name by index
-and coordinates, a sampling region that admits fewer points than
-`--points`, a negative `--seed`, a non-finite `--state`,
-`--from`, `--to`, `--rtol`, `--atol`, `--a` or `--b`, `--a` or `--b`
-without `--init q0`, a negative tolerance, `--steps` below 1, both
-tolerances zero, a singular integration path, an integration whose step size
-underflows).
+file, named by its field, a spec path that cannot be read, such as a
+directory, unknown entry or check, a spec that lacks a field a check or a
+transform needs or leaves a parameter unbound, a product table where a
+transform needs a named product, a sample point where the spec is
+singular, which `verify` and `legendre` name by index and coordinates, a
+sampling region that admits fewer points than `--points`, a negative
+`--seed`, a non-finite `--state`, `--from`, `--to`, `--rtol`, `--atol`,
+`--a` or `--b`, `--a` or `--b` without `--init q0`, a negative tolerance,
+`--steps` below 1, both tolerances zero, a singular integration path, an
+integration whose step size underflows, `catalog export` without an entry
+name, `catalog list` with one).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
 target's parameter of the same name.  A name that neither declares in its
 parameters is bad input.
@@ -21,8 +22,10 @@ Reports embed the tool version, seed, tolerances, parameter values and the
 branch convention, and are byte-deterministic for a fixed configuration.
 
 `ode` runs on the standard library and `ode3d` alone (a state's F is a
-tuple, the rows of `dopri54` are lists); `verify`, `legendre` and
-`catalog` each import the walk's modules, which load numpy, themselves.
+tuple, the rows of `dopri54` are lists).  `catalog`, and every spec that
+`verify` or `legendre` cannot load, need only `spec` and `entries`, which
+use the standard library too; the walk's modules, which load numpy, are
+imported by `_run_suite` alone.
 """
 
 from __future__ import annotations
@@ -79,22 +82,25 @@ def _load_spec(args):
     apply each `--param` override to it, a parameter that the spec (or for
     `legendre` its catalog target) declares.  Returns (spec, entry or None,
     overrides), or None once one line on stderr names the bad input."""
-    from . import catalog
-    from .manifold import ManifoldSpec
+    from . import entries
+    from .spec import ManifoldSpec
     try:
         overrides = dict(_parse_param(kv) for kv in args.param)
         if os.path.exists(args.spec):
             with open(args.spec, "r", encoding="utf-8") as fh:
                 spec, ent = ManifoldSpec.from_json(fh.read()), None
         else:
-            ent = catalog.entry(args.spec)
+            ent = entries.entry(args.spec)
             spec = ent.spec
-    except (catalog.UnknownEntryError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except OSError as err:  # a directory, an unreadable file
+        sys.stderr.write(f"spec error: {args.spec}: {err.strerror or err}\n")
+        return None
+    except (entries.UnknownEntryError, json.JSONDecodeError, KeyError, ValueError) as err:
         sys.stderr.write(f"spec error: {err}\n")
         return None
     target = getattr(args, "target", None)
-    known = set(spec.params).union(catalog.entry(target).spec.params
-                                   if target in catalog.names() else ())
+    known = set(spec.params).union(entries.entry(target).spec.params
+                                   if target in entries.names() else ())
     unknown = sorted(set(overrides) - known)
     if unknown:
         owners = " or ".join([spec.name] + ([target] if target else []))
@@ -142,10 +148,12 @@ def _report(command: str, args, spec, suite, **fields) -> int:
     return 0 if suite.ok else 1
 
 
-def _run_suite(args, source, check=None):
-    """The command's one walk, `catalog.run_suite` on `source`; for a bad
-    `--seed` or `--rtol`, or an error the walk raises, one line on stderr
-    and its exit code instead."""
+def _run_suite(args, source, check=None, transform=()):
+    """The command's one walk, `catalog.run_suite` on `source`, or with
+    `transform` (the arguments of `catalog.Transform` after the spec) on
+    that transform of `source`; for a bad `--seed` or `--rtol`, or an error
+    the walk raises, one line on stderr and its exit code instead.  The
+    walk's modules, and so numpy, load here and nowhere else in the CLI."""
     from . import catalog, exprjet as ej
     from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
     from .manifold import MissingFieldError, PointCountError, RegionEmptyError
@@ -155,6 +163,8 @@ def _run_suite(args, source, check=None):
     if not (math.isfinite(args.rtol) and args.rtol >= 0):
         sys.stderr.write(f"input error: --rtol {args.rtol!r}: must be finite and non-negative\n")
         return 2
+    if transform:
+        source = catalog.Transform(source, *transform)
     try:
         return catalog.run_suite(source, seed=args.seed, count=args.points, tol=args.rtol,
                                  check=check)
@@ -245,7 +255,6 @@ def cmd_ode(args) -> int:
 
 
 def cmd_legendre(args) -> int:
-    from . import catalog
     loaded = _load_spec(args)
     if loaded is None:
         return 2
@@ -262,8 +271,7 @@ def cmd_legendre(args) -> int:
             return 2
         field_exprs = ent.companion["legendre_fields"][args.field]
         field_name = args.field
-    suite = _run_suite(args, catalog.Transform(spec, field_exprs, field_name, args.target,
-                                               overrides))
+    suite = _run_suite(args, spec, transform=(field_exprs, field_name, args.target, overrides))
     if isinstance(suite, int):
         return suite
     return _report("legendre", args, spec, suite, field=field_name,
@@ -271,14 +279,20 @@ def cmd_legendre(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    from . import catalog
+    from . import entries
     if args.action == "list":
-        for name in catalog.names():
+        if args.name is not None:
+            sys.stderr.write(f"input error: catalog list takes no entry name, got {args.name!r}\n")
+            return 2
+        for name in entries.names():
             sys.stdout.write(name + "\n")
         return 0
+    if args.name is None:
+        sys.stderr.write("input error: catalog export needs an entry name\n")
+        return 2
     try:
-        ent = catalog.entry(args.name)
-    except catalog.UnknownEntryError as err:
+        ent = entries.entry(args.name)
+    except entries.UnknownEntryError as err:
         sys.stderr.write(f"{err}\n")
         return 2
     sys.stdout.write(ent.spec.to_json() + "\n")

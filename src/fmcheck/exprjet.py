@@ -1,4 +1,4 @@
-"""Expression DSL and second-order forward-mode jet evaluation.
+"""Second-order forward-mode jet evaluation of the expression DSL.
 
 A table of DSL sources (nested tuples or lists of strings, or one AST) is
 compiled once into a flat list of operations, the recorded tape of
@@ -42,18 +42,8 @@ All scalars are complex; `sqrt`, `ln` and non-integer powers use the
 principal branch (cut on the negative real axis).  Integer powers are
 expanded by repeated multiplication so polynomial jets are exact.
 
-Grammar (see `parse`):
-
-    expr   := term (("+"|"-") term)*
-    term   := factor (("*"|"/") factor)*
-    factor := unary ("^" factor)?          # right-associative, sugar for pow
-    unary  := "-" unary | atom
-    atom   := number | number "i" | ident | ident "(" expr ("," expr)* ")"
-            | "(" expr ")"
-
-Coordinates are ``u1`` .. ``u9``; ``x``, ``y``, ``z`` are fixed aliases for
-``u1``, ``u2``, ``u3``.  Any other identifier is a named parameter bound at
-evaluation time.
+The DSL's syntax tree, parser and printer live in `spec`, which loads no
+numpy; this module takes them from there.
 """
 
 from __future__ import annotations
@@ -65,6 +55,9 @@ from typing import Mapping, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
+from .spec import (Bin, Call, Expr, ExprError, Neg, Num, Param, ParseError, Var, parse,
+                   to_source)
+
 __all__ = [
     "Expr", "Num", "Var", "Param", "Neg", "Bin", "Call",
     "Jet", "TableJets", "parse", "to_source", "eval_jet", "eval_table", "eval_points",
@@ -75,18 +68,6 @@ __all__ = [
 ]
 
 Number = Union[int, float, complex]
-
-
-class ExprError(Exception):
-    pass
-
-
-class ParseError(ExprError):
-    def __init__(self, message: str, line: int, col: int, source: str = ""):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
-        self.source = source
 
 
 class EvalError(ExprError):
@@ -103,302 +84,6 @@ class UnboundParameterError(EvalError):
 
 class UnboundVariableError(EvalError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Expr:
-    def __add__(self, other):
-        return Bin("+", self, _as_expr(other))
-
-    def __radd__(self, other):
-        return Bin("+", _as_expr(other), self)
-
-    def __sub__(self, other):
-        return Bin("-", self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Bin("-", _as_expr(other), self)
-
-    def __mul__(self, other):
-        return Bin("*", self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return Bin("*", _as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Bin("/", self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Bin("/", _as_expr(other), self)
-
-    def __pow__(self, other):
-        return Bin("^", self, _as_expr(other))
-
-    def __neg__(self):
-        return Neg(self)
-
-
-@dataclass(frozen=True)
-class Num(Expr):
-    value: complex
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    index: int  # 1-based coordinate index
-
-
-@dataclass(frozen=True)
-class Param(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    a: Expr
-
-
-@dataclass(frozen=True)
-class Bin(Expr):
-    op: str  # + - * / ^
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    fn: str  # sqrt ln exp
-    a: Expr
-
-
-def _as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    return Num(complex(v))
-
-
-_COORD_ALIASES = {"x": 1, "y": 2, "z": 3}
-_FUNCTIONS = {"sqrt": 1, "ln": 1, "exp": 1, "pow": 2}
-
-
-# ---------------------------------------------------------------------------
-# parser
-
-
-class _Scanner:
-    def __init__(self, source: str):
-        self.src = source.replace("−", "-")
-        self.pos = 0
-        self.tokens: list = []
-        self._scan()
-        self.idx = 0
-
-    def _loc(self, pos):
-        line = self.src.count("\n", 0, pos) + 1
-        col = pos - (self.src.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def _scan(self):
-        src, n = self.src, len(self.src)
-        i = 0
-        while i < n:
-            ch = src[i]
-            if ch.isspace():
-                i += 1
-                continue
-            start = i
-            if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-                i += 1
-                while i < n and src[i].isdigit():
-                    i += 1
-                if i < n and src[i] == ".":
-                    i += 1
-                    while i < n and src[i].isdigit():
-                        i += 1
-                if i < n and src[i] in "eE" and i + 1 < n and (
-                        src[i + 1].isdigit() or (src[i + 1] in "+-" and i + 2 < n and src[i + 2].isdigit())):
-                    i += 2
-                    while i < n and src[i].isdigit():
-                        i += 1
-                value = float(src[start:i])
-                imag = False
-                if i < n and src[i] == "i" and (i + 1 == n or not (src[i + 1].isalnum() or src[i + 1] == "_")):
-                    imag = True
-                    i += 1
-                self.tokens.append(("num", complex(0, value) if imag else complex(value), start))
-                continue
-            if ch.isalpha() or ch == "_":
-                i += 1
-                while i < n and (src[i].isalnum() or src[i] == "_"):
-                    i += 1
-                self.tokens.append(("ident", src[start:i], start))
-                continue
-            if ch in "+-*/^(),":
-                self.tokens.append((ch, ch, start))
-                i += 1
-                continue
-            line, col = self._loc(i)
-            raise ParseError(f"unexpected character {ch!r}", line, col, self.src)
-        self.tokens.append(("end", None, n))
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def next(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def error(self, message, tok):
-        line, col = self._loc(tok[2])
-        raise ParseError(message, line, col, self.src)
-
-
-def _parse_expr(s: _Scanner) -> Expr:
-    node = _parse_term(s)
-    while s.peek()[0] in "+-":
-        op = s.next()[0]
-        node = Bin(op, node, _parse_term(s))
-    return node
-
-
-def _parse_term(s: _Scanner) -> Expr:
-    node = _parse_factor(s)
-    while s.peek()[0] in "*/":
-        op = s.next()[0]
-        node = Bin(op, node, _parse_factor(s))
-    return node
-
-
-def _parse_factor(s: _Scanner) -> Expr:
-    base = _parse_unary(s)
-    if s.peek()[0] == "^":
-        s.next()
-        return Bin("^", base, _parse_factor(s))
-    return base
-
-
-def _parse_unary(s: _Scanner) -> Expr:
-    if s.peek()[0] == "-":
-        s.next()
-        return Neg(_parse_unary(s))
-    return _parse_atom(s)
-
-
-def _parse_atom(s: _Scanner) -> Expr:
-    tok = s.next()
-    kind, value, _ = tok
-    if kind == "num":
-        return Num(value)
-    if kind == "(":
-        node = _parse_expr(s)
-        closing = s.next()
-        if closing[0] != ")":
-            s.error("expected ')'", closing)
-        return node
-    if kind == "ident":
-        if s.peek()[0] == "(":
-            s.next()
-            args = [_parse_expr(s)]
-            while s.peek()[0] == ",":
-                s.next()
-                args.append(_parse_expr(s))
-            closing = s.next()
-            if closing[0] != ")":
-                s.error("expected ')'", closing)
-            if value not in _FUNCTIONS:
-                s.error(f"unknown function {value!r}", tok)
-            if len(args) != _FUNCTIONS[value]:
-                s.error(f"{value} expects {_FUNCTIONS[value]} argument(s)", tok)
-            if value == "pow":
-                return Bin("^", args[0], args[1])
-            return Call(value, args[0])
-        if value in _COORD_ALIASES:
-            return Var(_COORD_ALIASES[value])
-        if len(value) >= 2 and value[0] == "u" and value[1:].isdigit():
-            idx = int(value[1:])
-            if 1 <= idx <= 9:
-                return Var(idx)
-        return Param(value)
-    s.error("expected a number, identifier or '('", tok)
-
-
-@lru_cache(maxsize=4096)
-def parse(source: str) -> Expr:
-    """Parse DSL source into an immutable AST."""
-    s = _Scanner(source)
-    node = _parse_expr(s)
-    tok = s.peek()
-    if tok[0] != "end":
-        s.error("unexpected trailing input", tok)
-    return node
-
-
-# ---------------------------------------------------------------------------
-# printing (minimal parentheses; parse(to_source(e)) == e)
-
-
-def _num_str(v: complex) -> str:
-    def fmt(x: float) -> str:
-        if x == int(x) and abs(x) < 1e15:
-            return str(int(x))
-        return repr(x)
-
-    if v.imag == 0:
-        return fmt(v.real) if v.real >= 0 else f"(0-{fmt(-v.real)})"
-    if v.real == 0:
-        return f"{fmt(v.imag)}i" if v.imag >= 0 else f"(0-{fmt(-v.imag)}i)"
-    re = fmt(v.real) if v.real >= 0 else f"0-{fmt(-v.real)}"
-    op, im = ("+", v.imag) if v.imag >= 0 else ("-", -v.imag)
-    return f"({re}{op}{fmt(im)}i)"
-
-
-def to_source(e: Expr) -> str:
-    return _print_expr(e)
-
-
-def _print_expr(e: Expr) -> str:
-    if isinstance(e, Bin) and e.op in "+-":
-        return f"{_print_expr(e.a)}{e.op}{_print_term(e.b)}"
-    return _print_term(e)
-
-
-def _print_term(e: Expr) -> str:
-    if isinstance(e, Bin) and e.op in "+-":
-        return f"({_print_expr(e)})"
-    if isinstance(e, Bin) and e.op in "*/":
-        return f"{_print_term(e.a)}{e.op}{_print_factor(e.b)}"
-    return _print_factor(e)
-
-
-def _print_factor(e: Expr) -> str:
-    if isinstance(e, Bin) and e.op in "+-*/":
-        return f"({_print_expr(e)})"
-    if isinstance(e, Bin):  # ^
-        return f"{_print_unary(e.a)}^{_print_factor(e.b)}"
-    return _print_unary(e)
-
-
-def _print_unary(e: Expr) -> str:
-    if isinstance(e, Neg):
-        return f"-{_print_unary(e.a)}"
-    return _print_atom(e)
-
-
-def _print_atom(e: Expr) -> str:
-    if isinstance(e, Num):
-        return _num_str(e.value)
-    if isinstance(e, Var):
-        return f"u{e.index}"
-    if isinstance(e, Param):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({_print_expr(e.a)})"
-    return f"({_print_expr(e)})"
 
 
 # ---------------------------------------------------------------------------

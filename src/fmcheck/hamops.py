@@ -9,19 +9,17 @@ applied: the verification here is pointwise tensor algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .connection import ConnectionAt, inverse_jets, levi_civita, riemann_components
 from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, Report, StructureAt, amax, batch_report,
                        normalized, pmax, structure_at, table_jets, worst_parts)
+from .spec import NormalBundleData, fields_from_exprs, fields_from_gradients
 from .tensor import antisym, contract, contract_jets, finite_matrices
 
 __all__ = [
     "NormalBundleData", "GmcFailedError", "fields_from_exprs",
-    "fields_from_gradients", "lauricella_normal_fields", "spanning_fields",
+    "fields_from_gradients", "spanning_fields",
     "check_quadratic_expansion", "check_sym_condition", "check_gmc",
     "field_rank", "emit_operator",
 ]
@@ -29,27 +27,6 @@ __all__ = [
 
 class GmcFailedError(Exception):
     pass
-
-
-@dataclass
-class NormalBundleData:
-    """Signs and expression tables of the spanning vector fields: a row of
-    components per field, or, with `gradients`, a scalar per field whose
-    coordinate gradient is the field (its jet Hessian then supplies the
-    field derivatives).  The tables are evaluated in the spec's env."""
-    eps: tuple
-    exprs: tuple
-    gradients: bool = False
-
-    @property
-    def count(self) -> int:
-        return len(self.exprs)
-
-    def at(self, point, env):
-        """Field values xs[a, i] and derivatives dxs[a, i, k] = d_k X_a^i
-        at `point` in `env`."""
-        fields = spanning_fields(self, [point], len(point), env).at(0)
-        return fields.val, fields.grad
 
 
 def spanning_fields(nb: NormalBundleData, points, n: int, env) -> Jets:
@@ -67,29 +44,10 @@ def spanning_fields(nb: NormalBundleData, points, n: int, env) -> Jets:
     return Jets(jets.val, jets.grad, errors=jets.errors)
 
 
-def fields_from_exprs(component_tables: Sequence[Sequence[str]], eps) -> NormalBundleData:
-    return NormalBundleData(eps=tuple(eps), exprs=tuple(tuple(c) for c in component_tables))
-
-
-def fields_from_gradients(scalar_exprs: Sequence[str], eps) -> NormalBundleData:
-    """Fields given as coordinate gradients of scalar potentials."""
-    return NormalBundleData(eps=tuple(eps), exprs=tuple(scalar_exprs), gradients=True)
-
-
-def lauricella_normal_fields(n: int) -> NormalBundleData:
-    """The n gradient fields of 1/(sqrt(c_a) prod_{l != a}(u^l - u^a)),
-    all with negative sign; the constants c1 .. cn are parameters."""
-    scalars = []
-    for a in range(n):
-        prod = "*".join(f"(u{l+1}-u{a+1})" for l in range(n) if l != a)
-        scalars.append(f"1/(sqrt(c{a+1})*{prod})")
-    return fields_from_gradients(scalars, eps=(-1,) * n)
-
-
 def field_rank(nb: NormalBundleData, point, env) -> int:
     """Numerical rank of the matrix whose columns are the field values at
     `point` in `env`."""
-    return int(rank_of(nb.at(point, env)[0]))
+    return int(rank_of(spanning_fields(nb, [point], len(point), env).at(0).val))
 
 
 def rank_of(xs: np.ndarray):
@@ -228,7 +186,7 @@ def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point) -> dict:
     hold at the point, at the default tolerance."""
     st = structure_at(spec, point)
     lc = levi_civita(st)
-    xs, dxs = nb.at(st.point, spec.env())
+    xs, dxs, _ = spanning_fields(nb, [st.point], spec.n, spec.env()).at(0)
     gmc = gmc_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs), DEFAULT_TOL)
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")

@@ -1,10 +1,10 @@
-"""Chart-level structure specs, point sampling, and product/metric checks.
+"""Point sampling, structure evaluation, and product/metric checks.
 
-A `ManifoldSpec` is a single coordinate chart carrying a product (canonical,
-shifted-canonical, or an explicit expression table), a unit field, and
-optionally an Euler field and one or two metrics.  `structures` evaluates
-everything needed downstream at all the sample points at once, as one
-`StructureAt` whose arrays carry a leading point axis (P, ...): the product
+A `ManifoldSpec` (`spec`) is a single coordinate chart carrying a product
+(canonical, shifted-canonical, or an explicit expression table), a unit
+field, and optionally an Euler field and one or two metrics.  `structures`
+evaluates everything needed downstream at all the sample points at once, as
+one `StructureAt` whose arrays carry a leading point axis (P, ...): the product
 to first derivative order and all other primitive fields to second order.
 The residual functions (`*_at`) take such a batch and return one residual
 and scale per point; `structure_at` is a batch of one, with the point axis
@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL
 from . import exprjet as ej
+from .spec import ManifoldSpec, Region
 from .tensor import antisym, contract, lie_from_components
 
 __all__ = [
@@ -61,162 +61,9 @@ def required(value, what: str):
 
 
 @dataclass(frozen=True)
-class Region:
-    """Sampling box with admissibility constraints.
-
-    `guards` are DSL expressions whose magnitude must stay >= `guard_min`
-    at every sampled point (used to keep clear of singular loci), and
-    `min_sep` is the minimum pairwise coordinate separation (relevant on
-    semisimple charts where coordinate collisions are singular).
-    """
-    box: tuple
-    min_sep: float = 0.1
-    guards: tuple = ()
-    guard_min: float = 0.1
-
-    def to_dict(self) -> dict:
-        return {"box": [list(b) for b in self.box], "min_sep": self.min_sep,
-                "guards": list(self.guards), "guard_min": self.guard_min}
-
-    @classmethod
-    def from_dict(cls, d: Mapping, n: int) -> "Region":
-        """The region of a spec file's `region` object, on a chart of
-        dimension `n`; ValueError names the first malformed field."""
-        _expect(isinstance(d, Mapping), "region", "an object")
-        box = d["box"]
-        _expect(_is_list(box, n) and all(_is_list(b, 2) and all(map(_is_number, b)) for b in box),
-                "region.box", f"{n} [lo, hi] pairs of numbers, as n = {n}")
-        bounds = {}
-        for key in ("min_sep", "guard_min"):
-            if key in d:
-                _expect(_is_number(d[key]), f"region.{key}", "a number")
-                bounds[key] = float(d[key])
-        guards = d.get("guards", [])
-        _expect(isinstance(guards, list) and all(isinstance(g, str) for g in guards),
-                "region.guards", "a list of expression strings")
-        return cls(box=tuple(tuple(b) for b in box), guards=tuple(guards), **bounds)
-
-
-@dataclass(frozen=True)
 class SamplePlan:
     seed: int = DEFAULT_SEED
     count: int = DEFAULT_POINTS
-
-
-def _expect(ok: bool, field: str, what: str) -> None:
-    """A spec file's `field` must be `what`: ValueError naming it if not."""
-    if not ok:
-        raise ValueError(f"{field}: expected {what}")
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_list(v, length: int) -> bool:
-    return isinstance(v, list) and len(v) == length
-
-
-def _strings(value, shape: tuple, field: str) -> tuple:
-    """`value`, nested lists of strings of `shape`, as nested tuples."""
-    what = f"{' x '.join(map(str, shape))} strings, as n = {shape[0]}"
-
-    def walk(v, dims):
-        _expect(_is_list(v, dims[0]) if dims else isinstance(v, str), field, what)
-        return tuple(walk(x, dims[1:]) for x in v) if dims else v
-    return walk(value, shape)
-
-
-def _scalar_to_json(v: complex):
-    v = complex(v)
-    return v.real if v.imag == 0 else [v.real, v.imag]
-
-
-def _scalar_from_json(v, field: str) -> complex:
-    if _is_number(v):
-        return complex(v)
-    _expect(_is_list(v, 2) and all(map(_is_number, v)), field, "a number or an [re, im] pair")
-    return complex(v[0], v[1])
-
-
-@dataclass
-class ManifoldSpec:
-    """Chart-level description of a product/metric structure.
-
-    Expression-valued fields are stored as DSL source strings; parsing is
-    cached inside the DSL layer so evaluation stays cheap.
-    """
-    name: str
-    n: int
-    coords: tuple
-    product: object  # "canonical" | "shifted-canonical" | nested expr table
-    e: tuple
-    E: tuple | None = None
-    g: tuple | None = None
-    g2: tuple | None = None
-    params: dict = field(default_factory=dict)
-    region: Region | None = None
-    expected: dict = field(default_factory=dict)
-
-    def env(self) -> dict:
-        return dict(self.params)
-
-    # -- serialization (JSON round-trip must be lossless) --
-
-    def to_dict(self) -> dict:
-        product = self.product
-        if not isinstance(product, str):
-            product = {"table": [[list(row) for row in mat] for mat in product]}
-        return {
-            "name": self.name,
-            "n": self.n,
-            "coords": list(self.coords),
-            "product": product,
-            "e": list(self.e),
-            "E": list(self.E) if self.E is not None else None,
-            "g": [list(r) for r in self.g] if self.g is not None else None,
-            "g2": [list(r) for r in self.g2] if self.g2 is not None else None,
-            "params": {k: _scalar_to_json(v) for k, v in sorted(self.params.items())},
-            "region": self.region.to_dict() if self.region is not None else None,
-            "expected": self.expected,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ManifoldSpec":
-        """The spec of a JSON object (a spec file).  A malformed field
-        raises ValueError naming it, a missing one KeyError."""
-        _expect(isinstance(d, Mapping), "spec", "an object")
-        n = d["n"]
-        _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n",
-                "a positive integer")
-        product = d["product"]
-        if isinstance(product, Mapping):
-            product = _strings(product.get("table"), (n, n, n), "product")
-        else:
-            _expect(product in ("canonical", "shifted-canonical"), "product",
-                    "'canonical', 'shifted-canonical' or {\"table\": ...}")
-        params, expected = d.get("params", {}), d.get("expected", {})
-        _expect(isinstance(params, Mapping), "params", "an object")
-        _expect(isinstance(expected, Mapping), "expected", "an object")
-        return cls(
-            name=d["name"],
-            n=n,
-            coords=_strings(d["coords"], (n,), "coords"),
-            product=product,
-            e=_strings(d["e"], (n,), "e"),
-            **{key: None if d.get(key) is None else _strings(d[key], shape, key)
-               for key, shape in (("E", (n,)), ("g", (n, n)), ("g2", (n, n)))},
-            params={k: _scalar_from_json(v, f"params.{k}") for k, v in params.items()},
-            region=Region.from_dict(d["region"], n) if d.get("region") is not None else None,
-            expected=dict(expected),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ManifoldSpec":
-        return cls.from_dict(json.loads(text))
 
 
 class PointBatch:

@@ -25,9 +25,10 @@ from fmcheck.connection import (check_compat_product, check_flatness,
                                 connection_from_exprs, dual_structure,
                                 levi_civita, natural_connection,
                                 riemann_components)
+from fmcheck.entries import lauricella_normal_fields
 from fmcheck.hamops import (check_gmc, check_quadratic_expansion,
                             check_sym_condition, emit_operator, field_rank,
-                            fields_from_exprs, lauricella_normal_fields)
+                            fields_from_exprs, spanning_fields)
 from fmcheck.legendre import check_homogeneous_legendre, transformed_structure
 from fmcheck.manifold import (SamplePlan, check_hertling_manin, check_homogeneity,
                               check_killing_unit, check_metric_invariance,
@@ -284,7 +285,7 @@ def test_criterion_08_lauricella_bundle():
     for p in pts:
         st = structure_at(spec, p)
         conn = natural_connection(st)
-        xs, dxs = nb.at(st.point, env)
+        xs, dxs, _ = spanning_fields(nb, [st.point], spec.n, env).at(0)
         for a in range(3):
             nab = dxs[a] + np.einsum("lks,s->lk", conn.gamma, xs[a])
             ok &= np.max(np.abs(nab)) <= 1e-8

@@ -215,6 +215,12 @@ def test_catalog_list_and_export():
     assert doc["g2"] is not None
     code, _, _ = run_cli(["catalog", "export", "missing"])
     assert code == 2
+    # a missing or an extra entry name is bad input, and named
+    for argv, want in ((["catalog", "export"], "input error: catalog export needs an entry name"),
+                       (["catalog", "list", "lobachevsky"],
+                        "input error: catalog list takes no entry name, got 'lobachevsky'")):
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (2, "", want + "\n"), argv
 
 
 def test_verify_param_override():
@@ -284,6 +290,35 @@ def test_ode_path_imports_only_ode3d():
                               f"if m.startswith(('fmcheck', 'numpy'))))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{want}\n"
+
+
+def test_catalog_and_spec_errors_import_only_the_spec_layer(tmp_path):
+    # `catalog` and a spec that cannot be loaded load only the standard
+    # library's modules, `spec` and `entries`, and no numpy; every export
+    # has the bytes it has in a process that has loaded the walk
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    exports = [["catalog", "export", name] for name in cat.names()]
+    runs = [(["catalog", "list"], 0), *((argv, 0) for argv in exports),
+            (["verify", "nope"], 2), (["verify", str(malformed)], 2)]
+    script = ("import contextlib, io, json, sys\n"
+              "from fmcheck.cli import main\n"
+              "results = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        results.append([main(argv), out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps([results, sorted(m for m in sys.modules\n"
+              "                                  if m.startswith(('fmcheck', 'numpy')))]))\n")
+    proc = run_bare("-c", script, json.dumps([argv for argv, _ in runs]))
+    assert proc.returncode == 0, proc.stderr
+    results, modules = json.loads(proc.stdout)
+    assert modules == ["fmcheck", "fmcheck.cli", "fmcheck.entries", "fmcheck.ode3d",
+                       "fmcheck.spec"]
+    for (argv, want_code), (code, out, err) in zip(runs, results):
+        assert code == want_code, (argv, err)
+        assert [code, out, err] == list(run_cli(argv)), argv
+    assert results[0][1].split() == cat.names()
 
 
 # `ode` trajectories as a build of the stepper on numpy arrays wrote them:
@@ -378,6 +413,9 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["verify", str(paths["singular-third"])],
                         singular(3) + ": SingularMatrixError: matrix is numerically singular"),
                        (["verify", str(paths["unparseable"])], "cannot parse '1+'"),
+                       # a spec path that cannot be read is named with the reason
+                       (["verify", str(tmp_path)], f"spec error: {tmp_path}: "),
+                       (["legendre", str(tmp_path), "--field", "1,1"], f"spec error: {tmp_path}: "),
                        (["legendre", "q0-d-minus1", "--field", "1+,1,1"], "cannot parse '1+'"),
                        (["legendre", "case-i", "--field", "1,0"], "metric"),
                        (["legendre", "lobachevsky", "--field", "1,1", "--target", "case-i"],

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import fmcheck.catalog as cat
+from fmcheck.entries import lauricella_normal_fields
 from fmcheck.hamops import (GmcFailedError, NormalBundleData, check_gmc,
                             check_quadratic_expansion, check_sym_condition,
                             emit_operator, field_rank, fields_from_exprs,
-                            fields_from_gradients, lauricella_normal_fields)
+                            fields_from_gradients, spanning_fields)
 from fmcheck.manifold import ManifoldSpec, Region, SamplePlan, sample_points, structure_at
 
 
@@ -116,6 +117,6 @@ def test_gmc2_follows_from_invariance():
 
 def test_gradient_fields_match_jet_hessian():
     nb = fields_from_gradients(["u1^2*u2"], eps=(-1,))
-    xs, dxs = nb.at(np.array([1.0, 2.0]), {})
+    xs, dxs, _ = spanning_fields(nb, [np.array([1.0, 2.0])], 2, {}).at(0)
     assert np.allclose(xs[0], [4.0, 1.0])
     assert np.allclose(dxs[0], [[4.0, 2.0], [2.0, 0.0]])
