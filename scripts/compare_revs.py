@@ -18,7 +18,8 @@ each side, in one process per side, through `fmcheck.cli.main`:
   one run at `--rtol 1e-8 --atol 1e-10` and one from a random `--state`;
 - `catalog list`, and `catalog export` of every entry;
 - the unevaluable specs and arguments of the CLI's bad-input test (the
-  spec directory given as a spec path among them), `catalog` without an
+  spec directory given as a spec path, and a spec file that lacks its
+  fields, among them), a spec file that is not UTF-8, `catalog` without an
   entry name to export or with one to list, and `ode` with 11 floats, a
   path through z = 1 and a non-finite state.
 
@@ -98,9 +99,12 @@ for key, g in (("unbound", [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]),
                ("singular-third", [[f"x-{x3!r}", "0"], ["0", "2/(x-y)^2"]]),
                ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]])):
     bad[key] = {**doc, "g": g}
+bad["missing"] = {"n": 2}
 for key, value in bad.items():
     with open(f"{specs}/bad-{key}.json", "w") as fh:
         json.dump(value, fh)
+with open(f"{specs}/bad-binary.json", "wb") as fh:
+    fh.write(bytes([0x89]) + b"PNG")
 results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
@@ -153,7 +157,8 @@ TRANSFORMS = (("X2", "q0-d0"), ("X3", "q0-d1"))
 BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "case-i", "--check", "metric-invariance"]),
        *(["verify", f"{{specs}}/bad-{key}.json"]
-         for key in ("unbound", "divzero", "zero", "third", "singular-third", "unparseable")),
+         for key in ("unbound", "divzero", "zero", "third", "singular-third", "unparseable",
+                     "missing", "binary")),
        (["verify", "{specs}/bad-divzero.json", "--check", "homogeneity"]),
        (["legendre", "q0-d-minus1", "--field", "1+,1,1"]),
        (["legendre", "case-i", "--field", "1,0"]),

@@ -375,7 +375,7 @@ CHECKS = (
           reduce=legendre_field_report),
     Check("transform-exprs", _transform_exprs_at),
     Check("match", _match_at, tol=lambda tol: max(tol, 1e-7)),
-    # the transform's theorems, which only their test-facing wrappers run
+    # the transform's theorems, which only `run_checks` runs, by name
     Check("transform-metric",
           lambda b: transform_metric_at(b.stbar, b.nat, *b.field_jets, errors=b.errors)),
     Check("homogeneous-legendre",

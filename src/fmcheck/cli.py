@@ -3,8 +3,9 @@ runs, and catalog access.
 
 Exit codes: 0 all requested checks pass, 1 a check fails (or a transform
 hypothesis is violated), 2 bad input (unparseable spec, a malformed spec
-file, named by its field, a spec path that cannot be read, such as a
-directory, unknown entry or check, a spec that lacks a field a check or a
+file, named by its missing or malformed field, a spec path that cannot be
+read, such as a directory or a file that is not UTF-8, named with the
+reason, unknown entry or check, a spec that lacks a field a check or a
 transform needs or leaves a parameter unbound, a product table where a
 transform needs a named product, a sample point where the spec is
 singular, which `verify` and `legendre` name by index and coordinates, a
@@ -92,10 +93,10 @@ def _load_spec(args):
         else:
             ent = entries.entry(args.spec)
             spec = ent.spec
-    except OSError as err:  # a directory, an unreadable file
-        sys.stderr.write(f"spec error: {args.spec}: {err.strerror or err}\n")
+    except (OSError, UnicodeDecodeError) as err:  # a directory, an unreadable or non-UTF-8 file
+        sys.stderr.write(f"spec error: {args.spec}: {getattr(err, 'strerror', None) or err}\n")
         return None
-    except (entries.UnknownEntryError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except (entries.UnknownEntryError, json.JSONDecodeError, ValueError) as err:
         sys.stderr.write(f"spec error: {err}\n")
         return None
     target = getattr(args, "target", None)

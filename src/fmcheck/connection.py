@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .manifold import (DEFAULT_TOL, PointBatch, Report, StructureAt, amax, batch_report, fail_at,
-                       normalized, pmax, raise_first, required, table_jets)
+                       normalized, pmax, required, table_jets)
 from .tensor import SingularMatrixError, antisym, contract, contract_jets
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "checked_inverse", "inverse_jets", "inverse_hessian", "metric_inverse",
     "christoffel_jets", "counit_jets",
     "levi_civita", "natural_connection", "natural_from_levi_civita",
-    "connection_from_exprs", "connections_from_exprs", "christoffel_provider",
+    "connection_from_exprs", "connections_from_exprs",
     "riemann_components", "torsion_at", "flatness_at", "nabla_e_at", "compat_product_at",
     "nabla_from_g_at", "curvature_product_at", "r_tr_identity_at", "nabla_nabla_E_at",
     "check_flatness", "check_torsionless", "check_nabla_e",
@@ -150,19 +150,6 @@ def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt,
     m = contract_jets("...if,...qf->...iq", (inverse.inv, inverse.dinv), (dtheta, d_dtheta))
     b, db = (-0.5 * t for t in contract_jets("...iq,...qkl->...ikl", m, (st.c, st.dc)))
     return ConnectionAt(st.n, st.point, lc.gamma + b, lc.dgamma + db, lc.errors)
-
-
-def christoffel_provider(gamma_exprs, env: Mapping[str, complex] | None = None):
-    """Evaluator of the Christoffel values at one point, from a run of the
-    table there; raises its domain error."""
-    env = dict(env or {})
-
-    def provider(point):
-        jets = table_jets(gamma_exprs, np.asarray(point)[None], env, order=0)
-        raise_first(jets.errors)
-        return jets.val[0]
-
-    return provider
 
 
 def connections_from_exprs(gamma_exprs, points,
@@ -314,7 +301,7 @@ def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt, r_nat
 def check_R_tR_identity(st: StructureAt) -> Report:
     inverse = metric_inverse(st)
     lc = levi_civita(st, inverse)
-    return batch_report("r-tr-identity",
+    return batch_report("r-tr",
                         r_tr_identity_at(natural_from_levi_civita(st, lc, inverse), lc, st),
                         DEFAULT_TOL)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .connection import ConnectionAt, inverse_jets, levi_civita, riemann_components
 from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, Report, StructureAt, amax, batch_report,
-                       normalized, pmax, structure_at, table_jets, worst_parts)
+                       normalized, pmax, structure_at, table_jets, walk_row, worst_parts)
 from .spec import NormalBundleData, fields_from_exprs, fields_from_gradients
 from .tensor import antisym, contract, contract_jets, finite_matrices
 
@@ -78,8 +78,8 @@ def _worst_of(parts, like):
 # ---------------------------------------------------------------------------
 # checks: the residual and scale at each point of the structure, its
 # connection and the field values (one point, or a batch with its fields
-# from `spanning_fields`), and the check over a point set, which runs the
-# walk's row of that name
+# from `spanning_fields`), and the check over a point set: the walk's row
+# of that name (`walk_row`)
 
 
 def _expansion(ws, eps, like):
@@ -102,15 +102,9 @@ def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv=None
     return normalized(amax(r2 - rhs, 4), sc), sc
 
 
-def _row(name: str, spec: ManifoldSpec, nb: NormalBundleData, points, tol: float) -> Report:
-    """The report of the walk's row `name` for the spanning fields `nb`."""
-    from .catalog import run_checks  # the check table imports this module
-    return run_checks(spec, {"normal_bundle": nb}, [name], points, tol)[0]
-
-
 def check_quadratic_expansion(spec: ManifoldSpec, nb: NormalBundleData, points,
                               tol: float = DEFAULT_TOL) -> Report:
-    return _row("quadratic-expansion", spec, nb, points, tol)
+    return walk_row("quadratic-expansion", spec, {"normal_bundle": nb}, points, tol)
 
 
 def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
@@ -129,7 +123,7 @@ def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
 
 def check_sym_condition(spec: ManifoldSpec, nb: NormalBundleData, points,
                         tol: float = DEFAULT_TOL) -> Report:
-    return _row("sym-condition", spec, nb, points, tol)
+    return walk_row("sym-condition", spec, {"normal_bundle": nb}, points, tol)
 
 
 def _affinors(st: StructureAt, xs, dxs):
@@ -175,7 +169,7 @@ def check_gmc(spec: ManifoldSpec, nb: NormalBundleData, points,
     """The four structural equations for the affinors W_a = (X_a o):
     curvature expansion, pairwise commutation, g-symmetry, and the
     Codazzi symmetry of the Levi-Civita derivative."""
-    return _row("gmc", spec, nb, points, tol)
+    return walk_row("gmc", spec, {"normal_bundle": nb}, points, tol)
 
 
 def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point) -> dict:

@@ -8,25 +8,20 @@ non-flat field would produce meaningless reports.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from . import exprjet as ej
-from .connection import (ConnectionAt, check_compat_product, checked_inverse,
-                         natural_connection, riemann_components)
+from .connection import ConnectionAt, checked_inverse, natural_connection
 from .hamops import sym_condition_at
-from .manifold import (DEFAULT_TOL, ManifoldSpec, Report, StructureAt, amax, batch_report, fail_at,
-                       fit_scalar, homogeneity_at, killing_unit_at, metric_invariance_at,
-                       normalized, pmax, product_jets, required, structure_at, worst)
-from .ode3d import dopri54
+from .manifold import (ManifoldSpec, Report, StructureAt, amax, batch_report, fail_at, fit_scalar,
+                       homogeneity_at, killing_unit_at, metric_invariance_at, normalized, pmax,
+                       product_jets, required, structure_at, walk_row)
 from .tensor import contract, contract_jets
 
 __all__ = [
     "NotInvertibleError", "HypothesisViolatedError", "ProductTableError",
-    "check_legendre_field", "transform_connection", "transform_connection_report",
-    "transformed_at", "transform_metric_report", "transformed_structure", "flat_field_ode",
-    "check_homogeneous_legendre", "transform_metric_exprs",
+    "check_legendre_field", "transform_connection", "transformed_at", "transformed_structure",
+    "transform_metric_exprs",
 ]
 
 
@@ -69,17 +64,10 @@ def legendre_field_report(name: str, result, tol: float) -> Report:
     return batch_report(name, result, tol, details={"min_abs_det": float(np.min(result[2]))})
 
 
-def _row(name: str, spec: ManifoldSpec, field_exprs, points, tol: float) -> Report:
-    """The report of the walk's row `name` for the transform by
-    `field_exprs` over `points`."""
-    from .catalog import run_checks  # the check table imports this module
-    return run_checks(spec, {"legendre_field": field_exprs}, [name], points, tol)[0]
-
-
 def check_legendre_field(spec: ManifoldSpec, field_exprs, points) -> Report:
     """Symmetry of the product-twisted covariant derivative of the field,
     plus product invertibility, with the structure connection."""
-    return _row("legendre-field", spec, field_exprs, points, DEFAULT_TOL)
+    return walk_row("legendre-field", spec, {"legendre_field": field_exprs}, points)
 
 
 def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
@@ -95,24 +83,6 @@ def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
     inner = (np.swapaxes(dw, -2, -1) + gw, np.swapaxes(ddw, -3, -2) + dgw)
     gamma, dgamma = contract_jets("...il,...ljk->...ijk", (k, dk), inner)
     return ConnectionAt(st.n, st.point, gamma, dgamma)
-
-
-def transform_connection_report(conn: ConnectionAt, st: StructureAt, x, dx, ddx):
-    """Transformed connection plus residuals: torsion, product
-    compatibility, and the curvature conjugation identity."""
-    new = transform_connection(conn, st, x, dx, ddx)
-    w, _, _ = _mult_operator(st, x, dx)
-    k = checked_inverse(w, error=NotInvertibleError)
-    tors = np.max(np.abs(new.gamma - np.swapaxes(new.gamma, 1, 2)))
-    compat = check_compat_product(new, st)
-    r_new = riemann_components(new.gamma, new.dgamma)
-    r_old = riemann_components(conn.gamma, conn.dgamma)
-    conj = np.einsum("ha,abkj,bi->hikj", k, r_old, w)
-    sc = max(float(np.max(np.abs(new.gamma))), 1.0)
-    res = worst((normalized(tors, sc), compat.residual,
-                 normalized(np.max(np.abs(r_new - conj)), max(float(np.max(np.abs(r_old))), 1.0))))
-    return new, Report.from_residual("transform-connection", res, DEFAULT_TOL, scale=sc,
-                                     npoints=1)
 
 
 def transformed_structure(spec: ManifoldSpec, field_exprs, point) -> StructureAt:
@@ -157,48 +127,6 @@ def transform_metric_at(stbar: StructureAt, nat: ConnectionAt, x, dx, ddx, error
     return pmax(inv, killing, gap), pmax(sc_inv, sc_killing)
 
 
-def transform_metric_report(spec: ManifoldSpec, field_exprs, points) -> Report:
-    return _row("transform-metric", spec, field_exprs, points, DEFAULT_TOL)
-
-
-def flat_field_ode(gamma_provider: Callable, x0, path) -> dict:
-    """Integrate the parallel-field system d_j X^i = -Gamma^i_js X^s along a
-    polygonal path, one `dopri54` run per segment, with `gamma_provider`
-    mapping a point to the Christoffel values there
-    (`connection.christoffel_provider`); for a closed path the
-    return-to-start residual probes integrability (flatness) of the
-    connection.  The endpoint gradient is re-derived by short two-sided
-    integrations and compared with the parallel-transport equation."""
-
-    def transport(xv, a, b):
-        a, b = np.asarray(a, complex), np.asarray(b, complex)
-        dv = b - a
-        end = dopri54(lambda t, y: -np.einsum("ijs,j,s->i", gamma_provider(a + t * dv), dv, y),
-                      0.0, xv, 1.0)[-1][1]
-        return np.asarray(end)
-
-    x = np.asarray(x0, dtype=complex)
-    for a, b in zip(path[:-1], path[1:]):
-        x = transport(x, a, b)
-    start, end = np.asarray(path[0], complex), np.asarray(path[-1], complex)
-    closed = np.allclose(start, end)
-    closure = float(np.max(np.abs(x - np.asarray(x0, complex)))) / (1 + float(np.max(np.abs(x0)))) \
-        if closed else float("nan")
-    n = len(x)
-    h = 1e-4
-    dx = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        plus = transport(x, end, end + step)
-        minus = transport(x, end, end - step)
-        dx[:, j] = (plus - minus) / (2 * h)
-    want = -np.einsum("ijs,s->ij", gamma_provider(end), x)
-    return {"X_end": x, "closure": closure, "closed": closed,
-            "endpoint_gradient_residual": float(np.max(np.abs(dx - want)))
-            / (1 + float(np.max(np.abs(want))))}
-
-
 def homogeneous_legendre_at(st: StructureAt, stbar: StructureAt, x, dx, errors=None):
     """The field's Euler weight w, fitted in L_E X = w X, and the
     homogeneity of the metric and of the transformed one (`homogeneity_at`
@@ -221,13 +149,6 @@ def homogeneous_legendre_report(name: str, result, tol: float) -> Report:
     Db_m = sum(Dbars) / len(Dbars)
     return batch_report(name, result, tol, fit="dbar",
                         details={"D_fit": [D_m.real, D_m.imag], "Dbar_fit": [Db_m.real, Db_m.imag]})
-
-
-def check_homogeneous_legendre(spec: ManifoldSpec, field_exprs, points,
-                               tol: float = DEFAULT_TOL) -> Report:
-    """Fit the Euler weight of the field and check that the transformed
-    metric's homogeneity exponent shifts by twice the weight plus two."""
-    return _row("homogeneous-legendre", spec, field_exprs, points, tol)
 
 
 def transform_metric_exprs(spec: ManifoldSpec, field_exprs, name: str | None = None) -> ManifoldSpec:

@@ -10,6 +10,12 @@ The residual functions (`*_at`) take such a batch and return one residual
 and scale per point; `structure_at` is a batch of one, with the point axis
 dropped, and the same functions then return scalars.
 
+The spec-level `check_*` functions, here and in `pencil`, `rotation`,
+`hamops` and `legendre`, are views of the walk (`catalog.run_checks`): each
+is `walk_row` on one row of the check table, so it reports what `verify`
+reports for that row.  `pencil.check_flat_pencil`, whose row reads only
+the walk's head, keeps its own batch.
+
 All residuals are reported normalized as `max|residual| / (1 + scale)` where
 `scale` is the largest entry magnitude among the tensors involved.
 """
@@ -33,7 +39,7 @@ __all__ = [
     "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "MissingFieldError",
     "required", "sample_points", "fail_at", "raise_first", "table_jets", "amax", "pmax",
     "batch_report", "structure_at", "structures", "worst", "worst_parts", "merge_reports",
-    "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
+    "walk_row", "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
     "check_killing_unit", "check_homogeneity", "normalized",
 ]
 
@@ -345,10 +351,12 @@ def batch_report(name: str, result, tol: float, fit: str | None = None, expected
                                 npoints=len(residual), details=details)
 
 
-def _batch(spec, points) -> StructureAt:
-    st = structures(spec, points)
-    raise_first(st.errors)
-    return st
+def walk_row(name: str, spec: ManifoldSpec, comp: dict, points,
+             tol: float = DEFAULT_TOL) -> Report:
+    """The report of the walk's row `name` over `points`, with the
+    companion data `comp`: one walk (`catalog.run_checks`) of that row."""
+    from .catalog import run_checks  # the check table imports this module
+    return run_checks(spec, comp, [name], points, tol)[0]
 
 
 def product_axioms_at(st: StructureAt):
@@ -362,7 +370,7 @@ def product_axioms_at(st: StructureAt):
 
 
 def check_product_axioms(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("product-axioms", product_axioms_at(_batch(spec, points)), tol)
+    return walk_row("product-axioms", spec, {}, points, tol)
 
 
 def hertling_manin_residual(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -386,7 +394,7 @@ def hertling_manin_at(st: StructureAt):
 
 
 def check_hertling_manin(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("hertling-manin", hertling_manin_at(_batch(spec, points)), tol)
+    return walk_row("hertling-manin", spec, {}, points, tol)
 
 
 def metric_invariance_at(st: StructureAt):
@@ -397,7 +405,7 @@ def metric_invariance_at(st: StructureAt):
 
 
 def check_metric_invariance(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("metric-invariance", metric_invariance_at(_batch(spec, points)), tol)
+    return walk_row("metric-invariance", spec, {}, points, tol)
 
 
 def lie_metric(st: StructureAt, x, dx) -> np.ndarray:
@@ -410,7 +418,7 @@ def killing_unit_at(st: StructureAt):
 
 
 def check_killing_unit(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("killing-unit", killing_unit_at(_batch(spec, points)), tol)
+    return walk_row("killing-unit", spec, {}, points, tol)
 
 
 def fit_scalar(target: np.ndarray, model: np.ndarray, rank: int | None = None):
@@ -449,5 +457,4 @@ def homogeneity_at(st: StructureAt, errors=None):
 def check_homogeneity(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
     """Fit D in (L_E g) = D g, check the residual, and check (L_E c) = c;
     D must be one constant, and the expected one when the spec has it."""
-    return batch_report("homogeneity", homogeneity_at(_batch(spec, points)), tol,
-                        fit="D", expected=spec.expected.get("D"))
+    return walk_row("homogeneity", spec, {}, points, tol)

@@ -15,29 +15,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import exprjet as ej
 from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hessian,
                          inverse_jets, metric_inverse, riemann_components)
-from .manifold import (DEFAULT_TOL, ManifoldSpec, PointBatch, Region, Report, StructureAt, amax,
-                       batch_report, fail_at, fit_scalar, normalized, pmax, product_jets,
-                       raise_first, structures, worst_parts)
+from .manifold import (DEFAULT_TOL, ManifoldSpec, MissingFieldError, PointBatch, Report,
+                       StructureAt, amax, batch_report, fail_at, fit_scalar, normalized, pmax,
+                       product_jets, raise_first, structures, walk_row, worst_parts)
 from .tensor import (SingularMatrixError, antisym, contract, contract_jets, finite_matrices,
                      lie_from_components)
 
 __all__ = [
-    "PencilAt", "MissingSecondMetricError", "pencil_at", "pencil_from_structure",
-    "pencil_first_order", "pencil_second_order", "pencil_weight", "delta_jets",
+    "PencilAt", "MissingSecondMetricError", "pencil_at", "pencil_first_order",
+    "pencil_second_order", "pencil_weight", "delta_jets",
     "check_flat_pencil", "check_exactness", "check_pencil_homogeneity", "PencilProduct",
     "delta_tensor", "delta_identities_at", "r_operator", "r_operator_at", "product_from_pencil",
-    "product_from_pencil_at",
-    "reconstructed_structure", "semisimple_pencil_from_f",
+    "product_from_pencil_at", "reconstructed_structure",
 ]
 
-DEFAULT_LAMBDAS = (0.0, 1.0, -1.0, 2.0, 1j)
+# the members g2 - lambda g1 of the contravariant pencil that `flat_pencil_at` checks
+LAMBDAS = (0.0, 1.0, -1.0, 2.0, 1j)
 
 
-class MissingSecondMetricError(Exception):
-    pass
+class MissingSecondMetricError(MissingFieldError):
+    """The spec has no second metric, which every pencil datum needs."""
 
 
 @dataclass
@@ -68,16 +67,14 @@ class PencilAt(PointBatch):
 
 
 def pencil_at(spec: ManifoldSpec, point) -> PencilAt:
-    return _pencil_batch(spec, [point], True).at(0)
+    return _pencil_batch(spec, [point]).at(0)
 
 
-def _pencil_batch(spec: ManifoldSpec, points, second_order: bool) -> PencilAt:
-    """The pencil data over a point set; raises the first point's error."""
-    if spec.g2 is None:
-        raise MissingSecondMetricError(f"spec {spec.name!r} has no second metric")
+def _pencil_batch(spec: ManifoldSpec, points) -> PencilAt:
+    """The pencil data over a point set, to second order; raises the first point's error."""
     pa = pencil_first_order(structures(spec, points))
     raise_first(pa.errors)
-    return pencil_second_order(pa) if second_order else pa
+    return pencil_second_order(pa)
 
 
 def pencil_first_order(st: StructureAt, inverse: InverseJets | None = None) -> PencilAt:
@@ -86,6 +83,8 @@ def pencil_first_order(st: StructureAt, inverse: InverseJets | None = None) -> P
     derivatives.  `inverse`: the first metric's `metric_inverse`, where the
     caller has it.  Over a batch, each point's error is the structure's
     own, else the first singular metric's."""
+    if st.g2 is None:
+        raise MissingSecondMetricError("spec has no second metric")
     inverse = inverse or metric_inverse(st)
     errors = None if inverse.errors is None else list(inverse.errors)
     g_inv, dg_inv = inverse_jets(st.g2, st.dg2, errors=errors)
@@ -115,17 +114,12 @@ def pencil_second_order(pa: PencilAt, lc=None) -> PencilAt:
                    gamma2=gamma2, dgamma2=dgamma2, ddE=ddE, diagonal=_is_diagonal(st))
 
 
-def pencil_from_structure(st: StructureAt) -> PencilAt:
-    """The pencil data at the points of `st`, which carries both metrics."""
-    return pencil_second_order(pencil_first_order(st))
-
-
 def _contravariant_christoffels(g_inv, gamma):
     """Gc[i,j,k] = -g^is Gamma^j_sk."""
     return -contract("...is,...jsk->...ijk", g_inv, gamma)
 
 
-def flat_pencil_at(pa: PencilAt, lambdas=DEFAULT_LAMBDAS, errors=None):
+def flat_pencil_at(pa: PencilAt, errors=None):
     """Curvature of every pencil member, and linearity of the contravariant
     Christoffel symbols across the pencil, with the members stacked on one
     leading axis.  Returns (residual, scale, {lambda: residual}).  A point
@@ -133,11 +127,11 @@ def flat_pencil_at(pa: PencilAt, lambdas=DEFAULT_LAMBDAS, errors=None):
     of its first singular member in `errors`."""
     gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)
     gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)
-    lams = [complex(lam) for lam in lambdas]
+    lams = [complex(lam) for lam in LAMBDAS]
     lam = np.array(lams).reshape(-1, *[1] * pa.g_inv.ndim)
     pen = pa.g_inv - lam * pa.eta_inv
     dpen = pa.dg_inv - lam[..., None] * pa.deta_inv
-    count = 1 if errors is None else len(errors)
+    count = np.size(pa.g_inv[..., 0, 0])  # the points
     member = [None] * (len(lams) * count)
     cov, dcov, ddcov = inverse_jets(pen, dpen, pa.ddg_inv - lam[..., None, None] * pa.ddeta_inv,
                                     errors=member)
@@ -160,12 +154,15 @@ def flat_pencil_report(name: str, result, tol: float) -> Report:
     return batch_report(name, result, tol, details={"per_lambda": worst_parts(result[2])})
 
 
-def check_flat_pencil(spec, points, lambdas=DEFAULT_LAMBDAS,
-                      tol: float = DEFAULT_TOL) -> Report:
+def check_flat_pencil(spec, points, tol: float = DEFAULT_TOL) -> Report:
     """Curvature of every pencil member, and linearity of the contravariant
-    Christoffel symbols across the pencil."""
-    pa = _pencil_batch(spec, points, True)
-    return flat_pencil_report("flat-pencil", flat_pencil_at(pa, lambdas), tol)
+    Christoffel symbols across the pencil.  A singular member raises the
+    error of the first point where one is, which names its lambda."""
+    pa = _pencil_batch(spec, points)
+    errors = list(pa.errors)
+    result = flat_pencil_at(pa, errors=errors)
+    raise_first(errors)
+    return flat_pencil_report("flat-pencil", result, tol)
 
 
 def exactness_at(pa: PencilAt):
@@ -180,7 +177,7 @@ def exactness_at(pa: PencilAt):
 
 
 def check_exactness(spec, points, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("pencil-exactness", exactness_at(_pencil_batch(spec, points, False)), tol)
+    return walk_row("pencil-exactness", spec, {}, points, tol)
 
 
 def pencil_weight(pa: PencilAt, rank=None):
@@ -201,9 +198,7 @@ def pencil_homogeneity_at(pa: PencilAt):
 
 
 def check_pencil_homogeneity(spec, points, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("pencil-homogeneity",
-                        pencil_homogeneity_at(_pencil_batch(spec, points, False)),
-                        tol, fit="d", expected=spec.expected.get("d_pencil"))
+    return walk_row("pencil-homogeneity", spec, {}, points, tol)
 
 
 def delta_jets(pa: PencilAt):
@@ -377,25 +372,3 @@ def reconstructed_at(pa: PencilAt, c, dc) -> StructureAt:
                        e=st.e, de=st.de, dde=st.dde,
                        E=pa.E, dE=pa.dE, ddE=pa.ddE,
                        g=st.g, dg=st.dg, ddg=st.ddg)
-
-
-def semisimple_pencil_from_f(f_exprs, region: Region | None = None,
-                             params: dict | None = None) -> ManifoldSpec:
-    """Build the diagonal pencil spec with first metric 1/f^i and second
-    metric 1/(f^i u^i) on the diagonal (covariant), unit (1,..,1) and Euler
-    field u^i."""
-    n = len(f_exprs)
-    one = ej.Num(1.0)
-    g1 = [["0"] * n for _ in range(n)]
-    g2 = [["0"] * n for _ in range(n)]
-    for i in range(n):
-        f = ej.parse(f_exprs[i])
-        g1[i][i] = ej.to_source(one / f)
-        g2[i][i] = ej.to_source(one / (f * ej.Var(i + 1)))
-    return ManifoldSpec(
-        name="semisimple-pencil", n=n, coords=tuple(f"u{i+1}" for i in range(n)),
-        product="canonical",
-        e=tuple("1" for _ in range(n)),
-        E=tuple(f"u{i+1}" for i in range(n)),
-        g=tuple(tuple(r) for r in g1), g2=tuple(tuple(r) for r in g2),
-        params=params or {}, region=region)

@@ -16,15 +16,15 @@ point (`rotation_data`) they return scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import exprjet as ej
-from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, PointBatch, Report, amax, batch_report,
-                       fail_at, normalized, pmax, raise_first, table_jets)
+from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, PointBatch, Report, amax, fail_at,
+                       normalized, pmax, table_jets, walk_row)
 from .ode3d import (SING_MARGIN, CoordinateCollisionError, OdeState3, ParameterSingularError,
-                    _pencil_F, _q0_F, _singular_point, dopri54)
+                    _pencil_F, _q0_F, _singular_point)
 from .tensor import eigenvalues
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "rotation_data", "rotations", "lame_weight", "v_matrix",
     "check_darboux_system", "check_lame_system", "check_flatness_constraint",
     "check_algebraic_constraints", "check_potentiality",
-    "check_reduction_identity", "integrate_lame",
+    "check_reduction_identity",
     "z_of_point", "beta_from_F", "betas_from_F", "closed_forms",
 ]
 
@@ -156,12 +156,6 @@ def _masks(n):
     return i[..., 0] != j[..., 0], (i != j) & (j != k) & (i != k)
 
 
-def _batch(spec, points, lame_exprs) -> RotationData:
-    rd = rotations(spec, points, lame_exprs)
-    raise_first(rd.errors)
-    return rd
-
-
 # ---------------------------------------------------------------------------
 # `ode3d`'s F on chart points, z = (u^3 - u^1) / (u^2 - u^1): closed forms and beta
 
@@ -219,7 +213,8 @@ def closed_forms(family: str, u, env) -> Jets:
 
 # ---------------------------------------------------------------------------
 # checks: the residual and scale at each point of the rotation data, and
-# the check over a point set
+# the check over a point set: the walk's row of that name (`walk_row`) on
+# the Lame table `lame_exprs`, or without one on the metric
 
 
 def darboux_at(rd: RotationData):
@@ -237,8 +232,7 @@ def darboux_at(rd: RotationData):
 
 
 def check_darboux_system(spec, points, lame_exprs=None) -> Report:
-    return batch_report("darboux-system", darboux_at(_batch(spec, points, lame_exprs)),
-                        DEFAULT_TOL)
+    return walk_row("darboux-system", spec, {"lame": lame_exprs}, points)
 
 
 def lame_system_at(rd: RotationData, d=None, beta=None):
@@ -259,19 +253,13 @@ def lame_system_at(rd: RotationData, d=None, beta=None):
     return normalized(raw, sc), sc, d_fit
 
 
-def check_lame_system(spec, points, d=None, beta_source: Callable | None = None,
-                      tol: float = DEFAULT_TOL, lame_exprs=None) -> Report:
-    """Residuals of d_j H_i = beta_ij H_j, e(H_i) = 0, E(H_i) = d H_i.
-
-    `beta_source(point) -> beta` supplies externally computed rotation
-    coefficients; without it the check of the first equation is vacuous
-    (beta is then defined from H itself) but the unit and Euler equations
-    remain informative.  With d omitted it is fitted per point and checked
-    for consistency.
-    """
-    rd = _batch(spec, points, lame_exprs)
-    beta = None if beta_source is None else np.array([beta_source(u) for u in rd.point])
-    return batch_report("lame-system", lame_system_at(rd, d, beta), tol, fit="d")
+def check_lame_system(spec, points, companion=None, tol: float = DEFAULT_TOL) -> Report:
+    """Residuals of d_j H_i = beta_ij H_j, e(H_i) = 0, E(H_i) = d H_i on an
+    entry's `companion` data: its Lame table and, with an `ode_family`, the
+    rotation coefficients of that family's closed form (without one the
+    first equation is vacuous).  d is the spec's expected one, or fitted
+    per point and checked for consistency."""
+    return walk_row("lame-system", spec, companion or {}, points, tol)
 
 
 def flatness_constraint_at(rd: RotationData):
@@ -288,8 +276,7 @@ def flatness_constraint_at(rd: RotationData):
 
 
 def check_flatness_constraint(spec, points, lame_exprs=None) -> Report:
-    return batch_report("flatness-constraint",
-                        flatness_constraint_at(_batch(spec, points, lame_exprs)), DEFAULT_TOL)
+    return walk_row("flatness-constraint", spec, {"lame": lame_exprs}, points)
 
 
 def algebraic_constraints_at(rd: RotationData, which: str = "ED4bis"):
@@ -317,8 +304,7 @@ def algebraic_constraints_at(rd: RotationData, which: str = "ED4bis"):
 
 def check_algebraic_constraints(spec, points, which: str = "ED4bis",
                                 lame_exprs=None) -> Report:
-    return batch_report(f"algebraic-{which}", algebraic_constraints_at(
-        _batch(spec, points, lame_exprs), which), DEFAULT_TOL)
+    return walk_row(f"algebraic-{which}", spec, {"lame": lame_exprs}, points)
 
 
 def potentiality_at(rd: RotationData):
@@ -334,8 +320,7 @@ def potentiality_at(rd: RotationData):
 
 
 def check_potentiality(spec, points, lame_exprs=None) -> Report:
-    return batch_report("potentiality", potentiality_at(_batch(spec, points, lame_exprs)),
-                        DEFAULT_TOL)
+    return walk_row("potentiality", spec, {"lame": lame_exprs}, points)
 
 
 def reduction_identity_at(rd: RotationData):
@@ -353,68 +338,4 @@ def reduction_identity_at(rd: RotationData):
 
 
 def check_reduction_identity(spec, points, lame_exprs=None) -> Report:
-    return batch_report("reduction-identity",
-                        reduction_identity_at(_batch(spec, points, lame_exprs)), DEFAULT_TOL)
-
-
-# ---------------------------------------------------------------------------
-# path integration of the Lame system
-
-
-def _lame_gradient(beta: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """grad[i,j] = d_j H_i per the first-order system: beta_ij H_j off the
-    diagonal, and the diagonal closed through e(H_i) = 0."""
-    grad = beta * H[None, :]
-    np.fill_diagonal(grad, 0.0)
-    np.fill_diagonal(grad, -grad.sum(axis=1))
-    return grad
-
-
-def eigenspace_projection(V: np.ndarray, d: complex, vec: np.ndarray) -> np.ndarray:
-    """Project `vec` onto the kernel of (V - d*Id); returns `vec` unchanged
-    when d is not an eigenvalue, that is when no singular value of V - d*Id
-    is within 1e-6 of the largest (or of 1, if that is larger)."""
-    n = V.shape[0]
-    m = V - complex(d) * np.eye(n)
-    u_svd, s, vh = np.linalg.svd(m)
-    null_mask = s <= 1e-6 * max(s.max(), 1.0)
-    if not np.any(null_mask):
-        return vec
-    basis = vh[null_mask].conj().T  # columns span the kernel
-    coeff, *_ = np.linalg.lstsq(basis, vec, rcond=None)
-    return basis @ coeff
-
-
-def integrate_lame(beta_provider: Callable, d: complex, u0: np.ndarray,
-                   H0: np.ndarray) -> dict:
-    """Project H0 onto the d-eigenspace of V at u0 and integrate the Lame
-    system around the closed axis-aligned square of side 0.2 in the
-    (u^1,u^2) plane from u0, one `dopri54` run per side; report the loop
-    closure, passed at 1e-6, together with the Euler-weight residual at
-    the start and the end of the loop."""
-    u0 = np.asarray(u0, dtype=complex)
-    V0 = (u0[None, :] - u0[:, None]) * beta_provider(u0)
-    eig = eigenvalues(V0)
-    H0 = eigenspace_projection(V0, d, np.asarray(H0, dtype=complex))
-    if np.max(np.abs(H0)) < 1e-12:
-        raise ValueError("initial Lame vector has no component in the requested eigenspace")
-    e1, e2 = 0.2 * np.eye(len(u0))[:2]
-    path = [u0, u0 + e1, u0 + e1 + e2, u0 + e2, u0]
-
-    def transport(Hv, a, b):
-        dv = b - a
-        end = dopri54(lambda t, y: _lame_gradient(beta_provider(a + t * dv), np.asarray(y)) @ dv,
-                      0.0, Hv, 1.0)[-1][1]
-        return np.asarray(end)
-
-    H = H0
-    for a, b in zip(path[:-1], path[1:]):
-        H = transport(H, a, b)
-    closure = float(np.max(np.abs(H - H0))) / (1.0 + float(np.max(np.abs(H0))))
-
-    def euler_residual(Hv):  # at u0, where the loop starts and ends
-        return float(np.max(np.abs(V0 @ Hv - complex(d) * Hv))) / (1.0 + float(np.max(np.abs(Hv))))
-
-    return {"H_end": H, "closure": closure, "euler_residual_start": euler_residual(H0),
-            "euler_residual_end": euler_residual(H), "eigenvalues": eig,
-            "passed": closure <= 1e-6}
+    return walk_row("reduction-identity", spec, {"lame": lame_exprs}, points)

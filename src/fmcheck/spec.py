@@ -368,9 +368,10 @@ class Region:
     @classmethod
     def from_dict(cls, d: Mapping, n: int) -> "Region":
         """The region of a spec file's `region` object, on a chart of
-        dimension `n`; ValueError names the first malformed field."""
+        dimension `n`; ValueError names the first missing or malformed
+        field."""
         _expect(isinstance(d, Mapping), "region", "an object")
-        box = d["box"]
+        box = _field(d, "region.box")
         _expect(_is_list(box, n) and all(_is_list(b, 2) and all(map(_is_number, b)) for b in box),
                 "region.box", f"{n} [lo, hi] pairs of numbers, as n = {n}")
         bounds = {}
@@ -382,6 +383,15 @@ class Region:
         _expect(isinstance(guards, list) and all(isinstance(g, str) for g in guards),
                 "region.guards", "a list of expression strings")
         return cls(box=tuple(tuple(b) for b in box), guards=tuple(guards), **bounds)
+
+
+def _field(d: Mapping, field: str):
+    """A spec file's `field`, the last key of its dotted name in `d`:
+    ValueError naming it where it is missing."""
+    key = field.rpartition(".")[2]
+    if key not in d:
+        raise ValueError(f"{field}: missing")
+    return d[key]
 
 
 def _expect(ok: bool, field: str, what: str) -> None:
@@ -467,13 +477,13 @@ class ManifoldSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ManifoldSpec":
-        """The spec of a JSON object (a spec file).  A malformed field
-        raises ValueError naming it, a missing one KeyError."""
+        """The spec of a JSON object (a spec file).  A missing or malformed
+        field raises ValueError naming it."""
         _expect(isinstance(d, Mapping), "spec", "an object")
-        n = d["n"]
+        n = _field(d, "n")
         _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n",
                 "a positive integer")
-        product = d["product"]
+        product = _field(d, "product")
         if isinstance(product, Mapping):
             product = _strings(product.get("table"), (n, n, n), "product")
         else:
@@ -483,11 +493,11 @@ class ManifoldSpec:
         _expect(isinstance(params, Mapping), "params", "an object")
         _expect(isinstance(expected, Mapping), "expected", "an object")
         return cls(
-            name=d["name"],
+            name=_field(d, "name"),
             n=n,
-            coords=_strings(d["coords"], (n,), "coords"),
+            coords=_strings(_field(d, "coords"), (n,), "coords"),
             product=product,
-            e=_strings(d["e"], (n,), "e"),
+            e=_strings(_field(d, "e"), (n,), "e"),
             **{key: None if d.get(key) is None else _strings(d[key], shape, key)
                for key, shape in (("E", (n,)), ("g", (n, n)), ("g2", (n, n)))},
             params={k: _scalar_from_json(v, f"params.{k}") for k, v in params.items()},

@@ -29,7 +29,7 @@ from fmcheck.entries import lauricella_normal_fields
 from fmcheck.hamops import (check_gmc, check_quadratic_expansion,
                             check_sym_condition, emit_operator, field_rank,
                             fields_from_exprs, spanning_fields)
-from fmcheck.legendre import check_homogeneous_legendre, transformed_structure
+from fmcheck.legendre import transformed_structure
 from fmcheck.manifold import (SamplePlan, check_hertling_manin, check_homogeneity,
                               check_killing_unit, check_metric_invariance,
                               check_product_axioms, fit_scalar, sample_points,
@@ -40,8 +40,7 @@ from fmcheck.pencil import (check_exactness, check_flat_pencil,
                             check_pencil_homogeneity, delta_tensor,
                             product_from_pencil, r_operator,
                             reconstructed_structure)
-from fmcheck.rotation import (beta_from_F, check_lame_system, rotation_data, v_matrix,
-                              z_of_point)
+from fmcheck.rotation import rotation_data, v_matrix
 from fmcheck.tensor import merge_close
 
 
@@ -135,15 +134,13 @@ def test_criterion_03_rational_family():
         rd = rotation_data(ent.spec, p, lame_exprs=ent.companion["lame"])
         _, eig, _ = v_matrix(rd)
         ok &= np.max(np.abs(eig - np.array([-1.0, 0.0, 1.0]))) <= 1e-8
-
-    def beta_src(u):
-        return beta_from_F(closed_form_q0(z_of_point(u), 1.0, 1.0), u)
-
+    # the Lame system against the rotation coefficients of the closed form
+    # at a = b = 1, each entry's ODE family, at its weight d
     for name, d in (("q0-d-minus1", -1.0), ("q0-d0", 0.0), ("q0-d1", 1.0)):
         e = cat.entry(name)
-        rep = check_lame_system(e.spec, pts, d=d, beta_source=beta_src,
-                                tol=1e-8, lame_exprs=e.companion["lame"])
-        ok &= rep.passed
+        ok &= e.companion["ode_family"] == "q0" and e.spec.params == {"a": 1.0, "b": 1.0}
+        ok &= e.spec.expected["d"] == d
+        ok &= cat.run_checks(e.spec, e.companion, ["lame-system"], pts, 1e-8)[0].passed
     announce(3, "rational family (weights -1,0,1)", ok, t0)
 
 
@@ -163,16 +160,14 @@ def test_criterion_04_exact_pencil_family():
         rd = rotation_data(ent.spec, p, lame_exprs=ent.companion["lame"])
         _, eig, _ = v_matrix(rd)
         ok &= np.max(np.abs(merge_close(eig) - want)) <= 1e-8
-
-    def beta_src(u):
-        return beta_from_F(closed_form_pencil(z_of_point(u)), u)
-
-    ok &= check_lame_system(ent.spec, pts, d=1.0, beta_source=beta_src,
-                            tol=1e-8, lame_exprs=ent.companion["lame"]).passed
+    ok &= ent.companion["ode_family"] == "pencil63" and ent.spec.expected["d"] == 1.0
+    ok &= cat.run_checks(ent.spec, ent.companion, ["lame-system"], pts, 1e-8)[0].passed
     for n in (3, 4):
         spec = cat.entry(f"af-pencil-n{n}").spec
         pp = sample_points(spec, SamplePlan(seed=4, count=20))
-        ok &= check_flat_pencil(spec, pp, lambdas=(0.0, 1.0, -1.0, 2.0, 1j), tol=1e-8).passed
+        rep = check_flat_pencil(spec, pp, tol=1e-8)
+        ok &= rep.passed and list(rep.details["per_lambda"]) == ["0j", "(1+0j)", "(-1+0j)",
+                                                                 "(2+0j)", "1j"]
         ok &= check_exactness(spec, pp, tol=1e-8).passed
         ok &= check_pencil_homogeneity(spec, pp, tol=1e-8).passed
     announce(4, "exact pencil family + diagonal pair", ok, t0)
@@ -268,7 +263,8 @@ def test_criterion_07_transform_suite():
             rd1 = rotation_data(spec, p, lame_exprs=bar)
             ok &= np.max(np.abs(rd0.beta - rd1.beta)) <= 1e-8
     for fname in ("e", "X2", "X3"):
-        ok &= check_homogeneous_legendre(spec, fields[fname], pts, tol=1e-8).passed
+        ok &= cat.run_checks(spec, {"legendre_field": fields[fname]}, ["homogeneous-legendre"],
+                             pts, 1e-8)[0].passed
     announce(7, "transform suite (three flat fields)", ok, t0)
 
 

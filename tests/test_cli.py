@@ -391,6 +391,13 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
     # a region that admits no point: no two coordinates 50 apart in the box
     paths["empty"] = tmp_path / "empty.json"
     paths["empty"].write_text(json.dumps({**doc, "region": {**doc["region"], "min_sep": 50}}))
+    # a spec file without its product, among other fields
+    paths["missing"] = tmp_path / "missing.json"
+    paths["missing"].write_text(json.dumps({"n": 2}))
+    # and one that is not UTF-8
+    paths["binary"] = tmp_path / "binary.json"
+    paths["binary"].write_bytes(b"\x89PNG\r\n\x1a\n")
+    undecodable = "'utf-8' codec can't decode byte 0x89 in position 0: invalid start byte"
     walk_options = [(["verify", "lobachevsky"] + option, f"input error: {named}")
                     for option, named in (
                         (["--seed", "-1"], "--seed -1: must be non-negative"),
@@ -413,9 +420,15 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["verify", str(paths["singular-third"])],
                         singular(3) + ": SingularMatrixError: matrix is numerically singular"),
                        (["verify", str(paths["unparseable"])], "cannot parse '1+'"),
+                       # a missing field is named as a malformed one is
+                       (["verify", str(paths["missing"])], "spec error: product: missing"),
                        # a spec path that cannot be read is named with the reason
                        (["verify", str(tmp_path)], f"spec error: {tmp_path}: "),
                        (["legendre", str(tmp_path), "--field", "1,1"], f"spec error: {tmp_path}: "),
+                       (["verify", str(paths["binary"])],
+                        f"spec error: {paths['binary']}: {undecodable}"),
+                       (["legendre", str(paths["binary"]), "--field", "1,1"],
+                        f"spec error: {paths['binary']}: {undecodable}"),
                        (["legendre", "q0-d-minus1", "--field", "1+,1,1"], "cannot parse '1+'"),
                        (["legendre", "case-i", "--field", "1,0"], "metric"),
                        (["legendre", "lobachevsky", "--field", "1,1", "--target", "case-i"],

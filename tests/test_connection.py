@@ -172,6 +172,14 @@ def test_r_tr_identity_on_family():
         assert check_R_tR_identity(st).residual <= 1e-8
 
 
+def test_r_tr_identity_reports_as_the_walk_row():
+    # the one-point check is named as `verify` names the row
+    spec = cat.entry("nonss3d").spec
+    p = sample_points(spec, SamplePlan(seed=4, count=1))[0]
+    rep = check_R_tR_identity(structure_at(spec, p))
+    assert rep.name == cat.run_checks(spec, {}, ["r-tr"], [p])[0].name == "r-tr"
+
+
 def test_nabla_nabla_E_trivial_and_families():
     st = structure_at(euclid(), np.array([0.4, 0.9]))
     nat = natural_connection(st)
@@ -292,16 +300,17 @@ def _batched_functions(spec, comp):
                 np.shape(st.c))
     if spec.g2 is not None:
         def pencil(st):
-            pa = pn.pencil_from_structure(st)
+            pa = pn.pencil_second_order(pn.pencil_first_order(st))
             return [getattr(pa, f) for f in ("eta_inv", "deta_inv", "ddeta_inv", "g_inv",
                                              "dg_inv", "ddg_inv", "gamma1", "dgamma1", "gamma2",
                                              "dgamma2", "L", "dL", "E", "dE", "ddE")]
         out.update({
-            "pencil_from_structure": pencil,
+            "pencil_second_order": pencil,
             "exactness_at": lambda st: pn.exactness_at(pn.pencil_first_order(st)),
             "pencil_homogeneity_at": lambda st: pn.pencil_homogeneity_at(
                 pn.pencil_first_order(st)),
-            "flat_pencil_at": lambda st: pn.flat_pencil_at(pn.pencil_from_structure(st)),
+            "flat_pencil_at": lambda st: pn.flat_pencil_at(
+                pn.pencil_second_order(pn.pencil_first_order(st))),
         })
         out.update(_pencil_head_functions())
     out.update(_point_axis_functions(spec, comp))
@@ -314,7 +323,7 @@ def _pencil_head_functions():
     from fmcheck import connection as cn, pencil as pn
 
     def pa(st):
-        return pn.pencil_from_structure(st)
+        return pn.pencil_second_order(pn.pencil_first_order(st))
 
     def weight(st):
         return pn.pencil_weight(pa(st), rank=2)[0]
@@ -447,13 +456,15 @@ def test_batched_functions_and_rows_equal_single_point_runs():
     # whose product takes both routes in one batch), gives at each of 10
     # points what it gives on that point alone
     from fmcheck.manifold import structures
-    from fmcheck.pencil import pencil_from_structure, semisimple_pencil_from_f
+    from fmcheck.pencil import pencil_first_order, pencil_second_order
+
+    from constructions import semisimple_pencil_from_f
     # R = (Gamma1 - Gamma2) E of this pencil is singular where u2 - u1 = 1
     both = semisimple_pencil_from_f(("exp(-u2)", "exp(u1)"))
     both_points = [np.array(p, dtype=complex) for p in (
         (0.5, 1.5), (0.3, 1.9), (0.25, 1.25), (0.6, 1.1), (0.2, 1.7), (0.75, 1.75), (0.4, 1.2),
         (0.35, 1.35), (0.1, 0.8), (0.45, 1.6))]
-    pa = pencil_from_structure(structures(both, both_points[:4]))
+    pa = pencil_second_order(pencil_first_order(structures(both, both_points[:4])))
     cond = np.linalg.cond(np.einsum("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E))
     assert pa.diagonal.all() and (cond <= 1e8).any() and (cond > 1e8).any()
     entries = [(name, cat.entry(name)) for name in cat.names()]

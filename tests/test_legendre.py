@@ -3,14 +3,15 @@ import pytest
 
 import fmcheck.catalog as cat
 import fmcheck.exprjet as ej
-from fmcheck.connection import christoffel_provider, natural_connection
-from fmcheck.legendre import (HypothesisViolatedError, NotInvertibleError,
-                              check_homogeneous_legendre, check_legendre_field,
-                              flat_field_ode, transform_connection,
-                              transform_connection_report, transform_metric_exprs,
-                              transform_metric_report, transformed_at, transformed_structure)
-from fmcheck.manifold import SamplePlan, fit_scalar, sample_points, structure_at
+from fmcheck.connection import (compat_product_at, natural_connection, riemann_components,
+                                torsion_at)
+from fmcheck.legendre import (HypothesisViolatedError, NotInvertibleError, check_legendre_field,
+                              transform_connection, transform_metric_exprs, transformed_at,
+                              transformed_structure)
+from fmcheck.manifold import SamplePlan, fit_scalar, normalized, sample_points, structure_at
 from fmcheck.rotation import rotation_data
+
+from constructions import christoffel_provider, flat_field_ode
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +73,16 @@ def test_connection_transform_properties(q0):
         st = structure_at(spec, p)
         conn = natural_connection(st)
         x, dx, ddx = ej.eval_table(fields["X2"], st.point, spec.env())
-        new, rep = transform_connection_report(conn, st, x, dx, ddx)
-        assert rep.passed
+        new = transform_connection(conn, st, x, dx, ddx)
+        # torsion-free, compatible with the product, and with the old
+        # curvature conjugated by multiplication with the field, W = X o
+        assert torsion_at(new)[0] <= 1e-8
+        assert compat_product_at(new, st)[0] <= 1e-8
+        w = np.einsum("lks,s->lk", st.c, x)
+        r_old = riemann_components(conn.gamma, conn.dgamma)
+        conj = np.einsum("ha,abkj,bi->hikj", np.linalg.inv(w), r_old, w)
+        gap = np.max(np.abs(riemann_components(new.gamma, new.dgamma) - conj))
+        assert normalized(gap, max(np.max(np.abs(r_old)), 1.0)) <= 1e-8
         # canonical-chart shortcut for the off-diagonal symbols
         for i in range(3):
             for j in range(3):
@@ -104,7 +113,8 @@ def test_metric_transform_maps_between_families(q0):
 
 def test_metric_transform_report(q0):
     ent, pts = q0
-    rep = transform_metric_report(ent.spec, ent.companion["legendre_fields"]["X2"], pts[:4])
+    comp = {"legendre_field": ent.companion["legendre_fields"]["X2"]}
+    rep = cat.run_checks(ent.spec, comp, ["transform-metric"], pts[:4])[0]
     assert rep.passed
 
 
@@ -139,7 +149,8 @@ def test_homogeneous_transform_weights(q0):
     spec = ent.spec
     fields = ent.companion["legendre_fields"]
     for fname, dbar, Dbar in (("e", -1.0, 0.0), ("X2", 0.0, 2.0), ("X3", 1.0, 4.0)):
-        rep = check_homogeneous_legendre(spec, fields[fname], pts)
+        rep = cat.run_checks(spec, {"legendre_field": fields[fname]}, ["homogeneous-legendre"],
+                             pts)[0]
         assert rep.passed
         assert abs(complex(*rep.details["dbar_fit"]) - dbar) < 1e-8
         assert abs(complex(*rep.details["Dbar_fit"]) - Dbar) < 1e-8
@@ -151,7 +162,7 @@ def test_homogeneous_transform_negative_control(q0):
     fields = ent.companion["legendre_fields"]
     mixed = tuple(ej.to_source(ej.parse(a) + ej.parse(b))
                   for a, b in zip(fields["e"], fields["X3"]))
-    rep = check_homogeneous_legendre(ent.spec, mixed, pts)
+    rep = cat.run_checks(ent.spec, {"legendre_field": mixed}, ["homogeneous-legendre"], pts)[0]
     assert not rep.passed
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -170,21 +172,31 @@ def test_merge_reports_nan_fails_in_either_order():
 
 
 def test_nan_residual_at_one_point_fails(monkeypatch):
-    # a structure batch that turns to NaN at the second of five points
-    import fmcheck.manifold as manifold
+    # a structure batch that turns to NaN at the second of five points, in
+    # the walk that `verify` runs, fails the row and the command
+    from fmcheck.cli import main
     spec = lob()
     pts = sample_points(spec, SamplePlan(seed=0, count=5))
-    real_structures = manifold.structures
+    real_structures = cat.structures
+    calls = []
 
     def poisoned(spec_, points):
         st = real_structures(spec_, points)
         assert np.array_equal(st.point[1], pts[1])
         st.c = st.c * np.where(np.arange(len(points)) == 1, np.nan, 1.0)[:, None, None, None]
+        calls.append(len(points))
         return st
 
-    monkeypatch.setattr(manifold, "structures", poisoned)
+    monkeypatch.setattr(cat, "structures", poisoned)
     rep = check_product_axioms(spec, pts)
     assert not rep.passed and np.isnan(rep.residual)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "lobachevsky", "--check", "product-axioms", "--seed", "0",
+                     "--points", "5"])
+    doc = json.loads(out.getvalue())
+    assert code == 1 and not doc["ok"] and np.isnan(doc["reports"][0]["residual"])
+    assert calls == [5, 5]
 
 
 def test_sampling_matches_one_candidate_at_a_time():

@@ -6,17 +6,18 @@ import pytest
 import fmcheck.catalog as cat
 from fmcheck.connection import (check_compat_product, check_flatness, check_nabla_e,
                                 check_nabla_from_g, natural_connection)
-from fmcheck.manifold import (ManifoldSpec, Region, SamplePlan, check_hertling_manin,
-                              check_homogeneity, check_killing_unit,
+from fmcheck.manifold import (ManifoldSpec, MissingFieldError, Region, SamplePlan,
+                              check_hertling_manin, check_homogeneity, check_killing_unit,
                               check_metric_invariance, check_product_axioms,
                               sample_points)
 from fmcheck.pencil import (MissingSecondMetricError, check_exactness,
                             check_flat_pencil, check_pencil_homogeneity,
                             delta_tensor, pencil_at, product_from_pencil,
-                            r_operator, reconstructed_structure,
-                            semisimple_pencil_from_f)
+                            r_operator, reconstructed_structure)
 from fmcheck.rotation import check_algebraic_constraints
 from fmcheck.tensor import SingularMatrixError
+
+from constructions import semisimple_pencil_from_f
 
 
 def af(n=3):
@@ -39,6 +40,9 @@ def test_missing_second_metric():
     spec = cat.entry("lobachevsky").spec
     with pytest.raises(MissingSecondMetricError):
         pencil_at(spec, np.array([1.5, 0.0]))
+    # the walk's pencil rows name it too, as the missing field it is
+    with pytest.raises(MissingFieldError, match="no second metric"):
+        check_exactness(spec, [np.array([1.5, 0.0])])
 
 
 def test_homogeneity_weights():
@@ -87,7 +91,7 @@ def test_flat_pencil_negative_control():
     st = structure_at(spec, pts[0])
     for g, dg, ddg in ((st.g, st.dg, st.ddg), (st.g2, st.dg2, st.ddg2)):
         assert np.max(np.abs(riemann_components(*christoffel_jets(g, dg, ddg)))) < 1e-12
-    rep = check_flat_pencil(spec, pts, lambdas=(0.0, 1.0, -1.0))
+    rep = check_flat_pencil(spec, pts)
     assert not rep.passed
 
 
@@ -113,6 +117,27 @@ def test_flat_pencil_records_a_singular_member_at_its_points():
     with pytest.raises(SingularMatrixError, match=re.escape(message)):
         check_flat_pencil(spec, [pts[2]])
     assert check_flat_pencil(spec, [pts[0]]).npoints == 1
+
+
+def test_flat_pencil_raises_a_member_singular_at_every_point():
+    # with g2 = g the member at lambda = 1 vanishes at each of 8 points: the
+    # check raises the first point's error, which names that member, as
+    # the walk does with the point
+    from fmcheck.manifold import structures
+    from fmcheck.pencil import flat_pencil_at, pencil_first_order, pencil_second_order
+    ref = af()
+    spec = ManifoldSpec(name="g2-is-g", n=3, coords=ref.coords, product="canonical", e=ref.e,
+                        E=ref.E, g=ref.g, g2=ref.g, region=ref.region)
+    pts = sample_points(spec, SamplePlan(seed=0, count=8))
+    message = "pencil member at lambda = (1+0j) is singular"
+    with pytest.raises(SingularMatrixError, match=re.escape(message)):
+        check_flat_pencil(spec, pts)
+    with pytest.raises(cat.SingularSampleError, match=re.escape(message)):
+        cat.run_checks(spec, {}, ["flat-pencil"], pts)
+    # so does the kernel over the batch, given no errors to record into
+    pa = pencil_second_order(pencil_first_order(structures(spec, pts)))
+    with pytest.raises(SingularMatrixError, match=re.escape(message)):
+        flat_pencil_at(pa)
 
 
 def test_delta_identities_and_closed_form():
@@ -192,7 +217,7 @@ def test_pencil_from_rational_family_fails_flatness_like_its_constraint():
     pts = sample_points(built, SamplePlan(seed=9, count=3))
     ed5b = check_algebraic_constraints(ent.spec, pts, "ED5b",
                                        lame_exprs=ent.companion["lame"])
-    pencil_rep = check_flat_pencil(built, pts, lambdas=(0.0, 1.0))
+    pencil_rep = check_flat_pencil(built, pts)
     assert not ed5b.passed and not pencil_rep.passed
 
 

@@ -8,8 +8,9 @@ from fmcheck.ode3d import closed_form_pencil, closed_form_q0
 from fmcheck.rotation import (NonDiagonalMetricError, beta_from_F, check_algebraic_constraints,
                               check_darboux_system, check_flatness_constraint,
                               check_lame_system, check_potentiality,
-                              check_reduction_identity, eigenspace_projection,
-                              integrate_lame, rotation_data, v_matrix, z_of_point)
+                              check_reduction_identity, rotation_data, v_matrix, z_of_point)
+
+from constructions import eigenspace_projection, integrate_lame
 
 
 def euclid2():
@@ -80,29 +81,23 @@ def test_darboux_negative_control():
 
 def test_lame_systems_of_printed_families():
     # all three rational-family weight triples share one set of rotation
-    # coefficients, supplied here by the closed-form state as a second path
+    # coefficients, supplied by the closed-form state of the entries' ODE
+    # family (q0 at a = b = 1) as a second path, at each entry's weight d
     for name, d in (("q0-d-minus1", -1.0), ("q0-d0", 0.0), ("q0-d1", 1.0)):
         ent = cat.entry(name)
         spec = ent.spec
-
-        def beta_src(u):
-            return beta_from_F(closed_form_q0(z_of_point(u), 1.0, 1.0), u)
-
+        assert ent.companion["ode_family"] == "q0" and spec.params == {"a": 1.0, "b": 1.0}
+        assert spec.expected["d"] == d
         pts = sample_points(spec, SamplePlan(seed=4, count=6))
-        rep = check_lame_system(spec, pts, d=d, beta_source=beta_src,
-                                lame_exprs=ent.companion["lame"])
+        rep = check_lame_system(spec, pts, ent.companion)
         assert rep.passed, (name, rep.residual)
 
 
 def test_lame_system_exact_pencil_family():
     ent = cat.entry("pencil-63")
-
-    def beta_src(u):
-        return beta_from_F(closed_form_pencil(z_of_point(u)), u)
-
+    assert ent.companion["ode_family"] == "pencil63" and ent.spec.expected["d"] == 1.0
     pts = sample_points(ent.spec, SamplePlan(seed=4, count=6))
-    rep = check_lame_system(ent.spec, pts, d=1.0, beta_source=beta_src,
-                            lame_exprs=ent.companion["lame"])
+    rep = check_lame_system(ent.spec, pts, ent.companion)
     assert rep.passed
 
 
