@@ -6,7 +6,8 @@ Usage:
 
 REV (any git revision of this repository) is extracted with `git archive`
 into a temporary directory; nothing is fetched.  The corpus is run once on
-each side, in one process per side, through `fmcheck.cli.main`:
+each side, in one process per side, through `fmcheck.cli.main` (the row
+runs through `catalog.run_checks`):
 
 - `verify` on every catalog entry at seeds 0-2 with 20 and 50 points;
 - `verify` on each entry's exported spec file;
@@ -14,14 +15,21 @@ each side, in one process per side, through `fmcheck.cli.main`:
 - `verify q0-d1` at 50 points on each seed of the benchmark's
   `Q0_D1_FAULT_SEEDS`;
 - both catalog Legendre transforms at seeds 0-2 with 20 and 50 points;
+- the rows that no CLI command runs, through `catalog.run_checks` at
+  seeds 0-2 with 20 and 50 points, each run printing its JSON reports:
+  `transform-metric` and `homogeneous-legendre` for the fields X2 and X3
+  of q0-d-minus1, and the benchmark's three negative controls on
+  lobachevsky's points (`killing-unit` with +u1 in the metric, `gmc` with
+  the flipped normal and `sym-condition` with a random field);
 - `ode` on three paths of each closed-form family, one with `--steps 40`,
   one run at `--rtol 1e-8 --atol 1e-10` and one from a random `--state`;
 - `catalog list`, and `catalog export` of every entry;
 - the unevaluable specs and arguments of the CLI's bad-input test (the
   spec directory given as a spec path, and a spec file that lacks its
   fields, among them), a spec file that is not UTF-8, `catalog` without an
-  entry name to export or with one to list, and `ode` with 11 floats, a
-  path through z = 1 and a non-finite state.
+  entry name to export or with one to list, `legendre` with a `--field`
+  of the wrong length, and `ode` with 11 floats, a path through z = 1, a
+  non-finite state and a non-finite or negative `--drift-tol`.
 
 Each side writes its own exported and unevaluable spec files, at the same
 paths.  Each run is classified as
@@ -82,7 +90,32 @@ WORKER = r"""
 import contextlib, io, json, sys
 import fmcheck.catalog as cat
 from fmcheck.cli import main
-from fmcheck.manifold import SamplePlan, sample_points
+from fmcheck.hamops import fields_from_exprs
+from fmcheck.manifold import ManifoldSpec, SamplePlan, sample_points
+
+
+def row(check, source, seed, count):
+    # one row through the walk: on a field of q0-d-minus1, or one of the
+    # benchmark's controls on lobachevsky's points
+    lob = cat.entry("lobachevsky").spec
+    sampled, spec, comp = lob, lob, {}
+    if source in ("X2", "X3"):
+        ent = cat.entry("q0-d-minus1")
+        sampled = spec = ent.spec
+        comp = {"legendre_field": ent.companion["legendre_fields"][source]}
+    elif source == "+u1":
+        spec = ManifoldSpec(name="lobachevsky-bad-metric", n=2, coords=lob.coords,
+                            product="canonical", e=lob.e, region=lob.region,
+                            g=(("2/(x-y)^2+u1", "0"), ("0", "2/(x-y)^2")))
+    else:
+        exprs, eps = {"flipped-normal": ([("1", "1")], (+1,)),
+                      "random-field": ([("u1*u2", "u1")], (-1,))}[source]
+        comp = {"normal_bundle": fields_from_exprs(exprs, eps=eps)}
+    points = sample_points(sampled, SamplePlan(seed=int(seed), count=int(count)))
+    reports = cat.run_checks(spec, comp, [check], points)
+    print(json.dumps({"reports": [r.to_dict() for r in reports]}, sort_keys=True))
+    return 0
+
 
 specs = sys.argv[1]
 for name in cat.names():
@@ -110,7 +143,10 @@ for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main([arg.replace("{specs}", specs) for arg in argv])
+            if argv[0] == "row":
+                code = row(*argv[1:])
+            else:
+                code = main([arg.replace("{specs}", specs) for arg in argv])
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
         except Exception as exc:
@@ -154,6 +190,10 @@ json.dump(tables, sys.stdout)
 PARTS = ("val", "grad", "hess")
 
 TRANSFORMS = (("X2", "q0-d0"), ("X3", "q0-d1"))
+# (row, source) of the runs through `catalog.run_checks`
+ROWS = (*((check, field) for check in ("transform-metric", "homogeneous-legendre")
+          for field in ("X2", "X3")),
+        ("killing-unit", "+u1"), ("gmc", "flipped-normal"), ("sym-condition", "random-field"))
 BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "case-i", "--check", "metric-invariance"]),
        *(["verify", f"{{specs}}/bad-{key}.json"]
@@ -161,6 +201,8 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
                      "missing", "binary")),
        (["verify", "{specs}/bad-divzero.json", "--check", "homogeneity"]),
        (["legendre", "q0-d-minus1", "--field", "1+,1,1"]),
+       (["legendre", "q0-d-minus1", "--field", "1,0"]),
+       (["legendre", "q0-d-minus1", "--field", "1,0,0,0"]),
        (["legendre", "case-i", "--field", "1,0"]),
        (["legendre", "lobachevsky", "--field", "1,1", "--target", "case-i"]),
        *(["legendre", f"{{specs}}/bad-{key}.json", "--field", "1,1"]
@@ -177,7 +219,9 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["catalog", "list", "lobachevsky"]),
        (["ode", "--state", "1,0,1,0,1,0,1,0,1,0,1", "--from", "2", "--to", "3"]),
        (["ode", "--init", "q0", "--from", "0.5", "--to", "1.5"]),
-       (["ode", "--state", "nan,0,1,0,1,0,1,0,1,0,1,0", "--from", "2", "--to", "3"]))
+       (["ode", "--state", "nan,0,1,0,1,0,1,0,1,0,1,0", "--from", "2", "--to", "3"]),
+       *(["ode", "--init", "pencil63", "--from=2+0.5i", "--to=3+0.5i", f"--drift-tol={tol}"]
+         for tol in ("nan", "inf", "-1e-7")))
 ODE = ((["--init", "q0", "--from", "2", "--to", "5"]),
        (["--init", "q0", "--a", "0.5", "--b", "1.5", "--from", "1.5+0.5i", "--to", "3-0.5i",
          "--steps", "40"]),
@@ -214,6 +258,8 @@ def corpus() -> list:
     runs += [("transform", ["legendre", "q0-d-minus1", "--field", field, "--target", target,
                             "--seed", str(seed), "--points", str(points)])
              for field, target in TRANSFORMS for seed in range(3) for points in (20, 50)]
+    runs += [("row", ["row", check, source, str(seed), str(points)])
+             for check, source in ROWS for seed in range(3) for points in (20, 50)]
     runs += [("ode", ["ode", *argv]) for argv in ODE]
     runs += [("catalog", ["catalog", "list"])]
     runs += [("catalog", ["catalog", "export", name]) for name in names]

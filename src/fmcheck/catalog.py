@@ -17,21 +17,18 @@ from .connection import (ConnectionAt, InverseJets, checked_inverse, compat_prod
                          nabla_from_g_at, nabla_nabla_E_at, natural_from_levi_civita,
                          r_tr_identity_at, riemann_components, torsion_at)
 from .entries import CatalogEntry, UnknownEntryError, entry, names
-from .hamops import (gmc_at, gmc_report, quadratic_expansion_at, rank_of, spanning_fields,
-                     sym_condition_at)
-from .legendre import (homogeneous_legendre_at, homogeneous_legendre_report, legendre_field_at,
-                       legendre_field_report, transform_metric_at, transform_metric_exprs,
-                       transformed_at)
+from .hamops import gmc_at, quadratic_expansion_at, rank_of, spanning_fields, sym_condition_at
+from .legendre import (homogeneous_legendre_at, legendre_field_at, transform_metric_at,
+                       transform_metric_exprs, transformed_at)
 from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, AllEntriesZeroError, Jets,
-                       ManifoldSpec, PointBatch, Report, SamplePlan, amax, fit_scalar,
+                       ManifoldSpec, PointBatch, Report, Residuals, SamplePlan, amax, fit_scalar,
                        hertling_manin_at, homogeneity_at, batch_report, killing_unit_at,
                        metric_invariance_at, normalized, pmax, product_axioms_at, required,
                        sample_points, structures, table_jets)
 from .ode3d import first_integrals
 from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at,
-                     flat_pencil_report, pencil_first_order, pencil_homogeneity_at,
-                     pencil_second_order, pencil_weight, product_from_pencil_at, r_operator_at,
-                     reconstructed_at)
+                     pencil_first_order, pencil_homogeneity_at, pencil_second_order,
+                     pencil_weight, product_from_pencil_at, r_operator_at, reconstructed_at)
 from .rotation import (ZeroLameError, algebraic_constraints_at, betas_from_F, closed_forms,
                        darboux_at, flatness_constraint_at, lame_system_at, potentiality_at,
                        reduction_identity_at, rotations)
@@ -63,7 +60,7 @@ def flat_coordinates_at(chart: Jets, conn: ConnectionAt, errors=None):
     pushed = (contract("...ai,...ijk,...jb,...kc->...abc", chart.grad, conn.gamma, jinv, jinv)
               - contract("...ajk,...jb,...kc->...abc", chart.hess, jinv, jinv))
     sc = pmax(amax(conn.gamma, 3), amax(chart.hess, 3), 1.0)
-    return normalized(amax(pushed, 3), sc), sc
+    return Residuals({"christoffel": normalized(amax(pushed, 3), sc)}, sc)
 
 
 def vector_potential_at(b):
@@ -73,12 +70,12 @@ def vector_potential_at(b):
     jac, st = b.chart.grad, b.st
     jinv = checked_inverse(jac, b.errors, JacobianSingularError)
     pushed_c = contract("...ai,...ijk,...jb,...kc->...abc", jac, st.c, jinv, jinv)
-    terms = [amax(pushed_c - b.potentials.hess, 3),
-             amax((jac @ st.e[..., None])[..., 0] - b.flat_e.val, 1)]
-    if "flat_E" in b.comp and st.E is not None:
-        terms.append(amax((jac @ st.E[..., None])[..., 0] - b.flat_E.val, 1))
     sc = pmax(amax(pushed_c, 3), 1.0)
-    return normalized(pmax(*terms), sc), sc
+    parts = {"hessian": normalized(amax(pushed_c - b.potentials.hess, 3), sc),
+             "unit": normalized(amax((jac @ st.e[..., None])[..., 0] - b.flat_e.val, 1), sc)}
+    if "flat_E" in b.comp and st.E is not None:
+        parts["euler"] = normalized(amax((jac @ st.E[..., None])[..., 0] - b.flat_E.val, 1), sc)
+    return Residuals(parts, sc)
 
 
 def verify_flat_coordinates(ent: CatalogEntry, points, tol: float = DEFAULT_TOL) -> Report:
@@ -87,7 +84,7 @@ def verify_flat_coordinates(ent: CatalogEntry, points, tol: float = DEFAULT_TOL)
     return _walk(ent.spec, ent.companion, [_BY_NAME["flat-coordinates"]], points, tol)[0]
 
 
-def verify_vector_potential(ent: CatalogEntry, points, tol: float = 1e-10) -> Report:
+def verify_vector_potential(ent: CatalogEntry, points, tol: float = DEFAULT_TOL) -> Report:
     return _walk(ent.spec, ent.companion, [_BY_NAME["vector-potential"]], points, tol)[0]
 
 
@@ -115,13 +112,13 @@ _SINGULAR = (ej.DomainError, SingularMatrixError, AllEntriesZeroError, ZeroLameE
 
 def _table_gap(conn: ConnectionAt, printed: ConnectionAt):
     gap = normalized(amax(conn.gamma - printed.gamma, 3), amax(printed.gamma, 3))
-    return gap, np.zeros_like(gap)
+    return Residuals({"table": gap}, np.zeros_like(gap))
 
 
 def _v_eigenvalue_gap(b):
     want = np.array(sorted(b.expected["V_eigenvalues"]), dtype=complex)
     gaps = np.max(np.abs(merge_close(eigenvalues(b.rd.V)) - want), axis=-1)
-    return gaps, np.zeros(len(gaps))
+    return Residuals({"eigenvalues": gaps}, np.zeros(len(gaps)))
 
 
 # The data a walk builds once, as batches over its points, each from the
@@ -239,13 +236,13 @@ class _RowData:
 @dataclass(frozen=True)
 class Check:
     """One row of the check table.  `at` maps the row's `_RowData` to its
-    results at all its points at once: (residual, scale[, fitted
-    constant]) as arrays over the point axis.  An entry runs the check when
-    its flags hold `flag` and its spec, companion or expected values hold
-    all of `needs`; the check reads every point, or with `head` (the
-    pencil's costlier rows) only the walk's head.  `fit`, `expected` (a
-    key), `tol` (of the run's tol; default: the run's) and `reduce` set its
-    reduction."""
+    `Residuals` at all its points at once, as arrays over the point axis.
+    An entry runs the check when its flags hold `flag` and its spec,
+    companion or expected values hold all of `needs`; the check reads every
+    point, or with `head` (the pencil's costlier rows) only the walk's
+    head.  `fit` (the fitted constant that must agree across the points),
+    `expected` (a key of the value it must match) and `tol` (of the run's
+    tol; default: the run's) set its report (`batch_report`)."""
     name: str
     at: Callable
     flag: str | None = None
@@ -254,15 +251,6 @@ class Check:
     fit: str | None = None
     expected: str | None = None
     tol: Callable | None = None
-    reduce: Callable | None = None
-
-    def report(self, result, tol: float, expected: dict) -> Report:
-        if self.tol is not None:
-            tol = self.tol(tol)
-        if self.reduce is not None:
-            return self.reduce(self.name, result, tol)
-        return batch_report(self.name, result, tol, fit=self.fit,
-                            expected=expected.get(self.expected))
 
 
 def _lame_system_at(b):
@@ -275,7 +263,8 @@ def _lame_system_at(b):
 
 def _ode_integrals_at(b):
     i1, i2 = first_integrals(b.ode.val.T)
-    return pmax(np.abs(i1 - b.expected["I1"]), np.abs(i2 - b.expected["I2"])), np.zeros(b.count)
+    return Residuals({"I1": np.abs(i1 - b.expected["I1"]), "I2": np.abs(i2 - b.expected["I2"])},
+                     np.zeros(b.count))
 
 
 def _reconstructed_at(b):
@@ -287,23 +276,25 @@ def _reconstructed_at(b):
     recon = reconstructed_at(pa, prod.c, prod.dc)
     lc = ConnectionAt(pa.n, pa.point, pa.gamma1, pa.dgamma1)
     nat = natural_from_levi_civita(recon, lc, InverseJets(pa.eta_inv, pa.deta_inv), b.counit)
-    parts = [flatness_at(nat), nabla_e_at(nat, recon), compat_product_at(nat, recon),
-             nabla_from_g_at(nat, recon, b.counit)]
-    return pmax(*(res for res, _ in parts)), pmax(*(sc for _, sc in parts))
+    rows = {"flatness": flatness_at(nat), "nabla-e": nabla_e_at(nat, recon),
+            "product-compat": compat_product_at(nat, recon),
+            "nabla-from-g": nabla_from_g_at(nat, recon, b.counit)}
+    return Residuals({key: row.parts for key, row in rows.items()},
+                     pmax(*(row.scale for row in rows.values())))
 
 
 def _transform_exprs_at(b):
     """The transformed metric against the expression-level one."""
     gbar = b.stbar.g
     res = amax(gbar - b.transformed_g.val, 2) / (1 + amax(gbar, 2))
-    return res, np.zeros_like(res)
+    return Residuals({"metric": res}, np.zeros_like(res))
 
 
 def _match_at(b):
     """The transformed metric against the target's, up to one constant."""
     gbar, g = b.stbar.g, b.target_g.val
     res = amax(gbar - fit_scalar(gbar, g, rank=2)[..., None, None] * g, 2) / (1 + amax(g, 2))
-    return res, np.zeros_like(res)
+    return Residuals({"metric": res}, np.zeros_like(res))
 
 
 _KILLING = "riemannian-f-killing"
@@ -322,14 +313,13 @@ CHECKS = (
     Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), _KILLING),
     Check("product-compat", lambda b: compat_product_at(b.nat, b.st), _KILLING),
     Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), _KILLING),
-    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, b.r_lc)[:2],
-          _KILLING),
+    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, b.r_lc), _KILLING),
     Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st, b.r_nat, b.r_lc), _KILLING),
     Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), _KILLING, ("E",)),
     Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), "gamma-match", ("gamma",)),
     Check("homogeneity", lambda b: homogeneity_at(b.st, b.errors), "homogeneous", ("g", "E"),
           fit="D", expected="D"),
-    Check("dual-structure", lambda b: (b.dual.residual, b.dual.scale), "biflat"),
+    Check("dual-structure", lambda b: b.dual.residuals, "biflat"),
     Check("gamma-star-match", lambda b: _table_gap(b.dual.gamma_star, b.printed_star), "biflat",
           ("gamma_star",)),
     Check("darboux-system", lambda b: darboux_at(b.rd), "darboux"),
@@ -348,22 +338,21 @@ CHECKS = (
     Check("sym-condition", lambda b: sym_condition_at(b.st, b.nat, b.fields.val, b.fields.grad),
           _BUNDLE),
     Check("gmc", lambda b: gmc_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
-                                  b.fields.grad, b.ginv.inv, b.r_lc), _BUNDLE, reduce=gmc_report),
+                                  b.fields.grad, b.ginv.inv, b.r_lc), _BUNDLE),
     # 1 where the rank is not the expected one
-    Check("normal-rank", lambda b: (np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"])),
-                                    np.zeros(b.count)),
+    Check("normal-rank", lambda b: Residuals(
+        {"rank": np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"]))}, np.zeros(b.count)),
           _BUNDLE, ("rank",), tol=lambda tol: 0.5),
     Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",)),
     Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pencil), "pencil", ("g2",),
           fit="d", expected="d_pencil"),
     Check("flat-pencil", lambda b: flat_pencil_at(b.pa, errors=b.errors), "pencil", ("g2",),
-          head=True, reduce=flat_pencil_report),
+          head=True),
     Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil",
           head=True),
-    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.counit)[:2], "pencil",
+    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.counit), "pencil",
           head=True, tol=lambda tol: max(tol, 1e-9)),
-    Check("product-from-pencil",
-          lambda b: (b.pencil_product.residual, b.pencil_product.scale), "pencil", head=True,
+    Check("product-from-pencil", lambda b: b.pencil_product.residuals, "pencil", head=True,
           tol=lambda tol: max(tol, 1e-9)),
     Check("reconstructed-structure", _reconstructed_at, "pencil", head=True),
     Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn, b.errors),
@@ -371,8 +360,7 @@ CHECKS = (
     Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
     # a transform's rows (`Transform`); "match" is reported as match-<target>
     Check("legendre-field", lambda b: legendre_field_at(b.st, b.nat, b.field_jets.val,
-                                                        b.field_jets.grad, b.errors),
-          reduce=legendre_field_report),
+                                                        b.field_jets.grad, b.errors)),
     Check("transform-exprs", _transform_exprs_at),
     Check("match", _match_at, tol=lambda tol: max(tol, 1e-7)),
     # the transform's theorems, which only `run_checks` runs, by name
@@ -381,7 +369,7 @@ CHECKS = (
     Check("homogeneous-legendre",
           lambda b: homogeneous_legendre_at(b.st, b.stbar, b.field_jets.val, b.field_jets.grad,
                                             b.errors),
-          reduce=homogeneous_legendre_report),
+          fit="dbar"),
 )
 _BY_NAME = {check.name: check for check in CHECKS}
 
@@ -429,7 +417,8 @@ def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
         coords = ", ".join(str(x) for x in np.asarray(points[k]).tolist())
         raise SingularSampleError(f"sample {k} at ({coords}) is singular: "
                                   f"{type(err).__name__}: {err}") from err
-    return [check.report(out, tol, spec.expected) for check, out in zip(checks, results)]
+    return [batch_report(c.name, out, tol if c.tol is None else c.tol(tol), fit=c.fit,
+                         expected=spec.expected.get(c.expected)) for c, out in zip(checks, results)]
 
 
 @dataclass

@@ -10,11 +10,12 @@ transform needs or leaves a parameter unbound, a product table where a
 transform needs a named product, a sample point where the spec is
 singular, which `verify` and `legendre` name by index and coordinates, a
 sampling region that admits fewer points than `--points`, a negative
-`--seed`, a non-finite `--state`, `--from`, `--to`, `--rtol`, `--atol`,
-`--a` or `--b`, `--a` or `--b` without `--init q0`, a negative tolerance,
-`--steps` below 1, both tolerances zero, a singular integration path, an
-integration whose step size underflows, `catalog export` without an entry
-name, `catalog list` with one).
+`--seed`, a `--field` whose component count is not the spec's dimension,
+a non-finite `--state`, `--from`, `--to`, `--rtol`, `--atol`,
+`--drift-tol`, `--a` or `--b`, `--a` or `--b` without `--init q0`, a
+negative tolerance, `--steps` below 1, both tolerances zero, a singular
+integration path, an integration whose step size underflows, `catalog
+export` without an entry name, `catalog list` with one).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
 target's parameter of the same name.  A name that neither declares in its
 parameters is bad input.
@@ -204,7 +205,8 @@ def cmd_ode(args) -> int:
                 raise ValueError(f"{option} {value!r}: must be finite")
             if value is not None and args.init != "q0":
                 raise ValueError(f"{option} {value!r}: only --init q0 reads it")
-        for option, tol in (("--rtol", args.rtol), ("--atol", args.atol)):
+        for option, tol in (("--rtol", args.rtol), ("--atol", args.atol),
+                            ("--drift-tol", args.drift_tol)):
             if not (math.isfinite(tol) and tol >= 0):
                 raise ValueError(f"{option} {tol!r}: must be finite and non-negative")
         if args.rtol == 0 and args.atol == 0:
@@ -272,6 +274,10 @@ def cmd_legendre(args) -> int:
             return 2
         field_exprs = ent.companion["legendre_fields"][args.field]
         field_name = args.field
+    if len(field_exprs) != spec.n:
+        sys.stderr.write(f"input error: --field {args.field!r}: {len(field_exprs)} components, "
+                         f"but {spec.name} has n = {spec.n}\n")
+        return 2
     suite = _run_suite(args, spec, transform=(field_exprs, field_name, args.target, overrides))
     if isinstance(suite, int):
         return suite

@@ -10,7 +10,7 @@ point axis (`...` einsums over the conventions of `tensor`), as the
 `StructureAt` it is built from.  Over a batch, a point where a matrix is
 singular records the error in the batch's `errors` and is inverted as the
 identity, so the rest of the batch goes on; at one point it raises.  The
-residual functions (`*_at`) return per-point residuals and scales, and the
+residual functions (`*_at`) return their `Residuals` at each point, and the
 `check_*` functions their reports.
 """
 
@@ -21,8 +21,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .manifold import (DEFAULT_TOL, PointBatch, Report, StructureAt, amax, batch_report, fail_at,
-                       normalized, pmax, required, table_jets)
+from .manifold import (DEFAULT_TOL, PointBatch, Report, Residuals, StructureAt, amax,
+                       batch_report, fail_at, normalized, pmax, required, table_jets, worst)
 from .tensor import SingularMatrixError, antisym, contract, contract_jets
 
 __all__ = [
@@ -176,13 +176,13 @@ def riemann_components(gamma, dgamma) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checks: the residual and scale at each point of a connection (and the
-# structure it belongs to), and the report over those points
+# checks: the residual parts and scale at each point of a connection (and
+# the structure it belongs to), and the report over those points
 
 
 def torsion_at(conn: ConnectionAt):
     sc = amax(conn.gamma, 3)
-    return normalized(amax(antisym(conn.gamma), 3), sc), sc
+    return Residuals({"torsion": normalized(amax(antisym(conn.gamma), 3), sc)}, sc)
 
 
 def check_torsionless(conn: ConnectionAt) -> Report:
@@ -193,7 +193,7 @@ def flatness_at(conn: ConnectionAt, r=None):
     """`r`: the connection's `riemann_components` where the caller has them."""
     r = riemann_components(conn.gamma, conn.dgamma) if r is None else r
     sc = pmax(amax(conn.gamma, 3) ** 2, amax(conn.dgamma, 4))
-    return normalized(amax(r, 4), sc), sc
+    return Residuals({"curvature": normalized(amax(r, 4), sc)}, sc)
 
 
 def check_flatness(conn: ConnectionAt, tol: float = DEFAULT_TOL) -> Report:
@@ -203,7 +203,7 @@ def check_flatness(conn: ConnectionAt, tol: float = DEFAULT_TOL) -> Report:
 def nabla_e_at(conn: ConnectionAt, st: StructureAt):
     res = st.de + contract("...iks,...s->...ik", conn.gamma, st.e)
     sc = pmax(amax(conn.gamma, 3), amax(st.de, 2))
-    return normalized(amax(res, 2), sc), sc
+    return Residuals({"parallel-unit": normalized(amax(res, 2), sc)}, sc)
 
 
 def check_nabla_e(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
@@ -222,7 +222,7 @@ def compat_product_at(conn: ConnectionAt, st: StructureAt):
     nab = nabla_product(conn, st)
     res = nab - contract("...kilj->...likj", nab)
     sc = pmax(amax(st.c, 3) * (1 + amax(conn.gamma, 3)), amax(st.dc, 4))
-    return normalized(amax(res, 4), sc), sc
+    return Residuals({"symmetry": normalized(amax(res, 4), sc)}, sc)
 
 
 def check_compat_product(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
@@ -245,7 +245,7 @@ def nabla_from_g_at(conn: ConnectionAt, st: StructureAt, counit=None):
     rhs = 0.5 * (contract("...ski,...sj->...kij", st.c, dtheta)
                  + contract("...skj,...si->...kij", st.c, dtheta))
     sc = pmax(amax(nabg, 3), amax(dtheta, 2), amax(st.dg, 3))
-    return normalized(amax(nabg - rhs, 3), sc), sc
+    return Residuals({"non-metricity": normalized(amax(nabg - rhs, 3), sc)}, sc)
 
 
 def check_nabla_from_g(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
@@ -268,23 +268,20 @@ def _cyclic(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def curvature_product_at(conn: ConnectionAt, st: StructureAt, r=None):
     """Cyclic product condition on the curvature, in both of its forms:
     the contraction through the last curvature slot and the product acting
-    on the curvature output.  The residual is the worse of the two, and the
-    details carry the second form's residual and the difference of the
-    two; `r`: the connection's `riemann_components` where the caller has
-    them.  Returns (residual, scale, details)."""
+    on the curvature output, the parts "slot" and "output"; `r`: the
+    connection's `riemann_components` where the caller has them."""
     r = riemann_components(conn.gamma, conn.dgamma) if r is None else r
     sc = pmax(amax(r, 4), 1.0) * pmax(amax(st.c, 3), 1.0)
-    res = amax(_cyclic(_RC, r, st.c), 5)
-    res_bis = amax(_cyclic(_BIS, st.c, r), 5)
-    details = {"bis_residual": normalized(res_bis, sc),
-               "variant_gap": normalized(np.abs(res - res_bis), sc)}
-    return normalized(pmax(res, res_bis), sc), sc, details
+    return Residuals({"slot": normalized(amax(_cyclic(_RC, r, st.c), 5), sc),
+                      "output": normalized(amax(_cyclic(_BIS, st.c, r), 5), sc)}, sc)
 
 
 def check_curvature_product_condition(conn: ConnectionAt, st: StructureAt) -> Report:
-    res, sc, details = curvature_product_at(conn, st)
-    return batch_report("curvature-product", (res, sc), DEFAULT_TOL,
-                        details={key: float(np.max(value)) for key, value in details.items()})
+    result = curvature_product_at(conn, st)
+    slot, output = result.parts["slot"], result.parts["output"]
+    return batch_report("curvature-product", result, DEFAULT_TOL,
+                        details={"bis_residual": worst(output),
+                                 "variant_gap": worst(np.abs(slot - output))})
 
 
 def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt, r_nat=None,
@@ -295,7 +292,7 @@ def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt, r_nat
     r_nat = riemann_components(nat.gamma, nat.dgamma) if r_nat is None else r_nat
     r_lc = riemann_components(lc.gamma, lc.dgamma) if r_lc is None else r_lc
     sc = pmax(amax(r_lc, 4), 1.0) * pmax(amax(st.c, 3), 1.0)
-    return normalized(amax(_cyclic(_RC, r_nat - r_lc, st.c), 5), sc), sc
+    return Residuals({"cyclic": normalized(amax(_cyclic(_RC, r_nat - r_lc, st.c), 5), sc)}, sc)
 
 
 def check_R_tR_identity(st: StructureAt) -> Report:
@@ -318,7 +315,7 @@ def nabla_nabla_E_at(conn: ConnectionAt, st: StructureAt):
            - contract("...mkj,...im->...ikj", conn.gamma, st.dE)
            + e_gamma)
     sc = pmax(amax(st.dE, 2) * (1 + amax(conn.gamma, 3)), amax(e_gamma, 3))
-    return normalized(amax(res, 3), sc), sc
+    return Residuals({"second-derivative": normalized(amax(res, 3), sc)}, sc)
 
 
 def check_nabla_nabla_E(conn: ConnectionAt, st: StructureAt) -> Report:
@@ -331,20 +328,18 @@ def check_nabla_nabla_E(conn: ConnectionAt, st: StructureAt) -> Report:
 
 @dataclass
 class DualStructureAt(PointBatch):
-    """The dual structure at a point or over a batch, with the residual and
-    scale of its identities at each point (`dual_structure`)."""
+    """The dual structure at a point or over a batch, with the `Residuals`
+    of its identities (`dual_structure`)."""
     cstar: np.ndarray
     dcstar: np.ndarray
     gamma_star: ConnectionAt
-    residual: np.ndarray
-    scale: np.ndarray
+    residuals: Residuals
     errors: list | None = None
 
     @property
     def report(self) -> Report:
         """The report of the identities at a single point."""
-        return Report.from_residual("dual-structure", self.residual, DEFAULT_TOL,
-                                    scale=self.scale, npoints=1)
+        return batch_report("dual-structure", self.residuals, DEFAULT_TOL)
 
 
 def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
@@ -364,7 +359,7 @@ def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
         "...lji,...kl->...kij", (cstar, dcstar), (nabE, dnabE))))
     star = ConnectionAt(st.n, st.point, gamma_star, dgamma_star, errors)
 
-    # residual bundle: dual product axioms, unit E, dual flatness, reverse formula
+    # the parts: dual product axioms, unit E, dual flatness, reverse formula
     assoc = antisym(contract("...sjk,...isl->...ijkl", cstar, cstar))
     unit = contract("...ijk,...j->...ik", cstar, st.E) - np.eye(st.n)
     flat = riemann_components(gamma_star, dgamma_star)
@@ -372,6 +367,7 @@ def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
     reverse = conn.gamma - (gamma_star - contract("...lji,...kl->...kij", st.c, nab_star_e))
     sc_c = amax(cstar, 3)
     sc_g = pmax(amax(gamma_star, 3) ** 2, amax(dgamma_star, 4))
-    res = pmax(normalized(amax(assoc, 4), sc_c ** 2), normalized(amax(unit, 2), sc_c),
-               normalized(amax(flat, 4), sc_g), normalized(amax(reverse, 3), amax(gamma_star, 3)))
-    return DualStructureAt(cstar, dcstar, star, res, sc_c, errors)
+    parts = {"associativity": normalized(amax(assoc, 4), sc_c ** 2),
+             "unit": normalized(amax(unit, 2), sc_c), "flatness": normalized(amax(flat, 4), sc_g),
+             "reverse": normalized(amax(reverse, 3), amax(gamma_star, 3))}
+    return DualStructureAt(cstar, dcstar, star, Residuals(parts, sc_c), errors)

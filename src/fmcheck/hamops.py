@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .connection import ConnectionAt, inverse_jets, levi_civita, riemann_components
-from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, Report, StructureAt, amax, batch_report,
-                       normalized, pmax, structure_at, table_jets, walk_row, worst_parts)
+from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, Report, Residuals, StructureAt, amax,
+                       batch_report, normalized, pmax, structure_at, table_jets, walk_row)
 from .spec import NormalBundleData, fields_from_exprs, fields_from_gradients
 from .tensor import antisym, contract, contract_jets, finite_matrices
 
@@ -69,14 +69,14 @@ def _raised_riemann(st: StructureAt, lc: ConnectionAt, ginv=None, r=None):
     return contract("...is,...jskh->...ijkh", ginv, r)
 
 
-def _worst_of(parts, like):
-    """The largest of `parts` at each point, 0 for none, NaN wherever one
-    is NaN; `like` has the shape of the batch."""
-    return pmax(np.zeros(np.shape(like)), *parts)
+def _over_fields(values, like):
+    """A part's `values` at each point for each spanning field (or pair of
+    fields), on a trailing axis; `like` has the shape of the batch."""
+    return np.stack(values, axis=-1) if values else np.zeros(np.shape(like) + (0,))
 
 
 # ---------------------------------------------------------------------------
-# checks: the residual and scale at each point of the structure, its
+# checks: the residual parts and scale at each point of the structure, its
 # connection and the field values (one point, or a batch with its fields
 # from `spanning_fields`), and the check over a point set: the walk's row
 # of that name (`walk_row`)
@@ -99,7 +99,7 @@ def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv=None
     r2 = _raised_riemann(st, lc, ginv, r)
     rhs = _expansion(contract("...ijs,...as->...aij", st.c, xs), eps, r2)
     sc = pmax(amax(r2, 4), amax(rhs, 4), 1e-30)
-    return normalized(amax(r2 - rhs, 4), sc), sc
+    return Residuals({"expansion": normalized(amax(r2 - rhs, 4), sc)}, sc)
 
 
 def check_quadratic_expansion(spec: ManifoldSpec, nb: NormalBundleData, points,
@@ -118,7 +118,8 @@ def sym_condition_at(st: StructureAt, nat: ConnectionAt, xs, dxs):
         sc = c_top * (1 + amax(nab, 2))
         residuals.append(normalized(amax(res, 3), sc))
         scales.append(sc)
-    return _worst_of(residuals, c_top), _worst_of(scales, c_top)
+    return Residuals({"symmetry": _over_fields(residuals, c_top)},
+                     pmax(np.zeros(np.shape(c_top)), *scales))
 
 
 def check_sym_condition(spec: ManifoldSpec, nb: NormalBundleData, points,
@@ -131,9 +132,9 @@ def _affinors(st: StructureAt, xs, dxs):
 
 
 def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None, r=None):
-    """The four structural equations for the affinors W_a = (X_a o) at a
-    point: returns (residual, scale, {"gmc0".."gmc3": residual}); `r`:
-    the curvature of `lc` where the caller has it."""
+    """The four structural equations for the affinors W_a = (X_a o), the
+    parts "gmc0".."gmc3", which the report shows; `r`: the curvature of
+    `lc` where the caller has it."""
     r2 = _raised_riemann(st, lc, ginv, r)
     gamma_lc = lc.gamma
     ws, dws = _affinors(st, xs, dxs)
@@ -142,7 +143,7 @@ def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None, r=None):
     w_top = amax(ws, 3) if count else np.zeros(np.shape(r2_top))
     sc = pmax(w_top ** 2, r2_top, 1e-30)
     rhs = _expansion(ws, eps, r2)
-    sub = {"gmc0": [normalized(amax(r2 - rhs, 4), sc)], "gmc1": [], "gmc2": [], "gmc3": []}
+    sub = {"gmc1": [], "gmc2": [], "gmc3": []}
     for a in range(count):
         w = ws[..., a, :, :]
         for b in range(a + 1, count):
@@ -156,12 +157,8 @@ def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None, r=None):
                - contract("...skj,...is->...kij", gamma_lc, w))
         res3 = antisym(nab, -3, -1)
         sub["gmc3"].append(normalized(amax(res3, 3), amax(w, 2) * (1 + amax(gamma_lc, 3))))
-    sub = {k: _worst_of(v, r2_top) for k, v in sub.items()}
-    return _worst_of(sub.values(), r2_top), sc, sub
-
-
-def gmc_report(name: str, result, tol: float) -> Report:
-    return batch_report(name, result, tol, details=worst_parts(result[2]))
+    return Residuals({"gmc0": normalized(amax(r2 - rhs, 4), sc),
+                      **{k: _over_fields(v, r2_top) for k, v in sub.items()}}, sc, show_parts=True)
 
 
 def check_gmc(spec: ManifoldSpec, nb: NormalBundleData, points,
@@ -181,7 +178,7 @@ def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point) -> dict:
     st = structure_at(spec, point)
     lc = levi_civita(st)
     xs, dxs, _ = spanning_fields(nb, [st.point], spec.n, spec.env()).at(0)
-    gmc = gmc_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs), DEFAULT_TOL)
+    gmc = batch_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs), DEFAULT_TOL)
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")
     ginv, _ = inverse_jets(st.g, st.dg)

@@ -13,7 +13,7 @@ import numpy as np
 from . import exprjet as ej
 from .connection import ConnectionAt, checked_inverse, natural_connection
 from .hamops import sym_condition_at
-from .manifold import (ManifoldSpec, Report, StructureAt, amax, batch_report, fail_at, fit_scalar,
+from .manifold import (ManifoldSpec, Report, Residuals, StructureAt, amax, fail_at, fit_scalar,
                        homogeneity_at, killing_unit_at, metric_invariance_at, normalized, pmax,
                        product_jets, required, structure_at, walk_row)
 from .tensor import contract, contract_jets
@@ -52,16 +52,12 @@ def _mult_operator(st: StructureAt, x, dx, ddx=None):
 def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx, errors=None):
     """Symmetry of the product-twisted covariant derivative of the field,
     plus product invertibility (a point where it fails is recorded in
-    `errors` over a batch), with the structure connection.  Returns
-    (residual, scale, |det| of the multiplication operator)."""
-    res, sc = sym_condition_at(st, nat, x[..., None, :], dx[..., None, :, :])
+    `errors` over a batch), with the structure connection; the report
+    shows the least |det| of the multiplication operator."""
+    sym = sym_condition_at(st, nat, x[..., None, :], dx[..., None, :, :])
     w, _, _ = _mult_operator(st, x, dx)
     checked_inverse(w, errors, NotInvertibleError)
-    return res, sc, np.abs(np.linalg.det(w))
-
-
-def legendre_field_report(name: str, result, tol: float) -> Report:
-    return batch_report(name, result, tol, details={"min_abs_det": float(np.min(result[2]))})
+    return Residuals(sym.parts, sym.scale, least={"abs_det": np.abs(np.linalg.det(w))})
 
 
 def check_legendre_field(spec: ManifoldSpec, field_exprs, points) -> Report:
@@ -122,33 +118,28 @@ def transform_metric_at(stbar: StructureAt, nat: ConnectionAt, x, dx, ddx, error
     if errors is not None:
         fail_at(errors, [err is not None for err in nat_bar.errors], nat_bar.errors.__getitem__)
     conj = transform_connection(nat, stbar, x, dx, ddx, errors)
-    (inv, sc_inv), (killing, sc_killing) = metric_invariance_at(stbar), killing_unit_at(stbar)
+    inv, killing = metric_invariance_at(stbar), killing_unit_at(stbar)
     gap = normalized(amax(nat_bar.gamma - conj.gamma, 3), amax(conj.gamma, 3))
-    return pmax(inv, killing, gap), pmax(sc_inv, sc_killing)
+    return Residuals({**inv.parts, **killing.parts, "conjugated": gap},
+                     pmax(inv.scale, killing.scale))
 
 
 def homogeneous_legendre_at(st: StructureAt, stbar: StructureAt, x, dx, errors=None):
     """The field's Euler weight w, fitted in L_E X = w X, and the
     homogeneity of the metric and of the transformed one (`homogeneity_at`
-    on `st` and `stbar`), whose exponents must obey Dbar = D + 2w + 2.
-    Returns (residual, scale, w, D, Dbar) at each point; over a batch, a
-    point where a metric vanishes records the error in `errors`."""
+    on `st` and `stbar`), whose exponents must obey Dbar = D + 2w + 2.  The
+    fits are D, Dbar and w, as "dbar"; over a batch, a point where a metric
+    vanishes records the error in `errors`."""
     lie_x = contract("...k,...ik->...i", st.E, dx) - contract("...k,...ki->...i", x, st.dE)
     w = fit_scalar(lie_x, x, rank=1)
-    res, sc, D = homogeneity_at(st, errors)
-    res_bar, sc_bar, Dbar = homogeneity_at(stbar, errors)
+    hom, hom_bar = homogeneity_at(st, errors), homogeneity_at(stbar, errors)
+    D, Dbar = hom.fits["D"], hom_bar.fits["D"]
     sc_x = amax(x, 1)
-    raw = pmax(normalized(amax(lie_x - w[..., None] * x, 1), sc_x), res, res_bar,
-               normalized(np.abs(Dbar - (D + 2 * w + 2)), np.abs(Dbar)))
-    return raw, pmax(sc_x, sc, sc_bar), w, D, Dbar
-
-
-def homogeneous_legendre_report(name: str, result, tol: float) -> Report:
-    Ds, Dbars = (np.atleast_1d(col).tolist() for col in result[3:])
-    D_m = sum(Ds) / len(Ds)
-    Db_m = sum(Dbars) / len(Dbars)
-    return batch_report(name, result, tol, fit="dbar",
-                        details={"D_fit": [D_m.real, D_m.imag], "Dbar_fit": [Db_m.real, Db_m.imag]})
+    parts = {"field": normalized(amax(lie_x - w[..., None] * x, 1), sc_x),
+             "metric": hom.parts, "transformed": hom_bar.parts,
+             "exponents": normalized(np.abs(Dbar - (D + 2 * w + 2)), np.abs(Dbar))}
+    return Residuals(parts, pmax(sc_x, hom.scale, hom_bar.scale),
+                     fits={"D": D, "Dbar": Dbar, "dbar": w})
 
 
 def transform_metric_exprs(spec: ManifoldSpec, field_exprs, name: str | None = None) -> ManifoldSpec:

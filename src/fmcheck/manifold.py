@@ -6,9 +6,10 @@ field, and optionally an Euler field and one or two metrics.  `structures`
 evaluates everything needed downstream at all the sample points at once, as
 one `StructureAt` whose arrays carry a leading point axis (P, ...): the product
 to first derivative order and all other primitive fields to second order.
-The residual functions (`*_at`) take such a batch and return one residual
-and scale per point; `structure_at` is a batch of one, with the point axis
-dropped, and the same functions then return scalars.
+The residual functions (`*_at`) take such a batch and return the named parts
+of their identity, and its scale, at each point (`Residuals`), which
+`batch_report`, the one reducer, reduces to the worst part over the points;
+`structure_at` is a batch of one, with the point axis dropped.
 
 The spec-level `check_*` functions, here and in `pencil`, `rotation`,
 `hamops` and `legendre`, are views of the walk (`catalog.run_checks`): each
@@ -36,9 +37,9 @@ from .tensor import antisym, contract, lie_from_components
 
 __all__ = [
     "Region", "SamplePlan", "ManifoldSpec", "PointBatch", "Jets", "StructureAt", "Report",
-    "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "MissingFieldError",
+    "Residuals", "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "MissingFieldError",
     "required", "sample_points", "fail_at", "raise_first", "table_jets", "amax", "pmax",
-    "batch_report", "structure_at", "structures", "worst", "worst_parts", "merge_reports",
+    "batch_report", "structure_at", "structures", "worst", "merge_reports",
     "walk_row", "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
     "check_killing_unit", "check_homogeneity", "normalized",
 ]
@@ -196,22 +197,33 @@ class Report:
 
 
 def worst(values) -> float:
-    """The largest of `values`, 0.0 for none, and NaN as soon as one of
-    them is NaN: a NaN residual fails wherever it stands.  Every residual
-    of every check is reduced through here."""
-    values = values if isinstance(values, np.ndarray) else list(values)
+    """The largest of `values` (of a dict's, a group of parts: of each
+    one's worst), 0.0 for none, and NaN as soon as one of them is NaN: a
+    NaN residual fails wherever it stands.  Every residual of every check
+    is reduced through here."""
+    if isinstance(values, dict):
+        values = [worst(v) for v in values.values()]
     return float(np.maximum.reduce(np.asarray(values, dtype=float), axis=None, initial=0.0))
 
 
-def worst_parts(parts: dict) -> dict:
-    """The worst of each named sub-residual, from its values over the
-    points."""
-    return {key: worst(np.atleast_1d(values)) for key, values in parts.items()}
+@dataclass
+class Residuals:
+    """A row's results at each point of a batch, or at one point: by name,
+    each part of its identity (its normalized residual, with a trailing
+    axis where it runs over the spanning fields, or a dict: a group of
+    parts), its scale, its fitted constants, and the values whose least
+    the report shows; with `show_parts` the report shows its parts."""
+    parts: dict
+    scale: object
+    fits: dict = field(default_factory=dict)
+    least: dict = field(default_factory=dict)
+    show_parts: bool = False
 
 
 def merge_reports(name: str, reports: Sequence[Report], tol: float) -> Report:
     """Merge the single-point reports of one check."""
-    return batch_report(name, ([r.residual for r in reports], [r.scale for r in reports]), tol)
+    return batch_report(name, Residuals({"residual": [r.residual for r in reports]},
+                                        [r.scale for r in reports]), tol)
 
 
 def normalized(raw, scale):
@@ -322,33 +334,37 @@ def structure_at(spec: ManifoldSpec, point) -> StructureAt:
 
 
 # ---------------------------------------------------------------------------
-# checks: a residual of the structure at each point of a batch (or at one
-# point), returning the normalized residuals and their scales, and the check
-# over a point set
+# checks: the residual parts of the structure at each point of a batch (or
+# at one point), as `Residuals`, and the report of a check over a point set
 
 
-def batch_report(name: str, result, tol: float, fit: str | None = None, expected=None,
+def batch_report(name: str, result: Residuals, tol: float, fit: str | None = None, expected=None,
                  details: dict | None = None) -> Report:
-    """The report of one check from its residual function's (residual,
-    scale[, fitted constant]), arrays over the points of a batch or scalars
-    at one point.
-
-    With `fit`, the third is the constant fitted at each point: the fits
-    must then agree across the points, their mean is recorded as
-    `<fit>_fit` and, given `expected`, must match it."""
-    residual, scale = np.atleast_1d(result[0]), np.atleast_1d(result[1])
-    residuals = [worst(residual)]
+    """The report of one check from its `Residuals` over a batch, or at one
+    point: the residual is its worst part, and after `details` come the
+    worst of each part it shows (of a group's members), each fit's mean as
+    `<name>_fit` and each least value as `min_<name>`.  The fit `fit` must
+    agree across the points and, given `expected`, match it."""
+    worsts = {key: worst(part) for key, part in result.parts.items()}
+    residuals = list(worsts.values())
     details = dict(details or {})
-    if fit is not None:
-        fits = np.atleast_1d(result[2])
+    if result.show_parts:
+        details.update((key, {k: worst(p) for k, p in part.items()}
+                        if isinstance(part, dict) else worsts[key])
+                       for key, part in result.parts.items())
+    for key, values in result.fits.items():
+        fits = np.atleast_1d(values)
         mean = sum(fits.tolist()) / len(fits)
-        residuals.append(normalized(worst(np.abs(fits - mean)), abs(mean)))
-        details[f"{fit}_fit"] = [mean.real, mean.imag]
-        if expected is not None:
-            details[f"{fit}_expected"] = expected
-            residuals.append(normalized(abs(mean - complex(expected)), abs(mean)))
+        details[f"{key}_fit"] = [mean.real, mean.imag]
+        if key == fit:
+            residuals.append(normalized(worst(np.abs(fits - mean)), abs(mean)))
+            if expected is not None:
+                details[f"{fit}_expected"] = expected
+                residuals.append(normalized(abs(mean - complex(expected)), abs(mean)))
+    details.update((f"min_{key}", float(np.min(values))) for key, values in result.least.items())
+    scale = np.atleast_1d(result.scale)
     return Report.from_residual(name, worst(residuals), tol, scale=worst(scale),
-                                npoints=len(residual), details=details)
+                                npoints=len(scale), details=details)
 
 
 def walk_row(name: str, spec: ManifoldSpec, comp: dict, points,
@@ -365,8 +381,9 @@ def product_axioms_at(st: StructureAt):
     assoc = antisym(contract("...sjk,...isl->...ijkl", st.c, st.c))
     unit = contract("...ijk,...j->...ik", st.c, st.e) - np.eye(st.n)
     sc = pmax(amax(st.c, 3), amax(st.e, 1))
-    raw = pmax(amax(comm, 3), amax(assoc, 4), amax(unit, 2))
-    return normalized(raw, sc), sc
+    return Residuals({"commutativity": normalized(amax(comm, 3), sc),
+                      "associativity": normalized(amax(assoc, 4), sc),
+                      "unit": normalized(amax(unit, 2), sc)}, sc)
 
 
 def check_product_axioms(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
@@ -390,7 +407,7 @@ def hertling_manin_residual(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
 def hertling_manin_at(st: StructureAt):
     res = hertling_manin_residual(st.c, st.dc)
     sc = pmax(amax(st.c, 3), amax(st.dc, 4))
-    return normalized(amax(res, 5), sc), sc
+    return Residuals({"integrability": normalized(amax(res, 5), sc)}, sc)
 
 
 def check_hertling_manin(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
@@ -401,7 +418,7 @@ def metric_invariance_at(st: StructureAt):
     g = required(st.g, "metric")
     res = antisym(contract("...iq,...qlp->...ilp", g, st.c), -3, -2)
     sc = pmax(amax(g, 2), amax(st.c, 3))
-    return normalized(amax(res, 3), sc), sc
+    return Residuals({"invariance": normalized(amax(res, 3), sc)}, sc)
 
 
 def check_metric_invariance(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
@@ -414,7 +431,7 @@ def lie_metric(st: StructureAt, x, dx) -> np.ndarray:
 
 def killing_unit_at(st: StructureAt):
     sc = amax(required(st.g, "metric"), 2)
-    return normalized(amax(lie_metric(st, st.e, st.de), 2), sc), sc
+    return Residuals({"killing": normalized(amax(lie_metric(st, st.e, st.de), 2), sc)}, sc)
 
 
 def check_killing_unit(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
@@ -439,9 +456,9 @@ def fit_scalar(target: np.ndarray, model: np.ndarray, rank: int | None = None):
 
 
 def homogeneity_at(st: StructureAt, errors=None):
-    """Fit D in (L_E g) = D g at each point; the residual covers that fit
-    and (L_E c) = c.  Returns (residual, scale, D).  A point where the
-    metric vanishes is singular (recorded in `errors` over a batch)."""
+    """Fit D in (L_E g) = D g at each point; the parts are that fit and
+    (L_E c) = c, and the fit is D.  A point where the metric vanishes is
+    singular (recorded in `errors` over a batch)."""
     lg = lie_from_components(required(st.g, "metric"), st.dg, ("d", "d"),
                              required(st.E, "Euler field"), st.dE)
     top = amax(st.g, 2)
@@ -451,7 +468,8 @@ def homogeneity_at(st: StructureAt, errors=None):
     lc = lie_from_components(st.c, st.dc, ("u", "d", "d"), st.E, st.dE)
     res_c = amax(lc - st.c, 3)
     sc = pmax(top, amax(lg, 2), amax(st.c, 3))
-    return normalized(pmax(res_g, res_c), sc), sc, D
+    return Residuals({"metric": normalized(res_g, sc), "product": normalized(res_c, sc)}, sc,
+                     fits={"D": D})
 
 
 def check_homogeneity(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:

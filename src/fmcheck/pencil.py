@@ -18,8 +18,8 @@ import numpy as np
 from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hessian,
                          inverse_jets, metric_inverse, riemann_components)
 from .manifold import (DEFAULT_TOL, ManifoldSpec, MissingFieldError, PointBatch, Report,
-                       StructureAt, amax, batch_report, fail_at, fit_scalar, normalized, pmax,
-                       product_jets, raise_first, structures, walk_row, worst_parts)
+                       Residuals, StructureAt, amax, batch_report, fail_at, fit_scalar,
+                       normalized, pmax, product_jets, raise_first, structures, walk_row)
 from .tensor import (SingularMatrixError, antisym, contract, contract_jets, finite_matrices,
                      lie_from_components)
 
@@ -122,9 +122,10 @@ def _contravariant_christoffels(g_inv, gamma):
 def flat_pencil_at(pa: PencilAt, errors=None):
     """Curvature of every pencil member, and linearity of the contravariant
     Christoffel symbols across the pencil, with the members stacked on one
-    leading axis.  Returns (residual, scale, {lambda: residual}).  A point
-    where a member is singular raises, or over a batch records the error
-    of its first singular member in `errors`."""
+    leading axis: the parts of each member, by lambda, in the group
+    "per_lambda", which the report shows.  A point where a member is
+    singular raises, or over a batch records the error of its first
+    singular member in `errors`."""
     gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)
     gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)
     lams = [complex(lam) for lam in LAMBDAS]
@@ -146,12 +147,9 @@ def flat_pencil_at(pa: PencilAt, errors=None):
     res_curv = normalized(amax(riemann_components(gamma, dgamma), 4), sc)
     res_lin = normalized(amax(_contravariant_christoffels(pen, gamma) - (gc2 - lam[..., None] * gc1), 3),
                          amax(gc2, 3) + np.abs(lam[..., 0, 0]) * amax(gc1, 3))
-    per_lambda = {f"{value}": pmax(curv, lin) for value, curv, lin in zip(lams, res_curv, res_lin)}
-    return pmax(*per_lambda.values()), pmax(*sc), per_lambda
-
-
-def flat_pencil_report(name: str, result, tol: float) -> Report:
-    return batch_report(name, result, tol, details={"per_lambda": worst_parts(result[2])})
+    per_lambda = {f"{value}": {"curvature": curv, "linearity": lin}
+                  for value, curv, lin in zip(lams, res_curv, res_lin)}
+    return Residuals({"per_lambda": per_lambda}, pmax(*sc), show_parts=True)
 
 
 def check_flat_pencil(spec, points, tol: float = DEFAULT_TOL) -> Report:
@@ -162,7 +160,7 @@ def check_flat_pencil(spec, points, tol: float = DEFAULT_TOL) -> Report:
     errors = list(pa.errors)
     result = flat_pencil_at(pa, errors=errors)
     raise_first(errors)
-    return flat_pencil_report("flat-pencil", result, tol)
+    return batch_report("flat-pencil", result, tol)
 
 
 def exactness_at(pa: PencilAt):
@@ -172,8 +170,8 @@ def exactness_at(pa: PencilAt):
     lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), st.e, st.de)
     lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), st.e, st.de)
     sc = pmax(amax(pa.eta_inv, 2), amax(pa.g_inv, 2))
-    raw = pmax(amax(lie_g2 - pa.eta_inv, 2), amax(lie_g1, 2))
-    return normalized(raw, sc), sc
+    return Residuals({"second-flows": normalized(amax(lie_g2 - pa.eta_inv, 2), sc),
+                      "first-kept": normalized(amax(lie_g1, 2), sc)}, sc)
 
 
 def check_exactness(spec, points, tol: float = DEFAULT_TOL) -> Report:
@@ -188,13 +186,14 @@ def pencil_weight(pa: PencilAt, rank=None):
 
 def pencil_homogeneity_at(pa: PencilAt):
     """Fit the pencil weight d from L_E g2 = (d-1) g2 (contravariant) and
-    cross-check L_E g1 = (d-2) g1.  Returns (residual, scale, d)."""
+    cross-check L_E g1 = (d-2) g1; the fit is d."""
     d, lie_g2 = pencil_weight(pa, rank=2)
     lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), pa.E, pa.dE)
     sc = pmax(amax(pa.g_inv, 2), amax(pa.eta_inv, 2))
     dd = d[..., None, None]
-    raw = pmax(amax(lie_g2 - (dd - 1) * pa.g_inv, 2), amax(lie_g1 - (dd - 2) * pa.eta_inv, 2))
-    return normalized(raw, sc), sc, d
+    return Residuals({"second": normalized(amax(lie_g2 - (dd - 1) * pa.g_inv, 2), sc),
+                      "first": normalized(amax(lie_g1 - (dd - 2) * pa.eta_inv, 2), sc)}, sc,
+                     fits={"d": d})
 
 
 def check_pencil_homogeneity(spec, points, tol: float = DEFAULT_TOL) -> Report:
@@ -235,15 +234,15 @@ def delta_tensor(spec, point, tol: float = DEFAULT_TOL):
     (two metric symmetries, commutation, Euler homogeneity of weight d-1)."""
     pa = pencil_at(spec, point)
     jets = delta_jets(pa)
-    res, sc = delta_identities_at(pa, pencil_weight(pa)[0], jets)
-    return jets[0], Report.from_residual("delta-identities", res, tol, scale=sc, npoints=1,
-                                         details={"closed_form_checked": bool(pa.diagonal)})
+    return jets[0], batch_report("delta-identities",
+                                 delta_identities_at(pa, pencil_weight(pa)[0], jets), tol,
+                                 details={"closed_form_checked": bool(pa.diagonal)})
 
 
 def delta_identities_at(pa: PencilAt, d, jets):
     """The identities of the difference tensor `jets` (`delta_jets`) at
     each point, with the pencil weight `d` there, and on a diagonal pencil
-    its closed form.  Returns (residual, scale)."""
+    its closed form (0 elsewhere)."""
     delta, ddelta = jets
     sym_eta = antisym(contract("...is,...jks->...ijk", pa.eta_inv, delta), -3, -2)
     sym_g = antisym(contract("...is,...jks->...ijk", pa.g_inv, delta), -3, -2)
@@ -252,12 +251,11 @@ def delta_identities_at(pa: PencilAt, d, jets):
     hom = lie_delta - (np.asarray(d)[..., None, None, None] - 1) * delta
     sc = pmax(amax(delta, 3), 1.0)
     closed = normalized(amax(delta - _diagonal_closed_forms(pa)[0], 3), sc)
-    res = pmax(normalized(amax(sym_eta, 3), sc * amax(pa.eta_inv, 2)),
-               normalized(amax(sym_g, 3), sc * amax(pa.g_inv, 2)),
-               normalized(amax(comm, 4), sc * sc),
-               normalized(amax(hom, 3), sc * (1 + np.abs(d))),
-               np.where(pa.diagonal, closed, 0.0))
-    return res, sc
+    return Residuals({"eta-symmetry": normalized(amax(sym_eta, 3), sc * amax(pa.eta_inv, 2)),
+                      "g-symmetry": normalized(amax(sym_g, 3), sc * amax(pa.g_inv, 2)),
+                      "commutation": normalized(amax(comm, 4), sc * sc),
+                      "homogeneity": normalized(amax(hom, 3), sc * (1 + np.abs(d))),
+                      "closed-form": np.where(pa.diagonal, closed, 0.0)}, sc)
 
 
 def r_operator(spec, point, tol: float = DEFAULT_TOL):
@@ -265,15 +263,16 @@ def r_operator(spec, point, tol: float = DEFAULT_TOL):
     derivatives of the Euler field, computed two ways, plus the diagonal
     closed form where applicable."""
     pa = pencil_at(spec, point)
-    res, sc, r = r_operator_at(pa, pencil_weight(pa)[0], counit_jets(pa.st))
-    return r, Report.from_residual("r-operator", res, tol, scale=sc, npoints=1)
+    r = contract("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
+    return r, batch_report("r-operator", r_operator_at(pa, pencil_weight(pa)[0],
+                                                       counit_jets(pa.st)), tol)
 
 
 def r_operator_at(pa: PencilAt, d, counit):
     """R^m_s = (Gamma1 - Gamma2)^m_sl E^l against its second route, (d-1)/2
     Id + nabla1 E + 1/2 g^is dtheta_sj with theta = eta.e (`counit`:
     `counit_jets` at pa's points), and on a diagonal pencil against its
-    closed form, at each point.  Returns (residual, scale, R)."""
+    closed form (0 elsewhere), at each point."""
     r1 = contract("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
     nab1E = pa.dE + contract("...ijl,...l->...ij", pa.gamma1, pa.E)
     _, _, dtheta, _ = counit
@@ -281,18 +280,18 @@ def r_operator_at(pa: PencilAt, d, counit):
           + 0.5 * contract("...is,...sj->...ij", pa.g_inv, dtheta))
     sc = pmax(amax(r1, 2), 1.0)
     closed = normalized(amax(r1 - _diagonal_closed_forms(pa)[1], 2), sc)
-    return pmax(normalized(amax(r1 - r2, 2), sc), np.where(pa.diagonal, closed, 0.0)), sc, r1
+    return Residuals({"two-routes": normalized(amax(r1 - r2, 2), sc),
+                      "closed-form": np.where(pa.diagonal, closed, 0.0)}, sc)
 
 
 @dataclass
 class PencilProduct(PointBatch):
     """The product rebuilt from the pencil, with first derivatives, and the
-    residual and scale of its identities, at a point or over a batch
+    `Residuals` of its identities, at a point or over a batch
     (`product_from_pencil_at`)."""
     c: np.ndarray
     dc: np.ndarray
-    residual: np.ndarray
-    scale: np.ndarray
+    residuals: Residuals
     errors: list | None = None
 
 
@@ -303,10 +302,10 @@ def product_from_pencil(spec, point, tol: float = DEFAULT_TOL):
     homogeneity of the product, and the multiplication-by-E identity."""
     pa = pencil_at(spec, point)
     prod = product_from_pencil_at(pa, delta_jets(pa)[0])
-    canonical = normalized(amax(prod.c - product_jets("canonical", pa.n)[0], 3), prod.scale)
+    canonical = prod.residuals.parts["canonical"]
     details = {"canonical_residual": float(canonical)} if pa.diagonal else {}
-    return prod.c, prod.dc, Report.from_residual("product-from-pencil", prod.residual, tol,
-                                                 scale=prod.scale, npoints=1, details=details)
+    return prod.c, prod.dc, batch_report("product-from-pencil", prod.residuals, tol,
+                                         details=details)
 
 
 def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
@@ -346,15 +345,16 @@ def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
     inv = antisym(contract("...iq,...qlp->...ilp", st.g, c), -3, -2)
     lie_c = lie_from_components(c, dc, ("u", "d", "d"), pa.E, pa.dE)
     mult_e = contract("...jhk,...h->...jk", c, pa.E) - pa.L
-    res = pmax(np.where(invert, res_inverse, res_direct),
-               normalized(amax(comm, 3), sc),
-               normalized(amax(assoc, 4), sc * sc),
-               normalized(amax(unit, 2), sc),
-               normalized(amax(inv, 3), sc * amax(st.g, 2)),
-               normalized(amax(lie_c - c, 3), sc),
-               normalized(amax(mult_e, 2), amax(pa.L, 2)),
-               np.where(pa.diagonal, normalized(amax(c - canonical, 3), sc), 0.0))
-    return PencilProduct(c, dc, res, sc, errors)
+    parts = {"construction": np.where(invert, res_inverse, res_direct),
+             "commutativity": normalized(amax(comm, 3), sc),
+             "associativity": normalized(amax(assoc, 4), sc * sc),
+             "unit": normalized(amax(unit, 2), sc),
+             "invariance": normalized(amax(inv, 3), sc * amax(st.g, 2)),
+             "homogeneity": normalized(amax(lie_c - c, 3), sc),
+             "multiplication-by-E": normalized(amax(mult_e, 2), amax(pa.L, 2)),
+             # on a diagonal pencil, the canonical product (0 elsewhere)
+             "canonical": np.where(pa.diagonal, normalized(amax(c - canonical, 3), sc), 0.0)}
+    return PencilProduct(c, dc, Residuals(parts, sc), errors)
 
 
 def reconstructed_structure(spec, point) -> StructureAt:

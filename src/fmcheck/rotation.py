@@ -9,8 +9,8 @@ signs are recorded on the data object.
 
 As the structure (`manifold.structures`), the rotation data of a batch of
 points carry a leading point axis and each point's first error, and the
-residual functions (`*_at`) return one residual and scale per point; at one
-point (`rotation_data`) they return scalars.
+residual functions (`*_at`) return their `Residuals` at each point; at one
+point (`rotation_data`) they give scalars.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import exprjet as ej
-from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, PointBatch, Report, amax, fail_at,
-                       normalized, pmax, table_jets, walk_row)
+from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, PointBatch, Report, Residuals, amax,
+                       fail_at, normalized, table_jets, walk_row)
 from .ode3d import (SING_MARGIN, CoordinateCollisionError, OdeState3, ParameterSingularError,
                     _pencil_F, _q0_F, _singular_point)
 from .tensor import eigenvalues
@@ -212,9 +212,9 @@ def closed_forms(family: str, u, env) -> Jets:
 
 
 # ---------------------------------------------------------------------------
-# checks: the residual and scale at each point of the rotation data, and
-# the check over a point set: the walk's row of that name (`walk_row`) on
-# the Lame table `lame_exprs`, or without one on the metric
+# checks: the residual parts and scale at each point of the rotation data,
+# and the check over a point set: the walk's row of that name (`walk_row`)
+# on the Lame table `lame_exprs`, or without one on the metric
 
 
 def darboux_at(rd: RotationData):
@@ -225,10 +225,11 @@ def darboux_at(rd: RotationData):
     sc = amax(beta, 2)
     # [i, j, k]: beta_ik beta_kj
     prod = beta[..., :, None, :] * np.swapaxes(beta, -2, -1)[..., None, :, :]
-    raw = pmax(amax(np.where(distinct, dbeta - prod, 0), 3),
-               amax(np.where(off, np.sum(dbeta, axis=-1), 0), 2),
-               amax(np.where(off, np.sum(u[..., None, None, :] * dbeta, axis=-1) + beta, 0), 2))
-    return normalized(raw, sc + sc * sc), sc
+    euler = np.sum(u[..., None, None, :] * dbeta, axis=-1) + beta
+    return Residuals({key: normalized(res, sc + sc * sc) for key, res in (
+        ("darboux", amax(np.where(distinct, dbeta - prod, 0), 3)),
+        ("unit", amax(np.where(off, np.sum(dbeta, axis=-1), 0), 2)),
+        ("euler", amax(np.where(off, euler, 0), 2)))}, sc)
 
 
 def check_darboux_system(spec, points, lame_exprs=None) -> Report:
@@ -238,19 +239,18 @@ def check_darboux_system(spec, points, lame_exprs=None) -> Report:
 def lame_system_at(rd: RotationData, d=None, beta=None):
     """Residuals of d_j H_i = beta_ij H_j, e(H_i) = 0, E(H_i) = d H_i, with
     d fitted at each point when omitted; `beta`: rotation coefficients
-    from another source, at the points of `rd`.  Returns (residual, scale,
-    fitted d)."""
+    from another source, at the points of `rd`.  The fit is d."""
     u = rd.point
     off, _ = _masks(rd.n)
     sc = amax(rd.H, 1) * (1 + amax(rd.beta, 2))
     beta = rd.beta if beta is None else beta
     d_fit = lame_weight(rd)
     d_point = d_fit if d is None else complex(d)
-    raw = pmax(amax(np.where(off, rd.dH - beta * rd.H[..., None, :], 0), 2),
-               amax(np.sum(rd.dH, axis=-1), 1),
-               amax(np.sum(u[..., None, :] * rd.dH, axis=-1)
-                    - np.asarray(d_point)[..., None] * rd.H, 1))
-    return normalized(raw, sc), sc, d_fit
+    rotation = np.where(off, rd.dH - beta * rd.H[..., None, :], 0)
+    euler = np.sum(u[..., None, :] * rd.dH, axis=-1) - np.asarray(d_point)[..., None] * rd.H
+    return Residuals({"rotation": normalized(amax(rotation, 2), sc),
+                      "unit": normalized(amax(np.sum(rd.dH, axis=-1), 1), sc),
+                      "euler": normalized(amax(euler, 1), sc)}, sc, fits={"d": d_fit})
 
 
 def check_lame_system(spec, points, companion=None, tol: float = DEFAULT_TOL) -> Report:
@@ -272,7 +272,7 @@ def flatness_constraint_at(rd: RotationData):
         np.einsum("...ijj->...ij", rd.dbeta)
     for k in range(rd.n):
         acc = acc + np.where(distinct[..., k], beta[..., :, None, k] * beta[..., None, :, k], 0)
-    return normalized(amax(np.where(off, acc, 0), 2), sc + sc * sc), sc
+    return Residuals({"flatness": normalized(amax(np.where(off, acc, 0), 2), sc + sc * sc)}, sc)
 
 
 def check_flatness_constraint(spec, points, lame_exprs=None) -> Report:
@@ -299,7 +299,8 @@ def algebraic_constraints_at(rd: RotationData, which: str = "ED4bis"):
             term = ui * (uj - uk) * dbt_ik * b_jk - uj * (ui - uk) * dbt_jk * b_ik
         acc = acc + np.where(distinct[..., k], term, 0)
     target = dbt if which == "ED4bis" else 0.5 * (ui + uj) * dbt
-    return normalized(amax(np.where(off, acc - target, 0), 2), sc + sc * sc), sc
+    return Residuals({which: normalized(amax(np.where(off, acc - target, 0), 2), sc + sc * sc)},
+                     sc)
 
 
 def check_algebraic_constraints(spec, points, which: str = "ED4bis",
@@ -316,7 +317,7 @@ def potentiality_at(rd: RotationData):
     # over [i, j, k]: b_ij b_jk b_ki - b_ji b_ik b_kj
     gap = (b[..., :, :, None] * b[..., None, :, :] * bt[..., :, None, :]
            - bt[..., :, :, None] * b[..., :, None, :] * bt[..., None, :, :])
-    return normalized(amax(np.where(distinct, gap, 0), 3), sc), sc
+    return Residuals({"potentiality": normalized(amax(np.where(distinct, gap, 0), 3), sc)}, sc)
 
 
 def check_potentiality(spec, points, lame_exprs=None) -> Report:
@@ -334,7 +335,7 @@ def reduction_identity_at(rd: RotationData):
     for k in range(rd.n):
         acc = acc + np.where(distinct[..., k], (ui - u[..., k, None, None]) * dbeta[..., k], 0)
     gap = np.einsum("...ijj->...ij", dbeta) - acc / np.where(off, uj - ui, 1)
-    return normalized(amax(np.where(off, gap, 0), 2), sc + sc * sc), sc
+    return Residuals({"reduction": normalized(amax(np.where(off, gap, 0), 2), sc + sc * sc)}, sc)
 
 
 def check_reduction_identity(spec, points, lame_exprs=None) -> Report:

@@ -163,6 +163,12 @@ def test_ode_nonfinite_state_and_overflow_exit2():
                             "--steps 0: must be at least 1"),
                            (["--from", "2", "--to", "3", "--rtol", "0", "--atol", "0"],
                             "--atol 0.0: must be positive where --rtol is 0"),
+                           (["--from", "2", "--to", "3", "--drift-tol", "nan"],
+                            "--drift-tol nan: must be finite and non-negative"),
+                           (["--from", "2", "--to", "3", "--drift-tol", "inf"],
+                            "--drift-tol inf: must be finite and non-negative"),
+                           (["--from", "2", "--to", "3", "--drift-tol=-1e-7"],
+                            "--drift-tol -1e-07: must be finite and non-negative"),
                            (["--from", "2", "--to", "3", "--a", "nan"], "--a nan: must be finite"),
                            (["--from", "2", "--to", "3", "--b", "inf"], "--b inf: must be finite")):
         for init in ("q0", "pencil63"):
@@ -231,10 +237,28 @@ def test_verify_param_override():
     assert doc["params"]["a"] == [2.0, 0.0]
 
 
+def _near_golden(got, want, what):
+    # the same keys and lengths, every float within the golden margin and
+    # every other value equal
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), what
+        for key in want:
+            _near_golden(got[key], want[key], (what, key))
+    elif isinstance(want, list):
+        assert len(got) == len(want), what
+        for g, w in zip(got, want):
+            _near_golden(g, w, what)
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 + 1e-6 * abs(want), what
+    else:
+        assert got == want, what
+
+
 def test_golden_report_fixtures(tmp_path):
     # structural comparison against versioned golden reports: identical
-    # check names, verdicts and tolerances; residuals equal to within an
-    # environment-noise margin
+    # check names, verdicts, tolerances and detail keys; residuals, scales
+    # and the floats in the details equal to within an environment-noise
+    # margin
     import pathlib
     golden_dir = pathlib.Path(__file__).parent / "golden"
     spec_path = tmp_path / "af-pencil-n3.json"
@@ -260,6 +284,8 @@ def test_golden_report_fixtures(tmp_path):
         for got, want in zip(doc["reports"], golden["reports"]):
             assert got["passed"] == want["passed"] and got["tol"] == want["tol"]
             assert abs(got["residual"] - want["residual"]) <= 1e-12 + 1e-6 * abs(want["residual"])
+            _near_golden(got["scale"], want["scale"], (name, got["name"], "scale"))
+            _near_golden(got["details"], want["details"], (name, got["name"], "details"))
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -293,14 +319,16 @@ def test_ode_path_imports_only_ode3d():
 
 
 def test_catalog_and_spec_errors_import_only_the_spec_layer(tmp_path):
-    # `catalog` and a spec that cannot be loaded load only the standard
-    # library's modules, `spec` and `entries`, and no numpy; every export
+    # `catalog`, a spec that cannot be loaded and a `--field` of the wrong
+    # length load only the standard library's modules, `spec` and
+    # `entries`, and no numpy; every export
     # has the bytes it has in a process that has loaded the walk
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
     exports = [["catalog", "export", name] for name in cat.names()]
     runs = [(["catalog", "list"], 0), *((argv, 0) for argv in exports),
-            (["verify", "nope"], 2), (["verify", str(malformed)], 2)]
+            (["verify", "nope"], 2), (["verify", str(malformed)], 2),
+            (["legendre", "q0-d-minus1", "--field", "1,0"], 2)]
     script = ("import contextlib, io, json, sys\n"
               "from fmcheck.cli import main\n"
               "results = []\n"
@@ -430,6 +458,11 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["legendre", str(paths["binary"]), "--field", "1,1"],
                         f"spec error: {paths['binary']}: {undecodable}"),
                        (["legendre", "q0-d-minus1", "--field", "1+,1,1"], "cannot parse '1+'"),
+                       # a field of the wrong length, before the walk
+                       (["legendre", "q0-d-minus1", "--field", "1,0"],
+                        "input error: --field '1,0': 2 components, but q0-d-minus1 has n = 3"),
+                       (["legendre", "q0-d-minus1", "--field", "1,0,0,0"],
+                        "input error: --field '1,0,0,0': 4 components, but q0-d-minus1 has n = 3"),
                        (["legendre", "case-i", "--field", "1,0"], "metric"),
                        (["legendre", "lobachevsky", "--field", "1,1", "--target", "case-i"],
                         "metric"),

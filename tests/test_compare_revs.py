@@ -20,8 +20,8 @@ def test_comparator_finds_the_working_tree_identical():
     cmp = _comparator()
     runs = cmp.corpus()
     kinds = list(dict.fromkeys(kind for kind, _ in runs))
-    assert kinds == ["entry", "spec-file", "check", "fault-seed", "transform", "ode", "catalog",
-                     "bad-input"]
+    assert kinds == ["entry", "spec-file", "check", "fault-seed", "transform", "row", "ode",
+                     "catalog", "bad-input"]
     picked = [next(run for run in runs if run[0] == kind) for kind in kinds]
     picked.append(next(run for run in runs if run[0] == "bad-input" and "third" in run[1][1]))
     results = cmp.compare(ROOT, ROOT, picked)

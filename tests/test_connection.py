@@ -240,6 +240,12 @@ def _same(got, want, what, k=None):
     # bit for bit, or within the golden-report margin where a reduction
     # order changed the last bits; with k, `got` is a batch and its point
     # k is compared
+    from fmcheck.manifold import Residuals
+    if isinstance(want, Residuals):
+        assert got.show_parts == want.show_parts, what
+        _same([got.parts, got.scale, got.fits, got.least],
+              [want.parts, want.scale, want.fits, want.least], what, k)
+        return
     if isinstance(want, dict):
         assert list(got) == list(want), what
         for key in want:
@@ -344,7 +350,7 @@ def _pencil_head_functions():
                                                                  pn.delta_jets(pa(st))),
         "r_operator_at": lambda st: pn.r_operator_at(pa(st), weight(st), cn.counit_jets(st)),
         "product_from_pencil_at": lambda st: [getattr(product(st), f)
-                                              for f in ("c", "dc", "residual", "scale")],
+                                              for f in ("c", "dc", "residuals")],
         "reconstructed_at": reconstructed,
     }
 
@@ -419,7 +425,7 @@ def _point_axis_functions(spec, comp):
     if "gamma_star" in comp:
         def dual(st):
             d = cn.dual_structure(st, cn.natural_connection(st))
-            return [d.cstar, d.dcstar, d.gamma_star.gamma, d.gamma_star.dgamma, d.residual, d.scale]
+            return [d.cstar, d.dcstar, d.gamma_star.gamma, d.gamma_star.dgamma, d.residuals]
         out["dual_structure"] = dual
     if "flat_chart" in comp:
         def conn(st):
@@ -495,16 +501,23 @@ def test_batched_functions_and_rows_equal_single_point_runs():
         sources.append((f"{field}->{target}", source.spec, comp, pts, rows))
     sources.append(("X3 theorems", source.spec, {"legendre_field": fields["X3"]}, pts,
                     [cat._BY_NAME["transform-metric"], cat._BY_NAME["homogeneous-legendre"]]))
-    def at(result, k):
-        # point k of a row's columns: arrays over the points, or dicts of them
-        return [{key: v[k] for key, v in col.items()} if isinstance(col, dict) else col[k]
-                for col in result]
+    from fmcheck.manifold import Residuals
+
+    def at(value, k):
+        # point k of a row's `Residuals`: of each of its arrays over the
+        # points, in its parts, groups of parts, fits and least values
+        if isinstance(value, Residuals):
+            return Residuals(at(value.parts, k), at(value.scale, k), at(value.fits, k),
+                             at(value.least, k), value.show_parts)
+        if isinstance(value, dict):
+            return {key: at(v, k) for key, v in value.items()}
+        return value[k]
     for name, spec, comp, pts, rows in sources:
         for row in rows:
             walk = cat._Walk(spec, comp, pts)
             limit = walk.head if row.head else 10
             got = row.at(cat._RowData(walk, limit))
-            assert len(got[0]) == limit
+            assert len(got.scale) == limit
             for k, p in enumerate(pts[:limit]):
                 want = row.at(cat._RowData(cat._Walk(spec, comp, [p]), 1))
                 _same(at(got, k), at(want, 0), (name, row.name, k))

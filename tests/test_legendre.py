@@ -76,8 +76,8 @@ def test_connection_transform_properties(q0):
         new = transform_connection(conn, st, x, dx, ddx)
         # torsion-free, compatible with the product, and with the old
         # curvature conjugated by multiplication with the field, W = X o
-        assert torsion_at(new)[0] <= 1e-8
-        assert compat_product_at(new, st)[0] <= 1e-8
+        assert torsion_at(new).parts["torsion"] <= 1e-8
+        assert compat_product_at(new, st).parts["symmetry"] <= 1e-8
         w = np.einsum("lks,s->lk", st.c, x)
         r_old = riemann_components(conn.gamma, conn.dgamma)
         conj = np.einsum("ha,abkj,bi->hikj", np.linalg.inv(w), r_old, w)

@@ -109,7 +109,7 @@ def test_flat_pencil_records_a_singular_member_at_its_points():
                         E=spec.E, g=spec.g, g2=tuple(tuple(f"{f}*({s})" for s in row) for row in spec.g))
     pa = pencil_second_order(pencil_first_order(structures(spec, pts)))
     errors = list(pa.errors)
-    _, _, per_lambda = flat_pencil_at(pa, errors=errors)
+    per_lambda = flat_pencil_at(pa, errors=errors).parts["per_lambda"]
     message = "pencil member at lambda = (1+0j) is singular: matrix is numerically singular"
     assert [err is not None for err in errors] == [False, False, True, False, True, False]
     assert all(str(errors[k]).startswith(message) for k in (2, 4))
