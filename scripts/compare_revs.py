@@ -28,8 +28,10 @@ runs through `catalog.run_checks`):
   spec directory given as a spec path, and a spec file that lacks its
   fields, among them), a spec file that is not UTF-8, `catalog` without an
   entry name to export or with one to list, `legendre` with a `--field`
-  of the wrong length, and `ode` with 11 floats, a path through z = 1, a
-  non-finite state and a non-finite or negative `--drift-tol`.
+  of the wrong length, `ode` with 11 floats, a path through z = 1, a
+  non-finite state and a non-finite or negative `--drift-tol`, and
+  `verify`, `legendre` and `ode` with an `--output` path that cannot be
+  written (the spec directory, or a file in a missing directory).
 
 Each side writes its own exported and unevaluable spec files, at the same
 paths.  Each run is classified as
@@ -221,7 +223,10 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["ode", "--init", "q0", "--from", "0.5", "--to", "1.5"]),
        (["ode", "--state", "nan,0,1,0,1,0,1,0,1,0,1,0", "--from", "2", "--to", "3"]),
        *(["ode", "--init", "pencil63", "--from=2+0.5i", "--to=3+0.5i", f"--drift-tol={tol}"]
-         for tol in ("nan", "inf", "-1e-7")))
+         for tol in ("nan", "inf", "-1e-7")),
+       (["verify", "lobachevsky", "--output", "{specs}"]),
+       (["legendre", "q0-d-minus1", "--field", "X2", "--output", "{specs}/none/out.json"]),
+       (["ode", "--init", "q0", "--from", "2", "--to", "3", "--output", "{specs}"]))
 ODE = ((["--init", "q0", "--from", "2", "--to", "5"]),
        (["--init", "q0", "--a", "0.5", "--b", "1.5", "--from", "1.5+0.5i", "--to", "3-0.5i",
          "--steps", "40"]),

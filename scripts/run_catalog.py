@@ -37,7 +37,7 @@ def main() -> int:
         res = cat.run_suite(source, seed=args.seed, count=args.points)
         bundle.append({**res.to_dict(), "name": name})
         all_ok &= res.ok
-        worst = worst_of(r.residual for r in res.reports)
+        worst = worst_of([r.residual for r in res.reports])
         print(f"{name:<26} {'ok' if res.ok else 'BROKEN':<7} "
               f"checks={len(res.reports):<3} worst={worst:.3e}  ({time.time()-t0:.2f}s)")
         for r in res.reports:

@@ -23,8 +23,8 @@ from .legendre import (homogeneous_legendre_at, legendre_field_at, transform_met
 from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, AllEntriesZeroError, Jets,
                        ManifoldSpec, PointBatch, Report, Residuals, SamplePlan, amax, fit_scalar,
                        hertling_manin_at, homogeneity_at, batch_report, killing_unit_at,
-                       metric_invariance_at, normalized, pmax, product_axioms_at, required,
-                       sample_points, structures, table_jets)
+                       lowest_failure, metric_invariance_at, normalized, pmax, product_axioms_at,
+                       required, sample_points, structures, table_jets)
 from .ode3d import first_integrals
 from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at,
                      pencil_first_order, pencil_homogeneity_at, pencil_second_order,
@@ -53,10 +53,10 @@ class JacobianSingularError(Exception):
 # chart-companion verification
 
 
-def flat_coordinates_at(chart: Jets, conn: ConnectionAt, errors=None):
+def flat_coordinates_at(chart: Jets, conn: ConnectionAt):
     """Push `conn` to the companion chart, given by its jets `chart`, and
     require the transformed Christoffel symbols to vanish."""
-    jinv = checked_inverse(chart.grad, errors, JacobianSingularError)
+    jinv = checked_inverse(chart.grad, JacobianSingularError)
     pushed = (contract("...ai,...ijk,...jb,...kc->...abc", chart.grad, conn.gamma, jinv, jinv)
               - contract("...ajk,...jb,...kc->...abc", chart.hess, jinv, jinv))
     sc = pmax(amax(conn.gamma, 3), amax(chart.hess, 3), 1.0)
@@ -68,7 +68,7 @@ def vector_potential_at(b):
     the potential components, and the pushed unit/Euler fields must match
     their printed components (`b`: a row's `_RowData`)."""
     jac, st = b.chart.grad, b.st
-    jinv = checked_inverse(jac, b.errors, JacobianSingularError)
+    jinv = checked_inverse(jac, JacobianSingularError)
     pushed_c = contract("...ai,...ijk,...jb,...kc->...abc", jac, st.c, jinv, jinv)
     sc = pmax(amax(pushed_c, 3), 1.0)
     parts = {"hessian": normalized(amax(pushed_c - b.potentials.hess, 3), sc),
@@ -158,13 +158,10 @@ _BATCHED = {
     **{key: (lambda w, key=key, order=order: w.table(key, order, w.batch("chart").val))
        for key, order in (("potentials", 2), ("flat_e", 0), ("flat_E", 0))},
     # a transform's field jets, its transformed structure (the walk's with
-    # the metric swapped, carrying each point's first error in the
-    # structure connection, the field and the field's flatness), its
+    # the metric swapped, once the field is checked flat), its
     # expression-level metric and the target's metric
     "field_jets": lambda w: w.table("legendre_field", 2),
-    "stbar": lambda w: transformed_at(w.batch("st"), w.batch("nat"), *w.batch("field_jets"), [
-        a if a is not None else b
-        for a, b in zip(w.batch("nat").errors, w.batch("field_jets").errors)]),
+    "stbar": lambda w: transformed_at(w.batch("st"), w.batch("nat"), *w.batch("field_jets")),
     "transformed_g": lambda w: w.table("transformed_g", 0),
     "target_g": lambda w: w.table("target_g", 0, env=w.comp["target_env"]),
 }
@@ -172,15 +169,15 @@ _BATCHED = {
 
 class _Walk:
     """What one walk shares: spec, companion data, env, its points and
-    head (how many of them the pencil's head rows read: the first
-    max(4, count // 5), or all where there are fewer), and the batches
-    built so far."""
+    head (how many of them the pencil's head rows read; by default the
+    first max(4, count // 5), or all where there are fewer), and the
+    batches built so far."""
 
-    def __init__(self, spec: ManifoldSpec, comp: dict, points):
+    def __init__(self, spec: ManifoldSpec, comp: dict, points, head: int | None = None):
         self.spec, self.comp, self.env = spec, comp, spec.env()
         self.expected = spec.expected
         self.points = np.asarray(points, dtype=complex)
-        self.head = min(len(points), max(4, len(points) // 5))
+        self.head = min(len(points), max(4, len(points) // 5)) if head is None else head
         self.data = {}
 
     def companion(self, key):
@@ -203,34 +200,23 @@ class _Walk:
 
 
 class _RowData:
-    """A row's view of the walk: its batches (and arrays and tuples of
-    arrays over the points), cut to the row's points (fewer than the walk's
-    only for a head row), and in `errors` the first error at each of those
-    points in the batches it has read, in the order it read them, to which
-    the row adds its own.  Reading a batch with an error at the first point
-    raises it."""
+    """A row's view of the walk: its batches (arrays, tuples of arrays),
+    cut to the row's points where they are fewer than the walk's."""
 
     def __init__(self, walk: _Walk, count: int):
-        self.walk, self.count, self.errors = walk, count, [None] * count
+        self.walk, self.count = walk, count
 
     def __getattr__(self, name):
         if name not in _BATCHED:
             return getattr(self.walk, name)
         value = self.walk.batch(name)
-        if isinstance(value, np.ndarray):
-            value = value[:self.count]
-        elif isinstance(value, tuple):
-            value = tuple(a[:self.count] for a in value)
-        elif isinstance(value, PointBatch):
-            if len(value.errors) > self.count:
-                value = value.head(self.count)
-            if value.errors.count(None) < self.count:
-                for k, err in enumerate(value.errors):
-                    if self.errors[k] is None:
-                        self.errors[k] = err
-            if self.errors[0] is not None:
-                raise self.errors[0]
-        return value
+        if self.count == len(self.walk.points):
+            return value
+        if isinstance(value, PointBatch):
+            return value.head(self.count)
+        if isinstance(value, tuple):
+            return tuple(a[:self.count] for a in value)
+        return value[:self.count]
 
 
 @dataclass(frozen=True)
@@ -317,7 +303,7 @@ CHECKS = (
     Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st, b.r_nat, b.r_lc), _KILLING),
     Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), _KILLING, ("E",)),
     Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), "gamma-match", ("gamma",)),
-    Check("homogeneity", lambda b: homogeneity_at(b.st, b.errors), "homogeneous", ("g", "E"),
+    Check("homogeneity", lambda b: homogeneity_at(b.st), "homogeneous", ("g", "E"),
           fit="D", expected="D"),
     Check("dual-structure", lambda b: b.dual.residuals, "biflat"),
     Check("gamma-star-match", lambda b: _table_gap(b.dual.gamma_star, b.printed_star), "biflat",
@@ -346,7 +332,7 @@ CHECKS = (
     Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",)),
     Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pencil), "pencil", ("g2",),
           fit="d", expected="d_pencil"),
-    Check("flat-pencil", lambda b: flat_pencil_at(b.pa, errors=b.errors), "pencil", ("g2",),
+    Check("flat-pencil", lambda b: flat_pencil_at(b.pa), "pencil", ("g2",),
           head=True),
     Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil",
           head=True),
@@ -355,20 +341,17 @@ CHECKS = (
     Check("product-from-pencil", lambda b: b.pencil_product.residuals, "pencil", head=True,
           tol=lambda tol: max(tol, 1e-9)),
     Check("reconstructed-structure", _reconstructed_at, "pencil", head=True),
-    Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn, b.errors),
-          "flat-chart"),
+    Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn), "flat-chart"),
     Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
     # a transform's rows (`Transform`); "match" is reported as match-<target>
     Check("legendre-field", lambda b: legendre_field_at(b.st, b.nat, b.field_jets.val,
-                                                        b.field_jets.grad, b.errors)),
+                                                        b.field_jets.grad)),
     Check("transform-exprs", _transform_exprs_at),
     Check("match", _match_at, tol=lambda tol: max(tol, 1e-7)),
     # the transform's theorems, which only `run_checks` runs, by name
-    Check("transform-metric",
-          lambda b: transform_metric_at(b.stbar, b.nat, *b.field_jets, errors=b.errors)),
+    Check("transform-metric", lambda b: transform_metric_at(b.stbar, b.nat, *b.field_jets)),
     Check("homogeneous-legendre",
-          lambda b: homogeneous_legendre_at(b.st, b.stbar, b.field_jets.val, b.field_jets.grad,
-                                            b.errors),
+          lambda b: homogeneous_legendre_at(b.st, b.stbar, b.field_jets.val, b.field_jets.grad),
           fit="dbar"),
 )
 _BY_NAME = {check.name: check for check in CHECKS}
@@ -397,23 +380,23 @@ def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     uses: all of them, or a head row's prefix.  Every datum the rows read
     is built once, as a batch over the points its rows use (`_BATCHED`),
     and each expression table runs once; each row computes its results at
-    all its points in one call.  Then the lowest point at which a row met
-    an error, and there the first row in table order, names it; an error
-    raised while the rows compute names the first point."""
-    walk = _Walk(spec, comp, points)
-    results, errors = [], []
-    k = 0
+    all its points in one call.  A datum or row that fails at a point k
+    raises there, and the points below k are walked first, the head rows
+    reading min(k, head) of them (`lowest_failure`): the lowest point at
+    which a row fails, and there the first row, is named."""
+    head = min(len(points), max(4, len(points) // 5))
+    # the points the rows read: only the head where every row is a head row
+    read = len(points) if not all(check.head for check in checks) else head
+
+    def rows(pts):
+        walk = _Walk(spec, comp, pts[:read], min(head, len(pts)))
+        return [check.at(_RowData(walk, walk.head if check.head else len(walk.points)))
+                for check in checks]
+
     try:
-        for check in checks:
-            rows = _RowData(walk, walk.head if check.head else len(points))
-            results.append(check.at(rows))
-            if rows.errors.count(None) < rows.count:
-                errors.append(rows.errors)
-        for k in range(len(points)):
-            for row_errors in errors:
-                if k < len(row_errors) and row_errors[k] is not None:
-                    raise row_errors[k]
+        results = lowest_failure(rows, points)
     except _SINGULAR as err:
+        k = getattr(err, "point", 0)  # where `fail_at` raised it
         coords = ", ".join(str(x) for x in np.asarray(points[k]).tolist())
         raise SingularSampleError(f"sample {k} at ({coords}) is singular: "
                                   f"{type(err).__name__}: {err}") from err

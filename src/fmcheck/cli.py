@@ -15,7 +15,8 @@ a non-finite `--state`, `--from`, `--to`, `--rtol`, `--atol`,
 `--drift-tol`, `--a` or `--b`, `--a` or `--b` without `--init q0`, a
 negative tolerance, `--steps` below 1, both tolerances zero, a singular
 integration path, an integration whose step size underflows, `catalog
-export` without an entry name, `catalog list` with one).
+export` without an entry name, `catalog list` with one, an `--output`
+path that cannot be written, named with the reason).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
 target's parameter of the same name.  A name that neither declares in its
 parameters is bad input.
@@ -112,7 +113,7 @@ def _load_spec(args):
     return spec, ent, overrides
 
 
-def _emit(doc: dict, fmt: str, out_path: str | None):
+def _emit(doc: dict, fmt: str, out_path: str | None) -> bool:
     if fmt == "json":
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     elif fmt == "markdown":
@@ -128,25 +129,34 @@ def _emit(doc: dict, fmt: str, out_path: str | None):
         for r in doc.get("reports", []):
             lines.append(f"{r['name']},{r['residual']!r},{r['tol']!r},{int(r['passed'])}")
         text = "\n".join(lines) + "\n"
-    _write(text, out_path)
+    return _write(text, out_path)
 
 
-def _write(text: str, out_path: str | None):
-    if out_path:
+def _write(text: str, out_path: str | None) -> bool:
+    """Write `text` to `out_path`, or without one to stdout.  A path that
+    cannot be written (a directory, a missing parent) returns False once
+    one line on stderr names it and the reason."""
+    if not out_path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        sys.stderr.write(f"output error: {out_path}: {err.strerror or err}\n")
+        return False
+    return True
 
 
 def _report(command: str, args, spec, suite, **fields) -> int:
     """Emit the report of a `verify` or `legendre` walk, with the command's
     own `fields`, and return its exit code."""
     params = {k: [complex(v).real, complex(v).imag] for k, v in sorted(spec.params.items())}
-    _emit({"command": command, "version": __version__, "seed": args.seed,
-           "tolerances": {"rtol": args.rtol}, "branch_convention": BRANCH_NOTE, "params": params,
-           **fields, "reports": [r.to_dict() for r in suite.reports], "ok": suite.ok},
-          args.format, args.output)
+    if not _emit({"command": command, "version": __version__, "seed": args.seed,
+                  "tolerances": {"rtol": args.rtol}, "branch_convention": BRANCH_NOTE,
+                  "params": params, **fields, "reports": [r.to_dict() for r in suite.reports],
+                  "ok": suite.ok}, args.format, args.output):
+        return 2
     return 0 if suite.ok else 1
 
 
@@ -248,7 +258,8 @@ def cmd_ode(args) -> int:
         row = [part for c in cells for part in (c.real, c.imag)]
         row += [abs(vals["I1"] - i0["I1"]), abs(vals["I2"] - i0["I2"])]
         lines.append(",".join(repr(float(v)) for v in row))
-    _write("\n".join(lines) + "\n", args.output)
+    if not _write("\n".join(lines) + "\n", args.output):
+        return 2
     drift = max(traj.drift_I1, traj.drift_I2)
     limit = args.drift_tol
     if drift > limit:

@@ -7,11 +7,10 @@ numerical differentiation.
 
 Everything here works on one point or on a batch of points with a leading
 point axis (`...` einsums over the conventions of `tensor`), as the
-`StructureAt` it is built from.  Over a batch, a point where a matrix is
-singular records the error in the batch's `errors` and is inverted as the
-identity, so the rest of the batch goes on; at one point it raises.  The
-residual functions (`*_at`) return their `Residuals` at each point, and the
-`check_*` functions their reports.
+`StructureAt` it is built from; a matrix singular at some point raises at
+the first such point (`checked_inverse`).  The residual functions (`*_at`)
+return their `Residuals` at each point, and the `check_*` functions their
+reports.
 """
 
 from __future__ import annotations
@@ -48,35 +47,29 @@ class ConnectionAt(PointBatch):
     point: np.ndarray
     gamma: np.ndarray    # gamma[i,j,k] = Gamma^i_jk
     dgamma: np.ndarray   # dgamma[i,j,k,m] = d_m Gamma^i_jk
-    errors: list | None = None
 
 
 @dataclass
 class InverseJets(PointBatch):
     """A metric's inverse with its first derivatives (`inverse_jets`), at
-    a point or over a batch, with the first error met at each point."""
+    a point or over a batch."""
     inv: np.ndarray
     dinv: np.ndarray
-    errors: list | None = None
 
 
-def checked_inverse(a: np.ndarray, errors=None, error=SingularMatrixError) -> np.ndarray:
+def checked_inverse(a: np.ndarray, error=SingularMatrixError) -> np.ndarray:
     """The inverse of a matrix, or of each matrix of a batch.  A matrix
-    with |det| <= 1e-12 (1 + max|a|)^n is singular: it raises `error`
-    made from its determinant, or, given the batch's `errors`, records it
-    there (unless the point has an error already) and is inverted as the
-    identity, so that the rest of the batch goes on."""
+    with |det| <= 1e-12 (1 + max|a|)^n is singular: the first one raises
+    `error` made from its determinant (`fail_at`)."""
     det = np.linalg.det(a)
-    singular = np.abs(det) <= 1e-12 * (1.0 + amax(a, 2)) ** a.shape[-1]
-    if np.any(singular):
-        fail_at(errors, singular, lambda k: error(complex(np.ravel(det)[k])))
-        a = np.where(singular[..., None, None], np.eye(a.shape[-1]), a)
+    fail_at(np.abs(det) <= 1e-12 * (1.0 + amax(a, 2)) ** a.shape[-1],
+            lambda k: error(complex(det[k])))
     return np.linalg.inv(a)
 
 
-def inverse_jets(a, da, dda=None, errors=None):
+def inverse_jets(a, da, dda=None):
     """Jets of the matrix inverse from jets of the matrix."""
-    b = checked_inverse(a, errors)
+    b = checked_inverse(a)
     db = -contract("...ip,...pqk,...qj->...ijk", b, da, b)
     if dda is None:
         return b, db
@@ -93,11 +86,8 @@ def inverse_hessian(b, da, dda):
 
 
 def metric_inverse(st: StructureAt) -> InverseJets:
-    """Inverse jets of the first metric of `st`; over a batch, each point's
-    error is the structure's own, else a singular metric's."""
-    errors = None if st.errors is None else list(st.errors)
-    return InverseJets(*inverse_jets(required(st.g, "metric"), st.dg, errors=errors),
-                       errors=errors)
+    """Inverse jets of the first metric of `st`."""
+    return InverseJets(*inverse_jets(required(st.g, "metric"), st.dg))
 
 
 def christoffel_jets(g, dg, ddg, inverse=None):
@@ -116,7 +106,7 @@ def levi_civita(st: StructureAt, inverse: InverseJets | None = None) -> Connecti
     `metric_inverse`, where the caller has it."""
     inverse = inverse or metric_inverse(st)
     gamma, dgamma = christoffel_jets(st.g, st.dg, st.ddg, (inverse.inv, inverse.dinv))
-    return ConnectionAt(st.n, st.point, gamma, dgamma, inverse.errors)
+    return ConnectionAt(st.n, st.point, gamma, dgamma)
 
 
 def counit_jets(st: StructureAt):
@@ -149,17 +139,17 @@ def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt,
     # m[i,q] = g^if dtheta_qf, contracted with c
     m = contract_jets("...if,...qf->...iq", (inverse.inv, inverse.dinv), (dtheta, d_dtheta))
     b, db = (-0.5 * t for t in contract_jets("...iq,...qkl->...ikl", m, (st.c, st.dc)))
-    return ConnectionAt(st.n, st.point, lc.gamma + b, lc.dgamma + db, lc.errors)
+    return ConnectionAt(st.n, st.point, lc.gamma + b, lc.dgamma + db)
 
 
 def connections_from_exprs(gamma_exprs, points,
                            env: Mapping[str, complex] | None = None) -> ConnectionAt:
     """The connection given by closed-form Christoffel expressions at all
-    of `points`, as one batch from one run of the table; a point where it
-    is singular records the domain error."""
+    of `points`, as one batch from one run of the table; the first point
+    where it is singular raises the domain error."""
     points = np.asarray(points, dtype=complex)
     jets = table_jets(gamma_exprs, points, env, order=1)
-    return ConnectionAt(len(gamma_exprs), points, jets.val, jets.grad, jets.errors)
+    return ConnectionAt(len(gamma_exprs), points, jets.val, jets.grad)
 
 
 def connection_from_exprs(gamma_exprs, point,
@@ -334,7 +324,6 @@ class DualStructureAt(PointBatch):
     dcstar: np.ndarray
     gamma_star: ConnectionAt
     residuals: Residuals
-    errors: list | None = None
 
     @property
     def report(self) -> Report:
@@ -345,19 +334,17 @@ class DualStructureAt(PointBatch):
 def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
     """Rescaled product through the Euler field and the dual connection
     Gamma*^k_ij = Gamma^k_ij - c*^l_ji nabla_l E^k, with flatness and the
-    reverse reconstruction formula checked as residuals.  Over a batch,
-    each point's error is the connection's own, else a singular E o."""
-    errors = None if conn.errors is None else list(conn.errors)
+    reverse reconstruction formula checked as residuals."""
     # (E o)^s_m
     eo = contract_jets("...smt,...t->...sm", (st.c, st.dc), (required(st.E, "Euler field"), st.dE))
-    k_inv, dk_inv = inverse_jets(*eo, errors=errors)
+    k_inv, dk_inv = inverse_jets(*eo)
     cstar, dcstar = contract_jets("...is,...sjk->...ijk", (k_inv, dk_inv), (st.c, st.dc))
     # nabE[k,l] = nabla_l E^k
     nabE, dnabE = (d + t for d, t in zip((st.dE, st.ddE), contract_jets(
         "...klm,...m->...kl", (conn.gamma, conn.dgamma), (st.E, st.dE))))
     gamma_star, dgamma_star = (a - t for a, t in zip((conn.gamma, conn.dgamma), contract_jets(
         "...lji,...kl->...kij", (cstar, dcstar), (nabE, dnabE))))
-    star = ConnectionAt(st.n, st.point, gamma_star, dgamma_star, errors)
+    star = ConnectionAt(st.n, st.point, gamma_star, dgamma_star)
 
     # the parts: dual product axioms, unit E, dual flatness, reverse formula
     assoc = antisym(contract("...sjk,...isl->...ijkl", cstar, cstar))
@@ -370,4 +357,4 @@ def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
     parts = {"associativity": normalized(amax(assoc, 4), sc_c ** 2),
              "unit": normalized(amax(unit, 2), sc_c), "flatness": normalized(amax(flat, 4), sc_g),
              "reverse": normalized(amax(reverse, 3), amax(gamma_star, 3))}
-    return DualStructureAt(cstar, dcstar, star, Residuals(parts, sc_c), errors)
+    return DualStructureAt(cstar, dcstar, star, Residuals(parts, sc_c))

@@ -32,16 +32,16 @@ class GmcFailedError(Exception):
 def spanning_fields(nb: NormalBundleData, points, n: int, env) -> Jets:
     """The field values xs[a, i] (`val`) and derivatives dxs[a, i, k] =
     d_k X_a^i (`grad`) at all of `points` in `env`, as one batch from one
-    run of the table; a point where it is singular records the domain
-    error."""
+    run of the table; the first point where it is singular raises the
+    domain error."""
     points = np.asarray(points, dtype=complex).reshape(-1, n)
     if not nb.exprs:
         return Jets(np.zeros((len(points), 0, n), dtype=complex),
-                    np.zeros((len(points), 0, n, n), dtype=complex), errors=[None] * len(points))
+                    np.zeros((len(points), 0, n, n), dtype=complex))
     jets = table_jets(nb.exprs, points, env, order=2 if nb.gradients else 1)
     if nb.gradients:
-        return Jets(jets.grad, jets.hess, errors=jets.errors)
-    return Jets(jets.val, jets.grad, errors=jets.errors)
+        return Jets(jets.grad, jets.hess)
+    return Jets(jets.val, jets.grad)
 
 
 def field_rank(nb: NormalBundleData, point, env) -> int:

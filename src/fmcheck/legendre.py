@@ -49,14 +49,13 @@ def _mult_operator(st: StructureAt, x, dx, ddx=None):
     return tuple(contract_jets("...lks,...s->...lk", (st.c, st.dc, st.ddc), (x, dx, ddx)))
 
 
-def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx, errors=None):
+def legendre_field_at(st: StructureAt, nat: ConnectionAt, x, dx):
     """Symmetry of the product-twisted covariant derivative of the field,
-    plus product invertibility (a point where it fails is recorded in
-    `errors` over a batch), with the structure connection; the report
+    plus product invertibility, with the structure connection; the report
     shows the least |det| of the multiplication operator."""
     sym = sym_condition_at(st, nat, x[..., None, :], dx[..., None, :, :])
     w, _, _ = _mult_operator(st, x, dx)
-    checked_inverse(w, errors, NotInvertibleError)
+    checked_inverse(w, NotInvertibleError)
     return Residuals(sym.parts, sym.scale, least={"abs_det": np.abs(np.linalg.det(w))})
 
 
@@ -66,14 +65,11 @@ def check_legendre_field(spec: ManifoldSpec, field_exprs, points) -> Report:
     return walk_row("legendre-field", spec, {"legendre_field": field_exprs}, points)
 
 
-def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx,
-                         errors=None) -> ConnectionAt:
+def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx) -> ConnectionAt:
     """Conjugated connection: the derivative is taken after multiplying by
-    the field and the inverse field is multiplied back afterwards.  A point
-    where the field is not invertible raises, or over a batch records the
-    error in `errors`."""
+    the field and the inverse field is multiplied back afterwards."""
     w, dw, ddw = _mult_operator(st, x, dx, ddx)
-    k = checked_inverse(w, errors, NotInvertibleError)
+    k = checked_inverse(w, NotInvertibleError)
     dk = -contract("...ia,...abm,...bl->...ilm", k, dw, k)
     gw, dgw = contract_jets("...ljm,...mk->...ljk", (conn.gamma, conn.dgamma), (w, dw))
     inner = (np.swapaxes(dw, -2, -1) + gw, np.swapaxes(ddw, -3, -2) + dgw)
@@ -88,51 +84,45 @@ def transformed_structure(spec: ManifoldSpec, field_exprs, point) -> StructureAt
     return transformed_at(st, natural_connection(st), x, dx, ddx)
 
 
-def transformed_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None) -> StructureAt:
+def transformed_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx) -> StructureAt:
     """The structure with its metric replaced by the transformed one,
     gbar(Y,Z) = g(X o Y, X o Z), with its first and second derivatives, at a
-    point or over a batch, once the field is checked flat for `nat`: where
-    its normalized covariant derivative exceeds 1e-8 it raises
-    HypothesisViolatedError, or over a batch records it in `errors`, which
-    the new structure carries."""
+    point or over a batch, once the field is checked flat for `nat`: at the
+    first point where its normalized covariant derivative exceeds 1e-8 it
+    raises HypothesisViolatedError."""
     nab = dx + contract("...lks,...s->...lk", nat.gamma, x)
     hyp = normalized(amax(nab, 2), amax(x, 1))
-    fail_at(errors, hyp > 1e-8, lambda k: HypothesisViolatedError(
-        f"field is not connection-flat (residual {np.ravel(hyp)[k]:.3e})"))
+    fail_at(hyp > 1e-8, lambda k: HypothesisViolatedError(
+        f"field is not connection-flat (residual {hyp[k]:.3e})"))
     w = _mult_operator(st, x, dx, ddx)
     gbar, dgbar, ddgbar = contract_jets("...ki,...lj,...kl->...ij", w, w, (st.g, st.dg, st.ddg))
     return StructureAt(n=st.n, point=st.point, c=st.c, dc=st.dc, ddc=st.ddc,
                        e=st.e, de=st.de, dde=st.dde,
                        E=st.E, dE=st.dE, ddE=st.ddE,
-                       g=gbar, dg=dgbar, ddg=ddgbar, errors=errors)
+                       g=gbar, dg=dgbar, ddg=ddgbar)
 
 
-def transform_metric_at(stbar: StructureAt, nat: ConnectionAt, x, dx, ddx, errors=None):
+def transform_metric_at(stbar: StructureAt, nat: ConnectionAt, x, dx, ddx):
     """Theorem-level consequences of the metric transform at each point: the
     transformed structure `stbar` (`transformed_at` on the structure
     connection `nat`) has an invariant metric for which the unit is
-    Killing, and its structure connection is the conjugated one.  Over a
-    batch, a point where the field is not invertible or the new metric is
-    singular records the error in `errors`."""
+    Killing, and its structure connection is the conjugated one."""
     nat_bar = natural_connection(stbar)
-    if errors is not None:
-        fail_at(errors, [err is not None for err in nat_bar.errors], nat_bar.errors.__getitem__)
-    conj = transform_connection(nat, stbar, x, dx, ddx, errors)
+    conj = transform_connection(nat, stbar, x, dx, ddx)
     inv, killing = metric_invariance_at(stbar), killing_unit_at(stbar)
     gap = normalized(amax(nat_bar.gamma - conj.gamma, 3), amax(conj.gamma, 3))
     return Residuals({**inv.parts, **killing.parts, "conjugated": gap},
                      pmax(inv.scale, killing.scale))
 
 
-def homogeneous_legendre_at(st: StructureAt, stbar: StructureAt, x, dx, errors=None):
+def homogeneous_legendre_at(st: StructureAt, stbar: StructureAt, x, dx):
     """The field's Euler weight w, fitted in L_E X = w X, and the
     homogeneity of the metric and of the transformed one (`homogeneity_at`
     on `st` and `stbar`), whose exponents must obey Dbar = D + 2w + 2.  The
-    fits are D, Dbar and w, as "dbar"; over a batch, a point where a metric
-    vanishes records the error in `errors`."""
+    fits are D, Dbar and w, as "dbar"."""
     lie_x = contract("...k,...ik->...i", st.E, dx) - contract("...k,...ki->...i", x, st.dE)
     w = fit_scalar(lie_x, x, rank=1)
-    hom, hom_bar = homogeneity_at(st, errors), homogeneity_at(stbar, errors)
+    hom, hom_bar = homogeneity_at(st), homogeneity_at(stbar)
     D, Dbar = hom.fits["D"], hom_bar.fits["D"]
     sc_x = amax(x, 1)
     parts = {"field": normalized(amax(lie_x - w[..., None] * x, 1), sc_x),

@@ -11,6 +11,10 @@ of their identity, and its scale, at each point (`Residuals`), which
 `batch_report`, the one reducer, reduces to the worst part over the points;
 `structure_at` is a batch of one, with the point axis dropped.
 
+A builder or residual function raises at the first point of its batch
+where it cannot be evaluated (`fail_at`), and `lowest_failure` reruns the
+points below that one, so that the lowest failing point is named.
+
 The spec-level `check_*` functions, here and in `pencil`, `rotation`,
 `hamops` and `legendre`, are views of the walk (`catalog.run_checks`): each
 is `walk_row` on one row of the check table, so it reports what `verify`
@@ -38,8 +42,8 @@ from .tensor import antisym, contract, lie_from_components
 __all__ = [
     "Region", "SamplePlan", "ManifoldSpec", "PointBatch", "Jets", "StructureAt", "Report",
     "Residuals", "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "MissingFieldError",
-    "required", "sample_points", "fail_at", "raise_first", "table_jets", "amax", "pmax",
-    "batch_report", "structure_at", "structures", "worst", "merge_reports",
+    "required", "sample_points", "fail_at", "lowest_failure", "table_jets",
+    "amax", "pmax", "batch_report", "structure_at", "structures", "worst", "merge_reports",
     "walk_row", "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
     "check_killing_unit", "check_homogeneity", "normalized",
 ]
@@ -75,81 +79,75 @@ class SamplePlan:
 
 class PointBatch:
     """Point-axis access shared by the batched data (`StructureAt`, the
-    connections, the pencil data).  Over a batch every array field, and
-    every batched field, has a leading point axis, and `errors[k]` is the
-    first error met at point k, or None; a single point has neither."""
+    connections, the pencil data): over a batch every array field, and
+    every batched field, has a leading point axis; a single point has none."""
 
-    def _take(self, index):
+    def at(self, k):
+        """Point k's data without the point axis (a slice: their batch)."""
         out = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, PointBatch):
-                out[f.name] = value._take(index)
+                out[f.name] = value.at(k)
             elif isinstance(value, np.ndarray):
-                out[f.name] = value[index]
-        errors = self.errors[index] if isinstance(index, slice) else None
-        return dataclasses.replace(self, errors=errors, **out)
-
-    def at(self, k: int):
-        """Point k's data, without the point axis; raises point k's error."""
-        if self.errors[k] is not None:
-            raise self.errors[k]
-        return self._take(k)
+                out[f.name] = value[k]
+        return dataclasses.replace(self, **out)
 
     def head(self, count: int):
         """The batch of the first `count` points."""
-        return self._take(slice(count))
+        return self.at(slice(count))
 
 
 @dataclass
 class Jets(PointBatch):
     """Values, with their first and second derivatives where they have
-    them, at a point or over a batch (`table_jets`), with each point's
-    first error."""
+    them, at a point or over a batch (`table_jets`)."""
     val: np.ndarray
     grad: np.ndarray | None = None
     hess: np.ndarray | None = None
-    errors: list | None = None
 
     def __iter__(self):
         return iter((self.val, self.grad, self.hess))
 
 
+def fail_at(mask, make) -> None:
+    """Raise `make(index)` at the first index where `mask` holds, with that
+    index as the error's `index` and its first entry, over a batch (whose
+    point axis leads `mask`) the point's, as its `point` (0 for ())."""
+    mask = np.asarray(mask)
+    if mask.any():
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
+        err = make(index)
+        err.index, err.point = index, (index or (0,))[0]
+        raise err
+
+
+def lowest_failure(run, points):
+    """`run(points)`.  Where it raises at a point k > 0 (`fail_at`),
+    `run(points[:k])` runs first, so that the error raised is that of the
+    lowest point at which `run` fails."""
+    try:
+        return run(points)
+    except Exception as err:  # re-raised unless a lower point fails first
+        k = getattr(err, "point", 0)
+        if k > 0:
+            lowest_failure(run, points[:k])
+        raise
+
+
 def table_jets(table, points, env=None, order: int = 2) -> Jets:
     """The jets of an expression table at all of `points`, shape (P, n),
-    up to `order` (the parts above it are None), from one run; a point
-    where it is singular records the domain error."""
+    up to `order` (the parts above it are None), from one run; raises the
+    domain error of the first point where it is singular."""
     run = ej.eval_points(table, points, env, order)
-    return Jets(run.val, run.grad, run.hess,
-                [None if err is None else ej.DomainError(err) for err in run.errors])
-
-
-def fail_at(errors, mask, make) -> None:
-    """Record `make(k)` as the error of each point k where `mask` holds
-    (flat index) and that has none yet.  Without `errors` to record into
-    (a single point, or a caller that takes no errors) raise the first."""
-    bad = np.flatnonzero(mask)
-    if errors is None:
-        if len(bad):
-            raise make(bad[0])
-        return
-    for k in bad:
-        if errors[k] is None:
-            errors[k] = make(k)
-
-
-def raise_first(errors) -> None:
-    """Raise the error of the first point that has one."""
-    for err in errors or ():
-        if err is not None:
-            raise err
+    fail_at([err is not None for err in run.errors], lambda k: ej.DomainError(run.errors[k[0]]))
+    return Jets(run.val, run.grad, run.hess)
 
 
 @dataclass
 class StructureAt(PointBatch):
     """All primitive tensors at one point, or at each point of a batch:
-    product to first order, the remaining fields to second order.  `errors`
-    holds each point's first domain error in the spec's tables."""
+    product to first order, the remaining fields to second order."""
     n: int
     point: np.ndarray
     c: np.ndarray
@@ -167,7 +165,6 @@ class StructureAt(PointBatch):
     g2: np.ndarray | None = None
     dg2: np.ndarray | None = None
     ddg2: np.ndarray | None = None
-    errors: list | None = None
 
 
 @dataclass(frozen=True)
@@ -305,27 +302,24 @@ def product_jets(product: str, n: int):
 
 def structures(spec: ManifoldSpec, points) -> StructureAt:
     """The structure at all of `points`, shape (P, n), as one batch: each
-    of the spec's tables runs once over all the points, and a point where
-    one is singular records the first such table's error."""
+    of the spec's tables runs once over all the points.  The first point
+    where one is singular raises the first such table's domain error."""
     env = spec.env()
     points = np.asarray(points, dtype=complex).reshape(-1, spec.n)
     tables = [spec.product if not isinstance(spec.product, str) else None,
               spec.e, spec.E, spec.g, spec.g2]
     runs = [None if t is None else ej.eval_points(t, points, env) for t in tables]
+    first = [next((err for err in errs if err is not None), None)
+             for errs in zip(*(run.errors for run in runs if run is not None))]
+    fail_at([err is not None for err in first], lambda k: ej.DomainError(first[k[0]]))
     if runs[0] is None:
         product = [np.broadcast_to(part, (len(points),) + part.shape)
                    for part in product_jets(spec.product, spec.n)]
     else:
         product = [runs[0].val, runs[0].grad, runs[0].hess]
-    errors = [None] * len(points)
-    for run in runs:
-        if run is not None:
-            fail_at(errors, [err is not None for err in run.errors],
-                    lambda k, run=run: ej.DomainError(run.errors[k]))
     return StructureAt(spec.n, points, *product,
                        *[part for run in runs[1:]
-                         for part in ((run.val, run.grad, run.hess) if run else (None,) * 3)],
-                       errors=errors)
+                         for part in ((run.val, run.grad, run.hess) if run else (None,) * 3)])
 
 
 def structure_at(spec: ManifoldSpec, point) -> StructureAt:
@@ -455,14 +449,14 @@ def fit_scalar(target: np.ndarray, model: np.ndarray, rank: int | None = None):
     return complex(fit) if rank is None else fit
 
 
-def homogeneity_at(st: StructureAt, errors=None):
+def homogeneity_at(st: StructureAt):
     """Fit D in (L_E g) = D g at each point; the parts are that fit and
     (L_E c) = c, and the fit is D.  A point where the metric vanishes is
-    singular (recorded in `errors` over a batch)."""
+    singular: it raises."""
     lg = lie_from_components(required(st.g, "metric"), st.dg, ("d", "d"),
                              required(st.E, "Euler field"), st.dE)
     top = amax(st.g, 2)
-    fail_at(errors, top == 0, lambda k: AllEntriesZeroError("metric vanishes at a sample point"))
+    fail_at(top == 0, lambda k: AllEntriesZeroError("metric vanishes at a sample point"))
     D = fit_scalar(lg, st.g, rank=2)
     res_g = amax(lg - D[..., None, None] * st.g, 2)
     lc = lie_from_components(st.c, st.dc, ("u", "d", "d"), st.E, st.dE)

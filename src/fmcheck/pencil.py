@@ -19,7 +19,7 @@ from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hes
                          inverse_jets, metric_inverse, riemann_components)
 from .manifold import (DEFAULT_TOL, ManifoldSpec, MissingFieldError, PointBatch, Report,
                        Residuals, StructureAt, amax, batch_report, fail_at, fit_scalar,
-                       normalized, pmax, product_jets, raise_first, structures, walk_row)
+                       lowest_failure, normalized, pmax, product_jets, structures, walk_row)
 from .tensor import (SingularMatrixError, antisym, contract, contract_jets, finite_matrices,
                      lie_from_components)
 
@@ -63,35 +63,25 @@ class PencilAt(PointBatch):
     dgamma2: np.ndarray | None = None
     ddE: np.ndarray | None = None
     diagonal: np.ndarray | None = None  # whether both metrics are diagonal
-    errors: list | None = None
 
 
 def pencil_at(spec: ManifoldSpec, point) -> PencilAt:
-    return _pencil_batch(spec, [point]).at(0)
-
-
-def _pencil_batch(spec: ManifoldSpec, points) -> PencilAt:
-    """The pencil data over a point set, to second order; raises the first point's error."""
-    pa = pencil_first_order(structures(spec, points))
-    raise_first(pa.errors)
-    return pencil_second_order(pa)
+    return pencil_second_order(pencil_first_order(structures(spec, [point]))).at(0)
 
 
 def pencil_first_order(st: StructureAt, inverse: InverseJets | None = None) -> PencilAt:
     """The pencil data of first order, which is all that exactness and
     homogeneity read: both inverse metrics, L and E, with first
     derivatives.  `inverse`: the first metric's `metric_inverse`, where the
-    caller has it.  Over a batch, each point's error is the structure's
-    own, else the first singular metric's."""
+    caller has it.  A point where a metric is singular raises."""
     if st.g2 is None:
         raise MissingSecondMetricError("spec has no second metric")
     inverse = inverse or metric_inverse(st)
-    errors = None if inverse.errors is None else list(inverse.errors)
-    g_inv, dg_inv = inverse_jets(st.g2, st.dg2, errors=errors)
+    g_inv, dg_inv = inverse_jets(st.g2, st.dg2)
     L, dL = contract_jets("...il,...lj->...ij", (g_inv, dg_inv), (st.g, st.dg))
     E, dE = contract_jets("...ij,...j->...i", (L, dL), (st.e, st.de))
     return PencilAt(n=st.n, point=st.point, st=st, eta_inv=inverse.inv, deta_inv=inverse.dinv,
-                    g_inv=g_inv, dg_inv=dg_inv, L=L, dL=dL, E=E, dE=dE, errors=errors)
+                    g_inv=g_inv, dg_inv=dg_inv, L=L, dL=dL, E=E, dE=dE)
 
 
 def pencil_second_order(pa: PencilAt, lc=None) -> PencilAt:
@@ -119,47 +109,41 @@ def _contravariant_christoffels(g_inv, gamma):
     return -contract("...is,...jsk->...ijk", g_inv, gamma)
 
 
-def flat_pencil_at(pa: PencilAt, errors=None):
+def flat_pencil_at(pa: PencilAt):
     """Curvature of every pencil member, and linearity of the contravariant
-    Christoffel symbols across the pencil, with the members stacked on one
-    leading axis: the parts of each member, by lambda, in the group
-    "per_lambda", which the report shows.  A point where a member is
-    singular raises, or over a batch records the error of its first
-    singular member in `errors`."""
-    gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)
-    gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)
+    Christoffel symbols across the pencil, with the members stacked on an
+    axis after the point axis: the parts of each member, by lambda, in the
+    group "per_lambda", which the report shows.  The first point where a
+    member is singular raises, naming the first such member's lambda."""
+    gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)[..., None, :, :, :]
+    gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)[..., None, :, :, :]
     lams = [complex(lam) for lam in LAMBDAS]
-    lam = np.array(lams).reshape(-1, *[1] * pa.g_inv.ndim)
-    pen = pa.g_inv - lam * pa.eta_inv
-    dpen = pa.dg_inv - lam[..., None] * pa.deta_inv
-    count = np.size(pa.g_inv[..., 0, 0])  # the points
-    member = [None] * (len(lams) * count)
-    cov, dcov, ddcov = inverse_jets(pen, dpen, pa.ddg_inv - lam[..., None, None] * pa.ddeta_inv,
-                                    errors=member)
-    for i, value in enumerate(lams):
-        own = member[i * count:(i + 1) * count]
-        for err in own:
-            if err is not None:
-                err.args = (f"pencil member at lambda = {value} is singular: {err}",)
-        fail_at(errors, [err is not None for err in own], own.__getitem__)
+    lam = np.array(lams)[:, None, None]
+    pen = pa.g_inv[..., None, :, :] - lam * pa.eta_inv[..., None, :, :]
+    dpen = pa.dg_inv[..., None, :, :, :] - lam[..., None] * pa.deta_inv[..., None, :, :, :]
+    ddpen = (pa.ddg_inv[..., None, :, :, :, :]
+             - lam[..., None, None] * pa.ddeta_inv[..., None, :, :, :, :])
+    try:
+        cov, dcov, ddcov = inverse_jets(pen, dpen, ddpen)
+    except SingularMatrixError as err:
+        err.args = (f"pencil member at lambda = {lams[err.index[-1]]} is singular: {err}",)
+        raise
     gamma, dgamma = christoffel_jets(cov, dcov, ddcov, (pen, dpen))
     sc = pmax(amax(gamma, 3) ** 2, amax(dgamma, 4))
     res_curv = normalized(amax(riemann_components(gamma, dgamma), 4), sc)
     res_lin = normalized(amax(_contravariant_christoffels(pen, gamma) - (gc2 - lam[..., None] * gc1), 3),
-                         amax(gc2, 3) + np.abs(lam[..., 0, 0]) * amax(gc1, 3))
-    per_lambda = {f"{value}": {"curvature": curv, "linearity": lin}
-                  for value, curv, lin in zip(lams, res_curv, res_lin)}
-    return Residuals({"per_lambda": per_lambda}, pmax(*sc), show_parts=True)
+                         amax(gc2, 3) + np.abs(lam[:, 0, 0]) * amax(gc1, 3))
+    per_lambda = {f"{value}": {"curvature": res_curv[..., i], "linearity": res_lin[..., i]}
+                  for i, value in enumerate(lams)}
+    return Residuals({"per_lambda": per_lambda}, pmax(*np.moveaxis(sc, -1, 0)), show_parts=True)
 
 
 def check_flat_pencil(spec, points, tol: float = DEFAULT_TOL) -> Report:
     """Curvature of every pencil member, and linearity of the contravariant
-    Christoffel symbols across the pencil.  A singular member raises the
-    error of the first point where one is, which names its lambda."""
-    pa = _pencil_batch(spec, points)
-    errors = list(pa.errors)
-    result = flat_pencil_at(pa, errors=errors)
-    raise_first(errors)
+    Christoffel symbols across the pencil, at every point; the lowest
+    point where a datum is singular raises (`flat_pencil_at`)."""
+    result = lowest_failure(lambda pts: flat_pencil_at(
+        pencil_second_order(pencil_first_order(structures(spec, pts)))), points)
     return batch_report("flat-pencil", result, tol)
 
 
@@ -292,7 +276,6 @@ class PencilProduct(PointBatch):
     c: np.ndarray
     dc: np.ndarray
     residuals: Residuals
-    errors: list | None = None
 
 
 def product_from_pencil(spec, point, tol: float = DEFAULT_TOL):
@@ -316,18 +299,15 @@ def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
     is defined directly on the canonical chart (the invertibility
     assumption is only needed off the semisimple locus), and the relation
     R^l_j c^j_hk = L^s_h dG^l_sk that it must still solve is checked.
-    Elsewhere R is singular: the point raises, or over a batch records the
-    error, after pa's own."""
+    Elsewhere R is singular: the first such point raises."""
     st, n = pa.st, pa.n
     canonical = product_jets("canonical", n)[0]
-    errors = None if pa.errors is None else list(pa.errors)
     dgm = pa.gamma1 - pa.gamma2
     ddgm = pa.dgamma1 - pa.dgamma2
     r, dr = contract_jets("...msl,...l->...ms", (dgm, ddgm), (pa.E, pa.dE))
     # a non-finite R takes the first route, which carries its NaN through
     invert = np.linalg.cond(finite_matrices(r)[0]) <= 1e8
-    fail_at(errors, ~invert & ~pa.diagonal,
-            lambda k: SingularMatrixError(complex(np.ravel(np.linalg.det(r))[k])))
+    fail_at(~invert & ~pa.diagonal, lambda k: SingularMatrixError(complex(np.linalg.det(r[k]))))
     r_inv = np.linalg.inv(np.where(invert[..., None, None], r, np.eye(n)))
     dr_inv = -contract("...ma,...abp,...bs->...msp", r_inv, dr, r_inv)
     c, dc = contract_jets("...sh,...lsk,...jl->...jhk", (pa.L, pa.dL), (dgm, ddgm), (r_inv, dr_inv))
@@ -354,7 +334,7 @@ def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
              "multiplication-by-E": normalized(amax(mult_e, 2), amax(pa.L, 2)),
              # on a diagonal pencil, the canonical product (0 elsewhere)
              "canonical": np.where(pa.diagonal, normalized(amax(c - canonical, 3), sc), 0.0)}
-    return PencilProduct(c, dc, Residuals(parts, sc), errors)
+    return PencilProduct(c, dc, Residuals(parts, sc))
 
 
 def reconstructed_structure(spec, point) -> StructureAt:

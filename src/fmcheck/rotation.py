@@ -8,9 +8,9 @@ is derived from the metric, the principal branch is taken at each point and
 signs are recorded on the data object.
 
 As the structure (`manifold.structures`), the rotation data of a batch of
-points carry a leading point axis and each point's first error, and the
-residual functions (`*_at`) return their `Residuals` at each point; at one
-point (`rotation_data`) they give scalars.
+points carry a leading point axis, and the first point where they cannot be
+built raises there; the residual functions (`*_at`) return their
+`Residuals` at each point, and at one point (`rotation_data`) scalars.
 """
 
 from __future__ import annotations
@@ -56,21 +56,20 @@ class RotationData(PointBatch):
     dbeta: np.ndarray    # dbeta[i,j,k] = d_k beta_ij
     V: np.ndarray        # V[i,j] = (u^j - u^i) beta_ij
     signs: np.ndarray    # branch signs applied on top of the principal sqrt
-    errors: list | None = None
 
 
-def _lame_jets_from_metric(g, dg, ddg, errors):
+def _lame_jets_from_metric(g, dg, ddg):
     """Principal-branch jets of H_i = sqrt(g_ii) from the metric jets at
-    each point of a batch; a point where the metric is not diagonal, or a
-    g_ii vanishes, records the error."""
+    each point of a batch; the first point where the metric is not
+    diagonal, or a g_ii vanishes, raises."""
     count, n = g.shape[:2]
     diag = np.arange(n)
     gd = g[:, diag, diag]
     off = np.where(np.eye(n, dtype=bool), 0, g)
-    fail_at(errors, amax(off, 2) > 1e-12 * (1 + amax(g, 2)),
+    fail_at(amax(off, 2) > 1e-12 * (1 + amax(g, 2)),
             lambda k: NonDiagonalMetricError("metric is not diagonal at this point"))
     zero = gd == 0
-    fail_at(errors, zero.any(axis=1),
+    fail_at(zero.any(axis=1),
             lambda k: ZeroLameError(f"g_{np.argmax(zero[k])}{np.argmax(zero[k])} vanishes "
                                     "at this point"))
     H, dH, ddH = ej.jet_sqrt((gd.reshape(-1), dg[:, diag, diag].reshape(-1, n),
@@ -92,7 +91,7 @@ def _continued_signs(H):
     return np.array(signs)
 
 
-def _from_lame_jets(point, H, dH, ddH, signs, errors) -> RotationData:
+def _from_lame_jets(point, H, dH, ddH, signs) -> RotationData:
     """Rotation data from the Lame jets over a batch, with the branch of
     each H_i flipped where `signs` is -1."""
     n = H.shape[-1]
@@ -103,13 +102,13 @@ def _from_lame_jets(point, H, dH, ddH, signs, errors) -> RotationData:
         ddH = np.where(flip[:, None, None, None], signs[..., None, None] * ddH, ddH)
     off = ~np.eye(n, dtype=bool)
     Hj = H[:, None, :]
-    with np.errstate(all="ignore"):  # a point with an error has zero jets
+    with np.errstate(all="ignore"):  # a closed-form H_j may vanish
         beta = np.where(off, dH / Hj, 0)
         dbeta = np.where(off[..., None], (ddH * Hj[..., None] - dH[..., None] * dH[:, None])
                          / (Hj ** 2)[..., None], 0)
     V = (point[:, None, :] - point[:, :, None]) * beta
     return RotationData(n=n, point=point, H=H, dH=dH, ddH=ddH,
-                        beta=beta, dbeta=dbeta, V=V, signs=signs, errors=errors)
+                        beta=beta, dbeta=dbeta, V=V, signs=signs)
 
 
 def rotations(spec: ManifoldSpec, points,
@@ -117,16 +116,14 @@ def rotations(spec: ManifoldSpec, points,
     """Lame coefficients, rotation coefficients and their first derivatives
     at all of `points`, shape (P, n), as one batch: the Lame table (or the
     metric) runs once over the points, and the branch of each
-    metric-derived Lame coefficient is continued from point to point.  A
-    point where the data cannot be built records its first error."""
+    metric-derived Lame coefficient is continued from point to point.  The
+    first point where the data cannot be built raises."""
     points = np.asarray(points, dtype=complex).reshape(-1, spec.n)
     jets = table_jets(spec.g if lame_exprs is None else lame_exprs, points, spec.env())
-    errors = jets.errors
     if lame_exprs is not None:
-        return _from_lame_jets(points, jets.val, jets.grad, jets.hess,
-                               np.ones(jets.val.shape), errors)
-    H, dH, ddH = _lame_jets_from_metric(jets.val, jets.grad, jets.hess, errors)
-    return _from_lame_jets(points, H, dH, ddH, _continued_signs(H), errors)
+        return _from_lame_jets(points, jets.val, jets.grad, jets.hess, np.ones(jets.val.shape))
+    H, dH, ddH = _lame_jets_from_metric(jets.val, jets.grad, jets.hess)
+    return _from_lame_jets(points, H, dH, ddH, _continued_signs(H))
 
 
 def rotation_data(spec: ManifoldSpec, point,
@@ -139,7 +136,7 @@ def rotation_data(spec: ManifoldSpec, point,
 def lame_weight(rd: RotationData):
     """The homogeneity weight fitted as the median of E(H_i)/H_i, sorted by
     (real, imag) (robust to one near-zero coefficient): at each point."""
-    with np.errstate(all="ignore"):  # a point with an error has zero jets
+    with np.errstate(all="ignore"):  # a closed-form H_i may vanish
         ratios = np.sum(rd.point[..., None, :] * rd.dH, axis=-1) / rd.H
     return np.sort(ratios, axis=-1)[..., rd.n // 2]
 
@@ -190,25 +187,22 @@ def betas_from_F(F, u) -> np.ndarray:
 def closed_forms(family: str, u, env) -> Jets:
     """The closed-form F of the family "q0" (parameters a and b, from
     `env`) or "pencil63" at the z of each chart point of a batch u, shape
-    (P, 3), as the values of a `Jets`: F of shape (P, 6), zero where
-    `z_of_point` or the closed form at one point raises, and that error in
-    `errors`."""
+    (P, 3), as the values of a `Jets`: F of shape (P, 6); it raises where
+    `z_of_point` or the closed form at one point would."""
     u = np.asarray(u, dtype=complex)
-    errors = [None] * len(u)
-    fail_at(errors, u[:, 1] == u[:, 0], lambda k: CoordinateCollisionError("u^1 == u^2"))
-    with np.errstate(all="ignore"):  # at a point in error
-        z = (u[:, 2] - u[:, 0]) / (u[:, 1] - u[:, 0])
-        fail_at(errors, (np.abs(z) < SING_MARGIN) | (np.abs(z - 1) < SING_MARGIN),
-                lambda k: _singular_point(complex(z[k])))
-        if family == "q0":
-            a, b = complex(env["a"]), complex(env["b"])
-            fail_at(errors, a * z + b == 0, lambda k: ParameterSingularError("a*z + b vanishes"))
+    fail_at(u[:, 1] == u[:, 0], lambda k: CoordinateCollisionError("u^1 == u^2"))
+    z = (u[:, 2] - u[:, 0]) / (u[:, 1] - u[:, 0])
+    fail_at((np.abs(z) < SING_MARGIN) | (np.abs(z - 1) < SING_MARGIN),
+            lambda k: _singular_point(complex(z[k])))
+    if family == "q0":
+        a, b = complex(env["a"]), complex(env["b"])
+        fail_at(a * z + b == 0, lambda k: ParameterSingularError("a*z + b vanishes"))
+        with np.errstate(all="ignore"):  # F is not finite where b^2 = -1
             F = np.stack(_q0_F(z, a, b), axis=-1)
-        else:
-            F = np.stack(_pencil_F(*(np.sqrt(np.where(v.imag == 0, v.real + 0j, v))
-                                     for v in (z - 1, -z))), axis=-1)
-    F[[err is not None for err in errors]] = 0
-    return Jets(F, errors=errors)
+    else:
+        F = np.stack(_pencil_F(*(np.sqrt(np.where(v.imag == 0, v.real + 0j, v))
+                                 for v in (z - 1, -z))), axis=-1)
+    return Jets(F)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
 import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -24,6 +29,21 @@ def test_names_cover_families():
             "q0-d-minus1", "q0-d0", "q0-d1", "pencil-63",
             "af-pencil-n3", "af-pencil-n4",
             "case-i", "case-ii", "case-iii", "case-iv", "case-v"} <= got
+
+
+def test_run_catalog_script_writes_a_bundle_per_source(tmp_path):
+    # every catalog entry and each of its catalog transforms, at 2 points
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = tmp_path / "bundle.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_catalog.py"), "--points",
+                           "2", "--json", str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    want = list(cat.names())
+    for name in cat.names():
+        want += [f"{name} {field}->{target}" for field, target
+                 in cat.entry(name).companion.get("legendre_targets", {}).items()]
+    assert sorted(bundle["name"] for bundle in json.loads(out.read_text())) == sorted(want)
 
 
 @pytest.mark.parametrize("name", cat.names())

@@ -488,7 +488,15 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["legendre", "q0-d-minus1", "--field", "X2", "--param", "zz=3"],
                         "--param zz: q0-d-minus1"),
                        (["legendre", "q0-d-minus1", "--field", "X2", "--target", "q0-d0",
-                         "--param", "zz=3"], "--param zz: q0-d-minus1 or q0-d0")):
+                         "--param", "zz=3"], "--param zz: q0-d-minus1 or q0-d0"),
+                       # an --output path that cannot be written is named with the reason
+                       (["verify", "lobachevsky", "--output", str(tmp_path)],
+                        f"output error: {tmp_path}: Is a directory"),
+                       (["legendre", "q0-d-minus1", "--field", "X2", "--output",
+                         str(tmp_path / "none" / "out.json")],
+                        f"output error: {tmp_path / 'none' / 'out.json'}: No such file"),
+                       (["ode", "--init", "q0", "--from", "2", "--to", "3", "--output",
+                         str(tmp_path)], f"output error: {tmp_path}: Is a directory")):
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and want in err, (argv, err)

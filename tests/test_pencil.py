@@ -97,8 +97,9 @@ def test_flat_pencil_negative_control():
 
 def test_flat_pencil_records_a_singular_member_at_its_points():
     # g2 = f g with f = 1 at sample points 2 and 4 only: there the member
-    # at lambda = 1 is singular, which the batch records at those points
-    # alone, and a run at one of them raises
+    # at lambda = 1 is singular.  Over the six points the batch raises at
+    # sample 2, over the points after sample 2 at sample 4, and a run at
+    # a point where no member is singular passes
     from fmcheck.manifold import structures
     from fmcheck.pencil import flat_pencil_at, pencil_first_order, pencil_second_order
     spec = af()
@@ -107,16 +108,64 @@ def test_flat_pencil_records_a_singular_member_at_its_points():
     f = f"(1+(u1-({a!r}))*(u1-({b!r})))"
     spec = ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
                         E=spec.E, g=spec.g, g2=tuple(tuple(f"{f}*({s})" for s in row) for row in spec.g))
-    pa = pencil_second_order(pencil_first_order(structures(spec, pts)))
-    errors = list(pa.errors)
-    per_lambda = flat_pencil_at(pa, errors=errors).parts["per_lambda"]
     message = "pencil member at lambda = (1+0j) is singular: matrix is numerically singular"
-    assert [err is not None for err in errors] == [False, False, True, False, True, False]
-    assert all(str(errors[k]).startswith(message) for k in (2, 4))
+    for points, at in ((pts, 2), (pts[3:], 1)):  # sample 4 is the second after sample 2
+        pa = pencil_second_order(pencil_first_order(structures(spec, points)))
+        with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:
+            flat_pencil_at(pa)
+        assert exc.value.point == at
+    per_lambda = flat_pencil_at(pencil_second_order(pencil_first_order(
+        structures(spec, pts[:2])))).parts["per_lambda"]
     assert list(per_lambda) == ["0j", "(1+0j)", "(-1+0j)", "(2+0j)", "1j"]
     with pytest.raises(SingularMatrixError, match=re.escape(message)):
         check_flat_pencil(spec, [pts[2]])
     assert check_flat_pencil(spec, [pts[0]]).npoints == 1
+
+
+def test_flat_pencil_names_the_lowest_singular_member():
+    # g2 = f g with f linear in u1, -1 at sample 2 and 1 at sample 4: the
+    # member at lambda = -1 is singular at sample 2, and the one at
+    # lambda = 1, which comes first in LAMBDAS, at sample 4.  Both the walk
+    # and the check's own batch name sample 2 and lambda = -1
+    spec = af()
+    pts = sample_points(spec, SamplePlan(seed=0, count=6))
+    a, b = (float(pts[k][0].real) for k in (2, 4))
+    f = f"(-1+2*(u1-({a!r}))/(({b!r})-({a!r})))"
+
+    def scaled(extra=""):
+        return ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
+                            E=spec.E, g=spec.g,
+                            g2=tuple(tuple(f"{f}*({s}){extra}" for s in row) for row in spec.g))
+    message = "pencil member at lambda = (-1+0j) is singular"
+    named = f"sample 2 at ({', '.join(str(x) for x in np.asarray(pts[2]).tolist())}) is singular"
+    with pytest.raises(cat.SingularSampleError, match=re.escape(named)) as exc:
+        cat.run_checks(scaled(), {}, ["flat-pencil"], pts)
+    assert message in str(exc.value)
+    with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:
+        check_flat_pencil(scaled(), pts)
+    assert exc.value.point == 2
+    # g2 also fails to evaluate at sample 3, which a row over all points
+    # meets first: the walk of the points below it still names sample 2,
+    # its head row reading three of them
+    c = float(pts[3][0].real)
+    with pytest.raises(cat.SingularSampleError, match=re.escape(named)) as exc:
+        cat.run_checks(scaled(f"+0/(u1-({c!r}))"), {}, ["pencil-exactness", "flat-pencil"], pts)
+    assert message in str(exc.value)
+
+
+def test_flat_pencil_row_reads_only_its_head():
+    # g2 = (u1 - u1 of sample 5) g is singular at sample 5 alone, past the
+    # walk's head of 4 of the 6 points: the row, which reads the head, does
+    # not meet it, and the check's own batch over every point does
+    spec = af()
+    pts = sample_points(spec, SamplePlan(seed=0, count=6))
+    f = f"(u1-({float(pts[5][0].real)!r}))"
+    spec = ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
+                        E=spec.E, g=spec.g, g2=tuple(tuple(f"{f}*({s})" for s in row) for row in spec.g))
+    assert cat.run_checks(spec, {}, ["flat-pencil"], pts)[0].npoints == 4
+    with pytest.raises(SingularMatrixError) as exc:
+        check_flat_pencil(spec, pts)
+    assert exc.value.point == 5
 
 
 def test_flat_pencil_raises_a_member_singular_at_every_point():
@@ -134,7 +183,7 @@ def test_flat_pencil_raises_a_member_singular_at_every_point():
         check_flat_pencil(spec, pts)
     with pytest.raises(cat.SingularSampleError, match=re.escape(message)):
         cat.run_checks(spec, {}, ["flat-pencil"], pts)
-    # so does the kernel over the batch, given no errors to record into
+    # so does the kernel over the batch
     pa = pencil_second_order(pencil_first_order(structures(spec, pts)))
     with pytest.raises(SingularMatrixError, match=re.escape(message)):
         flat_pencil_at(pa)
