@@ -26,7 +26,10 @@ runs through `catalog.run_checks`):
 - `catalog list`, and `catalog export` of every entry;
 - the unevaluable specs and arguments of the CLI's bad-input test (the
   spec directory given as a spec path, and a spec file that lacks its
-  fields, among them), a spec file that is not UTF-8, `catalog` without an
+  fields, among them), a spec file that is not UTF-8, a non-finite
+  `--param` and spec files with a non-finite parameter, box bound,
+  `min_sep` (NaN, or an integer beyond a float's range) or `guard_min`
+  or a reversed box pair, `catalog` without an
   entry name to export or with one to list, `legendre` with a `--field`
   of the wrong length, `ode` with 11 floats, a path through z = 1, a
   non-finite state and a non-finite or negative `--drift-tol`, and
@@ -135,6 +138,14 @@ for key, g in (("unbound", [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]),
                ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]])):
     bad[key] = {**doc, "g": g}
 bad["missing"] = {"n": 2}
+nan, inf = float("nan"), float("inf")
+bad["nan-param"] = {**doc, "params": {"a": nan}}
+for key, region in (("nan-box", {"box": [[nan, 2.0], [-1.5, 0.4]]}),
+                    ("inf-box", {"box": [[0.6, inf], [-1.5, 0.4]]}),
+                    ("reversed-box", {"box": [[0.6, 2.0], [1.0, -1.0]]}),
+                    ("nan-min-sep", {"min_sep": nan}), ("huge-min-sep", {"min_sep": 10 ** 400}),
+                    ("inf-guard-min", {"guard_min": inf})):
+    bad[key] = {**doc, "region": {**doc["region"], **region}}
 for key, value in bad.items():
     with open(f"{specs}/bad-{key}.json", "w") as fh:
         json.dump(value, fh)
@@ -200,7 +211,8 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "case-i", "--check", "metric-invariance"]),
        *(["verify", f"{{specs}}/bad-{key}.json"]
          for key in ("unbound", "divzero", "zero", "third", "singular-third", "unparseable",
-                     "missing", "binary")),
+                     "missing", "binary", "nan-param", "nan-box", "inf-box", "reversed-box",
+                     "nan-min-sep", "huge-min-sep", "inf-guard-min")),
        (["verify", "{specs}/bad-divzero.json", "--check", "homogeneity"]),
        (["legendre", "q0-d-minus1", "--field", "1+,1,1"]),
        (["legendre", "q0-d-minus1", "--field", "1,0"]),
@@ -212,6 +224,9 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "lobachevsky", "--param", "a"]),
        (["verify", "lobachevsky", "--param", "=3"]),
        (["verify", "lobachevsky", "--param", "b=zz"]),
+       (["verify", "q0-d0", "--param", "a=nan"]),
+       (["verify", "q0-d0", "--param", "a=inf"]),
+       (["verify", "lauricella-eps-minus1-n3", "--param", "c1=nan"]),
        (["verify", "q0-d0", "--param", "aa=2"]),
        (["legendre", "q0-d-minus1", "--field", "X2", "--param", "zz=3"]),
        (["legendre", "q0-d-minus1", "--field", "X2", "--target", "q0-d0", "--param", "zz=3"]),

@@ -15,13 +15,13 @@ from .connection import (ConnectionAt, InverseJets, checked_inverse, compat_prod
                          connections_from_exprs, counit_jets, curvature_product_at,
                          dual_structure, flatness_at, levi_civita, metric_inverse, nabla_e_at,
                          nabla_from_g_at, nabla_nabla_E_at, natural_from_levi_civita,
-                         r_tr_identity_at, riemann_components, torsion_at)
+                         r_tr_identity_at, torsion_at)
 from .entries import CatalogEntry, UnknownEntryError, entry, names
 from .hamops import gmc_at, quadratic_expansion_at, rank_of, spanning_fields, sym_condition_at
 from .legendre import (homogeneous_legendre_at, legendre_field_at, transform_metric_at,
                        transform_metric_exprs, transformed_at)
 from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, AllEntriesZeroError, Jets,
-                       ManifoldSpec, PointBatch, Report, Residuals, SamplePlan, amax, fit_scalar,
+                       ManifoldSpec, Report, Residuals, SamplePlan, amax, fit_scalar,
                        hertling_manin_at, homogeneity_at, batch_report, killing_unit_at,
                        lowest_failure, metric_invariance_at, normalized, pmax, product_axioms_at,
                        required, sample_points, structures, table_jets)
@@ -66,7 +66,7 @@ def flat_coordinates_at(chart: Jets, conn: ConnectionAt):
 def vector_potential_at(b):
     """In the flat chart, the pushed product must be the chart Hessian of
     the potential components, and the pushed unit/Euler fields must match
-    their printed components (`b`: a row's `_RowData`)."""
+    their printed components (`b`: the row's walk)."""
     jac, st = b.chart.grad, b.st
     jinv = checked_inverse(jac, JacobianSingularError)
     pushed_c = contract("...ai,...ijk,...jb,...kc->...abc", jac, st.c, jinv, jinv)
@@ -122,74 +122,73 @@ def _v_eigenvalue_gap(b):
 
 
 # The data a walk builds once, as batches over its points, each from the
-# walk's other data when a row first asks for it.  The pencil's
-# second-order data ("pa"), and the weight, difference tensor and product
-# its head rows share, are built over the head points only, which are all
-# that those rows read; "pa" on the Levi-Civita connection of the first
-# metric where the walk has built that.  Every other batch is built over
-# all the points.
+# walk's other data when a row first asks for it (`_Walk.__getattr__`); a
+# connection's curvature is its own (`ConnectionAt.curvature`).  The
+# pencil's second-order data ("pa"), and the weight, difference tensor and
+# product its head rows share, are built over the head points only, and
+# the head rows read nothing else; "pa" on the Levi-Civita connection of
+# the first metric where the walk has built that.  Every other batch is
+# built over all the points.
 _BATCHED = {
     "st": lambda w: structures(w.spec, w.points),
-    "ginv": lambda w: metric_inverse(w.batch("st")),
-    "lc": lambda w: levi_civita(w.batch("st"), w.batch("ginv")),
-    "counit": lambda w: counit_jets(w.batch("st")),
-    "nat": lambda w: natural_from_levi_civita(w.batch("st"), w.batch("lc"), w.batch("ginv"),
-                                              w.batch("counit")),
-    **{f"r_{key}": (lambda w, key=key: riemann_components(w.batch(key).gamma, w.batch(key).dgamma))
-       for key in ("lc", "nat")},
+    "ginv": lambda w: metric_inverse(w.st),
+    "lc": lambda w: levi_civita(w.st, w.ginv),
+    "counit": lambda w: counit_jets(w.st),
+    "nat": lambda w: natural_from_levi_civita(w.st, w.lc, w.ginv, w.counit),
     "printed": lambda w: connections_from_exprs(w.companion("gamma"), w.points, w.env),
     "printed_star": lambda w: connections_from_exprs(w.companion("gamma_star"), w.points, w.env),
     # the structure connection, from its closed-form table where there is one
-    "conn": lambda w: w.batch("printed" if "gamma" in w.comp else "nat"),
-    "dual": lambda w: dual_structure(w.batch("st"), w.batch("nat")),
+    "conn": lambda w: w.printed if "gamma" in w.comp else w.nat,
+    "dual": lambda w: dual_structure(w.st, w.nat),
     "rd": lambda w: rotations(w.spec, w.points, lame_exprs=w.comp.get("lame")),
     "fields": lambda w: spanning_fields(w.companion("normal_bundle"), w.points, w.spec.n,
                                         w.env),
-    "pencil": lambda w: pencil_first_order(w.batch("st"), w.batch("ginv")),
+    "pencil": lambda w: pencil_first_order(w.st, w.ginv),
     "pa": lambda w: pencil_second_order(
-        w.batch("pencil").head(w.head), w.data["lc"].head(w.head) if "lc" in w.data else None),
-    "weight": lambda w: pencil_weight(w.batch("pa"), rank=2)[0],
-    "delta": lambda w: delta_jets(w.batch("pa")),
-    "pencil_product": lambda w: product_from_pencil_at(w.batch("pa"), w.batch("delta")[0]),
+        w.pencil.at(slice(w.head)), w.data["lc"].at(slice(w.head)) if "lc" in w.data else None),
+    "weight": lambda w: pencil_weight(w.pa, rank=2)[0],
+    "delta": lambda w: delta_jets(w.pa),
+    "pencil_product": lambda w: product_from_pencil_at(w.pa, w.delta[0]),
     # the closed-form solution F of the spec's ODE family
     "ode": lambda w: closed_forms(w.comp["ode_family"], w.points, w.env),
     # the flat chart, and the potential's tables at its values
     "chart": lambda w: w.table("flat_chart", 2),
-    **{key: (lambda w, key=key, order=order: w.table(key, order, w.batch("chart").val))
+    **{key: (lambda w, key=key, order=order: w.table(key, order, w.chart.val))
        for key, order in (("potentials", 2), ("flat_e", 0), ("flat_E", 0))},
     # a transform's field jets, its transformed structure (the walk's with
     # the metric swapped, once the field is checked flat), its
     # expression-level metric and the target's metric
     "field_jets": lambda w: w.table("legendre_field", 2),
-    "stbar": lambda w: transformed_at(w.batch("st"), w.batch("nat"), *w.batch("field_jets")),
+    "stbar": lambda w: transformed_at(w.st, w.nat, *w.field_jets),
     "transformed_g": lambda w: w.table("transformed_g", 0),
     "target_g": lambda w: w.table("target_g", 0, env=w.comp["target_env"]),
 }
 
 
 class _Walk:
-    """What one walk shares: spec, companion data, env, its points and
-    head (how many of them the pencil's head rows read; by default the
-    first max(4, count // 5), or all where there are fewer), and the
-    batches built so far."""
+    """What one walk shares, and what each of its rows reads: spec,
+    companion data, env, its points and head (how many of them the
+    pencil's head rows read, as `_walk` sets it), the batches built so far,
+    and as an attribute each batch of `_BATCHED`, built on first use."""
 
-    def __init__(self, spec: ManifoldSpec, comp: dict, points, head: int | None = None):
+    def __init__(self, spec: ManifoldSpec, comp: dict, points, head: int):
         self.spec, self.comp, self.env = spec, comp, spec.env()
         self.expected = spec.expected
         self.points = np.asarray(points, dtype=complex)
-        self.head = min(len(points), max(4, len(points) // 5)) if head is None else head
+        self.head = head
         self.data = {}
+
+    def __getattr__(self, name):
+        if name not in _BATCHED:
+            raise AttributeError(name)
+        if name not in self.data:
+            self.data[name] = _BATCHED[name](self)
+        return self.data[name]
 
     def companion(self, key):
         if key not in self.comp:
             raise MissingCompanionDataError(f"{self.spec.name} has no {key}")
         return self.comp[key]
-
-    def batch(self, name):
-        """The walk's batch `name` of `_BATCHED`, built on first use."""
-        if name not in self.data:
-            self.data[name] = _BATCHED[name](self)
-        return self.data[name]
 
     def table(self, key, order: int, points=None, env=None) -> Jets:
         """The jets up to `order` of the companion table `key` over
@@ -199,36 +198,17 @@ class _Walk:
                           self.env if env is None else env, order)
 
 
-class _RowData:
-    """A row's view of the walk: its batches (arrays, tuples of arrays),
-    cut to the row's points where they are fewer than the walk's."""
-
-    def __init__(self, walk: _Walk, count: int):
-        self.walk, self.count = walk, count
-
-    def __getattr__(self, name):
-        if name not in _BATCHED:
-            return getattr(self.walk, name)
-        value = self.walk.batch(name)
-        if self.count == len(self.walk.points):
-            return value
-        if isinstance(value, PointBatch):
-            return value.head(self.count)
-        if isinstance(value, tuple):
-            return tuple(a[:self.count] for a in value)
-        return value[:self.count]
-
-
 @dataclass(frozen=True)
 class Check:
-    """One row of the check table.  `at` maps the row's `_RowData` to its
+    """One row of the check table.  `at` maps the `_Walk` to the row's
     `Residuals` at all its points at once, as arrays over the point axis.
     An entry runs the check when its flags hold `flag` and its spec,
     companion or expected values hold all of `needs`; the check reads every
-    point, or with `head` (the pencil's costlier rows) only the walk's
-    head.  `fit` (the fitted constant that must agree across the points),
-    `expected` (a key of the value it must match) and `tol` (of the run's
-    tol; default: the run's) set its report (`batch_report`)."""
+    point, or with `head` (the pencil's costlier rows, which read only the
+    batches built over the head) only the walk's head.  `fit` (the fitted
+    constant that must agree across the points), `expected` (a key of the
+    value it must match) and `tol` (of the run's tol; default: the run's)
+    set its report (`batch_report`)."""
     name: str
     at: Callable
     flag: str | None = None
@@ -250,21 +230,22 @@ def _lame_system_at(b):
 def _ode_integrals_at(b):
     i1, i2 = first_integrals(b.ode.val.T)
     return Residuals({"I1": np.abs(i1 - b.expected["I1"]), "I2": np.abs(i2 - b.expected["I2"])},
-                     np.zeros(b.count))
+                     np.zeros(len(b.points)))
 
 
 def _reconstructed_at(b):
     """The flat-structure checks of the structure rebuilt from the pencil.
-    Its metric is the first one, so its natural connection is built on the
-    pencil data for that metric (inverse and Christoffel jets), and its
-    counit is the walk's."""
+    Its metric and unit are the first metric and the walk's, so its
+    natural connection is built on the pencil data for that metric
+    (inverse and Christoffel jets), and its counit is that of `pa`."""
     pa, prod = b.pa, b.pencil_product
     recon = reconstructed_at(pa, prod.c, prod.dc)
     lc = ConnectionAt(pa.n, pa.point, pa.gamma1, pa.dgamma1)
-    nat = natural_from_levi_civita(recon, lc, InverseJets(pa.eta_inv, pa.deta_inv), b.counit)
+    counit = counit_jets(pa.st)
+    nat = natural_from_levi_civita(recon, lc, InverseJets(pa.eta_inv, pa.deta_inv), counit)
     rows = {"flatness": flatness_at(nat), "nabla-e": nabla_e_at(nat, recon),
             "product-compat": compat_product_at(nat, recon),
-            "nabla-from-g": nabla_from_g_at(nat, recon, b.counit)}
+            "nabla-from-g": nabla_from_g_at(nat, recon, counit)}
     return Residuals({key: row.parts for key, row in rows.items()},
                      pmax(*(row.scale for row in rows.values())))
 
@@ -292,15 +273,15 @@ CHECKS = (
     Check("hertling-manin", lambda b: hertling_manin_at(b.st), _KILLING),
     Check("metric-invariance", lambda b: metric_invariance_at(b.st), _KILLING, ("g",)),
     Check("killing-unit", lambda b: killing_unit_at(b.st), _KILLING, ("g",)),
-    Check("levi-civita-flat", lambda b: flatness_at(b.lc, b.r_lc)),
-    Check("natural-flat", lambda b: flatness_at(b.nat, b.r_nat), needs=("g",)),
+    Check("levi-civita-flat", lambda b: flatness_at(b.lc)),
+    Check("natural-flat", lambda b: flatness_at(b.nat), needs=("g",)),
     Check("torsionless", lambda b: torsion_at(b.nat), _KILLING, tol=lambda tol: 1e-12),
-    Check("flatness", lambda b: flatness_at(b.nat, b.r_nat), _KILLING),
+    Check("flatness", lambda b: flatness_at(b.nat), _KILLING),
     Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), _KILLING),
     Check("product-compat", lambda b: compat_product_at(b.nat, b.st), _KILLING),
     Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), _KILLING),
-    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st, b.r_lc), _KILLING),
-    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st, b.r_nat, b.r_lc), _KILLING),
+    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st), _KILLING),
+    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), _KILLING),
     Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), _KILLING, ("E",)),
     Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), "gamma-match", ("gamma",)),
     Check("homogeneity", lambda b: homogeneity_at(b.st), "homogeneous", ("g", "E"),
@@ -319,15 +300,16 @@ CHECKS = (
     Check("ode-integrals", _ode_integrals_at, "ode-family", tol=lambda tol: 1e-10),
     Check("quadratic-expansion",
           lambda b: quadratic_expansion_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
-                                           b.ginv.inv, b.r_lc),
+                                           b.ginv.inv),
           _BUNDLE, tol=lambda tol: max(tol, 1e-9)),
     Check("sym-condition", lambda b: sym_condition_at(b.st, b.nat, b.fields.val, b.fields.grad),
           _BUNDLE),
     Check("gmc", lambda b: gmc_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
-                                  b.fields.grad, b.ginv.inv, b.r_lc), _BUNDLE),
+                                  b.fields.grad, b.ginv.inv), _BUNDLE),
     # 1 where the rank is not the expected one
     Check("normal-rank", lambda b: Residuals(
-        {"rank": np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"]))}, np.zeros(b.count)),
+        {"rank": np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"]))},
+        np.zeros(len(b.points))),
           _BUNDLE, ("rank",), tol=lambda tol: 0.5),
     Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",)),
     Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pencil), "pencil", ("g2",),
@@ -336,7 +318,7 @@ CHECKS = (
           head=True),
     Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil",
           head=True),
-    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.counit), "pencil",
+    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight), "pencil",
           head=True, tol=lambda tol: max(tol, 1e-9)),
     Check("product-from-pencil", lambda b: b.pencil_product.residuals, "pencil", head=True,
           tol=lambda tol: max(tol, 1e-9)),
@@ -377,21 +359,21 @@ def _chosen(spec: ManifoldSpec, comp: dict, keep) -> list:
 
 def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     """Walk `points` once and reduce each of `checks` over the points it
-    uses: all of them, or a head row's prefix.  Every datum the rows read
-    is built once, as a batch over the points its rows use (`_BATCHED`),
-    and each expression table runs once; each row computes its results at
-    all its points in one call.  A datum or row that fails at a point k
-    raises there, and the points below k are walked first, the head rows
-    reading min(k, head) of them (`lowest_failure`): the lowest point at
-    which a row fails, and there the first row, is named."""
+    uses: all of them, or for a head row the head, the first max(4, count
+    // 5).  Every datum the rows read is built once, as a batch over the
+    points its rows use (`_BATCHED`), and each expression table runs once;
+    each row reads the walk and computes its results at all its points in
+    one call.  A datum or row that fails at a point k raises there, and the
+    points below k are walked first, the head rows reading min(k, head) of
+    them (`lowest_failure`): the lowest point at which a row fails, and
+    there the first row, is named."""
     head = min(len(points), max(4, len(points) // 5))
     # the points the rows read: only the head where every row is a head row
     read = len(points) if not all(check.head for check in checks) else head
 
     def rows(pts):
         walk = _Walk(spec, comp, pts[:read], min(head, len(pts)))
-        return [check.at(_RowData(walk, walk.head if check.head else len(walk.points)))
-                for check in checks]
+        return [check.at(walk) for check in checks]
 
     try:
         results = lowest_failure(rows, points)

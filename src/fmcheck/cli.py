@@ -3,7 +3,9 @@ runs, and catalog access.
 
 Exit codes: 0 all requested checks pass, 1 a check fails (or a transform
 hypothesis is violated), 2 bad input (unparseable spec, a malformed spec
-file, named by its missing or malformed field, a spec path that cannot be
+file, named by its missing or malformed field (a non-finite parameter,
+region bound, `min_sep` or `guard_min`, or a region box pair with lo >
+hi, among them), a non-finite `--param`, a spec path that cannot be
 read, such as a directory or a file that is not UTF-8, named with the
 reason, unknown entry or check, a spec that lacks a field a check or a
 transform needs or leaves a parameter unbound, a product table where a
@@ -75,9 +77,12 @@ def _parse_param(text: str):
     if not (name and eq):
         raise ValueError(f"--param {text!r}: expected NAME=VALUE")
     try:
-        return name, _parse_scalar(value)
+        z = _parse_scalar(value)
     except ValueError:
         raise ValueError(f"--param {name}: {value!r} is not a number") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"--param {name}: {value!r} is not finite")
+    return name, z
 
 
 def _load_spec(args):

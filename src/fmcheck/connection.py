@@ -11,10 +11,15 @@ point axis (`...` einsums over the conventions of `tensor`), as the
 the first such point (`checked_inverse`).  The residual functions (`*_at`)
 return their `Residuals` at each point, and the `check_*` functions their
 reports.
+
+A connection owns its curvature (`ConnectionAt.curvature`).  The metric
+inverse and the counit have one way in: the caller builds each once and
+passes it, the walk from its batches and a point-level helper in plain sight.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -42,11 +47,16 @@ __all__ = [
 @dataclass
 class ConnectionAt(PointBatch):
     """Christoffel symbols and their first derivatives at a point, or at
-    each point of a batch."""
+    each point of a batch, and the curvature they give."""
     n: int
     point: np.ndarray
     gamma: np.ndarray    # gamma[i,j,k] = Gamma^i_jk
     dgamma: np.ndarray   # dgamma[i,j,k,m] = d_m Gamma^i_jk
+
+    @functools.cached_property
+    def curvature(self) -> np.ndarray:
+        """The connection's `riemann_components`, built on first use."""
+        return riemann_components(self.gamma, self.dgamma)
 
 
 @dataclass
@@ -90,10 +100,10 @@ def metric_inverse(st: StructureAt) -> InverseJets:
     return InverseJets(*inverse_jets(required(st.g, "metric"), st.dg))
 
 
-def christoffel_jets(g, dg, ddg, inverse=None):
-    """Levi-Civita Christoffel symbols and their first derivatives;
-    `inverse`: the jets (g^-1, d g^-1) where the caller has them."""
-    ginv, dginv = inverse if inverse is not None else inverse_jets(g, dg)
+def christoffel_jets(g, dg, ddg, inverse):
+    """Levi-Civita Christoffel symbols and their first derivatives, from
+    the metric's jets and its inverse's, `inverse` = (g^-1, d g^-1)."""
+    ginv, dginv = inverse
     # bracket[q,k,m] = d_k g_qm + d_m g_qk - d_q g_km
     bracket = (contract("...qmk->...qkm", dg) + dg - contract("...kmq->...qkm", dg))
     dbracket = (contract("...qmkp->...qkmp", ddg) + ddg - contract("...kmqp->...qkmp", ddg))
@@ -101,10 +111,9 @@ def christoffel_jets(g, dg, ddg, inverse=None):
     return 0.5 * gamma, 0.5 * dgamma
 
 
-def levi_civita(st: StructureAt, inverse: InverseJets | None = None) -> ConnectionAt:
-    """The Levi-Civita connection of the first metric; `inverse`: its
-    `metric_inverse`, where the caller has it."""
-    inverse = inverse or metric_inverse(st)
+def levi_civita(st: StructureAt, inverse: InverseJets) -> ConnectionAt:
+    """The Levi-Civita connection of the first metric, whose
+    `metric_inverse` is `inverse`."""
     gamma, dgamma = christoffel_jets(st.g, st.dg, st.ddg, (inverse.inv, inverse.dinv))
     return ConnectionAt(st.n, st.point, gamma, dgamma)
 
@@ -126,16 +135,15 @@ def natural_connection(st: StructureAt) -> ConnectionAt:
     product-twisted dtheta; Levi-Civita plus the correction
     b^i_kl = -1/2 g^if c^q_kl dtheta_qf."""
     inverse = metric_inverse(st)
-    return natural_from_levi_civita(st, levi_civita(st, inverse), inverse)
+    return natural_from_levi_civita(st, levi_civita(st, inverse), inverse, counit_jets(st))
 
 
-def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt,
-                             inverse: InverseJets | None = None, counit=None) -> ConnectionAt:
+def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt, inverse: InverseJets,
+                             counit) -> ConnectionAt:
     """The natural connection built on `lc`, the Levi-Civita connection of
-    `st.g` at the same points; `inverse` (the `metric_inverse` `lc` was
-    built on) and `counit` (`counit_jets(st)`) where the caller has them."""
-    inverse = inverse or metric_inverse(st)
-    _, _, dtheta, d_dtheta = counit if counit is not None else counit_jets(st)
+    `st.g` at the same points, from the `metric_inverse` `inverse` that
+    `lc` was built on and the `counit_jets(st)` `counit`."""
+    _, _, dtheta, d_dtheta = counit
     # m[i,q] = g^if dtheta_qf, contracted with c
     m = contract_jets("...if,...qf->...iq", (inverse.inv, inverse.dinv), (dtheta, d_dtheta))
     b, db = (-0.5 * t for t in contract_jets("...iq,...qkl->...ikl", m, (st.c, st.dc)))
@@ -179,11 +187,9 @@ def check_torsionless(conn: ConnectionAt) -> Report:
     return batch_report("torsionless", torsion_at(conn), 1e-12)
 
 
-def flatness_at(conn: ConnectionAt, r=None):
-    """`r`: the connection's `riemann_components` where the caller has them."""
-    r = riemann_components(conn.gamma, conn.dgamma) if r is None else r
+def flatness_at(conn: ConnectionAt):
     sc = pmax(amax(conn.gamma, 3) ** 2, amax(conn.dgamma, 4))
-    return Residuals({"curvature": normalized(amax(r, 4), sc)}, sc)
+    return Residuals({"curvature": normalized(amax(conn.curvature, 4), sc)}, sc)
 
 
 def check_flatness(conn: ConnectionAt, tol: float = DEFAULT_TOL) -> Report:
@@ -226,11 +232,11 @@ def nabla_metric(conn: ConnectionAt, st: StructureAt) -> np.ndarray:
             - contract("...skj,...is->...kij", conn.gamma, st.g))
 
 
-def nabla_from_g_at(conn: ConnectionAt, st: StructureAt, counit=None):
+def nabla_from_g_at(conn: ConnectionAt, st: StructureAt, counit):
     """Residual of the defining property of the natural connection:
-    (nabla_X g)(Y,Z) = 1/2 dtheta(X o Y, Z) + 1/2 dtheta(X o Z, Y);
-    `counit`: `counit_jets(st)` where the caller has it."""
-    _, _, dtheta, _ = counit if counit is not None else counit_jets(st)
+    (nabla_X g)(Y,Z) = 1/2 dtheta(X o Y, Z) + 1/2 dtheta(X o Z, Y), with
+    dtheta from `counit`, the `counit_jets(st)`."""
+    _, _, dtheta, _ = counit
     nabg = nabla_metric(conn, st)
     rhs = 0.5 * (contract("...ski,...sj->...kij", st.c, dtheta)
                  + contract("...skj,...si->...kij", st.c, dtheta))
@@ -239,7 +245,7 @@ def nabla_from_g_at(conn: ConnectionAt, st: StructureAt, counit=None):
 
 
 def check_nabla_from_g(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("nabla-from-g", nabla_from_g_at(conn, st), tol)
+    return batch_report("nabla-from-g", nabla_from_g_at(conn, st, counit_jets(st)), tol)
 
 
 # the cyclic sums over (k, l, m) of R^j_skl c^s_mi and of c^j_ms R^s_ikl
@@ -255,12 +261,11 @@ def _cyclic(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def curvature_product_at(conn: ConnectionAt, st: StructureAt, r=None):
+def curvature_product_at(conn: ConnectionAt, st: StructureAt):
     """Cyclic product condition on the curvature, in both of its forms:
     the contraction through the last curvature slot and the product acting
-    on the curvature output, the parts "slot" and "output"; `r`: the
-    connection's `riemann_components` where the caller has them."""
-    r = riemann_components(conn.gamma, conn.dgamma) if r is None else r
+    on the curvature output, the parts "slot" and "output"."""
+    r = conn.curvature
     sc = pmax(amax(r, 4), 1.0) * pmax(amax(st.c, 3), 1.0)
     return Residuals({"slot": normalized(amax(_cyclic(_RC, r, st.c), 5), sc),
                       "output": normalized(amax(_cyclic(_BIS, st.c, r), 5), sc)}, sc)
@@ -274,23 +279,19 @@ def check_curvature_product_condition(conn: ConnectionAt, st: StructureAt) -> Re
                                  "variant_gap": worst(np.abs(slot - output))})
 
 
-def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt, r_nat=None,
-                     r_lc=None):
+def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt):
     """The cyclic sums of the natural and Levi-Civita curvatures agree
-    whenever the connections differ by a product-shaped correction; `r_nat`,
-    `r_lc`: the two curvatures, where the caller has them."""
-    r_nat = riemann_components(nat.gamma, nat.dgamma) if r_nat is None else r_nat
-    r_lc = riemann_components(lc.gamma, lc.dgamma) if r_lc is None else r_lc
-    sc = pmax(amax(r_lc, 4), 1.0) * pmax(amax(st.c, 3), 1.0)
-    return Residuals({"cyclic": normalized(amax(_cyclic(_RC, r_nat - r_lc, st.c), 5), sc)}, sc)
+    whenever the connections differ by a product-shaped correction."""
+    cyclic = _cyclic(_RC, nat.curvature - lc.curvature, st.c)
+    sc = pmax(amax(lc.curvature, 4), 1.0) * pmax(amax(st.c, 3), 1.0)
+    return Residuals({"cyclic": normalized(amax(cyclic, 5), sc)}, sc)
 
 
 def check_R_tR_identity(st: StructureAt) -> Report:
     inverse = metric_inverse(st)
     lc = levi_civita(st, inverse)
-    return batch_report("r-tr",
-                        r_tr_identity_at(natural_from_levi_civita(st, lc, inverse), lc, st),
-                        DEFAULT_TOL)
+    nat = natural_from_levi_civita(st, lc, inverse, counit_jets(st))
+    return batch_report("r-tr", r_tr_identity_at(nat, lc, st), DEFAULT_TOL)
 
 
 def nabla_nabla_E_at(conn: ConnectionAt, st: StructureAt):
@@ -349,7 +350,7 @@ def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
     # the parts: dual product axioms, unit E, dual flatness, reverse formula
     assoc = antisym(contract("...sjk,...isl->...ijkl", cstar, cstar))
     unit = contract("...ijk,...j->...ik", cstar, st.E) - np.eye(st.n)
-    flat = riemann_components(gamma_star, dgamma_star)
+    flat = star.curvature
     nab_star_e = st.de + contract("...ijs,...s->...ij", gamma_star, st.e)  # nabla*_j e^i
     reverse = conn.gamma - (gamma_star - contract("...lji,...kl->...kij", st.c, nab_star_e))
     sc_c = amax(cstar, 3)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .connection import ConnectionAt, inverse_jets, levi_civita, riemann_components
+from .connection import ConnectionAt, levi_civita, metric_inverse
 from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, Report, Residuals, StructureAt, amax,
                        batch_report, normalized, pmax, structure_at, table_jets, walk_row)
 from .spec import NormalBundleData, fields_from_exprs, fields_from_gradients
@@ -60,13 +60,10 @@ def rank_of(xs: np.ndarray):
     return np.where(finite, rank, np.nan)
 
 
-def _raised_riemann(st: StructureAt, lc: ConnectionAt, ginv=None, r=None):
-    """R2[i,j,k,h] = g^is R^j_skh for the Levi-Civita curvature of g;
-    `ginv`, `r`: the inverse of g and the curvature, where the caller has them."""
-    r = riemann_components(lc.gamma, lc.dgamma) if r is None else r
-    if ginv is None:
-        ginv, _ = inverse_jets(st.g, st.dg)
-    return contract("...is,...jskh->...ijkh", ginv, r)
+def _raised_riemann(lc: ConnectionAt, ginv):
+    """R2[i,j,k,h] = g^is R^j_skh for the curvature of `lc`, the
+    Levi-Civita connection of g, and `ginv`, the inverse of g."""
+    return contract("...is,...jskh->...ijkh", ginv, lc.curvature)
 
 
 def _over_fields(values, like):
@@ -92,11 +89,10 @@ def _expansion(ws, eps, like):
     return rhs
 
 
-def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv=None, r=None):
+def quadratic_expansion_at(st: StructureAt, lc: ConnectionAt, eps, xs, ginv):
     """Raised curvature equals the signed quadratic expression in the
-    spanning fields through the product; `r`: the curvature of `lc` where
-    the caller has it."""
-    r2 = _raised_riemann(st, lc, ginv, r)
+    spanning fields through the product; `ginv`: the inverse of g."""
+    r2 = _raised_riemann(lc, ginv)
     rhs = _expansion(contract("...ijs,...as->...aij", st.c, xs), eps, r2)
     sc = pmax(amax(r2, 4), amax(rhs, 4), 1e-30)
     return Residuals({"expansion": normalized(amax(r2 - rhs, 4), sc)}, sc)
@@ -131,11 +127,11 @@ def _affinors(st: StructureAt, xs, dxs):
     return contract_jets("...ijs,...as->...aij", (st.c, st.dc), (xs, dxs))
 
 
-def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv=None, r=None):
+def gmc_at(st: StructureAt, lc: ConnectionAt, eps, xs, dxs, ginv):
     """The four structural equations for the affinors W_a = (X_a o), the
-    parts "gmc0".."gmc3", which the report shows; `r`: the curvature of
-    `lc` where the caller has it."""
-    r2 = _raised_riemann(st, lc, ginv, r)
+    parts "gmc0".."gmc3", which the report shows; `ginv`: the inverse of
+    g."""
+    r2 = _raised_riemann(lc, ginv)
     gamma_lc = lc.gamma
     ws, dws = _affinors(st, xs, dxs)
     count = xs.shape[-2]
@@ -176,12 +172,12 @@ def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point) -> dict:
     and one tail per spanning field.  Requires the affinor equations to
     hold at the point, at the default tolerance."""
     st = structure_at(spec, point)
-    lc = levi_civita(st)
+    inverse = metric_inverse(st)
+    lc, ginv = levi_civita(st, inverse), inverse.inv
     xs, dxs, _ = spanning_fields(nb, [st.point], spec.n, spec.env()).at(0)
-    gmc = batch_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs), DEFAULT_TOL)
+    gmc = batch_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs, ginv), DEFAULT_TOL)
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")
-    ginv, _ = inverse_jets(st.g, st.dg)
     conv = -np.einsum("is,jsk->ijk", ginv, lc.gamma)
     ws, _ = _affinors(st, xs, dxs)
     tails = [{"epsilon": int(nb.eps[a].real) if isinstance(nb.eps[a], complex) else int(nb.eps[a]),

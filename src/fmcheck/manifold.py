@@ -93,10 +93,6 @@ class PointBatch:
                 out[f.name] = value[k]
         return dataclasses.replace(self, **out)
 
-    def head(self, count: int):
-        """The batch of the first `count` points."""
-        return self.at(slice(count))
-
 
 @dataclass
 class Jets(PointBatch):

@@ -6,7 +6,9 @@ Spec slot convention: `spec.g` holds the covariant first metric (the one the
 unit field preserves) and `spec.g2` the covariant second metric.  The pencil
 itself lives on the contravariant side; contravariant jets are produced from
 the covariant expression tables by matrix-inverse jets, never by inverting
-expressions symbolically.
+expressions symbolically.  The first metric's inverse jets come from the
+caller (`metric_inverse`): the walk's batch, or built in plain sight
+(`pencil_at`); its Christoffel jets, from the walk's `lc` where it has one.
 """
 
 from __future__ import annotations
@@ -66,17 +68,17 @@ class PencilAt(PointBatch):
 
 
 def pencil_at(spec: ManifoldSpec, point) -> PencilAt:
-    return pencil_second_order(pencil_first_order(structures(spec, [point]))).at(0)
+    st = structures(spec, [point])
+    return pencil_second_order(pencil_first_order(st, metric_inverse(st))).at(0)
 
 
-def pencil_first_order(st: StructureAt, inverse: InverseJets | None = None) -> PencilAt:
+def pencil_first_order(st: StructureAt, inverse: InverseJets) -> PencilAt:
     """The pencil data of first order, which is all that exactness and
     homogeneity read: both inverse metrics, L and E, with first
-    derivatives.  `inverse`: the first metric's `metric_inverse`, where the
-    caller has it.  A point where a metric is singular raises."""
+    derivatives, the first metric's from its `metric_inverse` `inverse`.
+    A point where the second metric is singular raises."""
     if st.g2 is None:
         raise MissingSecondMetricError("spec has no second metric")
-    inverse = inverse or metric_inverse(st)
     g_inv, dg_inv = inverse_jets(st.g2, st.dg2)
     L, dL = contract_jets("...il,...lj->...ij", (g_inv, dg_inv), (st.g, st.dg))
     E, dE = contract_jets("...ij,...j->...i", (L, dL), (st.e, st.de))
@@ -142,9 +144,10 @@ def check_flat_pencil(spec, points, tol: float = DEFAULT_TOL) -> Report:
     """Curvature of every pencil member, and linearity of the contravariant
     Christoffel symbols across the pencil, at every point; the lowest
     point where a datum is singular raises (`flat_pencil_at`)."""
-    result = lowest_failure(lambda pts: flat_pencil_at(
-        pencil_second_order(pencil_first_order(structures(spec, pts)))), points)
-    return batch_report("flat-pencil", result, tol)
+    def run(pts):
+        st = structures(spec, pts)
+        return flat_pencil_at(pencil_second_order(pencil_first_order(st, metric_inverse(st))))
+    return batch_report("flat-pencil", lowest_failure(run, points), tol)
 
 
 def exactness_at(pa: PencilAt):
@@ -248,18 +251,16 @@ def r_operator(spec, point, tol: float = DEFAULT_TOL):
     closed form where applicable."""
     pa = pencil_at(spec, point)
     r = contract("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
-    return r, batch_report("r-operator", r_operator_at(pa, pencil_weight(pa)[0],
-                                                       counit_jets(pa.st)), tol)
+    return r, batch_report("r-operator", r_operator_at(pa, pencil_weight(pa)[0]), tol)
 
 
-def r_operator_at(pa: PencilAt, d, counit):
+def r_operator_at(pa: PencilAt, d):
     """R^m_s = (Gamma1 - Gamma2)^m_sl E^l against its second route, (d-1)/2
-    Id + nabla1 E + 1/2 g^is dtheta_sj with theta = eta.e (`counit`:
-    `counit_jets` at pa's points), and on a diagonal pencil against its
-    closed form (0 elsewhere), at each point."""
+    Id + nabla1 E + 1/2 g^is dtheta_sj with theta = eta.e, and on a
+    diagonal pencil against its closed form (0 elsewhere), at each point."""
     r1 = contract("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
     nab1E = pa.dE + contract("...ijl,...l->...ij", pa.gamma1, pa.E)
-    _, _, dtheta, _ = counit
+    _, _, dtheta, _ = counit_jets(pa.st)
     r2 = ((np.asarray(d)[..., None, None] - 1) / 2 * np.eye(pa.n) + nab1E
           + 0.5 * contract("...is,...sj->...ij", pa.g_inv, dtheta))
     sc = pmax(amax(r1, 2), 1.0)

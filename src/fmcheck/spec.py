@@ -24,6 +24,7 @@ evaluation time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -374,10 +375,13 @@ class Region:
         box = _field(d, "region.box")
         _expect(_is_list(box, n) and all(_is_list(b, 2) and all(map(_is_number, b)) for b in box),
                 "region.box", f"{n} [lo, hi] pairs of numbers, as n = {n}")
+        for b in box:
+            _expect(all(map(_is_finite, b)) and b[0] <= b[1], "region.box",
+                    f"finite bounds with lo <= hi, got {b}")
         bounds = {}
         for key in ("min_sep", "guard_min"):
             if key in d:
-                _expect(_is_number(d[key]), f"region.{key}", "a number")
+                _expect(_is_finite(d[key]), f"region.{key}", "a finite number")
                 bounds[key] = float(d[key])
         guards = d.get("guards", [])
         _expect(isinstance(guards, list) and all(isinstance(g, str) for g in guards),
@@ -404,6 +408,15 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """A number that a float holds, neither NaN nor infinite: Python's json
+    reads NaN, Infinity and integers of any size."""
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _is_list(v, length: int) -> bool:
     return isinstance(v, list) and len(v) == length
 
@@ -424,10 +437,11 @@ def _scalar_to_json(v: complex):
 
 
 def _scalar_from_json(v, field: str) -> complex:
-    if _is_number(v):
-        return complex(v)
-    _expect(_is_list(v, 2) and all(map(_is_number, v)), field, "a number or an [re, im] pair")
-    return complex(v[0], v[1])
+    parts = [v] if _is_number(v) else v
+    _expect(_is_number(v) or _is_list(v, 2) and all(map(_is_number, v)), field,
+            "a number or an [re, im] pair")
+    _expect(all(map(_is_finite, parts)), field, f"a finite value, got {v}")
+    return complex(*parts)
 
 
 @dataclass

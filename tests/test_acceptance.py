@@ -23,8 +23,7 @@ from fmcheck.connection import (check_compat_product, check_flatness,
                                 check_nabla_e, check_nabla_from_g,
                                 check_torsionless,
                                 connection_from_exprs, dual_structure,
-                                levi_civita, natural_connection,
-                                riemann_components)
+                                levi_civita, metric_inverse, natural_connection)
 from fmcheck.entries import lauricella_normal_fields
 from fmcheck.hamops import (check_gmc, check_quadratic_expansion,
                             check_sym_condition, emit_operator, field_rank,
@@ -60,8 +59,7 @@ def test_criterion_01_halfplane_golden_suite():
     ok = True
     for p in pts:
         st = structure_at(spec, p)
-        lc = levi_civita(st)
-        r = riemann_components(lc.gamma, lc.dgamma)
+        r = levi_civita(st, metric_inverse(st)).curvature
         r_up = np.einsum("s,s->", np.linalg.inv(st.g)[0], r[1, :, 0, 1])
         ok &= abs(r_up - 1.0) <= 1e-8
         ok &= check_flatness(natural_connection(st), 1e-8).passed

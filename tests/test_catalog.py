@@ -148,13 +148,14 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     # record the points of every structure, pencil (first and second
     # order), rotation data, spanning-field and transformed-structure batch
     # built, every matrix inverted, every metric given Christoffel jets,
-    # and every run of an expression table with the points it runs over
-    # and the derivative order it computes, binding the recorders wherever
-    # fmcheck holds the function
+    # the Christoffel symbols of every curvature built, and every run of
+    # an expression table with the points it runs over and the derivative
+    # order it computes, binding the recorders wherever fmcheck holds the
+    # function
     import sys
     from fmcheck import exprjet as ej
     from fmcheck.legendre import transform_metric_exprs
-    built, runs, inverted, christoffel = {}, [], [], []
+    built, runs, inverted, christoffel, curved = {}, [], [], [], []
 
     def points_of(batch):
         return [tuple(p) for p in np.asarray(batch.point, dtype=complex).reshape(-1, batch.n)]
@@ -184,6 +185,12 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             return fn(g, *args, **kwargs)
         return recording
 
+    def curvature_of(fn):
+        def recording(gamma, *args, **kwargs):
+            curved.append(gamma)  # the array itself, which a cut of it shares
+            return fn(gamma, *args, **kwargs)
+        return recording
+
     def transformed_over(fn):
         def recording(st, *args, **kwargs):
             built["transformed"].append(points_of(st))
@@ -203,6 +210,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                ("pencil", "pencil_second_order"): lambda fn: returned("pencil2", fn),
                ("connection", "checked_inverse"): inverse,
                ("connection", "christoffel_jets"): christoffel_of,
+               ("connection", "riemann_components"): curvature_of,
                ("legendre", "transformed_at"): transformed_over,
                ("exprjet", "eval_points"): table_run}
     for (mod, fn), wrap in targets.items():
@@ -237,6 +245,10 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         for m in metrics:
             assert sum(a.shape == m.shape and np.array_equal(a, m) for a in inverted) <= 1, what
             assert sum(np.array_equal(g, m[:len(g)]) for g in christoffel) <= 1, what
+        # and no connection is given its curvature twice: no two
+        # curvatures come from the same Christoffel symbols, or a cut of them
+        for k, gamma in enumerate(curved):
+            assert not any(np.shares_memory(gamma, other) for other in curved[:k]), what
 
     rotation_flags = {"darboux", "lame", "ed4", "ed4bis", "ed5b", "potentiality"}
     for name in cat.names():
@@ -256,6 +268,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         runs.clear()
         inverted.clear()
         christoffel.clear()
+        curved.clear()
         run_suite(ent, seed=0, count=10)
         needs_rotation = bool(ent.flags & rotation_flags) or "V_eigenvalues" in ent.spec.expected
         assert built["structure"] == [pts], name
@@ -288,6 +301,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             runs.clear()
             inverted.clear()
             christoffel.clear()
+            curved.clear()
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(argv + ["--points", "10", "--seed", "0"])
             if code != 2:  # 2: the spec lacks a field the check needs
@@ -312,6 +326,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         runs.clear()
         inverted.clear()
         christoffel.clear()
+        curved.clear()
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) == 0, argv
         assert built["structure"] == [pts], argv
@@ -328,18 +343,21 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
 
 
 def test_row_data_cuts_array_batches_to_the_row_points():
-    # a head row of a 25-point walk reads the walk's curvature array, built
-    # over all 25 points, at its own first max(4, 25 // 5) = 5 points, as it
-    # reads tuples and point batches
+    # in a mixed 25-point walk the pencil's second-order data, which its
+    # head rows read, is built over the first max(4, 25 // 5) = 5 points,
+    # and the structure over all 25; a walk of head rows alone reads only
+    # those 5 points
     from dataclasses import replace
+    ent = cat.entry("af-pencil-n3")
+    points = sample_points(ent.spec, SamplePlan(seed=0, count=25))
+    mixed = cat.run_checks(ent.spec, ent.companion, ["pencil-exactness", "flat-pencil"], points)
+    assert [r.npoints for r in mixed] == [25, 5]
+    walk = cat._Walk(ent.spec, ent.companion, points, 5)
+    assert len(cat._BY_NAME["flat-pencil"].at(walk).scale) == 5
+    assert len(cat._BY_NAME["pencil-exactness"].at(walk).scale) == 25
+    assert walk.data["pa"].point.shape[0] == 5 and walk.data["st"].point.shape[0] == 25
     ent = cat.entry("lobachevsky")
     points = sample_points(ent.spec, SamplePlan(seed=0, count=25))
-    walk = cat._Walk(ent.spec, ent.companion, points)
-    assert walk.head == 5
-    rows = cat._RowData(walk, walk.head)
-    assert walk.batch("r_lc").shape[0] == 25
-    assert rows.r_lc.shape[0] == 5 and rows.lc.gamma.shape[0] == 5
-    assert all(a.shape[0] == 5 for a in rows.counit)
     flat = cat._BY_NAME["levi-civita-flat"]
     five = cat._walk(ent.spec, ent.companion, [replace(flat, head=True)], points, 1e-8)[0]
     alone = cat._walk(ent.spec, ent.companion, [flat], points[:5], 1e-8)[0]

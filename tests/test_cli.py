@@ -319,15 +319,16 @@ def test_ode_path_imports_only_ode3d():
 
 
 def test_catalog_and_spec_errors_import_only_the_spec_layer(tmp_path):
-    # `catalog`, a spec that cannot be loaded and a `--field` of the wrong
-    # length load only the standard library's modules, `spec` and
-    # `entries`, and no numpy; every export
+    # `catalog`, a spec that cannot be loaded, a non-finite `--param` and a
+    # `--field` of the wrong length load only the standard library's
+    # modules, `spec` and `entries`, and no numpy; every export
     # has the bytes it has in a process that has loaded the walk
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
     exports = [["catalog", "export", name] for name in cat.names()]
     runs = [(["catalog", "list"], 0), *((argv, 0) for argv in exports),
             (["verify", "nope"], 2), (["verify", str(malformed)], 2),
+            (["verify", "q0-d0", "--param", "a=nan"], 2),
             (["legendre", "q0-d-minus1", "--field", "1,0"], 2)]
     script = ("import contextlib, io, json, sys\n"
               "from fmcheck.cli import main\n"
@@ -419,6 +420,22 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
     # a region that admits no point: no two coordinates 50 apart in the box
     paths["empty"] = tmp_path / "empty.json"
     paths["empty"].write_text(json.dumps({**doc, "region": {**doc["region"], "min_sep": 50}}))
+    # non-finite numbers, which Python's json reads and writes as NaN and
+    # Infinity, integers beyond a float's range, and a reversed box pair
+    nan, inf = float("nan"), float("inf")
+    numbers = {"nan-param": {**doc, "params": {"a": nan}},
+               "inf-pair-param": {**doc, "params": {"a": [1.0, inf]}},
+               "huge-param": {**doc, "params": {"a": 10 ** 400}},
+               **{key: {**doc, "region": {**doc["region"], **region}} for key, region in (
+                   ("nan-box", {"box": [[nan, 2.0], [-1.5, 0.4]]}),
+                   ("inf-box", {"box": [[0.6, inf], [-1.5, 0.4]]}),
+                   ("reversed-box", {"box": [[0.6, 2.0], [1.0, -1.0]]}),
+                   ("nan-min-sep", {"min_sep": nan}),
+                   ("huge-min-sep", {"min_sep": 10 ** 400}),
+                   ("inf-guard-min", {"guard_min": inf}))}}
+    for key, value in numbers.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(value))
     # a spec file without its product, among other fields
     paths["missing"] = tmp_path / "missing.json"
     paths["missing"].write_text(json.dumps({"n": 2}))
@@ -483,6 +500,33 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["verify", "lobachevsky", "--points", "100000000"],
                         "input error: the sampling region of 'lobachevsky'"),
                        (["verify", "lobachevsky", "--param", "b=zz"], "--param b: 'zz'"),
+                       # so is a non-finite number, on the command line or in
+                       # a spec file, and a reversed box pair, by its field
+                       (["verify", "q0-d0", "--param", "a=nan"],
+                        "spec error: --param a: 'nan' is not finite"),
+                       (["verify", "q0-d0", "--param", "a=inf"],
+                        "spec error: --param a: 'inf' is not finite"),
+                       (["verify", "lauricella-eps-minus1-n3", "--param", "c1=nan"],
+                        "spec error: --param c1: 'nan' is not finite"),
+                       (["legendre", "q0-d-minus1", "--field", "X2", "--target", "q0-d0",
+                         "--param", "a=-inf"], "spec error: --param a: '-inf' is not finite"),
+                       (["verify", str(paths["nan-param"])],
+                        "spec error: params.a: expected a finite value, got nan"),
+                       (["verify", str(paths["inf-pair-param"])],
+                        "spec error: params.a: expected a finite value, got [1.0, inf]"),
+                       (["verify", str(paths["huge-param"])],
+                        "spec error: params.a: expected a finite value, got 1000"),
+                       *((["verify", str(paths[key])],
+                         f"spec error: region.box: expected finite bounds with lo <= hi, got {b}")
+                         for key, b in (("nan-box", "[nan, 2.0]"), ("inf-box", "[0.6, inf]"),
+                                        ("reversed-box", "[1.0, -1.0]"))),
+                       (["legendre", str(paths["reversed-box"]), "--field", "1,1"],
+                        "spec error: region.box: expected finite bounds with lo <= hi"),
+                       *((["verify", str(paths[key])],
+                         "spec error: region.min_sep: expected a finite number")
+                         for key in ("nan-min-sep", "huge-min-sep")),
+                       (["verify", str(paths["inf-guard-min"])],
+                        "spec error: region.guard_min: expected a finite number"),
                        # so is a name that is no parameter of the spec (or target)
                        (["verify", "q0-d0", "--param", "aa=2"], "--param aa: q0-d0"),
                        (["legendre", "q0-d-minus1", "--field", "X2", "--param", "zz=3"],

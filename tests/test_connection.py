@@ -8,8 +8,8 @@ from fmcheck.connection import (check_compat_product,
                                 check_nabla_nabla_E, check_R_tR_identity,
                                 check_torsionless, connection_from_exprs,
                                 counit_jets, dual_structure,
-                                levi_civita, natural_connection, nabla_metric,
-                                riemann_components)
+                                levi_civita, metric_inverse, natural_connection,
+                                nabla_metric)
 from fmcheck.exprjet import finite_diff_oracle, parse
 from fmcheck.manifold import (ManifoldSpec, Region, SamplePlan, sample_points,
                               structure_at)
@@ -25,7 +25,7 @@ def euclid(n=2):
 
 def test_levi_civita_euclidean_zero():
     st = structure_at(euclid(), np.array([0.5, 0.7]))
-    conn = levi_civita(st)
+    conn = levi_civita(st, metric_inverse(st))
     assert np.max(np.abs(conn.gamma)) == 0.0
 
 
@@ -33,7 +33,7 @@ def test_levi_civita_metricity():
     spec = cat.entry("lobachevsky").spec
     for p in sample_points(spec, SamplePlan(seed=0, count=10)):
         st = structure_at(spec, p)
-        conn = levi_civita(st)
+        conn = levi_civita(st, metric_inverse(st))
         assert np.max(np.abs(nabla_metric(conn, st))) <= 1e-10 * (1 + np.max(np.abs(st.g)))
 
 
@@ -43,7 +43,7 @@ def test_levi_civita_diagonal_log_formula():
     ent = cat.entry("lauricella-eps-minus1-n3")
     p = np.array([-1.5, -0.4, 1.2])
     st = structure_at(ent.spec, p)
-    conn = levi_civita(st)
+    conn = levi_civita(st, metric_inverse(st))
     for i in range(3):
         gii = parse(ent.spec.g[i][i])
         for j in range(3):
@@ -79,7 +79,8 @@ def test_dtheta_zero_for_separable_diag_metric():
     _, _, dtheta, d_dtheta = counit_jets(st)
     assert np.max(np.abs(dtheta)) == 0.0 and np.max(np.abs(d_dtheta)) == 0.0
     # with no counit twist the structure connection is Levi-Civita
-    assert np.max(np.abs(natural_connection(st).gamma - levi_civita(st).gamma)) == 0.0
+    assert np.max(np.abs(natural_connection(st).gamma
+                         - levi_civita(st, metric_inverse(st)).gamma)) == 0.0
 
 
 def test_zero_unit_gives_zero_counit():
@@ -97,8 +98,8 @@ def test_half_plane_curvature_golden():
     spec = cat.entry("lobachevsky").spec
     for p in sample_points(spec, SamplePlan(seed=1, count=5)):
         st = structure_at(spec, p)
-        lc = levi_civita(st)
-        r = riemann_components(lc.gamma, lc.dgamma)
+        lc = levi_civita(st, metric_inverse(st))
+        r = lc.curvature
         ginv = np.linalg.inv(st.g)
         r_up = np.einsum("s,s->", ginv[0], r[1, :, 0, 1])
         assert abs(r_up - 1.0) < 1e-8
@@ -123,7 +124,7 @@ def test_theorem_connection_suite_over_killing_entries():
             assert check_nabla_e(nat, st).residual <= 1e-8
             assert check_compat_product(nat, st).residual <= 1e-8
             assert check_nabla_from_g(nat, st).residual <= 1e-8
-            lc = levi_civita(st)
+            lc = levi_civita(st, metric_inverse(st))
             assert check_curvature_product_condition(lc, st).residual <= 1e-8
             assert check_R_tR_identity(st).residual <= 1e-8
 
@@ -224,7 +225,7 @@ def test_curvature_variants_agree_on_metric_connections():
         spec = cat.entry(name).spec
         for p in sample_points(spec, SamplePlan(seed=2, count=3)):
             st = structure_at(spec, p)
-            rep = check_curvature_product_condition(levi_civita(st), st)
+            rep = check_curvature_product_condition(levi_civita(st, metric_inverse(st)), st)
             assert rep.details["variant_gap"] <= 1e-8
 
 
@@ -233,7 +234,7 @@ def test_levi_civita_not_product_compatible_on_curved_metric():
     # compatibility; only the counit-twisted connection satisfies it
     spec = cat.entry("lobachevsky").spec
     st = structure_at(spec, np.array([1.6, 0.1]))
-    assert not check_compat_product(levi_civita(st), st).passed
+    assert not check_compat_product(levi_civita(st, metric_inverse(st)), st).passed
 
 
 def _same(got, want, what, k=None):
@@ -273,27 +274,30 @@ def _batched_functions(spec, comp):
            "lie_from_components": lambda st: lie_from_components(st.c, st.dc, ("u", "d", "d"),
                                                                  st.e, st.de)}
     if spec.g is not None:
+        def lc(st):
+            return cn.levi_civita(st, cn.metric_inverse(st))
         out.update({
             "metric_invariance_at": mf.metric_invariance_at,
             "killing_unit_at": mf.killing_unit_at,
             "checked_inverse": lambda st: cn.checked_inverse(st.g),
             "inverse_jets": lambda st: cn.inverse_jets(st.g, st.dg, st.ddg),
             "metric_inverse": lambda st: (cn.metric_inverse(st).inv, cn.metric_inverse(st).dinv),
-            "christoffel_jets": lambda st: cn.christoffel_jets(st.g, st.dg, st.ddg),
+            "christoffel_jets": lambda st: cn.christoffel_jets(st.g, st.dg, st.ddg,
+                                                               cn.inverse_jets(st.g, st.dg)),
             "counit_jets": cn.counit_jets,
-            "levi_civita": lambda st: (cn.levi_civita(st).gamma, cn.levi_civita(st).dgamma),
+            "levi_civita": lambda st: (lc(st).gamma, lc(st).dgamma),
             "natural_connection": lambda st: (cn.natural_connection(st).gamma,
                                               cn.natural_connection(st).dgamma),
-            "riemann_components": lambda st: cn.riemann_components(cn.levi_civita(st).gamma,
-                                                                   cn.levi_civita(st).dgamma),
+            "riemann_components": lambda st: cn.riemann_components(lc(st).gamma, lc(st).dgamma),
             "torsion_at": lambda st: cn.torsion_at(cn.natural_connection(st)),
-            "flatness_at": lambda st: cn.flatness_at(cn.levi_civita(st)),
+            "flatness_at": lambda st: cn.flatness_at(lc(st)),
             "nabla_e_at": lambda st: cn.nabla_e_at(cn.natural_connection(st), st),
             "compat_product_at": lambda st: cn.compat_product_at(cn.natural_connection(st), st),
-            "nabla_from_g_at": lambda st: cn.nabla_from_g_at(cn.natural_connection(st), st),
-            "curvature_product_at": lambda st: cn.curvature_product_at(cn.levi_civita(st), st),
-            "r_tr_identity_at": lambda st: cn.r_tr_identity_at(cn.natural_connection(st),
-                                                               cn.levi_civita(st), st),
+            "nabla_from_g_at": lambda st: cn.nabla_from_g_at(cn.natural_connection(st), st,
+                                                             cn.counit_jets(st)),
+            "curvature_product_at": lambda st: cn.curvature_product_at(lc(st), st),
+            "r_tr_identity_at": lambda st: cn.r_tr_identity_at(cn.natural_connection(st), lc(st),
+                                                               st),
         })
     if spec.g is not None and spec.E is not None:
         out["homogeneity_at"] = mf.homogeneity_at
@@ -305,18 +309,19 @@ def _batched_functions(spec, comp):
             comp["gamma"], st.point.reshape(-1, spec.n), spec.env()).gamma.reshape(
                 np.shape(st.c))
     if spec.g2 is not None:
+        def first(st):
+            return pn.pencil_first_order(st, cn.metric_inverse(st))
+
         def pencil(st):
-            pa = pn.pencil_second_order(pn.pencil_first_order(st))
+            pa = pn.pencil_second_order(first(st))
             return [getattr(pa, f) for f in ("eta_inv", "deta_inv", "ddeta_inv", "g_inv",
                                              "dg_inv", "ddg_inv", "gamma1", "dgamma1", "gamma2",
                                              "dgamma2", "L", "dL", "E", "dE", "ddE")]
         out.update({
             "pencil_second_order": pencil,
-            "exactness_at": lambda st: pn.exactness_at(pn.pencil_first_order(st)),
-            "pencil_homogeneity_at": lambda st: pn.pencil_homogeneity_at(
-                pn.pencil_first_order(st)),
-            "flat_pencil_at": lambda st: pn.flat_pencil_at(
-                pn.pencil_second_order(pn.pencil_first_order(st))),
+            "exactness_at": lambda st: pn.exactness_at(first(st)),
+            "pencil_homogeneity_at": lambda st: pn.pencil_homogeneity_at(first(st)),
+            "flat_pencil_at": lambda st: pn.flat_pencil_at(pn.pencil_second_order(first(st))),
         })
         out.update(_pencil_head_functions())
     out.update(_point_axis_functions(spec, comp))
@@ -329,7 +334,7 @@ def _pencil_head_functions():
     from fmcheck import connection as cn, pencil as pn
 
     def pa(st):
-        return pn.pencil_second_order(pn.pencil_first_order(st))
+        return pn.pencil_second_order(pn.pencil_first_order(st, cn.metric_inverse(st)))
 
     def weight(st):
         return pn.pencil_weight(pa(st), rank=2)[0]
@@ -342,13 +347,14 @@ def _pencil_head_functions():
         recon = pn.reconstructed_at(pa(st), prod.c, prod.dc)
         nat = cn.natural_connection(recon)
         return [cn.flatness_at(nat), cn.nabla_e_at(nat, recon),
-                cn.compat_product_at(nat, recon), cn.nabla_from_g_at(nat, recon)]
+                cn.compat_product_at(nat, recon),
+                cn.nabla_from_g_at(nat, recon, cn.counit_jets(recon))]
     return {
         "pencil_weight": weight,
         "delta_jets": lambda st: pn.delta_jets(pa(st)),
         "delta_identities_at": lambda st: pn.delta_identities_at(pa(st), weight(st),
                                                                  pn.delta_jets(pa(st))),
-        "r_operator_at": lambda st: pn.r_operator_at(pa(st), weight(st), cn.counit_jets(st)),
+        "r_operator_at": lambda st: pn.r_operator_at(pa(st), weight(st)),
         "product_from_pencil_at": lambda st: [getattr(product(st), f)
                                               for f in ("c", "dc", "residuals")],
         "reconstructed_at": reconstructed,
@@ -415,11 +421,13 @@ def _point_axis_functions(spec, comp):
         out.update({
             "spanning_fields": lambda st: (fields(st).val, fields(st).grad),
             "quadratic_expansion_at": lambda st: hm.quadratic_expansion_at(
-                st, cn.levi_civita(st), nb.eps, fields(st).val),
+                st, cn.levi_civita(st, cn.metric_inverse(st)), nb.eps, fields(st).val,
+                cn.metric_inverse(st).inv),
             "sym_condition_at": lambda st: hm.sym_condition_at(
                 st, cn.natural_connection(st), fields(st).val, fields(st).grad),
-            "gmc_at": lambda st: hm.gmc_at(st, cn.levi_civita(st), nb.eps, fields(st).val,
-                                           fields(st).grad),
+            "gmc_at": lambda st: hm.gmc_at(st, cn.levi_civita(st, cn.metric_inverse(st)), nb.eps,
+                                           fields(st).val, fields(st).grad,
+                                           cn.metric_inverse(st).inv),
             "rank_of": lambda st: hm.rank_of(fields(st).val),
         })
     if "gamma_star" in comp:
@@ -462,6 +470,7 @@ def test_batched_functions_and_rows_equal_single_point_runs():
     # whose product takes both routes in one batch), gives at each of 10
     # points what it gives on that point alone
     from fmcheck.manifold import structures
+    from fmcheck.connection import metric_inverse
     from fmcheck.pencil import pencil_first_order, pencil_second_order
 
     from constructions import semisimple_pencil_from_f
@@ -470,7 +479,8 @@ def test_batched_functions_and_rows_equal_single_point_runs():
     both_points = [np.array(p, dtype=complex) for p in (
         (0.5, 1.5), (0.3, 1.9), (0.25, 1.25), (0.6, 1.1), (0.2, 1.7), (0.75, 1.75), (0.4, 1.2),
         (0.35, 1.35), (0.1, 0.8), (0.45, 1.6))]
-    pa = pencil_second_order(pencil_first_order(structures(both, both_points[:4])))
+    st = structures(both, both_points[:4])
+    pa = pencil_second_order(pencil_first_order(st, metric_inverse(st)))
     cond = np.linalg.cond(np.einsum("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E))
     assert pa.diagonal.all() and (cond <= 1e8).any() and (cond > 1e8).any()
     entries = [(name, cat.entry(name)) for name in cat.names()]
@@ -514,12 +524,12 @@ def test_batched_functions_and_rows_equal_single_point_runs():
         return value[k]
     for name, spec, comp, pts, rows in sources:
         for row in rows:
-            walk = cat._Walk(spec, comp, pts)
-            limit = walk.head if row.head else 10
-            got = row.at(cat._RowData(walk, limit))
+            # the walk's head on 10 points is its first max(4, 10 // 5)
+            got = row.at(cat._Walk(spec, comp, pts, 4))
+            limit = 4 if row.head else 10
             assert len(got.scale) == limit
             for k, p in enumerate(pts[:limit]):
-                want = row.at(cat._RowData(cat._Walk(spec, comp, [p]), 1))
+                want = row.at(cat._Walk(spec, comp, [p], 1))
                 _same(at(got, k), at(want, 0), (name, row.name, k))
             names.add("match" if row.name.startswith("match-") else row.name)
     assert len([c for c in cat.CHECKS if c.name in names]) == len(cat.CHECKS) == 45

@@ -5,15 +5,16 @@ import pytest
 
 import fmcheck.catalog as cat
 from fmcheck.connection import (check_compat_product, check_flatness, check_nabla_e,
-                                check_nabla_from_g, natural_connection)
+                                check_nabla_from_g, metric_inverse, natural_connection)
 from fmcheck.manifold import (ManifoldSpec, MissingFieldError, Region, SamplePlan,
                               check_hertling_manin, check_homogeneity, check_killing_unit,
                               check_metric_invariance, check_product_axioms,
-                              sample_points)
+                              sample_points, structures)
 from fmcheck.pencil import (MissingSecondMetricError, check_exactness,
                             check_flat_pencil, check_pencil_homogeneity,
-                            delta_tensor, pencil_at, product_from_pencil,
-                            r_operator, reconstructed_structure)
+                            delta_tensor, pencil_at, pencil_first_order,
+                            pencil_second_order, product_from_pencil, r_operator,
+                            reconstructed_structure)
 from fmcheck.rotation import check_algebraic_constraints
 from fmcheck.tensor import SingularMatrixError
 
@@ -22,6 +23,13 @@ from constructions import semisimple_pencil_from_f
 
 def af(n=3):
     return cat.entry(f"af-pencil-n{n}").spec
+
+
+def second_order(spec, points):
+    """The pencil's second-order data over `points`, built as the walk
+    builds it."""
+    st = structures(spec, points)
+    return pencil_second_order(pencil_first_order(st, metric_inverse(st)))
 
 
 def test_exactness_and_negative_control():
@@ -86,11 +94,12 @@ def test_flat_pencil_negative_control():
         region=Region(box=((0.2, 1.0), (1.4, 2.2)), min_sep=0.1))
     pts = sample_points(spec, SamplePlan(seed=3, count=4))
     # both members are flat on their own
-    from fmcheck.connection import christoffel_jets, riemann_components
+    from fmcheck.connection import christoffel_jets, inverse_jets, riemann_components
     from fmcheck.manifold import structure_at
     st = structure_at(spec, pts[0])
     for g, dg, ddg in ((st.g, st.dg, st.ddg), (st.g2, st.dg2, st.ddg2)):
-        assert np.max(np.abs(riemann_components(*christoffel_jets(g, dg, ddg)))) < 1e-12
+        gamma = christoffel_jets(g, dg, ddg, inverse_jets(g, dg))
+        assert np.max(np.abs(riemann_components(*gamma))) < 1e-12
     rep = check_flat_pencil(spec, pts)
     assert not rep.passed
 
@@ -100,8 +109,7 @@ def test_flat_pencil_records_a_singular_member_at_its_points():
     # at lambda = 1 is singular.  Over the six points the batch raises at
     # sample 2, over the points after sample 2 at sample 4, and a run at
     # a point where no member is singular passes
-    from fmcheck.manifold import structures
-    from fmcheck.pencil import flat_pencil_at, pencil_first_order, pencil_second_order
+    from fmcheck.pencil import flat_pencil_at
     spec = af()
     pts = sample_points(spec, SamplePlan(seed=0, count=6))
     a, b = (float(pts[k][0].real) for k in (2, 4))
@@ -110,12 +118,11 @@ def test_flat_pencil_records_a_singular_member_at_its_points():
                         E=spec.E, g=spec.g, g2=tuple(tuple(f"{f}*({s})" for s in row) for row in spec.g))
     message = "pencil member at lambda = (1+0j) is singular: matrix is numerically singular"
     for points, at in ((pts, 2), (pts[3:], 1)):  # sample 4 is the second after sample 2
-        pa = pencil_second_order(pencil_first_order(structures(spec, points)))
+        pa = second_order(spec, points)
         with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:
             flat_pencil_at(pa)
         assert exc.value.point == at
-    per_lambda = flat_pencil_at(pencil_second_order(pencil_first_order(
-        structures(spec, pts[:2])))).parts["per_lambda"]
+    per_lambda = flat_pencil_at(second_order(spec, pts[:2])).parts["per_lambda"]
     assert list(per_lambda) == ["0j", "(1+0j)", "(-1+0j)", "(2+0j)", "1j"]
     with pytest.raises(SingularMatrixError, match=re.escape(message)):
         check_flat_pencil(spec, [pts[2]])
@@ -172,8 +179,7 @@ def test_flat_pencil_raises_a_member_singular_at_every_point():
     # with g2 = g the member at lambda = 1 vanishes at each of 8 points: the
     # check raises the first point's error, which names that member, as
     # the walk does with the point
-    from fmcheck.manifold import structures
-    from fmcheck.pencil import flat_pencil_at, pencil_first_order, pencil_second_order
+    from fmcheck.pencil import flat_pencil_at
     ref = af()
     spec = ManifoldSpec(name="g2-is-g", n=3, coords=ref.coords, product="canonical", e=ref.e,
                         E=ref.E, g=ref.g, g2=ref.g, region=ref.region)
@@ -184,7 +190,7 @@ def test_flat_pencil_raises_a_member_singular_at_every_point():
     with pytest.raises(cat.SingularSampleError, match=re.escape(message)):
         cat.run_checks(spec, {}, ["flat-pencil"], pts)
     # so does the kernel over the batch
-    pa = pencil_second_order(pencil_first_order(structures(spec, pts)))
+    pa = second_order(spec, pts)
     with pytest.raises(SingularMatrixError, match=re.escape(message)):
         flat_pencil_at(pa)
 
