@@ -31,8 +31,10 @@ runs through `catalog.run_checks`):
   `min_sep` (NaN, or an integer beyond a float's range) or `guard_min`
   or a reversed box pair, `catalog` without an
   entry name to export or with one to list, `legendre` with a `--field`
-  of the wrong length, `ode` with 11 floats, a path through z = 1, a
-  non-finite state and a non-finite or negative `--drift-tol`, and
+  of the wrong length, a named field the entry lacks or on an entry with
+  none, a complex `--param` and `ode --from` with an infinite part, `ode`
+  with 11 floats, a path through z = 1, a non-finite state and a
+  non-finite or negative `--drift-tol`, and
   `verify`, `legendre` and `ode` with an `--output` path that cannot be
   written (the spec directory, or a file in a missing directory).
 
@@ -217,6 +219,8 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["legendre", "q0-d-minus1", "--field", "1+,1,1"]),
        (["legendre", "q0-d-minus1", "--field", "1,0"]),
        (["legendre", "q0-d-minus1", "--field", "1,0,0,0"]),
+       (["legendre", "q0-d-minus1", "--field", "X9"]),
+       (["legendre", "lobachevsky", "--field", "X2"]),
        (["legendre", "case-i", "--field", "1,0"]),
        (["legendre", "lobachevsky", "--field", "1,1", "--target", "case-i"]),
        *(["legendre", f"{{specs}}/bad-{key}.json", "--field", "1,1"]
@@ -226,6 +230,7 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "lobachevsky", "--param", "b=zz"]),
        (["verify", "q0-d0", "--param", "a=nan"]),
        (["verify", "q0-d0", "--param", "a=inf"]),
+       (["verify", "q0-d0", "--param", "a=-inf+1j"]),
        (["verify", "lauricella-eps-minus1-n3", "--param", "c1=nan"]),
        (["verify", "q0-d0", "--param", "aa=2"]),
        (["legendre", "q0-d-minus1", "--field", "X2", "--param", "zz=3"]),
@@ -237,6 +242,7 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["ode", "--state", "1,0,1,0,1,0,1,0,1,0,1", "--from", "2", "--to", "3"]),
        (["ode", "--init", "q0", "--from", "0.5", "--to", "1.5"]),
        (["ode", "--state", "nan,0,1,0,1,0,1,0,1,0,1,0", "--from", "2", "--to", "3"]),
+       (["ode", "--init", "pencil63", "--from=inf+1i", "--to=3+0.5i"]),
        *(["ode", "--init", "pencil63", "--from=2+0.5i", "--to=3+0.5i", f"--drift-tol={tol}"]
          for tol in ("nan", "inf", "-1e-7")),
        (["verify", "lobachevsky", "--output", "{specs}"]),

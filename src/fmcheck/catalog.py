@@ -1,6 +1,7 @@
 """The table of checks, and the one point walk that runs the checks an
 entry's flags, a spec file's fields, a `--check` name or a Legendre
-transform pick, over the built-in specs of `entries` and spec files.
+transform pick, over the built-in specs of `entries` and spec files, and
+over a construction's output, a derived walk that the table's rows read.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .connection import (ConnectionAt, InverseJets, checked_inverse, compat_prod
                          r_tr_identity_at, torsion_at)
 from .entries import CatalogEntry, UnknownEntryError, entry, names
 from .hamops import gmc_at, quadratic_expansion_at, rank_of, spanning_fields, sym_condition_at
-from .legendre import (homogeneous_legendre_at, legendre_field_at, transform_metric_at,
-                       transform_metric_exprs, transformed_at)
+from .legendre import (homogeneous_legendre_at, legendre_field_at, transform_connection,
+                       transform_metric_at, transform_metric_exprs, transformed_at)
 from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, AllEntriesZeroError, Jets,
                        ManifoldSpec, Report, Residuals, SamplePlan, amax, fit_scalar,
                        hertling_manin_at, homogeneity_at, batch_report, killing_unit_at,
@@ -124,11 +125,11 @@ def _v_eigenvalue_gap(b):
 # The data a walk builds once, as batches over its points, each from the
 # walk's other data when a row first asks for it (`_Walk.__getattr__`); a
 # connection's curvature is its own (`ConnectionAt.curvature`).  The
-# pencil's second-order data ("pa"), and the weight, difference tensor and
-# product its head rows share, are built over the head points only, and
-# the head rows read nothing else; "pa" on the Levi-Civita connection of
-# the first metric where the walk has built that.  Every other batch is
-# built over all the points.
+# pencil's second-order data ("pa"), and the weight, difference tensor,
+# product, counit and walk of the rebuilt structure its head rows share,
+# are built over the head points only, and the head rows read nothing
+# else; "pa" on the Levi-Civita connection of the first metric where the
+# walk has built that.  Every other batch is built over all the points.
 _BATCHED = {
     "st": lambda w: structures(w.spec, w.points),
     "ginv": lambda w: metric_inverse(w.st),
@@ -149,17 +150,23 @@ _BATCHED = {
     "weight": lambda w: pencil_weight(w.pa, rank=2)[0],
     "delta": lambda w: delta_jets(w.pa),
     "pencil_product": lambda w: product_from_pencil_at(w.pa, w.delta[0]),
+    "pencil_counit": lambda w: counit_jets(w.pa.st),
+    # the rebuilt structure keeps g and e: g's inverse, connection and counit are the pencil's
+    "recon": lambda w: w.derived(
+        w.points[:w.head], st=reconstructed_at(w.pa, w.pencil_product),
+        ginv=InverseJets(w.pa.eta_inv, w.pa.deta_inv),
+        lc=ConnectionAt(w.pa.n, w.pa.point, w.pa.gamma1, w.pa.dgamma1), counit=w.pencil_counit),
     # the closed-form solution F of the spec's ODE family
     "ode": lambda w: closed_forms(w.comp["ode_family"], w.points, w.env),
     # the flat chart, and the potential's tables at its values
     "chart": lambda w: w.table("flat_chart", 2),
     **{key: (lambda w, key=key, order=order: w.table(key, order, w.chart.val))
        for key, order in (("potentials", 2), ("flat_e", 0), ("flat_E", 0))},
-    # a transform's field jets, its transformed structure (the walk's with
-    # the metric swapped, once the field is checked flat), its
+    # a transform's field jets, the walk of its transformed structure (the
+    # walk's with the metric swapped, once the field is checked flat), its
     # expression-level metric and the target's metric
     "field_jets": lambda w: w.table("legendre_field", 2),
-    "stbar": lambda w: transformed_at(w.st, w.nat, *w.field_jets),
+    "transformed": lambda w: w.derived(w.points, st=transformed_at(w.st, w.nat, *w.field_jets)),
     "transformed_g": lambda w: w.table("transformed_g", 0),
     "target_g": lambda w: w.table("target_g", 0, env=w.comp["target_env"]),
 }
@@ -184,6 +191,12 @@ class _Walk:
         if name not in self.data:
             self.data[name] = _BATCHED[name](self)
         return self.data[name]
+
+    def derived(self, points, **data):
+        """A walk of a construction's output over `points`, with its batches `data`."""
+        walk = _Walk(self.spec, self.comp, points, self.head)
+        walk.data.update(data)
+        return walk
 
     def companion(self, key):
         if key not in self.comp:
@@ -233,33 +246,16 @@ def _ode_integrals_at(b):
                      np.zeros(len(b.points)))
 
 
-def _reconstructed_at(b):
-    """The flat-structure checks of the structure rebuilt from the pencil.
-    Its metric and unit are the first metric and the walk's, so its
-    natural connection is built on the pencil data for that metric
-    (inverse and Christoffel jets), and its counit is that of `pa`."""
-    pa, prod = b.pa, b.pencil_product
-    recon = reconstructed_at(pa, prod.c, prod.dc)
-    lc = ConnectionAt(pa.n, pa.point, pa.gamma1, pa.dgamma1)
-    counit = counit_jets(pa.st)
-    nat = natural_from_levi_civita(recon, lc, InverseJets(pa.eta_inv, pa.deta_inv), counit)
-    rows = {"flatness": flatness_at(nat), "nabla-e": nabla_e_at(nat, recon),
-            "product-compat": compat_product_at(nat, recon),
-            "nabla-from-g": nabla_from_g_at(nat, recon, counit)}
-    return Residuals({key: row.parts for key, row in rows.items()},
-                     pmax(*(row.scale for row in rows.values())))
-
-
 def _transform_exprs_at(b):
     """The transformed metric against the expression-level one."""
-    gbar = b.stbar.g
+    gbar = b.transformed.st.g
     res = amax(gbar - b.transformed_g.val, 2) / (1 + amax(gbar, 2))
     return Residuals({"metric": res}, np.zeros_like(res))
 
 
 def _match_at(b):
     """The transformed metric against the target's, up to one constant."""
-    gbar, g = b.stbar.g, b.target_g.val
+    gbar, g = b.transformed.st.g, b.target_g.val
     res = amax(gbar - fit_scalar(gbar, g, rank=2)[..., None, None] * g, 2) / (1 + amax(g, 2))
     return Residuals({"metric": res}, np.zeros_like(res))
 
@@ -318,11 +314,10 @@ CHECKS = (
           head=True),
     Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil",
           head=True),
-    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight), "pencil",
+    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.pencil_counit), "pencil",
           head=True, tol=lambda tol: max(tol, 1e-9)),
     Check("product-from-pencil", lambda b: b.pencil_product.residuals, "pencil", head=True,
           tol=lambda tol: max(tol, 1e-9)),
-    Check("reconstructed-structure", _reconstructed_at, "pencil", head=True),
     Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn), "flat-chart"),
     Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
     # a transform's rows (`Transform`); "match" is reported as match-<target>
@@ -330,12 +325,27 @@ CHECKS = (
                                                         b.field_jets.grad)),
     Check("transform-exprs", _transform_exprs_at),
     Check("match", _match_at, tol=lambda tol: max(tol, 1e-7)),
-    # the transform's theorems, which only `run_checks` runs, by name
-    Check("transform-metric", lambda b: transform_metric_at(b.stbar, b.nat, *b.field_jets)),
-    Check("homogeneous-legendre",
-          lambda b: homogeneous_legendre_at(b.st, b.stbar, b.field_jets.val, b.field_jets.grad),
-          fit="dbar"),
+    # the transform's theorems, from its walk's rows; only `run_checks` runs them
+    Check("transform-metric", lambda b: transform_metric_at(
+        *(_BY_NAME[name].at(b.transformed) for name in ("metric-invariance", "killing-unit")),
+        b.transformed.nat, transform_connection(b.nat, b.transformed.st, *b.field_jets))),
+    Check("homogeneous-legendre", lambda b: homogeneous_legendre_at(
+        b.st, *(_BY_NAME["homogeneity"].at(walk) for walk in (b, b.transformed)),
+        b.field_jets.val, b.field_jets.grad), fit="dbar"),
 )
+_THEOREMS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
+             "torsionless", "flatness", "nabla-e", "product-compat", "nabla-from-g",
+             "curvature-product", "r-tr", "nabla-nabla-E", "homogeneity", "dual-structure")
+
+
+def _reconstructed(check: Check) -> Check:
+    """`check` on the rebuilt structure ("recon"), a head row of the pencil."""
+    return replace(check, name=f"reconstructed/{check.name}", at=lambda b: check.at(b.recon),
+                   flag="pencil", needs=(), head=True,
+                   expected=check.expected and f"{check.expected}_reconstructed")
+
+
+CHECKS += tuple(_reconstructed(check) for check in CHECKS if check.name in _THEOREMS)
 _BY_NAME = {check.name: check for check in CHECKS}
 
 # the checks of a spec file, where its fields allow them

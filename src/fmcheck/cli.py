@@ -13,6 +13,7 @@ transform needs a named product, a sample point where the spec is
 singular, which `verify` and `legendre` name by index and coordinates, a
 sampling region that admits fewer points than `--points`, a negative
 `--seed`, a `--field` whose component count is not the spec's dimension,
+a named `--field` that is not one of a catalog entry's fields,
 a non-finite `--state`, `--from`, `--to`, `--rtol`, `--atol`,
 `--drift-tol`, `--a` or `--b`, `--a` or `--b` without `--init q0`, a
 negative tolerance, `--steps` below 1, both tolerances zero, a singular
@@ -55,7 +56,7 @@ def _parse_scalar(text: str) -> complex:
     try:
         return complex(float(text))
     except ValueError:
-        return complex(text.replace("i", "j"))
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def _ode_point(option: str, text: str) -> complex:
@@ -282,13 +283,10 @@ def cmd_legendre(args) -> int:
         field_exprs = tuple(args.field.split(","))
         field_name = "custom"
     else:
-        if ent is None or "legendre_fields" not in ent.companion:
-            sys.stderr.write("named fields need a catalog entry with transform fields\n")
+        field_exprs = (ent.companion if ent else {}).get("legendre_fields", {}).get(args.field)
+        if field_exprs is None:
+            sys.stderr.write(f"input error: --field {args.field!r}: not a field of {spec.name}\n")
             return 2
-        if args.field not in ent.companion["legendre_fields"]:
-            sys.stderr.write(f"unknown field {args.field!r}\n")
-            return 2
-        field_exprs = ent.companion["legendre_fields"][args.field]
         field_name = args.field
     if len(field_exprs) != spec.n:
         sys.stderr.write(f"input error: --field {args.field!r}: {len(field_exprs)} components, "

@@ -326,11 +326,6 @@ class DualStructureAt(PointBatch):
     gamma_star: ConnectionAt
     residuals: Residuals
 
-    @property
-    def report(self) -> Report:
-        """The report of the identities at a single point."""
-        return batch_report("dual-structure", self.residuals, DEFAULT_TOL)
-
 
 def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
     """Rescaled product through the Euler field and the dual connection

@@ -275,7 +275,7 @@ def _build_af(n: int) -> CatalogEntry:
         product="canonical", e=("1",) * n, E=tuple(f"u{i+1}" for i in range(n)),
         g=_diag_metric(g1), g2=_diag_metric(g2),
         region=_AF3_REGION if n == 3 else _AF4_REGION,
-        expected={"d_pencil": float(1 - n)})
+        expected={"d_pencil": float(1 - n), "D_reconstructed": float(2 - (1 - n))})
     return CatalogEntry(spec=spec, flags=frozenset({"pencil"}), companion={})
 
 

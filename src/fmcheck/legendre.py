@@ -3,7 +3,8 @@ through multiplication by an invertible connection-flat field.
 
 The transform hypothesis (the field is flat for the structure connection)
 is enforced before any metric is transformed; silently transforming with a
-non-flat field would produce meaningless reports.
+non-flat field would produce meaningless reports.  The transform's
+theorems take their parts from the transformed structure's walk (`catalog`).
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from . import exprjet as ej
 from .connection import ConnectionAt, checked_inverse, natural_connection
 from .hamops import sym_condition_at
 from .manifold import (ManifoldSpec, Report, Residuals, StructureAt, amax, fail_at, fit_scalar,
-                       homogeneity_at, killing_unit_at, metric_invariance_at, normalized, pmax,
-                       product_jets, required, structure_at, walk_row)
+                       normalized, pmax, product_jets, required, structure_at, walk_row)
 from .tensor import contract, contract_jets
 
 __all__ = [
@@ -102,27 +102,24 @@ def transformed_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx) -> StructureA
                        g=gbar, dg=dgbar, ddg=ddgbar)
 
 
-def transform_metric_at(stbar: StructureAt, nat: ConnectionAt, x, dx, ddx):
+def transform_metric_at(inv: Residuals, killing: Residuals, nat_bar: ConnectionAt,
+                        conj: ConnectionAt):
     """Theorem-level consequences of the metric transform at each point: the
-    transformed structure `stbar` (`transformed_at` on the structure
-    connection `nat`) has an invariant metric for which the unit is
-    Killing, and its structure connection is the conjugated one."""
-    nat_bar = natural_connection(stbar)
-    conj = transform_connection(nat, stbar, x, dx, ddx)
-    inv, killing = metric_invariance_at(stbar), killing_unit_at(stbar)
+    transformed structure has an invariant metric for which the unit is
+    Killing (its rows `inv`, `killing`), and its structure connection
+    `nat_bar` is the conjugated one `conj` (`transform_connection`)."""
     gap = normalized(amax(nat_bar.gamma - conj.gamma, 3), amax(conj.gamma, 3))
     return Residuals({**inv.parts, **killing.parts, "conjugated": gap},
                      pmax(inv.scale, killing.scale))
 
 
-def homogeneous_legendre_at(st: StructureAt, stbar: StructureAt, x, dx):
+def homogeneous_legendre_at(st: StructureAt, hom: Residuals, hom_bar: Residuals, x, dx):
     """The field's Euler weight w, fitted in L_E X = w X, and the
-    homogeneity of the metric and of the transformed one (`homogeneity_at`
-    on `st` and `stbar`), whose exponents must obey Dbar = D + 2w + 2.  The
-    fits are D, Dbar and w, as "dbar"."""
+    homogeneity of the metric and of the transformed one (their rows `hom`
+    and `hom_bar`), whose exponents must obey Dbar = D + 2w + 2.  The fits
+    are D, Dbar and w, as "dbar"."""
     lie_x = contract("...k,...ik->...i", st.E, dx) - contract("...k,...ki->...i", x, st.dE)
     w = fit_scalar(lie_x, x, rank=1)
-    hom, hom_bar = homogeneity_at(st), homogeneity_at(stbar)
     D, Dbar = hom.fits["D"], hom_bar.fits["D"]
     sc_x = amax(x, 1)
     parts = {"field": normalized(amax(lie_x - w[..., None] * x, 1), sc_x),

@@ -1,6 +1,7 @@
 """Flat pencils of metrics: exactness, homogeneity, the difference tensor of
 the two Levi-Civita connections, the recursion operator built from it, and
-the reconstruction of a product structure from the pencil data.
+the reconstruction of a product structure from the pencil data, whose
+structure `catalog`'s theorem rows check as `reconstructed/<row>`.
 
 Spec slot convention: `spec.g` holds the covariant first metric (the one the
 unit field preserves) and `spec.g2` the covariant second metric.  The pencil
@@ -251,16 +252,17 @@ def r_operator(spec, point, tol: float = DEFAULT_TOL):
     closed form where applicable."""
     pa = pencil_at(spec, point)
     r = contract("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
-    return r, batch_report("r-operator", r_operator_at(pa, pencil_weight(pa)[0]), tol)
+    d = pencil_weight(pa)[0]
+    return r, batch_report("r-operator", r_operator_at(pa, d, counit_jets(pa.st)), tol)
 
 
-def r_operator_at(pa: PencilAt, d):
+def r_operator_at(pa: PencilAt, d, counit):
     """R^m_s = (Gamma1 - Gamma2)^m_sl E^l against its second route, (d-1)/2
-    Id + nabla1 E + 1/2 g^is dtheta_sj with theta = eta.e, and on a
-    diagonal pencil against its closed form (0 elsewhere), at each point."""
+    Id + nabla1 E + 1/2 g^is dtheta_sj, dtheta of the `counit_jets(pa.st)`
+    `counit`, and on a diagonal pencil its closed form (0 elsewhere)."""
     r1 = contract("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
     nab1E = pa.dE + contract("...ijl,...l->...ij", pa.gamma1, pa.E)
-    _, _, dtheta, _ = counit_jets(pa.st)
+    _, _, dtheta, _ = counit
     r2 = ((np.asarray(d)[..., None, None] - 1) / 2 * np.eye(pa.n) + nab1E
           + 0.5 * contract("...is,...sj->...ij", pa.g_inv, dtheta))
     sc = pmax(amax(r1, 2), 1.0)
@@ -343,13 +345,10 @@ def reconstructed_structure(spec, point) -> StructureAt:
     first metric and the computed Euler field, ready for the full
     homogeneous structure suite."""
     pa = pencil_at(spec, point)
-    prod = product_from_pencil_at(pa, delta_jets(pa)[0])
-    return reconstructed_at(pa, prod.c, prod.dc)
+    return reconstructed_at(pa, product_from_pencil_at(pa, delta_jets(pa)[0]))
 
 
-def reconstructed_at(pa: PencilAt, c, dc) -> StructureAt:
-    st = pa.st
-    return StructureAt(n=pa.n, point=pa.point, c=c, dc=dc, ddc=None,
-                       e=st.e, de=st.de, dde=st.dde,
-                       E=pa.E, dE=pa.dE, ddE=pa.ddE,
-                       g=st.g, dg=st.dg, ddg=st.ddg)
+def reconstructed_at(pa: PencilAt, prod: PencilProduct) -> StructureAt:
+    """The structure of `prod`, the pencil's product, and the pencil's g, e and E."""
+    return replace(pa.st, c=prod.c, dc=prod.dc, ddc=None, E=pa.E, dE=pa.dE, ddE=pa.ddE,
+                   g2=None, dg2=None, ddg2=None)

@@ -29,7 +29,7 @@ from fmcheck.hamops import (check_gmc, check_quadratic_expansion,
                             check_sym_condition, emit_operator, field_rank,
                             fields_from_exprs, spanning_fields)
 from fmcheck.legendre import transformed_structure
-from fmcheck.manifold import (SamplePlan, check_hertling_manin, check_homogeneity,
+from fmcheck.manifold import (SamplePlan, batch_report, check_hertling_manin, check_homogeneity,
                               check_killing_unit, check_metric_invariance,
                               check_product_axioms, fit_scalar, sample_points,
                               structure_at)
@@ -285,7 +285,7 @@ def test_criterion_08_lauricella_bundle():
             ok &= np.max(np.abs(nab)) <= 1e-8
         ok &= field_rank(nb, p, env) == 2
         dual = dual_structure(st, conn)
-        ok &= dual.report.passed
+        ok &= batch_report("dual-structure", dual.residuals, 1e-8).passed
         printed = connection_from_exprs(ent.companion["gamma_star"], p, env)
         ok &= np.max(np.abs(dual.gamma_star.gamma - printed.gamma)) <= \
             1e-8 * (1 + np.max(np.abs(printed.gamma)))

@@ -148,14 +148,14 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     # record the points of every structure, pencil (first and second
     # order), rotation data, spanning-field and transformed-structure batch
     # built, every matrix inverted, every metric given Christoffel jets,
-    # the Christoffel symbols of every curvature built, and every run of
-    # an expression table with the points it runs over and the derivative
-    # order it computes, binding the recorders wherever fmcheck holds the
-    # function
+    # the Christoffel symbols of every curvature built, the points of every
+    # counit built, and every run of an expression table with the points it
+    # runs over and the derivative order it computes, binding the recorders
+    # wherever fmcheck holds the function
     import sys
     from fmcheck import exprjet as ej
     from fmcheck.legendre import transform_metric_exprs
-    built, runs, inverted, christoffel, curved = {}, [], [], [], []
+    built, runs, inverted, christoffel, curved, counits = {}, [], [], [], [], []
 
     def points_of(batch):
         return [tuple(p) for p in np.asarray(batch.point, dtype=complex).reshape(-1, batch.n)]
@@ -191,6 +191,12 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             return fn(gamma, *args, **kwargs)
         return recording
 
+    def counit_over(fn):
+        def recording(st):
+            counits.append(points_of(st))
+            return fn(st)
+        return recording
+
     def transformed_over(fn):
         def recording(st, *args, **kwargs):
             built["transformed"].append(points_of(st))
@@ -211,6 +217,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                ("connection", "checked_inverse"): inverse,
                ("connection", "christoffel_jets"): christoffel_of,
                ("connection", "riemann_components"): curvature_of,
+               ("connection", "counit_jets"): counit_over,
                ("legendre", "transformed_at"): transformed_over,
                ("exprjet", "eval_points"): table_run}
     for (mod, fn), wrap in targets.items():
@@ -341,6 +348,19 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         got = [run for run in runs if run[0] != repr(ent.spec.region.guards)]
         assert sorted(map(repr, got)) == sorted(map(repr, want)), argv
 
+    # the pencil's walk at 20 points builds one counit and gives the first
+    # metric Christoffel jets once, both over its head, which the pencil's
+    # rows and the walk of the structure rebuilt from it share
+    ent = cat.entry("af-pencil-n3")
+    pts = [tuple(np.asarray(p, dtype=complex))
+           for p in sample_points(ent.spec, SamplePlan(seed=0, count=20))]
+    g = manifold.structures(ent.spec, pts).g
+    counits.clear()
+    christoffel.clear()
+    assert run_suite(ent, seed=0, count=20).ok
+    assert counits == [pts[:4]]
+    assert [len(a) for a in christoffel if np.array_equal(a, g[:len(a)])] == [4]
+
 
 def test_row_data_cuts_array_batches_to_the_row_points():
     # in a mixed 25-point walk the pencil's second-order data, which its
@@ -366,10 +386,12 @@ def test_row_data_cuts_array_batches_to_the_row_points():
 
 def test_only_the_pencil_head_rows_read_fewer_points():
     # every catalog entry and both catalog transforms: at 3 points every
-    # row reads all 3; at 7 the pencil's five head rows read the first
-    # max(4, 7 // 5) = 4 and every other row reads all 7
+    # row reads all 3; at 7 the pencil's head rows (its four costlier rows
+    # and the 14 theorem rows of the structure rebuilt from it) read the
+    # first max(4, 7 // 5) = 4 and every other row reads all 7
     head = {"flat-pencil", "delta-identities", "r-operator", "product-from-pencil",
-            "reconstructed-structure"}
+            *(f"reconstructed/{name}" for name in cat._THEOREMS)}
+    assert len(head) == 4 + 14
     sources = [cat.entry(name) for name in cat.names()]
     source = cat.entry("q0-d-minus1")
     for field, target in source.companion["legendre_targets"].items():

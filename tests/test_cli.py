@@ -149,6 +149,9 @@ def test_ode_nonfinite_state_and_overflow_exit2():
     # error are rejected up front, by name and value
     for extra, message in ((["--from", "nan", "--to", "3"], "--from 'nan': must be finite"),
                            (["--from", "2", "--to", "inf"], "--to 'inf': must be finite"),
+                           # only a trailing i is the imaginary unit
+                           (["--from=inf+1i", "--to=3+0.5i"], "--from 'inf+1i': must be finite"),
+                           (["--from=2+0.5i", "--to=-infj"], "--to '-infj': must be finite"),
                            (["--from", "2", "--to", "3", "--rtol", "nan"],
                             "--rtol nan: must be finite and non-negative"),
                            (["--from", "2", "--to", "3", "--atol=-inf"],
@@ -480,6 +483,14 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                         "input error: --field '1,0': 2 components, but q0-d-minus1 has n = 3"),
                        (["legendre", "q0-d-minus1", "--field", "1,0,0,0"],
                         "input error: --field '1,0,0,0': 4 components, but q0-d-minus1 has n = 3"),
+                       # a named field the entry lacks, or an entry or a spec
+                       # file with none
+                       (["legendre", "q0-d-minus1", "--field", "X9"],
+                        "input error: --field 'X9': not a field of q0-d-minus1"),
+                       (["legendre", "lobachevsky", "--field", "X2"],
+                        "input error: --field 'X2': not a field of lobachevsky"),
+                       (["legendre", str(paths["zero"]), "--field", "X2"],
+                        "input error: --field 'X2': not a field of lobachevsky"),
                        (["legendre", "case-i", "--field", "1,0"], "metric"),
                        (["legendre", "lobachevsky", "--field", "1,1", "--target", "case-i"],
                         "metric"),
@@ -506,6 +517,11 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                         "spec error: --param a: 'nan' is not finite"),
                        (["verify", "q0-d0", "--param", "a=inf"],
                         "spec error: --param a: 'inf' is not finite"),
+                       # only a trailing i is the imaginary unit
+                       (["verify", "q0-d0", "--param", "a=-inf+1j"],
+                        "spec error: --param a: '-inf+1j' is not finite"),
+                       (["verify", "q0-d0", "--param", "a=-inf+1i"],
+                        "spec error: --param a: '-inf+1i' is not finite"),
                        (["verify", "lauricella-eps-minus1-n3", "--param", "c1=nan"],
                         "spec error: --param c1: 'nan' is not finite"),
                        (["legendre", "q0-d-minus1", "--field", "X2", "--target", "q0-d0",

@@ -11,7 +11,7 @@ from fmcheck.connection import (check_compat_product,
                                 levi_civita, metric_inverse, natural_connection,
                                 nabla_metric)
 from fmcheck.exprjet import finite_diff_oracle, parse
-from fmcheck.manifold import (ManifoldSpec, Region, SamplePlan, sample_points,
+from fmcheck.manifold import (ManifoldSpec, Region, SamplePlan, batch_report, sample_points,
                               structure_at)
 from fmcheck.tensor import SingularMatrixError
 
@@ -199,7 +199,7 @@ def test_dual_structure_closed_forms():
     st = structure_at(spec, p)
     conn = natural_connection(st)
     dual = dual_structure(st, conn)
-    assert dual.report.passed
+    assert batch_report("dual-structure", dual.residuals, 1e-8).passed
     # rescaled product: (1/u^i) on the canonical diagonal
     for i in range(3):
         assert abs(dual.cstar[i, i, i] - 1 / p[i]) < 1e-12
@@ -343,18 +343,17 @@ def _pencil_head_functions():
         return pn.product_from_pencil_at(pa(st), pn.delta_jets(pa(st))[0])
 
     def reconstructed(st):
-        prod = product(st)
-        recon = pn.reconstructed_at(pa(st), prod.c, prod.dc)
+        # the rebuilt structure and its natural connection (the rows on it,
+        # `reconstructed/<row>`, are compared with the other rows below)
+        recon = pn.reconstructed_at(pa(st), product(st))
         nat = cn.natural_connection(recon)
-        return [cn.flatness_at(nat), cn.nabla_e_at(nat, recon),
-                cn.compat_product_at(nat, recon),
-                cn.nabla_from_g_at(nat, recon, cn.counit_jets(recon))]
+        return [getattr(recon, f) for f in ("c", "dc", "E", "dE", "ddE")] + [nat.gamma, nat.dgamma]
     return {
         "pencil_weight": weight,
         "delta_jets": lambda st: pn.delta_jets(pa(st)),
         "delta_identities_at": lambda st: pn.delta_identities_at(pa(st), weight(st),
                                                                  pn.delta_jets(pa(st))),
-        "r_operator_at": lambda st: pn.r_operator_at(pa(st), weight(st)),
+        "r_operator_at": lambda st: pn.r_operator_at(pa(st), weight(st), cn.counit_jets(st)),
         "product_from_pencil_at": lambda st: [getattr(product(st), f)
                                               for f in ("c", "dc", "residuals")],
         "reconstructed_at": reconstructed,
@@ -365,8 +364,8 @@ def _point_axis_functions(spec, comp):
     """The batched functions of the rotation data, the spanning fields, the
     dual structure, the flat chart and a transform that apply to `spec`,
     by name, as in `_batched_functions`."""
-    from fmcheck import connection as cn, hamops as hm, legendre as lg, ode3d as ode
-    from fmcheck import rotation as rot
+    from fmcheck import connection as cn, hamops as hm, legendre as lg, manifold as mf
+    from fmcheck import ode3d as ode, rotation as rot
     from fmcheck.manifold import table_jets
     from fmcheck.tensor import eigenvalues
     out = {}
@@ -449,17 +448,19 @@ def _point_axis_functions(spec, comp):
 
         def stbar(st):
             return lg.transformed_at(st, cn.natural_connection(st), *field(st))
+
+        def conj(st):
+            return lg.transform_connection(cn.natural_connection(st), st, *field(st))
         out.update({
             "legendre_field_at": lambda st: lg.legendre_field_at(st, cn.natural_connection(st),
                                                                  *field(st)[:2]),
             "transformed_at": lambda st: [getattr(stbar(st), f) for f in ("g", "dg", "ddg")],
-            "transform_connection": lambda st: [
-                getattr(lg.transform_connection(cn.natural_connection(st), st, *field(st)), f)
-                for f in ("gamma", "dgamma")],
+            "transform_connection": lambda st: [getattr(conj(st), f) for f in ("gamma", "dgamma")],
             "transform_metric_at": lambda st: lg.transform_metric_at(
-                stbar(st), cn.natural_connection(st), *field(st)),
+                mf.metric_invariance_at(stbar(st)), mf.killing_unit_at(stbar(st)),
+                cn.natural_connection(stbar(st)), conj(st)),
             "homogeneous_legendre_at": lambda st: lg.homogeneous_legendre_at(
-                st, stbar(st), *field(st)[:2]),
+                st, mf.homogeneity_at(st), mf.homogeneity_at(stbar(st)), *field(st)[:2]),
         })
     return out
 
@@ -532,9 +533,10 @@ def test_batched_functions_and_rows_equal_single_point_runs():
                 want = row.at(cat._Walk(spec, comp, [p], 1))
                 _same(at(got, k), at(want, 0), (name, row.name, k))
             names.add("match" if row.name.startswith("match-") else row.name)
-    assert len([c for c in cat.CHECKS if c.name in names]) == len(cat.CHECKS) == 45
+    # 44 rows, and the 14 theorem rows of the structure rebuilt from the pencil
+    assert len([c for c in cat.CHECKS if c.name in names]) == len(cat.CHECKS) == 44 + 14
     # every row and at least 59 batched functions
-    assert len(names) >= 45 + 59
+    assert len(names) >= 44 + 14 + 59
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -238,6 +238,28 @@ def test_reconstructed_structure_full_suite():
         assert np.max(np.abs(comm)) <= 1e-9 and np.max(np.abs(unit)) <= 1e-9
 
 
+def test_reconstructed_rows_fail_on_a_broken_first_metric():
+    # g11 + 1e-3 u2 breaks the pencil: 13 of the 14 theorem rows of the
+    # structure rebuilt from it fail through the walk.  `nabla-from-g`
+    # holds by the natural connection's construction: its non-metricity is
+    # the product-twisted dtheta of whatever metric, product and unit it is
+    # built from, so that row reads rounding on any structure
+    from dataclasses import replace
+    spec = af()
+    g = [list(row) for row in spec.g]
+    g[0][0] = f"({g[0][0]})+1e-3*u2"
+    broken = replace(spec, g=tuple(map(tuple, g)))
+    names = [f"reconstructed/{name}" for name in cat._THEOREMS]
+    assert len(names) == 14
+    for seed in range(2):
+        pts = sample_points(broken, SamplePlan(seed=seed, count=20))
+        passed = {r.name: r for r in cat.run_checks(broken, {}, names, pts) if r.passed}
+        assert list(passed) == ["reconstructed/nabla-from-g"], (seed, list(passed))
+        assert passed["reconstructed/nabla-from-g"].residual <= 1e-14
+        # the unbroken pencil passes all 14 at the same points
+        assert all(r.passed for r in cat.run_checks(spec, {}, names, pts)), seed
+
+
 def test_semisimple_pencil_from_f_reproduces_af():
     n = 3
     f = tuple("1/(" + "*".join(f"(u{k+1}-u{i+1})" for k in range(n) if k != i) + ")"
