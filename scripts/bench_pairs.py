@@ -14,8 +14,11 @@ run, X being BENCHMARK.json's `run_seconds`, one in REV's tree (the
 parent) and one in the working tree (the change).  Pair i runs the parent
 first when i is even and the change first when i is odd, so that a drift
 in the machine's speed falls on both sides.  Each run's result is the
-JSON object on the last line of its output.  One `--trace 1` run of each
-workload on each side follows, for the per-layer counts and self times.
+JSON object on the last line of its output.  Each run gets a fresh, empty
+bytecode cache (`PYTHONPYCACHEPREFIX`), so that a `__pycache__` in the
+working tree does not let the change skip the compiling the parent does.
+One `--trace 1` run of each workload on each side follows, for the
+per-layer counts and self times.
 
 BENCH_<T>.json, at the root of the working tree, holds:
 
@@ -81,11 +84,15 @@ def summarize(pairs: list, metrics: list) -> dict:
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `fmbench/run.py` run in `tree`; its result object."""
-    proc = subprocess.run([sys.executable, "fmbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds),
-                           "--trace", str(trace)],
-                          cwd=tree, capture_output=True, text=True)
+    """One `fmbench/run.py` run in `tree`; its result object.  The run's
+    bytecode cache is a fresh, empty `PYTHONPYCACHEPREFIX`, so that neither
+    side loads a `__pycache__` that its tree happens to hold."""
+    with tempfile.TemporaryDirectory() as cache:
+        proc = subprocess.run([sys.executable, "fmbench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", str(seconds),
+                               "--trace", str(trace)],
+                              cwd=tree, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} in {tree} exited with code {proc.returncode}: "
                            f"{proc.stderr.strip()}")

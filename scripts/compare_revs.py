@@ -14,6 +14,8 @@ runs through `catalog.run_checks`):
 - `verify --check NAME` for every entry and every single check;
 - `verify q0-d1` at 50 points on each seed of the benchmark's
   `Q0_D1_FAULT_SEEDS`;
+- `verify q0-d0 --param a=1.1+0.3j`, whose data is complex, at seeds 0-2
+  with 20 and 50 points;
 - both catalog Legendre transforms at seeds 0-2 with 20 and 50 points;
 - the rows that no CLI command runs, through `catalog.run_checks` at
   seeds 0-2 with 20 and 50 points, each run printing its JSON reports:
@@ -62,6 +64,8 @@ at 50 sample points of seed 1.  Each part of each table's jets (values,
 gradients, Hessians) is classified as
 
 - identical: the same bytes;
+- real: one side is float64 and the other complex, with the same bytes
+  in the real parts and every imaginary part zero (of either sign);
 - sign of zero: equal, but some zero has the other sign;
 - moved: some number differs; the part gives the largest |change|;
 - changed: its shape differs;
@@ -281,6 +285,9 @@ def corpus() -> list:
              for name in names for check in cat.SINGLE_CHECKS]
     runs += [("fault-seed", ["verify", "q0-d1", "--seed", str(seed), "--points", "50"])
              for seed in fault_seeds()]
+    runs += [("complex-param", ["verify", "q0-d0", "--param", "a=1.1+0.3j", "--seed", str(seed),
+                                "--points", str(points)])
+             for seed in range(3) for points in (20, 50)]
     runs += [("transform", ["legendre", "q0-d-minus1", "--field", field, "--target", target,
                             "--seed", str(seed), "--points", str(points)])
              for field, target in TRANSFORMS for seed in range(3) for points in (20, 50)]
@@ -387,10 +394,16 @@ def jets_side(root: Path, path: str):
 
 
 def classify_part(base: np.ndarray, head: np.ndarray) -> dict:
-    """identical, sign of zero, moved (with the largest |change|) or
-    changed (another shape), for one part of a table's jets."""
+    """identical, real, sign of zero, moved (with the largest |change|)
+    or changed (another shape), for one part of a table's jets."""
     if base.shape != head.shape:
         return {"kind": "changed"}
+    if np.iscomplexobj(base) != np.iscomplexobj(head):
+        real, cplx = (head, base) if np.iscomplexobj(base) else (base, head)
+        if not cplx.imag.any() and np.array_equal(
+                np.ascontiguousarray(real, dtype=float).view(np.uint64),
+                np.ascontiguousarray(cplx.real).view(np.uint64)):
+            return {"kind": "real"}
     b, h = (np.ascontiguousarray(x, dtype=complex).view(float).ravel() for x in (base, head))
     differ = b.view(np.uint64) != h.view(np.uint64)
     if not differ.any():

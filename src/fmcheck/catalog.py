@@ -181,7 +181,7 @@ class _Walk:
     def __init__(self, spec: ManifoldSpec, comp: dict, points, head: int):
         self.spec, self.comp, self.env = spec, comp, spec.env()
         self.expected = spec.expected
-        self.points = np.asarray(points, dtype=complex)
+        self.points = np.asarray(points)
         self.head = head
         self.data = {}
 

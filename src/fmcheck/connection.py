@@ -155,7 +155,7 @@ def connections_from_exprs(gamma_exprs, points,
     """The connection given by closed-form Christoffel expressions at all
     of `points`, as one batch from one run of the table; the first point
     where it is singular raises the domain error."""
-    points = np.asarray(points, dtype=complex)
+    points = np.asarray(points)
     jets = table_jets(gamma_exprs, points, env, order=1)
     return ConnectionAt(len(gamma_exprs), points, jets.val, jets.grad)
 

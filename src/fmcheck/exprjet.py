@@ -13,7 +13,7 @@ The tape runs over a leading point axis: one pass over the operations
 every point, and a single point (`eval_table`, `eval_jet`, `eval_value`)
 is a batch of one.  Each rule decides per point where it branches on a
 value (a vanishing divisor, a constant or integer exponent), so a point's
-jets are bit for bit those of a run at that point alone.
+jets are bit for bit those of a run at that point alone, up to dtype.
 
 A slot carries only the parts that can be nonzero: a constant (a `Num`
 or `Param` leaf, or an operation on constants only) has no derivative
@@ -35,12 +35,13 @@ downstream stays finite there, and `TableJets.at` raises its error when
 its consumer reaches that point, and never hands out its jets.  Unbound
 parameters and coordinates do not depend on the point and raise at once.
 
-Products and quotients are numpy's complex `*` and `/`, for values as for
-gradients and Hessians.
-
-All scalars are complex; `sqrt`, `ln` and non-integer powers use the
-principal branch (cut on the negative real axis).  Integer powers are
-expanded by repeated multiplication so polynomial jets are exact.
+The tape computes in complex: products and quotients are numpy's complex
+`*` and `/`, and `sqrt`, `ln` and non-integer powers take the principal
+branch (cut on the negative real axis).  Integer powers are expanded by
+repeated multiplication so polynomial jets are exact.  A run returns its
+parts as float64, with the same real bits, when every imaginary part of
+every point is zero (of either sign), so data built from a real table
+stays real downstream until numpy promotes it on meeting complex data.
 
 The DSL's syntax tree, parser and printer live in `spec`, which loads no
 numpy; this module takes them from there.
@@ -157,8 +158,9 @@ ZERO = _Zero()
 # (i, j) than at (j, i)), so the symmetry test allows 1e-14 relative.
 
 def _principal(v):
-    """`ode3d.principal` along the point axis: exact-real values at +0j."""
-    return np.where(v.imag == 0, v.real, v)
+    """`ode3d.principal` along the point axis: exact-real values at +0j,
+    complex even for a real `v`, whose negative values take the branch."""
+    return np.where(v.imag == 0, v.real, v).astype(complex, copy=False)
 
 
 def _compose(a, k, f0, f1, f2):
@@ -394,6 +396,8 @@ def _run(program: _Program, points, params, order: int) -> TableJets:
     if any(failed):
         for part in out:
             part[failed] = 0
+    if not any(part.imag.any() for part in out):
+        out = [np.ascontiguousarray(part.real) for part in out]
     return TableJets(*out, *[None] * (2 - order), errors=errors)
 
 

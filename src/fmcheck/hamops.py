@@ -34,10 +34,9 @@ def spanning_fields(nb: NormalBundleData, points, n: int, env) -> Jets:
     d_k X_a^i (`grad`) at all of `points` in `env`, as one batch from one
     run of the table; the first point where it is singular raises the
     domain error."""
-    points = np.asarray(points, dtype=complex).reshape(-1, n)
+    points = np.asarray(points).reshape(-1, n)
     if not nb.exprs:
-        return Jets(np.zeros((len(points), 0, n), dtype=complex),
-                    np.zeros((len(points), 0, n, n), dtype=complex))
+        return Jets(np.zeros((len(points), 0, n)), np.zeros((len(points), 0, n, n)))
     jets = table_jets(nb.exprs, points, env, order=2 if nb.gradients else 1)
     if nb.gradients:
         return Jets(jets.grad, jets.hess)

@@ -286,14 +286,14 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
 def product_jets(product: str, n: int):
     """The constant structure constants of the named product, with their
     (zero) first and second derivatives."""
-    c = np.zeros((n, n, n), dtype=complex)
+    c = np.zeros((n, n, n))
     for i in range(n):
         for j in range(n):
             if product == "canonical" and i == j:
                 c[i, i, i] = 1.0
             elif product == "shifted-canonical" and i + j < n:
                 c[i + j, i, j] = 1.0
-    return c, np.zeros((n,) * 4, dtype=complex), np.zeros((n,) * 5, dtype=complex)
+    return c, np.zeros((n,) * 4), np.zeros((n,) * 5)
 
 
 def structures(spec: ManifoldSpec, points) -> StructureAt:
@@ -301,7 +301,7 @@ def structures(spec: ManifoldSpec, points) -> StructureAt:
     of the spec's tables runs once over all the points.  The first point
     where one is singular raises the first such table's domain error."""
     env = spec.env()
-    points = np.asarray(points, dtype=complex).reshape(-1, spec.n)
+    points = np.asarray(points).reshape(-1, spec.n)
     tables = [spec.product if not isinstance(spec.product, str) else None,
               spec.e, spec.E, spec.g, spec.g2]
     runs = [None if t is None else ej.eval_points(t, points, env) for t in tables]

@@ -118,7 +118,7 @@ def rotations(spec: ManifoldSpec, points,
     metric) runs once over the points, and the branch of each
     metric-derived Lame coefficient is continued from point to point.  The
     first point where the data cannot be built raises."""
-    points = np.asarray(points, dtype=complex).reshape(-1, spec.n)
+    points = np.asarray(points).reshape(-1, spec.n)
     jets = table_jets(spec.g if lame_exprs is None else lame_exprs, points, spec.env())
     if lame_exprs is not None:
         return _from_lame_jets(points, jets.val, jets.grad, jets.hess, np.ones(jets.val.shape))

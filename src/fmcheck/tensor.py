@@ -7,7 +7,8 @@ Over a batch of P sample points every array carries one more, leading
 point axis, shape (P, ...), ahead of these indices.  The functions that
 take such arrays contract and reduce only the indices below (`contract`
 with `...` subscripts), so a single point is a batch whose leading axis
-is empty:
+is empty.  They take float64 or complex128 arrays alike: real data stays
+real, and numpy promotes where a real array meets a complex one.
 
     product        c[i,j,k]        = c^i_jk,    dc[i,j,k,m]   = d_m c^i_jk
     metric         g[i,j],         dg[i,j,k]   = d_k g_ij,    ddg[i,j,k,l]
@@ -40,7 +41,7 @@ class SingularMatrixError(Exception):
 
 
 _PLANS: dict = {}
-_MATMUL_MIN = 64  # below this many free*summed*free entries per point, einsum is faster
+_MATMUL_MIN = 8  # below this many free*summed*free entries per point, einsum is faster
 
 
 def _plan(subscripts: str, ndims: tuple):

@@ -40,3 +40,23 @@ def test_summary_of_canned_pairs():
     # one pair: both quartiles are its value
     one = bench.summarize(pairs[:1], metrics)
     assert one["setup_s"]["change_iqr"] == [0.19, 0.19]
+
+
+def test_each_run_gets_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
+    # a `__pycache__` in a tree must not reach its runs: each run's
+    # PYTHONPYCACHEPREFIX is its own empty directory, outside the tree
+    bench = _bench_pairs()
+    (tmp_path / "__pycache__").mkdir()
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((prefix, prefix.is_dir() and not any(prefix.iterdir())))
+        (prefix / "stale.pyc").write_bytes(b"")
+        return bench.subprocess.CompletedProcess(argv, 0, stdout=_line(400.0, 0.2), stderr="")
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert bench.run_bench(tmp_path, "catalog-sweep", 1, 1.0, 0)["failed"] == 0
+    (first, empty1), (_, empty2) = seen
+    assert empty1 and empty2
+    assert tmp_path not in first.parents and not first.exists()

@@ -426,3 +426,102 @@ def test_q0_d1_fault_seeds_fail_only_curvature_product():
         assert "r-tr" in [r.name for r in reports]
         assert [r.name for r in reports if not r.passed and r.name != workloads.Q0_D1_FAULT] == [], \
             seed
+
+
+def _walk_arrays(walk):
+    """(batch, array) for every array in a walk's batches: their fields, a
+    connection's cached curvature and the batches of a derived walk."""
+    import dataclasses
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, cat._Walk):
+            for inner in value.data.values():
+                yield from arrays(inner)
+        elif isinstance(value, (tuple, list)):
+            for inner in value:
+                yield from arrays(inner)
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                yield from arrays(getattr(value, f.name))
+            yield from arrays(vars(value).get("curvature"))
+    return [(key, a) for key, batch in walk.data.items() for a in arrays(batch)]
+
+
+def test_structures_are_real_exactly_where_the_tape_is():
+    # the tape computes in complex; a run whose parts have no imaginary
+    # part but zeros leaves it as float64 with the same real bits, and a
+    # structure batch takes that dtype from its table (a named product's
+    # constants are real).  The tape's complex output is the table's
+    # entries run with one imaginary constant beside them, which keeps the
+    # whole run complex and leaves each entry's jets as they are
+    from fmcheck import exprjet as ej
+    for name in cat.names():
+        spec = cat.entry(name).spec
+        points = sample_points(spec, SamplePlan(seed=0, count=20))
+        tables = {"c": None if isinstance(spec.product, str) else spec.product,
+                  "e": spec.e, "E": spec.E, "g": spec.g, "g2": spec.g2}
+        st = manifold.structures(spec, points)
+        for key, table in tables.items():
+            if table is None:
+                continue
+            entries = np.array(table, dtype=object)
+            run = ej.eval_points([*entries.flat, "1i"], points, spec.env())
+            shape = (len(points),) + entries.shape
+            raw = [part[:, :-1].reshape(shape + part.shape[2:])
+                   for part in (run.val, run.grad, run.hess)]
+            real = not any(part.imag.any() for part in raw)
+            for part, d in zip(raw, ("", "d", "dd")):
+                got = getattr(st, d + key)
+                assert got.dtype == (np.float64 if real else np.complex128), (name, d + key)
+                assert np.array_equal(got.view(float), np.ascontiguousarray(
+                    part.real if real else part).view(float)), (name, d + key)
+        if tables["c"] is None:
+            assert st.c.dtype == st.dc.dtype == st.ddc.dtype == np.float64
+
+
+def test_only_batches_with_imaginary_parts_stay_complex():
+    # at seed 0 and 20 points every array of every catalog walk is float64,
+    # but for the batches whose data is complex: case-ii's potentials, and
+    # the ODE solutions and rotation data of pencil-63 and the q0 entries
+    complex_batches = {("case-ii", "potentials"),
+                       *((name, key) for name in ("pencil-63", "q0-d-minus1", "q0-d0", "q0-d1")
+                         for key in ("ode", "rd"))}
+    seen = set()
+    for name in cat.names():
+        ent = cat.entry(name)
+        points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
+        walk = cat._Walk(ent.spec, ent.companion, points, 4)
+        for check in cat._chosen(ent.spec, ent.companion, lambda c: c.flag in ent.flags):
+            check.at(walk)
+        for key, a in _walk_arrays(walk):
+            if a.dtype == np.complex128:
+                assert (name, key) in complex_batches, (name, key)
+                if a.imag.any():
+                    seen.add((name, key))
+            else:
+                assert a.dtype in (np.float64, np.bool_), (name, key, a.dtype)  # masks are bool
+    assert seen == complex_batches
+
+
+def test_a_complex_parameter_keeps_the_walk_complex():
+    # q0-d0 with a = 1.1+0.3i, the [re, im] pair a spec file or `--param`
+    # gives: the metric and all built on it carry imaginary parts, stay
+    # complex128, and all 21 of its rows pass
+    ent = cat.entry("q0-d0")
+    doc = json.loads(ent.spec.to_json())
+    doc["params"]["a"] = [1.1, 0.3]
+    spec = ManifoldSpec.from_dict(doc)
+    assert spec.params["a"] == 1.1 + 0.3j
+    points = sample_points(spec, SamplePlan(seed=0, count=20))
+    checks = cat._chosen(spec, ent.companion, lambda c: c.flag in ent.flags)
+    reports = cat.run_checks(spec, ent.companion, [c.name for c in checks], points)
+    assert len(reports) == 21
+    assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+    walk = cat._Walk(spec, ent.companion, points, 4)
+    for check in checks:
+        check.at(walk)
+    assert walk.st.g.dtype == walk.st.dg.dtype == walk.st.ddg.dtype == np.complex128
+    assert {"ginv", "lc", "nat", "counit", "rd", "ode"} <= {
+        key for key, a in _walk_arrays(walk) if a.dtype == np.complex128 and a.imag.any()}

@@ -20,8 +20,12 @@ def test_comparator_finds_the_working_tree_identical():
     cmp = _comparator()
     runs = cmp.corpus()
     kinds = list(dict.fromkeys(kind for kind, _ in runs))
-    assert kinds == ["entry", "spec-file", "check", "fault-seed", "transform", "row", "ode",
-                     "catalog", "bad-input"]
+    assert kinds == ["entry", "spec-file", "check", "fault-seed", "complex-param", "transform",
+                     "row", "ode", "catalog", "bad-input"]
+    # the complex path: q0-d0 off the real axis at seeds 0-2, 20 and 50 points
+    assert [argv for kind, argv in runs if kind == "complex-param"] == [
+        ["verify", "q0-d0", "--param", "a=1.1+0.3j", "--seed", str(seed), "--points", str(points)]
+        for seed in range(3) for points in (20, 50)]
     picked = [next(run for run in runs if run[0] == kind) for kind in kinds]
     picked.append(next(run for run in runs if run[0] == "bad-input" and "third" in run[1][1]))
     results = cmp.compare(ROOT, ROOT, picked)
@@ -84,6 +88,17 @@ def test_comparator_classifies_jet_parts():
     moved[1, 1] += 2e-15
     assert cmp.classify_part(base, moved) == {"kind": "moved", "max_abs": abs(moved[1, 1] - base[1, 1])}
     assert cmp.classify_part(base, base[:1]) == {"kind": "changed"}
+    # a float64 part against a complex one with the same real bits and every
+    # imaginary part zero, of either sign, is its own class, either way round
+    real = np.array([[0.0, 1.5], [-0.0, -3.0]])
+    cplx = np.array([[complex(0.0, -0.0), 1.5 + 0j], [complex(-0.0, 0.0), -3.0 + 0j]])
+    assert cmp.classify_part(cplx, real) == {"kind": "real"}
+    assert cmp.classify_part(real, cplx) == {"kind": "real"}
+    # but not where a real part's bits differ or an imaginary part is not zero
+    assert cmp.classify_part(cplx, np.array([[-0.0, 1.5], [-0.0, -3.0]])) == {
+        "kind": "sign of zero"}
+    assert cmp.classify_part(cplx, real + 1e-15)["kind"] == "moved"
+    assert cmp.classify_part(base, base.real)["kind"] == "moved"
 
 
 def test_comparator_runs_every_catalog_table_for_its_jets():

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from fmcheck.exprjet import (Bin, Call, DomainError, Neg, Num, ParseError, Param,
                              UnboundParameterError, UnboundVariableError, Var,
-                             eval_jet, eval_points, eval_table, eval_value, finite_diff_oracle, parse,
-                             to_source)
+                             eval_jet, eval_points, eval_table, eval_value, finite_diff_oracle,
+                             jet_sqrt, parse, to_source)
 from fmcheck.ode3d import principal
 
 
@@ -119,6 +119,31 @@ def test_principal_branch_plus_zero():
     assert eval_value(parse("sqrt(-(b^2+1))"), [], {"b": 1.0}) == pytest.approx(1j * np.sqrt(2))
     assert principal(complex(-2.0, -0.0)).imag == 0.0
     assert np.sqrt(principal(-(2 + 0j))) == pytest.approx(1j * np.sqrt(2))
+
+
+def test_a_run_is_real_exactly_where_every_imaginary_part_vanishes():
+    # the tape computes in complex; a run whose values, gradients and
+    # Hessians have no imaginary part but zeros (of either sign) gives them
+    # as float64, with the same real bits
+    points = np.array([[0.5, 2.0], [1.5, 3.0]])
+    table = (("u1*u2", "ln(u1)"), ("sqrt(-1)^2*u2", "u1^(3/2)"))
+    jets = eval_points(table, points)
+    assert all(part.dtype == np.float64 for part in (jets.val, jets.grad, jets.hess))
+    assert jets.val[:, 1, 0].tolist() == [-2.0, -3.0]
+    assert eval_value(parse("sqrt(-1)^2"), []) == -1
+    # one imaginary part at one point keeps the whole run complex, with each
+    # point's numbers those of its own run, real at the second point
+    table = ("u1", "sqrt(u2-2.5)")
+    jets = eval_points(table, points)
+    assert all(part.dtype == np.complex128 for part in (jets.val, jets.grad, jets.hess))
+    for k, dtype in ((0, np.complex128), (1, np.float64)):
+        for part, want in zip(jets.at(k), eval_table(table, points[k])):
+            assert want.dtype == dtype and np.array_equal(part, want)
+    # the square root's jet takes a real array to complex first, so that a
+    # negative value lands on the principal branch, not on NaN
+    root = jet_sqrt((np.array([-4.0, 4.0]), np.ones((2, 1)), np.zeros((2, 1, 1))), 2,
+                    lambda *_: None)
+    assert root[0].tolist() == [2j, 2] and root[1][:, 0].tolist() == [-0.25j, 0.25]
 
 
 @given(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
