@@ -77,13 +77,10 @@ def checked_inverse(a: np.ndarray, error=SingularMatrixError) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def inverse_jets(a, da, dda=None):
-    """Jets of the matrix inverse from jets of the matrix."""
+def inverse_jets(a, da):
+    """The matrix inverse and its first derivatives from those of the matrix."""
     b = checked_inverse(a)
-    db = -contract("...ip,...pqk,...qj->...ijk", b, da, b)
-    if dda is None:
-        return b, db
-    return b, db, inverse_hessian(b, da, dda)
+    return b, -contract("...ip,...pqk,...qj->...ijk", b, da, b)
 
 
 def inverse_hessian(b, da, dda):

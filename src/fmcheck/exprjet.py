@@ -158,9 +158,10 @@ ZERO = _Zero()
 # (i, j) than at (j, i)), so the symmetry test allows 1e-14 relative.
 
 def _principal(v):
-    """`ode3d.principal` along the point axis: exact-real values at +0j,
-    complex even for a real `v`, whose negative values take the branch."""
-    return np.where(v.imag == 0, v.real, v).astype(complex, copy=False)
+    """`ode3d.principal` along the point axis: exact-real values at +0j.  A
+    real `v` stays real unless a value is negative, which takes the branch."""
+    real = not np.iscomplexobj(v) and not (v < 0).any()
+    return v if real else np.where(v.imag == 0, v.real, v).astype(complex, copy=False)
 
 
 def _compose(a, k, f0, f1, f2):

@@ -19,7 +19,7 @@ The spec-level `check_*` functions, here and in `pencil`, `rotation`,
 `hamops` and `legendre`, are views of the walk (`catalog.run_checks`): each
 is `walk_row` on one row of the check table, so it reports what `verify`
 reports for that row.  `pencil.check_flat_pencil`, whose row reads only
-the walk's head, keeps its own batch.
+the walk's head, keeps its own batch; it inverts no pencil member.
 
 All residuals are reported normalized as `max|residual| / (1 + scale)` where
 `scale` is the largest entry magnitude among the tensors involved.

@@ -1,7 +1,7 @@
-"""Flat pencils of metrics: exactness, homogeneity, the difference tensor of
-the two Levi-Civita connections, the recursion operator built from it, and
-the reconstruction of a product structure from the pencil data, whose
-structure `catalog`'s theorem rows check as `reconstructed/<row>`.
+"""Flat pencils of metrics: flatness, exactness, homogeneity, the difference
+tensor of the two Levi-Civita connections, the recursion operator built
+from it, and the reconstruction of a product structure from the pencil
+data, whose structure `catalog`'s theorem rows check as `reconstructed/<row>`.
 
 Spec slot convention: `spec.g` holds the covariant first metric (the one the
 unit field preserves) and `spec.g2` the covariant second metric.  The pencil
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hessian,
-                         inverse_jets, metric_inverse, riemann_components)
+                         inverse_jets, metric_inverse)
 from .manifold import (DEFAULT_TOL, ManifoldSpec, MissingFieldError, PointBatch, Report,
                        Residuals, StructureAt, amax, batch_report, fail_at, fit_scalar,
                        lowest_failure, normalized, pmax, product_jets, structures, walk_row)
@@ -33,9 +33,6 @@ __all__ = [
     "delta_tensor", "delta_identities_at", "r_operator", "r_operator_at", "product_from_pencil",
     "product_from_pencil_at", "reconstructed_structure",
 ]
-
-# the members g2 - lambda g1 of the contravariant pencil that `flat_pencil_at` checks
-LAMBDAS = (0.0, 1.0, -1.0, 2.0, 1j)
 
 
 class MissingSecondMetricError(MissingFieldError):
@@ -58,7 +55,6 @@ class PencilAt(PointBatch):
     dL: np.ndarray
     E: np.ndarray                   # E^i = g^il eta_lj e^j
     dE: np.ndarray
-    ddeta_inv: np.ndarray | None = None
     ddg_inv: np.ndarray | None = None
     gamma1: np.ndarray | None = None   # Levi-Civita of the first metric
     dgamma1: np.ndarray | None = None
@@ -88,63 +84,67 @@ def pencil_first_order(st: StructureAt, inverse: InverseJets) -> PencilAt:
 
 
 def pencil_second_order(pa: PencilAt, lc=None) -> PencilAt:
-    """`pa` with the second-order data added: second derivatives of both
-    inverse metrics and of E, and the Christoffel jets of both metrics.
+    """`pa` with the second-order data added: second derivatives of the
+    second inverse metric and of E, and the Christoffel jets of both metrics.
     `lc`: the first metric's Levi-Civita connection at pa's points, where
     the caller has it."""
     st = pa.st
-    ddeta_inv = inverse_hessian(pa.eta_inv, st.dg, st.ddg)
     ddg_inv = inverse_hessian(pa.g_inv, st.dg2, st.ddg2)
-    if lc is None:
-        gamma1, dgamma1 = christoffel_jets(st.g, st.dg, st.ddg, (pa.eta_inv, pa.deta_inv))
-    else:
-        gamma1, dgamma1 = lc.gamma, lc.dgamma
+    gamma1, dgamma1 = (christoffel_jets(st.g, st.dg, st.ddg, (pa.eta_inv, pa.deta_inv))
+                       if lc is None else (lc.gamma, lc.dgamma))
     gamma2, dgamma2 = christoffel_jets(st.g2, st.dg2, st.ddg2, (pa.g_inv, pa.dg_inv))
     ddL, = contract_jets("...il,...lj->...ij", (pa.g_inv, pa.dg_inv, ddg_inv),
                          (st.g, st.dg, st.ddg), low=2)
     ddE, = contract_jets("...ij,...j->...i", (pa.L, pa.dL, ddL), (st.e, st.de, st.dde), low=2)
-    return replace(pa, ddeta_inv=ddeta_inv, ddg_inv=ddg_inv, gamma1=gamma1, dgamma1=dgamma1,
+    return replace(pa, ddg_inv=ddg_inv, gamma1=gamma1, dgamma1=dgamma1,
                    gamma2=gamma2, dgamma2=dgamma2, ddE=ddE, diagonal=_is_diagonal(st))
 
 
-def _contravariant_christoffels(g_inv, gamma):
-    """Gc[i,j,k] = -g^is Gamma^j_sk."""
-    return -contract("...is,...jsk->...ijk", g_inv, gamma)
+def _contravariant_christoffels(inverse, gamma):
+    """C^ij_k = -g^is Gamma^j_sk, [i, j, k], with first derivatives, from
+    the jets `inverse` = (g^-1, d g^-1) and `gamma` = (Gamma, d Gamma)."""
+    return contract_jets("...is,...jsk->...ijk", [-t for t in inverse], gamma)
+
+
+def _contravariant_curvature(g, c, cb, dcb):
+    """R^ijk_l = g^is (d_s C^jk_l - d_l C^jk_s) - C^ij_s C^sk_l + C^ik_s C^sj_l,
+    [i, j, k, l], of g^-1 `g` and symbols `c` against the symbols `cb`, `dcb`."""
+    return (contract("...is,...jkls->...ijkl", g, antisym(dcb))
+            - antisym(contract("...ijs,...skl->...ijkl", c, cb), -3, -2))
 
 
 def flat_pencil_at(pa: PencilAt):
-    """Curvature of every pencil member, and linearity of the contravariant
-    Christoffel symbols across the pencil, with the members stacked on an
-    axis after the point axis: the parts of each member, by lambda, in the
-    group "per_lambda", which the report shows.  The first point where a
-    member is singular raises, naming the first such member's lambda."""
-    gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)[..., None, :, :, :]
-    gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)[..., None, :, :, :]
-    lams = [complex(lam) for lam in LAMBDAS]
-    lam = np.array(lams)[:, None, None]
-    pen = pa.g_inv[..., None, :, :] - lam * pa.eta_inv[..., None, :, :]
-    dpen = pa.dg_inv[..., None, :, :, :] - lam[..., None] * pa.deta_inv[..., None, :, :, :]
-    ddpen = (pa.ddg_inv[..., None, :, :, :, :]
-             - lam[..., None, None] * pa.ddeta_inv[..., None, :, :, :, :])
-    try:
-        cov, dcov, ddcov = inverse_jets(pen, dpen, ddpen)
-    except SingularMatrixError as err:
-        err.args = (f"pencil member at lambda = {lams[err.index[-1]]} is singular: {err}",)
-        raise
-    gamma, dgamma = christoffel_jets(cov, dcov, ddcov, (pen, dpen))
-    sc = pmax(amax(gamma, 3) ** 2, amax(dgamma, 4))
-    res_curv = normalized(amax(riemann_components(gamma, dgamma), 4), sc)
-    res_lin = normalized(amax(_contravariant_christoffels(pen, gamma) - (gc2 - lam[..., None] * gc1), 3),
-                         amax(gc2, 3) + np.abs(lam[:, 0, 0]) * amax(gc1, 3))
-    per_lambda = {f"{value}": {"curvature": res_curv[..., i], "linearity": res_lin[..., i]}
-                  for i, value in enumerate(lams)}
-    return Residuals({"per_lambda": per_lambda}, pmax(*np.moveaxis(sc, -1, 0)), show_parts=True)
+    """The pencil g2 - lambda g1 is flat for every lambda if and only if
+    four tensors of the metrics' contravariant symbols C1, C2 vanish
+    (Dubrovin, arXiv:math/9803106, section 1): the "mixed-torsion" g1^is
+    C2^jk_s + g2^is C1^jk_s - (i <-> j), and the coefficients of a member's
+    curvature R2 - lambda M + lambda^2 R1, "curvature-2", "curvature-1" and
+    "mixed-curvature" M.  No member is inverted.  Each part is taken in
+    units of the |g_a| = max|g_a^ij| it is homogeneous in and normalized as
+    in `flatness_at`, with |C_a|/|g_a| as |Gamma| and |dC_a|/|g_a| as |dGamma|."""
+    g = np.stack((pa.eta_inv, pa.g_inv), -3)  # g1 at 0 and g2 at 1 after the point axis
+    c, dc = _contravariant_christoffels(
+        (g, np.stack((pa.deta_inv, pa.dg_inv), -4)),
+        (np.stack((pa.gamma1, pa.gamma2), -4), np.stack((pa.dgamma1, pa.dgamma2), -5)))
+    # the mixed parts: each metric against the other's symbols, the two summed
+    other, dother = c[..., ::-1, :, :, :], dc[..., ::-1, :, :, :, :]
+    torsion = antisym(contract("...is,...jks->...ijk", g, other).sum(-4), -3, -2)
+    mixed = _contravariant_curvature(g, c, other, dother).sum(-5)
+    own = _contravariant_curvature(g, c, c, dc)
+    m = amax(g, 2)
+    (m1, m2), (k1, k2), (dk1, dk2) = (np.moveaxis(t, -1, 0)
+                                      for t in (m, amax(c, 3) / m, amax(dc, 4) / m))
+    parts = {"mixed-torsion": (amax(torsion, 3) / (m1 * m2), pmax(k1, k2)),
+             "curvature-2": (amax(own[..., 1, :, :, :, :], 4) / (m2 * m2), pmax(dk2, k2 * k2)),
+             "curvature-1": (amax(own[..., 0, :, :, :, :], 4) / (m1 * m1), pmax(dk1, k1 * k1)),
+             "mixed-curvature": (amax(mixed, 4) / (m1 * m2), pmax(dk1, dk2, k1 * k2))}
+    return Residuals({key: normalized(*part) for key, part in parts.items()},
+                     pmax(*(scale for _, scale in parts.values())), show_parts=True)
 
 
 def check_flat_pencil(spec, points, tol: float = DEFAULT_TOL) -> Report:
-    """Curvature of every pencil member, and linearity of the contravariant
-    Christoffel symbols across the pencil, at every point; the lowest
-    point where a datum is singular raises (`flat_pencil_at`)."""
+    """The four parts of a flat pencil (`flat_pencil_at`) at every point;
+    the lowest point where a metric is singular raises."""
     def run(pts):
         st = structures(spec, pts)
         return flat_pencil_at(pencil_second_order(pencil_first_order(st, metric_inverse(st))))

@@ -505,6 +505,20 @@ def test_only_batches_with_imaginary_parts_stay_complex():
     assert seen == complex_batches
 
 
+def test_flat_pencil_is_real_on_real_data():
+    # the row's four parts and its scale on af-pencil-n3 and n4 are float64
+    # at each head point: no pencil member is formed, so no complex lambda
+    from fmcheck.pencil import flat_pencil_at
+    for n in (3, 4):
+        ent = cat.entry(f"af-pencil-n{n}")
+        points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
+        result = flat_pencil_at(cat._Walk(ent.spec, ent.companion, points, 4).pa)
+        assert list(result.parts) == ["mixed-torsion", "curvature-2", "curvature-1",
+                                      "mixed-curvature"]
+        for value in (*result.parts.values(), result.scale):
+            assert value.dtype == np.float64 and value.shape == (4,)
+
+
 def test_a_complex_parameter_keeps_the_walk_complex():
     # q0-d0 with a = 1.1+0.3i, the [re, im] pair a spec file or `--param`
     # gives: the metric and all built on it carry imaginary parts, stay

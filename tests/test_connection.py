@@ -280,7 +280,9 @@ def _batched_functions(spec, comp):
             "metric_invariance_at": mf.metric_invariance_at,
             "killing_unit_at": mf.killing_unit_at,
             "checked_inverse": lambda st: cn.checked_inverse(st.g),
-            "inverse_jets": lambda st: cn.inverse_jets(st.g, st.dg, st.ddg),
+            "inverse_jets": lambda st: cn.inverse_jets(st.g, st.dg),
+            "inverse_hessian": lambda st: cn.inverse_hessian(cn.checked_inverse(st.g), st.dg,
+                                                             st.ddg),
             "metric_inverse": lambda st: (cn.metric_inverse(st).inv, cn.metric_inverse(st).dinv),
             "christoffel_jets": lambda st: cn.christoffel_jets(st.g, st.dg, st.ddg,
                                                                cn.inverse_jets(st.g, st.dg)),
@@ -314,8 +316,8 @@ def _batched_functions(spec, comp):
 
         def pencil(st):
             pa = pn.pencil_second_order(first(st))
-            return [getattr(pa, f) for f in ("eta_inv", "deta_inv", "ddeta_inv", "g_inv",
-                                             "dg_inv", "ddg_inv", "gamma1", "dgamma1", "gamma2",
+            return [getattr(pa, f) for f in ("eta_inv", "deta_inv", "g_inv", "dg_inv",
+                                             "ddg_inv", "gamma1", "dgamma1", "gamma2",
                                              "dgamma2", "L", "dL", "E", "dE", "ddE")]
         out.update({
             "pencil_second_order": pencil,

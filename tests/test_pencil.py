@@ -74,24 +74,71 @@ def test_homogeneity_negative_control():
     assert not check_pencil_homogeneity(bad, pts).passed
 
 
-def test_flat_pencil_with_nonreal_member():
-    for n in (3, 4):
-        spec = af(n)
-        pts = sample_points(spec, SamplePlan(seed=2, count=4))
-        rep = check_flat_pencil(spec, pts)
-        assert rep.passed
-        assert any("1j" in k or "j)" in k for k in rep.details["per_lambda"])
-
-
-def test_flat_pencil_negative_control():
-    # two individually flat metrics (Euclidean and a sheared pullback of it)
-    # that do not combine into a linear pencil
-    spec = ManifoldSpec(
+def _unrelated():
+    """Two individually flat metrics (Euclidean and a sheared pullback of
+    it) that do not combine into a flat pencil."""
+    return ManifoldSpec(
         name="unrelated", n=2, coords=("u1", "u2"), product="canonical",
         e=("1", "1"), E=("u1", "u2"),
         g=(("1", "0"), ("0", "1")),
         g2=(("1", "u2"), ("u2", "1+u2^2")),
         region=Region(box=((0.2, 1.0), (1.4, 2.2)), min_sep=0.1))
+
+
+def _conformal(spec, f):
+    """The pencil of spec's first metric g and g2 = f g: its member at
+    lambda is (f - lambda) g, singular where f = lambda."""
+    return ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
+                        E=spec.E, g=spec.g,
+                        g2=tuple(tuple(f"{f}*({s})" for s in row) for row in spec.g))
+
+
+def _mutated(spec, slot, eps):
+    """`spec` with eps u2 added to the (1, 1) entry of its metric `slot`."""
+    from dataclasses import replace
+    table = [list(row) for row in getattr(spec, slot)]
+    table[0][0] = f"({table[0][0]})+{eps!r}*u2"
+    return replace(spec, **{slot: tuple(map(tuple, table))})
+
+
+def test_flat_pencil_with_nonreal_member():
+    # the lambda-coefficient route checks every complex lambda at once: on
+    # every pencil spec the tests build, its verdict is the member route's
+    # (tests/pencil_members.py) at the members 0, 1, -1, 2, 1j and a random
+    # complex lambda, each member inverted and checked on its own.  The
+    # pencils g2 = f g are taken away from the points where a member is
+    # singular, which the member route cannot evaluate
+    from pencil_members import LAMBDAS, check_flat_pencil_members
+    rng = np.random.default_rng(7)
+    lambdas = (*LAMBDAS, complex(*rng.uniform(-3, 3, 2)))
+    ref = af()
+    six = sample_points(ref, SamplePlan(seed=0, count=6))
+    a, b = (float(six[k][0].real) for k in (2, 4))
+    f = tuple("1/(" + "*".join(f"(u{k+1}-u{i+1})" for k in range(3) if k != i) + ")"
+              for i in range(3))
+    q0 = cat.entry("q0-d1")
+    cases = [(af(3), True), (af(4), True), (_unrelated(), False),
+             (_conformal(ref, f"(1+(u1-({a!r}))*(u1-({b!r})))"), False),
+             (semisimple_pencil_from_f(f, region=ref.region), True),
+             (semisimple_pencil_from_f(("1", "1"),
+                                       region=Region(box=((0.3, 0.9), (1.3, 2.0)), min_sep=0.1)),
+              True),
+             (semisimple_pencil_from_f(tuple(f"1/({q0.spec.g[i][i]})" for i in range(3)),
+                                       region=q0.spec.region, params=q0.spec.params), False),
+             *((_mutated(af(n), slot, 1e-3), False) for n in (3, 4) for slot in ("g", "g2"))]
+    for seed, (spec, flat) in enumerate(cases):
+        pts = ([six[k] for k in (0, 1, 3, 5)] if spec.region is None
+               else sample_points(spec, SamplePlan(seed=seed, count=6)))
+        rep = check_flat_pencil(spec, pts)
+        members = check_flat_pencil_members(spec, pts, lambdas)
+        assert rep.passed == members.passed == flat, (spec.name, rep, members)
+        assert list(members.details["per_lambda"])[-1] == f"{lambdas[-1]}"
+
+
+def test_flat_pencil_negative_control():
+    # two individually flat metrics (Euclidean and a sheared pullback of it)
+    # that do not combine into a linear pencil
+    spec = _unrelated()
     pts = sample_points(spec, SamplePlan(seed=3, count=4))
     # both members are flat on their own
     from fmcheck.connection import christoffel_jets, inverse_jets, riemann_components
@@ -104,36 +151,77 @@ def test_flat_pencil_negative_control():
     assert not rep.passed
 
 
+def test_contravariant_curvature_sign_on_polar_coordinates():
+    # the flat plane in polar coordinates, g = diag(1, r^2): its
+    # contravariant curvature R^ijk_l = g^is (d_s C^jk_l - d_l C^jk_s)
+    # - C^ij_s C^sk_l + C^ik_s C^sj_l reads rounding, and the same formula
+    # with its quadratic terms' sign flipped reads O(1), so the sign is
+    # pinned
+    from fmcheck.pencil import _contravariant_christoffels, _contravariant_curvature
+    from fmcheck.tensor import antisym, contract
+    polar = ManifoldSpec(name="polar", n=2, coords=("u1", "u2"), product="canonical",
+                         e=("1", "0"), E=("u1", "0"), g=(("1", "0"), ("0", "u1^2")),
+                         g2=(("1", "0"), ("0", "u1^2")),
+                         region=Region(box=((0.5, 2.0), (-1.0, 1.0))))
+    pa = second_order(polar, sample_points(polar, SamplePlan(seed=0, count=8)))
+    c, dc = _contravariant_christoffels((pa.eta_inv, pa.deta_inv), (pa.gamma1, pa.dgamma1))
+    assert np.max(np.abs(c)) > 0.5  # the chart is curvilinear
+    r = _contravariant_curvature(pa.eta_inv, c, c, dc)
+    flipped = r + 2 * antisym(contract("...ijs,...skl->...ijkl", c, c), -3, -2)
+    assert np.max(np.abs(r)) <= 1e-15
+    assert np.max(np.abs(flipped)) >= 0.5
+    assert check_flat_pencil(polar, sample_points(polar, SamplePlan(seed=1, count=8))).passed
+
+
+def test_flat_pencil_fails_on_a_mutated_metric():
+    # eps u2 added to g2_11 or to g_11 of af-pencil-n3 or n4 breaks the
+    # pencil: at eps = 1e-6 the row fails on each of the four.  The mutated
+    # metric's own curvature moves with the mixed parts, and the other
+    # metric's stays at rounding
+    pts = {n: sample_points(af(n), SamplePlan(seed=0, count=20)) for n in (3, 4)}
+    for n in (3, 4):
+        for slot, own, other in (("g2", "curvature-2", "curvature-1"),
+                                 ("g", "curvature-1", "curvature-2")):
+            rep = check_flat_pencil(_mutated(af(n), slot, 1e-6), pts[n])
+            assert not rep.passed, (n, slot, rep)
+            assert rep.details[own] >= 1e-9 and rep.details[other] <= 1e-15, (n, slot, rep)
+            assert rep.details["mixed-curvature"] > rep.tol, (n, slot, rep)
+
+
 def test_flat_pencil_records_a_singular_member_at_its_points():
     # g2 = f g with f = 1 at sample points 2 and 4 only: there the member
-    # at lambda = 1 is singular.  Over the six points the batch raises at
-    # sample 2, over the points after sample 2 at sample 4, and a run at
-    # a point where no member is singular passes
+    # at lambda = 1 is singular, which is no error, since no member is
+    # inverted.  g2 is only conformally flat, so the row fails at each of
+    # the six points, those two included, by curvature-2 and the mixed
+    # curvature; the mixed torsion and g's own curvature read rounding.
+    # Each point's parts are its own: the batch after sample 2 gives the
+    # same, and a run at one point fails there
     from fmcheck.pencil import flat_pencil_at
     spec = af()
     pts = sample_points(spec, SamplePlan(seed=0, count=6))
     a, b = (float(pts[k][0].real) for k in (2, 4))
-    f = f"(1+(u1-({a!r}))*(u1-({b!r})))"
-    spec = ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
-                        E=spec.E, g=spec.g, g2=tuple(tuple(f"{f}*({s})" for s in row) for row in spec.g))
-    message = "pencil member at lambda = (1+0j) is singular: matrix is numerically singular"
-    for points, at in ((pts, 2), (pts[3:], 1)):  # sample 4 is the second after sample 2
-        pa = second_order(spec, points)
-        with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:
-            flat_pencil_at(pa)
-        assert exc.value.point == at
-    per_lambda = flat_pencil_at(second_order(spec, pts[:2])).parts["per_lambda"]
-    assert list(per_lambda) == ["0j", "(1+0j)", "(-1+0j)", "(2+0j)", "1j"]
-    with pytest.raises(SingularMatrixError, match=re.escape(message)):
-        check_flat_pencil(spec, [pts[2]])
-    assert check_flat_pencil(spec, [pts[0]]).npoints == 1
+    spec = _conformal(spec, f"(1+(u1-({a!r}))*(u1-({b!r})))")
+    parts = flat_pencil_at(second_order(spec, pts)).parts
+    assert list(parts) == ["mixed-torsion", "curvature-2", "curvature-1", "mixed-curvature"]
+    assert (parts["curvature-2"] >= 0.1).all() and (parts["mixed-curvature"] >= 0.05).all()
+    assert (parts["mixed-torsion"] <= 1e-15).all() and (parts["curvature-1"] <= 1e-15).all()
+    after = flat_pencil_at(second_order(spec, pts[3:])).parts
+    for key in parts:
+        assert np.allclose(after[key], parts[key][3:], rtol=1e-12, atol=1e-15), key
+    for k in (2, 4, 0):
+        rep = check_flat_pencil(spec, [pts[k]])
+        assert not rep.passed and rep.npoints == 1
+        assert rep.residual == pytest.approx(max(parts["curvature-2"][k],
+                                                 parts["mixed-curvature"][k]), rel=1e-12)
 
 
 def test_flat_pencil_names_the_lowest_singular_member():
     # g2 = f g with f linear in u1, -1 at sample 2 and 1 at sample 4: the
-    # member at lambda = -1 is singular at sample 2, and the one at
-    # lambda = 1, which comes first in LAMBDAS, at sample 4.  Both the walk
-    # and the check's own batch name sample 2 and lambda = -1
+    # members at lambda = -1 and 1 are singular there, which is no error,
+    # so the walk and the check's own batch give a failing verdict (g2 is
+    # only conformally flat).  Where g2 also fails to evaluate, at sample 3,
+    # that is the lowest point where a datum is singular: the walk and the
+    # check's own batch name sample 3, and no member
     spec = af()
     pts = sample_points(spec, SamplePlan(seed=0, count=6))
     a, b = (float(pts[k][0].real) for k in (2, 4))
@@ -143,21 +231,18 @@ def test_flat_pencil_names_the_lowest_singular_member():
         return ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
                             E=spec.E, g=spec.g,
                             g2=tuple(tuple(f"{f}*({s}){extra}" for s in row) for row in spec.g))
-    message = "pencil member at lambda = (-1+0j) is singular"
-    named = f"sample 2 at ({', '.join(str(x) for x in np.asarray(pts[2]).tolist())}) is singular"
-    with pytest.raises(cat.SingularSampleError, match=re.escape(named)) as exc:
-        cat.run_checks(scaled(), {}, ["flat-pencil"], pts)
-    assert message in str(exc.value)
-    with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:
-        check_flat_pencil(scaled(), pts)
-    assert exc.value.point == 2
-    # g2 also fails to evaluate at sample 3, which a row over all points
-    # meets first: the walk of the points below it still names sample 2,
-    # its head row reading three of them
+    rep, = cat.run_checks(scaled(), {}, ["flat-pencil"], pts)
+    assert not rep.passed and rep.npoints == 4
+    own = check_flat_pencil(scaled(), pts)
+    assert not own.passed and own.npoints == 6
     c = float(pts[3][0].real)
+    named = f"sample 3 at ({', '.join(str(x) for x in np.asarray(pts[3]).tolist())}) is singular"
     with pytest.raises(cat.SingularSampleError, match=re.escape(named)) as exc:
         cat.run_checks(scaled(f"+0/(u1-({c!r}))"), {}, ["pencil-exactness", "flat-pencil"], pts)
-    assert message in str(exc.value)
+    assert "division by zero" in str(exc.value) and "pencil member" not in str(exc.value)
+    with pytest.raises(Exception, match="division by zero") as exc:
+        check_flat_pencil(scaled(f"+0/(u1-({c!r}))"), pts)
+    assert exc.value.point == 3
 
 
 def test_flat_pencil_row_reads_only_its_head():
@@ -176,23 +261,21 @@ def test_flat_pencil_row_reads_only_its_head():
 
 
 def test_flat_pencil_raises_a_member_singular_at_every_point():
-    # with g2 = g the member at lambda = 1 vanishes at each of 8 points: the
-    # check raises the first point's error, which names that member, as
-    # the walk does with the point
+    # with g2 = g every member is (1 - lambda) g, so the pencil is flat,
+    # and the member at lambda = 1 vanishes at each of 8 points: that is no
+    # error.  The check, the walk and the kernel over the batch pass, every
+    # part at every point reading rounding
     from fmcheck.pencil import flat_pencil_at
     ref = af()
     spec = ManifoldSpec(name="g2-is-g", n=3, coords=ref.coords, product="canonical", e=ref.e,
                         E=ref.E, g=ref.g, g2=ref.g, region=ref.region)
     pts = sample_points(spec, SamplePlan(seed=0, count=8))
-    message = "pencil member at lambda = (1+0j) is singular"
-    with pytest.raises(SingularMatrixError, match=re.escape(message)):
-        check_flat_pencil(spec, pts)
-    with pytest.raises(cat.SingularSampleError, match=re.escape(message)):
-        cat.run_checks(spec, {}, ["flat-pencil"], pts)
-    # so does the kernel over the batch
-    pa = second_order(spec, pts)
-    with pytest.raises(SingularMatrixError, match=re.escape(message)):
-        flat_pencil_at(pa)
+    assert check_flat_pencil(spec, pts).passed
+    assert cat.run_checks(spec, {}, ["flat-pencil"], pts)[0].passed
+    parts = flat_pencil_at(second_order(spec, pts)).parts
+    assert all(np.shape(part) == (8,) and np.max(part) <= 1e-15 for part in parts.values())
+    # the two curvatures are one metric's
+    assert np.array_equal(parts["curvature-1"], parts["curvature-2"])
 
 
 def test_delta_identities_and_closed_form():

@@ -8,7 +8,8 @@ from fmcheck.ode3d import closed_form_pencil, closed_form_q0
 from fmcheck.rotation import (NonDiagonalMetricError, beta_from_F, check_algebraic_constraints,
                               check_darboux_system, check_flatness_constraint,
                               check_lame_system, check_potentiality,
-                              check_reduction_identity, rotation_data, v_matrix, z_of_point)
+                              check_reduction_identity, rotation_data, rotations, v_matrix,
+                              z_of_point)
 
 from constructions import eigenspace_projection, integrate_lame
 
@@ -25,6 +26,23 @@ def test_euclidean_beta_vanishes():
     assert np.max(np.abs(rd.beta)) == 0.0
     _, eig, _ = v_matrix(rd)
     assert np.allclose(eig, 0.0)
+
+
+def test_lame_jets_of_a_positive_real_metric_are_real():
+    # the principal square root keeps a real array with no negative value
+    # real, so the Lame jets and rotation data of lobachevsky's metric are
+    # float64; a real array with a negative value still takes the branch
+    from fmcheck.exprjet import jet_sqrt
+    ent = cat.entry("lobachevsky")
+    rd = rotations(ent.spec, sample_points(ent.spec, SamplePlan(seed=0, count=20)))
+    for key in ("H", "dH", "ddH", "beta", "dbeta", "V"):
+        assert getattr(rd, key).dtype == np.float64, key
+    jets = (np.array([4.0, 9.0]), np.ones((2, 1)), np.zeros((2, 1, 1)))
+    root = jet_sqrt(jets, 2, lambda *_: None)
+    assert [part.dtype for part in root] == [np.float64] * 3
+    assert root[0].tolist() == [2.0, 3.0] and root[1][:, 0].tolist() == [0.25, 1 / 6]
+    negative = jet_sqrt((np.array([-4.0, 9.0]), *jets[1:]), 2, lambda *_: None)
+    assert negative[0].dtype == np.complex128 and negative[0].tolist() == [2j, 3]
 
 
 def test_nondiagonal_rejected():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fmcheck.catalog as cat
-from fmcheck.connection import inverse_jets
+from fmcheck.connection import inverse_hessian, inverse_jets
 from fmcheck.exprjet import eval_jet, eval_table, parse
 from fmcheck.manifold import SamplePlan, sample_points, structure_at
 from fmcheck.pencil import delta_jets, pencil_at
@@ -49,7 +49,8 @@ def test_delta_commutation_on_pencil():
 
 
 def test_invert_examples():
-    b, db, ddb = inverse_jets(np.eye(3), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3)))
+    b, db = inverse_jets(np.eye(3), np.zeros((3, 3, 3)))
+    ddb = inverse_hessian(b, np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3)))
     assert np.allclose(b, np.eye(3)) and not db.any() and not ddb.any()
     b, _ = inverse_jets(np.diag([2.0, -3.0]), np.zeros((2, 2, 2)))
     assert np.allclose(b, np.diag([0.5, -1 / 3]))
