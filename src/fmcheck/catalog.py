@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from . import exprjet as ej
-from .connection import (ConnectionAt, InverseJets, checked_inverse, compat_product_at,
+from .connection import (ConnectionAt, checked_inverse, compat_product_at,
                          connections_from_exprs, counit_jets, curvature_product_at,
                          dual_structure, flatness_at, levi_civita, metric_inverse, nabla_e_at,
                          nabla_from_g_at, nabla_nabla_E_at, natural_from_levi_civita,
@@ -124,12 +124,7 @@ def _v_eigenvalue_gap(b):
 
 # The data a walk builds once, as batches over its points, each from the
 # walk's other data when a row first asks for it (`_Walk.__getattr__`); a
-# connection's curvature is its own (`ConnectionAt.curvature`).  The
-# pencil's second-order data ("pa"), and the weight, difference tensor,
-# product, counit and walk of the rebuilt structure its head rows share,
-# are built over the head points only, and the head rows read nothing
-# else; "pa" on the Levi-Civita connection of the first metric where the
-# walk has built that.  Every other batch is built over all the points.
+# connection's curvature is its own (`ConnectionAt.curvature`).
 _BATCHED = {
     "st": lambda w: structures(w.spec, w.points),
     "ginv": lambda w: metric_inverse(w.st),
@@ -145,17 +140,13 @@ _BATCHED = {
     "fields": lambda w: spanning_fields(w.companion("normal_bundle"), w.points, w.spec.n,
                                         w.env),
     "pencil": lambda w: pencil_first_order(w.st, w.ginv),
-    "pa": lambda w: pencil_second_order(
-        w.pencil.at(slice(w.head)), w.data["lc"].at(slice(w.head)) if "lc" in w.data else None),
+    "pa": lambda w: pencil_second_order(w.pencil, w.lc),
     "weight": lambda w: pencil_weight(w.pa, rank=2)[0],
     "delta": lambda w: delta_jets(w.pa),
     "pencil_product": lambda w: product_from_pencil_at(w.pa, w.delta[0]),
-    "pencil_counit": lambda w: counit_jets(w.pa.st),
-    # the rebuilt structure keeps g and e: g's inverse, connection and counit are the pencil's
-    "recon": lambda w: w.derived(
-        w.points[:w.head], st=reconstructed_at(w.pa, w.pencil_product),
-        ginv=InverseJets(w.pa.eta_inv, w.pa.deta_inv),
-        lc=ConnectionAt(w.pa.n, w.pa.point, w.pa.gamma1, w.pa.dgamma1), counit=w.pencil_counit),
+    # the rebuilt structure keeps g and e: g's inverse, connection and counit are the walk's
+    "recon": lambda w: w.derived(st=reconstructed_at(w.pa, w.pencil_product), ginv=w.ginv,
+                                 lc=w.lc, counit=w.counit),
     # the closed-form solution F of the spec's ODE family
     "ode": lambda w: closed_forms(w.comp["ode_family"], w.points, w.env),
     # the flat chart, and the potential's tables at its values
@@ -166,7 +157,7 @@ _BATCHED = {
     # walk's with the metric swapped, once the field is checked flat), its
     # expression-level metric and the target's metric
     "field_jets": lambda w: w.table("legendre_field", 2),
-    "transformed": lambda w: w.derived(w.points, st=transformed_at(w.st, w.nat, *w.field_jets)),
+    "transformed": lambda w: w.derived(st=transformed_at(w.st, w.nat, *w.field_jets)),
     "transformed_g": lambda w: w.table("transformed_g", 0),
     "target_g": lambda w: w.table("target_g", 0, env=w.comp["target_env"]),
 }
@@ -174,15 +165,13 @@ _BATCHED = {
 
 class _Walk:
     """What one walk shares, and what each of its rows reads: spec,
-    companion data, env, its points and head (how many of them the
-    pencil's head rows read, as `_walk` sets it), the batches built so far,
-    and as an attribute each batch of `_BATCHED`, built on first use."""
+    companion data, env, its points, the batches built so far, and as an
+    attribute each batch of `_BATCHED`, built on first use."""
 
-    def __init__(self, spec: ManifoldSpec, comp: dict, points, head: int):
+    def __init__(self, spec: ManifoldSpec, comp: dict, points):
         self.spec, self.comp, self.env = spec, comp, spec.env()
         self.expected = spec.expected
         self.points = np.asarray(points)
-        self.head = head
         self.data = {}
 
     def __getattr__(self, name):
@@ -192,9 +181,9 @@ class _Walk:
             self.data[name] = _BATCHED[name](self)
         return self.data[name]
 
-    def derived(self, points, **data):
-        """A walk of a construction's output over `points`, with its batches `data`."""
-        walk = _Walk(self.spec, self.comp, points, self.head)
+    def derived(self, **data):
+        """A walk of a construction's output over the walk's points, with its batches `data`."""
+        walk = _Walk(self.spec, self.comp, self.points)
         walk.data.update(data)
         return walk
 
@@ -216,9 +205,7 @@ class Check:
     """One row of the check table.  `at` maps the `_Walk` to the row's
     `Residuals` at all its points at once, as arrays over the point axis.
     An entry runs the check when its flags hold `flag` and its spec,
-    companion or expected values hold all of `needs`; the check reads every
-    point, or with `head` (the pencil's costlier rows, which read only the
-    batches built over the head) only the walk's head.  `fit` (the fitted
+    companion or expected values hold all of `needs`.  `fit` (the fitted
     constant that must agree across the points), `expected` (a key of the
     value it must match) and `tol` (of the run's tol; default: the run's)
     set its report (`batch_report`)."""
@@ -226,7 +213,6 @@ class Check:
     at: Callable
     flag: str | None = None
     needs: tuple = ()
-    head: bool = False
     fit: str | None = None
     expected: str | None = None
     tol: Callable | None = None
@@ -310,13 +296,11 @@ CHECKS = (
     Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",)),
     Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pencil), "pencil", ("g2",),
           fit="d", expected="d_pencil"),
-    Check("flat-pencil", lambda b: flat_pencil_at(b.pa), "pencil", ("g2",),
-          head=True),
-    Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil",
-          head=True),
-    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.pencil_counit), "pencil",
-          head=True, tol=lambda tol: max(tol, 1e-9)),
-    Check("product-from-pencil", lambda b: b.pencil_product.residuals, "pencil", head=True,
+    Check("flat-pencil", lambda b: flat_pencil_at(b.pa), "pencil", ("g2",)),
+    Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil"),
+    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.counit), "pencil",
+          tol=lambda tol: max(tol, 1e-9)),
+    Check("product-from-pencil", lambda b: b.pencil_product.residuals, "pencil",
           tol=lambda tol: max(tol, 1e-9)),
     Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn), "flat-chart"),
     Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
@@ -339,9 +323,9 @@ _THEOREMS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-u
 
 
 def _reconstructed(check: Check) -> Check:
-    """`check` on the rebuilt structure ("recon"), a head row of the pencil."""
+    """`check` on the rebuilt structure ("recon"), a row of the pencil."""
     return replace(check, name=f"reconstructed/{check.name}", at=lambda b: check.at(b.recon),
-                   flag="pencil", needs=(), head=True,
+                   flag="pencil", needs=(),
                    expected=check.expected and f"{check.expected}_reconstructed")
 
 
@@ -368,21 +352,15 @@ def _chosen(spec: ManifoldSpec, comp: dict, keep) -> list:
 
 
 def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
-    """Walk `points` once and reduce each of `checks` over the points it
-    uses: all of them, or for a head row the head, the first max(4, count
-    // 5).  Every datum the rows read is built once, as a batch over the
-    points its rows use (`_BATCHED`), and each expression table runs once;
-    each row reads the walk and computes its results at all its points in
-    one call.  A datum or row that fails at a point k raises there, and the
-    points below k are walked first, the head rows reading min(k, head) of
-    them (`lowest_failure`): the lowest point at which a row fails, and
-    there the first row, is named."""
-    head = min(len(points), max(4, len(points) // 5))
-    # the points the rows read: only the head where every row is a head row
-    read = len(points) if not all(check.head for check in checks) else head
-
+    """Walk `points` once and reduce each of `checks` over them.  Every
+    datum the rows read is built once, as a batch over the points
+    (`_BATCHED`), and each expression table runs once; each row reads the
+    walk and computes its results at all the points in one call.  A datum
+    or row that fails at a point k raises there, and the points below k are
+    walked first (`lowest_failure`): the lowest point at which a row fails,
+    and there the first row, is named."""
     def rows(pts):
-        walk = _Walk(spec, comp, pts[:read], min(head, len(pts)))
+        walk = _Walk(spec, comp, pts)
         return [check.at(walk) for check in checks]
 
     try:

@@ -18,8 +18,7 @@ points below that one, so that the lowest failing point is named.
 The spec-level `check_*` functions, here and in `pencil`, `rotation`,
 `hamops` and `legendre`, are views of the walk (`catalog.run_checks`): each
 is `walk_row` on one row of the check table, so it reports what `verify`
-reports for that row.  `pencil.check_flat_pencil`, whose row reads only
-the walk's head, keeps its own batch; it inverts no pencil member.
+reports for that row.
 
 All residuals are reported normalized as `max|residual| / (1 + scale)` where
 `scale` is the largest entry magnitude among the tensors involved.
@@ -83,7 +82,7 @@ class PointBatch:
     every batched field, has a leading point axis; a single point has none."""
 
     def at(self, k):
-        """Point k's data without the point axis (a slice: their batch)."""
+        """Point k's data, without the point axis."""
         out = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)

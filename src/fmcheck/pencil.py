@@ -7,9 +7,9 @@ Spec slot convention: `spec.g` holds the covariant first metric (the one the
 unit field preserves) and `spec.g2` the covariant second metric.  The pencil
 itself lives on the contravariant side; contravariant jets are produced from
 the covariant expression tables by matrix-inverse jets, never by inverting
-expressions symbolically.  The first metric's inverse jets come from the
-caller (`metric_inverse`): the walk's batch, or built in plain sight
-(`pencil_at`); its Christoffel jets, from the walk's `lc` where it has one.
+expressions symbolically.  The first metric's inverse jets and Levi-Civita
+connection come from the caller (`metric_inverse`, `levi_civita`): the
+walk's batches, or built in plain sight (`pencil_at`).
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .connection import (InverseJets, christoffel_jets, counit_jets, inverse_hessian,
-                         inverse_jets, metric_inverse)
+from .connection import (ConnectionAt, InverseJets, christoffel_jets, counit_jets,
+                         inverse_hessian, inverse_jets, levi_civita, metric_inverse)
 from .manifold import (DEFAULT_TOL, ManifoldSpec, MissingFieldError, PointBatch, Report,
                        Residuals, StructureAt, amax, batch_report, fail_at, fit_scalar,
-                       lowest_failure, normalized, pmax, product_jets, structures, walk_row)
+                       normalized, pmax, product_jets, structures, walk_row)
 from .tensor import (SingularMatrixError, antisym, contract, contract_jets, finite_matrices,
                      lie_from_components)
 
@@ -66,7 +66,8 @@ class PencilAt(PointBatch):
 
 def pencil_at(spec: ManifoldSpec, point) -> PencilAt:
     st = structures(spec, [point])
-    return pencil_second_order(pencil_first_order(st, metric_inverse(st))).at(0)
+    inverse = metric_inverse(st)
+    return pencil_second_order(pencil_first_order(st, inverse), levi_civita(st, inverse)).at(0)
 
 
 def pencil_first_order(st: StructureAt, inverse: InverseJets) -> PencilAt:
@@ -83,20 +84,17 @@ def pencil_first_order(st: StructureAt, inverse: InverseJets) -> PencilAt:
                     g_inv=g_inv, dg_inv=dg_inv, L=L, dL=dL, E=E, dE=dE)
 
 
-def pencil_second_order(pa: PencilAt, lc=None) -> PencilAt:
+def pencil_second_order(pa: PencilAt, lc: ConnectionAt) -> PencilAt:
     """`pa` with the second-order data added: second derivatives of the
-    second inverse metric and of E, and the Christoffel jets of both metrics.
-    `lc`: the first metric's Levi-Civita connection at pa's points, where
-    the caller has it."""
+    second inverse metric and of E, and the Christoffel jets of both
+    metrics, the first metric's from its Levi-Civita connection `lc`."""
     st = pa.st
     ddg_inv = inverse_hessian(pa.g_inv, st.dg2, st.ddg2)
-    gamma1, dgamma1 = (christoffel_jets(st.g, st.dg, st.ddg, (pa.eta_inv, pa.deta_inv))
-                       if lc is None else (lc.gamma, lc.dgamma))
     gamma2, dgamma2 = christoffel_jets(st.g2, st.dg2, st.ddg2, (pa.g_inv, pa.dg_inv))
     ddL, = contract_jets("...il,...lj->...ij", (pa.g_inv, pa.dg_inv, ddg_inv),
                          (st.g, st.dg, st.ddg), low=2)
     ddE, = contract_jets("...ij,...j->...i", (pa.L, pa.dL, ddL), (st.e, st.de, st.dde), low=2)
-    return replace(pa, ddg_inv=ddg_inv, gamma1=gamma1, dgamma1=dgamma1,
+    return replace(pa, ddg_inv=ddg_inv, gamma1=lc.gamma, dgamma1=lc.dgamma,
                    gamma2=gamma2, dgamma2=dgamma2, ddE=ddE, diagonal=_is_diagonal(st))
 
 
@@ -143,12 +141,7 @@ def flat_pencil_at(pa: PencilAt):
 
 
 def check_flat_pencil(spec, points, tol: float = DEFAULT_TOL) -> Report:
-    """The four parts of a flat pencil (`flat_pencil_at`) at every point;
-    the lowest point where a metric is singular raises."""
-    def run(pts):
-        st = structures(spec, pts)
-        return flat_pencil_at(pencil_second_order(pencil_first_order(st, metric_inverse(st))))
-    return batch_report("flat-pencil", lowest_failure(run, points), tol)
+    return walk_row("flat-pencil", spec, {}, points, tol)
 
 
 def exactness_at(pa: PencilAt):

@@ -21,7 +21,9 @@ real, and numpy promotes where a real array meets a complex one.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -116,7 +118,7 @@ def contract_jets(subscripts: str, *factors, low: int = 0) -> list:
     at = range(count)
     marks = ([[""] * count], [[p * (k == i) for k in at] for i in at],
              [[p * (k == i) + q * (k == j) for k in at] for i in at for j in at])
-    return [sum(map(part, m)) if d else part(m[0])
+    return [reduce(add, map(part, m))
             for d, m in enumerate(marks[:min(map(len, factors))]) if d >= low]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from fmcheck.connection import (christoffel_jets, inverse_hessian, inverse_jets,
-                                metric_inverse, riemann_components)
+                                levi_civita, metric_inverse, riemann_components)
 from fmcheck.manifold import (DEFAULT_TOL, Report, Residuals, amax, batch_report,
                               lowest_failure, normalized, pmax, structures)
 from fmcheck.pencil import PencilAt, pencil_first_order, pencil_second_order
@@ -61,6 +61,7 @@ def check_flat_pencil_members(spec, points, lambdas=LAMBDAS, tol: float = DEFAUL
     metric or a member is singular raises."""
     def run(pts):
         st = structures(spec, pts)
-        pa = pencil_second_order(pencil_first_order(st, metric_inverse(st)))
+        inverse = metric_inverse(st)
+        pa = pencil_second_order(pencil_first_order(st, inverse), levi_civita(st, inverse))
         return flat_pencil_members_at(pa, lambdas)
     return batch_report("flat-pencil", lowest_failure(run, points), tol)

@@ -262,7 +262,6 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         ent = cat.entry(name)
         pts = [tuple(np.asarray(p, dtype=complex))
                for p in sample_points(ent.spec, SamplePlan(seed=0, count=10))]
-        head = pts[:4]  # max(4, 10 // 5): the points of the costlier pencil rows
         chart_values = None
         if "flat_chart" in ent.companion:
             chart_values = [tuple(ej.eval_table(ent.companion["flat_chart"], p, ent.spec.env())[0])
@@ -282,7 +281,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         assert built["rotation"] == ([pts] if needs_rotation else []), name
         assert built["fields"] == ([pts] if "flat-normal-bundle" in ent.flags else []), name
         assert built["pencil"] == ([pts] if "pencil" in ent.flags else []), name
-        assert built["pencil2"] == ([head] if "pencil" in ent.flags else []), name
+        assert built["pencil2"] == ([pts] if "pencil" in ent.flags else []), name
         check_inverses(metrics, name)
         orders = check_runs(ent.spec, pts, chart_values, name)
         tables = {table for table, _ in orders}
@@ -314,7 +313,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             if code != 2:  # 2: the spec lacks a field the check needs
                 assert built["structure"] == [pts], argv
                 if ent.spec.g2 is not None and argv[1] == str(spec_path):
-                    assert built["pencil"] == [pts] and built["pencil2"] == [head], argv
+                    assert built["pencil"] == built["pencil2"] == [pts], argv
                 check_inverses(metrics, argv)
                 check_runs(ent.spec, pts, chart_values, argv)
 
@@ -349,8 +348,9 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         assert sorted(map(repr, got)) == sorted(map(repr, want)), argv
 
     # the pencil's walk at 20 points builds one counit and gives the first
-    # metric Christoffel jets once, both over its head, which the pencil's
-    # rows and the walk of the structure rebuilt from it share
+    # metric Christoffel jets once, both over all 20 points, which the
+    # walk's own rows, the pencil's rows and the walk of the structure
+    # rebuilt from it share
     ent = cat.entry("af-pencil-n3")
     pts = [tuple(np.asarray(p, dtype=complex))
            for p in sample_points(ent.spec, SamplePlan(seed=0, count=20))]
@@ -358,54 +358,61 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     counits.clear()
     christoffel.clear()
     assert run_suite(ent, seed=0, count=20).ok
-    assert counits == [pts[:4]]
-    assert [len(a) for a in christoffel if np.array_equal(a, g[:len(a)])] == [4]
+    assert counits == [pts]
+    assert [len(a) for a in christoffel if np.array_equal(a, g[:len(a)])] == [20]
 
 
 def test_row_data_cuts_array_batches_to_the_row_points():
-    # in a mixed 25-point walk the pencil's second-order data, which its
-    # head rows read, is built over the first max(4, 25 // 5) = 5 points,
-    # and the structure over all 25; a walk of head rows alone reads only
-    # those 5 points
-    from dataclasses import replace
+    # no batch is cut: in a 25-point walk of every af-pencil-n3 row, each
+    # array of each batch, the pencil's second-order data and the walk of
+    # the structure rebuilt from it included, runs over all 25 points, and
+    # the rebuilt structure's walk reads the walk's own inverse metric,
+    # Levi-Civita connection and counit, not copies of them
     ent = cat.entry("af-pencil-n3")
     points = sample_points(ent.spec, SamplePlan(seed=0, count=25))
+    walk = cat._Walk(ent.spec, ent.companion, points)
+    checks = cat._chosen(ent.spec, ent.companion, lambda c: c.flag in ent.flags)
+    assert {"flat-pencil", "reconstructed/flatness"} <= {c.name for c in checks}
+    for check in checks:
+        assert len(check.at(walk).scale) == 25, check.name
+    assert {"st", "pa", "recon"} <= walk.data.keys()
+    for key, a in _walk_arrays(walk):
+        assert a.shape[0] == 25, (key, a.shape)
+    recon = walk.recon
+    assert np.array_equal(recon.points, walk.points)
+    for key in ("ginv", "lc", "counit"):
+        assert recon.data[key] is walk.data[key], key
+    assert recon.st is not walk.st and recon.st.c is walk.pencil_product.c
+    # a mixed walk's rows each read all the points
     mixed = cat.run_checks(ent.spec, ent.companion, ["pencil-exactness", "flat-pencil"], points)
-    assert [r.npoints for r in mixed] == [25, 5]
-    walk = cat._Walk(ent.spec, ent.companion, points, 5)
-    assert len(cat._BY_NAME["flat-pencil"].at(walk).scale) == 5
-    assert len(cat._BY_NAME["pencil-exactness"].at(walk).scale) == 25
-    assert walk.data["pa"].point.shape[0] == 5 and walk.data["st"].point.shape[0] == 25
-    ent = cat.entry("lobachevsky")
-    points = sample_points(ent.spec, SamplePlan(seed=0, count=25))
-    flat = cat._BY_NAME["levi-civita-flat"]
-    five = cat._walk(ent.spec, ent.companion, [replace(flat, head=True)], points, 1e-8)[0]
-    alone = cat._walk(ent.spec, ent.companion, [flat], points[:5], 1e-8)[0]
-    assert five.npoints == 5 and five.to_dict() == alone.to_dict()
+    assert [r.npoints for r in mixed] == [25, 25]
 
 
-def test_only_the_pencil_head_rows_read_fewer_points():
-    # every catalog entry and both catalog transforms: at 3 points every
-    # row reads all 3; at 7 the pencil's head rows (its four costlier rows
-    # and the 14 theorem rows of the structure rebuilt from it) read the
-    # first max(4, 7 // 5) = 4 and every other row reads all 7
-    head = {"flat-pencil", "delta-identities", "r-operator", "product-from-pencil",
-            *(f"reconstructed/{name}" for name in cat._THEOREMS)}
-    assert len(head) == 4 + 14
+def test_every_row_reads_every_sample_point():
+    # every report of every catalog entry, of the af-pencil-n3 spec file
+    # and of both catalog transforms reads all of its run's points, at 3
+    # and at 7: the pencil's rows and the 14 theorem rows of the structure
+    # rebuilt from it too
+    pencil_rows = {"flat-pencil", "delta-identities", "r-operator", "product-from-pencil",
+                   *(f"reconstructed/{name}" for name in cat._THEOREMS)}
+    assert len(pencil_rows) == 4 + 14
     sources = [cat.entry(name) for name in cat.names()]
+    sources.append(ManifoldSpec.from_dict(json.loads(cat.entry("af-pencil-n3").spec.to_json())))
     source = cat.entry("q0-d-minus1")
     for field, target in source.companion["legendre_targets"].items():
         sources.append(cat.Transform(source.spec, source.companion["legendre_fields"][field],
                                      field, target))
     seen = set()
     for src in sources:
+        name = getattr(src, "spec", src).name
         for count in (3, 7):
-            for r in run_suite(src, seed=0, count=count).reports:
-                want = 4 if count == 7 and r.name in head else count
-                assert r.npoints == want, (src.spec.name, count, r.name, r.npoints)
+            reports = run_suite(src, seed=0, count=count).reports
+            assert reports, (name, count)
+            for r in reports:
+                assert r.npoints == count, (name, count, r.name, r.npoints)
                 seen.add(r.name)
-    assert head <= seen and {"v-eigenvalues", "ode-integrals", "normal-rank", "transform-exprs",
-                             "match-q0-d0", "match-q0-d1"} <= seen
+    assert pencil_rows <= seen and {"v-eigenvalues", "ode-integrals", "normal-rank",
+                                    "transform-exprs", "match-q0-d0", "match-q0-d1"} <= seen
 
 
 def test_q0_d1_fault_seeds_fail_only_curvature_product():
@@ -492,7 +499,7 @@ def test_only_batches_with_imaginary_parts_stay_complex():
     for name in cat.names():
         ent = cat.entry(name)
         points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
-        walk = cat._Walk(ent.spec, ent.companion, points, 4)
+        walk = cat._Walk(ent.spec, ent.companion, points)
         for check in cat._chosen(ent.spec, ent.companion, lambda c: c.flag in ent.flags):
             check.at(walk)
         for key, a in _walk_arrays(walk):
@@ -507,16 +514,17 @@ def test_only_batches_with_imaginary_parts_stay_complex():
 
 def test_flat_pencil_is_real_on_real_data():
     # the row's four parts and its scale on af-pencil-n3 and n4 are float64
-    # at each head point: no pencil member is formed, so no complex lambda
+    # at each of the 20 points: no pencil member is formed, so no complex
+    # lambda
     from fmcheck.pencil import flat_pencil_at
     for n in (3, 4):
         ent = cat.entry(f"af-pencil-n{n}")
         points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
-        result = flat_pencil_at(cat._Walk(ent.spec, ent.companion, points, 4).pa)
+        result = flat_pencil_at(cat._Walk(ent.spec, ent.companion, points).pa)
         assert list(result.parts) == ["mixed-torsion", "curvature-2", "curvature-1",
                                       "mixed-curvature"]
         for value in (*result.parts.values(), result.scale):
-            assert value.dtype == np.float64 and value.shape == (4,)
+            assert value.dtype == np.float64 and value.shape == (20,)
 
 
 def test_a_complex_parameter_keeps_the_walk_complex():
@@ -533,7 +541,7 @@ def test_a_complex_parameter_keeps_the_walk_complex():
     reports = cat.run_checks(spec, ent.companion, [c.name for c in checks], points)
     assert len(reports) == 21
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    walk = cat._Walk(spec, ent.companion, points, 4)
+    walk = cat._Walk(spec, ent.companion, points)
     for check in checks:
         check.at(walk)
     assert walk.st.g.dtype == walk.st.dg.dtype == walk.st.ddg.dtype == np.complex128

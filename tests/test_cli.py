@@ -259,9 +259,9 @@ def _near_golden(got, want, what):
 
 def test_golden_report_fixtures(tmp_path):
     # structural comparison against versioned golden reports: identical
-    # check names, verdicts, tolerances and detail keys; residuals, scales
-    # and the floats in the details equal to within an environment-noise
-    # margin
+    # check names, verdicts, tolerances and detail keys, and every report
+    # over all of its run's `--points`; residuals, scales and the floats in
+    # the details equal to within an environment-noise margin
     import pathlib
     golden_dir = pathlib.Path(__file__).parent / "golden"
     spec_path = tmp_path / "af-pencil-n3.json"
@@ -284,8 +284,10 @@ def test_golden_report_fixtures(tmp_path):
         doc = json.loads(out)
         assert doc["ok"] == golden["ok"]
         assert [r["name"] for r in doc["reports"]] == [r["name"] for r in golden["reports"]]
+        count = int(args[args.index("--points") + 1])
         for got, want in zip(doc["reports"], golden["reports"]):
             assert got["passed"] == want["passed"] and got["tol"] == want["tol"]
+            assert got["npoints"] == want["npoints"] == count, (name, got["name"])
             assert abs(got["residual"] - want["residual"]) <= 1e-12 + 1e-6 * abs(want["residual"])
             _near_golden(got["scale"], want["scale"], (name, got["name"], "scale"))
             _near_golden(got["details"], want["details"], (name, got["name"], "details"))

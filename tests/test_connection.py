@@ -315,7 +315,7 @@ def _batched_functions(spec, comp):
             return pn.pencil_first_order(st, cn.metric_inverse(st))
 
         def pencil(st):
-            pa = pn.pencil_second_order(first(st))
+            pa = pn.pencil_second_order(first(st), lc(st))
             return [getattr(pa, f) for f in ("eta_inv", "deta_inv", "g_inv", "dg_inv",
                                              "ddg_inv", "gamma1", "dgamma1", "gamma2",
                                              "dgamma2", "L", "dL", "E", "dE", "ddE")]
@@ -323,20 +323,24 @@ def _batched_functions(spec, comp):
             "pencil_second_order": pencil,
             "exactness_at": lambda st: pn.exactness_at(first(st)),
             "pencil_homogeneity_at": lambda st: pn.pencil_homogeneity_at(first(st)),
-            "flat_pencil_at": lambda st: pn.flat_pencil_at(pn.pencil_second_order(first(st))),
+            "flat_pencil_at": lambda st: pn.flat_pencil_at(pn.pencil_second_order(first(st),
+                                                                                  lc(st))),
         })
-        out.update(_pencil_head_functions())
+        out.update(_pencil_construction_functions())
     out.update(_point_axis_functions(spec, comp))
     return out
 
 
-def _pencil_head_functions():
-    """The batched functions of the pencil's head rows, by name, as in
+def _pencil_construction_functions():
+    """The batched functions of the pencil's difference tensor, recursion
+    operator and rebuilt product and structure, by name, as in
     `_batched_functions`."""
     from fmcheck import connection as cn, pencil as pn
 
     def pa(st):
-        return pn.pencil_second_order(pn.pencil_first_order(st, cn.metric_inverse(st)))
+        inverse = cn.metric_inverse(st)
+        return pn.pencil_second_order(pn.pencil_first_order(st, inverse),
+                                      cn.levi_civita(st, inverse))
 
     def weight(st):
         return pn.pencil_weight(pa(st), rank=2)[0]
@@ -473,7 +477,7 @@ def test_batched_functions_and_rows_equal_single_point_runs():
     # whose product takes both routes in one batch), gives at each of 10
     # points what it gives on that point alone
     from fmcheck.manifold import structures
-    from fmcheck.connection import metric_inverse
+    from fmcheck.connection import levi_civita, metric_inverse
     from fmcheck.pencil import pencil_first_order, pencil_second_order
 
     from constructions import semisimple_pencil_from_f
@@ -483,7 +487,8 @@ def test_batched_functions_and_rows_equal_single_point_runs():
         (0.5, 1.5), (0.3, 1.9), (0.25, 1.25), (0.6, 1.1), (0.2, 1.7), (0.75, 1.75), (0.4, 1.2),
         (0.35, 1.35), (0.1, 0.8), (0.45, 1.6))]
     st = structures(both, both_points[:4])
-    pa = pencil_second_order(pencil_first_order(st, metric_inverse(st)))
+    inverse = metric_inverse(st)
+    pa = pencil_second_order(pencil_first_order(st, inverse), levi_civita(st, inverse))
     cond = np.linalg.cond(np.einsum("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E))
     assert pa.diagonal.all() and (cond <= 1e8).any() and (cond > 1e8).any()
     entries = [(name, cat.entry(name)) for name in cat.names()]
@@ -527,12 +532,10 @@ def test_batched_functions_and_rows_equal_single_point_runs():
         return value[k]
     for name, spec, comp, pts, rows in sources:
         for row in rows:
-            # the walk's head on 10 points is its first max(4, 10 // 5)
-            got = row.at(cat._Walk(spec, comp, pts, 4))
-            limit = 4 if row.head else 10
-            assert len(got.scale) == limit
-            for k, p in enumerate(pts[:limit]):
-                want = row.at(cat._Walk(spec, comp, [p], 1))
+            got = row.at(cat._Walk(spec, comp, pts))
+            assert len(got.scale) == len(pts) == 10
+            for k, p in enumerate(pts):
+                want = row.at(cat._Walk(spec, comp, [p]))
                 _same(at(got, k), at(want, 0), (name, row.name, k))
             names.add("match" if row.name.startswith("match-") else row.name)
     # 44 rows, and the 14 theorem rows of the structure rebuilt from the pencil
@@ -545,10 +548,10 @@ def test_batched_functions_and_rows_equal_single_point_runs():
 def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
     # one array of the structure batch, the rotation data, the spanning
     # fields or the closed-form ODE states is moved by 1e-3, or turns to
-    # NaN, at one point of 10: point 5 for the rows over all points, point
-    # 2 for the pencil's head rows, which read the first 4; each row whose
-    # residual the move changes reads that
-    # array there, and the NaN makes it NaN, so the row fails
+    # NaN, at one point of 10, point 5 or the last, 9; each row whose
+    # residual the move changes reads that array there, and the NaN makes
+    # it NaN, so every row, the pencil's and the rebuilt structure's
+    # included, fails at each of the two points
     import dataclasses
     from fmcheck import hamops, manifold, rotation
     from fmcheck.legendre import HypothesisViolatedError
@@ -591,15 +594,13 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
         by_name = {"match" if r.name.startswith("match-") else r.name: r for r in reports}
         return {name: r for name, r in by_name.items() if name in rows}
 
-    for at, rows in ((5, {c.name for c in cat.CHECKS if not c.head}),
-                     (2, {c.name for c in cat.CHECKS if c.head})):
+    rows = {c.name for c in cat.CHECKS}
+    for at in (5, 9):
         failed = set()
         for source, check in runs:
             poison.update(field=None, at=at)
             base = residuals(source, check, rows)
-            if not base:
-                assert at == 2, source.spec.name
-                continue
+            assert base, (source.spec.name, check)
             for field in fields:
                 poison.update(field=field, bump=1e-3)
                 try:

@@ -5,7 +5,8 @@ import pytest
 
 import fmcheck.catalog as cat
 from fmcheck.connection import (check_compat_product, check_flatness, check_nabla_e,
-                                check_nabla_from_g, metric_inverse, natural_connection)
+                                check_nabla_from_g, levi_civita, metric_inverse,
+                                natural_connection)
 from fmcheck.manifold import (ManifoldSpec, MissingFieldError, Region, SamplePlan,
                               check_hertling_manin, check_homogeneity, check_killing_unit,
                               check_metric_invariance, check_product_axioms,
@@ -29,7 +30,8 @@ def second_order(spec, points):
     """The pencil's second-order data over `points`, built as the walk
     builds it."""
     st = structures(spec, points)
-    return pencil_second_order(pencil_first_order(st, metric_inverse(st)))
+    inverse = metric_inverse(st)
+    return pencil_second_order(pencil_first_order(st, inverse), levi_civita(st, inverse))
 
 
 def test_exactness_and_negative_control():
@@ -85,12 +87,13 @@ def _unrelated():
         region=Region(box=((0.2, 1.0), (1.4, 2.2)), min_sep=0.1))
 
 
-def _conformal(spec, f):
+def _conformal(spec, f, extra=""):
     """The pencil of spec's first metric g and g2 = f g: its member at
-    lambda is (f - lambda) g, singular where f = lambda."""
+    lambda is (f - lambda) g, singular where f = lambda.  extra is
+    appended to each entry of g2."""
     return ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
                         E=spec.E, g=spec.g,
-                        g2=tuple(tuple(f"{f}*({s})" for s in row) for row in spec.g))
+                        g2=tuple(tuple(f"{f}*({s}){extra}" for s in row) for row in spec.g))
 
 
 def _mutated(spec, slot, eps):
@@ -215,49 +218,49 @@ def test_flat_pencil_records_a_singular_member_at_its_points():
                                                  parts["mixed-curvature"][k]), rel=1e-12)
 
 
+def _named(pts, k):
+    coords = ", ".join(str(x) for x in np.asarray(pts[k]).tolist())
+    return re.escape(f"sample {k} at ({coords}) is singular")
+
+
 def test_flat_pencil_names_the_lowest_singular_member():
     # g2 = f g with f linear in u1, -1 at sample 2 and 1 at sample 4: the
     # members at lambda = -1 and 1 are singular there, which is no error,
-    # so the walk and the check's own batch give a failing verdict (g2 is
-    # only conformally flat).  Where g2 also fails to evaluate, at sample 3,
+    # so the row gives a failing verdict over all 6 points (g2 is only
+    # conformally flat).  Where g2 also fails to evaluate, at sample 3,
     # that is the lowest point where a datum is singular: the walk and the
-    # check's own batch name sample 3, and no member
+    # check name sample 3, and no member
     spec = af()
     pts = sample_points(spec, SamplePlan(seed=0, count=6))
     a, b = (float(pts[k][0].real) for k in (2, 4))
-    f = f"(-1+2*(u1-({a!r}))/(({b!r})-({a!r})))"
-
-    def scaled(extra=""):
-        return ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
-                            E=spec.E, g=spec.g,
-                            g2=tuple(tuple(f"{f}*({s}){extra}" for s in row) for row in spec.g))
-    rep, = cat.run_checks(scaled(), {}, ["flat-pencil"], pts)
-    assert not rep.passed and rep.npoints == 4
-    own = check_flat_pencil(scaled(), pts)
-    assert not own.passed and own.npoints == 6
+    linear = f"(-1+2*(u1-({a!r}))/(({b!r})-({a!r})))"
+    rep, = cat.run_checks(_conformal(spec, linear), {}, ["flat-pencil"], pts)
+    assert not rep.passed and rep.npoints == 6
+    assert check_flat_pencil(_conformal(spec, linear), pts).to_dict() == rep.to_dict()
     c = float(pts[3][0].real)
-    named = f"sample 3 at ({', '.join(str(x) for x in np.asarray(pts[3]).tolist())}) is singular"
-    with pytest.raises(cat.SingularSampleError, match=re.escape(named)) as exc:
-        cat.run_checks(scaled(f"+0/(u1-({c!r}))"), {}, ["pencil-exactness", "flat-pencil"], pts)
-    assert "division by zero" in str(exc.value) and "pencil member" not in str(exc.value)
-    with pytest.raises(Exception, match="division by zero") as exc:
-        check_flat_pencil(scaled(f"+0/(u1-({c!r}))"), pts)
-    assert exc.value.point == 3
+    broken = _conformal(spec, linear, f"+0/(u1-({c!r}))")
+    for run in (lambda: cat.run_checks(broken, {}, ["pencil-exactness", "flat-pencil"], pts),
+                lambda: check_flat_pencil(broken, pts)):
+        with pytest.raises(cat.SingularSampleError, match=_named(pts, 3)) as exc:
+            run()
+        assert "division by zero" in str(exc.value) and "pencil member" not in str(exc.value)
+        assert exc.value.__cause__.point == 3
 
 
-def test_flat_pencil_row_reads_only_its_head():
-    # g2 = (u1 - u1 of sample 5) g is singular at sample 5 alone, past the
-    # walk's head of 4 of the 6 points: the row, which reads the head, does
-    # not meet it, and the check's own batch over every point does
+def test_flat_pencil_row_meets_a_singular_last_sample():
+    # g2 = (u1 - u1 of sample 5) g is singular at the last of 6 samples
+    # alone: the row reads every point, so the walk and the check both
+    # name sample 5, and the five points below it give a verdict
     spec = af()
     pts = sample_points(spec, SamplePlan(seed=0, count=6))
-    f = f"(u1-({float(pts[5][0].real)!r}))"
-    spec = ManifoldSpec(name="met", n=3, coords=spec.coords, product="canonical", e=spec.e,
-                        E=spec.E, g=spec.g, g2=tuple(tuple(f"{f}*({s})" for s in row) for row in spec.g))
-    assert cat.run_checks(spec, {}, ["flat-pencil"], pts)[0].npoints == 4
-    with pytest.raises(SingularMatrixError) as exc:
-        check_flat_pencil(spec, pts)
-    assert exc.value.point == 5
+    last = _conformal(spec, f"(u1-({float(pts[5][0].real)!r}))")
+    for run in (lambda: cat.run_checks(last, {}, ["flat-pencil"], pts),
+                lambda: check_flat_pencil(last, pts)):
+        with pytest.raises(cat.SingularSampleError, match=_named(pts, 5)) as exc:
+            run()
+        assert isinstance(exc.value.__cause__, SingularMatrixError)
+        assert exc.value.__cause__.point == 5
+    assert check_flat_pencil(last, pts[:5]).npoints == 5
 
 
 def test_flat_pencil_raises_a_member_singular_at_every_point():

@@ -260,7 +260,7 @@ def test_metric_branch_continuation_equals_pointwise_loop():
                         g=(("-1+c*(u1-u2)", "0"), ("0", "1+u1^2")), params={"c": 1j},
                         region=Region(box=((0.0, 1.0), (0.0, 1.0)), min_sep=0.05))
     pts = sample_points(spec, SamplePlan(seed=0, count=12))
-    batch = cat._Walk(spec, {}, pts, len(pts)).rd  # builds without raising
+    batch = cat._Walk(spec, {}, pts).rd  # builds without raising
     prev = None
     for k, p in enumerate(pts):
         rd = rotation_data(spec, p)

@@ -335,3 +335,26 @@ def test_contract_jets_leibniz_rule():
     high = contract_jets(sub, *factors, low=1)
     assert len(high) == 2 and all(np.array_equal(a, b) for a, b in zip(high, (d, dd)))
     assert np.array_equal(*contract_jets(sub, *factors, low=2), dd)
+
+
+def test_contract_jets_sums_each_order_from_its_first_term(monkeypatch):
+    # each derivative order is its Leibniz terms added left to right from
+    # the first, with no integer 0 ahead of them: the bits are those of the
+    # terms' sum, and terms that are all -0.0 (from a stand-in for
+    # `contract`) sum to -0.0 at every order
+    from fmcheck import tensor
+    from fmcheck.tensor import contract, contract_jets
+    rng = np.random.default_rng(11)
+    a, da, dda = (rng.standard_normal((4, 3) + (3,) * k) for k in (1, 2, 3))
+    x, dx, ddx = (rng.standard_normal((4,) + (3,) * k) for k in (1, 2, 3))
+    val, d, dd = contract_jets("...ij,...j->...i", (a, da, dda), (x, dx, ddx))
+    assert np.array_equal(val, contract("...ij,...j->...i", a, x))
+    assert np.array_equal(d, contract("...ijp,...j->...ip", da, x)
+                          + contract("...ij,...jp->...ip", a, dx))
+    assert np.array_equal(dd, contract("...ijpq,...j->...ipq", dda, x)
+                          + contract("...ijp,...jq->...ipq", da, dx)
+                          + contract("...ijq,...jp->...ipq", da, dx)
+                          + contract("...ij,...jpq->...ipq", a, ddx))
+    monkeypatch.setattr(tensor, "contract", lambda subscripts, *ops: np.full(4, -0.0))
+    parts = contract_jets("...ij,...j->...i", (a, da, dda), (x, dx, ddx))
+    assert len(parts) == 3 and all(np.signbit(part).all() for part in parts)
