@@ -27,9 +27,9 @@ from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, AllEntriesZero
                        lowest_failure, metric_invariance_at, normalized, pmax, product_axioms_at,
                        required, sample_points, structures, table_jets)
 from .ode3d import first_integrals
-from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at,
-                     pencil_first_order, pencil_homogeneity_at, pencil_second_order,
-                     pencil_weight, product_from_pencil_at, r_operator_at, reconstructed_at)
+from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at, pencil_data,
+                     pencil_homogeneity_at, pencil_weight, product_from_pencil_at,
+                     r_operator_at, reconstructed_at)
 from .rotation import (ZeroLameError, algebraic_constraints_at, betas_from_F, closed_forms,
                        darboux_at, flatness_constraint_at, lame_system_at, potentiality_at,
                        reduction_identity_at, rotations)
@@ -139,9 +139,8 @@ _BATCHED = {
     "rd": lambda w: rotations(w.spec, w.points, lame_exprs=w.comp.get("lame")),
     "fields": lambda w: spanning_fields(w.companion("normal_bundle"), w.points, w.spec.n,
                                         w.env),
-    "pencil": lambda w: pencil_first_order(w.st, w.ginv),
-    "pa": lambda w: pencil_second_order(w.pencil, w.lc),
-    "weight": lambda w: pencil_weight(w.pa, rank=2)[0],
+    "pa": lambda w: pencil_data(w.st, w.ginv, w.lc),
+    "weight": lambda w: pencil_weight(w.pa)[0],
     "delta": lambda w: delta_jets(w.pa),
     "pencil_product": lambda w: product_from_pencil_at(w.pa, w.delta[0]),
     # the rebuilt structure keeps g and e: g's inverse, connection and counit are the walk's
@@ -191,6 +190,15 @@ class _Walk:
         if key not in self.comp:
             raise MissingCompanionDataError(f"{self.spec.name} has no {key}")
         return self.comp[key]
+
+    def report(self, check, tol: float = DEFAULT_TOL) -> Report:
+        """The report of the row `check` (a `Check`, or a row's name) over
+        the walk's points at the run's `tol`: the one reduction of its
+        `Residuals` (`batch_report`)."""
+        check = _BY_NAME[check] if isinstance(check, str) else check
+        return batch_report(check.name, check.at(self),
+                            tol if check.tol is None else check.tol(tol), fit=check.fit,
+                            expected=self.expected.get(check.expected))
 
     def table(self, key, order: int, points=None, env=None) -> Jets:
         """The jets up to `order` of the companion table `key` over
@@ -242,7 +250,7 @@ def _transform_exprs_at(b):
 def _match_at(b):
     """The transformed metric against the target's, up to one constant."""
     gbar, g = b.transformed.st.g, b.target_g.val
-    res = amax(gbar - fit_scalar(gbar, g, rank=2)[..., None, None] * g, 2) / (1 + amax(g, 2))
+    res = amax(gbar - fit_scalar(gbar, g, 2)[..., None, None] * g, 2) / (1 + amax(g, 2))
     return Residuals({"metric": res}, np.zeros_like(res))
 
 
@@ -293,8 +301,8 @@ CHECKS = (
         {"rank": np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"]))},
         np.zeros(len(b.points))),
           _BUNDLE, ("rank",), tol=lambda tol: 0.5),
-    Check("pencil-exactness", lambda b: exactness_at(b.pencil), "pencil", ("g2",)),
-    Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pencil), "pencil", ("g2",),
+    Check("pencil-exactness", lambda b: exactness_at(b.pa), "pencil", ("g2",)),
+    Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pa), "pencil", ("g2",),
           fit="d", expected="d_pencil"),
     Check("flat-pencil", lambda b: flat_pencil_at(b.pa), "pencil", ("g2",)),
     Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil"),
@@ -361,17 +369,15 @@ def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     and there the first row, is named."""
     def rows(pts):
         walk = _Walk(spec, comp, pts)
-        return [check.at(walk) for check in checks]
+        return [walk.report(check, tol) for check in checks]
 
     try:
-        results = lowest_failure(rows, points)
+        return lowest_failure(rows, points)
     except _SINGULAR as err:
         k = getattr(err, "point", 0)  # where `fail_at` raised it
         coords = ", ".join(str(x) for x in np.asarray(points[k]).tolist())
         raise SingularSampleError(f"sample {k} at ({coords}) is singular: "
                                   f"{type(err).__name__}: {err}") from err
-    return [batch_report(c.name, out, tol if c.tol is None else c.tol(tol), fit=c.fit,
-                         expected=spec.expected.get(c.expected)) for c, out in zip(checks, results)]
 
 
 @dataclass

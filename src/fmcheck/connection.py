@@ -9,8 +9,10 @@ Everything here works on one point or on a batch of points with a leading
 point axis (`...` einsums over the conventions of `tensor`), as the
 `StructureAt` it is built from; a matrix singular at some point raises at
 the first such point (`checked_inverse`).  The residual functions (`*_at`)
-return their `Residuals` at each point, and the `check_*` functions their
-reports.
+return their `Residuals` at each point of a given connection; the
+`check_*` functions are views of the walk (`walk_row`), the report of the
+row of that name on the spec's natural (or, for "curvature-product",
+Levi-Civita) connection over a point set.
 
 A connection owns its curvature (`ConnectionAt.curvature`).  The metric
 inverse and the counit have one way in: the caller builds each once and
@@ -25,8 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .manifold import (DEFAULT_TOL, PointBatch, Report, Residuals, StructureAt, amax,
-                       batch_report, fail_at, normalized, pmax, required, table_jets, worst)
+from .manifold import (DEFAULT_TOL, ManifoldSpec, PointBatch, Report, Residuals, StructureAt,
+                       amax, fail_at, normalized, pmax, required, table_jets, walk_row)
 from .tensor import SingularMatrixError, antisym, contract, contract_jets
 
 __all__ = [
@@ -172,7 +174,8 @@ def riemann_components(gamma, dgamma) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # checks: the residual parts and scale at each point of a connection (and
-# the structure it belongs to), and the report over those points
+# the structure it belongs to), and the check over a point set: the walk's
+# row of that name (`walk_row`)
 
 
 def torsion_at(conn: ConnectionAt):
@@ -180,8 +183,8 @@ def torsion_at(conn: ConnectionAt):
     return Residuals({"torsion": normalized(amax(antisym(conn.gamma), 3), sc)}, sc)
 
 
-def check_torsionless(conn: ConnectionAt) -> Report:
-    return batch_report("torsionless", torsion_at(conn), 1e-12)
+def check_torsionless(spec: ManifoldSpec, points) -> Report:
+    return walk_row("torsionless", spec, {}, points)
 
 
 def flatness_at(conn: ConnectionAt):
@@ -189,8 +192,8 @@ def flatness_at(conn: ConnectionAt):
     return Residuals({"curvature": normalized(amax(conn.curvature, 4), sc)}, sc)
 
 
-def check_flatness(conn: ConnectionAt, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("flatness", flatness_at(conn), tol)
+def check_flatness(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
+    return walk_row("flatness", spec, {}, points, tol)
 
 
 def nabla_e_at(conn: ConnectionAt, st: StructureAt):
@@ -199,8 +202,8 @@ def nabla_e_at(conn: ConnectionAt, st: StructureAt):
     return Residuals({"parallel-unit": normalized(amax(res, 2), sc)}, sc)
 
 
-def check_nabla_e(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("nabla-e", nabla_e_at(conn, st), tol)
+def check_nabla_e(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
+    return walk_row("nabla-e", spec, {}, points, tol)
 
 
 def nabla_product(conn: ConnectionAt, st: StructureAt) -> np.ndarray:
@@ -218,8 +221,8 @@ def compat_product_at(conn: ConnectionAt, st: StructureAt):
     return Residuals({"symmetry": normalized(amax(res, 4), sc)}, sc)
 
 
-def check_compat_product(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("product-compat", compat_product_at(conn, st), tol)
+def check_compat_product(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
+    return walk_row("product-compat", spec, {}, points, tol)
 
 
 def nabla_metric(conn: ConnectionAt, st: StructureAt) -> np.ndarray:
@@ -241,8 +244,8 @@ def nabla_from_g_at(conn: ConnectionAt, st: StructureAt, counit):
     return Residuals({"non-metricity": normalized(amax(nabg - rhs, 3), sc)}, sc)
 
 
-def check_nabla_from_g(conn: ConnectionAt, st: StructureAt, tol: float = DEFAULT_TOL) -> Report:
-    return batch_report("nabla-from-g", nabla_from_g_at(conn, st, counit_jets(st)), tol)
+def check_nabla_from_g(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Report:
+    return walk_row("nabla-from-g", spec, {}, points, tol)
 
 
 # the cyclic sums over (k, l, m) of R^j_skl c^s_mi and of c^j_ms R^s_ikl
@@ -268,12 +271,8 @@ def curvature_product_at(conn: ConnectionAt, st: StructureAt):
                       "output": normalized(amax(_cyclic(_BIS, st.c, r), 5), sc)}, sc)
 
 
-def check_curvature_product_condition(conn: ConnectionAt, st: StructureAt) -> Report:
-    result = curvature_product_at(conn, st)
-    slot, output = result.parts["slot"], result.parts["output"]
-    return batch_report("curvature-product", result, DEFAULT_TOL,
-                        details={"bis_residual": worst(output),
-                                 "variant_gap": worst(np.abs(slot - output))})
+def check_curvature_product_condition(spec: ManifoldSpec, points) -> Report:
+    return walk_row("curvature-product", spec, {}, points)
 
 
 def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt):
@@ -284,11 +283,8 @@ def r_tr_identity_at(nat: ConnectionAt, lc: ConnectionAt, st: StructureAt):
     return Residuals({"cyclic": normalized(amax(cyclic, 5), sc)}, sc)
 
 
-def check_R_tR_identity(st: StructureAt) -> Report:
-    inverse = metric_inverse(st)
-    lc = levi_civita(st, inverse)
-    nat = natural_from_levi_civita(st, lc, inverse, counit_jets(st))
-    return batch_report("r-tr", r_tr_identity_at(nat, lc, st), DEFAULT_TOL)
+def check_R_tR_identity(spec: ManifoldSpec, points) -> Report:
+    return walk_row("r-tr", spec, {}, points)
 
 
 def nabla_nabla_E_at(conn: ConnectionAt, st: StructureAt):
@@ -306,8 +302,8 @@ def nabla_nabla_E_at(conn: ConnectionAt, st: StructureAt):
     return Residuals({"second-derivative": normalized(amax(res, 3), sc)}, sc)
 
 
-def check_nabla_nabla_E(conn: ConnectionAt, st: StructureAt) -> Report:
-    return batch_report("nabla-nabla-E", nabla_nabla_E_at(conn, st), DEFAULT_TOL)
+def check_nabla_nabla_E(spec: ManifoldSpec, points) -> Report:
+    return walk_row("nabla-nabla-E", spec, {}, points)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ cached on its source.
 
 The tape runs over a leading point axis: one pass over the operations
 (`eval_points`) gives the value, gradient and Hessian of every entry at
-every point, and a single point (`eval_table`, `eval_jet`, `eval_value`)
-is a batch of one.  Each rule decides per point where it branches on a
-value (a vanishing divisor, a constant or integer exponent), so a point's
-jets are bit for bit those of a run at that point alone, up to dtype.
+every point, and a single point (`eval_points(...).at(0)`, `eval_jet`,
+`eval_value`) is a batch of one.  Each rule decides per point where it
+branches on a value (a vanishing divisor, a constant or integer
+exponent), so a point's jets are bit for bit those of a run at that point
+alone, up to dtype.  The finite-difference oracle of these jets lives in
+the test tree.
 
 A slot carries only the parts that can be nonzero: a constant (a `Num`
 or `Param` leaf, or an operation on constants only) has no derivative
@@ -52,7 +54,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -61,9 +63,7 @@ from .spec import (Bin, Call, Expr, ExprError, Neg, Num, Param, ParseError, Var,
 
 __all__ = [
     "Expr", "Num", "Var", "Param", "Neg", "Bin", "Call",
-    "Jet", "TableJets", "parse", "to_source", "eval_jet", "eval_table", "eval_points",
-    "eval_value", "jet_sqrt",
-    "finite_diff_oracle",
+    "Jet", "TableJets", "parse", "to_source", "eval_jet", "eval_points", "eval_value", "jet_sqrt",
     "ExprError", "ParseError", "EvalError", "DomainError",
     "UnboundParameterError", "UnboundVariableError",
 ]
@@ -410,55 +410,12 @@ def eval_points(table, points, params: Mapping[str, Number] | None = None,
     return _run(_compile(_frozen(table)), points, params, order)
 
 
-def eval_table(table, point: Sequence[Number], params: Mapping[str, Number] | None = None):
-    """Jets of every entry of a nested table of DSL sources at `point`.
-
-    Returns values with the table's shape, gradients with that shape plus
-    (n,) and Hessians with that shape plus (n, n)."""
-    return eval_points(table, [np.asarray(point, dtype=complex)], params).at(0)
-
-
 def eval_jet(e: Expr, point: Sequence[Number], params: Mapping[str, Number] | None = None) -> Jet:
-    """Value, gradient and Hessian of `e` at `point`."""
-    val, grad, hess = eval_table(e, point, params)
+    """Value, gradient and Hessian of `e` at `point`: a batch of one."""
+    val, grad, hess = eval_points(e, [point], params).at(0)
     return Jet(complex(val), grad, hess)
 
 
 def eval_value(e: Expr, point: Sequence[Number], params: Mapping[str, Number] | None = None) -> complex:
     """The value of `e` at `point`, from the same run as its jet."""
-    return complex(eval_table(e, point, params)[0])
-
-
-def finite_diff_oracle(e: Expr, point: Sequence[Number],
-                       params: Mapping[str, Number] | None = None,
-                       step: float = 1e-5) -> Tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradient and Hessian, used as the independent
-    cross-check for jet arithmetic.  Every stencil point must stay inside
-    the expression's domain; the whole stencil is evaluated in one run."""
-    n = len(point)
-    p0 = np.asarray(point, dtype=complex)
-    h = np.eye(n) * step
-    stencil = [p0]
-    for i in range(n):
-        stencil += [p0 + h[i], p0 - h[i]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            stencil += [p0 + h[i] + h[j], p0 + h[i] - h[j], p0 - h[i] + h[j], p0 - h[i] - h[j]]
-    jets = eval_points(e, np.reshape(stencil, (len(stencil), n)), params, order=0)
-    for err in jets.errors:
-        if err is not None:
-            raise DomainError(err)
-    f = iter(jets.val.tolist())
-
-    grad = np.zeros(n, dtype=complex)
-    hess = np.zeros((n, n), dtype=complex)
-    f0 = next(f)
-    for i in range(n):
-        fp, fm = next(f), next(f)
-        grad[i] = (fp - fm) / (2 * step)
-        hess[i, i] = (fp - 2 * f0 + fm) / step ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = (next(f) - next(f) - next(f) + next(f)) / (4 * step ** 2)
-            hess[i, j] = hess[j, i] = v
-    return grad, hess
+    return complex(eval_points(e, [point], params).at(0)[0])

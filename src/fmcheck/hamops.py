@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .connection import ConnectionAt, levi_civita, metric_inverse
+from .connection import ConnectionAt
 from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, Report, Residuals, StructureAt, amax,
-                       batch_report, normalized, pmax, structure_at, table_jets, walk_row)
+                       normalized, pmax, point_walk, table_jets, walk_row)
 from .spec import NormalBundleData, fields_from_exprs, fields_from_gradients
 from .tensor import antisym, contract, contract_jets, finite_matrices
 
@@ -168,17 +168,15 @@ def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point) -> dict:
     """Coefficient blocks of the nonlocal first-order operator at a point:
     leading contravariant-metric block, the Christoffel convection block
     C[i,j,k] (coefficient of the k-th coordinate derivative in entry (i,j)),
-    and one tail per spanning field.  Requires the affinor equations to
-    hold at the point, at the default tolerance."""
-    st = structure_at(spec, point)
-    inverse = metric_inverse(st)
-    lc, ginv = levi_civita(st, inverse), inverse.inv
-    xs, dxs, _ = spanning_fields(nb, [st.point], spec.n, spec.env()).at(0)
-    gmc = batch_report("gmc", gmc_at(st, lc, nb.eps, xs, dxs, ginv), DEFAULT_TOL)
+    and one tail per spanning field.  Requires the affinor equations (the
+    walk's row "gmc") to hold at the point, at the default tolerance."""
+    walk = point_walk(spec, {"normal_bundle": nb}, point)
+    gmc = walk.report("gmc")
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")
-    conv = -np.einsum("is,jsk->ijk", ginv, lc.gamma)
-    ws, _ = _affinors(st, xs, dxs)
+    ginv = walk.ginv.inv[0]
+    conv = -np.einsum("is,jsk->ijk", ginv, walk.lc.gamma[0])
+    ws = _affinors(walk.st, walk.fields.val, walk.fields.grad)[0][0]
     tails = [{"epsilon": int(nb.eps[a].real) if isinstance(nb.eps[a], complex) else int(nb.eps[a]),
               "W_matrix": _cseq(ws[a])} for a in range(nb.count)]
     return {"metric_term": _cseq(ginv), "christoffel_term": _cseq(conv), "tails": tails}

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import exprjet as ej
-from .connection import ConnectionAt, checked_inverse, natural_connection
+from .connection import ConnectionAt, checked_inverse
 from .hamops import sym_condition_at
 from .manifold import (ManifoldSpec, Report, Residuals, StructureAt, amax, fail_at, fit_scalar,
-                       normalized, pmax, product_jets, required, structure_at, walk_row)
+                       normalized, pmax, point_walk, product_jets, required, walk_row)
 from .tensor import contract, contract_jets
 
 __all__ = [
@@ -78,10 +78,9 @@ def transform_connection(conn: ConnectionAt, st: StructureAt, x, dx, ddx) -> Con
 
 
 def transformed_structure(spec: ManifoldSpec, field_exprs, point) -> StructureAt:
-    """StructureAt with the metric replaced by its Legendre transform."""
-    st = structure_at(spec, point)
-    x, dx, ddx = ej.eval_table(field_exprs, st.point, spec.env())
-    return transformed_at(st, natural_connection(st), x, dx, ddx)
+    """StructureAt with the metric replaced by its Legendre transform: the
+    walk's "transformed" at `point` alone."""
+    return point_walk(spec, {"legendre_field": field_exprs}, point).transformed.st.at(0)
 
 
 def transformed_at(st: StructureAt, nat: ConnectionAt, x, dx, ddx) -> StructureAt:
@@ -116,14 +115,16 @@ def transform_metric_at(inv: Residuals, killing: Residuals, nat_bar: ConnectionA
 def homogeneous_legendre_at(st: StructureAt, hom: Residuals, hom_bar: Residuals, x, dx):
     """The field's Euler weight w, fitted in L_E X = w X, and the
     homogeneity of the metric and of the transformed one (their rows `hom`
-    and `hom_bar`), whose exponents must obey Dbar = D + 2w + 2.  The fits
-    are D, Dbar and w, as "dbar"."""
+    and `hom_bar`, whose parts are "metric/<part>" and
+    "transformed/<part>"), whose exponents must obey Dbar = D + 2w + 2.
+    The fits are D, Dbar and w, as "dbar"."""
     lie_x = contract("...k,...ik->...i", st.E, dx) - contract("...k,...ki->...i", x, st.dE)
-    w = fit_scalar(lie_x, x, rank=1)
+    w = fit_scalar(lie_x, x, 1)
     D, Dbar = hom.fits["D"], hom_bar.fits["D"]
     sc_x = amax(x, 1)
     parts = {"field": normalized(amax(lie_x - w[..., None] * x, 1), sc_x),
-             "metric": hom.parts, "transformed": hom_bar.parts,
+             **{f"metric/{key}": part for key, part in hom.parts.items()},
+             **{f"transformed/{key}": part for key, part in hom_bar.parts.items()},
              "exponents": normalized(np.abs(Dbar - (D + 2 * w + 2)), np.abs(Dbar))}
     return Residuals(parts, pmax(sc_x, hom.scale, hom_bar.scale),
                      fits={"D": D, "Dbar": Dbar, "dbar": w})

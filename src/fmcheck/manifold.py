@@ -15,10 +15,12 @@ A builder or residual function raises at the first point of its batch
 where it cannot be evaluated (`fail_at`), and `lowest_failure` reruns the
 points below that one, so that the lowest failing point is named.
 
-The spec-level `check_*` functions, here and in `pencil`, `rotation`,
-`hamops` and `legendre`, are views of the walk (`catalog.run_checks`): each
-is `walk_row` on one row of the check table, so it reports what `verify`
-reports for that row.
+The spec-level `check_*` functions, here and in `connection`, `pencil`,
+`rotation`, `hamops` and `legendre`, are views of the walk
+(`catalog.run_checks`): each is `walk_row` on one row of the check table,
+so it reports what `verify` reports for that row.  The single-point
+helpers that hand out data (`pencil_at`, `transformed_structure`, ...) are
+batches of one of the walk, and take their reports from its rows.
 
 All residuals are reported normalized as `max|residual| / (1 + scale)` where
 `scale` is the largest entry magnitude among the tensors involved.
@@ -43,8 +45,8 @@ __all__ = [
     "Residuals", "RegionEmptyError", "AllEntriesZeroError", "PointCountError", "MissingFieldError",
     "required", "sample_points", "fail_at", "lowest_failure", "table_jets",
     "amax", "pmax", "batch_report", "structure_at", "structures", "worst", "merge_reports",
-    "walk_row", "check_product_axioms", "check_hertling_manin", "check_metric_invariance",
-    "check_killing_unit", "check_homogeneity", "normalized",
+    "walk_row", "point_walk", "check_product_axioms", "check_hertling_manin",
+    "check_metric_invariance", "check_killing_unit", "check_homogeneity", "normalized",
 ]
 
 
@@ -178,9 +180,8 @@ class Report:
                       scale: float = 0.0, npoints: int = 0,
                       details: dict | None = None) -> "Report":
         residual = float(residual)
-        return cls(name=name, residual=residual, tol=float(tol),
-                   passed=bool(residual <= tol), scale=float(scale),
-                   npoints=int(npoints), details=details or {})
+        return cls(name, residual, float(tol), bool(residual <= tol), float(scale),
+                   int(npoints), details or {})
 
     def to_dict(self) -> dict:
         return {"name": self.name, "residual": self.residual, "tol": self.tol,
@@ -189,12 +190,9 @@ class Report:
 
 
 def worst(values) -> float:
-    """The largest of `values` (of a dict's, a group of parts: of each
-    one's worst), 0.0 for none, and NaN as soon as one of them is NaN: a
-    NaN residual fails wherever it stands.  Every residual of every check
-    is reduced through here."""
-    if isinstance(values, dict):
-        values = [worst(v) for v in values.values()]
+    """The largest of `values`, 0.0 for none, and NaN as soon as one of
+    them is NaN: a NaN residual fails wherever it stands.  Every residual
+    of every check is reduced through here."""
     return float(np.maximum.reduce(np.asarray(values, dtype=float), axis=None, initial=0.0))
 
 
@@ -202,9 +200,9 @@ def worst(values) -> float:
 class Residuals:
     """A row's results at each point of a batch, or at one point: by name,
     each part of its identity (its normalized residual, with a trailing
-    axis where it runs over the spanning fields, or a dict: a group of
-    parts), its scale, its fitted constants, and the values whose least
-    the report shows; with `show_parts` the report shows its parts."""
+    axis where it runs over the spanning fields), its scale, its fitted
+    constants, and the values whose least the report shows; with
+    `show_parts` the report shows its parts."""
     parts: dict
     scale: object
     fits: dict = field(default_factory=dict)
@@ -318,8 +316,8 @@ def structures(spec: ManifoldSpec, points) -> StructureAt:
 
 
 def structure_at(spec: ManifoldSpec, point) -> StructureAt:
-    """The structure at one point."""
-    return structures(spec, [point]).at(0)
+    """The structure at one point: the walk's, at that point alone."""
+    return point_walk(spec, {}, point).st.at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +325,16 @@ def structure_at(spec: ManifoldSpec, point) -> StructureAt:
 # at one point), as `Residuals`, and the report of a check over a point set
 
 
-def batch_report(name: str, result: Residuals, tol: float, fit: str | None = None, expected=None,
-                 details: dict | None = None) -> Report:
+def batch_report(name: str, result: Residuals, tol: float, fit: str | None = None,
+                 expected=None) -> Report:
     """The report of one check from its `Residuals` over a batch, or at one
-    point: the residual is its worst part, and after `details` come the
-    worst of each part it shows (of a group's members), each fit's mean as
-    `<name>_fit` and each least value as `min_<name>`.  The fit `fit` must
-    agree across the points and, given `expected`, match it."""
+    point: the residual is its worst part, and its details are the worst
+    of each part it shows, each fit's mean as `<name>_fit` and each least
+    value as `min_<name>`.  The fit `fit` must agree across the points
+    and, given `expected`, match it."""
     worsts = {key: worst(part) for key, part in result.parts.items()}
     residuals = list(worsts.values())
-    details = dict(details or {})
-    if result.show_parts:
-        details.update((key, {k: worst(p) for k, p in part.items()}
-                        if isinstance(part, dict) else worsts[key])
-                       for key, part in result.parts.items())
+    details = dict(worsts) if result.show_parts else {}
     for key, values in result.fits.items():
         fits = np.atleast_1d(values)
         mean = sum(fits.tolist()) / len(fits)
@@ -352,8 +346,7 @@ def batch_report(name: str, result: Residuals, tol: float, fit: str | None = Non
                 residuals.append(normalized(abs(mean - complex(expected)), abs(mean)))
     details.update((f"min_{key}", float(np.min(values))) for key, values in result.least.items())
     scale = np.atleast_1d(result.scale)
-    return Report.from_residual(name, worst(residuals), tol, scale=worst(scale),
-                                npoints=len(scale), details=details)
+    return Report.from_residual(name, worst(residuals), tol, worst(scale), len(scale), details)
 
 
 def walk_row(name: str, spec: ManifoldSpec, comp: dict, points,
@@ -362,6 +355,14 @@ def walk_row(name: str, spec: ManifoldSpec, comp: dict, points,
     companion data `comp`: one walk (`catalog.run_checks`) of that row."""
     from .catalog import run_checks  # the check table imports this module
     return run_checks(spec, comp, [name], points, tol)[0]
+
+
+def point_walk(spec: ManifoldSpec, comp: dict, point):
+    """The walk (`catalog._Walk`) of `spec` with the companion data `comp`
+    at `point` alone: a single-point helper's data are its batches of one,
+    and its reports the walk's rows (`_Walk.report`)."""
+    from .catalog import _Walk  # the check table imports this module
+    return _Walk(spec, comp, [point])
 
 
 def product_axioms_at(st: StructureAt):
@@ -427,21 +428,16 @@ def check_killing_unit(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> 
     return walk_row("killing-unit", spec, {}, points, tol)
 
 
-def fit_scalar(target: np.ndarray, model: np.ndarray, rank: int | None = None):
+def fit_scalar(target: np.ndarray, model: np.ndarray, rank: int):
     """Least-squares scalar s minimizing |target - s*model| over entries of
-    magnitude above 1e-8 max|model|: one complex number, or with
-    `rank` (the rank of the model tensor) one per point of a batch.  A
-    single point with no such entry raises ValueError; over a batch such a
-    point's fit is NaN."""
-    axes = tuple(range(-(model.ndim if rank is None else rank), 0))
+    magnitude above 1e-8 max|model|, at each point of a batch (or at one
+    point) of tensors of rank `rank`; NaN at a point with no such entry."""
+    axes = tuple(range(-rank, 0))
     mag = np.abs(model)
     mask = mag > 1e-8 * (np.max(mag, axis=axes, keepdims=True) + 1e-300)
-    if rank is None and not np.any(mask):
-        raise ValueError("all entries below the fitting floor")
     with np.errstate(invalid="ignore"):
-        fit = (np.sum(np.where(mask, np.conj(model) * target, 0), axis=axes)
-               / np.sum(np.where(mask, mag ** 2, 0), axis=axes))
-    return complex(fit) if rank is None else fit
+        return (np.sum(np.where(mask, np.conj(model) * target, 0), axis=axes)
+                / np.sum(np.where(mask, mag ** 2, 0), axis=axes))
 
 
 def homogeneity_at(st: StructureAt):
@@ -452,7 +448,7 @@ def homogeneity_at(st: StructureAt):
                              required(st.E, "Euler field"), st.dE)
     top = amax(st.g, 2)
     fail_at(top == 0, lambda k: AllEntriesZeroError("metric vanishes at a sample point"))
-    D = fit_scalar(lg, st.g, rank=2)
+    D = fit_scalar(lg, st.g, 2)
     res_g = amax(lg - D[..., None, None] * st.g, 2)
     lc = lie_from_components(st.c, st.dc, ("u", "d", "d"), st.E, st.dE)
     res_c = amax(lc - st.c, 3)

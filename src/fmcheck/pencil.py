@@ -7,9 +7,10 @@ Spec slot convention: `spec.g` holds the covariant first metric (the one the
 unit field preserves) and `spec.g2` the covariant second metric.  The pencil
 itself lives on the contravariant side; contravariant jets are produced from
 the covariant expression tables by matrix-inverse jets, never by inverting
-expressions symbolically.  The first metric's inverse jets and Levi-Civita
-connection come from the caller (`metric_inverse`, `levi_civita`): the
-walk's batches, or built in plain sight (`pencil_at`).
+expressions symbolically.  The pencil data (`pencil_data`) take the first
+metric's inverse jets and Levi-Civita connection from the walk's batches.
+The single-point helpers (`pencil_at`, `delta_tensor`, ...) are batches of
+one of the walk (`point_walk`), and their reports are its rows.
 """
 
 from __future__ import annotations
@@ -18,17 +19,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .connection import (ConnectionAt, InverseJets, christoffel_jets, counit_jets,
-                         inverse_hessian, inverse_jets, levi_civita, metric_inverse)
+from .connection import (ConnectionAt, InverseJets, christoffel_jets, inverse_hessian,
+                         inverse_jets)
 from .manifold import (DEFAULT_TOL, ManifoldSpec, MissingFieldError, PointBatch, Report,
-                       Residuals, StructureAt, amax, batch_report, fail_at, fit_scalar,
-                       normalized, pmax, product_jets, structures, walk_row)
+                       Residuals, StructureAt, amax, fail_at, fit_scalar, normalized, pmax,
+                       point_walk, product_jets, walk_row)
 from .tensor import (SingularMatrixError, antisym, contract, contract_jets, finite_matrices,
                      lie_from_components)
 
 __all__ = [
-    "PencilAt", "MissingSecondMetricError", "pencil_at", "pencil_first_order",
-    "pencil_second_order", "pencil_weight", "delta_jets",
+    "PencilAt", "MissingSecondMetricError", "pencil_at", "pencil_data", "pencil_weight",
+    "delta_jets",
     "check_flat_pencil", "check_exactness", "check_pencil_homogeneity", "PencilProduct",
     "delta_tensor", "delta_identities_at", "r_operator", "r_operator_at", "product_from_pencil",
     "product_from_pencil_at", "reconstructed_structure",
@@ -42,8 +43,7 @@ class MissingSecondMetricError(MissingFieldError):
 @dataclass
 class PencilAt(PointBatch):
     """Everything the pencil constructions need at one point, or at each
-    point of a batch.  The second-order fields are None in first-order
-    data (`pencil_first_order`)."""
+    point of a batch (`pencil_data`)."""
     n: int
     point: np.ndarray
     st: StructureAt                 # carries jets of both covariant metrics and e
@@ -51,51 +51,38 @@ class PencilAt(PointBatch):
     deta_inv: np.ndarray
     g_inv: np.ndarray
     dg_inv: np.ndarray
+    ddg_inv: np.ndarray
     L: np.ndarray                   # L^s_h = g^sm eta_mh
     dL: np.ndarray
     E: np.ndarray                   # E^i = g^il eta_lj e^j
     dE: np.ndarray
-    ddg_inv: np.ndarray | None = None
-    gamma1: np.ndarray | None = None   # Levi-Civita of the first metric
-    dgamma1: np.ndarray | None = None
-    gamma2: np.ndarray | None = None   # Levi-Civita of the second metric
-    dgamma2: np.ndarray | None = None
-    ddE: np.ndarray | None = None
-    diagonal: np.ndarray | None = None  # whether both metrics are diagonal
+    ddE: np.ndarray
+    gamma1: np.ndarray              # Levi-Civita of the first metric
+    dgamma1: np.ndarray
+    gamma2: np.ndarray              # Levi-Civita of the second metric
+    dgamma2: np.ndarray
+    diagonal: np.ndarray            # whether both metrics are diagonal
 
 
 def pencil_at(spec: ManifoldSpec, point) -> PencilAt:
-    st = structures(spec, [point])
-    inverse = metric_inverse(st)
-    return pencil_second_order(pencil_first_order(st, inverse), levi_civita(st, inverse)).at(0)
+    return point_walk(spec, {}, point).pa.at(0)
 
 
-def pencil_first_order(st: StructureAt, inverse: InverseJets) -> PencilAt:
-    """The pencil data of first order, which is all that exactness and
-    homogeneity read: both inverse metrics, L and E, with first
-    derivatives, the first metric's from its `metric_inverse` `inverse`.
-    A point where the second metric is singular raises."""
+def pencil_data(st: StructureAt, inverse: InverseJets, lc: ConnectionAt) -> PencilAt:
+    """The pencil data: both inverse metrics, L and E to second order, and
+    the Christoffel jets of both metrics, the first metric's from its
+    `metric_inverse` `inverse` and Levi-Civita connection `lc`.  A point
+    where the second metric is singular raises."""
     if st.g2 is None:
         raise MissingSecondMetricError("spec has no second metric")
     g_inv, dg_inv = inverse_jets(st.g2, st.dg2)
-    L, dL = contract_jets("...il,...lj->...ij", (g_inv, dg_inv), (st.g, st.dg))
-    E, dE = contract_jets("...ij,...j->...i", (L, dL), (st.e, st.de))
-    return PencilAt(n=st.n, point=st.point, st=st, eta_inv=inverse.inv, deta_inv=inverse.dinv,
-                    g_inv=g_inv, dg_inv=dg_inv, L=L, dL=dL, E=E, dE=dE)
-
-
-def pencil_second_order(pa: PencilAt, lc: ConnectionAt) -> PencilAt:
-    """`pa` with the second-order data added: second derivatives of the
-    second inverse metric and of E, and the Christoffel jets of both
-    metrics, the first metric's from its Levi-Civita connection `lc`."""
-    st = pa.st
-    ddg_inv = inverse_hessian(pa.g_inv, st.dg2, st.ddg2)
-    gamma2, dgamma2 = christoffel_jets(st.g2, st.dg2, st.ddg2, (pa.g_inv, pa.dg_inv))
-    ddL, = contract_jets("...il,...lj->...ij", (pa.g_inv, pa.dg_inv, ddg_inv),
-                         (st.g, st.dg, st.ddg), low=2)
-    ddE, = contract_jets("...ij,...j->...i", (pa.L, pa.dL, ddL), (st.e, st.de, st.dde), low=2)
-    return replace(pa, ddg_inv=ddg_inv, gamma1=lc.gamma, dgamma1=lc.dgamma,
-                   gamma2=gamma2, dgamma2=dgamma2, ddE=ddE, diagonal=_is_diagonal(st))
+    ddg_inv = inverse_hessian(g_inv, st.dg2, st.ddg2)
+    gamma2, dgamma2 = christoffel_jets(st.g2, st.dg2, st.ddg2, (g_inv, dg_inv))
+    L, dL, ddL = contract_jets("...il,...lj->...ij", (g_inv, dg_inv, ddg_inv),
+                               (st.g, st.dg, st.ddg))
+    E, dE, ddE = contract_jets("...ij,...j->...i", (L, dL, ddL), (st.e, st.de, st.dde))
+    return PencilAt(st.n, st.point, st, inverse.inv, inverse.dinv, g_inv, dg_inv, ddg_inv,
+                    L, dL, E, dE, ddE, lc.gamma, lc.dgamma, gamma2, dgamma2, _is_diagonal(st))
 
 
 def _contravariant_christoffels(inverse, gamma):
@@ -159,16 +146,17 @@ def check_exactness(spec, points, tol: float = DEFAULT_TOL) -> Report:
     return walk_row("pencil-exactness", spec, {}, points, tol)
 
 
-def pencil_weight(pa: PencilAt, rank=None):
-    """The pencil weight d fitted from L_E g2 = (d-1) g2, with L_E g2."""
+def pencil_weight(pa: PencilAt):
+    """The pencil weight d fitted from L_E g2 = (d-1) g2 at each point,
+    with L_E g2."""
     lie_g2 = lie_from_components(pa.g_inv, pa.dg_inv, ("u", "u"), pa.E, pa.dE)
-    return fit_scalar(lie_g2, pa.g_inv, rank=rank) + 1.0, lie_g2
+    return fit_scalar(lie_g2, pa.g_inv, 2) + 1.0, lie_g2
 
 
 def pencil_homogeneity_at(pa: PencilAt):
     """Fit the pencil weight d from L_E g2 = (d-1) g2 (contravariant) and
     cross-check L_E g1 = (d-2) g1; the fit is d."""
-    d, lie_g2 = pencil_weight(pa, rank=2)
+    d, lie_g2 = pencil_weight(pa)
     lie_g1 = lie_from_components(pa.eta_inv, pa.deta_inv, ("u", "u"), pa.E, pa.dE)
     sc = pmax(amax(pa.g_inv, 2), amax(pa.eta_inv, 2))
     dd = d[..., None, None]
@@ -211,13 +199,10 @@ def _diagonal_closed_forms(pa: PencilAt):
 
 
 def delta_tensor(spec, point, tol: float = DEFAULT_TOL):
-    """The connection-difference tensor and its four structural identities
-    (two metric symmetries, commutation, Euler homogeneity of weight d-1)."""
-    pa = pencil_at(spec, point)
-    jets = delta_jets(pa)
-    return jets[0], batch_report("delta-identities",
-                                 delta_identities_at(pa, pencil_weight(pa)[0], jets), tol,
-                                 details={"closed_form_checked": bool(pa.diagonal)})
+    """The connection-difference tensor at `point`, and the report of its
+    structural identities there (the row "delta-identities")."""
+    walk = point_walk(spec, {}, point)
+    return walk.delta[0][0], walk.report("delta-identities", tol)
 
 
 def delta_identities_at(pa: PencilAt, d, jets):
@@ -241,12 +226,12 @@ def delta_identities_at(pa: PencilAt, d, jets):
 
 def r_operator(spec, point, tol: float = DEFAULT_TOL):
     """The operator measuring the difference of the two Levi-Civita
-    derivatives of the Euler field, computed two ways, plus the diagonal
-    closed form where applicable."""
-    pa = pencil_at(spec, point)
-    r = contract("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E)
-    d = pencil_weight(pa)[0]
-    return r, batch_report("r-operator", r_operator_at(pa, d, counit_jets(pa.st)), tol)
+    derivatives of the Euler field at `point`, and the report of the row
+    "r-operator" there."""
+    walk = point_walk(spec, {}, point)
+    pa = walk.pa.at(0)
+    return (contract("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E),
+            walk.report("r-operator", tol))
 
 
 def r_operator_at(pa: PencilAt, d, counit):
@@ -275,16 +260,12 @@ class PencilProduct(PointBatch):
 
 
 def product_from_pencil(spec, point, tol: float = DEFAULT_TOL):
-    """Reconstruct structure constants from the pencil; returns (c, dc,
-    report).  The report covers both construction routes, commutativity,
-    associativity, the unit, invariance of the first metric, Euler
-    homogeneity of the product, and the multiplication-by-E identity."""
-    pa = pencil_at(spec, point)
-    prod = product_from_pencil_at(pa, delta_jets(pa)[0])
-    canonical = prod.residuals.parts["canonical"]
-    details = {"canonical_residual": float(canonical)} if pa.diagonal else {}
-    return prod.c, prod.dc, batch_report("product-from-pencil", prod.residuals, tol,
-                                         details=details)
+    """The structure constants rebuilt from the pencil at `point`, with
+    their first derivatives, and the report of the row
+    "product-from-pencil" there: (c, dc, report)."""
+    walk = point_walk(spec, {}, point)
+    prod = walk.pencil_product.at(0)
+    return prod.c, prod.dc, walk.report("product-from-pencil", tol)
 
 
 def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
@@ -334,11 +315,9 @@ def product_from_pencil_at(pa: PencilAt, delta) -> PencilProduct:
 
 
 def reconstructed_structure(spec, point) -> StructureAt:
-    """StructureAt carrying the reconstructed product together with the
-    first metric and the computed Euler field, ready for the full
-    homogeneous structure suite."""
-    pa = pencil_at(spec, point)
-    return reconstructed_at(pa, product_from_pencil_at(pa, delta_jets(pa)[0]))
+    """The structure rebuilt from the pencil at `point` (the walk's
+    "recon"), whose rows are `reconstructed/<row>`."""
+    return point_walk(spec, {}, point).recon.st.at(0)
 
 
 def reconstructed_at(pa: PencilAt, prod: PencilProduct) -> StructureAt:

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import exprjet as ej
 from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, PointBatch, Report, Residuals, amax,
-                       fail_at, normalized, table_jets, walk_row)
-from .ode3d import (SING_MARGIN, CoordinateCollisionError, OdeState3, ParameterSingularError,
-                    _pencil_F, _q0_F, _singular_point)
+                       fail_at, normalized, point_walk, table_jets, walk_row)
+from .ode3d import (SING_MARGIN, CoordinateCollisionError, ParameterSingularError, _pencil_F,
+                    _q0_F, _singular_point)
 from .tensor import eigenvalues
 
 __all__ = [
@@ -32,8 +32,7 @@ __all__ = [
     "rotation_data", "rotations", "lame_weight", "v_matrix",
     "check_darboux_system", "check_lame_system", "check_flatness_constraint",
     "check_algebraic_constraints", "check_potentiality",
-    "check_reduction_identity",
-    "z_of_point", "beta_from_F", "betas_from_F", "closed_forms",
+    "check_reduction_identity", "betas_from_F", "closed_forms",
 ]
 
 
@@ -129,8 +128,8 @@ def rotations(spec: ManifoldSpec, points,
 def rotation_data(spec: ManifoldSpec, point,
                   lame_exprs: Sequence[str] | None = None) -> RotationData:
     """Lame coefficients, rotation coefficients and their first derivatives
-    at one point of a semisimple chart."""
-    return rotations(spec, [point], lame_exprs).at(0)
+    at one point of a semisimple chart: the walk's, at that point alone."""
+    return point_walk(spec, {"lame": lame_exprs}, point).rd.at(0)
 
 
 def lame_weight(rd: RotationData):
@@ -157,24 +156,6 @@ def _masks(n):
 # `ode3d`'s F on chart points, z = (u^3 - u^1) / (u^2 - u^1): closed forms and beta
 
 
-def z_of_point(u) -> complex:
-    u = np.asarray(u, dtype=complex)
-    if u[1] == u[0]:
-        raise CoordinateCollisionError("u^1 == u^2")
-    return (u[2] - u[0]) / (u[1] - u[0])
-
-
-def beta_from_F(state: OdeState3, u) -> np.ndarray:
-    """Assemble the 3x3 rotation-coefficient matrix at a chart point whose
-    cross-ratio variable matches the state."""
-    u = np.asarray(u, dtype=complex)
-    if len({complex(v) for v in u}) < 3:
-        raise CoordinateCollisionError("coordinates must be pairwise distinct")
-    if abs(z_of_point(u) - state.z) > 1e-12 * (1 + abs(state.z)):
-        raise ValueError("point is not on the state's z level set")
-    return betas_from_F(np.asarray(state.F), u)
-
-
 def betas_from_F(F, u) -> np.ndarray:
     """beta_ij = F_ij / (u^max(i,j) - u^min(i,j)), the other entries 0, at
     a point or at each point of a batch: F (P, 6), u (P, 3)."""
@@ -187,8 +168,8 @@ def betas_from_F(F, u) -> np.ndarray:
 def closed_forms(family: str, u, env) -> Jets:
     """The closed-form F of the family "q0" (parameters a and b, from
     `env`) or "pencil63" at the z of each chart point of a batch u, shape
-    (P, 3), as the values of a `Jets`: F of shape (P, 6); it raises where
-    `z_of_point` or the closed form at one point would."""
+    (P, 3), as the values of a `Jets`: F of shape (P, 6); the first point
+    where u^1 = u^2, or where z or the closed form is singular, raises."""
     u = np.asarray(u, dtype=complex)
     fail_at(u[:, 1] == u[:, 0], lambda k: CoordinateCollisionError("u^1 == u^2"))
     z = (u[:, 2] - u[:, 0]) / (u[:, 1] - u[:, 0])

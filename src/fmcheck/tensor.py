@@ -101,11 +101,10 @@ def contract(subscripts: str, *operands) -> np.ndarray:
     return live[0] if plan[1] is None else live[0].transpose(plan[1])
 
 
-def contract_jets(subscripts: str, *factors, low: int = 0) -> list:
+def contract_jets(subscripts: str, *factors) -> list:
     """The contraction `subscripts` of factors given as jets (value, first
     derivatives[, second derivatives], derivative axes last) with its
-    derivatives by the Leibniz rule, from order `low` to the order of the
-    shortest jet."""
+    derivatives by the Leibniz rule, up to the order of the shortest jet."""
     inputs, output = subscripts.split("->")
     terms, count = inputs.split(","), len(factors)
     p, q = [x for x in "abcdefghijklmnopqrstuvwxyz" if x not in subscripts][:2]
@@ -118,8 +117,7 @@ def contract_jets(subscripts: str, *factors, low: int = 0) -> list:
     at = range(count)
     marks = ([[""] * count], [[p * (k == i) for k in at] for i in at],
              [[p * (k == i) + q * (k == j) for k in at] for i in at for j in at])
-    return [reduce(add, map(part, m))
-            for d, m in enumerate(marks[:min(map(len, factors))]) if d >= low]
+    return [reduce(add, map(part, m)) for m in marks[:min(map(len, factors))]]
 
 
 def antisym(t: np.ndarray, a: int = -2, b: int = -1) -> np.ndarray:

@@ -14,7 +14,7 @@ from fmcheck.connection import (christoffel_jets, inverse_hessian, inverse_jets,
                                 levi_civita, metric_inverse, riemann_components)
 from fmcheck.manifold import (DEFAULT_TOL, Report, Residuals, amax, batch_report,
                               lowest_failure, normalized, pmax, structures)
-from fmcheck.pencil import PencilAt, pencil_first_order, pencil_second_order
+from fmcheck.pencil import PencilAt, pencil_data
 from fmcheck.tensor import SingularMatrixError, contract
 
 # the members g2 - lambda g1 of the contravariant pencil that the route checks
@@ -29,9 +29,10 @@ def _contravariant_christoffels(g_inv, gamma):
 def flat_pencil_members_at(pa: PencilAt, lambdas=LAMBDAS):
     """Curvature of every pencil member, and linearity of the contravariant
     Christoffel symbols across the pencil, with the members stacked on an
-    axis after the point axis: the parts of each member, by lambda, in the
-    group "per_lambda", which the report shows.  The first point where a
-    member is singular raises, naming the first such member's lambda."""
+    axis after the point axis: the worst of each member's two, by lambda,
+    as the part "per_lambda/<lambda>", which the report shows.  The first
+    point where a member is singular raises, naming the first such
+    member's lambda."""
     ddeta_inv = inverse_hessian(pa.eta_inv, pa.st.dg, pa.st.ddg)
     gc1 = _contravariant_christoffels(pa.eta_inv, pa.gamma1)[..., None, :, :, :]
     gc2 = _contravariant_christoffels(pa.g_inv, pa.gamma2)[..., None, :, :, :]
@@ -51,9 +52,9 @@ def flat_pencil_members_at(pa: PencilAt, lambdas=LAMBDAS):
     res_curv = normalized(amax(riemann_components(gamma, dgamma), 4), sc)
     res_lin = normalized(amax(_contravariant_christoffels(pen, gamma) - (gc2 - lam[..., None] * gc1), 3),
                          amax(gc2, 3) + np.abs(lam[:, 0, 0]) * amax(gc1, 3))
-    per_lambda = {f"{value}": {"curvature": res_curv[..., i], "linearity": res_lin[..., i]}
+    per_lambda = {f"per_lambda/{value}": pmax(res_curv[..., i], res_lin[..., i])
                   for i, value in enumerate(lams)}
-    return Residuals({"per_lambda": per_lambda}, pmax(*np.moveaxis(sc, -1, 0)), show_parts=True)
+    return Residuals(per_lambda, pmax(*np.moveaxis(sc, -1, 0)), show_parts=True)
 
 
 def check_flat_pencil_members(spec, points, lambdas=LAMBDAS, tol: float = DEFAULT_TOL) -> Report:
@@ -62,6 +63,6 @@ def check_flat_pencil_members(spec, points, lambdas=LAMBDAS, tol: float = DEFAUL
     def run(pts):
         st = structures(spec, pts)
         inverse = metric_inverse(st)
-        pa = pencil_second_order(pencil_first_order(st, inverse), levi_civita(st, inverse))
+        pa = pencil_data(st, inverse, levi_civita(st, inverse))
         return flat_pencil_members_at(pa, lambdas)
     return batch_report("flat-pencil", lowest_failure(run, points), tol)

@@ -212,8 +212,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     targets = {("manifold", "structures"): lambda fn: returned("structure", fn),
                ("rotation", "rotations"): lambda fn: returned("rotation", fn),
                ("hamops", "spanning_fields"): fields_over,
-               ("pencil", "pencil_first_order"): lambda fn: returned("pencil", fn),
-               ("pencil", "pencil_second_order"): lambda fn: returned("pencil2", fn),
+               ("pencil", "pencil_data"): lambda fn: returned("pencil", fn),
                ("connection", "checked_inverse"): inverse,
                ("connection", "christoffel_jets"): christoffel_of,
                ("connection", "riemann_components"): curvature_of,
@@ -264,12 +263,13 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                for p in sample_points(ent.spec, SamplePlan(seed=0, count=10))]
         chart_values = None
         if "flat_chart" in ent.companion:
-            chart_values = [tuple(ej.eval_table(ent.companion["flat_chart"], p, ent.spec.env())[0])
+            chart_values = [tuple(ej.eval_points(ent.companion["flat_chart"], [p],
+                                                 ent.spec.env()).at(0)[0])
                             for p in pts]
         built["structure"] = []
         st = manifold.structures(ent.spec, pts)
         metrics = [m for m in (st.g, st.g2) if m is not None]
-        for key in ("structure", "rotation", "fields", "pencil", "pencil2"):
+        for key in ("structure", "rotation", "fields", "pencil"):
             built[key] = []
         runs.clear()
         inverted.clear()
@@ -281,7 +281,6 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         assert built["rotation"] == ([pts] if needs_rotation else []), name
         assert built["fields"] == ([pts] if "flat-normal-bundle" in ent.flags else []), name
         assert built["pencil"] == ([pts] if "pencil" in ent.flags else []), name
-        assert built["pencil2"] == ([pts] if "pencil" in ent.flags else []), name
         check_inverses(metrics, name)
         orders = check_runs(ent.spec, pts, chart_values, name)
         tables = {table for table, _ in orders}
@@ -302,7 +301,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         argvs = [["verify", str(spec_path)]]
         argvs += [["verify", name, "--check", check] for check in cat.SINGLE_CHECKS]
         for argv in argvs:
-            for key in ("structure", "pencil", "pencil2"):
+            for key in ("structure", "pencil"):
                 built[key] = []
             runs.clear()
             inverted.clear()
@@ -313,7 +312,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
             if code != 2:  # 2: the spec lacks a field the check needs
                 assert built["structure"] == [pts], argv
                 if ent.spec.g2 is not None and argv[1] == str(spec_path):
-                    assert built["pencil"] == built["pencil2"] == [pts], argv
+                    assert built["pencil"] == [pts], argv
                 check_inverses(metrics, argv)
                 check_runs(ent.spec, pts, chart_values, argv)
 

@@ -6,14 +6,16 @@ from fmcheck.connection import (check_compat_product,
                                 check_curvature_product_condition, check_flatness,
                                 check_nabla_e, check_nabla_from_g,
                                 check_nabla_nabla_E, check_R_tR_identity,
-                                check_torsionless, connection_from_exprs,
-                                counit_jets, dual_structure,
-                                levi_civita, metric_inverse, natural_connection,
-                                nabla_metric)
-from fmcheck.exprjet import finite_diff_oracle, parse
-from fmcheck.manifold import (ManifoldSpec, Region, SamplePlan, batch_report, sample_points,
-                              structure_at)
+                                check_torsionless, compat_product_at, connection_from_exprs,
+                                counit_jets, curvature_product_at, dual_structure, flatness_at,
+                                levi_civita, metric_inverse, nabla_e_at, nabla_from_g_at,
+                                natural_connection, nabla_metric)
+from fmcheck.exprjet import parse
+from fmcheck.manifold import (DEFAULT_TOL, ManifoldSpec, Region, SamplePlan, batch_report,
+                              sample_points, structure_at, structures, worst)
 from fmcheck.tensor import SingularMatrixError
+
+from finite_diff import finite_diff_oracle
 
 
 def euclid(n=2):
@@ -105,9 +107,10 @@ def test_half_plane_curvature_golden():
         assert abs(r_up - 1.0) < 1e-8
         # mixed-Riemann antisymmetry in the last two slots
         assert np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))) < 1e-12
-        nat = natural_connection(st)
-        assert check_flatness(nat).residual < 1e-8
-        assert not check_flatness(lc).passed
+        # the walk's row on the natural connection, and the Levi-Civita
+        # connection in its place
+        assert check_flatness(spec, [p]).residual < 1e-8
+        assert not batch_report("flatness", flatness_at(lc), DEFAULT_TOL).passed
 
 
 def test_theorem_connection_suite_over_killing_entries():
@@ -116,17 +119,14 @@ def test_theorem_connection_suite_over_killing_entries():
     for name in killing:
         spec = cat.entry(name).spec
         pts = sample_points(spec, SamplePlan(seed=9, count=5))
-        for p in pts:
-            st = structure_at(spec, p)
-            nat = natural_connection(st)
-            assert check_torsionless(nat).passed
-            assert check_flatness(nat).residual <= 1e-8
-            assert check_nabla_e(nat, st).residual <= 1e-8
-            assert check_compat_product(nat, st).residual <= 1e-8
-            assert check_nabla_from_g(nat, st).residual <= 1e-8
-            lc = levi_civita(st, metric_inverse(st))
-            assert check_curvature_product_condition(lc, st).residual <= 1e-8
-            assert check_R_tR_identity(st).residual <= 1e-8
+        # each report's residual is its worst over the five points
+        assert check_torsionless(spec, pts).passed
+        assert check_flatness(spec, pts).residual <= 1e-8
+        assert check_nabla_e(spec, pts).residual <= 1e-8
+        assert check_compat_product(spec, pts).residual <= 1e-8
+        assert check_nabla_from_g(spec, pts).residual <= 1e-8
+        assert check_curvature_product_condition(spec, pts).residual <= 1e-8
+        assert check_R_tR_identity(spec, pts).residual <= 1e-8
 
 
 def test_uniqueness_probe():
@@ -139,7 +139,8 @@ def test_uniqueness_probe():
     pert = rng.standard_normal((2, 2, 2)) * 1e-3
     pert = (pert + np.transpose(pert, (0, 2, 1))) / 2
     bumped = type(nat)(nat.n, nat.point, nat.gamma + pert, nat.dgamma)
-    assert check_nabla_from_g(bumped, st).residual >= 1e-4
+    rep = batch_report("nabla-from-g", nabla_from_g_at(bumped, st, counit_jets(st)), DEFAULT_TOL)
+    assert rep.residual >= 1e-4
 
 
 def test_nabla_e_negative_control():
@@ -148,7 +149,7 @@ def test_nabla_e_negative_control():
     st = structure_at(spec, p)
     nat = natural_connection(st)
     bad = type(nat)(nat.n, nat.point, nat.gamma + 1e-2, nat.dgamma)
-    assert not check_nabla_e(bad, st).passed
+    assert not batch_report("nabla-e", nabla_e_at(bad, st), DEFAULT_TOL).passed
 
 
 def test_curvature_product_random_control():
@@ -163,33 +164,31 @@ def test_curvature_product_random_control():
     conn.gamma = rng.standard_normal((3, 3, 3))
     conn.gamma = (conn.gamma + np.transpose(conn.gamma, (0, 2, 1))) / 2
     conn.dgamma = rng.standard_normal((3, 3, 3, 3))
-    assert not check_curvature_product_condition(conn, st).passed
+    assert not batch_report("curvature-product", curvature_product_at(conn, st),
+                            DEFAULT_TOL).passed
 
 
 def test_r_tr_identity_on_family():
     spec = cat.entry("nonss3d").spec
-    for p in sample_points(spec, SamplePlan(seed=4, count=5)):
-        st = structure_at(spec, p)
-        assert check_R_tR_identity(st).residual <= 1e-8
+    assert check_R_tR_identity(spec, sample_points(spec, SamplePlan(seed=4, count=5))
+                               ).residual <= 1e-8
 
 
 def test_r_tr_identity_reports_as_the_walk_row():
-    # the one-point check is named as `verify` names the row
+    # the check is the walk's row, named as `verify` names it
     spec = cat.entry("nonss3d").spec
-    p = sample_points(spec, SamplePlan(seed=4, count=1))[0]
-    rep = check_R_tR_identity(structure_at(spec, p))
-    assert rep.name == cat.run_checks(spec, {}, ["r-tr"], [p])[0].name == "r-tr"
+    pts = sample_points(spec, SamplePlan(seed=4, count=3))
+    rep = check_R_tR_identity(spec, pts)
+    assert rep == cat.run_checks(spec, {}, ["r-tr"], pts)[0]
+    assert rep.name == "r-tr" and rep.npoints == 3
 
 
 def test_nabla_nabla_E_trivial_and_families():
-    st = structure_at(euclid(), np.array([0.4, 0.9]))
-    nat = natural_connection(st)
-    assert check_nabla_nabla_E(nat, st).residual == 0.0
+    assert check_nabla_nabla_E(euclid(), [np.array([0.4, 0.9])]).residual == 0.0
     for name in ("lauricella-eps-minus1-n3", "q0-d0"):
         spec = cat.entry(name).spec
-        for p in sample_points(spec, SamplePlan(seed=6, count=4)):
-            st = structure_at(spec, p)
-            assert check_nabla_nabla_E(natural_connection(st), st).residual <= 1e-8
+        pts = sample_points(spec, SamplePlan(seed=6, count=4))
+        assert check_nabla_nabla_E(spec, pts).residual <= 1e-8
 
 
 def test_dual_structure_closed_forms():
@@ -223,10 +222,9 @@ def test_curvature_variants_agree_on_metric_connections():
     # Levi-Civita connection of an invariant metric
     for name in ("lobachevsky", "lauricella-eps-minus1-n3", "nonss3d"):
         spec = cat.entry(name).spec
-        for p in sample_points(spec, SamplePlan(seed=2, count=3)):
-            st = structure_at(spec, p)
-            rep = check_curvature_product_condition(levi_civita(st, metric_inverse(st)), st)
-            assert rep.details["variant_gap"] <= 1e-8
+        st = structures(spec, sample_points(spec, SamplePlan(seed=2, count=3)))
+        parts = curvature_product_at(levi_civita(st, metric_inverse(st)), st).parts
+        assert worst(np.abs(parts["slot"] - parts["output"])) <= 1e-8
 
 
 def test_levi_civita_not_product_compatible_on_curved_metric():
@@ -234,7 +232,8 @@ def test_levi_civita_not_product_compatible_on_curved_metric():
     # compatibility; only the counit-twisted connection satisfies it
     spec = cat.entry("lobachevsky").spec
     st = structure_at(spec, np.array([1.6, 0.1]))
-    assert not check_compat_product(levi_civita(st, metric_inverse(st)), st).passed
+    lc = levi_civita(st, metric_inverse(st))
+    assert not batch_report("product-compat", compat_product_at(lc, st), DEFAULT_TOL).passed
 
 
 def _same(got, want, what, k=None):
@@ -305,26 +304,24 @@ def _batched_functions(spec, comp):
         out["homogeneity_at"] = mf.homogeneity_at
         out["nabla_nabla_E_at"] = lambda st: cn.nabla_nabla_E_at(cn.natural_connection(st), st)
         out["fit_scalar"] = lambda st: mf.fit_scalar(
-            lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE), st.g, rank=2)
+            lie_from_components(st.g, st.dg, ("d", "d"), st.E, st.dE), st.g, 2)
     if "gamma" in comp:
         out["connections_from_exprs"] = lambda st: cn.connections_from_exprs(
             comp["gamma"], st.point.reshape(-1, spec.n), spec.env()).gamma.reshape(
                 np.shape(st.c))
     if spec.g2 is not None:
-        def first(st):
-            return pn.pencil_first_order(st, cn.metric_inverse(st))
+        def pa(st):
+            return pn.pencil_data(st, cn.metric_inverse(st), lc(st))
 
         def pencil(st):
-            pa = pn.pencil_second_order(first(st), lc(st))
-            return [getattr(pa, f) for f in ("eta_inv", "deta_inv", "g_inv", "dg_inv",
-                                             "ddg_inv", "gamma1", "dgamma1", "gamma2",
-                                             "dgamma2", "L", "dL", "E", "dE", "ddE")]
+            return [getattr(pa(st), f) for f in ("eta_inv", "deta_inv", "g_inv", "dg_inv",
+                                                 "ddg_inv", "gamma1", "dgamma1", "gamma2",
+                                                 "dgamma2", "L", "dL", "E", "dE", "ddE")]
         out.update({
-            "pencil_second_order": pencil,
-            "exactness_at": lambda st: pn.exactness_at(first(st)),
-            "pencil_homogeneity_at": lambda st: pn.pencil_homogeneity_at(first(st)),
-            "flat_pencil_at": lambda st: pn.flat_pencil_at(pn.pencil_second_order(first(st),
-                                                                                  lc(st))),
+            "pencil_data": pencil,
+            "exactness_at": lambda st: pn.exactness_at(pa(st)),
+            "pencil_homogeneity_at": lambda st: pn.pencil_homogeneity_at(pa(st)),
+            "flat_pencil_at": lambda st: pn.flat_pencil_at(pa(st)),
         })
         out.update(_pencil_construction_functions())
     out.update(_point_axis_functions(spec, comp))
@@ -339,11 +336,10 @@ def _pencil_construction_functions():
 
     def pa(st):
         inverse = cn.metric_inverse(st)
-        return pn.pencil_second_order(pn.pencil_first_order(st, inverse),
-                                      cn.levi_civita(st, inverse))
+        return pn.pencil_data(st, inverse, cn.levi_civita(st, inverse))
 
     def weight(st):
-        return pn.pencil_weight(pa(st), rank=2)[0]
+        return pn.pencil_weight(pa(st))[0]
 
     def product(st):
         return pn.product_from_pencil_at(pa(st), pn.delta_jets(pa(st))[0])
@@ -478,7 +474,7 @@ def test_batched_functions_and_rows_equal_single_point_runs():
     # points what it gives on that point alone
     from fmcheck.manifold import structures
     from fmcheck.connection import levi_civita, metric_inverse
-    from fmcheck.pencil import pencil_first_order, pencil_second_order
+    from fmcheck.pencil import pencil_data
 
     from constructions import semisimple_pencil_from_f
     # R = (Gamma1 - Gamma2) E of this pencil is singular where u2 - u1 = 1
@@ -488,7 +484,7 @@ def test_batched_functions_and_rows_equal_single_point_runs():
         (0.35, 1.35), (0.1, 0.8), (0.45, 1.6))]
     st = structures(both, both_points[:4])
     inverse = metric_inverse(st)
-    pa = pencil_second_order(pencil_first_order(st, inverse), levi_civita(st, inverse))
+    pa = pencil_data(st, inverse, levi_civita(st, inverse))
     cond = np.linalg.cond(np.einsum("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E))
     assert pa.diagonal.all() and (cond <= 1e8).any() and (cond > 1e8).any()
     entries = [(name, cat.entry(name)) for name in cat.names()]

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from fmcheck.exprjet import (Bin, Call, DomainError, Neg, Num, ParseError, Param,
                              UnboundParameterError, UnboundVariableError, Var,
-                             eval_jet, eval_points, eval_table, eval_value, finite_diff_oracle,
-                             jet_sqrt, parse, to_source)
+                             eval_jet, eval_points, eval_value, jet_sqrt, parse, to_source)
 from fmcheck.ode3d import principal
+
+from finite_diff import finite_diff_oracle
 
 
 def test_parse_shapes():
@@ -61,7 +62,7 @@ def test_eval_errors():
             with pytest.raises(error):
                 eval_value(parse(src), point)
             with pytest.raises(error):
-                eval_table((("u1", src),), point)
+                eval_points((("u1", src),), [point]).at(0)
 
 
 def test_principal_sqrt_of_minus_one():
@@ -79,7 +80,7 @@ def test_jet_polynomial_example():
     assert np.allclose(jet.grad, [12, 9])
     assert np.allclose(jet.hess, [[4, 6], [6, 0]])
     # a table given as lists runs the same operations, with the table's shape
-    val, grad, hess = eval_table([["u1^2*u2", "u2"]], [3.0, 2.0])
+    val, grad, hess = eval_points([["u1^2*u2", "u2"]], [[3.0, 2.0]]).at(0)
     assert val.shape == (1, 2) and grad.shape == (1, 2, 2) and hess.shape == (1, 2, 2, 2)
     assert val[0, 0] == jet.val and np.array_equal(hess[0, 0], jet.hess)
 
@@ -137,7 +138,7 @@ def test_a_run_is_real_exactly_where_every_imaginary_part_vanishes():
     jets = eval_points(table, points)
     assert all(part.dtype == np.complex128 for part in (jets.val, jets.grad, jets.hess))
     for k, dtype in ((0, np.complex128), (1, np.float64)):
-        for part, want in zip(jets.at(k), eval_table(table, points[k])):
+        for part, want in zip(jets.at(k), eval_points(table, [points[k]]).at(0)):
             assert want.dtype == dtype and np.array_equal(part, want)
     # the square root's jet takes a real array to complex first, so that a
     # negative value lands on the principal branch, not on NaN
@@ -250,7 +251,7 @@ def test_batched_rows_equal_single_point_runs():
         jets = eval_points(table, points, params)
         for k, p in enumerate(points):
             try:
-                single = eval_table(table, p, params)
+                single = eval_points(table, [p], params).at(0)
             except DomainError as err:
                 with pytest.raises(DomainError, match=str(err)):
                     jets.at(k)
@@ -299,9 +300,9 @@ def test_singular_point_is_masked_in_a_batch():
     with pytest.raises(DomainError, match="division by zero"):
         jets.at(1)
     with pytest.raises(DomainError):
-        eval_table(table, points[1])
+        eval_points(table, [points[1]]).at(0)
     for k in (0, 2, 3):
-        for part, want in zip(jets.at(k), eval_table(table, points[k])):
+        for part, want in zip(jets.at(k), eval_points(table, [points[k]]).at(0)):
             assert part.tobytes() == want.tobytes()
     # each point keeps its first error in operation order, and a point
     # whose jets are not finite fails without an error of its own
@@ -315,7 +316,7 @@ def test_singular_point_is_masked_in_a_batch():
     jets = eval_points("u1^(u2^3)", points)
     assert jets.errors == [None, "ln(0)", None, None, None]
     for k in (0, 2, 3, 4):
-        for part, want in zip(jets.at(k), eval_table("u1^(u2^3)", points[k])):
+        for part, want in zip(jets.at(k), eval_points("u1^(u2^3)", [points[k]]).at(0)):
             assert part.tobytes() == want.tobytes()
     assert jets.at(3)[0] == 1
     # where the exponent's gradient vanishes but not its Hessian, the power

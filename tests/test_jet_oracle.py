@@ -9,7 +9,7 @@ import numpy as np
 import sympy as sp
 
 import fmcheck.catalog as cat
-from fmcheck.exprjet import Bin, Call, Neg, Num, Param, Var, eval_jet, eval_table, parse
+from fmcheck.exprjet import Bin, Call, Neg, Num, Param, Var, eval_jet, eval_points, parse
 from fmcheck.manifold import SamplePlan, sample_points
 
 U = sp.symbols("u1:10")
@@ -86,7 +86,7 @@ def test_jets_match_sympy_oracle():
         for in_chart, srcs in sources.items():
             at = points
             if in_chart:
-                at = [eval_table(ent.companion["flat_chart"], p, env)[0] for p in points]
+                at = [eval_points(ent.companion["flat_chart"], [p], env).at(0)[0] for p in points]
             cases += [(name, src, at, env) for src in sorted(srcs)]
     checked = 0
     for name, src, at, env in cases:

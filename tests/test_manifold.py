@@ -217,7 +217,8 @@ def test_sampling_matches_one_candidate_at_a_time():
                 if diffs.min() < region.min_sep:
                     continue
             try:
-                if np.any(np.abs(ej.eval_table(region.guards, p, spec.env())[0]) < region.guard_min):
+                guards = ej.eval_points(region.guards, [p], spec.env()).at(0)[0]
+                if np.any(np.abs(guards) < region.guard_min):
                     continue
             except ej.EvalError:
                 continue

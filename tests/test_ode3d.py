@@ -9,7 +9,12 @@ from fmcheck.ode3d import (F12, F21, F31, CoordinateCollisionError, OdeState3,
                            ParameterSingularError, SingularPathError, SingularPointError,
                            closed_form_pencil, closed_form_q0, dopri54, integrals, integrate,
                            rhs)
-from fmcheck.rotation import beta_from_F, z_of_point
+from fmcheck.rotation import betas_from_F, closed_forms
+
+
+def z_of(u):
+    """z = (u^3 - u^1) / (u^2 - u^1) at a chart point."""
+    return (u[2] - u[0]) / (u[1] - u[0])
 
 
 def rhs_fd(fn, z, h=1e-6):
@@ -135,17 +140,21 @@ def test_beta_from_F_consistency_both_families():
         pts = [np.array([-1.6, -0.2, 1.4]), np.array([-2.0, -0.55, 2.8])]
         for p in pts:
             rd = rotation_data(ent.spec, p, lame_exprs=ent.companion["lame"])
-            b = beta_from_F(fn(z_of_point(p)), p)
+            b = betas_from_F(np.asarray(fn(z_of(p)).F), p)
             assert np.max(np.abs(rd.beta - b)) < 1e-9, name
+        # the walk's closed forms of the entry's ODE family give the same
+        F = closed_forms(ent.companion["ode_family"], np.array(pts), ent.spec.env()).val
+        for p, b in zip(pts, betas_from_F(F, np.array(pts))):
+            assert np.max(np.abs(betas_from_F(np.asarray(fn(z_of(p)).F), p) - b)) < 1e-12
 
 
 def test_beta_from_F_errors_and_scaling():
     s = closed_form_q0(2.0, 1, 1)
     with pytest.raises(CoordinateCollisionError):
-        beta_from_F(s, np.array([0.0, 0.0, 2.0]))
+        closed_forms("q0", np.array([[0.0, 0.0, 2.0]]), {"a": 1.0, "b": 1.0})
     u = np.array([0.0, 1.0, 2.0])
-    b1 = beta_from_F(s, u)
-    b2 = beta_from_F(s, 2 * u)  # same z level set, scaled chart
+    b1 = betas_from_F(np.asarray(s.F), u)
+    b2 = betas_from_F(np.asarray(s.F), 2 * u)  # same z level set, scaled chart
     assert np.max(np.abs(2 * b2 - b1)) < 1e-12
 
 
@@ -381,7 +390,7 @@ def test_constraint_rank_drops_on_q0_variety():
 
 
 def test_zero_state_beta_is_zero():
-    b = beta_from_F(OdeState3(2.0, np.zeros(6)), np.array([0.0, 1.0, 2.0]))
+    b = betas_from_F(np.asarray(OdeState3(2.0, np.zeros(6)).F), np.array([0.0, 1.0, 2.0]))
     assert np.max(np.abs(b)) == 0.0
 
 

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 import fmcheck.catalog as cat
-from fmcheck.connection import (check_compat_product, check_flatness, check_nabla_e,
-                                check_nabla_from_g, levi_civita, metric_inverse,
-                                natural_connection)
+from fmcheck.connection import levi_civita, metric_inverse
 from fmcheck.manifold import (ManifoldSpec, MissingFieldError, Region, SamplePlan,
                               check_hertling_manin, check_homogeneity, check_killing_unit,
-                              check_metric_invariance, check_product_axioms,
-                              sample_points, structures)
+                              check_metric_invariance, check_product_axioms, point_walk,
+                              sample_points, structures, worst)
 from fmcheck.pencil import (MissingSecondMetricError, check_exactness,
                             check_flat_pencil, check_pencil_homogeneity,
-                            delta_tensor, pencil_at, pencil_first_order,
-                            pencil_second_order, product_from_pencil, r_operator,
-                            reconstructed_structure)
+                            delta_tensor, pencil_at, pencil_data, product_from_pencil,
+                            r_operator, reconstructed_structure)
 from fmcheck.rotation import check_algebraic_constraints
 from fmcheck.tensor import SingularMatrixError
 
@@ -31,7 +28,7 @@ def second_order(spec, points):
     builds it."""
     st = structures(spec, points)
     inverse = metric_inverse(st)
-    return pencil_second_order(pencil_first_order(st, inverse), levi_civita(st, inverse))
+    return pencil_data(st, inverse, levi_civita(st, inverse))
 
 
 def test_exactness_and_negative_control():
@@ -135,7 +132,7 @@ def test_flat_pencil_with_nonreal_member():
         rep = check_flat_pencil(spec, pts)
         members = check_flat_pencil_members(spec, pts, lambdas)
         assert rep.passed == members.passed == flat, (spec.name, rep, members)
-        assert list(members.details["per_lambda"])[-1] == f"{lambdas[-1]}"
+        assert list(members.details)[-1] == f"per_lambda/{lambdas[-1]}"
 
 
 def test_flat_pencil_negative_control():
@@ -285,7 +282,8 @@ def test_delta_identities_and_closed_form():
     spec = af()
     for p in sample_points(spec, SamplePlan(seed=4, count=4)):
         delta, rep = delta_tensor(spec, p)
-        assert rep.passed and rep.details.get("closed_form_checked")
+        # the pencil is diagonal, so its closed form is one of the parts
+        assert rep.passed and pencil_at(spec, p).diagonal
 
 
 def test_r_operator_two_routes_and_diagonal():
@@ -301,7 +299,8 @@ def test_product_reconstruction_canonical():
     for p in sample_points(spec, SamplePlan(seed=6, count=4)):
         c, dc, rep = product_from_pencil(spec, p)
         assert rep.passed
-        assert rep.details["canonical_residual"] <= 1e-9
+        canonical = point_walk(spec, {}, p).pencil_product.residuals.parts["canonical"]
+        assert worst(canonical) <= 1e-9
         want = np.zeros((3, 3, 3))
         for i in range(3):
             want[i, i, i] = 1
@@ -311,13 +310,13 @@ def test_product_reconstruction_canonical():
 def test_reconstructed_structure_full_suite():
     spec = af()
     pts = sample_points(spec, SamplePlan(seed=7, count=5))
+    # the walk's rows on the natural connection of the rebuilt structure
+    rows = ["reconstructed/" + row for row in ("flatness", "nabla-e", "product-compat",
+                                               "nabla-from-g")]
+    for rep in cat.run_checks(spec, {}, rows, pts):
+        assert rep.residual <= 1e-8, rep.name
     for p in pts:
         st = reconstructed_structure(spec, p)
-        nat = natural_connection(st)
-        assert check_flatness(nat).residual <= 1e-8
-        assert check_nabla_e(nat, st).residual <= 1e-8
-        assert check_compat_product(nat, st).residual <= 1e-8
-        assert check_nabla_from_g(nat, st).residual <= 1e-8
         # manifold-level axioms for the reconstructed product
         comm = st.c - np.swapaxes(st.c, 1, 2)
         unit = np.einsum("ijk,j->ik", st.c, st.e) - np.eye(3)

@@ -2,16 +2,25 @@ import numpy as np
 import pytest
 
 import fmcheck.catalog as cat
-from fmcheck.exprjet import eval_value, finite_diff_oracle, parse
+from fmcheck.exprjet import eval_value, parse
 from fmcheck.manifold import ManifoldSpec, Region, SamplePlan, sample_points
-from fmcheck.ode3d import closed_form_pencil, closed_form_q0
-from fmcheck.rotation import (NonDiagonalMetricError, beta_from_F, check_algebraic_constraints,
+from fmcheck.rotation import (NonDiagonalMetricError, betas_from_F, check_algebraic_constraints,
                               check_darboux_system, check_flatness_constraint,
                               check_lame_system, check_potentiality,
-                              check_reduction_identity, rotation_data, rotations, v_matrix,
-                              z_of_point)
+                              check_reduction_identity, closed_forms, rotation_data, rotations,
+                              v_matrix)
 
 from constructions import eigenspace_projection, integrate_lame
+from finite_diff import finite_diff_oracle
+
+
+def closed_form_beta(family, env=None):
+    """beta at a chart point from the closed form of the ODE family
+    `family` there (`closed_forms`, a batch of one)."""
+    def beta(u):
+        u = np.asarray(u)[None]
+        return betas_from_F(closed_forms(family, u, env or {}).val, u)[0]
+    return beta
 
 
 def euclid2():
@@ -197,9 +206,7 @@ def test_v_matrix_weight_fit():
 def test_integrate_lame_loop_closure_q0():
     ent = cat.entry("q0-d-minus1")
 
-    def beta(u):
-        return beta_from_F(closed_form_q0(z_of_point(u), 1.0, 1.0), u)
-
+    beta = closed_form_beta("q0", {"a": 1.0, "b": 1.0})
     u0 = np.array([-1.5, -0.4, 1.2])
     h0 = np.array([eval_value(parse(src), u0, ent.spec.params)
                    for src in ent.companion["lame"]])
@@ -210,9 +217,7 @@ def test_integrate_lame_loop_closure_q0():
 
 def test_integrate_lame_half_weight_family():
     # generic seed projected onto the two-dimensional weight eigenspace
-    def beta(u):
-        return beta_from_F(closed_form_pencil(z_of_point(u)), u)
-
+    beta = closed_form_beta("pencil63")
     u0 = np.array([-1.9, -0.5, 2.6])
     h0 = np.array([1.0, 0.7, -0.4], dtype=complex)
     out = integrate_lame(beta, -0.5, u0, h0)
@@ -229,9 +234,7 @@ def test_integrate_lame_half_weight_family():
 
 
 def test_integrate_lame_rejects_non_eigenvalue_weight():
-    def beta(u):
-        return beta_from_F(closed_form_pencil(z_of_point(u)), u)
-
+    beta = closed_form_beta("pencil63")
     u0 = np.array([-1.9, -0.5, 2.6])
     out = integrate_lame(beta, 0.3, u0, np.array([1.0, 1.0, 1.0], dtype=complex))
     assert out["euler_residual_start"] > 1e-3
