@@ -28,11 +28,12 @@ runs through `catalog.run_checks`):
 - `catalog list`, and `catalog export` of every entry;
 - the unevaluable specs and arguments of the CLI's bad-input test (the
   spec directory given as a spec path, and a spec file that lacks its
-  fields, among them), a spec file that is not UTF-8, a non-finite
-  `--param` and spec files with a non-finite parameter, box bound,
-  `min_sep` (NaN, or an integer beyond a float's range) or `guard_min`
-  or a reversed box pair, `catalog` without an
-  entry name to export or with one to list, `legendre` with a `--field`
+  fields, among them), a spec file that is not UTF-8, q0-d0's spec file
+  with a region guard that names an unbound parameter or a coordinate
+  beyond its dimension, a non-finite `--param` and spec files with a
+  non-finite parameter, box bound, `min_sep` (NaN, or an integer beyond
+  a float's range) or `guard_min` or a reversed box pair, `catalog`
+  without an entry name to export or with one to list, `legendre` with a `--field`
   of the wrong length, a named field the entry lacks or on an entry with
   none, a complex `--param` and `ode --from` with an infinite part, `ode`
   with 11 floats, a path through z = 1, a non-finite state and a
@@ -144,6 +145,9 @@ for key, g in (("unbound", [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]),
                ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]])):
     bad[key] = {**doc, "g": g}
 bad["missing"] = {"n": 2}
+q0 = json.loads(cat.entry("q0-d0").spec.to_json())
+for key, guard in (("unbound-guard", "u1-kk"), ("coordinate-guard", "u4")):
+    bad[key] = {**q0, "region": {**q0["region"], "guards": [guard]}}
 nan, inf = float("nan"), float("inf")
 bad["nan-param"] = {**doc, "params": {"a": nan}}
 for key, region in (("nan-box", {"box": [[nan, 2.0], [-1.5, 0.4]]}),
@@ -217,8 +221,9 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "case-i", "--check", "metric-invariance"]),
        *(["verify", f"{{specs}}/bad-{key}.json"]
          for key in ("unbound", "divzero", "zero", "third", "singular-third", "unparseable",
-                     "missing", "binary", "nan-param", "nan-box", "inf-box", "reversed-box",
-                     "nan-min-sep", "huge-min-sep", "inf-guard-min")),
+                     "missing", "binary", "unbound-guard", "coordinate-guard", "nan-param",
+                     "nan-box", "inf-box", "reversed-box", "nan-min-sep", "huge-min-sep",
+                     "inf-guard-min")),
        (["verify", "{specs}/bad-divzero.json", "--check", "homogeneity"]),
        (["legendre", "q0-d-minus1", "--field", "1+,1,1"]),
        (["legendre", "q0-d-minus1", "--field", "1,0"]),

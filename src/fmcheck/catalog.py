@@ -1,7 +1,13 @@
-"""The table of checks, and the one point walk that runs the checks an
-entry's flags, a spec file's fields, a `--check` name or a Legendre
-transform pick, over the built-in specs of `entries` and spec files, and
-over a construction's output, a derived walk that the table's rows read.
+"""The table of checks, and the one point walk that runs them over the
+built-in specs of `entries` and spec files, and over a construction's
+output, a derived walk that the table's rows read.
+
+A row runs wherever its inputs exist (`Check.needs`): the spec's fields,
+an entry's companion tables and its expected values.  The natural
+connection's rows, for one, hold on every Riemannian F-manifold, so they
+need only a metric.  A flag names a claim that the data cannot show, which
+an entry makes and a spec file never does; `--check` and a Legendre
+transform pick their rows by name.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .rotation import (ZeroLameError, algebraic_constraints_at, betas_from_F, cl
 from .tensor import SingularMatrixError, contract, eigenvalues, merge_close
 
 __all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Transform",
-           "run_checks", "Check", "CHECKS", "SPEC_CHECKS", "SINGLE_CHECKS",
+           "run_checks", "Check", "CHECKS", "SINGLE_CHECKS",
            "verify_flat_coordinates", "verify_vector_potential", "SuiteResult", "connection_suite",
            "MissingCompanionDataError", "JacobianSingularError", "SingularSampleError"]
 
@@ -90,12 +96,12 @@ def verify_vector_potential(ent: CatalogEntry, points, tol: float = DEFAULT_TOL)
 
 
 def connection_suite(spec: ManifoldSpec, points) -> list:
-    """The flat-structure checks for a metric spec (`_CONNECTION_CHECKS`),
-    at the default tolerance: the natural connection is torsionless, flat,
-    unit-parallel, compatible with the product and solves its defining
-    equation; the Levi-Civita curvature meets the product condition; and
-    the two agree in the cyclic sum."""
-    return _walk(spec, {}, _chosen(spec, {}, lambda c: c.name in _CONNECTION_CHECKS),
+    """The theorem rows (`_THEOREMS`) that the fields of `spec` allow, at
+    the default tolerance: with a metric, the natural connection is
+    torsionless, flat, unit-parallel, compatible with the product and
+    solves its defining equation; the Levi-Civita curvature meets the
+    product condition; and the two agree in the cyclic sum."""
+    return _walk(spec, {}, [c for c in _chosen(spec, {}) if c.name in _THEOREMS],
                  points, DEFAULT_TOL)
 
 
@@ -212,11 +218,12 @@ class _Walk:
 class Check:
     """One row of the check table.  `at` maps the `_Walk` to the row's
     `Residuals` at all its points at once, as arrays over the point axis.
-    An entry runs the check when its flags hold `flag` and its spec,
-    companion or expected values hold all of `needs`.  `fit` (the fitted
-    constant that must agree across the points), `expected` (a key of the
-    value it must match) and `tol` (of the run's tol; default: the run's)
-    set its report (`batch_report`)."""
+    A source runs the check when its spec, companion or expected values
+    hold all of `needs` and, for a row with a `flag` (a claim the data
+    cannot show), when the source is an entry that claims it.  `fit` (the
+    fitted constant that must agree across the points), `expected` (a key
+    of the value it must match) and `tol` (of the run's tol; default: the
+    run's) set its report (`batch_report`)."""
     name: str
     at: Callable
     flag: str | None = None
@@ -254,76 +261,79 @@ def _match_at(b):
     return Residuals({"metric": res}, np.zeros_like(res))
 
 
-_KILLING = "riemannian-f-killing"
-_BUNDLE = "flat-normal-bundle"
-
 # every check, in report order
 CHECKS = (
-    Check("product-axioms", lambda b: product_axioms_at(b.st), _KILLING),
-    Check("hertling-manin", lambda b: hertling_manin_at(b.st), _KILLING),
-    Check("metric-invariance", lambda b: metric_invariance_at(b.st), _KILLING, ("g",)),
-    Check("killing-unit", lambda b: killing_unit_at(b.st), _KILLING, ("g",)),
-    Check("levi-civita-flat", lambda b: flatness_at(b.lc)),
-    Check("natural-flat", lambda b: flatness_at(b.nat), needs=("g",)),
-    Check("torsionless", lambda b: torsion_at(b.nat), _KILLING, tol=lambda tol: 1e-12),
-    Check("flatness", lambda b: flatness_at(b.nat), _KILLING),
-    Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), _KILLING),
-    Check("product-compat", lambda b: compat_product_at(b.nat, b.st), _KILLING),
-    Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), _KILLING),
-    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st), _KILLING),
-    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), _KILLING),
-    Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), _KILLING, ("E",)),
-    Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), "gamma-match", ("gamma",)),
-    Check("homogeneity", lambda b: homogeneity_at(b.st), "homogeneous", ("g", "E"),
+    Check("product-axioms", lambda b: product_axioms_at(b.st)),
+    Check("hertling-manin", lambda b: hertling_manin_at(b.st)),
+    Check("metric-invariance", lambda b: metric_invariance_at(b.st), needs=("g",)),
+    Check("killing-unit", lambda b: killing_unit_at(b.st), needs=("g",)),
+    # a flat metric, which the natural connection's rows do not imply
+    Check("levi-civita-flat", lambda b: flatness_at(b.lc), "flat-metric", ("g",)),
+    Check("torsionless", lambda b: torsion_at(b.nat), needs=("g",), tol=lambda tol: 1e-12),
+    Check("flatness", lambda b: flatness_at(b.nat), needs=("g",)),
+    Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), needs=("g",)),
+    Check("product-compat", lambda b: compat_product_at(b.nat, b.st), needs=("g",)),
+    Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), needs=("g",)),
+    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st), needs=("g",)),
+    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), needs=("g",)),
+    Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), needs=("g", "E")),
+    Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), needs=("g", "gamma")),
+    # an axiom, not a consequence: it runs where a weight D is declared
+    Check("homogeneity", lambda b: homogeneity_at(b.st), needs=("g", "E", "D"),
           fit="D", expected="D"),
-    Check("dual-structure", lambda b: b.dual.residuals, "biflat"),
-    Check("gamma-star-match", lambda b: _table_gap(b.dual.gamma_star, b.printed_star), "biflat",
-          ("gamma_star",)),
-    Check("darboux-system", lambda b: darboux_at(b.rd), "darboux"),
-    Check("reduction-identity", lambda b: reduction_identity_at(b.rd), "darboux"),
-    Check("lame-system", _lame_system_at, "lame", fit="d"),
+    Check("dual-structure", lambda b: b.dual.residuals, needs=("g", "E")),
+    Check("gamma-star-match", lambda b: _table_gap(b.dual.gamma_star, b.printed_star),
+          needs=("g", "E", "gamma_star")),
+    Check("darboux-system", lambda b: darboux_at(b.rd), needs=("lame",)),
+    Check("reduction-identity", lambda b: reduction_identity_at(b.rd), needs=("lame",)),
+    Check("lame-system", _lame_system_at, needs=("lame",), fit="d"),
     Check("flatness-constraint", lambda b: flatness_constraint_at(b.rd), "ed4"),
     Check("algebraic-ED4bis", lambda b: algebraic_constraints_at(b.rd, "ED4bis"), "ed4bis"),
     Check("algebraic-ED5b", lambda b: algebraic_constraints_at(b.rd, "ED5b"), "ed5b"),
     Check("potentiality", lambda b: potentiality_at(b.rd), "potentiality"),
-    Check("v-eigenvalues", _v_eigenvalue_gap, "darboux", ("V_eigenvalues",)),
-    Check("ode-integrals", _ode_integrals_at, "ode-family", tol=lambda tol: 1e-10),
+    Check("v-eigenvalues", _v_eigenvalue_gap, needs=("lame", "V_eigenvalues")),
+    Check("ode-integrals", _ode_integrals_at, needs=("ode_family", "I1", "I2"),
+          tol=lambda tol: 1e-10),
     Check("quadratic-expansion",
           lambda b: quadratic_expansion_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
                                            b.ginv.inv),
-          _BUNDLE, tol=lambda tol: max(tol, 1e-9)),
+          needs=("g", "normal_bundle"), tol=lambda tol: max(tol, 1e-9)),
     Check("sym-condition", lambda b: sym_condition_at(b.st, b.nat, b.fields.val, b.fields.grad),
-          _BUNDLE),
+          needs=("g", "normal_bundle")),
     Check("gmc", lambda b: gmc_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
-                                  b.fields.grad, b.ginv.inv), _BUNDLE),
+                                  b.fields.grad, b.ginv.inv), needs=("g", "normal_bundle")),
     # 1 where the rank is not the expected one
     Check("normal-rank", lambda b: Residuals(
         {"rank": np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"]))},
         np.zeros(len(b.points))),
-          _BUNDLE, ("rank",), tol=lambda tol: 0.5),
-    Check("pencil-exactness", lambda b: exactness_at(b.pa), "pencil", ("g2",)),
-    Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pa), "pencil", ("g2",),
+          needs=("normal_bundle", "rank"), tol=lambda tol: 0.5),
+    Check("pencil-exactness", lambda b: exactness_at(b.pa), needs=("g", "g2")),
+    Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pa), needs=("g", "g2"),
           fit="d", expected="d_pencil"),
-    Check("flat-pencil", lambda b: flat_pencil_at(b.pa), "pencil", ("g2",)),
-    Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta), "pencil"),
-    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.counit), "pencil",
+    Check("flat-pencil", lambda b: flat_pencil_at(b.pa), needs=("g", "g2")),
+    Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta),
+          needs=("g", "g2")),
+    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.counit), needs=("g", "g2"),
           tol=lambda tol: max(tol, 1e-9)),
-    Check("product-from-pencil", lambda b: b.pencil_product.residuals, "pencil",
+    Check("product-from-pencil", lambda b: b.pencil_product.residuals, needs=("g", "g2"),
           tol=lambda tol: max(tol, 1e-9)),
-    Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn), "flat-chart"),
-    Check("vector-potential", vector_potential_at, "potential", tol=lambda tol: max(tol, 1e-10)),
+    Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn),
+          needs=("flat_chart",)),
+    Check("vector-potential", vector_potential_at, needs=("flat_chart", "potentials", "flat_e"),
+          tol=lambda tol: max(tol, 1e-10)),
     # a transform's rows (`Transform`); "match" is reported as match-<target>
-    Check("legendre-field", lambda b: legendre_field_at(b.st, b.nat, b.field_jets.val,
-                                                        b.field_jets.grad)),
-    Check("transform-exprs", _transform_exprs_at),
-    Check("match", _match_at, tol=lambda tol: max(tol, 1e-7)),
+    Check("legendre-field", lambda b: legendre_field_at(
+        b.st, b.nat, b.field_jets.val, b.field_jets.grad), needs=("legendre_field",)),
+    Check("transform-exprs", _transform_exprs_at, needs=("legendre_field", "transformed_g")),
+    Check("match", _match_at, needs=("legendre_field", "target_g"), tol=lambda tol: max(tol, 1e-7)),
     # the transform's theorems, from its walk's rows; only `run_checks` runs them
     Check("transform-metric", lambda b: transform_metric_at(
         *(_BY_NAME[name].at(b.transformed) for name in ("metric-invariance", "killing-unit")),
-        b.transformed.nat, transform_connection(b.nat, b.transformed.st, *b.field_jets))),
+        b.transformed.nat, transform_connection(b.nat, b.transformed.st, *b.field_jets)),
+          needs=("legendre_field",)),
     Check("homogeneous-legendre", lambda b: homogeneous_legendre_at(
         b.st, *(_BY_NAME["homogeneity"].at(walk) for walk in (b, b.transformed)),
-        b.field_jets.val, b.field_jets.grad), fit="dbar"),
+        b.field_jets.val, b.field_jets.grad), needs=("legendre_field",), fit="dbar"),
 )
 _THEOREMS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
              "torsionless", "flatness", "nabla-e", "product-compat", "nabla-from-g",
@@ -333,28 +343,22 @@ _THEOREMS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-u
 def _reconstructed(check: Check) -> Check:
     """`check` on the rebuilt structure ("recon"), a row of the pencil."""
     return replace(check, name=f"reconstructed/{check.name}", at=lambda b: check.at(b.recon),
-                   flag="pencil", needs=(),
-                   expected=check.expected and f"{check.expected}_reconstructed")
+                   needs=("g", "g2"), expected=check.expected and f"{check.expected}_reconstructed")
 
 
 CHECKS += tuple(_reconstructed(check) for check in CHECKS if check.name in _THEOREMS)
 _BY_NAME = {check.name: check for check in CHECKS}
 
-# the checks of a spec file, where its fields allow them
-SPEC_CHECKS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
-               "natural-flat", "homogeneity", "pencil-exactness", "pencil-homogeneity",
-               "flat-pencil")
 # the checks `verify --check NAME` runs
 SINGLE_CHECKS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
-                 "homogeneity", "levi-civita-flat", "natural-flat")
-_CONNECTION_CHECKS = ("torsionless", "flatness", "nabla-e", "product-compat", "nabla-from-g",
-                      "curvature-product", "r-tr", "nabla-nabla-E")
+                 "homogeneity", "levi-civita-flat", "flatness")
 
 
-def _chosen(spec: ManifoldSpec, comp: dict, keep) -> list:
-    """The checks that `keep` picks and whose `needs` the spec and its
-    companion data meet, in table order."""
-    return [c for c in CHECKS if keep(c) and all(
+def _chosen(spec: ManifoldSpec, comp: dict, flags=frozenset()) -> list:
+    """The checks, in table order, whose `needs` the spec, its companion
+    data `comp` and its expected values meet, and whose flag, if any, is
+    one of `flags`."""
+    return [c for c in CHECKS if (c.flag is None or c.flag in flags) and all(
         getattr(spec, key, None) is not None or key in comp or key in spec.expected
         for key in c.needs)]
 
@@ -435,25 +439,23 @@ def run_checks(spec: ManifoldSpec, comp: dict, names, points, tol: float = DEFAU
 def run_suite(source, seed: int = DEFAULT_SEED, count: int = DEFAULT_POINTS,
               tol: float = DEFAULT_TOL, check: str | None = None) -> SuiteResult:
     """Sample `count` points at `seed` and walk them once (`_walk`) with the
-    checks of `source`: a catalog entry's, picked by its flags, a bare
-    spec's (`SPEC_CHECKS`), picked by the fields it has, or a `Transform`'s;
-    with `check`, only that one of `SINGLE_CHECKS`."""
+    checks of `source`, a catalog entry or a bare spec: each row whose
+    inputs it has (`_chosen`) and whose flag, if any, the entry claims (a
+    spec file claims none); or a `Transform`'s rows; with `check`, only
+    that one of `SINGLE_CHECKS`."""
     spec = source if isinstance(source, ManifoldSpec) else source.spec
     points = sample_points(spec, SamplePlan(seed=seed, count=count))
     if isinstance(source, Transform):
         comp, checks, new = source.rows()
         return SuiteResult(spec.name, _walk(spec, comp, checks, points, tol), frozenset(),
                            transformed=new)
-    ent = source if isinstance(source, CatalogEntry) else None
-    comp = {} if ent is None else ent.companion
+    ent = source if isinstance(source, CatalogEntry) else CatalogEntry(spec)
     if check is not None:
         if check not in SINGLE_CHECKS:
             raise KeyError(check)
         checks = [_BY_NAME[check]]
-    elif ent is None:
-        checks = _chosen(spec, comp, lambda c: c.name in SPEC_CHECKS)
     else:
-        checks = _chosen(spec, comp, lambda c: c.flag in ent.flags)
-    expected_failures = ent.expected_failures if ent is not None and check is None else frozenset()
-    return SuiteResult(name=spec.name, reports=_walk(spec, comp, checks, points, tol),
+        checks = _chosen(spec, ent.companion, ent.flags)
+    expected_failures = ent.expected_failures if check is None else frozenset()
+    return SuiteResult(name=spec.name, reports=_walk(spec, ent.companion, checks, points, tol),
                        expected_failures=expected_failures)

@@ -45,9 +45,9 @@ import os
 import sys
 
 from . import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, __version__
-from .ode3d import (DEFAULT_ATOL, DEFAULT_ROWS, DEFAULT_RTOL, OdeState3, SingularPathError,
-                    SingularPointError, StepSizeUnderflowError, closed_form_pencil,
-                    closed_form_q0, integrate)
+from .ode3d import (COMPONENTS, DEFAULT_ATOL, DEFAULT_ROWS, DEFAULT_RTOL, OdeState3,
+                    SingularPathError, SingularPointError, StepSizeUnderflowError,
+                    closed_form_pencil, closed_form_q0, integrate)
 
 BRANCH_NOTE = "principal (cut on the negative real axis, +0j side)"
 
@@ -255,7 +255,7 @@ def cmd_ode(args) -> int:
     except ValueError as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
-    names = ["z", "F12", "F21", "F13", "F31", "F23", "F32", *(f"I{k}" for k in range(1, 9))]
+    names = ["z", *COMPONENTS, *(f"I{k}" for k in range(1, 9))]
     header = [f"{c}_{p}" for c in names for p in ("re", "im")] + ["dI1_abs", "dI2_abs"]
     lines = [",".join(header)]
     i0 = traj.I_start

@@ -244,7 +244,8 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
 
     Candidates are drawn and tested in blocks; the rows of one block are
     the successive draws of one candidate at a time, and candidates are
-    accepted in draw order, so the block size does not change the points."""
+    accepted in draw order, so the block size does not change the points.
+    A guard with an unbound parameter or coordinate raises `ej.EvalError`."""
     if plan.count < 1:
         raise PointCountError(f"need at least one sample point, got {plan.count}")
     region = required(spec.region, "sampling region")
@@ -266,10 +267,7 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
             diffs = np.abs(cands[:, :, None] - cands[:, None, :])
             diffs[:, np.arange(len(lo)), np.arange(len(lo))] = np.inf
             keep &= ~(diffs.min(axis=(1, 2)) < region.min_sep)
-        try:
-            guards = ej.eval_points(region.guards, cands, env, order=0)
-        except ej.EvalError:
-            continue
+        guards = ej.eval_points(region.guards, cands, env, order=0)
         keep &= [err is None for err in guards.errors]
         keep &= ~np.any(np.abs(guards.val.reshape(block, -1)) < region.guard_min, axis=1)
         points.extend(cands[keep][:plan.count - len(points)])

@@ -2,7 +2,7 @@
 integrals, closed-form solution families, and a generic embedded 5(4)
 Runge-Kutta integrator (Dormand-Prince pair).
 
-State component order is (F12, F21, F13, F31, F23, F32).  z = 0 and z = 1
+State component order is `COMPONENTS`.  z = 0 and z = 1
 are singular points of the system; integration requests whose straight-line
 path comes within `SING_MARGIN` of either are rejected, not regularized.
 
@@ -33,10 +33,10 @@ __all__ = [
     "CoordinateCollisionError", "ParameterSingularError",
     "rhs", "integrals", "first_integrals", "principal", "closed_form_q0", "closed_form_pencil",
     "dopri54", "integrate",
-    "F12", "F21", "F13", "F31", "F23", "F32", "Trajectory",
+    "COMPONENTS", "Trajectory",
 ]
 
-F12, F21, F13, F31, F23, F32 = range(6)
+COMPONENTS = ("F12", "F21", "F13", "F31", "F23", "F32")
 SING_MARGIN = 1e-3
 # the stepper's tolerances, and the dense rows of a trajectory
 DEFAULT_RTOL, DEFAULT_ATOL, DEFAULT_ROWS = 1e-10, 1e-12, 16
@@ -65,7 +65,7 @@ class ParameterSingularError(Exception):
 @dataclass
 class OdeState3:
     z: complex
-    F: tuple  # six Python complex, order (F12, F21, F13, F31, F23, F32)
+    F: tuple  # six Python complex, in the order of `COMPONENTS`
 
     def __post_init__(self):
         self.z = complex(self.z)
@@ -85,8 +85,7 @@ def _check_regular(z: complex):
 
 def rhs(z: complex, F: Sequence) -> list:
     """Right-hand sides of the six coupled equations at z, for F (a
-    sequence of six) in the order (F12, F21, F13, F31, F23, F32), as a
-    list."""
+    sequence of six) in the order of `COMPONENTS`, as a list."""
     zm1 = z - 1
     if abs(z) < SING_MARGIN or abs(zm1) < SING_MARGIN:  # `_check_regular`, inlined
         raise _singular_point(z)

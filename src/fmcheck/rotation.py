@@ -23,8 +23,8 @@ import numpy as np
 from . import exprjet as ej
 from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, PointBatch, Report, Residuals, amax,
                        fail_at, normalized, point_walk, table_jets, walk_row)
-from .ode3d import (SING_MARGIN, CoordinateCollisionError, ParameterSingularError, _pencil_F,
-                    _q0_F, _singular_point)
+from .ode3d import (COMPONENTS, SING_MARGIN, CoordinateCollisionError, ParameterSingularError,
+                    _pencil_F, _q0_F, _singular_point)
 from .tensor import eigenvalues
 
 __all__ = [
@@ -159,7 +159,7 @@ def _masks(n):
 def betas_from_F(F, u) -> np.ndarray:
     """beta_ij = F_ij / (u^max(i,j) - u^min(i,j)), the other entries 0, at
     a point or at each point of a batch: F (P, 6), u (P, 3)."""
-    i, j = np.array([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]).T  # of F12 .. F32
+    i, j = np.array([(int(name[1]) - 1, int(name[2]) - 1) for name in COMPONENTS]).T
     beta = np.zeros(np.shape(F)[:-1] + (3, 3), dtype=complex)
     beta[..., i, j] = F / (u[..., np.maximum(i, j)] - u[..., np.minimum(i, j)])
     return beta

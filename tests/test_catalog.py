@@ -133,15 +133,68 @@ def test_export_roundtrip_all_entries():
 
 
 def test_every_flag_picks_a_check():
-    # a flag that picks no check is dead: dropping any flag of any entry
+    # a flag names a claim the data cannot show.  Some entry claims each
+    # row's flag but levi-civita-flat's, which only `--check` runs; no row
+    # reads `homogeneous`, which the benchmark's D_fit check reads on the
+    # entries that declare D; and dropping any other flag of any entry
     # changes the suite's report names
     import dataclasses
+    row_flags = {c.flag for c in cat.CHECKS} - {None}
+    claimed = set().union(*(cat.entry(name).flags for name in cat.names()))
+    assert row_flags - claimed == {cat._BY_NAME["levi-civita-flat"].flag}
+    assert claimed - row_flags == {"homogeneous"}
     for name in cat.names():
         ent = cat.entry(name)
+        assert "homogeneous" not in ent.flags or "D" in ent.spec.expected, name
         full = [r.name for r in run_suite(ent, seed=0, count=2).reports]
-        for flag in ent.flags:
+        for flag in ent.flags - {"homogeneous"}:
             cut = dataclasses.replace(ent, flags=ent.flags - {flag})
             assert [r.name for r in run_suite(cut, seed=0, count=2).reports] != full, (name, flag)
+
+
+def test_rows_run_wherever_their_inputs_exist():
+    # an entry runs exactly the rows whose inputs (`needs`) its spec
+    # fields, expected values and companion tables hold and whose flag, if
+    # any, it claims; its exported spec file claims none and has no
+    # companion tables, so it runs exactly the entry's rows that read only
+    # spec fields: with a metric, every theorem row whose fields it has,
+    # and with a second metric every pencil row.  No entry or spec file
+    # runs a transform's rows
+    transform_rows = {"legendre-field", "transform-exprs", "match", "transform-metric",
+                      "homogeneous-legendre"}
+    for name in cat.names():
+        ent = cat.entry(name)
+        exported = ManifoldSpec.from_json(ent.spec.to_json())
+        fields = {key for key in ("g", "E", "g2") if getattr(ent.spec, key) is not None}
+        fields |= set(ent.spec.expected)
+        entry_rows, spec_rows = ([r.name for r in run_suite(source, seed=0, count=2).reports]
+                                 for source in (ent, exported))
+        for rows, inputs, flags in ((entry_rows, fields | set(ent.companion), ent.flags),
+                                    (spec_rows, fields, frozenset())):
+            assert rows == [c.name for c in cat.CHECKS
+                            if set(c.needs) <= inputs and (c.flag is None or c.flag in flags)], name
+            assert not transform_rows & set(rows), name
+        assert spec_rows == [row for row in entry_rows if cat._BY_NAME[row].flag is None
+                             and set(cat._BY_NAME[row].needs) <= fields], name
+        assert {"product-axioms", "hertling-manin"} <= set(spec_rows), name
+        if "g" in fields:
+            assert {"metric-invariance", "killing-unit", "torsionless", "flatness", "nabla-e",
+                    "product-compat", "nabla-from-g", "curvature-product", "r-tr"} <= set(
+                        spec_rows), name
+        if "g2" in fields:
+            assert {"pencil-exactness", "flat-pencil", "product-from-pencil",
+                    *(f"reconstructed/{row}" for row in cat._THEOREMS)} <= set(spec_rows), name
+
+
+def test_every_expected_failure_runs_and_fails():
+    # an entry's expected failure is a negative control: its `verify` runs
+    # the row, and the row fails on every seed
+    for name in cat.names():
+        ent = cat.entry(name)
+        for seed in range(5):
+            reports = {r.name: r for r in run_suite(ent, seed=seed, count=20).reports}
+            for row in ent.expected_failures:
+                assert row in reports and not reports[row].passed, (name, row, seed)
 
 
 def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
@@ -256,7 +309,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         for k, gamma in enumerate(curved):
             assert not any(np.shares_memory(gamma, other) for other in curved[:k]), what
 
-    rotation_flags = {"darboux", "lame", "ed4", "ed4bis", "ed5b", "potentiality"}
+    rotation_flags = {"ed4", "ed4bis", "ed5b", "potentiality"}
     for name in cat.names():
         ent = cat.entry(name)
         pts = [tuple(np.asarray(p, dtype=complex))
@@ -276,11 +329,11 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         christoffel.clear()
         curved.clear()
         run_suite(ent, seed=0, count=10)
-        needs_rotation = bool(ent.flags & rotation_flags) or "V_eigenvalues" in ent.spec.expected
+        needs_rotation = bool(ent.flags & rotation_flags) or "lame" in ent.companion
         assert built["structure"] == [pts], name
         assert built["rotation"] == ([pts] if needs_rotation else []), name
-        assert built["fields"] == ([pts] if "flat-normal-bundle" in ent.flags else []), name
-        assert built["pencil"] == ([pts] if "pencil" in ent.flags else []), name
+        assert built["fields"] == ([pts] if "normal_bundle" in ent.companion else []), name
+        assert built["pencil"] == ([pts] if ent.spec.g2 is not None else []), name
         check_inverses(metrics, name)
         orders = check_runs(ent.spec, pts, chart_values, name)
         tables = {table for table, _ in orders}
@@ -370,7 +423,7 @@ def test_row_data_cuts_array_batches_to_the_row_points():
     ent = cat.entry("af-pencil-n3")
     points = sample_points(ent.spec, SamplePlan(seed=0, count=25))
     walk = cat._Walk(ent.spec, ent.companion, points)
-    checks = cat._chosen(ent.spec, ent.companion, lambda c: c.flag in ent.flags)
+    checks = cat._chosen(ent.spec, ent.companion, ent.flags)
     assert {"flat-pencil", "reconstructed/flatness"} <= {c.name for c in checks}
     for check in checks:
         assert len(check.at(walk).scale) == 25, check.name
@@ -499,7 +552,7 @@ def test_only_batches_with_imaginary_parts_stay_complex():
         ent = cat.entry(name)
         points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
         walk = cat._Walk(ent.spec, ent.companion, points)
-        for check in cat._chosen(ent.spec, ent.companion, lambda c: c.flag in ent.flags):
+        for check in cat._chosen(ent.spec, ent.companion, ent.flags):
             check.at(walk)
         for key, a in _walk_arrays(walk):
             if a.dtype == np.complex128:
@@ -529,16 +582,16 @@ def test_flat_pencil_is_real_on_real_data():
 def test_a_complex_parameter_keeps_the_walk_complex():
     # q0-d0 with a = 1.1+0.3i, the [re, im] pair a spec file or `--param`
     # gives: the metric and all built on it carry imaginary parts, stay
-    # complex128, and all 21 of its rows pass
+    # complex128, and all 22 of its rows pass
     ent = cat.entry("q0-d0")
     doc = json.loads(ent.spec.to_json())
     doc["params"]["a"] = [1.1, 0.3]
     spec = ManifoldSpec.from_dict(doc)
     assert spec.params["a"] == 1.1 + 0.3j
     points = sample_points(spec, SamplePlan(seed=0, count=20))
-    checks = cat._chosen(spec, ent.companion, lambda c: c.flag in ent.flags)
+    checks = cat._chosen(spec, ent.companion, ent.flags)
     reports = cat.run_checks(spec, ent.companion, [c.name for c in checks], points)
-    assert len(reports) == 21
+    assert len(reports) == 22
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
     walk = cat._Walk(spec, ent.companion, points)
     for check in checks:

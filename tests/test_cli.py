@@ -10,6 +10,7 @@ import pytest
 
 import fmcheck.catalog as cat
 from fmcheck.cli import main
+from fmcheck.ode3d import COMPONENTS
 
 
 def run_cli(argv):
@@ -93,9 +94,21 @@ def test_ode_q0_endpoint_matches_closed_form():
     header = lines[0].split(",")
     last = dict(zip(header, (float(v) for v in lines[-1].split(","))))
     want = closed_form_q0(5.0, 1, 1)
-    for i, comp in enumerate(("F12", "F21", "F13", "F31", "F23", "F32")):
+    for i, comp in enumerate(COMPONENTS):
         got = complex(last[f"{comp}_re"], last[f"{comp}_im"])
         assert abs(got - want.F[i]) < 1e-7
+
+
+def test_ode_csv_header_follows_the_component_order():
+    # z, the six components in `ode3d.COMPONENTS` order and I1..I8, each as
+    # a real and an imaginary column, then the two integral drifts
+    code, out, _ = run_cli(["ode", "--init", "pencil63", "--from", "2", "--to", "3",
+                            "--steps", "2"])
+    assert code == 0
+    names = ["z", *COMPONENTS, *(f"I{k}" for k in range(1, 9))]
+    assert out.splitlines()[0].split(",") == [
+        f"{name}_{part}" for name in names for part in ("re", "im")] + ["dI1_abs", "dI2_abs"]
+    assert COMPONENTS == ("F12", "F21", "F13", "F31", "F23", "F32")
 
 
 def test_ode_q0_parameters_are_read_only_by_q0():
@@ -274,7 +287,7 @@ def test_golden_report_fixtures(tmp_path):
                        ("af_pencil_n3_spec_verify.json",
                         ["verify", str(spec_path), "--points", "8", "--seed", "0"]),
                        ("q0d0_natural_flat_verify.json",
-                        ["verify", "q0-d0", "--check", "natural-flat", "--points", "6",
+                        ["verify", "q0-d0", "--check", "flatness", "--points", "6",
                          "--seed", "0"]),
                        ("q0dm1_X3_legendre.json",
                         ["legendre", "q0-d-minus1", "--field", "X3", "--target", "q0-d1",
@@ -443,6 +456,11 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
     for key, value in numbers.items():
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(value))
+    # a region guard with an unbound parameter, or a coordinate beyond n
+    q0 = json.loads(cat.entry("q0-d0").spec.to_json())
+    for key, guard in (("unbound-guard", "u1-kk"), ("coordinate-guard", "u4")):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps({**q0, "region": {**q0["region"], "guards": [guard]}}))
     # a spec file without its product, among other fields
     paths["missing"] = tmp_path / "missing.json"
     paths["missing"].write_text(json.dumps({"n": 2}))
@@ -472,6 +490,11 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["verify", str(paths["singular-third"])],
                         singular(3) + ": SingularMatrixError: matrix is numerically singular"),
                        (["verify", str(paths["unparseable"])], "cannot parse '1+'"),
+                       # before any point is drawn
+                       (["verify", str(paths["unbound-guard"])],
+                        "input error: unbound parameter 'kk'"),
+                       (["verify", str(paths["coordinate-guard"])],
+                        "input error: coordinate u4 out of range for dimension 3"),
                        # a missing field is named as a malformed one is
                        (["verify", str(paths["missing"])], "spec error: product: missing"),
                        # a spec path that cannot be read is named with the reason

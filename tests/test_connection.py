@@ -114,9 +114,11 @@ def test_half_plane_curvature_golden():
 
 
 def test_theorem_connection_suite_over_killing_entries():
-    killing = [n for n in cat.names() if "riemannian-f-killing" in cat.entry(n).flags]
-    assert len(killing) >= 6
-    for name in killing:
+    # the natural connection's rows hold on every Riemannian F-manifold:
+    # every entry with a metric
+    metric = [n for n in cat.names() if cat.entry(n).spec.g is not None]
+    assert len(metric) >= 10
+    for name in metric:
         spec = cat.entry(name).spec
         pts = sample_points(spec, SamplePlan(seed=9, count=5))
         # each report's residual is its worst over the five points
@@ -488,7 +490,7 @@ def test_batched_functions_and_rows_equal_single_point_runs():
     cond = np.linalg.cond(np.einsum("...msl,...l->...ms", pa.gamma1 - pa.gamma2, pa.E))
     assert pa.diagonal.all() and (cond <= 1e8).any() and (cond > 1e8).any()
     entries = [(name, cat.entry(name)) for name in cat.names()]
-    entries.append(("semisimple-both-routes", cat.CatalogEntry(both, frozenset({"pencil"}))))
+    entries.append(("semisimple-both-routes", cat.CatalogEntry(both)))
     names = set()
     sources = []
     for name, ent in entries:
@@ -501,10 +503,8 @@ def test_batched_functions_and_rows_equal_single_point_runs():
             for k, st in enumerate(singles):
                 _same(result, fn(st), (name, fn_name, k), k)
             names.add(fn_name)
-        rows = [c for c in cat.CHECKS if (
-            c.flag in ent.flags or c.flag is None and c.name in cat.SINGLE_CHECKS and spec.g)
-            and all(getattr(spec, key, None) is not None or key in comp or key in spec.expected
-                    for key in c.needs)]
+        # and levi-civita-flat, whose claim no entry makes
+        rows = cat._chosen(spec, comp, ent.flags | {cat._BY_NAME["levi-civita-flat"].flag})
         sources.append((name, spec, comp, pts, rows))
     source = cat.entry("q0-d-minus1")
     fields = source.companion["legendre_fields"]
@@ -534,10 +534,10 @@ def test_batched_functions_and_rows_equal_single_point_runs():
                 want = row.at(cat._Walk(spec, comp, [p]))
                 _same(at(got, k), at(want, 0), (name, row.name, k))
             names.add("match" if row.name.startswith("match-") else row.name)
-    # 44 rows, and the 14 theorem rows of the structure rebuilt from the pencil
-    assert len([c for c in cat.CHECKS if c.name in names]) == len(cat.CHECKS) == 44 + 14
+    # 43 rows, and the 14 theorem rows of the structure rebuilt from the pencil
+    assert len([c for c in cat.CHECKS if c.name in names]) == len(cat.CHECKS) == 43 + 14
     # every row and at least 59 batched functions
-    assert len(names) >= 44 + 14 + 59
+    assert len(names) >= 43 + 14 + 59
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -572,7 +572,7 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
              "lauricella-eps-minus1-n3", "pencil-63", "case-i")
     runs = [(cat.entry(name), None) for name in names]
     runs += [(cat.entry("lobachevsky"), "levi-civita-flat"),
-             (cat.entry("lobachevsky"), "natural-flat")]
+             (cat.entry("lobachevsky"), "flatness")]
     source = cat.entry("q0-d-minus1")
     x2 = source.companion["legendre_fields"]["X2"]
     runs.append((cat.Transform(source.spec, x2, "X2", "q0-d0"), None))

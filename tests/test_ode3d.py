@@ -5,11 +5,13 @@ import pytest
 
 from fmcheck import ode3d
 from fmcheck.exprjet import eval_jet, parse
-from fmcheck.ode3d import (F12, F21, F31, CoordinateCollisionError, OdeState3,
+from fmcheck.ode3d import (COMPONENTS, CoordinateCollisionError, OdeState3,
                            ParameterSingularError, SingularPathError, SingularPointError,
                            closed_form_pencil, closed_form_q0, dopri54, integrals, integrate,
                            rhs)
 from fmcheck.rotation import betas_from_F, closed_forms
+
+F12, F21, F31 = (COMPONENTS.index(name) for name in ("F12", "F21", "F31"))
 
 
 def z_of(u):
@@ -392,6 +394,16 @@ def test_constraint_rank_drops_on_q0_variety():
 def test_zero_state_beta_is_zero():
     b = betas_from_F(np.asarray(OdeState3(2.0, np.zeros(6)).F), np.array([0.0, 1.0, 2.0]))
     assert np.max(np.abs(b)) == 0.0
+
+
+def test_each_component_gives_the_beta_of_its_pair():
+    # Fij alone is beta_ij times |u^j - u^i|, and every other beta is 0
+    u = np.array([0.0, 1.0, 3.0])
+    pairs = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
+    for k, (name, (i, j)) in enumerate(zip(COMPONENTS, pairs, strict=True)):
+        want = np.zeros((3, 3))
+        want[i, j] = 1 / abs(u[j] - u[i])
+        assert np.array_equal(betas_from_F(np.eye(6)[k], u), want), name
 
 
 def test_det_w_vanishes_on_nonsymmetric_variety():
