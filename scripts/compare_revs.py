@@ -27,17 +27,18 @@ runs through `catalog.run_checks`):
   one run at `--rtol 1e-8 --atol 1e-10` and one from a random `--state`;
 - `catalog list`, and `catalog export` of every entry;
 - the unevaluable specs and arguments of the CLI's bad-input test (the
-  spec directory given as a spec path, and a spec file that lacks its
-  fields, among them), a spec file that is not UTF-8, q0-d0's spec file
-  with a region guard that names an unbound parameter or a coordinate
-  beyond its dimension, a non-finite `--param` and spec files with a
-  non-finite parameter, box bound, `min_sep` (NaN, or an integer beyond
-  a float's range) or `guard_min` or a reversed box pair, `catalog`
-  without an entry name to export or with one to list, `legendre` with a `--field`
-  of the wrong length, a named field the entry lacks or on an entry with
-  none, a complex `--param` and `ode --from` with an infinite part, `ode`
-  with 11 floats, a path through z = 1, a non-finite state and a
-  non-finite or negative `--drift-tol`, and
+  spec directory given as a spec path, a spec file that lacks its fields,
+  and lobachevsky's spec with e singular at sample 5 and g at sample 3,
+  the reverse, or both at sample 3, among them), a spec file that is not
+  UTF-8, q0-d0's spec file with a region guard that names an unbound
+  parameter or a coordinate beyond its dimension, a non-finite `--param`
+  and spec files with a non-finite parameter, box bound, `min_sep` (NaN,
+  or an integer beyond a float's range) or `guard_min` or a reversed box
+  pair, `catalog` without an entry name to export or with one to list,
+  `legendre` with a `--field` of the wrong length, a named field the entry
+  lacks or on an entry with none, a complex `--param` and `ode --from`
+  with an infinite part, `ode` with 11 floats, a path through z = 1, a
+  non-finite state and a non-finite or negative `--drift-tol`, and
   `verify`, `legendre` and `ode` with an `--output` path that cannot be
   written (the spec directory, or a file in a missing directory).
 
@@ -56,7 +57,10 @@ paths.  Each run is classified as
   report (a CSV header, the number of rows) differs; the run lists each
   such difference, as the exit code, stderr or the path in the report
   (`report` alone where the stdout is neither a JSON report nor a CSV),
-  with its value on each side.
+  with its value on each side.  A report's rows are matched by name: the
+  rows that only one side runs are listed apart, as added or removed, and
+  the numbers that moved in the rows both sides run are listed as for a
+  moved run.
 
 Then every expression table of every catalog entry (the spec's tables
 and the companion tables, as `tests/test_exprjet.py::_catalog_tables`
@@ -134,7 +138,8 @@ for name in cat.names():
     with open(f"{specs}/{name}.json", "w") as fh:
         fh.write(cat.entry(name).spec.to_json())
 doc = json.loads(cat.entry("lobachevsky").spec.to_json())
-x3 = float(sample_points(cat.entry("lobachevsky").spec, SamplePlan(seed=0, count=4))[3][0])
+samples = sample_points(cat.entry("lobachevsky").spec, SamplePlan(seed=0, count=6))
+x3, x5 = float(samples[3][0]), float(samples[5][0])
 bad = {"table": {**doc, "product": {"table": [[["1", "0"], ["0", "0"]],
                                               [["0", "0"], ["0", "1"]]]}}}
 for key, g in (("unbound", [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]),
@@ -144,6 +149,9 @@ for key, g in (("unbound", [["k*2/(x-y)^2", "0"], ["0", "k*2/(x-y)^2"]]),
                ("singular-third", [[f"x-{x3!r}", "0"], ["0", "2/(x-y)^2"]]),
                ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]])):
     bad[key] = {**doc, "g": g}
+for key, xe, xg in (("e5-g3", x5, x3), ("e3-g5", x3, x5), ("e3-g3", x3, x3)):
+    bad[key] = {**doc, "e": [f"1+ln(x-{xe!r})", "1"],
+                "g": [[f"2/(x-y)^2+1/(x-{xg!r})", "0"], ["0", "2/(x-y)^2"]]}
 bad["missing"] = {"n": 2}
 q0 = json.loads(cat.entry("q0-d0").spec.to_json())
 for key, guard in (("unbound-guard", "u1-kk"), ("coordinate-guard", "u4")):
@@ -221,8 +229,8 @@ BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "case-i", "--check", "metric-invariance"]),
        *(["verify", f"{{specs}}/bad-{key}.json"]
          for key in ("unbound", "divzero", "zero", "third", "singular-third", "unparseable",
-                     "missing", "binary", "unbound-guard", "coordinate-guard", "nan-param",
-                     "nan-box", "inf-box", "reversed-box", "nan-min-sep", "huge-min-sep",
+                     "e5-g3", "e3-g5", "e3-g3", "missing", "binary", "unbound-guard",
+                     "coordinate-guard", "nan-param", "nan-box", "inf-box", "reversed-box", "nan-min-sep", "huge-min-sep",
                      "inf-guard-min")),
        (["verify", "{specs}/bad-divzero.json", "--check", "homogeneity"]),
        (["legendre", "q0-d-minus1", "--field", "1+,1,1"]),
@@ -312,22 +320,46 @@ def run_side(root: Path, argvs: list, specs: str) -> list:
     return json.loads(proc.stdout)
 
 
-def _diff(base, head, path: str, moved: list, changed: list) -> None:
-    """Collect where `head` differs from `base`, as (path, base, head): in
-    `moved` where both are numbers, in `changed` where anything else
-    differs (a verdict, a string, the keys of a dict, a list's length)."""
+def _by_name(rows) -> dict | None:
+    """A list of named rows (a report's) by name, or None where some item
+    has no name or two share one."""
+    names = [row.get("name") if isinstance(row, dict) else None for row in rows]
+    if None in names or len(set(names)) < len(names):
+        return None
+    return dict(zip(names, rows))
+
+
+def _diff(base, head, path: str, out: dict) -> None:
+    """Collect where `head` differs from `base` into `out`: as (path, base,
+    head) in "moved" where both are numbers and in "changed" where anything
+    else differs (a verdict, a string, the keys of a dict, a list's length);
+    and, in two lists of named rows, matched by name, the paths of the rows
+    only `head` has in "added" and of those only `base` has in "removed"
+    (a change of order among the rows both have is changed)."""
     if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (base, head)):
         if base != head:
-            moved.append((path, base, head))
+            out["moved"].append((path, base, head))
     elif isinstance(base, dict) and isinstance(head, dict) and base.keys() == head.keys():
         for k in base:
-            _diff(base[k], head[k], f"{path}/{k}", moved, changed)
-    elif isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
-        for i, (b, h) in enumerate(zip(base, head)):
-            name = b["name"] if isinstance(b, dict) and "name" in b else i
-            _diff(b, h, f"{path}/{name}", moved, changed)
+            _diff(base[k], head[k], f"{path}/{k}", out)
+    elif isinstance(base, list) and isinstance(head, list):
+        rows = _by_name(base), _by_name(head)
+        if None not in rows:
+            out["removed"] += [f"{path}/{name}" for name in rows[0] if name not in rows[1]]
+            out["added"] += [f"{path}/{name}" for name in rows[1] if name not in rows[0]]
+            both = [[name for name in side if name in other]
+                    for side, other in (rows, rows[::-1])]
+            if both[0] != both[1]:
+                out["changed"].append((f"{path} (order)", both[0], both[1]))
+            for name in both[0]:
+                _diff(rows[0][name], rows[1][name], f"{path}/{name}", out)
+        elif len(base) == len(head):
+            for i, (b, h) in enumerate(zip(base, head)):
+                _diff(b, h, f"{path}/{i}", out)
+        else:
+            out["changed"].append((path, base, head))
     elif base != head:
-        changed.append((path, base, head))
+        out["changed"].append((path, base, head))
 
 
 def _document(out: str):
@@ -347,28 +379,31 @@ def _document(out: str):
 def classify(base: dict, head: dict) -> dict:
     """identical, moved (with the moved numbers, the largest |change| and
     whether all are inside the golden margin) or changed (with what
-    changed, and its value on each side)."""
+    changed, and its value on each side, the rows added and removed, and
+    the numbers moved in the rows both sides run)."""
     if base == head:
         return {"kind": "identical"}
     parts = (("exit code", "code"), ("stderr", "err"))
     changes = [(part, base[key], head[key]) for part, key in parts if base[key] != head[key]]
-    moved: list = []
+    out: dict = {"moved": [], "changed": [], "added": [], "removed": []}
     try:
         docs = _document(base["out"]), _document(head["out"])
     except ValueError:
         if base["out"] != head["out"]:
             changes.append(("report", base["out"], head["out"]))
     else:
-        report: list = []
-        _diff(*docs, "", moved, report)
-        changes += [(f"report{path}", b, h) for path, b, h in report]
-    if changes:
-        return {"kind": "changed", "changes": changes}
+        _diff(*docs, "", out)
+        changes += [(f"report{path}", b, h) for path, b, h in out["changed"]]
+    moved = out["moved"]
     floats = [m for m in moved if isinstance(m[1], float) or isinstance(m[2], float)]
-    return {"kind": "moved", "values": floats,
-            "integers": [m for m in moved if m not in floats],
-            "max_abs": max((abs(h - b) for _, b, h in floats), default=0.0),
-            "inside_margin": all(abs(h - b) <= 1e-12 + 1e-6 * abs(b) for _, b, h in floats)}
+    numbers = {"values": floats, "integers": [m for m in moved if m not in floats],
+               "max_abs": max((abs(h - b) for _, b, h in floats), default=0.0),
+               "inside_margin": all(abs(h - b) <= 1e-12 + 1e-6 * abs(b) for _, b, h in floats)}
+    if changes or out["added"] or out["removed"]:
+        return {"kind": "changed", "changes": changes,
+                **{key: [f"report{path}" for path in out[key]] for key in ("added", "removed")},
+                **numbers}
+    return {"kind": "moved", **numbers}
 
 
 def _clip(value, width: int = 200) -> str:
@@ -451,15 +486,17 @@ def main() -> int:
         if res["kind"] == "identical":
             continue
         line = f"{res['kind']:<8} {' '.join(res['argv'])}"
-        if res["kind"] == "moved":
+        if res["kind"] == "moved" or res["values"]:
             line += (f"  max|d|={res['max_abs']:.2e}"
                      f" {'inside' if res['inside_margin'] else 'OUTSIDE'} margin")
-            line += "".join(f"\n           {path}: {b!r} -> {h!r}" for path, b, h in res["values"])
-            line += "".join(f"\n           {path}: {b!r} -> {h!r} (integer)"
-                            for path, b, h in res["integers"])
-        else:
+        if res["kind"] == "changed":
             line += "".join(f"\n           {part}: {_clip(b)} -> {_clip(h)}"
                             for part, b, h in res["changes"])
+            line += "".join(f"\n           {key} row {path}"
+                            for key in ("added", "removed") for path in res[key])
+        line += "".join(f"\n           {path}: {b!r} -> {h!r}" for path, b, h in res["values"])
+        line += "".join(f"\n           {path}: {b!r} -> {h!r} (integer)"
+                        for path, b, h in res["integers"])
         print(line)
     outside = sum(res["kind"] == "moved" and not res["inside_margin"] for res in results)
     integers = sum(res["kind"] == "moved" and bool(res["integers"]) for res in results)

@@ -36,8 +36,8 @@ from .ode3d import first_integrals
 from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at, pencil_data,
                      pencil_homogeneity_at, pencil_weight, product_from_pencil_at,
                      r_operator_at, reconstructed_at)
-from .rotation import (ZeroLameError, algebraic_constraints_at, betas_from_F, closed_forms,
-                       darboux_at, flatness_constraint_at, lame_system_at, potentiality_at,
+from .rotation import (algebraic_constraints_at, betas_from_F, closed_forms, darboux_at,
+                       flatness_constraint_at, lame_system_at, potentiality_at,
                        reduction_identity_at, rotations)
 from .tensor import SingularMatrixError, contract, eigenvalues, merge_close
 
@@ -113,8 +113,7 @@ class SingularSampleError(Exception):
     """A check's data cannot be evaluated at a sample point."""
 
 
-_SINGULAR = (ej.DomainError, SingularMatrixError, AllEntriesZeroError, ZeroLameError,
-             JacobianSingularError)
+_SINGULAR = (ej.DomainError, SingularMatrixError, AllEntriesZeroError, JacobianSingularError)
 
 
 def _table_gap(conn: ConnectionAt, printed: ConnectionAt):
@@ -142,7 +141,7 @@ _BATCHED = {
     # the structure connection, from its closed-form table where there is one
     "conn": lambda w: w.printed if "gamma" in w.comp else w.nat,
     "dual": lambda w: dual_structure(w.st, w.nat),
-    "rd": lambda w: rotations(w.spec, w.points, lame_exprs=w.comp.get("lame")),
+    "rd": lambda w: rotations(w.points, w.table("lame", 2)),
     "fields": lambda w: spanning_fields(w.companion("normal_bundle"), w.points, w.spec.n,
                                         w.env),
     "pa": lambda w: pencil_data(w.st, w.ginv, w.lc),
@@ -287,10 +286,11 @@ CHECKS = (
     Check("darboux-system", lambda b: darboux_at(b.rd), needs=("lame",)),
     Check("reduction-identity", lambda b: reduction_identity_at(b.rd), needs=("lame",)),
     Check("lame-system", _lame_system_at, needs=("lame",), fit="d"),
-    Check("flatness-constraint", lambda b: flatness_constraint_at(b.rd), "ed4"),
-    Check("algebraic-ED4bis", lambda b: algebraic_constraints_at(b.rd, "ED4bis"), "ed4bis"),
-    Check("algebraic-ED5b", lambda b: algebraic_constraints_at(b.rd, "ED5b"), "ed5b"),
-    Check("potentiality", lambda b: potentiality_at(b.rd), "potentiality"),
+    Check("flatness-constraint", lambda b: flatness_constraint_at(b.rd), "ed4", ("lame",)),
+    Check("algebraic-ED4bis", lambda b: algebraic_constraints_at(b.rd, "ED4bis"), "ed4bis",
+          ("lame",)),
+    Check("algebraic-ED5b", lambda b: algebraic_constraints_at(b.rd, "ED5b"), "ed5b", ("lame",)),
+    Check("potentiality", lambda b: potentiality_at(b.rd), "potentiality", ("lame",)),
     Check("v-eigenvalues", _v_eigenvalue_gap, needs=("lame", "V_eigenvalues")),
     Check("ode-integrals", _ode_integrals_at, needs=("ode_family", "I1", "I2"),
           tol=lambda tol: 1e-10),

@@ -293,24 +293,20 @@ def product_jets(product: str, n: int):
 
 def structures(spec: ManifoldSpec, points) -> StructureAt:
     """The structure at all of `points`, shape (P, n), as one batch: each
-    of the spec's tables runs once over all the points.  The first point
-    where one is singular raises the first such table's domain error."""
+    of the spec's tables runs once over all the points (`table_jets`), in
+    the order product, e, E, g, g2, and the first singular one raises at
+    its first singular point; so `lowest_failure` names the lowest point
+    where any table is singular, with the first such table's error."""
     env = spec.env()
     points = np.asarray(points).reshape(-1, spec.n)
-    tables = [spec.product if not isinstance(spec.product, str) else None,
-              spec.e, spec.E, spec.g, spec.g2]
-    runs = [None if t is None else ej.eval_points(t, points, env) for t in tables]
-    first = [next((err for err in errs if err is not None), None)
-             for errs in zip(*(run.errors for run in runs if run is not None))]
-    fail_at([err is not None for err in first], lambda k: ej.DomainError(first[k[0]]))
-    if runs[0] is None:
+    if isinstance(spec.product, str):
         product = [np.broadcast_to(part, (len(points),) + part.shape)
                    for part in product_jets(spec.product, spec.n)]
     else:
-        product = [runs[0].val, runs[0].grad, runs[0].hess]
-    return StructureAt(spec.n, points, *product,
-                       *[part for run in runs[1:]
-                         for part in ((run.val, run.grad, run.hess) if run else (None,) * 3)])
+        product = table_jets(spec.product, points, env)
+    fields = [table_jets(t, points, env) if t is not None else (None,) * 3
+              for t in (spec.e, spec.E, spec.g, spec.g2)]
+    return StructureAt(spec.n, points, *product, *[part for jets in fields for part in jets])
 
 
 def structure_at(spec: ManifoldSpec, point) -> StructureAt:

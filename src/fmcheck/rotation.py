@@ -1,16 +1,11 @@
 """Semisimple canonical-coordinate machinery: Lame coefficients, rotation
 coefficients, and the overdetermined first-order systems they satisfy.
 
-Branch policy for H_i = sqrt(g_ii): when the spec carries closed-form Lame
-expressions those are evaluated directly (no square root ambiguity); when H
-is derived from the metric, the principal branch is taken at each point and
-`rotations` continues the sign choice along the points, in order.  Chosen
-signs are recorded on the data object.
-
-As the structure (`manifold.structures`), the rotation data of a batch of
-points carry a leading point axis, and the first point where they cannot be
-built raises there; the residual functions (`*_at`) return their
-`Residuals` at each point, and at one point (`rotation_data`) scalars.
+The rotation data come from an entry's Lame table alone, whose closed-form
+H_i carry their own branch: a source without one has no rotation rows.  As
+the structure (`manifold.structures`), the rotation data of a batch of
+points carry a leading point axis; the residual functions (`*_at`) return
+their `Residuals` at each point, and at one point (`rotation_data`) scalars.
 """
 
 from __future__ import annotations
@@ -20,28 +15,18 @@ from typing import Sequence
 
 import numpy as np
 
-from . import exprjet as ej
 from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, PointBatch, Report, Residuals, amax,
-                       fail_at, normalized, point_walk, table_jets, walk_row)
+                       fail_at, normalized, point_walk, walk_row)
 from .ode3d import (COMPONENTS, SING_MARGIN, CoordinateCollisionError, ParameterSingularError,
                     _pencil_F, _q0_F, _singular_point)
 from .tensor import eigenvalues
 
 __all__ = [
-    "RotationData", "NonDiagonalMetricError", "ZeroLameError",
-    "rotation_data", "rotations", "lame_weight", "v_matrix",
+    "RotationData", "rotation_data", "rotations", "lame_weight", "v_matrix",
     "check_darboux_system", "check_lame_system", "check_flatness_constraint",
     "check_algebraic_constraints", "check_potentiality",
     "check_reduction_identity", "betas_from_F", "closed_forms",
 ]
-
-
-class NonDiagonalMetricError(Exception):
-    pass
-
-
-class ZeroLameError(Exception):
-    pass
 
 
 @dataclass
@@ -54,81 +39,28 @@ class RotationData(PointBatch):
     beta: np.ndarray     # beta[i,j] = d_j H_i / H_j, diagonal zeroed
     dbeta: np.ndarray    # dbeta[i,j,k] = d_k beta_ij
     V: np.ndarray        # V[i,j] = (u^j - u^i) beta_ij
-    signs: np.ndarray    # branch signs applied on top of the principal sqrt
 
 
-def _lame_jets_from_metric(g, dg, ddg):
-    """Principal-branch jets of H_i = sqrt(g_ii) from the metric jets at
-    each point of a batch; the first point where the metric is not
-    diagonal, or a g_ii vanishes, raises."""
-    count, n = g.shape[:2]
-    diag = np.arange(n)
-    gd = g[:, diag, diag]
-    off = np.where(np.eye(n, dtype=bool), 0, g)
-    fail_at(amax(off, 2) > 1e-12 * (1 + amax(g, 2)),
-            lambda k: NonDiagonalMetricError("metric is not diagonal at this point"))
-    zero = gd == 0
-    fail_at(zero.any(axis=1),
-            lambda k: ZeroLameError(f"g_{np.argmax(zero[k])}{np.argmax(zero[k])} vanishes "
-                                    "at this point"))
-    H, dH, ddH = ej.jet_sqrt((gd.reshape(-1), dg[:, diag, diag].reshape(-1, n),
-                              ddg[:, diag, diag].reshape(-1, n, n)), 2, lambda *_: None)
-    return H.reshape(count, n), dH.reshape(count, n, n), ddH.reshape(count, n, n, n)
-
-
-def _continued_signs(H):
-    """The branch signs along the points of a batch, in one scan: the first
-    point keeps the principal branch, and each next point's H_i takes the
-    sign that puts it nearer the previous point's signed H_i (a tie keeps
-    the principal branch)."""
-    near = (np.abs(H[1:] - H[:-1]) <= np.abs(H[1:] + H[:-1])).tolist()
-    far = (np.abs(H[1:] + H[:-1]) <= np.abs(H[1:] - H[:-1])).tolist()
-    signs = [[1.0] * H.shape[1]]
-    for near_k, far_k in zip(near, far):
-        signs.append([1.0 if (up if s > 0 else down) else -1.0
-                      for s, up, down in zip(signs[-1], near_k, far_k)])
-    return np.array(signs)
-
-
-def _from_lame_jets(point, H, dH, ddH, signs) -> RotationData:
-    """Rotation data from the Lame jets over a batch, with the branch of
-    each H_i flipped where `signs` is -1."""
+def rotations(points, lame: Jets) -> RotationData:
+    """Lame coefficients, rotation coefficients and their first derivatives
+    at all of `points`, shape (P, n), as one batch, from the jets `lame` of
+    a Lame table over them (`_Walk.table`)."""
+    H, dH, ddH = lame
     n = H.shape[-1]
-    flip = np.any(signs < 0, axis=-1)
-    if flip.any():
-        H = np.where(flip[:, None], signs * H, H)
-        dH = np.where(flip[:, None, None], signs[..., None] * dH, dH)
-        ddH = np.where(flip[:, None, None, None], signs[..., None, None] * ddH, ddH)
     off = ~np.eye(n, dtype=bool)
     Hj = H[:, None, :]
     with np.errstate(all="ignore"):  # a closed-form H_j may vanish
         beta = np.where(off, dH / Hj, 0)
         dbeta = np.where(off[..., None], (ddH * Hj[..., None] - dH[..., None] * dH[:, None])
                          / (Hj ** 2)[..., None], 0)
-    V = (point[:, None, :] - point[:, :, None]) * beta
-    return RotationData(n=n, point=point, H=H, dH=dH, ddH=ddH,
-                        beta=beta, dbeta=dbeta, V=V, signs=signs)
+    V = (points[:, None, :] - points[:, :, None]) * beta
+    return RotationData(n=n, point=points, H=H, dH=dH, ddH=ddH, beta=beta, dbeta=dbeta, V=V)
 
 
-def rotations(spec: ManifoldSpec, points,
-              lame_exprs: Sequence[str] | None = None) -> RotationData:
+def rotation_data(spec: ManifoldSpec, point, lame_exprs: Sequence[str]) -> RotationData:
     """Lame coefficients, rotation coefficients and their first derivatives
-    at all of `points`, shape (P, n), as one batch: the Lame table (or the
-    metric) runs once over the points, and the branch of each
-    metric-derived Lame coefficient is continued from point to point.  The
-    first point where the data cannot be built raises."""
-    points = np.asarray(points).reshape(-1, spec.n)
-    jets = table_jets(spec.g if lame_exprs is None else lame_exprs, points, spec.env())
-    if lame_exprs is not None:
-        return _from_lame_jets(points, jets.val, jets.grad, jets.hess, np.ones(jets.val.shape))
-    H, dH, ddH = _lame_jets_from_metric(jets.val, jets.grad, jets.hess)
-    return _from_lame_jets(points, H, dH, ddH, _continued_signs(H))
-
-
-def rotation_data(spec: ManifoldSpec, point,
-                  lame_exprs: Sequence[str] | None = None) -> RotationData:
-    """Lame coefficients, rotation coefficients and their first derivatives
-    at one point of a semisimple chart: the walk's, at that point alone."""
+    at one point of a semisimple chart, from the Lame table `lame_exprs`:
+    the walk's, at that point alone."""
     return point_walk(spec, {"lame": lame_exprs}, point).rd.at(0)
 
 
@@ -189,7 +121,7 @@ def closed_forms(family: str, u, env) -> Jets:
 # ---------------------------------------------------------------------------
 # checks: the residual parts and scale at each point of the rotation data,
 # and the check over a point set: the walk's row of that name (`walk_row`)
-# on the Lame table `lame_exprs`, or without one on the metric
+# on the Lame table `lame_exprs`
 
 
 def darboux_at(rd: RotationData):
@@ -207,7 +139,7 @@ def darboux_at(rd: RotationData):
         ("euler", amax(np.where(off, euler, 0), 2)))}, sc)
 
 
-def check_darboux_system(spec, points, lame_exprs=None) -> Report:
+def check_darboux_system(spec, points, lame_exprs) -> Report:
     return walk_row("darboux-system", spec, {"lame": lame_exprs}, points)
 
 
@@ -250,7 +182,7 @@ def flatness_constraint_at(rd: RotationData):
     return Residuals({"flatness": normalized(amax(np.where(off, acc, 0), 2), sc + sc * sc)}, sc)
 
 
-def check_flatness_constraint(spec, points, lame_exprs=None) -> Report:
+def check_flatness_constraint(spec, points, lame_exprs) -> Report:
     return walk_row("flatness-constraint", spec, {"lame": lame_exprs}, points)
 
 
@@ -278,8 +210,7 @@ def algebraic_constraints_at(rd: RotationData, which: str = "ED4bis"):
                      sc)
 
 
-def check_algebraic_constraints(spec, points, which: str = "ED4bis",
-                                lame_exprs=None) -> Report:
+def check_algebraic_constraints(spec, points, which: str, lame_exprs) -> Report:
     return walk_row(f"algebraic-{which}", spec, {"lame": lame_exprs}, points)
 
 
@@ -295,7 +226,7 @@ def potentiality_at(rd: RotationData):
     return Residuals({"potentiality": normalized(amax(np.where(distinct, gap, 0), 3), sc)}, sc)
 
 
-def check_potentiality(spec, points, lame_exprs=None) -> Report:
+def check_potentiality(spec, points, lame_exprs) -> Report:
     return walk_row("potentiality", spec, {"lame": lame_exprs}, points)
 
 
@@ -313,5 +244,5 @@ def reduction_identity_at(rd: RotationData):
     return Residuals({"reduction": normalized(amax(np.where(off, gap, 0), 2), sc + sc * sc)}, sc)
 
 
-def check_reduction_identity(spec, points, lame_exprs=None) -> Report:
+def check_reduction_identity(spec, points, lame_exprs) -> Report:
     return walk_row("reduction-identity", spec, {"lame": lame_exprs}, points)

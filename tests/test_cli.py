@@ -420,7 +420,7 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
     doc = json.loads(cat.entry("lobachevsky").spec.to_json())
     paths = {}
     from fmcheck.manifold import SamplePlan, sample_points
-    samples = sample_points(cat.entry("lobachevsky").spec, SamplePlan(seed=0, count=4))
+    samples = sample_points(cat.entry("lobachevsky").spec, SamplePlan(seed=0, count=6))
     # a product given as a table, which the expression-level transform cannot take
     paths["table"] = tmp_path / "table.json"
     paths["table"].write_text(json.dumps(
@@ -437,6 +437,14 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                     ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]])):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({**doc, "g": g}))
+    # two singular tables, e (ln(0)) and g (division by zero), at samples 5
+    # and 3, 3 and 5, or both at 3: the lowest point is named, and there
+    # the first table's error
+    for name, ke, kg in (("e5-g3", 5, 3), ("e3-g5", 3, 5), ("e3-g3", 3, 3)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(
+            {**doc, "e": [f"1+ln(x-{float(samples[ke][0])!r})", "1"],
+             "g": [[f"2/(x-y)^2+1/(x-{float(samples[kg][0])!r})", "0"], ["0", "2/(x-y)^2"]]}))
     # a region that admits no point: no two coordinates 50 apart in the box
     paths["empty"] = tmp_path / "empty.json"
     paths["empty"].write_text(json.dumps({**doc, "region": {**doc["region"], "min_sep": 50}}))
@@ -489,6 +497,10 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["verify", str(paths["third"])], singular(3) + ": DomainError"),
                        (["verify", str(paths["singular-third"])],
                         singular(3) + ": SingularMatrixError: matrix is numerically singular"),
+                       (["verify", str(paths["e5-g3"])],
+                        singular(3) + ": DomainError: division by zero"),
+                       (["verify", str(paths["e3-g5"])], singular(3) + ": DomainError: ln(0)"),
+                       (["verify", str(paths["e3-g3"])], singular(3) + ": DomainError: ln(0)"),
                        (["verify", str(paths["unparseable"])], "cannot parse '1+'"),
                        # before any point is drawn
                        (["verify", str(paths["unbound-guard"])],

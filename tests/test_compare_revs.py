@@ -62,6 +62,29 @@ def test_comparator_classifies_moves_and_changes():
         ("report", run(1e-10)["out"], "")]
 
 
+def test_comparator_matches_report_rows_by_name():
+    # a run that adds and removes rows lists them apart, and still names
+    # each number that moved in the rows both sides run
+    cmp = _comparator()
+
+    def run(*rows):
+        doc = {"ok": True, "reports": [{"name": name, "residual": residual, "passed": True}
+                                       for name, residual in rows]}
+        return {"code": 0, "out": json.dumps(doc), "err": ""}
+    res = cmp.classify(run(("flatness", 1e-12), ("r-tr", 2e-12), ("gmc", 3e-12)),
+                       run(("flatness", 1e-12), ("gmc", 3.5e-12), ("dual-structure", 0.0)))
+    assert res["kind"] == "changed" and res["changes"] == []
+    assert (res["added"], res["removed"]) == (["report/reports/dual-structure"],
+                                              ["report/reports/r-tr"])
+    assert res["values"] == [("/reports/gmc/residual", 3e-12, 3.5e-12)]
+    # the same rows in another order are a change of the report
+    swapped = cmp.classify(run(("flatness", 1e-12), ("gmc", 3e-12)),
+                           run(("gmc", 3e-12), ("flatness", 1e-12)))
+    assert swapped["changes"] == [("report/reports (order)", ["flatness", "gmc"],
+                                   ["gmc", "flatness"])]
+    assert swapped["added"] == swapped["removed"] == [] and swapped["values"] == []
+
+
 def test_comparator_compares_ode_csv_cell_by_cell():
     cmp = _comparator()
 

@@ -390,10 +390,11 @@ def _point_axis_functions(spec, comp):
 
     if "lame" in comp:
         def rd(st):
-            return own(rot.rotations(spec, points(st), lame_exprs=comp["lame"]), st)
+            return own(rot.rotations(points(st), table_jets(comp["lame"], points(st), spec.env())),
+                       st)
         out.update({
-            "rotations": lambda st: [getattr(rd(st), f) for f in ("H", "dH", "ddH", "beta", "dbeta",
-                                                                  "V", "signs")],
+            "rotations": lambda st: [getattr(rd(st), f)
+                                     for f in ("H", "dH", "ddH", "beta", "dbeta", "V")],
             "lame_weight": lambda st: rot.lame_weight(rd(st)),
             "darboux_at": lambda st: rot.darboux_at(rd(st)),
             "reduction_identity_at": lambda st: rot.reduction_identity_at(rd(st)),

@@ -3,8 +3,9 @@ import pytest
 
 import fmcheck.catalog as cat
 from fmcheck.exprjet import eval_value, parse
-from fmcheck.manifold import ManifoldSpec, Region, SamplePlan, sample_points
-from fmcheck.rotation import (NonDiagonalMetricError, betas_from_F, check_algebraic_constraints,
+from fmcheck.manifold import (ManifoldSpec, Region, SamplePlan, sample_points, structures,
+                              table_jets)
+from fmcheck.rotation import (betas_from_F, check_algebraic_constraints,
                               check_darboux_system, check_flatness_constraint,
                               check_lame_system, check_potentiality,
                               check_reduction_identity, closed_forms, rotation_data, rotations,
@@ -31,7 +32,7 @@ def euclid2():
 
 
 def test_euclidean_beta_vanishes():
-    rd = rotation_data(euclid2(), np.array([0.5, 1.5]))
+    rd = rotation_data(euclid2(), np.array([0.5, 1.5]), ("1", "1"))
     assert np.max(np.abs(rd.beta)) == 0.0
     _, eig, _ = v_matrix(rd)
     assert np.allclose(eig, 0.0)
@@ -39,11 +40,14 @@ def test_euclidean_beta_vanishes():
 
 def test_lame_jets_of_a_positive_real_metric_are_real():
     # the principal square root keeps a real array with no negative value
-    # real, so the Lame jets and rotation data of lobachevsky's metric are
-    # float64; a real array with a negative value still takes the branch
+    # real, so the Lame jets sqrt(g_ii) of lobachevsky's metric, and their
+    # rotation data, are float64; a real array with a negative value still
+    # takes the branch
     from fmcheck.exprjet import jet_sqrt
-    ent = cat.entry("lobachevsky")
-    rd = rotations(ent.spec, sample_points(ent.spec, SamplePlan(seed=0, count=20)))
+    spec = cat.entry("lobachevsky").spec
+    pts = np.asarray(sample_points(spec, SamplePlan(seed=0, count=20)))
+    lame = tuple(f"sqrt({spec.g[i][i]})" for i in range(spec.n))
+    rd = rotations(pts, table_jets(lame, pts, spec.env()))
     for key in ("H", "dH", "ddH", "beta", "dbeta", "V"):
         assert getattr(rd, key).dtype == np.float64, key
     jets = (np.array([4.0, 9.0]), np.ones((2, 1)), np.zeros((2, 1, 1)))
@@ -54,10 +58,30 @@ def test_lame_jets_of_a_positive_real_metric_are_real():
     assert negative[0].dtype == np.complex128 and negative[0].tolist() == [2j, 3]
 
 
-def test_nondiagonal_rejected():
-    spec = cat.entry("nonss3d").spec
-    with pytest.raises(NonDiagonalMetricError):
-        rotation_data(spec, np.array([0.5, 1.0, 0.8]))
+def test_rotation_rows_need_a_lame_table():
+    # the rotation data come from a Lame table alone: every row that reads
+    # them needs one, so with every flag claimed a source without one runs
+    # none of them, and a run of one there names the missing table
+    flags = frozenset(c.flag for c in cat.CHECKS if c.flag)
+    reads = set()
+    for name in cat.names():
+        ent = cat.entry(name)
+        pts = sample_points(ent.spec, SamplePlan(seed=0, count=3))
+        for check in cat._chosen(ent.spec, ent.companion, flags):
+            walk = cat._Walk(ent.spec, ent.companion, pts)
+            check.at(walk)
+            if "rd" in walk.data:
+                reads.add(check.name)
+                assert "lame" in check.needs, check.name
+    assert reads == {"darboux-system", "reduction-identity", "lame-system", "flatness-constraint",
+                     "algebraic-ED4bis", "algebraic-ED5b", "potentiality", "v-eigenvalues"}
+    for name in ("nonss3d", "lobachevsky", "af-pencil-n3"):
+        ent = cat.entry(name)
+        assert not reads & {c.name for c in cat._chosen(ent.spec, ent.companion, flags)}, name
+    spec = cat.entry("lobachevsky").spec
+    pts = sample_points(spec, SamplePlan(seed=0, count=3))
+    with pytest.raises(cat.MissingCompanionDataError, match="no lame"):
+        cat.run_checks(spec, {}, ["darboux-system"], pts)
 
 
 def test_lauricella_lame_vs_fd_oracle():
@@ -74,28 +98,53 @@ def test_lauricella_lame_vs_fd_oracle():
                 assert abs(rd.beta[i, j] - grad[j] / hj) < 1e-6
 
 
+def lame_metric_gap(spec, lame, points):
+    """The largest gap, relative at each point to the metric's part, of
+    H_i^2 = g_ii, 2 H_i dH_i = dg_ii and 2 (dH_i dH_i + H_i ddH_i) = ddg_ii
+    over `points`, with H the jets of the Lame table `lame`."""
+    points = np.asarray(points)
+    st = structures(spec, points)
+    H, dH, ddH = table_jets(lame, points, spec.env())
+    diag = np.arange(spec.n)
+    pairs = ((H ** 2, st.g[:, diag, diag]),
+             (2 * H[..., None] * dH, st.dg[:, diag, diag]),
+             (2 * (dH[..., :, None] * dH[..., None, :] + H[..., None, None] * ddH),
+              st.ddg[:, diag, diag]))
+    return max(np.max(np.max(np.abs(lhs - rhs).reshape(len(points), -1), axis=1)
+                      / np.max(np.abs(rhs).reshape(len(points), -1), axis=1))
+               for lhs, rhs in pairs)
+
+
 def test_af_metric_beta_from_closed_form_lame():
-    ent = cat.entry("pencil-63")
-    p = np.array([-2.0, -0.6, 2.5])
-    rd_h = rotation_data(ent.spec, p, lame_exprs=ent.companion["lame"])
-    # the same metric via principal square roots of the diagonal, up to signs
-    rd_g = rotation_data(ent.spec, p)
-    for i in range(3):
-        assert abs(rd_g.H[i] ** 2 - rd_h.H[i] ** 2) < 1e-12 * (1 + abs(rd_h.H[i]) ** 2)
+    # each entry's closed-form Lame table squares to its diagonal metric,
+    # to second order; a table off by a factor 1 + 1e-6 u2 does not
+    tables = {name: cat.entry(name).companion.get("lame") for name in cat.names()}
+    tables = {name: lame for name, lame in tables.items() if lame is not None}
+    assert sorted(tables) == ["lauricella-eps-minus1-n3", "pencil-63", "q0-d-minus1", "q0-d0",
+                              "q0-d1"]
+    for name, lame in tables.items():
+        spec = cat.entry(name).spec
+        assert all(spec.g[i][j] == "0" for i in range(spec.n) for j in range(spec.n) if i != j)
+        off = (f"({lame[0]})*(1+1e-6*u2)",) + lame[1:]
+        for seed in range(5):
+            pts = sample_points(spec, SamplePlan(seed=seed, count=50))
+            assert lame_metric_gap(spec, lame, pts) <= 1e-12, (name, seed)
+            assert lame_metric_gap(spec, off, pts) > 1e-8, (name, seed)
 
 
 def test_darboux_system_families():
     for name in ("lauricella-eps-minus1-n3", "q0-d-minus1", "pencil-63"):
         ent = cat.entry(name)
         pts = sample_points(ent.spec, SamplePlan(seed=3, count=6))
-        rep = check_darboux_system(ent.spec, pts, lame_exprs=ent.companion.get("lame"))
+        rep = check_darboux_system(ent.spec, pts, lame_exprs=ent.companion["lame"])
         assert rep.passed, name
-        rep = check_reduction_identity(ent.spec, pts, lame_exprs=ent.companion.get("lame"))
+        rep = check_reduction_identity(ent.spec, pts, lame_exprs=ent.companion["lame"])
         assert rep.passed, name
 
 
 def test_darboux_negative_control():
-    # break scale invariance: beta of this metric violates the Euler equation
+    # break scale invariance: beta of this metric, from the Lame table
+    # sqrt(g_ii), violates the Euler equation
     spec = ManifoldSpec(name="bad", n=3, coords=("u1", "u2", "u3"), product="canonical",
                         e=("1", "1", "1"), E=("u1", "u2", "u3"),
                         g=(("(u2-u1)*(u3-u1)*exp(u1)", "0", "0"),
@@ -103,7 +152,8 @@ def test_darboux_negative_control():
                            ("0", "0", "(u1-u3)*(u2-u3)")),
                         region=cat.entry("pencil-63").spec.region)
     pts = sample_points(spec, SamplePlan(seed=1, count=4))
-    assert not check_darboux_system(spec, pts).passed
+    lame = tuple(f"sqrt({spec.g[i][i]})" for i in range(3))
+    assert not check_darboux_system(spec, pts, lame).passed
 
 
 def test_lame_systems_of_printed_families():
@@ -133,7 +183,7 @@ def test_flatness_constraint_pass_and_fail():
                        ("lauricella-eps-minus1-n3", False)):
         ent = cat.entry(name)
         pts = sample_points(ent.spec, SamplePlan(seed=5, count=5))
-        rep = check_flatness_constraint(ent.spec, pts, lame_exprs=ent.companion.get("lame"))
+        rep = check_flatness_constraint(ent.spec, pts, lame_exprs=ent.companion["lame"])
         assert rep.passed == want, name
 
 
@@ -144,8 +194,8 @@ def test_algebraic_constraints():
                           region=Region(box=((-1.7, -1.1), (-0.6, -0.1), (0.8, 1.6)),
                                         min_sep=0.1))
     pts = sample_points(egorov, SamplePlan(seed=0, count=3))
-    assert check_algebraic_constraints(egorov, pts, "ED4bis").residual == 0.0
-    assert check_algebraic_constraints(egorov, pts, "ED5b").residual == 0.0
+    for which in ("ED4bis", "ED5b"):
+        assert check_algebraic_constraints(egorov, pts, which, ("1", "1", "1")).residual == 0.0
 
     ent = cat.entry("q0-d-minus1")
     pts = sample_points(ent.spec, SamplePlan(seed=2, count=5))
@@ -180,7 +230,7 @@ def test_two_dimensional_flat_case_is_symmetric():
     spec = euclid2()
     pts = sample_points(spec, SamplePlan(seed=0, count=5))
     for p in pts:
-        rd = rotation_data(spec, p)
+        rd = rotation_data(spec, p, ("1", "1"))
         assert abs(rd.beta[0, 1] - rd.beta[1, 0]) < 1e-12
 
 
@@ -251,39 +301,3 @@ def test_hand_computed_rotation_coefficients_at_reference_point():
         [s2 / 6, 1j * s3 / 4, 0.0],
     ])
     assert np.max(np.abs(rd.beta - want)) < 1e-12
-
-
-def test_metric_branch_continuation_equals_pointwise_loop():
-    # g_11 = -1 + i (u1 - u2) crosses the cut of the principal square root
-    # wherever u1 - u2 changes sign, so the principal H_1 jumps between
-    # the sample points; the batch's one scan must flip it exactly where
-    # the point-by-point continuation did, and build the same data
-    spec = ManifoldSpec(name="winding", n=2, coords=("u1", "u2"), product="canonical",
-                        e=("1", "1"), E=("u1", "u2"),
-                        g=(("-1+c*(u1-u2)", "0"), ("0", "1+u1^2")), params={"c": 1j},
-                        region=Region(box=((0.0, 1.0), (0.0, 1.0)), min_sep=0.05))
-    pts = sample_points(spec, SamplePlan(seed=0, count=12))
-    batch = cat._Walk(spec, {}, pts).rd  # builds without raising
-    prev = None
-    for k, p in enumerate(pts):
-        rd = rotation_data(spec, p)
-        H, dH, ddH, signs = rd.H, rd.dH, rd.ddH, np.ones(2)
-        if prev is not None:
-            flips = np.where(np.abs(H - prev) <= np.abs(H + prev), 1.0, -1.0)
-            if np.any(flips < 0):
-                signs = flips
-                H, dH, ddH = signs * H, signs[:, None] * dH, signs[:, None, None] * ddH
-        beta = np.zeros((2, 2), dtype=complex)
-        dbeta = np.zeros((2, 2, 2), dtype=complex)
-        for i, j in ((0, 1), (1, 0)):
-            beta[i, j] = dH[i, j] / H[j]
-            dbeta[i, j] = (ddH[i, j] * H[j] - dH[i, j] * dH[j]) / H[j] ** 2
-        got = batch.at(k)
-        for name, want in (("signs", signs), ("H", H), ("dH", dH), ("ddH", ddH)):
-            assert np.array_equal(getattr(got, name), want), (k, name)
-        # the rotation coefficients come from the same jets by array rather
-        # than scalar arithmetic, which may round the last bit differently
-        for name, want in (("beta", beta), ("dbeta", dbeta)):
-            assert np.all(np.abs(getattr(got, name) - want) <= 1e-15 * np.abs(want)), (k, name)
-        prev = H
-    assert np.any(batch.signs < 0) and np.any(np.diff(batch.signs[:, 0]) > 0)

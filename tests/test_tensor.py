@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import fmcheck.catalog as cat
 from fmcheck.connection import inverse_hessian, inverse_jets
 from fmcheck.exprjet import eval_jet, eval_points, parse
-from fmcheck.manifold import SamplePlan, sample_points, structure_at
+from fmcheck.manifold import SamplePlan, sample_points, structure_at, table_jets
 from fmcheck.pencil import delta_jets, pencil_at
 from fmcheck.tensor import (SingularMatrixError, charpoly_coefficients, eigenvalues,
                             lie_from_components, merge_close)
@@ -128,8 +128,9 @@ def test_merge_close_matches_the_loop_reference():
     batches = []
     for name in ("pencil-63", "q0-d-minus1", "q0-d0", "q0-d1"):
         ent = cat.entry(name)
-        pts = sample_points(ent.spec, SamplePlan(seed=7, count=50))
-        batches.append(eigenvalues(rotations(ent.spec, pts, lame_exprs=ent.companion["lame"]).V))
+        pts = np.asarray(sample_points(ent.spec, SamplePlan(seed=7, count=50)))
+        lame = table_jets(ent.companion["lame"], pts, ent.spec.env())
+        batches.append(eigenvalues(rotations(pts, lame).V))
     rng = np.random.default_rng(9)
     centers = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
     centers[:100, 1] = centers[:100, 0]
