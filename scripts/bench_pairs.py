@@ -18,7 +18,10 @@ JSON object on the last line of its output.  Each run gets a fresh, empty
 bytecode cache (`PYTHONPYCACHEPREFIX`), so that a `__pycache__` in the
 working tree does not let the change skip the compiling the parent does.
 One `--trace 1` run of each workload on each side follows, for the
-per-layer counts and self times.
+per-layer counts and self times.  Last, the exact work counters of the
+working tree's `tests/work_counts.py` (contract calls and output elements,
+tape runs and operations, per catalog entry at seed 0 and at 4 and 20
+points) run once against each side's `src/`.
 
 BENCH_<T>.json, at the root of the working tree, holds:
 
@@ -28,7 +31,9 @@ BENCH_<T>.json, at the root of the working tree, holds:
   (`*_iqr`, inclusive method) and `change_better_pairs`, the number of
   pairs in which the change is better in the metric's direction;
 - `workloads`: every pair's two results;
-- `trace`: per workload, each side's per-layer metrics.
+- `trace`: per workload, each side's per-layer metrics;
+- `work`: the counters' `columns` and, per "<entry>/<points>", the
+  parent's and the change's counts.
 
 The exit code is 1 if a run fails or prints no result, else 0.
 """
@@ -99,6 +104,27 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return last_result(proc.stdout)
 
 
+def run_work(tree: Path) -> dict:
+    """The work counts of the working tree's `tests/work_counts.py` run
+    against `tree`'s `src/`."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "work_counts.py")], cwd=tree,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(tree) / "src")})
+    if proc.returncode != 0:
+        raise RuntimeError(f"work counts in {tree} exited with code {proc.returncode}: "
+                           f"{proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
+def work_diff(parent: dict, change: dict) -> dict:
+    """Per catalog entry and point count, the parent's and the change's
+    total counts, from two `run_work` results."""
+    entries = {key: {"parent": parent.get(key), "change": change.get(key)}
+               for key in sorted(parent.keys() | change.keys())
+               if key != "columns" and key.count("/") == 1}
+    return {"columns": change["columns"], "entries": entries}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -142,6 +168,7 @@ def main() -> int:
                 doc["summary"][name] = summarize(pairs, bench["end_to_end"])
             doc["trace"] = {name: {side: run_bench(root, name, args.seed, seconds, 1)["metrics"]
                                    for side, root in sides.items()} for name in names}
+            doc["work"] = work_diff(run_work(sides["parent"]), run_work(sides["change"]))
         except (RuntimeError, ValueError) as err:
             sys.stderr.write(f"{err}\n")
             return 1
@@ -153,6 +180,10 @@ def main() -> int:
             print(f"{name} {metric['name']}: {row['parent_median']:.4g} -> "
                   f"{row['change_median']:.4g} (change better in "
                   f"{row['change_better_pairs']}/{args.pairs} pairs)")
+    for column, name in enumerate(doc["work"]["columns"]):
+        parent, change = (sum(row[side][column] for row in doc["work"]["entries"].values())
+                          for side in ("parent", "change"))
+        print(f"work {name}: {parent} -> {change}")
     print(f"wrote {out}")
     return 0
 

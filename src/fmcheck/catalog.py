@@ -201,7 +201,12 @@ class _Walk:
         the walk's points at the run's `tol`: the one reduction of its
         `Residuals` (`batch_report`)."""
         check = _BY_NAME[check] if isinstance(check, str) else check
-        return batch_report(check.name, check.at(self),
+        result, count = check.at(self), len(self.points)
+        if np.shape(result.scale)[:1] == (1,) != (count,):  # read only a point-free product
+            result = replace(result, scale=np.broadcast_to(result.scale, (count,)), parts={
+                key: np.broadcast_to(part, (count,) + np.shape(part)[1:])
+                for key, part in result.parts.items()})
+        return batch_report(check.name, result,
                             tol if check.tol is None else check.tol(tol), fit=check.fit,
                             expected=self.expected.get(check.expected))
 

@@ -5,7 +5,8 @@ A `ManifoldSpec` (`spec`) is a single coordinate chart carrying a product
 field, and optionally an Euler field and one or two metrics.  `structures`
 evaluates everything needed downstream at all the sample points at once, as
 one `StructureAt` whose arrays carry a leading point axis (P, ...): the product
-to first derivative order and all other primitive fields to second order.
+to first derivative order and all other primitive fields to second order (a
+named product point-free, with a point axis of length 1).
 The residual functions (`*_at`) take such a batch and return the named parts
 of their identity, and its scale, at each point (`Residuals`), which
 `batch_report`, the one reducer, reduces to the worst part over the points;
@@ -81,17 +82,19 @@ class SamplePlan:
 class PointBatch:
     """Point-axis access shared by the batched data (`StructureAt`, the
     connections, the pencil data): over a batch every array field, and
-    every batched field, has a leading point axis; a single point has none."""
+    every batched field, has a leading point axis, of length 1 where it is
+    the same at every point (a named product); a single point has none."""
 
     def at(self, k):
-        """Point k's data, without the point axis."""
+        """Point k's data, without the point axis: a point-free array's
+        only row for any k."""
         out = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, PointBatch):
                 out[f.name] = value.at(k)
             elif isinstance(value, np.ndarray):
-                out[f.name] = value[k]
+                out[f.name] = value[0 if len(value) == 1 else k]
         return dataclasses.replace(self, **out)
 
 
@@ -222,9 +225,9 @@ def normalized(raw, scale):
 
 
 def amax(x: np.ndarray, rank: int):
-    """max|x| over the last `rank` axes, a tensor's own indices: a scalar
-    at one point, one value per point over a batch."""
-    return np.maximum.reduce(np.abs(x), axis=tuple(range(-rank, 0)))
+    """max|x| over the last `rank` axes, a tensor's own indices (0.0 over
+    none): a scalar at one point, one value per point over a batch."""
+    return np.maximum.reduce(np.abs(x), axis=tuple(range(-rank, 0)), initial=0.0)
 
 
 def pmax(*values):
@@ -296,12 +299,12 @@ def structures(spec: ManifoldSpec, points) -> StructureAt:
     of the spec's tables runs once over all the points (`table_jets`), in
     the order product, e, E, g, g2, and the first singular one raises at
     its first singular point; so `lowest_failure` names the lowest point
-    where any table is singular, with the first such table's error."""
+    where any table is singular, with the first such table's error.  A
+    named product's c, dc and ddc have one point-free row, shape (1, ...)."""
     env = spec.env()
     points = np.asarray(points).reshape(-1, spec.n)
     if isinstance(spec.product, str):
-        product = [np.broadcast_to(part, (len(points),) + part.shape)
-                   for part in product_jets(spec.product, spec.n)]
+        product = [part[None] for part in product_jets(spec.product, spec.n)]
     else:
         product = table_jets(spec.product, points, env)
     fields = [table_jets(t, points, env) if t is not None else (None,) * 3

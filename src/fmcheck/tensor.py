@@ -4,7 +4,8 @@ near-equal roots, and Lie derivatives of component arrays.
 
 Index-order conventions used package-wide (derivative axes always last).
 Over a batch of P sample points every array carries one more, leading
-point axis, shape (P, ...), ahead of these indices.  The functions that
+point axis, shape (P, ...), or (1, ...) where it is the same at every point,
+ahead of these indices.  The functions that
 take such arrays contract and reduce only the indices below (`contract`
 with `...` subscripts), so a single point is a batch whose leading axis
 is empty.  They take float64 or complex128 arrays alike: real data stays
@@ -21,7 +22,8 @@ real, and numpy promotes where a real array meets a complex one.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
+from itertools import combinations
 from math import prod
 from operator import add
 from typing import Sequence
@@ -42,34 +44,40 @@ class SingularMatrixError(Exception):
         self.det = det
 
 
-_PLANS: dict = {}
+_PLANS: dict = {}  # subscripts -> (its terms' ranks, {operands' (batch rank, index shape): plan})
 _MATMUL_MIN = 8  # below this many free*summed*free entries per point, einsum is faster
 
 
-def _plan(subscripts: str, ndims: tuple):
-    """The pairwise steps of `contract` and its final axis order.  Each
-    step takes the two live operands that sum an index into the fewest
-    indices, as an einsum and, where they only sum and carry free indices,
-    as a matmul: its index count and the operands' axis orders [batch,
-    free, summed] and [batch, summed, free]."""
+def _plan(subscripts: str, key: tuple):
+    """The pairwise steps of `contract` and its final axis order for
+    operands of the batch ranks and index shapes `key`.  Each step takes
+    the two live operands that sum an index into the fewest indices, as an
+    einsum or, where they only sum and carry free indices, as a matmul of
+    the operands' axes [batch, free, summed] and [batch, summed, free]
+    reshaped to matrices, if they hold `_MATMUL_MIN` entries per point."""
     inputs, output = subscripts.replace("...", "").split("->")
-    live = [(term, nd - len(term)) for term, nd in zip(inputs.split(","), ndims)]
+    size, live = {}, []
+    for term, (nb, shape) in zip(inputs.split(","), key):
+        size.update(zip(term, shape))
+        live.append((term, nb))
     steps = []
     while len(live) > 1:
         choices = []
-        for i, j in ((i, j) for i in range(len(live)) for j in range(i + 1, len(live))):
+        for i, j in combinations(range(len(live)), 2):
             a, b = live[i][0], live[j][0]
-            keep = output + "".join(t for k, (t, _) in enumerate(live) if k not in (i, j))
-            summed = "".join(x for x in a if x in b and x not in keep)
-            result = "".join(dict.fromkeys(x for x in a + b if x in keep))
+            keep = output + "".join([t for k, (t, _) in enumerate(live) if k != i and k != j])
+            summed = "".join([x for x in a if x in b and x not in keep])
+            result = "".join(dict.fromkeys([x for x in a + b if x in keep]))
             choices.append((not summed, len(result), i, j, summed, result))
         _, _, i, j, summed, result = min(choices)
         (a, nba), (b, nbb) = live[i], live[j]
-        free_a, free_b = "".join(x for x in a if x not in b), "".join(x for x in b if x not in a)
-        matmul = summed and result == free_a + free_b and (
-            len(free_a + summed + free_b), nba, nbb, len(free_a), len(summed),
-            (*range(nba), *(nba + a.index(x) for x in free_a + summed)),
-            (*range(nbb), *(nbb + b.index(x) for x in summed + free_b)))
+        free_a, free_b = "".join([x for x in a if x not in b]), "".join([x for x in b if x not in a])
+        rows, inner, cols = map(prod, (map(size.get, free_a), map(size.get, summed),
+                                       map(size.get, free_b)))
+        matmul = summed and result == free_a + free_b and rows * inner * cols >= _MATMUL_MIN and (
+            (*range(nba), *[nba + a.index(x) for x in free_a + summed]),
+            (*range(nbb), *[nbb + b.index(x) for x in summed + free_b]),
+            nba, nbb, (rows, inner), (inner, cols), (*map(size.get, result),))
         steps.append((i, j, f"...{a},...{b}->...{result}", matmul))
         live = [t for k, t in enumerate(live) if k not in (i, j)] + [(result, max(nba, nbb))]
     term, nb = live[0]
@@ -80,44 +88,54 @@ def contract(subscripts: str, *operands) -> np.ndarray:
     """`np.einsum(subscripts, *operands)` for explicit `...` subscripts,
     one pair at a time: each pair that sums an index and shares no free one
     is one batched `np.matmul` (transpose, reshape, matmul, reshape) unless
-    it is small per point, the rest are einsums.  The plan is cached per
-    subscripts and operand dimensions; the operands may differ in their
-    leading (broadcast) axes, or have none."""
-    key = (subscripts, *[op.ndim for op in operands])
-    plan = _PLANS.get(key) or _PLANS.setdefault(key, _plan(subscripts, key[1:]))
+    it is small per point, the rest are einsums.  The steps are planned
+    once per subscripts and operands' batch ranks and index shapes (their
+    axes after the batch axes, of any sizes), so the plans do not grow with
+    the point count; the operands may differ in their leading (broadcast)
+    axes, or have none."""
+    ranks, plans = _PLANS.get(subscripts) or _PLANS.setdefault(subscripts, (
+        [len(t) for t in subscripts.replace("...", "").split("->")[0].split(",")], {}))
+    key = (*[(op.ndim - r, op.shape[op.ndim - r:]) for op, r in zip(operands, ranks)],)
+    steps, final = plans.get(key) or plans.setdefault(key, _plan(subscripts, key))
     live = list(operands)
-    for i, j, spec, matmul in plan[0]:
+    for i, j, spec, matmul in steps:
         b, a = live.pop(j), live.pop(i)
-        # every index of the package runs over n, the size of a last axis
-        if not matmul or a.shape[-1] ** matmul[0] < _MATMUL_MIN:
+        if not matmul:
             live.append(np.einsum(spec, a, b))
             continue
-        _, nba, nbb, na, ns, perm_a, perm_b = matmul
-        a, b = a.transpose(perm_a), b.transpose(perm_b)
-        free_a, summed, free_b = a.shape[nba:nba + na], a.shape[nba + na:], b.shape[nbb + ns:]
-        out = np.matmul(a.reshape(a.shape[:nba] + (prod(free_a), prod(summed))),
-                        b.reshape(b.shape[:nbb] + (prod(summed), prod(free_b))))
-        live.append(out.reshape(out.shape[:-2] + free_a + free_b))
-    return live[0] if plan[1] is None else live[0].transpose(plan[1])
+        perm_a, perm_b, nba, nbb, shape_a, shape_b, shape = matmul
+        out = np.matmul(a.transpose(perm_a).reshape(a.shape[:nba] + shape_a),
+                        b.transpose(perm_b).reshape(b.shape[:nbb] + shape_b))
+        live.append(out.reshape(out.shape[:-2] + shape))
+    return live[0] if final is None else live[0].transpose(final)
+
+
+@cache
+def _leibniz(subscripts: str, count: int, order: int) -> list:
+    """The Leibniz terms of `contract_jets` for `count` factors up to `order`:
+    per order, each term's subscripts and the order it takes of each factor."""
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    p, q = [x for x in "abcdefghijklmnopqrstuvwxyz" if x not in subscripts][:2]
+
+    def term(marks):  # marks[k]: the derivative indices on factor k
+        return (",".join(t + m for t, m in zip(terms, marks)) + "->" + output
+                + "".join(sorted("".join(marks))), tuple(map(len, marks)))
+
+    at = range(count)
+    marks = ([[""] * count], [[p * (k == i) for k in at] for i in at],
+             [[p * (k == i) + q * (k == j) for k in at] for i in at for j in at])
+    return [[term(m) for m in ms] for ms in marks[:order + 1]]
 
 
 def contract_jets(subscripts: str, *factors) -> list:
     """The contraction `subscripts` of factors given as jets (value, first
     derivatives[, second derivatives], derivative axes last) with its
-    derivatives by the Leibniz rule, up to the order of the shortest jet."""
-    inputs, output = subscripts.split("->")
-    terms, count = inputs.split(","), len(factors)
-    p, q = [x for x in "abcdefghijklmnopqrstuvwxyz" if x not in subscripts][:2]
-
-    def part(marks):  # marks[k]: the derivative indices on factor k
-        return contract(",".join(t + m for t, m in zip(terms, marks)) + "->" + output
-                        + "".join(sorted("".join(marks))),
-                        *(f[len(m)] for f, m in zip(factors, marks)))
-
-    at = range(count)
-    marks = ([[""] * count], [[p * (k == i) for k in at] for i in at],
-             [[p * (k == i) + q * (k == j) for k in at] for i in at for j in at])
-    return [reduce(add, map(part, m)) for m in marks[:min(map(len, factors))]]
+    derivatives by the Leibniz rule, up to the order of the shortest jet:
+    each order its terms (`_leibniz`) added left to right."""
+    terms = _leibniz(subscripts, len(factors), min(map(len, factors)) - 1)
+    return [reduce(add, (contract(sub, *(f[k] for f, k in zip(factors, ks))) for sub, ks in ts))
+            for ts in terms]
 
 
 def antisym(t: np.ndarray, a: int = -2, b: int = -1) -> np.ndarray:

@@ -60,3 +60,20 @@ def test_each_run_gets_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
     (first, empty1), (_, empty2) = seen
     assert empty1 and empty2
     assert tmp_path not in first.parents and not first.exists()
+
+
+def test_work_diff_of_both_sides():
+    # the counters run against a tree's src/, and the diff keeps each
+    # entry's totals per point count, parent beside change
+    bench = _bench_pairs()
+    golden = json.loads((ROOT / "tests" / "golden" / "work.json").read_text(encoding="utf-8"))
+    here = bench.run_work(ROOT)
+    assert here == golden
+    parent = {"columns": here["columns"], "a/4": [2, 10, 1, 5], "a/4/row x": [2, 10, 0, 0],
+              "b/4": [1, 1, 1, 1]}
+    change = {"columns": here["columns"], "a/4": [2, 6, 1, 5], "a/4/row x": [2, 6, 0, 0],
+              "c/4": [3, 3, 0, 0]}
+    assert bench.work_diff(parent, change) == {"columns": here["columns"], "entries": {
+        "a/4": {"parent": [2, 10, 1, 5], "change": [2, 6, 1, 5]},
+        "b/4": {"parent": [1, 1, 1, 1], "change": None},
+        "c/4": {"parent": None, "change": [3, 3, 0, 0]}}}

@@ -417,19 +417,26 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
 def test_row_data_cuts_array_batches_to_the_row_points():
     # no batch is cut: in a 25-point walk of every af-pencil-n3 row, each
     # array of each batch, the pencil's second-order data and the walk of
-    # the structure rebuilt from it included, runs over all 25 points, and
-    # the rebuilt structure's walk reads the walk's own inverse metric,
-    # Levi-Civita connection and counit, not copies of them
+    # the structure rebuilt from it included, runs over all 25 points, but
+    # the named product's c, dc and ddc, which have one point-free row,
+    # and `hertling-manin`, which reads only them; every report reads the
+    # 25 points; and the rebuilt structure's walk reads the walk's own
+    # inverse metric, Levi-Civita connection and counit, not copies of them
     ent = cat.entry("af-pencil-n3")
     points = sample_points(ent.spec, SamplePlan(seed=0, count=25))
     walk = cat._Walk(ent.spec, ent.companion, points)
     checks = cat._chosen(ent.spec, ent.companion, ent.flags)
     assert {"flat-pencil", "reconstructed/flatness"} <= {c.name for c in checks}
+    assert ent.spec.product == "canonical"
     for check in checks:
-        assert len(check.at(walk).scale) == 25, check.name
+        assert len(check.at(walk).scale) == (1 if check.name == "hertling-manin" else 25), \
+            check.name
+        assert walk.report(check).npoints == 25, check.name
     assert {"st", "pa", "recon"} <= walk.data.keys()
+    product = (walk.st.c, walk.st.dc, walk.st.ddc)
+    assert [a.shape[0] for a in product] == [1, 1, 1]
     for key, a in _walk_arrays(walk):
-        assert a.shape[0] == 25, (key, a.shape)
+        assert a.shape[0] == 25 or any(a is b for b in product), (key, a.shape)
     recon = walk.recon
     assert np.array_equal(recon.points, walk.points)
     for key in ("ginv", "lc", "counit"):
@@ -442,9 +449,10 @@ def test_row_data_cuts_array_batches_to_the_row_points():
 
 def test_every_row_reads_every_sample_point():
     # every report of every catalog entry, of the af-pencil-n3 spec file
-    # and of both catalog transforms reads all of its run's points, at 3
-    # and at 7: the pencil's rows and the 14 theorem rows of the structure
-    # rebuilt from it too
+    # and of both catalog transforms reads all of its run's points, at 1,
+    # 3, 4, 7 and 20: the pencil's rows and the 14 theorem rows of the
+    # structure rebuilt from it too, and the rows that a named product,
+    # which is point-free, computes once
     pencil_rows = {"flat-pencil", "delta-identities", "r-operator", "product-from-pencil",
                    *(f"reconstructed/{name}" for name in cat._THEOREMS)}
     assert len(pencil_rows) == 4 + 14
@@ -457,7 +465,7 @@ def test_every_row_reads_every_sample_point():
     seen = set()
     for src in sources:
         name = getattr(src, "spec", src).name
-        for count in (3, 7):
+        for count in (1, 3, 4, 7, 20):
             reports = run_suite(src, seed=0, count=count).reports
             assert reports, (name, count)
             for r in reports:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,73 @@ def test_curvature_product_random_control():
                             DEFAULT_TOL).passed
 
 
+def _cyclic_rank5(subscripts, a, b):
+    """The cyclic sum over (k, l, m) of every entry t[j,i,k,l,m] of the
+    contraction `subscripts` of `a` and `b`: the rank-5 reference that
+    `connection._cyclic` replaces."""
+    from fmcheck.tensor import contract
+    t = contract(subscripts, a, b)
+    out = t + contract("...jimkl->...jiklm", t)
+    out += contract("...jilmk->...jiklm", t)
+    return out
+
+
+def test_cyclic_over_triples_matches_the_rank5_sum():
+    # over the triples k < l < m, for R antisymmetric in (k, l) and a
+    # random non-commutative c (per point, or point-free): per point, the
+    # largest |entry| of both cyclic forms is the rank-5 sum's to 4 ulp,
+    # and for n = 2, where there is no triple, exactly 0.0
+    from fmcheck.connection import _BIS, _RC, _cyclic
+    from fmcheck.manifold import amax
+    from fmcheck.tensor import antisym
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4):
+        for complex_ in (False, True):
+            def draw(*shape):
+                out = rng.standard_normal(shape)
+                return out + 1j * rng.standard_normal(shape) if complex_ else out
+            r = antisym(draw(10, n, n, n, n))
+            for c in (draw(10, n, n, n), draw(1, n, n, n)):
+                assert not np.allclose(c, np.swapaxes(c, -2, -1))
+                for got, want in ((_cyclic(_RC, r, c), _cyclic_rank5(
+                        "...jskl,...smi->...jiklm", r, c)),
+                                  (_cyclic(_BIS, r, c), _cyclic_rank5(
+                                      "...jms,...sikl->...jiklm", c, r))):
+                    assert got.shape == (10, math.comb(n, 3), n, n)
+                    got, want = amax(got, 3), amax(want, 5)
+                    if n == 2:
+                        assert np.array_equal(got, np.zeros(10)) and (want == 0.0).all()
+                    else:
+                        assert (want > 0).all()
+                        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
+
+def test_cyclic_rows_fail_where_the_curvature_is_nan():
+    # a NaN in R at one point of 10 makes both cyclic rows NaN there, and
+    # only there, so that they fail; n = 3, 4
+    from types import SimpleNamespace
+    from fmcheck.connection import _BIS, _RC, _cyclic, r_tr_identity_at
+    from fmcheck.tensor import antisym
+    rng = np.random.default_rng(23)
+    for n in (3, 4):
+        x = rng.standard_normal((10, n, n, n, n))
+        x[5, 1, 0, 0, 1] = np.nan
+        r = antisym(x)
+        c = rng.standard_normal((10, n, n, n))
+        lc = SimpleNamespace(curvature=antisym(rng.standard_normal((10, n, n, n, n))))
+        st = SimpleNamespace(c=c)
+        for subscripts in (_RC, _BIS):  # the sums themselves, not only the scale
+            sums = np.isnan(_cyclic(subscripts, r, c)).any(axis=(-3, -2, -1))
+            assert sums[5] and not np.delete(sums, 5).any()
+        for name, result in (("curvature-product", curvature_product_at(SimpleNamespace(
+                curvature=r), st)), ("r-tr", r_tr_identity_at(SimpleNamespace(curvature=r), lc,
+                                                               st))):
+            for part in result.parts.values():
+                assert np.isnan(part[5]) and np.isfinite(np.delete(part, 5)).all(), name
+            report = batch_report(name, result, DEFAULT_TOL)
+            assert np.isnan(report.residual) and not report.passed and report.npoints == 10
+
+
 def test_r_tr_identity_on_family():
     spec = cat.entry("nonss3d").spec
     assert check_R_tR_identity(spec, sample_points(spec, SamplePlan(seed=4, count=5))
@@ -241,7 +310,8 @@ def test_levi_civita_not_product_compatible_on_curved_metric():
 def _same(got, want, what, k=None):
     # bit for bit, or within the golden-report margin where a reduction
     # order changed the last bits; with k, `got` is a batch and its point
-    # k is compared
+    # k is compared, the only row of an array that has one (a named
+    # product, or what is computed from it alone, is point-free)
     from fmcheck.manifold import Residuals
     if isinstance(want, Residuals):
         assert got.show_parts == want.show_parts, what
@@ -260,7 +330,7 @@ def _same(got, want, what, k=None):
         return
     got, want = np.asarray(got), np.asarray(want)
     if k is not None:
-        got = got[k]
+        got = got[0 if len(got) == 1 else k]
     assert got.shape == want.shape, what
     if not np.array_equal(got, want, equal_nan=True):
         assert np.all(np.abs(got - want) <= 1e-12 + 1e-6 * np.abs(want)), what
@@ -310,7 +380,7 @@ def _batched_functions(spec, comp):
     if "gamma" in comp:
         out["connections_from_exprs"] = lambda st: cn.connections_from_exprs(
             comp["gamma"], st.point.reshape(-1, spec.n), spec.env()).gamma.reshape(
-                np.shape(st.c))
+                np.shape(st.point)[:-1] + (spec.n,) * 3)
     if spec.g2 is not None:
         def pa(st):
             return pn.pencil_data(st, cn.metric_inverse(st), lc(st))
@@ -526,11 +596,13 @@ def test_batched_functions_and_rows_equal_single_point_runs():
                              at(value.least, k), value.show_parts)
         if isinstance(value, dict):
             return {key: at(v, k) for key, v in value.items()}
-        return value[k]
+        return value[0 if len(value) == 1 else k]
     for name, spec, comp, pts, rows in sources:
         for row in rows:
             got = row.at(cat._Walk(spec, comp, pts))
-            assert len(got.scale) == len(pts) == 10
+            # a row that reads only a named product computes it once
+            point_free = row.name == "hertling-manin" and isinstance(spec.product, str)
+            assert len(got.scale) == (1 if point_free else len(pts)) and len(pts) == 10
             for k, p in enumerate(pts):
                 want = row.at(cat._Walk(spec, comp, [p]))
                 _same(at(got, k), at(want, 0), (name, row.name, k))
@@ -560,6 +632,10 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
             field, bump, at = poison["field"], poison.get("bump"), poison.get("at")
             value = None if field is None else getattr(out, field, None)
             if value is not None:
+                # a point-free array (a named product) is first broadcast
+                # to the points, so that the poisoned point is its own
+                count = len(getattr(out, "point", value))
+                value = np.broadcast_to(value, (count,) + value.shape[1:])
                 at_k = (np.arange(len(value)) == at).reshape((-1,) + (1,) * (value.ndim - 1))
                 setattr(out, field, np.where(at_k, value + bump, value))
             return out

@@ -267,7 +267,7 @@ def test_contract_matches_einsum(monkeypatch):
     from fmcheck.tensor import contract
     subscripts = _contract_subscripts()
     # the scan sees the walk's contractions, not just a few of them
-    assert len(subscripts) > 60 and "...jskl,...smi->...jiklm" in subscripts
+    assert len(subscripts) > 60 and "...si,...js->...ji" in subscripts
     assert "...ip,...pqk,...qj->...ijk" in subscripts
     # and the ones built at run time (`lie_from_components`, the Leibniz
     # terms of `contract_jets`), recorded over a walk of every entry
@@ -359,3 +359,69 @@ def test_contract_jets_sums_each_order_from_its_first_term(monkeypatch):
     monkeypatch.setattr(tensor, "contract", lambda subscripts, *ops: np.full(4, -0.0))
     parts = contract_jets("...ij,...j->...i", (a, da, dda), (x, dx, ddx))
     assert len(parts) == 3 and all(np.signbit(part).all() for part in parts)
+
+
+def test_contract_of_point_free_operands_equals_broadcast_views():
+    # an operand with a point axis of length 1, or with none, gives bit
+    # for bit what its `np.broadcast_to` view over the P points gives, on
+    # the einsum and on the matmul route, for P = 1, 7, 50 and n = 2, 3, 4
+    import itertools
+    from fmcheck import tensor
+    from fmcheck.tensor import contract
+    rng = np.random.default_rng(29)
+    subscripts = _contract_subscripts()
+    routes = set()
+    for sub, n, count in itertools.product(subscripts, (2, 3, 4), (1, 7, 50)):
+        terms = sub.split("->")[0].replace("...", "").split(",")
+        full = [rng.standard_normal((count,) + (n,) * len(t)) for t in terms]
+        for modes in itertools.islice(itertools.product(("P", "1", "none"), repeat=len(terms)),
+                                      1, None):
+            ops = [a if m == "P" else a[:1] if m == "1" else a[0] for a, m in zip(full, modes)]
+            views = [np.broadcast_to(op, (count,) + op.shape[op.ndim - len(t):])
+                     for op, t in zip(ops, terms)]
+            got, want = contract(sub, *ops), contract(sub, *views)
+            assert np.array_equal(np.broadcast_to(got, want.shape), want), (sub, n, count, modes)
+        ranks, plans = tensor._PLANS[sub]
+        routes.update(bool(matmul) for steps, _ in plans.values() for *_, matmul in steps)
+    assert routes == {False, True}
+
+
+def test_contract_jets_equals_its_explicit_leibniz_sum():
+    # each order of `contract_jets` is, bit for bit, the explicit sum of
+    # its Leibniz terms, added left to right, for two and three factors
+    # and to first and second order
+    from fmcheck.tensor import contract, contract_jets
+    rng = np.random.default_rng(31)
+    n, count = 3, 6
+
+    def jet(rank):
+        return [rng.standard_normal((count,) + (n,) * (rank + k)) for k in range(3)]
+
+    a, x, b = jet(2), jet(1), jet(2)
+    val, d, dd = contract_jets("...ij,...j->...i", a, x)
+    assert np.array_equal(val, contract("...ij,...j->...i", a[0], x[0]))
+    assert np.array_equal(d, contract("...ijp,...j->...ip", a[1], x[0])
+                          + contract("...ij,...jp->...ip", a[0], x[1]))
+    assert np.array_equal(dd, contract("...ijpq,...j->...ipq", a[2], x[0])
+                          + contract("...ijp,...jq->...ipq", a[1], x[1])
+                          + contract("...ijq,...jp->...ipq", a[1], x[1])
+                          + contract("...ij,...jpq->...ipq", a[0], x[2]))
+    sub = "...ip,...pq,...qj->...ij"
+    got = contract_jets(sub, a, b, a[:2])
+    assert len(got) == 2 and np.array_equal(got[0], contract(sub, a[0], b[0], a[0]))
+    assert np.array_equal(got[1], contract("...ipr,...pq,...qj->...ijr", a[1], b[0], a[0])
+                          + contract("...ip,...pqr,...qj->...ijr", a[0], b[1], a[0])
+                          + contract("...ip,...pq,...qjr->...ijr", a[0], b[0], a[1]))
+    terms = [(a[2], b[0], a[0], "...iprs,...pq,...qj->...ijrs"),
+             (a[1], b[1], a[0], "...ipr,...pqs,...qj->...ijrs"),
+             (a[1], b[0], a[1], "...ipr,...pq,...qjs->...ijrs"),
+             (a[1], b[1], a[0], "...ips,...pqr,...qj->...ijrs"),
+             (a[0], b[2], a[0], "...ip,...pqrs,...qj->...ijrs"),
+             (a[0], b[1], a[1], "...ip,...pqr,...qjs->...ijrs"),
+             (a[1], b[0], a[1], "...ips,...pq,...qjr->...ijrs"),
+             (a[0], b[1], a[1], "...ip,...pqs,...qjr->...ijrs"),
+             (a[0], b[0], a[2], "...ip,...pq,...qjrs->...ijrs")]
+    want = contract(terms[0][3], *terms[0][:3])
+    for *ops, s in terms[1:]:
+        want = want + contract(s, *ops)
+    assert np.array_equal(contract_jets(sub, a, b, a)[2], want)
