@@ -202,10 +202,9 @@ class _Walk:
         `Residuals` (`batch_report`)."""
         check = _BY_NAME[check] if isinstance(check, str) else check
         result, count = check.at(self), len(self.points)
-        if np.shape(result.scale)[:1] == (1,) != (count,):  # read only a point-free product
-            result = replace(result, scale=np.broadcast_to(result.scale, (count,)), parts={
-                key: np.broadcast_to(part, (count,) + np.shape(part)[1:])
-                for key, part in result.parts.items()})
+        if np.shape(result.scale) == (1,) != (count,):  # computed once, from a point-free product
+            result = replace(result, scale=np.broadcast_to(result.scale, count), parts={
+                k: np.broadcast_to(v, (count, *np.shape(v)[1:])) for k, v in result.parts.items()})
         return batch_report(check.name, result,
                             tol if check.tol is None else check.tol(tol), fit=check.fit,
                             expected=self.expected.get(check.expected))

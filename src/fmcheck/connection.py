@@ -255,8 +255,7 @@ _RC, _BIS = "...js,...si->...ji", "...si,...js->...ji"
 
 @functools.cache
 def _rotations(n: int):
-    """The first, second and third slots of the rotations (k,l,m), (m,k,l)
-    and (l,m,k) of the triples k < l < m of range(n), stacked in that order."""
+    """The slots of the rotations (k,l,m), (m,k,l), (l,m,k) of each k < l < m < n."""
     k, l, m = np.array([*itertools.combinations(range(n), 3)], dtype=np.intp).reshape(-1, 3).T
     return np.r_[k, m, l], np.r_[l, k, m], np.r_[m, l, k]
 
@@ -267,7 +266,8 @@ def _cyclic(subscripts: str, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     [T,j,i] over the triples T = (k < l < m): for `r` antisymmetric in
     (k, l), as a curvature is, the sum's independent entries (none for n <= 2)."""
     x, y, z = _rotations(r.shape[-1])
-    t = contract(subscripts, np.moveaxis(r[..., x, y], -1, -3), np.moveaxis(c[..., z, :], -2, -3))
+    t = contract(subscripts, r[..., x, y].swapaxes(-1, -2).swapaxes(-2, -3),
+                 c[..., z, :].swapaxes(-2, -3))
     count = len(x) // 3
     return t[..., :count, :, :] + t[..., count:2 * count, :, :] + t[..., 2 * count:, :, :]
 

@@ -49,12 +49,12 @@ _MATMUL_MIN = 8  # below this many free*summed*free entries per point, einsum is
 
 
 def _plan(subscripts: str, key: tuple):
-    """The pairwise steps of `contract` and its final axis order for
-    operands of the batch ranks and index shapes `key`.  Each step takes
-    the two live operands that sum an index into the fewest indices, as an
-    einsum or, where they only sum and carry free indices, as a matmul of
-    the operands' axes [batch, free, summed] and [batch, summed, free]
-    reshaped to matrices, if they hold `_MATMUL_MIN` entries per point."""
+    """The pairwise steps of `contract`, and its final axis order, for operands
+    of the batch ranks and index shapes `key`.  Each step takes the two live
+    operands that sum an index into the fewest indices: as a matmul of their
+    axes [batch, free, summed] and [batch, summed, free] as matrices where they
+    only sum and carry free indices and hold `_MATMUL_MIN` entries per point
+    (a transpose or reshape that changes nothing left out), else as an einsum."""
     inputs, output = subscripts.replace("...", "").split("->")
     size, live = {}, []
     for term, (nb, shape) in zip(inputs.split(","), key):
@@ -71,13 +71,16 @@ def _plan(subscripts: str, key: tuple):
             choices.append((not summed, len(result), i, j, summed, result))
         _, _, i, j, summed, result = min(choices)
         (a, nba), (b, nbb) = live[i], live[j]
-        free_a, free_b = "".join([x for x in a if x not in b]), "".join([x for x in b if x not in a])
+        free_a, free_b = "".join(x for x in a if x not in b), "".join(x for x in b if x not in a)
         rows, inner, cols = map(prod, (map(size.get, free_a), map(size.get, summed),
                                        map(size.get, free_b)))
+        perm_a = (*range(nba), *[nba + a.index(x) for x in free_a + summed])
+        perm_b = (*range(nbb), *[nbb + b.index(x) for x in summed + free_b])
         matmul = summed and result == free_a + free_b and rows * inner * cols >= _MATMUL_MIN and (
-            (*range(nba), *[nba + a.index(x) for x in free_a + summed]),
-            (*range(nbb), *[nbb + b.index(x) for x in summed + free_b]),
-            nba, nbb, (rows, inner), (inner, cols), (*map(size.get, result),))
+            perm_a != (*sorted(perm_a),) and perm_a, perm_b != (*sorted(perm_b),) and perm_b,
+            nba, nbb, (len(free_a), len(summed)) != (1, 1) and (rows, inner),
+            (len(summed), len(free_b)) != (1, 1) and (inner, cols),
+            (len(free_a), len(free_b)) != (1, 1) and (*map(size.get, result),))
         steps.append((i, j, f"...{a},...{b}->...{result}", matmul))
         live = [t for k, t in enumerate(live) if k not in (i, j)] + [(result, max(nba, nbb))]
     term, nb = live[0]
@@ -85,14 +88,11 @@ def _plan(subscripts: str, key: tuple):
 
 
 def contract(subscripts: str, *operands) -> np.ndarray:
-    """`np.einsum(subscripts, *operands)` for explicit `...` subscripts,
-    one pair at a time: each pair that sums an index and shares no free one
-    is one batched `np.matmul` (transpose, reshape, matmul, reshape) unless
-    it is small per point, the rest are einsums.  The steps are planned
+    """`np.einsum(subscripts, *operands)` for explicit `...` subscripts, one
+    pair at a time, each a batched `np.matmul` or an einsum (`_plan`), planned
     once per subscripts and operands' batch ranks and index shapes (their
-    axes after the batch axes, of any sizes), so the plans do not grow with
-    the point count; the operands may differ in their leading (broadcast)
-    axes, or have none."""
+    axes after the leading, broadcast ones, of any sizes, or none), so the
+    plans do not grow with the point count."""
     ranks, plans = _PLANS.get(subscripts) or _PLANS.setdefault(subscripts, (
         [len(t) for t in subscripts.replace("...", "").split("->")[0].split(",")], {}))
     key = (*[(op.ndim - r, op.shape[op.ndim - r:]) for op, r in zip(operands, ranks)],)
@@ -104,9 +104,10 @@ def contract(subscripts: str, *operands) -> np.ndarray:
             live.append(np.einsum(spec, a, b))
             continue
         perm_a, perm_b, nba, nbb, shape_a, shape_b, shape = matmul
-        out = np.matmul(a.transpose(perm_a).reshape(a.shape[:nba] + shape_a),
-                        b.transpose(perm_b).reshape(b.shape[:nbb] + shape_b))
-        live.append(out.reshape(out.shape[:-2] + shape))
+        a, b = a.transpose(perm_a) if perm_a else a, b.transpose(perm_b) if perm_b else b
+        out = np.matmul(a.reshape(a.shape[:nba] + shape_a) if shape_a else a,
+                        b.reshape(b.shape[:nbb] + shape_b) if shape_b else b)
+        live.append(out.reshape(out.shape[:-2] + shape) if shape else out)
     return live[0] if final is None else live[0].transpose(final)
 
 
