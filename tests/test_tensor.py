@@ -341,8 +341,8 @@ def test_contract_jets_leibniz_rule():
 def test_contract_jets_sums_each_order_from_its_first_term(monkeypatch):
     # each derivative order is its Leibniz terms added left to right from
     # the first, with no integer 0 ahead of them: the bits are those of the
-    # terms' sum, and terms that are all -0.0 (from a stand-in for
-    # `contract`) sum to -0.0 at every order
+    # terms' explicit sum, for two and three factors, and terms that are
+    # all -0.0 (from a stand-in for `contract`) sum to -0.0 at every order
     from fmcheck import tensor
     from fmcheck.tensor import contract, contract_jets
     rng = np.random.default_rng(11)
@@ -356,6 +356,26 @@ def test_contract_jets_sums_each_order_from_its_first_term(monkeypatch):
                           + contract("...ijp,...jq->...ipq", da, dx)
                           + contract("...ijq,...jp->...ipq", da, dx)
                           + contract("...ij,...jpq->...ipq", a, ddx))
+    # three factors, to first and to second order
+    b, db, ddb = (rng.standard_normal((4,) + (3,) * k) for k in (2, 3, 4))
+    sub = "...ip,...pq,...qj->...ij"
+    low = contract_jets(sub, (a, da), (b, db), (a, da, dda))
+    assert len(low) == 2 and np.array_equal(low[0], contract(sub, a, b, a))
+    assert np.array_equal(low[1], contract("...ipr,...pq,...qj->...ijr", da, b, a)
+                          + contract("...ip,...pqr,...qj->...ijr", a, db, a)
+                          + contract("...ip,...pq,...qjr->...ijr", a, b, da))
+    want = None
+    for *ops, s in ((dda, b, a, "...iprs,...pq,...qj->...ijrs"),
+                    (da, db, a, "...ipr,...pqs,...qj->...ijrs"),
+                    (da, b, da, "...ipr,...pq,...qjs->...ijrs"),
+                    (da, db, a, "...ips,...pqr,...qj->...ijrs"),
+                    (a, ddb, a, "...ip,...pqrs,...qj->...ijrs"),
+                    (a, db, da, "...ip,...pqr,...qjs->...ijrs"),
+                    (da, b, da, "...ips,...pq,...qjr->...ijrs"),
+                    (a, db, da, "...ip,...pqs,...qjr->...ijrs"),
+                    (a, b, dda, "...ip,...pq,...qjrs->...ijrs")):
+        want = contract(s, *ops) if want is None else want + contract(s, *ops)
+    assert np.array_equal(contract_jets(sub, (a, da, dda), (b, db, ddb), (a, da, dda))[2], want)
     monkeypatch.setattr(tensor, "contract", lambda subscripts, *ops: np.full(4, -0.0))
     parts = contract_jets("...ij,...j->...i", (a, da, dda), (x, dx, ddx))
     assert len(parts) == 3 and all(np.signbit(part).all() for part in parts)
@@ -384,44 +404,3 @@ def test_contract_of_point_free_operands_equals_broadcast_views():
         ranks, plans = tensor._PLANS[sub]
         routes.update(bool(matmul) for steps, _ in plans.values() for *_, matmul in steps)
     assert routes == {False, True}
-
-
-def test_contract_jets_equals_its_explicit_leibniz_sum():
-    # each order of `contract_jets` is, bit for bit, the explicit sum of
-    # its Leibniz terms, added left to right, for two and three factors
-    # and to first and second order
-    from fmcheck.tensor import contract, contract_jets
-    rng = np.random.default_rng(31)
-    n, count = 3, 6
-
-    def jet(rank):
-        return [rng.standard_normal((count,) + (n,) * (rank + k)) for k in range(3)]
-
-    a, x, b = jet(2), jet(1), jet(2)
-    val, d, dd = contract_jets("...ij,...j->...i", a, x)
-    assert np.array_equal(val, contract("...ij,...j->...i", a[0], x[0]))
-    assert np.array_equal(d, contract("...ijp,...j->...ip", a[1], x[0])
-                          + contract("...ij,...jp->...ip", a[0], x[1]))
-    assert np.array_equal(dd, contract("...ijpq,...j->...ipq", a[2], x[0])
-                          + contract("...ijp,...jq->...ipq", a[1], x[1])
-                          + contract("...ijq,...jp->...ipq", a[1], x[1])
-                          + contract("...ij,...jpq->...ipq", a[0], x[2]))
-    sub = "...ip,...pq,...qj->...ij"
-    got = contract_jets(sub, a, b, a[:2])
-    assert len(got) == 2 and np.array_equal(got[0], contract(sub, a[0], b[0], a[0]))
-    assert np.array_equal(got[1], contract("...ipr,...pq,...qj->...ijr", a[1], b[0], a[0])
-                          + contract("...ip,...pqr,...qj->...ijr", a[0], b[1], a[0])
-                          + contract("...ip,...pq,...qjr->...ijr", a[0], b[0], a[1]))
-    terms = [(a[2], b[0], a[0], "...iprs,...pq,...qj->...ijrs"),
-             (a[1], b[1], a[0], "...ipr,...pqs,...qj->...ijrs"),
-             (a[1], b[0], a[1], "...ipr,...pq,...qjs->...ijrs"),
-             (a[1], b[1], a[0], "...ips,...pqr,...qj->...ijrs"),
-             (a[0], b[2], a[0], "...ip,...pqrs,...qj->...ijrs"),
-             (a[0], b[1], a[1], "...ip,...pqr,...qjs->...ijrs"),
-             (a[1], b[0], a[1], "...ips,...pq,...qjr->...ijrs"),
-             (a[0], b[1], a[1], "...ip,...pqs,...qjr->...ijrs"),
-             (a[0], b[0], a[2], "...ip,...pq,...qjrs->...ijrs")]
-    want = contract(terms[0][3], *terms[0][:3])
-    for *ops, s in terms[1:]:
-        want = want + contract(s, *ops)
-    assert np.array_equal(contract_jets(sub, a, b, a)[2], want)
