@@ -71,28 +71,28 @@ def _plan(subscripts: str, key: tuple):
             choices.append((not summed, len(result), i, j, summed, result))
         _, _, i, j, summed, result = min(choices)
         (a, nba), (b, nbb) = live[i], live[j]
-        free_a, free_b = "".join(x for x in a if x not in b), "".join(x for x in b if x not in a)
-        rows, inner, cols = map(prod, (map(size.get, free_a), map(size.get, summed),
-                                       map(size.get, free_b)))
-        perm_a = (*range(nba), *[nba + a.index(x) for x in free_a + summed])
-        perm_b = (*range(nbb), *[nbb + b.index(x) for x in summed + free_b])
+        free_a = "".join([x for x in a if x not in b])
+        free_b = "".join([x for x in b if x not in a])
+        rows, inner, cols = (prod([size[x] for x in free_a]), prod([size[x] for x in summed]),
+                             prod([size[x] for x in free_b]))
+        order_a, order_b = free_a + summed, summed + free_b
         matmul = summed and result == free_a + free_b and rows * inner * cols >= _MATMUL_MIN and (
-            perm_a != (*sorted(perm_a),) and perm_a, perm_b != (*sorted(perm_b),) and perm_b,
+            order_a != a and (*range(nba), *[nba + a.index(x) for x in order_a]),
+            order_b != b and (*range(nbb), *[nbb + b.index(x) for x in order_b]),
             nba, nbb, (len(free_a), len(summed)) != (1, 1) and (rows, inner),
             (len(summed), len(free_b)) != (1, 1) and (inner, cols),
-            (len(free_a), len(free_b)) != (1, 1) and (*map(size.get, result),))
+            (len(free_a), len(free_b)) != (1, 1) and (*[size[x] for x in result],))
         steps.append((i, j, f"...{a},...{b}->...{result}", matmul))
-        live = [t for k, t in enumerate(live) if k not in (i, j)] + [(result, max(nba, nbb))]
+        live = [t for k, t in enumerate(live) if k != i and k != j] + [(result, max(nba, nbb))]
     term, nb = live[0]
-    return steps, None if term == output else (*range(nb), *(nb + term.index(x) for x in output))
+    return steps, None if term == output else (*range(nb), *[nb + term.index(x) for x in output])
 
 
 def contract(subscripts: str, *operands) -> np.ndarray:
     """`np.einsum(subscripts, *operands)` for explicit `...` subscripts, one
-    pair at a time, each a batched `np.matmul` or an einsum (`_plan`), planned
-    once per subscripts and operands' batch ranks and index shapes (their
-    axes after the leading, broadcast ones, of any sizes, or none), so the
-    plans do not grow with the point count."""
+    pair at a time, each a batched `np.matmul` or an einsum, planned once per
+    subscripts and operands' batch ranks and index shapes (`_plan`: their axes
+    after the leading, broadcast ones, of any sizes), whatever the point count."""
     ranks, plans = _PLANS.get(subscripts) or _PLANS.setdefault(subscripts, (
         [len(t) for t in subscripts.replace("...", "").split("->")[0].split(",")], {}))
     key = (*[(op.ndim - r, op.shape[op.ndim - r:]) for op, r in zip(operands, ranks)],)
