@@ -181,8 +181,8 @@ def main() -> int:
                   f"{row['change_median']:.4g} (change better in "
                   f"{row['change_better_pairs']}/{args.pairs} pairs)")
     for column, name in enumerate(doc["work"]["columns"]):
-        parent, change = (sum(row[side][column] for row in doc["work"]["entries"].values())
-                          for side in ("parent", "change"))
+        parent, change = (sum(row[side][column] for row in doc["work"]["entries"].values()
+                              if row[side] is not None) for side in ("parent", "change"))
         print(f"work {name}: {parent} -> {change}")
     print(f"wrote {out}")
     return 0
