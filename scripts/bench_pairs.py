@@ -20,8 +20,8 @@ working tree does not let the change skip the compiling the parent does.
 One `--trace 1` run of each workload on each side follows, for the
 per-layer counts and self times.  Last, the exact work counters of the
 working tree's `tests/work_counts.py` (contract calls and output elements,
-tape runs and operations, per catalog entry at seed 0 and at 4 and 20
-points) run once against each side's `src/`.
+tape runs and operations, and amax calls, per catalog entry at seed 0 and
+at 4 and 20 points) run once against each side's `src/`.
 
 BENCH_<T>.json, at the root of the working tree, holds:
 

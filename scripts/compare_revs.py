@@ -20,7 +20,8 @@ runs through `catalog.run_checks`):
 - the rows that no CLI command runs, through `catalog.run_checks` at
   seeds 0-2 with 20 and 50 points, each run printing its JSON reports:
   `transform-metric` and `homogeneous-legendre` for the fields X2 and X3
-  of q0-d-minus1, and the benchmark's three negative controls on
+  of q0-d-minus1, `torsionless` and `nabla-from-g` on lobachevsky,
+  q0-d0 and af-pencil-n4, and the benchmark's three negative controls on
   lobachevsky's points (`killing-unit` with +u1 in the metric, `gmc` with
   the flipped normal and `sym-condition` with a random field);
 - `ode` on three paths of each closed-form family, one with `--steps 40`,
@@ -111,11 +112,13 @@ from fmcheck.manifold import ManifoldSpec, SamplePlan, sample_points
 
 
 def row(check, source, seed, count):
-    # one row through the walk: on a field of q0-d-minus1, or one of the
-    # benchmark's controls on lobachevsky's points
+    # one row through the walk: on a catalog entry, on a field of
+    # q0-d-minus1, or one of the benchmark's controls on lobachevsky's points
     lob = cat.entry("lobachevsky").spec
     sampled, spec, comp = lob, lob, {}
-    if source in ("X2", "X3"):
+    if source in cat.names():
+        sampled = spec = cat.entry(source).spec
+    elif source in ("X2", "X3"):
         ent = cat.entry("q0-d-minus1")
         sampled = spec = ent.spec
         comp = {"legendre_field": ent.companion["legendre_fields"][source]}
@@ -224,6 +227,8 @@ TRANSFORMS = (("X2", "q0-d0"), ("X3", "q0-d1"))
 # (row, source) of the runs through `catalog.run_checks`
 ROWS = (*((check, field) for check in ("transform-metric", "homogeneous-legendre")
           for field in ("X2", "X3")),
+        *((check, name) for check in ("torsionless", "nabla-from-g")
+          for name in ("lobachevsky", "q0-d0", "af-pencil-n4")),
         ("killing-unit", "+u1"), ("gmc", "flipped-normal"), ("sym-condition", "random-field"))
 BAD = ((["verify", "lobachevsky", "--check", "homogeneity"]),
        (["verify", "case-i", "--check", "metric-invariance"]),

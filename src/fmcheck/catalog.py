@@ -2,12 +2,10 @@
 built-in specs of `entries` and spec files, and over a construction's
 output, a derived walk that the table's rows read.
 
-A row runs wherever its inputs exist (`Check.needs`): the spec's fields,
-an entry's companion tables and its expected values.  The natural
-connection's rows, for one, hold on every Riemannian F-manifold, so they
-need only a metric.  A flag names a claim that the data cannot show, which
-an entry makes and a spec file never does; `--check` and a Legendre
-transform pick their rows by name.
+A row of `CHECKS` runs wherever its inputs exist (`Check.needs`): the
+spec's fields, an entry's companion tables and its expected values.  A flag
+names a claim the data cannot show, which an entry makes and a spec file
+never does.  `--check`, a transform and `run_checks` pick rows by name.
 """
 
 from __future__ import annotations
@@ -97,10 +95,9 @@ def verify_vector_potential(ent: CatalogEntry, points, tol: float = DEFAULT_TOL)
 
 def connection_suite(spec: ManifoldSpec, points) -> list:
     """The theorem rows (`_THEOREMS`) that the fields of `spec` allow, at
-    the default tolerance: with a metric, the natural connection is
-    torsionless, flat, unit-parallel, compatible with the product and
-    solves its defining equation; the Levi-Civita curvature meets the
-    product condition; and the two agree in the cyclic sum."""
+    the default tolerance: with a metric, the natural connection's flatness,
+    unit and product rows, the Levi-Civita curvature's product condition and
+    the cyclic sum, not the construction's own properties (`_NAMED`)."""
     return _walk(spec, {}, [c for c in _chosen(spec, {}) if c.name in _THEOREMS],
                  points, DEFAULT_TOL)
 
@@ -264,7 +261,7 @@ def _match_at(b):
     return Residuals({"metric": res}, np.zeros_like(res))
 
 
-# every check, in report order
+# every row a source's walk reports, in report order
 CHECKS = (
     Check("product-axioms", lambda b: product_axioms_at(b.st)),
     Check("hertling-manin", lambda b: hertling_manin_at(b.st)),
@@ -272,11 +269,9 @@ CHECKS = (
     Check("killing-unit", lambda b: killing_unit_at(b.st), needs=("g",)),
     # a flat metric, which the natural connection's rows do not imply
     Check("levi-civita-flat", lambda b: flatness_at(b.lc), "flat-metric", ("g",)),
-    Check("torsionless", lambda b: torsion_at(b.nat), needs=("g",), tol=lambda tol: 1e-12),
     Check("flatness", lambda b: flatness_at(b.nat), needs=("g",)),
     Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), needs=("g",)),
     Check("product-compat", lambda b: compat_product_at(b.nat, b.st), needs=("g",)),
-    Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit), needs=("g",)),
     Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st), needs=("g",)),
     Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), needs=("g",)),
     Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), needs=("g", "E")),
@@ -330,18 +325,11 @@ CHECKS = (
         b.st, b.nat, b.field_jets.val, b.field_jets.grad), needs=("legendre_field",)),
     Check("transform-exprs", _transform_exprs_at, needs=("legendre_field", "transformed_g")),
     Check("match", _match_at, needs=("legendre_field", "target_g"), tol=lambda tol: max(tol, 1e-7)),
-    # the transform's theorems, from its walk's rows; only `run_checks` runs them
-    Check("transform-metric", lambda b: transform_metric_at(
-        *(_BY_NAME[name].at(b.transformed) for name in ("metric-invariance", "killing-unit")),
-        b.transformed.nat, transform_connection(b.nat, b.transformed.st, *b.field_jets)),
-          needs=("legendre_field",)),
-    Check("homogeneous-legendre", lambda b: homogeneous_legendre_at(
-        b.st, *(_BY_NAME["homogeneity"].at(walk) for walk in (b, b.transformed)),
-        b.field_jets.val, b.field_jets.grad), needs=("legendre_field",), fit="dbar"),
 )
-_THEOREMS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
-             "torsionless", "flatness", "nabla-e", "product-compat", "nabla-from-g",
-             "curvature-product", "r-tr", "nabla-nabla-E", "homogeneity", "dual-structure")
+# the theorem rows; all but the last, killing-unit, whose g and e "recon" keeps, run on it too
+_THEOREMS = ("product-axioms", "hertling-manin", "metric-invariance", "flatness", "nabla-e",
+             "product-compat", "curvature-product", "r-tr", "nabla-nabla-E", "homogeneity",
+             "dual-structure", "killing-unit")
 
 
 def _reconstructed(check: Check) -> Check:
@@ -350,8 +338,20 @@ def _reconstructed(check: Check) -> Check:
                    needs=("g", "g2"), expected=check.expected and f"{check.expected}_reconstructed")
 
 
-CHECKS += tuple(_reconstructed(check) for check in CHECKS if check.name in _THEOREMS)
-_BY_NAME = {check.name: check for check in CHECKS}
+CHECKS += tuple(_reconstructed(check) for check in CHECKS if check.name in _THEOREMS[:-1])
+# the rows no walk reports, which only `run_checks` runs: two properties the natural
+# connection has by construction, tested in the test tree, and a transform's theorems
+_NAMED = (
+    Check("torsionless", lambda b: torsion_at(b.nat), tol=lambda tol: 1e-12),
+    Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit)),
+    Check("transform-metric", lambda b: transform_metric_at(
+        *(_BY_NAME[name].at(b.transformed) for name in ("metric-invariance", "killing-unit")),
+        b.transformed.nat, transform_connection(b.nat, b.transformed.st, *b.field_jets))),
+    Check("homogeneous-legendre", lambda b: homogeneous_legendre_at(
+        b.st, *(_BY_NAME["homogeneity"].at(walk) for walk in (b, b.transformed)),
+        b.field_jets.val, b.field_jets.grad), fit="dbar"),
+)
+_BY_NAME = {check.name: check for check in CHECKS + _NAMED}
 
 # the checks `verify --check NAME` runs
 SINGLE_CHECKS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",

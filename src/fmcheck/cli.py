@@ -13,7 +13,8 @@ transform needs a named product, a sample point where the spec is
 singular, which `verify` and `legendre` name by index and coordinates, a
 sampling region that admits fewer points than `--points`, a negative
 `--seed`, a `--field` whose component count is not the spec's dimension,
-a named `--field` that is not one of a catalog entry's fields,
+a named `--field` that is not one of a catalog entry's fields (on n >= 2;
+on n = 1 a `--field` that names none is its one component),
 a non-finite `--state`, `--from`, `--to`, `--rtol`, `--atol`,
 `--drift-tol`, `--a` or `--b`, `--a` or `--b` without `--init q0`, a
 negative tolerance, `--steps` below 1, both tolerances zero, a singular
@@ -279,15 +280,14 @@ def cmd_legendre(args) -> int:
     if loaded is None:
         return 2
     spec, ent, overrides = loaded
-    if "," in args.field:
-        field_exprs = tuple(args.field.split(","))
-        field_name = "custom"
-    else:
-        field_exprs = (ent.companion if ent else {}).get("legendre_fields", {}).get(args.field)
-        if field_exprs is None:
+    # a field's name, else its components: a comma separates them, and on n = 1 there is one
+    field_exprs = (ent.companion if ent else {}).get("legendre_fields", {}).get(args.field)
+    field_name = args.field
+    if field_exprs is None:
+        if "," not in args.field and spec.n != 1:
             sys.stderr.write(f"input error: --field {args.field!r}: not a field of {spec.name}\n")
             return 2
-        field_name = args.field
+        field_exprs, field_name = tuple(args.field.split(",")), "custom"
     if len(field_exprs) != spec.n:
         sys.stderr.write(f"input error: --field {args.field!r}: {len(field_exprs)} components, "
                          f"but {spec.name} has n = {spec.n}\n")

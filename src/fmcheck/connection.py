@@ -12,7 +12,9 @@ the first such point (`checked_inverse`).  The residual functions (`*_at`)
 return their `Residuals` at each point of a given connection; the
 `check_*` functions are views of the walk (`walk_row`), the report of the
 row of that name on the spec's natural (or, for "curvature-product",
-Levi-Civita) connection over a point set.
+Levi-Civita) connection over a point set.  No walk reports `torsionless`
+or `nabla-from-g`, which hold by construction: they are tested in the test
+tree and reached only through their views here.
 
 A connection owns its curvature (`ConnectionAt.curvature`).  The metric
 inverse and the counit have one way in: the caller builds each once and
@@ -174,9 +176,7 @@ def riemann_components(gamma, dgamma) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checks: the residual parts and scale at each point of a connection (and
-# the structure it belongs to), and the check over a point set: the walk's
-# row of that name (`walk_row`)
+# checks: each row's residuals, and its view of the walk (`walk_row`)
 
 
 def torsion_at(conn: ConnectionAt):

@@ -506,6 +506,12 @@ class ManifoldSpec:
         params, expected = d.get("params", {}), d.get("expected", {})
         _expect(isinstance(params, Mapping), "params", "an object")
         _expect(isinstance(expected, Mapping), "expected", "an object")
+        for key, v in expected.items():
+            if key == "V_eigenvalues":  # the one list, of n eigenvalues
+                _expect(_is_list(v, n) and all(map(_is_finite, v)), f"expected.{key}",
+                        f"a list of {n} finite numbers, as n = {n}")
+            else:
+                _expect(_is_finite(v), f"expected.{key}", "a finite number")
         return cls(
             name=_field(d, "name"),
             n=n,

@@ -192,11 +192,13 @@ def test_criterion_05_product_reconstruction():
         lg = np.einsum("k,ijk->ij", st.E, st.dg) + st.g @ st.dE + (st.g @ st.dE).T
         D = fit_scalar(lg, st.g, 2)
         ok &= np.max(np.abs(lg - D * st.g)) <= 1e-8 * (1 + np.max(np.abs(st.g)))
-    # the natural connection of the rebuilt structure: the walk's rows on it
-    rows = ["reconstructed/" + row for row in ("flatness", "nabla-e", "product-compat",
-                                               "nabla-from-g")]
+    # the natural connection of the rebuilt structure: the walk's rows on
+    # it, and the defining property it has by construction, which no walk
+    # reports, on the same rebuilt structure
+    rows = ["reconstructed/" + row for row in ("flatness", "nabla-e", "product-compat")]
     reports = cat.run_checks(spec, {}, rows, pts, 1e-8)
     ok &= [r.name for r in reports] == rows and all(r.passed for r in reports)
+    ok &= cat._Walk(spec, {}, pts).recon.report("nabla-from-g", 1e-8).passed
     announce(5, "pencil-to-product reconstruction", ok, t0)
 
 

@@ -159,9 +159,11 @@ def test_rows_run_wherever_their_inputs_exist():
     # companion tables, so it runs exactly the entry's rows that read only
     # spec fields: with a metric, every theorem row whose fields it has,
     # and with a second metric every pencil row.  No entry or spec file
-    # runs a transform's rows
-    transform_rows = {"legendre-field", "transform-exprs", "match", "transform-metric",
-                      "homogeneous-legendre"}
+    # runs a transform's rows, or a row that only `run_checks` runs
+    transform_rows = {"legendre-field", "transform-exprs", "match",
+                      *(c.name for c in cat._NAMED)}
+    assert {"torsionless", "nabla-from-g", "transform-metric", "homogeneous-legendre"} <= \
+        transform_rows
     for name in cat.names():
         ent = cat.entry(name)
         exported = ManifoldSpec.from_json(ent.spec.to_json())
@@ -178,12 +180,12 @@ def test_rows_run_wherever_their_inputs_exist():
                              and set(cat._BY_NAME[row].needs) <= fields], name
         assert {"product-axioms", "hertling-manin"} <= set(spec_rows), name
         if "g" in fields:
-            assert {"metric-invariance", "killing-unit", "torsionless", "flatness", "nabla-e",
-                    "product-compat", "nabla-from-g", "curvature-product", "r-tr"} <= set(
-                        spec_rows), name
+            assert {"metric-invariance", "killing-unit", "flatness", "nabla-e",
+                    "product-compat", "curvature-product", "r-tr"} <= set(spec_rows), name
         if "g2" in fields:
             assert {"pencil-exactness", "flat-pencil", "product-from-pencil",
-                    *(f"reconstructed/{row}" for row in cat._THEOREMS)} <= set(spec_rows), name
+                    *(c.name for c in cat.CHECKS if c.name.startswith("reconstructed/"))} <= set(
+                        spec_rows), name
 
 
 def test_every_expected_failure_runs_and_fails():
@@ -450,12 +452,12 @@ def test_row_data_cuts_array_batches_to_the_row_points():
 def test_every_row_reads_every_sample_point():
     # every report of every catalog entry, of the af-pencil-n3 spec file
     # and of both catalog transforms reads all of its run's points, at 1,
-    # 3, 4, 7 and 20: the pencil's rows and the 14 theorem rows of the
+    # 3, 4, 7 and 20: the pencil's rows and the 11 theorem rows of the
     # structure rebuilt from it too, and the rows that a named product,
     # which is point-free, computes once
     pencil_rows = {"flat-pencil", "delta-identities", "r-operator", "product-from-pencil",
-                   *(f"reconstructed/{name}" for name in cat._THEOREMS)}
-    assert len(pencil_rows) == 4 + 14
+                   *(c.name for c in cat.CHECKS if c.name.startswith("reconstructed/"))}
+    assert len(pencil_rows) == 4 + 11
     sources = [cat.entry(name) for name in cat.names()]
     sources.append(ManifoldSpec.from_dict(json.loads(cat.entry("af-pencil-n3").spec.to_json())))
     source = cat.entry("q0-d-minus1")
@@ -590,7 +592,8 @@ def test_flat_pencil_is_real_on_real_data():
 def test_a_complex_parameter_keeps_the_walk_complex():
     # q0-d0 with a = 1.1+0.3i, the [re, im] pair a spec file or `--param`
     # gives: the metric and all built on it carry imaginary parts, stay
-    # complex128, and all 22 of its rows pass
+    # complex128, and all 20 of its rows pass, and the natural connection's
+    # two construction rows, which only `run_checks` runs
     ent = cat.entry("q0-d0")
     doc = json.loads(ent.spec.to_json())
     doc["params"]["a"] = [1.1, 0.3]
@@ -598,8 +601,9 @@ def test_a_complex_parameter_keeps_the_walk_complex():
     assert spec.params["a"] == 1.1 + 0.3j
     points = sample_points(spec, SamplePlan(seed=0, count=20))
     checks = cat._chosen(spec, ent.companion, ent.flags)
-    reports = cat.run_checks(spec, ent.companion, [c.name for c in checks], points)
-    assert len(reports) == 22
+    reports = cat.run_checks(spec, ent.companion,
+                             [c.name for c in checks] + ["torsionless", "nabla-from-g"], points)
+    assert len(reports) == 20 + 2
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
     walk = cat._Walk(spec, ent.companion, points)
     for check in checks:

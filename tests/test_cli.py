@@ -625,8 +625,18 @@ _LOB = json.loads(cat.entry("lobachevsky").spec.to_json())
     ("region", {**_LOB["region"], "box": [[0.6, 2.0]]}, "region.box:"),
     ("region", {**_LOB["region"], "box": 5}, "region.box:"),
     ("params", {"k": [1]}, "params.k:"),
+    # an expected value is a finite number, or V_eigenvalues' list of n of them
+    ("expected", {"D": "abc"}, "expected.D:"),
+    ("expected", {"D": [1, 2, 3]}, "expected.D:"),
+    ("expected", {"D": {}}, "expected.D:"),
+    ("expected", {"R1212": float("nan")}, "expected.R1212:"),
+    ("expected", {"V_eigenvalues": 1.0}, "expected.V_eigenvalues:"),
+    ("expected", {"V_eigenvalues": [1.0, "x"]}, "expected.V_eigenvalues:"),
+    ("expected", {"V_eigenvalues": [1.0, 2.0, 3.0]}, "expected.V_eigenvalues:"),
 ], ids=["e-short", "e-long", "coords-long", "coords-number", "product-name", "g-3x3",
-        "g-number", "box-one-pair", "box-number", "param-one-number"])
+        "g-number", "box-one-pair", "box-number", "param-one-number", "expected-string",
+        "expected-list", "expected-object", "expected-nan", "eigenvalues-number",
+        "eigenvalues-string", "eigenvalues-long"])
 def test_malformed_spec_file_is_bad_input(tmp_path, field, value, named):
     # lobachevsky's exported spec with one field malformed: one `spec error`
     # line that names the field, for `verify` and `legendre` alike
@@ -636,6 +646,25 @@ def test_malformed_spec_file_is_bad_input(tmp_path, field, value, named):
         code, out, err = run_cli(argv)
         assert code == 2 and out == "", (argv, err)
         assert len(err.strip().splitlines()) == 1 and err.startswith(f"spec error: {named}"), err
+
+
+def test_one_component_field_on_a_line(tmp_path):
+    # on n = 1 no comma marks a component, so a `--field` that names no
+    # field is the field's one component; two components are still too many
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"name": "line", "n": 1, "coords": ["u1"], "product": "canonical",
+                                "e": ["1"], "E": ["u1"], "g": [["1"]],
+                                "region": {"box": [[0.5, 2.0]]}}))
+    code, out, err = run_cli(["legendre", str(path), "--field", "1", "--points", "4"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["field"] == "custom" and doc["ok"]
+    assert [r["name"] for r in doc["reports"]] == ["legendre-field", "transform-exprs"]
+    # a field that is not flat is rejected as a transform, not as a name
+    code, out, err = run_cli(["legendre", str(path), "--field", "u1", "--points", "4"])
+    assert code == 1 and err.startswith("transform rejected: field is not connection-flat")
+    code, out, err = run_cli(["legendre", str(path), "--field", "1,1"])
+    assert code == 2 and err == "input error: --field '1,1': 2 components, but line has n = 1\n"
 
 
 def test_forced_values_are_no_parameters():

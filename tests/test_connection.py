@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,10 +12,10 @@ from fmcheck.connection import (check_compat_product,
                                 check_torsionless, compat_product_at, connection_from_exprs,
                                 counit_jets, curvature_product_at, dual_structure, flatness_at,
                                 levi_civita, metric_inverse, nabla_e_at, nabla_from_g_at,
-                                natural_connection, nabla_metric)
+                                natural_connection, natural_from_levi_civita, nabla_metric)
 from fmcheck.exprjet import parse
-from fmcheck.manifold import (DEFAULT_TOL, ManifoldSpec, Region, SamplePlan, batch_report,
-                              sample_points, structure_at, structures, worst)
+from fmcheck.manifold import (DEFAULT_TOL, ManifoldSpec, Region, SamplePlan, StructureAt,
+                              batch_report, sample_points, structure_at, structures, worst)
 from fmcheck.tensor import SingularMatrixError
 
 from finite_diff import finite_diff_oracle
@@ -145,6 +146,96 @@ def test_uniqueness_probe():
     bumped = type(nat)(nat.n, nat.point, nat.gamma + pert, nat.dgamma)
     rep = batch_report("nabla-from-g", nabla_from_g_at(bumped, st, counit_jets(st)), DEFAULT_TOL)
     assert rep.residual >= 1e-4
+
+
+@functools.cache
+def _symbolic_structure(n: int, commutative: bool):
+    """Symbolic g, c and e on u1..un (sympy), and at three points the
+    `StructureAt` of their exact jets with sympy's dtheta_qf = d_q theta_f -
+    d_f theta_q of theta = g e and its first derivatives.  g is symmetric
+    and nondegenerate on the points; c and e are generic, so dtheta is
+    nonzero, and so is c's antisymmetric part unless `commutative`."""
+    import sympy as sp
+    u = sp.symbols(f"u1:{n + 1}")
+    g = sp.Matrix(n, n, lambda i, j: (3 + i + u[i] ** 2) * int(i == j)
+                  + (u[i] * u[j] + u[i] + u[j]) / 5)
+    c = [[[(1 + i + j + k) * u[(i + j + k) % n] + u[j] * u[k] + u[i] * u[j] * u[k] / 3
+           + (0 if commutative else (j - 2 * k) * u[i] ** 2)
+           for k in range(n)] for j in range(n)] for i in range(n)]
+    e = [u[(i + 1) % n] ** 2 + u[i] * u[(i + 1) % n] + i + 1 for i in range(n)]
+    theta = [sum(g[i, l] * e[l] for l in range(n)) for i in range(n)]
+    dtheta = [[sp.diff(theta[f], u[q]) - sp.diff(theta[q], u[f]) for f in range(n)]
+              for q in range(n)]
+    jets = {
+        "g": g.tolist(),
+        "dg": [[[sp.diff(g[i, j], x) for x in u] for j in range(n)] for i in range(n)],
+        "ddg": [[[[sp.diff(g[i, j], x, y) for y in u] for x in u] for j in range(n)]
+                for i in range(n)],
+        "c": c, "dc": [[[[sp.diff(c[i][j][k], x) for x in u] for k in range(n)] for j in range(n)]
+                       for i in range(n)],
+        "e": e, "de": [[sp.diff(ei, x) for x in u] for ei in e],
+        "dde": [[[sp.diff(ei, x, y) for y in u] for x in u] for ei in e],
+        "dtheta": dtheta, "d_dtheta": [[[sp.diff(d, x) for x in u] for d in row] for row in dtheta],
+    }
+    points = np.random.default_rng(n).uniform(0.2, 0.8, (3, n))
+    values = {key: np.array([sp.lambdify(u, table, "numpy")(*p) for p in points], dtype=float)
+              for key, table in jets.items()}
+    dtheta = values.pop("dtheta"), values.pop("d_dtheta")
+    return StructureAt(n, points, ddc=None, **values), dtheta
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_natural_connection_is_torsionless_exactly_where_the_product_commutes(n):
+    # against sympy's jets of symbolic g, c and e: the natural connection's
+    # torsion Gamma^i_kl - Gamma^i_lk, and its first derivatives, equal
+    # -1/2 g^if dtheta_qf (c^q_kl - c^q_lk): zero for a commutative c, and
+    # not zero for this c that does not commute
+    for commutative in (True, False):
+        st, (dtheta, d_dtheta) = _symbolic_structure(n, commutative)
+        inverse = metric_inverse(st)
+        nat = natural_from_levi_civita(st, levi_civita(st, inverse), inverse, counit_jets(st))
+        torsion = nat.gamma - np.swapaxes(nat.gamma, -1, -2)
+        dtorsion = nat.dgamma - np.swapaxes(nat.dgamma, -2, -3)
+        twist = st.c - np.swapaxes(st.c, -1, -2)  # c^q_kl - c^q_lk
+        dtwist = st.dc - np.swapaxes(st.dc, -2, -3)
+        m = np.einsum("...if,...qf->...iq", inverse.inv, dtheta)
+        dm = (np.einsum("...ifp,...qf->...iqp", inverse.dinv, dtheta)
+              + np.einsum("...if,...qfp->...iqp", inverse.inv, d_dtheta))
+        want = -0.5 * np.einsum("...iq,...qkl->...ikl", m, twist)
+        dwant = -0.5 * (np.einsum("...iqp,...qkl->...iklp", dm, twist)
+                        + np.einsum("...iq,...qklp->...iklp", m, dtwist))
+        assert np.max(np.abs(torsion - want)) <= 1e-12 * np.max(np.abs(nat.gamma)), commutative
+        assert np.max(np.abs(dtorsion - dwant)) <= 1e-12 * np.max(np.abs(nat.dgamma))
+        assert (np.max(np.abs(want)) == 0.0) == commutative
+        assert commutative or np.min(np.max(np.abs(torsion), axis=(1, 2, 3))) >= 1e-2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_natural_connection_solves_its_defining_equation(n):
+    # against sympy's jets of symbolic g, c and e, commutative or not:
+    # (nabla_k g)_ij = 1/2 (c^s_ki dtheta_sj + c^s_kj dtheta_si), with
+    # dtheta nonzero, and its first derivatives
+    for commutative in (True, False):
+        st, (dtheta, d_dtheta) = _symbolic_structure(n, commutative)
+        inverse = metric_inverse(st)
+        nat = natural_from_levi_civita(st, levi_civita(st, inverse), inverse, counit_jets(st))
+        gam, dgam = nat.gamma, nat.dgamma
+        nabg = (np.einsum("...ijk->...kij", st.dg) - np.einsum("...ski,...sj->...kij", gam, st.g)
+                - np.einsum("...skj,...is->...kij", gam, st.g))
+        dnabg = (np.einsum("...ijkm->...kijm", st.ddg)
+                 - np.einsum("...skim,...sj->...kijm", dgam, st.g)
+                 - np.einsum("...ski,...sjm->...kijm", gam, st.dg)
+                 - np.einsum("...skjm,...is->...kijm", dgam, st.g)
+                 - np.einsum("...skj,...ism->...kijm", gam, st.dg))
+        rhs = 0.5 * (np.einsum("...ski,...sj->...kij", st.c, dtheta)
+                     + np.einsum("...skj,...si->...kij", st.c, dtheta))
+        drhs = 0.5 * (np.einsum("...skim,...sj->...kijm", st.dc, dtheta)
+                      + np.einsum("...ski,...sjm->...kijm", st.c, d_dtheta)
+                      + np.einsum("...skjm,...si->...kijm", st.dc, dtheta)
+                      + np.einsum("...skj,...sim->...kijm", st.c, d_dtheta))
+        assert np.min(np.max(np.abs(rhs), axis=(1, 2, 3))) >= 1e-2
+        assert np.max(np.abs(nabg - rhs)) <= 1e-12 * np.max(np.abs(rhs)), commutative
+        assert np.max(np.abs(dnabg - drhs)) <= 1e-12 * np.max(np.abs(drhs)), commutative
 
 
 def test_nabla_e_negative_control():
@@ -574,8 +665,12 @@ def test_batched_functions_and_rows_equal_single_point_runs():
             for k, st in enumerate(singles):
                 _same(result, fn(st), (name, fn_name, k), k)
             names.add(fn_name)
-        # and levi-civita-flat, whose claim no entry makes
+        # and levi-civita-flat, whose claim no entry makes, and with a
+        # metric the natural connection's construction rows, which only
+        # `run_checks` runs
         rows = cat._chosen(spec, comp, ent.flags | {cat._BY_NAME["levi-civita-flat"].flag})
+        if spec.g is not None:
+            rows += [cat._BY_NAME["torsionless"], cat._BY_NAME["nabla-from-g"]]
         sources.append((name, spec, comp, pts, rows))
     source = cat.entry("q0-d-minus1")
     fields = source.companion["legendre_fields"]
@@ -607,10 +702,12 @@ def test_batched_functions_and_rows_equal_single_point_runs():
                 want = row.at(cat._Walk(spec, comp, [p]))
                 _same(at(got, k), at(want, 0), (name, row.name, k))
             names.add("match" if row.name.startswith("match-") else row.name)
-    # 43 rows, and the 14 theorem rows of the structure rebuilt from the pencil
-    assert len([c for c in cat.CHECKS if c.name in names]) == len(cat.CHECKS) == 43 + 14
+    # 39 rows, the 11 theorem rows of the structure rebuilt from the pencil,
+    # and the 4 rows that only `run_checks` runs
+    rows = cat.CHECKS + cat._NAMED
+    assert len([c for c in rows if c.name in names]) == len(rows) == 39 + 11 + 4
     # every row and at least 59 batched functions
-    assert len(names) >= 43 + 14 + 59
+    assert len(names) >= 39 + 11 + 4 + 59
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -648,6 +745,9 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
     names = ("lobachevsky", "q0-d-minus1", "q0-d0", "af-pencil-n3", "nonss3d",
              "lauricella-eps-minus1-n3", "pencil-63", "case-i")
     runs = [(cat.entry(name), None) for name in names]
+    # the natural connection's construction rows, which only `run_checks` runs
+    runs += [(cat.entry(name), ("torsionless", "nabla-from-g")) for name in names
+             if cat.entry(name).spec.g is not None]
     runs += [(cat.entry("lobachevsky"), "levi-civita-flat"),
              (cat.entry("lobachevsky"), "flatness")]
     source = cat.entry("q0-d-minus1")
@@ -667,7 +767,7 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
         by_name = {"match" if r.name.startswith("match-") else r.name: r for r in reports}
         return {name: r for name, r in by_name.items() if name in rows}
 
-    rows = {c.name for c in cat.CHECKS}
+    rows = {c.name for c in cat.CHECKS + cat._NAMED}
     for at in (5, 9):
         failed = set()
         for source, check in runs:

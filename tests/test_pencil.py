@@ -310,10 +310,11 @@ def test_product_reconstruction_canonical():
 def test_reconstructed_structure_full_suite():
     spec = af()
     pts = sample_points(spec, SamplePlan(seed=7, count=5))
-    # the walk's rows on the natural connection of the rebuilt structure
-    rows = ["reconstructed/" + row for row in ("flatness", "nabla-e", "product-compat",
-                                               "nabla-from-g")]
-    for rep in cat.run_checks(spec, {}, rows, pts):
+    # the walk's rows on the natural connection of the rebuilt structure,
+    # and the defining property it has by construction, on the same walk
+    rows = ["reconstructed/" + row for row in ("flatness", "nabla-e", "product-compat")]
+    recon = cat._Walk(spec, {}, pts).recon
+    for rep in [*cat.run_checks(spec, {}, rows, pts), recon.report("nabla-from-g")]:
         assert rep.residual <= 1e-8, rep.name
     for p in pts:
         st = reconstructed_structure(spec, p)
@@ -324,24 +325,25 @@ def test_reconstructed_structure_full_suite():
 
 
 def test_reconstructed_rows_fail_on_a_broken_first_metric():
-    # g11 + 1e-3 u2 breaks the pencil: 13 of the 14 theorem rows of the
-    # structure rebuilt from it fail through the walk.  `nabla-from-g`
-    # holds by the natural connection's construction: its non-metricity is
-    # the product-twisted dtheta of whatever metric, product and unit it is
-    # built from, so that row reads rounding on any structure
+    # g11 + 1e-3 u2 breaks the pencil: all 11 rows of the structure
+    # rebuilt from it fail through the walk.  `nabla-from-g`, which no walk
+    # reports, holds by the natural connection's construction: its
+    # non-metricity is the product-twisted dtheta of whatever metric,
+    # product and unit it is built from, so it reads rounding on any
+    # structure, the broken rebuilt one too
     from dataclasses import replace
     spec = af()
     g = [list(row) for row in spec.g]
     g[0][0] = f"({g[0][0]})+1e-3*u2"
     broken = replace(spec, g=tuple(map(tuple, g)))
-    names = [f"reconstructed/{name}" for name in cat._THEOREMS]
-    assert len(names) == 14
+    names = [c.name for c in cat.CHECKS if c.name.startswith("reconstructed/")]
+    assert len(names) == 11
     for seed in range(2):
         pts = sample_points(broken, SamplePlan(seed=seed, count=20))
-        passed = {r.name: r for r in cat.run_checks(broken, {}, names, pts) if r.passed}
-        assert list(passed) == ["reconstructed/nabla-from-g"], (seed, list(passed))
-        assert passed["reconstructed/nabla-from-g"].residual <= 1e-14
-        # the unbroken pencil passes all 14 at the same points
+        passed = [r.name for r in cat.run_checks(broken, {}, names, pts) if r.passed]
+        assert passed == [], (seed, passed)
+        assert cat._Walk(broken, {}, pts).recon.report("nabla-from-g").residual <= 1e-14
+        # the unbroken pencil passes all 11 at the same points
         assert all(r.passed for r in cat.run_checks(spec, {}, names, pts)), seed
 
 

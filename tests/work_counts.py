@@ -1,11 +1,12 @@
 """Exact work counters for the catalog walk, counted from outside `src/`.
 
 Per catalog entry at seed 0, at 4 and at 20 points, one `run_suite` is
-counted by wrapping four places of the package:
+counted by wrapping five places of the package:
 
 - `tensor.contract` (wherever a module of the package holds it): its calls
   and the elements of its outputs;
 - `exprjet._run`: the tape runs and the operations each run goes through;
+- `manifold.amax` (wherever a module of the package holds it): its calls;
 - `catalog._Walk.report` (one row) and each builder of `catalog._BATCHED`
   (one batch): the label the counts above are charged to, the innermost
   that is running.
@@ -24,25 +25,26 @@ import contextlib
 import json
 import sys
 
-COLUMNS = ["contract calls", "contract output elements", "tape runs", "tape operations"]
+COLUMNS = ["contract calls", "contract output elements", "tape runs", "tape operations",
+           "amax calls"]
 POINT_COUNTS = (4, 20)
 
 
 @contextlib.contextmanager
 def counting():
     """Count the work done inside the block: yields a dict from label
-    ("row <name>", "batch <name>" or "walk" outside both) to the four
-    counts of `COLUMNS`, each charged to the innermost label."""
+    ("row <name>", "batch <name>" or "walk" outside both) to the counts
+    of `COLUMNS`, each charged to the innermost label."""
     import numpy as np
 
     import fmcheck.catalog as catalog
-    from fmcheck import exprjet, tensor
+    from fmcheck import exprjet, manifold, tensor
 
     counts: dict = {}
     stack = ["walk"]
 
     def charge(column, amount):
-        row = counts.setdefault(stack[-1], [0, 0, 0, 0])
+        row = counts.setdefault(stack[-1], [0] * len(COLUMNS))
         row[column] += amount
 
     def labelled(label, fn):
@@ -54,7 +56,8 @@ def counting():
                 stack.pop()
         return run
 
-    contract, run_tape, report = tensor.contract, exprjet._run, catalog._Walk.report
+    contract, amax = tensor.contract, manifold.amax
+    run_tape, report = exprjet._run, catalog._Walk.report
     batched = dict(catalog._BATCHED)
 
     def counted_contract(subscripts, *operands):
@@ -62,6 +65,10 @@ def counting():
         charge(0, 1)
         charge(1, int(np.size(out)))
         return out
+
+    def counted_amax(x, rank):
+        charge(4, 1)
+        return amax(x, rank)
 
     def counted_run(program, points, params, order):
         charge(2, 1)
@@ -72,18 +79,21 @@ def counting():
         name = check if isinstance(check, str) else check.name
         return labelled(f"row {name}", report)(self, check, *args, **kwargs)
 
-    holders = [m for name, m in list(sys.modules.items())
-               if name.startswith("fmcheck") and getattr(m, "contract", None) is contract]
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("fmcheck")]
+    holders = [(m, key, fn, counted) for m in modules
+               for key, fn, counted in (("contract", contract, counted_contract),
+                                        ("amax", amax, counted_amax))
+               if getattr(m, key, None) is fn]
     try:
-        for module in holders:
-            module.contract = counted_contract
+        for module, key, _, counted in holders:
+            setattr(module, key, counted)
         exprjet._run = counted_run
         catalog._Walk.report = counted_report
         catalog._BATCHED.update((key, labelled(f"batch {key}", fn)) for key, fn in batched.items())
         yield counts
     finally:
-        for module in holders:
-            module.contract = contract
+        for module, key, fn, _ in holders:
+            setattr(module, key, fn)
         exprjet._run = run_tape
         catalog._Walk.report = report
         catalog._BATCHED.update(batched)
