@@ -5,13 +5,16 @@ Usage:
     python scripts/bench_pairs.py REV --topic T --pairs N --seed S
 
 REV (any git revision of this repository) is extracted with `git archive`
-into a temporary directory; nothing is fetched.  For each workload of
-BENCHMARK.json, N pairs of
+into a temporary directory, and the working tree into another: the files
+git tracks, with their edits, and the untracked ones that no ignore rule
+names.  So the two sides differ only in their files, not in where they lie
+or what else their directory holds.  Nothing is fetched.  For each
+workload of BENCHMARK.json, N pairs of
 
     python3 fmbench/run.py --workload W --seed S --seconds X --trace 0
 
 run, X being BENCHMARK.json's `run_seconds`, one in REV's tree (the
-parent) and one in the working tree (the change).  Pair i runs the parent
+parent) and one in the working tree's copy (the change).  Pair i runs the parent
 first when i is even and the change first when i is odd, so that a drift
 in the machine's speed falls on both sides.  Each run's result is the
 JSON object on the last line of its output.  Each run gets a fresh, empty
@@ -44,6 +47,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -86,6 +90,27 @@ def summarize(pairs: list, metrics: list) -> dict:
             "change_better_pairs": sum(sign * (c - b) > 0 for b, c in zip(parent, change)),
         }
     return summary
+
+
+def extract_rev(root: Path, rev: str, dest: Path) -> None:
+    """The files of the revision `rev` of the repository at `root`, into
+    `dest`."""
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def extract_working_tree(root: Path, dest: Path) -> None:
+    """The working tree of the repository at `root`, into `dest`: each
+    tracked file as it is on disk (one deleted there is left out) and each
+    untracked file that no ignore rule names."""
+    listed = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        source = Path(root) / name
+        if source.is_file():
+            (Path(dest) / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, Path(dest) / name)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -144,15 +169,16 @@ def main() -> int:
         "machine": f"{os.cpu_count()} CPUs, {platform.system()}, "
                    f"Python {platform.python_version()}, numpy {numpy.__version__}",
         "note": f"the last JSON line of the command; {args.pairs} pairs per workload, the "
-                f"parent from its git archive and the change from the working tree; pair i "
-                f"runs the parent first when i is even, the change first when i is odd",
+                f"parent from its git archive and the change from a copy of the working "
+                f"tree, each in a temporary directory; pair i runs the parent first when i "
+                f"is even, the change first when i is odd",
         "summary": {}, "workloads": {},
     }
-    with tempfile.TemporaryDirectory() as tree:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-        sides = {"parent": Path(tree), "change": ROOT}
+    with tempfile.TemporaryDirectory() as parent_tree, \
+            tempfile.TemporaryDirectory() as change_tree:
+        sides = {"parent": Path(parent_tree), "change": Path(change_tree)}
+        extract_rev(ROOT, args.rev, sides["parent"])
+        extract_working_tree(ROOT, sides["change"])
         try:
             for name in names:
                 pairs = []

@@ -10,7 +10,7 @@ each side, in one process per side, through `fmcheck.cli.main` (the row
 runs through `catalog.run_checks`):
 
 - `verify` on every catalog entry at seeds 0-2 with 20 and 50 points;
-- `verify` on each entry's exported spec file;
+- `verify` on each entry's bare spec (`ManifoldSpec.to_json`) as a file;
 - `verify --check NAME` for every entry and every single check;
 - `verify q0-d1` at 50 points on each seed of the benchmark's
   `Q0_D1_FAULT_SEEDS`;

@@ -1,11 +1,11 @@
-"""The table of checks, and the one point walk that runs them over the
-built-in specs of `entries` and spec files, and over a construction's
-output, a derived walk that the table's rows read.
+"""The table of checks, and the one point walk that runs them over spec
+files, the catalog's (`entries`) and the user's alike, and over a
+construction's output, a derived walk that the table's rows read.
 
 A row of `CHECKS` runs wherever its inputs exist (`Check.needs`): the
-spec's fields, an entry's companion tables and its expected values.  A flag
-names a claim the data cannot show, which an entry makes and a spec file
-never does.  `--check`, a transform and `run_checks` pick rows by name.
+spec's fields, its companion tables and its expected values.  A flag names
+a claim the data cannot show, which a spec file makes by listing it.
+`--check`, a transform and `run_checks` pick rows by name.
 """
 
 from __future__ import annotations
@@ -443,10 +443,10 @@ def run_checks(spec: ManifoldSpec, comp: dict, names, points, tol: float = DEFAU
 def run_suite(source, seed: int = DEFAULT_SEED, count: int = DEFAULT_POINTS,
               tol: float = DEFAULT_TOL, check: str | None = None) -> SuiteResult:
     """Sample `count` points at `seed` and walk them once (`_walk`) with the
-    checks of `source`, a catalog entry or a bare spec: each row whose
+    checks of `source`, a spec file's entry or a bare spec: each row whose
     inputs it has (`_chosen`) and whose flag, if any, the entry claims (a
-    spec file claims none); or a `Transform`'s rows; with `check`, only
-    that one of `SINGLE_CHECKS`."""
+    spec file claims the flags it lists, a bare spec none); or a
+    `Transform`'s rows; with `check`, only that one of `SINGLE_CHECKS`."""
     spec = source if isinstance(source, ManifoldSpec) else source.spec
     points = sample_points(spec, SamplePlan(seed=seed, count=count))
     if isinstance(source, Transform):

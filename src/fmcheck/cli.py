@@ -3,11 +3,12 @@ runs, and catalog access.
 
 Exit codes: 0 all requested checks pass, 1 a check fails (or a transform
 hypothesis is violated), 2 bad input (unparseable spec, a malformed spec
-file, named by its missing or malformed field (a non-finite parameter,
-region bound, `min_sep` or `guard_min`, or a region box pair with lo >
-hi, among them), a non-finite `--param`, a spec path that cannot be
-read, such as a directory or a file that is not UTF-8, named with the
-reason, unknown entry or check, a spec that lacks a field a check or a
+file, named by its missing, malformed or unknown field (a non-finite
+parameter, region bound, `min_sep` or `guard_min`, a region box pair with
+lo > hi, or a key of `expected` that no row reads, among them), a
+non-finite `--param`, a spec path that cannot be read, such as a
+directory or a file that is not UTF-8, named with the reason, unknown
+entry or check, a spec that lacks a field a check or a
 transform needs or leaves a parameter unbound, a product table where a
 transform needs a named product, a sample point where the spec is
 singular, which `verify` and `legendre` name by index and coordinates, a
@@ -88,27 +89,29 @@ def _parse_param(text: str):
 
 
 def _load_spec(args):
-    """Load `args.spec`, a catalog entry's name or a spec JSON file, and
-    apply each `--param` override to it, a parameter that the spec (or for
-    `legendre` its catalog target) declares.  Returns (spec, entry or None,
-    overrides), or None once one line on stderr names the bad input."""
+    """Load `args.spec`, a spec file or a catalog entry's name, through the
+    one spec-file loader (`spec.CatalogEntry.from_dict`), and apply each
+    `--param` override to it, a parameter that the spec (or for `legendre`
+    its catalog target) declares.  Returns (entry, overrides, whether the
+    file has an `expected_failures` section, as every catalog entry's
+    has), or None once one line on stderr names the bad input."""
     from . import entries
-    from .spec import ManifoldSpec
+    from .spec import CatalogEntry
     try:
         overrides = dict(_parse_param(kv) for kv in args.param)
         if os.path.exists(args.spec):
             with open(args.spec, "r", encoding="utf-8") as fh:
-                spec, ent = ManifoldSpec.from_json(fh.read()), None
+                doc = json.loads(fh.read())
         else:
-            ent = entries.entry(args.spec)
-            spec = ent.spec
+            doc = json.loads(entries.text(args.spec))
+        ent = CatalogEntry.from_dict(doc)
     except (OSError, UnicodeDecodeError) as err:  # a directory, an unreadable or non-UTF-8 file
         sys.stderr.write(f"spec error: {args.spec}: {getattr(err, 'strerror', None) or err}\n")
         return None
     except (entries.UnknownEntryError, json.JSONDecodeError, ValueError) as err:
         sys.stderr.write(f"spec error: {err}\n")
         return None
-    target = getattr(args, "target", None)
+    spec, target = ent.spec, getattr(args, "target", None)
     known = set(spec.params).union(entries.entry(target).spec.params
                                    if target in entries.names() else ())
     unknown = sorted(set(overrides) - known)
@@ -117,7 +120,7 @@ def _load_spec(args):
         sys.stderr.write(f"spec error: --param {unknown[0]}: {owners} has no such parameter\n")
         return None
     spec.params.update(overrides)
-    return spec, ent, overrides
+    return ent, overrides, "expected_failures" in doc
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None) -> bool:
@@ -204,14 +207,14 @@ def cmd_verify(args) -> int:
     loaded = _load_spec(args)
     if loaded is None:
         return 2
-    spec, ent, _ = loaded
-    suite = _run_suite(args, spec if ent is None else ent, args.check)
+    ent, _, lists_failures = loaded
+    suite = _run_suite(args, ent, args.check)
     if isinstance(suite, int):
         return suite
-    if ent is not None and args.check is None:
-        return _report("verify", args, spec, suite, target=spec.name,
+    if lists_failures and args.check is None:
+        return _report("verify", args, ent.spec, suite, target=ent.spec.name,
                        expected_failures=sorted(suite.expected_failures))
-    return _report("verify", args, spec, suite, target=spec.name)
+    return _report("verify", args, ent.spec, suite, target=ent.spec.name)
 
 
 def cmd_ode(args) -> int:
@@ -279,9 +282,10 @@ def cmd_legendre(args) -> int:
     loaded = _load_spec(args)
     if loaded is None:
         return 2
-    spec, ent, overrides = loaded
+    ent, overrides, _ = loaded
+    spec = ent.spec
     # a field's name, else its components: a comma separates them, and on n = 1 there is one
-    field_exprs = (ent.companion if ent else {}).get("legendre_fields", {}).get(args.field)
+    field_exprs = ent.companion.get("legendre_fields", {}).get(args.field)
     field_name = args.field
     if field_exprs is None:
         if "," not in args.field and spec.n != 1:
@@ -312,11 +316,10 @@ def cmd_catalog(args) -> int:
         sys.stderr.write("input error: catalog export needs an entry name\n")
         return 2
     try:
-        ent = entries.entry(args.name)
+        sys.stdout.write(entries.text(args.name))
     except entries.UnknownEntryError as err:
         sys.stderr.write(f"{err}\n")
         return 2
-    sys.stdout.write(ent.spec.to_json() + "\n")
     return 0
 
 
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pl)
     pl.set_defaults(func=cmd_legendre)
 
-    pc = sub.add_parser("catalog", help="list or export built-in specs")
+    pc = sub.add_parser("catalog", help="list the built-in entries or print one's spec file")
     pc.add_argument("action", choices=("list", "export"))
     pc.add_argument("name", nargs="?")
     pc.set_defaults(func=cmd_catalog)

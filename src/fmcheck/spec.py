@@ -1,7 +1,16 @@
 """What a spec is made of, on the standard library alone: the expression
 DSL's syntax tree, parser and printer, the chart-level `ManifoldSpec` with
-its sampling `Region` and spec-file validation, and the spanning fields of
-a normal bundle as expression tables.
+its sampling `Region`, the spanning fields of a normal bundle as expression
+tables, and the one spec-file loader, `CatalogEntry.from_dict`, which reads
+the catalog's packaged files (`entries`) and a spec file named on the
+command line alike.
+
+A spec file is a JSON object: the fields of `ManifoldSpec` (`to_dict`),
+whose `expected` holds only values some row reads (`EXPECTED_KEYS`), and
+three optional sections: `flags`, the claims its data cannot show
+(`FLAGS`); `expected_failures`, the rows it runs as negative controls; and
+`companion`, its closed-form tables (`_COMPANION`).  Each field is checked
+for its shape, and a malformed or unknown one raises ValueError naming it.
 
 Evaluation lives in the numpy layer (`exprjet`, `manifold`, `hamops`);
 this module only holds and checks strings, so the catalog and a spec
@@ -25,14 +34,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 __all__ = [
     "Expr", "Num", "Var", "Param", "Neg", "Bin", "Call", "parse", "to_source",
     "ExprError", "ParseError", "Region", "ManifoldSpec", "NormalBundleData",
-    "fields_from_exprs", "fields_from_gradients",
+    "fields_from_exprs", "fields_from_gradients", "CatalogEntry", "EXPECTED_KEYS", "FLAGS",
+    "ODE_FAMILIES",
 ]
 
 
@@ -57,32 +67,11 @@ class Expr:
     def __add__(self, other):
         return Bin("+", self, _as_expr(other))
 
-    def __radd__(self, other):
-        return Bin("+", _as_expr(other), self)
-
-    def __sub__(self, other):
-        return Bin("-", self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Bin("-", _as_expr(other), self)
-
     def __mul__(self, other):
         return Bin("*", self, _as_expr(other))
 
-    def __rmul__(self, other):
-        return Bin("*", _as_expr(other), self)
-
     def __truediv__(self, other):
         return Bin("/", self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Bin("/", _as_expr(other), self)
-
-    def __pow__(self, other):
-        return Bin("^", self, _as_expr(other))
-
-    def __neg__(self):
-        return Neg(self)
 
 
 @dataclass(frozen=True)
@@ -421,9 +410,19 @@ def _is_list(v, length: int) -> bool:
     return isinstance(v, list) and len(v) == length
 
 
-def _strings(value, shape: tuple, field: str) -> tuple:
-    """`value`, nested lists of strings of `shape`, as nested tuples."""
-    what = f"{' x '.join(map(str, shape))} strings, as n = {shape[0]}"
+def _known(d: Mapping, keys, field: str) -> None:
+    """ValueError naming the first key of `d`, under `field`, that is not
+    one of `keys`."""
+    for key in d:
+        if key not in keys:
+            raise ValueError(f"{field}{'.' if field else ''}{key}: unknown key "
+                             f"(known: {', '.join(keys)})")
+
+
+def _strings(value, shape: tuple, field: str, why: str | None = None) -> tuple:
+    """`value`, nested lists of strings of `shape`, as nested tuples; `why`
+    says where the shape comes from (default: the chart's dimension)."""
+    what = f"{' x '.join(map(str, shape))} strings, {why or f'as n = {shape[0]}'}"
 
     def walk(v, dims):
         _expect(_is_list(v, dims[0]) if dims else isinstance(v, str), field, what)
@@ -506,6 +505,7 @@ class ManifoldSpec:
         params, expected = d.get("params", {}), d.get("expected", {})
         _expect(isinstance(params, Mapping), "params", "an object")
         _expect(isinstance(expected, Mapping), "expected", "an object")
+        _known(expected, EXPECTED_KEYS, "expected")
         for key, v in expected.items():
             if key == "V_eigenvalues":  # the one list, of n eigenvalues
                 _expect(_is_list(v, n) and all(map(_is_finite, v)), f"expected.{key}",
@@ -524,10 +524,6 @@ class ManifoldSpec:
             region=Region.from_dict(d["region"], n) if d.get("region") is not None else None,
             expected=dict(expected),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ManifoldSpec":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +553,96 @@ def fields_from_exprs(component_tables: Sequence[Sequence[str]], eps) -> NormalB
 def fields_from_gradients(scalar_exprs: Sequence[str], eps) -> NormalBundleData:
     """Fields given as coordinate gradients of scalar potentials."""
     return NormalBundleData(eps=tuple(eps), exprs=tuple(scalar_exprs), gradients=True)
+
+
+# ---------------------------------------------------------------------------
+# a spec file: the spec, its claims, its negative controls and its companion tables
+
+
+# the values of a spec's `expected` that some row reads (`catalog.CHECKS`)
+EXPECTED_KEYS = ("D", "D_reconstructed", "I1", "I2", "V_eigenvalues", "d", "d_pencil", "rank")
+# the claims a spec file can make: a row's flag (`catalog.Check.flag`), or
+# `homogeneous`, which the benchmark's catalog-sweep reads
+FLAGS = ("ed4", "ed4bis", "ed5b", "flat-metric", "homogeneous", "potentiality")
+# the closed-form solutions of the ODE (`rotation.closed_forms`)
+ODE_FAMILIES = ("pencil63", "q0")
+# the companion tables of strings, each with its rank over the chart, and the other
+# companion data
+_TABLES = {"gamma": 3, "gamma_star": 3, "lame": 1, "flat_chart": 1, "flat_e": 1, "flat_E": 1,
+           "potentials": 1}
+_COMPANION = (*_TABLES, "normal_bundle", "legendre_fields", "legendre_targets", "ode_family")
+
+
+def _names(value, field: str, known=None) -> frozenset:
+    """A list of strings, each one of `known` if given, as a frozenset."""
+    _expect(isinstance(value, list) and all(isinstance(v, str) for v in value), field,
+            "a list of strings")
+    for v in value:
+        if known is not None and v not in known:
+            raise ValueError(f"{field}: unknown {v!r} (known: {', '.join(known)})")
+    return frozenset(value)
+
+
+def _normal_bundle(d, n: int, field: str) -> NormalBundleData:
+    """A `normal_bundle` object: `eps`, a sign per field, and the fields as
+    rows of n components (`fields`) or as gradient scalars (`gradients`)."""
+    _expect(isinstance(d, Mapping), field, "an object")
+    _known(d, ("eps", "fields", "gradients"), field)
+    eps = _field(d, f"{field}.eps")
+    _expect(isinstance(eps, list) and all(_is_number(e) and e in (-1, 1) for e in eps),
+            f"{field}.eps", "a list of signs, each -1 or 1")
+    gradients = "gradients" in d
+    _expect(gradients != ("fields" in d), field, 'one of "fields" and "gradients"')
+    key, shape = ("gradients", (len(eps),)) if gradients else ("fields", (len(eps), n))
+    exprs = _strings(d[key], shape, f"{field}.{key}",
+                     f"one per sign of eps{'' if gradients else f', as n = {n}'}")
+    return (fields_from_gradients if gradients else fields_from_exprs)(exprs, eps)
+
+
+def _companion(d, n: int) -> dict:
+    """The companion tables of a spec file's `companion` object, in its
+    order, on a chart of dimension `n`."""
+    _expect(isinstance(d, Mapping), "companion", "an object")
+    _known(d, _COMPANION, "companion")
+    comp = {}
+    for key, value in d.items():
+        field = f"companion.{key}"
+        if key in _TABLES:
+            comp[key] = _strings(value, (n,) * _TABLES[key], field)
+        elif key == "normal_bundle":
+            comp[key] = _normal_bundle(value, n, field)
+        elif key == "legendre_fields":
+            _expect(isinstance(value, Mapping), field, "an object of named fields")
+            comp[key] = {name: _strings(v, (n,), f"{field}.{name}") for name, v in value.items()}
+        elif key == "legendre_targets":
+            _expect(isinstance(value, Mapping) and all(isinstance(v, str) for v in value.values()),
+                    field, "an object of catalog entry names")
+            comp[key] = dict(value)
+        else:
+            _expect(value in ODE_FAMILIES, field, " or ".join(map(repr, ODE_FAMILIES)))
+            comp[key] = value
+    # a target is named for a field of `legendre_fields`
+    _known(comp.get("legendre_targets", {}), tuple(comp.get("legendre_fields", ())),
+           "companion.legendre_targets")
+    return comp
+
+
+@dataclass
+class CatalogEntry:
+    """A spec file: its spec, the flags it claims, its companion tables and
+    the rows it expects to fail, each a negative control."""
+    spec: ManifoldSpec
+    flags: frozenset = frozenset()
+    companion: dict = field(default_factory=dict)
+    expected_failures: frozenset = frozenset()
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "CatalogEntry":
+        """The entry of a spec file's JSON object.  A missing, malformed or
+        unknown field raises ValueError naming it."""
+        spec = ManifoldSpec.from_dict(d)
+        _known(d, (*(f.name for f in fields(ManifoldSpec)), "flags", "expected_failures",
+                   "companion"), "")
+        return cls(spec=spec, flags=_names(d.get("flags", []), "flags", FLAGS),
+                   companion=_companion(d.get("companion", {}), spec.n),
+                   expected_failures=_names(d.get("expected_failures", []), "expected_failures"))

@@ -1,8 +1,9 @@
 """Test-side constructions that no check of the package runs: parallel
 transport of a field along a path (`flat_field_ode`) and integration of the
-Lame system around a loop (`integrate_lame`), each by `ode3d.dopri54`, and
-the diagonal pencil spec of a tuple of functions f^i
-(`semisimple_pencil_from_f`)."""
+Lame system around a loop (`integrate_lame`), each by `ode3d.dopri54`, the
+diagonal pencil spec of a tuple of functions f^i
+(`semisimple_pencil_from_f`), and the Lauricella normal-bundle fields in n
+dimensions (`lauricella_normal_fields`)."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 from fmcheck import exprjet as ej
 from fmcheck.manifold import ManifoldSpec, Region, table_jets
 from fmcheck.ode3d import dopri54
+from fmcheck.spec import NormalBundleData, fields_from_gradients
 from fmcheck.tensor import eigenvalues
 
 
@@ -143,3 +145,13 @@ def semisimple_pencil_from_f(f_exprs, region: Region | None = None,
         E=tuple(f"u{i+1}" for i in range(n)),
         g=tuple(tuple(r) for r in g1), g2=tuple(tuple(r) for r in g2),
         params=params or {}, region=region)
+
+
+def lauricella_normal_fields(n: int) -> NormalBundleData:
+    """The n gradient fields of 1/(sqrt(c_a) prod_{l != a}(u^l - u^a)),
+    all with negative sign; the constants c1 .. cn are parameters."""
+    scalars = []
+    for a in range(n):
+        prod = "*".join(f"(u{l+1}-u{a+1})" for l in range(n) if l != a)
+        scalars.append(f"1/(sqrt(c{a+1})*{prod})")
+    return fields_from_gradients(scalars, eps=(-1,) * n)

@@ -24,7 +24,6 @@ from fmcheck.connection import (check_compat_product, check_flatness,
                                 check_torsionless, connection_from_exprs, counit_jets,
                                 dual_structure, levi_civita, metric_inverse, nabla_from_g_at,
                                 natural_connection)
-from fmcheck.entries import lauricella_normal_fields
 from fmcheck.hamops import (check_gmc, check_quadratic_expansion,
                             check_sym_condition, emit_operator, field_rank,
                             fields_from_exprs, spanning_fields)
@@ -42,6 +41,7 @@ from fmcheck.pencil import (check_exactness, check_flat_pencil,
 from fmcheck.rotation import rotation_data, v_matrix
 from fmcheck.tensor import merge_close
 
+from constructions import lauricella_normal_fields
 from finite_diff import finite_diff_oracle
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -77,3 +78,41 @@ def test_work_diff_of_both_sides():
         "a/4": {"parent": [2, 10, 1, 5], "change": [2, 6, 1, 5]},
         "b/4": {"parent": [1, 1, 1, 1], "change": None},
         "c/4": {"parent": None, "change": [3, 3, 0, 0]}}}
+
+
+def test_both_sides_are_extracted_into_their_own_trees(tmp_path):
+    # the parent is its revision's files; the change is the working tree's
+    # tracked files with their edits and its untracked files, without the
+    # ignored ones, a deleted file or anything else of the repository
+    bench = _bench_pairs()
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+
+    def git(*argv):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *argv], check=True, capture_output=True)
+
+    git("init", "-q")
+    files = {"kept.txt": "kept", "edited.txt": "before", "deleted.txt": "gone",
+             "sub/module.py": "x = 1", ".gitignore": "ignored.txt\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "edited.txt").write_text("after")
+    (repo / "deleted.txt").unlink()
+    (repo / "new.txt").write_text("new")
+    (repo / "ignored.txt").write_text("ignored")
+
+    def contents(tree):
+        return {str(p.relative_to(tree)): p.read_text() for p in tree.rglob("*") if p.is_file()}
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    bench.extract_rev(repo, "HEAD", parent)
+    bench.extract_working_tree(repo, change)
+    assert contents(parent) == files
+    want = {**files, "edited.txt": "after", "new.txt": "new"}
+    del want["deleted.txt"]
+    assert contents(change) == want

@@ -16,6 +16,7 @@ from fmcheck.catalog import (MissingCompanionDataError, UnknownEntryError,
 from fmcheck.cli import main
 from fmcheck import manifold
 from fmcheck.manifold import ManifoldSpec, SamplePlan, sample_points
+from fmcheck.spec import EXPECTED_KEYS, FLAGS, ODE_FAMILIES
 
 
 def test_unknown_entry():
@@ -129,7 +130,7 @@ def test_export_roundtrip_all_entries():
     for name in cat.names():
         spec = cat.entry(name).spec
         text = spec.to_json()
-        assert ManifoldSpec.from_json(text).to_json() == text
+        assert ManifoldSpec.from_dict(json.loads(text)).to_json() == text
 
 
 def test_every_flag_picks_a_check():
@@ -141,6 +142,8 @@ def test_every_flag_picks_a_check():
     import dataclasses
     row_flags = {c.flag for c in cat.CHECKS} - {None}
     claimed = set().union(*(cat.entry(name).flags for name in cat.names()))
+    # the flags a spec file may list, which `spec` knows without the table
+    assert set(FLAGS) == row_flags | {"homogeneous"}
     assert row_flags - claimed == {cat._BY_NAME["levi-civita-flat"].flag}
     assert claimed - row_flags == {"homogeneous"}
     for name in cat.names():
@@ -152,10 +155,37 @@ def test_every_flag_picks_a_check():
             assert [r.name for r in run_suite(cut, seed=0, count=2).reports] != full, (name, flag)
 
 
+def test_spec_files_accept_the_expected_keys_the_rows_read():
+    # `spec` loads no numpy, so it holds the keys of `expected` that a spec
+    # file may have (`EXPECTED_KEYS`) apart from the table: they are the
+    # keys that some row reads on some entry (a row without an expected
+    # value asks for None), and the ODE families are
+    # those of the entries' closed forms
+    import dataclasses
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    for name in cat.names():
+        ent = cat.entry(name)
+        spec = dataclasses.replace(ent.spec, expected=Recording(ent.spec.expected))
+        run_suite(dataclasses.replace(ent, spec=spec), seed=0, count=2)
+    assert read - {None} == set(EXPECTED_KEYS)
+    assert {cat.entry(name).companion.get("ode_family") for name in cat.names()} - {None} == \
+        set(ODE_FAMILIES)
+
+
 def test_rows_run_wherever_their_inputs_exist():
     # an entry runs exactly the rows whose inputs (`needs`) its spec
     # fields, expected values and companion tables hold and whose flag, if
-    # any, it claims; its exported spec file claims none and has no
+    # any, it claims; its bare spec (`spec.to_json`) claims none and has no
     # companion tables, so it runs exactly the entry's rows that read only
     # spec fields: with a metric, every theorem row whose fields it has,
     # and with a second metric every pencil row.  No entry or spec file
@@ -166,7 +196,7 @@ def test_rows_run_wherever_their_inputs_exist():
         transform_rows
     for name in cat.names():
         ent = cat.entry(name)
-        exported = ManifoldSpec.from_json(ent.spec.to_json())
+        exported = ManifoldSpec.from_dict(json.loads(ent.spec.to_json()))
         fields = {key for key in ("g", "E", "g2") if getattr(ent.spec, key) is not None}
         fields |= set(ent.spec.expected)
         entry_rows, spec_rows = ([r.name for r in run_suite(source, seed=0, count=2).reports]
@@ -350,7 +380,7 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
                                  ("flat_e", 0, chart_values), ("flat_E", 0, chart_values)):
             if key in ent.companion:
                 assert orders[repr(ent.companion[key]), tuple(over)] == order, (name, key)
-        # `verify` on the exported spec file, and each `--check` that applies
+        # `verify` on the entry's bare spec (`spec.to_json`), and each `--check` that applies
         spec_path = tmp_path / f"{name}.json"
         spec_path.write_text(ent.spec.to_json())
         argvs = [["verify", str(spec_path)]]

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import fmcheck.catalog as cat
+from fmcheck import entries
 from fmcheck.cli import main
 from fmcheck.ode3d import COMPONENTS
 
@@ -245,6 +246,21 @@ def test_catalog_list_and_export():
         assert (code, out, err) == (2, "", want + "\n"), argv
 
 
+def test_exported_file_verifies_to_the_entry_report(tmp_path):
+    # `catalog export X` prints X's packaged spec file, and that file,
+    # verified, gives X's report byte for byte: every row, with its flags,
+    # companion tables and expected failures
+    specs = pathlib.Path(entries.__file__).parent / "specs"
+    assert sorted(path.stem for path in specs.glob("*.json")) == cat.names()
+    for name in cat.names():
+        code, text, err = run_cli(["catalog", "export", name])
+        assert (code, err) == (0, "") and text == (specs / f"{name}.json").read_text("utf-8")
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        options = ["--seed", "3", "--points", "6"]
+        assert run_cli(["verify", str(path), *options]) == run_cli(["verify", name, *options])
+
+
 def test_verify_param_override():
     code, out, _ = run_cli(["verify", "q0-d0", "--points", "5", "--param", "a=2",
                             "--param", "b=0.5"])
@@ -345,9 +361,15 @@ def test_catalog_and_spec_errors_import_only_the_spec_layer(tmp_path):
     # has the bytes it has in a process that has loaded the walk
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
+    # q0-d0's spec file with D misspelt, which would drop its homogeneity row
+    misspelt = tmp_path / "misspelt.json"
+    doc = json.loads(entries.text("q0-d0"))
+    doc["expected"]["Dd"] = doc["expected"].pop("D")
+    misspelt.write_text(json.dumps(doc))
     exports = [["catalog", "export", name] for name in cat.names()]
     runs = [(["catalog", "list"], 0), *((argv, 0) for argv in exports),
             (["verify", "nope"], 2), (["verify", str(malformed)], 2),
+            (["verify", str(misspelt)], 2),
             (["verify", "q0-d0", "--param", "a=nan"], 2),
             (["legendre", "q0-d-minus1", "--field", "1,0"], 2)]
     script = ("import contextlib, io, json, sys\n"
@@ -364,6 +386,8 @@ def test_catalog_and_spec_errors_import_only_the_spec_layer(tmp_path):
     results, modules = json.loads(proc.stdout)
     assert modules == ["fmcheck", "fmcheck.cli", "fmcheck.entries", "fmcheck.ode3d",
                        "fmcheck.spec"]
+    assert results[runs.index((["verify", str(misspelt)], 2))][2].startswith(
+        "spec error: expected.Dd: unknown key")
     for (argv, want_code), (code, out, err) in zip(runs, results):
         assert code == want_code, (argv, err)
         assert [code, out, err] == list(run_cli(argv)), argv
@@ -611,7 +635,8 @@ def test_verify_has_no_atol_option():
     assert exc.value.code == 2
 
 
-_LOB = json.loads(cat.entry("lobachevsky").spec.to_json())
+_LOB = json.loads(entries.text("lobachevsky"))
+_FIELD = {"legendre_fields": {"X": ["1", "1"]}}
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -629,16 +654,42 @@ _LOB = json.loads(cat.entry("lobachevsky").spec.to_json())
     ("expected", {"D": "abc"}, "expected.D:"),
     ("expected", {"D": [1, 2, 3]}, "expected.D:"),
     ("expected", {"D": {}}, "expected.D:"),
-    ("expected", {"R1212": float("nan")}, "expected.R1212:"),
+    ("expected", {"D": float("nan")}, "expected.D:"),
     ("expected", {"V_eigenvalues": 1.0}, "expected.V_eigenvalues:"),
     ("expected", {"V_eigenvalues": [1.0, "x"]}, "expected.V_eigenvalues:"),
     ("expected", {"V_eigenvalues": [1.0, 2.0, 3.0]}, "expected.V_eigenvalues:"),
+    # a key that no row reads, in `expected`, a section or the file, is named
+    ("expected", {"Dd": 2.0}, "expected.Dd:"),
+    ("flgs", ["ed4"], "flgs:"),
+    ("flags", ["ed4", "ed6"], "flags:"),
+    ("flags", "ed4", "flags:"),
+    ("expected_failures", [1], "expected_failures:"),
+    ("companion", [], "companion:"),
+    ("companion", {**_LOB["companion"], "gama": []}, "companion.gama:"),
+    ("companion", {"flat_e": ["0"]}, "companion.flat_e:"),
+    ("companion", {"gamma": [[["0"] * 2] * 2] * 3}, "companion.gamma:"),
+    ("companion", {"normal_bundle": {"eps": [-1, 2], "fields": [["1", "1"]] * 2}},
+     "companion.normal_bundle.eps:"),
+    ("companion", {"normal_bundle": {"eps": [-1], "fields": [["1"]]}},
+     "companion.normal_bundle.fields:"),
+    ("companion", {"normal_bundle": {"eps": [-1], "fields": [["1", "1"]], "gradients": ["1"]}},
+     "companion.normal_bundle:"),
+    ("companion", {"normal_bundle": {"eps": [-1], "field": [["1", "1"]]}},
+     "companion.normal_bundle.field:"),
+    ("companion", {**_FIELD, "legendre_fields": {"X": ["1"]}}, "companion.legendre_fields.X:"),
+    ("companion", {**_FIELD, "legendre_targets": {"Y": "q0-d0"}},
+     "companion.legendre_targets.Y:"),
+    ("companion", {"ode_family": "q1"}, "companion.ode_family:"),
 ], ids=["e-short", "e-long", "coords-long", "coords-number", "product-name", "g-3x3",
         "g-number", "box-one-pair", "box-number", "param-one-number", "expected-string",
         "expected-list", "expected-object", "expected-nan", "eigenvalues-number",
-        "eigenvalues-string", "eigenvalues-long"])
+        "eigenvalues-string", "eigenvalues-long", "expected-unknown-key", "unknown-section",
+        "flag-unknown", "flags-string", "expected-failure-number", "companion-list",
+        "companion-unknown-key", "companion-short", "companion-gamma-shape", "eps-sign",
+        "normal-fields-short", "normal-fields-and-gradients", "normal-unknown-key",
+        "legendre-field-short", "legendre-target-no-field", "ode-family-unknown"])
 def test_malformed_spec_file_is_bad_input(tmp_path, field, value, named):
-    # lobachevsky's exported spec with one field malformed: one `spec error`
+    # lobachevsky's spec file with one field malformed: one `spec error`
     # line that names the field, for `verify` and `legendre` alike
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**_LOB, field: value}))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import fmcheck.catalog as cat
-from fmcheck.entries import lauricella_normal_fields
 from fmcheck.hamops import (GmcFailedError, NormalBundleData, check_gmc,
                             check_quadratic_expansion, check_sym_condition,
                             emit_operator, field_rank, fields_from_exprs,
                             fields_from_gradients, spanning_fields)
 from fmcheck.manifold import ManifoldSpec, Region, SamplePlan, sample_points, structure_at
+
+from constructions import lauricella_normal_fields
 
 
 def lob_nb():

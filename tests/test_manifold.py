@@ -51,7 +51,7 @@ def test_spec_json_roundtrip_bit_exact():
     for name in ("lobachevsky", "nonss3d", "af-pencil-n4", "case-iv"):
         spec = cat.entry(name).spec
         text = spec.to_json()
-        again = ManifoldSpec.from_json(text)
+        again = ManifoldSpec.from_dict(json.loads(text))
         assert again == spec
         assert again.to_json() == text
 
