@@ -17,7 +17,9 @@ sampling region that admits fewer points than `--points`, a negative
 a named `--field` that is not one of a catalog entry's fields (on n >= 2;
 on n = 1 a `--field` that names none is its one component),
 a non-finite `--state`, `--from`, `--to`, `--rtol`, `--atol`,
-`--drift-tol`, `--a` or `--b`, `--a` or `--b` without `--init q0`, a
+`--drift-tol`, `--a` or `--b`, `--a` or `--b` without `--init q0`, a q0
+start on the family's pole, named by `--a`, `--b` and `--from`, a
+closed-form start that overflows, named by its first non-finite component, a
 negative tolerance, `--steps` below 1, both tolerances zero, a singular
 integration path, an integration whose step size underflows, `catalog
 export` without an entry name, `catalog list` with one, an `--output`
@@ -48,8 +50,8 @@ import sys
 
 from . import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, __version__
 from .ode3d import (COMPONENTS, DEFAULT_ATOL, DEFAULT_ROWS, DEFAULT_RTOL, OdeState3,
-                    SingularPathError, SingularPointError, StepSizeUnderflowError,
-                    closed_form_pencil, closed_form_q0, integrate)
+                    ParameterSingularError, SingularPathError, SingularPointError,
+                    StepSizeUnderflowError, closed_form_pencil, closed_form_q0, integrate)
 
 BRANCH_NOTE = "principal (cut on the negative real axis, +0j side)"
 
@@ -236,8 +238,12 @@ def cmd_ode(args) -> int:
         if args.init is not None and args.state is not None:
             raise ValueError(f"--init {args.init} and --state: give one of them, not both")
         if args.init == "q0":
-            state = closed_form_q0(z_from, **{k: v for k, v in (("a", args.a), ("b", args.b))
-                                              if v is not None})
+            a, b = (1.0 if v is None else v for v in (args.a, args.b))
+            try:
+                state = closed_form_q0(z_from, a, b)
+            except ParameterSingularError as err:
+                raise ValueError(f"--a {a!r}, --b {b!r}, --from {args.z_from!r}: {err} "
+                                 "there, a pole of the q0 family") from None
         elif args.init == "pencil63":
             state = closed_form_pencil(z_from)
         elif args.state:

@@ -13,7 +13,10 @@ initial point of a trajectory.
 The module imports only the standard library, so `fmcheck ode` starts
 without numpy: a state's F is a tuple of Python complex, `rhs` takes a
 sequence, and the rows of `dopri54` are lists.  `integrate` hands `rhs`
-itself to `dopri54`, which steps along the segment in z.  Only the
+itself to `dopri54`, which steps along the segment in z with a loop
+written out per component from the pair's tableau, generated and compiled
+once per state length at its first call, so that a process that never
+integrates compiles none.  Only the
 endpoint is a stepped value; the dense rows between steps come from the
 pair's continuous extension, so their error is about the requested
 tolerance, not the stepper's smaller global error, and the integral
@@ -24,6 +27,7 @@ batch of chart points, and beta from F, are in `rotation`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -178,28 +182,107 @@ def _pencil_F(p, q) -> list:
 # ---------------------------------------------------------------------------
 # embedded Dormand-Prince 5(4)
 
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
-                                22 / 525, -1 / 40)
-# Shampine's continuous extension: over a step from y of size H, the
-# solution at the fraction x of the step is y + H sum_i w_i(x) k_i with
-# w_1 = x + _D12 x^2 + _D13 x^3 + _D14 x^4 and w_i = _Di2 x^2 + _Di3 x^3 +
-# _Di4 x^4 for i = 3..7 (w_2 = 0); at x = 1 the w_i are the _B weights
-_D12, _D13, _D14 = (-8048581381 / 2820520608, 8663915743 / 2820520608,
-                    -12715105075 / 11282082432)
-_D32, _D33, _D34 = (131558114200 / 32700410799, -68118460800 / 10900136933,
-                    87487479700 / 32700410799)
-_D42, _D43, _D44 = -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072
-_D52, _D53, _D54 = (127303824393 / 49829197408, -318862633887 / 49829197408,
-                    701980252875 / 199316789632)
-_D62, _D63, _D64 = -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844
-_D72, _D73, _D74 = 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423
+# the pair's tableau.  Stage i = 2..7 is f at t + c_i H and y + H sum_j
+# a_ij k_j; stage 7's weights are the 5th-order b, so it is f at the new
+# solution and the next step's stage 1 (FSAL).  e weighs the stages into
+# the error estimate.  d is Shampine's continuous extension: the solution
+# at the fraction x of a step is y + H sum_i w_i(x) k_i, with w_1 = x +
+# d_12 x^2 + d_13 x^3 + d_14 x^4 and w_i = d_i2 x^2 + d_i3 x^3 + d_i4 x^4
+# for i = 3..7 (w_2 = 0); at x = 1 the w_i are the weights b
+_TABLEAU = {
+    "c": (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+    "a": ((1 / 5,),
+          (3 / 40, 9 / 40),
+          (44 / 45, -56 / 15, 32 / 9),
+          (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+          (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+          (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+    "e": (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+    "d": ((-8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+          (),
+          (131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+          (-1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+          (127303824393 / 49829197408, -318862633887 / 49829197408,
+           701980252875 / 199316789632),
+          (-282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+          (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)),
+}
+# `dopri54`'s stepping loop over components y0, y1, ... and stages k1_0,
+# k1_1, ..., which `_stepper` fills in for a state length
+_LOOP = '''def steps(f, t0, dt, y, targets, rtol, atol):
+    %(y)s, = y
+    %(k1)s, = f(t0, y)
+    out, ti, s, h = [], 0, 0.0, 1 / 100.0
+    while True:
+        while ti < len(targets) and targets[ti][1] - s <= 1e-14:
+            out.append((targets[ti][0], [%(y)s]))
+            ti += 1
+        if ti == len(targets):
+            return out
+        h_try = min(h, 1.0 - s)
+        if h_try < 1e-14:
+            raise StepSizeUnderflowError(f"step size underflow at t = {t0 + s * dt}")
+        H = h_try * dt
+%(stages)s
+        try:
+%(error)s
+        except (ZeroDivisionError, OverflowError):
+            err = math.inf
+        if err <= 1.0:
+            s_new = s + h_try
+            while ti < len(targets) and targets[ti][1] < s_new - 1e-14:
+                x = (targets[ti][1] - s) / h_try
+%(weights)s
+                out.append((targets[ti][0], [%(dense)s]))
+                ti += 1
+            s = s_new
+            %(y)s = %(yn)s
+            %(k1)s = %(k7)s
+            factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            factor = max(0.2, 0.9 * err ** -0.2)
+        h = h_try * factor
+'''
+
+
+@functools.cache
+def _stepper(n: int) -> Callable:
+    """`_LOOP` for n components, compiled once, at the first call for n:
+    each weighted sum written out per component, term by term in stage
+    order, with the tableau's floats as their reprs and zero weights left
+    out."""
+    def each(text: str, sep: str = ", ") -> str:  # text per component, "#" its index
+        return sep.join(text.replace("#", str(i)) for i in range(n))
+
+    def terms(weights) -> str:
+        return " + ".join(f"{w} * k{j}_#" for j, w in enumerate(weights, start=1) if w)
+
+    c, a, e, d = (_TABLEAU[key] for key in "caed")
+    stages = []
+    for i, (node, row) in enumerate(zip(c, a), start=2):
+        given = f"y# + H * ({terms(row)})"
+        if i == 7:  # the new solution, which the error estimate and the next step read
+            stages.append(each(f"        yn# = {given}", "\n"))
+            given = "yn#"
+        stages.append(f"        {each(f'k{i}_#')}, = "
+                      f"f(t0 + (s + {node!r} * h_try) * dt, [{each(given)}])")
+    error = each(f"            q# = abs(H * ({terms(e)})) / "
+                 "(atol + rtol * max(abs(y#), abs(yn#)))", "\n")
+    weights = []
+    for j, p in enumerate(d, start=1):
+        if p:
+            horner = "(%r + x * (%r + x * %r))" % p
+            weights.append(f"                w{j} = "
+                           + (f"x * (1 + x * {horner})" if j == 1 else f"x * x * {horner}"))
+    dense = terms(f"w{j}" if p else 0 for j, p in enumerate(d, start=1))
+    source = _LOOP % {
+        "y": each("y#"), "yn": each("yn#"), "k1": each("k1_#"), "k7": each("k7_#"),
+        "stages": "\n".join(stages),
+        "error": f"{error}\n            err = math.sqrt(({each('q# * q#', ' + ')}) / {n})",
+        "weights": "\n".join(weights), "dense": each(f"y# + H * ({dense})")}
+    namespace = {"math": math, "StepSizeUnderflowError": StepSizeUnderflowError}
+    exec(compile(source, f"<dopri54 stepper, n = {n}>", "exec"), namespace)
+    return namespace["steps"]
 
 
 def dopri54(f: Callable, t0, y0, t1, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
@@ -216,13 +299,17 @@ def dopri54(f: Callable, t0, y0, t1, rtol: float = DEFAULT_RTOL, atol: float = D
     4th-order continuous extension over that step's own stages (no extra
     calls of f), so its error is about the requested tolerance, not the
     stepper's smaller global error, and anything measured on the row (such
-    as `integrate`'s integral drifts) includes that error.  The stages are
-    lists, each written out (numpy's per-call cost would outweigh the
-    arithmetic on a few components); the error norm is the RMS of |err| /
-    (atol + rtol max(|y|, |y_new|)), infinite where it cannot be formed (a
-    zero or overflowing scale), so that the step is rejected.
+    as `integrate`'s integral drifts) includes that error.  The error norm
+    is the RMS of |err| / (atol + rtol max(|y|, |y_new|)), infinite where
+    it cannot be formed (a zero or overflowing scale), so that the step is
+    rejected.  The steps run in the loop `_stepper` generates for the
+    state's length, each component a local and each sum written out: on a
+    few components the interpreter's cost per list element, not the complex
+    arithmetic, would be most of a step (and numpy's per-call cost more).
     """
     y = [complex(v) for v in y0]
+    if not y:
+        raise ValueError("the state has no components")
     dt = t1 - t0
     if dt == 0:
         return [(t0, y)]
@@ -233,63 +320,7 @@ def dopri54(f: Callable, t0, y0, t1, rtol: float = DEFAULT_RTOL, atol: float = D
             raise ValueError("dense output time outside the integration span")
         rows.setdefault(t, s)
     targets = sorted(rows.items(), key=lambda row: row[1])
-    out = []
-    s, h = 0.0, 1 / 100.0
-    k1 = f(t0, y)
-    ti = 0
-    while True:
-        while ti < len(targets) and targets[ti][1] - s <= 1e-14:
-            out.append((targets[ti][0], list(y)))
-            ti += 1
-        if ti == len(targets):
-            return out
-        h_try = min(h, 1.0 - s)
-        if h_try < 1e-14:
-            raise StepSizeUnderflowError(f"step size underflow at t = {t0 + s * dt}")
-        H = h_try * dt
-        k2 = f(t0 + (s + _C2 * h_try) * dt, [v + H * (_A21 * a) for v, a in zip(y, k1)])
-        k3 = f(t0 + (s + _C3 * h_try) * dt, [v + H * (_A31 * a + _A32 * b)
-                                             for v, a, b in zip(y, k1, k2)])
-        k4 = f(t0 + (s + _C4 * h_try) * dt, [v + H * (_A41 * a + _A42 * b + _A43 * c)
-                                             for v, a, b, c in zip(y, k1, k2, k3)])
-        k5 = f(t0 + (s + _C5 * h_try) * dt, [v + H * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                                             for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-        k6 = f(t0 + (s + h_try) * dt, [v + H * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                                + _A65 * e)
-                                       for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [v + H * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                 for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-        k7 = f(t0 + (s + h_try) * dt, y_new)
-        try:
-            sq = 0.0
-            for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                q = (abs(H * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k))
-                     / (atol + rtol * max(abs(v), abs(w))))
-                sq += q * q
-            err = math.sqrt(sq / len(y))
-        except (ZeroDivisionError, OverflowError):
-            err = math.inf
-        if err <= 1.0:
-            s_new = s + h_try
-            while ti < len(targets) and targets[ti][1] < s_new - 1e-14:
-                x = (targets[ti][1] - s) / h_try
-                w1 = x * (1 + x * (_D12 + x * (_D13 + x * _D14)))
-                w3 = x * x * (_D32 + x * (_D33 + x * _D34))
-                w4 = x * x * (_D42 + x * (_D43 + x * _D44))
-                w5 = x * x * (_D52 + x * (_D53 + x * _D54))
-                w6 = x * x * (_D62 + x * (_D63 + x * _D64))
-                w7 = x * x * (_D72 + x * (_D73 + x * _D74))
-                out.append((targets[ti][0],
-                            [v + H * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * g + w7 * k)
-                             for v, a, c, d, e, g, k in zip(y, k1, k3, k4, k5, k6, k7)]))
-                ti += 1
-            s = s_new
-            y = y_new
-            k1 = k7  # FSAL
-            factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h = h_try * factor
+    return _stepper(len(y))(f, t0, dt, y, targets, rtol, atol)
 
 
 def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
@@ -315,11 +346,15 @@ class Trajectory:
 def integrate(state0: OdeState3, z_target, rtol: float = DEFAULT_RTOL,
               atol: float = DEFAULT_ATOL, n_dense: int = DEFAULT_ROWS) -> Trajectory:
     """Integrate along the straight segment from state0.z to z_target and
-    monitor the first integrals on a dense grid."""
+    monitor the first integrals on a dense grid.  A start state that is not
+    finite is a ValueError that names its first such component."""
     z0, z1 = complex(state0.z), complex(z_target)
     for w in (0.0, 1.0):
         if _segment_distance(z0, z1, complex(w)) < SING_MARGIN:
             raise SingularPathError(f"integration path approaches z = {w}")
+    for name, v in zip(COMPONENTS, state0.F):
+        if not cmath.isfinite(v):
+            raise ValueError(f"the start state's {name} = {v!r} is not finite")
     dz = z1 - z0
     dense = [z0 + k * (1.0 / n_dense) * dz for k in range(1, n_dense)]  # as np.linspace
     raw = dopri54(rhs, z0, state0.F, z1, rtol=rtol, atol=atol, dense_ts=dense)

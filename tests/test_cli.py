@@ -191,6 +191,15 @@ def test_ode_nonfinite_state_and_overflow_exit2():
         for init in ("q0", "pencil63"):
             code, out, err = run_cli(["ode", "--init", init, *extra])
             assert (code, out, err) == (2, "", f"input error: {message}\n")
+    # a q0 start on the family's pole a*z + b = 0 (or with a = b = 0), and
+    # finite parameters whose closed form overflows to NaN
+    pole = "a*z + b vanishes there, a pole of the q0 family"
+    for params, message in ((["--a", "1", "--b", "-2"], f"--a 1.0, --b -2.0, --from '2': {pole}"),
+                            (["--a", "0", "--b", "0"], f"--a 0.0, --b 0.0, --from '2': {pole}"),
+                            (["--a", "1e308", "--b", "1e308"],
+                             "the start state's F12 = (nan+nanj) is not finite")):
+        code, out, err = run_cli(["ode", "--init", "q0", *params, "--from", "2", "--to", "3"])
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 def test_legendre_family_mapping():

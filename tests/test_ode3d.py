@@ -1,3 +1,7 @@
+import cmath
+import itertools
+import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -7,6 +11,7 @@ from fmcheck import ode3d
 from fmcheck.exprjet import eval_jet, parse
 from fmcheck.ode3d import (COMPONENTS, CoordinateCollisionError, OdeState3,
                            ParameterSingularError, SingularPathError, SingularPointError,
+                           StepSizeUnderflowError,
                            closed_form_pencil, closed_form_q0, dopri54, integrals, integrate,
                            rhs)
 from fmcheck.rotation import betas_from_F, closed_forms
@@ -167,6 +172,8 @@ def test_dopri_dense_output_and_direction():
     assert ts == [-0.25, -0.5, -0.75, -1.0]
     for t, y in out:
         assert abs(y[0] - np.exp(t)) < 1e-10, t
+    with pytest.raises(ValueError, match="no components"):
+        dopri54(lambda t, y: y, 0.0, [], 1.0)
 
 
 def test_step_count_does_not_depend_on_row_count(monkeypatch):
@@ -242,9 +249,11 @@ def test_continuous_extension_weights():
     # they are the 5th-order weights, and for every x they meet the eight
     # order conditions of a 4th-order method (one per rooted tree, as
     # polynomials in x: sum_i w_i(x) phi_i = x^k / gamma)
-    for i in (0, 2, 3, 4, 5, 6):
-        for j in (1, 2, 3):
-            assert getattr(ode3d, f"_D{i + 1}{j + 1}") == float(DP_P[i][j])
+    tableau = ode3d._TABLEAU
+    assert tableau["c"] == tuple(map(float, DP_C[1:]))
+    assert tableau["a"] == tuple(tuple(map(float, row)) for row in DP_A[1:])
+    assert tableau["e"] == tuple(map(float, DP_E))
+    assert tableau["d"] == tuple(tuple(map(float, row[1:])) if any(row) else () for row in DP_P)
     assert [sum(row) for row in DP_P] == DP_A[6] + [Q(0)]
     ac = [sum((a * c for a, c in zip(DP_A[i], DP_C)), Q(0)) for i in range(7)]
     ac2 = [sum((a * c * c for a, c in zip(DP_A[i], DP_C)), Q(0)) for i in range(7)]
@@ -312,6 +321,180 @@ def test_stage_sums_match_sequential_sum():
         assert abs(Q(calls[12][0]) - Q(t_next) - Q(h_next)) <= slack
         accepted.append(err <= 1)
     assert 0 < sum(accepted) < len(accepted)  # both branches of the controller
+
+
+# the stepper that `ode3d.dopri54` ran before its loop was generated per state
+# length: the stages are lists, each built by a comprehension over zip, with
+# the tableau's constants rounded once from the exact fractions above
+_C2, _C3, _C4, _C5 = (float(c) for c in DP_C[1:5])
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65) = ([float(a) for a in row] for row in DP_A[1:6])
+_B1, _, _B3, _B4, _B5, _B6 = map(float, DP_A[6])
+_E1, _, _E3, _E4, _E5, _E6, _E7 = map(float, DP_E)
+(_D12, _D13, _D14), _, (_D32, _D33, _D34), (_D42, _D43, _D44), (_D52, _D53, _D54), \
+    (_D62, _D63, _D64), (_D72, _D73, _D74) = ([float(p) for p in row[1:]] for row in DP_P)
+
+
+def reference_dopri54(f, t0, y0, t1, rtol=ode3d.DEFAULT_RTOL, atol=ode3d.DEFAULT_ATOL,
+                      dense_ts=None):
+    y = [complex(v) for v in y0]
+    dt = t1 - t0
+    if dt == 0:
+        return [(t0, y)]
+    rows = {t1: 1.0}
+    for t in () if dense_ts is None else dense_ts:
+        s = ((t - t0) / dt).real
+        if s < -1e-12 or s > 1 + 1e-12 or abs(t - (t0 + s * dt)) > 1e-12 * abs(dt):
+            raise ValueError("dense output time outside the integration span")
+        rows.setdefault(t, s)
+    targets = sorted(rows.items(), key=lambda row: row[1])
+    out = []
+    s, h = 0.0, 1 / 100.0
+    k1 = f(t0, y)
+    ti = 0
+    while True:
+        while ti < len(targets) and targets[ti][1] - s <= 1e-14:
+            out.append((targets[ti][0], list(y)))
+            ti += 1
+        if ti == len(targets):
+            return out
+        h_try = min(h, 1.0 - s)
+        if h_try < 1e-14:
+            raise StepSizeUnderflowError(f"step size underflow at t = {t0 + s * dt}")
+        H = h_try * dt
+        k2 = f(t0 + (s + _C2 * h_try) * dt, [v + H * (_A21 * a) for v, a in zip(y, k1)])
+        k3 = f(t0 + (s + _C3 * h_try) * dt, [v + H * (_A31 * a + _A32 * b)
+                                             for v, a, b in zip(y, k1, k2)])
+        k4 = f(t0 + (s + _C4 * h_try) * dt, [v + H * (_A41 * a + _A42 * b + _A43 * c)
+                                             for v, a, b, c in zip(y, k1, k2, k3)])
+        k5 = f(t0 + (s + _C5 * h_try) * dt, [v + H * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                                             for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+        k6 = f(t0 + (s + h_try) * dt, [v + H * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                                                + _A65 * e)
+                                       for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [v + H * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                 for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(t0 + (s + h_try) * dt, y_new)
+        try:
+            sq = 0.0
+            for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                q = (abs(H * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k))
+                     / (atol + rtol * max(abs(v), abs(w))))
+                sq += q * q
+            err = math.sqrt(sq / len(y))
+        except (ZeroDivisionError, OverflowError):
+            err = math.inf
+        if err <= 1.0:
+            s_new = s + h_try
+            while ti < len(targets) and targets[ti][1] < s_new - 1e-14:
+                x = (targets[ti][1] - s) / h_try
+                w1 = x * (1 + x * (_D12 + x * (_D13 + x * _D14)))
+                w3 = x * x * (_D32 + x * (_D33 + x * _D34))
+                w4 = x * x * (_D42 + x * (_D43 + x * _D44))
+                w5 = x * x * (_D52 + x * (_D53 + x * _D54))
+                w6 = x * x * (_D62 + x * (_D63 + x * _D64))
+                w7 = x * x * (_D72 + x * (_D73 + x * _D74))
+                out.append((targets[ti][0],
+                            [v + H * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * g + w7 * k)
+                             for v, a, c, d, e, g, k in zip(y, k1, k3, k4, k5, k6, k7)]))
+                ti += 1
+            s = s_new
+            y = y_new
+            k1 = k7  # FSAL
+            factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            factor = max(0.2, 0.9 * err ** -0.2)
+        h = h_try * factor
+
+
+def _linear(rng: random.Random, n: int, scale: float, dt):
+    """f(t, y) = M y + g t, on Python complex, for an n-vector g and an
+    n x n M whose entries are about `scale` / |dt|, its diagonal shifted so
+    that the solution decays along the direction dt; f records each
+    call's t."""
+    def draw(sigma):
+        return complex(rng.gauss(0, sigma), rng.gauss(0, sigma))
+
+    m = [[(draw(scale / n) - (i == j) * 2 * scale) / dt for j in range(n)] for i in range(n)]
+    g = [draw(1.0) for _ in range(n)]
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return [sum((mij * yj for mij, yj in zip(row, y)), 0j) + gi * t for row, gi in zip(m, g)]
+
+    return f, calls
+
+
+def _same(got, want) -> bool:
+    return got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_generated_stepper_equals_the_reference(n):
+    # identical (t, y) rows, to the bit, on random linear systems along
+    # real, negative and complex directions; the dense rows lie inside
+    # steps and on the ends of accepted and rejected steps (the stage-7
+    # times of a first run); on the stiff systems the first step (span/100)
+    # is rejected
+    rng = random.Random(f"dopri54:{n}")
+    segments = ((0.3, 2.1), (1.5, -0.7), (0.5 + 0.2j, -1.0 + 1.5j), (2j, 0.4 - 1j))
+    for (t0, t1), scale in itertools.product(segments, (0.3, 2.0, 300.0)):
+        f, calls = _linear(rng, n, scale, t1 - t0)
+        y0 = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        tol = 10 ** rng.uniform(-11, -6)
+        assert dopri54(f, t0, y0, t1, rtol=tol, atol=tol / 10)[-1][0] == t1
+        # the second attempt's stage 2 lies before the first's end: it was rejected
+        assert scale < 300 or ((calls[7] - t0) / (t1 - t0)).real < 1 / 100
+        dense = [t0 + rng.uniform(0, 1) * (t1 - t0) for _ in range(12)] + calls[6::6][::2]
+        for kwargs in ({}, {"dense_ts": dense}):
+            got = dopri54(f, t0, y0, t1, rtol=tol, atol=tol / 10, **kwargs)
+            want = reference_dopri54(f, t0, y0, t1, rtol=tol, atol=tol / 10, **kwargs)
+            assert _same(got, want), (n, t0, t1, scale)
+    # an f that turns NaN rejects every later step until the step size underflows
+    f, _ = _linear(rng, n, 1.0, 1.0)
+    nan_f = lambda t, y: f(t, y) if t.real < 1.3 else [complex("nan")] * n  # noqa: E731
+    messages = []
+    for stepper in (dopri54, reference_dopri54):
+        with pytest.raises(StepSizeUnderflowError) as err:
+            stepper(nan_f, 1.0, [1j] * n, 2.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and messages[0].startswith("step size underflow at t = 1.2")
+
+
+def test_integrate_equals_the_reference_on_benchmark_paths(monkeypatch):
+    # the 36 paths of one ode-trajectories round, drawn as the benchmark
+    # draws them: for each span, four paths from a q0 state, from a pencil63
+    # state and from a random state, all in Im z >= 0.3
+    rng = random.Random("ode:1:0")
+
+    def upper_path(span):
+        while True:
+            z0 = complex(round(rng.uniform(-2.0, 3.0), 6), round(rng.uniform(0.3, 2.5), 6))
+            z1 = z0 + span * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            z1 = complex(round(z1.real, 6), round(z1.imag, 6))
+            if z1.imag >= 0.3:
+                return z0, z1
+
+    paths = []
+    for span in (0.5, 1.5, 4.0):
+        for _ in range(4):
+            a, b = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+            z0, z1 = upper_path(span)
+            paths.append((closed_form_q0(z0, a, b), z1))
+            z0, z1 = upper_path(span)
+            paths.append((closed_form_pencil(z0), z1))
+            z0, z1 = upper_path(span)
+            paths.append((OdeState3(z0, [complex(rng.gauss(0, 0.3), rng.gauss(0, 0.3))
+                                         for _ in range(6)]), z1))
+    assert len(paths) == 36
+    # and a start near z = 1, whose first steps are rejected
+    paths.append((OdeState3(1.01 + 0.01j, paths[2][0].F), 3.5))
+    got = [integrate(state, z1, rtol=1e-10, atol=1e-12) for state, z1 in paths]
+    monkeypatch.setattr(ode3d, "dopri54", reference_dopri54)
+    want = [integrate(state, z1, rtol=1e-10, atol=1e-12) for state, z1 in paths]
+    for g, w in zip(got, want):
+        assert _same(g, w), g.states[0][0]
 
 
 # generic second-order linear ODE through dopri54
