@@ -11,7 +11,7 @@ runs through `catalog.run_checks`):
 
 - `verify` on every catalog entry at seeds 0-2 with 20 and 50 points;
 - `verify` on each entry's bare spec (`ManifoldSpec.to_json`) as a file;
-- `verify --check NAME` for every entry and every single check;
+- `verify --check NAME` for every entry and each of seven rows;
 - `verify q0-d1` at 50 points on each seed of the benchmark's
   `Q0_D1_FAULT_SEEDS`;
 - `verify q0-d0 --param a=1.1+0.3j`, whose data is complex, at seeds 0-2
@@ -299,8 +299,9 @@ def corpus() -> list:
     runs = [("entry", ["verify", name, "--seed", str(seed), "--points", str(points)])
             for name in names for seed in range(3) for points in (20, 50)]
     runs += [("spec-file", ["verify", f"{{specs}}/{name}.json"]) for name in names]
-    runs += [("check", ["verify", name, "--check", check])
-             for name in names for check in cat.SINGLE_CHECKS]
+    runs += [("check", ["verify", name, "--check", check]) for name in names
+             for check in ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
+                           "homogeneity", "levi-civita-flat", "flatness")]
     runs += [("fault-seed", ["verify", "q0-d1", "--seed", str(seed), "--points", "50"])
              for seed in fault_seeds()]
     runs += [("complex-param", ["verify", "q0-d0", "--param", "a=1.1+0.3j", "--seed", str(seed),

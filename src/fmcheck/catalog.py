@@ -5,7 +5,7 @@ construction's output, a derived walk that the table's rows read.
 A row of `CHECKS` runs wherever its inputs exist (`Check.needs`): the
 spec's fields, its companion tables and its expected values.  A flag names
 a claim the data cannot show, which a spec file makes by listing it.
-`--check`, a transform and `run_checks` pick rows by name.
+A transform runs the rows that read its field, `--check` any row.
 """
 
 from __future__ import annotations
@@ -40,13 +40,17 @@ from .rotation import (algebraic_constraints_at, betas_from_F, closed_forms, dar
 from .tensor import SingularMatrixError, contract, eigenvalues, merge_close
 
 __all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Transform",
-           "run_checks", "Check", "CHECKS", "SINGLE_CHECKS",
-           "verify_flat_coordinates", "verify_vector_potential", "SuiteResult", "connection_suite",
-           "MissingCompanionDataError", "JacobianSingularError", "SingularSampleError"]
+           "run_checks", "Check", "CHECKS", "verify_flat_coordinates", "verify_vector_potential",
+           "SuiteResult", "connection_suite", "MissingCompanionDataError", "UnknownCheckError",
+           "JacobianSingularError", "SingularSampleError"]
 
 
 class MissingCompanionDataError(Exception):
-    pass
+    """A row reads a companion table or expected value that its source lacks."""
+
+
+class UnknownCheckError(Exception):
+    """A row name that names no row, or, as an expected failure, none that the walk runs."""
 
 
 class JacobianSingularError(Exception):
@@ -94,12 +98,11 @@ def verify_vector_potential(ent: CatalogEntry, points, tol: float = DEFAULT_TOL)
 
 
 def connection_suite(spec: ManifoldSpec, points) -> list:
-    """The theorem rows (`_THEOREMS`) that the fields of `spec` allow, at
+    """The theorem rows (`Check.theorem`) that the fields of `spec` allow, at
     the default tolerance: with a metric, the natural connection's flatness,
     unit and product rows, the Levi-Civita curvature's product condition and
-    the cyclic sum, not the construction's own properties (`_NAMED`)."""
-    return _walk(spec, {}, [c for c in _chosen(spec, {}) if c.name in _THEOREMS],
-                 points, DEFAULT_TOL)
+    the cyclic sum, and with a second metric those of the rebuilt structure."""
+    return _walk(spec, {}, [c for c in _chosen(spec, {}) if c.theorem], points, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +226,7 @@ class Check:
     cannot show), when the source is an entry that claims it.  `fit` (the
     fitted constant that must agree across the points), `expected` (a key
     of the value it must match) and `tol` (of the run's tol; default: the
-    run's) set its report (`batch_report`)."""
+    run's) set its report (`batch_report`); a `theorem` holds on every structure."""
     name: str
     at: Callable
     flag: str | None = None
@@ -231,6 +234,7 @@ class Check:
     fit: str | None = None
     expected: str | None = None
     tol: Callable | None = None
+    theorem: bool = False
 
 
 def _lame_system_at(b):
@@ -263,23 +267,25 @@ def _match_at(b):
 
 # every row a source's walk reports, in report order
 CHECKS = (
-    Check("product-axioms", lambda b: product_axioms_at(b.st)),
-    Check("hertling-manin", lambda b: hertling_manin_at(b.st)),
-    Check("metric-invariance", lambda b: metric_invariance_at(b.st), needs=("g",)),
-    Check("killing-unit", lambda b: killing_unit_at(b.st), needs=("g",)),
+    Check("product-axioms", lambda b: product_axioms_at(b.st), theorem=True),
+    Check("hertling-manin", lambda b: hertling_manin_at(b.st), theorem=True),
+    Check("metric-invariance", lambda b: metric_invariance_at(b.st), needs=("g",), theorem=True),
+    Check("killing-unit", lambda b: killing_unit_at(b.st), needs=("g",), theorem=True),
     # a flat metric, which the natural connection's rows do not imply
     Check("levi-civita-flat", lambda b: flatness_at(b.lc), "flat-metric", ("g",)),
-    Check("flatness", lambda b: flatness_at(b.nat), needs=("g",)),
-    Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), needs=("g",)),
-    Check("product-compat", lambda b: compat_product_at(b.nat, b.st), needs=("g",)),
-    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st), needs=("g",)),
-    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), needs=("g",)),
-    Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), needs=("g", "E")),
+    Check("flatness", lambda b: flatness_at(b.nat), needs=("g",), theorem=True),
+    Check("nabla-e", lambda b: nabla_e_at(b.nat, b.st), needs=("g",), theorem=True),
+    Check("product-compat", lambda b: compat_product_at(b.nat, b.st), needs=("g",), theorem=True),
+    Check("curvature-product", lambda b: curvature_product_at(b.lc, b.st), needs=("g",),
+          theorem=True),
+    Check("r-tr", lambda b: r_tr_identity_at(b.nat, b.lc, b.st), needs=("g",), theorem=True),
+    Check("nabla-nabla-E", lambda b: nabla_nabla_E_at(b.nat, b.st), needs=("g", "E"),
+          theorem=True),
     Check("gamma-match", lambda b: _table_gap(b.nat, b.printed), needs=("g", "gamma")),
     # an axiom, not a consequence: it runs where a weight D is declared
     Check("homogeneity", lambda b: homogeneity_at(b.st), needs=("g", "E", "D"),
-          fit="D", expected="D"),
-    Check("dual-structure", lambda b: b.dual.residuals, needs=("g", "E")),
+          fit="D", expected="D", theorem=True),
+    Check("dual-structure", lambda b: b.dual.residuals, needs=("g", "E"), theorem=True),
     Check("gamma-star-match", lambda b: _table_gap(b.dual.gamma_star, b.printed_star),
           needs=("g", "E", "gamma_star")),
     Check("darboux-system", lambda b: darboux_at(b.rd), needs=("lame",)),
@@ -320,42 +326,30 @@ CHECKS = (
           needs=("flat_chart",)),
     Check("vector-potential", vector_potential_at, needs=("flat_chart", "potentials", "flat_e"),
           tol=lambda tol: max(tol, 1e-10)),
-    # a transform's rows (`Transform`); "match" is reported as match-<target>
+    # a transform's rows, those that read its field (`Transform`)
     Check("legendre-field", lambda b: legendre_field_at(
         b.st, b.nat, b.field_jets.val, b.field_jets.grad), needs=("legendre_field",)),
     Check("transform-exprs", _transform_exprs_at, needs=("legendre_field", "transformed_g")),
     Check("match", _match_at, needs=("legendre_field", "target_g"), tol=lambda tol: max(tol, 1e-7)),
 )
-# the theorem rows; all but the last, killing-unit, whose g and e "recon" keeps, run on it too
-_THEOREMS = ("product-axioms", "hertling-manin", "metric-invariance", "flatness", "nabla-e",
-             "product-compat", "curvature-product", "r-tr", "nabla-nabla-E", "homogeneity",
-             "dual-structure", "killing-unit")
-
-
-def _reconstructed(check: Check) -> Check:
-    """`check` on the rebuilt structure ("recon"), a row of the pencil."""
-    return replace(check, name=f"reconstructed/{check.name}", at=lambda b: check.at(b.recon),
-                   needs=("g", "g2"), expected=check.expected and f"{check.expected}_reconstructed")
-
-
-CHECKS += tuple(_reconstructed(check) for check in CHECKS if check.name in _THEOREMS[:-1])
-# the rows no walk reports, which only `run_checks` runs: two properties the natural
-# connection has by construction, tested in the test tree, and a transform's theorems
+# each theorem row on the structure rebuilt from the pencil ("recon"), a row of the pencil,
+# but killing-unit, which holds there as "recon" keeps g and e
+CHECKS += tuple(replace(c, name=f"reconstructed/{c.name}", at=lambda b, at=c.at: at(b.recon),
+                        needs=("g", "g2"), expected=c.expected and f"{c.expected}_reconstructed")
+                for c in CHECKS if c.theorem and c.name != "killing-unit")
+# the rows no walk reports, which only `--check` and `run_checks` run: two properties the
+# natural connection has by construction, tested in the test tree, and a transform's theorems
 _NAMED = (
     Check("torsionless", lambda b: torsion_at(b.nat), tol=lambda tol: 1e-12),
     Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit)),
-    Check("transform-metric", lambda b: transform_metric_at(
+    Check("transform-metric", needs=("legendre_field",), at=lambda b: transform_metric_at(
         *(_BY_NAME[name].at(b.transformed) for name in ("metric-invariance", "killing-unit")),
         b.transformed.nat, transform_connection(b.nat, b.transformed.st, *b.field_jets))),
     Check("homogeneous-legendre", lambda b: homogeneous_legendre_at(
         b.st, *(_BY_NAME["homogeneity"].at(walk) for walk in (b, b.transformed)),
-        b.field_jets.val, b.field_jets.grad), fit="dbar"),
+        b.field_jets.val, b.field_jets.grad), needs=("legendre_field",), fit="dbar"),
 )
 _BY_NAME = {check.name: check for check in CHECKS + _NAMED}
-
-# the checks `verify --check NAME` runs
-SINGLE_CHECKS = ("product-axioms", "hertling-manin", "metric-invariance", "killing-unit",
-                 "homogeneity", "levi-civita-flat", "flatness")
 
 
 def _chosen(spec: ManifoldSpec, comp: dict, flags=frozenset()) -> list:
@@ -419,18 +413,17 @@ class Transform:
 
     def rows(self):
         """The walk's companion data, rows and expression-level spec: the
-        field's rows, the expression-level metric against the pointwise one
-        and, with a target, the match, each over all points."""
-        comp = {"legendre_field": self.exprs}
-        checks = [_BY_NAME["legendre-field"], _BY_NAME["transform-exprs"]]
+        rows that read the field and whose inputs the data holds (`_chosen`),
+        with the target's match reported as match-<target>."""
+        new = transform_metric_exprs(self.spec, self.exprs, name=f"{self.spec.name}-{self.name}")
+        comp = {"legendre_field": self.exprs, "transformed_g": new.g}
         if self.target is not None:
             tgt = entry(self.target).spec
             tgt.params.update((k, v) for k, v in self.params.items() if k in tgt.params)
             comp.update(target_g=required(tgt.g, f"metric in target {tgt.name}"),
                         target_env=tgt.env())
-            checks.append(replace(_BY_NAME["match"], name=f"match-{self.target}"))
-        new = transform_metric_exprs(self.spec, self.exprs, name=f"{self.spec.name}-{self.name}")
-        comp["transformed_g"] = new.g
+        checks = [replace(c, name=f"match-{self.target}") if c.name == "match" else c
+                  for c in _chosen(self.spec, comp) if "legendre_field" in c.needs]
         return comp, checks, new
 
 
@@ -446,7 +439,10 @@ def run_suite(source, seed: int = DEFAULT_SEED, count: int = DEFAULT_POINTS,
     checks of `source`, a spec file's entry or a bare spec: each row whose
     inputs it has (`_chosen`) and whose flag, if any, the entry claims (a
     spec file claims the flags it lists, a bare spec none); or a
-    `Transform`'s rows; with `check`, only that one of `SINGLE_CHECKS`."""
+    `Transform`'s rows; with `check`, any one row.  A companion table or
+    expected value that the row reads and the source lacks raises
+    MissingCompanionDataError; an expected failure or `check` that names
+    no row so chosen, UnknownCheckError."""
     spec = source if isinstance(source, ManifoldSpec) else source.spec
     points = sample_points(spec, SamplePlan(seed=seed, count=count))
     if isinstance(source, Transform):
@@ -454,12 +450,16 @@ def run_suite(source, seed: int = DEFAULT_SEED, count: int = DEFAULT_POINTS,
         return SuiteResult(spec.name, _walk(spec, comp, checks, points, tol), frozenset(),
                            transformed=new)
     ent = source if isinstance(source, CatalogEntry) else CatalogEntry(spec)
-    if check is not None:
-        if check not in SINGLE_CHECKS:
-            raise KeyError(check)
-        checks = [_BY_NAME[check]]
+    if check is None:
+        checks, expected_failures = _chosen(spec, ent.companion, ent.flags), ent.expected_failures
+        for name in sorted(expected_failures - {c.name for c in checks}):
+            raise UnknownCheckError(f"{name!r} in expected_failures: {spec.name} runs no such row")
     else:
-        checks = _chosen(spec, ent.companion, ent.flags)
-    expected_failures = ent.expected_failures if check is None else frozenset()
+        checks, expected_failures = [_BY_NAME.get(check)], frozenset()
+        if checks[0] is None:
+            raise UnknownCheckError(repr(check))
+        for key in checks[0].needs:  # the row asks for a spec field or its own expected value
+            if key not in {"g", "E", "g2", checks[0].expected, *ent.companion, *spec.expected}:
+                raise MissingCompanionDataError(f"{spec.name} has no {key}")
     return SuiteResult(name=spec.name, reports=_walk(spec, ent.companion, checks, points, tol),
                        expected_failures=expected_failures)

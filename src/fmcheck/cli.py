@@ -8,8 +8,9 @@ parameter, region bound, `min_sep` or `guard_min`, a region box pair with
 lo > hi, or a key of `expected` that no row reads, among them), a
 non-finite `--param`, a spec path that cannot be read, such as a
 directory or a file that is not UTF-8, named with the reason, unknown
-entry or check, a spec that lacks a field a check or a
-transform needs or leaves a parameter unbound, a product table where a
+entry or check, an expected failure that is not a row the file runs, a
+spec that lacks a field, companion table or expected value that a check
+or a transform needs or leaves a parameter unbound, a product table where a
 transform needs a named product, a sample point where the spec is
 singular, which `verify` and `legendre` name by index and coordinates, a
 sampling region that admits fewer points than `--points`, a negative
@@ -192,12 +193,13 @@ def _run_suite(args, source, check=None, transform=()):
     try:
         return catalog.run_suite(source, seed=args.seed, count=args.points, tol=args.rtol,
                                  check=check)
-    except KeyError as err:
+    except catalog.UnknownCheckError as err:
         sys.stderr.write(f"unknown check: {err}\n")
     except ej.ParseError as err:
         sys.stderr.write(f"spec error: cannot parse {err.source!r}: {err}\n")
     except (PointCountError, RegionEmptyError, MissingFieldError, ProductTableError,
-            catalog.UnknownEntryError, catalog.SingularSampleError, ej.EvalError) as err:
+            catalog.UnknownEntryError, catalog.SingularSampleError, ej.EvalError,
+            catalog.MissingCompanionDataError) as err:
         sys.stderr.write(f"input error: {err}\n")
     except (NotInvertibleError, HypothesisViolatedError) as err:
         sys.stderr.write(f"transform rejected: {err}\n")
@@ -276,11 +278,14 @@ def cmd_ode(args) -> int:
         lines.append(",".join(repr(float(v)) for v in row))
     if not _write("\n".join(lines) + "\n", args.output):
         return 2
-    drift = max(traj.drift_I1, traj.drift_I2)
-    limit = args.drift_tol
-    if drift > limit:
-        sys.stderr.write(f"integral drift {drift:.3e} exceeds {limit:.1e}\n")
-        return 1
+    # each drift against the size of its integral's terms at the start, where they may cancel
+    f12, f21, f13, f31, f23, f32 = map(abs, state.F)
+    for name, drift, size in (("I1", traj.drift_I1, f12 * f21 + f13 * f31 + f23 * f32),
+                              ("I2", traj.drift_I2, f13 * f32 * f21 + f23 * f31 * f12)):
+        if drift > args.drift_tol * max(1.0, size):
+            sys.stderr.write(f"integral drift {drift:.3e} of {name} exceeds "
+                             f"{args.drift_tol:.1e} x max(1, {size:.3e})\n")
+            return 1
     return 0
 
 

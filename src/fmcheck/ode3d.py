@@ -346,7 +346,8 @@ class Trajectory:
 def integrate(state0: OdeState3, z_target, rtol: float = DEFAULT_RTOL,
               atol: float = DEFAULT_ATOL, n_dense: int = DEFAULT_ROWS) -> Trajectory:
     """Integrate along the straight segment from state0.z to z_target and
-    monitor the first integrals on a dense grid.  A start state that is not
+    monitor the first integrals on a dense grid of `n_dense` rows, each the
+    start state on a path of length zero.  A start state that is not
     finite is a ValueError that names its first such component."""
     z0, z1 = complex(state0.z), complex(z_target)
     for w in (0.0, 1.0):
@@ -357,7 +358,8 @@ def integrate(state0: OdeState3, z_target, rtol: float = DEFAULT_RTOL,
             raise ValueError(f"the start state's {name} = {v!r} is not finite")
     dz = z1 - z0
     dense = [z0 + k * (1.0 / n_dense) * dz for k in range(1, n_dense)]  # as np.linspace
-    raw = dopri54(rhs, z0, state0.F, z1, rtol=rtol, atol=atol, dense_ts=dense)
+    raw = (dopri54(rhs, z0, state0.F, z1, rtol=rtol, atol=atol, dense_ts=dense) if dz
+           else [(z0, state0.F)] * n_dense)
     i0 = integrals(state0)
     states, values = [], []
     drift1 = drift2 = cdrift = 0.0

@@ -137,8 +137,10 @@ def test_every_flag_picks_a_check():
     # a flag names a claim the data cannot show.  Some entry claims each
     # row's flag but levi-civita-flat's, which only `--check` runs; no row
     # reads `homogeneous`, which the benchmark's D_fit check reads on the
-    # entries that declare D; and dropping any other flag of any entry
-    # changes the suite's report names
+    # entries that declare D; and dropping any other flag of any entry,
+    # with the expected failures of its rows, changes the suite's report
+    # names (lauricella's ed4 drops flatness-constraint, pencil-63's
+    # potentiality its own row)
     import dataclasses
     row_flags = {c.flag for c in cat.CHECKS} - {None}
     claimed = set().union(*(cat.entry(name).flags for name in cat.names()))
@@ -151,8 +153,49 @@ def test_every_flag_picks_a_check():
         assert "homogeneous" not in ent.flags or "D" in ent.spec.expected, name
         full = [r.name for r in run_suite(ent, seed=0, count=2).reports]
         for flag in ent.flags - {"homogeneous"}:
-            cut = dataclasses.replace(ent, flags=ent.flags - {flag})
+            rows = {c.name for c in cat.CHECKS if c.flag == flag}
+            cut = dataclasses.replace(ent, flags=ent.flags - {flag},
+                                      expected_failures=ent.expected_failures - rows)
             assert [r.name for r in run_suite(cut, seed=0, count=2).reports] != full, (name, flag)
+
+
+def test_check_reports_each_row_as_the_walk_does():
+    # `verify X --check ROW` reports each row of `verify X` exactly as the
+    # whole walk does, at one seed and 4 points on every entry
+    def reports(argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            main(argv + ["--seed", "0", "--points", "4"])
+        return json.loads(out.getvalue())["reports"]
+
+    for name in cat.names():
+        for report in reports(["verify", name]):
+            assert reports(["verify", name, "--check", report["name"]]) == [report], \
+                (name, report["name"])
+
+
+def test_check_runs_the_named_rows():
+    # the natural connection's two construction rows run on every entry
+    # with a metric, and pass; a transform's rows need its field, which no
+    # entry has
+    transform_rows = ["legendre-field", "transform-exprs", "match", "transform-metric",
+                      "homogeneous-legendre"]
+    assert [c.name for c in cat.CHECKS + cat._NAMED if "legendre_field" in c.needs] == \
+        transform_rows
+    for name in cat.names():
+        argvs = [["verify", name, "--check", row] for row in transform_rows]
+        if cat.entry(name).spec.g is not None:
+            argvs += [["verify", name, "--check", row] for row in ("torsionless", "nabla-from-g")]
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv + ["--points", "4"])
+            if argv[-1] in transform_rows:
+                assert (code, err.getvalue()) == (
+                    2, f"input error: {name} has no legendre_field\n"), argv
+            else:
+                assert code == 0, argv
+                assert [r["name"] for r in json.loads(out.getvalue())["reports"]] == [argv[-1]]
 
 
 def test_spec_files_accept_the_expected_keys_the_rows_read():
@@ -189,7 +232,7 @@ def test_rows_run_wherever_their_inputs_exist():
     # companion tables, so it runs exactly the entry's rows that read only
     # spec fields: with a metric, every theorem row whose fields it has,
     # and with a second metric every pencil row.  No entry or spec file
-    # runs a transform's rows, or a row that only `run_checks` runs
+    # runs a transform's rows, or a row that no walk reports
     transform_rows = {"legendre-field", "transform-exprs", "match",
                       *(c.name for c in cat._NAMED)}
     assert {"torsionless", "nabla-from-g", "transform-metric", "homogeneous-legendre"} <= \
@@ -384,7 +427,9 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
         spec_path = tmp_path / f"{name}.json"
         spec_path.write_text(ent.spec.to_json())
         argvs = [["verify", str(spec_path)]]
-        argvs += [["verify", name, "--check", check] for check in cat.SINGLE_CHECKS]
+        argvs += [["verify", name, "--check", check]
+                  for check in ("product-axioms", "hertling-manin", "metric-invariance",
+                                "killing-unit", "homogeneity", "levi-civita-flat", "flatness")]
         for argv in argvs:
             for key in ("structure", "pencil"):
                 built[key] = []
@@ -623,7 +668,7 @@ def test_a_complex_parameter_keeps_the_walk_complex():
     # q0-d0 with a = 1.1+0.3i, the [re, im] pair a spec file or `--param`
     # gives: the metric and all built on it carry imaginary parts, stay
     # complex128, and all 20 of its rows pass, and the natural connection's
-    # two construction rows, which only `run_checks` runs
+    # two construction rows, which no walk reports
     ent = cat.entry("q0-d0")
     doc = json.loads(ent.spec.to_json())
     doc["params"]["a"] = [1.1, 0.3]

@@ -39,7 +39,29 @@ def test_verify_single_check_failure_exit_code():
 
 def test_verify_unknown_check():
     code, _, err = run_cli(["verify", "lobachevsky", "--check", "nope"])
-    assert code == 2
+    assert (code, err) == (2, "unknown check: 'nope'\n")
+
+
+def test_check_without_its_input_names_it():
+    # a row whose companion table or expected value the entry lacks is bad
+    # input that names the first one it lacks, not an unknown check
+    for check, missing in (("gamma-match", "gamma"), ("normal-rank", "rank"),
+                           ("ode-integrals", "ode_family"), ("v-eigenvalues", "lame")):
+        code, out, err = run_cli(["verify", "lobachevsky", "--check", check, "--points", "4"])
+        assert (code, out, err) == (2, "", f"input error: lobachevsky has no {missing}\n"), check
+
+
+def test_expected_failure_must_be_a_row_the_file_runs(tmp_path):
+    # a misspelt negative control, and a real row that the file does not
+    # run (lobachevsky has no printed connection), are bad input naming it
+    doc = json.loads(entries.text("lobachevsky"))
+    for row in ("potentiallity", "gamma-match"):
+        path = tmp_path / f"{row}.json"
+        path.write_text(json.dumps({**doc, "expected_failures": [row]}))
+        code, out, err = run_cli(["verify", str(path), "--points", "4"])
+        assert (code, out) == (2, ""), row
+        assert err == (f"unknown check: {row!r} in expected_failures: lobachevsky runs no "
+                       "such row\n"), row
 
 
 def test_verify_malformed_spec(tmp_path):
@@ -137,6 +159,36 @@ def test_ode_init_and_state_exclude_each_other():
             assert (code, out, err) == (2, "", f"input error: --init {init} and --state: "
                                                f"give one of them, not both\n")
     assert run_cli(["ode", "--state", state, *path])[0] == 0
+
+
+def test_ode_path_of_length_zero_prints_every_row():
+    # `--steps` rows of the start state, which drift by nothing
+    for steps in ([], ["--steps", "5"]):
+        code, out, _ = run_cli(["ode", "--init", "pencil63", "--from", "2", "--to", "2", *steps])
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == (int(steps[1]) if steps else 16)
+        assert len(set(rows)) == 1
+        cells = dict(zip(header.split(","), rows[0].split(",")))
+        assert cells["z_re"] == "2.0" and cells["dI1_abs"] == cells["dI2_abs"] == "0.0"
+
+
+def test_ode_drift_is_relative_to_the_integrals_terms():
+    # near the q0 pole I1 and I2 are cancelling sums of terms of size about
+    # 8e12 and 8e18: a correct run drifts by far more than --drift-tol in
+    # absolute terms, yet passes
+    code, out, err = run_cli(["ode", "--init", "q0", "--a", "1", "--b", "-2",
+                              "--from", "2.000001", "--to", "3"])
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert max(float(cell) for row in rows for cell in row.split(",")[-2:]) > 1.0
+    # where the terms are below 1 the limit is --drift-tol itself: a loose
+    # integration drifts past it and fails
+    code, _, err = run_cli(["ode", "--init", "pencil63", "--from", "2", "--to", "3",
+                            "--rtol", "1e-3", "--atol", "1e-3"])
+    assert code == 1
+    assert err.startswith("integral drift ")
+    assert err.endswith(" of I1 exceeds 1.0e-07 x max(1, 7.500e-01)\n")
 
 
 def test_ode_singular_crossing_exit2():

@@ -666,8 +666,8 @@ def test_batched_functions_and_rows_equal_single_point_runs():
                 _same(result, fn(st), (name, fn_name, k), k)
             names.add(fn_name)
         # and levi-civita-flat, whose claim no entry makes, and with a
-        # metric the natural connection's construction rows, which only
-        # `run_checks` runs
+        # metric the natural connection's construction rows, which no walk
+        # reports
         rows = cat._chosen(spec, comp, ent.flags | {cat._BY_NAME["levi-civita-flat"].flag})
         if spec.g is not None:
             rows += [cat._BY_NAME["torsionless"], cat._BY_NAME["nabla-from-g"]]
@@ -703,7 +703,7 @@ def test_batched_functions_and_rows_equal_single_point_runs():
                 _same(at(got, k), at(want, 0), (name, row.name, k))
             names.add("match" if row.name.startswith("match-") else row.name)
     # 39 rows, the 11 theorem rows of the structure rebuilt from the pencil,
-    # and the 4 rows that only `run_checks` runs
+    # and the 4 rows that no walk reports
     rows = cat.CHECKS + cat._NAMED
     assert len([c for c in rows if c.name in names]) == len(rows) == 39 + 11 + 4
     # every row and at least 59 batched functions
@@ -745,7 +745,7 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
     names = ("lobachevsky", "q0-d-minus1", "q0-d0", "af-pencil-n3", "nonss3d",
              "lauricella-eps-minus1-n3", "pencil-63", "case-i")
     runs = [(cat.entry(name), None) for name in names]
-    # the natural connection's construction rows, which only `run_checks` runs
+    # the natural connection's construction rows, which no walk reports
     runs += [(cat.entry(name), ("torsionless", "nabla-from-g")) for name in names
              if cat.entry(name).spec.g is not None]
     runs += [(cat.entry("lobachevsky"), "levi-civita-flat"),
