@@ -17,9 +17,11 @@ run, X being BENCHMARK.json's `run_seconds`, one in REV's tree (the
 parent) and one in the working tree's copy (the change).  Pair i runs the parent
 first when i is even and the change first when i is odd, so that a drift
 in the machine's speed falls on both sides.  Each run's result is the
-JSON object on the last line of its output.  Each run gets a fresh, empty
-bytecode cache (`PYTHONPYCACHEPREFIX`), so that a `__pycache__` in the
-working tree does not let the change skip the compiling the parent does.
+JSON object on the last line of its output.  Each run has
+`PYTHONDONTWRITEBYTECODE=1` and no `PYTHONPYCACHEPREFIX`, and its tree
+must hold no `__pycache__`: so fmcheck compiles from source in every
+process on both sides, and numpy and the standard library load from
+their installed bytecode, as where the benchmark's own runs take place.
 One `--trace 1` run of each workload on each side follows, for the
 per-layer counts and self times.  Last, the exact work counters of the
 working tree's `tests/work_counts.py` (contract calls and output elements,
@@ -114,15 +116,19 @@ def extract_working_tree(root: Path, dest: Path) -> None:
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `fmbench/run.py` run in `tree`; its result object.  The run's
-    bytecode cache is a fresh, empty `PYTHONPYCACHEPREFIX`, so that neither
-    side loads a `__pycache__` that its tree happens to hold."""
-    with tempfile.TemporaryDirectory() as cache:
-        proc = subprocess.run([sys.executable, "fmbench/run.py", "--workload", workload,
-                               "--seed", str(seed), "--seconds", str(seconds),
-                               "--trace", str(trace)],
-                              cwd=tree, capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
+    """One `fmbench/run.py` run in `tree`; its result object.  A tree that
+    holds a `__pycache__` is refused, and the run writes none
+    (`PYTHONDONTWRITEBYTECODE=1`) and keeps none elsewhere (no
+    `PYTHONPYCACHEPREFIX`), so that no side loads bytecode of its tree."""
+    cached = sorted(str(p.relative_to(tree)) for p in Path(tree).rglob("__pycache__"))
+    if cached:
+        raise RuntimeError(f"{tree} holds bytecode caches: {', '.join(cached)}")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPYCACHEPREFIX"}
+    proc = subprocess.run([sys.executable, "fmbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
+                          cwd=tree, capture_output=True, text=True,
+                          env={**env, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} in {tree} exited with code {proc.returncode}: "
                            f"{proc.stderr.strip()}")

@@ -6,11 +6,19 @@ A row of `CHECKS` runs wherever its inputs exist (`Check.needs`): the
 spec's fields, its companion tables and its expected values.  A flag names
 a claim the data cannot show, which a spec file makes by listing it.
 A transform runs the rows that read its field, `--check` any row.
+
+The rows of five inputs read a module of their own (`_MODULES`): g2
+`pencil`, a Lame table and an ODE family `rotation` (which imports
+`ode3d`), a normal bundle `hamops`, and a transform's field `legendre`
+(which imports `hamops`).  This module imports none of them when it
+loads: `run_suite` imports those of its chosen rows before it samples a
+point, and every walk those of its rows (`_load`), so that a process
+compiles only the modules that its rows read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import importlib
 from typing import Callable
 
 import numpy as np
@@ -22,21 +30,11 @@ from .connection import (ConnectionAt, checked_inverse, compat_product_at,
                          nabla_from_g_at, nabla_nabla_E_at, natural_from_levi_civita,
                          r_tr_identity_at, torsion_at)
 from .entries import CatalogEntry, UnknownEntryError, entry, names
-from .hamops import gmc_at, quadratic_expansion_at, rank_of, spanning_fields, sym_condition_at
-from .legendre import (homogeneous_legendre_at, legendre_field_at, transform_connection,
-                       transform_metric_at, transform_metric_exprs, transformed_at)
 from .manifold import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, AllEntriesZeroError, Jets,
                        ManifoldSpec, Report, Residuals, SamplePlan, amax, fit_scalar,
                        hertling_manin_at, homogeneity_at, batch_report, killing_unit_at,
                        lowest_failure, metric_invariance_at, normalized, pmax, product_axioms_at,
                        required, sample_points, structures, table_jets)
-from .ode3d import first_integrals
-from .pencil import (delta_identities_at, delta_jets, exactness_at, flat_pencil_at, pencil_data,
-                     pencil_homogeneity_at, pencil_weight, product_from_pencil_at,
-                     r_operator_at, reconstructed_at)
-from .rotation import (algebraic_constraints_at, betas_from_F, closed_forms, darboux_at,
-                       flatness_constraint_at, lame_system_at, potentiality_at,
-                       reduction_identity_at, rotations)
 from .tensor import SingularMatrixError, contract, eigenvalues, merge_close
 
 __all__ = ["CatalogEntry", "UnknownEntryError", "entry", "names", "run_suite", "Transform",
@@ -127,6 +125,22 @@ def _v_eigenvalue_gap(b):
     return Residuals({"eigenvalues": gaps}, np.zeros(len(gaps)))
 
 
+# the modules whose functions the rows and batches that read an input
+# call, each a global of this module once `_load` has imported it
+_MODULES = {"g2": ("pencil",), "lame": ("rotation",), "ode_family": ("rotation", "ode3d"),
+            "normal_bundle": ("hamops",), "legendre_field": ("legendre",)}
+
+
+def _load(checks) -> None:
+    """Import the modules that the rows `checks` read (`_MODULES`, by
+    their `needs`), and bind each as a global of this module."""
+    keys = {key for check in checks for key in check.needs}
+    for key, modules in _MODULES.items():
+        if key in keys:
+            for name in modules:
+                globals()[name] = importlib.import_module(f".{name}", __package__)
+
+
 # The data a walk builds once, as batches over its points, each from the
 # walk's other data when a row first asks for it (`_Walk.__getattr__`); a
 # connection's curvature is its own (`ConnectionAt.curvature`).
@@ -141,18 +155,18 @@ _BATCHED = {
     # the structure connection, from its closed-form table where there is one
     "conn": lambda w: w.printed if "gamma" in w.comp else w.nat,
     "dual": lambda w: dual_structure(w.st, w.nat),
-    "rd": lambda w: rotations(w.points, w.table("lame", 2)),
-    "fields": lambda w: spanning_fields(w.companion("normal_bundle"), w.points, w.spec.n,
-                                        w.env),
-    "pa": lambda w: pencil_data(w.st, w.ginv, w.lc),
-    "weight": lambda w: pencil_weight(w.pa)[0],
-    "delta": lambda w: delta_jets(w.pa),
-    "pencil_product": lambda w: product_from_pencil_at(w.pa, w.delta[0]),
+    "rd": lambda w: rotation.rotations(w.points, w.table("lame", 2)),
+    "fields": lambda w: hamops.spanning_fields(w.companion("normal_bundle"), w.points, w.spec.n,
+                                               w.env),
+    "pa": lambda w: pencil.pencil_data(w.st, w.ginv, w.lc),
+    "weight": lambda w: pencil.pencil_weight(w.pa)[0],
+    "delta": lambda w: pencil.delta_jets(w.pa),
+    "pencil_product": lambda w: pencil.product_from_pencil_at(w.pa, w.delta[0]),
     # the rebuilt structure keeps g and e: g's inverse, connection and counit are the walk's
-    "recon": lambda w: w.derived(st=reconstructed_at(w.pa, w.pencil_product), ginv=w.ginv,
-                                 lc=w.lc, counit=w.counit),
+    "recon": lambda w: w.derived(st=pencil.reconstructed_at(w.pa, w.pencil_product),
+                                 ginv=w.ginv, lc=w.lc, counit=w.counit),
     # the closed-form solution F of the spec's ODE family
-    "ode": lambda w: closed_forms(w.comp["ode_family"], w.points, w.env),
+    "ode": lambda w: rotation.closed_forms(w.comp["ode_family"], w.points, w.env),
     # the flat chart, and the potential's tables at its values
     "chart": lambda w: w.table("flat_chart", 2),
     **{key: (lambda w, key=key, order=order: w.table(key, order, w.chart.val))
@@ -161,7 +175,7 @@ _BATCHED = {
     # walk's with the metric swapped, once the field is checked flat), its
     # expression-level metric and the target's metric
     "field_jets": lambda w: w.table("legendre_field", 2),
-    "transformed": lambda w: w.derived(st=transformed_at(w.st, w.nat, *w.field_jets)),
+    "transformed": lambda w: w.derived(st=legendre.transformed_at(w.st, w.nat, *w.field_jets)),
     "transformed_g": lambda w: w.table("transformed_g", 0),
     "target_g": lambda w: w.table("target_g", 0, env=w.comp["target_env"]),
 }
@@ -203,8 +217,10 @@ class _Walk:
         check = _BY_NAME[check] if isinstance(check, str) else check
         result, count = check.at(self), len(self.points)
         if np.shape(result.scale) == (1,) != (count,):  # computed once, from a point-free product
-            result = replace(result, scale=np.broadcast_to(result.scale, count), parts={
-                k: np.broadcast_to(v, (count, *np.shape(v)[1:])) for k, v in result.parts.items()})
+            result = Residuals({k: np.broadcast_to(v, (count, *np.shape(v)[1:]))
+                                for k, v in result.parts.items()},
+                               np.broadcast_to(result.scale, count), result.fits, result.least,
+                               result.show_parts)
         return batch_report(check.name, result,
                             tol if check.tol is None else check.tol(tol), fit=check.fit,
                             expected=self.expected.get(check.expected))
@@ -217,7 +233,6 @@ class _Walk:
                           self.env if env is None else env, order)
 
 
-@dataclass(frozen=True)
 class Check:
     """One row of the check table.  `at` maps the `_Walk` to the row's
     `Residuals` at all its points at once, as arrays over the point axis.
@@ -227,26 +242,24 @@ class Check:
     fitted constant that must agree across the points), `expected` (a key
     of the value it must match) and `tol` (of the run's tol; default: the
     run's) set its report (`batch_report`); a `theorem` holds on every structure."""
-    name: str
-    at: Callable
-    flag: str | None = None
-    needs: tuple = ()
-    fit: str | None = None
-    expected: str | None = None
-    tol: Callable | None = None
-    theorem: bool = False
+
+    def __init__(self, name: str, at: Callable, flag: str | None = None, needs: tuple = (),
+                 fit: str | None = None, expected: str | None = None,
+                 tol: Callable | None = None, theorem: bool = False):
+        self.name, self.at, self.flag, self.needs = name, at, flag, needs
+        self.fit, self.expected, self.tol, self.theorem = fit, expected, tol, theorem
 
 
 def _lame_system_at(b):
     """With an ODE family, against the rotation coefficients of its closed
     form."""
     rd = b.rd
-    beta = betas_from_F(b.ode.val, rd.point) if "ode_family" in b.comp else None
-    return lame_system_at(rd, b.expected.get("d"), beta)
+    beta = rotation.betas_from_F(b.ode.val, rd.point) if "ode_family" in b.comp else None
+    return rotation.lame_system_at(rd, b.expected.get("d"), beta)
 
 
 def _ode_integrals_at(b):
-    i1, i2 = first_integrals(b.ode.val.T)
+    i1, i2 = ode3d.first_integrals(b.ode.val.T)
     return Residuals({"I1": np.abs(i1 - b.expected["I1"]), "I2": np.abs(i2 - b.expected["I2"])},
                      np.zeros(len(b.points)))
 
@@ -288,38 +301,41 @@ CHECKS = (
     Check("dual-structure", lambda b: b.dual.residuals, needs=("g", "E"), theorem=True),
     Check("gamma-star-match", lambda b: _table_gap(b.dual.gamma_star, b.printed_star),
           needs=("g", "E", "gamma_star")),
-    Check("darboux-system", lambda b: darboux_at(b.rd), needs=("lame",)),
-    Check("reduction-identity", lambda b: reduction_identity_at(b.rd), needs=("lame",)),
+    Check("darboux-system", lambda b: rotation.darboux_at(b.rd), needs=("lame",)),
+    Check("reduction-identity", lambda b: rotation.reduction_identity_at(b.rd), needs=("lame",)),
     Check("lame-system", _lame_system_at, needs=("lame",), fit="d"),
-    Check("flatness-constraint", lambda b: flatness_constraint_at(b.rd), "ed4", ("lame",)),
-    Check("algebraic-ED4bis", lambda b: algebraic_constraints_at(b.rd, "ED4bis"), "ed4bis",
+    Check("flatness-constraint", lambda b: rotation.flatness_constraint_at(b.rd), "ed4",
           ("lame",)),
-    Check("algebraic-ED5b", lambda b: algebraic_constraints_at(b.rd, "ED5b"), "ed5b", ("lame",)),
-    Check("potentiality", lambda b: potentiality_at(b.rd), "potentiality", ("lame",)),
+    Check("algebraic-ED4bis", lambda b: rotation.algebraic_constraints_at(b.rd, "ED4bis"),
+          "ed4bis", ("lame",)),
+    Check("algebraic-ED5b", lambda b: rotation.algebraic_constraints_at(b.rd, "ED5b"), "ed5b",
+          ("lame",)),
+    Check("potentiality", lambda b: rotation.potentiality_at(b.rd), "potentiality", ("lame",)),
     Check("v-eigenvalues", _v_eigenvalue_gap, needs=("lame", "V_eigenvalues")),
     Check("ode-integrals", _ode_integrals_at, needs=("ode_family", "I1", "I2"),
           tol=lambda tol: 1e-10),
     Check("quadratic-expansion",
-          lambda b: quadratic_expansion_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
-                                           b.ginv.inv),
+          lambda b: hamops.quadratic_expansion_at(b.st, b.lc, b.comp["normal_bundle"].eps,
+                                                  b.fields.val, b.ginv.inv),
           needs=("g", "normal_bundle"), tol=lambda tol: max(tol, 1e-9)),
-    Check("sym-condition", lambda b: sym_condition_at(b.st, b.nat, b.fields.val, b.fields.grad),
+    Check("sym-condition",
+          lambda b: hamops.sym_condition_at(b.st, b.nat, b.fields.val, b.fields.grad),
           needs=("g", "normal_bundle")),
-    Check("gmc", lambda b: gmc_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
-                                  b.fields.grad, b.ginv.inv), needs=("g", "normal_bundle")),
+    Check("gmc", lambda b: hamops.gmc_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
+                                         b.fields.grad, b.ginv.inv), needs=("g", "normal_bundle")),
     # 1 where the rank is not the expected one
     Check("normal-rank", lambda b: Residuals(
-        {"rank": np.sign(np.abs(rank_of(b.fields.val) - b.expected["rank"]))},
+        {"rank": np.sign(np.abs(hamops.rank_of(b.fields.val) - b.expected["rank"]))},
         np.zeros(len(b.points))),
           needs=("normal_bundle", "rank"), tol=lambda tol: 0.5),
-    Check("pencil-exactness", lambda b: exactness_at(b.pa), needs=("g", "g2")),
-    Check("pencil-homogeneity", lambda b: pencil_homogeneity_at(b.pa), needs=("g", "g2"),
+    Check("pencil-exactness", lambda b: pencil.exactness_at(b.pa), needs=("g", "g2")),
+    Check("pencil-homogeneity", lambda b: pencil.pencil_homogeneity_at(b.pa), needs=("g", "g2"),
           fit="d", expected="d_pencil"),
-    Check("flat-pencil", lambda b: flat_pencil_at(b.pa), needs=("g", "g2")),
-    Check("delta-identities", lambda b: delta_identities_at(b.pa, b.weight, b.delta),
+    Check("flat-pencil", lambda b: pencil.flat_pencil_at(b.pa), needs=("g", "g2")),
+    Check("delta-identities", lambda b: pencil.delta_identities_at(b.pa, b.weight, b.delta),
           needs=("g", "g2")),
-    Check("r-operator", lambda b: r_operator_at(b.pa, b.weight, b.counit), needs=("g", "g2"),
-          tol=lambda tol: max(tol, 1e-9)),
+    Check("r-operator", lambda b: pencil.r_operator_at(b.pa, b.weight, b.counit),
+          needs=("g", "g2"), tol=lambda tol: max(tol, 1e-9)),
     Check("product-from-pencil", lambda b: b.pencil_product.residuals, needs=("g", "g2"),
           tol=lambda tol: max(tol, 1e-9)),
     Check("flat-coordinates", lambda b: flat_coordinates_at(b.chart, b.conn),
@@ -327,25 +343,27 @@ CHECKS = (
     Check("vector-potential", vector_potential_at, needs=("flat_chart", "potentials", "flat_e"),
           tol=lambda tol: max(tol, 1e-10)),
     # a transform's rows, those that read its field (`Transform`)
-    Check("legendre-field", lambda b: legendre_field_at(
+    Check("legendre-field", lambda b: legendre.legendre_field_at(
         b.st, b.nat, b.field_jets.val, b.field_jets.grad), needs=("legendre_field",)),
     Check("transform-exprs", _transform_exprs_at, needs=("legendre_field", "transformed_g")),
     Check("match", _match_at, needs=("legendre_field", "target_g"), tol=lambda tol: max(tol, 1e-7)),
 )
 # each theorem row on the structure rebuilt from the pencil ("recon"), a row of the pencil,
 # but killing-unit, which holds there as "recon" keeps g and e
-CHECKS += tuple(replace(c, name=f"reconstructed/{c.name}", at=lambda b, at=c.at: at(b.recon),
-                        needs=("g", "g2"), expected=c.expected and f"{c.expected}_reconstructed")
+CHECKS += tuple(Check(f"reconstructed/{c.name}", lambda b, at=c.at: at(b.recon), c.flag,
+                      ("g", "g2"), c.fit, c.expected and f"{c.expected}_reconstructed", c.tol,
+                      c.theorem)
                 for c in CHECKS if c.theorem and c.name != "killing-unit")
 # the rows no walk reports, which only `--check` and `run_checks` run: two properties the
 # natural connection has by construction, tested in the test tree, and a transform's theorems
 _NAMED = (
     Check("torsionless", lambda b: torsion_at(b.nat), tol=lambda tol: 1e-12),
     Check("nabla-from-g", lambda b: nabla_from_g_at(b.nat, b.st, b.counit)),
-    Check("transform-metric", needs=("legendre_field",), at=lambda b: transform_metric_at(
+    Check("transform-metric", needs=("legendre_field",), at=lambda b: legendre.transform_metric_at(
         *(_BY_NAME[name].at(b.transformed) for name in ("metric-invariance", "killing-unit")),
-        b.transformed.nat, transform_connection(b.nat, b.transformed.st, *b.field_jets))),
-    Check("homogeneous-legendre", lambda b: homogeneous_legendre_at(
+        b.transformed.nat, legendre.transform_connection(b.nat, b.transformed.st,
+                                                         *b.field_jets))),
+    Check("homogeneous-legendre", lambda b: legendre.homogeneous_legendre_at(
         b.st, *(_BY_NAME["homogeneity"].at(walk) for walk in (b, b.transformed)),
         b.field_jets.val, b.field_jets.grad), needs=("legendre_field",), fit="dbar"),
 )
@@ -368,7 +386,10 @@ def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     walk and computes its results at all the points in one call.  A datum
     or row that fails at a point k raises there, and the points below k are
     walked first (`lowest_failure`): the lowest point at which a row fails,
-    and there the first row, is named."""
+    and there the first row, is named.  The rows' modules load first
+    (`_load`)."""
+    _load(checks)
+
     def rows(pts):
         walk = _Walk(spec, comp, pts)
         return [walk.report(check, tol) for check in checks]
@@ -382,12 +403,11 @@ def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
                                   f"{type(err).__name__}: {err}") from err
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    reports: list
-    expected_failures: frozenset
-    transformed: ManifoldSpec | None = None  # a transform's expression-level spec
+    def __init__(self, name: str, reports: list, expected_failures: frozenset,
+                 transformed: ManifoldSpec | None = None):
+        self.name, self.reports, self.expected_failures = name, reports, expected_failures
+        self.transformed = transformed  # a transform's expression-level spec
 
     @property
     def ok(self) -> bool:
@@ -399,30 +419,32 @@ class SuiteResult:
                 "reports": [r.to_dict() for r in self.reports]}
 
 
-@dataclass
 class Transform:
     """A Legendre transform as a source of the walk: `spec` through the
     field `exprs`, named `name`, and, with a catalog entry `target`, the
     match with its metric, whose parameters take the values in `params` of
     the same name."""
-    spec: ManifoldSpec
-    exprs: tuple
-    name: str
-    target: str | None = None
-    params: dict = field(default_factory=dict)
+
+    def __init__(self, spec: ManifoldSpec, exprs: tuple, name: str, target: str | None = None,
+                 params: dict | None = None):
+        self.spec, self.exprs, self.name, self.target = spec, exprs, name, target
+        self.params = {} if params is None else params
 
     def rows(self):
         """The walk's companion data, rows and expression-level spec: the
         rows that read the field and whose inputs the data holds (`_chosen`),
         with the target's match reported as match-<target>."""
-        new = transform_metric_exprs(self.spec, self.exprs, name=f"{self.spec.name}-{self.name}")
+        _load([_BY_NAME["legendre-field"]])
+        new = legendre.transform_metric_exprs(self.spec, self.exprs,
+                                              name=f"{self.spec.name}-{self.name}")
         comp = {"legendre_field": self.exprs, "transformed_g": new.g}
         if self.target is not None:
             tgt = entry(self.target).spec
             tgt.params.update((k, v) for k, v in self.params.items() if k in tgt.params)
             comp.update(target_g=required(tgt.g, f"metric in target {tgt.name}"),
                         target_env=tgt.env())
-        checks = [replace(c, name=f"match-{self.target}") if c.name == "match" else c
+        checks = [Check(f"match-{self.target}", c.at, c.flag, c.needs, c.fit, c.expected, c.tol,
+                        c.theorem) if c.name == "match" else c
                   for c in _chosen(self.spec, comp) if "legendre_field" in c.needs]
         return comp, checks, new
 
@@ -439,27 +461,32 @@ def run_suite(source, seed: int = DEFAULT_SEED, count: int = DEFAULT_POINTS,
     checks of `source`, a spec file's entry or a bare spec: each row whose
     inputs it has (`_chosen`) and whose flag, if any, the entry claims (a
     spec file claims the flags it lists, a bare spec none); or a
-    `Transform`'s rows; with `check`, any one row.  A companion table or
-    expected value that the row reads and the source lacks raises
+    `Transform`'s rows; with `check`, any one row, an expected failure
+    still where the entry lists it as one.  The rows are chosen, and their
+    modules loaded (`_load`), before the points are sampled.  A companion
+    table or expected value that the row reads and the source lacks raises
     MissingCompanionDataError; an expected failure or `check` that names
     no row so chosen, UnknownCheckError."""
     spec = source if isinstance(source, ManifoldSpec) else source.spec
-    points = sample_points(spec, SamplePlan(seed=seed, count=count))
     if isinstance(source, Transform):
         comp, checks, new = source.rows()
-        return SuiteResult(spec.name, _walk(spec, comp, checks, points, tol), frozenset(),
-                           transformed=new)
-    ent = source if isinstance(source, CatalogEntry) else CatalogEntry(spec)
-    if check is None:
-        checks, expected_failures = _chosen(spec, ent.companion, ent.flags), ent.expected_failures
-        for name in sorted(expected_failures - {c.name for c in checks}):
-            raise UnknownCheckError(f"{name!r} in expected_failures: {spec.name} runs no such row")
+        expected_failures = frozenset()
     else:
-        checks, expected_failures = [_BY_NAME.get(check)], frozenset()
-        if checks[0] is None:
-            raise UnknownCheckError(repr(check))
-        for key in checks[0].needs:  # the row asks for a spec field or its own expected value
-            if key not in {"g", "E", "g2", checks[0].expected, *ent.companion, *spec.expected}:
-                raise MissingCompanionDataError(f"{spec.name} has no {key}")
-    return SuiteResult(name=spec.name, reports=_walk(spec, ent.companion, checks, points, tol),
-                       expected_failures=expected_failures)
+        ent, new = source if isinstance(source, CatalogEntry) else CatalogEntry(spec), None
+        comp = ent.companion
+        if check is None:
+            checks, expected_failures = _chosen(spec, comp, ent.flags), ent.expected_failures
+            for name in sorted(expected_failures - {c.name for c in checks}):
+                raise UnknownCheckError(f"{name!r} in expected_failures: {spec.name} runs "
+                                        f"no such row")
+        else:
+            checks, expected_failures = [_BY_NAME.get(check)], ent.expected_failures & {check}
+            if checks[0] is None:
+                raise UnknownCheckError(repr(check))
+            for key in checks[0].needs:  # the row asks for a spec field or its own expected value
+                if key not in {"g", "E", "g2", checks[0].expected, *comp, *spec.expected}:
+                    raise MissingCompanionDataError(f"{spec.name} has no {key}")
+    _load(checks)  # before the first point is sampled
+    points = sample_points(spec, SamplePlan(seed=seed, count=count))
+    return SuiteResult(spec.name, _walk(spec, comp, checks, points, tol), expected_failures,
+                       transformed=new)

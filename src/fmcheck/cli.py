@@ -32,11 +32,18 @@ parameters is bad input.
 Reports embed the tool version, seed, tolerances, parameter values and the
 branch convention, and are byte-deterministic for a fixed configuration.
 
-`ode` runs on the standard library and `ode3d` alone (a state's F is a
-tuple, the rows of `dopri54` are lists).  `catalog`, and every spec that
-`verify` or `legendre` cannot load, need only `spec` and `entries`, which
-use the standard library too; the walk's modules, which load numpy, are
-imported by `_run_suite` alone.
+Loading this module loads no other module of the package; each command
+imports what it runs.  `ode` runs on the standard library and `ode3d`
+alone (a state's F is a tuple, the rows of `dopri54` are lists), which
+`cmd_ode` imports.  `catalog`, and every spec that `verify` or `legendre`
+cannot load, need only `spec` and `entries`, which use the standard
+library too.  The walk's modules, which load numpy, are imported by
+`_run_suite` alone: `catalog` and what it imports (`exprjet`,
+`connection`, `manifold`, `tensor`), then, before the points are
+sampled, the modules that the chosen rows read (`catalog._MODULES`:
+`pencil`, `rotation` with `ode3d`, `hamops`, `legendre`), and `legendre`
+for a transform.  The defaults of the parser, `ode`'s included, live in
+the package's `__init__`.
 """
 
 from __future__ import annotations
@@ -49,10 +56,8 @@ import math
 import os
 import sys
 
-from . import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, __version__
-from .ode3d import (COMPONENTS, DEFAULT_ATOL, DEFAULT_ROWS, DEFAULT_RTOL, OdeState3,
-                    ParameterSingularError, SingularPathError, SingularPointError,
-                    StepSizeUnderflowError, closed_form_pencil, closed_form_q0, integrate)
+from . import (DEFAULT_ATOL, DEFAULT_POINTS, DEFAULT_ROWS, DEFAULT_RTOL, DEFAULT_SEED,
+               DEFAULT_TOL, __version__)
 
 BRANCH_NOTE = "principal (cut on the negative real axis, +0j side)"
 
@@ -178,10 +183,15 @@ def _run_suite(args, source, check=None, transform=()):
     `transform` (the arguments of `catalog.Transform` after the spec) on
     that transform of `source`; for a bad `--seed` or `--rtol`, or an error
     the walk raises, one line on stderr and its exit code instead.  The
-    walk's modules, and so numpy, load here and nowhere else in the CLI."""
+    walk's modules, and so numpy, load here and nowhere else in the CLI;
+    `legendre`, whose errors a transform raises, with a transform alone."""
     from . import catalog, exprjet as ej
-    from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
     from .manifold import MissingFieldError, PointCountError, RegionEmptyError
+    bad_transform = rejected = ()
+    if transform:
+        from .legendre import HypothesisViolatedError, NotInvertibleError, ProductTableError
+        bad_transform, rejected = (ProductTableError,), (NotInvertibleError,
+                                                         HypothesisViolatedError)
     if args.seed < 0:
         sys.stderr.write(f"input error: --seed {args.seed}: must be non-negative\n")
         return 2
@@ -197,11 +207,11 @@ def _run_suite(args, source, check=None, transform=()):
         sys.stderr.write(f"unknown check: {err}\n")
     except ej.ParseError as err:
         sys.stderr.write(f"spec error: cannot parse {err.source!r}: {err}\n")
-    except (PointCountError, RegionEmptyError, MissingFieldError, ProductTableError,
+    except (PointCountError, RegionEmptyError, MissingFieldError, *bad_transform,
             catalog.UnknownEntryError, catalog.SingularSampleError, ej.EvalError,
             catalog.MissingCompanionDataError) as err:
         sys.stderr.write(f"input error: {err}\n")
-    except (NotInvertibleError, HypothesisViolatedError) as err:
+    except rejected as err:
         sys.stderr.write(f"transform rejected: {err}\n")
         return 1
     return 2
@@ -215,13 +225,17 @@ def cmd_verify(args) -> int:
     suite = _run_suite(args, ent, args.check)
     if isinstance(suite, int):
         return suite
-    if lists_failures and args.check is None:
+    # a `--check` run names its row where the file expects it to fail
+    if lists_failures and (args.check is None or suite.expected_failures):
         return _report("verify", args, ent.spec, suite, target=ent.spec.name,
                        expected_failures=sorted(suite.expected_failures))
     return _report("verify", args, ent.spec, suite, target=ent.spec.name)
 
 
 def cmd_ode(args) -> int:
+    from .ode3d import (COMPONENTS, OdeState3, ParameterSingularError, SingularPathError,
+                        SingularPointError, StepSizeUnderflowError, closed_form_pencil,
+                        closed_form_q0, integrate)
     try:
         z_from, z_to = _ode_point("--from", args.z_from), _ode_point("--to", args.z_to)
         for option, value in (("--a", args.a), ("--b", args.b)):

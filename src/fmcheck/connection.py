@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -49,14 +48,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class ConnectionAt(PointBatch):
     """Christoffel symbols and their first derivatives at a point, or at
     each point of a batch, and the curvature they give."""
-    n: int
-    point: np.ndarray
-    gamma: np.ndarray    # gamma[i,j,k] = Gamma^i_jk
-    dgamma: np.ndarray   # dgamma[i,j,k,m] = d_m Gamma^i_jk
+    _fields = ("n", "point", "gamma", "dgamma")
+
+    def __init__(self, n: int, point, gamma, dgamma):
+        self.n, self.point = n, point
+        self.gamma = gamma    # gamma[i,j,k] = Gamma^i_jk
+        self.dgamma = dgamma  # dgamma[i,j,k,m] = d_m Gamma^i_jk
 
     @functools.cached_property
     def curvature(self) -> np.ndarray:
@@ -64,12 +64,13 @@ class ConnectionAt(PointBatch):
         return riemann_components(self.gamma, self.dgamma)
 
 
-@dataclass
 class InverseJets(PointBatch):
     """A metric's inverse with its first derivatives (`inverse_jets`), at
     a point or over a batch."""
-    inv: np.ndarray
-    dinv: np.ndarray
+    _fields = ("inv", "dinv")
+
+    def __init__(self, inv, dinv):
+        self.inv, self.dinv = inv, dinv
 
 
 def checked_inverse(a: np.ndarray, error=SingularMatrixError) -> np.ndarray:
@@ -323,14 +324,14 @@ def check_nabla_nabla_E(spec: ManifoldSpec, points) -> Report:
 # dual structure
 
 
-@dataclass
 class DualStructureAt(PointBatch):
     """The dual structure at a point or over a batch, with the `Residuals`
     of its identities (`dual_structure`)."""
-    cstar: np.ndarray
-    dcstar: np.ndarray
-    gamma_star: ConnectionAt
-    residuals: Residuals
+    _fields = ("cstar", "dcstar", "gamma_star", "residuals")
+
+    def __init__(self, cstar, dcstar, gamma_star: ConnectionAt, residuals: Residuals):
+        self.cstar, self.dcstar, self.gamma_star, self.residuals = (cstar, dcstar, gamma_star,
+                                                                    residuals)
 
 
 def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:

@@ -52,7 +52,6 @@ numpy; this module takes them from there.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -98,15 +97,14 @@ class Jet(NamedTuple):
     hess: np.ndarray
 
 
-@dataclass(frozen=True)
 class TableJets:
     """Values, gradients and Hessians of a table at each point of one run
     (the leading axis), None for the parts above the run's order, and the
     message of the domain error each point raised, or None."""
-    val: np.ndarray
-    grad: np.ndarray | None
-    hess: np.ndarray | None
-    errors: list
+
+    def __init__(self, val: np.ndarray, grad: np.ndarray | None, hess: np.ndarray | None,
+                 errors: list):
+        self.val, self.grad, self.hess, self.errors = val, grad, hess, errors
 
     def __len__(self) -> int:
         return len(self.errors)

@@ -29,9 +29,7 @@ All residuals are reported normalized as `max|residual| / (1 + scale)` where
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -73,38 +71,41 @@ def required(value, what: str):
     return value
 
 
-@dataclass(frozen=True)
 class SamplePlan:
-    seed: int = DEFAULT_SEED
-    count: int = DEFAULT_POINTS
+    def __init__(self, seed: int = DEFAULT_SEED, count: int = DEFAULT_POINTS):
+        self.seed, self.count = seed, count
 
 
 class PointBatch:
     """Point-axis access shared by the batched data (`StructureAt`, the
     connections, the pencil data): over a batch every array field, and
     every batched field, has a leading point axis, of length 1 where it is
-    the same at every point (a named product); a single point has none."""
+    the same at every point (a named product); a single point has none.
+    A class's `_fields` are the names its constructor takes."""
+    _fields = ()
 
     def at(self, k):
         """Point k's data, without the point axis: a point-free array's
         only row for any k."""
         out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if isinstance(value, PointBatch):
-                out[f.name] = value.at(k)
+                value = value.at(k)
             elif isinstance(value, np.ndarray):
-                out[f.name] = value[0 if len(value) == 1 else k]
-        return dataclasses.replace(self, **out)
+                value = value[0 if len(value) == 1 else k]
+            out[name] = value
+        return type(self)(**out)
 
 
-@dataclass
 class Jets(PointBatch):
     """Values, with their first and second derivatives where they have
     them, at a point or over a batch (`table_jets`)."""
-    val: np.ndarray
-    grad: np.ndarray | None = None
-    hess: np.ndarray | None = None
+    _fields = ("val", "grad", "hess")
+
+    def __init__(self, val: np.ndarray, grad: np.ndarray | None = None,
+                 hess: np.ndarray | None = None):
+        self.val, self.grad, self.hess = val, grad, hess
 
     def __iter__(self):
         return iter((self.val, self.grad, self.hess))
@@ -144,39 +145,31 @@ def table_jets(table, points, env=None, order: int = 2) -> Jets:
     return Jets(run.val, run.grad, run.hess)
 
 
-@dataclass
 class StructureAt(PointBatch):
     """All primitive tensors at one point, or at each point of a batch:
-    product to first order, the remaining fields to second order."""
-    n: int
-    point: np.ndarray
-    c: np.ndarray
-    dc: np.ndarray
-    ddc: np.ndarray | None
-    e: np.ndarray
-    de: np.ndarray
-    dde: np.ndarray
-    E: np.ndarray | None = None
-    dE: np.ndarray | None = None
-    ddE: np.ndarray | None = None
-    g: np.ndarray | None = None
-    dg: np.ndarray | None = None
-    ddg: np.ndarray | None = None
-    g2: np.ndarray | None = None
-    dg2: np.ndarray | None = None
-    ddg2: np.ndarray | None = None
+    product to first order (`ddc` may be None), the remaining fields to
+    second order, and E, g and g2 None where the spec has none."""
+    _fields = ("n", "point", "c", "dc", "ddc", "e", "de", "dde", "E", "dE", "ddE",
+               "g", "dg", "ddg", "g2", "dg2", "ddg2")
+
+    def __init__(self, n: int, point, c, dc, ddc, e, de, dde, E=None, dE=None, ddE=None,
+                 g=None, dg=None, ddg=None, g2=None, dg2=None, ddg2=None):
+        self.n, self.point = n, point
+        self.c, self.dc, self.ddc = c, dc, ddc
+        self.e, self.de, self.dde = e, de, dde
+        self.E, self.dE, self.ddE = E, dE, ddE
+        self.g, self.dg, self.ddg = g, dg, ddg
+        self.g2, self.dg2, self.ddg2 = g2, dg2, ddg2
 
 
-@dataclass(frozen=True)
 class Report:
     """Residual statistics for one named check."""
-    name: str
-    residual: float
-    tol: float
-    passed: bool
-    scale: float = 0.0
-    npoints: int = 0
-    details: dict = field(default_factory=dict)
+
+    def __init__(self, name: str, residual: float, tol: float, passed: bool,
+                 scale: float = 0.0, npoints: int = 0, details: dict | None = None):
+        self.name, self.residual, self.tol, self.passed = name, residual, tol, passed
+        self.scale, self.npoints = scale, npoints
+        self.details = {} if details is None else details
 
     @classmethod
     def from_residual(cls, name: str, residual: float, tol: float,
@@ -199,18 +192,18 @@ def worst(values) -> float:
     return float(np.maximum.reduce(np.asarray(values, dtype=float), axis=None, initial=0.0))
 
 
-@dataclass
 class Residuals:
     """A row's results at each point of a batch, or at one point: by name,
     each part of its identity (its normalized residual, with a trailing
     axis where it runs over the spanning fields), its scale, its fitted
     constants, and the values whose least the report shows; with
     `show_parts` the report shows its parts."""
-    parts: dict
-    scale: object
-    fits: dict = field(default_factory=dict)
-    least: dict = field(default_factory=dict)
-    show_parts: bool = False
+
+    def __init__(self, parts: dict, scale, fits: dict | None = None, least: dict | None = None,
+                 show_parts: bool = False):
+        self.parts, self.scale, self.show_parts = parts, scale, show_parts
+        self.fits = {} if fits is None else fits
+        self.least = {} if least is None else least
 
 
 def merge_reports(name: str, reports: Sequence[Report], tol: float) -> Report:
@@ -357,8 +350,11 @@ def walk_row(name: str, spec: ManifoldSpec, comp: dict, points,
 def point_walk(spec: ManifoldSpec, comp: dict, point):
     """The walk (`catalog._Walk`) of `spec` with the companion data `comp`
     at `point` alone: a single-point helper's data are its batches of one,
-    and its reports the walk's rows (`_Walk.report`)."""
-    from .catalog import _Walk  # the check table imports this module
+    and its reports the walk's rows (`_Walk.report`).  It loads every
+    module that a row reads (`catalog._load`), as a helper may read any
+    batch."""
+    from .catalog import _BY_NAME, _Walk, _load  # the check table imports this module
+    _load(_BY_NAME.values())
     return _Walk(spec, comp, [point])
 
 

@@ -29,8 +29,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from . import DEFAULT_ATOL, DEFAULT_ROWS, DEFAULT_RTOL
 
 __all__ = [
     "OdeState3", "SingularPointError", "SingularPathError", "StepSizeUnderflowError",
@@ -42,8 +43,6 @@ __all__ = [
 
 COMPONENTS = ("F12", "F21", "F13", "F31", "F23", "F32")
 SING_MARGIN = 1e-3
-# the stepper's tolerances, and the dense rows of a trajectory
-DEFAULT_RTOL, DEFAULT_ATOL, DEFAULT_ROWS = 1e-10, 1e-12, 16
 
 
 class SingularPointError(Exception):
@@ -66,14 +65,13 @@ class ParameterSingularError(Exception):
     pass
 
 
-@dataclass
 class OdeState3:
-    z: complex
-    F: tuple  # six Python complex, in the order of `COMPONENTS`
+    """A point z and the six components F there, Python complex, in the
+    order of `COMPONENTS`."""
 
-    def __post_init__(self):
-        self.z = complex(self.z)
-        self.F = tuple(complex(v) for v in self.F)
+    def __init__(self, z: complex, F):
+        self.z = complex(z)
+        self.F = tuple(complex(v) for v in F)
         if len(self.F) != 6:
             raise ValueError(f"a state has 6 components, not {len(self.F)}")
 
@@ -333,14 +331,14 @@ def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
     return abs(w - (z0 + t * d))
 
 
-@dataclass
 class Trajectory:
-    states: list          # [(z, OdeState3), ...] at the dense grid
-    I_states: list        # integrals() of each state, in the order of `states`
-    I_start: dict
-    drift_I1: float
-    drift_I2: float
-    max_constraint_drift: float  # max |I3|,|I4|,|I5| growth along the way
+    def __init__(self, states: list, I_states: list, I_start: dict, drift_I1: float,
+                 drift_I2: float, max_constraint_drift: float):
+        self.states = states      # [(z, OdeState3), ...] at the dense grid
+        self.I_states = I_states  # integrals() of each state, in the order of `states`
+        self.I_start = I_start
+        self.drift_I1, self.drift_I2 = drift_I1, drift_I2
+        self.max_constraint_drift = max_constraint_drift  # max |I3|,|I4|,|I5| growth
 
 
 def integrate(state0: OdeState3, z_target, rtol: float = DEFAULT_RTOL,

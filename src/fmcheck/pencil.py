@@ -15,8 +15,6 @@ one of the walk (`point_walk`), and their reports are its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .connection import (ConnectionAt, InverseJets, christoffel_jets, inverse_hessian,
@@ -40,28 +38,23 @@ class MissingSecondMetricError(MissingFieldError):
     """The spec has no second metric, which every pencil datum needs."""
 
 
-@dataclass
 class PencilAt(PointBatch):
     """Everything the pencil constructions need at one point, or at each
     point of a batch (`pencil_data`)."""
-    n: int
-    point: np.ndarray
-    st: StructureAt                 # carries jets of both covariant metrics and e
-    eta_inv: np.ndarray
-    deta_inv: np.ndarray
-    g_inv: np.ndarray
-    dg_inv: np.ndarray
-    ddg_inv: np.ndarray
-    L: np.ndarray                   # L^s_h = g^sm eta_mh
-    dL: np.ndarray
-    E: np.ndarray                   # E^i = g^il eta_lj e^j
-    dE: np.ndarray
-    ddE: np.ndarray
-    gamma1: np.ndarray              # Levi-Civita of the first metric
-    dgamma1: np.ndarray
-    gamma2: np.ndarray              # Levi-Civita of the second metric
-    dgamma2: np.ndarray
-    diagonal: np.ndarray            # whether both metrics are diagonal
+    _fields = ("n", "point", "st", "eta_inv", "deta_inv", "g_inv", "dg_inv", "ddg_inv", "L",
+               "dL", "E", "dE", "ddE", "gamma1", "dgamma1", "gamma2", "dgamma2", "diagonal")
+
+    def __init__(self, n: int, point, st: StructureAt, eta_inv, deta_inv, g_inv, dg_inv,
+                 ddg_inv, L, dL, E, dE, ddE, gamma1, dgamma1, gamma2, dgamma2, diagonal):
+        self.n, self.point = n, point
+        self.st = st                    # carries jets of both covariant metrics and e
+        self.eta_inv, self.deta_inv = eta_inv, deta_inv
+        self.g_inv, self.dg_inv, self.ddg_inv = g_inv, dg_inv, ddg_inv
+        self.L, self.dL = L, dL         # L^s_h = g^sm eta_mh
+        self.E, self.dE, self.ddE = E, dE, ddE  # E^i = g^il eta_lj e^j
+        self.gamma1, self.dgamma1 = gamma1, dgamma1  # Levi-Civita of the first metric
+        self.gamma2, self.dgamma2 = gamma2, dgamma2  # Levi-Civita of the second metric
+        self.diagonal = diagonal        # whether both metrics are diagonal
 
 
 def pencil_at(spec: ManifoldSpec, point) -> PencilAt:
@@ -249,14 +242,14 @@ def r_operator_at(pa: PencilAt, d, counit):
                       "closed-form": np.where(pa.diagonal, closed, 0.0)}, sc)
 
 
-@dataclass
 class PencilProduct(PointBatch):
     """The product rebuilt from the pencil, with first derivatives, and the
     `Residuals` of its identities, at a point or over a batch
     (`product_from_pencil_at`)."""
-    c: np.ndarray
-    dc: np.ndarray
-    residuals: Residuals
+    _fields = ("c", "dc", "residuals")
+
+    def __init__(self, c, dc, residuals: Residuals):
+        self.c, self.dc, self.residuals = c, dc, residuals
 
 
 def product_from_pencil(spec, point, tol: float = DEFAULT_TOL):
@@ -322,5 +315,6 @@ def reconstructed_structure(spec, point) -> StructureAt:
 
 def reconstructed_at(pa: PencilAt, prod: PencilProduct) -> StructureAt:
     """The structure of `prod`, the pencil's product, and the pencil's g, e and E."""
-    return replace(pa.st, c=prod.c, dc=prod.dc, ddc=None, E=pa.E, dE=pa.dE, ddE=pa.ddE,
-                   g2=None, dg2=None, ddg2=None)
+    st = pa.st
+    return StructureAt(st.n, st.point, prod.c, prod.dc, None, st.e, st.de, st.dde,
+                       pa.E, pa.dE, pa.ddE, st.g, st.dg, st.ddg)

@@ -10,7 +10,6 @@ their `Residuals` at each point, and at one point (`rotation_data`) scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,16 +28,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class RotationData(PointBatch):
-    n: int
-    point: np.ndarray
-    H: np.ndarray        # H[i]
-    dH: np.ndarray       # dH[i,j] = d_j H_i
-    ddH: np.ndarray      # ddH[i,j,k]
-    beta: np.ndarray     # beta[i,j] = d_j H_i / H_j, diagonal zeroed
-    dbeta: np.ndarray    # dbeta[i,j,k] = d_k beta_ij
-    V: np.ndarray        # V[i,j] = (u^j - u^i) beta_ij
+    _fields = ("n", "point", "H", "dH", "ddH", "beta", "dbeta", "V")
+
+    def __init__(self, n: int, point, H, dH, ddH, beta, dbeta, V):
+        self.n, self.point = n, point
+        self.H, self.dH, self.ddH = H, dH, ddH  # H[i], dH[i,j] = d_j H_i, ddH[i,j,k]
+        self.beta = beta    # beta[i,j] = d_j H_i / H_j, diagonal zeroed
+        self.dbeta = dbeta  # dbeta[i,j,k] = d_k beta_ij
+        self.V = V          # V[i,j] = (u^j - u^i) beta_ij
 
 
 def rotations(points, lame: Jets) -> RotationData:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -62,8 +61,21 @@ class ParseError(ExprError):
 # AST
 
 
-@dataclass(frozen=True)
 class Expr:
+    """A node of the syntax tree.  Two nodes are equal, and hash alike,
+    when they are of one type with equal fields (`_key`): the tape shares
+    a slot only between equal nodes (`exprjet._compile`).  A node's hash
+    is taken once, when it is made, from its children's."""
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
     def __add__(self, other):
         return Bin("+", self, _as_expr(other))
 
@@ -74,37 +86,70 @@ class Expr:
         return Bin("/", self, _as_expr(other))
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: complex
+    __slots__ = ("value",)
+
+    def __init__(self, value: complex):
+        self.value = value
+        self._hash = hash(self._key())
+
+    def _key(self):
+        return (self.value,)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int  # 1-based coordinate index
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index  # 1-based coordinate index
+        self._hash = hash(self._key())
+
+    def _key(self):
+        return (self.index,)
 
 
-@dataclass(frozen=True)
 class Param(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = hash(self._key())
+
+    def _key(self):
+        return (self.name,)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    a: Expr
+    __slots__ = ("a",)
+
+    def __init__(self, a: Expr):
+        self.a = a
+        self._hash = hash(self._key())
+
+    def _key(self):
+        return (self.a,)
 
 
-@dataclass(frozen=True)
 class Bin(Expr):
-    op: str  # + - * / ^
-    a: Expr
-    b: Expr
+    __slots__ = ("op", "a", "b")
+
+    def __init__(self, op: str, a: Expr, b: Expr):
+        self.op, self.a, self.b = op, a, b  # op: + - * / ^
+        self._hash = hash(self._key())
+
+    def _key(self):
+        return (self.op, self.a, self.b)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fn: str  # sqrt ln exp
-    a: Expr
+    __slots__ = ("fn", "a")
+
+    def __init__(self, fn: str, a: Expr):
+        self.fn, self.a = fn, a  # fn: sqrt ln exp
+        self._hash = hash(self._key())
+
+    def _key(self):
+        return (self.fn, self.a)
 
 
 def _as_expr(v) -> Expr:
@@ -337,7 +382,6 @@ def _print_atom(e: Expr) -> str:
 # chart specs and their JSON form
 
 
-@dataclass(frozen=True)
 class Region:
     """Sampling box with admissibility constraints.
 
@@ -346,10 +390,10 @@ class Region:
     `min_sep` is the minimum pairwise coordinate separation (relevant on
     semisimple charts where coordinate collisions are singular).
     """
-    box: tuple
-    min_sep: float = 0.1
-    guards: tuple = ()
-    guard_min: float = 0.1
+
+    def __init__(self, box: tuple, min_sep: float = 0.1, guards: tuple = (),
+                 guard_min: float = 0.1):
+        self.box, self.min_sep, self.guards, self.guard_min = box, min_sep, guards, guard_min
 
     def to_dict(self) -> dict:
         return {"box": [list(b) for b in self.box], "min_sep": self.min_sep,
@@ -443,24 +487,23 @@ def _scalar_from_json(v, field: str) -> complex:
     return complex(*parts)
 
 
-@dataclass
 class ManifoldSpec:
     """Chart-level description of a product/metric structure.
 
     Expression-valued fields are stored as DSL source strings; parsing is
-    cached inside the DSL layer so evaluation stays cheap.
+    cached inside the DSL layer so evaluation stays cheap.  `product` is
+    "canonical", "shifted-canonical" or a nested expression table.
     """
-    name: str
-    n: int
-    coords: tuple
-    product: object  # "canonical" | "shifted-canonical" | nested expr table
-    e: tuple
-    E: tuple | None = None
-    g: tuple | None = None
-    g2: tuple | None = None
-    params: dict = field(default_factory=dict)
-    region: Region | None = None
-    expected: dict = field(default_factory=dict)
+
+    def __init__(self, name: str, n: int, coords: tuple, product, e: tuple,
+                 E: tuple | None = None, g: tuple | None = None, g2: tuple | None = None,
+                 params: dict | None = None, region: Region | None = None,
+                 expected: dict | None = None):
+        self.name, self.n, self.coords, self.product, self.e = name, n, coords, product, e
+        self.E, self.g, self.g2 = E, g, g2
+        self.params = {} if params is None else params
+        self.region = region
+        self.expected = {} if expected is None else expected
 
     def env(self) -> dict:
         return dict(self.params)
@@ -530,16 +573,15 @@ class ManifoldSpec:
 # normal-bundle fields
 
 
-@dataclass
 class NormalBundleData:
     """Signs and expression tables of the spanning vector fields: a row of
     components per field, or, with `gradients`, a scalar per field whose
     coordinate gradient is the field (its jet Hessian then supplies the
     field derivatives).  The tables are evaluated in the spec's env
     (`hamops.spanning_fields`)."""
-    eps: tuple
-    exprs: tuple
-    gradients: bool = False
+
+    def __init__(self, eps: tuple, exprs: tuple, gradients: bool = False):
+        self.eps, self.exprs, self.gradients = eps, exprs, gradients
 
     @property
     def count(self) -> int:
@@ -627,22 +669,22 @@ def _companion(d, n: int) -> dict:
     return comp
 
 
-@dataclass
 class CatalogEntry:
     """A spec file: its spec, the flags it claims, its companion tables and
     the rows it expects to fail, each a negative control."""
-    spec: ManifoldSpec
-    flags: frozenset = frozenset()
-    companion: dict = field(default_factory=dict)
-    expected_failures: frozenset = frozenset()
+
+    def __init__(self, spec: ManifoldSpec, flags: frozenset = frozenset(),
+                 companion: dict | None = None, expected_failures: frozenset = frozenset()):
+        self.spec, self.flags = spec, flags
+        self.companion = {} if companion is None else companion
+        self.expected_failures = expected_failures
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CatalogEntry":
         """The entry of a spec file's JSON object.  A missing, malformed or
         unknown field raises ValueError naming it."""
         spec = ManifoldSpec.from_dict(d)
-        _known(d, (*(f.name for f in fields(ManifoldSpec)), "flags", "expected_failures",
-                   "companion"), "")
+        _known(d, (*vars(spec), "flags", "expected_failures", "companion"), "")
         return cls(spec=spec, flags=_names(d.get("flags", []), "flags", FLAGS),
                    companion=_companion(d.get("companion", {}), spec.n),
                    expected_failures=_names(d.get("expected_failures", []), "expected_failures"))

@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -43,24 +45,27 @@ def test_summary_of_canned_pairs():
     assert one["setup_s"]["change_iqr"] == [0.19, 0.19]
 
 
-def test_each_run_gets_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
-    # a `__pycache__` in a tree must not reach its runs: each run's
-    # PYTHONPYCACHEPREFIX is its own empty directory, outside the tree
+def test_no_bytecode_from_the_tree_reaches_a_run(tmp_path, monkeypatch):
+    # a run neither writes bytecode nor reads any from outside its tree, and
+    # a tree that holds a `__pycache__` anywhere is refused before it runs
     bench = _bench_pairs()
-    (tmp_path / "__pycache__").mkdir()
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     seen = []
 
     def fake_run(argv, cwd, env, **kwargs):
-        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((prefix, prefix.is_dir() and not any(prefix.iterdir())))
-        (prefix / "stale.pyc").write_bytes(b"")
+        seen.append((env.get("PYTHONDONTWRITEBYTECODE"), "PYTHONPYCACHEPREFIX" in env))
         return bench.subprocess.CompletedProcess(argv, 0, stdout=_line(400.0, 0.2), stderr="")
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    tree = tmp_path / "tree"
+    (tree / "src" / "pkg").mkdir(parents=True)
     for _ in range(2):
-        assert bench.run_bench(tmp_path, "catalog-sweep", 1, 1.0, 0)["failed"] == 0
-    (first, empty1), (_, empty2) = seen
-    assert empty1 and empty2
-    assert tmp_path not in first.parents and not first.exists()
+        assert bench.run_bench(tree, "catalog-sweep", 1, 1.0, 0)["failed"] == 0
+    assert seen == [("1", False)] * 2
+    (tree / "src" / "pkg" / "__pycache__").mkdir()
+    with pytest.raises(RuntimeError, match="src/pkg/__pycache__"):
+        bench.run_bench(tree, "catalog-sweep", 1, 1.0, 0)
+    assert len(seen) == 2
 
 
 def test_work_diff_of_both_sides():

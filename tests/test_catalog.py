@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -141,7 +142,6 @@ def test_every_flag_picks_a_check():
     # with the expected failures of its rows, changes the suite's report
     # names (lauricella's ed4 drops flatness-constraint, pencil-63's
     # potentiality its own row)
-    import dataclasses
     row_flags = {c.flag for c in cat.CHECKS} - {None}
     claimed = set().union(*(cat.entry(name).flags for name in cat.names()))
     # the flags a spec file may list, which `spec` knows without the table
@@ -154,8 +154,8 @@ def test_every_flag_picks_a_check():
         full = [r.name for r in run_suite(ent, seed=0, count=2).reports]
         for flag in ent.flags - {"homogeneous"}:
             rows = {c.name for c in cat.CHECKS if c.flag == flag}
-            cut = dataclasses.replace(ent, flags=ent.flags - {flag},
-                                      expected_failures=ent.expected_failures - rows)
+            cut = cat.CatalogEntry(ent.spec, ent.flags - {flag}, ent.companion,
+                                   ent.expected_failures - rows)
             assert [r.name for r in run_suite(cut, seed=0, count=2).reports] != full, (name, flag)
 
 
@@ -204,7 +204,6 @@ def test_spec_files_accept_the_expected_keys_the_rows_read():
     # keys that some row reads on some entry (a row without an expected
     # value asks for None), and the ODE families are
     # those of the entries' closed forms
-    import dataclasses
     read = set()
 
     class Recording(dict):
@@ -218,8 +217,10 @@ def test_spec_files_accept_the_expected_keys_the_rows_read():
 
     for name in cat.names():
         ent = cat.entry(name)
-        spec = dataclasses.replace(ent.spec, expected=Recording(ent.spec.expected))
-        run_suite(dataclasses.replace(ent, spec=spec), seed=0, count=2)
+        spec = copy.copy(ent.spec)
+        spec.expected = Recording(ent.spec.expected)
+        run_suite(cat.CatalogEntry(spec, ent.flags, ent.companion, ent.expected_failures),
+                  seed=0, count=2)
     assert read - {None} == set(EXPECTED_KEYS)
     assert {cat.entry(name).companion.get("ode_family") for name in cat.names()} - {None} == \
         set(ODE_FAMILIES)
@@ -501,6 +502,7 @@ def test_row_data_cuts_array_batches_to_the_row_points():
     # inverse metric, Levi-Civita connection and counit, not copies of them
     ent = cat.entry("af-pencil-n3")
     points = sample_points(ent.spec, SamplePlan(seed=0, count=25))
+    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     walk = cat._Walk(ent.spec, ent.companion, points)
     checks = cat._chosen(ent.spec, ent.companion, ent.flags)
     assert {"flat-pencil", "reconstructed/flatness"} <= {c.name for c in checks}
@@ -575,8 +577,6 @@ def test_q0_d1_fault_seeds_fail_only_curvature_product():
 def _walk_arrays(walk):
     """(batch, array) for every array in a walk's batches: their fields, a
     connection's cached curvature and the batches of a derived walk."""
-    import dataclasses
-
     def arrays(value):
         if isinstance(value, np.ndarray):
             yield value
@@ -586,10 +586,9 @@ def _walk_arrays(walk):
         elif isinstance(value, (tuple, list)):
             for inner in value:
                 yield from arrays(inner)
-        elif dataclasses.is_dataclass(value):
-            for f in dataclasses.fields(value):
-                yield from arrays(getattr(value, f.name))
-            yield from arrays(vars(value).get("curvature"))
+        elif isinstance(value, (manifold.PointBatch, manifold.Residuals)):
+            for inner in vars(value).values():  # the fields, and a cached curvature
+                yield from arrays(inner)
     return [(key, a) for key, batch in walk.data.items() for a in arrays(batch)]
 
 
@@ -633,6 +632,7 @@ def test_only_batches_with_imaginary_parts_stay_complex():
                        *((name, key) for name in ("pencil-63", "q0-d-minus1", "q0-d0", "q0-d1")
                          for key in ("ode", "rd"))}
     seen = set()
+    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     for name in cat.names():
         ent = cat.entry(name)
         points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
@@ -654,6 +654,7 @@ def test_flat_pencil_is_real_on_real_data():
     # at each of the 20 points: no pencil member is formed, so no complex
     # lambda
     from fmcheck.pencil import flat_pencil_at
+    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     for n in (3, 4):
         ent = cat.entry(f"af-pencil-n{n}")
         points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
@@ -680,6 +681,7 @@ def test_a_complex_parameter_keeps_the_walk_complex():
                              [c.name for c in checks] + ["torsionless", "nabla-from-g"], points)
     assert len(reports) == 20 + 2
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     walk = cat._Walk(spec, ent.companion, points)
     for check in checks:
         check.at(walk)

@@ -37,6 +37,21 @@ def test_verify_single_check_failure_exit_code():
     assert code == 1
 
 
+def test_check_keeps_the_files_expected_failure():
+    # a negative control run alone reads as it does in the whole walk:
+    # pencil-63's potentiality row fails, as its file expects, and the run
+    # passes and names it; a row the file does not expect to fail keeps
+    # failing the run
+    code, out, _ = run_cli(["verify", "pencil-63", "--check", "potentiality", "--points", "4"])
+    doc = json.loads(out)
+    assert (code, doc["ok"], doc["expected_failures"]) == (0, True, ["potentiality"])
+    assert [(r["name"], r["passed"]) for r in doc["reports"]] == [("potentiality", False)]
+    code, out, _ = run_cli(["verify", "pencil-63", "--points", "4"])
+    assert (code, json.loads(out)["expected_failures"]) == (0, ["potentiality"])
+    code, out, _ = run_cli(["verify", "pencil-63", "--check", "darboux-system", "--points", "4"])
+    assert code == 0 and "expected_failures" not in json.loads(out)
+
+
 def test_verify_unknown_check():
     code, _, err = run_cli(["verify", "lobachevsky", "--check", "nope"])
     assert (code, err) == (2, "unknown check: 'nope'\n")
@@ -406,13 +421,82 @@ def test_ode_path_runs_without_numpy():
 
 
 def test_ode_path_imports_only_ode3d():
-    # the ODE module and the CLI load no other fmcheck module, and no numpy
-    for module, want in (("fmcheck.ode3d", ["fmcheck", "fmcheck.ode3d"]),
-                         ("fmcheck.cli", ["fmcheck", "fmcheck.cli", "fmcheck.ode3d"])):
-        proc = run_bare("-c", f"import sys, {module}; print(sorted(m for m in sys.modules "
-                              f"if m.startswith(('fmcheck', 'numpy'))))")
+    # the ODE module loads no other fmcheck module, the CLI none when it
+    # loads, and its `ode` command only the ODE module; none loads numpy
+    ode = "main(['ode', '--init', 'pencil63', '--from', '2', '--to', '3', '--steps', '2']); "
+    for code, want in (("import fmcheck.ode3d; ", ["fmcheck", "fmcheck.ode3d"]),
+                       ("import fmcheck.cli; ", ["fmcheck", "fmcheck.cli"]),
+                       ("from fmcheck.cli import main; " + ode,
+                        ["fmcheck", "fmcheck.cli", "fmcheck.ode3d"])):
+        proc = run_bare("-c", f"import sys; {code}print(sorted(m for m in sys.modules "
+                              f"if m.startswith(('fmcheck', 'numpy'))), file=sys.stderr)")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{want}\n"
+        assert proc.stderr == f"{want}\n"
+
+
+# the modules of the package that a `verify` or `legendre` walk loads
+# (`catalog` and what it imports), and those that an entry's rows add
+WALK_MODULES = {"fmcheck", "fmcheck.cli", "fmcheck.entries", "fmcheck.spec", "fmcheck.catalog",
+                "fmcheck.exprjet", "fmcheck.connection", "fmcheck.manifold", "fmcheck.tensor"}
+ROW_MODULES = {"lobachevsky": {"hamops"}, "af-pencil-n3": {"pencil"}, "af-pencil-n4": {"pencil"},
+               "lauricella-eps-minus1-n3": {"rotation", "ode3d", "hamops"},
+               **{name: {"rotation", "ode3d"}
+                  for name in ("pencil-63", "q0-d-minus1", "q0-d0", "q0-d1")}}
+
+
+def test_each_command_loads_the_modules_its_rows_read():
+    # in a fresh process per command, the modules of the package whose code
+    # ran: `verify` of each entry loads the walk's modules and those of its
+    # rows (ROW_MODULES; none for case-i to case-v, nonss2d and nonss3d), a
+    # transform `legendre` and `hamops` too, a run of one row only the
+    # walk's, and `ode` only `ode3d`; no process imports `dataclasses`.
+    # Each report is the bytes the same command prints in this process,
+    # whose imports would hide a module that a walk forgot to load
+    import concurrent.futures
+    source = cat.entry("q0-d-minus1")
+    walk = ["--seed", "3", "--points", "4"]
+    assert [name for name in cat.names() if name not in ROW_MODULES] == [
+        "case-i", "case-ii", "case-iii", "case-iv", "case-v", "nonss2d", "nonss3d"]
+    runs = [(["verify", name, *walk],
+             WALK_MODULES | {f"fmcheck.{m}" for m in ROW_MODULES.get(name, ())})
+            for name in cat.names()]
+    runs += [(["legendre", "q0-d-minus1", "--field", field, "--target", target, *walk],
+              WALK_MODULES | {"fmcheck.legendre", "fmcheck.hamops"})
+             for field, target in sorted(source.companion["legendre_targets"].items())]
+    runs += [(["verify", "lobachevsky", "--check", "levi-civita-flat", *walk], WALK_MODULES),
+             (["ode", "--init", "pencil63", "--from", "2", "--to", "3", "--steps", "2"],
+              {"fmcheck", "fmcheck.cli", "fmcheck.ode3d"})]
+    script = ("import contextlib, importlib.machinery, io, json, sys\n"
+              "ran = []\n"
+              "class Finder:  # records each module of the package once its code has run\n"
+              "    def find_spec(self, name, path=None, target=None):\n"
+              "        if name.split('.')[0] != 'fmcheck':\n"
+              "            return None\n"
+              "        spec = importlib.machinery.PathFinder.find_spec(name, path)\n"
+              "        run = spec.loader.exec_module\n"
+              "        spec.loader.exec_module = lambda module: (run(module), ran.append(name))\n"
+              "        return spec\n"
+              "sys.meta_path.insert(0, Finder())\n"
+              "from fmcheck.cli import main\n"
+              "out = io.StringIO()\n"
+              "with contextlib.redirect_stdout(out):\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(json.dumps([code, out.getvalue(), sorted(ran),\n"
+              "                  'dataclasses' in sys.modules]))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(argv):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr == "", (argv, proc.stderr)
+        return json.loads(proc.stdout)
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(run, [argv for argv, _ in runs]))
+    for (argv, want), (code, out, ran, dataclasses) in zip(runs, results):
+        assert (ran, dataclasses) == (sorted(want), False), argv
+        assert code == (1 if "--check" in argv else 0), argv
+        assert [code, out] == list(run_cli(argv))[:2], argv
 
 
 def test_catalog_and_spec_errors_import_only_the_spec_layer(tmp_path):
@@ -445,8 +529,7 @@ def test_catalog_and_spec_errors_import_only_the_spec_layer(tmp_path):
     proc = run_bare("-c", script, json.dumps([argv for argv, _ in runs]))
     assert proc.returncode == 0, proc.stderr
     results, modules = json.loads(proc.stdout)
-    assert modules == ["fmcheck", "fmcheck.cli", "fmcheck.entries", "fmcheck.ode3d",
-                       "fmcheck.spec"]
+    assert modules == ["fmcheck", "fmcheck.cli", "fmcheck.entries", "fmcheck.spec"]
     assert results[runs.index((["verify", str(misspelt)], 2))][2].startswith(
         "spec error: expected.Dd: unknown key")
     for (argv, want_code), (code, out, err) in zip(runs, results):

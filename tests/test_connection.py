@@ -341,7 +341,7 @@ def test_r_tr_identity_reports_as_the_walk_row():
     spec = cat.entry("nonss3d").spec
     pts = sample_points(spec, SamplePlan(seed=4, count=3))
     rep = check_R_tR_identity(spec, pts)
-    assert rep == cat.run_checks(spec, {}, ["r-tr"], pts)[0]
+    assert vars(rep) == vars(cat.run_checks(spec, {}, ["r-tr"], pts)[0])
     assert rep.name == "r-tr" and rep.npoints == 3
 
 
@@ -692,6 +692,7 @@ def test_batched_functions_and_rows_equal_single_point_runs():
         if isinstance(value, dict):
             return {key: at(v, k) for key, v in value.items()}
         return value[0 if len(value) == 1 else k]
+    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     for name, spec, comp, pts, rows in sources:
         for row in rows:
             got = row.at(cat._Walk(spec, comp, pts))
@@ -718,7 +719,6 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
     # residual the move changes reads that array there, and the NaN makes
     # it NaN, so every row, the pencil's and the rebuilt structure's
     # included, fails at each of the two points
-    import dataclasses
     from fmcheck import hamops, manifold, rotation
     from fmcheck.legendre import HypothesisViolatedError
     poison = {"field": None}
@@ -739,8 +739,9 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
         return poisoned
 
     monkeypatch.setattr(cat, "structures", poisoning(manifold.structures))
-    monkeypatch.setattr(cat, "rotations", poisoning(rotation.rotations))
-    monkeypatch.setattr(cat, "spanning_fields", poisoning(hamops.spanning_fields))
+    # the rows reach the rotation data and the spanning fields through their modules
+    monkeypatch.setattr(rotation, "rotations", poisoning(rotation.rotations))
+    monkeypatch.setattr(hamops, "spanning_fields", poisoning(hamops.spanning_fields))
     monkeypatch.setitem(cat._BATCHED, "ode", poisoning(cat._BATCHED["ode"]))
     names = ("lobachevsky", "q0-d-minus1", "q0-d0", "af-pencil-n3", "nonss3d",
              "lauricella-eps-minus1-n3", "pencil-63", "case-i")
@@ -754,8 +755,8 @@ def test_nan_at_one_point_of_a_batch_fails_its_rows(monkeypatch):
     x2 = source.companion["legendre_fields"]["X2"]
     runs.append((cat.Transform(source.spec, x2, "X2", "q0-d0"), None))
     runs.append((source, ("transform-metric", "homogeneous-legendre")))
-    fields = [f.name for cls in (manifold.StructureAt, rotation.RotationData, manifold.Jets)
-              for f in dataclasses.fields(cls) if f.name not in ("n", "point")]
+    fields = [name for cls in (manifold.StructureAt, rotation.RotationData, manifold.Jets)
+              for name in cls._fields if name not in ("n", "point")]
 
     def residuals(source, check, rows):
         # by row name, a transform's match-<target> as "match"

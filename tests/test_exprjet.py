@@ -206,6 +206,19 @@ def test_expr_composition_operators():
     assert eval_value(parse(to_source(e)), [1.0, 3.0], {"a": 2.0}) == pytest.approx(4.5)
 
 
+def test_nodes_are_equal_by_type_and_fields():
+    # equal nodes hash alike, and the tape shares a slot only between them:
+    # Num(1) and Var(1) have equal fields but are not equal, so u1 + 1 and
+    # u1 * 1 at u1 = 5 read both their operands
+    assert Bin("+", Var(1), Num(2)) == parse("u1+2")
+    assert hash(Bin("+", Var(1), Num(2))) == hash(parse("u1+2"))
+    assert Call("sqrt", Param("a")) == Call("sqrt", Param("a")) != Call("exp", Param("a"))
+    assert Neg(Var(2)) != Neg(Var(1)) and Num(1) != Var(1) and Var(1) != Param("u1")
+    assert len({Num(1), Var(1), Num(1), Var(1)}) == 2
+    assert eval_value(Bin("+", Var(1), Num(1)), [5.0], {}) == 6
+    assert eval_value(Bin("*", Num(1), Var(1)), [5.0], {}) == 5
+
+
 def test_family_metric_component_oracle():
     # leading metric component of the 3-coordinate family at the reference
     # point, with the arbitrary-function slots zeroed

@@ -52,7 +52,9 @@ def test_spec_json_roundtrip_bit_exact():
         spec = cat.entry(name).spec
         text = spec.to_json()
         again = ManifoldSpec.from_dict(json.loads(text))
-        assert again == spec
+        # field by field, the region's fields among them
+        assert {**vars(again), "region": vars(again.region)} == \
+            {**vars(spec), "region": vars(spec.region)}
         assert again.to_json() == text
 
 

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -95,10 +96,11 @@ def _conformal(spec, f, extra=""):
 
 def _mutated(spec, slot, eps):
     """`spec` with eps u2 added to the (1, 1) entry of its metric `slot`."""
-    from dataclasses import replace
     table = [list(row) for row in getattr(spec, slot)]
     table[0][0] = f"({table[0][0]})+{eps!r}*u2"
-    return replace(spec, **{slot: tuple(map(tuple, table))})
+    mutated = copy.copy(spec)
+    setattr(mutated, slot, tuple(map(tuple, table)))
+    return mutated
 
 
 def test_flat_pencil_with_nonreal_member():
@@ -313,6 +315,7 @@ def test_reconstructed_structure_full_suite():
     # the walk's rows on the natural connection of the rebuilt structure,
     # and the defining property it has by construction, on the same walk
     rows = ["reconstructed/" + row for row in ("flatness", "nabla-e", "product-compat")]
+    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     recon = cat._Walk(spec, {}, pts).recon
     for rep in [*cat.run_checks(spec, {}, rows, pts), recon.report("nabla-from-g")]:
         assert rep.residual <= 1e-8, rep.name
@@ -331,13 +334,14 @@ def test_reconstructed_rows_fail_on_a_broken_first_metric():
     # non-metricity is the product-twisted dtheta of whatever metric,
     # product and unit it is built from, so it reads rounding on any
     # structure, the broken rebuilt one too
-    from dataclasses import replace
     spec = af()
     g = [list(row) for row in spec.g]
     g[0][0] = f"({g[0][0]})+1e-3*u2"
-    broken = replace(spec, g=tuple(map(tuple, g)))
+    broken = copy.copy(spec)
+    broken.g = tuple(map(tuple, g))
     names = [c.name for c in cat.CHECKS if c.name.startswith("reconstructed/")]
     assert len(names) == 11
+    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     for seed in range(2):
         pts = sample_points(broken, SamplePlan(seed=seed, count=20))
         passed = [r.name for r in cat.run_checks(broken, {}, names, pts) if r.passed]

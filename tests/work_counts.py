@@ -1,7 +1,9 @@
 """Exact work counters for the catalog walk, counted from outside `src/`.
 
 Per catalog entry at seed 0, at 4 and at 20 points, one `run_suite` is
-counted by wrapping five places of the package:
+counted by wrapping five places of the package, with every module of
+the package loaded first (a walk loads some of them only for the rows
+that read them):
 
 - `tensor.contract` (wherever a module of the package holds it): its calls
   and the elements of its outputs;
@@ -22,7 +24,9 @@ JSON for the package that `PYTHONPATH` imports:
 from __future__ import annotations
 
 import contextlib
+import importlib
 import json
+import pkgutil
 import sys
 
 COLUMNS = ["contract calls", "contract output elements", "tape runs", "tape operations",
@@ -37,9 +41,12 @@ def counting():
     of `COLUMNS`, each charged to the innermost label."""
     import numpy as np
 
+    import fmcheck
     import fmcheck.catalog as catalog
     from fmcheck import exprjet, manifold, tensor
 
+    for info in pkgutil.iter_modules(fmcheck.__path__):
+        importlib.import_module(f"fmcheck.{info.name}")
     counts: dict = {}
     stack = ["walk"]
 
