@@ -7,13 +7,13 @@ spec's fields, its companion tables and its expected values.  A flag names
 a claim the data cannot show, which a spec file makes by listing it.
 A transform runs the rows that read its field, `--check` any row.
 
-The rows of five inputs read a module of their own (`_MODULES`): g2
-`pencil`, a Lame table and an ODE family `rotation` (which imports
-`ode3d`), a normal bundle `hamops`, and a transform's field `legendre`
-(which imports `hamops`).  This module imports none of them when it
-loads: `run_suite` imports those of its chosen rows before it samples a
-point, and every walk those of its rows (`_load`), so that a process
-compiles only the modules that its rows read.
+The rows of five inputs read a module of their own: g2 `pencil`, a Lame
+table and an ODE family `rotation` (which imports `ode3d`), a normal
+bundle `hamops`, and a transform's field `legendre` (which imports
+`hamops`).  This module imports none of them when it loads: each is
+imported at the first use of one of its attributes (`_Module`), so that
+a process compiles only the modules that its rows read, and a walk made
+by hand reads any batch.
 """
 
 from __future__ import annotations
@@ -125,20 +125,21 @@ def _v_eigenvalue_gap(b):
     return Residuals({"eigenvalues": gaps}, np.zeros(len(gaps)))
 
 
-# the modules whose functions the rows and batches that read an input
-# call, each a global of this module once `_load` has imported it
-_MODULES = {"g2": ("pencil",), "lame": ("rotation",), "ode_family": ("rotation", "ode3d"),
-            "normal_bundle": ("hamops",), "legendre_field": ("legendre",)}
+class _Module:
+    """A module of the package that rows and batches call, imported at the
+    first use of one of its attributes, when it takes this stand-in's
+    place among this module's globals."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr):
+        module = globals()[self.name] = importlib.import_module(f".{self.name}", __package__)
+        return getattr(module, attr)
 
 
-def _load(checks) -> None:
-    """Import the modules that the rows `checks` read (`_MODULES`, by
-    their `needs`), and bind each as a global of this module."""
-    keys = {key for check in checks for key in check.needs}
-    for key, modules in _MODULES.items():
-        if key in keys:
-            for name in modules:
-                globals()[name] = importlib.import_module(f".{name}", __package__)
+pencil, rotation, ode3d, hamops, legendre = map(
+    _Module, ("pencil", "rotation", "ode3d", "hamops", "legendre"))
 
 
 # The data a walk builds once, as batches over its points, each from the
@@ -386,9 +387,7 @@ def _walk(spec: ManifoldSpec, comp: dict, checks, points, tol: float) -> list:
     walk and computes its results at all the points in one call.  A datum
     or row that fails at a point k raises there, and the points below k are
     walked first (`lowest_failure`): the lowest point at which a row fails,
-    and there the first row, is named.  The rows' modules load first
-    (`_load`)."""
-    _load(checks)
+    and there the first row, is named."""
 
     def rows(pts):
         walk = _Walk(spec, comp, pts)
@@ -434,7 +433,6 @@ class Transform:
         """The walk's companion data, rows and expression-level spec: the
         rows that read the field and whose inputs the data holds (`_chosen`),
         with the target's match reported as match-<target>."""
-        _load([_BY_NAME["legendre-field"]])
         new = legendre.transform_metric_exprs(self.spec, self.exprs,
                                               name=f"{self.spec.name}-{self.name}")
         comp = {"legendre_field": self.exprs, "transformed_g": new.g}
@@ -462,11 +460,11 @@ def run_suite(source, seed: int = DEFAULT_SEED, count: int = DEFAULT_POINTS,
     inputs it has (`_chosen`) and whose flag, if any, the entry claims (a
     spec file claims the flags it lists, a bare spec none); or a
     `Transform`'s rows; with `check`, any one row, an expected failure
-    still where the entry lists it as one.  The rows are chosen, and their
-    modules loaded (`_load`), before the points are sampled.  A companion
-    table or expected value that the row reads and the source lacks raises
-    MissingCompanionDataError; an expected failure or `check` that names
-    no row so chosen, UnknownCheckError."""
+    still where the entry lists it as one.  The rows are chosen before the
+    points are sampled.  A companion table or expected value that the row
+    reads and the source lacks raises MissingCompanionDataError; an
+    expected failure or `check` that names no row so chosen,
+    UnknownCheckError."""
     spec = source if isinstance(source, ManifoldSpec) else source.spec
     if isinstance(source, Transform):
         comp, checks, new = source.rows()
@@ -486,7 +484,6 @@ def run_suite(source, seed: int = DEFAULT_SEED, count: int = DEFAULT_POINTS,
             for key in checks[0].needs:  # the row asks for a spec field or its own expected value
                 if key not in {"g", "E", "g2", checks[0].expected, *comp, *spec.expected}:
                     raise MissingCompanionDataError(f"{spec.name} has no {key}")
-    _load(checks)  # before the first point is sampled
     points = sample_points(spec, SamplePlan(seed=seed, count=count))
     return SuiteResult(spec.name, _walk(spec, comp, checks, points, tol), expected_failures,
                        transformed=new)

@@ -39,11 +39,11 @@ alone (a state's F is a tuple, the rows of `dopri54` are lists), which
 cannot load, need only `spec` and `entries`, which use the standard
 library too.  The walk's modules, which load numpy, are imported by
 `_run_suite` alone: `catalog` and what it imports (`exprjet`,
-`connection`, `manifold`, `tensor`), then, before the points are
-sampled, the modules that the chosen rows read (`catalog._MODULES`:
-`pencil`, `rotation` with `ode3d`, `hamops`, `legendre`), and `legendre`
-for a transform.  The defaults of the parser, `ode`'s included, live in
-the package's `__init__`.
+`connection`, `manifold`, `tensor`), then, as the walk first calls them,
+the modules that the chosen rows read (`catalog._Module`: `pencil`,
+`rotation` with `ode3d`, `hamops`, `legendre`), and `legendre` for a
+transform.  No command imports numpy's random subpackage.  The defaults
+of the parser, `ode`'s included, live in the package's `__init__`.
 """
 
 from __future__ import annotations

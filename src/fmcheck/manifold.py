@@ -233,10 +233,80 @@ def pmax(*values):
 
 
 _MAX_ATTEMPTS = 100000
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list:
+    """numpy's `SeedSequence(seed).generate_state(4, uint64)`: the seed's
+    32-bit words, least significant first, hashed into a pool of four
+    words, and the pool hashed out into eight, paired little-endian."""
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _PCG64:
+    """The doubles of numpy's `Generator(PCG64(seed))`, bit for bit,
+    without importing numpy's random subpackage (19 modules, about 6 MB):
+    PCG64 (O'Neill, HMC-CS-2014-0905) seeded by numpy's SeedSequence, a
+    128-bit LCG stepped on Python ints whose XSL-RR output is taken over a
+    block at once.  A seed that is not an integer is a TypeError, a
+    negative one a ValueError, as in numpy."""
+
+    def __init__(self, seed):
+        if not isinstance(seed, (int, np.integer)):
+            raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        s = _seed_words(int(seed))
+        self.inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+        self.state = ((self.inc + (s[0] << 64 | s[1])) * _PCG_MULT + self.inc) & _M128
+
+    def random(self, shape: tuple) -> np.ndarray:
+        """The next doubles in [0, 1), in C order: (next64 >> 11) * 2**-53."""
+        state, inc, states = self.state, self.inc, []
+        for _ in range(int(np.prod(shape))):
+            state = (state * _PCG_MULT + inc) & _M128
+            states.append(state)
+        self.state = state
+        words = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in states), "<u8")
+        lo, hi = words[0::2], words[1::2]
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        out = x >> rot | x << (-rot & np.uint64(63))
+        return ((out >> np.uint64(11)) * 2.0**-53).reshape(shape)
 
 
 def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
-    """Deterministic rejection sampling inside the admissible region.
+    """Deterministic rejection sampling inside the admissible region, from
+    the stream of numpy's `Generator(PCG64(plan.seed))` (`_PCG64`, which
+    reproduces it).
 
     Candidates are drawn and tested in blocks; the rows of one block are
     the successive draws of one candidate at a time, and candidates are
@@ -245,7 +315,7 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
     if plan.count < 1:
         raise PointCountError(f"need at least one sample point, got {plan.count}")
     region = required(spec.region, "sampling region")
-    rng = np.random.Generator(np.random.PCG64(plan.seed))
+    rng = _PCG64(plan.seed)
     lo = np.array([b[0] for b in region.box])
     hi = np.array([b[1] for b in region.box])
     env = spec.env()
@@ -255,7 +325,7 @@ def sample_points(spec: ManifoldSpec, plan: SamplePlan) -> list:
         if attempts == _MAX_ATTEMPTS:
             raise RegionEmptyError(f"the sampling region of {spec.name!r} gave {len(points)} of "
                                    f"{plan.count} points in {_MAX_ATTEMPTS} draws")
-        block = min(2 * (plan.count - len(points)) + 8, _MAX_ATTEMPTS - attempts)
+        block = min(plan.count - len(points) + 8, _MAX_ATTEMPTS - attempts)
         attempts += block
         cands = lo + rng.random((block, len(lo))) * (hi - lo)
         keep = np.ones(block, dtype=bool)
@@ -350,11 +420,8 @@ def walk_row(name: str, spec: ManifoldSpec, comp: dict, points,
 def point_walk(spec: ManifoldSpec, comp: dict, point):
     """The walk (`catalog._Walk`) of `spec` with the companion data `comp`
     at `point` alone: a single-point helper's data are its batches of one,
-    and its reports the walk's rows (`_Walk.report`).  It loads every
-    module that a row reads (`catalog._load`), as a helper may read any
-    batch."""
-    from .catalog import _BY_NAME, _Walk, _load  # the check table imports this module
-    _load(_BY_NAME.values())
+    and its reports the walk's rows (`_Walk.report`)."""
+    from .catalog import _Walk  # the check table imports this module
     return _Walk(spec, comp, [point])
 
 

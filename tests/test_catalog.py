@@ -492,6 +492,54 @@ def test_run_suite_builds_point_data_once_per_point(monkeypatch, tmp_path):
     assert [len(a) for a in christoffel if np.array_equal(a, g[:len(a)])] == [20]
 
 
+# a batch of a walk built by hand, the array read of it, and the modules
+# of the package that reading it first loads
+HAND_WALKS = [("af-pencil-n3", "recon", "st.c", {"pencil"}),
+              ("q0-d0", "rd", "V", {"rotation", "ode3d"}),
+              ("q0-d0", "ode", "val", {"rotation", "ode3d"}),
+              ("lobachevsky", "fields", "val", {"hamops"})]
+
+
+def test_a_walk_built_by_hand_loads_the_modules_its_batches_read():
+    # in a fresh process per batch, a `_Walk` made outside `_walk` reads
+    # the batch, its module loading at that read, and the array equals
+    # the same walk's in this process
+    import concurrent.futures
+    script = ("import sys\n"
+              "import fmcheck.catalog as cat\n"
+              "from fmcheck.manifold import SamplePlan, sample_points\n"
+              "name, batch, array = sys.argv[1:]\n"
+              "ent = cat.entry(name)\n"
+              "walk = cat._Walk(ent.spec, ent.companion,\n"
+              "                 sample_points(ent.spec, SamplePlan(seed=0, count=3)))\n"
+              "before = set(sys.modules)\n"
+              "value = getattr(walk, batch)\n"
+              "for attr in array.split('.'):\n"
+              "    value = getattr(value, attr)\n"
+              "print(sorted(m.split('.')[1] for m in set(sys.modules) - before\n"
+              "             if m.startswith('fmcheck.')))\n"
+              "print(value.tobytes().hex())\n")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def run(case):
+        proc = subprocess.run([sys.executable, "-c", script, *case[:3]], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (case, proc.stderr)
+        return proc.stdout.splitlines()
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(run, HAND_WALKS))
+    for (name, batch, array, modules), (loaded, data) in zip(HAND_WALKS, results):
+        ent = cat.entry(name)
+        value = getattr(cat._Walk(ent.spec, ent.companion,
+                                  sample_points(ent.spec, SamplePlan(seed=0, count=3))), batch)
+        for attr in array.split("."):
+            value = getattr(value, attr)
+        assert loaded == str(sorted(modules)), (name, batch)
+        assert data == value.tobytes().hex(), (name, batch)
+
+
 def test_row_data_cuts_array_batches_to_the_row_points():
     # no batch is cut: in a 25-point walk of every af-pencil-n3 row, each
     # array of each batch, the pencil's second-order data and the walk of
@@ -502,7 +550,6 @@ def test_row_data_cuts_array_batches_to_the_row_points():
     # inverse metric, Levi-Civita connection and counit, not copies of them
     ent = cat.entry("af-pencil-n3")
     points = sample_points(ent.spec, SamplePlan(seed=0, count=25))
-    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     walk = cat._Walk(ent.spec, ent.companion, points)
     checks = cat._chosen(ent.spec, ent.companion, ent.flags)
     assert {"flat-pencil", "reconstructed/flatness"} <= {c.name for c in checks}
@@ -632,7 +679,6 @@ def test_only_batches_with_imaginary_parts_stay_complex():
                        *((name, key) for name in ("pencil-63", "q0-d-minus1", "q0-d0", "q0-d1")
                          for key in ("ode", "rd"))}
     seen = set()
-    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     for name in cat.names():
         ent = cat.entry(name)
         points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
@@ -654,7 +700,6 @@ def test_flat_pencil_is_real_on_real_data():
     # at each of the 20 points: no pencil member is formed, so no complex
     # lambda
     from fmcheck.pencil import flat_pencil_at
-    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     for n in (3, 4):
         ent = cat.entry(f"af-pencil-n{n}")
         points = sample_points(ent.spec, SamplePlan(seed=0, count=20))
@@ -681,7 +726,6 @@ def test_a_complex_parameter_keeps_the_walk_complex():
                              [c.name for c in checks] + ["torsionless", "nabla-from-g"], points)
     assert len(reports) == 20 + 2
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     walk = cat._Walk(spec, ent.companion, points)
     for check in checks:
         check.at(walk)

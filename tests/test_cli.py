@@ -449,7 +449,8 @@ def test_each_command_loads_the_modules_its_rows_read():
     # ran: `verify` of each entry loads the walk's modules and those of its
     # rows (ROW_MODULES; none for case-i to case-v, nonss2d and nonss3d), a
     # transform `legendre` and `hamops` too, a run of one row only the
-    # walk's, and `ode` only `ode3d`; no process imports `dataclasses`.
+    # walk's, and `ode` only `ode3d`; no process imports `dataclasses` or
+    # `numpy.random` (the sample points come from `manifold._PCG64`).
     # Each report is the bytes the same command prints in this process,
     # whose imports would hide a module that a walk forgot to load
     import concurrent.futures
@@ -482,7 +483,7 @@ def test_each_command_loads_the_modules_its_rows_read():
               "with contextlib.redirect_stdout(out):\n"
               "    code = main(sys.argv[1:])\n"
               "print(json.dumps([code, out.getvalue(), sorted(ran),\n"
-              "                  'dataclasses' in sys.modules]))\n")
+              "                  'dataclasses' in sys.modules, 'numpy.random' in sys.modules]))\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
     def run(argv):
@@ -493,8 +494,8 @@ def test_each_command_loads_the_modules_its_rows_read():
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(run, [argv for argv, _ in runs]))
-    for (argv, want), (code, out, ran, dataclasses) in zip(runs, results):
-        assert (ran, dataclasses) == (sorted(want), False), argv
+    for (argv, want), (code, out, ran, dataclasses, random) in zip(runs, results):
+        assert (ran, dataclasses, random) == (sorted(want), False, False), argv
         assert code == (1 if "--check" in argv else 0), argv
         assert [code, out] == list(run_cli(argv))[:2], argv
 

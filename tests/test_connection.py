@@ -692,7 +692,6 @@ def test_batched_functions_and_rows_equal_single_point_runs():
         if isinstance(value, dict):
             return {key: at(v, k) for key, v in value.items()}
         return value[0 if len(value) == 1 else k]
-    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     for name, spec, comp, pts, rows in sources:
         for row in rows:
             got = row.at(cat._Walk(spec, comp, pts))

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import fmcheck.catalog as cat
+import fmcheck.manifold as mf
 from fmcheck.manifold import (ManifoldSpec, Region, RegionEmptyError, SamplePlan,
                               check_hertling_manin, check_homogeneity,
                               check_killing_unit, check_metric_invariance,
@@ -227,9 +229,45 @@ def test_sampling_matches_one_candidate_at_a_time():
             points.append(p)
         return points
 
-    for name in cat.names():
-        spec = cat.entry(name).spec
-        for seed in range(5):
-            got = sample_points(spec, SamplePlan(seed=seed, count=12))
-            want = reference(spec, seed, 12)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), (name, seed)
+    # a region whose guard keeps about one candidate in twelve, so that
+    # sampling takes several blocks
+    sparse = copy.copy(cat.entry("case-i").spec)
+    sparse.region = Region(sparse.region.box, min_sep=0.0, guards=("x - 1",), guard_min=0.55)
+    blocks = []
+    random = mf._PCG64.random
+
+    def counted(rng, shape):
+        blocks.append(shape[0])
+        return random(rng, shape)
+
+    # seeds of one to four 32-bit words of SeedSequence entropy
+    seeds = [0, 1, 2, 3, 4, 2**32 - 1, 2**32, 2**64 + 3, 10**20]
+    for spec in [cat.entry(name).spec for name in cat.names()] + [sparse]:
+        for seed in seeds:
+            # the reference accepts in draw order, so its first k points
+            # are its points at count k
+            want = reference(spec, seed, 50)
+            for count in (1, 12, 50):
+                blocks.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(mf._PCG64, "random", counted)
+                    got = sample_points(spec, SamplePlan(seed=seed, count=count))
+                assert (np.array(got).tobytes() == np.array(want[:count]).tobytes()), (
+                    spec.name, seed, count)
+                if spec is sparse and count > 1:
+                    assert len(blocks) >= 3, (seed, count, blocks)
+
+
+def test_stream_is_numpys_pcg64():
+    # successive blocks of several shapes, and numpy's seed errors
+    for seed in [0, 1, 5, 2**32 - 1, 2**32, 2**64 + 3, 10**20, 2**200 + 7, np.int64(9)]:
+        rng = mf._PCG64(seed)
+        ref = np.random.Generator(np.random.PCG64(seed))
+        for shape in [(58, 3), (1,), (0, 3), (7, 2), (13, 4), (2, 3, 5)]:
+            got, want = rng.random(shape), ref.random(shape)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, shape)
+    for seed, error in ((-1, ValueError), (1.5, TypeError), (2.0, TypeError), ("3", TypeError)):
+        with pytest.raises(error):
+            np.random.PCG64(seed)
+        with pytest.raises(error):
+            mf._PCG64(seed)

@@ -315,7 +315,6 @@ def test_reconstructed_structure_full_suite():
     # the walk's rows on the natural connection of the rebuilt structure,
     # and the defining property it has by construction, on the same walk
     rows = ["reconstructed/" + row for row in ("flatness", "nabla-e", "product-compat")]
-    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     recon = cat._Walk(spec, {}, pts).recon
     for rep in [*cat.run_checks(spec, {}, rows, pts), recon.report("nabla-from-g")]:
         assert rep.residual <= 1e-8, rep.name
@@ -341,7 +340,6 @@ def test_reconstructed_rows_fail_on_a_broken_first_metric():
     broken.g = tuple(map(tuple, g))
     names = [c.name for c in cat.CHECKS if c.name.startswith("reconstructed/")]
     assert len(names) == 11
-    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     for seed in range(2):
         pts = sample_points(broken, SamplePlan(seed=seed, count=20))
         passed = [r.name for r in cat.run_checks(broken, {}, names, pts) if r.passed]

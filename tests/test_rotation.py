@@ -64,7 +64,6 @@ def test_rotation_rows_need_a_lame_table():
     # none of them, and a run of one there names the missing table
     flags = frozenset(c.flag for c in cat.CHECKS if c.flag)
     reads = set()
-    cat._load(cat.CHECKS + cat._NAMED)  # a walk made by hand loads what `_walk` would
     for name in cat.names():
         ent = cat.entry(name)
         pts = sample_points(ent.spec, SamplePlan(seed=0, count=3))

@@ -1,4 +1,5 @@
-"""A standard-library `ast` scan of the package source for dead code.
+"""A standard-library `ast` scan of the package source for dead code, and
+a text scan for numpy's random subpackage.
 
 - No module of `src/fmcheck` imports a name that it neither uses nor lists
   in `__all__`.
@@ -6,6 +7,9 @@
   (the CLI included) or `scripts/`, or is a function that the benchmark's
   tracer wraps (`fmbench/fmtrace.py`'s `TRACED`), or is in `ALLOWED` with
   its reason.  A definition's own body does not count as its reference.
+- No file under `src/` names numpy's random subpackage: the sample points
+  come from `manifold._PCG64`, and importing it costs a cold `verify`
+  about 6 MB and 19 modules.
 """
 
 from __future__ import annotations
@@ -96,3 +100,9 @@ def test_every_top_level_definition_has_a_caller():
                 dead.append(f"{path.stem}.{name}")
     assert dead == []
 
+
+def test_src_never_names_numpys_random_subpackage():
+    named = [str(path.relative_to(ROOT)) for path in sorted((ROOT / "src").rglob("*"))
+             if path.is_file() and any(word in path.read_bytes()
+                                       for word in (b"np.random", b"numpy.random"))]
+    assert named == []
