@@ -317,13 +317,13 @@ CHECKS = (
           tol=lambda tol: 1e-10),
     Check("quadratic-expansion",
           lambda b: hamops.quadratic_expansion_at(b.st, b.lc, b.comp["normal_bundle"].eps,
-                                                  b.fields.val, b.ginv.inv),
+                                                  b.fields.val, b.ginv.val),
           needs=("g", "normal_bundle"), tol=lambda tol: max(tol, 1e-9)),
     Check("sym-condition",
           lambda b: hamops.sym_condition_at(b.st, b.nat, b.fields.val, b.fields.grad),
           needs=("g", "normal_bundle")),
     Check("gmc", lambda b: hamops.gmc_at(b.st, b.lc, b.comp["normal_bundle"].eps, b.fields.val,
-                                         b.fields.grad, b.ginv.inv), needs=("g", "normal_bundle")),
+                                         b.fields.grad, b.ginv.val), needs=("g", "normal_bundle")),
     # 1 where the rank is not the expected one
     Check("normal-rank", lambda b: Residuals(
         {"rank": np.sign(np.abs(hamops.rank_of(b.fields.val) - b.expected["rank"]))},

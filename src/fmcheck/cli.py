@@ -27,7 +27,8 @@ export` without an entry name, `catalog list` with one, an `--output`
 path that cannot be written, named with the reason).
 `--param K=V` sets a parameter of the spec; for `legendre`, also the
 target's parameter of the same name.  A name that neither declares in its
-parameters is bad input.
+parameters is bad input.  Every exit but a report's verdict is one
+exception (`_Exit`), its code and its one stderr line, which `main` writes.
 
 Reports embed the tool version, seed, tolerances, parameter values and the
 branch convention, and are byte-deterministic for a fixed configuration.
@@ -60,6 +61,15 @@ from . import (DEFAULT_ATOL, DEFAULT_POINTS, DEFAULT_ROWS, DEFAULT_RTOL, DEFAULT
                DEFAULT_TOL, __version__)
 
 BRANCH_NOTE = "principal (cut on the negative real axis, +0j side)"
+
+
+class _Exit(Exception):
+    """A command's end other than by its report's verdict: its exit code
+    and the one line on stderr that says why, which `main` writes."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
 
 
 def _parse_scalar(text: str) -> complex:
@@ -102,7 +112,7 @@ def _load_spec(args):
     `--param` override to it, a parameter that the spec (or for `legendre`
     its catalog target) declares.  Returns (entry, overrides, whether the
     file has an `expected_failures` section, as every catalog entry's
-    has), or None once one line on stderr names the bad input."""
+    has); bad input exits 2 (`_Exit`)."""
     from . import entries
     from .spec import CatalogEntry
     try:
@@ -114,24 +124,21 @@ def _load_spec(args):
             doc = json.loads(entries.text(args.spec))
         ent = CatalogEntry.from_dict(doc)
     except (OSError, UnicodeDecodeError) as err:  # a directory, an unreadable or non-UTF-8 file
-        sys.stderr.write(f"spec error: {args.spec}: {getattr(err, 'strerror', None) or err}\n")
-        return None
+        raise _Exit(2, f"spec error: {args.spec}: {getattr(err, 'strerror', None) or err}")
     except (entries.UnknownEntryError, json.JSONDecodeError, ValueError) as err:
-        sys.stderr.write(f"spec error: {err}\n")
-        return None
+        raise _Exit(2, f"spec error: {err}")
     spec, target = ent.spec, getattr(args, "target", None)
     known = set(spec.params).union(entries.entry(target).spec.params
                                    if target in entries.names() else ())
     unknown = sorted(set(overrides) - known)
     if unknown:
         owners = " or ".join([spec.name] + ([target] if target else []))
-        sys.stderr.write(f"spec error: --param {unknown[0]}: {owners} has no such parameter\n")
-        return None
+        raise _Exit(2, f"spec error: --param {unknown[0]}: {owners} has no such parameter")
     spec.params.update(overrides)
     return ent, overrides, "expected_failures" in doc
 
 
-def _emit(doc: dict, fmt: str, out_path: str | None) -> bool:
+def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     elif fmt == "markdown":
@@ -147,42 +154,39 @@ def _emit(doc: dict, fmt: str, out_path: str | None) -> bool:
         for r in doc.get("reports", []):
             lines.append(f"{r['name']},{r['residual']!r},{r['tol']!r},{int(r['passed'])}")
         text = "\n".join(lines) + "\n"
-    return _write(text, out_path)
+    _write(text, out_path)
 
 
-def _write(text: str, out_path: str | None) -> bool:
+def _write(text: str, out_path: str | None) -> None:
     """Write `text` to `out_path`, or without one to stdout.  A path that
-    cannot be written (a directory, a missing parent) returns False once
-    one line on stderr names it and the reason."""
+    cannot be written (a directory, a missing parent) exits 2, named with
+    the reason."""
     if not out_path:
         sys.stdout.write(text)
-        return True
+        return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as err:
-        sys.stderr.write(f"output error: {out_path}: {err.strerror or err}\n")
-        return False
-    return True
+        raise _Exit(2, f"output error: {out_path}: {err.strerror or err}")
 
 
 def _report(command: str, args, spec, suite, **fields) -> int:
     """Emit the report of a `verify` or `legendre` walk, with the command's
     own `fields`, and return its exit code."""
     params = {k: [complex(v).real, complex(v).imag] for k, v in sorted(spec.params.items())}
-    if not _emit({"command": command, "version": __version__, "seed": args.seed,
-                  "tolerances": {"rtol": args.rtol}, "branch_convention": BRANCH_NOTE,
-                  "params": params, **fields, "reports": [r.to_dict() for r in suite.reports],
-                  "ok": suite.ok}, args.format, args.output):
-        return 2
+    _emit({"command": command, "version": __version__, "seed": args.seed,
+           "tolerances": {"rtol": args.rtol}, "branch_convention": BRANCH_NOTE,
+           "params": params, **fields, "reports": [r.to_dict() for r in suite.reports],
+           "ok": suite.ok}, args.format, args.output)
     return 0 if suite.ok else 1
 
 
 def _run_suite(args, source, check=None, transform=()):
     """The command's one walk, `catalog.run_suite` on `source`, or with
     `transform` (the arguments of `catalog.Transform` after the spec) on
-    that transform of `source`; for a bad `--seed` or `--rtol`, or an error
-    the walk raises, one line on stderr and its exit code instead.  The
+    that transform of `source`; a bad `--seed` or `--rtol`, or an error the
+    walk raises, exits with its code and line instead (`_Exit`).  The
     walk's modules, and so numpy, load here and nowhere else in the CLI;
     `legendre`, whose errors a transform raises, with a transform alone."""
     from . import catalog, exprjet as ej
@@ -193,38 +197,29 @@ def _run_suite(args, source, check=None, transform=()):
         bad_transform, rejected = (ProductTableError,), (NotInvertibleError,
                                                          HypothesisViolatedError)
     if args.seed < 0:
-        sys.stderr.write(f"input error: --seed {args.seed}: must be non-negative\n")
-        return 2
+        raise _Exit(2, f"input error: --seed {args.seed}: must be non-negative")
     if not (math.isfinite(args.rtol) and args.rtol >= 0):
-        sys.stderr.write(f"input error: --rtol {args.rtol!r}: must be finite and non-negative\n")
-        return 2
+        raise _Exit(2, f"input error: --rtol {args.rtol!r}: must be finite and non-negative")
     if transform:
         source = catalog.Transform(source, *transform)
     try:
         return catalog.run_suite(source, seed=args.seed, count=args.points, tol=args.rtol,
                                  check=check)
     except catalog.UnknownCheckError as err:
-        sys.stderr.write(f"unknown check: {err}\n")
+        raise _Exit(2, f"unknown check: {err}")
     except ej.ParseError as err:
-        sys.stderr.write(f"spec error: cannot parse {err.source!r}: {err}\n")
+        raise _Exit(2, f"spec error: cannot parse {err.source!r}: {err}")
     except (PointCountError, RegionEmptyError, MissingFieldError, *bad_transform,
             catalog.UnknownEntryError, catalog.SingularSampleError, ej.EvalError,
             catalog.MissingCompanionDataError) as err:
-        sys.stderr.write(f"input error: {err}\n")
+        raise _Exit(2, f"input error: {err}")
     except rejected as err:
-        sys.stderr.write(f"transform rejected: {err}\n")
-        return 1
-    return 2
+        raise _Exit(1, f"transform rejected: {err}")
 
 
 def cmd_verify(args) -> int:
-    loaded = _load_spec(args)
-    if loaded is None:
-        return 2
-    ent, _, lists_failures = loaded
+    ent, _, lists_failures = _load_spec(args)
     suite = _run_suite(args, ent, args.check)
-    if isinstance(suite, int):
-        return suite
     # a `--check` run names its row where the file expects it to fail
     if lists_failures and (args.check is None or suite.expected_failures):
         return _report("verify", args, ent.spec, suite, target=ent.spec.name,
@@ -273,14 +268,11 @@ def cmd_ode(args) -> int:
             raise ValueError("give --init q0|pencil63 or --state")
         traj = integrate(state, z_to, rtol=args.rtol, atol=args.atol, n_dense=args.steps)
     except (SingularPathError, SingularPointError) as err:
-        sys.stderr.write(f"singular segment: {err}\n")
-        return 2
+        raise _Exit(2, f"singular segment: {err}")
     except StepSizeUnderflowError as err:
-        sys.stderr.write(f"integration failed: {err}\n")
-        return 2
+        raise _Exit(2, f"integration failed: {err}")
     except ValueError as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return 2
+        raise _Exit(2, f"input error: {err}")
     names = ["z", *COMPONENTS, *(f"I{k}" for k in range(1, 9))]
     header = [f"{c}_{p}" for c in names for p in ("re", "im")] + ["dI1_abs", "dI2_abs"]
     lines = [",".join(header)]
@@ -290,40 +282,31 @@ def cmd_ode(args) -> int:
         row = [part for c in cells for part in (c.real, c.imag)]
         row += [abs(vals["I1"] - i0["I1"]), abs(vals["I2"] - i0["I2"])]
         lines.append(",".join(repr(float(v)) for v in row))
-    if not _write("\n".join(lines) + "\n", args.output):
-        return 2
+    _write("\n".join(lines) + "\n", args.output)
     # each drift against the size of its integral's terms at the start, where they may cancel
     f12, f21, f13, f31, f23, f32 = map(abs, state.F)
     for name, drift, size in (("I1", traj.drift_I1, f12 * f21 + f13 * f31 + f23 * f32),
                               ("I2", traj.drift_I2, f13 * f32 * f21 + f23 * f31 * f12)):
         if drift > args.drift_tol * max(1.0, size):
-            sys.stderr.write(f"integral drift {drift:.3e} of {name} exceeds "
-                             f"{args.drift_tol:.1e} x max(1, {size:.3e})\n")
-            return 1
+            raise _Exit(1, f"integral drift {drift:.3e} of {name} exceeds "
+                           f"{args.drift_tol:.1e} x max(1, {size:.3e})")
     return 0
 
 
 def cmd_legendre(args) -> int:
-    loaded = _load_spec(args)
-    if loaded is None:
-        return 2
-    ent, overrides, _ = loaded
+    ent, overrides, _ = _load_spec(args)
     spec = ent.spec
     # a field's name, else its components: a comma separates them, and on n = 1 there is one
     field_exprs = ent.companion.get("legendre_fields", {}).get(args.field)
     field_name = args.field
     if field_exprs is None:
         if "," not in args.field and spec.n != 1:
-            sys.stderr.write(f"input error: --field {args.field!r}: not a field of {spec.name}\n")
-            return 2
+            raise _Exit(2, f"input error: --field {args.field!r}: not a field of {spec.name}")
         field_exprs, field_name = tuple(args.field.split(",")), "custom"
     if len(field_exprs) != spec.n:
-        sys.stderr.write(f"input error: --field {args.field!r}: {len(field_exprs)} components, "
-                         f"but {spec.name} has n = {spec.n}\n")
-        return 2
+        raise _Exit(2, f"input error: --field {args.field!r}: {len(field_exprs)} components, "
+                       f"but {spec.name} has n = {spec.n}")
     suite = _run_suite(args, spec, transform=(field_exprs, field_name, args.target, overrides))
-    if isinstance(suite, int):
-        return suite
     return _report("legendre", args, spec, suite, field=field_name,
                    transformed_spec=suite.transformed.to_dict())
 
@@ -332,19 +315,16 @@ def cmd_catalog(args) -> int:
     from . import entries
     if args.action == "list":
         if args.name is not None:
-            sys.stderr.write(f"input error: catalog list takes no entry name, got {args.name!r}\n")
-            return 2
+            raise _Exit(2, f"input error: catalog list takes no entry name, got {args.name!r}")
         for name in entries.names():
             sys.stdout.write(name + "\n")
         return 0
     if args.name is None:
-        sys.stderr.write("input error: catalog export needs an entry name\n")
-        return 2
+        raise _Exit(2, "input error: catalog export needs an entry name")
     try:
         sys.stdout.write(entries.text(args.name))
     except entries.UnknownEntryError as err:
-        sys.stderr.write(f"{err}\n")
-        return 2
+        raise _Exit(2, str(err))
     return 0
 
 
@@ -401,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as err:
+        sys.stderr.write(f"{err}\n")
+        return err.code
 
 
 if __name__ == "__main__":

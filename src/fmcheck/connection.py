@@ -29,12 +29,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .manifold import (DEFAULT_TOL, ManifoldSpec, PointBatch, Report, Residuals, StructureAt,
-                       amax, fail_at, normalized, pmax, required, table_jets, walk_row)
+from .manifold import (DEFAULT_TOL, Jets, ManifoldSpec, PointBatch, Report, Residuals,
+                       StructureAt, amax, fail_at, normalized, pmax, required, table_jets,
+                       walk_row)
 from .tensor import SingularMatrixError, antisym, contract, contract_jets
 
 __all__ = [
-    "ConnectionAt", "InverseJets", "DualStructureAt",
+    "ConnectionAt", "DualStructureAt",
     "checked_inverse", "inverse_jets", "inverse_hessian", "metric_inverse",
     "christoffel_jets", "counit_jets",
     "levi_civita", "natural_connection", "natural_from_levi_civita",
@@ -64,15 +65,6 @@ class ConnectionAt(PointBatch):
         return riemann_components(self.gamma, self.dgamma)
 
 
-class InverseJets(PointBatch):
-    """A metric's inverse with its first derivatives (`inverse_jets`), at
-    a point or over a batch."""
-    _fields = ("inv", "dinv")
-
-    def __init__(self, inv, dinv):
-        self.inv, self.dinv = inv, dinv
-
-
 def checked_inverse(a: np.ndarray, error=SingularMatrixError) -> np.ndarray:
     """The inverse of a matrix, or of each matrix of a batch.  A matrix
     with |det| <= 1e-12 (1 + max|a|)^n is singular: the first one raises
@@ -98,9 +90,9 @@ def inverse_hessian(b, da, dda):
     return -contract("...ip,...pqkl,...qj->...ijkl", b, dda, b) + t + np.swapaxes(t, -2, -1)
 
 
-def metric_inverse(st: StructureAt) -> InverseJets:
-    """Inverse jets of the first metric of `st`."""
-    return InverseJets(*inverse_jets(required(st.g, "metric"), st.dg))
+def metric_inverse(st: StructureAt) -> Jets:
+    """Inverse jets of the first metric of `st`, to first order."""
+    return Jets(*inverse_jets(required(st.g, "metric"), st.dg))
 
 
 def christoffel_jets(g, dg, ddg, inverse):
@@ -114,10 +106,10 @@ def christoffel_jets(g, dg, ddg, inverse):
     return 0.5 * gamma, 0.5 * dgamma
 
 
-def levi_civita(st: StructureAt, inverse: InverseJets) -> ConnectionAt:
+def levi_civita(st: StructureAt, inverse: Jets) -> ConnectionAt:
     """The Levi-Civita connection of the first metric, whose
     `metric_inverse` is `inverse`."""
-    gamma, dgamma = christoffel_jets(st.g, st.dg, st.ddg, (inverse.inv, inverse.dinv))
+    gamma, dgamma = christoffel_jets(st.g, st.dg, st.ddg, (inverse.val, inverse.grad))
     return ConnectionAt(st.n, st.point, gamma, dgamma)
 
 
@@ -141,14 +133,14 @@ def natural_connection(st: StructureAt) -> ConnectionAt:
     return natural_from_levi_civita(st, levi_civita(st, inverse), inverse, counit_jets(st))
 
 
-def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt, inverse: InverseJets,
+def natural_from_levi_civita(st: StructureAt, lc: ConnectionAt, inverse: Jets,
                              counit) -> ConnectionAt:
     """The natural connection built on `lc`, the Levi-Civita connection of
     `st.g` at the same points, from the `metric_inverse` `inverse` that
     `lc` was built on and the `counit_jets(st)` `counit`."""
     _, _, dtheta, d_dtheta = counit
     # m[i,q] = g^if dtheta_qf, contracted with c
-    m = contract_jets("...if,...qf->...iq", (inverse.inv, inverse.dinv), (dtheta, d_dtheta))
+    m = contract_jets("...if,...qf->...iq", (inverse.val, inverse.grad), (dtheta, d_dtheta))
     b, db = (-0.5 * t for t in contract_jets("...iq,...qkl->...ikl", m, (st.c, st.dc)))
     return ConnectionAt(st.n, st.point, lc.gamma + b, lc.dgamma + db)
 
@@ -336,8 +328,8 @@ class DualStructureAt(PointBatch):
 
 def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
     """Rescaled product through the Euler field and the dual connection
-    Gamma*^k_ij = Gamma^k_ij - c*^l_ji nabla_l E^k, with flatness and the
-    reverse reconstruction formula checked as residuals."""
+    Gamma*^k_ij = Gamma^k_ij - c*^l_ji nabla_l E^k, with its flatness
+    (`flatness_at`) and the reverse reconstruction formula checked as residuals."""
     # (E o)^s_m
     eo = contract_jets("...smt,...t->...sm", (st.c, st.dc), (required(st.E, "Euler field"), st.dE))
     k_inv, dk_inv = inverse_jets(*eo)
@@ -352,12 +344,11 @@ def dual_structure(st: StructureAt, conn: ConnectionAt) -> DualStructureAt:
     # the parts: dual product axioms, unit E, dual flatness, reverse formula
     assoc = antisym(contract("...sjk,...isl->...ijkl", cstar, cstar))
     unit = contract("...ijk,...j->...ik", cstar, st.E) - np.eye(st.n)
-    flat = star.curvature
     nab_star_e = st.de + contract("...ijs,...s->...ij", gamma_star, st.e)  # nabla*_j e^i
     reverse = conn.gamma - (gamma_star - contract("...lji,...kl->...kij", st.c, nab_star_e))
     sc_c = amax(cstar, 3)
-    sc_g = pmax(amax(gamma_star, 3) ** 2, amax(dgamma_star, 4))
     parts = {"associativity": normalized(amax(assoc, 4), sc_c ** 2),
-             "unit": normalized(amax(unit, 2), sc_c), "flatness": normalized(amax(flat, 4), sc_g),
+             "unit": normalized(amax(unit, 2), sc_c),
+             "flatness": flatness_at(star).parts["curvature"],
              "reverse": normalized(amax(reverse, 3), amax(gamma_star, 3))}
     return DualStructureAt(cstar, dcstar, star, Residuals(parts, sc_c))

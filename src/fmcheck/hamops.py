@@ -174,7 +174,7 @@ def emit_operator(spec: ManifoldSpec, nb: NormalBundleData, point) -> dict:
     gmc = walk.report("gmc")
     if not gmc.passed:
         raise GmcFailedError(f"affinor equations fail at {point}: residual {gmc.residual:.3e}")
-    ginv = walk.ginv.inv[0]
+    ginv = walk.ginv.val[0]
     conv = -np.einsum("is,jsk->ijk", ginv, walk.lc.gamma[0])
     ws = _affinors(walk.st, walk.fields.val, walk.fields.grad)[0][0]
     tails = [{"epsilon": int(nb.eps[a].real) if isinstance(nb.eps[a], complex) else int(nb.eps[a]),

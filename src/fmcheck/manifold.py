@@ -163,21 +163,15 @@ class StructureAt(PointBatch):
 
 
 class Report:
-    """Residual statistics for one named check."""
+    """Residual statistics for one named check, which passes where its
+    residual is at most its tolerance (so a NaN residual fails)."""
 
-    def __init__(self, name: str, residual: float, tol: float, passed: bool,
-                 scale: float = 0.0, npoints: int = 0, details: dict | None = None):
-        self.name, self.residual, self.tol, self.passed = name, residual, tol, passed
-        self.scale, self.npoints = scale, npoints
+    def __init__(self, name: str, residual: float, tol: float, scale: float = 0.0,
+                 npoints: int = 0, details: dict | None = None):
+        self.name, self.residual, self.tol = name, float(residual), float(tol)
+        self.passed = bool(self.residual <= self.tol)
+        self.scale, self.npoints = float(scale), int(npoints)
         self.details = {} if details is None else details
-
-    @classmethod
-    def from_residual(cls, name: str, residual: float, tol: float,
-                      scale: float = 0.0, npoints: int = 0,
-                      details: dict | None = None) -> "Report":
-        residual = float(residual)
-        return cls(name, residual, float(tol), bool(residual <= tol), float(scale),
-                   int(npoints), details or {})
 
     def to_dict(self) -> dict:
         return {"name": self.name, "residual": self.residual, "tol": self.tol,
@@ -406,7 +400,7 @@ def batch_report(name: str, result: Residuals, tol: float, fit: str | None = Non
                 residuals.append(normalized(abs(mean - complex(expected)), abs(mean)))
     details.update((f"min_{key}", float(np.min(values))) for key, values in result.least.items())
     scale = np.atleast_1d(result.scale)
-    return Report.from_residual(name, worst(residuals), tol, worst(scale), len(scale), details)
+    return Report(name, worst(residuals), tol, worst(scale), len(scale), details)
 
 
 def walk_row(name: str, spec: ManifoldSpec, comp: dict, points,

@@ -79,6 +79,17 @@ def test_missing_companion_data():
         verify_vector_potential(ent, pts)
 
 
+def test_a_singular_flat_chart_names_its_sample():
+    # the chart (x, (y-1.2)^2) has a singular jacobian on y = 1.2, the
+    # second of the two points: the walk names it and the chart's error
+    ent = cat.entry("case-i")
+    comp = {**ent.companion, "flat_chart": ["x", "(y-1.2)^2"]}
+    with pytest.raises(cat.SingularSampleError,
+                       match=r"^sample 1 at \(1\.0, 1\.2\) is singular: JacobianSingularError"):
+        cat.run_checks(ent.spec, comp, ["flat-coordinates"], [[1.0, 1.3], [1.0, 1.2]])
+    assert cat.run_checks(ent.spec, comp, ["flat-coordinates"], [[1.0, 1.3]])[0].npoints == 1
+
+
 def test_half_plane_potential_unit_components():
     ent = cat.entry("lobachevsky")
     pts = sample_points(ent.spec, SamplePlan(seed=1, count=5))

@@ -198,9 +198,9 @@ def test_natural_connection_is_torsionless_exactly_where_the_product_commutes(n)
         dtorsion = nat.dgamma - np.swapaxes(nat.dgamma, -2, -3)
         twist = st.c - np.swapaxes(st.c, -1, -2)  # c^q_kl - c^q_lk
         dtwist = st.dc - np.swapaxes(st.dc, -2, -3)
-        m = np.einsum("...if,...qf->...iq", inverse.inv, dtheta)
-        dm = (np.einsum("...ifp,...qf->...iqp", inverse.dinv, dtheta)
-              + np.einsum("...if,...qfp->...iqp", inverse.inv, d_dtheta))
+        m = np.einsum("...if,...qf->...iq", inverse.val, dtheta)
+        dm = (np.einsum("...ifp,...qf->...iqp", inverse.grad, dtheta)
+              + np.einsum("...if,...qfp->...iqp", inverse.val, d_dtheta))
         want = -0.5 * np.einsum("...iq,...qkl->...ikl", m, twist)
         dwant = -0.5 * (np.einsum("...iqp,...qkl->...iklp", dm, twist)
                         + np.einsum("...iq,...qklp->...iklp", m, dtwist))
@@ -445,7 +445,7 @@ def _batched_functions(spec, comp):
             "inverse_jets": lambda st: cn.inverse_jets(st.g, st.dg),
             "inverse_hessian": lambda st: cn.inverse_hessian(cn.checked_inverse(st.g), st.dg,
                                                              st.ddg),
-            "metric_inverse": lambda st: (cn.metric_inverse(st).inv, cn.metric_inverse(st).dinv),
+            "metric_inverse": lambda st: (cn.metric_inverse(st).val, cn.metric_inverse(st).grad),
             "christoffel_jets": lambda st: cn.christoffel_jets(st.g, st.dg, st.ddg,
                                                                cn.inverse_jets(st.g, st.dg)),
             "counit_jets": cn.counit_jets,
@@ -587,12 +587,12 @@ def _point_axis_functions(spec, comp):
             "spanning_fields": lambda st: (fields(st).val, fields(st).grad),
             "quadratic_expansion_at": lambda st: hm.quadratic_expansion_at(
                 st, cn.levi_civita(st, cn.metric_inverse(st)), nb.eps, fields(st).val,
-                cn.metric_inverse(st).inv),
+                cn.metric_inverse(st).val),
             "sym_condition_at": lambda st: hm.sym_condition_at(
                 st, cn.natural_connection(st), fields(st).val, fields(st).grad),
             "gmc_at": lambda st: hm.gmc_at(st, cn.levi_civita(st, cn.metric_inverse(st)), nb.eps,
                                            fields(st).val, fields(st).grad,
-                                           cn.metric_inverse(st).inv),
+                                           cn.metric_inverse(st).val),
             "rank_of": lambda st: hm.rank_of(fields(st).val),
         })
     if "gamma_star" in comp:

@@ -154,8 +154,12 @@ def test_sqrt_squares_back(z):
     assert abs(w * w - z) <= 1e-12 * (1 + abs(z))
 
 
+# the parser's literals: integers, the reals that print through repr and pure imaginary ones
+_reals = st.one_of(st.floats(min_value=0, max_value=1e300), st.sampled_from([0.0015, 1e+20, 2.5]))
 _leaf = st.one_of(
     st.integers(min_value=0, max_value=9).map(lambda v: Num(complex(v))),
+    _reals.map(lambda v: Num(complex(v))),
+    _reals.map(lambda v: Num(complex(0, v))),
     st.sampled_from([Var(1), Var(2), Var(3), Param("a"), Param("b")]),
 )
 

@@ -168,8 +168,9 @@ def test_hm_residual_invariant_under_relabeling():
 
 def test_merge_reports_nan_fails_in_either_order():
     from fmcheck.manifold import Report, merge_reports
-    ok = Report.from_residual("a", 0.0, 1e-8, npoints=1)
-    bad = Report.from_residual("a", float("nan"), 1e-8, npoints=1)
+    ok = Report("a", 0.0, 1e-8, npoints=1)
+    bad = Report("a", float("nan"), 1e-8, npoints=1)
+    assert ok.passed and not bad.passed
     for pair in ([ok, bad], [bad, ok]):
         merged = merge_reports("a", pair, 1e-8)
         assert not merged.passed and np.isnan(merged.residual)

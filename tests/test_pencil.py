@@ -349,6 +349,24 @@ def test_reconstructed_rows_fail_on_a_broken_first_metric():
         assert all(r.passed for r in cat.run_checks(spec, {}, names, pts)), seed
 
 
+def test_rebuilt_product_homogeneity_is_the_reconstructed_row():
+    # g2_11 (1 + 1e-6 u1) breaks the pencil's homogeneity: the rebuilt
+    # product's L_E c = c is checked by `reconstructed/homogeneity` alone,
+    # which fails, while `product-from-pencil`, which checks the product's
+    # construction, passes
+    spec = af()
+    g2 = [list(row) for row in spec.g2]
+    g2[0][0] = f"({g2[0][0]})*(1+1e-6*u1)"
+    broken = copy.copy(spec)
+    broken.g2 = tuple(map(tuple, g2))
+    pts = sample_points(broken, SamplePlan(seed=0, count=20))
+    hom, prod = cat.run_checks(broken, {}, ["reconstructed/homogeneity", "product-from-pencil"],
+                               pts)
+    assert not hom.passed and hom.residual >= 1e-6, hom.residual
+    assert prod.passed, prod.residual
+    assert all(r.passed for r in cat.run_checks(spec, {}, ["reconstructed/homogeneity"], pts))
+
+
 def test_semisimple_pencil_from_f_reproduces_af():
     n = 3
     f = tuple("1/(" + "*".join(f"(u{k+1}-u{i+1})" for k in range(n) if k != i) + ")"
