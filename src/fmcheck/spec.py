@@ -16,7 +16,7 @@ Evaluation lives in the numpy layer (`exprjet`, `manifold`, `hamops`);
 this module only holds and checks strings, so the catalog and a spec
 file's errors load without numpy.
 
-Grammar (see `parse`):
+Grammar (see `parse`), the binary operators' levels in `_LEVEL`:
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -25,6 +25,9 @@ Grammar (see `parse`):
     atom   := number | number "i" | ident | ident "(" expr ("," expr)* ")"
             | "(" expr ")"
 
+So a unary minus binds before ``^``: ``-2^2`` is 4 and ``-x^2`` is
+``(-x)^2``; ``a^b^c`` is ``a^(b^c)`` and ``pow(a, b)`` is ``a^b``.  A number
+is decimal, as ``2``, ``1.5``, ``.5`` or ``1e-3``, and ``2i`` is imaginary.
 Coordinates are ``u1`` .. ``u9``; ``x``, ``y``, ``z`` are fixed aliases for
 ``u1``, ``u2``, ``u3``.  Any other identifier is a named parameter bound at
 evaluation time.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -62,15 +66,23 @@ class ParseError(ExprError):
 
 
 class Expr:
-    """A node of the syntax tree.  Two nodes are equal, and hash alike,
-    when they are of one type with equal fields (`_key`): the tape shares
-    a slot only between equal nodes (`exprjet._compile`).  A node's hash
-    is taken once, when it is made, from its children's."""
-    __slots__ = ("_hash",)
+    """A node of the syntax tree, made from its fields (`_fields`, in the
+    order its constructor takes them).  Two nodes are equal, and hash
+    alike, when they are of one type with equal fields: the tape shares a
+    slot only between equal nodes (`exprjet._compile`).  The fields' tuple
+    and its hash are taken once, when the node is made, from its
+    children's."""
+    __slots__ = ("_key", "_hash")
+    _fields = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self._fields, fields, strict=True):
+            setattr(self, name, value)
+        self._key, self._hash = fields, hash(fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self):
@@ -87,69 +99,27 @@ class Expr:
 
 
 class Num(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: complex):
-        self.value = value
-        self._hash = hash(self._key())
-
-    def _key(self):
-        return (self.value,)
+    __slots__ = _fields = ("value",)  # complex
 
 
 class Var(Expr):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index  # 1-based coordinate index
-        self._hash = hash(self._key())
-
-    def _key(self):
-        return (self.index,)
+    __slots__ = _fields = ("index",)  # 1-based coordinate index
 
 
 class Param(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(self._key())
-
-    def _key(self):
-        return (self.name,)
+    __slots__ = _fields = ("name",)
 
 
 class Neg(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a: Expr):
-        self.a = a
-        self._hash = hash(self._key())
-
-    def _key(self):
-        return (self.a,)
+    __slots__ = _fields = ("a",)
 
 
 class Bin(Expr):
-    __slots__ = ("op", "a", "b")
-
-    def __init__(self, op: str, a: Expr, b: Expr):
-        self.op, self.a, self.b = op, a, b  # op: + - * / ^
-        self._hash = hash(self._key())
-
-    def _key(self):
-        return (self.op, self.a, self.b)
+    __slots__ = _fields = ("op", "a", "b")  # op: + - * / ^
 
 
 class Call(Expr):
-    __slots__ = ("fn", "a")
-
-    def __init__(self, fn: str, a: Expr):
-        self.fn, self.a = fn, a  # fn: sqrt ln exp
-        self._hash = hash(self._key())
-
-    def _key(self):
-        return (self.fn, self.a)
+    __slots__ = _fields = ("fn", "a")  # fn: sqrt ln exp
 
 
 def _as_expr(v) -> Expr:
@@ -160,67 +130,43 @@ def _as_expr(v) -> Expr:
 
 _COORD_ALIASES = {"x": 1, "y": 2, "z": 3}
 _FUNCTIONS = {"sqrt": 1, "ln": 1, "exp": 1, "pow": 2}
+# the binary operators' levels, loosest first (read by `_parse_expr` and
+# `_source` alike); `^` is right-associative and its base a unary, which,
+# as an atom does, binds tighter than any binary operator
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+_RIGHT = "^"
+_UNARY = 4
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+# one token at a time: whitespace, a number (with a trailing `i`, imaginary),
+# a word, or any other character.  `\d`, `\w` and `\s` are Unicode's: a
+# decimal digit (what float reads), a letter, digit or `_`, and a space.
+_TOKEN = re.compile(r"(\s+)|((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(i(?!\w))?|(\w+)|(.)",
+                    re.DOTALL)
+
+
 class _Scanner:
     def __init__(self, source: str):
         self.src = source.replace("−", "-")
-        self.pos = 0
         self.tokens: list = []
-        self._scan()
+        for m in _TOKEN.finditer(self.src):
+            space, num, imag, word, other = m.groups()
+            if num:
+                value = float(num)
+                self.tokens.append(("num", complex(0, value) if imag else complex(value),
+                                    m.start()))
+            elif word and (word[0].isalpha() or word[0] == "_"):
+                self.tokens.append(("ident", word, m.start()))
+            elif other and other in "+-*/^(),":
+                self.tokens.append((other, other, m.start()))
+            elif not space:  # any other character, or a digit float cannot read (²)
+                self.error(f"unexpected character {(word or other)[0]!r}", m.start())
+        self.tokens.append(("end", None, len(self.src)))
         self.idx = 0
-
-    def _loc(self, pos):
-        line = self.src.count("\n", 0, pos) + 1
-        col = pos - (self.src.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def _scan(self):
-        src, n = self.src, len(self.src)
-        i = 0
-        while i < n:
-            ch = src[i]
-            if ch.isspace():
-                i += 1
-                continue
-            start = i
-            if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-                i += 1
-                while i < n and src[i].isdigit():
-                    i += 1
-                if i < n and src[i] == ".":
-                    i += 1
-                    while i < n and src[i].isdigit():
-                        i += 1
-                if i < n and src[i] in "eE" and i + 1 < n and (
-                        src[i + 1].isdigit() or (src[i + 1] in "+-" and i + 2 < n and src[i + 2].isdigit())):
-                    i += 2
-                    while i < n and src[i].isdigit():
-                        i += 1
-                value = float(src[start:i])
-                imag = False
-                if i < n and src[i] == "i" and (i + 1 == n or not (src[i + 1].isalnum() or src[i + 1] == "_")):
-                    imag = True
-                    i += 1
-                self.tokens.append(("num", complex(0, value) if imag else complex(value), start))
-                continue
-            if ch.isalpha() or ch == "_":
-                i += 1
-                while i < n and (src[i].isalnum() or src[i] == "_"):
-                    i += 1
-                self.tokens.append(("ident", src[start:i], start))
-                continue
-            if ch in "+-*/^(),":
-                self.tokens.append((ch, ch, start))
-                i += 1
-                continue
-            line, col = self._loc(i)
-            raise ParseError(f"unexpected character {ch!r}", line, col, self.src)
-        self.tokens.append(("end", None, n))
 
     def peek(self):
         return self.tokens[self.idx]
@@ -230,52 +176,38 @@ class _Scanner:
         self.idx += 1
         return tok
 
-    def error(self, message, tok):
-        line, col = self._loc(tok[2])
+    def close(self):
+        """Read the ')' that closes a group or a call."""
+        kind, _, pos = self.next()
+        if kind != ")":
+            self.error("expected ')'", pos)
+
+    def error(self, message, pos):
+        """ParseError at the source's index `pos`, by line and column."""
+        line = self.src.count("\n", 0, pos) + 1
+        col = pos - (self.src.rfind("\n", 0, pos) + 1) + 1
         raise ParseError(message, line, col, self.src)
 
 
-def _parse_expr(s: _Scanner) -> Expr:
-    node = _parse_term(s)
-    while s.peek()[0] in "+-":
+def _parse_expr(s: _Scanner, level: int = 1) -> Expr:
+    """The expression at the scanner whose binary operators bind at `level`
+    or tighter (`_LEVEL`), by precedence climbing."""
+    node = _parse_unary(s)
+    while _LEVEL.get(s.peek()[0], 0) >= level:
         op = s.next()[0]
-        node = Bin(op, node, _parse_term(s))
+        node = Bin(op, node, _parse_expr(s, _LEVEL[op] + (op != _RIGHT)))
     return node
-
-
-def _parse_term(s: _Scanner) -> Expr:
-    node = _parse_factor(s)
-    while s.peek()[0] in "*/":
-        op = s.next()[0]
-        node = Bin(op, node, _parse_factor(s))
-    return node
-
-
-def _parse_factor(s: _Scanner) -> Expr:
-    base = _parse_unary(s)
-    if s.peek()[0] == "^":
-        s.next()
-        return Bin("^", base, _parse_factor(s))
-    return base
 
 
 def _parse_unary(s: _Scanner) -> Expr:
-    if s.peek()[0] == "-":
-        s.next()
+    kind, value, pos = s.next()
+    if kind == "-":
         return Neg(_parse_unary(s))
-    return _parse_atom(s)
-
-
-def _parse_atom(s: _Scanner) -> Expr:
-    tok = s.next()
-    kind, value, _ = tok
     if kind == "num":
         return Num(value)
     if kind == "(":
         node = _parse_expr(s)
-        closing = s.next()
-        if closing[0] != ")":
-            s.error("expected ')'", closing)
+        s.close()
         return node
     if kind == "ident":
         if s.peek()[0] == "(":
@@ -284,24 +216,20 @@ def _parse_atom(s: _Scanner) -> Expr:
             while s.peek()[0] == ",":
                 s.next()
                 args.append(_parse_expr(s))
-            closing = s.next()
-            if closing[0] != ")":
-                s.error("expected ')'", closing)
+            s.close()
             if value not in _FUNCTIONS:
-                s.error(f"unknown function {value!r}", tok)
+                s.error(f"unknown function {value!r}", pos)
             if len(args) != _FUNCTIONS[value]:
-                s.error(f"{value} expects {_FUNCTIONS[value]} argument(s)", tok)
-            if value == "pow":
-                return Bin("^", args[0], args[1])
-            return Call(value, args[0])
+                s.error(f"{value} expects {_FUNCTIONS[value]} argument(s)", pos)
+            return Bin("^", *args) if value == "pow" else Call(value, *args)
         if value in _COORD_ALIASES:
             return Var(_COORD_ALIASES[value])
-        if len(value) >= 2 and value[0] == "u" and value[1:].isdigit():
+        if value[0] == "u" and value[1:].isdecimal():
             idx = int(value[1:])
             if 1 <= idx <= 9:
                 return Var(idx)
         return Param(value)
-    s.error("expected a number, identifier or '('", tok)
+    s.error("expected a number, identifier or '('", pos)
 
 
 @lru_cache(maxsize=4096)
@@ -311,7 +239,7 @@ def parse(source: str) -> Expr:
     node = _parse_expr(s)
     tok = s.peek()
     if tok[0] != "end":
-        s.error("unexpected trailing input", tok)
+        s.error("unexpected trailing input", tok[2])
     return node
 
 
@@ -329,53 +257,31 @@ def _num_str(v: complex) -> str:
         return fmt(v.real) if v.real >= 0 else f"(0-{fmt(-v.real)})"
     if v.real == 0:
         return f"{fmt(v.imag)}i" if v.imag >= 0 else f"(0-{fmt(-v.imag)}i)"
-    re = fmt(v.real) if v.real >= 0 else f"0-{fmt(-v.real)}"
+    real = fmt(v.real) if v.real >= 0 else f"0-{fmt(-v.real)}"
     op, im = ("+", v.imag) if v.imag >= 0 else ("-", -v.imag)
-    return f"({re}{op}{fmt(im)}i)"
+    return f"({real}{op}{fmt(im)}i)"
 
 
 def to_source(e: Expr) -> str:
-    return _print_expr(e)
+    return _source(e, 1)
 
 
-def _print_expr(e: Expr) -> str:
-    if isinstance(e, Bin) and e.op in "+-":
-        return f"{_print_expr(e.a)}{e.op}{_print_term(e.b)}"
-    return _print_term(e)
-
-
-def _print_term(e: Expr) -> str:
-    if isinstance(e, Bin) and e.op in "+-":
-        return f"({_print_expr(e)})"
-    if isinstance(e, Bin) and e.op in "*/":
-        return f"{_print_term(e.a)}{e.op}{_print_factor(e.b)}"
-    return _print_factor(e)
-
-
-def _print_factor(e: Expr) -> str:
-    if isinstance(e, Bin) and e.op in "+-*/":
-        return f"({_print_expr(e)})"
-    if isinstance(e, Bin):  # ^
-        return f"{_print_unary(e.a)}^{_print_factor(e.b)}"
-    return _print_unary(e)
-
-
-def _print_unary(e: Expr) -> str:
+def _source(e: Expr, level: int) -> str:
+    """`e` printed where an operand must bind at `level` or tighter
+    (`_LEVEL`): a binary operation that binds looser is parenthesized."""
+    if isinstance(e, Bin):
+        own, right = _LEVEL[e.op], e.op == _RIGHT
+        text = f"{_source(e.a, own + right)}{e.op}{_source(e.b, own + (not right))}"
+        return text if own >= level else f"({text})"
     if isinstance(e, Neg):
-        return f"-{_print_unary(e.a)}"
-    return _print_atom(e)
-
-
-def _print_atom(e: Expr) -> str:
+        return f"-{_source(e.a, _UNARY)}"
     if isinstance(e, Num):
         return _num_str(e.value)
     if isinstance(e, Var):
         return f"u{e.index}"
     if isinstance(e, Param):
         return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({_print_expr(e.a)})"
-    return f"({_print_expr(e)})"
+    return f"{e.fn}({_source(e.a, 1)})"
 
 
 # ---------------------------------------------------------------------------

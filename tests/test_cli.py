@@ -603,7 +603,10 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                     # evaluable everywhere, but a singular metric at sample 3
                     ("singular-third", [[f"x-{float(samples[3][0])!r}", "0"],
                                         ["0", "2/(x-y)^2"]]),
-                    ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]])):
+                    ("unparseable", [["1+", "0"], ["0", "2/(x-y)^2"]]),
+                    # a superscript is no digit: not of a number, nor of a coordinate
+                    ("superscript", [["2/(x-y)²", "0"], ["0", "2/(x-y)^2"]]),
+                    ("u-superscript", [["u2²*2/(x-y)^2", "0"], ["0", "2/(x-y)^2"]])):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({**doc, "g": g}))
     # two singular tables, e (ln(0)) and g (division by zero), at samples 5
@@ -671,6 +674,11 @@ def test_unevaluable_spec_is_bad_input(tmp_path):
                        (["verify", str(paths["e3-g5"])], singular(3) + ": DomainError: ln(0)"),
                        (["verify", str(paths["e3-g3"])], singular(3) + ": DomainError: ln(0)"),
                        (["verify", str(paths["unparseable"])], "cannot parse '1+'"),
+                       (["verify", str(paths["superscript"])],
+                        "spec error: cannot parse '2/(x-y)²': unexpected character '²' "
+                        "(line 1, column 8)"),
+                       (["verify", str(paths["u-superscript"])],
+                        "input error: unbound parameter 'u2²'"),
                        # before any point is drawn
                        (["verify", str(paths["unbound-guard"])],
                         "input error: unbound parameter 'kk'"),

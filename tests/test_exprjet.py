@@ -15,6 +15,15 @@ def test_parse_shapes():
     assert e == Bin("/", Num(2 + 0j), Bin("^", Bin("-", Var(1), Var(2)), Num(2 + 0j)))
     assert parse("pow(u1,2)") == parse("u1^2")
     assert parse("x*y") == Bin("*", Var(1), Var(2))
+    # the operator levels, printed with the fewest parentheses that parse back
+    assert parse("-u1^2") == Bin("^", Neg(Var(1)), Num(2)) != parse("-(u1^2)")
+    for src in ("-u1^2", "-(u1^2)", "a-(b-c)", "(a^b)^c", "a^b^c", "a/(b*c)", "(0-3)*u1",
+                "2^-u1"):
+        assert to_source(parse(src)) == src
+    assert to_source(parse("(a-b)-c")) == "a-b-c" and to_source(parse("pow(a,b)")) == "a^b"
+    assert to_source(Bin("*", Num(-3), Var(1))) == "(0-3)*u1"
+    assert to_source(Neg(Bin("+", Num(1.5 - 2j), Call("ln", Neg(Param("a")))))) == \
+        "-((1.5-2i)+ln(-a))"
 
 
 def test_parse_right_assoc_pow():
@@ -27,16 +36,43 @@ def test_parse_unary_binds_before_pow():
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse("2*(u1")
-    with pytest.raises(ParseError):
-        parse("foo(u1)")
-    with pytest.raises(ParseError):
-        parse("sin(u1)")
-    with pytest.raises(ParseError):
-        parse("u1 @ u2")
-    with pytest.raises(ParseError):
-        parse("pow(u1)")
+    # each error's message, line and column, and the source it names
+    for src, message, line, col in (
+            ("1+\n2 @ 3", "unexpected character '@'", 2, 3),
+            ("u1 @ u2", "unexpected character '@'", 1, 4),
+            ("2*(u1", "expected ')'", 1, 6),
+            ("sqrt(u1,", "expected a number, identifier or '('", 1, 9),
+            ("pow(u1 u2)", "expected ')'", 1, 8),
+            ("foo(u1)", "unknown function 'foo'", 1, 1),
+            ("sin(u1)", "unknown function 'sin'", 1, 1),
+            ("pow(u1)", "pow expects 2 argument(s)", 1, 1),
+            ("sqrt(u1,2)", "sqrt expects 1 argument(s)", 1, 1),
+            ("1+", "expected a number, identifier or '('", 1, 3),
+            ("1 −\t", "expected a number, identifier or '('", 1, 5),
+            ("u1 u2", "unexpected trailing input", 1, 4),
+            ("1e", "unexpected trailing input", 1, 2),
+            ("1.5e+", "unexpected trailing input", 1, 4),
+            ("2in", "unexpected trailing input", 1, 2),
+            # a digit that float cannot read, and a second decimal point
+            ("3²", "unexpected character '²'", 1, 2),
+            ("²", "unexpected character '²'", 1, 1),
+            ("1e²", "unexpected trailing input", 1, 2),
+            (".2.5", "unexpected trailing input", 1, 3)):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert (str(err.value), err.value.line, err.value.col) == \
+            (f"{message} (line {line}, column {col})", line, col), src
+        assert err.value.source == src.replace("−", "-")
+
+
+def test_u_names_with_other_digits_are_parameters():
+    # u1 .. u9 are the coordinates; a u-name whose digits are not all decimal
+    # (a superscript) is a parameter, as is any other name
+    assert [parse(f"u{k}") for k in range(1, 10)] == [Var(k) for k in range(1, 10)]
+    for name in ("u2²", "u²", "u0", "u10"):
+        assert parse(name) == Param(name)
+    with pytest.raises(UnboundParameterError, match="'u2²'"):
+        eval_value(parse("u2²*u1"), [1.0])
 
 
 def test_eval_errors():
